@@ -9,9 +9,11 @@
 //!   and once through the columnar batch kernel;
 //! * the PR 6 explicit-SIMD sweep (`BENCH_PR6.json`), a
 //!   kernel-knob × admission-mode grid — `scalar`/`chunked`/`simd`
-//!   crossed with one-candidate and multi-candidate ([`MULTI_LANES`])
-//!   window admission — plus the [`CANDIDATE_FIRST_CHUNK`] tuning curve
-//!   the constant is pinned against.
+//!   crossed with one-candidate (per-row window step) and
+//!   multi-candidate (the cross-filter batch fold, [`MULTI_LANES`]
+//!   candidates per block walk) admission — plus the
+//!   [`CANDIDATE_FIRST_CHUNK`] tuning curve the constant is pinned
+//!   against.
 //!
 //! Per-test cost (ns/test) plus throughput (rows/s, tests/s) are
 //! recorded; the JSON outputs are intentionally stable so later PRs can
@@ -198,8 +200,8 @@ pub struct SimdCell {
     /// `"scalar"`, `"chunked"`, or `"simd"` (the forced knob).
     pub kernel: &'static str,
     /// `"one_candidate"` (per-row window admission, the PR 2 protocol) or
-    /// `"multi_candidate"` (groups of [`MULTI_LANES`] rows per window
-    /// pass).
+    /// `"multi_candidate"` (`push_batch`'s cross-filter fold:
+    /// [`MULTI_LANES`] candidates per block walk).
     pub mode: &'static str,
     /// Skyline dimension count.
     pub dims: usize,
@@ -215,7 +217,7 @@ pub struct SimdCell {
     pub batched_tests: u64,
     /// Batched tests answered by an explicit-SIMD tier.
     pub simd_tests: u64,
-    /// Multi-candidate admission pre-passes executed.
+    /// Multi-candidate cross-filter passes executed.
     pub multi_candidate_passes: u64,
     /// Nanoseconds per performed dominance test.
     pub ns_per_test: f64,
@@ -230,8 +232,8 @@ pub struct SimdCell {
 /// (same code path, knob-pinned), so `speedups` reads as "SIMD
 /// multi-candidate over the PR 2 kernel, per performed test" measured in
 /// one run on one machine. As in PR 2, the knobs count tests differently
-/// (chunk-granular early exit, snapshot pre-passes) while the windows
-/// stay byte-identical; both the per-test cost and the wall clock are
+/// (chunk-granular early exit, one-directional cross-filter passes) while
+/// the windows stay byte-identical; both the per-test cost and the wall clock are
 /// kept so neither story hides the other.
 #[derive(Debug, Clone)]
 pub struct SimdBench {
@@ -273,8 +275,10 @@ fn run_simd_cell(
     let forced = knob(kernel);
     let pass = |stats: &mut SkylineStats| -> Vec<Row> {
         if mode == "multi_candidate" {
-            // One batch: `push_batch` admits groups of MULTI_LANES rows
-            // per window snapshot pass.
+            // `push_batch` folds the rows into the window a chunk at a
+            // time through the cross-filter, MULTI_LANES candidates per
+            // block walk; the fold's inner survivor windows run on the
+            // forced knob too, so the cell's counters stay on its tier.
             bnl_skyline_kernel(rows.clone(), &checker, stats, forced)
         } else {
             // Per-row admission: the PR 2 protocol on the forced knob.

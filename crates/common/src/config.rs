@@ -15,8 +15,10 @@ pub enum SkylineStrategy {
     /// Paper's Listing 8 selection logic.
     #[default]
     Auto,
-    /// Algorithm (1): distributed local skylines + single-executor global
-    /// skyline, both block-nested-loop. Only valid on complete data.
+    /// Algorithm (1): distributed local skylines + global skyline, both
+    /// block-nested-loop (the global phase merges the local skylines
+    /// pairwise over the executor pool where the paper gathers them onto
+    /// one executor — same rows, same order). Only valid on complete data.
     DistributedComplete,
     /// Algorithm (2): skip the local phase; one executor computes the
     /// global skyline directly. Only valid on complete data.
@@ -117,8 +119,12 @@ impl DominanceKernel {
 /// How the global skyline phase combines the gathered local skylines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MergeStrategy {
-    /// The paper's plan: gather everything onto one executor (`AllTuples`)
-    /// and run a single BNL/SFS pass — the serial bottleneck of §6.4.
+    /// One round over all local skylines. The complete BNL family merges
+    /// them pairwise in place — every local skyline cross-filtered against
+    /// every other, one task per partition on the executor pool (see
+    /// `GlobalSkylineExec`); SFS and the incomplete family keep the
+    /// paper's plan: gather everything onto one executor (`AllTuples`)
+    /// for a single pass — the serial bottleneck of §6.4.
     #[default]
     Flat,
     /// Hierarchical (tree) merge: local skylines are merged in k-way
@@ -351,7 +357,7 @@ impl SessionConfig {
     }
 
     /// Set the partition count at which the hierarchical merge engages.
-    /// `usize::MAX` effectively forces the flat single-executor merge.
+    /// `usize::MAX` effectively forces the flat (one-round) merge.
     pub fn with_hierarchical_merge_min_partitions(mut self, min: usize) -> Self {
         self.hierarchical_merge_min_partitions = min;
         self

@@ -113,9 +113,10 @@ impl SkylinePlan {
             }
         };
 
-        // The hierarchical merge replaces the paper's single-executor
-        // `AllTuples` phase once enough partitions exist for tree rounds
-        // to expose real parallelism; tiny pools keep the flat plan. The
+        // The hierarchical merge replaces the flat one-round merge (the
+        // complete BNL family's pairwise merge; elsewhere the paper's
+        // single-executor `AllTuples` phase) once enough partitions exist
+        // for tree rounds to pay off; tiny pools keep the flat plan. The
         // incomplete family joins in via its deferred-deletion partial
         // merge (`sparkline_skyline::incomplete`) unless the
         // `incomplete_tree_merge` knob pins it to the paper's flat plan.
@@ -245,7 +246,7 @@ impl SkylinePlan {
         }
         // Merge: tree rounds pay off when the local skylines gathered into
         // the global phase are large (trade-off-heavy data); tiny
-        // skylines keep the flat single-executor pass.
+        // skylines keep the flat one-round merge.
         plan.merge =
             if config.num_executors >= config.hierarchical_merge_min_partitions && frac >= 0.15 {
                 MergeStrategy::Hierarchical {

@@ -41,7 +41,9 @@ pub struct ExecMetrics {
     pub sfs_fallbacks: AtomicU64,
     /// Largest skyline window / candidate set observed.
     pub max_window: AtomicUsize,
-    /// Rows moved through exchanges (repartitioning volume).
+    /// Rows moved through exchanges (repartitioning volume), including
+    /// the local-skyline rows the flat pairwise merge gathers in place of
+    /// the paper's `AllTuples` exchange.
     pub rows_exchanged: AtomicU64,
     /// Rows compared by join operators (probe work).
     pub join_comparisons: AtomicU64,
@@ -53,12 +55,16 @@ pub struct ExecMetrics {
     pub rows_pruned: AtomicU64,
     /// Corner-to-corner dominance tests performed by grid pruning.
     pub corner_tests: AtomicU64,
-    /// Rounds of the hierarchical global merge (0 for the flat merge).
+    /// Rounds of the global merge: 1 for the flat pairwise merge of two
+    /// or more local skylines, the tree depth for the hierarchical merge,
+    /// 0 when a single gathered partition streams through one window
+    /// (non-distributed and SFS plans, the flat incomplete plan).
     pub merge_rounds: AtomicU64,
-    /// Merge tasks executed across all hierarchical rounds.
+    /// Merge tasks executed across all rounds (the flat pairwise merge
+    /// runs one per non-empty local skyline).
     pub merge_tasks: AtomicU64,
     /// Largest number of merge tasks in a single round — the parallelism
-    /// the tree merge actually exposed to the executor pool.
+    /// the merge actually exposed to the executor pool.
     pub max_merge_fanout: AtomicUsize,
     /// Rows discarded by the representative-point pre-filter before they
     /// reached any skyline window.
@@ -193,7 +199,7 @@ impl ExecMetrics {
         self.rows_pruned.fetch_add(rows, Ordering::Relaxed);
     }
 
-    /// Record one round of the hierarchical merge with `tasks` tasks.
+    /// Record one merge round with `tasks` tasks.
     pub fn add_merge_round(&self, tasks: usize) {
         self.merge_rounds.fetch_add(1, Ordering::Relaxed);
         self.merge_tasks.fetch_add(tasks as u64, Ordering::Relaxed);
@@ -356,9 +362,9 @@ pub struct MetricsSnapshot {
     pub rows_pruned: u64,
     /// Corner dominance tests spent on pruning.
     pub corner_tests: u64,
-    /// Hierarchical merge rounds.
+    /// Global merge rounds (1 for the flat pairwise merge).
     pub merge_rounds: u64,
-    /// Total hierarchical merge tasks.
+    /// Total merge tasks across all rounds.
     pub merge_tasks: u64,
     /// Largest single-round merge parallelism.
     pub max_merge_fanout: usize,

@@ -3,8 +3,9 @@
 //!
 //! `num_executors` worker threads process partitions concurrently — the
 //! same parallelism model the paper sweeps in its `--num-executors`
-//! experiments (§6.4, Figures 6/7): the local skyline phase scales with
-//! executors, while `AllTuples` phases run on a single executor.
+//! experiments (§6.4, Figures 6/7): the local skyline phase and the
+//! merge tasks of the global phase scale with executors, while
+//! `AllTuples` phases run on a single executor.
 //!
 //! # Failure semantics
 //!

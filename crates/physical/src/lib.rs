@@ -6,7 +6,8 @@
 //! The planner translates optimized logical plans into executable operator
 //! trees and performs the paper's skyline **algorithm selection**
 //! (Listing 8): complete data runs the two-phase Block-Nested-Loop plan
-//! (`LocalSkylineExec` + single-partition `GlobalSkylineExec`); potentially
+//! (`LocalSkylineExec` + `GlobalSkylineExec` merging the local skylines
+//! pairwise over the executor pool); potentially
 //! incomplete data is hash-distributed by null bitmap for the local phase
 //! and finished by the all-pairs `IncompleteGlobalSkylineExec`.
 //!

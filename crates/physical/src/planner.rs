@@ -543,15 +543,21 @@ impl<'a> PhysicalPlanner<'a> {
                         .with_kernel(choice.kernel),
                 )
             };
-            // The flat merge needs the `AllTuples` gather the paper
-            // describes; the hierarchical merge consumes the local
-            // skylines' distribution directly and fans merge rounds over
-            // the executor pool.
-            let (global_input, merge): (Arc<dyn ExecutionPlan>, MergeStrategy) = match choice.merge
-            {
-                MergeStrategy::Flat => (Arc::new(ExchangeExec::single(local)), MergeStrategy::Flat),
-                hierarchical => (local, hierarchical),
+            // The flat BNL merge and the hierarchical merge consume the
+            // local skylines' distribution directly and fan their merge
+            // tasks over the executor pool. Only a flat plan *without*
+            // mergeable local skylines still needs the `AllTuples` gather
+            // the paper describes: SFS (one re-sorting pass) and
+            // non-distributed plans (no local phase — the single pass must
+            // see every tuple).
+            let gather =
+                choice.merge == MergeStrategy::Flat && (choice.use_sfs || !choice.distributed);
+            let global_input: Arc<dyn ExecutionPlan> = if gather {
+                Arc::new(ExchangeExec::single(local))
+            } else {
+                local
             };
+            let merge = choice.merge;
             let global = if choice.use_sfs {
                 GlobalSkylineExec::sort_filter(spec, global_input)
             } else {
@@ -822,9 +828,14 @@ mod tests {
         let physical = planner.create(&logical).unwrap();
         let display = crate::display_physical(&physical);
         // Non-nullable dims => complete algorithm even without COMPLETE.
-        assert!(display.contains("GlobalSkylineExec"), "{display}");
+        // The local skylines feed the pairwise merge directly — no
+        // `AllTuples` gather between the phases.
+        assert!(
+            display.contains("GlobalSkylineExec [2 dims, pairwise merge"),
+            "{display}"
+        );
         assert!(display.contains("LocalSkylineExec"), "{display}");
-        assert!(display.contains("ExchangeExec [AllTuples]"), "{display}");
+        assert!(!display.contains("ExchangeExec"), "{display}");
         assert!(!display.contains("Incomplete"), "{display}");
 
         let ctx = TaskContext::new(3);
@@ -876,6 +887,11 @@ mod tests {
         let display = crate::display_physical(&physical);
         assert!(!display.contains("LocalSkylineExec"), "{display}");
         assert!(display.contains("GlobalSkylineExec"), "{display}");
+        // No local phase, so the single pass must see every tuple: the
+        // gather stays.
+        assert!(display.contains("ExchangeExec [AllTuples]"), "{display}");
+        let ctx = TaskContext::new(3);
+        assert_eq!(collect(&physical, &ctx).unwrap().len(), 1);
     }
 
     #[test]

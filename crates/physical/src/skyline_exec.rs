@@ -6,9 +6,10 @@
 //!   correctness never depends on how the exchange mapped bitmaps to
 //!   executors (Lemma 5.1 applies per bitmap class).
 //! * [`GlobalSkylineExec`] — complete-data global skyline over the local
-//!   skylines: either the paper's flat single-executor pass (`AllTuples`
-//!   distribution) or the hierarchical k-way tree merge that fans merge
-//!   rounds over the executor pool (see [`MergeStrategy`]).
+//!   skylines: the one-round pairwise cross-filter merge (every local
+//!   skyline filtered against every other, one task per partition on the
+//!   executor pool) or the hierarchical k-way tree merge that applies the
+//!   same primitive group by group (see [`MergeStrategy`]).
 //! * [`IncompleteGlobalSkylineExec`] — global skyline over the per-class
 //!   local skylines of incomplete data: either the paper's single-executor
 //!   all-pairs pass with deferred deletion (immune to cyclic dominance,
@@ -19,6 +20,7 @@
 //!   (§5.4): two linear passes, keeping optimum tuples (and NULL tuples,
 //!   which are incomparable and hence skyline members).
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use sparkline_common::{
@@ -26,15 +28,15 @@ use sparkline_common::{
     Value, CONTROL_CHECK_ROWS,
 };
 use sparkline_exec::{
-    partition::flatten, stream::breaker_streams, FaultSite, InFlightRows, Partition,
-    PartitionStream, TaskContext,
+    partition::{flatten, total_rows},
+    stream::breaker_streams,
+    FaultSite, InFlightRows, Partition, PartitionStream, TaskContext,
 };
 use sparkline_plan::{Expr, MinMaxDirection};
 use sparkline_skyline::{
-    bnl_skyline_into_kernel, incomplete_global_skyline, kernel_label,
-    merge_incomplete_partials_kernel, sfs_skyline_kernel, BnlBuilder, DominanceChecker,
-    GroupedBnlBuilder, IncompletePartial, IncompletePartialBuilder, RepresentativeFilter,
-    SkylineStats,
+    cross_filter, incomplete_global_skyline, kernel_label, merge_incomplete_partials_kernel,
+    sfs_skyline_kernel, BnlBuilder, ColumnarBlock, Dominance, DominanceChecker, GroupedBnlBuilder,
+    IncompletePartial, IncompletePartialBuilder, RepresentativeFilter, SkylineStats,
 };
 
 use crate::ExecutionPlan;
@@ -348,32 +350,54 @@ impl ExecutionPlan for LocalSkylineExec {
 /// Global skyline for complete data over the local skylines.
 ///
 /// Two merge strategies (selected by the planner through
-/// [`MergeStrategy`]):
+/// [`MergeStrategy`]), both built on the antichain identity of
+/// `sparkline_skyline::bnl` — for skylines `A`, `B`,
+/// *skyline(A ∪ B) = (A \ dominated-by-B) ++ (B \ dominated-by-A)*:
 ///
-/// * **Flat** — the paper's plan: a single BNL/SFS pass over everything,
-///   fed one partition via an `AllTuples` exchange. The global phase runs
-///   on one executor — the serial bottleneck of §6.4.
+/// * **Flat** — one round, no gather. The operator drains its input
+///   partitions (the local skylines) in parallel, encodes each once into a
+///   [`ColumnarBlock`], and runs one task per partition on the executor
+///   pool: task *i* cross-filters `L_i` against every other `L_j`
+///   ([`cross_filter`]: one-directional, early exit, eight candidates per
+///   block walk). The result is the survivors concatenated in partition
+///   order. Soundness: a row of `L_i` is in the global skyline iff no row
+///   of any partition dominates it; inside `L_i` nothing does (it is a
+///   skyline), and a dominator in `L_j` that is itself dominated elsewhere
+///   still proves the row dominated (transitivity), so testing against
+///   the *unfiltered* `L_j` is exact and the tasks are independent — no
+///   task waits for another's output. Byte-identity with the paper's
+///   single-executor BNL pass over the `AllTuples` gather of the same
+///   partitions: order-preserving BNL yields the skyline members of its
+///   input in arrival order, which for the concatenation `L_0 ++ L_1 ++ …`
+///   is exactly "survivors in partition order". `SKYLINE OF DISTINCT`
+///   additionally keeps the first of each group of dims-identical rows:
+///   within a partition the local phase already did, across partitions a
+///   sequential pass over the (small) merged result does — a later
+///   duplicate of a surviving row survives the strict cross-filter too, so
+///   deduplicating the survivors is deduplicating the skyline. SFS cannot
+///   merge pairwise (it re-sorts): it streams the chained inputs through
+///   one sink, as does any plan that hands this operator a single
+///   partition (non-distributed plans keep the `AllTuples` gather).
 /// * **Hierarchical** — a k-way tree merge: partitions are combined in
 ///   groups of `fan_in` per round, each group on its own executor, until
-///   one partition remains. Because BNL evictions are order-preserving
-///   (`Vec::remove`), a BNL pass always yields the skyline members of its
-///   input in arrival order — so the tree merge, which consumes groups in
-///   partition order, is row-for-row identical to the flat merge no
-///   matter how rounds interleave; only the wall-clock distribution of
-///   the dominance tests changes. SFS merges yield the same *set* — the
-///   final round re-sorts
-///   by monotone score, but when `sfs_skyline`'s non-numeric fallback
-///   engages, the fallback's BNL order depends on arrival order and may
-///   differ from the flat plan's. Round and task counts are reported
-///   through `exec::metrics`.
+///   one partition remains. Inside a group the same pairwise cross-filter
+///   runs sequentially. Because every merge returns the skyline members of
+///   its group in partition order, the tree merge is row-for-row identical
+///   to the flat merge no matter how rounds interleave; only the
+///   wall-clock distribution of the dominance tests changes. SFS merges
+///   yield the same *set* — the final round re-sorts by monotone score,
+///   but when `sfs_skyline`'s non-numeric fallback engages, the fallback's
+///   BNL order depends on arrival order and may differ from the flat
+///   plan's. Round and task counts are reported through `exec::metrics`
+///   (the flat merge is one round of one task per non-empty partition).
 ///
-/// Input contract: the **hierarchical** merge requires every input
-/// partition to already be a skyline (the planner guarantees this — a
-/// `LocalSkylineExec` always sits below, and later rounds consume earlier
-/// merge outputs), because each merge task seeds its BNL window with the
-/// group's first partition unscanned. The **flat** merge keeps the
-/// defensive any-input behavior: it re-scans everything, so correctness
-/// does not depend on the planner having inserted the gather exchange.
+/// Input contract: with **more than one input partition** both BNL merges
+/// require every partition to already be a skyline (the planner guarantees
+/// this — a `LocalSkylineExec` always sits below, and later rounds consume
+/// earlier merge outputs), because a partition is never tested against
+/// itself; debug builds spot-check it. A **single** input partition (a
+/// gather, or a one-partition child) may hold anything: it streams through
+/// an ordinary BNL window.
 #[derive(Debug)]
 pub struct GlobalSkylineExec {
     spec: SkylineSpec,
@@ -384,8 +408,9 @@ pub struct GlobalSkylineExec {
 }
 
 impl GlobalSkylineExec {
-    /// Flat global complete skyline; the planner feeds it a single
-    /// partition via an `AllTuples` exchange.
+    /// Flat global complete skyline: the pairwise merge over the input's
+    /// partitions (the planner feeds it the local skylines directly), or a
+    /// streaming pass when the input is a single partition.
     pub fn new(spec: SkylineSpec, input: Arc<dyn ExecutionPlan>) -> Self {
         GlobalSkylineExec {
             spec,
@@ -407,12 +432,10 @@ impl GlobalSkylineExec {
         }
     }
 
-    /// Choose the merge strategy (builder-style).
+    /// Choose the merge strategy (builder-style). A hierarchical fan-in
+    /// below 2 cannot shrink the partition count and is clamped to 2.
     pub fn with_merge(mut self, merge: MergeStrategy) -> Self {
-        if let MergeStrategy::Hierarchical { fan_in } = merge {
-            assert!(fan_in >= 2, "merge fan-in must be at least 2");
-        }
-        self.merge = merge;
+        self.merge = clamp_fan_in(merge);
         self
     }
 
@@ -428,56 +451,188 @@ impl GlobalSkylineExec {
     }
 }
 
-/// One k-way merge task: BNL/SFS over the concatenated group.
-///
-/// With `seed_window` the first partition of the group — which the
-/// caller guarantees to be a skyline already (a local skyline or the
-/// result of an earlier merge round) — becomes the initial BNL window
-/// without being re-scanned against itself. A skyline fed through a
-/// BNL window passes unchanged in order, so the merged result is
-/// row-for-row identical to the unseeded pass; only the wasted
-/// self-tests disappear. (SFS re-sorts the whole group and cannot
-/// seed.)
+/// A merge strategy whose hierarchical fan-in is at least 2 (a group of
+/// one merges nothing, so the rounds would never terminate).
+fn clamp_fan_in(merge: MergeStrategy) -> MergeStrategy {
+    match merge {
+        MergeStrategy::Hierarchical { fan_in } => MergeStrategy::Hierarchical {
+            fan_in: fan_in.max(2),
+        },
+        flat => flat,
+    }
+}
+
+/// Local skylines encoded once for the pairwise cross-filter merge: the
+/// row partitions plus, on a vectorized kernel knob, each partition's
+/// columnar mirror (possibly demoted to scalar fallback — the primitive
+/// routes around that).
+struct EncodedSkylines {
+    checker: DominanceChecker,
+    parts: Vec<Partition>,
+    blocks: Vec<Option<ColumnarBlock>>,
+}
+
+/// How many leading rows of each partition the debug-build contract check
+/// compares pairwise.
+const ANTICHAIN_SPOT_CHECK_ROWS: usize = 32;
+
+impl EncodedSkylines {
+    fn new(checker: DominanceChecker, kernel: DominanceKernel, parts: Vec<Partition>) -> Self {
+        debug_assert!(
+            parts.iter().all(|p| {
+                let head = &p[..p.len().min(ANTICHAIN_SPOT_CHECK_ROWS)];
+                head.iter()
+                    .all(|a| head.iter().all(|b| !checker.dominates(a, b)))
+            }),
+            "pairwise merge input partition is not a skyline"
+        );
+        let blocks = parts
+            .iter()
+            .map(|part| {
+                kernel.is_vectorized().then(|| {
+                    let mut block = ColumnarBlock::for_checker_with(&checker, kernel);
+                    part.iter().for_each(|row| block.push(row));
+                    block
+                })
+            })
+            .collect();
+        EncodedSkylines {
+            checker,
+            parts,
+            blocks,
+        }
+    }
+
+    /// Pairwise task `i`: which rows of partition `i` no row of any other
+    /// partition strictly dominates. Cancel and deadline are observed
+    /// every [`CONTROL_CHECK_ROWS`] candidates of every pair.
+    fn survivors(
+        &self,
+        ctx: &TaskContext,
+        i: usize,
+        stats: &mut SkylineStats,
+    ) -> Result<Vec<bool>> {
+        let cands = &self.parts[i];
+        let mut alive = vec![true; cands.len()];
+        for (j, against) in self.parts.iter().enumerate() {
+            if j == i {
+                continue;
+            }
+            for (cands, alive) in cands
+                .chunks(CONTROL_CHECK_ROWS)
+                .zip(alive.chunks_mut(CONTROL_CHECK_ROWS))
+            {
+                ctx.control.check()?;
+                cross_filter(
+                    &self.checker,
+                    cands,
+                    alive,
+                    against,
+                    self.blocks[j].as_ref(),
+                    stats,
+                );
+            }
+        }
+        Ok(alive)
+    }
+
+    /// The merged skyline: each partition's survivors, in partition order;
+    /// under `DISTINCT` only the first of every group of dims-identical
+    /// rows (the partitions are internally distinct already, so this only
+    /// removes cross-partition duplicates). As in the BNL window, a row
+    /// with a NULL-like dimension is not even `Equal` to itself and is
+    /// never deduplicated.
+    fn finish(self, alive: Vec<Vec<bool>>) -> Partition {
+        let checker = &self.checker;
+        let mut seen = HashSet::new();
+        self.parts
+            .into_iter()
+            .zip(alive)
+            .flat_map(|(part, alive)| part.into_iter().zip(alive))
+            .filter_map(|(row, alive)| alive.then_some(row))
+            .filter(|row| {
+                !checker.distinct()
+                    || checker.compare(row, row) != Dominance::Equal
+                    || seen.insert(checker.dim_values(row))
+            })
+            .collect()
+    }
+}
+
+/// The pairwise cross-filter merge of `parts` (each a skyline): encode
+/// once, one task per partition — fanned over the executor pool when
+/// `parallel`, in turn otherwise (a hierarchical merge task already owns
+/// one executor) — survivors concatenated in partition order.
+fn pairwise_merge(
+    ctx: &TaskContext,
+    spec: &SkylineSpec,
+    kernel: DominanceKernel,
+    parts: Vec<Partition>,
+    parallel: bool,
+) -> Result<Partition> {
+    ctx.control.check()?;
+    if parts.len() <= 1 {
+        // Nothing to merge against: a lone local skyline is the result.
+        return Ok(parts.into_iter().next().unwrap_or_default());
+    }
+    if parallel {
+        // The flat merge is one round of its own; a hierarchical group's
+        // round is counted by the round scheduler.
+        ctx.metrics.add_merge_round(parts.len());
+    }
+    let bytes = parts.iter().flatten().map(Row::estimated_bytes).sum();
+    let reservation = ctx.try_reserve(bytes)?;
+    let encoded = EncodedSkylines::new(DominanceChecker::complete(spec.clone()), kernel, parts);
+    let task = |i: usize| {
+        let mut stats = SkylineStats::default();
+        let alive = encoded.survivors(ctx, i, &mut stats)?;
+        Ok((alive, stats))
+    };
+    let tasks: Vec<usize> = (0..encoded.parts.len()).collect();
+    let outcomes: Vec<(Vec<bool>, SkylineStats)> = if parallel {
+        ctx.runtime.map_indexed(tasks, |i, _| {
+            // A lost pairwise task fails the stage; the consumer's retry
+            // path recomputes the subtree from lineage.
+            ctx.maybe_inject(FaultSite::Merge, i, 0)?;
+            task(i)
+        })?
+    } else {
+        tasks.into_iter().map(task).collect::<Result<_>>()?
+    };
+    let mut stats = SkylineStats::default();
+    let mut alive = Vec::with_capacity(outcomes.len());
+    for (mask, task_stats) in outcomes {
+        stats.merge(&task_stats);
+        alive.push(mask);
+    }
+    let merged = encoded.finish(alive);
+    drop(reservation);
+    stats.max_window = merged.len();
+    record_stats(ctx, &stats);
+    Ok(merged)
+}
+
+/// One k-way merge task of the hierarchical strategy. Every partition of
+/// the group is a skyline (a local skyline or an earlier round's output),
+/// so BNL groups merge by pairwise cross-filter on this task's executor;
+/// SFS re-sorts the concatenated group.
 fn merge_group(
     ctx: &TaskContext,
     spec: &SkylineSpec,
     algo: SkylineAlgo,
     kernel: DominanceKernel,
     group: Vec<Partition>,
-    seed_window: bool,
 ) -> Result<Partition> {
+    if algo == SkylineAlgo::Bnl {
+        return pairwise_merge(ctx, spec, kernel, group, false);
+    }
     ctx.control.check()?;
     let checker = DominanceChecker::complete(spec.clone());
     let mut stats = SkylineStats::default();
-    let merged = if algo == SkylineAlgo::SortFilter {
-        let rows = flatten(group);
-        let reservation = ctx.try_reserve(rows.iter().map(Row::estimated_bytes).sum())?;
-        let merged = sfs_skyline_kernel(rows, &checker, &mut stats, kernel);
-        drop(reservation);
-        merged
-    } else {
-        let mut parts = group.into_iter();
-        let mut window: Partition = if seed_window {
-            parts.next().unwrap_or_default()
-        } else {
-            Vec::new()
-        };
-        let rest: Vec<Row> = parts.flatten().collect();
-        let bytes = window.iter().chain(&rest).map(Row::estimated_bytes).sum();
-        let reservation = ctx.try_reserve(bytes)?;
-        // Admit candidates in CONTROL_CHECK_ROWS chunks so a timeout or
-        // cancel lands between multi-candidate kernel passes instead of
-        // waiting out an entire merge task. BNL admission is sequential
-        // per candidate, so the chunked result is row-for-row identical.
-        let mut rest = rest.into_iter().peekable();
-        while rest.peek().is_some() {
-            ctx.control.check()?;
-            let chunk: Vec<Row> = rest.by_ref().take(CONTROL_CHECK_ROWS).collect();
-            bnl_skyline_into_kernel(chunk, &checker, &mut stats, &mut window, kernel);
-        }
-        drop(reservation);
-        window
-    };
+    let rows = flatten(group);
+    let reservation = ctx.try_reserve(rows.iter().map(Row::estimated_bytes).sum())?;
+    let merged = sfs_skyline_kernel(rows, &checker, &mut stats, kernel);
+    drop(reservation);
     record_stats(ctx, &stats);
     Ok(merged)
 }
@@ -538,68 +693,73 @@ impl ExecutionPlan for GlobalSkylineExec {
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
         let inputs = crate::input_streams(&self.input, ctx)?;
-        match self.merge {
-            MergeStrategy::Flat => {
-                // The paper's plan: one pass over the gathered local
-                // skylines on a single executor. Streamed, the pass feeds
-                // input batches straight into an (unseeded) BNL window —
-                // the gathered concatenation is *not* a skyline, and
-                // correctness does not depend on the planner having
-                // inserted the exchange — so the only buffered state is
-                // the window itself. SFS must buffer: it re-sorts.
-                let checker = DominanceChecker::complete(self.spec.clone());
-                let sink = if self.algo == SkylineAlgo::SortFilter {
-                    SkylineSink::Sfs {
-                        rows: Vec::new(),
-                        checker,
-                        kernel: self.kernel,
-                    }
-                } else {
-                    SkylineSink::Bnl(BnlBuilder::with_kernel(checker, self.kernel))
-                };
-                Ok(vec![skyline_phase_stream(
-                    self.schema(),
-                    ctx,
-                    0,
-                    inputs,
-                    sink,
-                )])
-            }
-            MergeStrategy::Hierarchical { fan_in } => {
-                // A breaker: the input streams (each a local skyline
-                // pipeline) are drained in parallel over the executor
-                // pool, then merged in k-way rounds.
-                let spec = self.spec.clone();
-                let algo = self.algo;
-                let kernel = self.kernel;
-                let ctx2 = ctx.clone();
-                let input_plan = Arc::clone(&self.input);
-                Ok(breaker_streams(self.schema(), ctx, 1, move || {
-                    // Transient faults in a local-skyline pipeline are
-                    // recovered per partition: recompute only the failed
-                    // stream from the input plan's lineage.
-                    let expected = inputs.len();
-                    let input = ctx2.drain_streams_retrying(inputs, |i| {
-                        crate::recreate_partition_stream(input_plan.as_ref(), &ctx2, expected, i)
-                    })?;
-                    ctx2.control.check()?;
-                    let parts: Vec<Partition> =
-                        input.into_iter().filter(|p| !p.is_empty()).collect();
-                    let merged = kway_merge_rounds(&ctx2, parts, fan_in, |group| {
-                        // Every partition entering a merge round is a
-                        // skyline (a local skyline or an earlier round's
-                        // output): the first one seeds the window,
-                        // encode-once.
-                        merge_group(&ctx2, &spec, algo, kernel, group, true)
-                    })?;
-                    Ok(vec![merged.unwrap_or_default()])
-                }))
-            }
+        let streamed = self.algo == SkylineAlgo::SortFilter || inputs.len() <= 1;
+        if self.merge == MergeStrategy::Flat && streamed {
+            // One partition (a gather, or a one-partition child) or SFS:
+            // feed the input batches straight into an unseeded sink — the
+            // input need not be a skyline, and the only buffered state is
+            // the BNL window itself. SFS must buffer: it re-sorts.
+            let checker = DominanceChecker::complete(self.spec.clone());
+            let sink = if self.algo == SkylineAlgo::SortFilter {
+                SkylineSink::Sfs {
+                    rows: Vec::new(),
+                    checker,
+                    kernel: self.kernel,
+                }
+            } else {
+                SkylineSink::Bnl(BnlBuilder::with_kernel(checker, self.kernel))
+            };
+            return Ok(vec![skyline_phase_stream(
+                self.schema(),
+                ctx,
+                0,
+                inputs,
+                sink,
+            )]);
         }
+        // A breaker: the input streams (each a local skyline pipeline) are
+        // drained in parallel over the executor pool, then merged — in one
+        // pairwise round, or in k-way rounds.
+        let spec = self.spec.clone();
+        let algo = self.algo;
+        let kernel = self.kernel;
+        let merge = self.merge;
+        let ctx2 = ctx.clone();
+        let input_plan = Arc::clone(&self.input);
+        Ok(breaker_streams(self.schema(), ctx, 1, move || {
+            // Transient faults in a local-skyline pipeline are recovered
+            // per partition: recompute only the failed stream from the
+            // input plan's lineage.
+            let expected = inputs.len();
+            let input = ctx2.drain_streams_retrying(inputs, |i| {
+                crate::recreate_partition_stream(input_plan.as_ref(), &ctx2, expected, i)
+            })?;
+            ctx2.control.check()?;
+            let parts: Vec<Partition> = input.into_iter().filter(|p| !p.is_empty()).collect();
+            let merged = match merge {
+                MergeStrategy::Flat => {
+                    // The local skylines gathered here are what the
+                    // `AllTuples` exchange used to move.
+                    ctx2.metrics.rows_exchanged.fetch_add(
+                        total_rows(&parts) as u64,
+                        std::sync::atomic::Ordering::Relaxed,
+                    );
+                    pairwise_merge(&ctx2, &spec, kernel, parts, true)?
+                }
+                MergeStrategy::Hierarchical { fan_in } => {
+                    kway_merge_rounds(&ctx2, parts, fan_in, |group| {
+                        merge_group(&ctx2, &spec, algo, kernel, group)
+                    })?
+                    .unwrap_or_default()
+                }
+            };
+            Ok(vec![merged])
+        }))
     }
 
     fn describe(&self) -> String {
         let merge = match self.merge {
+            MergeStrategy::Flat if self.algo == SkylineAlgo::Bnl => ", pairwise merge".to_string(),
             MergeStrategy::Flat => String::new(),
             MergeStrategy::Hierarchical { fan_in } => {
                 format!(", hierarchical fan-in {fan_in}")
@@ -773,12 +933,10 @@ impl IncompleteGlobalSkylineExec {
         }
     }
 
-    /// Choose the merge strategy (builder-style).
+    /// Choose the merge strategy (builder-style). A hierarchical fan-in
+    /// below 2 is clamped to 2, as in [`GlobalSkylineExec::with_merge`].
     pub fn with_merge(mut self, merge: MergeStrategy) -> Self {
-        if let MergeStrategy::Hierarchical { fan_in } = merge {
-            assert!(fan_in >= 2, "merge fan-in must be at least 2");
-        }
-        self.merge = merge;
+        self.merge = clamp_fan_in(merge);
         self
     }
 
@@ -983,14 +1141,14 @@ fn incomplete_global_with_deadline(
             }
             stats.dominance_tests += 1;
             match checker.compare(&rows[i], &rows[j]) {
-                sparkline_skyline::Dominance::Dominates => dominated[j] = true,
-                sparkline_skyline::Dominance::DominatedBy => dominated[i] = true,
-                sparkline_skyline::Dominance::Equal => {
+                Dominance::Dominates => dominated[j] = true,
+                Dominance::DominatedBy => dominated[i] = true,
+                Dominance::Equal => {
                     if distinct && checker.identical_dims(&rows[i], &rows[j]) {
                         dominated[j] = true;
                     }
                 }
-                sparkline_skyline::Dominance::Incomparable => {}
+                Dominance::Incomparable => {}
             }
         }
     }
@@ -1452,47 +1610,170 @@ mod tests {
         assert_eq!(rows.len(), 3, "local phase must not delete cycle members");
     }
 
-    #[test]
-    fn hierarchical_merge_is_byte_identical_to_flat() {
-        // Many partitions of mixed data: the tree merge must produce the
-        // same rows in the same order as the flat single-executor merge.
-        let data: Vec<Vec<Value>> = (0..200)
-            .map(|i: i64| vec![Value::Int64((i * 37) % 100), Value::Int64((i * 53) % 100)])
-            .collect();
-        let run_with = |merge: MergeStrategy, executors: usize| {
-            let local = Arc::new(LocalSkylineExec::new(
-                spec2(),
+    /// Round-robin local skylines over `data`, merged by `merge`; `gather`
+    /// puts the paper's `AllTuples` exchange below a flat merge (the
+    /// streaming single-partition pass — the oracle of the merges).
+    fn merged(
+        data: &[Vec<Value>],
+        spec: SkylineSpec,
+        merge: MergeStrategy,
+        gather: bool,
+        kernel: DominanceKernel,
+        executors: usize,
+    ) -> (Vec<Row>, sparkline_exec::MetricsSnapshot) {
+        let local: Arc<dyn ExecutionPlan> = Arc::new(
+            LocalSkylineExec::new(
+                spec.clone(),
                 false,
                 Arc::new(ExchangeExec::new(
                     crate::exchange::ExchangeMode::RoundRobin,
-                    input(data.clone()),
+                    input(data.to_vec()),
                 )),
-            ));
-            let global: Arc<dyn ExecutionPlan> = match merge {
-                MergeStrategy::Flat => Arc::new(GlobalSkylineExec::new(
-                    spec2(),
-                    Arc::new(ExchangeExec::single(local)),
-                )),
-                hierarchical => {
-                    Arc::new(GlobalSkylineExec::new(spec2(), local).with_merge(hierarchical))
-                }
-            };
-            let ctx = TaskContext::new(executors);
-            let parts = global.execute(&ctx).unwrap();
-            assert_eq!(parts.len(), 1, "global phase yields one partition");
-            (parts.into_iter().next().unwrap(), ctx.metrics.snapshot())
+            )
+            .with_kernel(kernel),
+        );
+        let global_input = if gather {
+            Arc::new(ExchangeExec::single(local))
+        } else {
+            local
         };
-        let (flat, flat_metrics) = run_with(MergeStrategy::Flat, 8);
-        assert_eq!(flat_metrics.merge_rounds, 0);
+        let global = GlobalSkylineExec::new(spec, global_input)
+            .with_merge(merge)
+            .with_kernel(kernel);
+        let ctx = TaskContext::new(executors);
+        let parts = global.execute(&ctx).unwrap();
+        assert_eq!(parts.len(), 1, "global phase yields one partition");
+        (flatten(parts), ctx.metrics.snapshot())
+    }
+
+    #[test]
+    fn pairwise_and_hierarchical_merges_are_byte_identical_to_the_gathered_pass() {
+        // Many partitions of mixed data: both merges must produce the
+        // same rows in the same order as one BNL pass over the gather.
+        let data: Vec<Vec<Value>> = (0..200)
+            .map(|i: i64| vec![Value::Int64((i * 37) % 100), Value::Int64((i * 53) % 100)])
+            .collect();
+        let auto = DominanceKernel::Auto;
+        let (gathered, gathered_metrics) =
+            merged(&data, spec2(), MergeStrategy::Flat, true, auto, 8);
+        assert_eq!(gathered_metrics.merge_rounds, 0, "one partition: no merge");
+        let local_rows = gathered_metrics.rows_exchanged - 200;
+
+        let (pairwise, metrics) = merged(&data, spec2(), MergeStrategy::Flat, false, auto, 8);
+        assert_eq!(pairwise, gathered);
+        assert_eq!(metrics.merge_rounds, 1, "{metrics:?}");
+        assert_eq!(metrics.merge_tasks, 8, "one task per local skyline");
+        assert_eq!(metrics.max_merge_fanout, 8, "{metrics:?}");
+        assert_eq!(
+            metrics.rows_exchanged - 200,
+            local_rows,
+            "the merge gathers what the exchange moved"
+        );
+        assert!(metrics.multi_candidate_passes > 0, "{metrics:?}");
+
         for fan_in in [2usize, 3, 4] {
-            let (tree, metrics) = run_with(MergeStrategy::Hierarchical { fan_in }, 8);
-            assert_eq!(tree, flat, "fan-in {fan_in}");
+            let merge = MergeStrategy::Hierarchical { fan_in };
+            let (tree, metrics) = merged(&data, spec2(), merge, false, auto, 8);
+            assert_eq!(tree, gathered, "fan-in {fan_in}");
             assert!(metrics.merge_rounds >= 1, "fan-in {fan_in}: {metrics:?}");
             assert!(
                 metrics.max_merge_fanout > 1,
                 "merge work must parallelize over executors: {metrics:?}"
             );
         }
+    }
+
+    #[test]
+    fn pairwise_merge_handles_distinct_nulls_and_fallback_blocks() {
+        let distinct = SkylineSpec::distinct(vec![SkylineDim::min(0), SkylineDim::min(1)]);
+        // Every row twice, the copies landing in different partitions:
+        // DISTINCT must keep the first occurrence in partition order.
+        let dupes: Vec<Vec<Value>> = (0..120)
+            .map(|i: i64| {
+                let k = i % 60;
+                vec![Value::Int64((k * 37) % 30), Value::Int64((k * 53) % 30)]
+            })
+            .collect();
+        // NULL-bearing rows under the complete relation are incomparable
+        // with everything: all of them survive, in place.
+        let nulls: Vec<Vec<Value>> = (0..90)
+            .map(|i: i64| {
+                let a = if i % 7 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int64((i * 37) % 40)
+                };
+                vec![a, Value::Int64((i * 53) % 40)]
+            })
+            .collect();
+        // A string dimension demotes every block to scalar fallback.
+        let strings: Vec<Vec<Value>> = (0..60)
+            .map(|i: i64| {
+                vec![
+                    Value::str(format!("s{:02}", (i * 7) % 13)),
+                    Value::Int64(i % 9),
+                ]
+            })
+            .collect();
+        // NULL-bearing duplicates are not `Equal` to anything, themselves
+        // included: DISTINCT keeps every copy, as the BNL window does.
+        let null_dupes: Vec<Vec<Value>> = nulls.iter().chain(&nulls).cloned().collect();
+        for (name, data, spec) in [
+            ("distinct", &dupes, distinct.clone()),
+            ("distinct nulls", &null_dupes, distinct),
+            ("nulls", &nulls, spec2()),
+            ("strings", &strings, spec2()),
+        ] {
+            let (expected, _) = merged(
+                data,
+                spec.clone(),
+                MergeStrategy::Flat,
+                true,
+                DominanceKernel::Scalar,
+                5,
+            );
+            assert!(!expected.is_empty());
+            for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
+                for merge in [
+                    MergeStrategy::Flat,
+                    MergeStrategy::Hierarchical { fan_in: 2 },
+                ] {
+                    let (rows, m) = merged(data, spec.clone(), merge, false, kernel, 5);
+                    assert_eq!(rows, expected, "{name} {kernel:?} {merge:?}");
+                    if name == "strings" {
+                        assert_eq!(m.batched_tests, 0, "{name} {kernel:?}: {m:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pairwise_merge_skips_empty_partitions_and_single_survivors() {
+        // Two rows over eight executors: most local skylines are empty,
+        // and an all-empty input merges to nothing without a round.
+        let data = int_rows(&[(1, 2), (2, 1)]);
+        let (rows, m) = merged(
+            &data,
+            spec2(),
+            MergeStrategy::Flat,
+            false,
+            DominanceKernel::Auto,
+            8,
+        );
+        assert_eq!(rows.len(), 2);
+        assert_eq!(m.merge_rounds, 1);
+        assert_eq!(m.merge_tasks, 2, "only non-empty partitions get a task");
+        let (rows, m) = merged(
+            &[],
+            spec2(),
+            MergeStrategy::Flat,
+            false,
+            DominanceKernel::Auto,
+            8,
+        );
+        assert!(rows.is_empty());
+        assert_eq!(m.merge_rounds, 0);
     }
 
     #[test]
@@ -1532,7 +1813,74 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_describe_names_the_strategy() {
+    fn pairwise_tasks_observe_cancel_deadline_and_injected_faults() {
+        // Two interleaved 2-d staircases, each an antichain longer than
+        // one control-check chunk; the second dominates half of the first.
+        let stair = |shift: i64| -> Partition {
+            (0..1500i64)
+                .map(|i| {
+                    Row::new(vec![
+                        Value::Int64(2 * i + shift),
+                        Value::Int64(3000 - 2 * i),
+                    ])
+                })
+                .collect()
+        };
+        let parts = vec![stair(1), stair(0)];
+        let checker = DominanceChecker::complete(spec2());
+        let encoded = EncodedSkylines::new(checker, DominanceKernel::Auto, parts.clone());
+        let ctx = TaskContext::new(2);
+        let mut stats = SkylineStats::default();
+        let alive = encoded.survivors(&ctx, 0, &mut stats).unwrap();
+        assert!(alive.iter().all(|&a| !a), "(2i+1, y) dies on (2i, y)");
+        assert!(stats.dominance_tests > 0);
+
+        // A cancel is seen before the next chunk of candidates is tested.
+        ctx.control.cancel();
+        let mut stats = SkylineStats::default();
+        let err = encoded.survivors(&ctx, 1, &mut stats).unwrap_err();
+        assert!(err.is_cancelled(), "{err}");
+        assert_eq!(stats.dominance_tests, 0);
+
+        // So is an expired deadline, through the whole merge.
+        let late = TaskContext::new(2).with_deadline(sparkline_exec::Deadline::new(Some(
+            std::time::Duration::ZERO,
+        )));
+        let err = pairwise_merge(&late, &spec2(), DominanceKernel::Auto, parts.clone(), true)
+            .unwrap_err();
+        assert!(err.is_timeout(), "{err}");
+
+        // A fault injected into a pairwise task surfaces as the retryable
+        // merge-site error (the consumer's retry path recomputes the
+        // stage); the in-group merge of the tree strategy injects nothing
+        // itself — its round scheduler does.
+        let faulty = TaskContext::new(2)
+            .with_fault_injector(Arc::new(sparkline_exec::FaultInjector::new(7, 1.0)));
+        let err = pairwise_merge(
+            &faulty,
+            &spec2(),
+            DominanceKernel::Auto,
+            parts.clone(),
+            true,
+        )
+        .unwrap_err();
+        assert!(
+            err.is_retryable() && err.to_string().contains("merge"),
+            "{err}"
+        );
+        let merged = pairwise_merge(
+            &faulty,
+            &spec2(),
+            DominanceKernel::Auto,
+            parts.clone(),
+            false,
+        )
+        .unwrap();
+        assert_eq!(merged, parts[1], "only the dominating staircase is left");
+    }
+
+    #[test]
+    fn describe_names_the_merge() {
         let global = GlobalSkylineExec::new(spec2(), input(Vec::new()))
             .with_merge(MergeStrategy::Hierarchical { fan_in: 4 });
         assert!(
@@ -1540,6 +1888,31 @@ mod tests {
             "{}",
             global.describe()
         );
+        let flat = GlobalSkylineExec::new(spec2(), input(Vec::new()));
+        assert!(
+            flat.describe()
+                .starts_with("GlobalSkylineExec [2 dims, pairwise merge, vectorized: "),
+            "{}",
+            flat.describe()
+        );
+        // SFS re-sorts in one pass; it never merges pairwise.
+        let sfs = GlobalSkylineExec::sort_filter(spec2(), input(Vec::new()));
+        assert!(!sfs.describe().contains("pairwise"), "{}", sfs.describe());
+    }
+
+    #[test]
+    fn merge_fan_in_below_two_is_clamped() {
+        let global = GlobalSkylineExec::new(spec2(), input(Vec::new()))
+            .with_merge(MergeStrategy::Hierarchical { fan_in: 0 });
+        assert!(global.describe().contains("hierarchical fan-in 2"));
+        let incomplete = IncompleteGlobalSkylineExec::new(spec2(), input(Vec::new()))
+            .with_merge(MergeStrategy::Hierarchical { fan_in: 1 });
+        assert!(incomplete.describe().contains("hierarchical fan-in 2"));
+        // And the clamped plans run (a fan-in of 1 would never terminate).
+        let data = int_rows(&[(1, 9), (2, 7), (3, 8), (4, 4), (5, 5), (6, 1), (7, 2)]);
+        let merge = MergeStrategy::Hierarchical { fan_in: 1 };
+        let (rows, _) = merged(&data, spec2(), merge, false, DominanceKernel::Auto, 3);
+        assert_eq!(rows.len(), 4);
     }
 
     #[test]
@@ -1637,30 +2010,15 @@ mod tests {
     #[test]
     fn kernel_knob_plans_are_byte_identical() {
         // Forcing every knob through the physical operators must not
-        // change a single row; the counters attribute the work instead.
+        // change a single row; the counters attribute the work instead —
+        // through the pairwise merge's cross-filter passes as well.
         let data: Vec<Vec<Value>> = (0..300)
             .map(|i: i64| vec![Value::Int64((i * 37) % 80), Value::Int64((i * 53) % 80)])
             .collect();
-        let run_plan = |kernel: DominanceKernel| {
-            let local = Arc::new(
-                LocalSkylineExec::new(
-                    spec2(),
-                    false,
-                    Arc::new(ExchangeExec::new(
-                        crate::exchange::ExchangeMode::RoundRobin,
-                        input(data.clone()),
-                    )),
-                )
-                .with_kernel(kernel),
-            );
-            let global = GlobalSkylineExec::new(spec2(), Arc::new(ExchangeExec::single(local)))
-                .with_kernel(kernel);
-            let ctx = TaskContext::new(4);
-            let parts = global.execute(&ctx).unwrap();
-            (flatten(parts), ctx.metrics.snapshot())
-        };
+        let run_plan = |kernel| merged(&data, spec2(), MergeStrategy::Flat, false, kernel, 4);
         let (expected, s) = run_plan(DominanceKernel::Scalar);
         assert_eq!(s.simd_tests, 0);
+        assert_eq!(s.batched_tests, 0);
         assert_eq!(s.multi_candidate_passes, 0);
         for kernel in [
             DominanceKernel::Auto,
@@ -1670,6 +2028,7 @@ mod tests {
             let (rows, m) = run_plan(kernel);
             assert_eq!(rows, expected, "{kernel:?}");
             assert!(m.batched_tests > 0, "{kernel:?}: {m:?}");
+            assert_eq!(m.scalar_tests, 0, "{kernel:?}: {m:?}");
             assert!(m.multi_candidate_passes > 0, "{kernel:?}: {m:?}");
             if kernel == DominanceKernel::Chunked {
                 assert_eq!(m.simd_tests, 0, "{m:?}");

@@ -17,6 +17,61 @@
 //! skyline inside one null-bitmap partition of incomplete data, where all
 //! tuples share their NULL positions and the restricted relation is
 //! transitive again (paper §5.7 / Lemma 5.1).
+//!
+//! # The antichain cross-filter and the batch fold
+//!
+//! Under a transitive relation both skyline phases reduce to one
+//! primitive, [`cross_filter`]: *given candidate rows and a set of rows,
+//! drop every candidate strictly dominated by a row of the set* — one
+//! direction, early exit per candidate, [`MULTI_LANES`] candidates per
+//! walk over the set's [`ColumnarBlock`]. For antichains `A` and `B`
+//! (sets without internal dominance — skylines),
+//!
+//! > skyline(A ∪ B) = (A \ dominated-by-B) ++ (B \ dominated-by-A)
+//!
+//! because a row of `A` can only be dominated from `B`, and a dominator
+//! that is itself dominated hands its victims to its own dominator
+//! (transitivity), so filtering against the *unfiltered* other side loses
+//! nothing. The global merge of the physical layer applies the identity
+//! across local skylines; [`BnlBuilder::push_batch`] applies it between
+//! the window and each incoming batch (the *batch fold*):
+//!
+//! 1. cross-filter the batch against the window. Sound to drop: a
+//!    candidate dominated by *any* row ever seen is dominated by a member
+//!    of the final skyline (follow the chain of dominators; it is finite
+//!    and ends in an undominated row), so it can never be output; and
+//!    because the window is an antichain it dominates nothing in the
+//!    window, so dropping it early changes no eviction.
+//! 2. BNL the few survivors among themselves (the per-row window step on
+//!    a window that starts empty): the batch skyline `S`, in arrival
+//!    order.
+//! 3. cross-filter the *window* against `S`. Window `W` and `S` are both
+//!    antichains and no row of `S` is dominated by `W` (step 1), so the
+//!    identity above gives skyline(W ∪ batch) = (W \ dominated-by-S) ++ S;
+//!    steps 1 and 3 commute — neither changes the set the other filters
+//!    against in a way that matters: a batch row dropped in step 1 cannot
+//!    have been the only dominator of a window row (its own window
+//!    dominator would dominate that row too, contradicting that `W` is an
+//!    antichain).
+//! 4. compact window and block once, append `S`.
+//!
+//! Every step keeps relative arrival order, so the window is always "the
+//! skyline members seen so far, in arrival order" — byte-identical to the
+//! per-row algorithm, whose order-preserving eviction yields exactly that.
+//! The number of dominance tests is about the same; each is cheaper: the
+//! per-row step needs both directions of every pair without early exit
+//! (one `Vec<Dominance>` entry per window row) and compacts window and
+//! block once per *admitted row*, the fold runs two one-directional
+//! early-exit passes and compacts once per *batch*. Memory stays "window
+//! plus one batch"; nothing is buffered or sorted.
+//!
+//! The per-row [`BnlBuilder::push`] remains where the fold's premises
+//! fail: non-transitive input (mixed-bitmap incomplete data — the scalar
+//! loop's mid-scan evictions can only be matched by replaying it),
+//! `SKYLINE OF DISTINCT` (a dims-identical later row must die on an
+//! `Equal` verdict, which the strict cross-filter never reports), the
+//! scalar kernel knob, and blocks demoted to scalar fallback. Rows the
+//! kernel cannot encode take a scalar scan inside [`cross_filter`].
 
 use sparkline_common::{DominanceKernel, QueryControl, Result, Row, CONTROL_CHECK_ROWS};
 
@@ -32,8 +87,22 @@ pub(crate) fn kernel_for(vectorized: bool) -> DominanceKernel {
     }
 }
 
-/// Compute the skyline of `rows` with the BNL window algorithm, recording
-/// dominance-test counts into `stats`.
+/// Rows folded into the window per batch-fold step of
+/// [`BnlBuilder::push_batch`]: bounds the fold's working set (one batch
+/// beside the window) however large the pushed iterator is. Equal to the
+/// control-check granularity, so a checked push folds exactly the chunks
+/// it checks between.
+const FOLD_BATCH_ROWS: usize = CONTROL_CHECK_ROWS;
+
+/// Survivors of a fold's first cross-filter up to which steps 2–4 are not
+/// worth setting up: step 3 encodes the whole window as candidates, which
+/// costs more than the handful of per-row window passes it replaces
+/// (correlated and independent inputs, and the small per-class batches of
+/// the incomplete local phase, mostly end here).
+const FOLD_MIN_SURVIVORS: usize = 2 * MULTI_LANES;
+
+/// Compute the skyline of `rows` with the scalar BNL window algorithm,
+/// recording dominance-test counts into `stats`.
 ///
 /// With `checker.distinct()` set, tuples whose *compared* dimensions are
 /// all equal keep a single representative (the first one encountered),
@@ -43,28 +112,133 @@ pub fn bnl_skyline(
     checker: &DominanceChecker,
     stats: &mut SkylineStats,
 ) -> Vec<Row> {
-    let mut window: Vec<Row> = Vec::new();
-    bnl_skyline_into(rows, checker, stats, &mut window);
-    window
+    bnl_skyline_kernel(rows, checker, stats, DominanceKernel::Scalar)
 }
 
-/// Like [`bnl_skyline`] but feeding tuples into an existing window, which
-/// allows the global phase to reuse the first local skyline as its initial
-/// window without copying.
-///
-/// The caller must guarantee that `window` is itself a skyline (no tuple in
-/// it dominates another); the empty window trivially qualifies.
-pub fn bnl_skyline_into(
+/// [`bnl_skyline`] with the candidate-vs-window tests routed through the
+/// columnar batch kernel ([`DominanceKernel::Auto`]). Produces a
+/// byte-identical window (same rows, same order) as the scalar variant.
+/// Test *counts* differ: the kernel's early exit is chunk-granular, so
+/// `dominance_tests` can exceed the scalar loop's — each performed test is
+/// just much cheaper. `batched_tests` / `scalar_tests` record which
+/// checker answered them.
+pub fn bnl_skyline_batched(
     rows: impl IntoIterator<Item = Row>,
     checker: &DominanceChecker,
     stats: &mut SkylineStats,
-    window: &mut Vec<Row>,
-) {
-    let mut builder = BnlBuilder::with_seed(checker.clone(), false, std::mem::take(window));
+) -> Vec<Row> {
+    bnl_skyline_kernel(rows, checker, stats, DominanceKernel::Auto)
+}
+
+/// [`bnl_skyline`] on an explicit kernel knob: `Scalar` is the scalar
+/// window loop, everything else routes through the columnar kernel on
+/// the knob's resolved compare tier. All knobs produce byte-identical
+/// windows.
+pub fn bnl_skyline_kernel(
+    rows: impl IntoIterator<Item = Row>,
+    checker: &DominanceChecker,
+    stats: &mut SkylineStats,
+    kernel: DominanceKernel,
+) -> Vec<Row> {
+    let mut builder = BnlBuilder::with_kernel(checker.clone(), kernel);
     builder.push_batch(rows);
-    let (merged, builder_stats) = builder.finish();
+    let (window, builder_stats) = builder.finish();
     stats.merge(&builder_stats);
-    *window = merged;
+    window
+}
+
+/// The cross-filter primitive: clear `alive[i]` for every candidate
+/// `cands[i]` that some row of `against` **strictly** dominates (never on
+/// `Equal`). Candidates whose flag is already cleared are skipped, so a
+/// caller can chain filters against several sets over one mask.
+///
+/// `block` is the columnar mirror of `against` (index-aligned), or `None`
+/// on the scalar kernel knob. With a live block, candidates are tested
+/// [`MULTI_LANES`] at a time by the early-exit multi-candidate kernel
+/// ([`ColumnarBlock::first_dominators`]); a block in scalar fallback, and
+/// any candidate the block cannot encode, takes a scalar scan over
+/// `against` instead — same verdicts, counted as `scalar_tests`.
+/// NULL-like candidates under the complete relation are incomparable with
+/// everything and always survive.
+///
+/// Sound as a *filter* only under a transitive relation (the complete
+/// relation, or the incomplete one within a single null-bitmap class):
+/// see the module docs.
+pub fn cross_filter(
+    checker: &DominanceChecker,
+    cands: &[Row],
+    alive: &mut [bool],
+    against: &[Row],
+    block: Option<&ColumnarBlock>,
+    stats: &mut SkylineStats,
+) {
+    debug_assert_eq!(cands.len(), alive.len());
+    if against.is_empty() {
+        return;
+    }
+    let scalar_survives = |cand: &Row, stats: &mut SkylineStats| {
+        !against.iter().any(|row| {
+            stats.add_scalar();
+            checker.compare(cand, row) == Dominance::DominatedBy
+        })
+    };
+    let Some(block) = block.filter(|b| !b.is_fallback()) else {
+        for (cand, alive) in cands.iter().zip(alive.iter_mut()) {
+            *alive = *alive && scalar_survives(cand, stats);
+        }
+        return;
+    };
+    debug_assert_eq!(block.len(), against.len());
+    let mut encoded = vec![EncodedCandidate::new(); MULTI_LANES];
+    let mut lanes = [0usize; MULTI_LANES];
+    let mut dominated: Vec<Option<usize>> = Vec::with_capacity(MULTI_LANES);
+    let mut n = 0;
+    for (i, cand) in cands.iter().enumerate() {
+        if !alive[i] {
+            continue;
+        }
+        if !block.encode_into(cand, &mut encoded[n]) {
+            alive[i] = scalar_survives(cand, stats);
+            continue;
+        }
+        lanes[n] = i;
+        n += 1;
+        if n == MULTI_LANES {
+            flush_lanes(block, &encoded, &lanes, &mut dominated, alive, stats);
+            n = 0;
+        }
+    }
+    if n > 0 {
+        flush_lanes(block, &encoded[..n], &lanes, &mut dominated, alive, stats);
+    }
+}
+
+/// One multi-candidate pass of [`cross_filter`]: clear the flag of every
+/// lane that found a strict dominator.
+fn flush_lanes(
+    block: &ColumnarBlock,
+    encoded: &[EncodedCandidate],
+    lanes: &[usize],
+    dominated: &mut Vec<Option<usize>>,
+    alive: &mut [bool],
+    stats: &mut SkylineStats,
+) {
+    let res = block.first_dominators(encoded, dominated);
+    stats.add_multi_pass(res.tested, block.is_simd());
+    for (lane, hit) in dominated.iter().enumerate() {
+        if hit.is_some() {
+            alive[lanes[lane]] = false;
+        }
+    }
+}
+
+/// Keep `v[i]` iff `keep[i]`, preserving order.
+fn retain_mask<T>(v: &mut Vec<T>, keep: &[bool]) {
+    let mut i = 0;
+    v.retain(|_| {
+        i += 1;
+        keep[i - 1]
+    });
 }
 
 /// Incremental Block-Nested-Loop skyline — the batch-feeding entry point
@@ -73,24 +247,24 @@ pub fn bnl_skyline_into(
 /// The window *is* the running skyline, so a stream operator can push row
 /// batches as they are pulled from upstream and drop them immediately:
 /// peak memory is bounded by the skyline size plus one batch, never by
-/// the input size. With `vectorized`, the window is mirrored into the
-/// columnar kernel's [`ColumnarBlock`] (encode-once, evict-by-index) and
-/// every pushed tuple is tested against the whole window in one chunked
-/// pass; rows the kernel cannot represent take the scalar step, so the
-/// result is always byte-identical to the scalar builder.
-///
-/// [`bnl_skyline_into`] / [`bnl_skyline_into_batched`] are one-shot
-/// wrappers around this builder.
+/// the input size. On a vectorized kernel knob the window is mirrored
+/// into the columnar kernel's [`ColumnarBlock`] (encode-once,
+/// evict-by-index); [`push_batch`](Self::push_batch) folds whole batches
+/// into it through [`cross_filter`] (module docs), [`push`](Self::push)
+/// tests one tuple against the whole window in one chunked pass. Rows the
+/// kernel cannot represent take the scalar step, so the result is always
+/// byte-identical to the scalar builder.
 pub struct BnlBuilder {
     checker: DominanceChecker,
+    kernel: DominanceKernel,
     window: Vec<Row>,
     /// `Some` on the vectorized path (even after a fallback demotion, so
     /// the per-tuple routing below stays cheap), `None` on the scalar one.
     block: Option<ColumnarBlock>,
     /// Whether the dominance relation in effect is transitive — the
     /// complete relation, or the incomplete relation on class-pure input
-    /// (one null-bitmap class, Lemma 5.1). Gates the multi-candidate
-    /// admission pre-pass in [`push_batch`](Self::push_batch).
+    /// (one null-bitmap class, Lemma 5.1). Gates the batch fold in
+    /// [`push_batch`](Self::push_batch).
     transitive: bool,
     cand: EncodedCandidate,
     out: Vec<Dominance>,
@@ -100,55 +274,31 @@ pub struct BnlBuilder {
 impl BnlBuilder {
     /// An empty builder ([`DominanceKernel::Auto`] when `vectorized`).
     pub fn new(checker: DominanceChecker, vectorized: bool) -> Self {
-        Self::with_seed(checker, vectorized, Vec::new())
+        Self::with_kernel(checker, kernel_for(vectorized))
     }
 
     /// An empty builder on an explicit kernel knob.
     pub fn with_kernel(checker: DominanceChecker, kernel: DominanceKernel) -> Self {
-        Self::with_seed_kernel(checker, kernel, Vec::new())
-    }
-
-    /// Seed the window with an existing skyline (the hierarchical merge's
-    /// encode-once path). The caller must guarantee `window` is a skyline.
-    pub fn with_seed(checker: DominanceChecker, vectorized: bool, window: Vec<Row>) -> Self {
-        Self::with_seed_kernel(checker, kernel_for(vectorized), window)
-    }
-
-    /// [`with_seed`](Self::with_seed) on an explicit kernel knob.
-    pub fn with_seed_kernel(
-        checker: DominanceChecker,
-        kernel: DominanceKernel,
-        window: Vec<Row>,
-    ) -> Self {
-        let block = kernel.is_vectorized().then(|| {
-            let mut block = ColumnarBlock::for_checker_with(&checker, kernel);
-            for row in &window {
-                block.push(row);
-            }
-            block
-        });
-        // A pre-seeded window is window occupancy even when every incoming
-        // tuple is dominated; record it before the scan.
-        let stats = SkylineStats {
-            max_window: window.len(),
-            ..SkylineStats::default()
-        };
+        let block = kernel
+            .is_vectorized()
+            .then(|| ColumnarBlock::for_checker_with(&checker, kernel));
         let transitive = !checker.is_incomplete();
         BnlBuilder {
             checker,
-            window,
+            kernel,
+            window: Vec::new(),
             block,
             transitive,
             cand: EncodedCandidate::new(),
             out: Vec::new(),
-            stats,
+            stats: SkylineStats::default(),
         }
     }
 
     /// Declare the input class-pure: every row pushed shares one null
     /// bitmap, so the restricted incomplete relation is transitive within
-    /// it (paper Lemma 5.1) and the multi-candidate admission pre-pass is
-    /// sound. Used by the per-class builders of
+    /// it (paper Lemma 5.1) and the batch fold is sound. Used by the
+    /// per-class builders of
     /// [`GroupedBnlBuilder`](crate::incomplete::GroupedBnlBuilder).
     pub(crate) fn mark_class_pure(&mut self) {
         self.transitive = true;
@@ -166,39 +316,29 @@ impl BnlBuilder {
 
     /// Feed one batch of rows.
     ///
-    /// Under a transitive relation with a live kernel block, incoming rows
-    /// are admitted in groups of [`MULTI_LANES`]: one multi-candidate
-    /// kernel pass tests the whole group against the current window
-    /// snapshot and drops the strictly dominated rows before the
-    /// sequential insert-eviction steps run for the survivors.
+    /// Under a transitive relation with a live kernel block (and no
+    /// `DISTINCT`), the rows are folded into the window
+    /// [`FOLD_BATCH_ROWS`] at a time by the cross-filter batch fold of the
+    /// module docs; otherwise each row takes the per-row
+    /// [`push`](Self::push) step. Either way the window afterwards is what
+    /// pushing the rows one by one would have left.
     pub fn push_batch(&mut self, rows: impl IntoIterator<Item = Row>) {
-        if !self.transitive || self.block.is_none() {
-            for row in rows {
-                self.push(row);
-            }
-            return;
-        }
         let mut rows = rows.into_iter();
-        let mut group: Vec<Row> = Vec::with_capacity(MULTI_LANES);
-        let mut encoded: Vec<EncodedCandidate> = Vec::new();
-        let mut lanes: Vec<usize> = Vec::with_capacity(MULTI_LANES);
-        let mut dominated: Vec<Option<usize>> = Vec::new();
         loop {
-            group.clear();
-            group.extend(rows.by_ref().take(MULTI_LANES));
-            if group.is_empty() {
+            let batch: Vec<Row> = rows.by_ref().take(FOLD_BATCH_ROWS).collect();
+            if batch.is_empty() {
                 return;
             }
-            self.admit_group(&mut group, &mut encoded, &mut lanes, &mut dominated);
+            self.fold_batch(batch);
         }
     }
 
     /// [`push_batch`](Self::push_batch) under cooperative query control:
     /// the deadline/cancellation flag is consulted every
     /// [`CONTROL_CHECK_ROWS`] rows, bounding the staleness of a timeout
-    /// or cancel to one chunk of admission work. The chunks feed the same
-    /// multi-candidate pre-pass, so admitted rows are byte-identical to
-    /// the unchecked path.
+    /// or cancel to one folded chunk. The chunks are the ones the
+    /// unchecked path folds, so admitted rows and test counts are
+    /// identical to it.
     ///
     /// [`CONTROL_CHECK_ROWS`]: sparkline_common::CONTROL_CHECK_ROWS
     pub fn push_batch_checked(
@@ -214,71 +354,70 @@ impl BnlBuilder {
         Ok(())
     }
 
-    /// Multi-candidate admission of one group of at most [`MULTI_LANES`]
-    /// rows (see [`push_batch`](Self::push_batch)).
-    ///
-    /// Soundness of pre-dropping (transitive relations only): a window
-    /// snapshot row dominating candidate `c` is either still in the window
-    /// at `c`'s sequential turn, or was evicted by a chain of dominating
-    /// rows whose live end dominates `c` by transitivity — so `c` would be
-    /// dropped at its turn anyway; and since the window is an antichain, a
-    /// dominated `c` evicts nothing, so the other rows are unaffected.
-    /// Only *strict* `DominatedBy` lanes are dropped (never `Equal`), so
-    /// `SKYLINE OF DISTINCT` dedup still happens in the sequential steps.
-    fn admit_group(
-        &mut self,
-        group: &mut Vec<Row>,
-        encoded: &mut Vec<EncodedCandidate>,
-        lanes: &mut Vec<usize>,
-        dominated: &mut Vec<Option<usize>>,
-    ) {
-        debug_assert!(group.len() <= MULTI_LANES);
-        let prepass = group.len() > 1
-            && self
-                .block
-                .as_ref()
-                .is_some_and(|b| !b.is_fallback() && !b.is_empty());
-        if prepass {
-            let mut pass: Option<(u64, bool)> = None;
-            {
-                let block = self.block.as_ref().expect("prepass checked the block");
-                if encoded.len() < group.len() {
-                    encoded.resize_with(group.len(), EncodedCandidate::new);
-                }
-                lanes.clear();
-                let mut n = 0;
-                for (i, row) in group.iter().enumerate() {
-                    // Rows the kernel cannot represent skip the pre-pass
-                    // and take their normal (scalar) sequential step.
-                    if block.encode_into(row, &mut encoded[n]) {
-                        lanes.push(i);
-                        n += 1;
-                    }
-                }
-                if n > 0 {
-                    let res = block.first_dominators(&encoded[..n], dominated);
-                    pass = Some((res.tested, block.is_simd()));
-                }
+    /// Fold one batch into the window (steps 1–4 of the module docs), or
+    /// push it row by row where the fold does not apply. An empty window
+    /// is the fold's base case: the batch skyline *is* the new window, so
+    /// the rows go through the per-row step directly.
+    fn fold_batch(&mut self, mut batch: Vec<Row>) {
+        let folds = self.transitive
+            && !self.checker.distinct()
+            && !self.window.is_empty()
+            && self.block.as_ref().is_some_and(|b| !b.is_fallback());
+        if !folds {
+            for row in batch {
+                self.push(row);
             }
-            if let Some((tested, simd)) = pass {
-                self.stats.add_multi_pass(tested, simd);
-                let mut keep = [true; MULTI_LANES];
-                for (j, d) in dominated.iter().enumerate() {
-                    if d.is_some() {
-                        keep[lanes[j]] = false;
-                    }
-                }
-                let mut i = 0;
-                group.retain(|_| {
-                    let k = keep[i];
-                    i += 1;
-                    k
-                });
+            return;
+        }
+        // 1. batch \ dominated-by-window.
+        let mut alive = vec![true; batch.len()];
+        cross_filter(
+            &self.checker,
+            &batch,
+            &mut alive,
+            &self.window,
+            self.block.as_ref(),
+            &mut self.stats,
+        );
+        retain_mask(&mut batch, &alive);
+        if batch.len() <= FOLD_MIN_SURVIVORS {
+            for row in batch {
+                self.push(row);
+            }
+            return;
+        }
+        // 2. The survivors' own skyline, on this builder's kernel knob so
+        //    its tests are attributed to the same tier.
+        let mut survivors = BnlBuilder::with_kernel(self.checker.clone(), self.kernel);
+        for row in batch {
+            survivors.push(row);
+        }
+        // 3. window \ dominated-by-survivors, one compaction.
+        let mut keep = vec![true; self.window.len()];
+        cross_filter(
+            &self.checker,
+            &self.window,
+            &mut keep,
+            &survivors.window,
+            survivors.block.as_ref(),
+            &mut self.stats,
+        );
+        if keep.contains(&false) {
+            retain_mask(&mut self.window, &keep);
+            if let Some(block) = self.block.as_mut() {
+                block.retain(|i| keep[i]);
             }
         }
-        for row in group.drain(..) {
-            self.push(row);
+        // 4. Append. (A row the block cannot take demotes it; the row
+        //    window stays authoritative and later batches go per-row.)
+        if let Some(block) = self.block.as_mut() {
+            for row in &survivors.window {
+                block.push(row);
+            }
         }
+        self.window.append(&mut survivors.window);
+        self.stats.merge(&survivors.stats);
+        self.stats.max_window = self.stats.max_window.max(self.window.len());
     }
 
     /// Feed one tuple through the BNL window step.
@@ -452,73 +591,6 @@ fn scalar_window_step(
     }
 }
 
-/// [`bnl_skyline`] with the candidate-vs-window tests routed through the
-/// columnar batch kernel. Produces a byte-identical window (same rows,
-/// same order) as the scalar variant. Test *counts* differ: the kernel's
-/// early exit is chunk-granular (and the incomplete replay scans the whole
-/// window), so `dominance_tests` can exceed the scalar loop's — each
-/// performed test is just much cheaper. `batched_tests` / `scalar_tests`
-/// record which checker answered them.
-pub fn bnl_skyline_batched(
-    rows: impl IntoIterator<Item = Row>,
-    checker: &DominanceChecker,
-    stats: &mut SkylineStats,
-) -> Vec<Row> {
-    let mut window: Vec<Row> = Vec::new();
-    bnl_skyline_into_batched(rows, checker, stats, &mut window);
-    window
-}
-
-/// [`bnl_skyline_into`] on the columnar batch kernel: the seeded window is
-/// encoded into a [`ColumnarBlock`] once, every incoming tuple is tested
-/// against the whole window in one chunked pass (early-exiting when a
-/// dominator is found), and evictions keep the block index-aligned with
-/// the row window. Rows the kernel cannot represent — see the fallback
-/// rules in [`crate::columnar`] — take the scalar step instead, so the
-/// result is always byte-identical to [`bnl_skyline_into`].
-pub fn bnl_skyline_into_batched(
-    rows: impl IntoIterator<Item = Row>,
-    checker: &DominanceChecker,
-    stats: &mut SkylineStats,
-    window: &mut Vec<Row>,
-) {
-    let mut builder = BnlBuilder::with_seed(checker.clone(), true, std::mem::take(window));
-    builder.push_batch(rows);
-    let (merged, builder_stats) = builder.finish();
-    stats.merge(&builder_stats);
-    *window = merged;
-}
-
-/// [`bnl_skyline`] on an explicit kernel knob: `Scalar` matches
-/// [`bnl_skyline`], everything else routes through the columnar kernel on
-/// the knob's resolved compare tier. All knobs produce byte-identical
-/// windows.
-pub fn bnl_skyline_kernel(
-    rows: impl IntoIterator<Item = Row>,
-    checker: &DominanceChecker,
-    stats: &mut SkylineStats,
-    kernel: DominanceKernel,
-) -> Vec<Row> {
-    let mut window: Vec<Row> = Vec::new();
-    bnl_skyline_into_kernel(rows, checker, stats, &mut window, kernel);
-    window
-}
-
-/// [`bnl_skyline_into`] on an explicit kernel knob.
-pub fn bnl_skyline_into_kernel(
-    rows: impl IntoIterator<Item = Row>,
-    checker: &DominanceChecker,
-    stats: &mut SkylineStats,
-    window: &mut Vec<Row>,
-    kernel: DominanceKernel,
-) {
-    let mut builder = BnlBuilder::with_seed_kernel(checker.clone(), kernel, std::mem::take(window));
-    builder.push_batch(rows);
-    let (merged, builder_stats) = builder.finish();
-    stats.merge(&builder_stats);
-    *window = merged;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,31 +708,6 @@ mod tests {
     }
 
     #[test]
-    fn bnl_into_seeds_window() {
-        let checker = min_min(false);
-        let mut stats = SkylineStats::default();
-        let mut window = bnl_skyline(rows(&[(1, 9), (9, 1)]), &checker, &mut stats);
-        bnl_skyline_into(rows(&[(0, 0)]), &checker, &mut stats, &mut window);
-        assert_eq!(as_pairs(window), vec![(0, 0)]);
-    }
-
-    #[test]
-    fn seeded_window_counts_toward_max_window() {
-        let checker = min_min(false);
-        let mut stats = SkylineStats::default();
-        let mut window = bnl_skyline(rows(&[(1, 9), (9, 1), (5, 5)]), &checker, &mut stats);
-        assert_eq!(window.len(), 3);
-        // Every incoming tuple is dominated, so the window never grows —
-        // the pre-seeded occupancy must still be reported.
-        let mut stats2 = SkylineStats::default();
-        bnl_skyline_into(rows(&[(2, 9), (9, 2)]), &checker, &mut stats2, &mut window);
-        assert_eq!(stats2.max_window, 3);
-        let mut stats3 = SkylineStats::default();
-        bnl_skyline_into_batched(rows(&[(3, 9), (9, 3)]), &checker, &mut stats3, &mut window);
-        assert_eq!(stats3.max_window, 3);
-    }
-
-    #[test]
     fn batched_is_byte_identical_to_scalar() {
         // Mixed workload with evictions, duplicates, and incomparables;
         // result vectors must match row-for-row (same order), not just as
@@ -697,48 +744,52 @@ mod tests {
     }
 
     #[test]
-    fn batched_seeded_window_merge_matches_scalar() {
-        let checker = min_min(false);
-        let mut stats = SkylineStats::default();
-        let seed_rows = rows(&[(1, 9), (9, 1), (4, 4)]);
-        let incoming = rows(&[(0, 10), (3, 3), (10, 0), (5, 5)]);
-        let mut w_scalar = bnl_skyline(seed_rows.clone(), &checker, &mut stats);
-        let mut w_batched = w_scalar.clone();
-        bnl_skyline_into(incoming.clone(), &checker, &mut stats, &mut w_scalar);
-        bnl_skyline_into_batched(incoming, &checker, &mut stats, &mut w_batched);
-        assert_eq!(w_scalar, w_batched);
-    }
-
-    #[test]
     fn incremental_builder_matches_one_shot_across_batch_splits() {
         let data: Vec<(i64, i64)> = (0..150).map(|i| ((i * 37) % 60, (i * 53) % 60)).collect();
         for vectorized in [false, true] {
             for distinct in [false, true] {
                 let checker = min_min(distinct);
-                let mut stats = SkylineStats::default();
-                let one_shot = if vectorized {
-                    bnl_skyline_batched(rows(&data), &checker, &mut stats)
-                } else {
-                    bnl_skyline(rows(&data), &checker, &mut stats)
-                };
-                // Feed the same rows in ragged batches.
+                // Per-row reference on the same kernel.
+                let mut per_row = BnlBuilder::new(checker.clone(), vectorized);
+                for row in rows(&data) {
+                    per_row.push(row);
+                }
+                let (one_shot, stats) = per_row.finish();
+                // Feed the same rows in ragged batches: the batch fold on
+                // the vectorized non-DISTINCT path, per-row otherwise.
                 let mut builder = BnlBuilder::new(checker.clone(), vectorized);
                 for chunk in rows(&data).chunks(7) {
                     builder.push_batch(chunk.to_vec());
                 }
                 let (incremental, inc_stats) = builder.finish();
                 assert_eq!(one_shot, incremental, "v={vectorized} d={distinct}");
-                // The multi-candidate admission pre-pass makes vectorized
-                // test *counts* batch-boundary-dependent (group sizes
-                // differ between one big batch and chunks of 7); only the
-                // scalar path counts identically. The window itself — and
-                // its peak size — never depends on batch splits.
-                if !vectorized {
+                // The fold performs other (cheaper) tests than the per-row
+                // step and never holds the per-row step's temporary
+                // admissions, so counts and peak only match where
+                // `push_batch` *is* the per-row step.
+                if !vectorized || distinct {
                     assert_eq!(stats.dominance_tests, inc_stats.dominance_tests);
+                    assert_eq!(stats.max_window, inc_stats.max_window);
+                } else {
+                    assert!(inc_stats.multi_candidate_passes > 0);
+                    assert!(inc_stats.max_window >= incremental.len());
                 }
-                assert_eq!(stats.max_window, inc_stats.max_window);
             }
         }
+    }
+
+    /// Feed `data` in batches of `batch` rows on `kernel`.
+    fn folded(
+        data: Vec<Row>,
+        checker: &DominanceChecker,
+        kernel: DominanceKernel,
+        batch: usize,
+    ) -> (Vec<Row>, SkylineStats) {
+        let mut builder = BnlBuilder::with_kernel(checker.clone(), kernel);
+        for chunk in data.chunks(batch) {
+            builder.push_batch(chunk.to_vec());
+        }
+        builder.finish()
     }
 
     #[test]
@@ -754,8 +805,7 @@ mod tests {
                 DominanceKernel::Simd,
                 DominanceKernel::Auto,
             ] {
-                let mut s = SkylineStats::default();
-                let sky = bnl_skyline_kernel(rows(&data), &checker, &mut s, kernel);
+                let (sky, s) = folded(rows(&data), &checker, kernel, 16);
                 assert_eq!(reference, sky, "kernel={kernel:?} distinct={distinct}");
                 if kernel == DominanceKernel::Scalar {
                     assert_eq!(s.batched_tests, 0);
@@ -764,7 +814,10 @@ mod tests {
                 } else {
                     assert!(s.batched_tests > 0);
                     assert_eq!(s.scalar_tests, 0);
-                    assert!(s.multi_candidate_passes > 0, "kernel={kernel:?}");
+                    // DISTINCT keeps the per-row step: no cross-filter.
+                    assert_eq!(s.multi_candidate_passes > 0, !distinct, "{kernel:?}");
+                    // The survivors' inner BNL runs on the builder's own
+                    // knob, so a pinned tier stays pinned.
                     if kernel == DominanceKernel::Chunked {
                         assert_eq!(s.simd_tests, 0);
                     }
@@ -774,9 +827,9 @@ mod tests {
     }
 
     #[test]
-    fn prepass_batched_matches_scalar_with_nulls_and_floats() {
+    fn fold_matches_scalar_with_nulls_and_floats() {
         // NULL rows (all-incomparable lanes) and float columns through the
-        // grouped admission pre-pass.
+        // batch fold.
         let checker = min_min(false);
         let data: Vec<Row> = (0..90)
             .map(|i: i64| {
@@ -790,10 +843,77 @@ mod tests {
             .collect();
         let mut s1 = SkylineStats::default();
         let scalar = bnl_skyline(data.clone(), &checker, &mut s1);
-        let mut s2 = SkylineStats::default();
-        let batched = bnl_skyline_batched(data, &checker, &mut s2);
+        let (batched, s2) = folded(data, &checker, DominanceKernel::Auto, 10);
         assert_eq!(scalar, batched);
         assert!(s2.multi_candidate_passes > 0);
+    }
+
+    #[test]
+    fn fold_survives_unencodable_rows_and_block_demotion() {
+        // An integer column meets a non-integral float (a row the block
+        // cannot encode as a candidate, and whose push upgrades the
+        // column) and later a string (which demotes the block for good):
+        // every batch boundary must still agree with the scalar loop.
+        let checker = min_min(false);
+        let mut data: Vec<Row> = (0..60)
+            .map(|i: i64| {
+                Row::new(vec![
+                    Value::Int64((i * 37) % 40),
+                    Value::Int64((i * 53) % 40),
+                ])
+            })
+            .collect();
+        data.insert(25, Row::new(vec![Value::Float64(0.5), Value::Int64(39)]));
+        data.insert(45, Row::new(vec![Value::str("x"), Value::Int64(0)]));
+        let mut s1 = SkylineStats::default();
+        let scalar = bnl_skyline(data.clone(), &checker, &mut s1);
+        for batch in [1usize, 4, 9, 64] {
+            let (sky, s) = folded(data.clone(), &checker, DominanceKernel::Auto, batch);
+            assert_eq!(scalar, sky, "batch={batch}");
+            assert!(s.scalar_tests > 0, "batch={batch}: fallback work is scalar");
+        }
+    }
+
+    #[test]
+    fn cross_filter_drops_exactly_the_strictly_dominated() {
+        let checker = min_min(false);
+        let against = rows(&[(1, 5), (5, 1), (3, 3)]);
+        let cands = rows(&[(2, 6), (3, 3), (0, 9), (6, 6), (4, 2)]);
+        for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
+            let block = kernel.is_vectorized().then(|| {
+                let mut block = ColumnarBlock::for_checker_with(&checker, kernel);
+                against.iter().for_each(|r| block.push(r));
+                block
+            });
+            let mut alive = vec![true; cands.len()];
+            let mut stats = SkylineStats::default();
+            cross_filter(
+                &checker,
+                &cands,
+                &mut alive,
+                &against,
+                block.as_ref(),
+                &mut stats,
+            );
+            // (2,6) dies on (1,5), (6,6) on all three; the tie (3,3) and
+            // the incomparable (0,9), (4,2) survive.
+            assert_eq!(alive, [false, true, true, false, true], "{kernel:?}");
+            assert!(stats.dominance_tests > 0);
+            assert_eq!(stats.scalar_tests > 0, !kernel.is_vectorized());
+            // A cleared flag is never tested again, or set.
+            let mut dead = vec![false; cands.len()];
+            let mut again = SkylineStats::default();
+            cross_filter(
+                &checker,
+                &cands,
+                &mut dead,
+                &against,
+                block.as_ref(),
+                &mut again,
+            );
+            assert_eq!(dead, [false; 5]);
+            assert_eq!(again.dominance_tests, 0);
+        }
     }
 
     #[test]

@@ -123,8 +123,8 @@ pub fn partition_by_null_bitmap(
 /// class is uniformly NULL or non-NULL per column — each class window runs
 /// on the columnar kernel when the kernel knob allows it. Because the
 /// restricted relation *is* transitive inside a class, each class window
-/// is marked class-pure and admits batches through the multi-candidate
-/// pre-pass. `finish` concatenates the class windows in **first-seen
+/// is marked class-pure and folds batches through the cross-filter
+/// (`crate::bnl`). `finish` concatenates the class windows in **first-seen
 /// order**, making the streamed local phase deterministic (the
 /// materialized seed iterated a `HashMap`).
 pub struct GroupedBnlBuilder {
@@ -153,8 +153,8 @@ impl GroupedBnlBuilder {
 
     /// The window slot of a row's bitmap class, creating the class window
     /// on first sight. New windows are marked class-pure: within one class
-    /// the restricted relation is transitive (Lemma 5.1), so the
-    /// multi-candidate pre-pass is sound.
+    /// the restricted relation is transitive (Lemma 5.1), so the batch
+    /// fold is sound.
     fn slot_for(&mut self, row: &Row) -> usize {
         let bitmap = null_bitmap(row, self.checker.spec());
         match self.index.get(&bitmap) {
@@ -176,8 +176,8 @@ impl GroupedBnlBuilder {
     }
 
     /// Feed one batch of rows: the batch is routed per class first so each
-    /// class window can admit its share through the multi-candidate
-    /// pre-pass instead of row-at-a-time.
+    /// class window can fold its share in one step instead of
+    /// row-at-a-time.
     pub fn push_batch(&mut self, rows: impl IntoIterator<Item = Row>) {
         let mut routed: Vec<(usize, Vec<Row>)> = Vec::new();
         let mut at: HashMap<usize, usize> = HashMap::new();
@@ -861,9 +861,9 @@ mod tests {
 
     #[test]
     fn grouped_builder_kernel_knobs_are_byte_identical() {
-        // Per-class windows are class-pure, so the vectorized knobs run
-        // the multi-candidate pre-pass; every knob must produce the same
-        // rows in the same order.
+        // Per-class windows are class-pure, so the vectorized knobs fold
+        // batches through the cross-filter; every knob must produce the
+        // same rows in the same order.
         let checker = DominanceChecker::incomplete(spec3());
         let data = mixed_rows(240, 3, 7);
         let mut baseline = GroupedBnlBuilder::with_kernel(checker.clone(), DominanceKernel::Scalar);
@@ -876,10 +876,14 @@ mod tests {
             DominanceKernel::Chunked,
         ] {
             let mut builder = GroupedBnlBuilder::with_kernel(checker.clone(), kernel);
-            builder.push_batch(data.clone());
+            for batch in data.chunks(24) {
+                builder.push_batch(batch.to_vec());
+            }
             let (rows, stats) = builder.finish();
             assert_eq!(rows, expected, "kernel {kernel:?}");
-            assert_eq!(stats.max_window, base_stats.max_window);
+            // The fold never holds a temporary admission the per-row step
+            // would not.
+            assert!(stats.max_window <= base_stats.max_window);
             assert!(
                 stats.multi_candidate_passes > 0,
                 "class-pure windows must batch candidates under {kernel:?}"

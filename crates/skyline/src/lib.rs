@@ -10,7 +10,10 @@
 //!   the complete and the incomplete (NULL-aware) variant, with
 //!   type-matched comparisons.
 //! * [`bnl`] — the Block-Nested-Loop skyline algorithm of Börzsönyi et
-//!   al. used for local and global skylines on complete data (§5.6).
+//!   al. used for local and global skylines on complete data (§5.6), and
+//!   the antichain [`cross_filter`] primitive both phases of the
+//!   transitive family are built on (the local batch fold, the global
+//!   pairwise merge).
 //! * [`columnar`] — the struct-of-arrays dominance kernel: row windows are
 //!   transposed into sign-normalized `i64`/`f64` column buffers once, and
 //!   candidates are tested against the whole window in chunked or
@@ -51,10 +54,7 @@ pub mod naive;
 pub mod prefilter;
 pub mod sfs;
 
-pub use bnl::{
-    bnl_skyline, bnl_skyline_batched, bnl_skyline_into, bnl_skyline_into_batched,
-    bnl_skyline_into_kernel, bnl_skyline_kernel, BnlBuilder,
-};
+pub use bnl::{bnl_skyline, bnl_skyline_batched, bnl_skyline_kernel, cross_filter, BnlBuilder};
 pub use columnar::{
     kernel_label, BatchResult, ColumnarBlock, EncodedCandidate, KernelTier, MultiBatchResult,
     PointBlock, CANDIDATE_FIRST_CHUNK, CHUNK, MULTI_LANES,

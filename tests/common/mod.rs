@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
-use sparkline_common::{SkylineDim, SkylineSpec};
+use sparkline_common::{DominanceKernel, SkylineDim, SkylineSpec};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
 use sparkline_skyline::{naive_skyline, DominanceChecker};
 
@@ -169,4 +169,24 @@ pub fn row3(a: Option<i64>, b: Option<i64>, c: Option<i64>) -> Row {
         b.map(Value::Int64).unwrap_or(Value::Null),
         c.map(Value::Int64).unwrap_or(Value::Null),
     ])
+}
+
+/// Oracle: the paper's flat two-phase plan, run by hand on the scalar
+/// per-row BNL step — `rows` split evenly into `partitions` (the scan's
+/// boundaries), a local window per partition, then one window over the
+/// concatenated local skylines. Raw rows in output order: what every
+/// merge strategy and kernel knob of the complete family must reproduce
+/// byte for byte.
+pub fn flat_bnl_oracle(rows: &[Row], checker: &DominanceChecker, partitions: usize) -> Vec<Row> {
+    let per_row_bnl = |input: Vec<Row>| {
+        let mut window =
+            sparkline_skyline::BnlBuilder::with_kernel(checker.clone(), DominanceKernel::Scalar);
+        input.into_iter().for_each(|row| window.push(row));
+        window.finish().0
+    };
+    let locals = sparkline_exec::partition::split_evenly(rows.to_vec(), partitions)
+        .into_iter()
+        .flat_map(per_row_bnl)
+        .collect();
+    per_row_bnl(locals)
 }

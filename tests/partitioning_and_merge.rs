@@ -115,10 +115,11 @@ fn hierarchical_merge_is_byte_identical_and_parallel() {
         .unwrap()
         .collect()
         .unwrap();
-    assert_eq!(
-        flat.metrics.merge_rounds, 0,
-        "flat merge has no tree rounds"
-    );
+    // The flat merge is one pairwise round: one task per local skyline.
+    assert_eq!(flat.metrics.merge_rounds, 1, "{:?}", flat.metrics);
+    assert_eq!(flat.metrics.merge_tasks, 8, "{:?}", flat.metrics);
+    assert_eq!(flat.metrics.max_merge_fanout, 8, "{:?}", flat.metrics);
+    assert!(flat.metrics.max_window >= flat.rows.len());
 
     let tree_session = anti_correlated_session(tree_config, 3_000, 2);
     let tree_df = tree_session.sql(SKYLINE_SQL).unwrap();
@@ -141,11 +142,15 @@ fn hierarchical_merge_is_byte_identical_and_parallel() {
 
 #[test]
 fn hierarchical_merge_engages_by_executor_count() {
-    // Two executors sit below the default threshold: flat plan with the
-    // paper's AllTuples gather.
+    // Two executors sit below the default threshold: the one-round
+    // pairwise merge, fed the local skylines directly (no gather).
     let small = anti_correlated_session(SessionConfig::default().with_executors(2), 500, 2);
     let explain = small.sql(SKYLINE_SQL).unwrap().explain().unwrap();
-    assert!(explain.contains("AllTuples"), "{explain}");
+    assert!(
+        explain.contains("GlobalSkylineExec [2 dims, pairwise merge"),
+        "{explain}"
+    );
+    assert!(!explain.contains("AllTuples"), "{explain}");
     assert!(!explain.contains("hierarchical"), "{explain}");
 
     // Eight executors: the tree merge replaces the gather entirely.
