@@ -1,13 +1,15 @@
 //! Micro-benchmarks of the pure skyline algorithms: BNL vs the all-pairs
 //! incomplete global phase, and the local-phase scaling that underlies the
-//! paper's executor sweeps.
+//! paper's executor sweeps; plus the local batch fold on the three
+//! Börzsönyi distributions at the sizes of one spine partition.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparkline_common::{Row, SkylineDim, SkylineSpec, Value};
+use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
 use sparkline_skyline::{
-    bnl_skyline, incomplete_global_skyline, sfs_skyline, DominanceChecker, SkylineStats,
+    bnl_skyline, incomplete_global_skyline, sfs_skyline, BnlBuilder, DominanceChecker, SkylineStats,
 };
 
 fn rows(n: usize, dims: usize, null_rate: f64, seed: u64) -> Vec<Row> {
@@ -130,10 +132,45 @@ fn bench_bnl_vs_sfs(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_local_fold(c: &mut Criterion) {
+    // One partition's local phase as the engine runs it: 4096-row batches
+    // through `BnlBuilder::push_batch`. Anti-correlated input is bound by
+    // the window walk, the other two by step 1 of the fold (nearly every
+    // row dies against the window's strongest rows).
+    let mut group = c.benchmark_group("local_fold");
+    let inputs = [
+        (
+            "anti_50k",
+            anti_correlated_rows(&mut StdRng::seed_from_u64(42), 50_000, 4),
+        ),
+        (
+            "correlated_125k",
+            correlated_rows(&mut StdRng::seed_from_u64(42), 125_000, 4),
+        ),
+        (
+            "independent_500k",
+            independent_rows(&mut StdRng::seed_from_u64(42), 500_000, 4),
+        ),
+    ];
+    let checker = DominanceChecker::complete(spec(4));
+    for (name, data) in &inputs {
+        group.bench_with_input(BenchmarkId::from_parameter(name), data, |b, data| {
+            b.iter(|| {
+                let mut builder = BnlBuilder::new(checker.clone(), true);
+                for batch in data.chunks(4096) {
+                    builder.push_batch(batch.to_vec());
+                }
+                builder.finish()
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_bnl_scaling, bench_bnl_vs_all_pairs, bench_dimension_effect,
-              bench_local_phase_partitions, bench_bnl_vs_sfs
+              bench_local_phase_partitions, bench_bnl_vs_sfs, bench_local_fold
 );
 criterion_main!(benches);

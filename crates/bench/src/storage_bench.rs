@@ -175,10 +175,14 @@ fn run_scan_cell(
 /// test suites and the CI `--smoke` lane stay fast.
 pub fn run_storage_bench(quick: bool) -> StorageBench {
     let n = if quick { 20_000 } else { 200_000 };
+    // One scratch directory per call: two runs in one process (the unit
+    // tests run in parallel threads) must not delete each other's files.
+    static RUNS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "sparkline-storage-bench-{}-{}",
+        "sparkline-storage-bench-{}-{}-{}",
         std::process::id(),
-        if quick { "quick" } else { "full" }
+        if quick { "quick" } else { "full" },
+        RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).expect("bench scratch dir");
     let base = || {

@@ -180,16 +180,13 @@ pub struct SessionConfig {
     /// disabling it pins the incomplete family to the paper's flat
     /// single-executor plan — the A/B switch of the `ext6` benchmark.
     pub incomplete_tree_merge: bool,
-    /// Route skyline dominance tests through the columnar (struct-of-
-    /// arrays) batch kernel where the data admits it; rows the kernel
-    /// cannot represent fall back to the scalar checker per tuple. Results
-    /// are identical either way; disabling this pins every operator to the
-    /// scalar path (the benchmark harness A/B switch).
-    pub vectorized_dominance: bool,
-    /// Which compare tier the columnar kernel runs
-    /// ([`DominanceKernel::Auto`] dispatches on CPU features at runtime).
-    /// Ignored when [`Self::vectorized_dominance`] is off, which pins the
-    /// scalar path regardless.
+    /// How skyline dominance tests run: through the columnar (struct-of-
+    /// arrays) batch kernel where the data admits it — on the tier
+    /// [`DominanceKernel::Auto`] picks from the CPU's features at runtime,
+    /// or a pinned one; rows the kernel cannot represent fall back to the
+    /// scalar checker per tuple — or, with [`DominanceKernel::Scalar`], on
+    /// the scalar checker throughout (the A/B baseline). Results are
+    /// identical either way.
     pub dominance_kernel: DominanceKernel,
     /// Enable the §5.4 rewrite of single-dimension skylines into an O(n)
     /// min/max scan + filter.
@@ -273,7 +270,6 @@ impl Default for SessionConfig {
             merge_fan_in: 4,
             hierarchical_merge_min_partitions: 4,
             incomplete_tree_merge: true,
-            vectorized_dominance: true,
             dominance_kernel: DominanceKernel::Auto,
             enable_single_dim_rewrite: true,
             enable_skyline_join_pushdown: true,
@@ -368,12 +364,6 @@ impl SessionConfig {
     /// [`Self::with_hierarchical_merge_min_partitions`]).
     pub fn with_incomplete_tree_merge(mut self, on: bool) -> Self {
         self.incomplete_tree_merge = on;
-        self
-    }
-
-    /// Toggle the columnar dominance kernel (on by default).
-    pub fn with_vectorized_dominance(mut self, on: bool) -> Self {
-        self.vectorized_dominance = on;
         self
     }
 
@@ -500,12 +490,6 @@ mod tests {
             .with_streaming_execution(false);
         assert_eq!(c.batch_size, 64);
         assert!(!c.streaming_execution);
-        assert!(c.vectorized_dominance, "vectorized kernel defaults on");
-        assert!(
-            !SessionConfig::new()
-                .with_vectorized_dominance(false)
-                .vectorized_dominance
-        );
         assert_eq!(c.dominance_kernel, DominanceKernel::Auto, "kernel default");
         assert_eq!(
             SessionConfig::new()

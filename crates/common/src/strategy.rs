@@ -54,13 +54,10 @@ pub struct SkylinePlan {
     pub partitioning: SkylinePartitioning,
     /// Global merge strategy for the complete-data family.
     pub merge: MergeStrategy,
-    /// Route dominance tests through the columnar batch kernel (per
-    /// operator; unrepresentable rows still fall back to the scalar
-    /// checker tuple-by-tuple). Always equals `kernel.is_vectorized()`.
-    pub vectorized: bool,
-    /// Which compare tier the columnar kernel runs (`Scalar` when the
-    /// `vectorized_dominance` knob is off, otherwise the session's
-    /// `dominance_kernel` selection).
+    /// The session's `dominance_kernel` selection: which compare tier the
+    /// columnar batch kernel runs per operator (unrepresentable rows still
+    /// fall back to the scalar checker tuple-by-tuple), or `Scalar` for
+    /// the scalar checker throughout.
     pub kernel: DominanceKernel,
     /// Buckets per dimension for the grid partitioner (adaptive plans size
     /// this from the statistics; static plans copy the config knob).
@@ -131,25 +128,16 @@ impl SkylinePlan {
             MergeStrategy::Flat
         };
 
-        // The kernel is semantics-preserving on every algorithm family
-        // (it falls back per tuple where it cannot represent the data),
-        // so the knob passes through unconditionally. Turning the legacy
-        // `vectorized_dominance` toggle off pins the scalar path
-        // regardless of the tier selection.
-        let kernel = if config.vectorized_dominance {
-            config.dominance_kernel
-        } else {
-            DominanceKernel::Scalar
-        };
-
         SkylinePlan {
             use_complete,
             distributed,
             use_sfs,
             partitioning,
             merge,
-            vectorized: kernel.is_vectorized(),
-            kernel,
+            // Semantics-preserving on every algorithm family (the kernel
+            // falls back per tuple where it cannot represent the data),
+            // so the knob passes through unconditionally.
+            kernel: config.dominance_kernel,
             grid_cells_per_dim: config.grid_cells_per_dim,
             prefilter_max_points: 0,
             adaptive: false,
@@ -347,20 +335,9 @@ mod tests {
     }
 
     #[test]
-    fn vectorized_knob_passes_through() {
-        let config = SessionConfig::default();
-        let plan = SkylinePlan::select(&config, &meta(2, false, false));
-        assert!(plan.vectorized);
-        assert_eq!(plan.kernel, DominanceKernel::Auto);
-        let off = SessionConfig::default().with_vectorized_dominance(false);
-        let plan = SkylinePlan::select(&off, &meta(2, false, false));
-        assert!(!plan.vectorized);
-        assert_eq!(plan.kernel, DominanceKernel::Scalar);
-        assert!(!SkylinePlan::select(&off, &meta(2, true, false)).vectorized);
-    }
-
-    #[test]
     fn kernel_knob_passes_through() {
+        let plan = SkylinePlan::select(&SessionConfig::default(), &meta(2, false, false));
+        assert_eq!(plan.kernel, DominanceKernel::Auto);
         for kernel in [
             DominanceKernel::Auto,
             DominanceKernel::Simd,
@@ -368,18 +345,11 @@ mod tests {
             DominanceKernel::Scalar,
         ] {
             let config = SessionConfig::default().with_dominance_kernel(kernel);
-            let plan = SkylinePlan::select(&config, &meta(2, false, false));
-            assert_eq!(plan.kernel, kernel);
-            assert_eq!(plan.vectorized, kernel.is_vectorized());
+            for incomplete in [false, true] {
+                let plan = SkylinePlan::select(&config, &meta(2, incomplete, false));
+                assert_eq!(plan.kernel, kernel);
+            }
         }
-        // `vectorized_dominance = false` wins over any tier selection.
-        let off = SessionConfig::default()
-            .with_dominance_kernel(DominanceKernel::Simd)
-            .with_vectorized_dominance(false);
-        assert_eq!(
-            SkylinePlan::select(&off, &meta(2, false, false)).kernel,
-            DominanceKernel::Scalar
-        );
     }
 
     #[test]

@@ -35,8 +35,9 @@ use sparkline_exec::{
 use sparkline_plan::{Expr, MinMaxDirection};
 use sparkline_skyline::{
     cross_filter, incomplete_global_skyline, kernel_label, merge_incomplete_partials_kernel,
-    sfs_skyline_kernel, BnlBuilder, ColumnarBlock, Dominance, DominanceChecker, GroupedBnlBuilder,
-    IncompletePartial, IncompletePartialBuilder, RepresentativeFilter, SkylineStats,
+    sfs_skyline_kernel, BnlBuilder, ColumnarBlock, CrossFilterScratch, Dominance, DominanceChecker,
+    GroupedBnlBuilder, IncompletePartial, IncompletePartialBuilder, RepresentativeFilter,
+    SkylineStats,
 };
 
 use crate::ExecutionPlan;
@@ -47,7 +48,7 @@ use crate::ExecutionPlan;
 /// sort-based variants, which inherently need all rows) a plain buffer.
 enum SkylineSink {
     /// Complete-data BNL window (scalar or columnar).
-    Bnl(BnlBuilder),
+    Bnl(Box<BnlBuilder>),
     /// Sort-Filter-Skyline: buffers, then sorts and scans at finish.
     Sfs {
         rows: Vec<Row>,
@@ -214,15 +215,6 @@ fn kernel_fragment(kernel: DominanceKernel) -> String {
     }
 }
 
-/// Builder-compat mapping of the old boolean knob onto the kernel enum.
-fn kernel_from_flag(on: bool) -> DominanceKernel {
-    if on {
-        DominanceKernel::Auto
-    } else {
-        DominanceKernel::Scalar
-    }
-}
-
 /// How a complete-data skyline phase computes its result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SkylineAlgo {
@@ -264,11 +256,6 @@ impl LocalSkylineExec {
             kernel: DominanceKernel::Auto,
             input,
         }
-    }
-
-    /// Choose scalar vs columnar dominance testing (builder-style).
-    pub fn with_vectorized(self, on: bool) -> Self {
-        self.with_kernel(kernel_from_flag(on))
     }
 
     /// Choose the compare kernel (builder-style).
@@ -320,7 +307,10 @@ impl ExecutionPlan for LocalSkylineExec {
                         kernel: self.kernel,
                     }
                 } else {
-                    SkylineSink::Bnl(BnlBuilder::with_kernel(checker.clone(), self.kernel))
+                    SkylineSink::Bnl(Box::new(BnlBuilder::with_kernel(
+                        checker.clone(),
+                        self.kernel,
+                    )))
                 };
                 skyline_phase_stream(self.schema(), ctx, part, vec![input], sink)
             })
@@ -356,11 +346,14 @@ impl ExecutionPlan for LocalSkylineExec {
 ///
 /// * **Flat** — one round, no gather. The operator drains its input
 ///   partitions (the local skylines) in parallel, encodes each once into a
-///   [`ColumnarBlock`], and runs one task per partition on the executor
-///   pool: task *i* cross-filters `L_i` against every other `L_j`
-///   ([`cross_filter`]: one-directional, early exit, eight candidates per
-///   block walk). The result is the survivors concatenated in partition
-///   order. Soundness: a row of `L_i` is in the global skyline iff no row
+///   [`ColumnarBlock`] sorted by score key, and runs one task per
+///   partition on the executor pool: task *i* cross-filters `L_i`, in
+///   arrival order, against every other `L_j` ([`cross_filter`]:
+///   one-directional, early exit, eight candidates per block walk, each
+///   walk probing `L_j`'s lowest-key rows first and stopping at the first
+///   chunk whose leading key exceeds the candidate's — a dominator's key
+///   never does). The result is the survivors concatenated in partition
+///   order, each partition's in arrival order. Soundness: a row of `L_i` is in the global skyline iff no row
 ///   of any partition dominates it; inside `L_i` nothing does (it is a
 ///   skyline), and a dominator in `L_j` that is itself dominated elsewhere
 ///   still proves the row dominated (transitivity), so testing against
@@ -439,11 +432,6 @@ impl GlobalSkylineExec {
         self
     }
 
-    /// Choose scalar vs columnar dominance testing (builder-style).
-    pub fn with_vectorized(self, on: bool) -> Self {
-        self.with_kernel(kernel_from_flag(on))
-    }
-
     /// Choose the compare kernel (builder-style).
     pub fn with_kernel(mut self, kernel: DominanceKernel) -> Self {
         self.kernel = kernel;
@@ -463,9 +451,12 @@ fn clamp_fan_in(merge: MergeStrategy) -> MergeStrategy {
 }
 
 /// Local skylines encoded once for the pairwise cross-filter merge: the
-/// row partitions plus, on a vectorized kernel knob, each partition's
-/// columnar mirror (possibly demoted to scalar fallback — the primitive
-/// routes around that).
+/// row partitions, in arrival order, plus, on a vectorized kernel knob,
+/// each partition's columnar encoding **sorted by score key** — so every
+/// candidate probes a partition's strongest rows first and stops at the
+/// score bound (`sparkline_skyline::bnl`, "The score-ordered window"). A
+/// block demoted to scalar fallback stays unsorted; the primitive routes
+/// around it.
 struct EncodedSkylines {
     checker: DominanceChecker,
     parts: Vec<Partition>,
@@ -492,6 +483,10 @@ impl EncodedSkylines {
                 kernel.is_vectorized().then(|| {
                     let mut block = ColumnarBlock::for_checker_with(&checker, kernel);
                     part.iter().for_each(|row| block.push(row));
+                    // Only the block is reordered: the cross-filter never
+                    // indexes the rows through it, and the survivor masks
+                    // stay in the partition's arrival order.
+                    block.sort_by_key();
                     block
                 })
             })
@@ -514,6 +509,7 @@ impl EncodedSkylines {
     ) -> Result<Vec<bool>> {
         let cands = &self.parts[i];
         let mut alive = vec![true; cands.len()];
+        let mut scratch = CrossFilterScratch::default();
         for (j, against) in self.parts.iter().enumerate() {
             if j == i {
                 continue;
@@ -529,6 +525,7 @@ impl EncodedSkylines {
                     alive,
                     against,
                     self.blocks[j].as_ref(),
+                    &mut scratch,
                     stats,
                 );
             }
@@ -707,7 +704,7 @@ impl ExecutionPlan for GlobalSkylineExec {
                     kernel: self.kernel,
                 }
             } else {
-                SkylineSink::Bnl(BnlBuilder::with_kernel(checker, self.kernel))
+                SkylineSink::Bnl(Box::new(BnlBuilder::with_kernel(checker, self.kernel)))
             };
             return Ok(vec![skyline_phase_stream(
                 self.schema(),
@@ -819,11 +816,6 @@ impl SkylinePreFilterExec {
             kernel: DominanceKernel::Auto,
             input,
         }
-    }
-
-    /// Choose scalar vs columnar dominance testing (builder-style).
-    pub fn with_vectorized(self, on: bool) -> Self {
-        self.with_kernel(kernel_from_flag(on))
     }
 
     /// Choose the compare kernel (builder-style).
@@ -940,13 +932,8 @@ impl IncompleteGlobalSkylineExec {
         self
     }
 
-    /// Choose scalar vs columnar dominance testing inside the tree merge
-    /// (builder-style; the flat all-pairs pass is scalar either way).
-    pub fn with_vectorized(self, on: bool) -> Self {
-        self.with_kernel(kernel_from_flag(on))
-    }
-
-    /// Choose the compare kernel (builder-style).
+    /// Choose the compare kernel of the tree merge (builder-style; the
+    /// flat all-pairs pass is scalar either way).
     pub fn with_kernel(mut self, kernel: DominanceKernel) -> Self {
         self.kernel = kernel;
         self
@@ -1420,7 +1407,7 @@ mod tests {
             SkylineDim::min(1),
             SkylineDim::min(2),
         ]);
-        let build = |merge: Option<(usize, bool)>| {
+        let build = |merge: Option<(usize, DominanceKernel)>| {
             let scan: Arc<dyn ExecutionPlan> =
                 Arc::new(ScanExec::new("t", Arc::new(rows.clone()), schema.clone()));
             let bitmap_exchange = Arc::new(ExchangeExec::new(
@@ -1433,10 +1420,10 @@ mod tests {
                     spec3.clone(),
                     Arc::new(ExchangeExec::single(local)),
                 )),
-                Some((fan_in, vectorized)) => Arc::new(
+                Some((fan_in, kernel)) => Arc::new(
                     IncompleteGlobalSkylineExec::new(spec3.clone(), local)
                         .with_merge(MergeStrategy::Hierarchical { fan_in })
-                        .with_vectorized(vectorized),
+                        .with_kernel(kernel),
                 ),
             }
         };
@@ -1445,13 +1432,13 @@ mod tests {
         let flat_deferred = flat_ctx.metrics.snapshot().deferred_deletions;
         assert!(!flat.is_empty());
         for fan_in in [2usize, 3] {
-            for vectorized in [false, true] {
+            for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
                 let ctx = TaskContext::new(6);
-                let plan = build(Some((fan_in, vectorized)));
+                let plan = build(Some((fan_in, kernel)));
                 let parts = plan.execute(&ctx).unwrap();
                 assert_eq!(parts.len(), 1, "global phase yields one partition");
                 let tree = flatten(parts);
-                assert_eq!(tree, flat, "fan-in {fan_in}, vectorized {vectorized}");
+                assert_eq!(tree, flat, "fan-in {fan_in}, {kernel:?}");
                 let m = ctx.metrics.snapshot();
                 assert_eq!(
                     m.deferred_deletions, flat_deferred,
@@ -1921,6 +1908,11 @@ mod tests {
             .map(|i: i64| vec![Value::Int64((i * 37) % 80), Value::Int64((i * 53) % 80)])
             .collect();
         let run_plan = |vectorized: bool, merge: MergeStrategy| {
+            let kernel = if vectorized {
+                DominanceKernel::Auto
+            } else {
+                DominanceKernel::Scalar
+            };
             let local = Arc::new(
                 LocalSkylineExec::new(
                     spec2(),
@@ -1930,17 +1922,17 @@ mod tests {
                         input(data.clone()),
                     )),
                 )
-                .with_vectorized(vectorized),
+                .with_kernel(kernel),
             );
             let global: Arc<dyn ExecutionPlan> = match merge {
                 MergeStrategy::Flat => Arc::new(
                     GlobalSkylineExec::new(spec2(), Arc::new(ExchangeExec::single(local)))
-                        .with_vectorized(vectorized),
+                        .with_kernel(kernel),
                 ),
                 hierarchical => Arc::new(
                     GlobalSkylineExec::new(spec2(), local)
                         .with_merge(hierarchical)
-                        .with_vectorized(vectorized),
+                        .with_kernel(kernel),
                 ),
             };
             let ctx = TaskContext::new(6);
@@ -1976,8 +1968,8 @@ mod tests {
             "{}",
             local.describe()
         );
-        let scalar =
-            LocalSkylineExec::new(spec2(), false, input(Vec::new())).with_vectorized(false);
+        let scalar = LocalSkylineExec::new(spec2(), false, input(Vec::new()))
+            .with_kernel(DominanceKernel::Scalar);
         assert!(!scalar.describe().contains("vectorized"));
         let global = GlobalSkylineExec::new(spec2(), input(Vec::new()));
         assert!(
@@ -2040,9 +2032,10 @@ mod tests {
     fn prefilter_exec_drops_only_dominated_rows() {
         let data = int_rows(&[(0, 2), (2, 2), (1, 1), (5, 5), (2, 0)]);
         let points = vec![Row::new(vec![Value::Int64(1), Value::Int64(1)])];
-        for vectorized in [false, true] {
+        for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
+            let vectorized = kernel.is_vectorized();
             let plan = SkylinePreFilterExec::new(spec2(), points.clone(), 3, input(data.clone()))
-                .with_vectorized(vectorized);
+                .with_kernel(kernel);
             let ctx = TaskContext::new(2);
             let rows = run(&plan, 2);
             // (2,2) and (5,5) are strictly dominated by (1,1); the tie

@@ -18,7 +18,7 @@
 //! tuples share their NULL positions and the restricted relation is
 //! transitive again (paper §5.7 / Lemma 5.1).
 //!
-//! # The antichain cross-filter and the batch fold
+//! # The antichain cross-filter
 //!
 //! Under a transitive relation both skyline phases reduce to one
 //! primitive, [`cross_filter`]: *given candidate rows and a set of rows,
@@ -34,51 +34,95 @@
 //! (transitivity), so filtering against the *unfiltered* other side loses
 //! nothing. The global merge of the physical layer applies the identity
 //! across local skylines; [`BnlBuilder::push_batch`] applies it between
-//! the window and each incoming batch (the *batch fold*):
+//! the window and each incoming batch.
 //!
-//! 1. cross-filter the batch against the window. Sound to drop: a
-//!    candidate dominated by *any* row ever seen is dominated by a member
-//!    of the final skyline (follow the chain of dominators; it is finite
-//!    and ends in an undominated row), so it can never be output; and
-//!    because the window is an antichain it dominates nothing in the
-//!    window, so dropping it early changes no eviction.
-//! 2. BNL the few survivors among themselves (the per-row window step on
-//!    a window that starts empty): the batch skyline `S`, in arrival
-//!    order.
-//! 3. cross-filter the *window* against `S`. Window `W` and `S` are both
-//!    antichains and no row of `S` is dominated by `W` (step 1), so the
-//!    identity above gives skyline(W ∪ batch) = (W \ dominated-by-S) ++ S;
-//!    steps 1 and 3 commute — neither changes the set the other filters
-//!    against in a way that matters: a batch row dropped in step 1 cannot
-//!    have been the only dominator of a window row (its own window
-//!    dominator would dominate that row too, contradicting that `W` is an
-//!    antichain).
-//! 4. compact window and block once, append `S`.
+//! # The score-ordered window
 //!
-//! Every step keeps relative arrival order, so the window is always "the
-//! skyline members seen so far, in arrival order" — byte-identical to the
-//! per-row algorithm, whose order-preserving eviction yields exactly that.
-//! The number of dominance tests is about the same; each is cheaper: the
-//! per-row step needs both directions of every pair without early exit
-//! (one `Vec<Dominance>` entry per window row) and compacts window and
-//! block once per *admitted row*, the fold runs two one-directional
-//! early-exit passes and compacts once per *batch*. Memory stays "window
-//! plus one batch"; nothing is buffered or sorted.
+//! The sort-based skyline family (SFS, LESS, SaLSa) is fast on hard inputs
+//! not because its *input* is sorted but because its window is probed
+//! strongest-first and a probe may stop at a monotone-score bound. The
+//! builder takes exactly that and nothing else: under a transitive
+//! relation, without `DISTINCT`, with a live kernel block, the **window**
+//! (rows, block, and a per-row arrival number) is kept ascending by the
+//! block's member score key — the `f64` sum of the sign-normalized ranked
+//! dimensions (`crate::columnar`, "Score keys and the bounded walk") —
+//! while the **input** stays in arrival order and nothing is buffered.
+//! The invariant everything rests on:
 //!
-//! The per-row [`BnlBuilder::push`] remains where the fold's premises
-//! fail: non-transitive input (mixed-bitmap incomplete data — the scalar
-//! loop's mid-scan evictions can only be matched by replaying it),
+//! > `a` strictly dominates `b` ⇒ `key_member(a) <= key_cand(b)`
+//!
+//! (`a_i <= b_i` on every summed dimension; integer-to-float conversion
+//! and IEEE addition round monotonically; both keys add in column order.)
+//! Rounding and infinities can make the keys of a dominating pair *equal*,
+//! so the bound is inclusive: a walk stops only at rows whose key is
+//! strictly greater, and equal-key rows are always tested. A row without a
+//! usable sum (NaN: `+inf + -inf`) gets member key `-inf` / candidate key
+//! `+inf`: always probed, never bounded. NULL-like rows under the complete
+//! relation neither dominate nor are dominated; any key does for them.
+//! With the invariant, the one walk
+//! ([`ColumnarBlock::first_dominators`]) probes low-score rows — the
+//! likeliest dominators — first and abandons a candidate where the window
+//! keys exceed the candidate's.
+//!
+//! The batch fold of [`BnlBuilder::push_batch`], per chunk of
+//! `FOLD_BATCH_ROWS` input rows:
+//!
+//! 1. cross-filter the batch, *in arrival order*, against the window.
+//!    Sound to drop: a candidate dominated by *any* row ever seen is
+//!    dominated by a member of the final skyline (follow the chain of
+//!    dominators; it is finite and ends in an undominated row), so it can
+//!    never be output; and because the window is an antichain it dominates
+//!    nothing in the window, so dropping it early changes no eviction.
+//!    (Sorting the batch first would let later candidates skip work, but
+//!    costs more than it saves where nearly every row dies here.) A
+//!    handful of survivors each take a sorted insert — the per-row step —
+//!    and the fold is done.
+//! 2. encode the survivors into a block of their own, sort it by key and
+//!    cross-filter it against *itself*: strict dominance is irreflexive
+//!    and transitive, so S \ dominated-by-S is the skyline of S. In key
+//!    order every candidate walks only the rows at or below its own key —
+//!    the insert-only scan of SFS, with equal-key ties tested both ways.
+//! 3. cross-filter the window against the survivors' skyline `S`. Window
+//!    `W` and `S` are both antichains and no row of `S` is dominated by
+//!    `W` (step 1), so the identity above gives skyline(W ∪ batch) =
+//!    (W \ dominated-by-S) ++ S. Only the window suffix whose key reaches
+//!    the smallest key of `S` can hold a victim; the prefix is not even
+//!    encoded. Steps 1 and 3 commute — a
+//!    batch row dropped in step 1 cannot have been the only dominator of a
+//!    window row (its own window dominator would dominate that row too,
+//!    contradicting that `W` is an antichain).
+//! 4. compact the window once, move `S`'s encoded columns behind it
+//!    ([`ColumnarBlock::append`] — no re-encode) and restore key order
+//!    with one stable sort of two sorted runs.
+//!
+//! The window is a *set* at every step — the skyline of the rows seen so
+//! far, duplicates included — so its internal order is free; each row's
+//! arrival number travels with it and [`BnlBuilder::finish`] sorts by it,
+//! which yields "the skyline members in arrival order", byte-identical to
+//! the per-row algorithm with order-preserving eviction. Memory stays
+//! "window plus one batch" (16 bytes per member for key and arrival
+//! number).
+//!
+//! What keeps the arrival-order window and the per-row step
+//! ([`BnlBuilder::push`], both directions of every pair): non-transitive
+//! input (mixed-bitmap incomplete data — the scalar loop's mid-scan
+//! evictions can only be matched by replaying it in arrival order),
 //! `SKYLINE OF DISTINCT` (a dims-identical later row must die on an
-//! `Equal` verdict, which the strict cross-filter never reports), the
-//! scalar kernel knob, and blocks demoted to scalar fallback. Rows the
-//! kernel cannot encode take a scalar scan inside [`cross_filter`].
+//! `Equal` verdict, which the strict cross-filter never reports), and the
+//! scalar kernel knob. A block demoted to scalar fallback mid-stream (a
+//! string, an inexact int/float mix) has lost its keys: the builder sorts
+//! the window back into arrival order once and continues per row. A single
+//! row the block cannot encode *as a candidate* takes a scalar scan over
+//! the ordered window and then enters at the key the block derives from
+//! its stored values.
 
 use sparkline_common::{DominanceKernel, QueryControl, Result, Row, CONTROL_CHECK_ROWS};
 
-use crate::columnar::{ColumnarBlock, EncodedCandidate, MULTI_LANES};
+use crate::columnar::{retain_mask, ColumnarBlock, EncodedCandidate, MULTI_LANES};
 use crate::dominance::{Dominance, DominanceChecker, SkylineStats};
 
-/// Kernel knob equivalent of the legacy `vectorized` flag.
+/// Kernel knob of the boolean constructors ([`BnlBuilder::new`] and its
+/// grouped / incomplete siblings): `Auto` or `Scalar`.
 pub(crate) fn kernel_for(vectorized: bool) -> DominanceKernel {
     if vectorized {
         DominanceKernel::Auto
@@ -94,12 +138,12 @@ pub(crate) fn kernel_for(vectorized: bool) -> DominanceKernel {
 /// it checks between.
 const FOLD_BATCH_ROWS: usize = CONTROL_CHECK_ROWS;
 
-/// Survivors of a fold's first cross-filter up to which steps 2–4 are not
-/// worth setting up: step 3 encodes the whole window as candidates, which
-/// costs more than the handful of per-row window passes it replaces
-/// (correlated and independent inputs, and the small per-class batches of
-/// the incomplete local phase, mostly end here).
-const FOLD_MIN_SURVIVORS: usize = 2 * MULTI_LANES;
+/// Survivors of a fold's first cross-filter up to which each simply takes
+/// a sorted insert: steps 2–4 set up a block for the survivors and sort
+/// twice, which costs more than a few window passes (correlated and
+/// independent inputs, and the small per-class batches of the incomplete
+/// local phase, mostly end here).
+const SORTED_INSERT_MAX: usize = 2 * MULTI_LANES;
 
 /// Compute the skyline of `rows` with the scalar BNL window algorithm,
 /// recording dominance-test counts into `stats`.
@@ -118,10 +162,9 @@ pub fn bnl_skyline(
 /// [`bnl_skyline`] with the candidate-vs-window tests routed through the
 /// columnar batch kernel ([`DominanceKernel::Auto`]). Produces a
 /// byte-identical window (same rows, same order) as the scalar variant.
-/// Test *counts* differ: the kernel's early exit is chunk-granular, so
-/// `dominance_tests` can exceed the scalar loop's — each performed test is
-/// just much cheaper. `batched_tests` / `scalar_tests` record which
-/// checker answered them.
+/// Test *counts* differ: the kernel's early exit is chunk-granular, and
+/// the score-ordered window prunes tests the scalar loop performs.
+/// `batched_tests` / `scalar_tests` record which checker answered them.
 pub fn bnl_skyline_batched(
     rows: impl IntoIterator<Item = Row>,
     checker: &DominanceChecker,
@@ -147,12 +190,43 @@ pub fn bnl_skyline_kernel(
     window
 }
 
+/// Reusable buffers of [`cross_filter`] — one lane group's encoded
+/// candidates, their indices and their verdicts — owned by the caller so a
+/// filter run per 1024-row chunk allocates nothing.
+#[derive(Debug, Default)]
+pub struct CrossFilterScratch {
+    encoded: Vec<EncodedCandidate>,
+    lanes: [usize; MULTI_LANES],
+    dominated: Vec<Option<usize>>,
+}
+
+impl CrossFilterScratch {
+    /// One multi-candidate pass over the first `n` lanes: clear the flag
+    /// of every lane that found a strict dominator.
+    fn flush(
+        &mut self,
+        block: &ColumnarBlock,
+        n: usize,
+        alive: &mut [bool],
+        stats: &mut SkylineStats,
+    ) {
+        let res = block.first_dominators(&self.encoded[..n], &mut self.dominated);
+        stats.add_multi_pass(res.tested, block.is_simd());
+        for (lane, hit) in self.dominated.iter().enumerate() {
+            if hit.is_some() {
+                alive[self.lanes[lane]] = false;
+            }
+        }
+    }
+}
+
 /// The cross-filter primitive: clear `alive[i]` for every candidate
 /// `cands[i]` that some row of `against` **strictly** dominates (never on
 /// `Equal`). Candidates whose flag is already cleared are skipped, so a
 /// caller can chain filters against several sets over one mask.
 ///
-/// `block` is the columnar mirror of `against` (index-aligned), or `None`
+/// `block` is the columnar encoding of the rows of `against` — in any
+/// order; a key-ordered block bounds every walk (module docs) — or `None`
 /// on the scalar kernel knob. With a live block, candidates are tested
 /// [`MULTI_LANES`] at a time by the early-exit multi-candidate kernel
 /// ([`ColumnarBlock::first_dominators`]); a block in scalar fallback, and
@@ -170,6 +244,7 @@ pub fn cross_filter(
     alive: &mut [bool],
     against: &[Row],
     block: Option<&ColumnarBlock>,
+    scratch: &mut CrossFilterScratch,
     stats: &mut SkylineStats,
 ) {
     debug_assert_eq!(cands.len(), alive.len());
@@ -189,56 +264,37 @@ pub fn cross_filter(
         return;
     };
     debug_assert_eq!(block.len(), against.len());
-    let mut encoded = vec![EncodedCandidate::new(); MULTI_LANES];
-    let mut lanes = [0usize; MULTI_LANES];
-    let mut dominated: Vec<Option<usize>> = Vec::with_capacity(MULTI_LANES);
+    scratch
+        .encoded
+        .resize_with(MULTI_LANES, EncodedCandidate::new);
     let mut n = 0;
     for (i, cand) in cands.iter().enumerate() {
         if !alive[i] {
             continue;
         }
-        if !block.encode_into(cand, &mut encoded[n]) {
+        if !block.encode_into(cand, &mut scratch.encoded[n]) {
             alive[i] = scalar_survives(cand, stats);
             continue;
         }
-        lanes[n] = i;
+        scratch.lanes[n] = i;
         n += 1;
         if n == MULTI_LANES {
-            flush_lanes(block, &encoded, &lanes, &mut dominated, alive, stats);
+            scratch.flush(block, n, alive, stats);
             n = 0;
         }
     }
     if n > 0 {
-        flush_lanes(block, &encoded[..n], &lanes, &mut dominated, alive, stats);
+        scratch.flush(block, n, alive, stats);
     }
 }
 
-/// One multi-candidate pass of [`cross_filter`]: clear the flag of every
-/// lane that found a strict dominator.
-fn flush_lanes(
-    block: &ColumnarBlock,
-    encoded: &[EncodedCandidate],
-    lanes: &[usize],
-    dominated: &mut Vec<Option<usize>>,
-    alive: &mut [bool],
-    stats: &mut SkylineStats,
-) {
-    let res = block.first_dominators(encoded, dominated);
-    stats.add_multi_pass(res.tested, block.is_simd());
-    for (lane, hit) in dominated.iter().enumerate() {
-        if hit.is_some() {
-            alive[lanes[lane]] = false;
-        }
-    }
-}
-
-/// Keep `v[i]` iff `keep[i]`, preserving order.
-fn retain_mask<T>(v: &mut Vec<T>, keep: &[bool]) {
-    let mut i = 0;
-    v.retain(|_| {
-        i += 1;
-        keep[i - 1]
-    });
+/// `v[i] = old v[perm[i]]`, moving (not cloning) the elements.
+fn permute<T>(v: &mut Vec<T>, perm: &[usize]) {
+    let mut old: Vec<Option<T>> = v.drain(..).map(Some).collect();
+    v.extend(
+        perm.iter()
+            .map(|&i| old[i].take().expect("each index occurs once")),
+    );
 }
 
 /// Incremental Block-Nested-Loop skyline — the batch-feeding entry point
@@ -249,25 +305,37 @@ fn retain_mask<T>(v: &mut Vec<T>, keep: &[bool]) {
 /// peak memory is bounded by the skyline size plus one batch, never by
 /// the input size. On a vectorized kernel knob the window is mirrored
 /// into the columnar kernel's [`ColumnarBlock`] (encode-once,
-/// evict-by-index); [`push_batch`](Self::push_batch) folds whole batches
-/// into it through [`cross_filter`] (module docs), [`push`](Self::push)
-/// tests one tuple against the whole window in one chunked pass. Rows the
-/// kernel cannot represent take the scalar step, so the result is always
-/// byte-identical to the scalar builder.
+/// evict-by-index) and — where the module docs' premises hold — kept in
+/// score order; [`push_batch`](Self::push_batch) folds whole batches into
+/// it through [`cross_filter`], [`push`](Self::push) tests one tuple
+/// against the whole window in one chunked pass. Rows the kernel cannot
+/// represent take the scalar step, so the result is always byte-identical
+/// to the scalar builder.
 pub struct BnlBuilder {
     checker: DominanceChecker,
     kernel: DominanceKernel,
     window: Vec<Row>,
     /// `Some` on the vectorized path (even after a fallback demotion, so
     /// the per-tuple routing below stays cheap), `None` on the scalar one.
+    /// Index-aligned with `window` while live.
     block: Option<ColumnarBlock>,
-    /// Whether the dominance relation in effect is transitive — the
-    /// complete relation, or the incomplete relation on class-pure input
-    /// (one null-bitmap class, Lemma 5.1). Gates the batch fold in
-    /// [`push_batch`](Self::push_batch).
-    transitive: bool,
+    /// Whether the window is kept in score order (module docs): the
+    /// relation is transitive — the complete relation, or the incomplete
+    /// one on class-pure input (Lemma 5.1) — there is no `DISTINCT`, and
+    /// the block is live. Otherwise the window is in arrival order.
+    ordered: bool,
+    /// Arrival number of every window row while `ordered` (index-aligned),
+    /// unused otherwise.
+    seqs: Vec<u64>,
+    next_seq: u64,
     cand: EncodedCandidate,
     out: Vec<Dominance>,
+    /// The fold's reusable buffers: the current input chunk, the step-1 /
+    /// step-2 and step-3 masks, the cross-filter lanes.
+    batch: Vec<Row>,
+    alive: Vec<bool>,
+    keep: Vec<bool>,
+    scratch: CrossFilterScratch,
     stats: SkylineStats,
 }
 
@@ -282,26 +350,41 @@ impl BnlBuilder {
         let block = kernel
             .is_vectorized()
             .then(|| ColumnarBlock::for_checker_with(&checker, kernel));
-        let transitive = !checker.is_incomplete();
-        BnlBuilder {
+        let mut builder = BnlBuilder {
             checker,
             kernel,
             window: Vec::new(),
             block,
-            transitive,
+            ordered: false,
+            seqs: Vec::new(),
+            next_seq: 0,
             cand: EncodedCandidate::new(),
             out: Vec::new(),
+            batch: Vec::new(),
+            alive: Vec::new(),
+            keep: Vec::new(),
+            scratch: CrossFilterScratch::default(),
             stats: SkylineStats::default(),
-        }
+        };
+        builder.set_transitive(!builder.checker.is_incomplete());
+        builder
     }
 
     /// Declare the input class-pure: every row pushed shares one null
     /// bitmap, so the restricted incomplete relation is transitive within
-    /// it (paper Lemma 5.1) and the batch fold is sound. Used by the
-    /// per-class builders of
-    /// [`GroupedBnlBuilder`](crate::incomplete::GroupedBnlBuilder).
+    /// it (paper Lemma 5.1) and the score-ordered fold is sound. Used by
+    /// the per-class builders of
+    /// [`GroupedBnlBuilder`](crate::incomplete::GroupedBnlBuilder), before
+    /// the first push.
     pub(crate) fn mark_class_pure(&mut self) {
-        self.transitive = true;
+        self.set_transitive(true);
+    }
+
+    fn set_transitive(&mut self, transitive: bool) {
+        debug_assert!(self.window.is_empty(), "the window order is fixed up front");
+        self.ordered = transitive
+            && !self.checker.distinct()
+            && self.block.as_ref().is_some_and(|b| !b.is_fallback());
     }
 
     /// Current window occupancy (== the running skyline size).
@@ -316,21 +399,14 @@ impl BnlBuilder {
 
     /// Feed one batch of rows.
     ///
-    /// Under a transitive relation with a live kernel block (and no
-    /// `DISTINCT`), the rows are folded into the window
+    /// With a score-ordered window the rows are folded into it
     /// [`FOLD_BATCH_ROWS`] at a time by the cross-filter batch fold of the
     /// module docs; otherwise each row takes the per-row
-    /// [`push`](Self::push) step. Either way the window afterwards is what
-    /// pushing the rows one by one would have left.
+    /// [`push`](Self::push) step. Either way the window afterwards holds
+    /// what pushing the rows one by one would have left.
     pub fn push_batch(&mut self, rows: impl IntoIterator<Item = Row>) {
-        let mut rows = rows.into_iter();
-        loop {
-            let batch: Vec<Row> = rows.by_ref().take(FOLD_BATCH_ROWS).collect();
-            if batch.is_empty() {
-                return;
-            }
-            self.fold_batch(batch);
-        }
+        self.push_chunks(rows, None)
+            .expect("only a control check can fail");
     }
 
     /// [`push_batch`](Self::push_batch) under cooperative query control:
@@ -346,117 +422,168 @@ impl BnlBuilder {
         rows: impl IntoIterator<Item = Row>,
         control: &QueryControl,
     ) -> Result<()> {
-        let mut rows = rows.into_iter().peekable();
-        while rows.peek().is_some() {
-            control.check()?;
-            self.push_batch(rows.by_ref().take(CONTROL_CHECK_ROWS));
-        }
-        Ok(())
+        self.push_chunks(rows, Some(control))
     }
 
-    /// Fold one batch into the window (steps 1–4 of the module docs), or
-    /// push it row by row where the fold does not apply. An empty window
-    /// is the fold's base case: the batch skyline *is* the new window, so
-    /// the rows go through the per-row step directly.
-    fn fold_batch(&mut self, mut batch: Vec<Row>) {
-        let folds = self.transitive
-            && !self.checker.distinct()
-            && !self.window.is_empty()
-            && self.block.as_ref().is_some_and(|b| !b.is_fallback());
-        if !folds {
-            for row in batch {
-                self.push(row);
+    /// Pull `rows` through the builder's own chunk buffer,
+    /// [`FOLD_BATCH_ROWS`] at a time, checking `control` before each fold.
+    fn push_chunks(
+        &mut self,
+        rows: impl IntoIterator<Item = Row>,
+        control: Option<&QueryControl>,
+    ) -> Result<()> {
+        let mut rows = rows.into_iter();
+        let mut batch = std::mem::take(&mut self.batch);
+        let result = loop {
+            batch.extend(rows.by_ref().take(FOLD_BATCH_ROWS));
+            if batch.is_empty() {
+                break Ok(());
             }
+            if let Some(Err(stop)) = control.map(QueryControl::check) {
+                batch.clear();
+                break Err(stop);
+            }
+            self.fold_batch(&mut batch);
+        };
+        self.batch = batch;
+        result
+    }
+
+    /// Fold one batch into the score-ordered window (steps 1–4 of the
+    /// module docs), or push it row by row where the window is kept in
+    /// arrival order. Leaves `batch` empty. An empty window is no special
+    /// case: step 1 drops nothing and the batch's own skyline (step 2)
+    /// becomes the window.
+    fn fold_batch(&mut self, batch: &mut Vec<Row>) {
+        if !self.ordered {
+            batch.drain(..).for_each(|row| self.push(row));
             return;
         }
-        // 1. batch \ dominated-by-window.
-        let mut alive = vec![true; batch.len()];
+        let block = self
+            .block
+            .as_mut()
+            .expect("a score-ordered window has a block");
+        // 1. batch \ dominated-by-window, in arrival order.
+        self.alive.clear();
+        self.alive.resize(batch.len(), true);
         cross_filter(
             &self.checker,
-            &batch,
-            &mut alive,
+            batch,
+            &mut self.alive,
             &self.window,
-            self.block.as_ref(),
+            Some(block),
+            &mut self.scratch,
             &mut self.stats,
         );
-        retain_mask(&mut batch, &alive);
-        if batch.len() <= FOLD_MIN_SURVIVORS {
-            for row in batch {
-                self.push(row);
-            }
+        retain_mask(batch, &self.alive);
+        if batch.len() <= SORTED_INSERT_MAX {
+            batch.drain(..).for_each(|row| self.push(row));
             return;
         }
-        // 2. The survivors' own skyline, on this builder's kernel knob so
-        //    its tests are attributed to the same tier.
-        let mut survivors = BnlBuilder::with_kernel(self.checker.clone(), self.kernel);
-        for row in batch {
-            survivors.push(row);
+        // 2. The survivors' own skyline: encode, sort by key, self-filter.
+        //    (A survivor the kernel cannot hold demotes the window's block
+        //    as its push would have; the window then continues per row.)
+        let mut sky = ColumnarBlock::for_checker_with(&self.checker, self.kernel);
+        batch.iter().for_each(|row| sky.push(row));
+        if !block.reconcile(&mut sky) {
+            self.restore_arrival_order();
+            batch.drain(..).for_each(|row| self.push(row));
+            return;
         }
-        // 3. window \ dominated-by-survivors, one compaction.
-        let mut keep = vec![true; self.window.len()];
+        let mut seqs: Vec<u64> = (self.next_seq..).take(batch.len()).collect();
+        self.next_seq += batch.len() as u64;
+        if let Some(perm) = sky.sort_by_key() {
+            permute(batch, &perm);
+            permute(&mut seqs, &perm);
+        }
+        self.alive.clear();
+        self.alive.resize(batch.len(), true);
         cross_filter(
             &self.checker,
-            &self.window,
-            &mut keep,
-            &survivors.window,
-            survivors.block.as_ref(),
+            batch,
+            &mut self.alive,
+            batch,
+            Some(&sky),
+            &mut self.scratch,
             &mut self.stats,
         );
-        if keep.contains(&false) {
-            retain_mask(&mut self.window, &keep);
-            if let Some(block) = self.block.as_mut() {
-                block.retain(|i| keep[i]);
-            }
+        if self.alive.contains(&false) {
+            retain_mask(batch, &self.alive);
+            retain_mask(&mut seqs, &self.alive);
+            sky.retain_mask(&self.alive);
         }
-        // 4. Append. (A row the block cannot take demotes it; the row
-        //    window stays authoritative and later batches go per-row.)
-        if let Some(block) = self.block.as_mut() {
-            for row in &survivors.window {
-                block.push(row);
-            }
+        // 3. window \ dominated-by-survivors: only rows whose key reaches
+        //    the survivors' smallest. (Member keys on both sides: fine for
+        //    an unscorable row too — its NaN sum holds a -inf that every
+        //    dominator shares, which makes the dominator's key -inf as
+        //    well.)
+        let least = sky.keys()[0];
+        let start = block.keys().partition_point(|&key| key < least);
+        self.keep.clear();
+        self.keep.resize(self.window.len(), true);
+        cross_filter(
+            &self.checker,
+            &self.window[start..],
+            &mut self.keep[start..],
+            batch,
+            Some(&sky),
+            &mut self.scratch,
+            &mut self.stats,
+        );
+        if self.keep[start..].contains(&false) {
+            retain_mask(&mut self.window, &self.keep);
+            retain_mask(&mut self.seqs, &self.keep);
+            block.retain_mask(&self.keep);
         }
-        self.window.append(&mut survivors.window);
-        self.stats.merge(&survivors.stats);
+        // 4. Two sorted runs into one: move the columns, sort stably.
+        block.append(sky);
+        self.window.append(batch);
+        self.seqs.append(&mut seqs);
+        if let Some(perm) = block.sort_by_key() {
+            permute(&mut self.window, &perm);
+            permute(&mut self.seqs, &perm);
+        }
         self.stats.max_window = self.stats.max_window.max(self.window.len());
     }
 
     /// Feed one tuple through the BNL window step.
     pub fn push(&mut self, tuple: Row) {
-        let Some(block) = self.block.as_mut() else {
-            scalar_window_step(
-                tuple,
+        let Some(block) = self.block.as_mut().filter(|b| !b.is_fallback()) else {
+            // The scalar knob, or a block that is dead for good: no mirror.
+            if scalar_window_scan(
+                &tuple,
                 &self.checker,
                 &mut self.stats,
                 &mut self.window,
-                None,
-            );
+                |_| {},
+            ) {
+                self.admit(tuple);
+            }
             return;
         };
-        if block.is_fallback() {
-            // The block is dead for good; no point mirroring into it.
-            scalar_window_step(
-                tuple,
-                &self.checker,
-                &mut self.stats,
-                &mut self.window,
-                None,
-            );
-            return;
-        }
         if !block.encode_into(&tuple, &mut self.cand) {
-            // Only this tuple needs the scalar path; keep the block alive
-            // and aligned for the following tuples.
-            scalar_window_step(
-                tuple,
+            // Only this tuple needs the scalar path; keep the block (and
+            // the arrival numbers) aligned for the following tuples.
+            let (seqs, ordered) = (&mut self.seqs, self.ordered);
+            let evict = |i| {
+                block.remove(i);
+                if ordered {
+                    seqs.remove(i);
+                }
+            };
+            if scalar_window_scan(
+                &tuple,
                 &self.checker,
                 &mut self.stats,
                 &mut self.window,
-                Some(block),
-            );
+                evict,
+            ) {
+                self.admit(tuple);
+            }
             return;
         }
         let distinct = self.checker.distinct();
-        if self.checker.is_incomplete() {
+        if self.checker.is_incomplete() && !self.ordered {
             // The incomplete relation is not transitive: the scalar loop
             // may evict window rows *before* discovering the tuple is
             // dominated, so its behavior on mixed-bitmap input can only be
@@ -488,9 +615,7 @@ impl BnlBuilder {
                 }
             }
             if !dominated {
-                block.push(&tuple);
-                self.window.push(tuple);
-                self.stats.max_window = self.stats.max_window.max(self.window.len());
+                self.admit(tuple);
             }
             return;
         }
@@ -499,12 +624,11 @@ impl BnlBuilder {
         if res.dominated_at.is_some() {
             return;
         }
-        // Complete-data relation from here on: dominance is transitive and
-        // the window holds no mutually dominating rows, so a tuple that is
-        // dominated (or DISTINCT-identical to a window tuple) dominates
-        // nothing in the window — dropping it without evictions matches
-        // the scalar loop exactly, which is what makes the chunked early
-        // exit above sound.
+        // A transitive relation from here on, and the window holds no
+        // mutually dominating rows, so a tuple that is dominated (or
+        // DISTINCT-identical to a window tuple) dominates nothing in the
+        // window — dropping it without evictions matches the scalar loop
+        // exactly, which is what makes the chunked early exit above sound.
         if distinct
             && self.out.iter().enumerate().any(|(i, &o)| {
                 o == Dominance::Equal && self.checker.identical_dims(&tuple, &self.window[i])
@@ -518,77 +642,108 @@ impl BnlBuilder {
         // once per eviction). All verdicts are precomputed in `out`, so
         // no mid-scan state needs replaying here — unlike the incomplete
         // branch above.
-        let out = &self.out;
-        let mut i = 0;
-        self.window.retain(|_| {
-            let keep = out[i] != Dominance::Dominates;
-            i += 1;
-            keep
-        });
-        block.retain(|i| out[i] != Dominance::Dominates);
-        block.push(&tuple);
-        self.window.push(tuple);
+        if self.out.contains(&Dominance::Dominates) {
+            self.keep.clear();
+            self.keep
+                .extend(self.out.iter().map(|&o| o != Dominance::Dominates));
+            retain_mask(&mut self.window, &self.keep);
+            block.retain_mask(&self.keep);
+            if self.ordered {
+                retain_mask(&mut self.seqs, &self.keep);
+            }
+        }
+        self.admit(tuple);
+    }
+
+    /// Let an undominated tuple into the window: at its key position when
+    /// the window is score-ordered, at the end otherwise. A tuple that
+    /// demotes the block of an ordered window sends the window back to
+    /// arrival order first.
+    fn admit(&mut self, tuple: Row) {
+        let at = match self.block.as_mut() {
+            Some(block) if self.ordered => block.push_ordered(&tuple),
+            Some(block) => {
+                block.push(&tuple);
+                None
+            }
+            None => None,
+        };
+        match at {
+            Some(at) => {
+                self.window.insert(at, tuple);
+                self.seqs.insert(at, self.next_seq);
+                self.next_seq += 1;
+            }
+            None => {
+                if self.ordered {
+                    self.restore_arrival_order();
+                }
+                self.window.push(tuple);
+            }
+        }
         self.stats.max_window = self.stats.max_window.max(self.window.len());
     }
 
-    /// The skyline window and the accumulated statistics.
-    pub fn finish(self) -> (Vec<Row>, SkylineStats) {
+    /// Leave score order for good: sort the window by arrival number.
+    fn restore_arrival_order(&mut self) {
+        let mut perm: Vec<usize> = (0..self.window.len()).collect();
+        perm.sort_unstable_by_key(|&i| self.seqs[i]);
+        permute(&mut self.window, &perm);
+        self.seqs = Vec::new();
+        self.ordered = false;
+    }
+
+    /// The skyline window — the skyline members in arrival order — and the
+    /// accumulated statistics.
+    pub fn finish(mut self) -> (Vec<Row>, SkylineStats) {
+        if self.ordered {
+            self.restore_arrival_order();
+        }
         (self.window, self.stats)
     }
 }
 
-/// One scalar BNL window step: test `tuple` against the window, evict
-/// dominated window tuples, insert `tuple` unless dominated (or, with
-/// `DISTINCT`, identical to a window tuple). When a [`ColumnarBlock`]
-/// mirror is supplied, its rows are kept index-aligned with the window.
-fn scalar_window_step(
-    tuple: Row,
+/// One scalar BNL window scan: test `tuple` against the window and evict
+/// the window tuples it dominates, reporting each evicted index to
+/// `evicted` so index-aligned mirrors can follow. Returns whether the
+/// tuple must enter the window — it is not dominated and not, with
+/// `DISTINCT`, identical to a window tuple.
+fn scalar_window_scan(
+    tuple: &Row,
     checker: &DominanceChecker,
     stats: &mut SkylineStats,
     window: &mut Vec<Row>,
-    mut block: Option<&mut ColumnarBlock>,
-) {
+    mut evicted: impl FnMut(usize),
+) -> bool {
     let distinct = checker.distinct();
-    let mut dominated = false;
     let mut i = 0;
     while i < window.len() {
         stats.add_scalar();
-        match checker.compare(&tuple, &window[i]) {
+        match checker.compare(tuple, &window[i]) {
             Dominance::Dominates => {
                 // The incoming tuple evicts a window tuple. Eviction is
-                // order-preserving (`Vec::remove`): the final window is
-                // then exactly the skyline members in arrival order, no
-                // matter which dominated tuples transiently entered it —
-                // the invariant that makes the flat and hierarchical
-                // merges (and the pre-filtered plans) byte-identical.
+                // order-preserving (`Vec::remove`): an arrival-order
+                // window is then exactly the skyline members in arrival
+                // order, no matter which dominated tuples transiently
+                // entered it — the invariant that makes the flat and
+                // hierarchical merges (and the pre-filtered plans)
+                // byte-identical.
                 window.remove(i);
-                if let Some(b) = block.as_deref_mut() {
-                    b.remove(i);
-                }
+                evicted(i);
             }
-            Dominance::DominatedBy => {
-                dominated = true;
-                break;
-            }
+            Dominance::DominatedBy => return false,
             Dominance::Equal => {
-                if distinct && checker.identical_dims(&tuple, &window[i]) {
+                if distinct && checker.identical_dims(tuple, &window[i]) {
                     // Same values in all skyline dimensions: keep the
                     // window's representative, drop the newcomer.
-                    dominated = true;
-                    break;
+                    return false;
                 }
                 i += 1;
             }
             Dominance::Incomparable => i += 1,
         }
     }
-    if !dominated {
-        if let Some(b) = block {
-            b.push(&tuple);
-        }
-        window.push(tuple);
-        stats.max_window = stats.max_window.max(window.len());
-    }
+    true
 }
 
 #[cfg(test)]
@@ -816,7 +971,7 @@ mod tests {
                     assert_eq!(s.scalar_tests, 0);
                     // DISTINCT keeps the per-row step: no cross-filter.
                     assert_eq!(s.multi_candidate_passes > 0, !distinct, "{kernel:?}");
-                    // The survivors' inner BNL runs on the builder's own
+                    // The survivors' block is built on the builder's own
                     // knob, so a pinned tier stays pinned.
                     if kernel == DominanceKernel::Chunked {
                         assert_eq!(s.simd_tests, 0);
@@ -887,12 +1042,14 @@ mod tests {
             });
             let mut alive = vec![true; cands.len()];
             let mut stats = SkylineStats::default();
+            let mut scratch = CrossFilterScratch::default();
             cross_filter(
                 &checker,
                 &cands,
                 &mut alive,
                 &against,
                 block.as_ref(),
+                &mut scratch,
                 &mut stats,
             );
             // (2,6) dies on (1,5), (6,6) on all three; the tie (3,3) and
@@ -909,6 +1066,7 @@ mod tests {
                 &mut dead,
                 &against,
                 block.as_ref(),
+                &mut scratch,
                 &mut again,
             );
             assert_eq!(dead, [false; 5]);

@@ -46,6 +46,40 @@
 //! *strict* `DominatedBy` outcomes are consumed, which under a
 //! transitive relation are stable against any later window evolution.
 //!
+//! # Score keys and the bounded walk
+//!
+//! Every block row carries a *member key* ([`ColumnarBlock::keys`]) and
+//! every encoded candidate a *candidate key* ([`EncodedCandidate::key`]):
+//! the `f64` sum, in column order, of the sign-normalized values of the
+//! ranked (`MIN`/`MAX`) dimensions the kernel actually compares — `DIFF`
+//! columns, unmaterialized (all-NULL) columns and skipped dimensions are
+//! left out. The keys satisfy
+//!
+//! > row `a` of the block strictly dominates candidate `b`
+//! > ⇒ `key_member(a) <= key_cand(b)`
+//!
+//! because the kernel's verdict requires `a_i <= b_i` on every summed
+//! dimension, integer-to-float conversion and IEEE addition both round
+//! monotonically, and both sides add in the same order. Rounding can
+//! collapse a strict inequality, so the bound is *inclusive*: equal keys
+//! prove nothing. Rows and candidates without a usable sum are *unscorable*
+//! and get the keys that make the implication vacuous — member key `-inf`,
+//! candidate key `+inf`: sums that come out NaN (`+inf + -inf`), and,
+//! under the incomplete relation, a candidate that skips a dimension the
+//! block has materialized (the block row's key counts a value the
+//! candidate's cannot). NULL-like rows under the complete relation need no
+//! such care: they dominate nothing and nothing dominates them, so the sum
+//! over their placeholders is as good a key as any.
+//!
+//! A block whose keys are ascending ([`ColumnarBlock::is_ordered`] — kept
+//! up to date by every mutation) lets [`ColumnarBlock::first_dominators`]
+//! exploit the implication: low-key rows, the likeliest dominators, are
+//! probed first, and a lane ends in the first chunk that holds a key above
+//! its candidate key — it tests that chunk's leading rows up to the bound
+//! (in [`BOUND_STEP`] units) and nothing behind them, since every later
+//! row's key exceeds the bound too. Blocks filled in arbitrary order
+//! simply never bound.
+//!
 //! # Block layout and encode rules
 //!
 //! A [`ColumnarBlock`] holds one column per skyline dimension plus one
@@ -103,11 +137,14 @@ use crate::dominance::{Dominance, DominanceChecker};
 /// is found.
 pub const CHUNK: usize = 64;
 
-/// First chunk size of a single-candidate scan. BNL windows keep their most
-/// dominant tuples near the front, so most dominated candidates die within
+/// First chunk size of a single-candidate scan. A score-ordered BNL window
+/// (`crate::bnl`: ascending [`ColumnarBlock::keys`]) keeps its most
+/// dominant tuples at the front, so most dominated candidates die within
 /// a few comparisons; starting small (then doubling up to [`CHUNK`]) keeps
 /// the early exit nearly as fine-grained as the scalar loop's while large
-/// windows still run full-width chunks.
+/// windows still run full-width chunks. (Arrival-order windows — `DISTINCT`,
+/// non-transitive input — find their dominator at a random position and
+/// gain nothing from the small start; they lose nothing either.)
 ///
 /// Re-tuned against the explicit-SIMD tiers (the `first_chunk_tuning`
 /// section of BENCH_PR6.json records the sweep): the curve is flat to
@@ -121,6 +158,17 @@ pub const CHUNK: usize = 64;
 /// dominator, which rarely happens inside the first few rows, so
 /// progressive sizing would add per-lane bookkeeping for nothing.
 pub const CANDIDATE_FIRST_CHUNK: usize = 4;
+
+/// Granularity at which the score bound cuts a lane's final chunk in
+/// [`ColumnarBlock::first_dominators`]: the rows up to the bound, rounded
+/// up to a quarter chunk. Whole quarters keep the mask loops to four trip
+/// counts of whole vectors; cutting at the exact row made their exits
+/// unpredictable and cost the small windows of the incomplete local phase
+/// more (+6–8% on 250k × 4 rows with 20% NULLs) than the skipped rows
+/// saved, while not cutting at all leaves a window filtered against fewer
+/// than [`CHUNK`] new skyline rows — step 3 of the BNL batch fold, 40% of
+/// its tests on anti-correlated input — no bound at all.
+pub const BOUND_STEP: usize = CHUNK / 4;
 
 /// Candidate lanes per multi-candidate window pass
 /// ([`ColumnarBlock::first_dominators`]): callers slice their pending
@@ -374,6 +422,9 @@ pub struct EncodedCandidate {
     /// NaN, or a class mismatch) in some dimension, so it is incomparable
     /// with every row regardless of the buffers.
     all_incomparable: bool,
+    /// Candidate score key (module docs): no block row whose member key
+    /// exceeds it can dominate the candidate. `+inf` when unscorable.
+    key: f64,
 }
 
 impl EncodedCandidate {
@@ -382,7 +433,14 @@ impl EncodedCandidate {
         EncodedCandidate {
             dims: Vec::new(),
             all_incomparable: false,
+            key: f64::INFINITY,
         }
+    }
+
+    /// The candidate's score key against the block that encoded it (module
+    /// docs, "Score keys and the bounded walk").
+    pub fn key(&self) -> f64 {
+        self.key
     }
 }
 
@@ -446,6 +504,42 @@ struct Column {
 }
 
 impl Column {
+    /// Bring this column and `other` — the same dimension in two blocks of
+    /// `len` and `other_len` rows — to one storage class, the way pushing
+    /// `other`'s rows into this block one by one would: an all-NULL side
+    /// takes the other side's class with placeholders (complete relation;
+    /// under the incomplete one that is a NULL/non-NULL mix), integers
+    /// meeting floats convert when exact. `Err` is the demotion reason.
+    fn reconcile(
+        &mut self,
+        other: &mut Column,
+        len: usize,
+        other_len: usize,
+        incomplete: bool,
+    ) -> Result<(), &'static str> {
+        use ColumnData::{Bools, Floats, Ints, Pending};
+        let like = |data: &ColumnData, n: usize| match data {
+            Pending => Pending,
+            Ints(_) => Ints(vec![0; n]),
+            Bools(_) => Bools(vec![0; n]),
+            Floats(_) => Floats(vec![0.0; n]),
+        };
+        match (&self.data, &other.data) {
+            (Pending, Pending) => {}
+            (Pending, _) | (_, Pending) if incomplete && len > 0 && other_len > 0 => {
+                return Err("NULL mixed into a materialized column (incomplete relation)");
+            }
+            (Pending, data) => self.data = like(data, len),
+            (data, Pending) => other.data = like(data, other_len),
+            (Ints(ints), Floats(_)) => self.data = Floats(ints_as_floats(ints)?),
+            (Floats(_), Ints(ints)) => other.data = Floats(ints_as_floats(ints)?),
+            (Bools(_), Bools(_)) | (Ints(_), Ints(_)) | (Floats(_), Floats(_)) => {}
+            (Bools(_), _) | (_, Bools(_)) => return Err("BOOLEAN mixed with numeric values"),
+        }
+        self.saw_null |= other.saw_null;
+        Ok(())
+    }
+
     fn fold_i64(&self, v: i64) -> Option<i64> {
         fold_i64(v, self.negate)
     }
@@ -481,6 +575,15 @@ fn int_is_f64_exact(v: i64) -> bool {
     v != i64::MAX && (v as f64) as i64 == v
 }
 
+/// An integer buffer as floats, or why the conversion would lose the
+/// lossless comparison of `Value::sql_compare`.
+fn ints_as_floats(ints: &[i64]) -> Result<Vec<f64>, &'static str> {
+    if ints.iter().any(|&i| !int_is_f64_exact(i)) {
+        return Err("integer column not exactly convertible to f64");
+    }
+    Ok(ints.iter().map(|&i| i as f64).collect())
+}
+
 /// A float that behaves like NULL under `sql_compare` (NaN compares `None`
 /// against every value, including itself).
 fn is_null_like(v: &Value) -> bool {
@@ -504,10 +607,52 @@ pub struct ColumnarBlock {
     /// Complete relation: per-row "has a NULL-like value in some skyline
     /// dimension" bit (forces `Incomparable` against everything).
     any_null: Vec<bool>,
+    /// Per-row member score key (module docs); never NaN.
+    keys: Vec<f64>,
+    /// Whether `keys` is ascending, which arms the score bound of
+    /// [`first_dominators`](Self::first_dominators).
+    ordered: bool,
     incomplete: bool,
     len: usize,
     fallback: Option<&'static str>,
     tier: KernelTier,
+}
+
+/// Run `$body` on every per-row buffer of the block — the materialized
+/// column buffers, the null bits and the keys — bound to `$buf` (a
+/// `&mut Vec<_>` of whatever element type the buffer has).
+macro_rules! each_buffer {
+    ($block:expr, |$buf:ident| $body:expr) => {{
+        for col in &mut $block.cols {
+            match &mut col.data {
+                ColumnData::Pending => {}
+                ColumnData::Ints($buf) | ColumnData::Bools($buf) => $body,
+                ColumnData::Floats($buf) => $body,
+            }
+        }
+        {
+            let $buf = &mut $block.any_null;
+            $body
+        }
+        {
+            let $buf = &mut $block.keys;
+            $body
+        }
+    }};
+}
+
+/// Keep `buf[i]` iff `keep[i]`, preserving order.
+pub(crate) fn retain_mask<T>(buf: &mut Vec<T>, keep: &[bool]) {
+    let mut i = 0;
+    buf.retain(|_| {
+        i += 1;
+        keep[i - 1]
+    });
+}
+
+/// `buf[i] = old buf[perm[i]]`.
+fn gather<T: Copy>(buf: &mut Vec<T>, perm: &[usize]) {
+    *buf = perm.iter().map(|&i| buf[i]).collect();
 }
 
 impl ColumnarBlock {
@@ -548,6 +693,8 @@ impl ColumnarBlock {
                 })
                 .collect(),
             any_null: Vec::new(),
+            keys: Vec::new(),
+            ordered: true,
             incomplete,
             len: 0,
             fallback,
@@ -592,6 +739,18 @@ impl ColumnarBlock {
         self.fallback.is_some()
     }
 
+    /// Per-row member score keys (module docs, "Score keys and the bounded
+    /// walk"); `-inf` where the sum would be NaN.
+    pub fn keys(&self) -> &[f64] {
+        &self.keys
+    }
+
+    /// Whether the rows are in ascending key order, so that
+    /// [`first_dominators`](Self::first_dominators) bounds its walks.
+    pub fn is_ordered(&self) -> bool {
+        self.ordered
+    }
+
     /// Why the block fell back to scalar comparisons, if it did.
     pub fn fallback_reason(&self) -> Option<&'static str> {
         self.fallback
@@ -612,25 +771,56 @@ impl ColumnarBlock {
             return;
         }
         let mut row_null = false;
+        let mut key = 0.0f64;
         for c in 0..self.cols.len() {
             let value = row.get(self.cols[c].index).clone();
-            if let Err(reason) = self.push_value(c, &value) {
-                self.demote(reason);
-                return;
+            match self.push_value(c, &value) {
+                Ok(part) => key += part,
+                Err(reason) => {
+                    self.demote(reason);
+                    return;
+                }
             }
             if is_null_like(&value) {
                 row_null = true;
             }
         }
+        // An unscorable row sorts first: whatever it dominates it is
+        // probed for.
+        if key.is_nan() {
+            key = f64::NEG_INFINITY;
+        }
+        self.ordered &= self.keys.last().is_none_or(|&last| last <= key);
+        self.keys.push(key);
         self.any_null.push(row_null);
         self.len += 1;
     }
 
-    fn push_value(&mut self, c: usize, value: &Value) -> Result<(), &'static str> {
+    /// [`push`](Self::push) into an ordered block, keeping it ordered: the
+    /// row is rotated into place behind every row with a key `<=` its own.
+    /// Returns its index, or `None` when the push demoted the block.
+    pub fn push_ordered(&mut self, row: &Row) -> Option<usize> {
+        debug_assert!(self.ordered, "push_ordered on an unordered block");
+        self.push(row);
+        if self.is_fallback() {
+            return None;
+        }
+        let last = self.len - 1;
+        let key = self.keys[last];
+        let at = self.keys[..last].partition_point(|&k| k <= key);
+        each_buffer!(self, |buf| buf[at..].rotate_right(1));
+        self.ordered = true;
+        Some(at)
+    }
+
+    /// Append one value to column `c`; returns what it adds to the row's
+    /// score key (its sign-normalized value on a ranked column, else 0).
+    fn push_value(&mut self, c: usize, value: &Value) -> Result<f64, &'static str> {
         let len = self.len;
         let incomplete = self.incomplete;
         let col = &mut self.cols[c];
         let negate = col.negate;
+        let ranked = !col.is_diff;
         if is_null_like(value) {
             // Incomplete relation: a column mixing NULL and non-NULL rows
             // would need per-dimension restriction; demote. (All-NULL
@@ -647,70 +837,72 @@ impl ColumnarBlock {
                 ColumnData::Ints(b) | ColumnData::Bools(b) => b.push(0),
                 ColumnData::Floats(b) => b.push(0.0),
             }
-            return Ok(());
+            return Ok(0.0);
         }
         if incomplete && col.saw_null {
             return Err("non-NULL mixed into a NULL column (incomplete relation)");
         }
-        match (value, &mut col.data) {
+        let folded = match (value, &mut col.data) {
             (Value::Boolean(v), ColumnData::Bools(b)) => {
                 let folded = fold_i64(i64::from(*v), negate).expect("0/1 negation is safe");
                 b.push(folded);
-                Ok(())
+                folded as f64
             }
             (Value::Boolean(v), ColumnData::Pending) => {
                 let folded = fold_i64(i64::from(*v), negate).expect("0/1 negation is safe");
                 let mut b = vec![0i64; len];
                 b.push(folded);
                 col.data = ColumnData::Bools(b);
-                Ok(())
+                folded as f64
             }
             (Value::Int64(v), ColumnData::Ints(b)) => {
                 let folded = fold_i64(*v, negate).ok_or("i64::MIN under a MAX dimension")?;
                 b.push(folded);
-                Ok(())
+                folded as f64
             }
             (Value::Int64(v), ColumnData::Pending) => {
                 let folded = fold_i64(*v, negate).ok_or("i64::MIN under a MAX dimension")?;
                 let mut b = vec![0i64; len];
                 b.push(folded);
                 col.data = ColumnData::Ints(b);
-                Ok(())
+                folded as f64
             }
             (Value::Int64(v), ColumnData::Floats(b)) => {
                 if !int_is_f64_exact(*v) {
                     return Err("integer not exactly representable as f64");
                 }
-                b.push(fold_f64(*v as f64, negate));
-                Ok(())
+                let folded = fold_f64(*v as f64, negate);
+                b.push(folded);
+                folded
             }
             (Value::Float64(v), ColumnData::Floats(b)) => {
-                b.push(fold_f64(*v, negate));
-                Ok(())
+                let folded = fold_f64(*v, negate);
+                b.push(folded);
+                folded
             }
             (Value::Float64(v), ColumnData::Pending) => {
+                let folded = fold_f64(*v, negate);
                 let mut b = vec![0.0f64; len];
-                b.push(fold_f64(*v, negate));
+                b.push(folded);
                 col.data = ColumnData::Floats(b);
-                Ok(())
+                folded
             }
             (Value::Float64(v), ColumnData::Ints(ints)) => {
                 // Upgrade the integer column to floats; every stored value
                 // must convert exactly or lossless comparison is lost.
-                if ints.iter().any(|&i| !int_is_f64_exact(i)) {
-                    return Err("integer column not exactly convertible to f64");
-                }
-                let mut b: Vec<f64> = ints.iter().map(|&i| i as f64).collect();
-                b.push(fold_f64(*v, negate));
+                let mut b = ints_as_floats(ints)?;
+                let folded = fold_f64(*v, negate);
+                b.push(folded);
                 col.data = ColumnData::Floats(b);
-                Ok(())
+                folded
             }
-            (Value::Utf8(_), _) => Err("non-numeric skyline dimension"),
+            (Value::Utf8(_), _) => return Err("non-numeric skyline dimension"),
             (Value::Boolean(_), _) | (_, ColumnData::Bools(_)) => {
-                Err("BOOLEAN mixed with numeric values")
+                return Err("BOOLEAN mixed with numeric values")
             }
             (Value::Null, _) => unreachable!("handled above"),
-        }
+        };
+        Ok(if ranked { folded } else { 0.0 })
     }
 
     /// Remove row `i`, shifting later rows down — the exact (order-
@@ -725,47 +917,85 @@ impl ColumnarBlock {
             return;
         }
         debug_assert!(i < self.len);
-        for col in &mut self.cols {
-            match &mut col.data {
-                ColumnData::Pending => {}
-                ColumnData::Ints(b) | ColumnData::Bools(b) => {
-                    b.remove(i);
-                }
-                ColumnData::Floats(b) => {
-                    b.remove(i);
-                }
-            }
-        }
-        self.any_null.remove(i);
+        each_buffer!(self, |buf| {
+            buf.remove(i);
+        });
         self.len -= 1;
     }
 
-    /// Keep only the rows `keep(i)` approves, preserving order — the
+    /// Keep only the rows with `keep[i]` set, preserving order — the
     /// batched equivalent of one [`remove`](Self::remove) per evicted
     /// row, but with a single compaction pass over every buffer instead
     /// of one tail shift per eviction.
-    pub fn retain<F: FnMut(usize) -> bool>(&mut self, mut keep: F) {
+    pub fn retain_mask(&mut self, keep: &[bool]) {
         if self.is_fallback() {
             return;
         }
-        let mask: Vec<bool> = (0..self.len).map(&mut keep).collect();
-        fn compact<T>(buf: &mut Vec<T>, mask: &[bool]) {
-            let mut i = 0;
-            buf.retain(|_| {
-                let k = mask[i];
-                i += 1;
-                k
-            });
+        debug_assert_eq!(keep.len(), self.len);
+        each_buffer!(self, |buf| retain_mask(buf, keep));
+        self.len = self.keys.len();
+    }
+
+    /// Stable-sort the rows by member key, arming the score bound of
+    /// [`first_dominators`](Self::first_dominators). Returns the applied
+    /// permutation (`new row i` = `old row perm[i]`) so a caller can
+    /// reorder what it keeps index-aligned with the block; `None` when the
+    /// rows were already in order (or the block is in fallback).
+    pub fn sort_by_key(&mut self) -> Option<Vec<usize>> {
+        if self.ordered || self.is_fallback() {
+            return None;
         }
-        for col in &mut self.cols {
-            match &mut col.data {
-                ColumnData::Pending => {}
-                ColumnData::Ints(b) | ColumnData::Bools(b) => compact(b, &mask),
-                ColumnData::Floats(b) => compact(b, &mask),
+        let mut perm: Vec<usize> = (0..self.len).collect();
+        perm.sort_by(|&a, &b| self.keys[a].total_cmp(&self.keys[b]));
+        each_buffer!(self, |buf| gather(buf, &perm));
+        self.ordered = true;
+        Some(perm)
+    }
+
+    /// Bring both blocks (same spec, relation and tier) to common column
+    /// classes, so that their member keys sum the same dimensions and
+    /// [`append`](Self::append) can move buffers across; what a row-by-row
+    /// [`push`](Self::push) of `other`'s rows would refuse — and a fallback
+    /// `other` — demotes this block. Returns whether it is still live.
+    pub fn reconcile(&mut self, other: &mut ColumnarBlock) -> bool {
+        if self.is_fallback() {
+            return false;
+        }
+        if let Some(reason) = other.fallback {
+            self.demote(reason);
+            return false;
+        }
+        let (len, other_len, incomplete) = (self.len, other.len, self.incomplete);
+        for (col, from) in self.cols.iter_mut().zip(&mut other.cols) {
+            if let Err(reason) = col.reconcile(from, len, other_len, incomplete) {
+                self.demote(reason);
+                return false;
             }
         }
-        compact(&mut self.any_null, &mask);
-        self.len = mask.iter().filter(|&&k| k).count();
+        true
+    }
+
+    /// Move every row of `other` behind this block's rows without
+    /// re-encoding them ([`reconcile`](Self::reconcile)s first, so it may
+    /// demote this block).
+    pub fn append(&mut self, mut other: ColumnarBlock) {
+        if !self.reconcile(&mut other) {
+            return;
+        }
+        for (col, from) in self.cols.iter_mut().zip(&mut other.cols) {
+            match (&mut col.data, &mut from.data) {
+                (ColumnData::Ints(a), ColumnData::Ints(b))
+                | (ColumnData::Bools(a), ColumnData::Bools(b)) => a.append(b),
+                (ColumnData::Floats(a), ColumnData::Floats(b)) => a.append(b),
+                (ColumnData::Pending, ColumnData::Pending) => {}
+                mismatch => unreachable!("reconciled columns differ: {mismatch:?}"),
+            }
+        }
+        self.ordered &=
+            other.ordered && (self.keys.last().zip(other.keys.first())).is_none_or(|(a, b)| a <= b);
+        self.any_null.append(&mut other.any_null);
+        self.keys.append(&mut other.keys);
+        self.len += other.len;
     }
 
     /// Encode a candidate tuple against this block's column classes.
@@ -774,10 +1004,7 @@ impl ColumnarBlock {
     /// non-integral float against an integer column); the block itself
     /// stays valid.
     pub fn encode(&self, row: &Row) -> Option<EncodedCandidate> {
-        let mut cand = EncodedCandidate {
-            dims: Vec::new(),
-            all_incomparable: false,
-        };
+        let mut cand = EncodedCandidate::new();
         self.encode_into(row, &mut cand).then_some(cand)
     }
 
@@ -787,9 +1014,11 @@ impl ColumnarBlock {
     pub fn encode_into(&self, row: &Row, cand: &mut EncodedCandidate) -> bool {
         cand.dims.clear();
         cand.all_incomparable = false;
+        cand.key = f64::INFINITY;
         if self.is_fallback() {
             return false;
         }
+        let mut key = 0.0f64;
         for col in &self.cols {
             let value = row.get(col.index);
             let dim = if is_null_like(value) {
@@ -846,7 +1075,20 @@ impl ColumnarBlock {
                     }
                 }
             };
+            if !col.is_diff {
+                match dim {
+                    CandDim::Int(v) => key += v as f64,
+                    CandDim::Float(v) => key += v,
+                    // The member keys count this column, the candidate
+                    // cannot: unscorable (incomplete relation only).
+                    CandDim::Skip if !matches!(col.data, ColumnData::Pending) => key = f64::NAN,
+                    CandDim::Skip => {}
+                }
+            }
             cand.dims.push(dim);
+        }
+        if !key.is_nan() {
+            cand.key = key;
         }
         true
     }
@@ -933,7 +1175,9 @@ impl ColumnarBlock {
     /// `Equal`), walking the buffers chunk-major so each 64-row chunk is
     /// visited once for all live lanes. A lane goes dead once its
     /// dominator is found; the walk stops — chunk-granular — when every
-    /// lane is dead.
+    /// lane is dead. In a key-ordered block ([`is_ordered`](Self::is_ordered))
+    /// a lane also ends, undominated, once the member keys exceed its
+    /// candidate key (module docs). At most 64 candidates per call.
     ///
     /// Callers use this as a *pre-pass* and must only rely on strict
     /// dominance being stable, which holds under a transitive relation
@@ -945,26 +1189,46 @@ impl ColumnarBlock {
         dominated: &mut Vec<Option<usize>>,
     ) -> MultiBatchResult {
         debug_assert!(!self.is_fallback(), "first_dominators on a fallback block");
+        assert!(cands.len() <= 64, "one lane bit per candidate");
         dominated.clear();
         dominated.resize(cands.len(), None);
-        // All-incomparable candidates (NULL-like under the complete
-        // relation) are never dominated; their lanes start dead.
-        let mut live = cands.iter().filter(|c| !c.all_incomparable).count();
+        // One bit per lane still walking. All-incomparable candidates
+        // (NULL-like under the complete relation) are never dominated;
+        // their lanes start dead.
+        let mut live: u64 = 0;
+        for (lane, cand) in cands.iter().enumerate() {
+            live |= u64::from(!cand.all_incomparable) << lane;
+        }
         let mut tested = 0u64;
         let mut base = 0;
-        while base < self.len && live > 0 {
-            let m = CHUNK.min(self.len - base);
+        while base < self.len && live != 0 {
+            let chunk = CHUNK.min(self.len - base);
             // Complete relation: rows with NULL-like values dominate
             // nothing, whatever their placeholder buffers say.
             let mut nulls: u64 = 0;
             if !self.incomplete {
-                for (k, &n) in self.any_null[base..base + m].iter().enumerate() {
+                for (k, &n) in self.any_null[base..base + chunk].iter().enumerate() {
                     nulls |= u64::from(n) << k;
                 }
             }
+            let chunk_keys = &self.keys[base..base + chunk];
             for (lane, cand) in cands.iter().enumerate() {
-                if dominated[lane].is_some() || cand.all_incomparable {
+                if live & (1 << lane) == 0 {
                     continue;
+                }
+                // The score bound: only the rows whose key does not exceed
+                // the candidate's can dominate it; once a chunk holds a
+                // larger key, so does everything behind it, and the lane
+                // ends with that chunk's leading rows.
+                let mut m = chunk;
+                if self.ordered && chunk_keys[chunk - 1] > cand.key {
+                    // (Counted, not searched: branch-free over one chunk.)
+                    let within = chunk_keys.iter().filter(|&&key| key <= cand.key).count();
+                    m = chunk.min(within.next_multiple_of(BOUND_STEP));
+                    live &= !(1 << lane);
+                    if m == 0 {
+                        continue;
+                    }
                 }
                 let (a, b, neq) = self.chunk_masks(cand, base, m);
                 tested += m as u64;
@@ -973,10 +1237,10 @@ impl ColumnarBlock {
                 let dom = b & !a & !neq & !nulls & mask(m);
                 if dom != 0 {
                     dominated[lane] = Some(base + dom.trailing_zeros() as usize);
-                    live -= 1;
+                    live &= !(1 << lane);
                 }
             }
-            base += m;
+            base += chunk;
         }
         MultiBatchResult {
             tested,
@@ -1421,7 +1685,7 @@ mod tests {
             k += 1;
             keep
         });
-        block.retain(|i| i % 2 == 0);
+        block.retain_mask(&[true, false, true, false, true, false]);
         assert_eq!(block.len(), rows.len());
         let checker = DominanceChecker::complete(spec_mm());
         let cand = int_row(3, 3);
@@ -1609,7 +1873,161 @@ mod tests {
         let mut dominated = Vec::new();
         let res = block.first_dominators(&cands, &mut dominated);
         assert!(dominated.iter().all(|d| *d == Some(0)));
-        assert_eq!(res.tested, 8 * CHUNK as u64);
+        // The rows happen to be in key order, so each lane tests only the
+        // leading rows of the first chunk up to its own key.
+        assert!(block.is_ordered());
+        assert_eq!(res.tested, 8 * BOUND_STEP as u64);
+    }
+
+    fn min_min_spec() -> SkylineSpec {
+        SkylineSpec::new(vec![SkylineDim::min(0), SkylineDim::min(1)])
+    }
+
+    #[test]
+    fn keys_sum_the_ranked_dims_and_track_order() {
+        let spec = SkylineSpec::new(vec![
+            SkylineDim::min(0),
+            SkylineDim::max(1),
+            SkylineDim::diff(2),
+        ]);
+        let row = |a: f64, b: f64, c: i64| {
+            Row::new(vec![Value::Float64(a), Value::Float64(b), Value::Int64(c)])
+        };
+        let mut block = ColumnarBlock::new(&spec, false);
+        block.push(&row(3.0, 1.5, 900));
+        block.push(&row(4.0, 0.5, -900));
+        assert_eq!(block.keys(), &[1.5, 3.5], "MAX negated, DIFF left out");
+        assert!(block.is_ordered());
+        // A NULL-like row sums its placeholders; a NaN sum is unscorable.
+        block.push(&Row::new(vec![
+            Value::Null,
+            Value::Float64(-4.0),
+            Value::Int64(0),
+        ]));
+        block.push(&row(f64::INFINITY, f64::INFINITY, 0));
+        assert_eq!(block.keys()[2..], [4.0, f64::NEG_INFINITY]);
+        assert!(!block.is_ordered());
+        let cand = block.encode(&row(2.0, 2.5, 7)).unwrap();
+        assert_eq!(cand.key(), -0.5);
+        let nan = row(f64::NEG_INFINITY, f64::NEG_INFINITY, 0);
+        assert_eq!(block.encode(&nan).unwrap().key(), f64::INFINITY);
+        // Sorting restores the order (stable, unscorable rows first) and
+        // reports the permutation; an ordered block is left alone.
+        assert_eq!(block.sort_by_key(), Some(vec![3, 0, 1, 2]));
+        assert!(block.is_ordered());
+        assert_eq!(block.keys(), &[f64::NEG_INFINITY, 1.5, 3.5, 4.0]);
+        assert_eq!(block.sort_by_key(), None);
+        // Ordered pushes land behind the rows with a key `<=` their own.
+        assert_eq!(block.push_ordered(&row(0.0, -1.5, 1)), Some(2));
+        assert_eq!(block.push_ordered(&row(9.0, 0.0, 1)), Some(5));
+        assert!(block.is_ordered());
+        assert_eq!(block.keys()[1..], [1.5, 1.5, 3.5, 4.0, 9.0]);
+        assert_eq!(block.push_ordered(&Row::new(vec![Value::str("x")])), None);
+    }
+
+    #[test]
+    fn incomplete_candidate_skipping_a_materialized_dim_is_unscorable() {
+        let mut block = ColumnarBlock::new(&min_min_spec(), true);
+        block.push(&int_row(1, 2));
+        let cand = Row::new(vec![Value::Int64(1), Value::Float64(f64::NAN)]);
+        assert_eq!(block.encode(&cand).unwrap().key(), f64::INFINITY);
+        // An all-NULL column counts for neither side.
+        let mut block = ColumnarBlock::new(&min_min_spec(), true);
+        block.push(&Row::new(vec![Value::Int64(4), Value::Null]));
+        assert_eq!(block.keys(), &[4.0]);
+        assert_eq!(block.encode(&int_row(5, -100)).unwrap().key(), 5.0);
+    }
+
+    #[test]
+    fn ordered_walk_matches_the_unordered_one_and_tests_less() {
+        let rows = mixed_rows(300);
+        let cands = mixed_rows(64);
+        let spec = min_min_spec();
+        for tier in KernelTier::available() {
+            let mut plain = ColumnarBlock::with_tier(&spec, false, tier);
+            rows.iter().for_each(|r| plain.push(r));
+            assert!(!plain.is_ordered());
+            let mut sorted = plain.clone();
+            let perm = sorted.sort_by_key().expect("mixed rows are unordered");
+            let encoded: Vec<EncodedCandidate> =
+                cands.iter().map(|c| plain.encode(c).unwrap()).collect();
+            let (mut hits, mut sorted_hits) = (Vec::new(), Vec::new());
+            let full = plain.first_dominators(&encoded, &mut hits);
+            let bounded = sorted.first_dominators(&encoded, &mut sorted_hits);
+            for lane in 0..cands.len() {
+                assert_eq!(
+                    hits[lane].is_some(),
+                    sorted_hits[lane].is_some(),
+                    "tier {tier:?} lane {lane}"
+                );
+                if let Some(at) = sorted_hits[lane] {
+                    let checker = DominanceChecker::complete(spec.clone());
+                    assert!(checker.dominates(&rows[perm[at]], &cands[lane]));
+                }
+            }
+            assert!(bounded.tested < full.tested, "tier {tier:?}");
+        }
+    }
+
+    #[test]
+    fn append_moves_columns_and_reconciles_classes() {
+        let spec = min_min_spec();
+        let float_row = |a: f64, b: f64| Row::new(vec![Value::Float64(a), Value::Float64(b)]);
+        // Integers meet floats: the integer side converts.
+        let mut ints = ColumnarBlock::new(&spec, false);
+        ints.push(&int_row(1, 8));
+        ints.push(&int_row(2, 9));
+        let mut floats = ColumnarBlock::new(&spec, false);
+        floats.push(&float_row(0.5, 0.25));
+        ints.append(floats);
+        assert!(!ints.is_fallback());
+        assert_eq!(ints.len(), 3);
+        assert_eq!(ints.keys(), &[9.0, 11.0, 0.75]);
+        assert!(!ints.is_ordered());
+        let enc = ints.encode(&float_row(1.5, 9.5)).unwrap();
+        let mut out = Vec::new();
+        ints.compare_batch(&enc, &mut out, false);
+        assert_eq!(
+            out,
+            [
+                Dominance::DominatedBy,
+                Dominance::Incomparable,
+                Dominance::DominatedBy
+            ]
+        );
+        // An all-NULL column takes the other side's class (complete
+        // relation) but is a NULL/non-NULL mix under the incomplete one.
+        for incomplete in [false, true] {
+            let mut nulls = ColumnarBlock::new(&spec, incomplete);
+            nulls.push(&Row::new(vec![Value::Int64(1), Value::Null]));
+            let mut values = ColumnarBlock::new(&spec, incomplete);
+            values.push(&int_row(2, 2));
+            nulls.append(values);
+            assert_eq!(nulls.is_fallback(), incomplete);
+            if !incomplete {
+                assert_eq!(nulls.keys(), &[1.0, 4.0]);
+                assert!(nulls.is_ordered());
+            }
+        }
+        // What a push would refuse demotes: inexact integers, booleans, a
+        // fallback source.
+        let mut floats = ColumnarBlock::new(&spec, false);
+        floats.push(&float_row(0.5, 0.5));
+        let mut huge = ColumnarBlock::new(&spec, false);
+        huge.push(&int_row((1 << 60) + 1, 0));
+        floats.append(huge);
+        assert!(floats.is_fallback());
+        let mut ints = ColumnarBlock::new(&spec, false);
+        ints.push(&int_row(1, 1));
+        let mut bools = ColumnarBlock::new(&spec, false);
+        bools.push(&Row::new(vec![Value::Boolean(true), Value::Int64(1)]));
+        assert!(!ints.reconcile(&mut bools));
+        let mut ints = ColumnarBlock::new(&spec, false);
+        ints.push(&int_row(1, 1));
+        let mut dead = ColumnarBlock::new(&spec, false);
+        dead.push(&Row::new(vec![Value::str("x"), Value::Int64(1)]));
+        ints.append(dead);
+        assert!(ints.is_fallback());
     }
 
     #[test]

@@ -54,7 +54,10 @@ pub mod naive;
 pub mod prefilter;
 pub mod sfs;
 
-pub use bnl::{bnl_skyline, bnl_skyline_batched, bnl_skyline_kernel, cross_filter, BnlBuilder};
+pub use bnl::{
+    bnl_skyline, bnl_skyline_batched, bnl_skyline_kernel, cross_filter, BnlBuilder,
+    CrossFilterScratch,
+};
 pub use columnar::{
     kernel_label, BatchResult, ColumnarBlock, EncodedCandidate, KernelTier, MultiBatchResult,
     PointBlock, CANDIDATE_FIRST_CHUNK, CHUNK, MULTI_LANES,

@@ -13,7 +13,7 @@ use sparkline_common::{Row, SkylineDim, SkylineSpec, SkylineType, Value};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
 use sparkline_skyline::{
     bnl_skyline, bnl_skyline_batched, sfs_skyline, sfs_skyline_batched, ColumnarBlock,
-    DominanceChecker, SkylineStats,
+    DominanceChecker, SkylineStats, MULTI_LANES,
 };
 
 /// Numeric-leaning values (the kernel's fast path) with NULLs mixed in.
@@ -34,6 +34,25 @@ fn wild_value() -> BoxedStrategy<Value> {
         2 => (0i64..12).prop_map(|v| Value::Float64(v as f64 / 2.0)),
         1 => (0u8..2).prop_map(|b| Value::Boolean(b == 1)),
         1 => (0i64..4).prop_map(|v| Value::str(format!("s{v}"))),
+        1 => Just(Value::Null),
+    ]
+    .boxed()
+}
+
+/// Values that stress the score keys: sums that round (2^53 + small),
+/// infinities of both signs (NaN sums), NaN and NULL, integers no `f64`
+/// holds, int/float mixes.
+fn extreme_value() -> BoxedStrategy<Value> {
+    prop_oneof![
+        4 => (0i64..6).prop_map(Value::Int64),
+        3 => (0i64..12).prop_map(|v| Value::Float64(v as f64 / 2.0)),
+        2 => (0i64..3).prop_map(|v| Value::Float64(9_007_199_254_740_992.0 + 2.0 * v as f64)),
+        2 => (0i64..3).prop_map(|v| Value::Int64((1 << 53) + v)),
+        1 => Just(Value::Float64(f64::INFINITY)),
+        1 => Just(Value::Float64(f64::NEG_INFINITY)),
+        1 => Just(Value::Float64(f64::NAN)),
+        1 => Just(Value::Int64(i64::MAX)),
+        1 => Just(Value::Int64(i64::MIN)),
         1 => Just(Value::Null),
     ]
     .boxed()
@@ -120,6 +139,82 @@ proptest! {
                     checker.compare(cand, row),
                     "cand={} row={}", cand, row
                 );
+            }
+        }
+    }
+
+    /// The invariant the score-ordered window rests on (`bnl` module
+    /// docs): a block row that strictly dominates a candidate never has
+    /// the larger key — `key_member(a) <= key_cand(b)` — under MIN/MAX/DIFF
+    /// mixes, under the complete relation and on class-pure incomplete
+    /// rows (one NULL pattern), on values chosen to break it. And what the
+    /// invariant buys: the bounded walk over the key-sorted block finds a
+    /// dominator exactly where the scalar checker knows one.
+    #[test]
+    fn a_dominator_never_has_the_larger_key(
+        rows in rows_of(extreme_value(), 4, 48),
+        with_diff in 0u8..2,
+        class in 0u8..32,
+    ) {
+        let spec = spec(4, with_diff == 1, false);
+        let (checker, rows) = match class {
+            16.. => (DominanceChecker::complete(spec), rows),
+            // One null-bitmap class: NULL exactly where the pattern says.
+            pattern => (
+                DominanceChecker::incomplete(spec),
+                rows.iter()
+                    .map(|row| {
+                        Row::new(
+                            row.values()
+                                .iter()
+                                .enumerate()
+                                .map(|(d, v)| match v {
+                                    _ if pattern & (1 << d) != 0 => Value::Null,
+                                    Value::Null => Value::Int64(0),
+                                    v => v.clone(),
+                                })
+                                .collect(),
+                        )
+                    })
+                    .collect(),
+            ),
+        };
+        // The members: every row the block takes without being demoted.
+        let mut block = ColumnarBlock::for_checker(&checker);
+        let mut members = Vec::new();
+        for row in &rows {
+            let mut grown = block.clone();
+            grown.push(row);
+            if !grown.is_fallback() {
+                block = grown;
+                members.push(row.clone());
+            }
+        }
+        prop_assert!(block.keys().iter().all(|key| !key.is_nan()));
+        let candidates: Vec<_> = rows
+            .iter()
+            .filter_map(|row| block.encode(row).map(|enc| (row, enc)))
+            .collect();
+        for (cand, enc) in &candidates {
+            prop_assert!(!enc.key().is_nan());
+            for (member, key) in members.iter().zip(block.keys()) {
+                if checker.dominates(member, cand) {
+                    prop_assert!(
+                        *key <= enc.key(),
+                        "{} (key {}) dominates {} (key {})", member, key, cand, enc.key()
+                    );
+                }
+            }
+        }
+        block.sort_by_key();
+        prop_assert!(block.is_ordered());
+        let mut dominated = Vec::new();
+        for group in candidates.chunks(MULTI_LANES) {
+            let encoded: Vec<_> = group.iter().map(|(_, enc)| enc.clone()).collect();
+            block.first_dominators(&encoded, &mut dominated);
+            for ((cand, _), hit) in group.iter().zip(&dominated) {
+                let expected = members.iter().any(|m| checker.dominates(m, cand));
+                prop_assert_eq!(hit.is_some(), expected, "cand={}", cand);
             }
         }
     }

@@ -25,7 +25,7 @@ use sparkline::{
     DataType, Field, Row, Schema, SessionConfig, SessionContext, SkylinePartitioning,
     SkylineStrategy, Value,
 };
-use sparkline_common::{SkylineDim, SkylineSpec, SkylineType};
+use sparkline_common::{DominanceKernel, SkylineDim, SkylineSpec, SkylineType};
 use sparkline_skyline::{naive_skyline, DominanceChecker};
 
 const FIXED_SCHEMES: [SkylinePartitioning; 4] = [
@@ -40,7 +40,7 @@ fn fixed_configs() -> Vec<(String, SessionConfig)> {
     let mut out = Vec::new();
     for scheme in FIXED_SCHEMES {
         for hierarchical in [false, true] {
-            for vectorized in [false, true] {
+            for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
                 for streaming in [false, true] {
                     let config = SessionConfig::default()
                         .with_executors(4)
@@ -51,13 +51,17 @@ fn fixed_configs() -> Vec<(String, SessionConfig)> {
                             usize::MAX
                         })
                         .with_merge_fan_in(2)
-                        .with_vectorized_dominance(vectorized)
+                        .with_dominance_kernel(kernel)
                         .with_streaming_execution(streaming);
                     out.push((
                         format!(
                             "{scheme:?}/{}/{}/{}",
                             if hierarchical { "tree" } else { "flat" },
-                            if vectorized { "columnar" } else { "scalar" },
+                            if kernel.is_vectorized() {
+                                "columnar"
+                            } else {
+                                "scalar"
+                            },
                             if streaming { "stream" } else { "mat" },
                         ),
                         config,
@@ -85,20 +89,20 @@ fn adaptive_matches_oracle_and_every_fixed_plan_shape() {
                 let rows = generate(dist, 11, n, dims, with_nulls);
                 let expected = oracle(&rows, dims, with_nulls);
                 // The adaptive plan, across kernel × execution model.
-                for vectorized in [false, true] {
+                for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
                     for streaming in [false, true] {
                         let ctx = session_with(
                             rows.clone(),
                             dims,
                             with_nulls,
                             adaptive_config()
-                                .with_vectorized_dominance(vectorized)
+                                .with_dominance_kernel(kernel)
                                 .with_streaming_execution(streaming),
                         );
                         assert_eq!(
                             run(&ctx, dims),
                             expected,
-                            "adaptive {dist}/{dims}d/nulls={with_nulls}/v={vectorized}/s={streaming}"
+                            "adaptive {dist}/{dims}d/nulls={with_nulls}/{kernel:?}/s={streaming}"
                         );
                     }
                 }

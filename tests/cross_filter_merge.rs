@@ -1,7 +1,7 @@
 //! Differential suite for the antichain cross-filter and the two phases
-//! built on it: the local batch fold (`BnlBuilder::push_batch`) and the
-//! global pairwise merge (`GlobalSkylineExec`, flat and inside the
-//! hierarchical groups).
+//! built on it: the local batch fold into the score-ordered window
+//! (`BnlBuilder::push_batch`) and the global pairwise merge over key-sorted
+//! blocks (`GlobalSkylineExec`, flat and inside the hierarchical groups).
 //!
 //! Every engine configuration must return the **raw rows** — same rows,
 //! same order, payload columns included — of two independent oracles: the
@@ -19,10 +19,12 @@ use rand::{Rng, SeedableRng};
 use sparkline::{
     DataType, DominanceKernel, Field, Row, Schema, SessionConfig, SessionContext, Value,
 };
-use sparkline_common::{SkylineDim, SkylineSpec, CONTROL_CHECK_ROWS};
+use sparkline_common::{SkylineDim, SkylineSpec, SkylineType, CONTROL_CHECK_ROWS};
+use sparkline_datagen::distributions::anti_correlated_rows;
 use sparkline_exec::{FaultInjector, FaultSite};
 use sparkline_skyline::{
-    naive_skyline, null_bitmap, BnlBuilder, DominanceChecker, GroupedBnlBuilder,
+    bnl_skyline, naive_skyline, null_bitmap, BnlBuilder, DominanceChecker, GroupedBnlBuilder,
+    SkylineStats,
 };
 
 const KERNELS: [DominanceKernel; 4] = [
@@ -228,7 +230,7 @@ fn counters_and_explain_describe_the_pairwise_merge() {
     assert!((m.rows_exchanged as usize) < rows.len(), "{m:?}");
     assert!(m.max_window >= result.rows.len(), "{m:?}");
     // Work is attributed to the resolved tier in both phases — through
-    // the fold's inner survivor windows as well.
+    // the fold's survivor blocks as well.
     assert!(m.multi_candidate_passes > 0, "{m:?}");
     assert_eq!(m.dominance_tests, m.batched_tests, "{m:?}");
     assert_eq!((m.simd_tests, m.scalar_tests), (0, 0), "{m:?}");
@@ -312,6 +314,255 @@ fn a_cancelled_session_stops_the_merge_with_a_typed_error() {
     assert!(err.is_cancelled(), "{err}");
     ctx.reset_cancel();
     assert!(!ctx.sql(&query).unwrap().collect().unwrap().rows.is_empty());
+}
+
+/// 2^53: from here on `f64` addition rounds, so score keys of rows that
+/// differ only in a small dimension collide.
+const BIG: f64 = 9_007_199_254_740_992.0;
+
+fn float_row(values: &[f64]) -> Row {
+    Row::new(values.iter().map(|&v| Value::Float64(v)).collect())
+}
+
+/// `n` mutually incomparable rows `(i + shift, 42 - i - shift)` — one
+/// score key for all of them — that neither dominate nor are dominated by
+/// the tie rows of the tests below (smaller `d0`, larger `d1`).
+fn diagonal(n: usize, shift: f64) -> Vec<Row> {
+    (0..n)
+        .map(|i| float_row(&[i as f64 + shift, 42.0 - i as f64 - shift]))
+        .collect()
+}
+
+fn min_checker(dims: usize) -> DominanceChecker {
+    DominanceChecker::complete(SkylineSpec::new((0..dims).map(SkylineDim::min).collect()))
+}
+
+/// The window the per-row scalar step leaves, checked against the
+/// definition.
+fn per_row_scalar(rows: &[Row], checker: &DominanceChecker) -> Vec<Row> {
+    let mut per_row = BnlBuilder::with_kernel(checker.clone(), DominanceKernel::Scalar);
+    rows.iter().cloned().for_each(|row| per_row.push(row));
+    let expected = per_row.finish().0;
+    assert_eq!(naive_skyline(rows, checker), expected);
+    expected
+}
+
+#[test]
+fn equal_key_ties_are_decided_by_the_dominance_test_not_the_key() {
+    // Pairs whose keys collide although the second row dominates the
+    // first — by rounding (BIG + 1 == BIG + 0.5 == BIG, 1 + 2e-17 == 1 in
+    // f64) and by infinity — each among mutually incomparable filler rows
+    // that neither row of the pair dominates or is dominated by. In the
+    // last case the pair holds the *smallest* key of window and batch.
+    let cases: [(Row, Row, Vec<Row>); 3] = [
+        (
+            float_row(&[BIG, 1.0]),
+            float_row(&[BIG, 0.5]),
+            diagonal(40, 0.0),
+        ),
+        (
+            float_row(&[f64::NEG_INFINITY, 100.0]),
+            float_row(&[f64::NEG_INFINITY, 99.0]),
+            diagonal(40, 0.0),
+        ),
+        (
+            float_row(&[1.0, 2e-17]),
+            float_row(&[1.0, 1e-17]),
+            (0..40)
+                .map(|i| float_row(&[i as f64 / 64.0, 42.0 - i as f64]))
+                .collect(),
+        ),
+    ];
+    let checker = min_checker(2);
+    for (loser, winner, filler) in &cases {
+        assert!(checker.dominates(winner, loser));
+        // The dominated row first (it must be evicted: in step 2 when both
+        // share a batch, in step 3 when it already sits in the window),
+        // the dominator first (the later row must die in step 1 or 2), and
+        // both orders with the pair more than a 1024-row chunk apart.
+        for (first, second) in [(loser, winner), (winner, loser)] {
+            for gap in [0usize, 2 * CONTROL_CHECK_ROWS] {
+                let mut rows: Vec<Row> = filler[..20].to_vec();
+                rows.push(first.clone());
+                // Dominated padding: dies in step 1.
+                rows.extend((0..gap).map(|i| float_row(&[50.0 + i as f64, 50.0])));
+                rows.extend(filler[20..].iter().cloned());
+                rows.push(second.clone());
+                let expected = per_row_scalar(&rows, &checker);
+                assert_eq!(expected.len(), filler.len() + 1);
+                for kernel in KERNELS {
+                    for batch in [1usize, 30, CONTROL_CHECK_ROWS, rows.len()] {
+                        let mut folded = BnlBuilder::with_kernel(checker.clone(), kernel);
+                        rows.chunks(batch)
+                            .for_each(|chunk| folded.push_batch(chunk.to_vec()));
+                        assert_eq!(
+                            folded.finish().0,
+                            expected,
+                            "{winner} {kernel:?} batch={batch} gap={gap}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn unscorable_unencodable_and_demoting_rows_mid_batch_keep_the_arrival_order() {
+    // A window of 120 incomparable rows arriving in *descending* key order
+    // (so key order and arrival order disagree everywhere), then one odd
+    // row in the middle of a batch of further skyline rows: few enough for
+    // the sorted-insert path, or enough for steps 2-4 of the fold.
+    let staircase = |from: usize, to: usize| -> Vec<Row> {
+        (from..to)
+            .map(|i| float_row(&[i as f64, 2.0 * (400 - i) as f64]))
+            .collect()
+    };
+    let odd_rows = [
+        // Unscorable: NULL-like under COMPLETE, a NaN key (+inf + -inf).
+        Row::new(vec![Value::Null, Value::Float64(0.0)]),
+        float_row(&[f64::NAN, 0.0]),
+        float_row(&[f64::NEG_INFINITY, f64::INFINITY]),
+        // Demotes the block: a string, an integer no f64 holds.
+        Row::new(vec![Value::str("x"), Value::Float64(0.0)]),
+        Row::new(vec![Value::Int64(i64::MAX), Value::Float64(0.0)]),
+    ];
+    let checker = min_checker(2);
+    for odd in &odd_rows {
+        for survivors in [6usize, 60] {
+            let mut rows = staircase(0, 120);
+            let batch = staircase(120, 120 + survivors);
+            rows.extend(batch[..survivors / 2].iter().cloned());
+            rows.push(odd.clone());
+            rows.extend(batch[survivors / 2..].iter().cloned());
+            // More rows after the odd one: the window must keep working.
+            rows.extend(staircase(200, 260));
+            rows.push(float_row(&[130.5, 530.0]));
+            let expected = per_row_scalar(&rows, &checker);
+            for kernel in KERNELS {
+                let mut folded = BnlBuilder::with_kernel(checker.clone(), kernel);
+                folded.push_batch(rows[..120].to_vec());
+                folded.push_batch(rows[120..121 + survivors].to_vec());
+                folded.push_batch(rows[121 + survivors..].to_vec());
+                assert_eq!(
+                    folded.finish().0,
+                    expected,
+                    "{odd} {kernel:?} survivors={survivors}"
+                );
+            }
+        }
+    }
+    // A candidate the block cannot encode (a fractional float against an
+    // integer column) takes the scalar scan over the ordered window, then
+    // upgrades the column and enters at its key.
+    let int_row = |a: i64, b: i64| Row::new(vec![Value::Int64(a), Value::Int64(b)]);
+    let mut rows: Vec<Row> = (0..60).map(|i| int_row(i, 2 * (400 - i))).collect();
+    rows.push(Row::new(vec![Value::Float64(29.5), Value::Int64(740)]));
+    rows.extend((60..90).map(|i| int_row(i, 2 * (400 - i))));
+    let expected = per_row_scalar(&rows, &checker);
+    assert_eq!(
+        expected.len(),
+        rows.len() - 1,
+        "(29.5, 740) evicts (30, 740)"
+    );
+    for kernel in KERNELS {
+        for batch in [1usize, 50, rows.len()] {
+            let mut folded = BnlBuilder::with_kernel(checker.clone(), kernel);
+            rows.chunks(batch)
+                .for_each(|chunk| folded.push_batch(chunk.to_vec()));
+            assert_eq!(folded.finish().0, expected, "{kernel:?} batch={batch}");
+        }
+    }
+}
+
+#[test]
+fn the_pairwise_merge_decides_equal_key_rows_across_partitions() {
+    // Both partitions hold rows of one score key: the diagonals (every row
+    // a skyline member) and the two colliding pairs, dominated row in the
+    // first partition, dominator in the second and the other way round.
+    let mut rows = diagonal(30, 0.0);
+    rows.push(float_row(&[BIG, 1.0]));
+    rows.push(float_row(&[f64::NEG_INFINITY, 99.0]));
+    rows.extend(diagonal(30, 0.5));
+    rows.push(float_row(&[BIG, 0.5]));
+    rows.push(float_row(&[f64::NEG_INFINITY, 100.0]));
+    let rows: Vec<Row> = rows
+        .into_iter()
+        .enumerate()
+        .map(|(id, row)| {
+            let mut values = row.values().to_vec();
+            values.push(Value::Int64(id as i64));
+            Row::new(values)
+        })
+        .collect();
+    let schema = Schema::new(vec![
+        Field::new("d0", DataType::Float64, false),
+        Field::new("d1", DataType::Float64, false),
+        Field::new("id", DataType::Int64, false),
+    ]);
+    let checker = min_checker(2);
+    let expected = naive_skyline(&rows, &checker);
+    assert_eq!(expected.len(), 62);
+    assert_eq!(flat_bnl_oracle(&rows, &checker, 2), expected);
+    for kernel in KERNELS {
+        for flat in [true, false] {
+            let ctx = SessionContext::with_config(config(2, kernel, true, flat));
+            ctx.register_table("t", schema.clone(), rows.clone())
+                .unwrap();
+            let got = ctx.sql(&sql(Shape::Plain, 2)).unwrap().collect().unwrap();
+            assert_eq!(got.rows, expected, "{kernel:?} flat={flat}");
+        }
+    }
+}
+
+/// Locks the gain of the score-ordered window in: the local phase of one
+/// anti-correlated partition, as the engine feeds it, against the
+/// arrival-order fold's 30 817 946 tests for the same rows.
+#[test]
+fn the_ordered_window_halves_the_tests_on_anti_correlated_input() {
+    let rows = anti_correlated_rows(&mut StdRng::seed_from_u64(42), 50_000, 4);
+    let checker = min_checker(4);
+    let mut builder = BnlBuilder::new(checker.clone(), true);
+    rows.chunks(4096)
+        .for_each(|batch| builder.push_batch(batch.to_vec()));
+    let (skyline, stats) = builder.finish();
+    assert_eq!(skyline.len(), 2_601);
+    assert_eq!(
+        skyline,
+        bnl_skyline(rows, &checker, &mut SkylineStats::default()),
+        "same rows, same order as the scalar per-row window"
+    );
+    assert!(stats.dominance_tests <= 16_000_000, "{stats:?}");
+}
+
+/// Rows that stress the score-ordered window, all from `seed`: key ties by
+/// rounding and by infinity, and — by `seed % 3` — int/float column mixes,
+/// NaN and NULL (unscorable rows in the middle of a batch), then values
+/// that demote the kernel block mid-stream (`i64` extremes, a string).
+fn wild_rows(seed: u64, n: usize, dims: usize) -> Vec<Row> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let level = seed % 3;
+    let demoting_row = n / 2 + rng.gen_range(0..n / 2);
+    (0..n)
+        .map(|i| {
+            Row::new(
+                (0..dims)
+                    .map(|d| match rng.gen_range(0..1000) {
+                        0..=19 => Value::Float64(f64::INFINITY),
+                        20..=39 => Value::Float64(f64::NEG_INFINITY),
+                        40..=99 => Value::Float64(BIG + 2.0 * rng.gen_range(0..3) as f64),
+                        100..=119 if level >= 1 => Value::Float64(f64::NAN),
+                        120..=149 if level >= 1 => Value::Null,
+                        150..=399 if level >= 1 => Value::Int64(rng.gen_range(0..20)),
+                        400..=401 if level == 2 => Value::Int64(i64::MAX),
+                        402..=403 if level == 2 => Value::Int64(i64::MIN),
+                        _ if level == 2 && i == demoting_row && d == 0 => Value::str("x"),
+                        _ => Value::Float64(rng.gen_range(0..40) as f64 / 2.0),
+                    })
+                    .collect(),
+            )
+        })
+        .collect()
 }
 
 /// Small-domain rows with ties, duplicates, evictions and (optionally)
@@ -417,6 +668,30 @@ proptest! {
                 grouped.push_batch(batch);
             }
             prop_assert_eq!(&grouped.finish().0, &expected);
+        }
+    }
+
+    /// The score-ordered window on values that stress its key — ties,
+    /// infinities, unscorable and unencodable rows mid-batch, blocks
+    /// demoted mid-stream — under MIN/MAX/DIFF mixes: `push_batch` ==
+    /// per-row `push` == the definition, row for row, on every kernel.
+    #[test]
+    fn push_batch_equals_per_row_push_on_wild_values(seed in 0u64..(1u64 << 40)) {
+        let dims = 2 + (seed % 3) as usize;
+        let rows = wild_rows(seed, 3_500, dims);
+        let batches = ragged_batches(&rows, seed ^ 0x51DE);
+        let types = [SkylineType::Min, SkylineType::Max, SkylineType::Diff];
+        let spec = SkylineSpec::new(
+            (0..dims)
+                .map(|d| SkylineDim::new(d, types[((seed >> (8 + 2 * d)) % 3) as usize]))
+                .collect(),
+        );
+        let checker = DominanceChecker::complete(spec);
+        let expected = per_row_scalar(&rows, &checker);
+        for kernel in KERNELS {
+            let mut folded = BnlBuilder::with_kernel(checker.clone(), kernel);
+            batches.iter().cloned().for_each(|batch| folded.push_batch(batch));
+            prop_assert_eq!(&folded.finish().0, &expected, "{:?}", kernel);
         }
     }
 }

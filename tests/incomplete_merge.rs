@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use sparkline::{
     DataType, Field, Row, Schema, SessionConfig, SessionContext, SkylineStrategy, Value,
 };
-use sparkline_common::{SkylineDim, SkylineSpec};
+use sparkline_common::{DominanceKernel, SkylineDim, SkylineSpec};
 use sparkline_skyline::{naive_skyline, DominanceChecker};
 
 const NULL_FRACTIONS: [f64; 3] = [0.1, 0.3, 0.6];
@@ -107,19 +107,19 @@ fn scalar_and_vectorized_tree_merges_agree() {
         let rows = generate_with_null_fraction(dist, 23, 120, 3, 0.3);
         let expected = oracle(&rows, 3, true);
         let sql = skyline_sql(3);
-        let run = |vectorized: bool| {
+        let run = |kernel: DominanceKernel| {
             session(
                 rows.clone(),
                 3,
-                tree_config(5, true).with_vectorized_dominance(vectorized),
+                tree_config(5, true).with_dominance_kernel(kernel),
             )
             .sql(&sql)
             .unwrap()
             .collect()
             .unwrap()
         };
-        let scalar = run(false);
-        let vectorized = run(true);
+        let scalar = run(DominanceKernel::Scalar);
+        let vectorized = run(DominanceKernel::Auto);
         assert_eq!(scalar.rows, vectorized.rows, "{dist}");
         assert_eq!(scalar.sorted_display(), expected, "{dist}");
         assert_eq!(

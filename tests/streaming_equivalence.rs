@@ -16,7 +16,9 @@ mod common;
 
 use common::{distribution_rows, generate_with_null_fraction, DISTRIBUTIONS};
 use proptest::prelude::*;
-use sparkline::{Algorithm, DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
+use sparkline::{
+    Algorithm, DataType, DominanceKernel, Field, Row, Schema, SessionConfig, SessionContext, Value,
+};
 
 /// A session over the given config with a set of shared test tables, all
 /// drawn from the shared distribution matrix generator.
@@ -196,7 +198,7 @@ fn streaming_matches_materialized_with_strategy_knobs() {
         SessionConfig::default()
             .with_executors(3)
             .with_batch_size(32)
-            .with_vectorized_dominance(false),
+            .with_dominance_kernel(DominanceKernel::Scalar),
     ];
     for config in configs {
         let (s, m) = run_both(config.clone(), sql, Algorithm::DistributedComplete);
