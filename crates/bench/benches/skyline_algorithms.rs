@@ -6,10 +6,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparkline_common::{Row, SkylineDim, SkylineSpec, Value};
+use sparkline_common::{DominanceKernel, Row, SkylineDim, SkylineSpec, Value};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
 use sparkline_skyline::{
-    bnl_skyline, incomplete_global_skyline, sfs_skyline, BnlBuilder, DominanceChecker, SkylineStats,
+    bnl_skyline, incomplete_global_skyline, BnlBuilder, DominanceChecker, SkylineStats,
 };
 
 fn rows(n: usize, dims: usize, null_rate: f64, seed: u64) -> Vec<Row> {
@@ -43,7 +43,7 @@ fn bench_bnl_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &data, |b, data| {
             b.iter(|| {
                 let mut stats = SkylineStats::default();
-                bnl_skyline(data.clone(), &checker, &mut stats)
+                bnl_skyline(data.clone(), &checker, &mut stats, DominanceKernel::Scalar)
             })
         });
     }
@@ -60,7 +60,7 @@ fn bench_bnl_vs_all_pairs(c: &mut Criterion) {
     group.bench_function("bnl_window", |b| {
         b.iter(|| {
             let mut stats = SkylineStats::default();
-            bnl_skyline(data.clone(), &complete, &mut stats)
+            bnl_skyline(data.clone(), &complete, &mut stats, DominanceKernel::Scalar)
         })
     });
     group.bench_function("all_pairs_flagged", |b| {
@@ -81,7 +81,7 @@ fn bench_dimension_effect(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(dims), &data, |b, data| {
             b.iter(|| {
                 let mut stats = SkylineStats::default();
-                bnl_skyline(data.clone(), &checker, &mut stats)
+                bnl_skyline(data.clone(), &checker, &mut stats, DominanceKernel::Scalar)
             })
         });
     }
@@ -101,31 +101,14 @@ fn bench_local_phase_partitions(c: &mut Criterion) {
                 let mut locals = Vec::new();
                 let mut stats = SkylineStats::default();
                 for piece in data.chunks(chunk) {
-                    locals.extend(bnl_skyline(piece.to_vec(), &checker, &mut stats));
+                    locals.extend(bnl_skyline(
+                        piece.to_vec(),
+                        &checker,
+                        &mut stats,
+                        DominanceKernel::Scalar,
+                    ));
                 }
-                bnl_skyline(locals, &checker, &mut stats)
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_bnl_vs_sfs(c: &mut Criterion) {
-    // The §7 future-work extension: presorting vs the BNL window.
-    let mut group = c.benchmark_group("bnl_vs_sfs");
-    for dims in [2usize, 6] {
-        let data = rows(8_000, 6, 0.0, 21);
-        let checker = DominanceChecker::complete(spec(dims));
-        group.bench_function(format!("bnl_{dims}d"), |b| {
-            b.iter(|| {
-                let mut stats = SkylineStats::default();
-                bnl_skyline(data.clone(), &checker, &mut stats)
-            })
-        });
-        group.bench_function(format!("sfs_{dims}d"), |b| {
-            b.iter(|| {
-                let mut stats = SkylineStats::default();
-                sfs_skyline(data.clone(), &checker, &mut stats)
+                bnl_skyline(locals, &checker, &mut stats, DominanceKernel::Scalar)
             })
         });
     }
@@ -171,6 +154,6 @@ criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_bnl_scaling, bench_bnl_vs_all_pairs, bench_dimension_effect,
-              bench_local_phase_partitions, bench_bnl_vs_sfs, bench_local_fold
+              bench_local_phase_partitions, bench_local_fold
 );
 criterion_main!(benches);

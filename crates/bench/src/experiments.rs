@@ -112,13 +112,8 @@ fn run_series(
                 skipping = skip_after_timeout;
                 cells.push(Cell::Timeout);
             } else {
-                let fallbacks = if m.sfs_fallbacks > 0 {
-                    format!(", {} sfs fallbacks", m.sfs_fallbacks)
-                } else {
-                    String::new()
-                };
                 eprintln!(
-                    "{:.3}s ({} rows, {} batched / {} scalar tests{fallbacks}, \
+                    "{:.3}s ({} rows, {} batched / {} scalar tests, \
                      {} batches, peak {} rows in flight)",
                     m.secs.unwrap_or_default(),
                     m.rows,

@@ -26,8 +26,8 @@ use rand::SeedableRng;
 use sparkline_common::{DominanceKernel, Row, SkylineDim, SkylineSpec};
 use sparkline_datagen::distributions::anti_correlated_rows;
 use sparkline_skyline::{
-    bnl_skyline, bnl_skyline_batched, bnl_skyline_kernel, kernel_label, BnlBuilder, ColumnarBlock,
-    Dominance, DominanceChecker, SkylineStats, CANDIDATE_FIRST_CHUNK, CHUNK, MULTI_LANES,
+    bnl_skyline, kernel_label, BnlBuilder, ColumnarBlock, Dominance, DominanceChecker,
+    SkylineStats, CANDIDATE_FIRST_CHUNK, CHUNK, MULTI_LANES,
 };
 
 use crate::harness::best_of_n;
@@ -88,13 +88,12 @@ fn run_cell(variant: &'static str, dims: usize, rows_n: usize, seed: u64) -> Ker
     // One untimed warm-up pass, then the best of several timed passes —
     // the cells run in well under a millisecond, where a single sample is
     // at the mercy of the scheduler and the trajectory file would jitter.
-    let pass = |stats: &mut SkylineStats| {
-        if variant == "columnar" {
-            bnl_skyline_batched(rows.clone(), &checker, stats)
-        } else {
-            bnl_skyline(rows.clone(), &checker, stats)
-        }
+    let kernel = if variant == "columnar" {
+        DominanceKernel::Auto
+    } else {
+        DominanceKernel::Scalar
     };
+    let pass = |stats: &mut SkylineStats| bnl_skyline(rows.clone(), &checker, stats, kernel);
     let _ = pass(&mut SkylineStats::default());
     let (secs, (skyline, stats)) = best_of_n(5, || {
         let mut pass_stats = SkylineStats::default();
@@ -197,7 +196,8 @@ pub fn write_bench_pr2(path: &str, quick: bool) -> std::io::Result<KernelBench> 
 /// PR 6 sweep.
 #[derive(Debug, Clone)]
 pub struct SimdCell {
-    /// `"scalar"`, `"chunked"`, or `"simd"` (the forced knob).
+    /// `"scalar"`, `"chunked"`, or `"simd"` (the `Auto` knob, which
+    /// resolves to the SIMD tier where the host has one).
     pub kernel: &'static str,
     /// `"one_candidate"` (per-row window admission, the PR 2 protocol) or
     /// `"multi_candidate"` (`push_batch`'s cross-filter fold:
@@ -252,12 +252,12 @@ pub struct SimdBench {
     pub first_chunk_tuning: Vec<(usize, f64)>,
 }
 
-/// The forced knob behind each kernel column of the sweep.
+/// The knob behind each kernel column of the sweep.
 fn knob(kernel: &str) -> DominanceKernel {
     match kernel {
         "scalar" => DominanceKernel::Scalar,
         "chunked" => DominanceKernel::Chunked,
-        "simd" => DominanceKernel::Simd,
+        "simd" => DominanceKernel::Auto,
         other => panic!("unknown kernel column {other}"),
     }
 }
@@ -279,7 +279,7 @@ fn run_simd_cell(
             // time through the cross-filter, MULTI_LANES candidates per
             // block walk; the fold's inner survivor windows run on the
             // forced knob too, so the cell's counters stay on its tier.
-            bnl_skyline_kernel(rows.clone(), &checker, stats, forced)
+            bnl_skyline(rows.clone(), &checker, stats, forced)
         } else {
             // Per-row admission: the PR 2 protocol on the forced knob.
             let mut builder = BnlBuilder::with_kernel(checker.clone(), forced);
@@ -323,7 +323,12 @@ fn first_chunk_sweep(dims: usize, rows_n: usize, seed: u64) -> Vec<(usize, f64)>
     let mut rng = StdRng::seed_from_u64(seed);
     let rows = anti_correlated_rows(&mut rng, rows_n, dims);
     let checker = DominanceChecker::complete(spec(dims));
-    let skyline = bnl_skyline(rows.clone(), &checker, &mut SkylineStats::default());
+    let skyline = bnl_skyline(
+        rows.clone(),
+        &checker,
+        &mut SkylineStats::default(),
+        DominanceKernel::Scalar,
+    );
     let mut block = ColumnarBlock::for_checker(&checker);
     for row in &skyline {
         block.push(row);
@@ -386,7 +391,7 @@ pub fn run_simd_bench(quick: bool) -> SimdBench {
     }
     let tuning_dims = *dims_list.last().expect("non-empty sweep");
     SimdBench {
-        simd_tier: kernel_label(DominanceKernel::Simd),
+        simd_tier: kernel_label(knob("simd")),
         cells,
         speedups,
         first_chunk_tuning: first_chunk_sweep(tuning_dims, rows_n, 42),

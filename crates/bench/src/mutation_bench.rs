@@ -29,7 +29,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
-use sparkline_common::{SkylineDim, SkylineSpec};
+use sparkline_common::{DominanceKernel, SkylineDim, SkylineSpec};
 use sparkline_datagen::distributions::anti_correlated_rows;
 use sparkline_server::{QueryService, ServerClient, ServerConfig, SkylineServer};
 use sparkline_skyline::{bnl_skyline, DominanceChecker, MaintainedSkyline, SkylineStats};
@@ -170,7 +170,12 @@ fn run_library_cell(base: &[Row], inserts: &[Row], dims: usize, fraction: f64) -
                 }
             }
         }
-        last = bnl_skyline(rows.iter().cloned(), &checker, &mut SkylineStats::default());
+        last = bnl_skyline(
+            rows.iter().cloned(),
+            &checker,
+            &mut SkylineStats::default(),
+            DominanceKernel::Scalar,
+        );
     }
     let recompute_ms = t0.elapsed().as_secs_f64() * 1e3;
 

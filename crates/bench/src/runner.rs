@@ -36,8 +36,6 @@ pub struct Measurement {
     pub batched_tests: u64,
     /// Dominance tests answered by the scalar checker.
     pub scalar_tests: u64,
-    /// Times SFS discarded its sort work and re-ran BNL.
-    pub sfs_fallbacks: u64,
     /// Batches yielded across all partition streams.
     pub batches_emitted: u64,
     /// Peak rows simultaneously held by batches and operator buffers.
@@ -62,7 +60,6 @@ impl Measurement {
             dominance_tests: 0,
             batched_tests: 0,
             scalar_tests: 0,
-            sfs_fallbacks: 0,
             batches_emitted: 0,
             peak_rows_in_flight: 0,
             blocks_read: 0,
@@ -264,7 +261,6 @@ impl EvalContext {
                     dominance_tests: dominance,
                     batched_tests: result.metrics.batched_tests,
                     scalar_tests: result.metrics.scalar_tests,
-                    sfs_fallbacks: result.metrics.sfs_fallbacks,
                     batches_emitted: result.metrics.batches_emitted,
                     peak_rows_in_flight: result.metrics.peak_rows_in_flight,
                     blocks_read: result.metrics.blocks_read,

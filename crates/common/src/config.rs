@@ -7,9 +7,10 @@ use std::time::Duration;
 ///
 /// `Auto` follows the paper's Listing 8: the complete (BNL) algorithm when
 /// `COMPLETE` is declared or no skyline dimension is nullable, otherwise the
-/// incomplete (null-bitmap partitioned) algorithm. The remaining variants
-/// force one of the four algorithms evaluated in §6.3 — the benchmark
-/// harness uses them to produce the paper's comparison series.
+/// incomplete (null-bitmap partitioned) algorithm. Three variants force one
+/// of the paper's algorithms evaluated in §6.3 — the benchmark harness uses
+/// them to produce the paper's comparison series — and `Adaptive` keeps
+/// Listing 8 but plans from input statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SkylineStrategy {
     /// Paper's Listing 8 selection logic.
@@ -26,11 +27,6 @@ pub enum SkylineStrategy {
     /// Algorithm (3): null-bitmap partitioned local skylines + all-pairs
     /// flagged global skyline. Valid on any data.
     DistributedIncomplete,
-    /// Extension beyond the paper (its §7 future work): distributed
-    /// Sort-Filter-Skyline — presorted, insert-only windows in both the
-    /// local and global phase. Only valid on complete data with numeric
-    /// dimensions (non-numeric inputs fall back to BNL per partition).
-    SortFilterSkyline,
     /// Extension beyond the paper: statistics-driven planning. The
     /// algorithm family still follows Listing 8 (like `Auto`), but the
     /// local-phase partitioning scheme, the global merge strategy, the
@@ -57,7 +53,7 @@ impl SkylineStrategy {
 /// How the input of a distributed (complete-data) local skyline phase is
 /// partitioned across executors.
 ///
-/// `Standard` keeps the child's distribution, "avoid[ing] unnecessary
+/// `Standard` keeps the child's distribution, "avoid\[ing\] unnecessary
 /// communication cost" (paper §2/§5.6). The remaining variants select a
 /// strategy from the pluggable partitioning subsystem in
 /// `sparkline_exec::partitioner`; all of them are semantically neutral
@@ -84,25 +80,21 @@ pub enum SkylinePartitioning {
 
 /// Which dominance-kernel implementation the skyline operators run on.
 ///
-/// The columnar block (`sparkline_skyline::columnar`) ships three compare
-/// tiers — explicit AVX2 and SSE2 intrinsic loops plus the portable
-/// chunked-scalar loop — and `Scalar` bypasses the block entirely, testing
-/// every pair through the row-at-a-time `DominanceChecker`. All four
-/// selections produce byte-identical skylines (only the performed-test
-/// counters differ); the non-`Auto` values exist for A/B benchmarking and
-/// for pinning CI to the portable paths.
+/// The columnar block (`sparkline_skyline::columnar`) ships two compare
+/// tiers — an explicit AVX2 intrinsic loop and the portable chunked-scalar
+/// loop — and `Scalar` bypasses the block entirely, testing every pair
+/// through the row-at-a-time `DominanceChecker`. All three selections
+/// produce byte-identical skylines (only the performed-test counters
+/// differ); the non-`Auto` values exist for A/B benchmarking and for
+/// pinning CI to the portable paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DominanceKernel {
-    /// Runtime dispatch: the widest SIMD tier the CPU supports
-    /// (`is_x86_feature_detected!`), falling back to the chunked loop on
-    /// targets without SSE2/AVX2.
+    /// Runtime dispatch: the AVX2 tier where the CPU supports it
+    /// (`is_x86_feature_detected!`), the chunked loop everywhere else.
     #[default]
     Auto,
-    /// Force the explicit-SIMD tier (still runtime-detected AVX2 vs SSE2;
-    /// degrades to the chunked loop off x86-64).
-    Simd,
-    /// Force the portable chunked-scalar mask loop (the PR 2 kernel,
-    /// kept verbatim as the differential oracle for the SIMD tiers).
+    /// Force the portable chunked-scalar mask loop (the differential
+    /// oracle for the SIMD tier).
     Chunked,
     /// Bypass the columnar block; every test runs the scalar checker.
     Scalar,
@@ -122,17 +114,14 @@ pub enum MergeStrategy {
     /// One round over all local skylines. The complete BNL family merges
     /// them pairwise in place — every local skyline cross-filtered against
     /// every other, one task per partition on the executor pool (see
-    /// `GlobalSkylineExec`); SFS and the incomplete family keep the
-    /// paper's plan: gather everything onto one executor (`AllTuples`)
-    /// for a single pass — the serial bottleneck of §6.4.
+    /// `GlobalSkylineExec`); the incomplete family and non-distributed
+    /// plans keep the paper's plan: gather everything onto one executor
+    /// (`AllTuples`) for a single pass — the serial bottleneck of §6.4.
     #[default]
     Flat,
     /// Hierarchical (tree) merge: local skylines are merged in k-way
     /// rounds fanned over the executor pool until one partition remains.
-    /// Always produces the same row *set* as the flat merge; with the
-    /// default BNL windows the output order is identical too (SFS order
-    /// can differ when its non-numeric fallback engages — see
-    /// `GlobalSkylineExec`).
+    /// Produces the same rows in the same order as the flat merge.
     Hierarchical {
         /// How many partitions one merge task combines per round (>= 2).
         fan_in: usize,
@@ -498,7 +487,6 @@ mod tests {
             DominanceKernel::Chunked
         );
         assert!(DominanceKernel::Auto.is_vectorized());
-        assert!(DominanceKernel::Simd.is_vectorized());
         assert!(DominanceKernel::Chunked.is_vectorized());
         assert!(!DominanceKernel::Scalar.is_vectorized());
     }

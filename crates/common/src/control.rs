@@ -151,7 +151,7 @@ impl QueryControl {
 
     /// Wait out a retry backoff of `base * attempt` (multiplier capped at
     /// [`MAX_BACKOFF_MULTIPLIER`]) without going deaf: the wait is carved
-    /// into [`BACKOFF_CHECK_SLICE`]-sized sleeps with a
+    /// into 5 ms sleeps (`BACKOFF_CHECK_SLICE`) with a
     /// [`check`](Self::check) between them, so a cancel or deadline expiry
     /// aborts the wait within milliseconds instead of parking a shared
     /// worker thread for the whole backoff. Errors exactly like `check`.

@@ -42,13 +42,11 @@ impl SkylineMeta {
 /// The planner-facing outcome: which physical skyline plan to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SkylinePlan {
-    /// Complete-data algorithm family (two-phase BNL / SFS) vs the
-    /// incomplete (null-bitmap + all-pairs) family.
+    /// Complete-data algorithm family (two-phase BNL) vs the incomplete
+    /// (null-bitmap + all-pairs) family.
     pub use_complete: bool,
     /// Whether a distributed local phase runs before the global phase.
     pub distributed: bool,
-    /// Sort-Filter-Skyline windows instead of BNL windows.
-    pub use_sfs: bool,
     /// Effective local-phase partitioning (downgraded where the scheme
     /// cannot apply, e.g. a grid over fewer than two ranked dimensions).
     pub partitioning: SkylinePartitioning,
@@ -83,16 +81,13 @@ impl SkylinePlan {
             SkylineStrategy::Auto | SkylineStrategy::Adaptive => {
                 meta.declared_complete || !meta.nullable
             }
-            SkylineStrategy::DistributedComplete
-            | SkylineStrategy::NonDistributedComplete
-            | SkylineStrategy::SortFilterSkyline => true,
+            SkylineStrategy::DistributedComplete | SkylineStrategy::NonDistributedComplete => true,
             SkylineStrategy::DistributedIncomplete => false,
         };
         let distributed = !matches!(
             config.skyline_strategy,
             SkylineStrategy::NonDistributedComplete
         );
-        let use_sfs = matches!(config.skyline_strategy, SkylineStrategy::SortFilterSkyline);
 
         // Partitioning only applies to the distributed complete local
         // phase; angle and grid need at least two ranked dimensions to
@@ -131,7 +126,6 @@ impl SkylinePlan {
         SkylinePlan {
             use_complete,
             distributed,
-            use_sfs,
             partitioning,
             merge,
             // Semantics-preserving on every algorithm family (the kernel
@@ -340,7 +334,6 @@ mod tests {
         assert_eq!(plan.kernel, DominanceKernel::Auto);
         for kernel in [
             DominanceKernel::Auto,
-            DominanceKernel::Simd,
             DominanceKernel::Chunked,
             DominanceKernel::Scalar,
         ] {

@@ -1,5 +1,5 @@
 //! The DataFrame API (paper §5.8): programmatic construction of skyline
-//! queries, bypassing the parser and "directly creat[ing] a new skyline
+//! queries, bypassing the parser and "directly creat\[ing\] a new skyline
 //! operator node in the logical plan".
 
 use sparkline_common::{Result, SchemaRef};

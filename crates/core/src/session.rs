@@ -35,10 +35,6 @@ pub enum Algorithm {
     DistributedIncomplete,
     /// Algorithm (4): the plain-SQL rewrite of Listing 4 ("reference").
     Reference,
-    /// Extension beyond the paper (§7 future work): distributed
-    /// Sort-Filter-Skyline with presorted, insert-only windows. Complete
-    /// data only.
-    SortFilterSkyline,
 }
 
 impl Algorithm {
@@ -50,7 +46,6 @@ impl Algorithm {
             Algorithm::NonDistributedComplete => "non-distributed complete",
             Algorithm::DistributedIncomplete => "distributed incomplete",
             Algorithm::Reference => "reference",
-            Algorithm::SortFilterSkyline => "sort-filter-skyline",
         }
     }
 
@@ -63,7 +58,6 @@ impl Algorithm {
             Algorithm::DistributedComplete => Some(SkylineStrategy::DistributedComplete),
             Algorithm::NonDistributedComplete => Some(SkylineStrategy::NonDistributedComplete),
             Algorithm::DistributedIncomplete => Some(SkylineStrategy::DistributedIncomplete),
-            Algorithm::SortFilterSkyline => Some(SkylineStrategy::SortFilterSkyline),
         }
     }
 
@@ -132,8 +126,8 @@ impl SessionContext {
     /// any clone of it). Cooperative: each query aborts with
     /// `Error::Cancelled` at its next control check, unwinding through
     /// `Result` so every memory reservation is released. The flag is
-    /// sticky — new queries fail immediately until [`reset_cancel`]
-    /// (`SessionContext::reset_cancel`) is called.
+    /// sticky — new queries fail immediately until
+    /// [`reset_cancel`](Self::reset_cancel) is called.
     pub fn cancel(&self) {
         self.cancel.store(true, Ordering::Relaxed);
     }

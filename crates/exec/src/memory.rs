@@ -21,8 +21,8 @@
 //! debug-assert on imbalance, so an over-release (a bug) can't wrap the
 //! gauge and poison every later budget decision.
 //!
-//! The infallible [`reserve`](MemoryTracker::reserve) / [`grow`]
-//! (MemoryTracker::grow) remain for measurement-only callers (tests,
+//! The infallible [`reserve`](MemoryTracker::reserve) /
+//! [`grow`](MemoryTracker::grow) remain for measurement-only callers (tests,
 //! benches without budgets); budgeted call sites go through the fallible
 //! variants — `TaskContext::try_reserve` wires the denial metric on top.
 //!

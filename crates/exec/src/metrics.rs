@@ -36,9 +36,6 @@ pub struct ExecMetrics {
     /// Multi-candidate kernel passes: window walks amortized over a batch
     /// of candidates instead of one.
     pub multi_candidate_passes: AtomicU64,
-    /// Times the SFS scan discarded its sort work and re-ran BNL because a
-    /// row did not admit the monotone scoring function.
-    pub sfs_fallbacks: AtomicU64,
     /// Largest skyline window / candidate set observed.
     pub max_window: AtomicUsize,
     /// Rows moved through exchanges (repartitioning volume), including
@@ -58,7 +55,7 @@ pub struct ExecMetrics {
     /// Rounds of the global merge: 1 for the flat pairwise merge of two
     /// or more local skylines, the tree depth for the hierarchical merge,
     /// 0 when a single gathered partition streams through one window
-    /// (non-distributed and SFS plans, the flat incomplete plan).
+    /// (non-distributed plans, the flat incomplete plan).
     pub merge_rounds: AtomicU64,
     /// Merge tasks executed across all rounds (the flat pairwise merge
     /// runs one per non-empty local skyline).
@@ -164,11 +161,6 @@ impl ExecMetrics {
         self.simd_tests.fetch_add(simd, Ordering::Relaxed);
         self.multi_candidate_passes
             .fetch_add(multi_passes, Ordering::Relaxed);
-    }
-
-    /// Record SFS sort-discarding fallbacks.
-    pub fn add_sfs_fallbacks(&self, n: u64) {
-        self.sfs_fallbacks.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Track the maximum window size.
@@ -299,7 +291,6 @@ impl ExecMetrics {
             scalar_tests: self.scalar_tests.load(Ordering::Relaxed),
             simd_tests: self.simd_tests.load(Ordering::Relaxed),
             multi_candidate_passes: self.multi_candidate_passes.load(Ordering::Relaxed),
-            sfs_fallbacks: self.sfs_fallbacks.load(Ordering::Relaxed),
             max_window: self.max_window.load(Ordering::Relaxed),
             rows_exchanged: self.rows_exchanged.load(Ordering::Relaxed),
             join_comparisons: self.join_comparisons.load(Ordering::Relaxed),
@@ -348,8 +339,6 @@ pub struct MetricsSnapshot {
     pub simd_tests: u64,
     /// Multi-candidate kernel passes.
     pub multi_candidate_passes: u64,
-    /// SFS sort-discarding fallbacks.
-    pub sfs_fallbacks: u64,
     /// Largest skyline window observed.
     pub max_window: usize,
     /// Rows moved through exchanges.
@@ -467,13 +456,11 @@ mod tests {
         m.add_dominance_breakdown(1, 0);
         m.add_kernel_breakdown(5, 2);
         m.add_kernel_breakdown(0, 1);
-        m.add_sfs_fallbacks(2);
         let s = m.snapshot();
         assert_eq!(s.batched_tests, 8);
         assert_eq!(s.scalar_tests, 3);
         assert_eq!(s.simd_tests, 5);
         assert_eq!(s.multi_candidate_passes, 3);
-        assert_eq!(s.sfs_fallbacks, 2);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! phase ("avoiding unnecessary communication cost", §5.6) — but the choice
 //! of *how* tuples are spread over executors decides how much the local
 //! phase can prune. This module makes that choice a first-class strategy
-//! object ([`Partitioner`]) the planner selects from [`SessionConfig`]
-//! (`sparkline_common::SessionConfig::skyline_partitioning`):
+//! object ([`Partitioner`]) the planner selects from
+//! [`SessionConfig::skyline_partitioning`](sparkline_common::SessionConfig::skyline_partitioning):
 //!
 //! * [`EvenPartitioner`] — contiguous even split, Spark's read default;
 //! * [`SkylineHashPartitioner`] — tuples with identical skyline-dimension

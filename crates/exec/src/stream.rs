@@ -18,7 +18,7 @@
 //! `ExecMetrics::batches_emitted` and is held in the
 //! `rows_in_flight` gauge until the consumer pulls the next batch (or
 //! closes the stream); breaker buffers register through
-//! [`InFlightRows`](crate::metrics::InFlightRows). The high-water mark is
+//! [`crate::metrics::InFlightRows`]. The high-water mark is
 //! reported as `peak_rows_in_flight`.
 //!
 //! [`breaker_streams`] and [`LazyBuild`] are the two sharing primitives

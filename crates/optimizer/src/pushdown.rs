@@ -1,6 +1,6 @@
 //! Generic relational rewrites: filter merging and pushdown, projection
 //! collapsing, and no-op projection elimination. These are the "default
-//! optimizations of Spark [that] also apply to skyline queries" (paper
+//! optimizations of Spark \[that\] also apply to skyline queries" (paper
 //! §5.4) — skyline inputs produced by complex queries benefit from them.
 
 use std::sync::Arc;

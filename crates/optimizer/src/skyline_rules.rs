@@ -8,7 +8,7 @@
 //!   incomparable to everything and therefore kept, which makes the rewrite
 //!   valid for incomplete data as well.
 //! * [`push_skyline_below_join`] — if the skyline's input is a
-//!   *non-reductive* join (Carey & Kossmann [6]) and all skyline dimensions
+//!   *non-reductive* join (Carey & Kossmann \[6\]) and all skyline dimensions
 //!   come from the join's left side, the skyline may be evaluated before
 //!   the join, shrinking the inputs of both operators. Left outer joins are
 //!   structurally non-reductive for their left side; inner equi-joins
@@ -108,7 +108,7 @@ pub fn drop_diff_only_skyline(plan: &LogicalPlan) -> Result<LogicalPlan> {
     })
 }
 
-/// Push a skyline below a non-reductive join (paper §5.4, after [5]/[6]).
+/// Push a skyline below a non-reductive join (paper §5.4, after \[5\]/\[6\]).
 pub fn push_skyline_below_join(
     plan: &LogicalPlan,
     catalog: Option<&dyn CatalogProvider>,

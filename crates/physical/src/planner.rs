@@ -530,40 +530,30 @@ impl<'a> PhysicalPlanner<'a> {
                     ),
                     _ => input_exec,
                 };
-            let local: Arc<dyn ExecutionPlan> = if !choice.distributed {
-                local_input
-            } else if choice.use_sfs {
-                Arc::new(
-                    LocalSkylineExec::sort_filter(spec.clone(), local_input)
-                        .with_kernel(choice.kernel),
-                )
-            } else {
+            let local: Arc<dyn ExecutionPlan> = if choice.distributed {
                 Arc::new(
                     LocalSkylineExec::new(spec.clone(), false, local_input)
                         .with_kernel(choice.kernel),
                 )
+            } else {
+                local_input
             };
-            // The flat BNL merge and the hierarchical merge consume the
+            // The flat pairwise merge and the hierarchical merge consume the
             // local skylines' distribution directly and fan their merge
-            // tasks over the executor pool. Only a flat plan *without*
-            // mergeable local skylines still needs the `AllTuples` gather
-            // the paper describes: SFS (one re-sorting pass) and
-            // non-distributed plans (no local phase — the single pass must
-            // see every tuple).
-            let gather =
-                choice.merge == MergeStrategy::Flat && (choice.use_sfs || !choice.distributed);
+            // tasks over the executor pool. Only a flat non-distributed
+            // plan still needs the `AllTuples` gather the paper describes:
+            // without a local phase the single pass must see every tuple.
+            let gather = choice.merge == MergeStrategy::Flat && !choice.distributed;
             let global_input: Arc<dyn ExecutionPlan> = if gather {
                 Arc::new(ExchangeExec::single(local))
             } else {
                 local
             };
-            let merge = choice.merge;
-            let global = if choice.use_sfs {
-                GlobalSkylineExec::sort_filter(spec, global_input)
-            } else {
+            Arc::new(
                 GlobalSkylineExec::new(spec, global_input)
-            };
-            Arc::new(global.with_merge(merge).with_kernel(choice.kernel))
+                    .with_merge(choice.merge)
+                    .with_kernel(choice.kernel),
+            )
         } else {
             // §5.7: distribute by null bitmap, then the global phase —
             // the paper's plan (per-class local skylines + an all-pairs

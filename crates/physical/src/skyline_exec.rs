@@ -34,10 +34,9 @@ use sparkline_exec::{
 };
 use sparkline_plan::{Expr, MinMaxDirection};
 use sparkline_skyline::{
-    cross_filter, incomplete_global_skyline, kernel_label, merge_incomplete_partials_kernel,
-    sfs_skyline_kernel, BnlBuilder, ColumnarBlock, CrossFilterScratch, Dominance, DominanceChecker,
-    GroupedBnlBuilder, IncompletePartial, IncompletePartialBuilder, RepresentativeFilter,
-    SkylineStats,
+    cross_filter, incomplete_global_skyline, kernel_label, merge_incomplete_partials, BnlBuilder,
+    ColumnarBlock, CrossFilterScratch, Dominance, DominanceChecker, GroupedBnlBuilder,
+    IncompletePartial, IncompletePartialBuilder, RepresentativeFilter, SkylineStats,
 };
 
 use crate::ExecutionPlan;
@@ -45,16 +44,10 @@ use crate::ExecutionPlan;
 /// The incremental consumer of one skyline phase: input batches are fed
 /// straight into the phase's algorithm state — the columnar kernel's
 /// encode-once BNL window, the per-bitmap-class window map, or (for the
-/// sort-based variants, which inherently need all rows) a plain buffer.
+/// all-pairs pass, which inherently needs all rows) a plain buffer.
 enum SkylineSink {
     /// Complete-data BNL window (scalar or columnar).
     Bnl(Box<BnlBuilder>),
-    /// Sort-Filter-Skyline: buffers, then sorts and scans at finish.
-    Sfs {
-        rows: Vec<Row>,
-        checker: DominanceChecker,
-        kernel: DominanceKernel,
-    },
     /// Incomplete local phase: one BNL window per null-bitmap class.
     Grouped(GroupedBnlBuilder),
     /// Incomplete global phase: buffers for the all-pairs deferred-
@@ -74,7 +67,7 @@ impl SkylineSink {
         match self {
             SkylineSink::Bnl(b) => b.push_batch_checked(batch, control),
             SkylineSink::Grouped(g) => g.push_batch_checked(batch, control),
-            SkylineSink::Sfs { rows, .. } | SkylineSink::AllPairs { rows, .. } => {
+            SkylineSink::AllPairs { rows, .. } => {
                 rows.extend(batch);
                 Ok(())
             }
@@ -87,29 +80,20 @@ impl SkylineSink {
         match self {
             SkylineSink::Bnl(b) => b.window_len(),
             SkylineSink::Grouped(g) => g.window_len(),
-            SkylineSink::Sfs { rows, .. } | SkylineSink::AllPairs { rows, .. } => rows.len(),
+            SkylineSink::AllPairs { rows, .. } => rows.len(),
         }
     }
 
-    /// Whether the sink buffers its raw input (the sort-based and
-    /// all-pairs variants) rather than folding it into a window.
+    /// Whether the sink buffers its raw input (the all-pairs pass) rather
+    /// than folding it into a window.
     fn buffers_input(&self) -> bool {
-        matches!(self, SkylineSink::Sfs { .. } | SkylineSink::AllPairs { .. })
+        matches!(self, SkylineSink::AllPairs { .. })
     }
 
     fn finish(self, ctx: &TaskContext) -> Result<(Vec<Row>, SkylineStats)> {
         match self {
             SkylineSink::Bnl(b) => Ok(b.finish()),
             SkylineSink::Grouped(g) => Ok(g.finish()),
-            SkylineSink::Sfs {
-                rows,
-                checker,
-                kernel,
-            } => {
-                let mut stats = SkylineStats::default();
-                let result = sfs_skyline_kernel(rows, &checker, &mut stats, kernel);
-                Ok((result, stats))
-            }
             SkylineSink::AllPairs { rows, checker } => {
                 let mut stats = SkylineStats::default();
                 let candidates = rows.len();
@@ -201,7 +185,6 @@ fn record_stats(ctx: &TaskContext, stats: &SkylineStats) {
         .add_dominance_breakdown(stats.batched_tests, stats.scalar_tests);
     ctx.metrics
         .add_kernel_breakdown(stats.simd_tests, stats.multi_candidate_passes);
-    ctx.metrics.add_sfs_fallbacks(stats.sfs_fallbacks);
     ctx.metrics.observe_window(stats.max_window);
 }
 
@@ -215,22 +198,11 @@ fn kernel_fragment(kernel: DominanceKernel) -> String {
     }
 }
 
-/// How a complete-data skyline phase computes its result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SkylineAlgo {
-    /// Block-Nested-Loop window (the paper's algorithm, §5.6).
-    Bnl,
-    /// Sort-Filter-Skyline: presorted, insert-only window (the §7
-    /// future-work extension).
-    SortFilter,
-}
-
 /// Distributed local skyline phase.
 #[derive(Debug)]
 pub struct LocalSkylineExec {
     spec: SkylineSpec,
     incomplete: bool,
-    algo: SkylineAlgo,
     kernel: DominanceKernel,
     input: Arc<dyn ExecutionPlan>,
 }
@@ -241,18 +213,6 @@ impl LocalSkylineExec {
         LocalSkylineExec {
             spec,
             incomplete,
-            algo: SkylineAlgo::Bnl,
-            kernel: DominanceKernel::Auto,
-            input,
-        }
-    }
-
-    /// Local Sort-Filter-Skyline (complete data only).
-    pub fn sort_filter(spec: SkylineSpec, input: Arc<dyn ExecutionPlan>) -> Self {
-        LocalSkylineExec {
-            spec,
-            incomplete: false,
-            algo: SkylineAlgo::SortFilter,
             kernel: DominanceKernel::Auto,
             input,
         }
@@ -300,12 +260,6 @@ impl ExecutionPlan for LocalSkylineExec {
                         checker.clone(),
                         self.kernel,
                     ))
-                } else if self.algo == SkylineAlgo::SortFilter {
-                    SkylineSink::Sfs {
-                        rows: Vec::new(),
-                        checker: checker.clone(),
-                        kernel: self.kernel,
-                    }
                 } else {
                     SkylineSink::Bnl(Box::new(BnlBuilder::with_kernel(
                         checker.clone(),
@@ -319,17 +273,12 @@ impl ExecutionPlan for LocalSkylineExec {
 
     fn describe(&self) -> String {
         format!(
-            "LocalSkylineExec [{} dims, {}{}{}{}]",
+            "LocalSkylineExec [{} dims, {}{}{}]",
             self.spec.dims.len(),
             if self.incomplete {
                 "incomplete"
             } else {
                 "complete"
-            },
-            if self.algo == SkylineAlgo::SortFilter {
-                ", SFS"
-            } else {
-                ""
             },
             if self.spec.distinct { ", distinct" } else { "" },
             kernel_fragment(self.kernel),
@@ -367,24 +316,20 @@ impl ExecutionPlan for LocalSkylineExec {
 ///   within a partition the local phase already did, across partitions a
 ///   sequential pass over the (small) merged result does — a later
 ///   duplicate of a surviving row survives the strict cross-filter too, so
-///   deduplicating the survivors is deduplicating the skyline. SFS cannot
-///   merge pairwise (it re-sorts): it streams the chained inputs through
-///   one sink, as does any plan that hands this operator a single
-///   partition (non-distributed plans keep the `AllTuples` gather).
+///   deduplicating the survivors is deduplicating the skyline. A plan that
+///   hands this operator a single partition (non-distributed plans keep
+///   the `AllTuples` gather) streams it through one BNL window instead.
 /// * **Hierarchical** — a k-way tree merge: partitions are combined in
 ///   groups of `fan_in` per round, each group on its own executor, until
 ///   one partition remains. Inside a group the same pairwise cross-filter
 ///   runs sequentially. Because every merge returns the skyline members of
 ///   its group in partition order, the tree merge is row-for-row identical
 ///   to the flat merge no matter how rounds interleave; only the
-///   wall-clock distribution of the dominance tests changes. SFS merges
-///   yield the same *set* — the final round re-sorts by monotone score,
-///   but when `sfs_skyline`'s non-numeric fallback engages, the fallback's
-///   BNL order depends on arrival order and may differ from the flat
-///   plan's. Round and task counts are reported through `exec::metrics`
+///   wall-clock distribution of the dominance tests changes. Round and
+///   task counts are reported through `exec::metrics`
 ///   (the flat merge is one round of one task per non-empty partition).
 ///
-/// Input contract: with **more than one input partition** both BNL merges
+/// Input contract: with **more than one input partition** both merges
 /// require every partition to already be a skyline (the planner guarantees
 /// this — a `LocalSkylineExec` always sits below, and later rounds consume
 /// earlier merge outputs), because a partition is never tested against
@@ -394,7 +339,6 @@ impl ExecutionPlan for LocalSkylineExec {
 #[derive(Debug)]
 pub struct GlobalSkylineExec {
     spec: SkylineSpec,
-    algo: SkylineAlgo,
     merge: MergeStrategy,
     kernel: DominanceKernel,
     input: Arc<dyn ExecutionPlan>,
@@ -407,18 +351,6 @@ impl GlobalSkylineExec {
     pub fn new(spec: SkylineSpec, input: Arc<dyn ExecutionPlan>) -> Self {
         GlobalSkylineExec {
             spec,
-            algo: SkylineAlgo::Bnl,
-            merge: MergeStrategy::Flat,
-            kernel: DominanceKernel::Auto,
-            input,
-        }
-    }
-
-    /// Flat global Sort-Filter-Skyline.
-    pub fn sort_filter(spec: SkylineSpec, input: Arc<dyn ExecutionPlan>) -> Self {
-        GlobalSkylineExec {
-            spec,
-            algo: SkylineAlgo::SortFilter,
             merge: MergeStrategy::Flat,
             kernel: DominanceKernel::Auto,
             input,
@@ -609,31 +541,6 @@ fn pairwise_merge(
     Ok(merged)
 }
 
-/// One k-way merge task of the hierarchical strategy. Every partition of
-/// the group is a skyline (a local skyline or an earlier round's output),
-/// so BNL groups merge by pairwise cross-filter on this task's executor;
-/// SFS re-sorts the concatenated group.
-fn merge_group(
-    ctx: &TaskContext,
-    spec: &SkylineSpec,
-    algo: SkylineAlgo,
-    kernel: DominanceKernel,
-    group: Vec<Partition>,
-) -> Result<Partition> {
-    if algo == SkylineAlgo::Bnl {
-        return pairwise_merge(ctx, spec, kernel, group, false);
-    }
-    ctx.control.check()?;
-    let checker = DominanceChecker::complete(spec.clone());
-    let mut stats = SkylineStats::default();
-    let rows = flatten(group);
-    let reservation = ctx.try_reserve(rows.iter().map(Row::estimated_bytes).sum())?;
-    let merged = sfs_skyline_kernel(rows, &checker, &mut stats, kernel);
-    drop(reservation);
-    record_stats(ctx, &stats);
-    Ok(merged)
-}
-
 /// The k-way round scheduler shared by the complete and incomplete
 /// hierarchical merges: combine `parts` in groups of `fan_in` per round,
 /// each group merged by `merge` on its own executor, until at most one
@@ -690,22 +597,13 @@ impl ExecutionPlan for GlobalSkylineExec {
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
         let inputs = crate::input_streams(&self.input, ctx)?;
-        let streamed = self.algo == SkylineAlgo::SortFilter || inputs.len() <= 1;
-        if self.merge == MergeStrategy::Flat && streamed {
-            // One partition (a gather, or a one-partition child) or SFS:
-            // feed the input batches straight into an unseeded sink — the
+        if self.merge == MergeStrategy::Flat && inputs.len() <= 1 {
+            // One partition (a gather, or a one-partition child): feed the
+            // input batches straight into an unseeded BNL window — the
             // input need not be a skyline, and the only buffered state is
-            // the BNL window itself. SFS must buffer: it re-sorts.
+            // the window itself.
             let checker = DominanceChecker::complete(self.spec.clone());
-            let sink = if self.algo == SkylineAlgo::SortFilter {
-                SkylineSink::Sfs {
-                    rows: Vec::new(),
-                    checker,
-                    kernel: self.kernel,
-                }
-            } else {
-                SkylineSink::Bnl(Box::new(BnlBuilder::with_kernel(checker, self.kernel)))
-            };
+            let sink = SkylineSink::Bnl(Box::new(BnlBuilder::with_kernel(checker, self.kernel)));
             return Ok(vec![skyline_phase_stream(
                 self.schema(),
                 ctx,
@@ -718,7 +616,6 @@ impl ExecutionPlan for GlobalSkylineExec {
         // drained in parallel over the executor pool, then merged — in one
         // pairwise round, or in k-way rounds.
         let spec = self.spec.clone();
-        let algo = self.algo;
         let kernel = self.kernel;
         let merge = self.merge;
         let ctx2 = ctx.clone();
@@ -744,8 +641,12 @@ impl ExecutionPlan for GlobalSkylineExec {
                     pairwise_merge(&ctx2, &spec, kernel, parts, true)?
                 }
                 MergeStrategy::Hierarchical { fan_in } => {
+                    // Every partition of a group is a skyline (a local
+                    // skyline or an earlier round's output), so the group
+                    // merges by pairwise cross-filter on its task's
+                    // executor.
                     kway_merge_rounds(&ctx2, parts, fan_in, |group| {
-                        merge_group(&ctx2, &spec, algo, kernel, group)
+                        pairwise_merge(&ctx2, &spec, kernel, group, false)
                     })?
                     .unwrap_or_default()
                 }
@@ -756,20 +657,14 @@ impl ExecutionPlan for GlobalSkylineExec {
 
     fn describe(&self) -> String {
         let merge = match self.merge {
-            MergeStrategy::Flat if self.algo == SkylineAlgo::Bnl => ", pairwise merge".to_string(),
-            MergeStrategy::Flat => String::new(),
+            MergeStrategy::Flat => ", pairwise merge".to_string(),
             MergeStrategy::Hierarchical { fan_in } => {
                 format!(", hierarchical fan-in {fan_in}")
             }
         };
         format!(
-            "GlobalSkylineExec [{} dims{}{}{}{}]",
+            "GlobalSkylineExec [{} dims{}{}{}]",
             self.spec.dims.len(),
-            if self.algo == SkylineAlgo::SortFilter {
-                ", SFS"
-            } else {
-                ""
-            },
             if self.spec.distinct { ", distinct" } else { "" },
             merge,
             kernel_fragment(self.kernel),
@@ -1028,9 +923,8 @@ impl ExecutionPlan for IncompleteGlobalSkylineExec {
                             .next()
                             .ok_or_else(|| Error::internal("empty merge group"))?;
                         for next in iter {
-                            acc = merge_incomplete_partials_kernel(
-                                acc, next, &checker, kernel, &mut stats,
-                            );
+                            acc =
+                                merge_incomplete_partials(acc, next, &checker, kernel, &mut stats);
                         }
                         record_stats(&ctx2, &stats);
                         Ok(acc)
@@ -1771,35 +1665,6 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_sfs_merge_matches_flat_as_a_set() {
-        // SFS order can differ between flat and tree when its fallback
-        // engages; the row *set* must always match (compared sorted).
-        let data: Vec<Vec<Value>> = (0..120)
-            .map(|i: i64| vec![Value::Int64((i * 29) % 60), Value::Int64((i * 41) % 60)])
-            .collect();
-        let build = |merge: Option<usize>| {
-            let local = Arc::new(LocalSkylineExec::sort_filter(
-                spec2(),
-                Arc::new(ExchangeExec::new(
-                    crate::exchange::ExchangeMode::RoundRobin,
-                    input(data.clone()),
-                )),
-            ));
-            match merge {
-                None => {
-                    GlobalSkylineExec::sort_filter(spec2(), Arc::new(ExchangeExec::single(local)))
-                }
-                Some(fan_in) => GlobalSkylineExec::sort_filter(spec2(), local)
-                    .with_merge(MergeStrategy::Hierarchical { fan_in }),
-            }
-        };
-        let flat = run(&build(None), 6);
-        let tree = run(&build(Some(2)), 6);
-        assert_eq!(flat, tree, "run() sorts, so this is set equality");
-        assert!(!flat.is_empty());
-    }
-
-    #[test]
     fn pairwise_tasks_observe_cancel_deadline_and_injected_faults() {
         // Two interleaved 2-d staircases, each an antichain longer than
         // one control-check chunk; the second dominates half of the first.
@@ -1882,9 +1747,6 @@ mod tests {
             "{}",
             flat.describe()
         );
-        // SFS re-sorts in one pass; it never merges pairwise.
-        let sfs = GlobalSkylineExec::sort_filter(spec2(), input(Vec::new()));
-        assert!(!sfs.describe().contains("pairwise"), "{}", sfs.describe());
     }
 
     #[test]
@@ -1988,12 +1850,9 @@ mod tests {
             chunked.describe()
         );
         let prefilter = SkylinePreFilterExec::new(spec2(), Vec::new(), 0, input(Vec::new()))
-            .with_kernel(DominanceKernel::Simd);
+            .with_kernel(DominanceKernel::Chunked);
         assert!(
-            prefilter.describe().contains(&format!(
-                "vectorized: {}",
-                kernel_label(DominanceKernel::Simd)
-            )),
+            prefilter.describe().contains("vectorized: chunked"),
             "{}",
             prefilter.describe()
         );
@@ -2012,11 +1871,7 @@ mod tests {
         assert_eq!(s.simd_tests, 0);
         assert_eq!(s.batched_tests, 0);
         assert_eq!(s.multi_candidate_passes, 0);
-        for kernel in [
-            DominanceKernel::Auto,
-            DominanceKernel::Simd,
-            DominanceKernel::Chunked,
-        ] {
+        for kernel in [DominanceKernel::Auto, DominanceKernel::Chunked] {
             let (rows, m) = run_plan(kernel);
             assert_eq!(rows, expected, "{kernel:?}");
             assert!(m.batched_tests > 0, "{kernel:?}: {m:?}");

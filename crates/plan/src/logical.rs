@@ -42,7 +42,7 @@ impl JoinType {
     }
 
     /// Whether every left tuple appears at least once in the output
-    /// (non-reductive on the left in the sense of Carey & Kossmann [6]).
+    /// (non-reductive on the left in the sense of Carey & Kossmann \[6\]).
     pub fn preserves_left(self) -> bool {
         matches!(self, JoinType::LeftOuter)
     }

@@ -38,10 +38,11 @@
 //!
 //! # The score-ordered window
 //!
-//! The sort-based skyline family (SFS, LESS, SaLSa) is fast on hard inputs
-//! not because its *input* is sorted but because its window is probed
-//! strongest-first and a probe may stop at a monotone-score bound. The
-//! builder takes exactly that and nothing else: under a transitive
+//! The sort-based skyline family (Sort-Filter-Skyline of Chomicki, Godfrey,
+//! Gryz and Liang, ICDE 2003, and its successors LESS and SaLSa) is fast on
+//! hard inputs not because its *input* is sorted but because its window is
+//! probed strongest-first and a probe may stop at a monotone-score bound.
+//! The builder takes exactly that and nothing else: under a transitive
 //! relation, without `DISTINCT`, with a live kernel block, the **window**
 //! (rows, block, and a per-row arrival number) is kept ascending by the
 //! block's member score key — the `f64` sum of the sign-normalized ranked
@@ -121,8 +122,9 @@ use sparkline_common::{DominanceKernel, QueryControl, Result, Row, CONTROL_CHECK
 use crate::columnar::{retain_mask, ColumnarBlock, EncodedCandidate, MULTI_LANES};
 use crate::dominance::{Dominance, DominanceChecker, SkylineStats};
 
-/// Kernel knob of the boolean constructors ([`BnlBuilder::new`] and its
-/// grouped / incomplete siblings): `Auto` or `Scalar`.
+/// Kernel knob of the boolean constructors ([`BnlBuilder::new`] and
+/// [`GroupedBnlBuilder::new`](crate::incomplete::GroupedBnlBuilder::new)):
+/// `Auto` or `Scalar`.
 pub(crate) fn kernel_for(vectorized: bool) -> DominanceKernel {
     if vectorized {
         DominanceKernel::Auto
@@ -145,39 +147,22 @@ const FOLD_BATCH_ROWS: usize = CONTROL_CHECK_ROWS;
 /// local phase, mostly end here).
 const SORTED_INSERT_MAX: usize = 2 * MULTI_LANES;
 
-/// Compute the skyline of `rows` with the scalar BNL window algorithm,
-/// recording dominance-test counts into `stats`.
+/// Compute the skyline of `rows` with the BNL window algorithm on the
+/// `kernel` knob, recording dominance-test counts into `stats`: `Scalar`
+/// is the per-row scalar window loop, every other knob folds the rows
+/// through [`BnlBuilder::push_batch`] on the columnar kernel's resolved
+/// compare tier.
+///
+/// Every knob yields the same rows in the same order — the skyline
+/// members in arrival order. Test *counts* differ: the kernel's early
+/// exit is chunk-granular, and the score-ordered window prunes tests the
+/// scalar loop performs; `batched_tests` / `scalar_tests` record which
+/// checker answered them.
 ///
 /// With `checker.distinct()` set, tuples whose *compared* dimensions are
 /// all equal keep a single representative (the first one encountered),
 /// implementing `SKYLINE OF DISTINCT`.
 pub fn bnl_skyline(
-    rows: impl IntoIterator<Item = Row>,
-    checker: &DominanceChecker,
-    stats: &mut SkylineStats,
-) -> Vec<Row> {
-    bnl_skyline_kernel(rows, checker, stats, DominanceKernel::Scalar)
-}
-
-/// [`bnl_skyline`] with the candidate-vs-window tests routed through the
-/// columnar batch kernel ([`DominanceKernel::Auto`]). Produces a
-/// byte-identical window (same rows, same order) as the scalar variant.
-/// Test *counts* differ: the kernel's early exit is chunk-granular, and
-/// the score-ordered window prunes tests the scalar loop performs.
-/// `batched_tests` / `scalar_tests` record which checker answered them.
-pub fn bnl_skyline_batched(
-    rows: impl IntoIterator<Item = Row>,
-    checker: &DominanceChecker,
-    stats: &mut SkylineStats,
-) -> Vec<Row> {
-    bnl_skyline_kernel(rows, checker, stats, DominanceKernel::Auto)
-}
-
-/// [`bnl_skyline`] on an explicit kernel knob: `Scalar` is the scalar
-/// window loop, everything else routes through the columnar kernel on
-/// the knob's resolved compare tier. All knobs produce byte-identical
-/// windows.
-pub fn bnl_skyline_kernel(
     rows: impl IntoIterator<Item = Row>,
     checker: &DominanceChecker,
     stats: &mut SkylineStats,
@@ -400,7 +385,7 @@ impl BnlBuilder {
     /// Feed one batch of rows.
     ///
     /// With a score-ordered window the rows are folded into it
-    /// [`FOLD_BATCH_ROWS`] at a time by the cross-filter batch fold of the
+    /// `FOLD_BATCH_ROWS` at a time by the cross-filter batch fold of the
     /// module docs; otherwise each row takes the per-row
     /// [`push`](Self::push) step. Either way the window afterwards holds
     /// what pushing the rows one by one would have left.
@@ -790,7 +775,7 @@ mod tests {
         // Classic price/rating trade-off; skyline = the Pareto staircase.
         let mut stats = SkylineStats::default();
         let input = rows(&[(1, 9), (2, 7), (3, 8), (4, 4), (5, 5), (6, 1), (7, 2)]);
-        let sky = bnl_skyline(input, &min_min(false), &mut stats);
+        let sky = bnl_skyline(input, &min_min(false), &mut stats, DominanceKernel::Scalar);
         assert_eq!(as_pairs(sky), vec![(1, 9), (2, 7), (4, 4), (6, 1)]);
         assert!(stats.dominance_tests > 0);
         assert!(stats.max_window >= 4);
@@ -799,7 +784,12 @@ mod tests {
     #[test]
     fn single_tuple() {
         let mut stats = SkylineStats::default();
-        let sky = bnl_skyline(rows(&[(5, 5)]), &min_min(false), &mut stats);
+        let sky = bnl_skyline(
+            rows(&[(5, 5)]),
+            &min_min(false),
+            &mut stats,
+            DominanceKernel::Scalar,
+        );
         assert_eq!(sky.len(), 1);
         assert_eq!(stats.dominance_tests, 0);
     }
@@ -807,7 +797,12 @@ mod tests {
     #[test]
     fn empty_input() {
         let mut stats = SkylineStats::default();
-        let sky = bnl_skyline(rows(&[]), &min_min(false), &mut stats);
+        let sky = bnl_skyline(
+            rows(&[]),
+            &min_min(false),
+            &mut stats,
+            DominanceKernel::Scalar,
+        );
         assert!(sky.is_empty());
     }
 
@@ -818,6 +813,7 @@ mod tests {
             rows(&[(5, 5), (4, 4), (3, 3), (0, 0), (2, 2)]),
             &min_min(false),
             &mut stats,
+            DominanceKernel::Scalar,
         );
         assert_eq!(as_pairs(sky), vec![(0, 0)]);
     }
@@ -825,14 +821,24 @@ mod tests {
     #[test]
     fn duplicates_kept_without_distinct() {
         let mut stats = SkylineStats::default();
-        let sky = bnl_skyline(rows(&[(1, 1), (1, 1), (1, 1)]), &min_min(false), &mut stats);
+        let sky = bnl_skyline(
+            rows(&[(1, 1), (1, 1), (1, 1)]),
+            &min_min(false),
+            &mut stats,
+            DominanceKernel::Scalar,
+        );
         assert_eq!(sky.len(), 3);
     }
 
     #[test]
     fn duplicates_collapsed_with_distinct() {
         let mut stats = SkylineStats::default();
-        let sky = bnl_skyline(rows(&[(1, 1), (1, 1), (1, 1)]), &min_min(true), &mut stats);
+        let sky = bnl_skyline(
+            rows(&[(1, 1), (1, 1), (1, 1)]),
+            &min_min(true),
+            &mut stats,
+            DominanceKernel::Scalar,
+        );
         assert_eq!(sky.len(), 1);
     }
 
@@ -845,7 +851,12 @@ mod tests {
         let r1 = Row::new(vec![Value::Int64(1), Value::str("first")]);
         let r2 = Row::new(vec![Value::Int64(1), Value::str("second")]);
         let mut stats = SkylineStats::default();
-        let sky = bnl_skyline(vec![r1.clone(), r2], &checker, &mut stats);
+        let sky = bnl_skyline(
+            vec![r1.clone(), r2],
+            &checker,
+            &mut stats,
+            DominanceKernel::Scalar,
+        );
         assert_eq!(sky, vec![r1]);
     }
 
@@ -858,6 +869,7 @@ mod tests {
             rows(&[(1, 8), (8, 1), (5, 5), (0, 0)]),
             &min_min(false),
             &mut stats,
+            DominanceKernel::Scalar,
         );
         assert_eq!(as_pairs(sky), vec![(0, 0)]);
     }
@@ -871,9 +883,9 @@ mod tests {
         for distinct in [false, true] {
             let checker = min_min(distinct);
             let mut s1 = SkylineStats::default();
-            let scalar = bnl_skyline(rows(&data), &checker, &mut s1);
+            let scalar = bnl_skyline(rows(&data), &checker, &mut s1, DominanceKernel::Scalar);
             let mut s2 = SkylineStats::default();
-            let batched = bnl_skyline_batched(rows(&data), &checker, &mut s2);
+            let batched = bnl_skyline(rows(&data), &checker, &mut s2, DominanceKernel::Auto);
             assert_eq!(scalar, batched, "distinct={distinct}");
             assert!(s2.batched_tests > 0);
             assert_eq!(s2.scalar_tests, 0);
@@ -889,9 +901,9 @@ mod tests {
             .map(|i: i64| Row::new(vec![Value::str(format!("s{:02}", i % 7)), Value::Int64(i)]))
             .collect();
         let mut s1 = SkylineStats::default();
-        let scalar = bnl_skyline(data.clone(), &checker, &mut s1);
+        let scalar = bnl_skyline(data.clone(), &checker, &mut s1, DominanceKernel::Scalar);
         let mut s2 = SkylineStats::default();
-        let batched = bnl_skyline_batched(data, &checker, &mut s2);
+        let batched = bnl_skyline(data, &checker, &mut s2, DominanceKernel::Auto);
         assert_eq!(scalar, batched);
         assert_eq!(s2.batched_tests, 0, "strings must demote to scalar");
         assert_eq!(s2.scalar_tests, s2.dominance_tests);
@@ -953,11 +965,10 @@ mod tests {
         for distinct in [false, true] {
             let checker = min_min(distinct);
             let mut s_ref = SkylineStats::default();
-            let reference = bnl_skyline(rows(&data), &checker, &mut s_ref);
+            let reference = bnl_skyline(rows(&data), &checker, &mut s_ref, DominanceKernel::Scalar);
             for kernel in [
                 DominanceKernel::Scalar,
                 DominanceKernel::Chunked,
-                DominanceKernel::Simd,
                 DominanceKernel::Auto,
             ] {
                 let (sky, s) = folded(rows(&data), &checker, kernel, 16);
@@ -997,7 +1008,7 @@ mod tests {
             })
             .collect();
         let mut s1 = SkylineStats::default();
-        let scalar = bnl_skyline(data.clone(), &checker, &mut s1);
+        let scalar = bnl_skyline(data.clone(), &checker, &mut s1, DominanceKernel::Scalar);
         let (batched, s2) = folded(data, &checker, DominanceKernel::Auto, 10);
         assert_eq!(scalar, batched);
         assert!(s2.multi_candidate_passes > 0);
@@ -1021,7 +1032,7 @@ mod tests {
         data.insert(25, Row::new(vec![Value::Float64(0.5), Value::Int64(39)]));
         data.insert(45, Row::new(vec![Value::str("x"), Value::Int64(0)]));
         let mut s1 = SkylineStats::default();
-        let scalar = bnl_skyline(data.clone(), &checker, &mut s1);
+        let scalar = bnl_skyline(data.clone(), &checker, &mut s1, DominanceKernel::Scalar);
         for batch in [1usize, 4, 9, 64] {
             let (sky, s) = folded(data.clone(), &checker, DominanceKernel::Auto, batch);
             assert_eq!(scalar, sky, "batch={batch}");
@@ -1115,11 +1126,11 @@ mod tests {
         let checker = min_min(false);
         let data = [(3, 1), (1, 3), (2, 2), (4, 4), (0, 5), (5, 0)];
         let mut s1 = SkylineStats::default();
-        let forward = bnl_skyline(rows(&data), &checker, &mut s1);
+        let forward = bnl_skyline(rows(&data), &checker, &mut s1, DominanceKernel::Scalar);
         let mut reversed = data;
         reversed.reverse();
         let mut s2 = SkylineStats::default();
-        let backward = bnl_skyline(rows(&reversed), &checker, &mut s2);
+        let backward = bnl_skyline(rows(&reversed), &checker, &mut s2, DominanceKernel::Scalar);
         assert_eq!(as_pairs(forward), as_pairs(backward));
     }
 }

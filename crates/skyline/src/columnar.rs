@@ -12,7 +12,7 @@
 //!
 //! # Compare tiers and runtime dispatch
 //!
-//! The per-chunk mask computation ships in three tiers, selected once per
+//! The per-chunk mask computation ships in two tiers, selected once per
 //! block from the [`DominanceKernel`] knob via
 //! `is_x86_feature_detected!`-based runtime dispatch ([`KernelTier`]):
 //!
@@ -23,13 +23,10 @@
 //!   `movemask`. Float buffers never contain NaN (NaN is NULL-like and
 //!   becomes a placeholder plus an `any_null` bit), so the ordered
 //!   compares are exact.
-//! * **`simd(sse2)`** — the x86-64 baseline tier: two-lane `_mm_cmplt_pd`
-//!   / `_mm_cmpneq_pd` for float columns; integer columns take the
-//!   chunked loop (SSE2 has no 64-bit signed compare).
-//! * **`chunked`** — the portable PR 2 mask loop, kept verbatim. It is
-//!   both the fallback for non-x86-64 targets and the differential
-//!   oracle the SIMD tiers are tested against: all tiers produce
-//!   bit-identical `(a, b, neq)` masks, hence byte-identical outcomes.
+//! * **`chunked`** — the portable mask loop. It is both the fallback for
+//!   hosts without AVX2 and the differential oracle the SIMD tier is
+//!   tested against: both tiers produce bit-identical `(a, b, neq)`
+//!   masks, hence byte-identical outcomes.
 //!
 //! # Multi-candidate passes
 //!
@@ -181,57 +178,42 @@ pub const MULTI_LANES: usize = 8;
 /// CPU (`is_x86_feature_detected!`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelTier {
-    /// Portable chunked-scalar mask loop (the PR 2 kernel, kept verbatim):
-    /// the fallback for non-x86-64 targets and the differential oracle the
-    /// SIMD tiers are tested against.
+    /// Portable chunked-scalar mask loop: the fallback for hosts without
+    /// AVX2 and the differential oracle the SIMD tier is tested against.
     Chunked,
-    /// x86-64 baseline tier: two-lane SSE2 float compares; integer columns
-    /// take the chunked loop (SSE2 has no 64-bit signed compare).
-    Sse2,
     /// Four-lane AVX2 integer and float compares.
     Avx2,
 }
 
 impl KernelTier {
-    /// Tier for a kernel knob on this CPU. `Auto` and `Simd` resolve to
-    /// the best detected SIMD tier; `Chunked` (and `Scalar`, for callers
-    /// that build a block anyway) pin the portable loop.
+    /// Tier for a kernel knob on this CPU. `Auto` resolves to the detected
+    /// tier; `Chunked` (and `Scalar`, for callers that build a block
+    /// anyway) pin the portable loop.
     pub fn resolve(kernel: DominanceKernel) -> KernelTier {
         match kernel {
-            DominanceKernel::Auto | DominanceKernel::Simd => KernelTier::detect(),
+            DominanceKernel::Auto => KernelTier::detect(),
             DominanceKernel::Chunked | DominanceKernel::Scalar => KernelTier::Chunked,
         }
     }
 
-    /// Best SIMD tier the host CPU supports;
-    /// [`Chunked`](KernelTier::Chunked) off x86-64.
+    /// [`Avx2`](KernelTier::Avx2) where the host CPU supports it,
+    /// [`Chunked`](KernelTier::Chunked) everywhere else.
     pub fn detect() -> KernelTier {
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
-                KernelTier::Avx2
-            } else {
-                // SSE2 is part of the x86-64 baseline, always present.
-                KernelTier::Sse2
+                return KernelTier::Avx2;
             }
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            KernelTier::Chunked
-        }
+        KernelTier::Chunked
     }
 
     /// Every tier runnable on this CPU, for differential tests and
     /// benchmarks.
     pub fn available() -> Vec<KernelTier> {
-        #[allow(unused_mut)]
         let mut tiers = vec![KernelTier::Chunked];
-        #[cfg(target_arch = "x86_64")]
-        {
-            tiers.push(KernelTier::Sse2);
-            if std::arch::is_x86_feature_detected!("avx2") {
-                tiers.push(KernelTier::Avx2);
-            }
+        if KernelTier::detect() == KernelTier::Avx2 {
+            tiers.push(KernelTier::Avx2);
         }
         tiers
     }
@@ -246,7 +228,6 @@ impl KernelTier {
     pub fn label(self) -> &'static str {
         match self {
             KernelTier::Chunked => "chunked",
-            KernelTier::Sse2 => "simd(sse2)",
             KernelTier::Avx2 => "simd(avx2)",
         }
     }
@@ -360,42 +341,6 @@ mod simd {
         }
         for (i, &x) in buf[k..].iter().enumerate() {
             *neq |= u64::from(x != v) << (k + i);
-        }
-    }
-
-    /// Two-lane SSE2 variant of [`ranked_f64_avx2`]. SSE2 is in the
-    /// x86-64 baseline, so this is a safe function.
-    pub fn ranked_f64_sse2(buf: &[f64], v: f64, a: &mut u64, b: &mut u64) {
-        unsafe {
-            let splat = _mm_set1_pd(v);
-            let mut k = 0;
-            while k + 2 <= buf.len() {
-                let x = _mm_loadu_pd(buf.as_ptr().add(k));
-                *a |= (_mm_movemask_pd(_mm_cmpgt_pd(x, splat)) as u32 as u64) << k;
-                *b |= (_mm_movemask_pd(_mm_cmplt_pd(x, splat)) as u32 as u64) << k;
-                k += 2;
-            }
-            if k < buf.len() {
-                let x = buf[k];
-                *a |= u64::from(v < x) << k;
-                *b |= u64::from(x < v) << k;
-            }
-        }
-    }
-
-    /// Two-lane SSE2 variant of [`diff_f64_avx2`].
-    pub fn diff_f64_sse2(buf: &[f64], v: f64, neq: &mut u64) {
-        unsafe {
-            let splat = _mm_set1_pd(v);
-            let mut k = 0;
-            while k + 2 <= buf.len() {
-                let x = _mm_loadu_pd(buf.as_ptr().add(k));
-                *neq |= (_mm_movemask_pd(_mm_cmpneq_pd(x, splat)) as u32 as u64) << k;
-                k += 2;
-            }
-            if k < buf.len() {
-                *neq |= u64::from(buf[k] != v) << k;
-            }
         }
     }
 }
@@ -1009,7 +954,7 @@ impl ColumnarBlock {
     }
 
     /// [`encode`](Self::encode) into a caller-owned buffer, avoiding the
-    /// per-candidate allocation on the hot BNL/SFS loops. Returns `false`
+    /// per-candidate allocation on the hot BNL loops. Returns `false`
     /// when this tuple needs the scalar path (`cand` is then unspecified).
     pub fn encode_into(&self, row: &Row, cand: &mut EncodedCandidate) -> bool {
         cand.dims.clear();
@@ -1099,7 +1044,7 @@ impl ColumnarBlock {
     ///
     /// With `stop_at_dominator`, scanning stops after the first chunk
     /// containing a row that dominates the candidate (`DominatedBy`) and
-    /// its index is reported — the BNL/SFS early exit.
+    /// its index is reported — the BNL early exit.
     pub fn compare_batch(
         &self,
         cand: &EncodedCandidate,
@@ -1253,18 +1198,14 @@ impl ColumnarBlock {
     /// compare tier.
     fn chunk_masks(&self, cand: &EncodedCandidate, base: usize, m: usize) -> (u64, u64, u64) {
         match self.tier {
-            KernelTier::Chunked => self.chunk_masks_chunked(cand, base, m),
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Sse2 => self.chunk_masks_simd(cand, base, m, false),
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx2 => self.chunk_masks_simd(cand, base, m, true),
-            #[cfg(not(target_arch = "x86_64"))]
+            KernelTier::Avx2 => self.chunk_masks_avx2(cand, base, m),
             _ => self.chunk_masks_chunked(cand, base, m),
         }
     }
 
-    /// Portable chunked-scalar mask loop — the PR 2 kernel, kept verbatim
-    /// per ranked column; the differential oracle for the SIMD tiers.
+    /// Portable chunked-scalar mask loop per ranked column; the
+    /// differential oracle for the SIMD tier.
     fn chunk_masks_chunked(
         &self,
         cand: &EncodedCandidate,
@@ -1310,17 +1251,9 @@ impl ColumnarBlock {
         (a, b, neq)
     }
 
-    /// SIMD mask computation: AVX2 four-lane compares when `avx2`,
-    /// otherwise the SSE2 baseline tier (two-lane floats, chunked
-    /// integers).
+    /// AVX2 mask computation: four-lane compares on every column class.
     #[cfg(target_arch = "x86_64")]
-    fn chunk_masks_simd(
-        &self,
-        cand: &EncodedCandidate,
-        base: usize,
-        m: usize,
-        avx2: bool,
-    ) -> (u64, u64, u64) {
+    fn chunk_masks_avx2(&self, cand: &EncodedCandidate, base: usize, m: usize) -> (u64, u64, u64) {
         let mut a: u64 = 0;
         let mut b: u64 = 0;
         let mut neq: u64 = 0;
@@ -1329,43 +1262,26 @@ impl ColumnarBlock {
                 (ColumnData::Ints(buf), CandDim::Int(v))
                 | (ColumnData::Bools(buf), CandDim::Int(v)) => {
                     let s = &buf[base..base + m];
-                    if avx2 {
-                        // SAFETY: the `Avx2` tier is only resolved after
-                        // `is_x86_feature_detected!("avx2")`.
-                        unsafe {
-                            if col.is_diff {
-                                simd::diff_i64_avx2(s, *v, &mut neq);
-                            } else {
-                                simd::ranked_i64_avx2(s, *v, &mut a, &mut b);
-                            }
-                        }
-                    } else if col.is_diff {
-                        for (k, &x) in s.iter().enumerate() {
-                            neq |= u64::from(x != *v) << k;
-                        }
-                    } else {
-                        for (k, &x) in s.iter().enumerate() {
-                            a |= u64::from(*v < x) << k;
-                            b |= u64::from(x < *v) << k;
+                    // SAFETY: the `Avx2` tier is only resolved after
+                    // `is_x86_feature_detected!("avx2")`.
+                    unsafe {
+                        if col.is_diff {
+                            simd::diff_i64_avx2(s, *v, &mut neq);
+                        } else {
+                            simd::ranked_i64_avx2(s, *v, &mut a, &mut b);
                         }
                     }
                 }
                 (ColumnData::Floats(buf), CandDim::Float(v)) => {
                     let s = &buf[base..base + m];
-                    if avx2 {
-                        // SAFETY: as above — `Avx2` implies runtime
-                        // detection succeeded.
-                        unsafe {
-                            if col.is_diff {
-                                simd::diff_f64_avx2(s, *v, &mut neq);
-                            } else {
-                                simd::ranked_f64_avx2(s, *v, &mut a, &mut b);
-                            }
+                    // SAFETY: as above — `Avx2` implies runtime detection
+                    // succeeded.
+                    unsafe {
+                        if col.is_diff {
+                            simd::diff_f64_avx2(s, *v, &mut neq);
+                        } else {
+                            simd::ranked_f64_avx2(s, *v, &mut a, &mut b);
                         }
-                    } else if col.is_diff {
-                        simd::diff_f64_sse2(s, *v, &mut neq);
-                    } else {
-                        simd::ranked_f64_sse2(s, *v, &mut a, &mut b);
                     }
                 }
                 (_, CandDim::Skip) | (ColumnData::Pending, _) => {}
@@ -1508,12 +1424,6 @@ impl PointBlock {
                     unsafe {
                         simd::ranked_f64_avx2(&col[base..base + m], v, &mut a, &mut b);
                     }
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Sse2 => {
-                for (col, &v) in self.cols.iter().zip(point) {
-                    simd::ranked_f64_sse2(&col[base..base + m], v, &mut a, &mut b);
                 }
             }
             _ => {
@@ -2072,7 +1982,6 @@ mod tests {
         } else {
             assert_eq!(auto, "chunked");
         }
-        assert_eq!(auto, kernel_label(DominanceKernel::Simd));
     }
 
     #[test]
@@ -2136,9 +2045,9 @@ mod tests {
             SkylineDim::min(1),
         ]));
         let mut s1 = crate::SkylineStats::default();
-        let scalar = crate::bnl_skyline(rows.clone(), &checker, &mut s1);
+        let scalar = crate::bnl_skyline(rows.clone(), &checker, &mut s1, DominanceKernel::Scalar);
         let mut s2 = crate::SkylineStats::default();
-        let batched = crate::bnl_skyline_batched(rows, &checker, &mut s2);
+        let batched = crate::bnl_skyline(rows, &checker, &mut s2, DominanceKernel::Auto);
         assert_eq!(scalar, batched);
     }
 

@@ -36,9 +36,6 @@ pub struct SkylineStats {
     /// either because the scalar path was selected or because the columnar
     /// kernel fell back. Always `<= dominance_tests`.
     pub scalar_tests: u64,
-    /// Times `sfs_skyline` discarded its sort work and re-ran BNL because
-    /// a row did not admit the monotone scoring function.
-    pub sfs_fallbacks: u64,
     /// Dominance tests answered on an explicit-SIMD compare tier. Always
     /// `<= batched_tests` (SIMD tests are batched tests).
     pub simd_tests: u64,
@@ -57,7 +54,6 @@ impl SkylineStats {
         self.max_window = self.max_window.max(other.max_window);
         self.batched_tests += other.batched_tests;
         self.scalar_tests += other.scalar_tests;
-        self.sfs_fallbacks += other.sfs_fallbacks;
         self.simd_tests += other.simd_tests;
         self.multi_candidate_passes += other.multi_candidate_passes;
     }
@@ -393,7 +389,6 @@ mod tests {
             max_window: 4,
             batched_tests: 6,
             scalar_tests: 4,
-            sfs_fallbacks: 1,
             simd_tests: 3,
             multi_candidate_passes: 2,
         };
@@ -402,7 +397,6 @@ mod tests {
             max_window: 9,
             batched_tests: 0,
             scalar_tests: 5,
-            sfs_fallbacks: 2,
             simd_tests: 0,
             multi_candidate_passes: 1,
         };
@@ -411,7 +405,6 @@ mod tests {
         assert_eq!(a.max_window, 9);
         assert_eq!(a.batched_tests, 6);
         assert_eq!(a.scalar_tests, 9);
-        assert_eq!(a.sfs_fallbacks, 3);
         assert_eq!(a.simd_tests, 3);
         assert_eq!(a.multi_candidate_passes, 3);
     }

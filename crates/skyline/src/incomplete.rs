@@ -323,12 +323,8 @@ pub struct IncompletePartialBuilder {
 }
 
 impl IncompletePartialBuilder {
-    /// A builder over an incomplete-relation checker.
-    pub fn new(checker: DominanceChecker, vectorized: bool) -> Self {
-        Self::with_kernel(checker, kernel_for(vectorized))
-    }
-
-    /// As [`Self::new`], with an explicit compare-kernel selection.
+    /// A builder over an incomplete-relation checker, on an explicit
+    /// compare-kernel selection.
     pub fn with_kernel(checker: DominanceChecker, kernel: DominanceKernel) -> Self {
         IncompletePartialBuilder {
             grouped: GroupedBnlBuilder::with_kernel(checker.clone(), kernel),
@@ -382,7 +378,7 @@ impl IncompletePartialBuilder {
                     })
                     .collect(),
             };
-            partial = merge_incomplete_partials_kernel(
+            partial = merge_incomplete_partials(
                 partial,
                 class_partial,
                 &self.checker,
@@ -397,25 +393,13 @@ impl IncompletePartialBuilder {
 /// Merge two internally closed partials: compare exactly the cross pairs
 /// (both directions of flags; deferred candidates still witness), then
 /// concatenate `a`'s candidates before `b`'s. The result is internally
-/// closed again. With `vectorized`, `b`'s candidates are encoded once per
-/// bitmap class into the columnar kernel and every `a`-candidate is tested
-/// against each class block in one batched pass (a class is uniformly NULL
-/// or non-NULL per column — the layout the kernel encodes); classes the
-/// kernel cannot represent fall back to the scalar checker. Results are
-/// byte-identical either way.
+/// closed again. On a vectorized `kernel`, `b`'s candidates are encoded
+/// once per bitmap class into the columnar kernel and every `a`-candidate
+/// is tested against each class block in one batched pass (a class is
+/// uniformly NULL or non-NULL per column — the layout the kernel encodes);
+/// classes the kernel cannot represent fall back to the scalar checker.
+/// Results are byte-identical on every kernel.
 pub fn merge_incomplete_partials(
-    a: IncompletePartial,
-    b: IncompletePartial,
-    checker: &DominanceChecker,
-    vectorized: bool,
-    stats: &mut SkylineStats,
-) -> IncompletePartial {
-    merge_incomplete_partials_kernel(a, b, checker, kernel_for(vectorized), stats)
-}
-
-/// As [`merge_incomplete_partials`], with an explicit compare-kernel
-/// selection for the per-class blocks of the cross pass.
-pub fn merge_incomplete_partials_kernel(
     mut a: IncompletePartial,
     mut b: IncompletePartial,
     checker: &DominanceChecker,
@@ -578,7 +562,12 @@ pub fn incomplete_skyline(
 ) -> Vec<Row> {
     let mut candidates = Vec::new();
     for (_, partition) in partition_by_null_bitmap(rows, checker.spec()) {
-        candidates.extend(bnl_skyline(partition, checker, stats));
+        candidates.extend(bnl_skyline(
+            partition,
+            checker,
+            stats,
+            DominanceKernel::Scalar,
+        ));
     }
     incomplete_global_skyline(candidates, checker, stats)
 }
@@ -829,13 +818,13 @@ mod tests {
         checker: &DominanceChecker,
         parts: usize,
         fan_in: usize,
-        vectorized: bool,
+        kernel: DominanceKernel,
     ) -> (Vec<Row>, usize) {
         let chunk = rows.len().div_ceil(parts.max(1)).max(1);
         let mut partials: Vec<IncompletePartial> = rows
             .chunks(chunk)
             .map(|chunk| {
-                let mut builder = IncompletePartialBuilder::new(checker.clone(), vectorized);
+                let mut builder = IncompletePartialBuilder::with_kernel(checker.clone(), kernel);
                 builder.push_batch(chunk.to_vec());
                 builder.finish().0
             })
@@ -848,7 +837,7 @@ mod tests {
                 let group: Vec<IncompletePartial> = iter.by_ref().take(fan_in).collect();
                 let mut merged = IncompletePartial::default();
                 for p in group {
-                    merged = merge_incomplete_partials(merged, p, checker, vectorized, &mut stats);
+                    merged = merge_incomplete_partials(merged, p, checker, kernel, &mut stats);
                 }
                 next.push(merged);
             }
@@ -870,11 +859,7 @@ mod tests {
         baseline.push_batch(data.clone());
         let (expected, base_stats) = baseline.finish();
         assert_eq!(base_stats.multi_candidate_passes, 0);
-        for kernel in [
-            DominanceKernel::Auto,
-            DominanceKernel::Simd,
-            DominanceKernel::Chunked,
-        ] {
+        for kernel in [DominanceKernel::Auto, DominanceKernel::Chunked] {
             let mut builder = GroupedBnlBuilder::with_kernel(checker.clone(), kernel);
             for batch in data.chunks(24) {
                 builder.push_batch(batch.to_vec());
@@ -906,12 +891,12 @@ mod tests {
             let flat_deferred = candidates.len() - flat.len();
             for parts in [1usize, 2, 3, 5] {
                 for fan_in in [2usize, 3] {
-                    for vectorized in [false, true] {
+                    for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
                         let (tree, deferred) =
-                            tree_merge(&candidates, &checker, parts, fan_in, vectorized);
+                            tree_merge(&candidates, &checker, parts, fan_in, kernel);
                         assert_eq!(
                             tree, flat,
-                            "seed {seed}, {parts} parts, fan-in {fan_in}, v={vectorized}"
+                            "seed {seed}, {parts} parts, fan-in {fan_in}, {kernel:?}"
                         );
                         assert_eq!(deferred, flat_deferred, "same tuples flagged");
                     }
@@ -928,7 +913,7 @@ mod tests {
         // deletion gets wrong.
         let checker = DominanceChecker::incomplete(spec3());
         let (a, b, c) = cycle();
-        let (sky, deferred) = tree_merge(&[a, b, c], &checker, 3, 2, false);
+        let (sky, deferred) = tree_merge(&[a, b, c], &checker, 3, 2, DominanceKernel::Scalar);
         assert!(sky.is_empty());
         assert_eq!(deferred, 3);
     }
@@ -937,7 +922,8 @@ mod tests {
     fn partial_counters_and_classes() {
         let checker = DominanceChecker::incomplete(spec3());
         let (a, b, c) = cycle();
-        let mut builder = IncompletePartialBuilder::new(checker.clone(), true);
+        let mut builder =
+            IncompletePartialBuilder::with_kernel(checker.clone(), DominanceKernel::Auto);
         builder.push_batch(vec![a, b, c, row(&[Some(9), Some(9), Some(9)])]);
         assert_eq!(builder.window_len(), 4);
         let (partial, stats) = builder.finish();
@@ -960,15 +946,10 @@ mod tests {
         spec.distinct = true;
         let checker = DominanceChecker::incomplete(spec);
         let r = row(&[Some(1), None, Some(1)]);
-        for vectorized in [false, true] {
-            let (sky, deferred) = tree_merge(
-                &[r.clone(), r.clone(), r.clone()],
-                &checker,
-                3,
-                2,
-                vectorized,
-            );
-            assert_eq!(sky, vec![r.clone()], "v={vectorized}");
+        for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
+            let (sky, deferred) =
+                tree_merge(&[r.clone(), r.clone(), r.clone()], &checker, 3, 2, kernel);
+            assert_eq!(sky, vec![r.clone()], "{kernel:?}");
             assert_eq!(deferred, 2);
         }
     }
@@ -998,9 +979,9 @@ mod tests {
             v.sort();
             v
         };
-        for vectorized in [false, true] {
-            let (tree, _) = tree_merge(&data, &checker, 3, 2, vectorized);
-            assert_eq!(key(&tree), key(&flat), "v={vectorized}");
+        for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
+            let (tree, _) = tree_merge(&data, &checker, 3, 2, kernel);
+            assert_eq!(key(&tree), key(&flat), "{kernel:?}");
         }
     }
 }

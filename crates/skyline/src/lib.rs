@@ -17,10 +17,10 @@
 //! * [`columnar`] — the struct-of-arrays dominance kernel: row windows are
 //!   transposed into sign-normalized `i64`/`f64` column buffers once, and
 //!   candidates are tested against the whole window in chunked or
-//!   explicit-SIMD passes (AVX2/SSE2, runtime-dispatched), one candidate
-//!   at a time or [`columnar::MULTI_LANES`] at once; the batched BNL/SFS
-//!   variants, the pre-filter, the incomplete family's class blocks, and
-//!   the grid partitioner's corner pruning run on it.
+//!   explicit-SIMD passes (AVX2, runtime-dispatched), one candidate at a
+//!   time or [`columnar::MULTI_LANES`] at once; the batched BNL window, the
+//!   pre-filter, the incomplete family's class blocks, and the grid
+//!   partitioner's corner pruning run on it.
 //! * [`incomplete`] — null-bitmap partitioning and the all-pairs,
 //!   deferred-deletion global skyline for incomplete data (§5.7 and
 //!   Lemma 5.1); the mergeable bitmap-class-aware partial results that
@@ -52,24 +52,18 @@ pub mod incomplete;
 pub mod maintain;
 pub mod naive;
 pub mod prefilter;
-pub mod sfs;
 
-pub use bnl::{
-    bnl_skyline, bnl_skyline_batched, bnl_skyline_kernel, cross_filter, BnlBuilder,
-    CrossFilterScratch,
-};
+pub use bnl::{bnl_skyline, cross_filter, BnlBuilder, CrossFilterScratch};
 pub use columnar::{
     kernel_label, BatchResult, ColumnarBlock, EncodedCandidate, KernelTier, MultiBatchResult,
     PointBlock, CANDIDATE_FIRST_CHUNK, CHUNK, MULTI_LANES,
 };
 pub use dominance::{Dominance, DominanceChecker, SkylineStats};
 pub use incomplete::{
-    incomplete_global_skyline, incomplete_skyline, merge_incomplete_partials,
-    merge_incomplete_partials_kernel, null_bitmap, partition_by_null_bitmap,
-    premature_deletion_global_skyline, GroupedBnlBuilder, IncompletePartial,
-    IncompletePartialBuilder,
+    incomplete_global_skyline, incomplete_skyline, merge_incomplete_partials, null_bitmap,
+    partition_by_null_bitmap, premature_deletion_global_skyline, GroupedBnlBuilder,
+    IncompletePartial, IncompletePartialBuilder,
 };
 pub use maintain::{MaintainedSkyline, SkylineDelta};
 pub use naive::naive_skyline;
 pub use prefilter::{representative_points, RepresentativeFilter};
-pub use sfs::{monotone_score, sfs_skyline, sfs_skyline_batched, sfs_skyline_kernel};

@@ -409,7 +409,7 @@ fn diff_ordered(before: &[Row], after: &[Row]) -> SkylineDelta {
 mod tests {
     use super::*;
     use crate::bnl::bnl_skyline;
-    use sparkline_common::{SkylineDim, Value};
+    use sparkline_common::{DominanceKernel, SkylineDim, Value};
 
     fn row2(a: i64, b: i64) -> Row {
         Row::new(vec![Value::Int64(a), Value::Int64(b)])
@@ -428,6 +428,7 @@ mod tests {
             rows.iter().cloned(),
             &DominanceChecker::complete(spec.clone()),
             &mut stats,
+            DominanceKernel::Scalar,
         )
     }
 

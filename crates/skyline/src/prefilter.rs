@@ -35,7 +35,7 @@
 
 use sparkline_common::{DominanceKernel, Row, SkylineSpec};
 
-use crate::bnl::{bnl_skyline, kernel_for};
+use crate::bnl::bnl_skyline;
 use crate::columnar::{ColumnarBlock, EncodedCandidate, MULTI_LANES};
 use crate::dominance::{Dominance, DominanceChecker, SkylineStats};
 
@@ -52,7 +52,12 @@ pub fn representative_points(sample: &[Row], spec: &SkylineSpec, max_points: usi
     let dedup_spec = SkylineSpec::distinct(spec.dims.clone());
     let checker = DominanceChecker::complete(dedup_spec);
     let mut stats = SkylineStats::default();
-    let mut points = bnl_skyline(sample.iter().cloned(), &checker, &mut stats);
+    let mut points = bnl_skyline(
+        sample.iter().cloned(),
+        &checker,
+        &mut stats,
+        DominanceKernel::Scalar,
+    );
     points.truncate(max_points);
     points
 }
@@ -72,13 +77,7 @@ pub struct RepresentativeFilter {
 
 impl RepresentativeFilter {
     /// Filter over `points` (from [`representative_points`]) under the
-    /// complete relation of `spec` ([`DominanceKernel::Auto`] when
-    /// `vectorized`).
-    pub fn new(points: Vec<Row>, spec: &SkylineSpec, vectorized: bool) -> Self {
-        Self::with_kernel(points, spec, kernel_for(vectorized))
-    }
-
-    /// [`new`](Self::new) on an explicit kernel knob.
+    /// complete relation of `spec`, on an explicit kernel knob.
     pub fn with_kernel(points: Vec<Row>, spec: &SkylineSpec, kernel: DominanceKernel) -> Self {
         let checker = DominanceChecker::complete(spec.clone());
         let block = kernel.is_vectorized().then(|| {
@@ -244,16 +243,16 @@ mod tests {
         let points = representative_points(&sample, &spec2(), 16);
         let checker = DominanceChecker::complete(spec2());
         let oracle = naive_skyline(&all, &checker);
-        for vectorized in [false, true] {
-            let mut filter = RepresentativeFilter::new(points.clone(), &spec2(), vectorized);
+        for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
+            let mut filter = RepresentativeFilter::with_kernel(points.clone(), &spec2(), kernel);
             let mut stats = SkylineStats::default();
             let (kept, dropped) = filter.retain_batch(all.clone(), &mut stats);
-            assert!(dropped > 0, "vectorized={vectorized}");
+            assert!(dropped > 0, "{kernel:?}");
             assert_eq!(kept.len() as u64 + dropped, all.len() as u64);
             for member in &oracle {
                 assert!(
                     kept.contains(member),
-                    "vectorized={vectorized}: dropped skyline member {member}"
+                    "{kernel:?}: dropped skyline member {member}"
                 );
             }
             // Survivors have the same skyline as the full input.
@@ -264,7 +263,7 @@ mod tests {
             filtered_sky.sort();
             let mut full_sky: Vec<String> = oracle.iter().map(|r| r.to_string()).collect();
             full_sky.sort();
-            assert_eq!(filtered_sky, full_sky, "vectorized={vectorized}");
+            assert_eq!(filtered_sky, full_sky, "{kernel:?}");
             assert!(stats.dominance_tests > 0);
         }
     }
@@ -274,14 +273,14 @@ mod tests {
         let data: Vec<(i64, i64)> = (0..200).map(|i| ((i * 29) % 61, (i * 41) % 61)).collect();
         let all = rows(&data);
         let points = representative_points(&all[..40], &spec2(), 8);
-        let run = |vectorized: bool| {
-            let mut f = RepresentativeFilter::new(points.clone(), &spec2(), vectorized);
+        let run = |kernel: DominanceKernel| {
+            let mut f = RepresentativeFilter::with_kernel(points.clone(), &spec2(), kernel);
             let mut stats = SkylineStats::default();
             let (kept, dropped) = f.retain_batch(all.clone(), &mut stats);
             (kept, dropped, stats)
         };
-        let (scalar_kept, scalar_dropped, s) = run(false);
-        let (vec_kept, vec_dropped, v) = run(true);
+        let (scalar_kept, scalar_dropped, s) = run(DominanceKernel::Scalar);
+        let (vec_kept, vec_dropped, v) = run(DominanceKernel::Auto);
         assert_eq!(scalar_kept, vec_kept, "byte-identical survivors");
         assert_eq!(scalar_dropped, vec_dropped);
         assert_eq!(s.batched_tests, 0);
@@ -294,7 +293,7 @@ mod tests {
     fn null_rows_and_equal_rows_pass_through() {
         let spec = spec2();
         let points = representative_points(&rows(&[(1, 1)]), &spec, 8);
-        let mut filter = RepresentativeFilter::new(points, &spec, true);
+        let mut filter = RepresentativeFilter::with_kernel(points, &spec, DominanceKernel::Auto);
         let mut stats = SkylineStats::default();
         let batch = vec![
             Row::new(vec![Value::Null, Value::Int64(100)]), // incomparable
@@ -314,7 +313,8 @@ mod tests {
         // scalar checker (which keeps incomparable strings).
         let spec = SkylineSpec::new(vec![SkylineDim::min(0), SkylineDim::min(1)]);
         let point = Row::new(vec![Value::str("a"), Value::Int64(1)]);
-        let mut filter = RepresentativeFilter::new(vec![point], &spec, true);
+        let mut filter =
+            RepresentativeFilter::with_kernel(vec![point], &spec, DominanceKernel::Auto);
         let mut stats = SkylineStats::default();
         let batch = vec![
             Row::new(vec![Value::str("a"), Value::Int64(5)]), // dominated
@@ -329,7 +329,8 @@ mod tests {
 
     #[test]
     fn empty_filter_is_a_no_op() {
-        let mut filter = RepresentativeFilter::new(Vec::new(), &spec2(), true);
+        let mut filter =
+            RepresentativeFilter::with_kernel(Vec::new(), &spec2(), DominanceKernel::Auto);
         assert!(filter.is_empty());
         assert_eq!(filter.len(), 0);
         let mut stats = SkylineStats::default();

@@ -9,12 +9,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sparkline_common::{Row, SkylineDim, SkylineSpec, SkylineType, Value};
+use sparkline_common::{DominanceKernel, Row, SkylineDim, SkylineSpec, SkylineType, Value};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
-use sparkline_skyline::{
-    bnl_skyline, bnl_skyline_batched, sfs_skyline, sfs_skyline_batched, ColumnarBlock,
-    DominanceChecker, SkylineStats, MULTI_LANES,
-};
+use sparkline_skyline::{bnl_skyline, ColumnarBlock, DominanceChecker, SkylineStats, MULTI_LANES};
+
+/// The kernel knobs that route through the columnar block; each must match
+/// the `Scalar` knob row for row.
+const VECTORIZED: [DominanceKernel; 2] = [DominanceKernel::Chunked, DominanceKernel::Auto];
 
 /// Numeric-leaning values (the kernel's fast path) with NULLs mixed in.
 fn numeric_value() -> BoxedStrategy<Value> {
@@ -222,7 +223,7 @@ proptest! {
     /// End-to-end: batched BNL is byte-identical (rows *and* order) to
     /// scalar BNL on arbitrary value mixes — including strings, booleans,
     /// and NULLs that force the scalar-fallback path — for every
-    /// MIN/MAX/DIFF/DISTINCT spec combination.
+    /// MIN/MAX/DIFF/DISTINCT spec combination, on every vectorized knob.
     #[test]
     fn batched_bnl_matches_scalar_on_wild_values(
         rows in rows_of(wild_value(), 3, 40),
@@ -232,11 +233,13 @@ proptest! {
         let checker =
             DominanceChecker::complete(spec(3, with_diff == 1, distinct == 1));
         let mut s1 = SkylineStats::default();
-        let scalar = bnl_skyline(rows.clone(), &checker, &mut s1);
-        let mut s2 = SkylineStats::default();
-        let batched = bnl_skyline_batched(rows, &checker, &mut s2);
-        prop_assert_eq!(scalar, batched);
-        prop_assert_eq!(s2.dominance_tests, s2.batched_tests + s2.scalar_tests);
+        let scalar = bnl_skyline(rows.clone(), &checker, &mut s1, DominanceKernel::Scalar);
+        for kernel in VECTORIZED {
+            let mut s2 = SkylineStats::default();
+            let batched = bnl_skyline(rows.clone(), &checker, &mut s2, kernel);
+            prop_assert_eq!(&scalar, &batched, "{:?}", kernel);
+            prop_assert_eq!(s2.dominance_tests, s2.batched_tests + s2.scalar_tests);
+        }
     }
 
     /// Batched BNL under the incomplete relation (the local phase runs it
@@ -245,26 +248,12 @@ proptest! {
     fn batched_bnl_matches_scalar_incomplete(rows in rows_of(numeric_value(), 3, 40)) {
         let checker = DominanceChecker::incomplete(spec(3, false, false));
         let mut s1 = SkylineStats::default();
-        let scalar = bnl_skyline(rows.clone(), &checker, &mut s1);
-        let mut s2 = SkylineStats::default();
-        let batched = bnl_skyline_batched(rows, &checker, &mut s2);
-        prop_assert_eq!(scalar, batched);
-    }
-
-    /// End-to-end: batched SFS equals scalar SFS (same rows, same order),
-    /// and both record the same number of sort-discarding fallbacks.
-    #[test]
-    fn batched_sfs_matches_scalar_on_wild_values(
-        rows in rows_of(wild_value(), 3, 40),
-        distinct in 0u8..2,
-    ) {
-        let checker = DominanceChecker::complete(spec(3, false, distinct == 1));
-        let mut s1 = SkylineStats::default();
-        let scalar = sfs_skyline(rows.clone(), &checker, &mut s1);
-        let mut s2 = SkylineStats::default();
-        let batched = sfs_skyline_batched(rows, &checker, &mut s2);
-        prop_assert_eq!(scalar, batched);
-        prop_assert_eq!(s1.sfs_fallbacks, s2.sfs_fallbacks);
+        let scalar = bnl_skyline(rows.clone(), &checker, &mut s1, DominanceKernel::Scalar);
+        for kernel in VECTORIZED {
+            let mut s2 = SkylineStats::default();
+            let batched = bnl_skyline(rows.clone(), &checker, &mut s2, kernel);
+            prop_assert_eq!(&scalar, &batched, "{:?}", kernel);
+        }
     }
 }
 
@@ -288,18 +277,14 @@ proptest! {
         };
         let checker = DominanceChecker::complete(spec(dims, false, false));
         let mut s1 = SkylineStats::default();
-        let scalar = bnl_skyline(rows.clone(), &checker, &mut s1);
-        let mut s2 = SkylineStats::default();
-        let batched = bnl_skyline_batched(rows.clone(), &checker, &mut s2);
-        prop_assert_eq!(&scalar, &batched);
-        // Float data never demotes the block: the win is fully attributed
-        // to the kernel.
-        prop_assert_eq!(s2.scalar_tests, 0);
-        // SFS agrees too.
-        let mut s3 = SkylineStats::default();
-        let sfs_s = sfs_skyline(rows.clone(), &checker, &mut s3);
-        let mut s4 = SkylineStats::default();
-        let sfs_b = sfs_skyline_batched(rows, &checker, &mut s4);
-        prop_assert_eq!(sfs_s, sfs_b);
+        let scalar = bnl_skyline(rows.clone(), &checker, &mut s1, DominanceKernel::Scalar);
+        for kernel in VECTORIZED {
+            let mut s2 = SkylineStats::default();
+            let batched = bnl_skyline(rows.clone(), &checker, &mut s2, kernel);
+            prop_assert_eq!(&scalar, &batched, "{:?}", kernel);
+            // Float data never demotes the block: the win is fully
+            // attributed to the kernel.
+            prop_assert_eq!(s2.scalar_tests, 0);
+        }
     }
 }

@@ -4,10 +4,10 @@
 
 use proptest::prelude::*;
 
-use sparkline_common::{Row, SkylineDim, SkylineSpec, SkylineType, Value};
+use sparkline_common::{DominanceKernel, Row, SkylineDim, SkylineSpec, SkylineType, Value};
 use sparkline_skyline::{
     bnl_skyline, incomplete_global_skyline, incomplete_skyline, naive_skyline,
-    partition_by_null_bitmap, sfs_skyline, DominanceChecker, SkylineStats,
+    partition_by_null_bitmap, DominanceChecker, SkylineStats,
 };
 
 /// Small-domain integer values to provoke dominance, equality, and NULLs.
@@ -64,7 +64,7 @@ proptest! {
     fn bnl_matches_naive_complete(rows in rows_strategy(3, false, 40)) {
         let checker = DominanceChecker::complete(spec(3, false, false));
         let mut stats = SkylineStats::default();
-        let bnl = bnl_skyline(rows.clone(), &checker, &mut stats);
+        let bnl = bnl_skyline(rows.clone(), &checker, &mut stats, DominanceKernel::Scalar);
         let oracle = naive_skyline(&rows, &checker);
         prop_assert_eq!(sorted_display(&bnl), sorted_display(&oracle));
     }
@@ -74,7 +74,7 @@ proptest! {
     fn bnl_matches_naive_with_diff(rows in rows_strategy(3, false, 40)) {
         let checker = DominanceChecker::complete(spec(3, true, false));
         let mut stats = SkylineStats::default();
-        let bnl = bnl_skyline(rows.clone(), &checker, &mut stats);
+        let bnl = bnl_skyline(rows.clone(), &checker, &mut stats, DominanceKernel::Scalar);
         let oracle = naive_skyline(&rows, &checker);
         prop_assert_eq!(sorted_display(&bnl), sorted_display(&oracle));
     }
@@ -84,7 +84,7 @@ proptest! {
     fn bnl_distinct_matches_naive(rows in rows_strategy(2, false, 40)) {
         let checker = DominanceChecker::complete(spec(2, false, true));
         let mut stats = SkylineStats::default();
-        let bnl = bnl_skyline(rows.clone(), &checker, &mut stats);
+        let bnl = bnl_skyline(rows.clone(), &checker, &mut stats, DominanceKernel::Scalar);
         let oracle = naive_skyline(&rows, &checker);
         // Representative choice is arbitrary; compare dim-value multisets.
         fn key(r: &Row) -> String {
@@ -123,8 +123,8 @@ proptest! {
     fn skyline_idempotent(rows in rows_strategy(3, false, 40)) {
         let checker = DominanceChecker::complete(spec(3, false, false));
         let mut stats = SkylineStats::default();
-        let once = bnl_skyline(rows, &checker, &mut stats);
-        let twice = bnl_skyline(once.clone(), &checker, &mut stats);
+        let once = bnl_skyline(rows, &checker, &mut stats, DominanceKernel::Scalar);
+        let twice = bnl_skyline(once.clone(), &checker, &mut stats, DominanceKernel::Scalar);
         prop_assert_eq!(sorted_display(&once), sorted_display(&twice));
     }
 
@@ -139,9 +139,9 @@ proptest! {
         let mut stats = SkylineStats::default();
         let mut union_input = r.clone();
         union_input.extend(s.clone());
-        let global = bnl_skyline(union_input, &checker, &mut stats);
-        let mut locals = bnl_skyline(r, &checker, &mut stats);
-        locals.extend(bnl_skyline(s, &checker, &mut stats));
+        let global = bnl_skyline(union_input, &checker, &mut stats, DominanceKernel::Scalar);
+        let mut locals = bnl_skyline(r, &checker, &mut stats, DominanceKernel::Scalar);
+        locals.extend(bnl_skyline(s, &checker, &mut stats, DominanceKernel::Scalar));
         let locals_set: std::collections::HashSet<String> =
             locals.iter().map(|x| x.to_string()).collect();
         for row in &global {
@@ -159,12 +159,12 @@ proptest! {
     ) {
         let checker = DominanceChecker::complete(spec(3, false, false));
         let mut stats = SkylineStats::default();
-        let direct = bnl_skyline(rows.clone(), &checker, &mut stats);
+        let direct = bnl_skyline(rows.clone(), &checker, &mut stats, DominanceKernel::Scalar);
         let cut = cut.min(rows.len());
         let (p1, p2) = rows.split_at(cut);
-        let mut locals = bnl_skyline(p1.to_vec(), &checker, &mut stats);
-        locals.extend(bnl_skyline(p2.to_vec(), &checker, &mut stats));
-        let two_phase = bnl_skyline(locals, &checker, &mut stats);
+        let mut locals = bnl_skyline(p1.to_vec(), &checker, &mut stats, DominanceKernel::Scalar);
+        locals.extend(bnl_skyline(p2.to_vec(), &checker, &mut stats, DominanceKernel::Scalar));
+        let two_phase = bnl_skyline(locals, &checker, &mut stats, DominanceKernel::Scalar);
         prop_assert_eq!(sorted_display(&direct), sorted_display(&two_phase));
     }
 
@@ -177,7 +177,7 @@ proptest! {
         let direct = incomplete_global_skyline(rows.clone(), &checker, &mut stats);
         let mut candidates = Vec::new();
         for (_, part) in partition_by_null_bitmap(rows, checker.spec()) {
-            candidates.extend(bnl_skyline(part, &checker, &mut stats));
+            candidates.extend(bnl_skyline(part, &checker, &mut stats, DominanceKernel::Scalar));
         }
         let two_phase = incomplete_global_skyline(candidates, &checker, &mut stats);
         prop_assert_eq!(sorted_display(&direct), sorted_display(&two_phase));
@@ -189,7 +189,7 @@ proptest! {
     fn membership_is_exact(rows in rows_strategy(2, false, 30)) {
         let checker = DominanceChecker::complete(spec(2, false, false));
         let mut stats = SkylineStats::default();
-        let sky = bnl_skyline(rows.clone(), &checker, &mut stats);
+        let sky = bnl_skyline(rows.clone(), &checker, &mut stats, DominanceKernel::Scalar);
         let sky_set: std::collections::HashSet<String> =
             sky.iter().map(|r| r.to_string()).collect();
         for row in &rows {
@@ -203,29 +203,6 @@ proptest! {
                 sky_set.contains(&row.to_string())
             );
         }
-    }
-
-    /// Sort-Filter-Skyline equals the oracle (and hence BNL) on complete
-    /// data, for every dimension-type mix including DIFF and DISTINCT.
-    #[test]
-    fn sfs_matches_naive(rows in rows_strategy(3, false, 40)) {
-        let checker = DominanceChecker::complete(spec(3, true, false));
-        let mut stats = SkylineStats::default();
-        let ours = sfs_skyline(rows.clone(), &checker, &mut stats);
-        let oracle = naive_skyline(&rows, &checker);
-        prop_assert_eq!(sorted_display(&ours), sorted_display(&oracle));
-    }
-
-    /// SFS's window is insert-only: it never grows beyond the final
-    /// skyline (whereas BNL's window can transiently hold tuples that are
-    /// evicted later). This is the structural advantage of presorting.
-    #[test]
-    fn sfs_window_never_exceeds_skyline_size(rows in rows_strategy(3, false, 60)) {
-        let checker = DominanceChecker::complete(spec(3, false, false));
-        let mut sfs_stats = SkylineStats::default();
-        let result = sfs_skyline(rows, &checker, &mut sfs_stats);
-        prop_assert!(sfs_stats.max_window <= result.len().max(1),
-            "window {} > skyline {}", sfs_stats.max_window, result.len());
     }
 
     /// Dominance on complete data is transitive (the property the BNL

@@ -139,11 +139,4 @@ proptest! {
         let (got, expected) = run_case(&case, false, Algorithm::Reference);
         prop_assert_eq!(got, expected);
     }
-
-    /// The Sort-Filter-Skyline extension agrees with the oracle.
-    #[test]
-    fn sort_filter_skyline_matches_oracle(case in case_strategy(false)) {
-        let (got, expected) = run_case(&case, false, Algorithm::SortFilterSkyline);
-        prop_assert_eq!(got, expected);
-    }
 }

@@ -21,7 +21,7 @@ mod common;
 use common::{distribution_rows, DISTRIBUTIONS};
 use proptest::prelude::*;
 use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
-use sparkline_common::{SkylineDim, SkylineSpec};
+use sparkline_common::{DominanceKernel, SkylineDim, SkylineSpec};
 use sparkline_server::{render_rows, QueryService, ServerClient, ServerConfig, SkylineServer};
 use sparkline_skyline::{bnl_skyline, DominanceChecker, MaintainedSkyline, SkylineStats};
 
@@ -33,7 +33,12 @@ fn min_spec(dims: usize) -> SkylineSpec {
 /// The cold-recompute oracle: order-preserving BNL over the live rows.
 fn recompute(rows: &[Row], dims: usize) -> Vec<Row> {
     let checker = DominanceChecker::complete(min_spec(dims));
-    bnl_skyline(rows.iter().cloned(), &checker, &mut SkylineStats::default())
+    bnl_skyline(
+        rows.iter().cloned(),
+        &checker,
+        &mut SkylineStats::default(),
+        DominanceKernel::Scalar,
+    )
 }
 
 /// Assert the maintained skyline is byte-identical (rows AND order) to

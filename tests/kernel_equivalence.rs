@@ -1,12 +1,12 @@
 //! Differential suite for the dominance-kernel knob: forcing
-//! `dominance_kernel` to `scalar`, `chunked`, `simd`, or `auto` must be
+//! `dominance_kernel` to `scalar`, `chunked`, or `auto` must be
 //! invisible in the results — byte-identical rows in identical order on
 //! every cell of the shared Börzsönyi matrix (3 distributions × dims
 //! {2, 4, 8} × NULL fractions), on DIFF/MIN/MAX dimension mixes, and on
 //! non-numeric DIFF columns that demote the kernel to its scalar
 //! fallback. Only the performed-test counters may differ between knobs,
 //! and those must attribute the work consistently: the scalar knob
-//! batches nothing, the chunked knob runs no SIMD tests, and the SIMD
+//! batches nothing, the chunked knob runs no SIMD tests, and the auto
 //! knob reports `simd_tests` exactly when the host has a SIMD tier.
 
 mod common;
@@ -19,10 +19,9 @@ use sparkline::{
 use sparkline_skyline::KernelTier;
 
 /// Every setting of the knob, scalar baseline first.
-const KERNELS: [DominanceKernel; 4] = [
+const KERNELS: [DominanceKernel; 3] = [
     DominanceKernel::Scalar,
     DominanceKernel::Chunked,
-    DominanceKernel::Simd,
     DominanceKernel::Auto,
 ];
 
@@ -169,7 +168,7 @@ fn forced_knobs_attribute_work_to_the_right_tier() {
     assert_eq!(chunked.simd_tests, 0, "chunked knob must not use SIMD");
     assert!(chunked.multi_candidate_passes > 0, "{chunked:?}");
 
-    let simd = run(DominanceKernel::Simd);
+    let simd = run(DominanceKernel::Auto);
     assert!(simd.batched_tests > 0, "{simd:?}");
     assert!(simd.multi_candidate_passes > 0, "{simd:?}");
     assert!(

@@ -161,28 +161,6 @@ fn angle_partitioning_is_semantically_neutral() {
 }
 
 #[test]
-fn sort_filter_skyline_algorithm_is_semantically_neutral() {
-    let ctx = session(SessionConfig::default().with_executors(3));
-    for d in [2usize, 4, 6] {
-        let sql = skyline_query_for("airbnb", &airbnb::SKYLINE_DIMS, d, true);
-        let df = ctx.sql(&sql).unwrap();
-        let bnl = df
-            .collect_with_algorithm(Algorithm::DistributedComplete)
-            .unwrap();
-        let sfs = df
-            .collect_with_algorithm(Algorithm::SortFilterSkyline)
-            .unwrap();
-        assert_eq!(bnl.sorted_display(), sfs.sorted_display(), "dims={d}");
-    }
-    let explain = ctx
-        .sql(&skyline_query_for("airbnb", &airbnb::SKYLINE_DIMS, 3, true))
-        .unwrap()
-        .explain_with(Algorithm::SortFilterSkyline)
-        .unwrap();
-    assert!(explain.contains("SFS"), "{explain}");
-}
-
-#[test]
 fn adaptive_explain_shows_strategy_sample_and_prefilter() {
     use sparkline::SkylineStrategy;
     let ctx = session(

@@ -97,7 +97,6 @@ fn disk_tables_match_memory_tables_on_every_kernel() {
     for kernel in [
         DominanceKernel::Scalar,
         DominanceKernel::Chunked,
-        DominanceKernel::Simd,
         DominanceKernel::Auto,
     ] {
         let config = SessionConfig::default()

@@ -118,10 +118,6 @@ fn streaming_matches_materialized_across_operators() {
             ));
             q.push((
                 format!("SELECT * FROM {table} SKYLINE OF d0 MIN, d1 MIN"),
-                Algorithm::SortFilterSkyline,
-            ));
-            q.push((
-                format!("SELECT * FROM {table} SKYLINE OF d0 MIN, d1 MIN"),
                 Algorithm::NonDistributedComplete,
             ));
             q.push((
