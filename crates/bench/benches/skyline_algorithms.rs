@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparkline_common::{DominanceKernel, Row, SkylineDim, SkylineSpec, Value};
+use sparkline_common::{DominanceKernel, QueryControl, Row, SkylineDim, SkylineSpec, Value};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
 use sparkline_skyline::{
     bnl_skyline, incomplete_global_skyline, BnlBuilder, DominanceChecker, SkylineStats,
@@ -63,10 +63,11 @@ fn bench_bnl_vs_all_pairs(c: &mut Criterion) {
             bnl_skyline(data.clone(), &complete, &mut stats, DominanceKernel::Scalar)
         })
     });
+    let unlimited = QueryControl::unlimited();
     group.bench_function("all_pairs_flagged", |b| {
         b.iter(|| {
             let mut stats = SkylineStats::default();
-            incomplete_global_skyline(data.clone(), &incomplete, &mut stats)
+            incomplete_global_skyline(data.clone(), &incomplete, &mut stats, &unlimited)
         })
     });
     group.finish();

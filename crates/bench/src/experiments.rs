@@ -30,8 +30,8 @@ pub struct Report {
 pub fn all_ids() -> Vec<&'static str> {
     vec![
         "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-        "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "ext1", "ext2", "ext3", "ext4",
-        "ext5", "ext6", "ext7", "ext8", "ext9", "ext10", "ext11",
+        "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "ext1", "ext3", "ext4", "ext5",
+        "ext6", "ext7", "ext8", "ext9", "ext10", "ext11",
     ]
 }
 
@@ -58,7 +58,6 @@ pub fn run(id: &str, ctx: &mut EvalContext, quick: bool) -> Vec<Report> {
         "fig18" => musicbrainz_executors_grid(ctx, quick, "fig18", Metric::Time),
         "fig19" => musicbrainz_executors_grid(ctx, quick, "fig19", Metric::Memory),
         "ext1" => ext1_partitioning_schemes(ctx, quick),
-        "ext2" => ext2_hierarchical_merge(ctx, quick),
         "ext3" => ext3_vectorized_dominance(quick),
         "ext4" => ext4_streaming_execution(quick),
         "ext5" => ext5_adaptive_planning(quick),
@@ -681,10 +680,9 @@ fn musicbrainz_executors_grid(
 
 /// ext5: statistics-driven adaptive planning vs every fixed partitioning
 /// scheme, per Börzsönyi distribution. Also writes the machine-readable
-/// `BENCH_PR4.json` (adaptive vs best/worst fixed wall clock, the chosen
-/// scheme, and the rows the representative pre-filter discarded) so the
-/// adaptive trajectory is tracked from PR 4 on; set `BENCH_PR4_OUT` to
-/// redirect the file.
+/// `BENCH_PR4.json` (adaptive vs best/worst fixed wall clock and the rows
+/// the representative pre-filter discarded) so the adaptive trajectory is
+/// tracked across changes; set `BENCH_PR4_OUT` to redirect the file.
 fn ext5_adaptive_planning(quick: bool) -> Vec<Report> {
     let path = std::env::var("BENCH_PR4_OUT").unwrap_or_else(|_| "BENCH_PR4.json".to_string());
     let bench = crate::adaptive_bench::write_bench_pr4(&path, quick)
@@ -692,10 +690,9 @@ fn ext5_adaptive_planning(quick: bool) -> Vec<Report> {
     eprintln!("    wrote {path}");
     for s in &bench.summaries {
         eprintln!(
-            "    [{:<15}] chose {} ({:.3}s; fixed field {:.3}s..{:.3}s), \
+            "    [{:<15}] adaptive {:.3}s (fixed field {:.3}s..{:.3}s), \
              pre-filter dropped {} rows",
             s.distribution,
-            s.chosen,
             s.adaptive_secs,
             s.best_fixed_secs,
             s.worst_fixed_secs,
@@ -1109,8 +1106,7 @@ fn metric_name(metric: Metric) -> &'static str {
 }
 
 // ---------------------------------------------------------------------
-// Extension experiments (beyond the paper): the pluggable partitioning
-// subsystem and the hierarchical global merge.
+// Extension experiments (beyond the paper): local-phase partitioning.
 // ---------------------------------------------------------------------
 
 /// ext1: partitioning schemes vs dimensions on an anti-correlated dataset
@@ -1124,10 +1120,7 @@ fn ext1_partitioning_schemes(ctx: &mut EvalContext, quick: bool) -> Vec<Report> 
     let dims_points: Vec<usize> = vec![2, 3];
     let schemes = [
         ("standard", SkylinePartitioning::Standard),
-        ("even", SkylinePartitioning::Even),
-        ("hash", SkylinePartitioning::Hash),
         ("angle", SkylinePartitioning::AngleBased),
-        ("grid", SkylinePartitioning::Grid),
     ];
     let mut series = Vec::new();
     for (label, scheme) in schemes {
@@ -1204,59 +1197,6 @@ fn ext3_vectorized_dominance(quick: bool) -> Vec<Report> {
         ),
         x_label: "dimensions",
         x_values: dims.iter().map(|d| d.to_string()).collect(),
-        series,
-        metric: Metric::Time,
-        with_relative: false,
-    }]
-}
-
-/// ext2: flat vs hierarchical global merge over the executor count. The
-/// hierarchical merge pays off once the gathered local skylines are large
-/// enough that the single-executor global pass dominates the runtime.
-fn ext2_hierarchical_merge(ctx: &mut EvalContext, quick: bool) -> Vec<Report> {
-    use sparkline::SessionConfig;
-    let n = if quick { 2_000 } else { 20_000 };
-    let (table, _rows) = ctx.anti_correlated(n, 3);
-    let sql = format!("SELECT * FROM {table} SKYLINE OF COMPLETE d0 MIN, d1 MIN, d2 MIN");
-    let executor_counts: Vec<usize> = if quick { vec![2, 5] } else { vec![2, 5, 10] };
-    type ConfigFor = Box<dyn Fn(usize) -> SessionConfig>;
-    let variants: [(&str, ConfigFor); 2] = [
-        (
-            "flat merge",
-            Box::new(|e| {
-                SessionConfig::default()
-                    .with_executors(e)
-                    .with_hierarchical_merge_min_partitions(usize::MAX)
-            }),
-        ),
-        (
-            "hierarchical merge",
-            Box::new(|e| {
-                SessionConfig::default()
-                    .with_executors(e)
-                    .with_hierarchical_merge_min_partitions(2)
-                    .with_merge_fan_in(2)
-            }),
-        ),
-    ];
-    let mut series = Vec::new();
-    for (label, mk_config) in &variants {
-        let mut cells = Vec::new();
-        for &e in &executor_counts {
-            eprint!("    [{label:<20}] executors={e} ... ");
-            let m = ctx
-                .run_with_config(&sql, Algorithm::DistributedComplete, mk_config(e))
-                .unwrap_or_else(|err| panic!("ext2 failed ({sql}): {err}"));
-            eprintln!("{:.3}s ({} rows)", m.secs.unwrap_or_default(), m.rows);
-            cells.push(Cell::from_measurement(&m, Metric::Time));
-        }
-        series.push((label.to_string(), cells));
-    }
-    vec![Report {
-        id: "ext2".into(),
-        title: format!("Extension 2: flat vs hierarchical global merge ({n} rows)"),
-        x_label: "executors",
-        x_values: executor_counts.iter().map(|e| e.to_string()).collect(),
         series,
         metric: Metric::Time,
         with_relative: false,

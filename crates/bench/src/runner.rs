@@ -236,8 +236,8 @@ impl EvalContext {
     }
 
     /// Run one cell under a fully custom [`SessionConfig`] — the
-    /// partitioning / hierarchical-merge experiments use this to sweep the
-    /// strategy knobs the default [`EvalContext::run`] leaves alone.
+    /// partitioning experiment uses this to sweep the knob the default
+    /// [`EvalContext::run`] leaves alone.
     pub fn run_with_config(
         &self,
         sql: &str,

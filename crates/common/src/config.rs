@@ -27,13 +27,11 @@ pub enum SkylineStrategy {
     /// Algorithm (3): null-bitmap partitioned local skylines + all-pairs
     /// flagged global skyline. Valid on any data.
     DistributedIncomplete,
-    /// Extension beyond the paper: statistics-driven planning. The
-    /// algorithm family still follows Listing 8 (like `Auto`), but the
-    /// local-phase partitioning scheme, the global merge strategy, the
-    /// grid granularity, and the representative-point pre-filter are
-    /// chosen from a seeded sample of the input
-    /// (`sparkline_common::stats`) instead of the static config knobs.
-    /// Any fixed setting preserves the old behavior.
+    /// Extension beyond the paper: statistics-driven planning. The plan
+    /// shape is `Auto`'s (Listing 8, the configured partitioning, the
+    /// pairwise merge), but a seeded sample of the input
+    /// (`sparkline_common::stats`) feeds the representative-point
+    /// pre-filter and, on the incomplete family, the global merge choice.
     Adaptive,
 }
 
@@ -54,28 +52,20 @@ impl SkylineStrategy {
 /// partitioned across executors.
 ///
 /// `Standard` keeps the child's distribution, "avoid\[ing\] unnecessary
-/// communication cost" (paper §2/§5.6). The remaining variants select a
-/// strategy from the pluggable partitioning subsystem in
-/// `sparkline_exec::partitioner`; all of them are semantically neutral
-/// (the two-phase skyline is sound under any partitioning of complete
-/// data), differing only in balance and local pruning power.
+/// communication cost" (paper §2/§5.6). `AngleBased` re-routes every row
+/// through an exchange before the local phase
+/// (`sparkline_exec::partition::angle_partition`). Both are semantically
+/// neutral (the two-phase skyline is sound under any partitioning of
+/// complete data); they differ only in balance and local pruning power.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SkylinePartitioning {
     /// Inherit the input partitioning (the paper's choice).
     #[default]
     Standard,
-    /// Contiguous even re-split across the executor count.
-    Even,
-    /// Hash on the skyline-dimension values: identical trade-offs share an
-    /// executor, collapsing ties during the local phase.
-    Hash,
     /// Angle-based repartitioning before the local phase (Vlachou et al.,
-    /// the paper's §7 future work).
+    /// the paper's §7 future work). Needs two ranked dimensions; below
+    /// that the planner keeps `Standard`.
     AngleBased,
-    /// MR-GRID-style grid partitioning with dominated-cell pruning: cells
-    /// whose best corner is dominated by another cell's worst corner are
-    /// dropped before any local skyline runs.
-    Grid,
 }
 
 /// Which dominance-kernel implementation the skyline operators run on.
@@ -108,20 +98,20 @@ impl DominanceKernel {
     }
 }
 
-/// How the global skyline phase combines the gathered local skylines.
+/// How the **incomplete** family's global phase combines the per-class
+/// local skylines (`IncompleteGlobalSkylineExec`). The complete family has
+/// one global merge, the pairwise cross-filter of `GlobalSkylineExec`, and
+/// no setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MergeStrategy {
-    /// One round over all local skylines. The complete BNL family merges
-    /// them pairwise in place — every local skyline cross-filtered against
-    /// every other, one task per partition on the executor pool (see
-    /// `GlobalSkylineExec`); the incomplete family and non-distributed
-    /// plans keep the paper's plan: gather everything onto one executor
-    /// (`AllTuples`) for a single pass — the serial bottleneck of §6.4.
+    /// The paper's plan: gather every candidate onto one executor
+    /// (`AllTuples`) for the §5.7 all-pairs pass — the serial bottleneck
+    /// of §6.4.
     #[default]
     Flat,
-    /// Hierarchical (tree) merge: local skylines are merged in k-way
-    /// rounds fanned over the executor pool until one partition remains.
-    /// Produces the same rows in the same order as the flat merge.
+    /// Hierarchical (tree) merge: per-class partial results are merged in
+    /// k-way rounds fanned over the executor pool until one remains.
+    /// Produces the same rows in the same order as the flat pass.
     Hierarchical {
         /// How many partitions one merge task combines per round (>= 2).
         fan_in: usize,
@@ -151,14 +141,14 @@ pub struct SessionConfig {
     pub skyline_strategy: SkylineStrategy,
     /// Partitioning scheme for the distributed complete local phase.
     pub skyline_partitioning: SkylinePartitioning,
-    /// Buckets per dimension for [`SkylinePartitioning::Grid`] (>= 2).
-    pub grid_cells_per_dim: usize,
-    /// Fan-in of one hierarchical merge task (>= 2).
+    /// Fan-in of one task of the incomplete family's hierarchical merge
+    /// (>= 2).
     pub merge_fan_in: usize,
     /// Minimum partition count (== executor count) at which the planner
-    /// replaces the flat single-executor global merge with the
-    /// hierarchical tree merge. Below it the tree degenerates to the flat
-    /// plan anyway, so the exchange-free path is not worth the plan churn.
+    /// replaces the incomplete family's single-executor all-pairs pass
+    /// with its hierarchical tree merge (see `incomplete_tree_merge`).
+    /// Below it the tree degenerates to the flat plan anyway, so it is not
+    /// worth the plan churn.
     pub hierarchical_merge_min_partitions: usize,
     /// Allow the hierarchical (tree) merge for the **incomplete** family's
     /// global phase: per-bitmap-class partial results with deferred-
@@ -255,7 +245,6 @@ impl Default for SessionConfig {
             streaming_execution: true,
             skyline_strategy: SkylineStrategy::Auto,
             skyline_partitioning: SkylinePartitioning::Standard,
-            grid_cells_per_dim: 4,
             merge_fan_in: 4,
             hierarchical_merge_min_partitions: 4,
             incomplete_tree_merge: true,
@@ -327,22 +316,16 @@ impl SessionConfig {
         self
     }
 
-    /// Set the grid granularity (buckets per dimension, >= 2).
-    pub fn with_grid_cells_per_dim(mut self, cells: usize) -> Self {
-        assert!(cells >= 2, "a grid needs at least 2 cells per dimension");
-        self.grid_cells_per_dim = cells;
-        self
-    }
-
-    /// Set the hierarchical-merge fan-in (>= 2).
+    /// Set the incomplete family's hierarchical-merge fan-in (>= 2).
     pub fn with_merge_fan_in(mut self, fan_in: usize) -> Self {
         assert!(fan_in >= 2, "merge fan-in must be at least 2");
         self.merge_fan_in = fan_in;
         self
     }
 
-    /// Set the partition count at which the hierarchical merge engages.
-    /// `usize::MAX` effectively forces the flat (one-round) merge.
+    /// Set the partition count at which the incomplete family's
+    /// hierarchical merge engages. `usize::MAX` effectively forces the
+    /// flat all-pairs pass.
     pub fn with_hierarchical_merge_min_partitions(mut self, min: usize) -> Self {
         self.hierarchical_merge_min_partitions = min;
         self

@@ -8,9 +8,11 @@
 //! and a Spearman-style rank-correlation estimate over the ranked skyline
 //! dimensions (negative ≙ anti-correlated trade-offs, positive ≙
 //! correlated). `SkylinePlan::select_adaptive` consumes a
-//! [`DatasetStats`] to pick the partitioning scheme, merge strategy, and
-//! grid granularity; the same sample seeds the representative-point
-//! pre-filter (see `sparkline_skyline::prefilter`).
+//! [`DatasetStats`] to budget the representative-point pre-filter (from
+//! the skyline fraction) and to pick the incomplete family's global merge
+//! (from the NULL fractions); the same sample seeds the pre-filter's
+//! points (see `sparkline_skyline::prefilter`). No plan decision reads the
+//! correlation estimate today.
 //!
 //! Everything here is deterministic: the reservoir is driven by a
 //! SplitMix64 generator seeded from `SessionConfig::sample_seed`, so
@@ -152,15 +154,14 @@ pub struct DatasetStats {
     /// sample admits no estimate (too few rows, non-numeric dims).
     pub correlation: f64,
     /// Fraction of (a capped prefix of) the sample that is
-    /// Pareto-optimal — the direct selectivity predictor the
-    /// partitioning heuristics key on. Near 0 for correlated data (a few
-    /// rows dominate everything), large for anti-correlated trade-offs.
+    /// Pareto-optimal — the direct selectivity predictor the pre-filter
+    /// budget keys on. Near 0 for correlated data (a few rows dominate
+    /// everything), large for anti-correlated trade-offs.
     pub skyline_fraction: f64,
 }
 
 /// How many leading ranked dimensions feed the correlation estimate; the
-/// pairwise average over more dims adds cost without changing the sign,
-/// which is what the planning heuristics consume.
+/// pairwise average over more dims adds cost without changing the sign.
 const CORRELATION_DIMS: usize = 3;
 
 /// Cap on the rows entering the O(n²) skyline-fraction estimate, keeping

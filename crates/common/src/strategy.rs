@@ -47,27 +47,24 @@ pub struct SkylinePlan {
     pub use_complete: bool,
     /// Whether a distributed local phase runs before the global phase.
     pub distributed: bool,
-    /// Effective local-phase partitioning (downgraded where the scheme
-    /// cannot apply, e.g. a grid over fewer than two ranked dimensions).
+    /// Effective local-phase partitioning (downgraded to `Standard` where
+    /// the scheme cannot apply: angles over fewer than two ranked
+    /// dimensions).
     pub partitioning: SkylinePartitioning,
-    /// Global merge strategy for the complete-data family.
+    /// Global merge strategy of the incomplete family; always `Flat` for
+    /// the complete family, whose one global merge is the pairwise
+    /// cross-filter.
     pub merge: MergeStrategy,
     /// The session's `dominance_kernel` selection: which compare tier the
     /// columnar batch kernel runs per operator (unrepresentable rows still
     /// fall back to the scalar checker tuple-by-tuple), or `Scalar` for
     /// the scalar checker throughout.
     pub kernel: DominanceKernel,
-    /// Buckets per dimension for the grid partitioner (adaptive plans size
-    /// this from the statistics; static plans copy the config knob).
-    pub grid_cells_per_dim: usize,
     /// Cap on the representative-point pre-filter broadcast before the
     /// local phase; `0` disables the filter (always `0` outside the
     /// distributed complete family — the incomplete relation is not
     /// transitive, so early discards are unsound there).
     pub prefilter_max_points: usize,
-    /// Whether dataset statistics drove this plan (the `Adaptive`
-    /// strategy with a usable sample).
-    pub adaptive: bool,
 }
 
 impl SkylinePlan {
@@ -90,31 +87,24 @@ impl SkylinePlan {
         );
 
         // Partitioning only applies to the distributed complete local
-        // phase; angle and grid need at least two ranked dimensions to
-        // have any structure and degrade to an even split below that.
-        let partitioning = if !use_complete || !distributed {
+        // phase; angles need at least two ranked dimensions to have any
+        // structure, so below that the input distribution is kept.
+        let partitioning = if !use_complete || !distributed || meta.ranked_dims < 2 {
             SkylinePartitioning::Standard
         } else {
-            match config.skyline_partitioning {
-                SkylinePartitioning::AngleBased | SkylinePartitioning::Grid
-                    if meta.ranked_dims < 2 =>
-                {
-                    SkylinePartitioning::Even
-                }
-                p => p,
-            }
+            config.skyline_partitioning
         };
 
-        // The hierarchical merge replaces the flat one-round merge (the
-        // complete BNL family's pairwise merge; elsewhere the paper's
-        // single-executor `AllTuples` phase) once enough partitions exist
-        // for tree rounds to pay off; tiny pools keep the flat plan. The
-        // incomplete family joins in via its deferred-deletion partial
-        // merge (`sparkline_skyline::incomplete`) unless the
-        // `incomplete_tree_merge` knob pins it to the paper's flat plan.
-        let merge = if distributed
+        // The complete family always merges pairwise. The incomplete
+        // family replaces the paper's single-executor `AllTuples` pass
+        // with its deferred-deletion tree merge
+        // (`sparkline_skyline::incomplete`) once enough partitions exist
+        // for tree rounds to pay off, unless the `incomplete_tree_merge`
+        // knob pins it to the paper's flat plan.
+        let merge = if !use_complete
+            && distributed
+            && config.incomplete_tree_merge
             && config.num_executors >= config.hierarchical_merge_min_partitions
-            && (use_complete || config.incomplete_tree_merge)
         {
             MergeStrategy::Hierarchical {
                 fan_in: config.merge_fan_in.max(2),
@@ -132,117 +122,64 @@ impl SkylinePlan {
             // falls back per tuple where it cannot represent the data),
             // so the knob passes through unconditionally.
             kernel: config.dominance_kernel,
-            grid_cells_per_dim: config.grid_cells_per_dim,
             prefilter_max_points: 0,
-            adaptive: false,
         }
     }
 
     /// Statistics-driven selection for [`SkylineStrategy::Adaptive`]: the
-    /// algorithm family still follows Listing 8 (via [`Self::select`]),
-    /// but the partitioning scheme, merge strategy, grid granularity, and
-    /// pre-filter budget are derived from the sampled [`DatasetStats`]
-    /// instead of the static config knobs.
+    /// plan shape is [`Self::select`]'s — Listing 8's algorithm family,
+    /// the configured partitioning, the pairwise merge — and the sampled
+    /// [`DatasetStats`] steer two things on top of it:
     ///
-    /// The heuristics encode the shape of the paper's §6 results and the
-    /// partitioning experiments (`ext1`), keyed on the sample's skyline
-    /// fraction (the direct dominance-selectivity predictor) with the
-    /// Spearman estimate as a secondary trade-off signal:
+    /// * on the distributed **complete** family, the budget of the
+    ///   representative-point pre-filter (whose points also drive the disk
+    ///   scan's dominance skip), keyed on the sample's skyline fraction:
+    ///   trade-off-heavy data gets a quarter of the configured budget;
+    /// * on the distributed **incomplete** family, the global merge, keyed
+    ///   on the sample's per-dimension NULL fractions.
     ///
-    /// * **dominance-heavy** data (small skyline fraction, non-negative
-    ///   correlation, ≤ 3 ranked dims) → **grid** partitioning: most
-    ///   cells are provably dominated and pruned before any local phase;
-    /// * **trade-off-heavy** data (large skyline fraction or clearly
-    ///   negative correlation, ≤ 3 ranked dims) → **angle-based**
-    ///   partitioning: rows on the same trade-off must compete in one
-    ///   partition for the local phase to prune anything;
-    /// * everything else (independent data, > 3 ranked dims where neither
-    ///   grid corners nor 2-d angles capture the structure) → **even**
-    ///   split for balance;
-    /// * the **hierarchical merge** engages only when enough executors
-    ///   exist *and* the skyline fraction is large — a dominance-heavy
-    ///   dataset's global phase is too small to amortize tree rounds;
-    /// * the **grid granularity** targets a bounded cell count per
-    ///   executor instead of the fixed `grid_cells_per_dim`.
-    ///
-    /// Every choice is semantically neutral (any partitioning of complete
-    /// data is sound, the merge strategies agree, the pre-filter only
-    /// discards provably dominated tuples); the statistics steer cost
-    /// only. The decision is a pure function of config + meta + stats, so
-    /// repeated `EXPLAIN`s of one query agree.
+    /// Both choices are semantically neutral (the pre-filter only discards
+    /// provably dominated tuples, the incomplete merges agree row for
+    /// row); the statistics steer cost only. The decision is a pure
+    /// function of config + meta + stats, so repeated `EXPLAIN`s of one
+    /// query agree.
     pub fn select_adaptive(
         config: &SessionConfig,
         meta: &SkylineMeta,
         stats: &DatasetStats,
     ) -> Self {
         let mut plan = SkylinePlan::select(config, meta);
-        if !plan.use_complete || !plan.distributed {
-            // Incomplete family (or no local phase): partitioning is fixed
-            // by the null-bitmap exchange and the pre-filter is unsound
-            // under the non-transitive relation — but the per-dimension
-            // NULL fractions still steer the *global merge*. A sample
-            // without NULLs means a single bitmap class: the local phase
-            // degenerates to one partition, the global phase receives one
-            // already-merged skyline, and tree rounds would only add plan
-            // churn — the merge is refused (flat). NULL-bearing samples
-            // spread candidates over several classes and partitions, where
-            // the deferred-deletion tree merge parallelizes the §5.7
-            // all-pairs phase.
-            if !plan.use_complete && plan.distributed {
-                plan.adaptive = true;
-                let null_frac = stats.max_null_fraction();
-                plan.merge = if config.incomplete_tree_merge
-                    && config.num_executors >= config.hierarchical_merge_min_partitions
-                    && null_frac > 0.0
-                {
-                    MergeStrategy::Hierarchical {
-                        fan_in: (config.num_executors / 2).clamp(2, config.merge_fan_in.max(2)),
-                    }
-                } else {
-                    MergeStrategy::Flat
-                };
-            }
+        if !plan.distributed {
             return plan;
         }
-        plan.adaptive = true;
-        let corr = stats.correlation;
-        let frac = stats.skyline_fraction;
-        plan.partitioning = if meta.ranked_dims < 2 || meta.ranked_dims > 3 {
-            SkylinePartitioning::Even
-        } else if frac >= 0.35 || corr <= -0.25 {
-            SkylinePartitioning::AngleBased
-        } else if frac <= 0.15 && corr >= 0.0 {
-            SkylinePartitioning::Grid
-        } else {
-            SkylinePartitioning::Even
-        };
-        // Grid granularity: aim for ~8 cells per executor (enough for the
-        // LPT packing to balance) but never a finer grid than the sample
-        // can populate.
-        if plan.partitioning == SkylinePartitioning::Grid {
-            let g = meta.ranked_dims.min(3) as f64;
-            let target = (config.num_executors * 8).max(16) as f64;
-            let by_executors = target.powf(1.0 / g).round() as usize;
-            let by_sample = (stats.sample_rows.max(1) as f64).powf(1.0 / g) as usize;
-            plan.grid_cells_per_dim = by_executors.min(by_sample.max(2)).clamp(2, 16);
-        }
-        // Merge: tree rounds pay off when the local skylines gathered into
-        // the global phase are large (trade-off-heavy data); tiny
-        // skylines keep the flat one-round merge.
-        plan.merge =
-            if config.num_executors >= config.hierarchical_merge_min_partitions && frac >= 0.15 {
+        if !plan.use_complete {
+            // Incomplete family: partitioning is fixed by the null-bitmap
+            // exchange and the pre-filter is unsound under the
+            // non-transitive relation — but the per-dimension NULL
+            // fractions steer the *global merge*. A sample without NULLs
+            // means a single bitmap class: the local phase degenerates to
+            // one partition, the global phase receives one already-merged
+            // skyline, and tree rounds would only add plan churn — the
+            // merge is refused (flat). NULL-bearing samples spread
+            // candidates over several classes and partitions, where the
+            // deferred-deletion tree merge parallelizes the §5.7 all-pairs
+            // phase.
+            plan.merge = if config.incomplete_tree_merge
+                && config.num_executors >= config.hierarchical_merge_min_partitions
+                && stats.max_null_fraction() > 0.0
+            {
                 MergeStrategy::Hierarchical {
                     fan_in: (config.num_executors / 2).clamp(2, config.merge_fan_in.max(2)),
                 }
             } else {
                 MergeStrategy::Flat
             };
-        if config.representative_prefilter && config.prefilter_max_points > 0 {
+        } else if config.representative_prefilter && config.prefilter_max_points > 0 {
             // Budget the filter by expected selectivity: on trade-off-heavy
             // data most tuples survive, so every tuple pays a scan over the
             // whole point set — a quarter of the budget keeps most of the
             // pruning at a quarter of the per-tuple cost.
-            plan.prefilter_max_points = if frac >= 0.35 {
+            plan.prefilter_max_points = if stats.skyline_fraction >= 0.35 {
                 (config.prefilter_max_points / 4).max(1)
             } else {
                 config.prefilter_max_points
@@ -284,46 +221,58 @@ mod tests {
     }
 
     #[test]
-    fn grid_and_angle_degrade_below_two_ranked_dims() {
-        let config = SessionConfig::default().with_skyline_partitioning(SkylinePartitioning::Grid);
+    fn angle_degrades_below_two_ranked_dims() {
+        let config =
+            SessionConfig::default().with_skyline_partitioning(SkylinePartitioning::AngleBased);
         assert_eq!(
             SkylinePlan::select(&config, &meta(1, false, false)).partitioning,
-            SkylinePartitioning::Even
+            SkylinePartitioning::Standard
         );
         assert_eq!(
             SkylinePlan::select(&config, &meta(3, false, false)).partitioning,
-            SkylinePartitioning::Grid
+            SkylinePartitioning::AngleBased
         );
     }
 
     #[test]
     fn partitioning_is_standard_outside_the_distributed_complete_path() {
-        let config = SessionConfig::default()
-            .with_skyline_partitioning(SkylinePartitioning::Grid)
-            .with_skyline_strategy(SkylineStrategy::DistributedIncomplete);
-        assert_eq!(
-            SkylinePlan::select(&config, &meta(3, true, false)).partitioning,
-            SkylinePartitioning::Standard
-        );
+        let angle =
+            SessionConfig::default().with_skyline_partitioning(SkylinePartitioning::AngleBased);
+        for strategy in [
+            SkylineStrategy::DistributedIncomplete,
+            SkylineStrategy::NonDistributedComplete,
+        ] {
+            let config = angle.clone().with_skyline_strategy(strategy);
+            assert_eq!(
+                SkylinePlan::select(&config, &meta(3, true, false)).partitioning,
+                SkylinePartitioning::Standard,
+                "{strategy:?}"
+            );
+        }
     }
 
     #[test]
     fn merge_strategy_tracks_executor_count() {
-        let small = SessionConfig::default().with_executors(2);
-        assert_eq!(
-            SkylinePlan::select(&small, &meta(2, false, false)).merge,
-            MergeStrategy::Flat
-        );
+        // The complete family merges pairwise at every executor count.
+        for executors in [2usize, 4, 8, 16] {
+            let config = SessionConfig::default()
+                .with_executors(executors)
+                .with_hierarchical_merge_min_partitions(2);
+            assert_eq!(
+                SkylinePlan::select(&config, &meta(2, false, false)).merge,
+                MergeStrategy::Flat,
+                "{executors} executors"
+            );
+        }
+        // The incomplete family tree-merges from the configured floor on.
         let big = SessionConfig::default().with_executors(8);
         assert_eq!(
-            SkylinePlan::select(&big, &meta(2, false, false)).merge,
+            SkylinePlan::select(&big, &meta(2, true, false)).merge,
             MergeStrategy::Hierarchical { fan_in: 4 }
         );
-        let forced_flat = SessionConfig::default()
-            .with_executors(8)
-            .with_hierarchical_merge_min_partitions(usize::MAX);
+        let forced_flat = big.with_hierarchical_merge_min_partitions(usize::MAX);
         assert_eq!(
-            SkylinePlan::select(&forced_flat, &meta(2, false, false)).merge,
+            SkylinePlan::select(&forced_flat, &meta(2, true, false)).merge,
             MergeStrategy::Flat
         );
     }
@@ -362,7 +311,7 @@ mod tests {
             SkylinePlan::select(&pinned, &meta(2, true, false)).merge,
             MergeStrategy::Flat
         );
-        // Tiny pools keep the flat plan, exactly like the complete family.
+        // Tiny pools keep the flat plan.
         let small = SessionConfig::default().with_executors(2);
         assert_eq!(
             SkylinePlan::select(&small, &meta(2, true, false)).merge,
@@ -394,56 +343,31 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_picks_grid_on_dominance_heavy_angle_on_trade_off_heavy() {
-        let config = SessionConfig::default()
-            .with_executors(5)
-            .with_skyline_strategy(SkylineStrategy::Adaptive);
-        let m = meta(2, false, false);
-        let grid = SkylinePlan::select_adaptive(&config, &m, &stats_with(0.8, 0.02, 500));
-        assert_eq!(grid.partitioning, SkylinePartitioning::Grid);
-        assert!(grid.adaptive);
-        assert!(grid.grid_cells_per_dim >= 2);
-        assert_eq!(grid.merge, MergeStrategy::Flat, "tiny skyline: flat merge");
-        let angle = SkylinePlan::select_adaptive(&config, &m, &stats_with(0.3, 0.6, 500));
-        assert_eq!(angle.partitioning, SkylinePartitioning::AngleBased);
-        let angle2 = SkylinePlan::select_adaptive(&config, &m, &stats_with(-0.8, 0.2, 500));
-        assert_eq!(
-            angle2.partitioning,
-            SkylinePartitioning::AngleBased,
-            "negative correlation alone also selects angles"
-        );
-        let even = SkylinePlan::select_adaptive(&config, &m, &stats_with(0.0, 0.25, 500));
-        assert_eq!(even.partitioning, SkylinePartitioning::Even);
-    }
-
-    #[test]
-    fn adaptive_high_dims_fall_back_to_even() {
-        let config = SessionConfig::default()
-            .with_executors(5)
-            .with_skyline_strategy(SkylineStrategy::Adaptive);
-        let plan = SkylinePlan::select_adaptive(
-            &config,
-            &meta(8, false, false),
-            &stats_with(0.9, 0.02, 500),
-        );
-        assert_eq!(plan.partitioning, SkylinePartitioning::Even);
-    }
-
-    #[test]
-    fn adaptive_merge_tracks_skyline_size_and_executors() {
-        let config = SessionConfig::default()
-            .with_executors(8)
-            .with_skyline_strategy(SkylineStrategy::Adaptive);
-        let m = meta(2, false, false);
-        let big = SkylinePlan::select_adaptive(&config, &m, &stats_with(-0.5, 0.5, 500));
-        assert!(matches!(big.merge, MergeStrategy::Hierarchical { .. }));
-        let tiny = SkylinePlan::select_adaptive(&config, &m, &stats_with(0.9, 0.01, 500));
-        assert_eq!(tiny.merge, MergeStrategy::Flat);
-        let small_pool = SessionConfig::default()
-            .with_executors(2)
-            .with_skyline_strategy(SkylineStrategy::Adaptive);
-        let plan = SkylinePlan::select_adaptive(&small_pool, &m, &stats_with(-0.5, 0.5, 500));
-        assert_eq!(plan.merge, MergeStrategy::Flat, "tiny pool keeps flat");
+    fn adaptive_complete_plan_shape_is_the_static_one() {
+        // Whatever the sample says, the complete family's partitioning and
+        // merge are `select()`'s: the statistics only budget the
+        // pre-filter.
+        for executors in [2usize, 8] {
+            for scheme in [
+                SkylinePartitioning::Standard,
+                SkylinePartitioning::AngleBased,
+            ] {
+                let config = SessionConfig::default()
+                    .with_executors(executors)
+                    .with_skyline_partitioning(scheme)
+                    .with_skyline_strategy(SkylineStrategy::Adaptive);
+                for ranked in [1usize, 2, 8] {
+                    let m = meta(ranked, false, false);
+                    let fixed = SkylinePlan::select(&config, &m);
+                    for (corr, frac) in [(0.8, 0.02), (-0.8, 0.6), (0.0, 0.25)] {
+                        let plan =
+                            SkylinePlan::select_adaptive(&config, &m, &stats_with(corr, frac, 500));
+                        assert_eq!(plan.partitioning, fixed.partitioning, "{plan:?}");
+                        assert_eq!(plan.merge, MergeStrategy::Flat, "{plan:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -481,7 +405,10 @@ mod tests {
         assert!(!plan.use_complete);
         assert_eq!(plan.partitioning, SkylinePartitioning::Standard);
         assert_eq!(plan.prefilter_max_points, 0);
-        assert!(plan.adaptive, "the merge choice is statistics-driven");
+        assert!(
+            matches!(plan.merge, MergeStrategy::Hierarchical { .. }),
+            "the NULL-bearing sample picks the merge: {plan:?}"
+        );
     }
 
     #[test]
@@ -509,7 +436,6 @@ mod tests {
             &with_null_fraction(stats_with(0.0, 0.3, 500), 0.0),
         );
         assert_eq!(flat.merge, MergeStrategy::Flat);
-        assert!(flat.adaptive);
         // The knob and the executor floor still gate the tree.
         let pinned = SkylinePlan::select_adaptive(
             &config.clone().with_incomplete_tree_merge(false),

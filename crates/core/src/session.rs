@@ -468,10 +468,6 @@ impl SessionContext {
             "simd tests: {} ({} multi-candidate passes)\n",
             m.simd_tests, m.multi_candidate_passes
         ));
-        out.push_str(&format!(
-            "chosen partitioning: {}\n",
-            m.chosen_partitioning_label()
-        ));
         out.push_str(&format!("sample rows: {}\n", m.sample_rows));
         out.push_str(&format!(
             "prefilter rows dropped: {}\n",

@@ -80,7 +80,7 @@ pub fn correlated_rows(rng: &mut StdRng, n: usize, dims: usize) -> Vec<Row> {
 /// would let low-plane rows dominate broadly and collapse the skyline to
 /// a handful of points, destroying exactly the property this workload
 /// exists to stress. The residual jitter still leaves some genuinely
-/// dominated interior points for grid pruning to find.
+/// dominated interior points for the local phase to discard.
 pub fn anti_correlated_rows(rng: &mut StdRng, n: usize, dims: usize) -> Vec<Row> {
     assert!(dims >= 1);
     (0..n)

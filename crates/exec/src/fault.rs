@@ -32,7 +32,7 @@ pub enum FaultSite {
     Scan,
     /// An exchange (repartitioning) input drain.
     Exchange,
-    /// A (hierarchical) merge task.
+    /// A global merge task (pairwise or hierarchical).
     Merge,
     /// A skyline sink consuming its input batches.
     SkylineSink,

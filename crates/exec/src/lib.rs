@@ -12,11 +12,8 @@
 //!   helpers;
 //! * [`partition`] — materialized partition helpers with the distribution
 //!   schemes the skyline plans require (even split, `AllTuples`
-//!   coalescing, hash / null-bitmap partitioning), used by breaker stages
-//!   and the materialized adapter;
-//! * [`partitioner`] — the pluggable partitioning subsystem: strategy
-//!   objects (even / hash / angle-based / grid with dominated-cell
-//!   pruning) the planner selects from the session configuration;
+//!   coalescing, hash / null-bitmap partitioning, angle-based routing),
+//!   used by breaker stages and the materialized adapter;
 //! * [`runtime`] — the executor pool (`num_executors` worker threads), the
 //!   stream fan-out (`Runtime::drain_streams`), and its retrying twin
 //!   (`Runtime::drain_streams_with_retry`) that recomputes failed
@@ -41,7 +38,6 @@ pub mod fault;
 pub mod memory;
 pub mod metrics;
 pub mod partition;
-pub mod partitioner;
 pub mod runtime;
 pub mod stream;
 
@@ -50,13 +46,8 @@ use std::time::Duration;
 
 pub use fault::{FaultInjector, FaultSite};
 pub use memory::{MemoryReservation, MemoryTracker};
-pub use metrics::{
-    partitioning_code, partitioning_label, ExecMetrics, InFlightRows, MetricsSnapshot,
-};
+pub use metrics::{ExecMetrics, InFlightRows, MetricsSnapshot};
 pub use partition::Partition;
-pub use partitioner::{
-    AnglePartitioner, EvenPartitioner, GridPartitioner, Partitioner, SkylineHashPartitioner,
-};
 pub use runtime::{
     retry_loop, Deadline, QueryControl, Runtime, CONTROL_CHECK_ROWS, MAX_BACKOFF_MULTIPLIER,
 };

@@ -39,26 +39,22 @@ pub struct ExecMetrics {
     /// Largest skyline window / candidate set observed.
     pub max_window: AtomicUsize,
     /// Rows moved through exchanges (repartitioning volume), including
-    /// the local-skyline rows the flat pairwise merge gathers in place of
+    /// the local-skyline rows the pairwise merge gathers in place of
     /// the paper's `AllTuples` exchange.
     pub rows_exchanged: AtomicU64,
     /// Rows compared by join operators (probe work).
     pub join_comparisons: AtomicU64,
-    /// Grid cells discarded because another cell's worst corner dominates
-    /// their best corner (the whole cell is provably dominated).
-    pub partitions_pruned: AtomicU64,
-    /// Rows discarded with pruned grid cells — work the local skyline
-    /// phase never sees.
-    pub rows_pruned: AtomicU64,
-    /// Corner-to-corner dominance tests performed by grid pruning.
+    /// Block-corner dominance tests performed by the disk scan's
+    /// dominance skip.
     pub corner_tests: AtomicU64,
-    /// Rounds of the global merge: 1 for the flat pairwise merge of two
-    /// or more local skylines, the tree depth for the hierarchical merge,
-    /// 0 when a single gathered partition streams through one window
-    /// (non-distributed plans, the flat incomplete plan).
+    /// Rounds of the global merge: 1 for the pairwise merge of two or
+    /// more local skylines, the tree depth for the incomplete family's
+    /// hierarchical merge, 0 when a single gathered partition streams
+    /// through one window (non-distributed plans, the flat incomplete
+    /// plan).
     pub merge_rounds: AtomicU64,
-    /// Merge tasks executed across all rounds (the flat pairwise merge
-    /// runs one per non-empty local skyline).
+    /// Merge tasks executed across all rounds (the pairwise merge runs
+    /// one per non-empty local skyline).
     pub merge_tasks: AtomicU64,
     /// Largest number of merge tasks in a single round — the parallelism
     /// the merge actually exposed to the executor pool.
@@ -77,17 +73,9 @@ pub struct ExecMetrics {
     /// Distinct null-bitmap classes consumed by the hierarchical
     /// incomplete merge (0 for the flat single-executor global phase).
     pub classes_merged: AtomicU64,
-    /// Rows in the planner's reservoir sample (0 when no skyline operator
-    /// was planned adaptively).
+    /// Rows in the planner's reservoir sample behind a representative
+    /// pre-filter (0 when no pre-filter ran).
     pub sample_rows: AtomicU64,
-    /// Local-phase partitioning scheme chosen by the planner, as a code
-    /// (see [`partitioning_code`]); 0 = standard / inherited distribution.
-    /// Aggregated with `max` so the value is deterministic when several
-    /// custom exchanges run concurrently — for the (rare) query with
-    /// multiple differently-partitioned skylines this is a summary of the
-    /// schemes involved, not a per-operator attribution (the plan display
-    /// names each exchange's scheme exactly).
-    pub chosen_partitioning: AtomicU64,
     /// Transient faults fired by the deterministic injector
     /// (`fault_rate` > 0). The differential chaos suite asserts this is
     /// positive to prove the fault-free-identical results were earned.
@@ -110,29 +98,6 @@ pub struct ExecMetrics {
     /// Encoded bytes actually read and decoded by disk scans (skipped
     /// blocks contribute nothing).
     pub bytes_decoded: AtomicU64,
-}
-
-/// Stable code for a partitioner name ([`crate::Partitioner::name`]);
-/// `0` means the input distribution was inherited (`Standard`).
-pub fn partitioning_code(name: &str) -> u64 {
-    match name {
-        "Even" => 1,
-        "Hash" => 2,
-        "AngleBased" => 3,
-        "Grid" => 4,
-        _ => 0,
-    }
-}
-
-/// Human-readable label for a [`partitioning_code`] value.
-pub fn partitioning_label(code: u64) -> &'static str {
-    match code {
-        1 => "even",
-        2 => "hash",
-        3 => "angle",
-        4 => "grid",
-        _ => "standard",
-    }
 }
 
 impl ExecMetrics {
@@ -185,12 +150,6 @@ impl ExecMetrics {
         self.rows_in_flight.fetch_sub(rows, Ordering::Relaxed);
     }
 
-    /// Record a pruned grid cell and the rows discarded with it.
-    pub fn add_pruned_partition(&self, rows: u64) {
-        self.partitions_pruned.fetch_add(1, Ordering::Relaxed);
-        self.rows_pruned.fetch_add(rows, Ordering::Relaxed);
-    }
-
     /// Record one merge round with `tasks` tasks.
     pub fn add_merge_round(&self, tasks: usize) {
         self.merge_rounds.fetch_add(1, Ordering::Relaxed);
@@ -219,12 +178,6 @@ impl ExecMetrics {
     /// Record the planner's sample size (idempotent across partitions).
     pub fn note_sample_rows(&self, rows: u64) {
         self.sample_rows.fetch_max(rows, Ordering::Relaxed);
-    }
-
-    /// Record the partitioning scheme a custom exchange applied.
-    pub fn note_partitioning(&self, name: &str) {
-        self.chosen_partitioning
-            .fetch_max(partitioning_code(name), Ordering::Relaxed);
     }
 
     /// Record one injected transient fault.
@@ -294,8 +247,7 @@ impl ExecMetrics {
             max_window: self.max_window.load(Ordering::Relaxed),
             rows_exchanged: self.rows_exchanged.load(Ordering::Relaxed),
             join_comparisons: self.join_comparisons.load(Ordering::Relaxed),
-            partitions_pruned: self.partitions_pruned.load(Ordering::Relaxed),
-            rows_pruned: self.rows_pruned.load(Ordering::Relaxed),
+            partitions_pruned: 0,
             corner_tests: self.corner_tests.load(Ordering::Relaxed),
             merge_rounds: self.merge_rounds.load(Ordering::Relaxed),
             merge_tasks: self.merge_tasks.load(Ordering::Relaxed),
@@ -304,7 +256,6 @@ impl ExecMetrics {
             deferred_deletions: self.deferred_deletions.load(Ordering::Relaxed),
             classes_merged: self.classes_merged.load(Ordering::Relaxed),
             sample_rows: self.sample_rows.load(Ordering::Relaxed),
-            chosen_partitioning: self.chosen_partitioning.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
             retries_attempted: self.retries_attempted.load(Ordering::Relaxed),
             budget_denials: self.budget_denials.load(Ordering::Relaxed),
@@ -345,13 +296,12 @@ pub struct MetricsSnapshot {
     pub rows_exchanged: u64,
     /// Join probe comparisons.
     pub join_comparisons: u64,
-    /// Grid cells pruned before the local skyline phase.
+    /// Always 0: no operator prunes whole partitions. Kept because the
+    /// benchmark's `exec.partitions_pruned` layer metric reads it.
     pub partitions_pruned: u64,
-    /// Rows discarded with pruned cells.
-    pub rows_pruned: u64,
-    /// Corner dominance tests spent on pruning.
+    /// Block-corner dominance tests spent by the disk dominance skip.
     pub corner_tests: u64,
-    /// Global merge rounds (1 for the flat pairwise merge).
+    /// Global merge rounds (1 for the pairwise merge).
     pub merge_rounds: u64,
     /// Total merge tasks across all rounds.
     pub merge_tasks: u64,
@@ -363,10 +313,8 @@ pub struct MetricsSnapshot {
     pub deferred_deletions: u64,
     /// Bitmap classes consumed by the hierarchical incomplete merge.
     pub classes_merged: u64,
-    /// Rows in the planner's reservoir sample.
+    /// Rows in the planner's reservoir sample behind a pre-filter.
     pub sample_rows: u64,
-    /// Chosen local-phase partitioning scheme (see [`partitioning_code`]).
-    pub chosen_partitioning: u64,
     /// Transient faults fired by the deterministic injector.
     pub faults_injected: u64,
     /// Partition recomputations triggered by retryable failures.
@@ -383,13 +331,6 @@ pub struct MetricsSnapshot {
     pub blocks_skipped_dominance: u64,
     /// Encoded bytes read and decoded by disk scans.
     pub bytes_decoded: u64,
-}
-
-impl MetricsSnapshot {
-    /// Label of the partitioning scheme the plan applied.
-    pub fn chosen_partitioning_label(&self) -> &'static str {
-        partitioning_label(self.chosen_partitioning)
-    }
 }
 
 /// RAII gauge for rows buffered by a pipeline-breaker stage (sort buffers,
@@ -488,26 +429,11 @@ mod tests {
         m.add_deferred_deletions(2);
         m.add_classes_merged(3);
         m.note_sample_rows(128);
-        m.note_sample_rows(128);
-        m.note_partitioning("Grid");
         let s = m.snapshot();
         assert_eq!(s.prefilter_rows_dropped, 42);
         assert_eq!(s.deferred_deletions, 7);
         assert_eq!(s.classes_merged, 3);
         assert_eq!(s.sample_rows, 128);
-        assert_eq!(s.chosen_partitioning, partitioning_code("Grid"));
-        assert_eq!(s.chosen_partitioning_label(), "grid");
-        assert_eq!(
-            MetricsSnapshot::default().chosen_partitioning_label(),
-            "standard"
-        );
-        for name in ["Even", "Hash", "AngleBased", "Grid"] {
-            assert_ne!(
-                partitioning_label(partitioning_code(name)),
-                "standard",
-                "{name}"
-            );
-        }
     }
 
     #[test]
@@ -550,14 +476,11 @@ mod tests {
     #[test]
     fn pruning_and_merge_counters() {
         let m = ExecMetrics::new();
-        m.add_pruned_partition(40);
-        m.add_pruned_partition(2);
         m.add_merge_round(4);
         m.add_merge_round(2);
         m.add_merge_round(1);
         let s = m.snapshot();
-        assert_eq!(s.partitions_pruned, 2);
-        assert_eq!(s.rows_pruned, 42);
+        assert_eq!(s.partitions_pruned, 0, "nothing prunes partitions");
         assert_eq!(s.merge_rounds, 3);
         assert_eq!(s.merge_tasks, 7);
         assert_eq!(s.max_merge_fanout, 4);

@@ -10,12 +10,13 @@
 //! phases. The helpers here implement the distribution schemes those
 //! breaker stages need — even splitting (Spark's default when reading),
 //! coalescing to a single partition (the `AllTuples` requirement of the
-//! flat global skyline), and hash partitioning (the null-bitmap
-//! distribution of the incomplete algorithm, §5.7) — plus the
-//! flatten/drain adapters the tests and the bench harness use to compare
-//! against the materialized model.
+//! flat global skyline), hash partitioning (the null-bitmap distribution
+//! of the incomplete algorithm, §5.7), and angle-based routing (the
+//! `AngleBased` local-phase partitioning) — plus the flatten/drain
+//! adapters the tests and the bench harness use to compare against the
+//! materialized model.
 
-use sparkline_common::Row;
+use sparkline_common::{Row, SkylineDim, SkylineSpec, SkylineType, Value};
 
 /// One partition of rows, processed by a single executor.
 pub type Partition = Vec<Row>;
@@ -92,6 +93,66 @@ pub fn hash_partition<K: std::hash::Hash>(
             let slot = (hasher.finish() % n as u64) as usize;
             out[slot].push(row);
         }
+    }
+    out
+}
+
+/// Numeric view of a ranked dimension with the MIN/MAX direction folded in
+/// (smaller is always better). `None` for NULL / non-numeric values.
+fn folded_numeric(row: &Row, dim: &SkylineDim) -> Option<f64> {
+    match row.get(dim.index) {
+        Value::Int64(i) => Some(*i as f64),
+        Value::Float64(f) => Some(*f),
+        Value::Boolean(b) => Some(f64::from(*b)),
+        _ => None,
+    }
+    .map(|v| if dim.ty == SkylineType::Max { -v } else { v })
+}
+
+/// Angle-based partitioning (Vlachou et al., SIGMOD 2008, simplified to
+/// the first two ranked dimensions of `spec`): normalize both dimensions
+/// to [0, 1] with the MIN/MAX direction folded in, compute each row's
+/// polar angle, and split `[0, π/2]` into `n` equal sectors, so rows on
+/// the same trade-off compete in the same partition. Rows that do not
+/// admit the numeric mapping (NULL or non-numeric in either dimension)
+/// are routed to sector 0. With fewer than two ranked dimensions there is
+/// no angular structure and the rows are split evenly.
+pub fn angle_partition(parts: Vec<Partition>, n: usize, spec: &SkylineSpec) -> Vec<Partition> {
+    let ranked: Vec<SkylineDim> = spec.ranked_dims().take(2).copied().collect();
+    if ranked.len() < 2 || n == 1 {
+        return split_evenly(flatten(parts), n);
+    }
+    // Pass 1: global min/max per dimension for normalization.
+    let mut lo = [f64::INFINITY; 2];
+    let mut hi = [f64::NEG_INFINITY; 2];
+    for row in parts.iter().flatten() {
+        for (k, dim) in ranked.iter().enumerate() {
+            if let Some(v) = folded_numeric(row, dim) {
+                lo[k] = lo[k].min(v);
+                hi[k] = hi[k].max(v);
+            }
+        }
+    }
+    let span = [
+        (hi[0] - lo[0]).max(f64::MIN_POSITIVE),
+        (hi[1] - lo[1]).max(f64::MIN_POSITIVE),
+    ];
+    // Pass 2: route by polar angle sector.
+    let mut out: Vec<Partition> = (0..n).map(|_| Vec::new()).collect();
+    for row in parts.into_iter().flatten() {
+        let sector = match (
+            folded_numeric(&row, &ranked[0]),
+            folded_numeric(&row, &ranked[1]),
+        ) {
+            (Some(x), Some(y)) => {
+                let nx = ((x - lo[0]) / span[0]).clamp(0.0, 1.0);
+                let ny = ((y - lo[1]) / span[1]).clamp(0.0, 1.0);
+                let theta = ny.atan2(nx); // [0, π/2]
+                ((theta / std::f64::consts::FRAC_PI_2) * n as f64) as usize
+            }
+            _ => 0,
+        };
+        out[sector.min(n - 1)].push(row);
     }
     out
 }
@@ -193,6 +254,36 @@ mod tests {
                 .collect();
             assert_eq!(holding.len(), 1, "class {class} in one partition");
         }
+    }
+
+    #[test]
+    fn angle_partition_separates_trade_offs() {
+        let spec = SkylineSpec::new(vec![SkylineDim::min(0), SkylineDim::min(1)]);
+        let row2 = |a: i64, b: i64| Row::new(vec![Value::Int64(a), Value::Int64(b)]);
+        let rows: Vec<Row> = (0..20)
+            .map(|i| {
+                if i % 2 == 0 {
+                    row2(1, 100 + i)
+                } else {
+                    row2(100 + i, 1)
+                }
+            })
+            .collect();
+        let parts = angle_partition(vec![rows], 4, &spec);
+        assert_eq!(total_rows(&parts), 20);
+        let holding = |dim: usize| -> Vec<usize> {
+            parts
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.iter().any(|r| r.get(dim) == &Value::Int64(1)))
+                .map(|(i, _)| i)
+                .collect()
+        };
+        let (steep, flat) = (holding(0), holding(1));
+        assert!(
+            steep.iter().all(|s| !flat.contains(s)),
+            "{steep:?} vs {flat:?}"
+        );
     }
 
     #[test]

@@ -2,21 +2,19 @@
 //!
 //! The planner inserts exchanges to satisfy the distribution requirements
 //! of the paper's skyline plans: `Single` realizes Spark's `AllTuples`
-//! distribution (flat global skyline, sorts), `RoundRobin` re-balances,
-//! `NullBitmap` is the §5.7 distribution that routes tuples with the same
-//! NULL pattern in the skyline dimensions to the same executor, and
-//! `Custom` plugs in a strategy from the partitioning subsystem
-//! (`sparkline_exec::partitioner`): even, hash, angle-based, or grid with
-//! dominated-cell pruning — selected by the planner from the session
-//! configuration rather than hard-coded here.
+//! distribution (flat global skyline, sorts), `NullBitmap` is the §5.7
+//! distribution that routes tuples with the same NULL pattern in the
+//! skyline dimensions to the same executor, and `Angle` is the optional
+//! angle-based repartitioning before a complete-data local phase
+//! (`SkylinePartitioning::AngleBased`).
 
 use std::sync::Arc;
 
 use sparkline_common::{Result, SchemaRef, SkylineSpec};
 use sparkline_exec::{
-    partition::{coalesce, flatten, hash_partition, split_evenly, total_rows},
+    partition::{angle_partition, coalesce, hash_partition, total_rows},
     stream::breaker_streams,
-    FaultSite, PartitionStream, Partitioner, TaskContext,
+    FaultSite, PartitionStream, TaskContext,
 };
 use sparkline_skyline::null_bitmap;
 
@@ -27,49 +25,29 @@ use crate::ExecutionPlan;
 pub enum ExchangeMode {
     /// All rows into one partition (Spark's `AllTuples`).
     Single,
-    /// Even redistribution over the executor count.
-    RoundRobin,
     /// Partition by the null bitmap of the skyline dimensions (§5.7).
     NullBitmap(SkylineSpec),
-    /// A pluggable strategy from the partitioning subsystem.
-    Custom(Arc<dyn Partitioner>),
+    /// Partition by polar-angle sector of the first two ranked skyline
+    /// dimensions (see `sparkline_exec::partition::angle_partition`).
+    Angle(SkylineSpec),
 }
 
 /// Repartitioning operator.
 #[derive(Debug)]
 pub struct ExchangeExec {
     mode: ExchangeMode,
-    /// Planner-sample size behind an adaptively chosen `Custom` scheme
-    /// (0 = statically configured); surfaced as the `sample_rows` metric.
-    sample_rows: usize,
     input: Arc<dyn ExecutionPlan>,
 }
 
 impl ExchangeExec {
     /// Exchange with the given mode.
     pub fn new(mode: ExchangeMode, input: Arc<dyn ExecutionPlan>) -> Self {
-        ExchangeExec {
-            mode,
-            sample_rows: 0,
-            input,
-        }
+        ExchangeExec { mode, input }
     }
 
     /// Convenience: gather everything onto one executor.
     pub fn single(input: Arc<dyn ExecutionPlan>) -> Self {
         ExchangeExec::new(ExchangeMode::Single, input)
-    }
-
-    /// Convenience: redistribute through a pluggable strategy.
-    pub fn custom(partitioner: Arc<dyn Partitioner>, input: Arc<dyn ExecutionPlan>) -> Self {
-        ExchangeExec::new(ExchangeMode::Custom(partitioner), input)
-    }
-
-    /// Record that an adaptive planner chose this exchange's strategy
-    /// from a sample of `rows` rows (builder-style).
-    pub fn with_sample_rows(mut self, rows: usize) -> Self {
-        self.sample_rows = rows;
-        self
     }
 }
 
@@ -89,7 +67,6 @@ impl ExecutionPlan for ExchangeExec {
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
         let inputs = crate::input_streams(&self.input, ctx)?;
         let mode = self.mode.clone();
-        let sample_rows = self.sample_rows;
         let ctx2 = ctx.clone();
         let input_plan = Arc::clone(&self.input);
         let n = ctx.runtime.num_executors();
@@ -122,18 +99,10 @@ impl ExecutionPlan for ExchangeExec {
             );
             Ok(match &mode {
                 ExchangeMode::Single => coalesce(input),
-                ExchangeMode::RoundRobin => split_evenly(flatten(input), n),
                 ExchangeMode::NullBitmap(spec) => {
                     hash_partition(input, n, |row| null_bitmap(row, spec))
                 }
-                ExchangeMode::Custom(partitioner) => {
-                    // Surface the applied scheme and, for adaptive plans,
-                    // the sample behind it (`EXPLAIN ANALYZE` reports
-                    // both — even when the pre-filter is disabled).
-                    ctx2.metrics.note_partitioning(partitioner.name());
-                    ctx2.metrics.note_sample_rows(sample_rows as u64);
-                    partitioner.repartition(input, n, &ctx2.metrics)
-                }
+                ExchangeMode::Angle(spec) => angle_partition(input, n, spec),
             })
         }))
     }
@@ -141,13 +110,13 @@ impl ExecutionPlan for ExchangeExec {
     fn describe(&self) -> String {
         match &self.mode {
             ExchangeMode::Single => "ExchangeExec [AllTuples]".to_string(),
-            ExchangeMode::RoundRobin => "ExchangeExec [RoundRobin]".to_string(),
             ExchangeMode::NullBitmap(spec) => {
                 format!("ExchangeExec [NullBitmap on {} dims]", spec.dims.len())
             }
-            ExchangeMode::Custom(partitioner) => {
-                format!("ExchangeExec [{}]", partitioner.describe())
-            }
+            ExchangeMode::Angle(spec) => format!(
+                "ExchangeExec [AngleBased on {} dims]",
+                spec.ranked_dims().count().min(2)
+            ),
         }
     }
 }
@@ -157,7 +126,6 @@ mod tests {
     use super::*;
     use crate::scan::ScanExec;
     use sparkline_common::{DataType, Field, Row, Schema, SkylineDim, Value};
-    use sparkline_exec::{AnglePartitioner, GridPartitioner};
 
     fn input(rows: Vec<Row>) -> Arc<dyn ExecutionPlan> {
         let schema = Schema::new(vec![
@@ -237,12 +205,8 @@ mod tests {
             })
             .collect();
         let spec = SkylineSpec::new(vec![SkylineDim::min(0), SkylineDim::min(1)]);
-        let plan = ExchangeExec::custom(Arc::new(AnglePartitioner::new(spec)), input(rows));
-        assert!(
-            plan.describe().contains("AngleBased"),
-            "{}",
-            plan.describe()
-        );
+        let plan = ExchangeExec::new(ExchangeMode::Angle(spec), input(rows));
+        assert_eq!(plan.describe(), "ExchangeExec [AngleBased on 2 dims]");
         let ctx = TaskContext::new(4);
         let parts = plan.execute(&ctx).unwrap();
         assert_eq!(total_rows(&parts), 20);
@@ -262,32 +226,5 @@ mod tests {
             steep.iter().all(|s| !flat.contains(s)),
             "{steep:?} vs {flat:?}"
         );
-    }
-
-    #[test]
-    fn custom_grid_exchange_reports_pruning_metrics() {
-        let mut rows: Vec<Row> = (0..10)
-            .map(|i| Row::new(vec![Value::Int64(i % 2), Value::Int64(i % 3)]))
-            .collect();
-        rows.extend(
-            (0..10).map(|i| Row::new(vec![Value::Int64(500 + i % 2), Value::Int64(500 + i % 3)])),
-        );
-        let spec = SkylineSpec::new(vec![SkylineDim::min(0), SkylineDim::min(1)]);
-        let plan = ExchangeExec::custom(Arc::new(GridPartitioner::new(spec, 4)), input(rows));
-        assert!(plan.describe().contains("Grid"), "{}", plan.describe());
-        let ctx = TaskContext::new(4);
-        let parts = plan.execute(&ctx).unwrap();
-        let snapshot = ctx.metrics.snapshot();
-        assert!(snapshot.partitions_pruned >= 1, "{snapshot:?}");
-        assert_eq!(total_rows(&parts) as u64 + snapshot.rows_pruned, 20);
-    }
-
-    #[test]
-    fn round_robin_balances() {
-        let plan = ExchangeExec::new(ExchangeMode::RoundRobin, input(rows_with_nulls()));
-        let ctx = TaskContext::new(4);
-        let parts = plan.execute(&ctx).unwrap();
-        assert_eq!(parts.len(), 4);
-        assert!(parts.iter().all(|p| p.len() == 10));
     }
 }

@@ -172,32 +172,6 @@ impl<'a> PhysicalPlanner<'a> {
             )
     }
 
-    /// Build the exchange strategy object for the selected partitioning;
-    /// `None` keeps the child's distribution (`Standard`). `grid_cells`
-    /// comes from the [`SkylinePlan`] (the config knob for static plans,
-    /// a statistics-derived granularity for adaptive ones).
-    fn partitioner_for(
-        &self,
-        partitioning: SkylinePartitioning,
-        spec: &SkylineSpec,
-        grid_cells: usize,
-    ) -> Option<Arc<dyn sparkline_exec::Partitioner>> {
-        match partitioning {
-            SkylinePartitioning::Standard => None,
-            SkylinePartitioning::Even => Some(Arc::new(sparkline_exec::EvenPartitioner)),
-            SkylinePartitioning::Hash => Some(Arc::new(
-                sparkline_exec::SkylineHashPartitioner::new(spec.clone()),
-            )),
-            SkylinePartitioning::AngleBased => Some(Arc::new(
-                sparkline_exec::AnglePartitioner::new(spec.clone()),
-            )),
-            SkylinePartitioning::Grid => Some(Arc::new(sparkline_exec::GridPartitioner::new(
-                spec.clone(),
-                grid_cells.max(2),
-            ))),
-        }
-    }
-
     /// Plan-time sample of a skyline input: the base relation is streamed
     /// through the chain of filters/projections above it into a seeded
     /// reservoir, so the sample is a uniform `cap`-row draw from the
@@ -516,44 +490,29 @@ impl<'a> PhysicalPlanner<'a> {
                     }
                 }
             }
-            // Optional pluggable redistribution before the local phase
-            // (the paper's default inherits the distribution).
-            let sample_rows = if choice.adaptive {
-                sample.as_ref().map_or(0, |(rows, _)| rows.len())
-            } else {
-                0
-            };
-            let local_input: Arc<dyn ExecutionPlan> =
-                match self.partitioner_for(choice.partitioning, &spec, choice.grid_cells_per_dim) {
-                    Some(partitioner) if choice.distributed => Arc::new(
-                        ExchangeExec::custom(partitioner, input_exec).with_sample_rows(sample_rows),
-                    ),
-                    _ => input_exec,
+            // The pairwise merge consumes the local skylines' distribution
+            // directly and fans its tasks over the executor pool. Only a
+            // non-distributed plan still needs the `AllTuples` gather the
+            // paper describes: without a local phase the single pass must
+            // see every tuple.
+            let global_input: Arc<dyn ExecutionPlan> = if choice.distributed {
+                // Optional angle-based redistribution before the local
+                // phase (the paper's default inherits the distribution).
+                let local_input: Arc<dyn ExecutionPlan> = match choice.partitioning {
+                    SkylinePartitioning::Standard => input_exec,
+                    SkylinePartitioning::AngleBased => Arc::new(ExchangeExec::new(
+                        ExchangeMode::Angle(spec.clone()),
+                        input_exec,
+                    )),
                 };
-            let local: Arc<dyn ExecutionPlan> = if choice.distributed {
                 Arc::new(
                     LocalSkylineExec::new(spec.clone(), false, local_input)
                         .with_kernel(choice.kernel),
                 )
             } else {
-                local_input
+                Arc::new(ExchangeExec::single(input_exec))
             };
-            // The flat pairwise merge and the hierarchical merge consume the
-            // local skylines' distribution directly and fan their merge
-            // tasks over the executor pool. Only a flat non-distributed
-            // plan still needs the `AllTuples` gather the paper describes:
-            // without a local phase the single pass must see every tuple.
-            let gather = choice.merge == MergeStrategy::Flat && !choice.distributed;
-            let global_input: Arc<dyn ExecutionPlan> = if gather {
-                Arc::new(ExchangeExec::single(local))
-            } else {
-                local
-            };
-            Arc::new(
-                GlobalSkylineExec::new(spec, global_input)
-                    .with_merge(choice.merge)
-                    .with_kernel(choice.kernel),
-            )
+            Arc::new(GlobalSkylineExec::new(spec, global_input).with_kernel(choice.kernel))
         } else {
             // §5.7: distribute by null bitmap, then the global phase —
             // the paper's plan (per-class local skylines + an all-pairs
@@ -569,22 +528,19 @@ impl<'a> PhysicalPlanner<'a> {
             // Adaptive plans surface *why* the merge was chosen or refused
             // — the per-dimension NULL fractions now drive strategy, not
             // just the Listing 8 semantics decision.
-            let note = match (&sample_stats, choice.adaptive) {
-                (Some(stats), true) => Some(match choice.merge {
-                    MergeStrategy::Flat => format!(
-                        "adaptive: flat (max NULL fraction {:.2} in {} sampled rows)",
-                        stats.max_null_fraction(),
-                        stats.sample_rows,
-                    ),
-                    MergeStrategy::Hierarchical { .. } => format!(
-                        "adaptive: tree (max NULL fraction {:.2} in {} sampled rows, {} executors)",
-                        stats.max_null_fraction(),
-                        stats.sample_rows,
-                        self.config.num_executors,
-                    ),
-                }),
-                _ => None,
-            };
+            let note = sample_stats.as_ref().map(|stats| match choice.merge {
+                MergeStrategy::Flat => format!(
+                    "adaptive: flat (max NULL fraction {:.2} in {} sampled rows)",
+                    stats.max_null_fraction(),
+                    stats.sample_rows,
+                ),
+                MergeStrategy::Hierarchical { .. } => format!(
+                    "adaptive: tree (max NULL fraction {:.2} in {} sampled rows, {} executors)",
+                    stats.max_null_fraction(),
+                    stats.sample_rows,
+                    self.config.num_executors,
+                ),
+            });
             let (global_input, merge): (Arc<dyn ExecutionPlan>, MergeStrategy) = match choice.merge
             {
                 MergeStrategy::Flat => {

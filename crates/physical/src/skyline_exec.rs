@@ -8,8 +8,7 @@
 //! * [`GlobalSkylineExec`] — complete-data global skyline over the local
 //!   skylines: the one-round pairwise cross-filter merge (every local
 //!   skyline filtered against every other, one task per partition on the
-//!   executor pool) or the hierarchical k-way tree merge that applies the
-//!   same primitive group by group (see [`MergeStrategy`]).
+//!   executor pool), at every executor count.
 //! * [`IncompleteGlobalSkylineExec`] — global skyline over the per-class
 //!   local skylines of incomplete data: either the paper's single-executor
 //!   all-pairs pass with deferred deletion (immune to cyclic dominance,
@@ -97,7 +96,7 @@ impl SkylineSink {
             SkylineSink::AllPairs { rows, checker } => {
                 let mut stats = SkylineStats::default();
                 let candidates = rows.len();
-                let result = incomplete_global_with_deadline(rows, &checker, &mut stats, ctx)?;
+                let result = incomplete_global_skyline(rows, &checker, &mut stats, &ctx.control)?;
                 // Every dropped candidate carried a deferred-deletion flag
                 // until this final filter.
                 ctx.metrics
@@ -288,97 +287,68 @@ impl ExecutionPlan for LocalSkylineExec {
 
 /// Global skyline for complete data over the local skylines.
 ///
-/// Two merge strategies (selected by the planner through
-/// [`MergeStrategy`]), both built on the antichain identity of
+/// The pairwise cross-filter merge, built on the antichain identity of
 /// `sparkline_skyline::bnl` — for skylines `A`, `B`,
-/// *skyline(A ∪ B) = (A \ dominated-by-B) ++ (B \ dominated-by-A)*:
+/// *skyline(A ∪ B) = (A \ dominated-by-B) ++ (B \ dominated-by-A)* — in
+/// one round, with no gather. The operator drains its input partitions
+/// (the local skylines) in parallel, encodes each once into a
+/// [`ColumnarBlock`] sorted by score key, and runs one task per partition
+/// on the executor pool: task *i* cross-filters `L_i`, in arrival order,
+/// against every other `L_j` ([`cross_filter`]: one-directional, early
+/// exit, eight candidates per block walk, each walk probing `L_j`'s
+/// lowest-key rows first and stopping at the first chunk whose leading
+/// key exceeds the candidate's — a dominator's key never does). The
+/// result is the survivors concatenated in partition order, each
+/// partition's in arrival order; round and task counts are reported
+/// through `exec::metrics` (one round of one task per non-empty
+/// partition).
 ///
-/// * **Flat** — one round, no gather. The operator drains its input
-///   partitions (the local skylines) in parallel, encodes each once into a
-///   [`ColumnarBlock`] sorted by score key, and runs one task per
-///   partition on the executor pool: task *i* cross-filters `L_i`, in
-///   arrival order, against every other `L_j` ([`cross_filter`]:
-///   one-directional, early exit, eight candidates per block walk, each
-///   walk probing `L_j`'s lowest-key rows first and stopping at the first
-///   chunk whose leading key exceeds the candidate's — a dominator's key
-///   never does). The result is the survivors concatenated in partition
-///   order, each partition's in arrival order. Soundness: a row of `L_i` is in the global skyline iff no row
-///   of any partition dominates it; inside `L_i` nothing does (it is a
-///   skyline), and a dominator in `L_j` that is itself dominated elsewhere
-///   still proves the row dominated (transitivity), so testing against
-///   the *unfiltered* `L_j` is exact and the tasks are independent — no
-///   task waits for another's output. Byte-identity with the paper's
-///   single-executor BNL pass over the `AllTuples` gather of the same
-///   partitions: order-preserving BNL yields the skyline members of its
-///   input in arrival order, which for the concatenation `L_0 ++ L_1 ++ …`
-///   is exactly "survivors in partition order". `SKYLINE OF DISTINCT`
-///   additionally keeps the first of each group of dims-identical rows:
-///   within a partition the local phase already did, across partitions a
-///   sequential pass over the (small) merged result does — a later
-///   duplicate of a surviving row survives the strict cross-filter too, so
-///   deduplicating the survivors is deduplicating the skyline. A plan that
-///   hands this operator a single partition (non-distributed plans keep
-///   the `AllTuples` gather) streams it through one BNL window instead.
-/// * **Hierarchical** — a k-way tree merge: partitions are combined in
-///   groups of `fan_in` per round, each group on its own executor, until
-///   one partition remains. Inside a group the same pairwise cross-filter
-///   runs sequentially. Because every merge returns the skyline members of
-///   its group in partition order, the tree merge is row-for-row identical
-///   to the flat merge no matter how rounds interleave; only the
-///   wall-clock distribution of the dominance tests changes. Round and
-///   task counts are reported through `exec::metrics`
-///   (the flat merge is one round of one task per non-empty partition).
+/// Soundness: a row of `L_i` is in the global skyline iff no row of any
+/// partition dominates it; inside `L_i` nothing does (it is a skyline),
+/// and a dominator in `L_j` that is itself dominated elsewhere still
+/// proves the row dominated (transitivity), so testing against the
+/// *unfiltered* `L_j` is exact and the tasks are independent — no task
+/// waits for another's output. Byte-identity with the paper's
+/// single-executor BNL pass over the `AllTuples` gather of the same
+/// partitions: order-preserving BNL yields the skyline members of its
+/// input in arrival order, which for the concatenation `L_0 ++ L_1 ++ …`
+/// is exactly "survivors in partition order". `SKYLINE OF DISTINCT`
+/// additionally keeps the first of each group of dims-identical rows:
+/// within a partition the local phase already did, across partitions a
+/// sequential pass over the (small) merged result does — a later
+/// duplicate of a surviving row survives the strict cross-filter too, so
+/// deduplicating the survivors is deduplicating the skyline.
 ///
-/// Input contract: with **more than one input partition** both merges
-/// require every partition to already be a skyline (the planner guarantees
-/// this — a `LocalSkylineExec` always sits below, and later rounds consume
-/// earlier merge outputs), because a partition is never tested against
-/// itself; debug builds spot-check it. A **single** input partition (a
-/// gather, or a one-partition child) may hold anything: it streams through
-/// an ordinary BNL window.
+/// Input contract: with **more than one input partition** the merge
+/// requires every partition to already be a skyline (the planner
+/// guarantees this — a `LocalSkylineExec` always sits below), because a
+/// partition is never tested against itself; debug builds spot-check it.
+/// A **single** input partition (the `AllTuples` gather of a
+/// non-distributed plan, or a one-partition child) may hold anything: it
+/// streams through an ordinary BNL window.
 #[derive(Debug)]
 pub struct GlobalSkylineExec {
     spec: SkylineSpec,
-    merge: MergeStrategy,
     kernel: DominanceKernel,
     input: Arc<dyn ExecutionPlan>,
 }
 
 impl GlobalSkylineExec {
-    /// Flat global complete skyline: the pairwise merge over the input's
+    /// Global complete skyline: the pairwise merge over the input's
     /// partitions (the planner feeds it the local skylines directly), or a
     /// streaming pass when the input is a single partition.
     pub fn new(spec: SkylineSpec, input: Arc<dyn ExecutionPlan>) -> Self {
         GlobalSkylineExec {
             spec,
-            merge: MergeStrategy::Flat,
             kernel: DominanceKernel::Auto,
             input,
         }
-    }
-
-    /// Choose the merge strategy (builder-style). A hierarchical fan-in
-    /// below 2 cannot shrink the partition count and is clamped to 2.
-    pub fn with_merge(mut self, merge: MergeStrategy) -> Self {
-        self.merge = clamp_fan_in(merge);
-        self
     }
 
     /// Choose the compare kernel (builder-style).
     pub fn with_kernel(mut self, kernel: DominanceKernel) -> Self {
         self.kernel = kernel;
         self
-    }
-}
-
-/// A merge strategy whose hierarchical fan-in is at least 2 (a group of
-/// one merges nothing, so the rounds would never terminate).
-fn clamp_fan_in(merge: MergeStrategy) -> MergeStrategy {
-    match merge {
-        MergeStrategy::Hierarchical { fan_in } => MergeStrategy::Hierarchical {
-            fan_in: fan_in.max(2),
-        },
-        flat => flat,
     }
 }
 
@@ -489,45 +459,32 @@ impl EncodedSkylines {
 }
 
 /// The pairwise cross-filter merge of `parts` (each a skyline): encode
-/// once, one task per partition — fanned over the executor pool when
-/// `parallel`, in turn otherwise (a hierarchical merge task already owns
-/// one executor) — survivors concatenated in partition order.
+/// once, one task per partition fanned over the executor pool, survivors
+/// concatenated in partition order.
 fn pairwise_merge(
     ctx: &TaskContext,
     spec: &SkylineSpec,
     kernel: DominanceKernel,
     parts: Vec<Partition>,
-    parallel: bool,
 ) -> Result<Partition> {
     ctx.control.check()?;
     if parts.len() <= 1 {
         // Nothing to merge against: a lone local skyline is the result.
         return Ok(parts.into_iter().next().unwrap_or_default());
     }
-    if parallel {
-        // The flat merge is one round of its own; a hierarchical group's
-        // round is counted by the round scheduler.
-        ctx.metrics.add_merge_round(parts.len());
-    }
+    ctx.metrics.add_merge_round(parts.len());
     let bytes = parts.iter().flatten().map(Row::estimated_bytes).sum();
     let reservation = ctx.try_reserve(bytes)?;
     let encoded = EncodedSkylines::new(DominanceChecker::complete(spec.clone()), kernel, parts);
-    let task = |i: usize| {
+    let tasks: Vec<usize> = (0..encoded.parts.len()).collect();
+    let outcomes: Vec<(Vec<bool>, SkylineStats)> = ctx.runtime.map_indexed(tasks, |i, _| {
+        // A lost pairwise task fails the stage; the consumer's retry path
+        // recomputes the subtree from lineage.
+        ctx.maybe_inject(FaultSite::Merge, i, 0)?;
         let mut stats = SkylineStats::default();
         let alive = encoded.survivors(ctx, i, &mut stats)?;
         Ok((alive, stats))
-    };
-    let tasks: Vec<usize> = (0..encoded.parts.len()).collect();
-    let outcomes: Vec<(Vec<bool>, SkylineStats)> = if parallel {
-        ctx.runtime.map_indexed(tasks, |i, _| {
-            // A lost pairwise task fails the stage; the consumer's retry
-            // path recomputes the subtree from lineage.
-            ctx.maybe_inject(FaultSite::Merge, i, 0)?;
-            task(i)
-        })?
-    } else {
-        tasks.into_iter().map(task).collect::<Result<_>>()?
-    };
+    })?;
     let mut stats = SkylineStats::default();
     let mut alive = Vec::with_capacity(outcomes.len());
     for (mask, task_stats) in outcomes {
@@ -541,8 +498,8 @@ fn pairwise_merge(
     Ok(merged)
 }
 
-/// The k-way round scheduler shared by the complete and incomplete
-/// hierarchical merges: combine `parts` in groups of `fan_in` per round,
+/// The k-way round scheduler of the incomplete family's hierarchical
+/// merge: combine `parts` in groups of `fan_in` per round,
 /// each group merged by `merge` on its own executor, until at most one
 /// remains. A trailing singleton group is already a merged result —
 /// carrying it over unchanged skips a useless re-scan, so only real merges
@@ -597,7 +554,7 @@ impl ExecutionPlan for GlobalSkylineExec {
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
         let inputs = crate::input_streams(&self.input, ctx)?;
-        if self.merge == MergeStrategy::Flat && inputs.len() <= 1 {
+        if inputs.len() <= 1 {
             // One partition (a gather, or a one-partition child): feed the
             // input batches straight into an unseeded BNL window — the
             // input need not be a skyline, and the only buffered state is
@@ -613,11 +570,10 @@ impl ExecutionPlan for GlobalSkylineExec {
             )]);
         }
         // A breaker: the input streams (each a local skyline pipeline) are
-        // drained in parallel over the executor pool, then merged — in one
-        // pairwise round, or in k-way rounds.
+        // drained in parallel over the executor pool, then merged in one
+        // pairwise round.
         let spec = self.spec.clone();
         let kernel = self.kernel;
-        let merge = self.merge;
         let ctx2 = ctx.clone();
         let input_plan = Arc::clone(&self.input);
         Ok(breaker_streams(self.schema(), ctx, 1, move || {
@@ -630,43 +586,21 @@ impl ExecutionPlan for GlobalSkylineExec {
             })?;
             ctx2.control.check()?;
             let parts: Vec<Partition> = input.into_iter().filter(|p| !p.is_empty()).collect();
-            let merged = match merge {
-                MergeStrategy::Flat => {
-                    // The local skylines gathered here are what the
-                    // `AllTuples` exchange used to move.
-                    ctx2.metrics.rows_exchanged.fetch_add(
-                        total_rows(&parts) as u64,
-                        std::sync::atomic::Ordering::Relaxed,
-                    );
-                    pairwise_merge(&ctx2, &spec, kernel, parts, true)?
-                }
-                MergeStrategy::Hierarchical { fan_in } => {
-                    // Every partition of a group is a skyline (a local
-                    // skyline or an earlier round's output), so the group
-                    // merges by pairwise cross-filter on its task's
-                    // executor.
-                    kway_merge_rounds(&ctx2, parts, fan_in, |group| {
-                        pairwise_merge(&ctx2, &spec, kernel, group, false)
-                    })?
-                    .unwrap_or_default()
-                }
-            };
-            Ok(vec![merged])
+            // The local skylines gathered here are what the `AllTuples`
+            // exchange used to move.
+            ctx2.metrics.rows_exchanged.fetch_add(
+                total_rows(&parts) as u64,
+                std::sync::atomic::Ordering::Relaxed,
+            );
+            Ok(vec![pairwise_merge(&ctx2, &spec, kernel, parts)?])
         }))
     }
 
     fn describe(&self) -> String {
-        let merge = match self.merge {
-            MergeStrategy::Flat => ", pairwise merge".to_string(),
-            MergeStrategy::Hierarchical { fan_in } => {
-                format!(", hierarchical fan-in {fan_in}")
-            }
-        };
         format!(
-            "GlobalSkylineExec [{} dims{}{}{}]",
+            "GlobalSkylineExec [{} dims{}, pairwise merge{}]",
             self.spec.dims.len(),
             if self.spec.distinct { ", distinct" } else { "" },
-            merge,
             kernel_fragment(self.kernel),
         )
     }
@@ -675,9 +609,7 @@ impl ExecutionPlan for GlobalSkylineExec {
 /// Representative-point pre-filter (adaptive plans): tests every scanned
 /// tuple against a small broadcast set of sample-skyline points and drops
 /// the strictly dominated ones before they reach the exchange or any BNL
-/// window — Ciaccia & Martinenghi's representative filtering, complementing
-/// the grid partitioner's cell pruning exactly where the grid is weakest
-/// (correlation structures no axis-aligned cell captures).
+/// window — Ciaccia & Martinenghi's representative filtering.
 ///
 /// A pipelined narrow operator: each partition stream encodes the filter
 /// set once into the columnar kernel (`sparkline_skyline::prefilter`) and
@@ -776,7 +708,8 @@ impl ExecutionPlan for SkylinePreFilterExec {
 
 /// Global skyline for (potentially) incomplete data (§5.7 / Appendix A).
 ///
-/// Two merge strategies, mirroring [`GlobalSkylineExec`]:
+/// Two merge strategies, selected by the planner through
+/// [`MergeStrategy`]:
 ///
 /// * **Flat** — the paper's plan: every candidate is gathered onto one
 ///   executor (`AllTuples`) for the all-pairs deferred-deletion pass —
@@ -821,9 +754,15 @@ impl IncompleteGlobalSkylineExec {
     }
 
     /// Choose the merge strategy (builder-style). A hierarchical fan-in
-    /// below 2 is clamped to 2, as in [`GlobalSkylineExec::with_merge`].
+    /// below 2 is clamped to 2: a group of one merges nothing, so the
+    /// rounds would never terminate.
     pub fn with_merge(mut self, merge: MergeStrategy) -> Self {
-        self.merge = clamp_fan_in(merge);
+        self.merge = match merge {
+            MergeStrategy::Hierarchical { fan_in } => MergeStrategy::Hierarchical {
+                fan_in: fan_in.max(2),
+            },
+            flat => flat,
+        };
         self
     }
 
@@ -913,8 +852,8 @@ impl ExecutionPlan for IncompleteGlobalSkylineExec {
                             )
                         })?;
                     parts.retain(|p| !p.is_empty());
-                    // k-way rounds, exactly like the complete tree merge;
-                    // deferred candidates travel with their partial.
+                    // k-way rounds; deferred candidates travel with their
+                    // partial.
                     let merged = kway_merge_rounds(&ctx2, parts, fan_in, |group| {
                         ctx2.control.check()?;
                         let mut stats = SkylineStats::default();
@@ -992,52 +931,6 @@ fn consume_incomplete_partial(
     record_stats(ctx, &stats);
     guard.set(partial.len());
     Ok(partial)
-}
-
-/// All-pairs global skyline in deadline-checked chunks.
-fn incomplete_global_with_deadline(
-    rows: Vec<Row>,
-    checker: &DominanceChecker,
-    stats: &mut SkylineStats,
-    ctx: &TaskContext,
-) -> Result<Vec<Row>> {
-    // Small inputs: run directly.
-    if rows.len() <= 2048 {
-        ctx.control.check()?;
-        return Ok(incomplete_global_skyline(rows, checker, stats));
-    }
-    // Large inputs: reuse the library routine but check the deadline
-    // between row-blocks by replicating its flag loop.
-    let n = rows.len();
-    stats.max_window = stats.max_window.max(n);
-    let mut dominated = vec![false; n];
-    let distinct = checker.distinct();
-    for i in 0..n {
-        if i % 64 == 0 {
-            ctx.control.check()?;
-        }
-        for j in (i + 1)..n {
-            if dominated[i] && dominated[j] {
-                continue;
-            }
-            stats.dominance_tests += 1;
-            match checker.compare(&rows[i], &rows[j]) {
-                Dominance::Dominates => dominated[j] = true,
-                Dominance::DominatedBy => dominated[i] = true,
-                Dominance::Equal => {
-                    if distinct && checker.identical_dims(&rows[i], &rows[j]) {
-                        dominated[j] = true;
-                    }
-                }
-                Dominance::Incomparable => {}
-            }
-        }
-    }
-    Ok(rows
-        .into_iter()
-        .zip(dominated)
-        .filter_map(|(row, dom)| (!dom).then_some(row))
-        .collect())
 }
 
 /// Two-pass single-dimension optimum filter (§5.4 rewrite target).
@@ -1491,36 +1384,25 @@ mod tests {
         assert_eq!(rows.len(), 3, "local phase must not delete cycle members");
     }
 
-    /// Round-robin local skylines over `data`, merged by `merge`; `gather`
-    /// puts the paper's `AllTuples` exchange below a flat merge (the
-    /// streaming single-partition pass — the oracle of the merges).
+    /// Local skylines over `data` (the scan's even split), merged
+    /// pairwise; `gather` puts the paper's `AllTuples` exchange below the
+    /// merge (the streaming single-partition pass — the merge's oracle).
     fn merged(
         data: &[Vec<Value>],
         spec: SkylineSpec,
-        merge: MergeStrategy,
         gather: bool,
         kernel: DominanceKernel,
         executors: usize,
     ) -> (Vec<Row>, sparkline_exec::MetricsSnapshot) {
         let local: Arc<dyn ExecutionPlan> = Arc::new(
-            LocalSkylineExec::new(
-                spec.clone(),
-                false,
-                Arc::new(ExchangeExec::new(
-                    crate::exchange::ExchangeMode::RoundRobin,
-                    input(data.to_vec()),
-                )),
-            )
-            .with_kernel(kernel),
+            LocalSkylineExec::new(spec.clone(), false, input(data.to_vec())).with_kernel(kernel),
         );
         let global_input = if gather {
             Arc::new(ExchangeExec::single(local))
         } else {
             local
         };
-        let global = GlobalSkylineExec::new(spec, global_input)
-            .with_merge(merge)
-            .with_kernel(kernel);
+        let global = GlobalSkylineExec::new(spec, global_input).with_kernel(kernel);
         let ctx = TaskContext::new(executors);
         let parts = global.execute(&ctx).unwrap();
         assert_eq!(parts.len(), 1, "global phase yields one partition");
@@ -1528,40 +1410,26 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_and_hierarchical_merges_are_byte_identical_to_the_gathered_pass() {
-        // Many partitions of mixed data: both merges must produce the
-        // same rows in the same order as one BNL pass over the gather.
+    fn pairwise_merge_is_byte_identical_to_the_gathered_pass() {
+        // Many partitions of mixed data: the merge must produce the same
+        // rows in the same order as one BNL pass over the gather.
         let data: Vec<Vec<Value>> = (0..200)
             .map(|i: i64| vec![Value::Int64((i * 37) % 100), Value::Int64((i * 53) % 100)])
             .collect();
         let auto = DominanceKernel::Auto;
-        let (gathered, gathered_metrics) =
-            merged(&data, spec2(), MergeStrategy::Flat, true, auto, 8);
+        let (gathered, gathered_metrics) = merged(&data, spec2(), true, auto, 8);
         assert_eq!(gathered_metrics.merge_rounds, 0, "one partition: no merge");
-        let local_rows = gathered_metrics.rows_exchanged - 200;
 
-        let (pairwise, metrics) = merged(&data, spec2(), MergeStrategy::Flat, false, auto, 8);
+        let (pairwise, metrics) = merged(&data, spec2(), false, auto, 8);
         assert_eq!(pairwise, gathered);
         assert_eq!(metrics.merge_rounds, 1, "{metrics:?}");
         assert_eq!(metrics.merge_tasks, 8, "one task per local skyline");
         assert_eq!(metrics.max_merge_fanout, 8, "{metrics:?}");
         assert_eq!(
-            metrics.rows_exchanged - 200,
-            local_rows,
+            metrics.rows_exchanged, gathered_metrics.rows_exchanged,
             "the merge gathers what the exchange moved"
         );
         assert!(metrics.multi_candidate_passes > 0, "{metrics:?}");
-
-        for fan_in in [2usize, 3, 4] {
-            let merge = MergeStrategy::Hierarchical { fan_in };
-            let (tree, metrics) = merged(&data, spec2(), merge, false, auto, 8);
-            assert_eq!(tree, gathered, "fan-in {fan_in}");
-            assert!(metrics.merge_rounds >= 1, "fan-in {fan_in}: {metrics:?}");
-            assert!(
-                metrics.max_merge_fanout > 1,
-                "merge work must parallelize over executors: {metrics:?}"
-            );
-        }
     }
 
     #[test]
@@ -1605,25 +1473,13 @@ mod tests {
             ("nulls", &nulls, spec2()),
             ("strings", &strings, spec2()),
         ] {
-            let (expected, _) = merged(
-                data,
-                spec.clone(),
-                MergeStrategy::Flat,
-                true,
-                DominanceKernel::Scalar,
-                5,
-            );
+            let (expected, _) = merged(data, spec.clone(), true, DominanceKernel::Scalar, 5);
             assert!(!expected.is_empty());
             for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
-                for merge in [
-                    MergeStrategy::Flat,
-                    MergeStrategy::Hierarchical { fan_in: 2 },
-                ] {
-                    let (rows, m) = merged(data, spec.clone(), merge, false, kernel, 5);
-                    assert_eq!(rows, expected, "{name} {kernel:?} {merge:?}");
-                    if name == "strings" {
-                        assert_eq!(m.batched_tests, 0, "{name} {kernel:?}: {m:?}");
-                    }
+                let (rows, m) = merged(data, spec.clone(), false, kernel, 5);
+                assert_eq!(rows, expected, "{name} {kernel:?}");
+                if name == "strings" {
+                    assert_eq!(m.batched_tests, 0, "{name} {kernel:?}: {m:?}");
                 }
             }
         }
@@ -1634,34 +1490,13 @@ mod tests {
         // Two rows over eight executors: most local skylines are empty,
         // and an all-empty input merges to nothing without a round.
         let data = int_rows(&[(1, 2), (2, 1)]);
-        let (rows, m) = merged(
-            &data,
-            spec2(),
-            MergeStrategy::Flat,
-            false,
-            DominanceKernel::Auto,
-            8,
-        );
+        let (rows, m) = merged(&data, spec2(), false, DominanceKernel::Auto, 8);
         assert_eq!(rows.len(), 2);
         assert_eq!(m.merge_rounds, 1);
         assert_eq!(m.merge_tasks, 2, "only non-empty partitions get a task");
-        let (rows, m) = merged(
-            &[],
-            spec2(),
-            MergeStrategy::Flat,
-            false,
-            DominanceKernel::Auto,
-            8,
-        );
+        let (rows, m) = merged(&[], spec2(), false, DominanceKernel::Auto, 8);
         assert!(rows.is_empty());
         assert_eq!(m.merge_rounds, 0);
-    }
-
-    #[test]
-    fn hierarchical_merge_handles_empty_input() {
-        let global = GlobalSkylineExec::new(spec2(), input(Vec::new()))
-            .with_merge(MergeStrategy::Hierarchical { fan_in: 2 });
-        assert!(run(&global, 4).is_empty());
     }
 
     #[test]
@@ -1698,34 +1533,26 @@ mod tests {
         let late = TaskContext::new(2).with_deadline(sparkline_exec::Deadline::new(Some(
             std::time::Duration::ZERO,
         )));
-        let err = pairwise_merge(&late, &spec2(), DominanceKernel::Auto, parts.clone(), true)
-            .unwrap_err();
+        let err =
+            pairwise_merge(&late, &spec2(), DominanceKernel::Auto, parts.clone()).unwrap_err();
         assert!(err.is_timeout(), "{err}");
 
         // A fault injected into a pairwise task surfaces as the retryable
         // merge-site error (the consumer's retry path recomputes the
-        // stage); the in-group merge of the tree strategy injects nothing
-        // itself — its round scheduler does.
+        // stage).
         let faulty = TaskContext::new(2)
             .with_fault_injector(Arc::new(sparkline_exec::FaultInjector::new(7, 1.0)));
-        let err = pairwise_merge(
-            &faulty,
-            &spec2(),
-            DominanceKernel::Auto,
-            parts.clone(),
-            true,
-        )
-        .unwrap_err();
+        let err =
+            pairwise_merge(&faulty, &spec2(), DominanceKernel::Auto, parts.clone()).unwrap_err();
         assert!(
             err.is_retryable() && err.to_string().contains("merge"),
             "{err}"
         );
         let merged = pairwise_merge(
-            &faulty,
+            &TaskContext::new(2),
             &spec2(),
             DominanceKernel::Auto,
             parts.clone(),
-            false,
         )
         .unwrap();
         assert_eq!(merged, parts[1], "only the dominating staircase is left");
@@ -1733,35 +1560,32 @@ mod tests {
 
     #[test]
     fn describe_names_the_merge() {
-        let global = GlobalSkylineExec::new(spec2(), input(Vec::new()))
-            .with_merge(MergeStrategy::Hierarchical { fan_in: 4 });
+        let global = GlobalSkylineExec::new(spec2(), input(Vec::new()));
         assert!(
-            global.describe().contains("hierarchical fan-in 4"),
+            global
+                .describe()
+                .starts_with("GlobalSkylineExec [2 dims, pairwise merge, vectorized: "),
             "{}",
             global.describe()
         );
-        let flat = GlobalSkylineExec::new(spec2(), input(Vec::new()));
-        assert!(
-            flat.describe()
-                .starts_with("GlobalSkylineExec [2 dims, pairwise merge, vectorized: "),
-            "{}",
-            flat.describe()
+        let scalar =
+            GlobalSkylineExec::new(spec2(), input(Vec::new())).with_kernel(DominanceKernel::Scalar);
+        assert_eq!(
+            scalar.describe(),
+            "GlobalSkylineExec [2 dims, pairwise merge]"
         );
     }
 
     #[test]
     fn merge_fan_in_below_two_is_clamped() {
-        let global = GlobalSkylineExec::new(spec2(), input(Vec::new()))
-            .with_merge(MergeStrategy::Hierarchical { fan_in: 0 });
-        assert!(global.describe().contains("hierarchical fan-in 2"));
         let incomplete = IncompleteGlobalSkylineExec::new(spec2(), input(Vec::new()))
             .with_merge(MergeStrategy::Hierarchical { fan_in: 1 });
         assert!(incomplete.describe().contains("hierarchical fan-in 2"));
-        // And the clamped plans run (a fan-in of 1 would never terminate).
+        // And the clamped plan runs (a fan-in of 1 would never terminate).
         let data = int_rows(&[(1, 9), (2, 7), (3, 8), (4, 4), (5, 5), (6, 1), (7, 2)]);
-        let merge = MergeStrategy::Hierarchical { fan_in: 1 };
-        let (rows, _) = merged(&data, spec2(), merge, false, DominanceKernel::Auto, 3);
-        assert_eq!(rows.len(), 4);
+        let plan = IncompleteGlobalSkylineExec::new(spec2(), input(data))
+            .with_merge(MergeStrategy::Hierarchical { fan_in: 0 });
+        assert_eq!(run(&plan, 3).len(), 4);
     }
 
     #[test]
@@ -1769,51 +1593,16 @@ mod tests {
         let data: Vec<Vec<Value>> = (0..200)
             .map(|i: i64| vec![Value::Int64((i * 37) % 80), Value::Int64((i * 53) % 80)])
             .collect();
-        let run_plan = |vectorized: bool, merge: MergeStrategy| {
-            let kernel = if vectorized {
-                DominanceKernel::Auto
-            } else {
-                DominanceKernel::Scalar
-            };
-            let local = Arc::new(
-                LocalSkylineExec::new(
-                    spec2(),
-                    false,
-                    Arc::new(ExchangeExec::new(
-                        crate::exchange::ExchangeMode::RoundRobin,
-                        input(data.clone()),
-                    )),
-                )
-                .with_kernel(kernel),
-            );
-            let global: Arc<dyn ExecutionPlan> = match merge {
-                MergeStrategy::Flat => Arc::new(
-                    GlobalSkylineExec::new(spec2(), Arc::new(ExchangeExec::single(local)))
-                        .with_kernel(kernel),
-                ),
-                hierarchical => Arc::new(
-                    GlobalSkylineExec::new(spec2(), local)
-                        .with_merge(hierarchical)
-                        .with_kernel(kernel),
-                ),
-            };
-            let ctx = TaskContext::new(6);
-            let parts = global.execute(&ctx).unwrap();
-            (flatten(parts), ctx.metrics.snapshot())
-        };
-        let (scalar_rows, s) = run_plan(false, MergeStrategy::Flat);
+        let (scalar_rows, s) = merged(&data, spec2(), true, DominanceKernel::Scalar, 6);
         assert_eq!(s.batched_tests, 0, "scalar plan must not batch: {s:?}");
         assert!(s.scalar_tests > 0);
         assert_eq!(s.scalar_tests, s.dominance_tests);
-        for merge in [
-            MergeStrategy::Flat,
-            MergeStrategy::Hierarchical { fan_in: 2 },
-        ] {
-            let (vec_rows, v) = run_plan(true, merge);
+        for gather in [true, false] {
+            let (vec_rows, v) = merged(&data, spec2(), gather, DominanceKernel::Auto, 6);
             // Row-for-row identical, including order.
-            assert_eq!(scalar_rows, vec_rows, "{merge:?}");
-            assert!(v.batched_tests > 0, "{merge:?}: {v:?}");
-            assert_eq!(v.scalar_tests, 0, "{merge:?}: {v:?}");
+            assert_eq!(scalar_rows, vec_rows, "gather={gather}");
+            assert!(v.batched_tests > 0, "gather={gather}: {v:?}");
+            assert_eq!(v.scalar_tests, 0, "gather={gather}: {v:?}");
         }
     }
 
@@ -1866,7 +1655,7 @@ mod tests {
         let data: Vec<Vec<Value>> = (0..300)
             .map(|i: i64| vec![Value::Int64((i * 37) % 80), Value::Int64((i * 53) % 80)])
             .collect();
-        let run_plan = |kernel| merged(&data, spec2(), MergeStrategy::Flat, false, kernel, 4);
+        let run_plan = |kernel| merged(&data, spec2(), false, kernel, 4);
         let (expected, s) = run_plan(DominanceKernel::Scalar);
         assert_eq!(s.simd_tests, 0);
         assert_eq!(s.batched_tests, 0);

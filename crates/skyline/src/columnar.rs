@@ -39,9 +39,10 @@
 //! a lane goes dead once a dominator is found, and the walk stops —
 //! chunk-granular — when every lane is dead. Callers that hold many
 //! candidates at once (BNL batch admission, the representative
-//! pre-filter, grid corner pruning) use it as a sound pre-pass: only
-//! *strict* `DominatedBy` outcomes are consumed, which under a
-//! transitive relation are stable against any later window evolution.
+//! pre-filter, the disk scan's dominance skip) use it as a sound
+//! pre-pass: only *strict* `DominatedBy` outcomes are consumed, which
+//! under a transitive relation are stable against any later window
+//! evolution.
 //!
 //! # Score keys and the bounded walk
 //!
@@ -1293,9 +1294,9 @@ impl ColumnarBlock {
 }
 
 /// Struct-of-arrays block of plain `f64` points in folded ("smaller is
-/// better") space — the grid partitioner's cell corners live here, so the
-/// corner-dominance pruning pass runs on the same chunked kernel as the
-/// row windows.
+/// better") space — the disk scan's dominance-skip points live here, so
+/// the block-corner test runs on the same chunked kernel as the row
+/// windows.
 #[derive(Debug, Clone)]
 pub struct PointBlock {
     dims: usize,

@@ -41,7 +41,7 @@ pub struct SkylineStats {
     pub simd_tests: u64,
     /// Multi-candidate window passes performed
     /// (`columnar::ColumnarBlock::first_dominators` and the `PointBlock`
-    /// grid-corner variant): one walk over a block's buffers amortized
+    /// corner variant): one walk over a block's buffers amortized
     /// across up to `columnar::MULTI_LANES` candidates.
     pub multi_candidate_passes: u64,
 }

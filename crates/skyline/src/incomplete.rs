@@ -513,17 +513,23 @@ fn scalar_cross_flag(
 /// `rows` is typically the union of the per-bitmap local skylines, but the
 /// routine is correct on arbitrary input (it implements Definition 3.2
 /// directly). The checker must be an incomplete-relation checker when NULLs
-/// can occur.
+/// can occur. `control` is checked every 64 outer rows (each one a pass
+/// over the rest of the input), so a cancel or an expired deadline stops
+/// the quadratic loop.
 pub fn incomplete_global_skyline(
     rows: Vec<Row>,
     checker: &DominanceChecker,
     stats: &mut SkylineStats,
-) -> Vec<Row> {
+    control: &QueryControl,
+) -> Result<Vec<Row>> {
     let n = rows.len();
     stats.max_window = stats.max_window.max(n);
     let mut dominated = vec![false; n];
     let distinct = checker.distinct();
     for i in 0..n {
+        if i % 64 == 0 {
+            control.check()?;
+        }
         for j in (i + 1)..n {
             // A pair where both tuples are already flagged can no longer
             // influence the result; skip the comparison. Pairs with one
@@ -546,10 +552,11 @@ pub fn incomplete_global_skyline(
             }
         }
     }
-    rows.into_iter()
+    Ok(rows
+        .into_iter()
         .zip(dominated)
         .filter_map(|(row, dom)| (!dom).then_some(row))
-        .collect()
+        .collect())
 }
 
 /// Compute the full incomplete skyline of a dataset standalone: partition
@@ -569,7 +576,8 @@ pub fn incomplete_skyline(
             DominanceKernel::Scalar,
         ));
     }
-    incomplete_global_skyline(candidates, checker, stats)
+    incomplete_global_skyline(candidates, checker, stats, &QueryControl::unlimited())
+        .expect("an unlimited control never stops the all-pairs pass")
 }
 
 /// The **incorrect** global-skyline procedure of Gulzar et al. (paper
@@ -692,7 +700,13 @@ mod tests {
         let checker = DominanceChecker::incomplete(spec3());
         let (a, b, c) = cycle();
         let mut stats = SkylineStats::default();
-        let sky = incomplete_global_skyline(vec![a, b, c], &checker, &mut stats);
+        let sky = incomplete_global_skyline(
+            vec![a, b, c],
+            &checker,
+            &mut stats,
+            &QueryControl::unlimited(),
+        )
+        .unwrap();
         assert!(sky.is_empty(), "cyclic dominance must empty the skyline");
     }
 
@@ -738,7 +752,8 @@ mod tests {
         let mut s1 = SkylineStats::default();
         let with_partitioning = incomplete_skyline(data.clone(), &checker, &mut s1);
         let mut s2 = SkylineStats::default();
-        let direct = incomplete_global_skyline(data, &checker, &mut s2);
+        let direct =
+            incomplete_global_skyline(data, &checker, &mut s2, &QueryControl::unlimited()).unwrap();
         let key = |r: &Row| format!("{r}");
         let mut a: Vec<String> = with_partitioning.iter().map(key).collect();
         let mut b: Vec<String> = direct.iter().map(key).collect();
@@ -754,8 +769,13 @@ mod tests {
         let checker = DominanceChecker::incomplete(spec);
         let r = row(&[Some(1), None, Some(1)]);
         let mut stats = SkylineStats::default();
-        let sky =
-            incomplete_global_skyline(vec![r.clone(), r.clone(), r.clone()], &checker, &mut stats);
+        let sky = incomplete_global_skyline(
+            vec![r.clone(), r.clone(), r.clone()],
+            &checker,
+            &mut stats,
+            &QueryControl::unlimited(),
+        )
+        .unwrap();
         assert_eq!(sky.len(), 1);
     }
 
@@ -780,9 +800,28 @@ mod tests {
         let checker = DominanceChecker::incomplete(spec3());
         let (a, b, c) = cycle();
         let mut stats = SkylineStats::default();
-        incomplete_global_skyline(vec![a, b, c], &checker, &mut stats);
+        incomplete_global_skyline(
+            vec![a, b, c],
+            &checker,
+            &mut stats,
+            &QueryControl::unlimited(),
+        )
+        .unwrap();
         assert_eq!(stats.dominance_tests, 3); // all pairs of 3 tuples
         assert_eq!(stats.max_window, 3);
+    }
+
+    #[test]
+    fn all_pairs_pass_observes_the_control() {
+        let checker = DominanceChecker::incomplete(spec3());
+        let (a, b, c) = cycle();
+        let control = QueryControl::unlimited();
+        control.cancel();
+        let mut stats = SkylineStats::default();
+        let err =
+            incomplete_global_skyline(vec![a, b, c], &checker, &mut stats, &control).unwrap_err();
+        assert!(err.is_cancelled(), "{err}");
+        assert_eq!(stats.dominance_tests, 0, "checked before the first row");
     }
 
     /// Deterministic mixed-bitmap test data: ~30% NULLs over `dims`
@@ -887,7 +926,13 @@ mod tests {
             local.push_batch(data);
             let (candidates, _) = local.finish();
             let mut stats = SkylineStats::default();
-            let flat = incomplete_global_skyline(candidates.clone(), &checker, &mut stats);
+            let flat = incomplete_global_skyline(
+                candidates.clone(),
+                &checker,
+                &mut stats,
+                &QueryControl::unlimited(),
+            )
+            .unwrap();
             let flat_deferred = candidates.len() - flat.len();
             for parts in [1usize, 2, 3, 5] {
                 for fan_in in [2usize, 3] {

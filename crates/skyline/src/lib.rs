@@ -19,8 +19,8 @@
 //!   candidates are tested against the whole window in chunked or
 //!   explicit-SIMD passes (AVX2, runtime-dispatched), one candidate at a
 //!   time or [`columnar::MULTI_LANES`] at once; the batched BNL window, the
-//!   pre-filter, the incomplete family's class blocks, and the grid
-//!   partitioner's corner pruning run on it.
+//!   pre-filter, the incomplete family's class blocks, and the disk scan's
+//!   dominance skip run on it.
 //! * [`incomplete`] — null-bitmap partitioning and the all-pairs,
 //!   deferred-deletion global skyline for incomplete data (§5.7 and
 //!   Lemma 5.1); the mergeable bitmap-class-aware partial results that

@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 
-use sparkline_common::{DominanceKernel, Row, SkylineDim, SkylineSpec, SkylineType, Value};
+use sparkline_common::{
+    DominanceKernel, QueryControl, Row, SkylineDim, SkylineSpec, SkylineType, Value,
+};
 use sparkline_skyline::{
     bnl_skyline, incomplete_global_skyline, incomplete_skyline, naive_skyline,
     partition_by_null_bitmap, DominanceChecker, SkylineStats,
@@ -113,7 +115,9 @@ proptest! {
     fn incomplete_global_matches_naive(rows in rows_strategy(3, true, 30)) {
         let checker = DominanceChecker::incomplete(spec(3, false, false));
         let mut stats = SkylineStats::default();
-        let ours = incomplete_global_skyline(rows.clone(), &checker, &mut stats);
+        let ours =
+            incomplete_global_skyline(rows.clone(), &checker, &mut stats, &QueryControl::unlimited())
+                .unwrap();
         let oracle = naive_skyline(&rows, &checker);
         prop_assert_eq!(sorted_display(&ours), sorted_display(&oracle));
     }
@@ -174,12 +178,15 @@ proptest! {
     fn lemma_5_1_partitioned_locals_preserve_result(rows in rows_strategy(3, true, 30)) {
         let checker = DominanceChecker::incomplete(spec(3, false, false));
         let mut stats = SkylineStats::default();
-        let direct = incomplete_global_skyline(rows.clone(), &checker, &mut stats);
+        let unlimited = QueryControl::unlimited();
+        let direct =
+            incomplete_global_skyline(rows.clone(), &checker, &mut stats, &unlimited).unwrap();
         let mut candidates = Vec::new();
         for (_, part) in partition_by_null_bitmap(rows, checker.spec()) {
             candidates.extend(bnl_skyline(part, &checker, &mut stats, DominanceKernel::Scalar));
         }
-        let two_phase = incomplete_global_skyline(candidates, &checker, &mut stats);
+        let two_phase =
+            incomplete_global_skyline(candidates, &checker, &mut stats, &unlimited).unwrap();
         prop_assert_eq!(sorted_display(&direct), sorted_display(&two_phase));
     }
 

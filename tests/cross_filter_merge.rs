@@ -1,7 +1,7 @@
 //! Differential suite for the antichain cross-filter and the two phases
 //! built on it: the local batch fold into the score-ordered window
 //! (`BnlBuilder::push_batch`) and the global pairwise merge over key-sorted
-//! blocks (`GlobalSkylineExec`, flat and inside the hierarchical groups).
+//! blocks (`GlobalSkylineExec`).
 //!
 //! Every engine configuration must return the **raw rows** — same rows,
 //! same order, payload columns included — of two independent oracles: the
@@ -142,25 +142,11 @@ fn checker(shape: Shape, dims: usize) -> DominanceChecker {
     })
 }
 
-/// `flat` pins the one-round pairwise merge, otherwise the hierarchical
-/// merge runs from two partitions up with fan-in 2.
-fn config(
-    partitions: usize,
-    kernel: DominanceKernel,
-    streaming: bool,
-    flat: bool,
-) -> SessionConfig {
-    let config = SessionConfig::default()
+fn config(partitions: usize, kernel: DominanceKernel, streaming: bool) -> SessionConfig {
+    SessionConfig::default()
         .with_executors(partitions)
         .with_dominance_kernel(kernel)
-        .with_streaming_execution(streaming);
-    if flat {
-        config.with_hierarchical_merge_min_partitions(usize::MAX)
-    } else {
-        config
-            .with_hierarchical_merge_min_partitions(2)
-            .with_merge_fan_in(2)
-    }
+        .with_streaming_execution(streaming)
 }
 
 #[test]
@@ -182,18 +168,15 @@ fn every_merge_kernel_and_execution_mode_returns_the_oracle_rows() {
                     );
                     for kernel in KERNELS {
                         for streaming in [true, false] {
-                            for flat in [true, false] {
-                                let ctx = SessionContext::with_config(config(
-                                    partitions, kernel, streaming, flat,
-                                ));
-                                ctx.register_table("t", schema.clone(), rows.clone())
-                                    .unwrap();
-                                let got = ctx.sql(&query).unwrap().collect().unwrap();
-                                assert_eq!(
-                                    got.rows, expected,
-                                    "{cell} {kernel:?} streaming={streaming} flat={flat}"
-                                );
-                            }
+                            let ctx =
+                                SessionContext::with_config(config(partitions, kernel, streaming));
+                            ctx.register_table("t", schema.clone(), rows.clone())
+                                .unwrap();
+                            let got = ctx.sql(&query).unwrap().collect().unwrap();
+                            assert_eq!(
+                                got.rows, expected,
+                                "{cell} {kernel:?} streaming={streaming}"
+                            );
                         }
                     }
                 }
@@ -206,7 +189,7 @@ fn every_merge_kernel_and_execution_mode_returns_the_oracle_rows() {
 fn counters_and_explain_describe_the_pairwise_merge() {
     let (schema, rows) = table(Shape::Plain, "anti_correlated", 4, 4_000);
     let run = |kernel| {
-        let ctx = SessionContext::with_config(config(3, kernel, true, true));
+        let ctx = SessionContext::with_config(config(3, kernel, true));
         ctx.register_table("t", schema.clone(), rows.clone())
             .unwrap();
         let df = ctx.sql(&sql(Shape::Plain, 4)).unwrap();
@@ -276,7 +259,7 @@ fn a_fault_inside_a_pairwise_task_is_retried_to_identical_rows() {
             .unwrap();
         ctx
     };
-    let base = || config(partitions, DominanceKernel::Auto, true, true);
+    let base = || config(partitions, DominanceKernel::Auto, true);
     let query = sql(Shape::Plain, 3);
     let clean = session(base()).sql(&query).unwrap().collect().unwrap();
     assert_eq!(clean.metrics.faults_injected, 0);
@@ -305,7 +288,7 @@ fn a_fault_inside_a_pairwise_task_is_retried_to_identical_rows() {
 #[test]
 fn a_cancelled_session_stops_the_merge_with_a_typed_error() {
     let (schema, rows) = table(Shape::Plain, "anti_correlated", 4, 3_000);
-    let ctx = SessionContext::with_config(config(2, DominanceKernel::Auto, true, true));
+    let ctx = SessionContext::with_config(config(2, DominanceKernel::Auto, true));
     ctx.register_table("t", schema, rows).unwrap();
     let query = sql(Shape::Plain, 4);
     ctx.cancel();
@@ -504,13 +487,11 @@ fn the_pairwise_merge_decides_equal_key_rows_across_partitions() {
     assert_eq!(expected.len(), 62);
     assert_eq!(flat_bnl_oracle(&rows, &checker, 2), expected);
     for kernel in KERNELS {
-        for flat in [true, false] {
-            let ctx = SessionContext::with_config(config(2, kernel, true, flat));
-            ctx.register_table("t", schema.clone(), rows.clone())
-                .unwrap();
-            let got = ctx.sql(&sql(Shape::Plain, 2)).unwrap().collect().unwrap();
-            assert_eq!(got.rows, expected, "{kernel:?} flat={flat}");
-        }
+        let ctx = SessionContext::with_config(config(2, kernel, true));
+        ctx.register_table("t", schema.clone(), rows.clone())
+            .unwrap();
+        let got = ctx.sql(&sql(Shape::Plain, 2)).unwrap().collect().unwrap();
+        assert_eq!(got.rows, expected, "{kernel:?}");
     }
 }
 

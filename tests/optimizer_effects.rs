@@ -170,8 +170,8 @@ fn adaptive_explain_shows_strategy_sample_and_prefilter() {
     );
     let sql = skyline_query_for("airbnb", &airbnb::SKYLINE_DIMS, 3, true);
     let df = ctx.sql(&sql).unwrap();
-    // EXPLAIN: the pre-filter node names its point and sample counts, and
-    // the custom exchange names the chosen scheme.
+    // EXPLAIN: the pre-filter node names its point and sample counts, on
+    // the static plan shape (inherited distribution, pairwise merge).
     let explain = df.explain().unwrap();
     assert!(
         explain.contains("SkylinePreFilterExec ["),
@@ -181,31 +181,16 @@ fn adaptive_explain_shows_strategy_sample_and_prefilter() {
         explain.contains("representative points from") && explain.contains("sampled rows"),
         "pre-filter describe must carry its counts:\n{explain}"
     );
-    assert!(
-        explain.contains("ExchangeExec [Even]")
-            || explain.contains("ExchangeExec [Hash")
-            || explain.contains("ExchangeExec [AngleBased")
-            || explain.contains("ExchangeExec [Grid"),
-        "adaptive plan must name its chosen scheme:\n{explain}"
-    );
-    // EXPLAIN ANALYZE: chosen strategy, sample size, and the pre-filter
-    // drop counter render, and render stably across runs (wall-clock and
-    // memory lines excluded — everything else must match).
+    assert!(!explain.contains("ExchangeExec"), "{explain}");
+    assert!(explain.contains(", pairwise merge"), "{explain}");
+    // EXPLAIN ANALYZE: the sample size and the pre-filter drop counter
+    // render, and render stably across runs (wall-clock and memory lines
+    // excluded — everything else must match).
     let analyze = df.explain_analyze().unwrap();
-    assert!(analyze.contains("chosen partitioning: "), "{analyze}");
     assert!(analyze.contains("sample rows: "), "{analyze}");
+    assert!(!analyze.contains("sample rows: 0\n"), "{analyze}");
     assert!(analyze.contains("prefilter rows dropped: "), "{analyze}");
-    let strategy_line = |s: &str| {
-        s.lines()
-            .find(|l| l.starts_with("chosen partitioning"))
-            .unwrap()
-            .to_string()
-    };
-    assert_ne!(
-        strategy_line(&analyze),
-        "chosen partitioning: standard",
-        "adaptive plan picked a scheme:\n{analyze}"
-    );
+    assert!(!analyze.contains("chosen partitioning"), "{analyze}");
     // Scheduler-dependent gauges (wall clock, memory, the in-flight
     // peaks and batch counts) legitimately vary run to run; everything
     // else must be stable.
@@ -225,7 +210,6 @@ fn adaptive_explain_shows_strategy_sample_and_prefilter() {
     // The static plan renders the same lines with neutral values.
     let static_ctx = session(SessionConfig::default());
     let static_analyze = static_ctx.sql(&sql).unwrap().explain_analyze().unwrap();
-    assert!(static_analyze.contains("chosen partitioning: standard"));
     assert!(static_analyze.contains("sample rows: 0"));
     assert!(static_analyze.contains("prefilter rows dropped: 0"));
 }

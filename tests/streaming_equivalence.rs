@@ -171,22 +171,13 @@ fn streaming_matches_materialized_across_operators() {
     }
 }
 
-/// Strategy knobs ride along: hierarchical merge, grid partitioning, and
-/// the scalar dominance path must all stay byte-identical under streaming.
+/// Strategy knobs ride along: angle partitioning and the scalar dominance
+/// path must stay byte-identical under streaming.
 #[test]
 fn streaming_matches_materialized_with_strategy_knobs() {
     use sparkline::SkylinePartitioning;
     let sql = "SELECT * FROM anti SKYLINE OF d0 MIN, d1 MIN, d2 MIN";
     let configs: Vec<SessionConfig> = vec![
-        SessionConfig::default()
-            .with_executors(5)
-            .with_batch_size(32)
-            .with_hierarchical_merge_min_partitions(2)
-            .with_merge_fan_in(2),
-        SessionConfig::default()
-            .with_executors(5)
-            .with_batch_size(32)
-            .with_skyline_partitioning(SkylinePartitioning::Grid),
         SessionConfig::default()
             .with_executors(3)
             .with_batch_size(32)
