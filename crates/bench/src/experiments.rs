@@ -31,7 +31,7 @@ pub fn all_ids() -> Vec<&'static str> {
     vec![
         "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
         "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "ext1", "ext3", "ext4", "ext5",
-        "ext6", "ext7", "ext8", "ext9", "ext10", "ext11",
+        "ext7", "ext8", "ext9", "ext10", "ext11",
     ]
 }
 
@@ -61,7 +61,6 @@ pub fn run(id: &str, ctx: &mut EvalContext, quick: bool) -> Vec<Report> {
         "ext3" => ext3_vectorized_dominance(quick),
         "ext4" => ext4_streaming_execution(quick),
         "ext5" => ext5_adaptive_planning(quick),
-        "ext6" => ext6_incomplete_merge(quick),
         "ext7" => ext7_simd_kernel(quick),
         "ext8" => ext8_chaos(quick),
         "ext9" => ext9_storage(quick),
@@ -732,63 +731,6 @@ fn ext5_adaptive_planning(quick: bool) -> Vec<Report> {
         title: format!(
             "Extension 5: adaptive vs fixed skyline planning ({rows} rows, 3 dims; \
              see BENCH_PR4.json)"
-        ),
-        x_label: "distribution",
-        x_values: distributions.iter().map(|d| d.to_string()).collect(),
-        series,
-        metric: Metric::Time,
-        with_relative: false,
-    }]
-}
-
-/// ext6: the paper's flat single-executor incomplete global phase vs the
-/// bitmap-class-aware hierarchical merge (PR 5), per NULL-bearing
-/// Börzsönyi distribution. Also writes the machine-readable
-/// `BENCH_PR5.json` (flat vs tree wall clock, the shared
-/// `deferred_deletions` count, and the classes the tree combined); set
-/// `BENCH_PR5_OUT` to redirect the file.
-fn ext6_incomplete_merge(quick: bool) -> Vec<Report> {
-    let path = std::env::var("BENCH_PR5_OUT").unwrap_or_else(|_| "BENCH_PR5.json".to_string());
-    let bench = crate::incomplete_bench::write_bench_pr5(&path, quick)
-        .unwrap_or_else(|e| panic!("ext6: cannot write {path}: {e}"));
-    eprintln!("    wrote {path}");
-    for s in &bench.summaries {
-        eprintln!(
-            "    [{:<15}] flat {:.3}s vs tree {:.3}s ({:.2}x), \
-             {} deferred deletions over {} bitmap classes",
-            s.distribution,
-            s.flat_secs,
-            s.tree_secs,
-            s.flat_secs / s.tree_secs.max(1e-9),
-            s.deferred_deletions,
-            s.classes_merged,
-        );
-    }
-    let distributions: Vec<&'static str> = bench.summaries.iter().map(|s| s.distribution).collect();
-    let series: Vec<(String, Vec<Cell>)> = vec![
-        (
-            "flat (paper)".to_string(),
-            bench
-                .summaries
-                .iter()
-                .map(|s| Cell::Value(s.flat_secs))
-                .collect(),
-        ),
-        (
-            "hierarchical".to_string(),
-            bench
-                .summaries
-                .iter()
-                .map(|s| Cell::Value(s.tree_secs))
-                .collect(),
-        ),
-    ];
-    let rows = bench.cells.first().map(|c| c.rows).unwrap_or(0);
-    vec![Report {
-        id: "ext6".into(),
-        title: format!(
-            "Extension 6: flat vs hierarchical incomplete global merge ({rows} rows, \
-             3 dims, 30% NULLs; see BENCH_PR5.json)"
         ),
         x_label: "distribution",
         x_values: distributions.iter().map(|d| d.to_string()).collect(),

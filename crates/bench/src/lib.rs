@@ -15,7 +15,6 @@ pub mod adaptive_bench;
 pub mod chaos_bench;
 pub mod experiments;
 pub mod harness;
-pub mod incomplete_bench;
 pub mod kernel_bench;
 pub mod mutation_bench;
 pub mod report;
@@ -26,7 +25,6 @@ pub mod stream_bench;
 
 pub use adaptive_bench::{run_adaptive_bench, write_bench_pr4, AdaptiveBench};
 pub use chaos_bench::{run_chaos_bench, write_bench_pr7, ChaosBench};
-pub use incomplete_bench::{run_incomplete_bench, write_bench_pr5, IncompleteBench};
 pub use kernel_bench::{run_kernel_bench, write_bench_pr2, KernelBench};
 pub use mutation_bench::{run_mutation_bench, write_bench_pr10, MutationBench};
 pub use report::{format_relative_table, format_series_table, Cell};

@@ -25,13 +25,15 @@ pub enum SkylineStrategy {
     /// global skyline directly. Only valid on complete data.
     NonDistributedComplete,
     /// Algorithm (3): null-bitmap partitioned local skylines + all-pairs
-    /// flagged global skyline. Valid on any data.
+    /// flagged global skyline (computed as the pairwise merge over the
+    /// bitmap-class blocks of the local skylines — same rows, same order).
+    /// Valid on any data.
     DistributedIncomplete,
     /// Extension beyond the paper: statistics-driven planning. The plan
     /// shape is `Auto`'s (Listing 8, the configured partitioning, the
-    /// pairwise merge), but a seeded sample of the input
-    /// (`sparkline_common::stats`) feeds the representative-point
-    /// pre-filter and, on the incomplete family, the global merge choice.
+    /// pairwise merge); on the complete family a seeded sample of the
+    /// input (`sparkline_common::stats`) additionally feeds the
+    /// representative-point pre-filter.
     Adaptive,
 }
 
@@ -98,26 +100,6 @@ impl DominanceKernel {
     }
 }
 
-/// How the **incomplete** family's global phase combines the per-class
-/// local skylines (`IncompleteGlobalSkylineExec`). The complete family has
-/// one global merge, the pairwise cross-filter of `GlobalSkylineExec`, and
-/// no setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MergeStrategy {
-    /// The paper's plan: gather every candidate onto one executor
-    /// (`AllTuples`) for the §5.7 all-pairs pass — the serial bottleneck
-    /// of §6.4.
-    #[default]
-    Flat,
-    /// Hierarchical (tree) merge: per-class partial results are merged in
-    /// k-way rounds fanned over the executor pool until one remains.
-    /// Produces the same rows in the same order as the flat pass.
-    Hierarchical {
-        /// How many partitions one merge task combines per round (>= 2).
-        fan_in: usize,
-    },
-}
-
 /// Per-session engine configuration.
 ///
 /// `num_executors` plays the role of Spark's executor count: it sizes the
@@ -141,24 +123,6 @@ pub struct SessionConfig {
     pub skyline_strategy: SkylineStrategy,
     /// Partitioning scheme for the distributed complete local phase.
     pub skyline_partitioning: SkylinePartitioning,
-    /// Fan-in of one task of the incomplete family's hierarchical merge
-    /// (>= 2).
-    pub merge_fan_in: usize,
-    /// Minimum partition count (== executor count) at which the planner
-    /// replaces the incomplete family's single-executor all-pairs pass
-    /// with its hierarchical tree merge (see `incomplete_tree_merge`).
-    /// Below it the tree degenerates to the flat plan anyway, so it is not
-    /// worth the plan churn.
-    pub hierarchical_merge_min_partitions: usize,
-    /// Allow the hierarchical (tree) merge for the **incomplete** family's
-    /// global phase: per-bitmap-class partial results with deferred-
-    /// deletion bookkeeping are merged in k-way rounds over the executor
-    /// pool instead of gathering every candidate onto one executor for the
-    /// §5.7 all-pairs pass. Byte-identical results either way (see
-    /// `sparkline_skyline::incomplete` for the soundness argument);
-    /// disabling it pins the incomplete family to the paper's flat
-    /// single-executor plan — the A/B switch of the `ext6` benchmark.
-    pub incomplete_tree_merge: bool,
     /// How skyline dominance tests run: through the columnar (struct-of-
     /// arrays) batch kernel where the data admits it — on the tier
     /// [`DominanceKernel::Auto`] picks from the CPU's features at runtime,
@@ -245,9 +209,6 @@ impl Default for SessionConfig {
             streaming_execution: true,
             skyline_strategy: SkylineStrategy::Auto,
             skyline_partitioning: SkylinePartitioning::Standard,
-            merge_fan_in: 4,
-            hierarchical_merge_min_partitions: 4,
-            incomplete_tree_merge: true,
             dominance_kernel: DominanceKernel::Auto,
             enable_single_dim_rewrite: true,
             enable_skyline_join_pushdown: true,
@@ -313,29 +274,6 @@ impl SessionConfig {
     /// Choose the local-phase partitioning scheme.
     pub fn with_skyline_partitioning(mut self, partitioning: SkylinePartitioning) -> Self {
         self.skyline_partitioning = partitioning;
-        self
-    }
-
-    /// Set the incomplete family's hierarchical-merge fan-in (>= 2).
-    pub fn with_merge_fan_in(mut self, fan_in: usize) -> Self {
-        assert!(fan_in >= 2, "merge fan-in must be at least 2");
-        self.merge_fan_in = fan_in;
-        self
-    }
-
-    /// Set the partition count at which the incomplete family's
-    /// hierarchical merge engages. `usize::MAX` effectively forces the
-    /// flat all-pairs pass.
-    pub fn with_hierarchical_merge_min_partitions(mut self, min: usize) -> Self {
-        self.hierarchical_merge_min_partitions = min;
-        self
-    }
-
-    /// Toggle the hierarchical merge for the incomplete family's global
-    /// phase (on by default; engages once the executor count reaches
-    /// [`Self::with_hierarchical_merge_min_partitions`]).
-    pub fn with_incomplete_tree_merge(mut self, on: bool) -> Self {
-        self.incomplete_tree_merge = on;
         self
     }
 
@@ -519,15 +457,5 @@ mod tests {
         assert_eq!(c.storage_block_rows, 256);
         assert!(!c.disk_minmax_skipping);
         assert!(!c.disk_dominance_skipping);
-    }
-
-    #[test]
-    fn incomplete_tree_merge_knob_defaults_on() {
-        assert!(SessionConfig::new().incomplete_tree_merge);
-        assert!(
-            !SessionConfig::new()
-                .with_incomplete_tree_merge(false)
-                .incomplete_tree_merge
-        );
     }
 }

@@ -22,15 +22,13 @@ pub mod strategy;
 pub mod types;
 pub mod value;
 
-pub use config::{
-    DominanceKernel, MergeStrategy, SessionConfig, SkylinePartitioning, SkylineStrategy,
-};
+pub use config::{DominanceKernel, SessionConfig, SkylinePartitioning, SkylineStrategy};
 pub use control::{Deadline, QueryControl, CONTROL_CHECK_ROWS};
 pub use error::{Error, Result};
 pub use row::Row;
 pub use schema::{Field, Schema, SchemaRef};
 pub use skyline::{SkylineDim, SkylineSpec, SkylineType};
-pub use stats::{reservoir_sample, DatasetStats, DimStats, Reservoir};
+pub use stats::{reservoir_sample, DatasetStats, Reservoir};
 pub use strategy::{SkylineMeta, SkylinePlan};
 pub use types::DataType;
 pub use value::Value;

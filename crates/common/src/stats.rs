@@ -4,15 +4,14 @@
 //! configuration, but its own experiments (§6) show the best choice flips
 //! with dimensionality and correlation. This module computes the
 //! statistics that decision needs from a small, **seeded** reservoir
-//! sample of the input: row counts, per-dimension min/max/NULL fraction,
-//! and a Spearman-style rank-correlation estimate over the ranked skyline
+//! sample of the input: row counts, a skyline-fraction estimate, and a
+//! Spearman-style rank-correlation estimate over the ranked skyline
 //! dimensions (negative ≙ anti-correlated trade-offs, positive ≙
 //! correlated). `SkylinePlan::select_adaptive` consumes a
-//! [`DatasetStats`] to budget the representative-point pre-filter (from
-//! the skyline fraction) and to pick the incomplete family's global merge
-//! (from the NULL fractions); the same sample seeds the pre-filter's
-//! points (see `sparkline_skyline::prefilter`). No plan decision reads the
-//! correlation estimate today.
+//! [`DatasetStats`] to budget the complete family's representative-point
+//! pre-filter (from the skyline fraction); the same sample seeds the
+//! pre-filter's points (see `sparkline_skyline::prefilter`). No plan
+//! decision reads the correlation estimate today.
 //!
 //! Everything here is deterministic: the reservoir is driven by a
 //! SplitMix64 generator seeded from `SessionConfig::sample_seed`, so
@@ -120,19 +119,6 @@ pub fn numeric_value(v: &Value) -> Option<f64> {
     }
 }
 
-/// Per-dimension statistics over the sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DimStats {
-    /// Smallest numeric value seen (raw space, before MIN/MAX folding);
-    /// `None` when no sampled row had a numeric value in this dimension.
-    pub min: Option<f64>,
-    /// Largest numeric value seen.
-    pub max: Option<f64>,
-    /// Fraction of sampled rows that are NULL-like (NULL, NaN, or
-    /// non-numeric) in this dimension.
-    pub null_fraction: f64,
-}
-
 /// Dataset statistics the adaptive planner consumes, computed from a
 /// (reservoir) sample of the skyline operator's input.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,8 +131,6 @@ pub struct DatasetStats {
     pub total_rows: usize,
     /// Skyline dimensions (all kinds, in spec order).
     pub dims: usize,
-    /// Per-dimension statistics, aligned with the spec's dimensions.
-    pub per_dim: Vec<DimStats>,
     /// Mean pairwise Spearman rank correlation over the leading ranked
     /// dimensions, in **folded** space (MIN/MAX collapsed to
     /// smaller-is-better): `< 0` means anti-correlated trade-offs (large
@@ -183,31 +167,6 @@ impl DatasetStats {
     /// from.
     pub fn from_sample(sample: &[Row], total_rows: usize, spec: &SkylineSpec) -> Self {
         let n = sample.len();
-        let per_dim: Vec<DimStats> = spec
-            .dims
-            .iter()
-            .map(|dim| {
-                let mut min = f64::INFINITY;
-                let mut max = f64::NEG_INFINITY;
-                let mut nulls = 0usize;
-                let mut seen = false;
-                for row in sample {
-                    match numeric_value(row.get(dim.index)) {
-                        Some(v) => {
-                            min = min.min(v);
-                            max = max.max(v);
-                            seen = true;
-                        }
-                        None => nulls += 1,
-                    }
-                }
-                DimStats {
-                    min: seen.then_some(min),
-                    max: seen.then_some(max),
-                    null_fraction: if n == 0 { 0.0 } else { nulls as f64 / n as f64 },
-                }
-            })
-            .collect();
 
         // Folded columns of the leading ranked dimensions: rows missing a
         // numeric value in one dimension are skipped per pair.
@@ -248,7 +207,6 @@ impl DatasetStats {
             sample_rows: n,
             total_rows,
             dims: spec.dims.len(),
-            per_dim,
             correlation: if pairs == 0 { 0.0 } else { sum / pairs as f64 },
             skyline_fraction: if n > SKYLINE_ESTIMATE_CAP {
                 estimate_skyline_fraction(
@@ -259,16 +217,6 @@ impl DatasetStats {
                 estimate_skyline_fraction(sample, spec)
             },
         }
-    }
-
-    /// Largest per-dimension NULL fraction — the signal that the
-    /// complete-data family would inflate the skyline with incomparable
-    /// tuples.
-    pub fn max_null_fraction(&self) -> f64 {
-        self.per_dim
-            .iter()
-            .map(|d| d.null_fraction)
-            .fold(0.0, f64::max)
     }
 }
 
@@ -426,22 +374,6 @@ mod tests {
         let rows = rows2(&(0..100).map(|i| (i as f64, i as f64)).collect::<Vec<_>>());
         let s = DatasetStats::from_sample(&rows, 100, &spec);
         assert!(s.correlation < -0.9, "{}", s.correlation);
-    }
-
-    #[test]
-    fn per_dim_stats_track_nulls_and_bounds() {
-        let rows = vec![
-            Row::new(vec![Value::Int64(4), Value::Null]),
-            Row::new(vec![Value::Int64(-1), Value::Float64(2.5)]),
-            Row::new(vec![Value::Int64(9), Value::Null]),
-            Row::new(vec![Value::Null, Value::Float64(7.0)]),
-        ];
-        let s = DatasetStats::from_sample(&rows, 4, &spec2());
-        assert_eq!(s.per_dim[0].min, Some(-1.0));
-        assert_eq!(s.per_dim[0].max, Some(9.0));
-        assert_eq!(s.per_dim[0].null_fraction, 0.25);
-        assert_eq!(s.per_dim[1].null_fraction, 0.5);
-        assert_eq!(s.max_null_fraction(), 0.5);
     }
 
     #[test]

@@ -6,13 +6,11 @@
 //! point consumed by the physical planner: given the [`SessionConfig`] and
 //! the [`SkylineMeta`] extracted from the plan, [`SkylinePlan::select`]
 //! fixes the algorithm family, the local-phase partitioning scheme, and
-//! the global merge strategy. Keeping the decision here (rather than
+//! the compare kernel. Keeping the decision here (rather than
 //! inlined in the planner) lets the optimizer, the planner, and the
 //! benchmark harness agree on one notion of "what will this query run".
 
-use crate::config::{
-    DominanceKernel, MergeStrategy, SessionConfig, SkylinePartitioning, SkylineStrategy,
-};
+use crate::config::{DominanceKernel, SessionConfig, SkylinePartitioning, SkylineStrategy};
 use crate::skyline::SkylineSpec;
 use crate::stats::DatasetStats;
 
@@ -51,10 +49,6 @@ pub struct SkylinePlan {
     /// the scheme cannot apply: angles over fewer than two ranked
     /// dimensions).
     pub partitioning: SkylinePartitioning,
-    /// Global merge strategy of the incomplete family; always `Flat` for
-    /// the complete family, whose one global merge is the pairwise
-    /// cross-filter.
-    pub merge: MergeStrategy,
     /// The session's `dominance_kernel` selection: which compare tier the
     /// columnar batch kernel runs per operator (unrepresentable rows still
     /// fall back to the scalar checker tuple-by-tuple), or `Scalar` for
@@ -95,29 +89,10 @@ impl SkylinePlan {
             config.skyline_partitioning
         };
 
-        // The complete family always merges pairwise. The incomplete
-        // family replaces the paper's single-executor `AllTuples` pass
-        // with its deferred-deletion tree merge
-        // (`sparkline_skyline::incomplete`) once enough partitions exist
-        // for tree rounds to pay off, unless the `incomplete_tree_merge`
-        // knob pins it to the paper's flat plan.
-        let merge = if !use_complete
-            && distributed
-            && config.incomplete_tree_merge
-            && config.num_executors >= config.hierarchical_merge_min_partitions
-        {
-            MergeStrategy::Hierarchical {
-                fan_in: config.merge_fan_in.max(2),
-            }
-        } else {
-            MergeStrategy::Flat
-        };
-
         SkylinePlan {
             use_complete,
             distributed,
             partitioning,
-            merge,
             // Semantics-preserving on every algorithm family (the kernel
             // falls back per tuple where it cannot represent the data),
             // so the knob passes through unconditionally.
@@ -128,53 +103,29 @@ impl SkylinePlan {
 
     /// Statistics-driven selection for [`SkylineStrategy::Adaptive`]: the
     /// plan shape is [`Self::select`]'s — Listing 8's algorithm family,
-    /// the configured partitioning, the pairwise merge — and the sampled
-    /// [`DatasetStats`] steer two things on top of it:
+    /// the configured partitioning, the pairwise merge — and, on the
+    /// distributed **complete** family, the sampled [`DatasetStats`] budget
+    /// the representative-point pre-filter (whose points also drive the
+    /// disk scan's dominance skip), keyed on the sample's skyline fraction:
+    /// trade-off-heavy data gets a quarter of the configured budget. Every
+    /// other plan is [`Self::select`]'s unchanged: the pre-filter is
+    /// unsound under the non-transitive incomplete relation.
     ///
-    /// * on the distributed **complete** family, the budget of the
-    ///   representative-point pre-filter (whose points also drive the disk
-    ///   scan's dominance skip), keyed on the sample's skyline fraction:
-    ///   trade-off-heavy data gets a quarter of the configured budget;
-    /// * on the distributed **incomplete** family, the global merge, keyed
-    ///   on the sample's per-dimension NULL fractions.
-    ///
-    /// Both choices are semantically neutral (the pre-filter only discards
-    /// provably dominated tuples, the incomplete merges agree row for
-    /// row); the statistics steer cost only. The decision is a pure
-    /// function of config + meta + stats, so repeated `EXPLAIN`s of one
-    /// query agree.
+    /// The choice is semantically neutral (the pre-filter only discards
+    /// provably dominated tuples); the statistics steer cost only. The
+    /// decision is a pure function of config + meta + stats, so repeated
+    /// `EXPLAIN`s of one query agree.
     pub fn select_adaptive(
         config: &SessionConfig,
         meta: &SkylineMeta,
         stats: &DatasetStats,
     ) -> Self {
         let mut plan = SkylinePlan::select(config, meta);
-        if !plan.distributed {
-            return plan;
-        }
-        if !plan.use_complete {
-            // Incomplete family: partitioning is fixed by the null-bitmap
-            // exchange and the pre-filter is unsound under the
-            // non-transitive relation — but the per-dimension NULL
-            // fractions steer the *global merge*. A sample without NULLs
-            // means a single bitmap class: the local phase degenerates to
-            // one partition, the global phase receives one already-merged
-            // skyline, and tree rounds would only add plan churn — the
-            // merge is refused (flat). NULL-bearing samples spread
-            // candidates over several classes and partitions, where the
-            // deferred-deletion tree merge parallelizes the §5.7 all-pairs
-            // phase.
-            plan.merge = if config.incomplete_tree_merge
-                && config.num_executors >= config.hierarchical_merge_min_partitions
-                && stats.max_null_fraction() > 0.0
-            {
-                MergeStrategy::Hierarchical {
-                    fan_in: (config.num_executors / 2).clamp(2, config.merge_fan_in.max(2)),
-                }
-            } else {
-                MergeStrategy::Flat
-            };
-        } else if config.representative_prefilter && config.prefilter_max_points > 0 {
+        if plan.use_complete
+            && plan.distributed
+            && config.representative_prefilter
+            && config.prefilter_max_points > 0
+        {
             // Budget the filter by expected selectivity: on trade-off-heavy
             // data most tuples survive, so every tuple pays a scan over the
             // whole point set — a quarter of the budget keeps most of the
@@ -217,7 +168,6 @@ mod tests {
         let plan = SkylinePlan::select(&non_dist, &meta(2, true, false));
         assert!(plan.use_complete);
         assert!(!plan.distributed);
-        assert_eq!(plan.merge, MergeStrategy::Flat);
     }
 
     #[test]
@@ -252,32 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_strategy_tracks_executor_count() {
-        // The complete family merges pairwise at every executor count.
-        for executors in [2usize, 4, 8, 16] {
-            let config = SessionConfig::default()
-                .with_executors(executors)
-                .with_hierarchical_merge_min_partitions(2);
-            assert_eq!(
-                SkylinePlan::select(&config, &meta(2, false, false)).merge,
-                MergeStrategy::Flat,
-                "{executors} executors"
-            );
-        }
-        // The incomplete family tree-merges from the configured floor on.
-        let big = SessionConfig::default().with_executors(8);
-        assert_eq!(
-            SkylinePlan::select(&big, &meta(2, true, false)).merge,
-            MergeStrategy::Hierarchical { fan_in: 4 }
-        );
-        let forced_flat = big.with_hierarchical_merge_min_partitions(usize::MAX);
-        assert_eq!(
-            SkylinePlan::select(&forced_flat, &meta(2, true, false)).merge,
-            MergeStrategy::Flat
-        );
-    }
-
-    #[test]
     fn kernel_knob_passes_through() {
         let plan = SkylinePlan::select(&SessionConfig::default(), &meta(2, false, false));
         assert_eq!(plan.kernel, DominanceKernel::Auto);
@@ -294,59 +218,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn incomplete_family_tree_merges_with_enough_executors() {
-        // The §5.7 global phase is no longer pinned to one executor: with
-        // a big enough pool the deferred-deletion tree merge engages.
-        let config = SessionConfig::default().with_executors(16);
-        assert_eq!(
-            SkylinePlan::select(&config, &meta(2, true, false)).merge,
-            MergeStrategy::Hierarchical { fan_in: 4 }
-        );
-        // The knob restores the paper's flat single-executor plan.
-        let pinned = SessionConfig::default()
-            .with_executors(16)
-            .with_incomplete_tree_merge(false);
-        assert_eq!(
-            SkylinePlan::select(&pinned, &meta(2, true, false)).merge,
-            MergeStrategy::Flat
-        );
-        // Tiny pools keep the flat plan.
-        let small = SessionConfig::default().with_executors(2);
-        assert_eq!(
-            SkylinePlan::select(&small, &meta(2, true, false)).merge,
-            MergeStrategy::Flat
-        );
-    }
-
     fn stats_with(correlation: f64, skyline_fraction: f64, sample_rows: usize) -> DatasetStats {
         DatasetStats {
             sample_rows,
             total_rows: sample_rows * 10,
             dims: 2,
-            per_dim: Vec::new(),
             correlation,
             skyline_fraction,
         }
     }
 
-    fn with_null_fraction(mut stats: DatasetStats, null_fraction: f64) -> DatasetStats {
-        stats.per_dim = vec![
-            crate::stats::DimStats {
-                min: Some(0.0),
-                max: Some(1.0),
-                null_fraction,
-            };
-            stats.dims
-        ];
-        stats
-    }
-
     #[test]
     fn adaptive_complete_plan_shape_is_the_static_one() {
-        // Whatever the sample says, the complete family's partitioning and
-        // merge are `select()`'s: the statistics only budget the
-        // pre-filter.
+        // Whatever the sample says, the complete family's partitioning is
+        // `select()`'s: the statistics only budget the pre-filter.
         for executors in [2usize, 8] {
             for scheme in [
                 SkylinePartitioning::Standard,
@@ -363,7 +248,6 @@ mod tests {
                         let plan =
                             SkylinePlan::select_adaptive(&config, &m, &stats_with(corr, frac, 500));
                         assert_eq!(plan.partitioning, fixed.partitioning, "{plan:?}");
-                        assert_eq!(plan.merge, MergeStrategy::Flat, "{plan:?}");
                     }
                 }
             }
@@ -394,62 +278,14 @@ mod tests {
             .with_executors(8)
             .with_skyline_strategy(SkylineStrategy::Adaptive);
         // Nullable, not declared complete: Listing 8 selects the
-        // incomplete family; partitioning stays Standard and the
-        // pre-filter must stay off (non-transitive relation) — only the
-        // global merge is steered by the statistics.
-        let plan = SkylinePlan::select_adaptive(
-            &config,
-            &meta(2, true, false),
-            &with_null_fraction(stats_with(-0.9, 0.5, 500), 0.3),
-        );
+        // incomplete family; the statistics change nothing — partitioning
+        // stays Standard and the pre-filter stays off (non-transitive
+        // relation).
+        let m = meta(2, true, false);
+        let plan = SkylinePlan::select_adaptive(&config, &m, &stats_with(-0.9, 0.5, 500));
         assert!(!plan.use_complete);
         assert_eq!(plan.partitioning, SkylinePartitioning::Standard);
         assert_eq!(plan.prefilter_max_points, 0);
-        assert!(
-            matches!(plan.merge, MergeStrategy::Hierarchical { .. }),
-            "the NULL-bearing sample picks the merge: {plan:?}"
-        );
-    }
-
-    #[test]
-    fn adaptive_incomplete_merge_follows_null_fractions() {
-        let config = SessionConfig::default()
-            .with_executors(8)
-            .with_skyline_strategy(SkylineStrategy::Adaptive);
-        let m = meta(2, true, false);
-        // NULL-bearing sample: several bitmap classes → tree merge.
-        let tree = SkylinePlan::select_adaptive(
-            &config,
-            &m,
-            &with_null_fraction(stats_with(0.0, 0.3, 500), 0.4),
-        );
-        assert!(
-            matches!(tree.merge, MergeStrategy::Hierarchical { .. }),
-            "{tree:?}"
-        );
-        // A sample without NULLs predicts a single bitmap class: the
-        // global phase receives one already-merged local skyline, so the
-        // tree merge is refused even though the static knobs allow it.
-        let flat = SkylinePlan::select_adaptive(
-            &config,
-            &m,
-            &with_null_fraction(stats_with(0.0, 0.3, 500), 0.0),
-        );
-        assert_eq!(flat.merge, MergeStrategy::Flat);
-        // The knob and the executor floor still gate the tree.
-        let pinned = SkylinePlan::select_adaptive(
-            &config.clone().with_incomplete_tree_merge(false),
-            &m,
-            &with_null_fraction(stats_with(0.0, 0.3, 500), 0.4),
-        );
-        assert_eq!(pinned.merge, MergeStrategy::Flat);
-        let small = SkylinePlan::select_adaptive(
-            &SessionConfig::default()
-                .with_executors(2)
-                .with_skyline_strategy(SkylineStrategy::Adaptive),
-            &m,
-            &with_null_fraction(stats_with(0.0, 0.3, 500), 0.4),
-        );
-        assert_eq!(small.merge, MergeStrategy::Flat);
+        assert_eq!(plan, SkylinePlan::select(&config, &m));
     }
 }

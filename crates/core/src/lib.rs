@@ -77,8 +77,8 @@ pub use session::{Algorithm, SessionContext};
 
 // Re-export the vocabulary users need without digging into sub-crates.
 pub use sparkline_common::{
-    DataType, DominanceKernel, Error, Field, MergeStrategy, Result, Row, Schema, SchemaRef,
-    SessionConfig, SkylinePartitioning, SkylineStrategy, SkylineType, Value,
+    DataType, DominanceKernel, Error, Field, Result, Row, Schema, SchemaRef, SessionConfig,
+    SkylinePartitioning, SkylineStrategy, SkylineType, Value,
 };
 pub use sparkline_plan::{Expr, JoinCondition, JoinType, LogicalPlan, SkylineDimension, SortExpr};
 
@@ -341,7 +341,10 @@ mod tests {
             .sql("SELECT * FROM t SKYLINE OF a MIN, b MIN, c MIN")
             .unwrap();
         let explain = df.explain().unwrap();
-        assert!(explain.contains("IncompleteGlobalSkylineExec"), "{explain}");
+        assert!(
+            explain.contains("GlobalSkylineExec [3 dims, incomplete, pairwise merge"),
+            "{explain}"
+        );
         assert_eq!(df.collect().unwrap().num_rows(), 0);
     }
 

@@ -474,7 +474,6 @@ impl SessionContext {
             m.prefilter_rows_dropped
         ));
         out.push_str(&format!("deferred deletions: {}\n", m.deferred_deletions));
-        out.push_str(&format!("classes merged: {}\n", m.classes_merged));
         out.push_str(&format!("rows exchanged: {}\n", m.rows_exchanged));
         out.push_str(&format!("max window: {}\n", m.max_window));
         out.push_str(&format!("faults injected: {}\n", m.faults_injected));

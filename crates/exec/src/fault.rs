@@ -32,7 +32,7 @@ pub enum FaultSite {
     Scan,
     /// An exchange (repartitioning) input drain.
     Exchange,
-    /// A global merge task (pairwise or hierarchical).
+    /// A task of the global pairwise merge.
     Merge,
     /// A skyline sink consuming its input batches.
     SkylineSink,

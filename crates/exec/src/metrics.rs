@@ -47,32 +47,26 @@ pub struct ExecMetrics {
     /// Block-corner dominance tests performed by the disk scan's
     /// dominance skip.
     pub corner_tests: AtomicU64,
-    /// Rounds of the global merge: 1 for the pairwise merge of two or
-    /// more local skylines, the tree depth for the incomplete family's
-    /// hierarchical merge, 0 when a single gathered partition streams
-    /// through one window (non-distributed plans, the flat incomplete
-    /// plan).
+    /// Rounds of the global merge: 1 for every distributed plan whose
+    /// pairwise merge has two or more antichain blocks to combine (local
+    /// skylines, or bitmap-class runs of them under the incomplete
+    /// relation), 0 when there is nothing to merge — a single gathered
+    /// partition streaming through one window (non-distributed plans), or
+    /// a single block.
     pub merge_rounds: AtomicU64,
-    /// Merge tasks executed across all rounds (the pairwise merge runs
-    /// one per non-empty local skyline).
+    /// Merge tasks executed: the pairwise merge runs one per non-empty
+    /// block, all in its one round.
     pub merge_tasks: AtomicU64,
-    /// Largest number of merge tasks in a single round — the parallelism
-    /// the merge actually exposed to the executor pool.
-    pub max_merge_fanout: AtomicUsize,
     /// Rows discarded by the representative-point pre-filter before they
     /// reached any skyline window.
     pub prefilter_rows_dropped: AtomicU64,
     /// Tuples flagged as dominated during the incomplete global phase —
-    /// the deferred deletions of §5.7: flagged tuples keep traveling as
-    /// dominance witnesses (flat: until the final filter; hierarchical:
-    /// with their partial result) and are removed only at the end. The
-    /// flat and tree merges flag the same tuples, so this counter is
-    /// plan-shape invariant — the bench harness records it as a structural
-    /// check alongside wall clock.
+    /// the deferred deletions of §5.7: a flagged tuple keeps witnessing
+    /// against every other candidate until the round ends. Equal to the
+    /// candidates the global phase received minus its result, exactly the
+    /// tuples the paper's all-pairs pass flags (`SKYLINE OF DISTINCT`
+    /// duplicates included); 0 under the complete relation.
     pub deferred_deletions: AtomicU64,
-    /// Distinct null-bitmap classes consumed by the hierarchical
-    /// incomplete merge (0 for the flat single-executor global phase).
-    pub classes_merged: AtomicU64,
     /// Rows in the planner's reservoir sample behind a representative
     /// pre-filter (0 when no pre-filter ran).
     pub sample_rows: AtomicU64,
@@ -154,7 +148,6 @@ impl ExecMetrics {
     pub fn add_merge_round(&self, tasks: usize) {
         self.merge_rounds.fetch_add(1, Ordering::Relaxed);
         self.merge_tasks.fetch_add(tasks as u64, Ordering::Relaxed);
-        self.max_merge_fanout.fetch_max(tasks, Ordering::Relaxed);
     }
 
     /// Record rows discarded by the representative pre-filter.
@@ -167,12 +160,6 @@ impl ExecMetrics {
     /// phase.
     pub fn add_deferred_deletions(&self, tuples: u64) {
         self.deferred_deletions.fetch_add(tuples, Ordering::Relaxed);
-    }
-
-    /// Record bitmap classes consumed by the hierarchical incomplete
-    /// merge.
-    pub fn add_classes_merged(&self, classes: u64) {
-        self.classes_merged.fetch_add(classes, Ordering::Relaxed);
     }
 
     /// Record the planner's sample size (idempotent across partitions).
@@ -251,10 +238,8 @@ impl ExecMetrics {
             corner_tests: self.corner_tests.load(Ordering::Relaxed),
             merge_rounds: self.merge_rounds.load(Ordering::Relaxed),
             merge_tasks: self.merge_tasks.load(Ordering::Relaxed),
-            max_merge_fanout: self.max_merge_fanout.load(Ordering::Relaxed),
             prefilter_rows_dropped: self.prefilter_rows_dropped.load(Ordering::Relaxed),
             deferred_deletions: self.deferred_deletions.load(Ordering::Relaxed),
-            classes_merged: self.classes_merged.load(Ordering::Relaxed),
             sample_rows: self.sample_rows.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
             retries_attempted: self.retries_attempted.load(Ordering::Relaxed),
@@ -303,16 +288,12 @@ pub struct MetricsSnapshot {
     pub corner_tests: u64,
     /// Global merge rounds (1 for the pairwise merge).
     pub merge_rounds: u64,
-    /// Total merge tasks across all rounds.
+    /// Merge tasks, one per merged block.
     pub merge_tasks: u64,
-    /// Largest single-round merge parallelism.
-    pub max_merge_fanout: usize,
     /// Rows discarded by the representative pre-filter.
     pub prefilter_rows_dropped: u64,
     /// Tuples flagged (deferred-deleted) by incomplete global phases.
     pub deferred_deletions: u64,
-    /// Bitmap classes consumed by the hierarchical incomplete merge.
-    pub classes_merged: u64,
     /// Rows in the planner's reservoir sample behind a pre-filter.
     pub sample_rows: u64,
     /// Transient faults fired by the deterministic injector.
@@ -427,12 +408,10 @@ mod tests {
         m.add_prefilter_dropped(2);
         m.add_deferred_deletions(5);
         m.add_deferred_deletions(2);
-        m.add_classes_merged(3);
         m.note_sample_rows(128);
         let s = m.snapshot();
         assert_eq!(s.prefilter_rows_dropped, 42);
         assert_eq!(s.deferred_deletions, 7);
-        assert_eq!(s.classes_merged, 3);
         assert_eq!(s.sample_rows, 128);
     }
 
@@ -483,6 +462,5 @@ mod tests {
         assert_eq!(s.partitions_pruned, 0, "nothing prunes partitions");
         assert_eq!(s.merge_rounds, 3);
         assert_eq!(s.merge_tasks, 7);
-        assert_eq!(s.max_merge_fanout, 4);
     }
 }

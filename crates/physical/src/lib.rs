@@ -7,9 +7,11 @@
 //! trees and performs the paper's skyline **algorithm selection**
 //! (Listing 8): complete data runs the two-phase Block-Nested-Loop plan
 //! (`LocalSkylineExec` + `GlobalSkylineExec` merging the local skylines
-//! pairwise over the executor pool); potentially
-//! incomplete data is hash-distributed by null bitmap for the local phase
-//! and finished by the all-pairs `IncompleteGlobalSkylineExec`.
+//! pairwise over the executor pool); potentially incomplete data is
+//! hash-distributed by null bitmap for a per-class local phase and finished
+//! by the same `GlobalSkylineExec` under the incomplete relation, whose
+//! pairwise merge over the bitmap-class runs computes the paper's
+//! all-pairs pass with deferred deletion.
 //!
 //! Operators follow a **pull-based, batched stream model** (the analogue
 //! of Spark's pipelined narrow transformations): `execute_stream` returns
@@ -56,9 +58,7 @@ pub use join::{HashJoinExec, NestedLoopJoinExec};
 pub use planner::{ExecTableSource, PhysicalPlanner};
 pub use scan::ScanExec;
 pub use scan_disk::{ColumnPredicate, DiskScanExec, DominanceSkip};
-pub use skyline_exec::{
-    GlobalSkylineExec, IncompleteGlobalSkylineExec, LocalSkylineExec, MinMaxFilterExec,
-};
+pub use skyline_exec::{GlobalSkylineExec, LocalSkylineExec, MinMaxFilterExec};
 
 /// A physical operator.
 pub trait ExecutionPlan: fmt::Debug + Send + Sync {

@@ -4,9 +4,8 @@
 use std::sync::Arc;
 
 use sparkline_common::{
-    reservoir_sample, DataType, DatasetStats, Error, MergeStrategy, Result, Row, Schema, SchemaRef,
-    SessionConfig, SkylineDim, SkylineMeta, SkylinePartitioning, SkylinePlan, SkylineSpec,
-    SkylineStrategy, Value,
+    reservoir_sample, DataType, DatasetStats, Error, Result, Row, Schema, SchemaRef, SessionConfig,
+    SkylineDim, SkylineMeta, SkylinePartitioning, SkylinePlan, SkylineSpec, SkylineStrategy, Value,
 };
 use sparkline_plan::{
     AggregateFunction, BinaryOp, BoundColumn, Expr, JoinCondition, JoinType, LogicalPlan,
@@ -17,8 +16,7 @@ use crate::aggregate::AggCall;
 use crate::exchange::{ExchangeExec, ExchangeMode};
 use crate::join::{HashJoinExec, NestedLoopJoinExec};
 use crate::skyline_exec::{
-    GlobalSkylineExec, IncompleteGlobalSkylineExec, LocalSkylineExec, MinMaxFilterExec,
-    SkylinePreFilterExec,
+    GlobalSkylineExec, LocalSkylineExec, MinMaxFilterExec, SkylinePreFilterExec,
 };
 use crate::{
     basic::{DistinctExec, FilterExec, LimitExec, ProjectExec, SortExec},
@@ -258,21 +256,6 @@ impl<'a> PhysicalPlanner<'a> {
         Some((reservoir.into_rows(), total))
     }
 
-    /// The disk table a skyline input resolves to when nothing between
-    /// the operator and the scan reshapes rows or changes the column
-    /// space (aliases, sorts, and DISTINCT are value-preserving).
-    fn bare_disk_table(&self, mut node: &LogicalPlan) -> Option<Arc<sparkline_storage::DiskTable>> {
-        loop {
-            match node {
-                LogicalPlan::TableScan { name, .. } => return self.source.disk_table(name),
-                LogicalPlan::SubqueryAlias { input, .. }
-                | LogicalPlan::Sort { input, .. }
-                | LogicalPlan::Distinct { input } => node = input,
-                _ => return None,
-            }
-        }
-    }
-
     fn plan_join(
         &self,
         left: &LogicalPlan,
@@ -364,17 +347,21 @@ impl<'a> PhysicalPlanner<'a> {
             distinct,
         };
 
-        // Strategy selection: algorithm family, local-phase partitioning,
-        // and global merge are fixed in one place from the session
+        // Strategy selection: algorithm family, local-phase partitioning
+        // and compare kernel are fixed in one place from the session
         // configuration and the skyline's plan metadata (Listing 8,
         // extended — see `sparkline_common::strategy`). Under the
-        // `Adaptive` strategy a seeded reservoir sample of the input
-        // additionally supplies dataset statistics (and, from the same
-        // sample, the representative pre-filter points); the sampling is
-        // deterministic per session config, so repeated `EXPLAIN`s of one
-        // query agree on the chosen plan.
+        // `Adaptive` strategy a complete-family skyline additionally gets a
+        // seeded reservoir sample of its input, which supplies dataset
+        // statistics and, from the same sample, the representative
+        // pre-filter points; the sampling is deterministic per session
+        // config, so repeated `EXPLAIN`s of one query agree on the chosen
+        // plan. The incomplete family reads no sample.
         let meta = SkylineMeta::new(&spec, skyline_nullable, complete);
-        let sample = if self.config.skyline_strategy == SkylineStrategy::Adaptive {
+        let static_plan = SkylinePlan::select(self.config, &meta);
+        let sample = if self.config.skyline_strategy == SkylineStrategy::Adaptive
+            && static_plan.use_complete
+        {
             self.sample_input(input, self.config.sample_size, self.config.sample_seed)
                 .map(|(mut rows, total)| {
                     // Mirror the computed-dimension wrapper on the sample
@@ -397,39 +384,16 @@ impl<'a> PhysicalPlanner<'a> {
         } else {
             None
         };
-        let mut sample_stats = sample
-            .as_ref()
-            .map(|(rows, total)| DatasetStats::from_sample(rows, *total, &spec));
-        // Footer-exact refinement: a skyline directly over a disk scan
-        // (dims bound to scan columns, no filter/projection between) gets
-        // its per-dimension min/max and NULL fractions from the block
-        // directory's aggregates — exact whole-table figures, zero I/O —
-        // instead of the sample estimates.
-        if !needs_wrap {
-            if let (Some(stats), Some(table)) = (sample_stats.as_mut(), self.bare_disk_table(input))
-            {
-                let agg = table.column_stats();
-                let total = table.total_rows();
-                stats.total_rows = total as usize;
-                for (k, dim) in spec.dims.iter().enumerate() {
-                    if let Some(col) = agg.get(dim.index) {
-                        stats.per_dim[k].min = col.min;
-                        stats.per_dim[k].max = col.max;
-                        stats.per_dim[k].null_fraction = if total == 0 {
-                            0.0
-                        } else {
-                            (col.nulls + col.non_numeric) as f64 / total as f64
-                        };
-                    }
-                }
-            }
-        }
-        let choice = match &sample_stats {
-            Some(stats) => SkylinePlan::select_adaptive(self.config, &meta, stats),
-            None => SkylinePlan::select(self.config, &meta),
+        let choice = match &sample {
+            Some((rows, total)) => SkylinePlan::select_adaptive(
+                self.config,
+                &meta,
+                &DatasetStats::from_sample(rows, *total, &spec),
+            ),
+            None => static_plan,
         };
 
-        let mut result: Arc<dyn ExecutionPlan> = if choice.use_complete {
+        let global_input: Arc<dyn ExecutionPlan> = if choice.use_complete {
             // Representative pre-filter (adaptive plans): discard tuples
             // strictly dominated by the sample skyline during the scan,
             // before the exchange and the local windows ever see them.
@@ -495,7 +459,7 @@ impl<'a> PhysicalPlanner<'a> {
             // non-distributed plan still needs the `AllTuples` gather the
             // paper describes: without a local phase the single pass must
             // see every tuple.
-            let global_input: Arc<dyn ExecutionPlan> = if choice.distributed {
+            if choice.distributed {
                 // Optional angle-based redistribution before the local
                 // phase (the paper's default inherits the distribution).
                 let local_input: Arc<dyn ExecutionPlan> = match choice.partitioning {
@@ -511,54 +475,23 @@ impl<'a> PhysicalPlanner<'a> {
                 )
             } else {
                 Arc::new(ExchangeExec::single(input_exec))
-            };
-            Arc::new(GlobalSkylineExec::new(spec, global_input).with_kernel(choice.kernel))
+            }
         } else {
-            // §5.7: distribute by null bitmap, then the global phase —
-            // the paper's plan (per-class local skylines + an all-pairs
-            // pass on one executor) when flat, or the deferred-deletion
-            // tree merge consuming the exchange's distribution directly:
-            // its leaf builders *are* the per-class local phase (plus the
-            // cross-class closure), so a separate `LocalSkylineExec`
-            // would only repeat the window work.
+            // §5.7: distribute by null bitmap, one local skyline per
+            // bitmap class, and the global merge over the class runs of
+            // the local skylines — no gather.
             let redistributed = Arc::new(ExchangeExec::new(
                 ExchangeMode::NullBitmap(spec.clone()),
                 input_exec,
             ));
-            // Adaptive plans surface *why* the merge was chosen or refused
-            // — the per-dimension NULL fractions now drive strategy, not
-            // just the Listing 8 semantics decision.
-            let note = sample_stats.as_ref().map(|stats| match choice.merge {
-                MergeStrategy::Flat => format!(
-                    "adaptive: flat (max NULL fraction {:.2} in {} sampled rows)",
-                    stats.max_null_fraction(),
-                    stats.sample_rows,
-                ),
-                MergeStrategy::Hierarchical { .. } => format!(
-                    "adaptive: tree (max NULL fraction {:.2} in {} sampled rows, {} executors)",
-                    stats.max_null_fraction(),
-                    stats.sample_rows,
-                    self.config.num_executors,
-                ),
-            });
-            let (global_input, merge): (Arc<dyn ExecutionPlan>, MergeStrategy) = match choice.merge
-            {
-                MergeStrategy::Flat => {
-                    let local = Arc::new(
-                        LocalSkylineExec::new(spec.clone(), true, redistributed)
-                            .with_kernel(choice.kernel),
-                    );
-                    (Arc::new(ExchangeExec::single(local)), MergeStrategy::Flat)
-                }
-                hierarchical => (redistributed, hierarchical),
-            };
             Arc::new(
-                IncompleteGlobalSkylineExec::new(spec, global_input)
-                    .with_merge(merge)
-                    .with_kernel(choice.kernel)
-                    .with_plan_note(note),
+                LocalSkylineExec::new(spec.clone(), true, redistributed).with_kernel(choice.kernel),
             )
         };
+        let mut result: Arc<dyn ExecutionPlan> = Arc::new(
+            GlobalSkylineExec::new(spec, !choice.use_complete, global_input)
+                .with_kernel(choice.kernel),
+        );
 
         if needs_wrap {
             let exprs: Vec<Expr> = (0..base_len)
@@ -782,7 +715,7 @@ mod tests {
         );
         assert!(display.contains("LocalSkylineExec"), "{display}");
         assert!(!display.contains("ExchangeExec"), "{display}");
-        assert!(!display.contains("Incomplete"), "{display}");
+        assert!(!display.contains("incomplete"), "{display}");
 
         let ctx = TaskContext::new(3);
         let rows = collect(&physical, &ctx).unwrap();
@@ -809,7 +742,10 @@ mod tests {
         let planner = PhysicalPlanner::new(&config, &source);
         let physical = planner.create(&logical).unwrap();
         let display = crate::display_physical(&physical);
-        assert!(display.contains("IncompleteGlobalSkylineExec"), "{display}");
+        assert!(
+            display.contains("GlobalSkylineExec [2 dims, incomplete, pairwise merge"),
+            "{display}"
+        );
         assert!(display.contains("NullBitmap"), "{display}");
         // Same answer as the complete plan on complete data.
         let ctx = TaskContext::new(3);

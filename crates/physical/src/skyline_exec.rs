@@ -5,16 +5,14 @@
 //!   it additionally groups the partition's tuples by null bitmap first, so
 //!   correctness never depends on how the exchange mapped bitmaps to
 //!   executors (Lemma 5.1 applies per bitmap class).
-//! * [`GlobalSkylineExec`] — complete-data global skyline over the local
-//!   skylines: the one-round pairwise cross-filter merge (every local
-//!   skyline filtered against every other, one task per partition on the
-//!   executor pool), at every executor count.
-//! * [`IncompleteGlobalSkylineExec`] — global skyline over the per-class
-//!   local skylines of incomplete data: either the paper's single-executor
-//!   all-pairs pass with deferred deletion (immune to cyclic dominance,
-//!   Appendix A) or the bitmap-class-aware hierarchical merge, whose
-//!   partial results carry their deferred-deletion sets as traveling
-//!   witnesses (see `sparkline_skyline::incomplete`).
+//! * [`GlobalSkylineExec`] — the global skyline over the local skylines,
+//!   for both dominance relations: the one-round pairwise cross-filter
+//!   merge (every antichain block filtered against every other, one task
+//!   per block on the executor pool), at every executor count. A block is
+//!   a local skyline under the complete relation, and one null-bitmap
+//!   class run of a local skyline under the incomplete relation, where the
+//!   merge computes the paper's all-pairs pass with deferred deletion
+//!   (Appendix A; see `sparkline_skyline::incomplete`).
 //! * [`MinMaxFilterExec`] — the O(n) single-dimension rewrite target
 //!   (§5.4): two linear passes, keeping optimum tuples (and NULL tuples,
 //!   which are incomparable and hence skyline members).
@@ -23,8 +21,8 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use sparkline_common::{
-    DominanceKernel, Error, MergeStrategy, QueryControl, Result, Row, SchemaRef, SkylineSpec,
-    Value, CONTROL_CHECK_ROWS,
+    DominanceKernel, Error, QueryControl, Result, Row, SchemaRef, SkylineSpec, Value,
+    CONTROL_CHECK_ROWS,
 };
 use sparkline_exec::{
     partition::{flatten, total_rows},
@@ -33,77 +31,55 @@ use sparkline_exec::{
 };
 use sparkline_plan::{Expr, MinMaxDirection};
 use sparkline_skyline::{
-    cross_filter, incomplete_global_skyline, kernel_label, merge_incomplete_partials, BnlBuilder,
-    ColumnarBlock, CrossFilterScratch, Dominance, DominanceChecker, GroupedBnlBuilder,
-    IncompletePartial, IncompletePartialBuilder, RepresentativeFilter, SkylineStats,
+    cross_filter, kernel_label, null_bitmap, BnlBuilder, ColumnarBlock, CrossFilterScratch,
+    Dominance, DominanceChecker, GroupedBnlBuilder, RepresentativeFilter, SkylineStats,
 };
 
 use crate::ExecutionPlan;
 
 /// The incremental consumer of one skyline phase: input batches are fed
-/// straight into the phase's algorithm state — the columnar kernel's
-/// encode-once BNL window, the per-bitmap-class window map, or (for the
-/// all-pairs pass, which inherently needs all rows) a plain buffer.
+/// straight into the phase's BNL state — the columnar kernel's
+/// encode-once window, or the per-bitmap-class window map.
 enum SkylineSink {
     /// Complete-data BNL window (scalar or columnar).
     Bnl(Box<BnlBuilder>),
     /// Incomplete local phase: one BNL window per null-bitmap class.
     Grouped(GroupedBnlBuilder),
-    /// Incomplete global phase: buffers for the all-pairs deferred-
-    /// deletion pass.
-    AllPairs {
-        rows: Vec<Row>,
-        checker: DominanceChecker,
-    },
 }
 
 impl SkylineSink {
-    /// Fold one batch into the phase state, checking the query control at
-    /// [`CONTROL_CHECK_ROWS`] granularity inside the window sinks (whose
-    /// admission loops do the dominance work; the buffering sinks only
-    /// append and rely on the per-batch check in the stream loop).
+    /// Fold one batch into the window, checking the query control at
+    /// [`CONTROL_CHECK_ROWS`] granularity inside the admission loops.
     fn push_batch_checked(&mut self, batch: Vec<Row>, control: &QueryControl) -> Result<()> {
         match self {
             SkylineSink::Bnl(b) => b.push_batch_checked(batch, control),
             SkylineSink::Grouped(g) => g.push_batch_checked(batch, control),
-            SkylineSink::AllPairs { rows, .. } => {
-                rows.extend(batch);
-                Ok(())
-            }
         }
     }
 
-    /// Rows currently buffered (the phase's working-set size — for the
-    /// BNL sinks this is the running skyline, not the consumed input).
+    /// Rows currently buffered: the running skyline, not the consumed
+    /// input.
     fn buffered(&self) -> usize {
         match self {
             SkylineSink::Bnl(b) => b.window_len(),
             SkylineSink::Grouped(g) => g.window_len(),
-            SkylineSink::AllPairs { rows, .. } => rows.len(),
         }
     }
 
-    /// Whether the sink buffers its raw input (the all-pairs pass) rather
-    /// than folding it into a window.
-    fn buffers_input(&self) -> bool {
-        matches!(self, SkylineSink::AllPairs { .. })
-    }
-
-    fn finish(self, ctx: &TaskContext) -> Result<(Vec<Row>, SkylineStats)> {
+    fn finish(self) -> (Vec<Row>, SkylineStats) {
         match self {
-            SkylineSink::Bnl(b) => Ok(b.finish()),
-            SkylineSink::Grouped(g) => Ok(g.finish()),
-            SkylineSink::AllPairs { rows, checker } => {
-                let mut stats = SkylineStats::default();
-                let candidates = rows.len();
-                let result = incomplete_global_skyline(rows, &checker, &mut stats, &ctx.control)?;
-                // Every dropped candidate carried a deferred-deletion flag
-                // until this final filter.
-                ctx.metrics
-                    .add_deferred_deletions((candidates - result.len()) as u64);
-                Ok((result, stats))
-            }
+            SkylineSink::Bnl(b) => b.finish(),
+            SkylineSink::Grouped(g) => g.finish(),
         }
+    }
+}
+
+/// The dominance relation of a skyline operator.
+fn checker_for(spec: &SkylineSpec, incomplete: bool) -> DominanceChecker {
+    if incomplete {
+        DominanceChecker::incomplete(spec.clone())
+    } else {
+        DominanceChecker::complete(spec.clone())
     }
 }
 
@@ -126,12 +102,11 @@ fn skyline_phase_stream(
         sparkline_exec::stream::chain_streams(schema.clone(), Arc::clone(&ctx.metrics), inputs);
     let mut sink = Some(sink);
     let mut guard = InFlightRows::new(Arc::clone(&ctx.metrics), 0);
-    // Byte accounting mirrors the row gauge: buffering sinks charge their
-    // input as it accumulates, every sink charges its result while it is
-    // being emitted. Growth is budget-checked: a phase whose buffer would
-    // exceed the query's memory budget fails with `ResourceExhausted`
-    // instead of allocating past the limit.
-    let mut reservation = Some(ctx.memory.reserve(0));
+    // Byte accounting mirrors the row gauge for the result while it is
+    // being emitted, budget-checked: a result that would exceed the
+    // query's memory budget fails with `ResourceExhausted` instead of
+    // allocating past the limit.
+    let mut reservation = None;
     let mut seq = 0u64;
     let mut emit: Option<std::vec::IntoIter<Row>> = None;
     PartitionStream::new(schema, Arc::clone(&ctx.metrics), move || loop {
@@ -152,23 +127,14 @@ fn skyline_phase_stream(
                 let sink = sink
                     .as_mut()
                     .ok_or_else(|| Error::internal("skyline sink gone while input remains"))?;
-                if sink.buffers_input() {
-                    if let Some(r) = reservation.as_mut() {
-                        ctx.try_grow(r, batch.iter().map(Row::estimated_bytes).sum())?;
-                    }
-                }
                 sink.push_batch_checked(batch, &ctx.control)?;
                 guard.set(sink.buffered());
             }
             None => {
-                // The sink consumes its buffer into the result; release
-                // the input reservation before charging the output so the
-                // two are not double counted.
-                reservation.take();
                 let (rows, stats) = sink
                     .take()
                     .ok_or_else(|| Error::internal("skyline sink finished twice"))?
-                    .finish(&ctx)?;
+                    .finish();
                 record_stats(&ctx, &stats);
                 guard.set(rows.len());
                 reservation = Some(ctx.try_reserve(rows.iter().map(Row::estimated_bytes).sum())?);
@@ -239,11 +205,7 @@ impl ExecutionPlan for LocalSkylineExec {
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
         let inputs = crate::input_streams(&self.input, ctx)?;
-        let checker = if self.incomplete {
-            DominanceChecker::incomplete(self.spec.clone())
-        } else {
-            DominanceChecker::complete(self.spec.clone())
-        };
+        let checker = checker_for(&self.spec, self.incomplete);
         Ok(inputs
             .into_iter()
             .enumerate()
@@ -285,61 +247,73 @@ impl ExecutionPlan for LocalSkylineExec {
     }
 }
 
-/// Global skyline for complete data over the local skylines.
+/// Global skyline over the local skylines, for both dominance relations.
 ///
 /// The pairwise cross-filter merge, built on the antichain identity of
 /// `sparkline_skyline::bnl` — for skylines `A`, `B`,
 /// *skyline(A ∪ B) = (A \ dominated-by-B) ++ (B \ dominated-by-A)* — in
 /// one round, with no gather. The operator drains its input partitions
-/// (the local skylines) in parallel, encodes each once into a
-/// [`ColumnarBlock`] sorted by score key, and runs one task per partition
-/// on the executor pool: task *i* cross-filters `L_i`, in arrival order,
-/// against every other `L_j` ([`cross_filter`]: one-directional, early
-/// exit, eight candidates per block walk, each walk probing `L_j`'s
-/// lowest-key rows first and stopping at the first chunk whose leading
-/// key exceeds the candidate's — a dominator's key never does). The
-/// result is the survivors concatenated in partition order, each
-/// partition's in arrival order; round and task counts are reported
-/// through `exec::metrics` (one round of one task per non-empty
-/// partition).
+/// (the local skylines) in parallel and cuts them into antichain
+/// **blocks**: under the complete relation a block is a partition, under
+/// the incomplete relation one null-bitmap class run of a partition (the
+/// local phase emits one class window after another). Each block is
+/// encoded once into a [`ColumnarBlock`] sorted by score key, and one task
+/// per block runs on the executor pool: task *i* cross-filters block `B_i`,
+/// in arrival order, against every other `B_j` ([`cross_filter`]:
+/// one-directional, early exit, eight candidates per block walk, each walk
+/// probing `B_j`'s lowest-key rows first and stopping at the first chunk
+/// whose leading key exceeds the candidate's — a dominator's key never
+/// does). The result is the survivors concatenated in block order, each
+/// block's in arrival order; round and task counts are reported through
+/// `exec::metrics` (one round of one task per non-empty block).
 ///
-/// Soundness: a row of `L_i` is in the global skyline iff no row of any
-/// partition dominates it; inside `L_i` nothing does (it is a skyline),
-/// and a dominator in `L_j` that is itself dominated elsewhere still
-/// proves the row dominated (transitivity), so testing against the
-/// *unfiltered* `L_j` is exact and the tasks are independent — no task
-/// waits for another's output. Byte-identity with the paper's
+/// Soundness, complete relation: a row of `B_i` is in the global skyline
+/// iff no row of any partition dominates it; inside `B_i` nothing does (it
+/// is a skyline), and a dominator in `B_j` that is itself dominated
+/// elsewhere still proves the row dominated (transitivity), so testing
+/// against the *unfiltered* `B_j` is exact and the tasks are independent —
+/// no task waits for another's output. Byte-identity with the paper's
 /// single-executor BNL pass over the `AllTuples` gather of the same
 /// partitions: order-preserving BNL yields the skyline members of its
-/// input in arrival order, which for the concatenation `L_0 ++ L_1 ++ …`
-/// is exactly "survivors in partition order". `SKYLINE OF DISTINCT`
+/// input in arrival order, which for the concatenation `B_0 ++ B_1 ++ …`
+/// is exactly "survivors in block order". `SKYLINE OF DISTINCT`
 /// additionally keeps the first of each group of dims-identical rows:
 /// within a partition the local phase already did, across partitions a
 /// sequential pass over the (small) merged result does — a later
 /// duplicate of a surviving row survives the strict cross-filter too, so
 /// deduplicating the survivors is deduplicating the skyline.
 ///
-/// Input contract: with **more than one input partition** the merge
-/// requires every partition to already be a skyline (the planner
-/// guarantees this — a `LocalSkylineExec` always sits below), because a
-/// partition is never tested against itself; debug builds spot-check it.
-/// A **single** input partition (the `AllTuples` gather of a
-/// non-distributed plan, or a one-partition child) may hold anything: it
-/// streams through an ordinary BNL window.
+/// Soundness, incomplete relation: the round computes the paper's
+/// all-pairs pass with deferred deletion (§5.7, Appendix A) over the
+/// gathered candidates, same rows in the same order, `DISTINCT` included
+/// — the argument is in `sparkline_skyline::incomplete`. Every candidate
+/// the pass would flag counts toward `deferred_deletions`.
+///
+/// Input contract: the merge requires every block to be an antichain
+/// (the planner guarantees this — a `LocalSkylineExec` always sits
+/// below), because a block is never tested against itself; debug builds
+/// spot-check it. Under the complete relation a **single** input partition
+/// (the `AllTuples` gather of a non-distributed plan, or a one-partition
+/// child) may hold anything: it streams through an ordinary BNL window.
+/// The incomplete relation has no such shortcut — it is not transitive
+/// across classes, so even one partition is merged block by block.
 #[derive(Debug)]
 pub struct GlobalSkylineExec {
     spec: SkylineSpec,
+    incomplete: bool,
     kernel: DominanceKernel,
     input: Arc<dyn ExecutionPlan>,
 }
 
 impl GlobalSkylineExec {
-    /// Global complete skyline: the pairwise merge over the input's
-    /// partitions (the planner feeds it the local skylines directly), or a
-    /// streaming pass when the input is a single partition.
-    pub fn new(spec: SkylineSpec, input: Arc<dyn ExecutionPlan>) -> Self {
+    /// Global skyline under the chosen dominance relation: the pairwise
+    /// merge over the input's partitions (the planner feeds it the local
+    /// skylines directly), or, for the complete relation, a streaming pass
+    /// when the input is a single partition.
+    pub fn new(spec: SkylineSpec, incomplete: bool, input: Arc<dyn ExecutionPlan>) -> Self {
         GlobalSkylineExec {
             spec,
+            incomplete,
             kernel: DominanceKernel::Auto,
             input,
         }
@@ -352,42 +326,41 @@ impl GlobalSkylineExec {
     }
 }
 
-/// Local skylines encoded once for the pairwise cross-filter merge: the
-/// row partitions, in arrival order, plus, on a vectorized kernel knob,
-/// each partition's columnar encoding **sorted by score key** — so every
-/// candidate probes a partition's strongest rows first and stops at the
-/// score bound (`sparkline_skyline::bnl`, "The score-ordered window"). A
-/// block demoted to scalar fallback stays unsorted; the primitive routes
-/// around it.
+/// Antichain blocks encoded once for the pairwise cross-filter merge: the
+/// block rows, in arrival order, plus, on a vectorized kernel knob, each
+/// block's columnar encoding **sorted by score key** — so every candidate
+/// probes a block's strongest rows first and stops at the score bound
+/// (`sparkline_skyline::bnl`, "The score-ordered window"). A block demoted
+/// to scalar fallback stays unsorted; the primitive routes around it.
 struct EncodedSkylines {
     checker: DominanceChecker,
-    parts: Vec<Partition>,
+    antichains: Vec<Partition>,
     blocks: Vec<Option<ColumnarBlock>>,
 }
 
-/// How many leading rows of each partition the debug-build contract check
+/// How many leading rows of each block the debug-build contract check
 /// compares pairwise.
 const ANTICHAIN_SPOT_CHECK_ROWS: usize = 32;
 
 impl EncodedSkylines {
-    fn new(checker: DominanceChecker, kernel: DominanceKernel, parts: Vec<Partition>) -> Self {
+    fn new(checker: DominanceChecker, kernel: DominanceKernel, antichains: Vec<Partition>) -> Self {
         debug_assert!(
-            parts.iter().all(|p| {
+            antichains.iter().all(|p| {
                 let head = &p[..p.len().min(ANTICHAIN_SPOT_CHECK_ROWS)];
                 head.iter()
                     .all(|a| head.iter().all(|b| !checker.dominates(a, b)))
             }),
-            "pairwise merge input partition is not a skyline"
+            "pairwise merge input block is not an antichain"
         );
-        let blocks = parts
+        let blocks = antichains
             .iter()
-            .map(|part| {
+            .map(|rows| {
                 kernel.is_vectorized().then(|| {
                     let mut block = ColumnarBlock::for_checker_with(&checker, kernel);
-                    part.iter().for_each(|row| block.push(row));
+                    rows.iter().for_each(|row| block.push(row));
                     // Only the block is reordered: the cross-filter never
                     // indexes the rows through it, and the survivor masks
-                    // stay in the partition's arrival order.
+                    // stay in the antichain's arrival order.
                     block.sort_by_key();
                     block
                 })
@@ -395,24 +368,24 @@ impl EncodedSkylines {
             .collect();
         EncodedSkylines {
             checker,
-            parts,
+            antichains,
             blocks,
         }
     }
 
-    /// Pairwise task `i`: which rows of partition `i` no row of any other
-    /// partition strictly dominates. Cancel and deadline are observed
-    /// every [`CONTROL_CHECK_ROWS`] candidates of every pair.
+    /// Pairwise task `i`: which rows of block `i` no row of any other
+    /// block strictly dominates. Cancel and deadline are observed every
+    /// [`CONTROL_CHECK_ROWS`] candidates of every pair.
     fn survivors(
         &self,
         ctx: &TaskContext,
         i: usize,
         stats: &mut SkylineStats,
     ) -> Result<Vec<bool>> {
-        let cands = &self.parts[i];
+        let cands = &self.antichains[i];
         let mut alive = vec![true; cands.len()];
         let mut scratch = CrossFilterScratch::default();
-        for (j, against) in self.parts.iter().enumerate() {
+        for (j, against) in self.antichains.iter().enumerate() {
             if j == i {
                 continue;
             }
@@ -435,19 +408,19 @@ impl EncodedSkylines {
         Ok(alive)
     }
 
-    /// The merged skyline: each partition's survivors, in partition order;
-    /// under `DISTINCT` only the first of every group of dims-identical
-    /// rows (the partitions are internally distinct already, so this only
-    /// removes cross-partition duplicates). As in the BNL window, a row
-    /// with a NULL-like dimension is not even `Equal` to itself and is
-    /// never deduplicated.
+    /// The merged skyline: each block's survivors, in block order; under
+    /// `DISTINCT` only the first of every group of dims-identical rows
+    /// (the local phase already deduplicated each partition, so this only
+    /// removes duplicates across partitions). As in the BNL window, a row
+    /// the relation does not find `Equal` to itself — one with a NULL-like
+    /// dimension under the complete relation — is never deduplicated.
     fn finish(self, alive: Vec<Vec<bool>>) -> Partition {
         let checker = &self.checker;
         let mut seen = HashSet::new();
-        self.parts
+        self.antichains
             .into_iter()
             .zip(alive)
-            .flat_map(|(part, alive)| part.into_iter().zip(alive))
+            .flat_map(|(rows, alive)| rows.into_iter().zip(alive))
             .filter_map(|(row, alive)| alive.then_some(row))
             .filter(|row| {
                 !checker.distinct()
@@ -458,25 +431,52 @@ impl EncodedSkylines {
     }
 }
 
-/// The pairwise cross-filter merge of `parts` (each a skyline): encode
-/// once, one task per partition fanned over the executor pool, survivors
-/// concatenated in partition order.
+/// Cut a local skyline of the incomplete relation into its null-bitmap
+/// class runs, in order — the class windows the local phase emitted one
+/// after another, each an antichain.
+fn class_runs(part: Partition, spec: &SkylineSpec) -> Vec<Partition> {
+    let mut runs: Vec<Partition> = Vec::new();
+    let mut current = None;
+    for row in part {
+        let bitmap = null_bitmap(&row, spec);
+        match runs.last_mut() {
+            Some(run) if current == Some(bitmap) => run.push(row),
+            _ => runs.push(vec![row]),
+        }
+        current = Some(bitmap);
+    }
+    runs
+}
+
+/// The pairwise cross-filter merge of the local skylines `parts`: cut
+/// into antichain blocks, encode once, one task per block fanned over the
+/// executor pool, survivors concatenated in block order.
 fn pairwise_merge(
     ctx: &TaskContext,
-    spec: &SkylineSpec,
+    checker: DominanceChecker,
     kernel: DominanceKernel,
     parts: Vec<Partition>,
 ) -> Result<Partition> {
     ctx.control.check()?;
-    if parts.len() <= 1 {
-        // Nothing to merge against: a lone local skyline is the result.
-        return Ok(parts.into_iter().next().unwrap_or_default());
+    let candidates = total_rows(&parts);
+    let incomplete = checker.is_incomplete();
+    let antichains: Vec<Partition> = if incomplete {
+        parts
+            .into_iter()
+            .flat_map(|part| class_runs(part, checker.spec()))
+            .collect()
+    } else {
+        parts
+    };
+    if antichains.len() <= 1 {
+        // Nothing to merge against: a lone antichain is the result.
+        return Ok(antichains.into_iter().next().unwrap_or_default());
     }
-    ctx.metrics.add_merge_round(parts.len());
-    let bytes = parts.iter().flatten().map(Row::estimated_bytes).sum();
+    ctx.metrics.add_merge_round(antichains.len());
+    let bytes = antichains.iter().flatten().map(Row::estimated_bytes).sum();
     let reservation = ctx.try_reserve(bytes)?;
-    let encoded = EncodedSkylines::new(DominanceChecker::complete(spec.clone()), kernel, parts);
-    let tasks: Vec<usize> = (0..encoded.parts.len()).collect();
+    let encoded = EncodedSkylines::new(checker, kernel, antichains);
+    let tasks: Vec<usize> = (0..encoded.antichains.len()).collect();
     let outcomes: Vec<(Vec<bool>, SkylineStats)> = ctx.runtime.map_indexed(tasks, |i, _| {
         // A lost pairwise task fails the stage; the consumer's retry path
         // recomputes the subtree from lineage.
@@ -495,48 +495,13 @@ fn pairwise_merge(
     drop(reservation);
     stats.max_window = merged.len();
     record_stats(ctx, &stats);
-    Ok(merged)
-}
-
-/// The k-way round scheduler of the incomplete family's hierarchical
-/// merge: combine `parts` in groups of `fan_in` per round,
-/// each group merged by `merge` on its own executor, until at most one
-/// remains. A trailing singleton group is already a merged result —
-/// carrying it over unchanged skips a useless re-scan, so only real merges
-/// count as tasks (and toward `merge_rounds` / `max_merge_fanout`).
-fn kway_merge_rounds<T: Send>(
-    ctx: &TaskContext,
-    mut parts: Vec<T>,
-    fan_in: usize,
-    merge: impl Fn(Vec<T>) -> Result<T> + Sync,
-) -> Result<Option<T>> {
-    let mut round = 0u64;
-    while parts.len() > 1 {
-        ctx.control.check()?;
-        let groups: Vec<Vec<T>> = {
-            let mut groups = Vec::with_capacity(parts.len().div_ceil(fan_in));
-            let mut iter = parts.into_iter().peekable();
-            while iter.peek().is_some() {
-                groups.push(iter.by_ref().take(fan_in).collect());
-            }
-            groups
-        };
-        let merging = groups.iter().filter(|g| g.len() > 1).count();
-        ctx.metrics.add_merge_round(merging);
-        parts = ctx.runtime.map_indexed(groups, |gi, mut group| {
-            if group.len() == 1 {
-                return group
-                    .pop()
-                    .ok_or_else(|| Error::internal("empty merge group"));
-            }
-            // A lost merge task fails the stage; the consumer's retry
-            // path recomputes the subtree from lineage.
-            ctx.maybe_inject(FaultSite::Merge, gi, round)?;
-            merge(group)
-        })?;
-        round += 1;
+    if incomplete {
+        // Every candidate the all-pairs pass would flag is a deferred
+        // deletion.
+        ctx.metrics
+            .add_deferred_deletions((candidates - merged.len()) as u64);
     }
-    Ok(parts.pop())
+    Ok(merged)
 }
 
 impl ExecutionPlan for GlobalSkylineExec {
@@ -554,12 +519,12 @@ impl ExecutionPlan for GlobalSkylineExec {
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
         let inputs = crate::input_streams(&self.input, ctx)?;
-        if inputs.len() <= 1 {
+        let checker = checker_for(&self.spec, self.incomplete);
+        if inputs.len() <= 1 && !self.incomplete {
             // One partition (a gather, or a one-partition child): feed the
             // input batches straight into an unseeded BNL window — the
             // input need not be a skyline, and the only buffered state is
             // the window itself.
-            let checker = DominanceChecker::complete(self.spec.clone());
             let sink = SkylineSink::Bnl(Box::new(BnlBuilder::with_kernel(checker, self.kernel)));
             return Ok(vec![skyline_phase_stream(
                 self.schema(),
@@ -572,7 +537,6 @@ impl ExecutionPlan for GlobalSkylineExec {
         // A breaker: the input streams (each a local skyline pipeline) are
         // drained in parallel over the executor pool, then merged in one
         // pairwise round.
-        let spec = self.spec.clone();
         let kernel = self.kernel;
         let ctx2 = ctx.clone();
         let input_plan = Arc::clone(&self.input);
@@ -592,14 +556,15 @@ impl ExecutionPlan for GlobalSkylineExec {
                 total_rows(&parts) as u64,
                 std::sync::atomic::Ordering::Relaxed,
             );
-            Ok(vec![pairwise_merge(&ctx2, &spec, kernel, parts)?])
+            Ok(vec![pairwise_merge(&ctx2, checker, kernel, parts)?])
         }))
     }
 
     fn describe(&self) -> String {
         format!(
-            "GlobalSkylineExec [{} dims{}, pairwise merge{}]",
+            "GlobalSkylineExec [{} dims{}{}, pairwise merge{}]",
             self.spec.dims.len(),
+            if self.incomplete { ", incomplete" } else { "" },
             if self.spec.distinct { ", distinct" } else { "" },
             kernel_fragment(self.kernel),
         )
@@ -704,233 +669,6 @@ impl ExecutionPlan for SkylinePreFilterExec {
             kernel_fragment(self.kernel),
         )
     }
-}
-
-/// Global skyline for (potentially) incomplete data (§5.7 / Appendix A).
-///
-/// Two merge strategies, selected by the planner through
-/// [`MergeStrategy`]:
-///
-/// * **Flat** — the paper's plan: every candidate is gathered onto one
-///   executor (`AllTuples`) for the all-pairs deferred-deletion pass —
-///   the engine's last serial bottleneck before this operator learned to
-///   tree-merge.
-/// * **Hierarchical** — the bitmap-class-aware tree merge: each input
-///   partition is consumed incrementally into an
-///   [`IncompletePartialBuilder`] (per-class BNL windows + cross-class
-///   flag closure), and the resulting [`IncompletePartial`]s — per-class
-///   candidate windows plus the deferred-deletion set that must keep
-///   traveling as dominance witnesses — are combined in k-way rounds over
-///   the executor pool. The leaf builders *fuse the local phase*: the
-///   planner feeds this operator the null-bitmap exchange directly (no
-///   `LocalSkylineExec` below, whose window work the leaves would only
-///   repeat), and input that already is a per-class local skyline passes
-///   through the leaf windows unchanged. Byte-identical to the flat pass
-///   (same rows, same order — see `sparkline_skyline::incomplete` for the
-///   argument); `merge_rounds` / `merge_tasks` / `deferred_deletions` /
-///   `classes_merged` flow through `exec::metrics`.
-#[derive(Debug)]
-pub struct IncompleteGlobalSkylineExec {
-    spec: SkylineSpec,
-    merge: MergeStrategy,
-    kernel: DominanceKernel,
-    /// Planner-provided note on how the merge strategy was chosen
-    /// (adaptive plans); rendered in EXPLAIN.
-    plan_note: Option<String>,
-    input: Arc<dyn ExecutionPlan>,
-}
-
-impl IncompleteGlobalSkylineExec {
-    /// Flat global incomplete skyline; the planner feeds it a single
-    /// partition via an `AllTuples` exchange.
-    pub fn new(spec: SkylineSpec, input: Arc<dyn ExecutionPlan>) -> Self {
-        IncompleteGlobalSkylineExec {
-            spec,
-            merge: MergeStrategy::Flat,
-            kernel: DominanceKernel::Auto,
-            plan_note: None,
-            input,
-        }
-    }
-
-    /// Choose the merge strategy (builder-style). A hierarchical fan-in
-    /// below 2 is clamped to 2: a group of one merges nothing, so the
-    /// rounds would never terminate.
-    pub fn with_merge(mut self, merge: MergeStrategy) -> Self {
-        self.merge = match merge {
-            MergeStrategy::Hierarchical { fan_in } => MergeStrategy::Hierarchical {
-                fan_in: fan_in.max(2),
-            },
-            flat => flat,
-        };
-        self
-    }
-
-    /// Choose the compare kernel of the tree merge (builder-style; the
-    /// flat all-pairs pass is scalar either way).
-    pub fn with_kernel(mut self, kernel: DominanceKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Attach the planner's merge-selection note for EXPLAIN.
-    pub fn with_plan_note(mut self, note: Option<String>) -> Self {
-        self.plan_note = note;
-        self
-    }
-}
-
-impl ExecutionPlan for IncompleteGlobalSkylineExec {
-    fn name(&self) -> &'static str {
-        "IncompleteGlobalSkylineExec"
-    }
-
-    fn schema(&self) -> SchemaRef {
-        self.input.schema()
-    }
-
-    fn children(&self) -> Vec<&Arc<dyn ExecutionPlan>> {
-        vec![&self.input]
-    }
-
-    fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
-        let inputs = crate::input_streams(&self.input, ctx)?;
-        match self.merge {
-            MergeStrategy::Flat => {
-                // The all-pairs pass needs every candidate buffered; the
-                // sink consumes the gathered stream batch-by-batch and
-                // runs the deadline-chunked flag loop at finish.
-                let sink = SkylineSink::AllPairs {
-                    rows: Vec::new(),
-                    checker: DominanceChecker::incomplete(self.spec.clone()),
-                };
-                Ok(vec![skyline_phase_stream(
-                    self.schema(),
-                    ctx,
-                    0,
-                    inputs,
-                    sink,
-                )])
-            }
-            MergeStrategy::Hierarchical { fan_in } => {
-                let spec = self.spec.clone();
-                let kernel = self.kernel;
-                let ctx2 = ctx.clone();
-                let input_plan = Arc::clone(&self.input);
-                Ok(breaker_streams(self.schema(), ctx, 1, move || {
-                    let checker = DominanceChecker::incomplete(spec.clone());
-                    // Leaf phase (parallel over the pool): consume each
-                    // input partition stream incrementally into a
-                    // per-class partial. The builder fuses the local phase
-                    // — its per-class windows plus one batch are the only
-                    // buffered state while the stream drains, which the
-                    // in-flight gauge charges like any other window sink.
-                    // A transient fault mid-stream restarts only this
-                    // leaf: the stream is recomputed from the input plan's
-                    // lineage and the builder starts over, up to the
-                    // context's retry budget.
-                    let expected = inputs.len();
-                    let mut parts: Vec<IncompletePartial> =
-                        ctx2.runtime.map_indexed(inputs, |i, stream| {
-                            sparkline_exec::retry_loop(
-                                &ctx2.control,
-                                ctx2.max_retries,
-                                ctx2.retry_backoff,
-                                stream,
-                                |mut s| {
-                                    consume_incomplete_partial(&ctx2, &checker, kernel, i, &mut s)
-                                },
-                                |_, _| {
-                                    ctx2.metrics.add_retry_attempted();
-                                    crate::recreate_partition_stream(
-                                        input_plan.as_ref(),
-                                        &ctx2,
-                                        expected,
-                                        i,
-                                    )
-                                },
-                            )
-                        })?;
-                    parts.retain(|p| !p.is_empty());
-                    // k-way rounds; deferred candidates travel with their
-                    // partial.
-                    let merged = kway_merge_rounds(&ctx2, parts, fan_in, |group| {
-                        ctx2.control.check()?;
-                        let mut stats = SkylineStats::default();
-                        let mut iter = group.into_iter();
-                        let mut acc = iter
-                            .next()
-                            .ok_or_else(|| Error::internal("empty merge group"))?;
-                        for next in iter {
-                            acc =
-                                merge_incomplete_partials(acc, next, &checker, kernel, &mut stats);
-                        }
-                        record_stats(&ctx2, &stats);
-                        Ok(acc)
-                    })?;
-                    let Some(root) = merged else {
-                        return Ok(vec![Vec::new()]);
-                    };
-                    ctx2.metrics
-                        .add_deferred_deletions(root.deferred_len() as u64);
-                    ctx2.metrics.add_classes_merged(root.class_count() as u64);
-                    Ok(vec![root.finish()])
-                }))
-            }
-        }
-    }
-
-    fn describe(&self) -> String {
-        let merge = match self.merge {
-            MergeStrategy::Flat => String::new(),
-            MergeStrategy::Hierarchical { fan_in } => {
-                format!(", hierarchical fan-in {fan_in}")
-            }
-        };
-        let note = match &self.plan_note {
-            Some(note) => format!(", {note}"),
-            None => String::new(),
-        };
-        format!(
-            "IncompleteGlobalSkylineExec [{} dims{}{}{}{}]",
-            self.spec.dims.len(),
-            if self.spec.distinct { ", distinct" } else { "" },
-            merge,
-            if matches!(self.merge, MergeStrategy::Flat) {
-                String::new()
-            } else {
-                kernel_fragment(self.kernel)
-            },
-            note,
-        )
-    }
-}
-
-/// Drain one input partition stream into an incomplete-skyline partial —
-/// the leaf task of the bitmap-class-aware tree merge. Fault-injection
-/// site `skyline-sink` fires here (per consumed batch), and the window
-/// work runs control-checked at [`CONTROL_CHECK_ROWS`] granularity.
-fn consume_incomplete_partial(
-    ctx: &TaskContext,
-    checker: &DominanceChecker,
-    kernel: DominanceKernel,
-    part: usize,
-    stream: &mut PartitionStream,
-) -> Result<IncompletePartial> {
-    let mut builder = IncompletePartialBuilder::with_kernel(checker.clone(), kernel);
-    let mut guard = InFlightRows::new(Arc::clone(&ctx.metrics), 0);
-    let mut seq = 0u64;
-    while let Some(batch) = stream.next_batch()? {
-        ctx.control.check()?;
-        ctx.maybe_inject(FaultSite::SkylineSink, part, seq)?;
-        seq += 1;
-        builder.push_batch_checked(batch, &ctx.control)?;
-        guard.set(builder.window_len());
-    }
-    let (partial, stats) = builder.finish();
-    record_stats(ctx, &stats);
-    guard.set(partial.len());
-    Ok(partial)
 }
 
 /// Two-pass single-dimension optimum filter (§5.4 rewrite target).
@@ -1084,6 +822,7 @@ mod tests {
     use crate::scan::ScanExec;
     use sparkline_common::{DataType, Field, Schema, SkylineDim};
     use sparkline_plan::BoundColumn;
+    use sparkline_skyline::incomplete_global_skyline;
 
     fn input(rows: Vec<Vec<Value>>) -> Arc<dyn ExecutionPlan> {
         let schema = Schema::new(vec![
@@ -1120,64 +859,83 @@ mod tests {
         let data = int_rows(&[(1, 9), (2, 7), (3, 8), (4, 4), (5, 5), (6, 1), (7, 2)]);
         let local = Arc::new(LocalSkylineExec::new(spec2(), false, input(data)));
         let gathered = Arc::new(ExchangeExec::single(local));
-        let global = GlobalSkylineExec::new(spec2(), gathered);
+        let global = GlobalSkylineExec::new(spec2(), false, gathered);
         let rows = run(&global, 3);
         assert_eq!(rows.len(), 4);
         // Same result with one executor.
         let data = int_rows(&[(1, 9), (2, 7), (3, 8), (4, 4), (5, 5), (6, 1), (7, 2)]);
         let local = Arc::new(LocalSkylineExec::new(spec2(), false, input(data)));
         let gathered = Arc::new(ExchangeExec::single(local));
-        let global = GlobalSkylineExec::new(spec2(), gathered);
+        let global = GlobalSkylineExec::new(spec2(), false, gathered);
         assert_eq!(run(&global, 1).len(), 4);
+    }
+
+    fn spec3() -> SkylineSpec {
+        SkylineSpec::new(vec![
+            SkylineDim::min(0),
+            SkylineDim::min(1),
+            SkylineDim::min(2),
+        ])
+    }
+
+    /// The paper's incomplete plan over three nullable columns: the
+    /// null-bitmap exchange, the per-class local phase, the incomplete
+    /// global merge fed the local skylines directly.
+    fn incomplete_plan(
+        rows: Vec<Row>,
+        spec: SkylineSpec,
+        kernel: DominanceKernel,
+    ) -> GlobalSkylineExec {
+        let schema = Schema::new(vec![
+            Field::new("x", DataType::Int64, true),
+            Field::new("y", DataType::Int64, true),
+            Field::new("z", DataType::Int64, true),
+        ])
+        .into_ref();
+        let scan: Arc<dyn ExecutionPlan> = Arc::new(ScanExec::new("t", Arc::new(rows), schema));
+        let bitmap_exchange = Arc::new(ExchangeExec::new(
+            crate::exchange::ExchangeMode::NullBitmap(spec.clone()),
+            scan,
+        ));
+        let local = LocalSkylineExec::new(spec.clone(), true, bitmap_exchange).with_kernel(kernel);
+        GlobalSkylineExec::new(spec, true, Arc::new(local)).with_kernel(kernel)
     }
 
     #[test]
     fn incomplete_plan_handles_cycles() {
-        // Appendix A cycle must yield an empty skyline.
-        let spec = SkylineSpec::new(vec![SkylineDim::min(0), SkylineDim::min(1)]);
-        // Build a 2-dim cycle analogue: a=(1,*), b=(*,1) are incomparable;
-        // use the 3-dim example instead via 2 columns is impossible, so
-        // check the operator end-to-end with 3 columns.
-        let schema = Schema::new(vec![
-            Field::new("x", DataType::Int64, true),
-            Field::new("y", DataType::Int64, true),
-            Field::new("z", DataType::Int64, true),
-        ])
-        .into_ref();
-        let rows = vec![
+        // The Appendix A cycle a ≺ b ≺ c ≺ a: every tuple is dominated, so
+        // the skyline is empty however the classes fall into partitions,
+        // and all three candidates are deferred deletions.
+        let cycle = vec![
             Row::new(vec![Value::Int64(1), Value::Null, Value::Int64(10)]),
             Row::new(vec![Value::Int64(3), Value::Int64(2), Value::Null]),
             Row::new(vec![Value::Null, Value::Int64(5), Value::Int64(3)]),
         ];
-        let spec3 = SkylineSpec::new(vec![
-            SkylineDim::min(0),
-            SkylineDim::min(1),
-            SkylineDim::min(2),
-        ]);
-        let scan: Arc<dyn ExecutionPlan> = Arc::new(ScanExec::new("t", Arc::new(rows), schema));
-        let bitmap_exchange = Arc::new(ExchangeExec::new(
-            crate::exchange::ExchangeMode::NullBitmap(spec3.clone()),
-            scan,
-        ));
-        let local = Arc::new(LocalSkylineExec::new(spec3.clone(), true, bitmap_exchange));
-        let gathered = Arc::new(ExchangeExec::single(local));
-        let global = IncompleteGlobalSkylineExec::new(spec3, gathered);
-        assert!(run(&global, 2).is_empty(), "cycle must cancel out");
-        let _ = spec; // silence unused in this branch
+        for executors in [1usize, 2, 3] {
+            let ctx = TaskContext::new(executors);
+            let plan = incomplete_plan(cycle.clone(), spec3(), DominanceKernel::Auto);
+            assert!(
+                flatten(plan.execute(&ctx).unwrap()).is_empty(),
+                "{executors} executors: the cycle must cancel out"
+            );
+            let m = ctx.metrics.snapshot();
+            assert_eq!(m.deferred_deletions, 3, "{m:?}");
+            assert_eq!(m.merge_rounds, 1, "{m:?}");
+        }
+        let ctx = TaskContext::new(3);
+        let empty = incomplete_plan(Vec::new(), spec3(), DominanceKernel::Auto);
+        assert!(flatten(empty.execute(&ctx).unwrap()).is_empty());
+        assert_eq!(ctx.metrics.snapshot().merge_rounds, 0);
     }
 
     #[test]
-    fn incomplete_hierarchical_merge_is_byte_identical_to_flat() {
-        // Mixed-bitmap data over several partitions: the deferred-deletion
-        // tree merge must produce the same rows in the same order as the
-        // paper's flat all-pairs pass, and flag the same tuples.
-        let schema = Schema::new(vec![
-            Field::new("x", DataType::Int64, true),
-            Field::new("y", DataType::Int64, true),
-            Field::new("z", DataType::Int64, true),
-        ])
-        .into_ref();
-        let rows: Vec<Row> = (0..180)
+    fn incomplete_pairwise_merge_is_byte_identical_to_the_all_pairs_pass() {
+        // Mixed-bitmap data, DISTINCT over duplicated rows, and a string
+        // dimension that demotes the class blocks holding strings to
+        // scalar fallback: on every kernel the merge returns the rows of the paper's all-pairs
+        // pass over the gathered local skylines, in the same order, and
+        // defers exactly the candidates that pass flags.
+        let mixed: Vec<Row> = (0..180)
             .map(|i: i64| {
                 let v = |k: i64| {
                     if (i * 7 + k * 3) % 5 == 0 {
@@ -1189,108 +947,90 @@ mod tests {
                 Row::new(vec![v(0), v(1), v(2)])
             })
             .collect();
-        let spec3 = SkylineSpec::new(vec![
-            SkylineDim::min(0),
-            SkylineDim::min(1),
-            SkylineDim::min(2),
-        ]);
-        let build = |merge: Option<(usize, DominanceKernel)>| {
-            let scan: Arc<dyn ExecutionPlan> =
-                Arc::new(ScanExec::new("t", Arc::new(rows.clone()), schema.clone()));
-            let bitmap_exchange = Arc::new(ExchangeExec::new(
-                crate::exchange::ExchangeMode::NullBitmap(spec3.clone()),
-                scan,
-            ));
-            let local = Arc::new(LocalSkylineExec::new(spec3.clone(), true, bitmap_exchange));
-            match merge {
-                None => Arc::new(IncompleteGlobalSkylineExec::new(
-                    spec3.clone(),
-                    Arc::new(ExchangeExec::single(local)),
-                )),
-                Some((fan_in, kernel)) => Arc::new(
-                    IncompleteGlobalSkylineExec::new(spec3.clone(), local)
-                        .with_merge(MergeStrategy::Hierarchical { fan_in })
-                        .with_kernel(kernel),
-                ),
-            }
-        };
-        let flat_ctx = TaskContext::new(6);
-        let flat = flatten(build(None).execute(&flat_ctx).unwrap());
-        let flat_deferred = flat_ctx.metrics.snapshot().deferred_deletions;
-        assert!(!flat.is_empty());
-        for fan_in in [2usize, 3] {
-            for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
+        let dupes: Vec<Row> = mixed.iter().chain(&mixed).cloned().collect();
+        let strings: Vec<Row> = (0..60)
+            .map(|i: i64| {
+                Row::new(vec![
+                    if i % 4 == 0 {
+                        Value::Null
+                    } else {
+                        Value::str(format!("s{:02}", i % 5))
+                    },
+                    Value::Int64(i % 7),
+                    if i % 3 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int64(i % 5)
+                    },
+                ])
+            })
+            .collect();
+        let distinct = SkylineSpec::distinct(spec3().dims);
+        for (name, rows, spec) in [
+            ("mixed", mixed, spec3()),
+            ("distinct", dupes, distinct),
+            ("strings", strings, spec3()),
+        ] {
+            let checker = DominanceChecker::incomplete(spec.clone());
+            for kernel in [
+                DominanceKernel::Scalar,
+                DominanceKernel::Chunked,
+                DominanceKernel::Auto,
+            ] {
+                let plan = incomplete_plan(rows.clone(), spec.clone(), kernel);
+                let candidates = flatten(plan.children()[0].execute(&TaskContext::new(6)).unwrap());
+                let expected = incomplete_global_skyline(
+                    candidates.clone(),
+                    &checker,
+                    &mut SkylineStats::default(),
+                    &QueryControl::unlimited(),
+                )
+                .unwrap();
+                assert!(!expected.is_empty(), "{name}");
                 let ctx = TaskContext::new(6);
-                let plan = build(Some((fan_in, kernel)));
                 let parts = plan.execute(&ctx).unwrap();
                 assert_eq!(parts.len(), 1, "global phase yields one partition");
-                let tree = flatten(parts);
-                assert_eq!(tree, flat, "fan-in {fan_in}, {kernel:?}");
+                assert_eq!(flatten(parts), expected, "{name} {kernel:?}");
                 let m = ctx.metrics.snapshot();
                 assert_eq!(
-                    m.deferred_deletions, flat_deferred,
-                    "flat and tree flag the same tuples"
+                    m.deferred_deletions as usize,
+                    candidates.len() - expected.len(),
+                    "{name} {kernel:?}: {m:?}"
                 );
-                assert!(m.classes_merged > 0, "{m:?}");
-                assert!(m.merge_rounds >= 1, "{m:?}");
+                // One round, one task per class run: each class lives in
+                // one partition, whose local phase emits it as one window.
+                let classes: HashSet<u64> = candidates
+                    .iter()
+                    .map(|row| null_bitmap(row, &spec))
+                    .collect();
+                assert_eq!(m.merge_rounds, 1, "{name} {kernel:?}: {m:?}");
+                assert_eq!(m.merge_tasks as usize, classes.len(), "{name} {kernel:?}");
+                if !kernel.is_vectorized() {
+                    assert_eq!(m.batched_tests, 0, "{name} {kernel:?}: {m:?}");
+                } else if name == "strings" {
+                    assert!(m.scalar_tests > 0, "{name} {kernel:?}: {m:?}");
+                } else {
+                    assert!(m.batched_tests > 0, "{name} {kernel:?}: {m:?}");
+                }
             }
         }
     }
 
     #[test]
-    fn incomplete_hierarchical_merge_handles_cycles_and_empty_input() {
-        let spec3 = SkylineSpec::new(vec![
-            SkylineDim::min(0),
-            SkylineDim::min(1),
-            SkylineDim::min(2),
-        ]);
-        let schema = Schema::new(vec![
-            Field::new("x", DataType::Int64, true),
-            Field::new("y", DataType::Int64, true),
-            Field::new("z", DataType::Int64, true),
-        ])
-        .into_ref();
-        let cycle = vec![
-            Row::new(vec![Value::Int64(1), Value::Null, Value::Int64(10)]),
-            Row::new(vec![Value::Int64(3), Value::Int64(2), Value::Null]),
-            Row::new(vec![Value::Null, Value::Int64(5), Value::Int64(3)]),
-        ];
-        let build = |rows: Vec<Row>| {
-            let scan: Arc<dyn ExecutionPlan> =
-                Arc::new(ScanExec::new("t", Arc::new(rows), schema.clone()));
-            let bitmap_exchange = Arc::new(ExchangeExec::new(
-                crate::exchange::ExchangeMode::NullBitmap(spec3.clone()),
-                scan,
-            ));
-            let local = Arc::new(LocalSkylineExec::new(spec3.clone(), true, bitmap_exchange));
-            IncompleteGlobalSkylineExec::new(spec3.clone(), local)
-                .with_merge(MergeStrategy::Hierarchical { fan_in: 2 })
-        };
-        let ctx = TaskContext::new(3);
-        assert!(
-            flatten(build(cycle).execute(&ctx).unwrap()).is_empty(),
-            "cycle must cancel out across merge tasks"
-        );
-        assert_eq!(ctx.metrics.snapshot().deferred_deletions, 3);
-        assert!(flatten(build(Vec::new()).execute(&ctx).unwrap()).is_empty());
-    }
-
-    #[test]
     fn incomplete_describe_names_the_merge() {
-        let spec3 = SkylineSpec::new(vec![SkylineDim::min(0)]);
-        let flat = IncompleteGlobalSkylineExec::new(spec3.clone(), input(Vec::new()));
-        assert!(
-            !flat.describe().contains("hierarchical"),
-            "{}",
-            flat.describe()
+        let global = GlobalSkylineExec::new(spec2(), true, input(Vec::new()))
+            .with_kernel(DominanceKernel::Chunked);
+        assert_eq!(
+            global.describe(),
+            "GlobalSkylineExec [2 dims, incomplete, pairwise merge, vectorized: chunked]"
         );
-        let tree = IncompleteGlobalSkylineExec::new(spec3.clone(), input(Vec::new()))
-            .with_merge(MergeStrategy::Hierarchical { fan_in: 3 })
-            .with_plan_note(Some("adaptive: tree (max NULL fraction 0.25)".into()));
-        let describe = tree.describe();
-        assert!(describe.contains("hierarchical fan-in 3"), "{describe}");
-        assert!(describe.contains("adaptive: tree"), "{describe}");
-        assert!(describe.contains("vectorized"), "{describe}");
+        let distinct = SkylineSpec::distinct(spec2().dims);
+        let scalar = GlobalSkylineExec::new(distinct, true, input(Vec::new()))
+            .with_kernel(DominanceKernel::Scalar);
+        assert_eq!(
+            scalar.describe(),
+            "GlobalSkylineExec [2 dims, incomplete, distinct, pairwise merge]"
+        );
     }
 
     #[test]
@@ -1402,7 +1142,7 @@ mod tests {
         } else {
             local
         };
-        let global = GlobalSkylineExec::new(spec, global_input).with_kernel(kernel);
+        let global = GlobalSkylineExec::new(spec, false, global_input).with_kernel(kernel);
         let ctx = TaskContext::new(executors);
         let parts = global.execute(&ctx).unwrap();
         assert_eq!(parts.len(), 1, "global phase yields one partition");
@@ -1424,7 +1164,6 @@ mod tests {
         assert_eq!(pairwise, gathered);
         assert_eq!(metrics.merge_rounds, 1, "{metrics:?}");
         assert_eq!(metrics.merge_tasks, 8, "one task per local skyline");
-        assert_eq!(metrics.max_merge_fanout, 8, "{metrics:?}");
         assert_eq!(
             metrics.rows_exchanged, gathered_metrics.rows_exchanged,
             "the merge gathers what the exchange moved"
@@ -1514,8 +1253,8 @@ mod tests {
                 .collect()
         };
         let parts = vec![stair(1), stair(0)];
-        let checker = DominanceChecker::complete(spec2());
-        let encoded = EncodedSkylines::new(checker, DominanceKernel::Auto, parts.clone());
+        let checker = || DominanceChecker::complete(spec2());
+        let encoded = EncodedSkylines::new(checker(), DominanceKernel::Auto, parts.clone());
         let ctx = TaskContext::new(2);
         let mut stats = SkylineStats::default();
         let alive = encoded.survivors(&ctx, 0, &mut stats).unwrap();
@@ -1534,7 +1273,7 @@ mod tests {
             std::time::Duration::ZERO,
         )));
         let err =
-            pairwise_merge(&late, &spec2(), DominanceKernel::Auto, parts.clone()).unwrap_err();
+            pairwise_merge(&late, checker(), DominanceKernel::Auto, parts.clone()).unwrap_err();
         assert!(err.is_timeout(), "{err}");
 
         // A fault injected into a pairwise task surfaces as the retryable
@@ -1543,14 +1282,14 @@ mod tests {
         let faulty = TaskContext::new(2)
             .with_fault_injector(Arc::new(sparkline_exec::FaultInjector::new(7, 1.0)));
         let err =
-            pairwise_merge(&faulty, &spec2(), DominanceKernel::Auto, parts.clone()).unwrap_err();
+            pairwise_merge(&faulty, checker(), DominanceKernel::Auto, parts.clone()).unwrap_err();
         assert!(
             err.is_retryable() && err.to_string().contains("merge"),
             "{err}"
         );
         let merged = pairwise_merge(
             &TaskContext::new(2),
-            &spec2(),
+            checker(),
             DominanceKernel::Auto,
             parts.clone(),
         )
@@ -1560,7 +1299,7 @@ mod tests {
 
     #[test]
     fn describe_names_the_merge() {
-        let global = GlobalSkylineExec::new(spec2(), input(Vec::new()));
+        let global = GlobalSkylineExec::new(spec2(), false, input(Vec::new()));
         assert!(
             global
                 .describe()
@@ -1568,24 +1307,12 @@ mod tests {
             "{}",
             global.describe()
         );
-        let scalar =
-            GlobalSkylineExec::new(spec2(), input(Vec::new())).with_kernel(DominanceKernel::Scalar);
+        let scalar = GlobalSkylineExec::new(spec2(), false, input(Vec::new()))
+            .with_kernel(DominanceKernel::Scalar);
         assert_eq!(
             scalar.describe(),
             "GlobalSkylineExec [2 dims, pairwise merge]"
         );
-    }
-
-    #[test]
-    fn merge_fan_in_below_two_is_clamped() {
-        let incomplete = IncompleteGlobalSkylineExec::new(spec2(), input(Vec::new()))
-            .with_merge(MergeStrategy::Hierarchical { fan_in: 1 });
-        assert!(incomplete.describe().contains("hierarchical fan-in 2"));
-        // And the clamped plan runs (a fan-in of 1 would never terminate).
-        let data = int_rows(&[(1, 9), (2, 7), (3, 8), (4, 4), (5, 5), (6, 1), (7, 2)]);
-        let plan = IncompleteGlobalSkylineExec::new(spec2(), input(data))
-            .with_merge(MergeStrategy::Hierarchical { fan_in: 0 });
-        assert_eq!(run(&plan, 3).len(), 4);
     }
 
     #[test]
@@ -1622,7 +1349,7 @@ mod tests {
         let scalar = LocalSkylineExec::new(spec2(), false, input(Vec::new()))
             .with_kernel(DominanceKernel::Scalar);
         assert!(!scalar.describe().contains("vectorized"));
-        let global = GlobalSkylineExec::new(spec2(), input(Vec::new()));
+        let global = GlobalSkylineExec::new(spec2(), false, input(Vec::new()));
         assert!(
             global
                 .describe()
@@ -1631,7 +1358,7 @@ mod tests {
             global.describe()
         );
         // Pinned knobs render their own tier.
-        let chunked = GlobalSkylineExec::new(spec2(), input(Vec::new()))
+        let chunked = GlobalSkylineExec::new(spec2(), false, input(Vec::new()))
             .with_kernel(DominanceKernel::Chunked);
         assert!(
             chunked.describe().contains("vectorized: chunked"),

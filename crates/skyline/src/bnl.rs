@@ -222,7 +222,10 @@ impl CrossFilterScratch {
 ///
 /// Sound as a *filter* only under a transitive relation (the complete
 /// relation, or the incomplete one within a single null-bitmap class):
-/// see the module docs.
+/// see the module docs. Under any relation it decides, for each live
+/// candidate, whether some row of `against` strictly dominates it — what
+/// the incomplete family's global phase asks of every pair of class blocks
+/// (`crate::incomplete`).
 pub fn cross_filter(
     checker: &DominanceChecker,
     cands: &[Row],
@@ -710,8 +713,8 @@ fn scalar_window_scan(
                 // order-preserving (`Vec::remove`): an arrival-order
                 // window is then exactly the skyline members in arrival
                 // order, no matter which dominated tuples transiently
-                // entered it — the invariant that makes the flat and
-                // hierarchical merges (and the pre-filtered plans)
+                // entered it — the invariant that makes the gathered pass
+                // and the pairwise merge (and the pre-filtered plans)
                 // byte-identical.
                 window.remove(i);
                 evicted(i);

@@ -856,8 +856,8 @@ impl ColumnarBlock {
     /// block and row window index-aligned. Ordered eviction is what makes
     /// the BNL output "skyline members in arrival order" independently of
     /// which dominated tuples transiently entered the window — the
-    /// property the flat/hierarchical merge and pre-filter byte-identity
-    /// guarantees rest on.
+    /// property the pairwise merge and pre-filter byte-identity guarantees
+    /// rest on.
     pub fn remove(&mut self, i: usize) {
         if self.is_fallback() {
             return;

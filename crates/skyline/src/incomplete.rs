@@ -13,60 +13,57 @@
 //! 2. **All-pairs global phase with deferred deletion.** The union of local
 //!    skylines is compared pairwise; dominated tuples are only *flagged*,
 //!    and flagged tuples are removed after all comparisons. Deleting
-//!    eagerly is the bug of the algorithm in Gulzar et al. (see
-//!    [`premature_deletion_global_skyline`], kept here to reproduce
-//!    Appendix A's counterexample).
+//!    eagerly is the bug of the algorithm in Gulzar et al. (Appendix A;
+//!    `tests/incomplete_semantics.rs` reproduces the counterexample).
 //!
 //! Lemma 5.1 guarantees that the union of local skylines still contains a
 //! dominating witness for every non-skyline tuple, so phase 2 over the
 //! local skylines yields exactly `SKY(P)`.
 //!
-//! # Hierarchical (tree) merge of the global phase
+//! [`incomplete_global_skyline`] is phase 2 as the paper writes it, one
+//! scalar pass on one executor; it and [`incomplete_skyline`] are the
+//! references the test suites compare the engine against.
 //!
-//! The paper runs phase 2 on a single executor. This module additionally
-//! provides a *mergeable partial result* — [`IncompletePartial`] — that
-//! lets the all-pairs pass run as a k-way tree merge over the executor
-//! pool while remaining byte-identical to the flat plan. The soundness
-//! argument:
+//! # Phase 2 as a pairwise cross-filter over class blocks
 //!
-//! * **What the global phase actually computes.** Over the candidate set
-//!   `C` (the union of the per-class local skylines) phase 2 returns
-//!   `{ t ∈ C | ¬∃ s ∈ C : s ≺ t }` — each candidate survives iff *no*
-//!   candidate dominates it. Deletion flags are **monotone** (a flag is
-//!   never cleared) and flagged tuples keep participating as witnesses, so
-//!   the result depends only on *which ordered pairs get compared*, never
-//!   on the order of the comparisons. The flat plan compares every pair
-//!   once; any schedule that also compares every pair exactly once
-//!   produces the same flags.
-//! * **How non-transitivity is contained.** Within one null-bitmap class
-//!   every tuple shares its NULL positions, the restricted relation is
-//!   transitive again, and a within-class dominator is a *stronger
-//!   witness* than its victim: if `s ≺ t` with `bitmap(s) == bitmap(t)`,
-//!   then `s` is at-least-as-good on every class dimension, so `t ≺ u ⇒
-//!   s ≺ u` for any `u`. Within-class dominated tuples may therefore be
-//!   deleted eagerly (this is exactly why the local phase is sound).
-//!   *Across* classes the relation is cyclic, so a cross-class loser can
-//!   only be **flagged**: it may still be the only witness dominating
-//!   tuples of classes it has not met yet, and must travel with the
-//!   partial result until every pair has been compared.
-//! * **What must travel with a partial.** A partial covering a set of
-//!   input partitions is *internally closed*: every pair of its
-//!   candidates has been compared. It carries (a) the live candidates and
-//!   (b) the *deferred-deletion set* — candidates flagged by a lost
-//!   cross-class comparison. [`merge_incomplete_partials`] compares
-//!   exactly the cross pairs of two partials (live *and* deferred on both
-//!   sides — a deferred tuple still witnesses), concatenates, and stays
-//!   internally closed. A leaf partial is built by
-//!   [`IncompletePartialBuilder`]: per-class BNL windows (eager, sound)
-//!   followed by the cross-class flag closure. Folding leaves through the
-//!   merge in any tree shape compares every pair of `C` exactly once —
-//!   the same flags as the flat plan.
-//! * **Byte identity.** Partials keep their candidates in arrival order
-//!   and the merge concatenates left-before-right, so with merges grouped
-//!   in partition order the root's candidate order equals the flat plan's
-//!   gathered order; identical flags then filter identical rows in an
-//!   identical order. (`DISTINCT` ties flag the *later* of two identical
-//!   candidates, on both paths.)
+//! The engine's global operator (`GlobalSkylineExec` in
+//! `sparkline-physical`) runs phase 2 in one parallel round of the
+//! antichain [`cross_filter`](crate::bnl::cross_filter), the primitive of
+//! the complete family's pairwise merge. Its blocks are the null-bitmap
+//! class runs of the local skylines, each encoded once into a
+//! [`ColumnarBlock`](crate::columnar::ColumnarBlock) sorted by score key.
+//! One task per block filters the block's rows against every *other*
+//! block, unfiltered; the survivors are concatenated in block order. The
+//! result is byte-identical to the all-pairs pass over the gathered
+//! candidates:
+//!
+//! * **What the phase computes.** Over the candidate set `C` (the
+//!   concatenated local skylines) the all-pairs pass returns
+//!   `{ t ∈ C | ¬∃ s ∈ C : s ≺ t }`. Flags are monotone and a flagged
+//!   tuple keeps witnessing, so that set depends on which ordered pairs are
+//!   compared, never on the order of the comparisons.
+//! * **No row is tested against its own block.** A class window is a BNL
+//!   skyline under the restricted relation, which is transitive inside the
+//!   class (Lemma 5.1): an antichain. No row of a block strictly dominates
+//!   another row of it, so the pairs inside a block can flag nothing.
+//! * **Nothing is deleted before the round ends.** Every task filters
+//!   against the unfiltered blocks, so a candidate that loses a comparison
+//!   still witnesses against every other candidate — the deferred deletion
+//!   the paper requires, with the cyclic cases of Appendix A included.
+//! * **The score bound holds across classes.** A block's member keys sum
+//!   the dimensions its class materializes. A candidate NULL on one of
+//!   them gets key `+inf` (`crate::columnar`, "Score keys and the bounded
+//!   walk"), so its walks never stop early. Any other candidate is
+//!   non-NULL on every summed dimension, where a dominator is at least as
+//!   good, so the dominator's key is at most the candidate's.
+//! * **`DISTINCT`.** Under the incomplete relation `compare(r, r)` is
+//!   always `Equal` (each dimension is equal to itself or skipped as
+//!   NULL), and dims-identical rows share every verdict, because a verdict
+//!   reads only the dimension values. The all-pairs pass flags the later of
+//!   two identical candidates; so its result is the undominated candidates
+//!   with only the first of each dims-identical group kept. That is the
+//!   first-occurrence dedup on the dimension values that the merge applies
+//!   to its survivors, in block order, which is candidate order.
 
 use std::collections::HashMap;
 
@@ -75,7 +72,6 @@ use sparkline_common::{
 };
 
 use crate::bnl::{bnl_skyline, kernel_for, BnlBuilder};
-use crate::columnar::{ColumnarBlock, EncodedCandidate};
 use crate::dominance::{Dominance, DominanceChecker, SkylineStats};
 
 /// The null bitmap of a tuple over the skyline dimensions: bit `i` is set
@@ -216,299 +212,21 @@ impl GroupedBnlBuilder {
 
     /// Concatenate the class skylines (first-seen order) and merge stats.
     pub fn finish(self) -> (Vec<Row>, SkylineStats) {
-        let (classes, stats) = self.finish_classes();
-        (
-            classes.into_iter().flat_map(|(_, rows)| rows).collect(),
-            stats,
-        )
-    }
-
-    /// The per-class skylines `(bitmap, window)` in first-seen class order
-    /// (the structure [`IncompletePartialBuilder`] consumes), plus merged
-    /// stats.
-    pub fn finish_classes(self) -> (Vec<(u64, Vec<Row>)>, SkylineStats) {
-        let mut bitmaps = vec![0u64; self.groups.len()];
-        for (bitmap, slot) in &self.index {
-            bitmaps[*slot] = *bitmap;
-        }
-        let mut classes = Vec::with_capacity(self.groups.len());
+        let mut rows = Vec::new();
         let mut stats = SkylineStats::default();
-        for (bitmap, builder) in bitmaps.into_iter().zip(self.groups) {
+        for builder in self.groups {
             let (window, group_stats) = builder.finish();
-            classes.push((bitmap, window));
+            rows.extend(window);
             stats.merge(&group_stats);
         }
-        (classes, stats)
-    }
-}
-
-/// One candidate of an [`IncompletePartial`], tagged with its null-bitmap
-/// class and its deferred-deletion flag.
-#[derive(Debug, Clone)]
-struct PartialEntry {
-    /// Null bitmap of the row (its class).
-    bitmap: u64,
-    /// Whether the candidate lost a comparison and is scheduled for
-    /// deletion. A deferred candidate no longer belongs to the result but
-    /// keeps traveling as a dominance witness — removing it early is the
-    /// premature-deletion bug of Appendix A.
-    deferred: bool,
-    row: Row,
-}
-
-/// A mergeable partial result of the incomplete-data global phase: the
-/// candidates of one or more input partitions, **internally closed** (every
-/// pair among them has been compared) with per-candidate deferred-deletion
-/// flags. See the module docs for the merge algebra and its soundness
-/// argument.
-///
-/// Candidates stay in arrival order; [`Self::finish`] drops the deferred
-/// set and yields the survivors, byte-identical to what the flat all-pairs
-/// pass produces on the same concatenated input.
-#[derive(Debug, Clone, Default)]
-pub struct IncompletePartial {
-    entries: Vec<PartialEntry>,
-}
-
-impl IncompletePartial {
-    /// Total candidates (live + deferred).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the partial holds no candidates at all.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Candidates still scheduled to appear in the result.
-    pub fn live_len(&self) -> usize {
-        self.entries.iter().filter(|e| !e.deferred).count()
-    }
-
-    /// Size of the deferred-deletion set.
-    pub fn deferred_len(&self) -> usize {
-        self.entries.iter().filter(|e| e.deferred).count()
-    }
-
-    /// Number of distinct null-bitmap classes among the candidates.
-    pub fn class_count(&self) -> usize {
-        let mut bitmaps: Vec<u64> = self.entries.iter().map(|e| e.bitmap).collect();
-        bitmaps.sort_unstable();
-        bitmaps.dedup();
-        bitmaps.len()
-    }
-
-    /// Drop the deferred-deletion set and return the surviving skyline
-    /// members in arrival order.
-    pub fn finish(self) -> Vec<Row> {
-        self.entries
-            .into_iter()
-            .filter_map(|e| (!e.deferred).then_some(e.row))
-            .collect()
-    }
-}
-
-/// Streaming builder of one *leaf* [`IncompletePartial`]: rows are routed
-/// into per-null-bitmap-class BNL windows as they arrive (the
-/// [`GroupedBnlBuilder`] local phase — eager within-class deletion is
-/// sound, see the module docs), and [`Self::finish`] closes the leaf by
-/// running the cross-class deferred-deletion flag pass. Feeding it the
-/// output of a local skyline phase re-derives the same class windows
-/// unchanged, so the leaf is also correct (and idempotent) on raw input.
-pub struct IncompletePartialBuilder {
-    checker: DominanceChecker,
-    kernel: DominanceKernel,
-    grouped: GroupedBnlBuilder,
-}
-
-impl IncompletePartialBuilder {
-    /// A builder over an incomplete-relation checker, on an explicit
-    /// compare-kernel selection.
-    pub fn with_kernel(checker: DominanceChecker, kernel: DominanceKernel) -> Self {
-        IncompletePartialBuilder {
-            grouped: GroupedBnlBuilder::with_kernel(checker.clone(), kernel),
-            checker,
-            kernel,
-        }
-    }
-
-    /// Feed one tuple into its class window.
-    pub fn push(&mut self, row: Row) {
-        self.grouped.push(row);
-    }
-
-    /// Feed one batch of rows.
-    pub fn push_batch(&mut self, rows: impl IntoIterator<Item = Row>) {
-        self.grouped.push_batch(rows);
-    }
-
-    /// Feed one batch under cooperative query control (checked every
-    /// [`CONTROL_CHECK_ROWS`] rows).
-    pub fn push_batch_checked(
-        &mut self,
-        rows: impl IntoIterator<Item = Row>,
-        control: &QueryControl,
-    ) -> Result<()> {
-        self.grouped.push_batch_checked(rows, control)
-    }
-
-    /// Current window occupancy across all class windows.
-    pub fn window_len(&self) -> usize {
-        self.grouped.window_len()
-    }
-
-    /// Close the leaf: cross-class flag pass over the class windows
-    /// (first-seen class order), yielding an internally closed partial.
-    pub fn finish(self) -> (IncompletePartial, SkylineStats) {
-        let (classes, mut stats) = self.grouped.finish_classes();
-        let mut partial = IncompletePartial::default();
-        for (bitmap, window) in classes {
-            // Each class window is a skyline under the (transitive)
-            // restricted relation: internally closed with no flags. The
-            // incremental cross pass against the classes accumulated so
-            // far is exactly one partial merge per class.
-            let class_partial = IncompletePartial {
-                entries: window
-                    .into_iter()
-                    .map(|row| PartialEntry {
-                        bitmap,
-                        deferred: false,
-                        row,
-                    })
-                    .collect(),
-            };
-            partial = merge_incomplete_partials(
-                partial,
-                class_partial,
-                &self.checker,
-                self.kernel,
-                &mut stats,
-            );
-        }
-        (partial, stats)
-    }
-}
-
-/// Merge two internally closed partials: compare exactly the cross pairs
-/// (both directions of flags; deferred candidates still witness), then
-/// concatenate `a`'s candidates before `b`'s. The result is internally
-/// closed again. On a vectorized `kernel`, `b`'s candidates are encoded
-/// once per bitmap class into the columnar kernel and every `a`-candidate
-/// is tested against each class block in one batched pass (a class is
-/// uniformly NULL or non-NULL per column — the layout the kernel encodes);
-/// classes the kernel cannot represent fall back to the scalar checker.
-/// Results are byte-identical on every kernel.
-pub fn merge_incomplete_partials(
-    mut a: IncompletePartial,
-    mut b: IncompletePartial,
-    checker: &DominanceChecker,
-    kernel: DominanceKernel,
-    stats: &mut SkylineStats,
-) -> IncompletePartial {
-    if a.is_empty() {
-        return b;
-    }
-    if !b.is_empty() {
-        cross_flag(&mut a.entries, &mut b.entries, checker, kernel, stats);
-        a.entries.append(&mut b.entries);
-    }
-    stats.max_window = stats.max_window.max(a.entries.len());
-    a
-}
-
-/// Compare every pair `(a_i, b_j)` once, updating both deferral flags.
-/// `a` precedes `b` in arrival order, so `DISTINCT`-identical ties flag
-/// the `b` side — matching the flat pass's "keep the first" rule.
-fn cross_flag(
-    a: &mut [PartialEntry],
-    b: &mut [PartialEntry],
-    checker: &DominanceChecker,
-    kernel: DominanceKernel,
-    stats: &mut SkylineStats,
-) {
-    if kernel.is_vectorized() {
-        // Encode once per class of `b`; flags never evict, so the blocks
-        // stay valid for the whole pass.
-        let mut blocks: Vec<(ColumnarBlock, Vec<usize>)> = Vec::new();
-        let mut slots: HashMap<u64, usize> = HashMap::new();
-        for (j, entry) in b.iter().enumerate() {
-            let slot = *slots.entry(entry.bitmap).or_insert_with(|| {
-                blocks.push((ColumnarBlock::for_checker_with(checker, kernel), Vec::new()));
-                blocks.len() - 1
-            });
-            let (block, members) = &mut blocks[slot];
-            block.push(&entry.row);
-            members.push(j);
-        }
-        let distinct = checker.distinct();
-        let mut cand = EncodedCandidate::new();
-        let mut out: Vec<Dominance> = Vec::new();
-        for i in 0..a.len() {
-            for (block, members) in &blocks {
-                if block.is_fallback() || !block.encode_into(&a[i].row, &mut cand) {
-                    scalar_cross_flag(a, i, b, members, checker, stats);
-                    continue;
-                }
-                // No early exit: a dominated candidate must still flag the
-                // rows it dominates (it is a deferred witness, not dead).
-                let res = block.compare_batch(&cand, &mut out, false);
-                stats.add_block_tests(res.tested, block.is_simd());
-                for (&j, outcome) in members.iter().zip(&out) {
-                    match outcome {
-                        Dominance::Dominates => b[j].deferred = true,
-                        Dominance::DominatedBy => a[i].deferred = true,
-                        Dominance::Equal => {
-                            if distinct && checker.identical_dims(&a[i].row, &b[j].row) {
-                                b[j].deferred = true;
-                            }
-                        }
-                        Dominance::Incomparable => {}
-                    }
-                }
-            }
-        }
-        return;
-    }
-    let all: Vec<usize> = (0..b.len()).collect();
-    for i in 0..a.len() {
-        scalar_cross_flag(a, i, b, &all, checker, stats);
-    }
-}
-
-/// Scalar cross pass of one `a`-candidate against the listed `b` entries.
-/// Mirrors the flat pass's skip: a pair where both sides are already
-/// deferred can no longer change any flag.
-fn scalar_cross_flag(
-    a: &mut [PartialEntry],
-    i: usize,
-    b: &mut [PartialEntry],
-    members: &[usize],
-    checker: &DominanceChecker,
-    stats: &mut SkylineStats,
-) {
-    let distinct = checker.distinct();
-    for &j in members {
-        if a[i].deferred && b[j].deferred {
-            continue;
-        }
-        stats.add_scalar();
-        match checker.compare(&a[i].row, &b[j].row) {
-            Dominance::Dominates => b[j].deferred = true,
-            Dominance::DominatedBy => a[i].deferred = true,
-            Dominance::Equal => {
-                if distinct && checker.identical_dims(&a[i].row, &b[j].row) {
-                    b[j].deferred = true;
-                }
-            }
-            Dominance::Incomparable => {}
-        }
+        (rows, stats)
     }
 }
 
 /// Global skyline for (potentially) incomplete data: all-pairs dominance
 /// checks with deferred deletion (paper §5.7 / Appendix A "Correct Skyline
-/// Computation").
+/// Computation") — the reference the engine's pairwise merge is tested
+/// against (module docs).
 ///
 /// `rows` is typically the union of the per-bitmap local skylines, but the
 /// routine is correct on arbitrary input (it implements Definition 3.2
@@ -578,59 +296,6 @@ pub fn incomplete_skyline(
     }
     incomplete_global_skyline(candidates, checker, stats, &QueryControl::unlimited())
         .expect("an unlimited control never stops the all-pairs pass")
-}
-
-/// The **incorrect** global-skyline procedure of Gulzar et al. (paper
-/// Appendix A), kept for demonstration and regression tests.
-///
-/// It visits the bitmap clusters in order; for the current point `p` it
-/// scans all not-yet-deleted points of *subsequent* clusters, deleting any
-/// `q` with `p ≺ q` immediately and flagging `p` when `q ≺ p`. Flagged
-/// points are deleted at the end of their iteration. Under cyclic dominance
-/// this deletes a tuple's only dominating witness before the witness is
-/// used, so a dominated tuple can survive — Appendix A's counterexample
-/// `a=(1,*,10), b=(3,2,*), c=(*,5,3)` returns `{c}` instead of `{}`.
-pub fn premature_deletion_global_skyline(
-    clusters: Vec<Vec<Row>>,
-    checker: &DominanceChecker,
-    stats: &mut SkylineStats,
-) -> Vec<Row> {
-    // alive[c][k] tracks whether point k of cluster c is still a candidate.
-    let mut alive: Vec<Vec<bool>> = clusters.iter().map(|c| vec![true; c.len()]).collect();
-    for ci in 0..clusters.len() {
-        for pi in 0..clusters[ci].len() {
-            if !alive[ci][pi] {
-                continue;
-            }
-            let mut flagged = false;
-            for cj in (ci + 1)..clusters.len() {
-                for qj in 0..clusters[cj].len() {
-                    if !alive[cj][qj] {
-                        continue;
-                    }
-                    stats.dominance_tests += 1;
-                    match checker.compare(&clusters[ci][pi], &clusters[cj][qj]) {
-                        Dominance::Dominates => alive[cj][qj] = false,
-                        Dominance::DominatedBy => flagged = true,
-                        _ => {}
-                    }
-                }
-            }
-            if flagged {
-                alive[ci][pi] = false;
-            }
-        }
-    }
-    clusters
-        .into_iter()
-        .zip(alive)
-        .flat_map(|(cluster, flags)| {
-            cluster
-                .into_iter()
-                .zip(flags)
-                .filter_map(|(row, keep)| keep.then_some(row))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -708,21 +373,6 @@ mod tests {
         )
         .unwrap();
         assert!(sky.is_empty(), "cyclic dominance must empty the skyline");
-    }
-
-    #[test]
-    fn appendix_a_counterexample_faulty_algorithm_returns_c() {
-        // Reproduce Appendix A: the premature-deletion algorithm of [20]
-        // wrongly returns {c} on the cycle while the correct result is {}.
-        let checker = DominanceChecker::incomplete(spec3());
-        let (a, b, c) = cycle();
-        let mut stats = SkylineStats::default();
-        let wrong = premature_deletion_global_skyline(
-            vec![vec![a], vec![b], vec![c.clone()]],
-            &checker,
-            &mut stats,
-        );
-        assert_eq!(wrong, vec![c], "the faulty algorithm keeps tuple c");
     }
 
     #[test]
@@ -850,43 +500,6 @@ mod tests {
             .collect()
     }
 
-    /// Tree-merge the rows split into `parts` leaf partials with the given
-    /// fan-in; returns the surviving rows in order.
-    fn tree_merge(
-        rows: &[Row],
-        checker: &DominanceChecker,
-        parts: usize,
-        fan_in: usize,
-        kernel: DominanceKernel,
-    ) -> (Vec<Row>, usize) {
-        let chunk = rows.len().div_ceil(parts.max(1)).max(1);
-        let mut partials: Vec<IncompletePartial> = rows
-            .chunks(chunk)
-            .map(|chunk| {
-                let mut builder = IncompletePartialBuilder::with_kernel(checker.clone(), kernel);
-                builder.push_batch(chunk.to_vec());
-                builder.finish().0
-            })
-            .collect();
-        let mut stats = SkylineStats::default();
-        while partials.len() > 1 {
-            let mut next = Vec::new();
-            let mut iter = partials.into_iter().peekable();
-            while iter.peek().is_some() {
-                let group: Vec<IncompletePartial> = iter.by_ref().take(fan_in).collect();
-                let mut merged = IncompletePartial::default();
-                for p in group {
-                    merged = merge_incomplete_partials(merged, p, checker, kernel, &mut stats);
-                }
-                next.push(merged);
-            }
-            partials = next;
-        }
-        let root = partials.pop().unwrap_or_default();
-        let deferred = root.deferred_len();
-        (root.finish(), deferred)
-    }
-
     #[test]
     fn grouped_builder_kernel_knobs_are_byte_identical() {
         // Per-class windows are class-pure, so the vectorized knobs fold
@@ -912,121 +525,6 @@ mod tests {
                 stats.multi_candidate_passes > 0,
                 "class-pure windows must batch candidates under {kernel:?}"
             );
-        }
-    }
-
-    #[test]
-    fn partial_tree_merge_is_byte_identical_to_flat() {
-        // Local phase first (as in the distributed plan), then flat vs
-        // every tree shape: identical rows in identical order.
-        let checker = DominanceChecker::incomplete(spec3());
-        for seed in 0..4u64 {
-            let data = mixed_rows(120, 3, seed);
-            let mut local = GroupedBnlBuilder::new(checker.clone(), true);
-            local.push_batch(data);
-            let (candidates, _) = local.finish();
-            let mut stats = SkylineStats::default();
-            let flat = incomplete_global_skyline(
-                candidates.clone(),
-                &checker,
-                &mut stats,
-                &QueryControl::unlimited(),
-            )
-            .unwrap();
-            let flat_deferred = candidates.len() - flat.len();
-            for parts in [1usize, 2, 3, 5] {
-                for fan_in in [2usize, 3] {
-                    for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
-                        let (tree, deferred) =
-                            tree_merge(&candidates, &checker, parts, fan_in, kernel);
-                        assert_eq!(
-                            tree, flat,
-                            "seed {seed}, {parts} parts, fan-in {fan_in}, {kernel:?}"
-                        );
-                        assert_eq!(deferred, flat_deferred, "same tuples flagged");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn partial_merge_handles_the_cycle_across_partials() {
-        // The Appendix A cycle split over three leaves: every tuple loses
-        // one cross-class comparison, so the deferred set swallows all
-        // three and the root survivor set is empty — the case eager
-        // deletion gets wrong.
-        let checker = DominanceChecker::incomplete(spec3());
-        let (a, b, c) = cycle();
-        let (sky, deferred) = tree_merge(&[a, b, c], &checker, 3, 2, DominanceKernel::Scalar);
-        assert!(sky.is_empty());
-        assert_eq!(deferred, 3);
-    }
-
-    #[test]
-    fn partial_counters_and_classes() {
-        let checker = DominanceChecker::incomplete(spec3());
-        let (a, b, c) = cycle();
-        let mut builder =
-            IncompletePartialBuilder::with_kernel(checker.clone(), DominanceKernel::Auto);
-        builder.push_batch(vec![a, b, c, row(&[Some(9), Some(9), Some(9)])]);
-        assert_eq!(builder.window_len(), 4);
-        let (partial, stats) = builder.finish();
-        assert_eq!(partial.len(), 4);
-        assert_eq!(partial.class_count(), 4, "three NULL classes + complete");
-        assert!(stats.dominance_tests > 0);
-        // The cycle members flag each other; the complete row is dominated
-        // by a=(1,*,10)? No: (9,9,9) vs (1,*,10) compares dims 0,2 → a
-        // dominates. So at least the three cycle members plus the complete
-        // row carry flags.
-        assert_eq!(partial.deferred_len(), 4);
-        assert_eq!(partial.live_len(), 0);
-        assert!(partial.clone().finish().is_empty());
-        assert!(!partial.is_empty());
-    }
-
-    #[test]
-    fn distinct_ties_flag_the_later_candidate_across_partials() {
-        let mut spec = spec3();
-        spec.distinct = true;
-        let checker = DominanceChecker::incomplete(spec);
-        let r = row(&[Some(1), None, Some(1)]);
-        for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
-            let (sky, deferred) =
-                tree_merge(&[r.clone(), r.clone(), r.clone()], &checker, 3, 2, kernel);
-            assert_eq!(sky, vec![r.clone()], "{kernel:?}");
-            assert_eq!(deferred, 2);
-        }
-    }
-
-    #[test]
-    fn vectorized_merge_falls_back_on_non_numeric_classes() {
-        // String dimensions demote the class blocks to the scalar path;
-        // results must not change.
-        let spec = SkylineSpec::new(vec![SkylineDim::min(0), SkylineDim::min(1)]);
-        let checker = DominanceChecker::incomplete(spec);
-        let data: Vec<Row> = (0..30)
-            .map(|i: i64| {
-                Row::new(vec![
-                    if i % 4 == 0 {
-                        Value::Null
-                    } else {
-                        Value::str(format!("s{:02}", i % 5))
-                    },
-                    Value::Int64(i % 7),
-                ])
-            })
-            .collect();
-        let mut stats = SkylineStats::default();
-        let flat = incomplete_skyline(data.clone(), &checker, &mut stats);
-        let key = |rows: &[Row]| {
-            let mut v: Vec<String> = rows.iter().map(|r| r.to_string()).collect();
-            v.sort();
-            v
-        };
-        for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
-            let (tree, _) = tree_merge(&data, &checker, 3, 2, kernel);
-            assert_eq!(key(&tree), key(&flat), "{kernel:?}");
         }
     }
 }

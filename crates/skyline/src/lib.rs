@@ -11,9 +11,8 @@
 //!   type-matched comparisons.
 //! * [`bnl`] — the Block-Nested-Loop skyline algorithm of Börzsönyi et
 //!   al. used for local and global skylines on complete data (§5.6), and
-//!   the antichain [`cross_filter`] primitive both phases of the
-//!   transitive family are built on (the local batch fold, the global
-//!   pairwise merge).
+//!   the antichain [`cross_filter`] primitive the local batch fold and the
+//!   global pairwise merge of both relations are built on.
 //! * [`columnar`] — the struct-of-arrays dominance kernel: row windows are
 //!   transposed into sign-normalized `i64`/`f64` column buffers once, and
 //!   candidates are tested against the whole window in chunked or
@@ -21,13 +20,11 @@
 //!   time or [`columnar::MULTI_LANES`] at once; the batched BNL window, the
 //!   pre-filter, the incomplete family's class blocks, and the disk scan's
 //!   dominance skip run on it.
-//! * [`incomplete`] — null-bitmap partitioning and the all-pairs,
-//!   deferred-deletion global skyline for incomplete data (§5.7 and
-//!   Lemma 5.1); the mergeable bitmap-class-aware partial results that
-//!   turn that global phase into a hierarchical tree merge (see the
-//!   module docs for the soundness argument); plus the intentionally
-//!   faulty premature-deletion variant of Appendix A used to demonstrate
-//!   the cyclic-dominance pitfall.
+//! * [`incomplete`] — null-bitmap partitioning, the per-class local
+//!   skyline, and the all-pairs, deferred-deletion global skyline for
+//!   incomplete data (§5.7 and Lemma 5.1), with the argument that the
+//!   engine's pairwise cross-filter over class blocks computes the same
+//!   rows in the same order (see the module docs).
 //! * [`maintain`] — incremental skyline maintenance under INSERT/DELETE:
 //!   a k-skyband of per-tuple dominator counts over the columnar kernel,
 //!   applying each mutation as a delta and returning the skyline
@@ -60,9 +57,8 @@ pub use columnar::{
 };
 pub use dominance::{Dominance, DominanceChecker, SkylineStats};
 pub use incomplete::{
-    incomplete_global_skyline, incomplete_skyline, merge_incomplete_partials, null_bitmap,
-    partition_by_null_bitmap, premature_deletion_global_skyline, GroupedBnlBuilder,
-    IncompletePartial, IncompletePartialBuilder,
+    incomplete_global_skyline, incomplete_skyline, null_bitmap, partition_by_null_bitmap,
+    GroupedBnlBuilder,
 };
 pub use maintain::{MaintainedSkyline, SkylineDelta};
 pub use naive::naive_skyline;

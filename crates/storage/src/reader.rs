@@ -73,7 +73,7 @@ pub struct BlockMeta {
 }
 
 /// Whole-table aggregate of the per-block column metadata — exact
-/// statistics for plan-time `DatasetStats` without sampling the file.
+/// per-column statistics without sampling the file.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AggregateColumnStats {
     /// NULL rows across all blocks.

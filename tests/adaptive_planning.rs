@@ -2,13 +2,12 @@
 //! (`SkylineStrategy::Adaptive`) and the representative-point pre-filter.
 //!
 //! The adaptive plan adds a sample-budgeted pre-filter to the complete
-//! family and a NULL-fraction-driven merge choice to the incomplete one —
-//! both required to be semantically neutral. This suite pins that down:
-//! over the Börzsönyi correlated / independent / anti-correlated matrix ×
-//! dims {2, 4, 8} × complete / NULL-bearing inputs, the adaptive result
-//! must equal the naive oracle *and* every fixed plan shape (standard /
-//! angle partitioning × flat / hierarchical incomplete merge × scalar /
-//! columnar × streaming / materialized), compared as sorted row sets
+//! family — required to be semantically neutral. This suite pins that
+//! down: over the Börzsönyi correlated / independent / anti-correlated
+//! matrix × dims {2, 4, 8} × complete / NULL-bearing inputs, the adaptive
+//! result must equal the naive oracle *and* every fixed plan shape
+//! (standard / angle partitioning × scalar / columnar × streaming /
+//! materialized), compared as sorted row sets
 //! (partitioning legitimately permutes raw order, exactly like
 //! `tests/partitioning_properties.rs`).
 //!
@@ -34,38 +33,29 @@ const FIXED_SCHEMES: [SkylinePartitioning; 2] = [
     SkylinePartitioning::AngleBased,
 ];
 
-/// Every fixed plan-shape combination: scheme × merge × kernel × model.
+/// Every fixed plan-shape combination: scheme × kernel × model.
 fn fixed_configs() -> Vec<(String, SessionConfig)> {
     let mut out = Vec::new();
     for scheme in FIXED_SCHEMES {
-        for hierarchical in [false, true] {
-            for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
-                for streaming in [false, true] {
-                    let config = SessionConfig::default()
-                        .with_executors(4)
-                        .with_skyline_partitioning(scheme)
-                        .with_hierarchical_merge_min_partitions(if hierarchical {
-                            2
+        for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
+            for streaming in [false, true] {
+                let config = SessionConfig::default()
+                    .with_executors(4)
+                    .with_skyline_partitioning(scheme)
+                    .with_dominance_kernel(kernel)
+                    .with_streaming_execution(streaming);
+                out.push((
+                    format!(
+                        "{scheme:?}/{}/{}",
+                        if kernel.is_vectorized() {
+                            "columnar"
                         } else {
-                            usize::MAX
-                        })
-                        .with_merge_fan_in(2)
-                        .with_dominance_kernel(kernel)
-                        .with_streaming_execution(streaming);
-                    out.push((
-                        format!(
-                            "{scheme:?}/{}/{}/{}",
-                            if hierarchical { "tree" } else { "flat" },
-                            if kernel.is_vectorized() {
-                                "columnar"
-                            } else {
-                                "scalar"
-                            },
-                            if streaming { "stream" } else { "mat" },
-                        ),
-                        config,
-                    ));
-                }
+                            "scalar"
+                        },
+                        if streaming { "stream" } else { "mat" },
+                    ),
+                    config,
+                ));
             }
         }
     }

@@ -4,7 +4,9 @@
 //! `adaptive_planning.rs`, `streaming_equivalence.rs`,
 //! `incomplete_semantics.rs`, and `incomplete_merge.rs` is generated here,
 //! so every differential harness drives one generator (and a fix to the
-//! matrix fixes all suites at once).
+//! matrix fixes all suites at once). So are the two hand-run oracles of
+//! the paper's plans, `flat_bnl_oracle` (complete data) and
+//! `flat_incomplete_oracle` (incomplete data).
 
 // Each integration-test binary compiles its own copy of this module and
 // uses only a subset of the helpers.
@@ -13,9 +15,13 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
-use sparkline_common::{DominanceKernel, SkylineDim, SkylineSpec};
+use sparkline_common::{DominanceKernel, QueryControl, SkylineDim, SkylineSpec};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
-use sparkline_skyline::{naive_skyline, DominanceChecker};
+use sparkline_exec::partition::{hash_partition, split_evenly};
+use sparkline_skyline::{
+    incomplete_global_skyline, naive_skyline, null_bitmap, DominanceChecker, GroupedBnlBuilder,
+    SkylineStats,
+};
 
 /// The Börzsönyi workload matrix (§6.1).
 pub const DISTRIBUTIONS: [&str; 3] = ["correlated", "independent", "anti_correlated"];
@@ -184,9 +190,47 @@ pub fn flat_bnl_oracle(rows: &[Row], checker: &DominanceChecker, partitions: usi
         input.into_iter().for_each(|row| window.push(row));
         window.finish().0
     };
-    let locals = sparkline_exec::partition::split_evenly(rows.to_vec(), partitions)
+    let locals = split_evenly(rows.to_vec(), partitions)
         .into_iter()
         .flat_map(per_row_bnl)
         .collect();
     per_row_bnl(locals)
+}
+
+/// Oracle: the paper's incomplete plan (§5.7), run by hand — `rows` split
+/// evenly into `partitions` (the scan's boundaries), hash-distributed by
+/// null bitmap over as many partitions (the exchange), one local skyline
+/// per bitmap class of each partition on the scalar per-row BNL step, then
+/// the all-pairs deferred-deletion pass over the concatenated local
+/// skylines. Returns the raw rows in output order — what the engine's
+/// incomplete plan must reproduce byte for byte on every executor count,
+/// kernel knob and execution model — and the number of candidates the
+/// all-pairs pass received.
+pub fn flat_incomplete_oracle(
+    rows: &[Row],
+    checker: &DominanceChecker,
+    partitions: usize,
+) -> (Vec<Row>, usize) {
+    let spec = checker.spec();
+    let exchanged = hash_partition(split_evenly(rows.to_vec(), partitions), partitions, |row| {
+        null_bitmap(row, spec)
+    });
+    let candidates: Vec<Row> = exchanged
+        .into_iter()
+        .flat_map(|part| {
+            let mut local =
+                GroupedBnlBuilder::with_kernel(checker.clone(), DominanceKernel::Scalar);
+            part.into_iter().for_each(|row| local.push(row));
+            local.finish().0
+        })
+        .collect();
+    let received = candidates.len();
+    let survivors = incomplete_global_skyline(
+        candidates,
+        checker,
+        &mut SkylineStats::default(),
+        &QueryControl::unlimited(),
+    )
+    .expect("an unlimited control never stops the all-pairs pass");
+    (survivors, received)
 }

@@ -1,98 +1,238 @@
-//! Differential harness for the incomplete-data hierarchical global merge
-//! (PR 5), in the PR 4 style: over the Börzsönyi correlated / independent
-//! / anti-correlated matrix × dims {2, 4, 8} × NULL fractions {0.1, 0.3,
-//! 0.6} × partition counts {1, 3, 8} × streaming / materialized execution,
-//! the bitmap-class-aware tree merge must equal the paper's flat
-//! single-executor all-pairs pass **byte-for-byte** (same rows, same
-//! order — the deferred-deletion merge's identity theorem, see
-//! `sparkline_skyline::incomplete`), and both must equal the naive
-//! Definition-3.2 incomplete oracle as sorted row sets.
+//! Differential suite of the incomplete family's global merge: the
+//! pairwise cross-filter over null-bitmap class blocks that
+//! `GlobalSkylineExec` runs under the incomplete relation (§5.7,
+//! Appendix A).
+//!
+//! Inputs: the Börzsönyi correlated / independent / anti-correlated matrix
+//! × dims {2, 4, 8} × NULL fractions {0.1, 0.3, 0.6}, plus `SKYLINE OF
+//! DISTINCT` over NULL-bearing data, a Utf8 dimension (every class block
+//! in scalar fallback), all-NULL rows with `DISTINCT` duplicates of them,
+//! and the Appendix A cycle, whose three classes the null-bitmap exchange
+//! spreads over partitions. Each runs on executors {1, 2, 3, 8} ×
+//! streaming / materialized × the three `DominanceKernel` values, and must
+//! return the **raw rows** of the paper's plan run by hand
+//! (`common::flat_incomplete_oracle`: same rows, same order), with
+//! `deferred_deletions` counting exactly the candidates that plan flags.
+//! The oracle itself must equal the naive Definition-3.2 skyline as a
+//! sorted row set.
 //!
 //! A proptest locks down the two directions of correctness separately: no
 //! true incomplete-skyline member is ever dropped, and no globally
-//! dominated tuple survives the deferred-deletion replay.
+//! dominated tuple survives.
 
 mod common;
 
-use common::{generate_with_null_fraction, oracle, skyline_sql, DISTRIBUTIONS};
+use std::collections::HashSet;
+
+use common::{flat_incomplete_oracle, generate_with_null_fraction, skyline_sql, DISTRIBUTIONS};
 use proptest::prelude::*;
 use sparkline::{
-    DataType, Field, Row, Schema, SessionConfig, SessionContext, SkylineStrategy, Value,
+    DataType, DominanceKernel, Field, QueryResult, Row, Schema, SessionConfig, SessionContext,
+    SkylineStrategy, Value,
 };
-use sparkline_common::{DominanceKernel, SkylineDim, SkylineSpec};
-use sparkline_skyline::{naive_skyline, DominanceChecker};
+use sparkline_common::{SkylineDim, SkylineSpec};
+use sparkline_skyline::{naive_skyline, null_bitmap, DominanceChecker};
 
 const NULL_FRACTIONS: [f64; 3] = [0.1, 0.3, 0.6];
-const PARTITIONS: [usize; 3] = [1, 3, 8];
+const EXECUTORS: [usize; 4] = [1, 2, 3, 8];
+const KERNELS: [DominanceKernel; 3] = [
+    DominanceKernel::Scalar,
+    DominanceKernel::Chunked,
+    DominanceKernel::Auto,
+];
 
-fn session(rows: Vec<Row>, dims: usize, config: SessionConfig) -> SessionContext {
-    let ctx = SessionContext::with_config(config);
-    ctx.register_table(
-        "t",
-        Schema::new(
-            (0..dims)
-                .map(|i| Field::new(format!("d{i}"), DataType::Float64, true))
-                .collect(),
-        ),
-        rows,
-    )
-    .unwrap();
-    ctx
+/// One input of the matrix: table `t`, the skyline query over it, and the
+/// relation the engine must apply.
+struct Case {
+    label: String,
+    schema: Schema,
+    rows: Vec<Row>,
+    sql: String,
+    checker: DominanceChecker,
 }
 
-/// Flat (paper) plan: the knob pins the incomplete global phase to the
-/// single-executor all-pairs pass.
-fn flat_config(executors: usize, streaming: bool) -> SessionConfig {
-    SessionConfig::default()
-        .with_executors(executors)
-        .with_incomplete_tree_merge(false)
-        .with_streaming_execution(streaming)
+/// `dims` nullable dimension columns `d0..` of the given types, plus a
+/// trailing `id` payload column when `payload` is set — so "which of two
+/// dims-identical rows survived" is visible in the raw rows.
+fn schema(types: &[DataType], payload: bool) -> Schema {
+    let mut fields: Vec<Field> = types
+        .iter()
+        .enumerate()
+        .map(|(i, ty)| Field::new(format!("d{i}"), *ty, true))
+        .collect();
+    if payload {
+        fields.push(Field::new("id", DataType::Int64, false));
+    }
+    Schema::new(fields)
 }
 
-/// Tree plan: the hierarchical merge engages at any executor count.
-fn tree_config(executors: usize, streaming: bool) -> SessionConfig {
-    SessionConfig::default()
-        .with_executors(executors)
-        .with_hierarchical_merge_min_partitions(1)
-        .with_merge_fan_in(2)
-        .with_streaming_execution(streaming)
+fn with_ids(rows: Vec<Row>) -> Vec<Row> {
+    rows.into_iter()
+        .enumerate()
+        .map(|(id, row)| {
+            let mut values = row.values().to_vec();
+            values.push(Value::Int64(id as i64));
+            Row::new(values)
+        })
+        .collect()
 }
 
-#[test]
-fn tree_merge_equals_flat_merge_and_oracle_across_the_matrix() {
+fn all_min(dims: usize, distinct: bool) -> DominanceChecker {
+    let dims = (0..dims).map(SkylineDim::min).collect();
+    DominanceChecker::incomplete(if distinct {
+        SkylineSpec::distinct(dims)
+    } else {
+        SkylineSpec::new(dims)
+    })
+}
+
+fn distinct_sql(dims: usize) -> String {
+    skyline_sql(dims).replace("SKYLINE OF", "SKYLINE OF DISTINCT")
+}
+
+/// Floats quantized to quarters, so dims-identical rows occur.
+fn quantized(rows: Vec<Row>) -> Vec<Row> {
+    rows.into_iter()
+        .map(|row| {
+            Row::new(
+                row.values()
+                    .iter()
+                    .map(|v| match v {
+                        Value::Float64(f) => Value::Float64((f * 4.0).floor() / 4.0),
+                        other => other.clone(),
+                    })
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
+fn cases() -> Vec<Case> {
+    let floats = |dims| vec![DataType::Float64; dims];
+    let mut cases = Vec::new();
     for dist in DISTRIBUTIONS {
         for dims in [2usize, 4, 8] {
             for null_fraction in NULL_FRACTIONS {
                 let n = if dims == 8 { 60 } else { 90 };
-                let rows = generate_with_null_fraction(dist, 17, n, dims, null_fraction);
-                let expected = oracle(&rows, dims, true);
-                let sql = skyline_sql(dims);
-                for parts in PARTITIONS {
-                    for streaming in [true, false] {
-                        let label = format!(
-                            "{dist}/{dims}d/nulls={null_fraction}/parts={parts}/stream={streaming}"
-                        );
-                        let flat = session(rows.clone(), dims, flat_config(parts, streaming))
-                            .sql(&sql)
-                            .unwrap()
-                            .collect()
-                            .unwrap();
-                        let tree = session(rows.clone(), dims, tree_config(parts, streaming))
-                            .sql(&sql)
-                            .unwrap()
-                            .collect()
-                            .unwrap();
-                        // Byte identity: same rows in the same raw order,
-                        // not just as sets.
-                        assert_eq!(tree.rows, flat.rows, "{label}");
-                        assert_eq!(tree.sorted_display(), expected, "{label} vs oracle");
-                        // The deferred-deletion sets agree: flat and tree
-                        // flag exactly the same tuples.
-                        assert_eq!(
-                            tree.metrics.deferred_deletions, flat.metrics.deferred_deletions,
-                            "{label} deferred sets"
-                        );
-                    }
+                cases.push(Case {
+                    label: format!("{dist}/{dims}d/nulls={null_fraction}"),
+                    schema: schema(&floats(dims), false),
+                    rows: generate_with_null_fraction(dist, 17, n, dims, null_fraction),
+                    sql: skyline_sql(dims),
+                    checker: all_min(dims, false),
+                });
+            }
+        }
+    }
+    // DISTINCT over NULL-bearing data, every row twice.
+    let base = quantized(generate_with_null_fraction("independent", 29, 80, 3, 0.3));
+    cases.push(Case {
+        label: "distinct".into(),
+        schema: schema(&floats(3), true),
+        rows: with_ids(base.iter().chain(&base).cloned().collect()),
+        sql: distinct_sql(3),
+        checker: all_min(3, true),
+    });
+    // A Utf8 dimension: the kernel cannot encode it, so every class block
+    // falls back to the scalar checker.
+    let utf8: Vec<Row> = generate_with_null_fraction("anti_correlated", 31, 90, 3, 0.3)
+        .into_iter()
+        .map(|row| {
+            let mut values = row.values().to_vec();
+            if let Value::Float64(f) = values[0] {
+                values[0] = Value::str(format!("{:04}", (f * 1000.0) as i64));
+            }
+            Row::new(values)
+        })
+        .collect();
+    cases.push(Case {
+        label: "utf8".into(),
+        schema: schema(
+            &[DataType::Utf8, DataType::Float64, DataType::Float64],
+            false,
+        ),
+        rows: utf8,
+        sql: skyline_sql(3),
+        checker: all_min(3, false),
+    });
+    // All-NULL rows are incomparable with everything; under DISTINCT only
+    // the first of them survives.
+    let all_null = Row::new(vec![Value::Null; 3]);
+    let mut with_all_null = generate_with_null_fraction("correlated", 37, 60, 3, 0.3);
+    for at in [0, 17, 33, 60] {
+        with_all_null.insert(at, all_null.clone());
+    }
+    for distinct in [false, true] {
+        cases.push(Case {
+            label: format!("all-null distinct={distinct}"),
+            schema: schema(&floats(3), true),
+            rows: with_ids(with_all_null.clone()),
+            sql: if distinct {
+                distinct_sql(3)
+            } else {
+                skyline_sql(3)
+            },
+            checker: all_min(3, distinct),
+        });
+    }
+    // The Appendix A cycle a ≺ b ≺ c ≺ a: the skyline is empty.
+    let cell = |v: Option<i64>| v.map(Value::Int64).unwrap_or(Value::Null);
+    let cycle = [
+        [Some(1), None, Some(10)],
+        [Some(3), Some(2), None],
+        [None, Some(5), Some(3)],
+    ];
+    cases.push(Case {
+        label: "appendix-a cycle".into(),
+        schema: schema(&[DataType::Int64; 3], false),
+        rows: cycle
+            .iter()
+            .map(|r| Row::new(r.iter().copied().map(cell).collect()))
+            .collect(),
+        sql: skyline_sql(3),
+        checker: all_min(3, false),
+    });
+    cases
+}
+
+fn run(case: &Case, config: SessionConfig) -> QueryResult {
+    let ctx = SessionContext::with_config(config);
+    ctx.register_table("t", case.schema.clone(), case.rows.clone())
+        .unwrap();
+    ctx.sql(&case.sql).unwrap().collect().unwrap()
+}
+
+fn sorted(rows: &[Row]) -> Vec<String> {
+    let mut v: Vec<String> = rows.iter().map(Row::to_string).collect();
+    v.sort();
+    v
+}
+
+#[test]
+fn engine_rows_equal_the_flat_oracle_across_the_matrix() {
+    for case in cases() {
+        let naive = sorted(&naive_skyline(&case.rows, &case.checker));
+        for executors in EXECUTORS {
+            let (expected, candidates) =
+                flat_incomplete_oracle(&case.rows, &case.checker, executors);
+            let cell = format!("{} on {executors} executors", case.label);
+            assert_eq!(sorted(&expected), naive, "{cell}: the two oracles disagree");
+            for kernel in KERNELS {
+                for streaming in [true, false] {
+                    let got = run(
+                        &case,
+                        SessionConfig::default()
+                            .with_executors(executors)
+                            .with_dominance_kernel(kernel)
+                            .with_streaming_execution(streaming),
+                    );
+                    let label = format!("{cell}, {kernel:?}, streaming={streaming}");
+                    assert_eq!(got.rows, expected, "{label}");
+                    assert_eq!(
+                        got.metrics.deferred_deletions as usize,
+                        candidates - expected.len(),
+                        "{label}: deferred deletions"
+                    );
                 }
             }
         }
@@ -100,100 +240,102 @@ fn tree_merge_equals_flat_merge_and_oracle_across_the_matrix() {
 }
 
 #[test]
-fn scalar_and_vectorized_tree_merges_agree() {
-    // The per-class columnar path of the merge must be byte-identical to
-    // the scalar flag loop (including its fallbacks).
-    for dist in DISTRIBUTIONS {
-        let rows = generate_with_null_fraction(dist, 23, 120, 3, 0.3);
-        let expected = oracle(&rows, 3, true);
-        let sql = skyline_sql(3);
-        let run = |kernel: DominanceKernel| {
-            session(
-                rows.clone(),
-                3,
-                tree_config(5, true).with_dominance_kernel(kernel),
-            )
-            .sql(&sql)
-            .unwrap()
-            .collect()
-            .unwrap()
-        };
-        let scalar = run(DominanceKernel::Scalar);
-        let vectorized = run(DominanceKernel::Auto);
-        assert_eq!(scalar.rows, vectorized.rows, "{dist}");
-        assert_eq!(scalar.sorted_display(), expected, "{dist}");
-        assert_eq!(
-            scalar.metrics.deferred_deletions,
-            vectorized.metrics.deferred_deletions
+fn the_merge_is_one_round_over_the_class_blocks() {
+    let case = Case {
+        label: "anti_correlated/3d/nulls=0.3".into(),
+        schema: schema(&[DataType::Float64; 3], false),
+        rows: generate_with_null_fraction("anti_correlated", 5, 400, 3, 0.3),
+        sql: skyline_sql(3),
+        checker: all_min(3, false),
+    };
+    for executors in [1usize, 2, 8] {
+        let ctx = SessionContext::with_config(SessionConfig::default().with_executors(executors));
+        ctx.register_table("t", case.schema.clone(), case.rows.clone())
+            .unwrap();
+        let df = ctx.sql(&case.sql).unwrap();
+        let explain = df.explain().unwrap();
+        assert!(explain.contains("ExchangeExec [NullBitmap"), "{explain}");
+        assert!(
+            explain.contains("LocalSkylineExec [3 dims, incomplete"),
+            "{explain}"
         );
+        assert!(
+            explain.contains("GlobalSkylineExec [3 dims, incomplete, pairwise merge"),
+            "{explain}"
+        );
+        assert!(!explain.contains("AllTuples"), "{explain}");
+        let result = df.collect().unwrap();
+        let m = result.metrics;
+        let (expected, candidates) = flat_incomplete_oracle(&case.rows, &case.checker, executors);
+        assert_eq!(result.rows, expected, "{executors} executors");
+        // One round, one task per bitmap class: each class lives in one
+        // partition, whose local phase emits it as one window.
+        let classes: HashSet<u64> = case
+            .rows
+            .iter()
+            .map(|row| null_bitmap(row, case.checker.spec()))
+            .collect();
+        assert_eq!(m.merge_rounds, 1, "{m:?}");
+        assert_eq!(m.merge_tasks as usize, classes.len(), "{m:?}");
+        // The exchange moves every row, the merge gathers the candidates.
+        assert_eq!(
+            m.rows_exchanged as usize,
+            case.rows.len() + candidates,
+            "{m:?}"
+        );
+        assert!(m.deferred_deletions > 0, "cross-class losers: {m:?}");
+        assert_eq!(m.deferred_deletions as usize, candidates - expected.len());
     }
 }
 
 #[test]
-fn tree_merge_parallelizes_and_reports_its_metrics() {
-    let rows = generate_with_null_fraction("anti_correlated", 5, 400, 3, 0.3);
-    let sql = skyline_sql(3);
-    let tree = session(rows.clone(), 3, tree_config(8, true))
-        .sql(&sql)
-        .unwrap()
-        .collect()
-        .unwrap();
-    let flat = session(rows, 3, flat_config(8, true))
-        .sql(&sql)
-        .unwrap()
-        .collect()
-        .unwrap();
-    assert_eq!(tree.rows, flat.rows);
-    let m = &tree.metrics;
-    assert!(m.merge_rounds >= 1, "tree rounds ran: {m:?}");
-    assert!(m.max_merge_fanout >= 1, "{m:?}");
-    assert!(
-        m.classes_merged > 1,
-        "NULL-bearing data spreads over several bitmap classes: {m:?}"
+fn adaptive_strategy_plans_the_static_incomplete_merge() {
+    // The adaptive planner samples only for the complete family: on
+    // NULL-bearing data it plans exactly what `Auto` plans, and reads no
+    // sample.
+    let case = Case {
+        label: "independent/3d/nulls=0.3".into(),
+        schema: schema(&[DataType::Float64; 3], false),
+        rows: generate_with_null_fraction("independent", 11, 300, 3, 0.3),
+        sql: skyline_sql(3),
+        checker: all_min(3, false),
+    };
+    let session = |strategy| {
+        let ctx = SessionContext::with_config(
+            SessionConfig::default()
+                .with_executors(8)
+                .with_skyline_strategy(strategy),
+        );
+        ctx.register_table("t", case.schema.clone(), case.rows.clone())
+            .unwrap();
+        ctx
+    };
+    let adaptive = session(SkylineStrategy::Adaptive);
+    let explain = adaptive.sql(&case.sql).unwrap().explain().unwrap();
+    let auto = session(SkylineStrategy::Auto);
+    assert_eq!(
+        explain,
+        auto.sql(&case.sql).unwrap().explain().unwrap(),
+        "{}",
+        case.label
     );
-    assert!(
-        m.deferred_deletions > 0,
-        "cross-class losers flagged: {m:?}"
+    let result = adaptive.sql(&case.sql).unwrap().collect().unwrap();
+    assert_eq!(
+        result.rows,
+        flat_incomplete_oracle(&case.rows, &case.checker, 8).0
     );
-    assert_eq!(m.deferred_deletions, flat.metrics.deferred_deletions);
-    assert_eq!(flat.metrics.merge_rounds, 0, "flat plan has no tree rounds");
-    assert_eq!(flat.metrics.classes_merged, 0, "flat plan reports no merge");
-}
-
-#[test]
-fn adaptive_strategy_tree_merges_null_bearing_data() {
-    // End-to-end: the adaptive planner (satellite fix) reads the sampled
-    // NULL fractions and selects the tree merge for the incomplete family
-    // once the pool is large enough — results unchanged.
-    let rows = generate_with_null_fraction("independent", 11, 300, 3, 0.3);
-    let expected = oracle(&rows, 3, true);
-    let sql = skyline_sql(3);
-    let adaptive = session(
-        rows.clone(),
-        3,
-        SessionConfig::default()
-            .with_executors(8)
-            .with_skyline_strategy(SkylineStrategy::Adaptive),
-    );
-    let explain = adaptive.sql(&sql).unwrap().explain().unwrap();
-    assert!(
-        explain.contains("hierarchical fan-in"),
-        "adaptive picks the tree on NULL-bearing data:\n{explain}"
-    );
-    let result = adaptive.sql(&sql).unwrap().collect().unwrap();
-    assert_eq!(result.sorted_display(), expected);
-    assert!(result.metrics.merge_rounds >= 1);
+    assert_eq!(result.metrics.sample_rows, 0, "{:?}", result.metrics);
+    assert_eq!(result.metrics.merge_rounds, 1);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Two-sided correctness of the deferred-deletion replay on random
-    /// NULL-bearing data: (a) completeness — no true incomplete-skyline
-    /// member is ever dropped by the tree merge; (b) soundness — no
-    /// globally dominated tuple survives the replay. Together with the
-    /// multiplicity check this is exact multiset equality with the naive
-    /// oracle, for every partitioning of the input.
+    /// Two-sided correctness of the merge on random NULL-bearing data:
+    /// (a) completeness — no true incomplete-skyline member is ever
+    /// dropped; (b) soundness — no globally dominated tuple survives.
+    /// Together with the multiplicity check this is exact multiset
+    /// equality with the naive oracle, for every executor count.
     #[test]
     fn no_member_dropped_and_no_dominated_survivor(
         rows in prop::collection::vec(
@@ -204,7 +346,6 @@ proptest! {
             1..70,
         ),
         executors in 1usize..9,
-        fan_in in 2usize..5,
     ) {
         let table: Vec<Row> = rows
             .iter()
@@ -216,32 +357,16 @@ proptest! {
                 )
             })
             .collect();
-        let spec = SkylineSpec::new((0..3).map(SkylineDim::min).collect());
-        let checker = DominanceChecker::incomplete(spec);
-        let mut expected: Vec<String> = naive_skyline(&table, &checker)
-            .iter()
-            .map(|r| r.to_string())
-            .collect();
-        expected.sort();
+        let expected = sorted(&naive_skyline(&table, &all_min(3, false)));
         let ctx = SessionContext::with_config(
             SessionConfig::default()
                 .with_executors(executors)
-                .with_hierarchical_merge_min_partitions(1)
-                .with_merge_fan_in(fan_in)
                 .with_batch_size(16),
         );
-        ctx.register_table(
-            "t",
-            Schema::new(
-                (0..3)
-                    .map(|i| Field::new(format!("d{i}"), DataType::Int64, true))
-                    .collect(),
-            ),
-            table,
-        )
-        .unwrap();
+        ctx.register_table("t", schema(&[DataType::Int64; 3], false), table)
+            .unwrap();
         let got = ctx
-            .sql("SELECT * FROM t SKYLINE OF d0 MIN, d1 MIN, d2 MIN")
+            .sql(&skyline_sql(3))
             .unwrap()
             .collect()
             .unwrap()
@@ -249,14 +374,13 @@ proptest! {
         for member in &expected {
             prop_assert!(
                 got.contains(member),
-                "true skyline member dropped: {member} (executors={executors}, fan_in={fan_in})"
+                "true skyline member dropped: {member} (executors={executors})"
             );
         }
         for survivor in &got {
             prop_assert!(
                 expected.contains(survivor),
-                "dominated tuple survived the replay: {survivor} \
-                 (executors={executors}, fan_in={fan_in})"
+                "dominated tuple survived: {survivor} (executors={executors})"
             );
         }
         prop_assert_eq!(got, expected, "multiset equality");

@@ -1,7 +1,8 @@
 //! Incomplete-data semantics end to end (paper §3, §5.7, Appendix A):
 //! cyclic dominance, Lemma 5.1's partitioning, executor-count robustness,
 //! and the agreement of complete and incomplete algorithms on complete
-//! data.
+//! data — plus Appendix A's deliberately wrong algorithm, which shows what
+//! deferred deletion protects against.
 
 mod common;
 
@@ -9,7 +10,78 @@ use common::{incomplete_session, row3};
 use sparkline::{Algorithm, Row, SessionConfig, SessionContext};
 use sparkline_common::{SkylineDim, SkylineSpec, SkylineType};
 use sparkline_datagen::{register_store_sales, skyline_query_for, store_sales, Variant};
-use sparkline_skyline::{naive_skyline, DominanceChecker};
+use sparkline_skyline::{naive_skyline, Dominance, DominanceChecker};
+
+/// The **incorrect** global-skyline procedure of Gulzar et al. (paper
+/// Appendix A).
+///
+/// It visits the bitmap clusters in order; for the current point `p` it
+/// scans all not-yet-deleted points of *subsequent* clusters, deleting any
+/// `q` with `p ≺ q` immediately and flagging `p` when `q ≺ p`. Flagged
+/// points are deleted at the end of their iteration. Under cyclic dominance
+/// this deletes a tuple's only dominating witness before the witness is
+/// used, so a dominated tuple can survive — Appendix A's counterexample
+/// `a=(1,*,10), b=(3,2,*), c=(*,5,3)` returns `{c}` instead of `{}`.
+fn premature_deletion_global_skyline(
+    clusters: Vec<Vec<Row>>,
+    checker: &DominanceChecker,
+) -> Vec<Row> {
+    // alive[c][k] tracks whether point k of cluster c is still a candidate.
+    let mut alive: Vec<Vec<bool>> = clusters.iter().map(|c| vec![true; c.len()]).collect();
+    for ci in 0..clusters.len() {
+        for pi in 0..clusters[ci].len() {
+            if !alive[ci][pi] {
+                continue;
+            }
+            let mut flagged = false;
+            for cj in (ci + 1)..clusters.len() {
+                for qj in 0..clusters[cj].len() {
+                    if !alive[cj][qj] {
+                        continue;
+                    }
+                    match checker.compare(&clusters[ci][pi], &clusters[cj][qj]) {
+                        Dominance::Dominates => alive[cj][qj] = false,
+                        Dominance::DominatedBy => flagged = true,
+                        _ => {}
+                    }
+                }
+            }
+            if flagged {
+                alive[ci][pi] = false;
+            }
+        }
+    }
+    clusters
+        .into_iter()
+        .zip(alive)
+        .flat_map(|(cluster, flags)| {
+            cluster
+                .into_iter()
+                .zip(flags)
+                .filter_map(|(row, keep)| keep.then_some(row))
+        })
+        .collect()
+}
+
+#[test]
+fn appendix_a_counterexample_faulty_algorithm_returns_c() {
+    // Reproduce Appendix A: the premature-deletion algorithm of [20]
+    // wrongly returns {c} on the cycle, while the correct result — what
+    // the engine returns (next test) — is {}.
+    let checker = DominanceChecker::incomplete(SkylineSpec::new(vec![
+        SkylineDim::min(0),
+        SkylineDim::min(1),
+        SkylineDim::min(2),
+    ]));
+    let (a, b, c) = (
+        row3(Some(1), None, Some(10)),
+        row3(Some(3), Some(2), None),
+        row3(None, Some(5), Some(3)),
+    );
+    let wrong =
+        premature_deletion_global_skyline(vec![vec![a], vec![b], vec![c.clone()]], &checker);
+    assert_eq!(wrong, vec![c], "the faulty algorithm keeps tuple c");
+}
 
 #[test]
 fn appendix_a_cycle_yields_empty_skyline_at_any_executor_count() {
@@ -115,7 +187,10 @@ fn incomplete_on_complete_data_degenerates_to_single_partition() {
         .explain()
         .unwrap();
     assert!(explain.contains("NullBitmap"), "{explain}");
-    assert!(explain.contains("IncompleteGlobalSkylineExec"), "{explain}");
+    assert!(
+        explain.contains("GlobalSkylineExec [3 dims, incomplete, pairwise merge"),
+        "{explain}"
+    );
 }
 
 #[test]

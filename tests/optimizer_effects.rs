@@ -215,101 +215,6 @@ fn adaptive_explain_shows_strategy_sample_and_prefilter() {
 }
 
 #[test]
-fn adaptive_incomplete_explain_surfaces_the_merge_choice() {
-    // Satellite fix (PR 5): `select_adaptive` no longer ignores the
-    // per-dimension NULL fractions for the incomplete family — the chosen
-    // (or refused) merge strategy and the statistics behind it are
-    // rendered in EXPLAIN instead of the static knobs.
-    use sparkline::{DataType, Field, Row, Schema, SessionContext, SkylineStrategy, Value};
-    let mk_rows = |with_nulls: bool| -> Vec<Row> {
-        (0..120i64)
-            .map(|i| {
-                Row::new(vec![
-                    if with_nulls && i % 4 == 0 {
-                        Value::Null
-                    } else {
-                        Value::Int64((i * 7) % 30)
-                    },
-                    Value::Int64((i * 11) % 30),
-                ])
-            })
-            .collect()
-    };
-    let mk_ctx = |rows: Vec<Row>, strategy: SkylineStrategy| {
-        let ctx = SessionContext::with_config(
-            SessionConfig::default()
-                .with_executors(8)
-                .with_skyline_strategy(strategy),
-        );
-        ctx.register_table(
-            "t",
-            Schema::new(vec![
-                Field::new("a", DataType::Int64, true),
-                Field::new("b", DataType::Int64, false),
-            ]),
-            rows,
-        )
-        .unwrap();
-        ctx
-    };
-    let sql = "SELECT * FROM t SKYLINE OF a MIN, b MIN";
-    // NULL-bearing sample → the tree merge is chosen, and EXPLAIN names
-    // the decision with the driving statistic.
-    let chosen = mk_ctx(mk_rows(true), SkylineStrategy::Adaptive)
-        .sql(sql)
-        .unwrap()
-        .explain()
-        .unwrap();
-    assert!(
-        chosen.contains("IncompleteGlobalSkylineExec"),
-        "incomplete family expected:\n{chosen}"
-    );
-    assert!(
-        chosen.contains("hierarchical fan-in") && chosen.contains("adaptive: tree"),
-        "chosen strategy must be surfaced:\n{chosen}"
-    );
-    assert!(
-        chosen.contains("max NULL fraction 0.25"),
-        "the driving NULL fraction must be surfaced:\n{chosen}"
-    );
-    // A nullable schema without actual NULLs → a single bitmap class: the
-    // tree merge is *refused* and EXPLAIN says so (instead of silently
-    // printing the static knobs).
-    let refused = mk_ctx(mk_rows(false), SkylineStrategy::Adaptive)
-        .sql(sql)
-        .unwrap()
-        .explain()
-        .unwrap();
-    assert!(
-        refused.contains("adaptive: flat (max NULL fraction 0.00"),
-        "refusal must be surfaced with its reason:\n{refused}"
-    );
-    assert!(
-        refused.contains("ExchangeExec [AllTuples]"),
-        "refused plan keeps the paper's gather:\n{refused}"
-    );
-    // Static plans carry no adaptive note — the knobs speak for
-    // themselves.
-    let static_explain = mk_ctx(mk_rows(true), SkylineStrategy::Auto)
-        .sql(sql)
-        .unwrap()
-        .explain()
-        .unwrap();
-    assert!(
-        !static_explain.contains("adaptive:"),
-        "static plan must not claim adaptivity:\n{static_explain}"
-    );
-    // EXPLAIN ANALYZE surfaces the new counters for the incomplete family.
-    let analyze = mk_ctx(mk_rows(true), SkylineStrategy::Adaptive)
-        .sql(sql)
-        .unwrap()
-        .explain_analyze()
-        .unwrap();
-    assert!(analyze.contains("deferred deletions: "), "{analyze}");
-    assert!(analyze.contains("classes merged: "), "{analyze}");
-}
-
-#[test]
 fn dominance_test_counts_reflect_optimization() {
     // The single-dimension rewrite eliminates dominance tests entirely.
     let ctx = session(SessionConfig::default());

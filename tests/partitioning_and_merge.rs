@@ -8,9 +8,7 @@ mod common;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sparkline::{
-    DataType, Field, MergeStrategy, Row, Schema, SessionConfig, SessionContext, SkylinePartitioning,
-};
+use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, SkylinePartitioning};
 use sparkline_common::{SkylineDim, SkylineSpec};
 use sparkline_datagen::distributions::anti_correlated_rows;
 use sparkline_skyline::DominanceChecker;
@@ -70,9 +68,9 @@ fn all_partitioning_schemes_agree_on_the_skyline() {
 
 #[test]
 fn auto_plans_the_pairwise_merge_at_every_executor_count() {
-    // Below, at and above the incomplete family's tree-merge floor: the
-    // complete family's global phase is always the one-round pairwise
-    // merge, fed the local skylines directly (no gather).
+    // At every executor count the complete family's global phase is the
+    // one-round pairwise merge, fed the local skylines directly (no
+    // gather).
     let rows = anti_correlated(500, 2);
     let checker = DominanceChecker::complete(SkylineSpec::new(vec![
         SkylineDim::min(0),
@@ -88,7 +86,6 @@ fn auto_plans_the_pairwise_merge_at_every_executor_count() {
             "{executors} executors:\n{explain}"
         );
         assert!(!explain.contains("AllTuples"), "{explain}");
-        assert!(!explain.contains("hierarchical"), "{explain}");
         let result = df.collect().unwrap();
         assert_eq!(
             result.rows,
@@ -97,15 +94,4 @@ fn auto_plans_the_pairwise_merge_at_every_executor_count() {
         );
         assert_eq!(result.metrics.merge_rounds, 1, "{:?}", result.metrics);
     }
-}
-
-#[test]
-fn merge_strategy_is_exposed_in_the_public_api() {
-    // The config knobs round-trip (smoke test for the core re-exports).
-    let config = SessionConfig::default()
-        .with_merge_fan_in(3)
-        .with_hierarchical_merge_min_partitions(6);
-    assert_eq!(config.merge_fan_in, 3);
-    assert_eq!(config.hierarchical_merge_min_partitions, 6);
-    let _ = MergeStrategy::Hierarchical { fan_in: 3 };
 }
