@@ -30,8 +30,8 @@ pub struct Report {
 pub fn all_ids() -> Vec<&'static str> {
     vec![
         "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-        "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "ext1", "ext3", "ext4", "ext5",
-        "ext7", "ext8", "ext9", "ext10", "ext11",
+        "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "ext1", "ext3", "ext4", "ext7",
+        "ext8", "ext9", "ext10", "ext11",
     ]
 }
 
@@ -60,7 +60,6 @@ pub fn run(id: &str, ctx: &mut EvalContext, quick: bool) -> Vec<Report> {
         "ext1" => ext1_partitioning_schemes(ctx, quick),
         "ext3" => ext3_vectorized_dominance(quick),
         "ext4" => ext4_streaming_execution(quick),
-        "ext5" => ext5_adaptive_planning(quick),
         "ext7" => ext7_simd_kernel(quick),
         "ext8" => ext8_chaos(quick),
         "ext9" => ext9_storage(quick),
@@ -675,69 +674,6 @@ fn musicbrainz_executors_grid(
         }
     }
     out
-}
-
-/// ext5: statistics-driven adaptive planning vs every fixed partitioning
-/// scheme, per Börzsönyi distribution. Also writes the machine-readable
-/// `BENCH_PR4.json` (adaptive vs best/worst fixed wall clock and the rows
-/// the representative pre-filter discarded) so the adaptive trajectory is
-/// tracked across changes; set `BENCH_PR4_OUT` to redirect the file.
-fn ext5_adaptive_planning(quick: bool) -> Vec<Report> {
-    let path = std::env::var("BENCH_PR4_OUT").unwrap_or_else(|_| "BENCH_PR4.json".to_string());
-    let bench = crate::adaptive_bench::write_bench_pr4(&path, quick)
-        .unwrap_or_else(|e| panic!("ext5: cannot write {path}: {e}"));
-    eprintln!("    wrote {path}");
-    for s in &bench.summaries {
-        eprintln!(
-            "    [{:<15}] adaptive {:.3}s (fixed field {:.3}s..{:.3}s), \
-             pre-filter dropped {} rows",
-            s.distribution,
-            s.adaptive_secs,
-            s.best_fixed_secs,
-            s.worst_fixed_secs,
-            s.prefilter_rows_dropped,
-        );
-    }
-    let distributions: Vec<&'static str> = bench.summaries.iter().map(|s| s.distribution).collect();
-    let series: Vec<(String, Vec<Cell>)> = vec![
-        (
-            "adaptive".to_string(),
-            bench
-                .summaries
-                .iter()
-                .map(|s| Cell::Value(s.adaptive_secs))
-                .collect(),
-        ),
-        (
-            "best fixed".to_string(),
-            bench
-                .summaries
-                .iter()
-                .map(|s| Cell::Value(s.best_fixed_secs))
-                .collect(),
-        ),
-        (
-            "worst fixed".to_string(),
-            bench
-                .summaries
-                .iter()
-                .map(|s| Cell::Value(s.worst_fixed_secs))
-                .collect(),
-        ),
-    ];
-    let rows = bench.cells.first().map(|c| c.rows).unwrap_or(0);
-    vec![Report {
-        id: "ext5".into(),
-        title: format!(
-            "Extension 5: adaptive vs fixed skyline planning ({rows} rows, 3 dims; \
-             see BENCH_PR4.json)"
-        ),
-        x_label: "distribution",
-        x_values: distributions.iter().map(|d| d.to_string()).collect(),
-        series,
-        metric: Metric::Time,
-        with_relative: false,
-    }]
 }
 
 /// ext7: the explicit-SIMD multi-candidate dominance kernel (PR 6) vs

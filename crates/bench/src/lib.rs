@@ -11,7 +11,6 @@
 //! target is the *shape*: which algorithm wins, how series scale, where
 //! timeouts appear.
 
-pub mod adaptive_bench;
 pub mod chaos_bench;
 pub mod experiments;
 pub mod harness;
@@ -23,7 +22,6 @@ pub mod server_bench;
 pub mod storage_bench;
 pub mod stream_bench;
 
-pub use adaptive_bench::{run_adaptive_bench, write_bench_pr4, AdaptiveBench};
 pub use chaos_bench::{run_chaos_bench, write_bench_pr7, ChaosBench};
 pub use kernel_bench::{run_kernel_bench, write_bench_pr2, KernelBench};
 pub use mutation_bench::{run_mutation_bench, write_bench_pr10, MutationBench};

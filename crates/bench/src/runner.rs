@@ -44,7 +44,8 @@ pub struct Measurement {
     pub blocks_read: u64,
     /// Storage blocks skipped by min/max refutation of pushed-down filters.
     pub blocks_skipped_minmax: u64,
-    /// Storage blocks skipped by corner-dominance against pre-filter points.
+    /// Storage blocks skipped by corner-dominance against the footer
+    /// sample's skyline.
     pub blocks_skipped_dominance: u64,
     /// Raw block bytes read and decoded by disk scans.
     pub bytes_decoded: u64,

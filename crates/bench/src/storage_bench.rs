@@ -8,8 +8,8 @@
 //! distribution: `full` (both skip kinds disabled — every block is read
 //! and decoded), `minmax` (static pruning of blocks refuted by the
 //! pushed-down `d0` range filter), and `dominance` (min/max plus
-//! corner-dominance against the adaptive planner's representative
-//! pre-filter points). All three must return identical rows; the cells
+//! corner-dominance against the skyline of the footer sample — the
+//! default configuration). All three must return identical rows; the cells
 //! record wall clock, rows/sec, and the block/byte counters that show
 //! where the speedup comes from.
 //!
@@ -23,9 +23,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sparkline::{
-    DataType, Field, Row, Schema, SessionConfig, SessionContext, SkylineStrategy, Value,
-};
+use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
 
 /// Skipping modes of the scan sweep, weakest first.
@@ -185,11 +183,7 @@ pub fn run_storage_bench(quick: bool) -> StorageBench {
         RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).expect("bench scratch dir");
-    let base = || {
-        SessionConfig::default()
-            .with_executors(4)
-            .with_skyline_strategy(SkylineStrategy::Adaptive)
-    };
+    let base = || SessionConfig::default().with_executors(4);
 
     let mut scan_cells = Vec::new();
     for distribution in ["correlated", "independent", "anti_correlated"] {

@@ -7,10 +7,12 @@ use std::time::Duration;
 ///
 /// `Auto` follows the paper's Listing 8: the complete (BNL) algorithm when
 /// `COMPLETE` is declared or no skyline dimension is nullable, otherwise the
-/// incomplete (null-bitmap partitioned) algorithm. Three variants force one
-/// of the paper's algorithms evaluated in §6.3 — the benchmark harness uses
-/// them to produce the paper's comparison series — and `Adaptive` keeps
-/// Listing 8 but plans from input statistics.
+/// incomplete (null-bitmap partitioned) algorithm. The other three variants
+/// each force one of the paper's algorithms evaluated in §6.3 — the
+/// benchmark harness uses them to produce the paper's comparison series.
+/// Whichever variant plans the complete family also gets the disk
+/// dominance gate when its input is a disk table (see
+/// `disk_dominance_skipping`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SkylineStrategy {
     /// Paper's Listing 8 selection logic.
@@ -29,12 +31,6 @@ pub enum SkylineStrategy {
     /// bitmap-class blocks of the local skylines — same rows, same order).
     /// Valid on any data.
     DistributedIncomplete,
-    /// Extension beyond the paper: statistics-driven planning. The plan
-    /// shape is `Auto`'s (Listing 8, the configured partitioning, the
-    /// pairwise merge); on the complete family a seeded sample of the
-    /// input (`sparkline_common::stats`) additionally feeds the
-    /// representative-point pre-filter.
-    Adaptive,
 }
 
 impl SkylineStrategy {
@@ -43,9 +39,7 @@ impl SkylineStrategy {
     pub fn handles_incomplete(self) -> bool {
         matches!(
             self,
-            SkylineStrategy::Auto
-                | SkylineStrategy::Adaptive
-                | SkylineStrategy::DistributedIncomplete
+            SkylineStrategy::Auto | SkylineStrategy::DistributedIncomplete
         )
     }
 }
@@ -143,23 +137,13 @@ pub struct SessionConfig {
     /// accountant. Models the paper's observation that each Spark executor
     /// loads its whole JVM execution environment (§6.5 / Appendix C).
     pub executor_memory_overhead: usize,
-    /// Reservoir-sample size for the adaptive planner's dataset
-    /// statistics and the representative pre-filter (>= 1).
+    /// Capacity of the seeded reservoir sample that `COPY`-style disk
+    /// writes store in the table footer (>= 1). The disk dominance gate
+    /// takes its points from that sample.
     pub sample_size: usize,
-    /// Seed of the planner's reservoir sampler. Fixed per session so
-    /// repeated `EXPLAIN`s of the same query report the same chosen
-    /// strategy.
+    /// Seed of the footer's reservoir sample, so the same rows written
+    /// twice yield the same file and the same gate points.
     pub sample_seed: u64,
-    /// Cap on the representative-point pre-filter broadcast to every
-    /// partition stream under [`SkylineStrategy::Adaptive`]; the filter is
-    /// the sample's skyline truncated to this many points.
-    pub prefilter_max_points: usize,
-    /// Enable the representative-point pre-filter (adaptive plans only;
-    /// the complete-data family — the incomplete relation is not
-    /// transitive, so discarding dominated tuples early is unsound
-    /// there). Disabling it is the A/B switch of the `ext5` benchmark and
-    /// the pre-filter property tests.
-    pub representative_prefilter: bool,
     /// Seed of the deterministic fault injector. With the same seed, rate,
     /// and plan, the same (site, partition, seq) steps fault on every run
     /// — the reproducibility contract of the chaos tests.
@@ -195,7 +179,7 @@ pub struct SessionConfig {
     /// in the plan); the switch exists for A/B benchmarks.
     pub disk_minmax_skipping: bool,
     /// Skip disk blocks whose best dominance corner is strictly dominated
-    /// by a representative pre-filter point (complete-family skyline
+    /// by a point of the footer sample's skyline (complete-family skyline
     /// plans only). The `ext9` benchmark's headline A/B switch.
     pub disk_dominance_skipping: bool,
 }
@@ -218,8 +202,6 @@ impl Default for SessionConfig {
             executor_memory_overhead: 300 * 1024,
             sample_size: 1024,
             sample_seed: 0x5EED_1A7E,
-            prefilter_max_points: 64,
-            representative_prefilter: true,
             fault_seed: 0xFA17_5EED,
             fault_rate: 0.0,
             max_retries: 3,
@@ -301,29 +283,16 @@ impl SessionConfig {
         self
     }
 
-    /// Set the planner's reservoir-sample size (>= 1).
+    /// Set the footer reservoir-sample size (>= 1).
     pub fn with_sample_size(mut self, n: usize) -> Self {
         assert!(n >= 1, "sample size must be at least 1");
         self.sample_size = n;
         self
     }
 
-    /// Set the planner's sampling seed.
+    /// Set the footer sampling seed.
     pub fn with_sample_seed(mut self, seed: u64) -> Self {
         self.sample_seed = seed;
-        self
-    }
-
-    /// Set the representative pre-filter cap (0 disables the filter).
-    pub fn with_prefilter_max_points(mut self, n: usize) -> Self {
-        self.prefilter_max_points = n;
-        self
-    }
-
-    /// Toggle the representative-point pre-filter (on by default; only
-    /// active under [`SkylineStrategy::Adaptive`]).
-    pub fn with_representative_prefilter(mut self, on: bool) -> Self {
-        self.representative_prefilter = on;
         self
     }
 
@@ -421,7 +390,6 @@ mod tests {
     #[test]
     fn strategy_incomplete_handling() {
         assert!(SkylineStrategy::Auto.handles_incomplete());
-        assert!(SkylineStrategy::Adaptive.handles_incomplete());
         assert!(SkylineStrategy::DistributedIncomplete.handles_incomplete());
         assert!(!SkylineStrategy::DistributedComplete.handles_incomplete());
         assert!(!SkylineStrategy::NonDistributedComplete.handles_incomplete());
@@ -431,17 +399,11 @@ mod tests {
     fn sampling_knobs_default_and_chain() {
         let c = SessionConfig::new();
         assert_eq!(c.sample_size, 1024);
-        assert_eq!(c.prefilter_max_points, 64);
-        assert!(c.representative_prefilter);
         let c = SessionConfig::new()
             .with_sample_size(32)
-            .with_sample_seed(99)
-            .with_prefilter_max_points(0)
-            .with_representative_prefilter(false);
+            .with_sample_seed(99);
         assert_eq!(c.sample_size, 32);
         assert_eq!(c.sample_seed, 99);
-        assert_eq!(c.prefilter_max_points, 0);
-        assert!(!c.representative_prefilter);
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub enum Error {
     },
     /// A reservation was denied because it would push the query past its
     /// configured `memory_budget`. Not retryable as-is; the session
-    /// degrades the plan (streaming sinks, no pre-filter, smaller batches)
-    /// before surfacing this to the caller.
+    /// degrades the plan (streaming sinks, smaller batches) before
+    /// surfacing this to the caller.
     ResourceExhausted {
         /// Bytes the denied reservation asked for.
         requested: usize,

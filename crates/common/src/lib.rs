@@ -28,7 +28,7 @@ pub use error::{Error, Result};
 pub use row::Row;
 pub use schema::{Field, Schema, SchemaRef};
 pub use skyline::{SkylineDim, SkylineSpec, SkylineType};
-pub use stats::{reservoir_sample, DatasetStats, Reservoir};
+pub use stats::Reservoir;
 pub use strategy::{SkylineMeta, SkylinePlan};
 pub use types::DataType;
 pub use value::Value;

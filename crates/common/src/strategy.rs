@@ -12,7 +12,6 @@
 
 use crate::config::{DominanceKernel, SessionConfig, SkylinePartitioning, SkylineStrategy};
 use crate::skyline::SkylineSpec;
-use crate::stats::DatasetStats;
 
 /// Plan metadata the strategy decision needs, extracted from the logical
 /// skyline node and its input schema.
@@ -54,11 +53,6 @@ pub struct SkylinePlan {
     /// fall back to the scalar checker tuple-by-tuple), or `Scalar` for
     /// the scalar checker throughout.
     pub kernel: DominanceKernel,
-    /// Cap on the representative-point pre-filter broadcast before the
-    /// local phase; `0` disables the filter (always `0` outside the
-    /// distributed complete family — the incomplete relation is not
-    /// transitive, so early discards are unsound there).
-    pub prefilter_max_points: usize,
 }
 
 impl SkylinePlan {
@@ -69,9 +63,7 @@ impl SkylinePlan {
         // user asserted COMPLETE or no skyline dimension is nullable.
         // Forced strategies (the harness's algorithm series) override.
         let use_complete = match config.skyline_strategy {
-            SkylineStrategy::Auto | SkylineStrategy::Adaptive => {
-                meta.declared_complete || !meta.nullable
-            }
+            SkylineStrategy::Auto => meta.declared_complete || !meta.nullable,
             SkylineStrategy::DistributedComplete | SkylineStrategy::NonDistributedComplete => true,
             SkylineStrategy::DistributedIncomplete => false,
         };
@@ -97,46 +89,7 @@ impl SkylinePlan {
             // falls back per tuple where it cannot represent the data),
             // so the knob passes through unconditionally.
             kernel: config.dominance_kernel,
-            prefilter_max_points: 0,
         }
-    }
-
-    /// Statistics-driven selection for [`SkylineStrategy::Adaptive`]: the
-    /// plan shape is [`Self::select`]'s — Listing 8's algorithm family,
-    /// the configured partitioning, the pairwise merge — and, on the
-    /// distributed **complete** family, the sampled [`DatasetStats`] budget
-    /// the representative-point pre-filter (whose points also drive the
-    /// disk scan's dominance skip), keyed on the sample's skyline fraction:
-    /// trade-off-heavy data gets a quarter of the configured budget. Every
-    /// other plan is [`Self::select`]'s unchanged: the pre-filter is
-    /// unsound under the non-transitive incomplete relation.
-    ///
-    /// The choice is semantically neutral (the pre-filter only discards
-    /// provably dominated tuples); the statistics steer cost only. The
-    /// decision is a pure function of config + meta + stats, so repeated
-    /// `EXPLAIN`s of one query agree.
-    pub fn select_adaptive(
-        config: &SessionConfig,
-        meta: &SkylineMeta,
-        stats: &DatasetStats,
-    ) -> Self {
-        let mut plan = SkylinePlan::select(config, meta);
-        if plan.use_complete
-            && plan.distributed
-            && config.representative_prefilter
-            && config.prefilter_max_points > 0
-        {
-            // Budget the filter by expected selectivity: on trade-off-heavy
-            // data most tuples survive, so every tuple pays a scan over the
-            // whole point set — a quarter of the budget keeps most of the
-            // pruning at a quarter of the per-tuple cost.
-            plan.prefilter_max_points = if stats.skyline_fraction >= 0.35 {
-                (config.prefilter_max_points / 4).max(1)
-            } else {
-                config.prefilter_max_points
-            };
-        }
-        plan
     }
 }
 
@@ -216,76 +169,5 @@ mod tests {
                 assert_eq!(plan.kernel, kernel);
             }
         }
-    }
-
-    fn stats_with(correlation: f64, skyline_fraction: f64, sample_rows: usize) -> DatasetStats {
-        DatasetStats {
-            sample_rows,
-            total_rows: sample_rows * 10,
-            dims: 2,
-            correlation,
-            skyline_fraction,
-        }
-    }
-
-    #[test]
-    fn adaptive_complete_plan_shape_is_the_static_one() {
-        // Whatever the sample says, the complete family's partitioning is
-        // `select()`'s: the statistics only budget the pre-filter.
-        for executors in [2usize, 8] {
-            for scheme in [
-                SkylinePartitioning::Standard,
-                SkylinePartitioning::AngleBased,
-            ] {
-                let config = SessionConfig::default()
-                    .with_executors(executors)
-                    .with_skyline_partitioning(scheme)
-                    .with_skyline_strategy(SkylineStrategy::Adaptive);
-                for ranked in [1usize, 2, 8] {
-                    let m = meta(ranked, false, false);
-                    let fixed = SkylinePlan::select(&config, &m);
-                    for (corr, frac) in [(0.8, 0.02), (-0.8, 0.6), (0.0, 0.25)] {
-                        let plan =
-                            SkylinePlan::select_adaptive(&config, &m, &stats_with(corr, frac, 500));
-                        assert_eq!(plan.partitioning, fixed.partitioning, "{plan:?}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_prefilter_budget_follows_config() {
-        let m = meta(2, false, false);
-        let stats = stats_with(0.0, 0.1, 500);
-        let on = SessionConfig::default().with_skyline_strategy(SkylineStrategy::Adaptive);
-        assert_eq!(
-            SkylinePlan::select_adaptive(&on, &m, &stats).prefilter_max_points,
-            on.prefilter_max_points
-        );
-        let off = on.clone().with_representative_prefilter(false);
-        assert_eq!(
-            SkylinePlan::select_adaptive(&off, &m, &stats).prefilter_max_points,
-            0
-        );
-        // Static plans never carry a pre-filter budget.
-        assert_eq!(SkylinePlan::select(&on, &m).prefilter_max_points, 0);
-    }
-
-    #[test]
-    fn adaptive_incomplete_keeps_partitioning_and_prefilter_fixed() {
-        let config = SessionConfig::default()
-            .with_executors(8)
-            .with_skyline_strategy(SkylineStrategy::Adaptive);
-        // Nullable, not declared complete: Listing 8 selects the
-        // incomplete family; the statistics change nothing — partitioning
-        // stays Standard and the pre-filter stays off (non-transitive
-        // relation).
-        let m = meta(2, true, false);
-        let plan = SkylinePlan::select_adaptive(&config, &m, &stats_with(-0.9, 0.5, 500));
-        assert!(!plan.use_complete);
-        assert_eq!(plan.partitioning, SkylinePartitioning::Standard);
-        assert_eq!(plan.prefilter_max_points, 0);
-        assert_eq!(plan, SkylinePlan::select(&config, &m));
     }
 }

@@ -388,10 +388,9 @@ impl SessionContext {
         // Graceful degradation: when the enforced memory budget denies a
         // reservation, re-plan with a cheaper configuration instead of
         // failing the query — (1) streaming instead of materialized
-        // operator boundaries, (2) no representative pre-filter, (3) a
-        // smaller batch size — recording each downgrade in
-        // `degraded_paths`. Resilience counters accumulate across
-        // attempts, so the final snapshot tells the whole story.
+        // operator boundaries, (2) a smaller batch size — recording each
+        // downgrade in `degraded_paths`. Resilience counters accumulate
+        // across attempts, so the final snapshot tells the whole story.
         let mut carried: Option<sparkline_exec::MetricsSnapshot> = None;
         loop {
             let planner = PhysicalPlanner::new(&config, &*catalog);
@@ -467,11 +466,6 @@ impl SessionContext {
         out.push_str(&format!(
             "simd tests: {} ({} multi-candidate passes)\n",
             m.simd_tests, m.multi_candidate_passes
-        ));
-        out.push_str(&format!("sample rows: {}\n", m.sample_rows));
-        out.push_str(&format!(
-            "prefilter rows dropped: {}\n",
-            m.prefilter_rows_dropped
         ));
         out.push_str(&format!("deferred deletions: {}\n", m.deferred_deletions));
         out.push_str(&format!("rows exchanged: {}\n", m.rows_exchanged));
@@ -550,18 +544,12 @@ fn extract_filter_predicate(plan: &LogicalPlan) -> Option<Expr> {
 
 /// Apply the next rung of the degradation ladder to `config`; `false`
 /// when nothing cheaper is left and the budget error must surface. The
-/// order moves from the biggest memory lever to the smallest: the
-/// materialized execution model buffers every operator boundary, the
-/// representative pre-filter holds a broadcast point set (and its
-/// sample) per partition stream, and the batch size bounds the rows in
-/// flight per pipeline step.
+/// order moves from the bigger memory lever to the smaller: the
+/// materialized execution model buffers every operator boundary, and the
+/// batch size bounds the rows in flight per pipeline step.
 fn downgrade(config: &mut SessionConfig) -> bool {
     if !config.streaming_execution {
         config.streaming_execution = true;
-        return true;
-    }
-    if config.representative_prefilter {
-        config.representative_prefilter = false;
         return true;
     }
     if config.batch_size > 64 {

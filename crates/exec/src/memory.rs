@@ -11,8 +11,8 @@
 //! [`try_grow`](MemoryTracker::try_grow) into admission checks — a
 //! reservation that would push `current_bytes` past the budget is denied
 //! with [`Error::ResourceExhausted`] instead of silently growing, and the
-//! session reacts by degrading the plan (streaming sinks, no pre-filter,
-//! smaller batches) before surfacing the error.
+//! session reacts by degrading the plan (streaming sinks, smaller
+//! batches) before surfacing the error.
 //!
 //! Accounting is RAII throughout: every reservation releases its bytes on
 //! drop, so an error unwinding through an operator — injected fault,

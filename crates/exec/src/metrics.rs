@@ -57,9 +57,6 @@ pub struct ExecMetrics {
     /// Merge tasks executed: the pairwise merge runs one per non-empty
     /// block, all in its one round.
     pub merge_tasks: AtomicU64,
-    /// Rows discarded by the representative-point pre-filter before they
-    /// reached any skyline window.
-    pub prefilter_rows_dropped: AtomicU64,
     /// Tuples flagged as dominated during the incomplete global phase —
     /// the deferred deletions of §5.7: a flagged tuple keeps witnessing
     /// against every other candidate until the round ends. Equal to the
@@ -67,9 +64,6 @@ pub struct ExecMetrics {
     /// tuples the paper's all-pairs pass flags (`SKYLINE OF DISTINCT`
     /// duplicates included); 0 under the complete relation.
     pub deferred_deletions: AtomicU64,
-    /// Rows in the planner's reservoir sample behind a representative
-    /// pre-filter (0 when no pre-filter ran).
-    pub sample_rows: AtomicU64,
     /// Transient faults fired by the deterministic injector
     /// (`fault_rate` > 0). The differential chaos suite asserts this is
     /// positive to prove the fault-free-identical results were earned.
@@ -79,15 +73,15 @@ pub struct ExecMetrics {
     /// Reservations denied by the per-query memory budget.
     pub budget_denials: AtomicU64,
     /// Graceful-degradation steps the session took before this execution
-    /// (streaming sinks, dropped pre-filter, shrunk batches).
+    /// (streaming sinks, shrunk batches).
     pub degraded_paths: AtomicU64,
     /// Storage blocks read and decoded by disk scans.
     pub blocks_read: AtomicU64,
     /// Storage blocks skipped by static min/max pruning of pushed-down
     /// filter conjuncts — never read from disk.
     pub blocks_skipped_minmax: AtomicU64,
-    /// Storage blocks skipped because a representative pre-filter point
-    /// dominates the block's best corner — never read from disk.
+    /// Storage blocks skipped because a point of the footer sample's
+    /// skyline dominates the block's best corner — never read from disk.
     pub blocks_skipped_dominance: AtomicU64,
     /// Encoded bytes actually read and decoded by disk scans (skipped
     /// blocks contribute nothing).
@@ -150,21 +144,10 @@ impl ExecMetrics {
         self.merge_tasks.fetch_add(tasks as u64, Ordering::Relaxed);
     }
 
-    /// Record rows discarded by the representative pre-filter.
-    pub fn add_prefilter_dropped(&self, rows: u64) {
-        self.prefilter_rows_dropped
-            .fetch_add(rows, Ordering::Relaxed);
-    }
-
     /// Record tuples flagged (deferred-deleted) by an incomplete global
     /// phase.
     pub fn add_deferred_deletions(&self, tuples: u64) {
         self.deferred_deletions.fetch_add(tuples, Ordering::Relaxed);
-    }
-
-    /// Record the planner's sample size (idempotent across partitions).
-    pub fn note_sample_rows(&self, rows: u64) {
-        self.sample_rows.fetch_max(rows, Ordering::Relaxed);
     }
 
     /// Record one injected transient fault.
@@ -238,9 +221,8 @@ impl ExecMetrics {
             corner_tests: self.corner_tests.load(Ordering::Relaxed),
             merge_rounds: self.merge_rounds.load(Ordering::Relaxed),
             merge_tasks: self.merge_tasks.load(Ordering::Relaxed),
-            prefilter_rows_dropped: self.prefilter_rows_dropped.load(Ordering::Relaxed),
+            prefilter_rows_dropped: 0,
             deferred_deletions: self.deferred_deletions.load(Ordering::Relaxed),
-            sample_rows: self.sample_rows.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
             retries_attempted: self.retries_attempted.load(Ordering::Relaxed),
             budget_denials: self.budget_denials.load(Ordering::Relaxed),
@@ -290,12 +272,11 @@ pub struct MetricsSnapshot {
     pub merge_rounds: u64,
     /// Merge tasks, one per merged block.
     pub merge_tasks: u64,
-    /// Rows discarded by the representative pre-filter.
+    /// Always 0: no operator pre-filters rows. Kept because the
+    /// benchmark's `exec.prefilter_rows_dropped` layer metric reads it.
     pub prefilter_rows_dropped: u64,
     /// Tuples flagged (deferred-deleted) by incomplete global phases.
     pub deferred_deletions: u64,
-    /// Rows in the planner's reservoir sample behind a pre-filter.
-    pub sample_rows: u64,
     /// Transient faults fired by the deterministic injector.
     pub faults_injected: u64,
     /// Partition recomputations triggered by retryable failures.
@@ -404,15 +385,11 @@ mod tests {
     #[test]
     fn prefilter_and_strategy_counters() {
         let m = ExecMetrics::new();
-        m.add_prefilter_dropped(40);
-        m.add_prefilter_dropped(2);
         m.add_deferred_deletions(5);
         m.add_deferred_deletions(2);
-        m.note_sample_rows(128);
         let s = m.snapshot();
-        assert_eq!(s.prefilter_rows_dropped, 42);
+        assert_eq!(s.prefilter_rows_dropped, 0, "nothing pre-filters rows");
         assert_eq!(s.deferred_deletions, 7);
-        assert_eq!(s.sample_rows, 128);
     }
 
     #[test]

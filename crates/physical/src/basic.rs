@@ -111,7 +111,8 @@ impl ExecutionPlan for FilterExec {
         "FilterExec"
     }
 
-    fn preserves_row_values(&self) -> bool {
+    fn pass_sample(&self, sample: &mut Vec<Row>) -> bool {
+        sample.retain(|row| matches!(self.predicate.evaluate(row), Ok(Value::Boolean(true))));
         true
     }
 
@@ -242,7 +243,7 @@ impl ExecutionPlan for DistinctExec {
         "DistinctExec"
     }
 
-    fn preserves_row_values(&self) -> bool {
+    fn pass_sample(&self, _sample: &mut Vec<Row>) -> bool {
         true
     }
 
@@ -331,7 +332,7 @@ impl ExecutionPlan for SortExec {
         "SortExec"
     }
 
-    fn preserves_row_values(&self) -> bool {
+    fn pass_sample(&self, _sample: &mut Vec<Row>) -> bool {
         true
     }
 

@@ -48,7 +48,7 @@ pub mod skyline_exec;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use sparkline_common::{Error, Result, SchemaRef};
+use sparkline_common::{Error, Result, Row, SchemaRef};
 use sparkline_exec::{Partition, PartitionStream, TaskContext};
 
 pub use aggregate::HashAggregateExec;
@@ -98,39 +98,45 @@ pub trait ExecutionPlan: fmt::Debug + Send + Sync {
         self.name().to_string()
     }
 
-    /// The write-once dominance-skip slot of a disk scan, letting the
-    /// skyline planner install representative skip points after the tree
-    /// is built. `None` (the default) for every other operator.
-    fn dominance_skip_slot(&self) -> Option<&OnceLock<DominanceSkip>> {
+    /// The write-once dominance-skip slot of a disk scan and the table's
+    /// footer sample, letting the skyline planner install gate points
+    /// after the tree is built. `None` (the default) for every other
+    /// operator.
+    fn dominance_skip_slot(&self) -> Option<(&OnceLock<DominanceSkip>, &[Row])> {
         None
     }
 
-    /// Whether every output row of this operator is an unmodified input
-    /// row (subset / reorder only — filters, sorts, distinct). Gates the
-    /// planner's walk from a skyline operator down to a disk scan when
-    /// installing dominance-skip points: through a value-preserving chain,
-    /// column positions and values are those of the scan, so a point that
-    /// survives the chain dominates block rows in scan space.
-    fn preserves_row_values(&self) -> bool {
+    /// Pass a disk scan's footer `sample` through this operator on the
+    /// planner's walk from a skyline operator down to the scan: keep
+    /// exactly the rows this operator would output unchanged and return
+    /// `true`, or return `false` (the default) when its output rows are
+    /// not unmodified input rows and the walk must stop. Filters drop the
+    /// rows their predicate rejects; sorts and distinct keep them all.
+    /// Through a chain that returns `true`, column positions and values
+    /// are those of the scan, so every surviving sample row is a row of
+    /// the skyline's input.
+    fn pass_sample(&self, _sample: &mut Vec<Row>) -> bool {
         false
     }
 }
 
 /// Walk a single-child chain of value-preserving operators down to a disk
-/// scan's dominance-skip slot, if one is reachable.
-pub fn find_dominance_skip_slot(plan: &dyn ExecutionPlan) -> Option<&OnceLock<DominanceSkip>> {
-    if let Some(slot) = plan.dominance_skip_slot() {
-        return Some(slot);
-    }
-    if !plan.preserves_row_values() {
-        return None;
+/// scan's dominance-skip slot, if one is reachable. Returns the slot with
+/// the scan's footer sample narrowed to the rows every filter on the way
+/// passes — real rows of `plan`'s output.
+pub fn find_dominance_skip_slot(
+    plan: &dyn ExecutionPlan,
+) -> Option<(&OnceLock<DominanceSkip>, Vec<Row>)> {
+    if let Some((slot, sample)) = plan.dominance_skip_slot() {
+        return Some((slot, sample.to_vec()));
     }
     let children = plan.children();
     if children.len() != 1 {
         return None;
     }
     let only: &Arc<dyn ExecutionPlan> = children[0];
-    find_dominance_skip_slot(only.as_ref())
+    let (slot, mut sample) = find_dominance_skip_slot(only.as_ref())?;
+    plan.pass_sample(&mut sample).then_some((slot, sample))
 }
 
 /// Re-run `execute_stream` on an immutable plan subtree and keep only the

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use sparkline_common::{
-    reservoir_sample, DataType, DatasetStats, Error, Result, Row, Schema, SchemaRef, SessionConfig,
-    SkylineDim, SkylineMeta, SkylinePartitioning, SkylinePlan, SkylineSpec, SkylineStrategy, Value,
+    DataType, Error, Result, Row, Schema, SchemaRef, SessionConfig, SkylineDim, SkylineMeta,
+    SkylinePartitioning, SkylinePlan, SkylineSpec,
 };
 use sparkline_plan::{
     AggregateFunction, BinaryOp, BoundColumn, Expr, JoinCondition, JoinType, LogicalPlan,
@@ -15,9 +15,7 @@ use sparkline_plan::{
 use crate::aggregate::AggCall;
 use crate::exchange::{ExchangeExec, ExchangeMode};
 use crate::join::{HashJoinExec, NestedLoopJoinExec};
-use crate::skyline_exec::{
-    GlobalSkylineExec, LocalSkylineExec, MinMaxFilterExec, SkylinePreFilterExec,
-};
+use crate::skyline_exec::{GlobalSkylineExec, LocalSkylineExec, MinMaxFilterExec};
 use crate::{
     basic::{DistinctExec, FilterExec, LimitExec, ProjectExec, SortExec},
     scan::ScanExec,
@@ -170,92 +168,6 @@ impl<'a> PhysicalPlanner<'a> {
             )
     }
 
-    /// Plan-time sample of a skyline input: the base relation is streamed
-    /// through the chain of filters/projections above it into a seeded
-    /// reservoir, so the sample is a uniform `cap`-row draw from the
-    /// operator's *actual* input — a selective `WHERE` shrinks the
-    /// population, not the sample, and every pre-filter point is a real
-    /// input row (the soundness requirement). The reported population is
-    /// exact (rows surviving the chain). Costs one pass of the chain's
-    /// expressions over the base rows, the same order of work one
-    /// execution of those operators performs anyway.
-    ///
-    /// Returns `None` when the input shape is not sampleable — joins,
-    /// aggregates, and nested skylines reshape rows beyond plan-time
-    /// evaluation, and a `LIMIT` drops rows the sample might contain —
-    /// in which case the adaptive planner falls back to the static knobs.
-    fn sample_input(&self, plan: &LogicalPlan, cap: usize, seed: u64) -> Option<(Vec<Row>, usize)> {
-        enum Step<'p> {
-            Filter(&'p Expr),
-            Project(&'p [Expr]),
-        }
-        // Walk down to the base relation, collecting the transforms.
-        // SubqueryAlias/Sort/Distinct are value-preserving: every sampled
-        // row's dimension values still occur in the node's output.
-        let mut steps: Vec<Step<'_>> = Vec::new();
-        let mut node = plan;
-        // Disk tables are sampled through their footer reservoir — a
-        // uniform whole-table draw written during the single writer pass —
-        // so planning costs zero block I/O. The filtered population is
-        // then estimated by scaling the sample's survivor fraction to the
-        // file's exact row count.
-        let mut disk_scale: Option<(usize, u64)> = None;
-        let base_rows: Arc<Vec<Row>> = loop {
-            match node {
-                LogicalPlan::TableScan { name, .. } => {
-                    if let Some(table) = self.source.disk_table(name) {
-                        let sample = Arc::clone(table.sample());
-                        disk_scale = Some((sample.len(), table.total_rows()));
-                        break sample;
-                    }
-                    break self.source.table_rows(name)?;
-                }
-                LogicalPlan::Values { rows, .. } => break Arc::clone(rows),
-                LogicalPlan::Filter { predicate, input } => {
-                    steps.push(Step::Filter(predicate));
-                    node = input;
-                }
-                LogicalPlan::Projection { exprs, input } => {
-                    steps.push(Step::Project(exprs));
-                    node = input;
-                }
-                LogicalPlan::SubqueryAlias { input, .. }
-                | LogicalPlan::Sort { input, .. }
-                | LogicalPlan::Distinct { input } => node = input,
-                _ => return None,
-            }
-        };
-        steps.reverse(); // innermost transform first
-        let mut reservoir = sparkline_common::stats::Reservoir::new(cap, seed);
-        'rows: for row in base_rows.iter() {
-            let mut row = row.clone();
-            for step in &steps {
-                match step {
-                    Step::Filter(predicate) => match predicate.evaluate(&row) {
-                        Ok(Value::Boolean(true)) => {}
-                        Ok(_) => continue 'rows,
-                        Err(_) => return None,
-                    },
-                    Step::Project(exprs) => {
-                        let values: std::result::Result<Vec<Value>, _> =
-                            exprs.iter().map(|e| e.evaluate(&row)).collect();
-                        row = Row::new(values.ok()?);
-                    }
-                }
-            }
-            reservoir.push(row);
-        }
-        let survivors = reservoir.seen();
-        let total = match disk_scale {
-            Some((sample_len, total_rows)) if sample_len > 0 => {
-                ((survivors as u64).saturating_mul(total_rows) / sample_len as u64) as usize
-            }
-            Some(_) => 0,
-            None => survivors,
-        };
-        Some((reservoir.into_rows(), total))
-    }
-
     fn plan_join(
         &self,
         left: &LogicalPlan,
@@ -350,107 +262,29 @@ impl<'a> PhysicalPlanner<'a> {
         // Strategy selection: algorithm family, local-phase partitioning
         // and compare kernel are fixed in one place from the session
         // configuration and the skyline's plan metadata (Listing 8,
-        // extended — see `sparkline_common::strategy`). Under the
-        // `Adaptive` strategy a complete-family skyline additionally gets a
-        // seeded reservoir sample of its input, which supplies dataset
-        // statistics and, from the same sample, the representative
-        // pre-filter points; the sampling is deterministic per session
-        // config, so repeated `EXPLAIN`s of one query agree on the chosen
-        // plan. The incomplete family reads no sample.
+        // extended — see `sparkline_common::strategy`).
         let meta = SkylineMeta::new(&spec, skyline_nullable, complete);
-        let static_plan = SkylinePlan::select(self.config, &meta);
-        let sample = if self.config.skyline_strategy == SkylineStrategy::Adaptive
-            && static_plan.use_complete
-        {
-            self.sample_input(input, self.config.sample_size, self.config.sample_seed)
-                .map(|(mut rows, total)| {
-                    // Mirror the computed-dimension wrapper on the sample
-                    // so the resolved dim indices stay valid.
-                    if needs_wrap {
-                        rows.retain_mut(|row| {
-                            let mut values = row.values().to_vec();
-                            for e in &extra_exprs {
-                                match e.evaluate(row) {
-                                    Ok(v) => values.push(v),
-                                    Err(_) => return false,
-                                }
-                            }
-                            *row = Row::new(values);
-                            true
-                        });
-                    }
-                    (rows, total)
-                })
-        } else {
-            None
-        };
-        let choice = match &sample {
-            Some((rows, total)) => SkylinePlan::select_adaptive(
-                self.config,
-                &meta,
-                &DatasetStats::from_sample(rows, *total, &spec),
-            ),
-            None => static_plan,
-        };
+        let choice = SkylinePlan::select(self.config, &meta);
 
         let global_input: Arc<dyn ExecutionPlan> = if choice.use_complete {
-            // Representative pre-filter (adaptive plans): discard tuples
-            // strictly dominated by the sample skyline during the scan,
-            // before the exchange and the local windows ever see them.
-            let mut input_exec = input_exec;
-            if choice.prefilter_max_points > 0 {
-                if let Some((rows, _)) = &sample {
-                    // Cap the sample-skyline computation: a few hundred
-                    // rows already saturate a <=64-point budget, and the
-                    // plan-time BNL pass is O(rows × window). Re-sample
-                    // (seeded) rather than slicing a prefix — the sample
-                    // preserves input order when the table fits the
-                    // reservoir, and a prefix of a sorted table would
-                    // yield a one-sided filter.
-                    const PREFILTER_SAMPLE_CAP: usize = 512;
-                    let capped;
-                    let filter_input: &[Row] = if rows.len() > PREFILTER_SAMPLE_CAP {
-                        capped = reservoir_sample(
-                            rows,
-                            PREFILTER_SAMPLE_CAP,
-                            self.config.sample_seed.wrapping_add(1),
-                        );
-                        &capped
-                    } else {
-                        rows
-                    };
-                    let points = sparkline_skyline::representative_points(
-                        filter_input,
-                        &spec,
-                        choice.prefilter_max_points,
-                    );
-                    if !points.is_empty() {
-                        // Dominance-based data skipping: hand the same
-                        // representative points to a disk scan reachable
-                        // through value-preserving operators (the walk
-                        // stops at projections, which change the column
-                        // space). A block whose best corner is strictly
-                        // dominated by a point is then skipped unread —
-                        // sound because the complete relation is
-                        // transitive (see `sparkline_storage`'s crate
-                        // docs; `DominanceSkip::from_points` additionally
-                        // refuses DIFF dimensions).
-                        if self.config.disk_dominance_skipping {
-                            if let Some(slot) = crate::find_dominance_skip_slot(input_exec.as_ref())
-                            {
-                                if let Some(skip) = crate::scan_disk::DominanceSkip::from_points(
-                                    &spec.dims,
-                                    &points,
-                                    choice.kernel,
-                                ) {
-                                    let _ = slot.set(skip);
-                                }
-                            }
-                        }
-                        input_exec = Arc::new(
-                            SkylinePreFilterExec::new(spec.clone(), points, rows.len(), input_exec)
-                                .with_kernel(choice.kernel),
-                        );
+            // Dominance-based data skipping: a disk scan reachable through
+            // value-preserving operators (the walk stops at projections,
+            // which change the column space — computed dimensions
+            // included) gets the skyline of its footer sample, narrowed to
+            // the rows the filters on the way pass. A block whose best
+            // corner one of those points strictly dominates is skipped
+            // unread — sound because each point is a real input row and
+            // the complete relation is transitive (see `sparkline_storage`'s
+            // crate docs). The incomplete relation is not transitive, so
+            // its plans never get the gate.
+            if self.config.disk_dominance_skipping {
+                if let Some((slot, sample)) = crate::find_dominance_skip_slot(input_exec.as_ref()) {
+                    if let Some(skip) = crate::scan_disk::DominanceSkip::from_sample(
+                        &spec.dims,
+                        sample,
+                        choice.kernel,
+                    ) {
+                        let _ = slot.set(skip);
                     }
                 }
             }

@@ -1,15 +1,18 @@
 //! The out-of-core scan: streams a [`DiskTable`]'s blocks, skipping whole
 //! blocks from metadata — static min/max pruning for pushed-down filter
-//! conjuncts and dominance pruning against representative pre-filter
-//! points — before any I/O or decode happens.
+//! conjuncts and dominance pruning against the skyline of the table's
+//! footer sample — before any I/O or decode happens.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
-use sparkline_common::{Result, SchemaRef, SkylineType, Value};
+use sparkline_common::{
+    DominanceKernel, Result, Row, SchemaRef, SkylineDim, SkylineSpec, SkylineType, Value,
+};
 use sparkline_exec::{partition::even_ranges, FaultSite, PartitionStream, TaskContext};
 use sparkline_plan::{BinaryOp, Expr};
 use sparkline_skyline::columnar::PointBlock;
+use sparkline_skyline::{bnl_skyline, DominanceChecker, SkylineStats};
 use sparkline_storage::{BlockDecoder, BlockMeta, DiskTable};
 
 use crate::ExecutionPlan;
@@ -33,13 +36,14 @@ impl ColumnPredicate {
     /// predicate. NULL rows never satisfy a comparison (SQL three-valued
     /// logic: the filter keeps only `TRUE`), so the decision rests on the
     /// numeric `[min, max]` alone — unless the column holds non-numeric
-    /// values (strings, NaN), which the bounds don't cover; those blocks
-    /// are never pruned.
+    /// values (strings, NaN), which the bounds don't cover, or its bounds
+    /// are not exact (Int64 beyond 2^53, where the literal and the rows
+    /// may round differently); those blocks are never pruned.
     fn refutes(&self, meta: &BlockMeta) -> bool {
         let Some(col) = meta.columns.get(self.col) else {
             return false;
         };
-        if col.non_numeric > 0 {
+        if col.non_numeric > 0 || !col.exact_bounds() {
             return false;
         }
         let (Some(min), Some(max)) = (col.min, col.max) else {
@@ -127,30 +131,34 @@ pub fn extract_column_predicates(predicate: &Expr) -> Vec<ColumnPredicate> {
 }
 
 /// Dominance-skipping state: the scan's ranked dimensions in folded
-/// (smaller-is-better) order and the representative pre-filter points,
-/// folded the same way. Installed by the skyline planner *after* the scan
-/// is built (the points come from the sampled skyline input), hence the
-/// write-once slot.
+/// (smaller-is-better) order and the gate's points, folded the same way.
+/// Installed by the skyline planner *after* the scan is built (the points
+/// are the footer sample narrowed by the filters above the scan), hence
+/// the write-once slot.
 #[derive(Debug)]
 pub struct DominanceSkip {
     /// `(column, negate)` per ranked dimension: a MIN dimension folds as
     /// `v`, a MAX dimension as `-v` (matching the block corner fold).
     dims: Vec<(usize, bool)>,
-    /// Folded representative points (real rows of the skyline's filtered
-    /// input that survive to its operator).
+    /// Folded points: the skyline of sample rows that are real rows of
+    /// the skyline operator's input.
     points: PointBlock,
 }
 
 impl DominanceSkip {
-    /// Build the skip set from raw-space representative rows. Returns
-    /// `None` when no point folds cleanly (a non-numeric dimension value
-    /// disqualifies the point, not the whole set) or when `dims` contains
-    /// a DIFF dimension — corner dominance is only defined over ranked
-    /// MIN/MAX dimensions.
-    pub fn from_points(
-        dims: &[sparkline_common::SkylineDim],
-        points: &[sparkline_common::Row],
-        kernel: sparkline_common::DominanceKernel,
+    /// Build the gate from `sample`, real rows of the skyline's input:
+    /// their skyline under the complete relation becomes the points,
+    /// computed on `kernel` and never truncated. Keeping only the skyline
+    /// skips exactly the blocks the whole sample would: a sample row that
+    /// dominates a corner is a skyline member or dominated by one, and
+    /// complete dominance is transitive. Returns `None` when no point
+    /// folds cleanly (a non-numeric dimension value disqualifies the
+    /// point, not the whole set) or when `dims` contains a DIFF dimension
+    /// — corner dominance is only defined over ranked MIN/MAX dimensions.
+    pub fn from_sample(
+        dims: &[SkylineDim],
+        sample: Vec<Row>,
+        kernel: DominanceKernel,
     ) -> Option<Self> {
         let folded_dims: Vec<(usize, bool)> = dims
             .iter()
@@ -160,9 +168,12 @@ impl DominanceSkip {
                 SkylineType::Diff => None,
             })
             .collect::<Option<_>>()?;
+        // `DISTINCT`: tied points skip the same blocks, so one suffices.
+        let checker = DominanceChecker::complete(SkylineSpec::distinct(dims.to_vec()));
+        let points = bnl_skyline(sample, &checker, &mut SkylineStats::default(), kernel);
         let mut block = PointBlock::with_kernel(folded_dims.len(), kernel);
         let mut folded = Vec::with_capacity(folded_dims.len());
-        'points: for p in points {
+        'points: for p in &points {
             folded.clear();
             for &(col, negate) in &folded_dims {
                 match sparkline_common::stats::numeric_value(p.get(col)) {
@@ -181,20 +192,22 @@ impl DominanceSkip {
         })
     }
 
-    /// Whether some representative point strictly dominates the block's
+    /// Whether some point strictly dominates the block's
     /// best corner — then it dominates every row of the block (corner ≤
     /// row component-wise, dominance is transitive on the complete
     /// relation) and the block can be skipped unread. Requires the ranked
     /// columns fully numeric (no NULLs, no strings/NaN), else the corner
-    /// doesn't bound every row and the block must be read. Returns the
-    /// corner tests spent alongside the verdict.
+    /// doesn't bound every row, and their bounds exact, else a point
+    /// rounded to `f64` may compare differently against the corner than
+    /// its true value (Int64 beyond 2^53); otherwise the block must be
+    /// read. Returns the corner tests spent alongside the verdict.
     fn skips(&self, meta: &BlockMeta) -> (u64, bool) {
         let mut corner = Vec::with_capacity(self.dims.len());
         for &(col, negate) in &self.dims {
             let Some(c) = meta.columns.get(col) else {
                 return (0, false);
             };
-            if !c.fully_numeric() {
+            if !c.fully_numeric() || !c.exact_bounds() {
                 return (0, false);
             }
             match c.folded_best(negate) {
@@ -315,8 +328,8 @@ impl ExecutionPlan for DiskScanExec {
         vec![]
     }
 
-    fn dominance_skip_slot(&self) -> Option<&OnceLock<DominanceSkip>> {
-        Some(&self.skip)
+    fn dominance_skip_slot(&self) -> Option<(&OnceLock<DominanceSkip>, &[Row])> {
+        Some((&self.skip, self.table.sample().as_slice()))
     }
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
@@ -560,11 +573,14 @@ mod tests {
             SkylineDim::new(0, SkylineType::Min),
             SkylineDim::new(1, SkylineType::Min),
         ];
-        // Representative point: the global optimum (0, 0) — strictly
-        // dominates the best corner of every block but its own.
-        let points = vec![rows[0].clone()];
-        let skip = DominanceSkip::from_points(&dims, &points, DominanceKernel::Auto).unwrap();
-        scan.dominance_skip_slot().unwrap().set(skip).unwrap();
+        // The footer sample holds every row; its skyline is the global
+        // optimum (0, 0), which strictly dominates the best corner of
+        // every block but its own.
+        let (slot, sample) = scan.dominance_skip_slot().unwrap();
+        assert_eq!(sample, rows.as_slice());
+        let skip =
+            DominanceSkip::from_sample(&dims, sample.to_vec(), DominanceKernel::Auto).unwrap();
+        slot.set(skip).unwrap();
         let ctx = TaskContext::new(2);
         let got = sparkline_exec::partition::flatten(scan.execute(&ctx).unwrap());
         let snap = ctx.metrics.snapshot();
@@ -577,7 +593,7 @@ mod tests {
 
     #[test]
     fn blocks_with_nulls_or_max_dims_fold_correctly() {
-        // MAX dimension: corner is -max; a point with a larger value
+        // MAX dimension: corner is -max; the sample's skyline (299, 299)
         // dominates blocks of smaller values.
         let rows: Vec<Row> = (0..300)
             .map(|i| Row::new(vec![Value::Float64(i as f64), Value::Float64(i as f64)]))
@@ -588,9 +604,10 @@ mod tests {
             SkylineDim::new(0, SkylineType::Max),
             SkylineDim::new(1, SkylineType::Max),
         ];
-        let points = vec![rows[299].clone()];
-        let skip = DominanceSkip::from_points(&dims, &points, DominanceKernel::Auto).unwrap();
-        scan.dominance_skip_slot().unwrap().set(skip).unwrap();
+        let (slot, sample) = scan.dominance_skip_slot().unwrap();
+        let skip =
+            DominanceSkip::from_sample(&dims, sample.to_vec(), DominanceKernel::Auto).unwrap();
+        slot.set(skip).unwrap();
         let ctx = TaskContext::new(1);
         let got = sparkline_exec::partition::flatten(scan.execute(&ctx).unwrap());
         assert_eq!(got, rows[200..].to_vec(), "only the top block survives");
@@ -603,8 +620,8 @@ mod tests {
             SkylineDim::new(0, SkylineType::Min),
             SkylineDim::new(1, SkylineType::Diff),
         ];
-        let points = vec![Row::new(vec![Value::Float64(0.0), Value::Float64(0.0)])];
-        assert!(DominanceSkip::from_points(&dims, &points, DominanceKernel::Auto).is_none());
+        let sample = vec![Row::new(vec![Value::Float64(0.0), Value::Float64(0.0)])];
+        assert!(DominanceSkip::from_sample(&dims, sample, DominanceKernel::Auto).is_none());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use sparkline_exec::{
 use sparkline_plan::{Expr, MinMaxDirection};
 use sparkline_skyline::{
     cross_filter, kernel_label, null_bitmap, BnlBuilder, ColumnarBlock, CrossFilterScratch,
-    Dominance, DominanceChecker, GroupedBnlBuilder, RepresentativeFilter, SkylineStats,
+    Dominance, DominanceChecker, GroupedBnlBuilder, SkylineStats,
 };
 
 use crate::ExecutionPlan;
@@ -566,106 +566,6 @@ impl ExecutionPlan for GlobalSkylineExec {
             self.spec.dims.len(),
             if self.incomplete { ", incomplete" } else { "" },
             if self.spec.distinct { ", distinct" } else { "" },
-            kernel_fragment(self.kernel),
-        )
-    }
-}
-
-/// Representative-point pre-filter (adaptive plans): tests every scanned
-/// tuple against a small broadcast set of sample-skyline points and drops
-/// the strictly dominated ones before they reach the exchange or any BNL
-/// window — Ciaccia & Martinenghi's representative filtering.
-///
-/// A pipelined narrow operator: each partition stream encodes the filter
-/// set once into the columnar kernel (`sparkline_skyline::prefilter`) and
-/// filters batch-at-a-time, so the stream model's memory story is
-/// unchanged. Sound only under the complete-data relation — the planner
-/// never inserts this node for the incomplete family (see the prefilter
-/// module docs). Dropped rows flow into `prefilter_rows_dropped`; the
-/// planner's sample size is surfaced as `sample_rows`.
-#[derive(Debug)]
-pub struct SkylinePreFilterExec {
-    spec: SkylineSpec,
-    points: Arc<Vec<Row>>,
-    sample_rows: usize,
-    kernel: DominanceKernel,
-    input: Arc<dyn ExecutionPlan>,
-}
-
-impl SkylinePreFilterExec {
-    /// Pre-filter with `points` (the capped sample skyline) computed by
-    /// the planner from a `sample_rows`-row reservoir sample.
-    pub fn new(
-        spec: SkylineSpec,
-        points: Vec<Row>,
-        sample_rows: usize,
-        input: Arc<dyn ExecutionPlan>,
-    ) -> Self {
-        SkylinePreFilterExec {
-            spec,
-            points: Arc::new(points),
-            sample_rows,
-            kernel: DominanceKernel::Auto,
-            input,
-        }
-    }
-
-    /// Choose the compare kernel (builder-style).
-    pub fn with_kernel(mut self, kernel: DominanceKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-}
-
-impl ExecutionPlan for SkylinePreFilterExec {
-    fn name(&self) -> &'static str {
-        "SkylinePreFilterExec"
-    }
-
-    fn schema(&self) -> SchemaRef {
-        self.input.schema()
-    }
-
-    fn children(&self) -> Vec<&Arc<dyn ExecutionPlan>> {
-        vec![&self.input]
-    }
-
-    fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
-        let inputs = crate::input_streams(&self.input, ctx)?;
-        ctx.metrics.note_sample_rows(self.sample_rows as u64);
-        Ok(inputs
-            .into_iter()
-            .map(|mut input| {
-                let mut filter = RepresentativeFilter::with_kernel(
-                    self.points.as_ref().clone(),
-                    &self.spec,
-                    self.kernel,
-                );
-                let ctx = ctx.clone();
-                PartitionStream::new(self.schema(), Arc::clone(&ctx.metrics), move || loop {
-                    ctx.control.check()?;
-                    let Some(batch) = input.next_batch()? else {
-                        return Ok(None);
-                    };
-                    let mut stats = SkylineStats::default();
-                    let (kept, dropped) = filter.retain_batch(batch, &mut stats);
-                    record_stats(&ctx, &stats);
-                    ctx.metrics.add_prefilter_dropped(dropped);
-                    // Like FilterExec: keep pulling until something
-                    // survives, so downstream never sees empty batches.
-                    if !kept.is_empty() {
-                        return Ok(Some(kept));
-                    }
-                })
-            })
-            .collect())
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "SkylinePreFilterExec [{} representative points from {} sampled rows{}]",
-            self.points.len(),
-            self.sample_rows,
             kernel_fragment(self.kernel),
         )
     }
@@ -1365,13 +1265,6 @@ mod tests {
             "{}",
             chunked.describe()
         );
-        let prefilter = SkylinePreFilterExec::new(spec2(), Vec::new(), 0, input(Vec::new()))
-            .with_kernel(DominanceKernel::Chunked);
-        assert!(
-            prefilter.describe().contains("vectorized: chunked"),
-            "{}",
-            prefilter.describe()
-        );
     }
 
     #[test]
@@ -1397,41 +1290,6 @@ mod tests {
                 assert_eq!(m.simd_tests, 0, "{m:?}");
             }
         }
-    }
-
-    #[test]
-    fn prefilter_exec_drops_only_dominated_rows() {
-        let data = int_rows(&[(0, 2), (2, 2), (1, 1), (5, 5), (2, 0)]);
-        let points = vec![Row::new(vec![Value::Int64(1), Value::Int64(1)])];
-        for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
-            let vectorized = kernel.is_vectorized();
-            let plan = SkylinePreFilterExec::new(spec2(), points.clone(), 3, input(data.clone()))
-                .with_kernel(kernel);
-            let ctx = TaskContext::new(2);
-            let rows = run(&plan, 2);
-            // (2,2) and (5,5) are strictly dominated by (1,1); the tie
-            // (1,1) and the incomparable trade-offs survive.
-            assert_eq!(rows.len(), 3, "vectorized={vectorized}");
-            let s = ctx.metrics.snapshot();
-            assert_eq!(s.prefilter_rows_dropped, 0, "fresh context");
-            let parts = plan.execute(&ctx).unwrap();
-            assert_eq!(flatten(parts).len(), 3);
-            let s = ctx.metrics.snapshot();
-            assert_eq!(s.prefilter_rows_dropped, 2, "vectorized={vectorized}");
-            assert_eq!(s.sample_rows, 3);
-            assert!(s.dominance_tests > 0);
-        }
-    }
-
-    #[test]
-    fn prefilter_exec_with_no_points_passes_everything() {
-        let data = int_rows(&[(1, 2), (2, 1)]);
-        let plan = SkylinePreFilterExec::new(spec2(), Vec::new(), 0, input(data));
-        let ctx = TaskContext::new(2);
-        let parts = plan.execute(&ctx).unwrap();
-        assert_eq!(flatten(parts).len(), 2);
-        assert_eq!(ctx.metrics.snapshot().prefilter_rows_dropped, 0);
-        assert!(plan.describe().contains("0 representative points"));
     }
 
     #[test]

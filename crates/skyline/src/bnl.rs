@@ -714,8 +714,7 @@ fn scalar_window_scan(
                 // window is then exactly the skyline members in arrival
                 // order, no matter which dominated tuples transiently
                 // entered it — the invariant that makes the gathered pass
-                // and the pairwise merge (and the pre-filtered plans)
-                // byte-identical.
+                // and the pairwise merge byte-identical.
                 window.remove(i);
                 evicted(i);
             }

@@ -38,8 +38,8 @@
 //! per-candidate outcome in the form of its first dominating row index;
 //! a lane goes dead once a dominator is found, and the walk stops —
 //! chunk-granular — when every lane is dead. Callers that hold many
-//! candidates at once (BNL batch admission, the representative
-//! pre-filter, the disk scan's dominance skip) use it as a sound
+//! candidates at once (BNL batch admission, the pairwise merge's
+//! cross-filter) use it as a sound
 //! pre-pass: only *strict* `DominatedBy` outcomes are consumed, which
 //! under a transitive relation are stable against any later window
 //! evolution.
@@ -856,8 +856,7 @@ impl ColumnarBlock {
     /// block and row window index-aligned. Ordered eviction is what makes
     /// the BNL output "skyline members in arrival order" independently of
     /// which dominated tuples transiently entered the window — the
-    /// property the pairwise merge and pre-filter byte-identity guarantees
-    /// rest on.
+    /// property the pairwise merge's byte-identity guarantee rests on.
     pub fn remove(&mut self, i: usize) {
         if self.is_fallback() {
             return;

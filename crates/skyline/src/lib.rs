@@ -18,8 +18,8 @@
 //!   candidates are tested against the whole window in chunked or
 //!   explicit-SIMD passes (AVX2, runtime-dispatched), one candidate at a
 //!   time or [`columnar::MULTI_LANES`] at once; the batched BNL window, the
-//!   pre-filter, the incomplete family's class blocks, and the disk scan's
-//!   dominance skip run on it.
+//!   incomplete family's class blocks, and the disk scan's dominance skip
+//!   run on it.
 //! * [`incomplete`] — null-bitmap partitioning, the per-class local
 //!   skyline, and the all-pairs, deferred-deletion global skyline for
 //!   incomplete data (§5.7 and Lemma 5.1), with the argument that the
@@ -30,11 +30,6 @@
 //!   applying each mutation as a delta and returning the skyline
 //!   change-set (complete relations only — see the module docs for the
 //!   erosion-budget soundness argument).
-//! * [`prefilter`] — representative-point pre-filtering (Ciaccia &
-//!   Martinenghi): the skyline of a seeded input sample, encoded once into
-//!   the columnar kernel, discards strictly dominated tuples during the
-//!   scan before they reach any BNL window (complete data only — see the
-//!   module docs for the soundness argument).
 //! * [`naive`] — an O(n²) oracle straight from Definition 3.2, used by the
 //!   test suites as ground truth.
 //!
@@ -48,7 +43,6 @@ pub mod dominance;
 pub mod incomplete;
 pub mod maintain;
 pub mod naive;
-pub mod prefilter;
 
 pub use bnl::{bnl_skyline, cross_filter, BnlBuilder, CrossFilterScratch};
 pub use columnar::{
@@ -62,4 +56,3 @@ pub use incomplete::{
 };
 pub use maintain::{MaintainedSkyline, SkylineDelta};
 pub use naive::naive_skyline;
-pub use prefilter::{representative_points, RepresentativeFilter};

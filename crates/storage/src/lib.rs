@@ -58,27 +58,33 @@
 //!    space (a `MIN` dimension contributes `min`, a `MAX` dimension
 //!    `-max` — the `ColumnarBlock` sign-normalization convention). By
 //!    construction the best corner is component-wise ≤ every row of the
-//!    block. If a representative pre-filter point `p` (a *real row* of
-//!    the scan's filtered input) strictly dominates the corner `c` —
-//!    `p ≤ c` everywhere, `p < c` somewhere — then for every row `r` of
-//!    the block `p ≤ c ≤ r` everywhere and `p < c ≤ r` in the strict
-//!    dimension: `p` strictly dominates every `r`. Since the complete
-//!    dominance relation is transitive and `p` survives to the skyline
-//!    operator's input, no skipped row can be a skyline member — the
-//!    block is discarded without being read. The argument needs every
-//!    row comparable in every ranked dimension, so a block is only
-//!    eligible when its ranked columns have `null_count == 0` and
-//!    `non_numeric == 0`; the §5.7 incomplete relation is not
-//!    transitive, so dominance skipping is never applied to it (the
-//!    planner only installs skip points for the complete family, like
-//!    the PR 4 pre-filter itself).
+//!    block. The points come from the footer sample (below): the planner
+//!    keeps the sample rows that pass the filters between the skyline
+//!    and the scan — *real rows* of the skyline operator's input — and
+//!    takes their skyline. If such a point `p` strictly dominates the
+//!    corner `c` — `p ≤ c` everywhere, `p < c` somewhere — then for every
+//!    row `r` of the block `p ≤ c ≤ r` everywhere and `p < c ≤ r` in the
+//!    strict dimension: `p` strictly dominates every `r`. Since the
+//!    complete dominance relation is transitive and `p` survives to the
+//!    skyline operator's input, no skipped row can be a skyline member —
+//!    the block is discarded without being read. Keeping only the
+//!    sample's skyline loses nothing: a sample row that dominates a
+//!    corner is a skyline member or is dominated by one. The argument
+//!    needs every row comparable in every ranked dimension, so a block is
+//!    only eligible when its ranked columns have `null_count == 0` and
+//!    `non_numeric == 0`. It also needs the `f64` comparisons exact, so
+//!    the block's bounds must be below 2^53 in magnitude
+//!    (`ColumnMeta::exact_bounds`; min/max pruning needs the same): an
+//!    Int64 value beyond that may round, and a rounded point could
+//!    "dominate" the corner of a row it is incomparable with. The §5.7
+//!    incomplete relation is not transitive,
+//!    so dominance skipping is never applied to it (the planner only
+//!    installs the gate for the complete family).
 //!
 //! The footer additionally stores a seeded reservoir sample of the whole
-//! table, taken for free during the single writer pass. The planner's
-//! adaptive machinery draws its `DatasetStats` and representative
-//! pre-filter points from this sample (refined with the footer's exact
-//! per-column aggregates), so planning a query over a 10-GB file costs
-//! zero file I/O beyond the footer.
+//! table, taken for free during the single writer pass. The planner draws
+//! the dominance gate's points from this sample, so planning a query over
+//! a 10-GB file costs zero file I/O beyond the footer.
 
 pub mod format;
 pub mod reader;

@@ -37,6 +37,21 @@ impl ColumnMeta {
         self.null_count == 0 && self.non_numeric == 0
     }
 
+    /// Whether `min` and `max` hold the column's true extremes exactly.
+    /// The writer stores them as `f64`, which holds every integer only
+    /// below 2^53 in magnitude, so an Int64 bound at or beyond that may
+    /// have been rounded. Exact bounds compare against any value as its
+    /// rounded `f64` does — rounding is monotone and leaves
+    /// representable values in place — so skip decisions on them are
+    /// the ones the true values give.
+    pub fn exact_bounds(&self) -> bool {
+        const F64_EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0; // 2^53
+        [self.min, self.max]
+            .into_iter()
+            .flatten()
+            .all(|v| v.abs() < F64_EXACT_INT_LIMIT)
+    }
+
     /// The column's contribution to the block's **best corner** in
     /// folded smaller-is-better space: `min` for a MIN dimension, `-max`
     /// for a MAX dimension (`negate = true`).

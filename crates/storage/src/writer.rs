@@ -20,8 +20,9 @@ use crate::reader::BlockMeta;
 pub struct WriterOptions {
     /// Rows per block — the skipping and decode granularity.
     pub block_rows: usize,
-    /// Capacity of the footer's reservoir sample (plan-time statistics
-    /// and pre-filter points are drawn from it without touching blocks).
+    /// Capacity of the footer's reservoir sample (the skyline planner
+    /// takes the dominance gate's points from it without touching
+    /// blocks).
     pub sample_cap: usize,
     /// Seed of the reservoir sample, for deterministic plans.
     pub sample_seed: u64,
@@ -158,8 +159,8 @@ impl TableWriter {
             }
         }
         put_u64(&mut footer, self.opts.sample_seed);
-        let sample_rows = std::mem::replace(&mut self.reservoir, Reservoir::new(0, 0)).into_rows();
-        let (sample_payload, _) = encode_block(&self.schema, &sample_rows)?;
+        let sample = std::mem::replace(&mut self.reservoir, Reservoir::new(0, 0)).into_rows();
+        let (sample_payload, _) = encode_block(&self.schema, &sample)?;
         put_u64(&mut footer, sample_payload.len() as u64);
         footer.extend_from_slice(&sample_payload);
         // Trailer: footer locator + magic, fixed size so `open` can seek

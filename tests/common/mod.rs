@@ -1,7 +1,7 @@
 //! Shared dataset / session / oracle helpers for the integration suites.
 //!
 //! The Börzsönyi distribution × dimension × NULL-fraction matrix used by
-//! `adaptive_planning.rs`, `streaming_equivalence.rs`,
+//! `storage_equivalence.rs`, `kernel_equivalence.rs`,
 //! `incomplete_semantics.rs`, and `incomplete_merge.rs` is generated here,
 //! so every differential harness drives one generator (and a fix to the
 //! matrix fixes all suites at once). So are the two hand-run oracles of
@@ -37,8 +37,7 @@ pub fn distribution_rows(dist: &str, seed: u64, n: usize, dims: usize) -> Vec<Ro
     }
 }
 
-/// Deterministic light incompleteness: every 5th row loses one value
-/// (the `adaptive_planning.rs` pattern).
+/// Deterministic light incompleteness: every 5th row loses one value.
 pub fn null_every_fifth(rows: &mut [Row], dims: usize) {
     for (i, row) in rows.iter_mut().enumerate() {
         if i % 5 == 0 {

@@ -28,7 +28,7 @@ use common::{flat_incomplete_oracle, generate_with_null_fraction, skyline_sql, D
 use proptest::prelude::*;
 use sparkline::{
     DataType, DominanceKernel, Field, QueryResult, Row, Schema, SessionConfig, SessionContext,
-    SkylineStrategy, Value,
+    Value,
 };
 use sparkline_common::{SkylineDim, SkylineSpec};
 use sparkline_skyline::{naive_skyline, null_bitmap, DominanceChecker};
@@ -286,46 +286,6 @@ fn the_merge_is_one_round_over_the_class_blocks() {
         assert!(m.deferred_deletions > 0, "cross-class losers: {m:?}");
         assert_eq!(m.deferred_deletions as usize, candidates - expected.len());
     }
-}
-
-#[test]
-fn adaptive_strategy_plans_the_static_incomplete_merge() {
-    // The adaptive planner samples only for the complete family: on
-    // NULL-bearing data it plans exactly what `Auto` plans, and reads no
-    // sample.
-    let case = Case {
-        label: "independent/3d/nulls=0.3".into(),
-        schema: schema(&[DataType::Float64; 3], false),
-        rows: generate_with_null_fraction("independent", 11, 300, 3, 0.3),
-        sql: skyline_sql(3),
-        checker: all_min(3, false),
-    };
-    let session = |strategy| {
-        let ctx = SessionContext::with_config(
-            SessionConfig::default()
-                .with_executors(8)
-                .with_skyline_strategy(strategy),
-        );
-        ctx.register_table("t", case.schema.clone(), case.rows.clone())
-            .unwrap();
-        ctx
-    };
-    let adaptive = session(SkylineStrategy::Adaptive);
-    let explain = adaptive.sql(&case.sql).unwrap().explain().unwrap();
-    let auto = session(SkylineStrategy::Auto);
-    assert_eq!(
-        explain,
-        auto.sql(&case.sql).unwrap().explain().unwrap(),
-        "{}",
-        case.label
-    );
-    let result = adaptive.sql(&case.sql).unwrap().collect().unwrap();
-    assert_eq!(
-        result.rows,
-        flat_incomplete_oracle(&case.rows, &case.checker, 8).0
-    );
-    assert_eq!(result.metrics.sample_rows, 0, "{:?}", result.metrics);
-    assert_eq!(result.metrics.merge_rounds, 1);
 }
 
 proptest! {

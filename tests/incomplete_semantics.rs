@@ -194,76 +194,6 @@ fn incomplete_on_complete_data_degenerates_to_single_partition() {
 }
 
 #[test]
-fn adaptive_prefilter_is_inert_on_incomplete_data() {
-    // The representative pre-filter discards tuples a broadcast point
-    // strictly dominates — sound only under the transitive complete
-    // relation. Under the incomplete relation a dominated tuple may still
-    // cancel its dominator (Appendix A's cycles), so the adaptive planner
-    // must keep the filter out of the bitmap-partitioned plan entirely:
-    // same results, and zero rows dropped.
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(4);
-    let rows: Vec<Row> = (0..200)
-        .map(|_| {
-            row3(
-                rng.gen_bool(0.7).then(|| rng.gen_range(0..6)),
-                rng.gen_bool(0.7).then(|| rng.gen_range(0..6)),
-                rng.gen_bool(0.7).then(|| rng.gen_range(0..6)),
-            )
-        })
-        .collect();
-    let adaptive = incomplete_session(rows.clone()).with_shared_catalog(
-        SessionConfig::default()
-            .with_executors(3)
-            .with_skyline_strategy(sparkline::SkylineStrategy::Adaptive),
-    );
-    let default =
-        incomplete_session(rows).with_shared_catalog(SessionConfig::default().with_executors(3));
-    let sql = "SELECT * FROM t SKYLINE OF a MIN, b MAX, c MIN";
-    let explain = adaptive.sql(sql).unwrap().explain().unwrap();
-    assert!(
-        explain.contains("NullBitmap") && !explain.contains("SkylinePreFilterExec"),
-        "bitmap-class plan must carry no pre-filter:\n{explain}"
-    );
-    let a = adaptive.sql(sql).unwrap().collect().unwrap();
-    let d = default.sql(sql).unwrap().collect().unwrap();
-    assert_eq!(a.sorted_display(), d.sorted_display());
-    assert_eq!(a.metrics.prefilter_rows_dropped, 0);
-}
-
-#[test]
-fn adaptive_prefilter_coexists_with_bitmap_classes_under_complete() {
-    // Declaring COMPLETE on NULL-bearing data selects the complete
-    // relation, where NULL rows are incomparable to everything: the
-    // pre-filter may fire for fully-valued rows but must pass every
-    // NULL-bearing tuple through to the windows.
-    let mut rows = vec![
-        row3(Some(1), Some(1), Some(1)),
-        row3(None, Some(9), Some(9)),
-        row3(Some(9), None, Some(9)),
-    ];
-    rows.extend((2..60).map(|i| row3(Some(i), Some(i), Some(i))));
-    let ctx = incomplete_session(rows).with_shared_catalog(
-        SessionConfig::default()
-            .with_executors(3)
-            .with_skyline_strategy(sparkline::SkylineStrategy::Adaptive),
-    );
-    let result = ctx
-        .sql("SELECT * FROM t SKYLINE OF COMPLETE a MIN, b MIN, c MIN")
-        .unwrap()
-        .collect()
-        .unwrap();
-    // (1,1,1) plus the two incomparable NULL-bearing rows.
-    assert_eq!(result.num_rows(), 3);
-    assert!(
-        result.metrics.prefilter_rows_dropped > 0,
-        "dominated complete rows should be dropped early: {:?}",
-        result.metrics
-    );
-}
-
-#[test]
 fn null_only_tuples_join_the_skyline() {
     // A tuple that is NULL in every skyline dimension is incomparable to
     // everything — it must appear in the skyline.

@@ -8,6 +8,11 @@
 //!   optimisation: turning it off must not change a single row, and
 //!   turning it on must only move work from `blocks_read` to the
 //!   `blocks_skipped_*` counters;
+//! * the dominance gate takes its points only from footer-sample rows
+//!   that pass the query's `WHERE`, never reads past a NULL-bearing
+//!   block's corner, and is absent where it would be unsound (a
+//!   projection or computed dimension between skyline and scan, the
+//!   incomplete family);
 //! * `write_table` → `DiskTable::open` → decode is a lossless round
 //!   trip (property-tested, including NULLs and negative values).
 
@@ -113,17 +118,16 @@ fn disk_tables_match_memory_tables_on_every_kernel() {
     }
 }
 
-/// Dominance skipping on correlated data: the planner's representative
-/// pre-filter points must prune whole blocks (counted, fewer bytes
-/// decoded) without changing the result.
+/// Dominance skipping on correlated data: the skyline of the footer
+/// sample must prune whole blocks (counted, fewer bytes decoded) without
+/// changing the result.
 #[test]
 fn dominance_skipping_is_invisible_and_counted() {
     let dir = TempDir::new("dominance");
     let rows = generate("correlated", 7, 4000, 3, false);
     let base = SessionConfig::default()
         .with_executors(3)
-        .with_storage_block_rows(128)
-        .with_skyline_strategy(sparkline::SkylineStrategy::Adaptive);
+        .with_storage_block_rows(128);
     let sql = skyline_sql(3);
 
     let on = disk_session(rows.clone(), 3, false, base.clone(), &dir, "on");
@@ -141,7 +145,7 @@ fn dominance_skipping_is_invisible_and_counted() {
 
     assert!(
         r_on.metrics.blocks_skipped_dominance > 0,
-        "correlated data should let representative points prune blocks: {:?}",
+        "correlated data should let the sample's skyline prune blocks: {:?}",
         r_on.metrics
     );
     assert_eq!(r_off.metrics.blocks_skipped_dominance, 0);
@@ -172,9 +176,12 @@ fn minmax_skipping_prunes_filtered_scans() {
         };
         d0(a).partial_cmp(&d0(b)).unwrap()
     });
+    // Dominance skipping off on both sides, so every block the `on` run
+    // saves is a min/max skip.
     let config = SessionConfig::default()
         .with_executors(2)
-        .with_storage_block_rows(64);
+        .with_storage_block_rows(64)
+        .with_disk_dominance_skipping(false);
     let sql = "SELECT * FROM t WHERE d0 < 0.25 SKYLINE OF d0 MIN, d1 MIN";
 
     let mem = session_with(rows.clone(), 2, false, config.clone());
@@ -224,6 +231,179 @@ fn explain_shows_disk_scan_with_skip_counts() {
         plan.contains("DiskScanExec") && plan.contains("disk(blocks="),
         "EXPLAIN should tag the disk scan with its block counts:\n{plan}"
     );
+}
+
+fn floats(values: &[Option<f64>]) -> Row {
+    Row::new(
+        values
+            .iter()
+            .map(|v| v.map_or(Value::Null, Value::Float64))
+            .collect(),
+    )
+}
+
+/// Runs `sql` over `rows` held in memory, on disk, and on disk with both
+/// skip kinds off; asserts the three agree and returns the skipping run.
+fn skipping_run(
+    rows: Vec<Row>,
+    dims: usize,
+    nullable: bool,
+    block_rows: usize,
+    sql: &str,
+    tag: &str,
+) -> sparkline::QueryResult {
+    let dir = TempDir::new(tag);
+    let config = SessionConfig::default()
+        .with_executors(2)
+        .with_storage_block_rows(block_rows);
+    let mem = session_with(rows.clone(), dims, nullable, config.clone());
+    let on = disk_session(rows.clone(), dims, nullable, config.clone(), &dir, "on");
+    let off = disk_session(
+        rows,
+        dims,
+        nullable,
+        config
+            .with_disk_minmax_skipping(false)
+            .with_disk_dominance_skipping(false),
+        &dir,
+        "off",
+    );
+    let r_on = on.sql(sql).unwrap().collect().unwrap();
+    let expected = mem.sql(sql).unwrap().collect().unwrap().sorted_display();
+    assert_eq!(
+        r_on.sorted_display(),
+        expected,
+        "{tag}: skipping changed rows"
+    );
+    let r_off = off.sql(sql).unwrap().collect().unwrap();
+    assert_eq!(r_off.sorted_display(), expected, "{tag}: disk changed rows");
+    r_on
+}
+
+/// The deterministic companion of `skipping_on_equals_skipping_off`:
+/// NULL-bearing data under `COMPLETE`, where the gate skips a fully
+/// numeric block but must read the NULL-bearing block whose numeric
+/// corner the same point dominates — its NULL rows are incomparable, so
+/// they are skyline members.
+#[test]
+fn dominance_gate_skips_numeric_blocks_and_reads_null_bearing_ones() {
+    let rows = vec![
+        // Block 0: (0, 0, 5) dominates the rest of the table's numeric rows.
+        floats(&[Some(0.0), Some(0.0), Some(5.0)]),
+        floats(&[Some(0.25), Some(0.25), Some(4.0)]),
+        floats(&[Some(0.5), Some(0.5), Some(3.0)]),
+        floats(&[Some(0.75), Some(0.75), Some(2.0)]),
+        // Block 1: fully numeric, corner dominated — skipped unread.
+        floats(&[Some(0.25), Some(0.5), Some(1.0)]),
+        floats(&[Some(0.5), Some(0.25), Some(1.0)]),
+        floats(&[Some(0.5), Some(0.5), Some(0.0)]),
+        floats(&[Some(0.75), Some(0.5), Some(0.0)]),
+        // Block 2: the same corner, but NULL-bearing — must be read.
+        floats(&[Some(0.5), None, Some(1.0)]),
+        floats(&[Some(0.5), Some(0.5), None]),
+        floats(&[Some(0.75), Some(0.75), Some(0.0)]),
+        floats(&[Some(0.25), Some(0.5), Some(1.0)]),
+    ];
+    let result = skipping_run(
+        rows,
+        3,
+        true,
+        4,
+        "SELECT * FROM t WHERE d0 < 1.0 SKYLINE OF COMPLETE d0 MIN, d1 MIN, d2 MAX",
+        "nulls",
+    );
+    assert_eq!(
+        result.metrics.blocks_skipped_dominance, 1,
+        "{:?}",
+        result.metrics
+    );
+    assert_eq!(result.metrics.blocks_read, 2, "{:?}", result.metrics);
+    assert_eq!(
+        result.sorted_display(),
+        ["(0.0, 0.0, 5.0)", "(0.5, 0.5, NULL)", "(0.5, NULL, 1.0)"],
+    );
+}
+
+/// A footer-sample row that dominates everything but is excluded by
+/// `WHERE` must not become a gate point: (0, 0) would skip block 0, which
+/// holds the answer (1, 0). The points come from the rows the filter
+/// passes, so only the blocks (1, 0) dominates are skipped.
+#[test]
+fn dominance_gate_respects_where_clauses() {
+    let mut rows: Vec<Row> = (1..40)
+        .map(|i| floats(&[Some(f64::from(i)), Some(0.0)]))
+        .collect();
+    rows.push(floats(&[Some(0.0), Some(0.0)]));
+    let result = skipping_run(
+        rows,
+        2,
+        false,
+        8,
+        "SELECT * FROM t WHERE d0 >= 1 SKYLINE OF d0 MIN, d1 MIN",
+        "where",
+    );
+    assert_eq!(result.num_rows(), 1);
+    assert_eq!(result.rows[0].get(0), &Value::Float64(1.0));
+    // Blocks 1–3 hold d0 in [9, 32]: (1, 0) dominates their corners.
+    // Block 4 holds (0, 0) itself, whose corner nothing dominates.
+    assert_eq!(
+        result.metrics.blocks_skipped_dominance, 3,
+        "{:?}",
+        result.metrics
+    );
+}
+
+/// Where a dominance skip would be unsound, the planner installs no gate,
+/// even though a plain skyline over the same file skips blocks: a
+/// projection or a computed dimension changes the column space between
+/// skyline and scan, and the incomplete relation is not transitive. (A
+/// DIFF dimension is refused by `DominanceSkip` itself; see the
+/// `scan_disk` unit tests.)
+#[test]
+fn dominance_gate_is_absent_where_it_would_be_unsound() {
+    let rows: Vec<Row> = (0..64)
+        .map(|i| floats(&[Some(f64::from(i)), Some(f64::from(i))]))
+        .collect();
+    let plain = skipping_run(
+        rows.clone(),
+        2,
+        false,
+        8,
+        "SELECT * FROM t SKYLINE OF d0 MIN, d1 MIN",
+        "plain",
+    );
+    assert_eq!(
+        plain.metrics.blocks_skipped_dominance, 7,
+        "{:?}",
+        plain.metrics
+    );
+    for (sql, nullable, tag) in [
+        (
+            "SELECT * FROM (SELECT d0 + 1 AS a, d1 FROM t) s SKYLINE OF a MIN, d1 MIN",
+            false,
+            "projection",
+        ),
+        (
+            "SELECT * FROM t SKYLINE OF d0 + d1 MIN, d1 MIN",
+            false,
+            "computed",
+        ),
+        // Nullable columns without COMPLETE: the incomplete family.
+        (
+            "SELECT * FROM t SKYLINE OF d0 MIN, d1 MIN",
+            true,
+            "incomplete",
+        ),
+    ] {
+        let result = skipping_run(rows.clone(), 2, nullable, 8, sql, tag);
+        assert_eq!(result.num_rows(), 1, "{tag}");
+        assert_eq!(
+            result.metrics.blocks_skipped_dominance, 0,
+            "{tag}: {:?}",
+            result.metrics
+        );
+        assert_eq!(result.metrics.blocks_read, 8, "{tag}: {:?}", result.metrics);
+    }
 }
 
 /// Rows with grid-valued floats (duplicates, negatives) and NULLs.
@@ -284,16 +464,60 @@ fn check_round_trip(values: Vec<Vec<Option<i32>>>, block_rows: usize) {
     assert_eq!(decoded, rows);
 }
 
+/// Block bounds and gate points are compared as `f64`, which rounds Int64
+/// values beyond 2^53: (2^53 + 1, 0) reads as (2^53, 0) and would
+/// "dominate" the block of its incomparable neighbour (2^53, 1), and
+/// `a < 2^53 + 1` would refute the block whose min is 2^53. Blocks with
+/// bounds that large are never skipped, so disk equals memory.
+#[test]
+fn skipping_is_exact_for_int64_beyond_2_pow_53() {
+    let dir = TempDir::new("int64");
+    let schema = || {
+        Schema::new(vec![
+            Field::new("a", DataType::Int64, false),
+            Field::new("b", DataType::Int64, false),
+        ])
+    };
+    const BIG: i64 = 1 << 53;
+    let rows = vec![
+        Row::new(vec![Value::Int64(BIG + 1), Value::Int64(0)]),
+        Row::new(vec![Value::Int64(BIG), Value::Int64(1)]),
+    ];
+    let config = SessionConfig::default().with_storage_block_rows(1);
+    let mem = SessionContext::with_config(config.clone());
+    mem.register_table("t", schema(), rows.clone()).unwrap();
+    let disk = SessionContext::with_config(config);
+    disk.register_table("t", schema(), rows).unwrap();
+    let path = dir.file("t.spk");
+    disk.copy_table_to_disk("t", &path).unwrap();
+    disk.register_disk_table("t", &path).unwrap();
+    for (sql, expected_rows) in [
+        ("SELECT * FROM t SKYLINE OF a MIN, b MIN", 2),
+        (
+            "SELECT * FROM t WHERE a < 9007199254740993 SKYLINE OF a MIN, b MIN",
+            1,
+        ),
+    ] {
+        let expected = mem.sql(sql).unwrap().collect().unwrap().sorted_display();
+        assert_eq!(expected.len(), expected_rows, "{sql}");
+        let got = disk.sql(sql).unwrap().collect().unwrap();
+        assert_eq!(got.sorted_display(), expected, "{sql}");
+        assert_eq!(got.metrics.blocks_read, 2, "{sql}: {:?}", got.metrics);
+    }
+}
+
 /// Block skipping is sound: for random data and block sizes, the disk
 /// skyline with both skip kinds on equals skipping off equals the
-/// in-memory run.
+/// in-memory run. Under `COMPLETE` the nullable schema plans the complete
+/// family, so the dominance gate is live and NULL-bearing blocks meet its
+/// fully-numeric guard; without it, min/max pruning feeds the incomplete
+/// family's bitmap exchange and class-block merge.
 fn check_skipping_soundness(values: Vec<Vec<Option<i32>>>, block_rows: usize) {
     let dir = TempDir::new("soundness");
     let rows = prop_rows(values);
     let config = SessionConfig::default()
         .with_executors(2)
-        .with_storage_block_rows(block_rows)
-        .with_skyline_strategy(sparkline::SkylineStrategy::Adaptive);
+        .with_storage_block_rows(block_rows);
     let mem = session_with(rows.clone(), 3, true, config.clone());
     let on = disk_session(rows.clone(), 3, true, config.clone(), &dir, "on");
     let off = disk_session(
@@ -306,12 +530,16 @@ fn check_skipping_soundness(values: Vec<Vec<Option<i32>>>, block_rows: usize) {
         &dir,
         "off",
     );
-    let sql = "SELECT * FROM t WHERE d0 < 1.0 SKYLINE OF d0 MIN, d1 MIN, d2 MAX";
-    let r_mem = mem.sql(sql).unwrap().collect().unwrap().sorted_display();
-    let r_on = on.sql(sql).unwrap().collect().unwrap().sorted_display();
-    let r_off = off.sql(sql).unwrap().collect().unwrap().sorted_display();
-    assert_eq!(r_on, r_off);
-    assert_eq!(r_on, r_mem);
+    for sql in [
+        "SELECT * FROM t WHERE d0 < 1.0 SKYLINE OF COMPLETE d0 MIN, d1 MIN, d2 MAX",
+        "SELECT * FROM t WHERE d0 < 1.0 SKYLINE OF d0 MIN, d1 MIN, d2 MAX",
+    ] {
+        let r_mem = mem.sql(sql).unwrap().collect().unwrap().sorted_display();
+        let r_on = on.sql(sql).unwrap().collect().unwrap().sorted_display();
+        let r_off = off.sql(sql).unwrap().collect().unwrap().sorted_display();
+        assert_eq!(r_on, r_off, "{sql}");
+        assert_eq!(r_on, r_mem, "{sql}");
+    }
 }
 
 proptest! {
