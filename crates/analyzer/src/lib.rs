@@ -44,8 +44,16 @@ impl<'a> Analyzer<'a> {
         Analyzer { catalog }
     }
 
-    /// Resolve and validate a plan.
+    /// Resolve and validate a plan. An already-resolved plan (the output
+    /// of an earlier analysis, or one built from resolved nodes only) is
+    /// validated without another resolution pass: resolution never
+    /// re-binds a table scan or a bound expression, so the pass would be
+    /// the identity.
     pub fn analyze(&self, plan: &LogicalPlan) -> Result<LogicalPlan> {
+        if plan.resolved() {
+            validate::validate(plan)?;
+            return Ok(plan.clone());
+        }
         let mut current = plan.clone();
         for _ in 0..MAX_ITERATIONS {
             let next = self.resolve(&current, None)?;

@@ -869,12 +869,11 @@ fn ext10_server(quick: bool) -> Vec<Report> {
     for c in &bench.concurrency_cells {
         eprintln!(
             "    [{} clients] {:.0} qps, p50 {:.2} ms, p99 {:.2} ms \
-             (plan hits {:.0}%, result hits {:.0}%)",
+             (result hits {:.0}%)",
             c.clients,
             c.qps,
             c.p50_ms,
             c.p99_ms,
-            c.plan_hit_rate * 100.0,
             c.result_hit_rate * 100.0
         );
     }

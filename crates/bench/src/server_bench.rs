@@ -6,7 +6,7 @@
 //! client count, drives every client through a small dashboard-style
 //! working set of skyline queries (repeating shapes — the workload the
 //! result cache exists for), and reports p50/p99 latency, queries/sec,
-//! and the plan/result-cache hit rates, asserting every response body is
+//! and the result-cache hit rate, asserting every response body is
 //! byte-identical to direct `SessionContext` execution. The **cold/hot
 //! cell** measures one cache-cold query against the median of repeated
 //! cache-hot runs of the same query — the "repeated dashboard query is
@@ -36,9 +36,6 @@ pub struct ConcurrencyCell {
     pub p50_ms: f64,
     /// 99th-percentile per-query latency, milliseconds.
     pub p99_ms: f64,
-    /// Plan-cache hit rate over consulted lookups (result-cache hits
-    /// skip the plan cache entirely and are excluded).
-    pub plan_hit_rate: f64,
     /// Result-cache hit rate over all queries.
     pub result_hit_rate: f64,
 }
@@ -156,7 +153,6 @@ fn run_concurrency_cell(
     latencies.sort_by(|a, b| a.total_cmp(b));
     let stats = server.service().stats();
     let total = (clients * queries_per_client) as f64;
-    let plan_lookups = stats.plan_hits + stats.plan_misses;
     ConcurrencyCell {
         clients,
         queries_per_client,
@@ -164,11 +160,6 @@ fn run_concurrency_cell(
         qps: total / secs.max(1e-9),
         p50_ms: quantile_ms(&latencies, 0.50),
         p99_ms: quantile_ms(&latencies, 0.99),
-        plan_hit_rate: if plan_lookups == 0 {
-            0.0
-        } else {
-            stats.plan_hits as f64 / plan_lookups as f64
-        },
         result_hit_rate: stats.result_hits as f64 / total,
     }
 }
@@ -243,14 +234,13 @@ pub fn to_json(bench: &ServerBench) -> String {
             out,
             "    {{\"clients\": {}, \"queries_per_client\": {}, \"secs\": {:.6}, \
              \"qps\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-             \"plan_hit_rate\": {:.3}, \"result_hit_rate\": {:.3}}}{}",
+             \"result_hit_rate\": {:.3}}}{}",
             c.clients,
             c.queries_per_client,
             c.secs,
             c.qps,
             c.p50_ms,
             c.p99_ms,
-            c.plan_hit_rate,
             c.result_hit_rate,
             if i + 1 < bench.concurrency_cells.len() {
                 ","
@@ -299,7 +289,6 @@ mod tests {
                 qps: 12.0,
                 p50_ms: 1.0,
                 p99_ms: 2.0,
-                plan_hit_rate: 0.5,
                 result_hit_rate: 0.8,
             }],
             cold_hot: ColdHotCell {

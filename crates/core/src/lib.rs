@@ -154,6 +154,27 @@ mod tests {
     }
 
     #[test]
+    fn dataframe_using_join_is_desugared_like_sql() {
+        let ctx = hotel_session();
+        let sql = ctx
+            .sql("SELECT * FROM hotels AS a JOIN hotels AS b USING (id)")
+            .unwrap();
+        let df = ctx.table("hotels").unwrap().alias("a").join(
+            &ctx.table("hotels").unwrap().alias("b"),
+            JoinType::Inner,
+            JoinCondition::Using(vec!["id".into()]),
+        );
+        // Built from resolved tables, the USING join still needs the
+        // analyzer: it is not resolved until desugared.
+        assert!(!df.logical_plan().resolved());
+        assert_eq!(df.schema().unwrap(), sql.schema().unwrap());
+        assert_eq!(
+            df.collect().unwrap().sorted_display(),
+            sql.collect().unwrap().sorted_display()
+        );
+    }
+
+    #[test]
     fn integrated_equals_reference_listing_1_vs_2() {
         let ctx = hotel_session();
         // Listing 2 (integrated).

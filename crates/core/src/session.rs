@@ -355,6 +355,31 @@ impl SessionContext {
             .map(|(_, result)| result)
     }
 
+    /// The logical half of the pipeline, shared by execution and
+    /// `EXPLAIN`: analyze (an already-analyzed plan is only validated),
+    /// apply the reference rewrite when `algorithm` asks for it, and
+    /// optimize under the algorithm's strategy. Returns the analyzed and
+    /// optimized plans with the effective configuration.
+    fn analyze_and_optimize(
+        &self,
+        catalog: &SessionCatalog,
+        plan: &LogicalPlan,
+        algorithm: Algorithm,
+    ) -> Result<(LogicalPlan, LogicalPlan, SessionConfig)> {
+        let analyzed = Analyzer::new(catalog).analyze(plan)?;
+        let mut config = self.config.clone();
+        if let Some(strategy) = algorithm.strategy() {
+            config.skyline_strategy = strategy;
+        }
+        let optimizer = Optimizer::new(&config).with_catalog(catalog);
+        let optimized = if algorithm == Algorithm::Reference {
+            optimizer.optimize(&rewrite_to_reference(&analyzed)?)?
+        } else {
+            optimizer.optimize(&analyzed)?
+        };
+        Ok((analyzed, optimized, config))
+    }
+
     /// The shared pipeline: analyze → optimize → plan → execute via the
     /// stream model (or the materialized adapter when
     /// `streaming_execution` is off), returning the physical plan display
@@ -365,24 +390,11 @@ impl SessionContext {
         algorithm: Algorithm,
     ) -> Result<(String, QueryResult)> {
         let catalog = self.catalog.read();
-        let analyzer = Analyzer::new(&*catalog);
-        let analyzed = analyzer.analyze(plan)?;
-        // The output schema is fixed before optimization (rewrites may
-        // rename intermediate fields).
+        let (analyzed, optimized, mut config) =
+            self.analyze_and_optimize(&catalog, plan, algorithm)?;
+        // The output schema is the analyzed plan's: optimizer rewrites
+        // may rename intermediate fields.
         let schema = analyzed.schema()?;
-
-        let mut config = self.config.clone();
-        if let Some(strategy) = algorithm.strategy() {
-            config.skyline_strategy = strategy;
-        }
-        let to_optimize = if algorithm == Algorithm::Reference {
-            rewrite_to_reference(&analyzed)?
-        } else {
-            analyzed
-        };
-        let optimized = Optimizer::new(&config)
-            .with_catalog(&*catalog)
-            .optimize(&to_optimize)?;
 
         let start = Instant::now();
         // Graceful degradation: when the enforced memory budget denies a
@@ -493,19 +505,7 @@ impl SessionContext {
     /// Render all pipeline stages of a plan, like `EXPLAIN EXTENDED`.
     pub fn explain_plan(&self, plan: &LogicalPlan, algorithm: Algorithm) -> Result<String> {
         let catalog = self.catalog.read();
-        let analyzed = Analyzer::new(&*catalog).analyze(plan)?;
-        let mut config = self.config.clone();
-        if let Some(strategy) = algorithm.strategy() {
-            config.skyline_strategy = strategy;
-        }
-        let to_optimize = if algorithm == Algorithm::Reference {
-            rewrite_to_reference(&analyzed)?
-        } else {
-            analyzed.clone()
-        };
-        let optimized = Optimizer::new(&config)
-            .with_catalog(&*catalog)
-            .optimize(&to_optimize)?;
+        let (analyzed, optimized, config) = self.analyze_and_optimize(&catalog, plan, algorithm)?;
         let physical = PhysicalPlanner::new(&config, &*catalog).create(&optimized)?;
         Ok(format!(
             "== Analyzed Logical Plan ==\n{}\n== Optimized Logical Plan ==\n{}\n\

@@ -20,8 +20,8 @@
 //! * [`infer_complete_skyline`] — Listing 8's nullability check promoted
 //!   to a logical rewrite: a skyline none of whose dimensions can be NULL
 //!   is marked `COMPLETE`, so the plan itself carries the metadata the
-//!   physical strategy selection (`sparkline_common::strategy`) consumes
-//!   and `EXPLAIN` shows which algorithm family will run.
+//!   physical planner's strategy selection (`plan_skyline`) consumes and
+//!   `EXPLAIN` shows which algorithm family will run.
 
 use std::sync::Arc;
 

@@ -610,6 +610,94 @@ mod tests {
         assert_eq!(collect(&physical, &ctx).unwrap().len(), 1);
     }
 
+    /// The physical display of `SKYLINE OF [COMPLETE] d0 t0, d1 t1` over
+    /// a two-column scan whose columns are `nullable` or not.
+    fn skyline_display(
+        config: &SessionConfig,
+        nullable: bool,
+        complete: bool,
+        types: [sparkline_common::SkylineType; 2],
+    ) -> String {
+        let scan = LogicalPlan::TableScan {
+            name: "t".into(),
+            schema: Schema::new(vec![
+                sparkline_common::Field::qualified("t", "d0", DataType::Int64, nullable),
+                sparkline_common::Field::qualified("t", "d1", DataType::Int64, nullable),
+            ])
+            .into_ref(),
+        };
+        let logical = LogicalPlan::Skyline {
+            distinct: false,
+            complete,
+            dims: vec![dim(&scan, 0, types[0]), dim(&scan, 1, types[1])],
+            input: Arc::new(scan),
+        };
+        let source = MapSource(HashMap::from([("t".to_string(), Arc::new(Vec::new()))]));
+        let physical = PhysicalPlanner::new(config, &source)
+            .create(&logical)
+            .unwrap();
+        crate::display_physical(&physical)
+    }
+
+    /// Listing 8, extended: the algorithm family, the local phase, the
+    /// local-phase partitioning and the compare kernel, read off the plan.
+    #[test]
+    fn skyline_selection_shows_in_the_plan() {
+        use sparkline_common::{DominanceKernel, SkylineType, SkylineType::*};
+        let auto = SessionConfig::default();
+        let angle = || {
+            auto.clone()
+                .with_skyline_partitioning(SkylinePartitioning::AngleBased)
+        };
+        let forced = |s| auto.clone().with_skyline_strategy(s);
+        let kernel = |k| auto.clone().with_dominance_kernel(k);
+        const COMPLETE: &str = "LocalSkylineExec [2 dims, complete";
+        const INCOMPLETE: &str = "GlobalSkylineExec [2 dims, incomplete";
+        const GATHER: &str = "ExchangeExec [AllTuples]";
+        const ANGLES: &str = "AngleBased";
+        // (case, config, nullable, COMPLETE, dims, present, absent)
+        type Case = (
+            &'static str,
+            SessionConfig,
+            bool,
+            bool,
+            [SkylineType; 2],
+            &'static [&'static str],
+            &'static [&'static str],
+        );
+        #[rustfmt::skip]
+        let cases: Vec<Case> = vec![
+            ("auto, non-nullable", auto.clone(), false, false, [Min, Max], &[COMPLETE], &[INCOMPLETE, ANGLES]),
+            ("auto, nullable", auto.clone(), true, false, [Min, Max], &[INCOMPLETE, "NullBitmap"], &[COMPLETE]),
+            ("COMPLETE over nullable dims", auto.clone(), true, true, [Min, Max], &[COMPLETE], &[INCOMPLETE]),
+            ("angle, two ranked dims", angle(), false, false, [Min, Max], &[COMPLETE, "ExchangeExec [AngleBased on 2 dims]"], &[]),
+            ("angle degrades below two ranked dims", angle(), false, false, [Min, Diff], &[COMPLETE], &[ANGLES]),
+            ("angle is Standard under the incomplete plan", angle().with_skyline_strategy(SkylineStrategy::DistributedIncomplete), false, false, [Min, Max], &[INCOMPLETE], &[ANGLES]),
+            ("angle is Standard without a local phase", angle().with_skyline_strategy(SkylineStrategy::NonDistributedComplete), false, false, [Min, Max], &[GATHER], &[ANGLES, "LocalSkylineExec"]),
+            ("forced incomplete over COMPLETE data", forced(SkylineStrategy::DistributedIncomplete), false, true, [Min, Max], &[INCOMPLETE], &[COMPLETE]),
+            ("forced non-distributed over nullable dims", forced(SkylineStrategy::NonDistributedComplete), true, false, [Min, Max], &[GATHER, "GlobalSkylineExec [2 dims, pairwise merge"], &[INCOMPLETE, "LocalSkylineExec"]),
+            ("forced distributed complete over nullable dims", forced(SkylineStrategy::DistributedComplete), true, false, [Min, Max], &[COMPLETE], &[INCOMPLETE]),
+            ("scalar kernel tag", kernel(DominanceKernel::Scalar), false, false, [Min, Max], &[COMPLETE], &["vectorized"]),
+            ("chunked kernel tag, complete", kernel(DominanceKernel::Chunked), false, false, [Min, Max], &["complete, vectorized: chunked]", "pairwise merge, vectorized: chunked]"], &[]),
+            ("chunked kernel tag, incomplete", kernel(DominanceKernel::Chunked), true, false, [Min, Max], &["LocalSkylineExec [2 dims, incomplete, vectorized: chunked]", "pairwise merge, vectorized: chunked]"], &[]),
+        ];
+        for (case, config, nullable, complete, types, present, absent) in cases {
+            let display = skyline_display(&config, nullable, complete, types);
+            for fragment in present {
+                assert!(
+                    display.contains(fragment),
+                    "{case}: missing {fragment:?}\n{display}"
+                );
+            }
+            for fragment in absent {
+                assert!(
+                    !display.contains(fragment),
+                    "{case}: unexpected {fragment:?}\n{display}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn computed_dimension_gets_projection_wrap() {
         use sparkline_common::SkylineType;

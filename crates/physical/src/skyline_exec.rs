@@ -477,10 +477,15 @@ fn pairwise_merge(
     let reservation = ctx.try_reserve(bytes)?;
     let encoded = EncodedSkylines::new(checker, kernel, antichains);
     let tasks: Vec<usize> = (0..encoded.antichains.len()).collect();
-    let outcomes: Vec<(Vec<bool>, SkylineStats)> = ctx.runtime.map_indexed(tasks, |i, _| {
-        // A lost pairwise task fails the stage; the consumer's retry path
-        // recomputes the subtree from lineage.
+    // A lost pairwise task fails the stage; the consumer's retry path
+    // recomputes the subtree from lineage. The tasks' faults are drawn in
+    // task order before the round starts, so each one fails an attempt of
+    // its own and costs exactly one retry (drawn inside concurrently
+    // running tasks, two faults could fail the same attempt).
+    for &i in &tasks {
         ctx.maybe_inject(FaultSite::Merge, i, 0)?;
+    }
+    let outcomes: Vec<(Vec<bool>, SkylineStats)> = ctx.runtime.map_indexed(tasks, |i, _| {
         let mut stats = SkylineStats::default();
         let alive = encoded.survivors(ctx, i, &mut stats)?;
         Ok((alive, stats))

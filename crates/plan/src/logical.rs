@@ -535,9 +535,17 @@ impl LogicalPlan {
         }
     }
 
-    /// Whether the plan (including all expressions) is fully resolved.
+    /// Whether the plan (including all expressions) is fully resolved. A
+    /// `USING` join is unresolved until the analyzer desugars it.
     pub fn resolved(&self) -> bool {
-        if matches!(self, LogicalPlan::UnresolvedRelation { .. }) {
+        if matches!(
+            self,
+            LogicalPlan::UnresolvedRelation { .. }
+                | LogicalPlan::Join {
+                    condition: JoinCondition::Using(_),
+                    ..
+                }
+        ) {
             return false;
         }
         self.expressions().iter().all(|e| e.resolved())

@@ -1,5 +1,5 @@
-//! A small bounded cache keyed on `(normalized SQL, catalog version)`,
-//! shared by the plan cache and the result cache.
+//! A small bounded cache keyed on `(normalized SQL, catalog version)`:
+//! the storage behind the service's result cache.
 //!
 //! Eviction is FIFO by insertion order — simple, allocation-light, and
 //! good enough here because version bumps already retire whole key

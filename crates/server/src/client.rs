@@ -16,8 +16,6 @@ pub struct QueryResponse {
     /// Rendered result rows (tab-separated values, one string per
     /// row) — the byte-identity payload.
     pub rows: Vec<String>,
-    /// Plan-cache outcome: `hit`, `miss`, or `skip`.
-    pub plan_cache: String,
     /// Result-cache outcome: `hit` or `miss`.
     pub result_cache: String,
 }
@@ -87,8 +85,8 @@ impl ServerClient {
             return Err(Error::execution(message.to_string()));
         }
         let fields: Vec<&str> = header.split_whitespace().collect();
-        // "OK <id> rows=<n> plan=<p> result=<r>"
-        if fields.len() != 5 || fields[0] != "OK" {
+        // "OK <id> rows=<n> result=<r>"
+        if fields.len() != 4 || fields[0] != "OK" {
             return Err(Error::execution(format!("malformed header: '{header}'")));
         }
         let field = |prefix: &str, s: &str| -> Result<String> {
@@ -99,8 +97,7 @@ impl ServerClient {
         let n: usize = field("rows=", fields[2])?
             .parse()
             .map_err(|_| Error::execution(format!("malformed row count: '{header}'")))?;
-        let plan_cache = field("plan=", fields[3])?;
-        let result_cache = field("result=", fields[4])?;
+        let result_cache = field("result=", fields[3])?;
         let mut rows = Vec::with_capacity(n);
         for _ in 0..n {
             rows.push(self.read_line()?);
@@ -112,7 +109,6 @@ impl ServerClient {
         Ok(QueryResponse {
             id,
             rows,
-            plan_cache,
             result_cache,
         })
     }

@@ -18,11 +18,13 @@
 //! framing.
 //!
 //! ```text
-//! request   := query | cancel | insert | drop | tables | stats | ping | quit
+//! request   := query | cancel | insert | delete | drop | tables | stats
+//!            | ping | quit
 //! query     := "QUERY" SP sql-text
 //! cancel    := "CANCEL" SP query-id
 //! insert    := "INSERT" SP table SP row *( ";" row )
 //! row       := literal *( "," literal )       ; NULL | int | float | 'text'
+//! delete    := "DELETE" SP table [SP predicate] ; SQL WHERE expression
 //! drop      := "DROP" SP table
 //! tables    := "TABLES"
 //! stats     := "STATS"
@@ -36,7 +38,7 @@
 //!
 //! ```text
 //! ACK <id>
-//! OK <id> rows=<n> plan=<hit|miss|skip> result=<hit|miss>
+//! OK <id> rows=<n> result=<hit|miss>
 //! <tab-separated row> × n
 //! END
 //! ```
@@ -65,27 +67,29 @@
 //!
 //! ## Caching and invalidation
 //!
-//! Two bounded caches sit in front of the pipeline, both keyed on
-//! `(normalized SQL, catalog version)`:
-//!
-//! - the **plan cache** stores analyzed logical plans, skipping
-//!   parse + analysis on repeat shapes;
-//! - the **result cache** stores fully rendered response bodies — a
-//!   skyline is tiny relative to its input and changes only when the
-//!   table does, so repeated dashboard-style queries are served
-//!   without touching the engine at all.
+//! One bounded **result cache** sits in front of the pipeline, keyed on
+//! `(normalized SQL, catalog version)`. It stores fully rendered
+//! response bodies — a skyline is tiny relative to its input and
+//! changes only when the table does, so repeated dashboard-style
+//! queries are served without touching the engine at all. A miss runs
+//! the whole pipeline (parse, one analysis, optimize, plan, execute).
 //!
 //! The catalog version is a monotone mutation counter bumped by every
 //! `register_table` / `register_disk_table` / `drop_table` / insert /
-//! foreign-key path (`SessionCatalog::version`), which makes
+//! delete / foreign-key path (`SessionCatalog::version`), which makes
 //! invalidation implicit: any mutation changes the key under every
 //! cached entry. A result is only cached when the version observed
 //! *after* execution equals the one the lookup was keyed on, so a
 //! mutation racing a query can never pin a stale result under a live
-//! key. Normalization lowercases and collapses whitespace **outside**
-//! string literals (`''` escapes respected), so `SELECT * FROM t` and
-//! `select  *  from  t` share one entry while `'Graz'` and `'graz'`
-//! do not.
+//! key. Maintained skyline views refresh their entries under the new
+//! version after a service INSERT/DELETE, so dashboard queries stay on
+//! the hit path across mutations.
+//!
+//! Normalization lowercases and collapses whitespace **outside** string
+//! literals and quoted identifiers, both of which are copied verbatim
+//! (`''` escapes respected): `SELECT * FROM t` and `select  *  from  t`
+//! share one entry, while `'Graz'` and `'graz'` do not, and neither do
+//! `"a b"` and `"a  b"`.
 
 pub mod cache;
 pub mod client;

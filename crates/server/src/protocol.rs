@@ -159,27 +159,28 @@ fn split_outside_literals(text: &str, sep: char) -> Result<Vec<String>> {
 }
 
 /// Normalize SQL for cache keying: lowercase and collapse whitespace
-/// runs *outside* string literals (doubled-quote `''` escapes kept
-/// intact, so `'it''s'` stays one literal), trim, and drop trailing
-/// semicolons. Two spellings of the same query share one cache entry;
-/// queries differing only inside a literal do not collide.
+/// runs *outside* string literals and quoted identifiers, trim, and drop
+/// trailing semicolons. Quoted text is copied verbatim (a doubled `''`
+/// inside a literal stays part of it, so `'it''s'` is one literal). Two
+/// spellings of the same query share one cache entry; queries differing
+/// only inside a literal or a `"quoted identifier"` do not collide.
 pub fn normalize_sql(sql: &str) -> String {
     let mut out = String::with_capacity(sql.len());
     let mut chars = sql.chars().peekable();
     let mut pending_space = false;
     while let Some(c) = chars.next() {
-        if c == '\'' {
+        if c == '\'' || c == '"' {
             if pending_space && !out.is_empty() {
                 out.push(' ');
             }
             pending_space = false;
-            out.push('\'');
+            out.push(c);
             while let Some(lc) = chars.next() {
                 out.push(lc);
-                if lc == '\'' {
-                    if chars.peek() == Some(&'\'') {
-                        // Escaped quote: consume the second half and
-                        // stay inside the literal.
+                if lc == c {
+                    if chars.peek() == Some(&c) {
+                        // Doubled quote: consume the second half and
+                        // stay inside the quoted text.
                         out.push(chars.next().unwrap());
                     } else {
                         break;
@@ -402,6 +403,16 @@ mod tests {
         assert_ne!(
             normalize_sql("SELECT 'A' FROM t"),
             normalize_sql("SELECT 'a' FROM t")
+        );
+        // Quoted identifiers are copied verbatim too: "a b" and "a  b"
+        // name different columns.
+        assert_eq!(
+            normalize_sql(r#"SELECT  "a  B" FROM T"#),
+            r#"select "a  B" from t"#
+        );
+        assert_ne!(
+            normalize_sql(r#"SELECT "a b" FROM t"#),
+            normalize_sql(r#"SELECT "a  b" FROM t"#)
         );
     }
 

@@ -114,9 +114,8 @@ fn handle_connection(service: &QueryService, stream: TcpStream) -> std::io::Resu
                     Ok(reply) => {
                         writeln!(
                             writer,
-                            "OK {id} rows={} plan={} result={}",
+                            "OK {id} rows={} result={}",
                             reply.rows.len(),
-                            reply.plan.label(),
                             reply.result.label()
                         )?;
                         for row in reply.rows.iter() {

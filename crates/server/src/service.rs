@@ -1,7 +1,8 @@
 //! The query service: shared catalog, admission control, per-query
-//! control handles, and the plan/result caches. Socket-free — the TCP
-//! layer ([`crate::server`]) and the bench harness both drive this
-//! type directly.
+//! control handles, the result cache, and the maintained views that
+//! keep it warm across mutations. Socket-free — the TCP layer
+//! ([`crate::server`]) and the bench harness both drive this type
+//! directly.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,8 +36,6 @@ pub struct ServerConfig {
     /// Maximum queries planning/executing at once; the rest queue in a
     /// cancel-aware admission wait. Result-cache hits bypass admission.
     pub max_concurrent_queries: usize,
-    /// Entries in the plan cache (0 disables it).
-    pub plan_cache_capacity: usize,
     /// Entries in the result cache (0 disables it).
     pub result_cache_capacity: usize,
     /// Per-query execution knobs: every query runs under this
@@ -55,7 +54,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_concurrent_queries: 4,
-            plan_cache_capacity: 256,
             result_cache_capacity: 256,
             session: SessionConfig::default(),
             maintained_views: true,
@@ -63,15 +61,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// What a cache did for one query.
+/// What the result cache did for one query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
     /// Served from the cache.
     Hit,
     /// Looked up, absent, populated (when still valid).
     Miss,
-    /// Never consulted (the plan cache on a result-cache hit).
-    Skip,
 }
 
 impl CacheOutcome {
@@ -80,7 +76,6 @@ impl CacheOutcome {
         match self {
             CacheOutcome::Hit => "hit",
             CacheOutcome::Miss => "miss",
-            CacheOutcome::Skip => "skip",
         }
     }
 }
@@ -90,8 +85,6 @@ impl CacheOutcome {
 pub struct QueryReply {
     /// Rendered rows (shared with the result cache).
     pub rows: Arc<Vec<String>>,
-    /// Plan-cache outcome.
-    pub plan: CacheOutcome,
     /// Result-cache outcome.
     pub result: CacheOutcome,
 }
@@ -101,9 +94,11 @@ pub struct QueryReply {
 pub struct ServiceStats {
     /// Queries finished (ok or error).
     pub queries: u64,
-    /// Plan-cache hits.
+    /// Always 0: the service has no plan cache. Kept because existing
+    /// stats consumers read the field.
     pub plan_hits: u64,
-    /// Plan-cache misses.
+    /// Always 0: the service has no plan cache. Kept because existing
+    /// stats consumers read the field.
     pub plan_misses: u64,
     /// Result-cache hits.
     pub result_hits: u64,
@@ -121,8 +116,6 @@ pub struct ServiceStats {
 #[derive(Debug, Default)]
 struct Counters {
     queries: AtomicU64,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
     result_hits: AtomicU64,
     result_misses: AtomicU64,
     errors: AtomicU64,
@@ -193,7 +186,6 @@ pub struct QueryService {
     /// registered from ACK until completion so `CANCEL <id>` can reach
     /// a queued or running query from any connection.
     running: Mutex<HashMap<u64, SessionContext>>,
-    plan_cache: Mutex<BoundedCache<Arc<LogicalPlan>>>,
     result_cache: Mutex<BoundedCache<Arc<Vec<String>>>>,
     /// Maintained skyline views, keyed by normalized SQL. Each carries
     /// the k-skyband state that lets a mutation refresh the query's
@@ -254,7 +246,6 @@ impl QueryService {
             admission: Admission::new(config.max_concurrent_queries),
             next_id: AtomicU64::new(0),
             running: Mutex::new(HashMap::new()),
-            plan_cache: Mutex::new(BoundedCache::new(config.plan_cache_capacity)),
             result_cache: Mutex::new(BoundedCache::new(config.result_cache_capacity)),
             views: Mutex::new(HashMap::new()),
             mutation: Mutex::new(()),
@@ -285,8 +276,8 @@ impl QueryService {
     }
 
     /// Execute a registered query end-to-end: result cache → admission
-    /// → plan cache → engine. Always deregisters the id and updates the
-    /// counters, success or not.
+    /// → engine. Always deregisters the id and updates the counters,
+    /// success or not.
     pub fn run_query(&self, id: u64, sql: &str) -> Result<QueryReply> {
         let outcome = self.execute(id, sql);
         self.running
@@ -330,7 +321,6 @@ impl QueryService {
             self.counters.result_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(QueryReply {
                 rows,
-                plan: CacheOutcome::Skip,
                 result: CacheOutcome::Hit,
             });
         }
@@ -338,32 +328,8 @@ impl QueryService {
 
         let _permit = self.admission.acquire(|| session.is_cancelled())?;
 
-        let (plan, plan_outcome) = {
-            let cached = self.plan_cache.lock().expect("cache lock").get(&key);
-            match cached {
-                Some(plan) => {
-                    self.counters.plan_hits.fetch_add(1, Ordering::Relaxed);
-                    (plan, CacheOutcome::Hit)
-                }
-                None => {
-                    self.counters.plan_misses.fetch_add(1, Ordering::Relaxed);
-                    let frame = session.sql(sql)?;
-                    let plan = Arc::new(frame.logical_plan().clone());
-                    // Re-check the version: a mutation may have landed
-                    // while we parsed. Only cache a plan analyzed
-                    // against the catalog state the key names.
-                    if session.catalog_version() == version {
-                        self.plan_cache
-                            .lock()
-                            .expect("cache lock")
-                            .insert(key.clone(), Arc::clone(&plan));
-                    }
-                    (plan, CacheOutcome::Miss)
-                }
-            }
-        };
-
-        let result = session.execute_plan(&plan)?;
+        let frame = session.sql(sql)?;
+        let result = frame.collect()?;
         let rows = Arc::new(render_rows(&result));
 
         // Cache the rendered body only if no mutation raced the
@@ -375,12 +341,11 @@ impl QueryService {
                 .expect("cache lock")
                 .insert(key.clone(), Arc::clone(&rows));
             if self.config.maintained_views {
-                self.maybe_install_view(&session, &key.0, &plan, &rows, version);
+                self.maybe_install_view(&session, &key.0, frame.logical_plan(), &rows, version);
             }
         }
         Ok(QueryReply {
             rows,
-            plan: plan_outcome,
             result: CacheOutcome::Miss,
         })
     }
@@ -408,7 +373,7 @@ impl QueryService {
         let pre = self.base.catalog_version();
         let count = self.base.insert_rows(table, rows.clone())?;
         self.after_mutation(table, pre, ViewChange::Insert(&rows));
-        self.trim_caches();
+        self.trim_cache();
         Ok(count)
     }
 
@@ -424,7 +389,7 @@ impl QueryService {
         let pre = self.base.catalog_version();
         let positions = self.base.delete_where(table, predicate.as_ref())?;
         self.after_mutation(table, pre, ViewChange::Delete(&positions));
-        self.trim_caches();
+        self.trim_cache();
         Ok(positions.len())
     }
 
@@ -436,7 +401,7 @@ impl QueryService {
         let existed = self.base.deregister_table(name);
         if existed {
             self.after_mutation(name, pre, ViewChange::Drop);
-            self.trim_caches();
+            self.trim_cache();
         }
         existed
     }
@@ -566,15 +531,11 @@ impl QueryService {
         }
     }
 
-    /// Proactively drop cache entries from retired catalog versions.
-    /// Correctness never depends on this — stale keys are unreachable
-    /// by construction — it only frees their memory early.
-    fn trim_caches(&self) {
+    /// Proactively drop result-cache entries from retired catalog
+    /// versions. Correctness never depends on this — stale keys are
+    /// unreachable by construction — it only frees their memory early.
+    fn trim_cache(&self) {
         let version = self.base.catalog_version();
-        self.plan_cache
-            .lock()
-            .expect("cache lock")
-            .retain_version(version);
         self.result_cache
             .lock()
             .expect("cache lock")
@@ -585,8 +546,8 @@ impl QueryService {
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
             queries: self.counters.queries.load(Ordering::Relaxed),
-            plan_hits: self.counters.plan_hits.load(Ordering::Relaxed),
-            plan_misses: self.counters.plan_misses.load(Ordering::Relaxed),
+            plan_hits: 0,
+            plan_misses: 0,
             result_hits: self.counters.result_hits.load(Ordering::Relaxed),
             result_misses: self.counters.result_misses.load(Ordering::Relaxed),
             errors: self.counters.errors.load(Ordering::Relaxed),
@@ -599,16 +560,8 @@ impl QueryService {
     pub fn stats_line(&self) -> String {
         let s = self.stats();
         format!(
-            "queries={} plan_hits={} plan_misses={} result_hits={} result_misses={} \
-             errors={} cancelled={} active={}",
-            s.queries,
-            s.plan_hits,
-            s.plan_misses,
-            s.result_hits,
-            s.result_misses,
-            s.errors,
-            s.cancelled,
-            s.active
+            "queries={} result_hits={} result_misses={} errors={} cancelled={} active={}",
+            s.queries, s.result_hits, s.result_misses, s.errors, s.cancelled, s.active
         )
     }
 }
@@ -704,13 +657,11 @@ mod tests {
         let svc = service();
         let id = svc.register_query();
         let cold = svc.run_query(id, SKY).unwrap();
-        assert_eq!(cold.plan, CacheOutcome::Miss);
         assert_eq!(cold.result, CacheOutcome::Miss);
         assert_eq!(cold.rows.len(), 2);
 
         let id = svc.register_query();
         let hot = svc.run_query(id, SKY).unwrap();
-        assert_eq!(hot.plan, CacheOutcome::Skip);
         assert_eq!(hot.result, CacheOutcome::Hit);
         assert_eq!(hot.rows, cold.rows, "cached body must be byte-identical");
 
@@ -729,21 +680,42 @@ mod tests {
         assert_eq!(stats.result_hits, 2);
         assert_eq!(stats.result_misses, 1);
         assert_eq!(stats.active, 0);
+
+        // With the result cache disabled every run misses and recomputes
+        // the same bytes.
+        let config = ServerConfig {
+            result_cache_capacity: 0,
+            ..ServerConfig::default()
+        };
+        let uncached = QueryService::with_session(svc.session().clone(), config);
+        for _ in 0..2 {
+            let id = uncached.register_query();
+            let reply = uncached.run_query(id, SKY).unwrap();
+            assert_eq!(reply.result, CacheOutcome::Miss);
+            assert_eq!(reply.rows, cold.rows);
+        }
     }
 
     #[test]
-    fn plan_cache_hit_without_result_hit_after_eviction() {
-        let config = ServerConfig {
-            result_cache_capacity: 0, // disable result caching
-            ..ServerConfig::default()
-        };
-        let svc = QueryService::with_session(service().session().clone(), config);
-        let id = svc.register_query();
-        svc.run_query(id, SKY).unwrap();
-        let id = svc.register_query();
-        let second = svc.run_query(id, SKY).unwrap();
-        assert_eq!(second.plan, CacheOutcome::Hit);
-        assert_eq!(second.result, CacheOutcome::Miss);
+    fn quoted_identifiers_keep_their_spacing_in_the_cache_key() {
+        let svc = QueryService::new(ServerConfig::default());
+        svc.session()
+            .register_table(
+                "t",
+                Schema::new(vec![
+                    Field::new("a b", DataType::Int64, false),
+                    Field::new("a  b", DataType::Int64, false),
+                ]),
+                vec![Row::new(vec![Value::Int64(1), Value::Int64(2)])],
+            )
+            .unwrap();
+        for sql in [r#"SELECT "a b" FROM t"#, r#"SELECT "a  b" FROM t"#] {
+            let direct = render_rows(&svc.session().sql(sql).unwrap().collect().unwrap());
+            let id = svc.register_query();
+            let served = svc.run_query(id, sql).unwrap();
+            assert_eq!(served.result, CacheOutcome::Miss, "{sql}");
+            assert_eq!(*served.rows, direct, "{sql}");
+        }
     }
 
     #[test]

@@ -202,5 +202,6 @@ fn wire_errors_are_single_line_and_connection_survives() {
     let stats = client.stats().unwrap();
     assert!(stats.contains("queries=2"), "{stats}");
     assert!(stats.contains("errors=1"), "{stats}");
+    assert!(!stats.contains("plan_"), "{stats}");
     client.quit().unwrap();
 }
