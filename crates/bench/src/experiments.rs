@@ -793,11 +793,12 @@ fn ext8_chaos(quick: bool) -> Vec<Report> {
     }]
 }
 
-/// ext9: out-of-core columnar storage (PR 8) — disk-scan wall clock per
-/// distribution with block skipping off / min-max / min-max + dominance,
-/// the block and byte counters showing where the speedup comes from, and
-/// the out-of-core cell (a query over a file ~8× the memory budget that
-/// must complete by streaming one block at a time). Also writes the
+/// ext9: out-of-core columnar storage — filtered-skyline wall
+/// clock per distribution over a disk table, whose scan skips blocks by
+/// min/max and dominance, beside the same query over the rows in memory;
+/// the disk scan's block and byte counters; and the out-of-core cell (a
+/// query over a file ~8× the memory budget that must complete by
+/// streaming one block at a time). Also writes the
 /// machine-readable `BENCH_PR8.json`; set `BENCH_PR8_OUT` to redirect
 /// the file.
 fn ext9_storage(quick: bool) -> Vec<Report> {
@@ -846,11 +847,11 @@ fn ext9_storage(quick: bool) -> Vec<Report> {
     vec![Report {
         id: "ext9".into(),
         title: format!(
-            "Extension 9: filtered-skyline wall clock over a disk table by \
-             block-skipping mode ({rows} rows; see BENCH_PR8.json for the \
-             block/byte counters and the out-of-core budget cell)"
+            "Extension 9: filtered-skyline wall clock over the rows in memory \
+             and on disk with block skipping ({rows} rows; see BENCH_PR8.json \
+             for the block/byte counters and the out-of-core budget cell)"
         ),
-        x_label: "skipping",
+        x_label: "input",
         x_values: crate::storage_bench::MODES
             .iter()
             .map(|m| m.to_string())

@@ -1,22 +1,21 @@
-//! Out-of-core storage benchmark: disk-scan throughput with block
-//! skipping off / min/max-only / min/max + dominance, written as the
-//! machine-readable `BENCH_PR8.json` trajectory file.
+//! Out-of-core storage benchmark: a filtered skyline over a disk table,
+//! whose scan skips blocks, beside the same query over the same rows in
+//! memory, written as the machine-readable `BENCH_PR8.json` trajectory
+//! file.
 //!
 //! The **scan sweep** writes each Börzsönyi distribution to a block file
 //! (rows clustered by `d0`, the natural layout of a range-partitioned
-//! COPY), then runs the same filtered skyline three times per
-//! distribution: `full` (both skip kinds disabled — every block is read
-//! and decoded), `minmax` (static pruning of blocks refuted by the
-//! pushed-down `d0` range filter), and `dominance` (min/max plus
-//! corner-dominance against the skyline of the footer sample — the
-//! default configuration). All three must return identical rows; the cells
-//! record wall clock, rows/sec, and the block/byte counters that show
-//! where the speedup comes from.
+//! COPY), then runs the same filtered skyline twice per distribution:
+//! `memory` (the rows registered in memory) and `disk` (the block file,
+//! whose scan skips the blocks the pushed-down `d0` range filter refutes
+//! by min/max and those the skyline of the footer sample dominates).
+//! Both must return identical rows; the cells record wall clock,
+//! rows/sec, and the disk scan's blocks read and skipped.
 //!
-//! The **out-of-core cell** re-runs the dominance configuration with a
-//! memory budget far below the file size: the scan streams one block's
-//! reservation at a time, so the query must complete inside the budget
-//! rather than fail.
+//! The **out-of-core cell** re-runs the disk query with a memory budget
+//! far below the file size: the scan streams one block's reservation at
+//! a time, so the query must complete inside the budget rather than
+//! fail.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -26,15 +25,15 @@ use rand::SeedableRng;
 use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
 
-/// Skipping modes of the scan sweep, weakest first.
-pub const MODES: [&str; 3] = ["full", "minmax", "dominance"];
+/// Inputs of the scan sweep: the rows in memory, then on disk.
+pub const MODES: [&str; 2] = ["memory", "disk"];
 
 /// One timed (distribution, mode) cell of the scan sweep.
 #[derive(Debug, Clone)]
 pub struct ScanCell {
     /// `"correlated"`, `"independent"`, or `"anti_correlated"`.
     pub distribution: &'static str,
-    /// `"full"`, `"minmax"`, or `"dominance"`.
+    /// `"memory"` or `"disk"`.
     pub mode: &'static str,
     /// Rows in the block file.
     pub rows: usize,
@@ -44,7 +43,7 @@ pub struct ScanCell {
     pub secs: f64,
     /// Input rows per second of wall clock.
     pub rows_per_sec: f64,
-    /// Blocks read and decoded.
+    /// Blocks read and decoded (0 in memory).
     pub blocks_read: u64,
     /// Blocks skipped by min/max refutation.
     pub blocks_skipped_minmax: u64,
@@ -72,7 +71,7 @@ pub struct OutOfCoreCell {
 /// The full storage benchmark.
 #[derive(Debug, Clone)]
 pub struct StorageBench {
-    /// Scan-sweep cells (one per distribution × mode).
+    /// Scan-sweep cells (one per distribution × input).
     pub scan_cells: Vec<ScanCell>,
     /// The out-of-core budget cell.
     pub out_of_core: OutOfCoreCell,
@@ -106,6 +105,14 @@ fn schema() -> Schema {
     )
 }
 
+/// A session holding `rows` as table `t` in memory under `config`.
+fn memory_session(rows: &[Row], config: SessionConfig) -> SessionContext {
+    let ctx = SessionContext::with_config(config);
+    ctx.register_table("t", schema(), rows.to_vec())
+        .expect("register bench table");
+    ctx
+}
+
 /// Write `rows` as table `t` on disk inside `dir` and return a session
 /// scanning the file under `config`.
 fn disk_session(
@@ -114,9 +121,7 @@ fn disk_session(
     dir: &std::path::Path,
     tag: &str,
 ) -> SessionContext {
-    let ctx = SessionContext::with_config(config);
-    ctx.register_table("t", schema(), rows.to_vec())
-        .expect("register bench table");
+    let ctx = memory_session(rows, config);
     let path = dir.join(format!("{tag}.spk"));
     if !path.exists() {
         ctx.copy_table_to_disk("t", &path).expect("COPY t TO disk");
@@ -131,17 +136,6 @@ fn disk_session(
 const SQL: &str = "SELECT * FROM t WHERE d0 <= 0.5 \
                    SKYLINE OF d0 MIN, d1 MIN, d2 MIN";
 
-fn mode_config(mode: &str, base: SessionConfig) -> SessionConfig {
-    match mode {
-        "full" => base
-            .with_disk_minmax_skipping(false)
-            .with_disk_dominance_skipping(false),
-        "minmax" => base.with_disk_dominance_skipping(false),
-        "dominance" => base,
-        other => panic!("unknown mode {other}"),
-    }
-}
-
 fn run_scan_cell(
     distribution: &'static str,
     mode: &'static str,
@@ -149,7 +143,11 @@ fn run_scan_cell(
     config: SessionConfig,
     dir: &std::path::Path,
 ) -> (ScanCell, Vec<Row>) {
-    let ctx = disk_session(rows, config, dir, distribution);
+    let ctx = match mode {
+        "memory" => memory_session(rows, config),
+        "disk" => disk_session(rows, config, dir, distribution),
+        other => panic!("unknown input {other}"),
+    };
     let df = ctx.sql(SQL).expect("parse bench query");
     let start = Instant::now();
     let result = df.collect().expect("bench query");
@@ -190,31 +188,16 @@ pub fn run_storage_bench(quick: bool) -> StorageBench {
         let rows = dataset(distribution, n, 42);
         let mut baseline: Option<Vec<Row>> = None;
         for mode in MODES {
-            let (cell, result_rows) =
-                run_scan_cell(distribution, mode, &rows, mode_config(mode, base()), &dir);
+            let (cell, result_rows) = run_scan_cell(distribution, mode, &rows, base(), &dir);
             match &baseline {
                 None => baseline = Some(result_rows),
                 Some(expected) => assert_eq!(
                     &result_rows, expected,
-                    "{distribution}/{mode}: skipping changed the result"
+                    "{distribution}: the disk table changed the result"
                 ),
             }
             scan_cells.push(cell);
         }
-        // Skipping is a pure subtraction from the full scan's work.
-        let by_mode = |m: &str| {
-            scan_cells
-                .iter()
-                .find(|c| c.distribution == distribution && c.mode == m)
-                .unwrap()
-        };
-        let (full, dom) = (by_mode("full"), by_mode("dominance"));
-        assert!(
-            dom.bytes_decoded < full.bytes_decoded,
-            "{distribution}: dominance mode decoded {} bytes, full scan {}",
-            dom.bytes_decoded,
-            full.bytes_decoded
-        );
     }
 
     // Out-of-core: the correlated file under a budget of 1/8 its size.
@@ -304,24 +287,35 @@ mod tests {
     #[test]
     fn quick_bench_skips_blocks_and_completes_out_of_core() {
         let bench = run_storage_bench(true);
-        assert_eq!(bench.scan_cells.len(), 9);
+        assert_eq!(bench.scan_cells.len(), 6);
         for c in &bench.scan_cells {
             match c.mode {
-                "full" => {
-                    assert_eq!(c.blocks_skipped_minmax, 0, "{c:?}");
-                    assert_eq!(c.blocks_skipped_dominance, 0, "{c:?}");
+                "memory" => {
+                    assert_eq!(c.blocks_read, 0, "{c:?}");
+                    assert_eq!(c.bytes_decoded, 0, "{c:?}");
                 }
-                "minmax" => {
+                // The `d0 <= 0.5` filter refutes the upper half of the
+                // d0-clustered file on every distribution.
+                "disk" => {
+                    assert!(c.blocks_read > 0, "{c:?}");
                     assert!(c.blocks_skipped_minmax > 0, "{c:?}");
-                    assert_eq!(c.blocks_skipped_dominance, 0, "{c:?}");
                 }
-                "dominance" => assert!(
-                    c.blocks_skipped_minmax + c.blocks_skipped_dominance > 0,
-                    "{c:?}"
-                ),
-                other => panic!("unexpected mode {other}"),
+                other => panic!("unexpected input {other}"),
             }
         }
+        let correlated = |mode| {
+            bench
+                .scan_cells
+                .iter()
+                .find(|c| c.distribution == "correlated" && c.mode == mode)
+                .unwrap()
+        };
+        // Correlated data lets the footer sample's skyline dominate blocks.
+        assert!(
+            correlated("disk").blocks_skipped_dominance > 0,
+            "{:?}",
+            correlated("disk")
+        );
         let o = &bench.out_of_core;
         assert!(o.memory_budget < o.file_bytes as usize, "{o:?}");
         assert!(o.result_rows > 0, "{o:?}");

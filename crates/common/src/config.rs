@@ -11,8 +11,9 @@ use std::time::Duration;
 /// each force one of the paper's algorithms evaluated in §6.3 — the
 /// benchmark harness uses them to produce the paper's comparison series.
 /// Whichever variant plans the complete family also gets the disk
-/// dominance gate when its input is a disk table (see
-/// `disk_dominance_skipping`).
+/// dominance gate when its input is a disk table: blocks whose best
+/// corner a point of the footer sample's skyline strictly dominates are
+/// skipped unread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SkylineStrategy {
     /// Paper's Listing 8 selection logic.
@@ -174,14 +175,6 @@ pub struct SessionConfig {
     /// Rows per block written by `COPY`-style disk-table writes (>= 1) —
     /// the skipping and decode granularity of the out-of-core scan.
     pub storage_block_rows: usize,
-    /// Skip disk blocks whose per-column min/max prove no row passes a
-    /// pushed-down filter conjunct. Sound on its own (the `Filter` stays
-    /// in the plan); the switch exists for A/B benchmarks.
-    pub disk_minmax_skipping: bool,
-    /// Skip disk blocks whose best dominance corner is strictly dominated
-    /// by a point of the footer sample's skyline (complete-family skyline
-    /// plans only). The `ext9` benchmark's headline A/B switch.
-    pub disk_dominance_skipping: bool,
 }
 
 impl Default for SessionConfig {
@@ -208,8 +201,6 @@ impl Default for SessionConfig {
             retry_backoff: Duration::ZERO,
             memory_budget: None,
             storage_block_rows: 2048,
-            disk_minmax_skipping: true,
-            disk_dominance_skipping: true,
         }
     }
 }
@@ -332,18 +323,6 @@ impl SessionConfig {
         self.storage_block_rows = rows;
         self
     }
-
-    /// Toggle min/max block skipping for disk scans (on by default).
-    pub fn with_disk_minmax_skipping(mut self, on: bool) -> Self {
-        self.disk_minmax_skipping = on;
-        self
-    }
-
-    /// Toggle dominance block skipping for disk scans (on by default).
-    pub fn with_disk_dominance_skipping(mut self, on: bool) -> Self {
-        self.disk_dominance_skipping = on;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -410,14 +389,7 @@ mod tests {
     fn storage_knobs_default_and_chain() {
         let c = SessionConfig::new();
         assert_eq!(c.storage_block_rows, 2048);
-        assert!(c.disk_minmax_skipping);
-        assert!(c.disk_dominance_skipping);
-        let c = SessionConfig::new()
-            .with_storage_block_rows(256)
-            .with_disk_minmax_skipping(false)
-            .with_disk_dominance_skipping(false);
+        let c = SessionConfig::new().with_storage_block_rows(256);
         assert_eq!(c.storage_block_rows, 256);
-        assert!(!c.disk_minmax_skipping);
-        assert!(!c.disk_dominance_skipping);
     }
 }

@@ -12,7 +12,7 @@ use sparkline_common::{Result, Row, Schema, SessionConfig, SkylineStrategy};
 use sparkline_exec::{Deadline, FaultInjector, QueryControl, TaskContext};
 use sparkline_optimizer::Optimizer;
 use sparkline_parser::parse_query;
-use sparkline_physical::{display_physical, PhysicalPlanner};
+use sparkline_physical::{display_physical, ExecutionPlan, PhysicalPlanner};
 use sparkline_plan::{Expr, LogicalPlan, LogicalPlanBuilder};
 
 use crate::catalog::SessionCatalog;
@@ -382,13 +382,13 @@ impl SessionContext {
 
     /// The shared pipeline: analyze → optimize → plan → execute via the
     /// stream model (or the materialized adapter when
-    /// `streaming_execution` is off), returning the physical plan display
+    /// `streaming_execution` is off), returning the executed physical plan
     /// alongside the result.
     fn execute_pipeline(
         &self,
         plan: &LogicalPlan,
         algorithm: Algorithm,
-    ) -> Result<(String, QueryResult)> {
+    ) -> Result<(Arc<dyn ExecutionPlan>, QueryResult)> {
         let catalog = self.catalog.read();
         let (analyzed, optimized, mut config) =
             self.analyze_and_optimize(&catalog, plan, algorithm)?;
@@ -407,7 +407,6 @@ impl SessionContext {
         loop {
             let planner = PhysicalPlanner::new(&config, &*catalog);
             let physical = planner.create(&optimized)?;
-            let display = display_physical(&physical);
             let ctx = self.task_context(&config);
             if let Some(prior) = carried.take() {
                 ctx.metrics.absorb_resilience(&prior);
@@ -425,7 +424,7 @@ impl SessionContext {
                             config.executor_memory_overhead,
                         ),
                     };
-                    return Ok((display, result));
+                    return Ok((physical, result));
                 }
                 Err(e) if e.is_resource_exhausted() && downgrade(&mut config) => {
                     carried = Some(ctx.metrics.snapshot());
@@ -461,11 +460,11 @@ impl SessionContext {
     /// the stream gauges (`batches_emitted`, `peak_rows_in_flight`) that
     /// tell the pipelining story.
     pub fn explain_analyze(&self, plan: &LogicalPlan, algorithm: Algorithm) -> Result<String> {
-        let (display, result) = self.execute_pipeline(plan, algorithm)?;
+        let (physical, result) = self.execute_pipeline(plan, algorithm)?;
         let m = &result.metrics;
         let mut out = String::new();
         out.push_str("== Physical Plan ==\n");
-        out.push_str(&display);
+        out.push_str(&display_physical(&physical));
         out.push_str("== Execution Metrics ==\n");
         out.push_str(&format!("rows scanned: {}\n", m.rows_scanned));
         out.push_str(&format!("rows output: {}\n", m.rows_output));

@@ -147,9 +147,8 @@ impl<'a> PhysicalPlanner<'a> {
         })
     }
 
-    /// Build a [`DiskScanExec`] over an opened table, with the session's
-    /// skipping knobs and (when a filter sits directly on the scan) the
-    /// statically extracted min/max bounds.
+    /// Build a [`DiskScanExec`] over an opened table, with (when a filter
+    /// sits directly on the scan) the statically extracted min/max bounds.
     fn disk_scan(
         &self,
         name: &str,
@@ -162,10 +161,6 @@ impl<'a> PhysicalPlanner<'a> {
             .unwrap_or_default();
         crate::scan_disk::DiskScanExec::new(name.to_string(), table, Arc::clone(schema))
             .with_bounds(bounds)
-            .with_skipping(
-                self.config.disk_minmax_skipping,
-                self.config.disk_dominance_skipping,
-            )
     }
 
     fn plan_join(
@@ -277,15 +272,11 @@ impl<'a> PhysicalPlanner<'a> {
             // the complete relation is transitive (see `sparkline_storage`'s
             // crate docs). The incomplete relation is not transitive, so
             // its plans never get the gate.
-            if self.config.disk_dominance_skipping {
-                if let Some((slot, sample)) = crate::find_dominance_skip_slot(input_exec.as_ref()) {
-                    if let Some(skip) = crate::scan_disk::DominanceSkip::from_sample(
-                        &spec.dims,
-                        sample,
-                        choice.kernel,
-                    ) {
-                        let _ = slot.set(skip);
-                    }
+            if let Some((slot, sample)) = crate::find_dominance_skip_slot(input_exec.as_ref()) {
+                if let Some(skip) =
+                    crate::scan_disk::DominanceSkip::from_sample(&spec.dims, sample, choice.kernel)
+                {
+                    let _ = slot.set(skip);
                 }
             }
             // The pairwise merge consumes the local skylines' distribution

@@ -2,17 +2,25 @@
 //! blocks from metadata — static min/max pruning for pushed-down filter
 //! conjuncts and dominance pruning against the skyline of the table's
 //! footer sample — before any I/O or decode happens.
+//!
+//! Skipping is not a mode: every scan consults both tiers, and both are
+//! sound on their own (see `sparkline_storage`'s crate docs). Min/max
+//! pruning only discards blocks the filter above the scan would empty,
+//! and the dominance gate — present only when the skyline planner
+//! installed one — only blocks whose rows a real input row strictly
+//! dominates. The gate's points live in a [`ColumnarBlock`] and each
+//! block's best corner is tested as one encoded candidate, on the same
+//! dominance kernel as the skyline operators.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
 use sparkline_common::{
-    DominanceKernel, Result, Row, SchemaRef, SkylineDim, SkylineSpec, SkylineType, Value,
+    DataType, DominanceKernel, Result, Row, SchemaRef, SkylineDim, SkylineSpec, SkylineType, Value,
 };
 use sparkline_exec::{partition::even_ranges, FaultSite, PartitionStream, TaskContext};
 use sparkline_plan::{BinaryOp, Expr};
-use sparkline_skyline::columnar::PointBlock;
-use sparkline_skyline::{bnl_skyline, DominanceChecker, SkylineStats};
+use sparkline_skyline::{bnl_skyline, ColumnarBlock, DominanceChecker, SkylineStats};
 use sparkline_storage::{BlockDecoder, BlockMeta, DiskTable};
 
 use crate::ExecutionPlan;
@@ -27,7 +35,9 @@ pub struct ColumnPredicate {
     pub col: usize,
     /// The comparison, normalized to `column <op> value`.
     pub op: BinaryOp,
-    /// The literal, as a finite f64.
+    /// The literal as an `f64`: never NaN, possibly ±inf (an infinite
+    /// bound refutes only what every finite value would, so it is as
+    /// sound as any other).
     pub value: f64,
 }
 
@@ -130,19 +140,20 @@ pub fn extract_column_predicates(predicate: &Expr) -> Vec<ColumnPredicate> {
     out
 }
 
-/// Dominance-skipping state: the scan's ranked dimensions in folded
-/// (smaller-is-better) order and the gate's points, folded the same way.
-/// Installed by the skyline planner *after* the scan is built (the points
-/// are the footer sample narrowed by the filters above the scan), hence
-/// the write-once slot.
+/// Dominance-skipping state: the gate's points — the skyline of the
+/// footer-sample rows that reach the skyline operator — in a
+/// [`ColumnarBlock`] on the plan's kernel. Installed by the skyline
+/// planner *after* the scan is built (the points are the footer sample
+/// narrowed by the filters above the scan), hence the write-once slot.
 #[derive(Debug)]
 pub struct DominanceSkip {
-    /// `(column, negate)` per ranked dimension: a MIN dimension folds as
-    /// `v`, a MAX dimension as `-v` (matching the block corner fold).
-    dims: Vec<(usize, bool)>,
-    /// Folded points: the skyline of sample rows that are real rows of
-    /// the skyline operator's input.
-    points: PointBlock,
+    /// Per ranked dimension: its column in the scan, whether it is a MAX
+    /// dimension, and the type of its corner value (the points' type).
+    dims: Vec<(usize, bool, DataType)>,
+    /// The gate's points, projected onto the ranked dimensions: point
+    /// column `i` is dimension `i`, so two dimensions over one column
+    /// keep their own corner values.
+    points: ColumnarBlock,
 }
 
 impl DominanceSkip {
@@ -151,72 +162,84 @@ impl DominanceSkip {
     /// computed on `kernel` and never truncated. Keeping only the skyline
     /// skips exactly the blocks the whole sample would: a sample row that
     /// dominates a corner is a skyline member or dominated by one, and
-    /// complete dominance is transitive. Returns `None` when no point
-    /// folds cleanly (a non-numeric dimension value disqualifies the
-    /// point, not the whole set) or when `dims` contains a DIFF dimension
-    /// — corner dominance is only defined over ranked MIN/MAX dimensions.
+    /// complete dominance is transitive. Returns `None` when `dims`
+    /// contains a DIFF dimension — corner dominance is only defined over
+    /// ranked MIN/MAX dimensions — when the points cannot be held by the
+    /// kernel's block (it demoted to scalar fallback, e.g. on a string
+    /// dimension), or when every point is NULL in some dimension (no
+    /// point can dominate then); each only costs skips, never rows.
     pub fn from_sample(
         dims: &[SkylineDim],
         sample: Vec<Row>,
         kernel: DominanceKernel,
     ) -> Option<Self> {
-        let folded_dims: Vec<(usize, bool)> = dims
-            .iter()
-            .map(|d| match d.ty {
-                SkylineType::Min => Some((d.index, false)),
-                SkylineType::Max => Some((d.index, true)),
-                SkylineType::Diff => None,
-            })
-            .collect::<Option<_>>()?;
-        // `DISTINCT`: tied points skip the same blocks, so one suffices.
-        let checker = DominanceChecker::complete(SkylineSpec::distinct(dims.to_vec()));
-        let points = bnl_skyline(sample, &checker, &mut SkylineStats::default(), kernel);
-        let mut block = PointBlock::with_kernel(folded_dims.len(), kernel);
-        let mut folded = Vec::with_capacity(folded_dims.len());
-        'points: for p in &points {
-            folded.clear();
-            for &(col, negate) in &folded_dims {
-                match sparkline_common::stats::numeric_value(p.get(col)) {
-                    Some(v) => folded.push(if negate { -v } else { v }),
-                    None => continue 'points,
-                }
-            }
-            block.push(&folded);
-        }
-        if block.is_empty() {
+        if dims.iter().any(|d| d.ty == SkylineType::Diff) {
             return None;
         }
-        Some(DominanceSkip {
-            dims: folded_dims,
-            points: block,
-        })
+        let sample: Vec<Row> = sample
+            .iter()
+            .map(|r| Row::new(dims.iter().map(|d| r.get(d.index).clone()).collect()))
+            .collect();
+        // `DISTINCT`: tied points skip the same blocks, so one suffices.
+        let spec = SkylineSpec::distinct(
+            (dims.iter().enumerate())
+                .map(|(i, d)| SkylineDim::new(i, d.ty))
+                .collect(),
+        );
+        let checker = DominanceChecker::complete(spec);
+        let skyline = bnl_skyline(sample, &checker, &mut SkylineStats::default(), kernel);
+        let mut points = ColumnarBlock::for_checker_with(&checker, kernel);
+        for p in &skyline {
+            points.push(p);
+        }
+        // Ascending score keys end each corner's walk at its bound.
+        points.sort_by_key();
+        if points.is_empty() || points.is_fallback() {
+            return None;
+        }
+        let dims = (dims.iter().enumerate())
+            .map(|(i, d)| {
+                let ty = (skyline.iter())
+                    .map(|p| p.get(i).data_type())
+                    .find(|ty| *ty != DataType::Null)?;
+                Some((d.index, d.ty == SkylineType::Max, ty))
+            })
+            .collect::<Option<_>>()?;
+        Some(DominanceSkip { dims, points })
     }
 
-    /// Whether some point strictly dominates the block's
-    /// best corner — then it dominates every row of the block (corner ≤
-    /// row component-wise, dominance is transitive on the complete
-    /// relation) and the block can be skipped unread. Requires the ranked
-    /// columns fully numeric (no NULLs, no strings/NaN), else the corner
-    /// doesn't bound every row, and their bounds exact, else a point
-    /// rounded to `f64` may compare differently against the corner than
-    /// its true value (Int64 beyond 2^53); otherwise the block must be
-    /// read. Returns the corner tests spent alongside the verdict.
+    /// Whether some point strictly dominates the block's best corner —
+    /// then it dominates every row of the block (the corner is at least
+    /// as good as each row in every dimension, dominance is transitive on
+    /// the complete relation) and the block can be skipped unread.
+    /// Requires the ranked columns fully numeric (no NULLs, no
+    /// strings/NaN), else the corner doesn't bound every row, and their
+    /// bounds exact, else the `f64` footer bound of an Int64 column beyond
+    /// 2^53 may have rounded past the row it stands for; otherwise the
+    /// block must be read. Returns the corner tests spent alongside the
+    /// verdict.
     fn skips(&self, meta: &BlockMeta) -> (u64, bool) {
         let mut corner = Vec::with_capacity(self.dims.len());
-        for &(col, negate) in &self.dims {
-            let Some(c) = meta.columns.get(col) else {
+        for &(index, max, ty) in &self.dims {
+            let Some(c) = meta.columns.get(index) else {
                 return (0, false);
             };
             if !c.fully_numeric() || !c.exact_bounds() {
                 return (0, false);
             }
-            match c.folded_best(negate) {
+            match c.best_corner(max, ty) {
                 Some(v) => corner.push(v),
                 None => return (0, false),
             }
         }
-        let (tests, dominator) = self.points.first_dominator(&corner);
-        (tests, dominator.is_some())
+        let Some(corner) = self.points.encode(&Row::new(corner)) else {
+            return (0, false);
+        };
+        let mut dominated = Vec::with_capacity(1);
+        let pass = self
+            .points
+            .first_dominators(std::slice::from_ref(&corner), &mut dominated);
+        (pass.tested, dominated[0].is_some())
     }
 }
 
@@ -234,8 +257,6 @@ pub struct DiskScanExec {
     schema: SchemaRef,
     bounds: Vec<ColumnPredicate>,
     skip: Arc<OnceLock<DominanceSkip>>,
-    minmax_enabled: bool,
-    dominance_enabled: bool,
 }
 
 impl DiskScanExec {
@@ -248,8 +269,6 @@ impl DiskScanExec {
             schema,
             bounds: Vec::new(),
             skip: Arc::new(OnceLock::new()),
-            minmax_enabled: true,
-            dominance_enabled: true,
         }
     }
 
@@ -260,27 +279,9 @@ impl DiskScanExec {
         self
     }
 
-    /// Gate the two skipping tiers (the `SessionConfig` A/B knobs).
-    pub fn with_skipping(mut self, minmax: bool, dominance: bool) -> Self {
-        self.minmax_enabled = minmax;
-        self.dominance_enabled = dominance;
-        self
-    }
-
     /// The scanned table.
     pub fn table(&self) -> &Arc<DiskTable> {
         &self.table
-    }
-
-    /// Skip decision for one block (see [`skip_verdict`]).
-    fn block_skip(&self, meta: &BlockMeta) -> (u64, Option<SkipKind>) {
-        skip_verdict(
-            &self.bounds,
-            &self.skip,
-            self.minmax_enabled,
-            self.dominance_enabled,
-            meta,
-        )
     }
 }
 
@@ -296,23 +297,16 @@ enum SkipKind {
 fn skip_verdict(
     bounds: &[ColumnPredicate],
     skip: &OnceLock<DominanceSkip>,
-    minmax_enabled: bool,
-    dominance_enabled: bool,
     meta: &BlockMeta,
 ) -> (u64, Option<SkipKind>) {
-    if minmax_enabled && bounds.iter().any(|b| b.refutes(meta)) {
+    if bounds.iter().any(|b| b.refutes(meta)) {
         return (0, Some(SkipKind::MinMax));
     }
-    if dominance_enabled {
-        if let Some(skip) = skip.get() {
-            let (tests, skips) = skip.skips(meta);
-            if skips {
-                return (tests, Some(SkipKind::Dominance));
-            }
-            return (tests, None);
-        }
+    match skip.get().map(|skip| skip.skips(meta)) {
+        Some((tests, true)) => (tests, Some(SkipKind::Dominance)),
+        Some((tests, false)) => (tests, None),
+        None => (0, None),
     }
-    (0, None)
 }
 
 impl ExecutionPlan for DiskScanExec {
@@ -347,8 +341,6 @@ impl ExecutionPlan for DiskScanExec {
                 let schema = self.schema();
                 let bounds = self.bounds.clone();
                 let skip = Arc::clone(&self.skip);
-                let minmax_enabled = self.minmax_enabled;
-                let dominance_enabled = self.dominance_enabled;
                 let ctx = ctx.clone();
                 let mut block = start;
                 let mut seq = 0u64;
@@ -380,8 +372,7 @@ impl ExecutionPlan for DiskScanExec {
                         };
                         block += 1;
                         let meta = table.block_meta(i);
-                        let (tests, verdict) =
-                            skip_verdict(&bounds, &skip, minmax_enabled, dominance_enabled, meta);
+                        let (tests, verdict) = skip_verdict(&bounds, &skip, meta);
                         if tests > 0 {
                             ctx.metrics.corner_tests.fetch_add(tests, Ordering::Relaxed);
                         }
@@ -418,7 +409,7 @@ impl ExecutionPlan for DiskScanExec {
         let mut minmax = 0usize;
         let mut dominance = 0usize;
         for meta in self.table.blocks() {
-            match self.block_skip(meta).1 {
+            match skip_verdict(&self.bounds, &self.skip, meta).1 {
                 Some(SkipKind::MinMax) => minmax += 1,
                 Some(SkipKind::Dominance) => dominance += 1,
                 None => {}
@@ -454,9 +445,18 @@ mod tests {
     }
 
     fn disk_table(name: &str, rows: &[Row], block_rows: usize) -> (Arc<DiskTable>, SchemaRef) {
+        disk_table_of(name, DataType::Float64, rows, block_rows)
+    }
+
+    fn disk_table_of(
+        name: &str,
+        data_type: DataType,
+        rows: &[Row],
+        block_rows: usize,
+    ) -> (Arc<DiskTable>, SchemaRef) {
         let schema = Schema::new(vec![
-            Field::new("a", DataType::Float64, false),
-            Field::new("b", DataType::Float64, false),
+            Field::new("a", data_type, false),
+            Field::new("b", data_type, false),
         ])
         .into_ref();
         let path = temp_file(name);
@@ -520,10 +520,8 @@ mod tests {
         // predicate is still present (the filter above does the exact cut).
         let kept: Vec<&Row> = rows.iter().filter(|r| f(r, 0) < 250.0).collect();
         assert!(kept.iter().all(|r| got.contains(r)));
-        // Skipping off reads everything and returns a superset too.
-        let all = DiskScanExec::new("t", table, schema)
-            .with_bounds(vec![bound])
-            .with_skipping(false, true);
+        // Without bounds the scan reads every block.
+        let all = DiskScanExec::new("t", table, schema);
         let ctx2 = TaskContext::new(2);
         let everything = sparkline_exec::partition::flatten(all.execute(&ctx2).unwrap());
         assert_eq!(everything, rows);
@@ -559,6 +557,21 @@ mod tests {
         assert!(!refutes(BinaryOp::Eq, 150.0));
     }
 
+    /// Install the gate built from the scan's own footer sample, run the
+    /// scan, and return its rows with the scan's metrics.
+    fn gated_scan(
+        scan: &DiskScanExec,
+        dims: &[SkylineDim],
+    ) -> (Vec<Row>, sparkline_exec::MetricsSnapshot) {
+        let (slot, sample) = scan.dominance_skip_slot().unwrap();
+        let skip =
+            DominanceSkip::from_sample(dims, sample.to_vec(), DominanceKernel::Auto).unwrap();
+        slot.set(skip).unwrap();
+        let ctx = TaskContext::new(2);
+        let got = sparkline_exec::partition::flatten(scan.execute(&ctx).unwrap());
+        (got, ctx.metrics.snapshot())
+    }
+
     #[test]
     fn dominance_skip_drops_dominated_blocks() {
         // Blocks of 100 rows; rows in block k have a = b = k*100 + i, so
@@ -576,14 +589,8 @@ mod tests {
         // The footer sample holds every row; its skyline is the global
         // optimum (0, 0), which strictly dominates the best corner of
         // every block but its own.
-        let (slot, sample) = scan.dominance_skip_slot().unwrap();
-        assert_eq!(sample, rows.as_slice());
-        let skip =
-            DominanceSkip::from_sample(&dims, sample.to_vec(), DominanceKernel::Auto).unwrap();
-        slot.set(skip).unwrap();
-        let ctx = TaskContext::new(2);
-        let got = sparkline_exec::partition::flatten(scan.execute(&ctx).unwrap());
-        let snap = ctx.metrics.snapshot();
+        assert_eq!(scan.dominance_skip_slot().unwrap().1, rows.as_slice());
+        let (got, snap) = gated_scan(&scan, &dims);
         assert_eq!(snap.blocks_skipped_dominance, 4, "blocks 1..5 dominated");
         assert_eq!(snap.blocks_read, 1);
         assert!(snap.corner_tests > 0);
@@ -593,8 +600,8 @@ mod tests {
 
     #[test]
     fn blocks_with_nulls_or_max_dims_fold_correctly() {
-        // MAX dimension: corner is -max; the sample's skyline (299, 299)
-        // dominates blocks of smaller values.
+        // MAX dimensions: the corner is the max; the sample's skyline
+        // (299, 299) dominates blocks of smaller values.
         let rows: Vec<Row> = (0..300)
             .map(|i| Row::new(vec![Value::Float64(i as f64), Value::Float64(i as f64)]))
             .collect();
@@ -604,14 +611,81 @@ mod tests {
             SkylineDim::new(0, SkylineType::Max),
             SkylineDim::new(1, SkylineType::Max),
         ];
-        let (slot, sample) = scan.dominance_skip_slot().unwrap();
-        let skip =
-            DominanceSkip::from_sample(&dims, sample.to_vec(), DominanceKernel::Auto).unwrap();
-        slot.set(skip).unwrap();
-        let ctx = TaskContext::new(1);
-        let got = sparkline_exec::partition::flatten(scan.execute(&ctx).unwrap());
+        let (got, snap) = gated_scan(&scan, &dims);
         assert_eq!(got, rows[200..].to_vec(), "only the top block survives");
-        assert_eq!(ctx.metrics.snapshot().blocks_skipped_dominance, 2);
+        assert_eq!(snap.blocks_skipped_dominance, 2);
+    }
+
+    #[test]
+    fn corners_equal_to_a_gate_point_are_read() {
+        // Blocks of two rows; the DISTINCT point (0, 0) equals the corner
+        // of blocks 0 and 1 — each holds a tied skyline row, so neither
+        // may be skipped — and strictly dominates block 2's (1, 1).
+        let rows: Vec<Row> = [(0.0, 0.0), (1.0, 1.0), (0.0, 0.0), (2.0, 2.0)]
+            .into_iter()
+            .chain([(1.0, 1.0), (3.0, 3.0)])
+            .map(|(a, b)| Row::new(vec![Value::Float64(a), Value::Float64(b)]))
+            .collect();
+        let (table, schema) = disk_table("ties", &rows, 2);
+        let scan = DiskScanExec::new("t", table, schema);
+        let dims = [
+            SkylineDim::new(0, SkylineType::Min),
+            SkylineDim::new(1, SkylineType::Min),
+        ];
+        let (got, snap) = gated_scan(&scan, &dims);
+        assert_eq!(snap.blocks_skipped_dominance, 1, "only block 2");
+        assert_eq!(snap.blocks_read, 2);
+        assert_eq!(got, rows[..4].to_vec());
+    }
+
+    #[test]
+    fn int64_corners_compare_as_integers() {
+        // Int64 columns near 2^53 (bounds still exact): the corners are
+        // typed Int64 and compared on the integer lanes. a MIN, b MAX.
+        const B: i64 = (1 << 53) - 4;
+        let rows: Vec<Row> = [
+            (B, 9),
+            (B + 1, 5),
+            (B + 1, 8),
+            (B + 2, 8),
+            (B + 3, 10),
+            (B + 3, 9),
+        ]
+        .into_iter()
+        .map(|(a, b)| Row::new(vec![Value::Int64(a), Value::Int64(b)]))
+        .collect();
+        let (table, schema) = disk_table_of("int64", DataType::Int64, &rows, 2);
+        let scan = DiskScanExec::new("t", table, schema);
+        let dims = [
+            SkylineDim::new(0, SkylineType::Min),
+            SkylineDim::new(1, SkylineType::Max),
+        ];
+        // Block 1's corner (B + 1, 8) is strictly dominated by (B, 9);
+        // block 2's (B + 3, 10) is better on b than every point but its own.
+        let (got, snap) = gated_scan(&scan, &dims);
+        assert_eq!(snap.blocks_skipped_dominance, 1, "{snap:?}");
+        assert_eq!(snap.blocks_read, 2);
+        assert_eq!(got, [&rows[..2], &rows[4..]].concat());
+    }
+
+    #[test]
+    fn repeated_dims_keep_their_own_corners() {
+        // `a MIN, a MAX, b MIN`: block 0's corner is (1, 2, 5). The point
+        // (2, 2, 0) is worse on the MIN copy of `a`, so block 0 is read.
+        let rows: Vec<Row> = [(1.0, 5.0), (2.0, 5.0), (2.0, 0.0)]
+            .into_iter()
+            .map(|(a, b)| Row::new(vec![Value::Float64(a), Value::Float64(b)]))
+            .collect();
+        let (table, schema) = disk_table("repeated", &rows, 2);
+        let scan = DiskScanExec::new("t", table, schema);
+        let dims = [
+            SkylineDim::new(0, SkylineType::Min),
+            SkylineDim::new(0, SkylineType::Max),
+            SkylineDim::new(1, SkylineType::Min),
+        ];
+        let (got, snap) = gated_scan(&scan, &dims);
+        assert_eq!(snap.blocks_skipped_dominance, 0, "{snap:?}");
+        assert_eq!(got, rows);
     }
 
     #[test]

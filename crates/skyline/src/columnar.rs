@@ -1292,153 +1292,6 @@ impl ColumnarBlock {
     }
 }
 
-/// Struct-of-arrays block of plain `f64` points in folded ("smaller is
-/// better") space — the disk scan's dominance-skip points live here, so
-/// the block-corner test runs on the same chunked kernel as the row
-/// windows.
-#[derive(Debug, Clone)]
-pub struct PointBlock {
-    dims: usize,
-    len: usize,
-    cols: Vec<Vec<f64>>,
-    tier: KernelTier,
-}
-
-impl PointBlock {
-    /// Empty block of `dims`-dimensional points, tier auto-detected.
-    pub fn new(dims: usize) -> Self {
-        PointBlock::with_tier(dims, KernelTier::detect())
-    }
-
-    /// Empty block dispatching to the tier the `kernel` knob resolves to.
-    pub fn with_kernel(dims: usize, kernel: DominanceKernel) -> Self {
-        PointBlock::with_tier(dims, KernelTier::resolve(kernel))
-    }
-
-    /// Empty block pinned to an explicit compare tier.
-    pub fn with_tier(dims: usize, tier: KernelTier) -> Self {
-        PointBlock {
-            dims,
-            len: 0,
-            cols: (0..dims).map(|_| Vec::new()).collect(),
-            tier,
-        }
-    }
-
-    /// Resolved compare tier of this block.
-    pub fn tier(&self) -> KernelTier {
-        self.tier
-    }
-
-    /// Whether comparisons run on a SIMD tier.
-    pub fn is_simd(&self) -> bool {
-        self.tier.is_simd()
-    }
-
-    /// Number of stored points.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the block holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Append one point.
-    pub fn push(&mut self, point: &[f64]) {
-        assert_eq!(point.len(), self.dims, "point dimensionality mismatch");
-        for (col, &v) in self.cols.iter_mut().zip(point) {
-            col.push(v);
-        }
-        self.len += 1;
-    }
-
-    /// First stored point that strictly dominates `point` (component-wise
-    /// `<=` everywhere and `<` somewhere, smaller-is-better), plus the
-    /// number of point-vs-point tests performed (chunk-granular early
-    /// exit).
-    pub fn first_dominator(&self, point: &[f64]) -> (u64, Option<usize>) {
-        assert_eq!(point.len(), self.dims, "point dimensionality mismatch");
-        let mut tested = 0u64;
-        let mut base = 0;
-        while base < self.len {
-            let m = CHUNK.min(self.len - base);
-            let (a, b) = self.point_masks(point, base, m);
-            tested += m as u64;
-            // Dominator: never better on the candidate side, strictly
-            // better somewhere on the stored side.
-            let dominators = b & !a & mask(m);
-            if dominators != 0 {
-                return (tested, Some(base + dominators.trailing_zeros() as usize));
-            }
-            base += m;
-        }
-        (tested, None)
-    }
-
-    /// Multi-point variant of [`first_dominator`](Self::first_dominator):
-    /// one chunk-major walk over the stored points serves every query
-    /// point, with per-lane early exit and a chunk-granular stop once all
-    /// lanes found a dominator. Returns the number of point-vs-point tests
-    /// performed.
-    pub fn first_dominators(&self, points: &[&[f64]], dominated: &mut Vec<Option<usize>>) -> u64 {
-        for p in points {
-            assert_eq!(p.len(), self.dims, "point dimensionality mismatch");
-        }
-        dominated.clear();
-        dominated.resize(points.len(), None);
-        let mut live = points.len();
-        let mut tested = 0u64;
-        let mut base = 0;
-        while base < self.len && live > 0 {
-            let m = CHUNK.min(self.len - base);
-            for (lane, point) in points.iter().enumerate() {
-                if dominated[lane].is_some() {
-                    continue;
-                }
-                let (a, b) = self.point_masks(point, base, m);
-                tested += m as u64;
-                let dom = b & !a & mask(m);
-                if dom != 0 {
-                    dominated[lane] = Some(base + dom.trailing_zeros() as usize);
-                    live -= 1;
-                }
-            }
-            base += m;
-        }
-        tested
-    }
-
-    /// Query-better (`a`) / stored-better (`b`) bits for points
-    /// `[base, base + m)`, dispatched to the block's compare tier.
-    fn point_masks(&self, point: &[f64], base: usize, m: usize) -> (u64, u64) {
-        let mut a: u64 = 0; // candidate strictly better somewhere
-        let mut b: u64 = 0; // stored point strictly better somewhere
-        match self.tier {
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx2 => {
-                for (col, &v) in self.cols.iter().zip(point) {
-                    // SAFETY: the `Avx2` tier is only resolved after
-                    // `is_x86_feature_detected!("avx2")`.
-                    unsafe {
-                        simd::ranked_f64_avx2(&col[base..base + m], v, &mut a, &mut b);
-                    }
-                }
-            }
-            _ => {
-                for (col, &v) in self.cols.iter().zip(point) {
-                    for (k, &x) in col[base..base + m].iter().enumerate() {
-                        a |= u64::from(v < x) << k;
-                        b |= u64::from(x < v) << k;
-                    }
-                }
-            }
-        }
-        (a, b)
-    }
-}
-
 fn mask(m: usize) -> u64 {
     if m >= 64 {
         u64::MAX
@@ -2095,70 +1948,108 @@ mod tests {
         assert!(block.encode(&cand).is_none());
     }
 
+    /// A block of float points — the disk scan's dominance gate — and
+    /// the first point strictly dominating one candidate (a block's best
+    /// corner), through the single-lane multi-candidate pass.
+    fn point_block(points: &[[f64; 2]], tier: KernelTier) -> ColumnarBlock {
+        let mut block = ColumnarBlock::with_tier(&min_min_spec(), false, tier);
+        for p in points {
+            block.push(&Row::new(vec![Value::Float64(p[0]), Value::Float64(p[1])]));
+        }
+        assert!(!block.is_fallback());
+        block
+    }
+
+    fn first_point_dominator(block: &ColumnarBlock, corner: [f64; 2]) -> (u64, Option<usize>) {
+        let row = Row::new(vec![Value::Float64(corner[0]), Value::Float64(corner[1])]);
+        let cand = block.encode(&row).unwrap();
+        let mut dominated = Vec::new();
+        let res = block.first_dominators(std::slice::from_ref(&cand), &mut dominated);
+        (res.tested, dominated[0])
+    }
+
     #[test]
     fn point_block_finds_first_dominator() {
-        let mut pb = PointBlock::new(2);
-        pb.push(&[5.0, 5.0]); // incomparable corner
-        pb.push(&[2.0, 2.0]); // dominator
-        pb.push(&[0.0, 0.0]); // also a dominator, but later
-        let (tested, hit) = pb.first_dominator(&[3.0, 3.0]);
+        let pb = point_block(
+            &[
+                [5.0, 5.0], // incomparable corner
+                [2.0, 2.0], // dominator
+                [0.0, 0.0], // also a dominator, but later
+            ],
+            KernelTier::detect(),
+        );
+        let (tested, hit) = first_point_dominator(&pb, [3.0, 3.0]);
         assert_eq!(hit, Some(1));
         assert_eq!(tested, 3);
         // Equal corner is not a strict dominator.
-        let (_, none) = pb.first_dominator(&[0.0, 0.0]);
+        let (_, none) = first_point_dominator(&pb, [0.0, 0.0]);
         assert_eq!(none, None);
     }
 
     #[test]
     fn point_block_early_exits_between_chunks() {
-        let mut pb = PointBlock::new(2);
-        for i in 0..70 {
-            pb.push(&[100.0 + i as f64, 100.0]);
-        }
-        pb.push(&[0.0, 0.0]);
-        for _ in 0..70 {
-            pb.push(&[100.0, 100.0]);
-        }
-        let (tested, hit) = pb.first_dominator(&[50.0, 50.0]);
+        let mut points: Vec<[f64; 2]> = (0..70).map(|i| [100.0 + i as f64, 100.0]).collect();
+        points.push([0.0, 0.0]);
+        points.extend(std::iter::repeat_n([100.0, 100.0], 70));
+        let pb = point_block(&points, KernelTier::detect());
+        // Arrival order is not key order, so no bound: the walk ends with
+        // the chunk holding the dominator.
+        assert!(!pb.is_ordered());
+        let (tested, hit) = first_point_dominator(&pb, [50.0, 50.0]);
         assert_eq!(hit, Some(70));
         assert_eq!(tested, 128);
     }
 
     #[test]
     fn point_block_tiers_and_multi_agree() {
-        let mut points: Vec<Vec<f64>> = Vec::new();
+        let mut points: Vec<[f64; 2]> = Vec::new();
         let mut state = 1u64;
         for _ in 0..150 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let x = (state >> 33) % 100;
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let y = (state >> 33) % 100;
-            points.push(vec![x as f64, y as f64]);
+            points.push([x as f64, y as f64]);
         }
-        let queries: Vec<Vec<f64>> = points
+        let queries: Vec<[f64; 2]> = points
             .iter()
             .take(30)
-            .map(|p| vec![p[0] + 1.0, p[1] + 1.0])
+            .map(|p| [p[0] + 1.0, p[1] + 1.0])
             .collect();
         let mut oracle: Option<Vec<Option<usize>>> = None;
         for tier in KernelTier::available() {
-            let mut pb = PointBlock::with_tier(2, tier);
-            for p in &points {
-                pb.push(p);
-            }
-            // Single-point scans agree across tiers...
-            let singles: Vec<Option<usize>> =
-                queries.iter().map(|q| pb.first_dominator(q).1).collect();
+            let mut pb = point_block(&points, tier);
+            // Single-corner passes agree across tiers...
+            let singles: Vec<Option<usize>> = queries
+                .iter()
+                .map(|&q| first_point_dominator(&pb, q).1)
+                .collect();
             match &oracle {
                 None => oracle = Some(singles.clone()),
                 Some(expected) => assert_eq!(expected, &singles, "tier {tier:?} diverged"),
             }
-            // ...and the multi-point walk matches them lane for lane.
-            let refs: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
+            // ...the multi-corner pass matches them lane for lane...
+            let cands: Vec<EncodedCandidate> = queries
+                .iter()
+                .map(|q| {
+                    pb.encode(&Row::new(vec![Value::Float64(q[0]), Value::Float64(q[1])]))
+                        .unwrap()
+                })
+                .collect();
             let mut dominated = Vec::new();
-            let tested = pb.first_dominators(&refs, &mut dominated);
-            assert!(tested > 0);
+            assert!(pb.first_dominators(&cands, &mut dominated).tested > 0);
             assert_eq!(dominated, singles, "tier {tier:?}");
+            // ...and the key-sorted block gives every corner the same
+            // verdict (strict dominance is all the gate reads).
+            pb.sort_by_key();
+            for (q, single) in queries.iter().zip(&singles) {
+                let (_, sorted) = first_point_dominator(&pb, *q);
+                assert_eq!(
+                    sorted.is_some(),
+                    single.is_some(),
+                    "tier {tier:?} corner {q:?}"
+                );
+            }
         }
     }
 }

@@ -40,9 +40,9 @@ pub struct SkylineStats {
     /// `<= batched_tests` (SIMD tests are batched tests).
     pub simd_tests: u64,
     /// Multi-candidate window passes performed
-    /// (`columnar::ColumnarBlock::first_dominators` and the `PointBlock`
-    /// corner variant): one walk over a block's buffers amortized
-    /// across up to `columnar::MULTI_LANES` candidates.
+    /// (`columnar::ColumnarBlock::first_dominators`): one walk over a
+    /// block's buffers amortized across up to `columnar::MULTI_LANES`
+    /// candidates.
     pub multi_candidate_passes: u64,
 }
 

@@ -53,18 +53,18 @@
 //!    *without* a numeric interpretation do, and such blocks are never
 //!    pruned (`non_numeric > 0` disables the predicate for that column).
 //!
-//! 2. **Dominance pruning** for skyline queries: fold the per-column
-//!    min/max into the block's **best corner** in smaller-is-better
-//!    space (a `MIN` dimension contributes `min`, a `MAX` dimension
-//!    `-max` — the `ColumnarBlock` sign-normalization convention). By
-//!    construction the best corner is component-wise ≤ every row of the
-//!    block. The points come from the footer sample (below): the planner
-//!    keeps the sample rows that pass the filters between the skyline
-//!    and the scan — *real rows* of the skyline operator's input — and
-//!    takes their skyline. If such a point `p` strictly dominates the
-//!    corner `c` — `p ≤ c` everywhere, `p < c` somewhere — then for every
-//!    row `r` of the block `p ≤ c ≤ r` everywhere and `p < c ≤ r` in the
-//!    strict dimension: `p` strictly dominates every `r`. Since the
+//! 2. **Dominance pruning** for skyline queries: the per-column min/max
+//!    give the block's **best corner** (`ColumnMeta::best_corner`, one
+//!    value per ranked dimension: a `MIN` dimension contributes `min`, a
+//!    `MAX` dimension `max`, typed as the column). By construction the best corner is at least as good
+//!    as every row of the block in every ranked dimension. The points
+//!    come from the footer sample (below): the planner keeps the sample
+//!    rows that pass the filters between the skyline and the scan —
+//!    *real rows* of the skyline operator's input — and takes their
+//!    skyline. If such a point `p` strictly dominates the corner `c`,
+//!    then `p` is at least as good as `c`, hence as every row `r` of the
+//!    block, in every dimension, and strictly better than `c`, hence than
+//!    `r`, in the strict one: `p` strictly dominates every `r`. Since the
 //!    complete dominance relation is transitive and `p` survives to the
 //!    skyline operator's input, no skipped row can be a skyline member —
 //!    the block is discarded without being read. Keeping only the
@@ -72,14 +72,13 @@
 //!    corner is a skyline member or is dominated by one. The argument
 //!    needs every row comparable in every ranked dimension, so a block is
 //!    only eligible when its ranked columns have `null_count == 0` and
-//!    `non_numeric == 0`. It also needs the `f64` comparisons exact, so
-//!    the block's bounds must be below 2^53 in magnitude
-//!    (`ColumnMeta::exact_bounds`; min/max pruning needs the same): an
-//!    Int64 value beyond that may round, and a rounded point could
-//!    "dominate" the corner of a row it is incomparable with. The §5.7
-//!    incomplete relation is not transitive,
-//!    so dominance skipping is never applied to it (the planner only
-//!    installs the gate for the complete family).
+//!    `non_numeric == 0`. It also needs the corner to be the block's true
+//!    extreme, so the block's bounds must be below 2^53 in magnitude
+//!    (`ColumnMeta::exact_bounds`; min/max pruning needs the same): the
+//!    footer stores them as `f64`, and an Int64 extreme beyond that may
+//!    have rounded past the row it stands for. The §5.7 incomplete
+//!    relation is not transitive, so dominance skipping is never applied
+//!    to it (the planner only installs the gate for the complete family).
 //!
 //! The footer additionally stores a seeded reservoir sample of the whole
 //! table, taken for free during the single writer pass. The planner draws

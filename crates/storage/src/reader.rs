@@ -7,7 +7,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use sparkline_common::{Result, Row, SchemaRef};
+use sparkline_common::{DataType, Result, Row, SchemaRef, Value};
 
 use crate::format::{
     decode_schema, storage_err, BlockDecoderInner, ByteReader, FOOTER_MAGIC, FORMAT_VERSION, MAGIC,
@@ -52,24 +52,18 @@ impl ColumnMeta {
             .all(|v| v.abs() < F64_EXACT_INT_LIMIT)
     }
 
-    /// The column's contribution to the block's **best corner** in
-    /// folded smaller-is-better space: `min` for a MIN dimension, `-max`
-    /// for a MAX dimension (`negate = true`).
-    pub fn folded_best(&self, negate: bool) -> Option<f64> {
-        if negate {
-            self.max.map(|v| -v)
-        } else {
-            self.min
-        }
-    }
-
-    /// The column's contribution to the block's **worst corner** (folded
-    /// space): `max` for MIN, `-min` for MAX.
-    pub fn folded_worst(&self, negate: bool) -> Option<f64> {
-        if negate {
-            self.min.map(|v| -v)
-        } else {
-            self.max
+    /// The column's contribution to the block's **best corner**, typed
+    /// as the column's values: `min` for a MIN dimension, `max` for a MAX
+    /// dimension (`max = true`). `None` when no row has a numeric value
+    /// or the type has no numeric bounds. An Int64 bound is the column's
+    /// true extreme only under [`exact_bounds`](Self::exact_bounds).
+    pub fn best_corner(&self, max: bool, data_type: DataType) -> Option<Value> {
+        let v = if max { self.max } else { self.min }?;
+        match data_type {
+            DataType::Int64 => Some(Value::Int64(v as i64)),
+            DataType::Float64 => Some(Value::Float64(v)),
+            DataType::Boolean => Some(Value::Boolean(v != 0.0)),
+            DataType::Null | DataType::Utf8 => None,
         }
     }
 }
@@ -425,10 +419,17 @@ mod tests {
             min: Some(-2.0),
             max: Some(7.0),
         };
-        assert_eq!(meta.folded_best(false), Some(-2.0), "MIN dim: min");
-        assert_eq!(meta.folded_best(true), Some(-7.0), "MAX dim: -max");
-        assert_eq!(meta.folded_worst(false), Some(7.0));
-        assert_eq!(meta.folded_worst(true), Some(2.0));
+        let float = |max| meta.best_corner(max, DataType::Float64);
+        assert_eq!(float(false), Some(Value::Float64(-2.0)), "MIN dim: min");
+        assert_eq!(float(true), Some(Value::Float64(7.0)), "MAX dim: max");
+        let int = |max| meta.best_corner(max, DataType::Int64);
+        assert_eq!(int(false), Some(Value::Int64(-2)), "typed as the column");
+        assert_eq!(int(true), Some(Value::Int64(7)));
+        assert_eq!(
+            meta.best_corner(true, DataType::Boolean),
+            Some(Value::Boolean(true))
+        );
+        assert_eq!(meta.best_corner(false, DataType::Utf8), None);
         assert!(meta.fully_numeric());
     }
 

@@ -5,9 +5,9 @@
 //!   — across the shared Börzsönyi matrix (± NULLs), the streaming and
 //!   materialized execution models, and every dominance-kernel knob;
 //! * block skipping (both min/max and dominance) is a pure perf
-//!   optimisation: turning it off must not change a single row, and
-//!   turning it on must only move work from `blocks_read` to the
-//!   `blocks_skipped_*` counters;
+//!   optimisation: the skipping disk run returns the rows of the same
+//!   query over the same rows in memory, and every block of the table is
+//!   counted once, read or skipped;
 //! * the dominance gate takes its points only from footer-sample rows
 //!   that pass the query's `WHERE`, never reads past a NULL-bearing
 //!   block's corner, and is absent where it would be unsound (a
@@ -125,40 +125,39 @@ fn disk_tables_match_memory_tables_on_every_kernel() {
 fn dominance_skipping_is_invisible_and_counted() {
     let dir = TempDir::new("dominance");
     let rows = generate("correlated", 7, 4000, 3, false);
-    let base = SessionConfig::default()
+    let config = SessionConfig::default()
         .with_executors(3)
         .with_storage_block_rows(128);
     let sql = skyline_sql(3);
 
-    let on = disk_session(rows.clone(), 3, false, base.clone(), &dir, "on");
-    let off = disk_session(
-        rows.clone(),
-        3,
-        false,
-        base.with_disk_dominance_skipping(false),
-        &dir,
-        "off",
-    );
-    let r_on = on.sql(&sql).unwrap().collect().unwrap();
-    let r_off = off.sql(&sql).unwrap().collect().unwrap();
-    assert_eq!(r_on.sorted_display(), r_off.sorted_display());
+    let mem = session_with(rows.clone(), 3, false, config.clone());
+    let disk = disk_session(rows, 3, false, config, &dir, "disk");
+    let r_mem = mem.sql(&sql).unwrap().collect().unwrap();
+    let r_disk = disk.sql(&sql).unwrap().collect().unwrap();
+    assert_eq!(r_disk.sorted_display(), r_mem.sorted_display());
 
     assert!(
-        r_on.metrics.blocks_skipped_dominance > 0,
+        r_disk.metrics.blocks_skipped_dominance > 0,
         "correlated data should let the sample's skyline prune blocks: {:?}",
-        r_on.metrics
+        r_disk.metrics
     );
-    assert_eq!(r_off.metrics.blocks_skipped_dominance, 0);
-    assert!(
-        r_on.metrics.bytes_decoded < r_off.metrics.bytes_decoded,
-        "skipping must strictly reduce decoded bytes ({} vs {})",
-        r_on.metrics.bytes_decoded,
-        r_off.metrics.bytes_decoded
-    );
-    // Every block is accounted for exactly once: read or skipped.
+    // Every block is accounted for exactly once: read or skipped. The
+    // unfiltered query leaves min/max nothing to refute.
+    let blocks = 4000_u64.div_ceil(128);
+    assert_eq!(r_disk.metrics.blocks_skipped_minmax, 0);
     assert_eq!(
-        r_on.metrics.blocks_read + r_on.metrics.blocks_skipped_dominance,
-        r_off.metrics.blocks_read
+        r_disk.metrics.blocks_read + r_disk.metrics.blocks_skipped_dominance,
+        blocks
+    );
+    // Skipped blocks are never decoded: fewer bytes than the whole file's
+    // blocks, which a plain scan of the same table decodes.
+    let r_scan = disk.sql("SELECT * FROM t").unwrap().collect().unwrap();
+    assert_eq!(r_scan.metrics.blocks_read, blocks);
+    assert!(
+        r_disk.metrics.bytes_decoded < r_scan.metrics.bytes_decoded,
+        "skipping must strictly reduce decoded bytes ({} vs {})",
+        r_disk.metrics.bytes_decoded,
+        r_scan.metrics.bytes_decoded
     );
 }
 
@@ -176,36 +175,40 @@ fn minmax_skipping_prunes_filtered_scans() {
         };
         d0(a).partial_cmp(&d0(b)).unwrap()
     });
-    // Dominance skipping off on both sides, so every block the `on` run
-    // saves is a min/max skip.
     let config = SessionConfig::default()
         .with_executors(2)
-        .with_storage_block_rows(64)
-        .with_disk_dominance_skipping(false);
-    let sql = "SELECT * FROM t WHERE d0 < 0.25 SKYLINE OF d0 MIN, d1 MIN";
-
+        .with_storage_block_rows(64);
+    let blocks = 640 / 64;
     let mem = session_with(rows.clone(), 2, false, config.clone());
-    let on = disk_session(rows.clone(), 2, false, config.clone(), &dir, "on");
-    let off = disk_session(
-        rows.clone(),
-        2,
-        false,
-        config.with_disk_minmax_skipping(false),
-        &dir,
-        "off",
-    );
-    let r_mem = mem.sql(sql).unwrap().collect().unwrap();
-    let r_on = on.sql(sql).unwrap().collect().unwrap();
-    let r_off = off.sql(sql).unwrap().collect().unwrap();
-    assert_eq!(r_on.sorted_display(), r_mem.sorted_display());
-    assert_eq!(r_on.sorted_display(), r_off.sorted_display());
+    let disk = disk_session(rows, 2, false, config, &dir, "disk");
+
+    // A plain filtered scan has no skyline, so no dominance gate: every
+    // block it saves is a min/max skip.
+    let filtered = "SELECT * FROM t WHERE d0 < 0.25";
+    let r_mem = mem.sql(filtered).unwrap().collect().unwrap();
+    let r_disk = disk.sql(filtered).unwrap().collect().unwrap();
+    assert_eq!(r_disk.sorted_display(), r_mem.sorted_display());
     assert!(
-        r_on.metrics.blocks_skipped_minmax > 0,
+        r_disk.metrics.blocks_skipped_minmax > 0,
         "clustered file + range filter should skip blocks: {:?}",
-        r_on.metrics
+        r_disk.metrics
     );
-    assert_eq!(r_off.metrics.blocks_skipped_minmax, 0);
-    assert!(r_on.metrics.blocks_read < r_off.metrics.blocks_read);
+    assert_eq!(r_disk.metrics.blocks_skipped_dominance, 0);
+    assert_eq!(
+        r_disk.metrics.blocks_read + r_disk.metrics.blocks_skipped_minmax,
+        blocks
+    );
+
+    // The same filter under a skyline skips at least those blocks.
+    let sql = "SELECT * FROM t WHERE d0 < 0.25 SKYLINE OF d0 MIN, d1 MIN";
+    let r_mem = mem.sql(sql).unwrap().collect().unwrap();
+    let r_sky = disk.sql(sql).unwrap().collect().unwrap();
+    assert_eq!(r_sky.sorted_display(), r_mem.sorted_display());
+    assert_eq!(
+        r_sky.metrics.blocks_skipped_minmax,
+        r_disk.metrics.blocks_skipped_minmax
+    );
+    assert!(r_sky.metrics.blocks_read <= r_disk.metrics.blocks_read);
 }
 
 /// EXPLAIN over a disk table names the scan and its static skip counts.
@@ -242,8 +245,8 @@ fn floats(values: &[Option<f64>]) -> Row {
     )
 }
 
-/// Runs `sql` over `rows` held in memory, on disk, and on disk with both
-/// skip kinds off; asserts the three agree and returns the skipping run.
+/// Runs `sql` over `rows` held in memory and on disk; asserts the two
+/// agree and returns the disk run.
 fn skipping_run(
     rows: Vec<Row>,
     dims: usize,
@@ -257,27 +260,15 @@ fn skipping_run(
         .with_executors(2)
         .with_storage_block_rows(block_rows);
     let mem = session_with(rows.clone(), dims, nullable, config.clone());
-    let on = disk_session(rows.clone(), dims, nullable, config.clone(), &dir, "on");
-    let off = disk_session(
-        rows,
-        dims,
-        nullable,
-        config
-            .with_disk_minmax_skipping(false)
-            .with_disk_dominance_skipping(false),
-        &dir,
-        "off",
-    );
-    let r_on = on.sql(sql).unwrap().collect().unwrap();
+    let disk = disk_session(rows, dims, nullable, config, &dir, "disk");
+    let r_disk = disk.sql(sql).unwrap().collect().unwrap();
     let expected = mem.sql(sql).unwrap().collect().unwrap().sorted_display();
     assert_eq!(
-        r_on.sorted_display(),
+        r_disk.sorted_display(),
         expected,
         "{tag}: skipping changed rows"
     );
-    let r_off = off.sql(sql).unwrap().collect().unwrap();
-    assert_eq!(r_off.sorted_display(), expected, "{tag}: disk changed rows");
-    r_on
+    r_disk
 }
 
 /// The deterministic companion of `skipping_on_equals_skipping_off`:
@@ -351,6 +342,30 @@ fn dominance_gate_respects_where_clauses() {
         "{:?}",
         result.metrics
     );
+}
+
+/// Two dimensions over one column keep their own corner values: under
+/// `d0 MIN, d0 MAX, d1 MIN` block 0's corner is (1, 2, 5), which the
+/// gate point (2, 2, 0) does not dominate, so block 0 — holding the
+/// skyline member (1, 5) — is read. Only block 1, which holds the point
+/// itself, is read beside it.
+#[test]
+fn dominance_gate_keeps_repeated_dims_apart() {
+    let rows = vec![
+        floats(&[Some(1.0), Some(5.0)]),
+        floats(&[Some(2.0), Some(5.0)]),
+        floats(&[Some(2.0), Some(0.0)]),
+    ];
+    let result = skipping_run(
+        rows,
+        2,
+        false,
+        2,
+        "SELECT * FROM t SKYLINE OF d0 MIN, d0 MAX, d1 MIN",
+        "repeated",
+    );
+    assert_eq!(result.sorted_display(), ["(1.0, 5.0)", "(2.0, 0.0)"]);
+    assert_eq!(result.metrics.blocks_read, 2, "{:?}", result.metrics);
 }
 
 /// Where a dominance skip would be unsound, the planner installs no gate,
@@ -464,11 +479,12 @@ fn check_round_trip(values: Vec<Vec<Option<i32>>>, block_rows: usize) {
     assert_eq!(decoded, rows);
 }
 
-/// Block bounds and gate points are compared as `f64`, which rounds Int64
-/// values beyond 2^53: (2^53 + 1, 0) reads as (2^53, 0) and would
-/// "dominate" the block of its incomparable neighbour (2^53, 1), and
-/// `a < 2^53 + 1` would refute the block whose min is 2^53. Blocks with
-/// bounds that large are never skipped, so disk equals memory.
+/// Block bounds are stored as `f64`, which rounds Int64 values beyond
+/// 2^53: the block of (2^53 + 3, -1) records its min `a` as 2^53 + 4, a
+/// corner that its incomparable neighbour (2^53 + 4, -2) strictly
+/// dominates, and `a < 2^53 + 1` would refute the block whose min is
+/// 2^53 though it holds 2^53 itself. Blocks with bounds that large are
+/// never skipped, so disk equals memory.
 #[test]
 fn skipping_is_exact_for_int64_beyond_2_pow_53() {
     let dir = TempDir::new("int64");
@@ -479,9 +495,12 @@ fn skipping_is_exact_for_int64_beyond_2_pow_53() {
         ])
     };
     const BIG: i64 = 1 << 53;
+    // Four pairwise incomparable rows: `b` falls as `a` rises.
     let rows = vec![
         Row::new(vec![Value::Int64(BIG + 1), Value::Int64(0)]),
         Row::new(vec![Value::Int64(BIG), Value::Int64(1)]),
+        Row::new(vec![Value::Int64(BIG + 3), Value::Int64(-1)]),
+        Row::new(vec![Value::Int64(BIG + 4), Value::Int64(-2)]),
     ];
     let config = SessionConfig::default().with_storage_block_rows(1);
     let mem = SessionContext::with_config(config.clone());
@@ -492,7 +511,7 @@ fn skipping_is_exact_for_int64_beyond_2_pow_53() {
     disk.copy_table_to_disk("t", &path).unwrap();
     disk.register_disk_table("t", &path).unwrap();
     for (sql, expected_rows) in [
-        ("SELECT * FROM t SKYLINE OF a MIN, b MIN", 2),
+        ("SELECT * FROM t SKYLINE OF a MIN, b MIN", 4),
         (
             "SELECT * FROM t WHERE a < 9007199254740993 SKYLINE OF a MIN, b MIN",
             1,
@@ -502,13 +521,12 @@ fn skipping_is_exact_for_int64_beyond_2_pow_53() {
         assert_eq!(expected.len(), expected_rows, "{sql}");
         let got = disk.sql(sql).unwrap().collect().unwrap();
         assert_eq!(got.sorted_display(), expected, "{sql}");
-        assert_eq!(got.metrics.blocks_read, 2, "{sql}: {:?}", got.metrics);
+        assert_eq!(got.metrics.blocks_read, 4, "{sql}: {:?}", got.metrics);
     }
 }
 
 /// Block skipping is sound: for random data and block sizes, the disk
-/// skyline with both skip kinds on equals skipping off equals the
-/// in-memory run. Under `COMPLETE` the nullable schema plans the complete
+/// skyline, which skips blocks, equals the in-memory run. Under `COMPLETE` the nullable schema plans the complete
 /// family, so the dominance gate is live and NULL-bearing blocks meet its
 /// fully-numeric guard; without it, min/max pruning feeds the incomplete
 /// family's bitmap exchange and class-block merge.
@@ -519,26 +537,15 @@ fn check_skipping_soundness(values: Vec<Vec<Option<i32>>>, block_rows: usize) {
         .with_executors(2)
         .with_storage_block_rows(block_rows);
     let mem = session_with(rows.clone(), 3, true, config.clone());
-    let on = disk_session(rows.clone(), 3, true, config.clone(), &dir, "on");
-    let off = disk_session(
-        rows,
-        3,
-        true,
-        config
-            .with_disk_minmax_skipping(false)
-            .with_disk_dominance_skipping(false),
-        &dir,
-        "off",
-    );
+    let disk = disk_session(rows, 3, true, config, &dir, "disk");
     for sql in [
         "SELECT * FROM t WHERE d0 < 1.0 SKYLINE OF COMPLETE d0 MIN, d1 MIN, d2 MAX",
         "SELECT * FROM t WHERE d0 < 1.0 SKYLINE OF d0 MIN, d1 MIN, d2 MAX",
+        "SELECT * FROM t WHERE d0 < 1.0 SKYLINE OF COMPLETE d0 MIN, d0 MAX, d1 MIN",
     ] {
         let r_mem = mem.sql(sql).unwrap().collect().unwrap().sorted_display();
-        let r_on = on.sql(sql).unwrap().collect().unwrap().sorted_display();
-        let r_off = off.sql(sql).unwrap().collect().unwrap().sorted_display();
-        assert_eq!(r_on, r_off, "{sql}");
-        assert_eq!(r_on, r_mem, "{sql}");
+        let r_disk = disk.sql(sql).unwrap().collect().unwrap().sorted_display();
+        assert_eq!(r_disk, r_mem, "{sql}");
     }
 }
 
