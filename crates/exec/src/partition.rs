@@ -10,11 +10,9 @@
 //! phases. The helpers here implement the distribution schemes those
 //! breaker stages need — even splitting (Spark's default when reading),
 //! coalescing to a single partition (the `AllTuples` requirement of the
-//! flat global skyline), hash partitioning (the null-bitmap distribution
-//! of the incomplete algorithm, §5.7), and angle-based routing (the
-//! `AngleBased` local-phase partitioning) — plus the flatten/drain
-//! adapters the tests and the bench harness use to compare against the
-//! materialized model.
+//! flat global skyline), and angle-based routing (the `AngleBased`
+//! local-phase partitioning) — plus the flatten/drain adapters the tests
+//! and the bench harness use to compare against the materialized model.
 
 use sparkline_common::{Row, SkylineDim, SkylineSpec, SkylineType, Value};
 
@@ -74,27 +72,6 @@ pub fn coalesce(parts: Vec<Partition>) -> Vec<Partition> {
         merged.extend(p);
     }
     vec![merged]
-}
-
-/// Redistribute rows into `n` partitions by a key function; rows with the
-/// same key always land in the same partition.
-pub fn hash_partition<K: std::hash::Hash>(
-    parts: Vec<Partition>,
-    n: usize,
-    key: impl Fn(&Row) -> K,
-) -> Vec<Partition> {
-    use std::hash::Hasher;
-    assert!(n >= 1);
-    let mut out: Vec<Partition> = (0..n).map(|_| Vec::new()).collect();
-    for part in parts {
-        for row in part {
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            key(&row).hash(&mut hasher);
-            let slot = (hasher.finish() % n as u64) as usize;
-            out[slot].push(row);
-        }
-    }
-    out
 }
 
 /// Numeric view of a ranked dimension with the MIN/MAX direction folded in
@@ -229,31 +206,6 @@ mod tests {
         let merged = coalesce(parts);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0], rows(9));
-    }
-
-    #[test]
-    fn hash_partition_groups_same_keys() {
-        let parts = split_evenly(rows(100), 4);
-        let by_parity = hash_partition(parts, 3, |r| match r.get(0) {
-            Value::Int64(i) => i % 2,
-            _ => 0,
-        });
-        assert_eq!(by_parity.len(), 3);
-        assert_eq!(total_rows(&by_parity), 100);
-        // Each non-empty partition holds only one parity class or both
-        // classes never split across partitions.
-        for class in [0i64, 1] {
-            let holding: Vec<usize> = by_parity
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| {
-                    p.iter()
-                        .any(|r| matches!(r.get(0), Value::Int64(i) if i % 2 == class))
-                })
-                .map(|(i, _)| i)
-                .collect();
-            assert_eq!(holding.len(), 1, "class {class} in one partition");
-        }
     }
 
     #[test]

@@ -2,21 +2,20 @@
 //!
 //! The planner inserts exchanges to satisfy the distribution requirements
 //! of the paper's skyline plans: `Single` realizes Spark's `AllTuples`
-//! distribution (flat global skyline, sorts), `NullBitmap` is the §5.7
-//! distribution that routes tuples with the same NULL pattern in the
-//! skyline dimensions to the same executor, and `Angle` is the optional
-//! angle-based repartitioning before a complete-data local phase
-//! (`SkylinePartitioning::AngleBased`).
+//! distribution (the flat global skyline of a non-distributed plan,
+//! sorts), and `Angle` is the optional angle-based repartitioning before
+//! a complete-data local phase (`SkylinePartitioning::AngleBased`). The
+//! incomplete family has no exchange: its local phase groups each scan
+//! partition by null bitmap itself (see `sparkline_skyline::incomplete`).
 
 use std::sync::Arc;
 
 use sparkline_common::{Result, SchemaRef, SkylineSpec};
 use sparkline_exec::{
-    partition::{angle_partition, coalesce, hash_partition, total_rows},
+    partition::{angle_partition, coalesce, total_rows},
     stream::breaker_streams,
     FaultSite, PartitionStream, TaskContext,
 };
-use sparkline_skyline::null_bitmap;
 
 use crate::ExecutionPlan;
 
@@ -25,8 +24,6 @@ use crate::ExecutionPlan;
 pub enum ExchangeMode {
     /// All rows into one partition (Spark's `AllTuples`).
     Single,
-    /// Partition by the null bitmap of the skyline dimensions (§5.7).
-    NullBitmap(SkylineSpec),
     /// Partition by polar-angle sector of the first two ranked skyline
     /// dimensions (see `sparkline_exec::partition::angle_partition`).
     Angle(SkylineSpec),
@@ -99,9 +96,6 @@ impl ExecutionPlan for ExchangeExec {
             );
             Ok(match &mode {
                 ExchangeMode::Single => coalesce(input),
-                ExchangeMode::NullBitmap(spec) => {
-                    hash_partition(input, n, |row| null_bitmap(row, spec))
-                }
                 ExchangeMode::Angle(spec) => angle_partition(input, n, spec),
             })
         }))
@@ -110,9 +104,6 @@ impl ExecutionPlan for ExchangeExec {
     fn describe(&self) -> String {
         match &self.mode {
             ExchangeMode::Single => "ExchangeExec [AllTuples]".to_string(),
-            ExchangeMode::NullBitmap(spec) => {
-                format!("ExchangeExec [NullBitmap on {} dims]", spec.dims.len())
-            }
             ExchangeMode::Angle(spec) => format!(
                 "ExchangeExec [AngleBased on {} dims]",
                 spec.ranked_dims().count().min(2)
@@ -167,28 +158,6 @@ mod tests {
                 .load(std::sync::atomic::Ordering::Relaxed),
             40
         );
-    }
-
-    #[test]
-    fn null_bitmap_groups_same_pattern() {
-        let spec = SkylineSpec::new(vec![SkylineDim::min(0), SkylineDim::min(1)]);
-        let plan = ExchangeExec::new(
-            ExchangeMode::NullBitmap(spec.clone()),
-            input(rows_with_nulls()),
-        );
-        let ctx = TaskContext::new(3);
-        let parts = plan.execute(&ctx).unwrap();
-        assert_eq!(total_rows(&parts), 40);
-        // Every bitmap class must live in exactly one partition.
-        for bitmap in 0u64..4 {
-            let holders: Vec<usize> = parts
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.iter().any(|r| null_bitmap(r, &spec) == bitmap))
-                .map(|(i, _)| i)
-                .collect();
-            assert!(holders.len() <= 1, "bitmap {bitmap} split: {holders:?}");
-        }
     }
 
     #[test]

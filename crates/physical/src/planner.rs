@@ -302,15 +302,12 @@ impl<'a> PhysicalPlanner<'a> {
                 Arc::new(ExchangeExec::single(input_exec))
             }
         } else {
-            // §5.7: distribute by null bitmap, one local skyline per
-            // bitmap class, and the global merge over the class runs of
-            // the local skylines — no gather.
-            let redistributed = Arc::new(ExchangeExec::new(
-                ExchangeMode::NullBitmap(spec.clone()),
-                input_exec,
-            ));
+            // §5.7 without its null-bitmap exchange: one local skyline per
+            // bitmap class of each scan partition, and the global merge
+            // over their class runs — nothing moves before the local phase
+            // (soundness in `sparkline_skyline::incomplete`).
             Arc::new(
-                LocalSkylineExec::new(spec.clone(), true, redistributed).with_kernel(choice.kernel),
+                LocalSkylineExec::new(spec.clone(), true, input_exec).with_kernel(choice.kernel),
             )
         };
         let mut result: Arc<dyn ExecutionPlan> = Arc::new(
@@ -571,7 +568,12 @@ mod tests {
             display.contains("GlobalSkylineExec [2 dims, incomplete, pairwise merge"),
             "{display}"
         );
-        assert!(display.contains("NullBitmap"), "{display}");
+        // The local phase runs on the scan's partitions: no exchange.
+        assert!(
+            display.contains("LocalSkylineExec [2 dims, incomplete"),
+            "{display}"
+        );
+        assert!(!display.contains("ExchangeExec"), "{display}");
         // Same answer as the complete plan on complete data.
         let ctx = TaskContext::new(3);
         assert_eq!(collect(&physical, &ctx).unwrap().len(), 3);
@@ -659,7 +661,7 @@ mod tests {
         #[rustfmt::skip]
         let cases: Vec<Case> = vec![
             ("auto, non-nullable", auto.clone(), false, false, [Min, Max], &[COMPLETE], &[INCOMPLETE, ANGLES]),
-            ("auto, nullable", auto.clone(), true, false, [Min, Max], &[INCOMPLETE, "NullBitmap"], &[COMPLETE]),
+            ("auto, nullable", auto.clone(), true, false, [Min, Max], &[INCOMPLETE, "LocalSkylineExec [2 dims, incomplete"], &[COMPLETE, "ExchangeExec"]),
             ("COMPLETE over nullable dims", auto.clone(), true, true, [Min, Max], &[COMPLETE], &[INCOMPLETE]),
             ("angle, two ranked dims", angle(), false, false, [Min, Max], &[COMPLETE, "ExchangeExec [AngleBased on 2 dims]"], &[]),
             ("angle degrades below two ranked dims", angle(), false, false, [Min, Diff], &[COMPLETE], &[ANGLES]),

@@ -5,11 +5,13 @@
 //! cycles, so the BNL window trick is unsound across tuples with different
 //! NULL patterns. The paper's approach:
 //!
-//! 1. **Partition by null bitmap.** Every tuple gets a bitmap with one bit
+//! 1. **Group by null bitmap.** Every tuple gets a bitmap with one bit
 //!    per skyline dimension, set iff the dimension is NULL. Tuples with the
-//!    same bitmap share their NULL positions; within one partition the
+//!    same bitmap share their NULL positions; within one class the
 //!    restricted relation is transitive again, so the ordinary BNL
-//!    algorithm computes each *local* skyline safely.
+//!    algorithm computes each *local* skyline safely. The engine groups
+//!    each scan partition on its own (see "Phase 1 on the scan's
+//!    partitions").
 //! 2. **All-pairs global phase with deferred deletion.** The union of local
 //!    skylines is compared pairwise; dominated tuples are only *flagged*,
 //!    and flagged tuples are removed after all comparisons. Deleting
@@ -19,6 +21,31 @@
 //! Lemma 5.1 guarantees that the union of local skylines still contains a
 //! dominating witness for every non-skyline tuple, so phase 2 over the
 //! local skylines yields exactly `SKY(P)`.
+//!
+//! # Phase 1 on the scan's partitions
+//!
+//! A deviation from §5.7, as the pairwise merge below is from the paper's
+//! gather: there is no null-bitmap exchange. The local phase groups each
+//! scan partition by class ([`GroupedBnlBuilder`]), so nothing moves
+//! before the first dominance test, and one class may span partitions.
+//! The witness argument of Lemma 5.1 holds for any partitioning:
+//!
+//! * Let the local phase drop `a` because a same-class `b` dominates it.
+//!   `a` and `b` share their NULL positions, hence their common
+//!   dimensions with any third row `c`, on which `b` is at least as good
+//!   as `a`: if `a` dominates `c`, so does `b`.
+//! * `b` may be dropped in turn by a same-class row; the chain ends in a
+//!   local survivor, which by the same step dominates `c` too.
+//! * So every dropped row is dominated, and each of its victims keeps a
+//!   dominator among the candidates. Under `DISTINCT` the local phase
+//!   also drops later dims-identical rows; the kept one shares every
+//!   verdict.
+//!
+//! In phase 2 a class in several partitions forms one block per
+//! partition. No block is deleted from before the round ends, so the
+//! argument below holds over any number of blocks per class, and
+//! dims-identical rows from different partitions meet in its
+//! first-occurrence dedup.
 //!
 //! [`incomplete_global_skyline`] is phase 2 as the paper writes it, one
 //! scalar pass on one executor; it and [`incomplete_skyline`] are the
@@ -30,7 +57,7 @@
 //! `sparkline-physical`) runs phase 2 in one parallel round of the
 //! antichain [`cross_filter`](crate::bnl::cross_filter), the primitive of
 //! the complete family's pairwise merge. Its blocks are the null-bitmap
-//! class runs of the local skylines, each encoded once into a
+//! class runs of each partition's local skyline, each encoded once into a
 //! [`ColumnarBlock`](crate::columnar::ColumnarBlock) sorted by score key.
 //! One task per block filters the block's rows against every *other*
 //! block, unfiltered; the survivors are concatenated in block order. The
@@ -92,10 +119,9 @@ pub fn null_bitmap(row: &Row, spec: &SkylineSpec) -> u64 {
     bitmap
 }
 
-/// Group tuples by their null bitmap. Each group corresponds to one
-/// partition `P_b` of the paper; the distributed engine instead realizes
-/// this grouping as a hash exchange on the bitmap expression, but tests and
-/// the standalone algorithms use this direct form.
+/// Group tuples by their null bitmap: the paper's partitions `P_b`, which
+/// tests and [`incomplete_skyline`] build; the engine groups each scan
+/// partition separately ([`GroupedBnlBuilder`]).
 pub fn partition_by_null_bitmap(
     rows: impl IntoIterator<Item = Row>,
     spec: &SkylineSpec,

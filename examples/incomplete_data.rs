@@ -39,8 +39,8 @@ fn main() -> sparkline::Result<()> {
     );
     assert_eq!(result.num_rows(), 0);
 
-    // The physical plan shows the incomplete pipeline: null-bitmap
-    // exchange, local skylines, all-pairs global phase.
+    // The physical plan shows the incomplete pipeline: per-class local
+    // skylines on the scan's partitions, then the class-block merge.
     println!("\n{}", df.explain()?);
 
     // A dataset that *could* contain NULLs but doesn't: without COMPLETE
@@ -74,8 +74,8 @@ fn main() -> sparkline::Result<()> {
     let b = with.collect()?;
     assert_eq!(a.sorted_display(), b.sorted_display());
     println!(
-        "\nSame {} skyline rows either way — but the COMPLETE variant ran \
-         {} dominance tests vs {} (no all-pairs phase).",
+        "\nSame {} skyline rows either way; the COMPLETE variant ran {} \
+         dominance tests, the incomplete plan {}.",
         a.num_rows(),
         b.metrics.dominance_tests,
         a.metrics.dominance_tests,

@@ -17,10 +17,9 @@ use rand::{Rng, SeedableRng};
 use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
 use sparkline_common::{DominanceKernel, QueryControl, SkylineDim, SkylineSpec};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
-use sparkline_exec::partition::{hash_partition, split_evenly};
+use sparkline_exec::partition::split_evenly;
 use sparkline_skyline::{
-    incomplete_global_skyline, naive_skyline, null_bitmap, DominanceChecker, GroupedBnlBuilder,
-    SkylineStats,
+    incomplete_global_skyline, naive_skyline, DominanceChecker, GroupedBnlBuilder, SkylineStats,
 };
 
 /// The Börzsönyi workload matrix (§6.1).
@@ -196,25 +195,21 @@ pub fn flat_bnl_oracle(rows: &[Row], checker: &DominanceChecker, partitions: usi
     per_row_bnl(locals)
 }
 
-/// Oracle: the paper's incomplete plan (§5.7), run by hand — `rows` split
-/// evenly into `partitions` (the scan's boundaries), hash-distributed by
-/// null bitmap over as many partitions (the exchange), one local skyline
-/// per bitmap class of each partition on the scalar per-row BNL step, then
-/// the all-pairs deferred-deletion pass over the concatenated local
-/// skylines. Returns the raw rows in output order — what the engine's
-/// incomplete plan must reproduce byte for byte on every executor count,
-/// kernel knob and execution model — and the number of candidates the
-/// all-pairs pass received.
+/// Oracle: the engine's incomplete plan (§5.7 without the null-bitmap
+/// exchange), run by hand — `rows` split evenly into `partitions` (the
+/// scan's boundaries), one local skyline per bitmap class of each
+/// partition on the scalar per-row BNL step, then the all-pairs
+/// deferred-deletion pass over the concatenated local skylines. Returns
+/// the raw rows in output order — what the engine's incomplete plan must
+/// reproduce byte for byte on every executor count, kernel knob and
+/// execution model — and the number of candidates the all-pairs pass
+/// received.
 pub fn flat_incomplete_oracle(
     rows: &[Row],
     checker: &DominanceChecker,
     partitions: usize,
 ) -> (Vec<Row>, usize) {
-    let spec = checker.spec();
-    let exchanged = hash_partition(split_evenly(rows.to_vec(), partitions), partitions, |row| {
-        null_bitmap(row, spec)
-    });
-    let candidates: Vec<Row> = exchanged
+    let candidates: Vec<Row> = split_evenly(rows.to_vec(), partitions)
         .into_iter()
         .flat_map(|part| {
             let mut local =

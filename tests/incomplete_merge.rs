@@ -5,16 +5,22 @@
 //!
 //! Inputs: the Börzsönyi correlated / independent / anti-correlated matrix
 //! × dims {2, 4, 8} × NULL fractions {0.1, 0.3, 0.6}, plus `SKYLINE OF
-//! DISTINCT` over NULL-bearing data, a Utf8 dimension (every class block
-//! in scalar fallback), all-NULL rows with `DISTINCT` duplicates of them,
-//! and the Appendix A cycle, whose three classes the null-bitmap exchange
-//! spreads over partitions. Each runs on executors {1, 2, 3, 8} ×
-//! streaming / materialized × the three `DominanceKernel` values, and must
-//! return the **raw rows** of the paper's plan run by hand
-//! (`common::flat_incomplete_oracle`: same rows, same order), with
+//! DISTINCT` over NULL-bearing data, `DISTINCT` over a table stored twice
+//! (above one executor, the two copies of a row sit in different scan
+//! partitions), a Utf8 dimension (every class block in scalar fallback),
+//! all-NULL rows with `DISTINCT` duplicates of them, and the Appendix A
+//! cycle, whose three classes the scan spreads over partitions. Each runs
+//! on executors {1, 2, 3, 8} × streaming / materialized × the three
+//! `DominanceKernel` values, and must return the **raw rows** of the
+//! engine's plan run by hand (`common::flat_incomplete_oracle`: same rows,
+//! same order), with
 //! `deferred_deletions` counting exactly the candidates that plan flags.
 //! The oracle itself must equal the naive Definition-3.2 skyline as a
 //! sorted row set.
+//!
+//! The plan runs its local phase on the scan's partitions, with no
+//! exchange: the merge gathers only the candidates, and the input is never
+//! buffered whole.
 //!
 //! A proptest locks down the two directions of correctness separately: no
 //! true incomplete-skyline member is ever dropped, and no globally
@@ -31,9 +37,12 @@ use sparkline::{
     Value,
 };
 use sparkline_common::{SkylineDim, SkylineSpec};
+use sparkline_exec::partition::split_evenly;
 use sparkline_skyline::{naive_skyline, null_bitmap, DominanceChecker};
 
 const NULL_FRACTIONS: [f64; 3] = [0.1, 0.3, 0.6];
+/// The label of the `DISTINCT` case whose duplicates straddle partitions.
+const STRADDLING: &str = "distinct, table stored twice";
 const EXECUTORS: [usize; 4] = [1, 2, 3, 8];
 const KERNELS: [DominanceKernel; 3] = [
     DominanceKernel::Scalar,
@@ -132,6 +141,19 @@ fn cases() -> Vec<Case> {
         rows: with_ids(base.iter().chain(&base).cloned().collect()),
         sql: distinct_sql(3),
         checker: all_min(3, true),
+    });
+    // DISTINCT over a table stored twice, without quantization: the only
+    // dims-identical pairs are row i and row i + n, which the scan puts in
+    // different partitions at every executor count above one. No local
+    // phase sees both, so only the merge's first-occurrence dedup keeps
+    // the copy with the lower id.
+    let once = generate_with_null_fraction("anti_correlated", 41, 70, 4, 0.3);
+    cases.push(Case {
+        label: STRADDLING.into(),
+        schema: schema(&floats(4), true),
+        rows: with_ids(once.iter().chain(&once).cloned().collect()),
+        sql: distinct_sql(4),
+        checker: all_min(4, true),
     });
     // A Utf8 dimension: the kernel cannot encode it, so every class block
     // falls back to the scalar checker.
@@ -254,7 +276,7 @@ fn the_merge_is_one_round_over_the_class_blocks() {
             .unwrap();
         let df = ctx.sql(&case.sql).unwrap();
         let explain = df.explain().unwrap();
-        assert!(explain.contains("ExchangeExec [NullBitmap"), "{explain}");
+        assert!(!explain.contains("ExchangeExec"), "{explain}");
         assert!(
             explain.contains("LocalSkylineExec [3 dims, incomplete"),
             "{explain}"
@@ -263,29 +285,87 @@ fn the_merge_is_one_round_over_the_class_blocks() {
             explain.contains("GlobalSkylineExec [3 dims, incomplete, pairwise merge"),
             "{explain}"
         );
-        assert!(!explain.contains("AllTuples"), "{explain}");
         let result = df.collect().unwrap();
         let m = result.metrics;
         let (expected, candidates) = flat_incomplete_oracle(&case.rows, &case.checker, executors);
         assert_eq!(result.rows, expected, "{executors} executors");
-        // One round, one task per bitmap class: each class lives in one
-        // partition, whose local phase emits it as one window.
-        let classes: HashSet<u64> = case
-            .rows
+        // One round, one task per non-empty (partition, class) run: each
+        // scan partition's local phase emits every class it holds as one
+        // window, and a class may span partitions.
+        let runs: usize = split_evenly(case.rows.clone(), executors)
             .iter()
-            .map(|row| null_bitmap(row, case.checker.spec()))
-            .collect();
+            .map(|part| {
+                let classes: HashSet<u64> = part
+                    .iter()
+                    .map(|row| null_bitmap(row, case.checker.spec()))
+                    .collect();
+                classes.len()
+            })
+            .sum();
         assert_eq!(m.merge_rounds, 1, "{m:?}");
-        assert_eq!(m.merge_tasks as usize, classes.len(), "{m:?}");
-        // The exchange moves every row, the merge gathers the candidates.
-        assert_eq!(
-            m.rows_exchanged as usize,
-            case.rows.len() + candidates,
-            "{m:?}"
-        );
+        assert_eq!(m.merge_tasks as usize, runs, "{m:?}");
+        // Nothing moves before the local phase: the merge gathers only
+        // the candidates.
+        assert_eq!(m.rows_exchanged as usize, candidates, "{m:?}");
         assert!(m.deferred_deletions > 0, "cross-class losers: {m:?}");
         assert_eq!(m.deferred_deletions as usize, candidates - expected.len());
     }
+}
+
+#[test]
+fn straddling_distinct_duplicates_keep_the_earlier_copy() {
+    let case = cases()
+        .into_iter()
+        .find(|case| case.label == STRADDLING)
+        .unwrap();
+    let n = case.rows.len() / 2;
+    let id = |row: &Row| match row.get(case.schema.len() - 1) {
+        Value::Int64(id) => *id as usize,
+        other => panic!("id column holds {other:?}"),
+    };
+    for executors in EXECUTORS {
+        // The premise: above one executor, no scan partition holds both
+        // copies of a row.
+        if executors > 1 {
+            for part in split_evenly(case.rows.clone(), executors) {
+                let ids: HashSet<usize> = part.iter().map(|row| id(row) % n).collect();
+                assert_eq!(ids.len(), part.len(), "{executors} executors");
+            }
+        }
+        let got = run(&case, SessionConfig::default().with_executors(executors));
+        assert!(!got.rows.is_empty());
+        assert!(
+            got.rows.iter().all(|row| id(row) < n),
+            "{executors} executors: a later copy survived"
+        );
+    }
+}
+
+#[test]
+fn the_incomplete_plan_does_not_buffer_its_input() {
+    let dims = 4;
+    let rows = generate_with_null_fraction("independent", 43, 20_000, dims, 0.2);
+    let input_bytes: usize = rows.iter().map(Row::estimated_bytes).sum();
+    let mut config = SessionConfig::default().with_executors(4);
+    // Leave out the fixed per-executor charge: only tracked buffers count.
+    config.executor_memory_overhead = 0;
+    let ctx = SessionContext::with_config(config);
+    ctx.register_table(
+        "t",
+        schema(&vec![DataType::Float64; dims], false),
+        rows.clone(),
+    )
+    .unwrap();
+    let result = ctx.sql(&skyline_sql(dims)).unwrap().collect().unwrap();
+    let (expected, candidates) = flat_incomplete_oracle(&rows, &all_min(dims, false), 4);
+    assert_eq!(result.rows, expected);
+    let m = result.metrics;
+    assert_eq!(m.rows_exchanged as usize, candidates, "{m:?}");
+    assert!(
+        result.peak_memory_bytes < input_bytes / 10,
+        "peak {} B against {input_bytes} B of input",
+        result.peak_memory_bytes
+    );
 }
 
 proptest! {

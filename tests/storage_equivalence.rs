@@ -529,7 +529,7 @@ fn skipping_is_exact_for_int64_beyond_2_pow_53() {
 /// skyline, which skips blocks, equals the in-memory run. Under `COMPLETE` the nullable schema plans the complete
 /// family, so the dominance gate is live and NULL-bearing blocks meet its
 /// fully-numeric guard; without it, min/max pruning feeds the incomplete
-/// family's bitmap exchange and class-block merge.
+/// family's grouped local phase and class-block merge.
 fn check_skipping_soundness(values: Vec<Vec<Option<i32>>>, block_rows: usize) {
     let dir = TempDir::new("soundness");
     let rows = prop_rows(values);

@@ -125,8 +125,8 @@ fn streaming_matches_materialized_across_operators() {
                 Algorithm::Auto, // single-dim → MinMaxFilterExec
             ));
         }
-        // Incomplete data: null-bitmap exchange + grouped local phase +
-        // all-pairs global (deterministic first-seen class order).
+        // Incomplete data: grouped local phase on the scan's partitions +
+        // class-block merge (deterministic first-seen class order).
         q.push((
             "SELECT * FROM inc SKYLINE OF d0 MIN, d1 MIN, d2 MIN".into(),
             Algorithm::Auto,
