@@ -31,7 +31,7 @@ pub fn all_ids() -> Vec<&'static str> {
     vec![
         "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
         "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "ext1", "ext3", "ext4", "ext7",
-        "ext8", "ext9", "ext10", "ext11",
+        "ext9", "ext10", "ext11",
     ]
 }
 
@@ -61,7 +61,6 @@ pub fn run(id: &str, ctx: &mut EvalContext, quick: bool) -> Vec<Report> {
         "ext3" => ext3_vectorized_dominance(quick),
         "ext4" => ext4_streaming_execution(quick),
         "ext7" => ext7_simd_kernel(quick),
-        "ext8" => ext8_chaos(quick),
         "ext9" => ext9_storage(quick),
         "ext10" => ext10_server(quick),
         "ext11" => ext11_mutation(quick),
@@ -727,66 +726,6 @@ fn ext7_simd_kernel(quick: bool) -> Vec<Report> {
         ),
         x_label: "dimensions",
         x_values: dims_list.iter().map(|d| d.to_string()).collect(),
-        series,
-        metric: Metric::Time,
-        with_relative: false,
-    }]
-}
-
-/// ext8: the fault-tolerant runtime (PR 7) under chaos — retry overhead
-/// of the lineage-based partition recovery at injected fault rates
-/// 0 / 1% / 5% (retried results are asserted byte-identical to the
-/// fault-free run), plus the budget sweep showing degradation-vs-failure
-/// under tight memory budgets. Also writes the machine-readable
-/// `BENCH_PR7.json`; set `BENCH_PR7_OUT` to redirect the file.
-fn ext8_chaos(quick: bool) -> Vec<Report> {
-    let path = std::env::var("BENCH_PR7_OUT").unwrap_or_else(|_| "BENCH_PR7.json".to_string());
-    let bench = crate::chaos_bench::write_bench_pr7(&path, quick)
-        .unwrap_or_else(|e| panic!("ext8: cannot write {path}: {e}"));
-    eprintln!("    wrote {path}");
-    for (distribution, rate, ratio) in &bench.retry_overheads {
-        eprintln!(
-            "    [{distribution} @ {:.0}% faults] retried run is {ratio:.2}x the fault-free run",
-            rate * 100.0
-        );
-    }
-    for c in &bench.budget_cells {
-        eprintln!(
-            "    [budget {}] outcome {} (degraded_paths {}, budget_denials {})",
-            c.budget, c.outcome, c.degraded_paths, c.budget_denials
-        );
-    }
-    let distributions = ["correlated", "independent", "anti_correlated"];
-    let series: Vec<(String, Vec<Cell>)> = distributions
-        .iter()
-        .map(|&distribution| {
-            let cells = crate::chaos_bench::FAULT_RATES
-                .iter()
-                .map(|&rate| {
-                    bench
-                        .fault_cells
-                        .iter()
-                        .find(|c| c.distribution == distribution && c.fault_rate == rate)
-                        .map(|c| Cell::Value(c.secs))
-                        .unwrap_or(Cell::NotApplicable)
-                })
-                .collect();
-            (distribution.to_string(), cells)
-        })
-        .collect();
-    let rows = bench.fault_cells.first().map(|c| c.rows).unwrap_or(0);
-    vec![Report {
-        id: "ext8".into(),
-        title: format!(
-            "Extension 8: query wall clock by injected fault rate, retries \
-             enabled ({rows} rows; see BENCH_PR7.json for the retry \
-             counters and the memory-budget degradation sweep)"
-        ),
-        x_label: "fault rate",
-        x_values: crate::chaos_bench::FAULT_RATES
-            .iter()
-            .map(|r| format!("{:.0}%", r * 100.0))
-            .collect(),
         series,
         metric: Metric::Time,
         with_relative: false,

@@ -11,7 +11,6 @@
 //! target is the *shape*: which algorithm wins, how series scale, where
 //! timeouts appear.
 
-pub mod chaos_bench;
 pub mod experiments;
 pub mod harness;
 pub mod kernel_bench;
@@ -22,7 +21,6 @@ pub mod server_bench;
 pub mod storage_bench;
 pub mod stream_bench;
 
-pub use chaos_bench::{run_chaos_bench, write_bench_pr7, ChaosBench};
 pub use kernel_bench::{run_kernel_bench, write_bench_pr2, KernelBench};
 pub use mutation_bench::{run_mutation_bench, write_bench_pr10, MutationBench};
 pub use report::{format_relative_table, format_series_table, Cell};

@@ -145,26 +145,12 @@ pub struct SessionConfig {
     /// Seed of the footer's reservoir sample, so the same rows written
     /// twice yield the same file and the same gate points.
     pub sample_seed: u64,
-    /// Seed of the deterministic fault injector. With the same seed, rate,
-    /// and plan, the same (site, partition, seq) steps fault on every run
-    /// — the reproducibility contract of the chaos tests.
-    pub fault_seed: u64,
-    /// Probability in `[0, 1]` that an injection site fires a transient
-    /// [`Error::Injected`](crate::Error::Injected) the first time a
-    /// (site, partition, seq) step executes. `0.0` (the default) disables
-    /// injection entirely.
-    pub fault_rate: f64,
-    /// How many times a failed partition is recomputed from its source
-    /// before the error is surfaced. Only transient (injected) faults are
-    /// retried; `0` disables retry.
+    /// Inert: nothing in the engine reads it. It stays only because the
+    /// benchmark's traced pipeline (`benchmark/src/pipeline.rs`) passes it
+    /// to `TaskContext::with_retry_policy`; a `[benchmark]` change deletes
+    /// it together with that call.
     pub max_retries: u32,
-    /// Base sleep between retry attempts; attempt `k` backs off
-    /// `k * retry_backoff`, with `k` capped at
-    /// `control::MAX_BACKOFF_MULTIPLIER` and the wait aborted early by a
-    /// cancel or deadline expiry (a backoff must never park a shared
-    /// worker thread past the query's own lifetime). Zero (the default)
-    /// retries immediately — recomputation in-process has no external
-    /// resource to wait out, but a service deployment would raise this.
+    /// Inert, like `max_retries` and for the same reader; goes with it.
     pub retry_backoff: Duration,
     /// Per-query cap on tracked buffer bytes (excluding the fixed
     /// per-executor overhead). `None` (the default) leaves reservations
@@ -195,8 +181,6 @@ impl Default for SessionConfig {
             executor_memory_overhead: 300 * 1024,
             sample_size: 1024,
             sample_seed: 0x5EED_1A7E,
-            fault_seed: 0xFA17_5EED,
-            fault_rate: 0.0,
             max_retries: 3,
             retry_backoff: Duration::ZERO,
             memory_budget: None,
@@ -284,30 +268,6 @@ impl SessionConfig {
     /// Set the footer sampling seed.
     pub fn with_sample_seed(mut self, seed: u64) -> Self {
         self.sample_seed = seed;
-        self
-    }
-
-    /// Enable deterministic fault injection with a seed and a per-step
-    /// firing probability in `[0, 1]`.
-    pub fn with_fault_injection(mut self, seed: u64, rate: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&rate),
-            "fault rate must be a probability"
-        );
-        self.fault_seed = seed;
-        self.fault_rate = rate;
-        self
-    }
-
-    /// Set the per-partition retry cap (0 disables retry).
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
-    /// Set the retry backoff base (capped linear; see `retry_backoff`).
-    pub fn with_retry_backoff(mut self, backoff: Duration) -> Self {
-        self.retry_backoff = backoff;
         self
     }
 

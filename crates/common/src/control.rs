@@ -24,16 +24,6 @@ use crate::error::{Error, Result};
 /// that timeouts fire within a few thousand rows of the limit.
 pub const CONTROL_CHECK_ROWS: usize = 1024;
 
-/// Cap on the retry-backoff multiplier: a wait grows linearly with the
-/// attempt number (`base * attempt`) but never beyond
-/// `base * MAX_BACKOFF_MULTIPLIER`, so a high retry budget cannot park an
-/// executor thread for unbounded stretches.
-pub const MAX_BACKOFF_MULTIPLIER: u32 = 8;
-
-/// How long [`QueryControl::backoff_wait`] sleeps between control checks.
-/// Bounds how stale a cancel/deadline can go unobserved mid-backoff.
-const BACKOFF_CHECK_SLICE: Duration = Duration::from_millis(5);
-
 /// Wall-clock budget for a query (the paper uses 3600 s; the reproduction
 /// harness scales this down). Cheap to clone; checked cooperatively by
 /// operators.
@@ -148,27 +138,6 @@ impl QueryControl {
         }
         self.deadline.check()
     }
-
-    /// Wait out a retry backoff of `base * attempt` (multiplier capped at
-    /// [`MAX_BACKOFF_MULTIPLIER`]) without going deaf: the wait is carved
-    /// into 5 ms sleeps (`BACKOFF_CHECK_SLICE`) with a
-    /// [`check`](Self::check) between them, so a cancel or deadline expiry
-    /// aborts the wait within milliseconds instead of parking a shared
-    /// worker thread for the whole backoff. Errors exactly like `check`.
-    pub fn backoff_wait(&self, base: Duration, attempt: u32) -> Result<()> {
-        self.check()?;
-        if base.is_zero() || attempt == 0 {
-            return Ok(());
-        }
-        let mut remaining = base * attempt.min(MAX_BACKOFF_MULTIPLIER);
-        while !remaining.is_zero() {
-            let slice = remaining.min(BACKOFF_CHECK_SLICE);
-            std::thread::sleep(slice);
-            remaining -= slice;
-            self.check()?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -200,51 +169,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         control.cancel();
         assert_eq!(control.check().unwrap_err(), Error::Cancelled);
-    }
-
-    #[test]
-    fn backoff_multiplier_is_capped() {
-        let control = QueryControl::unlimited();
-        let base = Duration::from_millis(2);
-        let start = Instant::now();
-        control.backoff_wait(base, 1_000_000).unwrap();
-        let elapsed = start.elapsed();
-        // Uncapped this would be ~33 minutes; capped it is base * 8 plus
-        // scheduling noise.
-        assert!(elapsed < Duration::from_millis(500), "{elapsed:?}");
-        assert!(elapsed >= base * MAX_BACKOFF_MULTIPLIER, "{elapsed:?}");
-        // Zero base and attempt 0 return immediately.
-        control.backoff_wait(Duration::ZERO, 5).unwrap();
-        control.backoff_wait(base, 0).unwrap();
-    }
-
-    #[test]
-    fn backoff_wait_observes_cancel_mid_sleep() {
-        let control = QueryControl::unlimited();
-        let clone = control.clone();
-        let canceller = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(15));
-            clone.cancel();
-        });
-        let start = Instant::now();
-        let err = control
-            .backoff_wait(Duration::from_secs(10), 1)
-            .unwrap_err();
-        canceller.join().unwrap();
-        assert!(err.is_cancelled());
-        // The 10 s wait was abandoned shortly after the cancel landed.
-        assert!(start.elapsed() < Duration::from_secs(2));
-    }
-
-    #[test]
-    fn backoff_wait_observes_deadline_mid_sleep() {
-        let control = QueryControl::new(Deadline::new(Some(Duration::from_millis(10))));
-        let start = Instant::now();
-        let err = control
-            .backoff_wait(Duration::from_secs(10), 1)
-            .unwrap_err();
-        assert!(err.is_timeout());
-        assert!(start.elapsed() < Duration::from_secs(2));
     }
 
     #[test]

@@ -37,24 +37,10 @@ pub enum Error {
         /// The configured limit, in milliseconds.
         limit_ms: u64,
     },
-    /// A transient failure fired by the deterministic fault-injection
-    /// facility (`fault_seed` / `fault_rate` session knobs). Retryable:
-    /// recomputing the failed partition from its source succeeds, because
-    /// each injected fault fires exactly once per (site, partition, seq)
-    /// key.
-    Injected {
-        /// Injection site label (`"scan"`, `"exchange"`, `"merge"`,
-        /// `"skyline-sink"`).
-        site: &'static str,
-        /// Partition (or merge-group) index the fault fired in.
-        partition: usize,
-        /// Per-partition sequence number of the faulting step.
-        seq: u64,
-    },
     /// A reservation was denied because it would push the query past its
-    /// configured `memory_budget`. Not retryable as-is; the session
-    /// degrades the plan (streaming sinks, smaller batches) before
-    /// surfacing this to the caller.
+    /// configured `memory_budget`. The session degrades the plan
+    /// (streaming sinks, smaller batches) before surfacing this to the
+    /// caller.
     ResourceExhausted {
         /// Bytes the denied reservation asked for.
         requested: usize,
@@ -114,14 +100,6 @@ impl Error {
         matches!(self, Error::Timeout { .. })
     }
 
-    /// Whether recomputing the failed partition can succeed. Only injected
-    /// (transient) faults qualify: timeouts, cancellation, and budget
-    /// denials are deterministic — retrying would repeat the failure —
-    /// and everything else signals a real planning/execution problem.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, Error::Injected { .. })
-    }
-
     /// Whether this error is a memory-budget denial.
     pub fn is_resource_exhausted(&self) -> bool {
         matches!(self, Error::ResourceExhausted { .. })
@@ -149,14 +127,6 @@ impl fmt::Display for Error {
             } => write!(
                 f,
                 "query timed out after {elapsed_ms} ms (limit {limit_ms} ms)"
-            ),
-            Error::Injected {
-                site,
-                partition,
-                seq,
-            } => write!(
-                f,
-                "injected transient fault at {site} (partition {partition}, seq {seq})"
             ),
             Error::ResourceExhausted {
                 requested,
@@ -197,33 +167,25 @@ mod tests {
 
     #[test]
     fn retryability_split() {
-        let injected = Error::Injected {
-            site: "scan",
-            partition: 3,
-            seq: 7,
-        };
-        assert!(injected.is_retryable());
-        assert!(injected.to_string().contains("scan"));
         let exhausted = Error::ResourceExhausted {
             requested: 100,
             used: 900,
             budget: 1000,
         };
-        assert!(!exhausted.is_retryable());
         assert!(exhausted.is_resource_exhausted());
+        assert!(!exhausted.is_cancelled() && !exhausted.is_timeout());
         assert!(exhausted.to_string().contains("900 of 1000"));
         assert!(Error::Cancelled.is_cancelled());
-        assert!(!Error::Cancelled.is_retryable());
-        for fatal in [
+        assert!(!Error::Cancelled.is_resource_exhausted() && !Error::Cancelled.is_timeout());
+        for other in [
             Error::parse("x"),
             Error::execution("x"),
             Error::internal("x"),
-            Error::Timeout {
-                elapsed_ms: 1,
-                limit_ms: 1,
-            },
         ] {
-            assert!(!fatal.is_retryable(), "{fatal}");
+            assert!(
+                !other.is_resource_exhausted() && !other.is_cancelled() && !other.is_timeout(),
+                "{other}"
+            );
         }
     }
 

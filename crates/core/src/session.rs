@@ -9,7 +9,7 @@ use std::time::Instant;
 use parking_lot::RwLock;
 use sparkline_analyzer::Analyzer;
 use sparkline_common::{Result, Row, Schema, SessionConfig, SkylineStrategy};
-use sparkline_exec::{Deadline, FaultInjector, QueryControl, TaskContext};
+use sparkline_exec::{Deadline, QueryControl, TaskContext};
 use sparkline_optimizer::Optimizer;
 use sparkline_parser::parse_query;
 use sparkline_physical::{display_physical, ExecutionPlan, PhysicalPlanner};
@@ -435,21 +435,14 @@ impl SessionContext {
     }
 
     /// The per-query execution context: the session's cancellation flag
-    /// behind a fresh deadline, the seeded fault injector, the retry
-    /// policy, and the enforced memory budget — all from `config`.
+    /// behind a fresh deadline and the enforced memory budget — all from
+    /// `config`.
     fn task_context(&self, config: &SessionConfig) -> TaskContext {
-        let faults = if config.fault_rate > 0.0 {
-            Arc::new(FaultInjector::new(config.fault_seed, config.fault_rate))
-        } else {
-            FaultInjector::disabled()
-        };
         TaskContext::new(config.num_executors)
             .with_control(QueryControl::with_cancel_flag(
                 Deadline::new(config.timeout),
                 Arc::clone(&self.cancel),
             ))
-            .with_fault_injector(faults)
-            .with_retry_policy(config.max_retries, config.retry_backoff)
             .with_memory_budget(config.memory_budget)
             .with_batch_size(config.batch_size)
             .with_materialized(!config.streaming_execution)
@@ -481,8 +474,6 @@ impl SessionContext {
         out.push_str(&format!("deferred deletions: {}\n", m.deferred_deletions));
         out.push_str(&format!("rows exchanged: {}\n", m.rows_exchanged));
         out.push_str(&format!("max window: {}\n", m.max_window));
-        out.push_str(&format!("faults injected: {}\n", m.faults_injected));
-        out.push_str(&format!("retries attempted: {}\n", m.retries_attempted));
         out.push_str(&format!("budget denials: {}\n", m.budget_denials));
         out.push_str(&format!("degraded paths: {}\n", m.degraded_paths));
         out.push_str(&format!(

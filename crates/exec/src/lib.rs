@@ -12,29 +12,23 @@
 //!   helpers;
 //! * [`partition`] — materialized partition helpers with the distribution
 //!   schemes the skyline plans require (even split, `AllTuples`
-//!   coalescing, hash / null-bitmap partitioning, angle-based routing),
-//!   used by breaker stages and the materialized adapter;
-//! * [`runtime`] — the executor pool (`num_executors` worker threads), the
-//!   stream fan-out (`Runtime::drain_streams`), and its retrying twin
-//!   (`Runtime::drain_streams_with_retry`) that recomputes failed
-//!   partitions from source;
-//! * [`fault`] — the deterministic, seeded fault injector behind the
-//!   `fault_seed` / `fault_rate` session knobs;
+//!   coalescing, angle-based routing), used by breaker stages and the
+//!   materialized adapter;
+//! * [`runtime`] — the executor pool (`num_executors` worker threads) and
+//!   the fail-fast stream fan-out (`Runtime::drain_streams`);
 //! * [`metrics`] — row/dominance-test counters reported by the harness,
 //!   including the stream gauges (`batches_emitted`,
-//!   `peak_rows_in_flight`) and the resilience counters
-//!   (`faults_injected`, `retries_attempted`, `budget_denials`,
-//!   `degraded_paths`);
+//!   `peak_rows_in_flight`) and the memory-budget counters
+//!   (`budget_denials`, `degraded_paths`);
 //! * [`memory`] — byte-accounted buffer tracking with per-executor
 //!   overhead and an enforced per-query budget.
 //!
 //! [`TaskContext`] bundles the per-query state every physical operator
 //! receives: the pool, the [`QueryControl`] (deadline + cancellation),
-//! the fault injector, the retry policy, budgeted memory accounting, the
-//! stream batch size, and the materialized-mode switch (the seed model's
-//! memory profile, kept for A/B benchmarks).
+//! budgeted memory accounting, the stream batch size, and the
+//! materialized-mode switch (the seed model's memory profile, kept for
+//! A/B benchmarks).
 
-pub mod fault;
 pub mod memory;
 pub mod metrics;
 pub mod partition;
@@ -44,13 +38,10 @@ pub mod stream;
 use std::sync::Arc;
 use std::time::Duration;
 
-pub use fault::{FaultInjector, FaultSite};
 pub use memory::{MemoryReservation, MemoryTracker};
 pub use metrics::{ExecMetrics, InFlightRows, MetricsSnapshot};
 pub use partition::Partition;
-pub use runtime::{
-    retry_loop, Deadline, QueryControl, Runtime, CONTROL_CHECK_ROWS, MAX_BACKOFF_MULTIPLIER,
-};
+pub use runtime::{Deadline, QueryControl, Runtime, CONTROL_CHECK_ROWS};
 pub use stream::{PartitionStream, RowBatch, DEFAULT_BATCH_SIZE};
 
 use sparkline_common::Result;
@@ -66,15 +57,6 @@ pub struct TaskContext {
     pub metrics: Arc<ExecMetrics>,
     /// Buffer memory accounting (optionally budget-enforcing).
     pub memory: Arc<MemoryTracker>,
-    /// Deterministic transient-fault injector (disabled by default).
-    pub faults: Arc<FaultInjector>,
-    /// Per-partition retry cap for retryable failures.
-    pub max_retries: u32,
-    /// Backoff base between retry attempts: the wait is `base * attempt`
-    /// with the multiplier capped at
-    /// [`runtime::MAX_BACKOFF_MULTIPLIER`], and it aborts early on
-    /// cancel/deadline (see [`QueryControl::backoff_wait`]).
-    pub retry_backoff: Duration,
     /// Rows per stream batch.
     pub batch_size: usize,
     /// Materialize every operator boundary (the seed model) instead of
@@ -84,17 +66,13 @@ pub struct TaskContext {
 
 impl TaskContext {
     /// Context over a pool with `num_executors`, no timeout, streaming
-    /// execution with the default batch size, no fault injection, no
-    /// memory budget.
+    /// execution with the default batch size, no memory budget.
     pub fn new(num_executors: usize) -> Self {
         TaskContext {
             runtime: Arc::new(Runtime::new(num_executors)),
             control: QueryControl::unlimited(),
             metrics: Arc::new(ExecMetrics::new()),
             memory: Arc::new(MemoryTracker::new()),
-            faults: FaultInjector::disabled(),
-            max_retries: 3,
-            retry_backoff: Duration::ZERO,
             batch_size: DEFAULT_BATCH_SIZE,
             materialized: false,
         }
@@ -125,16 +103,10 @@ impl TaskContext {
         self.control.deadline()
     }
 
-    /// Install a fault injector.
-    pub fn with_fault_injector(mut self, faults: Arc<FaultInjector>) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Set the retry policy for retryable partition failures.
-    pub fn with_retry_policy(mut self, max_retries: u32, backoff: Duration) -> Self {
-        self.max_retries = max_retries;
-        self.retry_backoff = backoff;
+    /// A no-op: nothing retries a partition. It stays only because the
+    /// benchmark's traced pipeline (`benchmark/src/pipeline.rs`) calls it;
+    /// a `[benchmark]` change deletes it together with that call.
+    pub fn with_retry_policy(self, _max_retries: u32, _backoff: Duration) -> Self {
         self
     }
 
@@ -157,17 +129,6 @@ impl TaskContext {
         self
     }
 
-    /// Fault-injection decision for one step, counting fired faults.
-    pub fn maybe_inject(&self, site: FaultSite, partition: usize, seq: u64) -> Result<()> {
-        match self.faults.check(site, partition, seq) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.metrics.add_fault_injected();
-                Err(e)
-            }
-        }
-    }
-
     /// Budget-checked reservation, counting denials.
     pub fn try_reserve(&self, bytes: usize) -> Result<MemoryReservation> {
         self.memory.try_reserve(bytes).inspect_err(|_| {
@@ -180,28 +141,5 @@ impl TaskContext {
         reservation.try_grow(bytes).inspect_err(|_| {
             self.metrics.add_budget_denial();
         })
-    }
-
-    /// Drain partition streams with this context's retry policy: failed
-    /// partitions are recomputed via `recreate` (typically re-running
-    /// `execute_stream` on the immutable plan subtree and keeping the
-    /// failed partition's stream), siblings keep their results, and every
-    /// recomputation is counted in `retries_attempted`.
-    pub fn drain_streams_retrying<R>(
-        &self,
-        streams: Vec<PartitionStream>,
-        recreate: R,
-    ) -> Result<Vec<Partition>>
-    where
-        R: Fn(usize) -> Result<PartitionStream> + Sync,
-    {
-        self.runtime.drain_streams_with_retry(
-            streams,
-            &self.control,
-            self.max_retries,
-            self.retry_backoff,
-            recreate,
-            |_, _| self.metrics.add_retry_attempted(),
-        )
     }
 }

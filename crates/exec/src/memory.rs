@@ -15,7 +15,7 @@
 //! batches) before surfacing the error.
 //!
 //! Accounting is RAII throughout: every reservation releases its bytes on
-//! drop, so an error unwinding through an operator — injected fault,
+//! drop, so an error unwinding through an operator — I/O failure,
 //! timeout, cancellation, budget denial — leaves `current_bytes == 0`
 //! once the query's streams are dropped. Releases saturate at zero and
 //! debug-assert on imbalance, so an over-release (a bug) can't wrap the

@@ -64,12 +64,6 @@ pub struct ExecMetrics {
     /// tuples the paper's all-pairs pass flags (`SKYLINE OF DISTINCT`
     /// duplicates included); 0 under the complete relation.
     pub deferred_deletions: AtomicU64,
-    /// Transient faults fired by the deterministic injector
-    /// (`fault_rate` > 0). The differential chaos suite asserts this is
-    /// positive to prove the fault-free-identical results were earned.
-    pub faults_injected: AtomicU64,
-    /// Partition recomputations triggered by retryable failures.
-    pub retries_attempted: AtomicU64,
     /// Reservations denied by the per-query memory budget.
     pub budget_denials: AtomicU64,
     /// Graceful-degradation steps the session took before this execution
@@ -150,16 +144,6 @@ impl ExecMetrics {
         self.deferred_deletions.fetch_add(tuples, Ordering::Relaxed);
     }
 
-    /// Record one injected transient fault.
-    pub fn add_fault_injected(&self) {
-        self.faults_injected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one partition retry (recomputation from source).
-    pub fn add_retry_attempted(&self) {
-        self.retries_attempted.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record one memory-budget denial.
     pub fn add_budget_denial(&self) {
         self.budget_denials.fetch_add(1, Ordering::Relaxed);
@@ -189,13 +173,9 @@ impl ExecMetrics {
 
     /// Carry the resilience counters of an abandoned execution attempt
     /// (the session's degradation ladder re-executes with fresh metrics;
-    /// faults fired and denials suffered on the way are part of the
-    /// query's story and must survive into the final snapshot).
+    /// denials suffered on the way are part of the query's story and must
+    /// survive into the final snapshot).
     pub fn absorb_resilience(&self, prior: &MetricsSnapshot) {
-        self.faults_injected
-            .fetch_add(prior.faults_injected, Ordering::Relaxed);
-        self.retries_attempted
-            .fetch_add(prior.retries_attempted, Ordering::Relaxed);
         self.budget_denials
             .fetch_add(prior.budget_denials, Ordering::Relaxed);
         self.degraded_paths
@@ -223,8 +203,7 @@ impl ExecMetrics {
             merge_tasks: self.merge_tasks.load(Ordering::Relaxed),
             prefilter_rows_dropped: 0,
             deferred_deletions: self.deferred_deletions.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            retries_attempted: self.retries_attempted.load(Ordering::Relaxed),
+            retries_attempted: 0,
             budget_denials: self.budget_denials.load(Ordering::Relaxed),
             degraded_paths: self.degraded_paths.load(Ordering::Relaxed),
             blocks_read: self.blocks_read.load(Ordering::Relaxed),
@@ -277,9 +256,9 @@ pub struct MetricsSnapshot {
     pub prefilter_rows_dropped: u64,
     /// Tuples flagged (deferred-deleted) by incomplete global phases.
     pub deferred_deletions: u64,
-    /// Transient faults fired by the deterministic injector.
-    pub faults_injected: u64,
-    /// Partition recomputations triggered by retryable failures.
+    /// Always 0: nothing retries a partition. Kept because the
+    /// benchmark's `exec.retries_attempted` layer metric reads it; a
+    /// `[benchmark]` change deletes it.
     pub retries_attempted: u64,
     /// Reservations denied by the per-query memory budget.
     pub budget_denials: u64,
@@ -395,23 +374,20 @@ mod tests {
     #[test]
     fn resilience_counters_accumulate_and_carry() {
         let m = ExecMetrics::new();
-        m.add_fault_injected();
-        m.add_fault_injected();
-        m.add_retry_attempted();
+        m.add_budget_denial();
         m.add_budget_denial();
         m.add_degraded_path();
         let s = m.snapshot();
-        assert_eq!(s.faults_injected, 2);
-        assert_eq!(s.retries_attempted, 1);
-        assert_eq!(s.budget_denials, 1);
+        assert_eq!(s.budget_denials, 2);
         assert_eq!(s.degraded_paths, 1);
+        assert_eq!(s.retries_attempted, 0, "nothing retries a partition");
         let next = ExecMetrics::new();
         next.absorb_resilience(&s);
-        next.add_retry_attempted();
+        next.add_budget_denial();
         let carried = next.snapshot();
-        assert_eq!(carried.faults_injected, 2);
-        assert_eq!(carried.retries_attempted, 2);
+        assert_eq!(carried.budget_denials, 3);
         assert_eq!(carried.degraded_paths, 1);
+        assert_eq!(carried.retries_attempted, 0);
     }
 
     #[test]

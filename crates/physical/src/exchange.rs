@@ -14,7 +14,7 @@ use sparkline_common::{Result, SchemaRef, SkylineSpec};
 use sparkline_exec::{
     partition::{angle_partition, coalesce, total_rows},
     stream::breaker_streams,
-    FaultSite, PartitionStream, TaskContext,
+    PartitionStream, TaskContext,
 };
 
 use crate::ExecutionPlan;
@@ -65,7 +65,6 @@ impl ExecutionPlan for ExchangeExec {
         let inputs = crate::input_streams(&self.input, ctx)?;
         let mode = self.mode.clone();
         let ctx2 = ctx.clone();
-        let input_plan = Arc::clone(&self.input);
         let n = ctx.runtime.num_executors();
         // Every redistribution needs the full input (a gather is a stage
         // boundary even in Spark); the exchange is therefore a breaker
@@ -77,18 +76,8 @@ impl ExecutionPlan for ExchangeExec {
             _ => n,
         };
         Ok(breaker_streams(self.schema(), ctx, n_outputs, move || {
-            // A shuffle fault fails the whole stage (as in Spark, where a
-            // lost map output fails the reduce task); recovery happens by
-            // re-running this subtree through the consumer's retry path.
-            ctx2.maybe_inject(FaultSite::Exchange, 0, 0)?;
-            // Transient faults below the exchange are recovered here, at
-            // the stage boundary: the failed upstream partition is
-            // recomputed from the input plan's lineage while the sibling
-            // partitions keep their drained results.
-            let expected = inputs.len();
-            let input = ctx2.drain_streams_retrying(inputs, |i| {
-                crate::recreate_partition_stream(input_plan.as_ref(), &ctx2, expected, i)
-            })?;
+            // A failed upstream partition fails the whole stage.
+            let input = ctx2.runtime.drain_streams(inputs)?;
             ctx2.control.check()?;
             ctx2.metrics.rows_exchanged.fetch_add(
                 total_rows(&input) as u64,

@@ -48,7 +48,7 @@ pub mod skyline_exec;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use sparkline_common::{Error, Result, Row, SchemaRef};
+use sparkline_common::{Result, Row, SchemaRef};
 use sparkline_exec::{Partition, PartitionStream, TaskContext};
 
 pub use aggregate::HashAggregateExec;
@@ -78,19 +78,10 @@ pub trait ExecutionPlan: fmt::Debug + Send + Sync {
 
     /// Materialized adapter: drain every partition stream (fanned over
     /// the executor pool). Byte-identical to consuming the streams
-    /// directly; kept for tests and the bench harness.
-    ///
-    /// Transient (retryable) partition failures are recovered by
-    /// re-running `execute_stream` on this immutable plan subtree — the
-    /// lineage — and recomputing only the failed partition, up to the
-    /// context's retry budget. Finished sibling partitions keep their
-    /// results.
+    /// directly; kept for tests and the bench harness. Fail-fast: the
+    /// first partition error is the result.
     fn execute(&self, ctx: &TaskContext) -> Result<Vec<Partition>> {
-        let streams = self.execute_stream(ctx)?;
-        let expected = streams.len();
-        ctx.drain_streams_retrying(streams, |i| {
-            recreate_partition_stream(self, ctx, expected, i)
-        })
+        ctx.runtime.drain_streams(self.execute_stream(ctx)?)
     }
 
     /// One-line description (operator plus parameters).
@@ -139,26 +130,6 @@ pub fn find_dominance_skip_slot(
     plan.pass_sample(&mut sample).then_some((slot, sample))
 }
 
-/// Re-run `execute_stream` on an immutable plan subtree and keep only the
-/// stream for partition `i` — the lineage-based recomputation behind
-/// partition retry. Errors if the re-execution yields a different
-/// partition count (the plan is immutable, so that would be a bug).
-pub(crate) fn recreate_partition_stream<P: ExecutionPlan + ?Sized>(
-    plan: &P,
-    ctx: &TaskContext,
-    expected: usize,
-    i: usize,
-) -> Result<PartitionStream> {
-    let mut fresh = plan.execute_stream(ctx)?;
-    if fresh.len() != expected || i >= fresh.len() {
-        return Err(Error::internal(format!(
-            "retry of partition {i} re-planned {} streams, expected {expected}",
-            fresh.len()
-        )));
-    }
-    Ok(fresh.swap_remove(i))
-}
-
 /// Render a physical plan tree, one operator per line.
 pub fn display_physical(plan: &Arc<dyn ExecutionPlan>) -> String {
     fn build(plan: &Arc<dyn ExecutionPlan>, depth: usize, out: &mut String) {
@@ -188,10 +159,7 @@ pub(crate) fn input_streams(
     if !ctx.materialized {
         return Ok(streams);
     }
-    let expected = streams.len();
-    let parts = ctx.drain_streams_retrying(streams, |i| {
-        recreate_partition_stream(plan.as_ref(), ctx, expected, i)
-    })?;
+    let parts = ctx.runtime.drain_streams(streams)?;
     // The re-materialized buffers hold budget-checked byte reservations
     // for as long as the consumer keeps the streams — the materialized
     // model's peak-memory profile, now enforced against the query budget.

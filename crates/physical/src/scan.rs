@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use sparkline_common::{Result, Row, SchemaRef};
-use sparkline_exec::{partition::even_ranges, FaultSite, PartitionStream, TaskContext};
+use sparkline_exec::{partition::even_ranges, PartitionStream, TaskContext};
 
 use crate::ExecutionPlan;
 
@@ -54,19 +54,15 @@ impl ExecutionPlan for ScanExec {
         let batch_size = ctx.batch_size.max(1);
         Ok(ranges
             .into_iter()
-            .enumerate()
-            .map(|(part, (start, end))| {
+            .map(|(start, end)| {
                 let rows = Arc::clone(&self.rows);
                 let ctx = ctx.clone();
                 let mut pos = start;
-                let mut seq = 0u64;
                 PartitionStream::new(self.schema(), Arc::clone(&ctx.metrics), move || {
                     if pos >= end {
                         return Ok(None);
                     }
                     ctx.control.check()?;
-                    ctx.maybe_inject(FaultSite::Scan, part, seq)?;
-                    seq += 1;
                     let upto = (pos + batch_size).min(end);
                     let batch: Vec<Row> = rows[pos..upto].to_vec();
                     ctx.metrics

@@ -18,7 +18,7 @@ use std::sync::{Arc, OnceLock};
 use sparkline_common::{
     DataType, DominanceKernel, Result, Row, SchemaRef, SkylineDim, SkylineSpec, SkylineType, Value,
 };
-use sparkline_exec::{partition::even_ranges, FaultSite, PartitionStream, TaskContext};
+use sparkline_exec::{partition::even_ranges, PartitionStream, TaskContext};
 use sparkline_plan::{BinaryOp, Expr};
 use sparkline_skyline::{bnl_skyline, ColumnarBlock, DominanceChecker, SkylineStats};
 use sparkline_storage::{BlockDecoder, BlockMeta, DiskTable};
@@ -335,15 +335,13 @@ impl ExecutionPlan for DiskScanExec {
         let batch_size = ctx.batch_size.max(1);
         Ok(ranges
             .into_iter()
-            .enumerate()
-            .map(|(part, (start, end))| {
+            .map(|(start, end)| {
                 let table = Arc::clone(&self.table);
                 let schema = self.schema();
                 let bounds = self.bounds.clone();
                 let skip = Arc::clone(&self.skip);
                 let ctx = ctx.clone();
                 let mut block = start;
-                let mut seq = 0u64;
                 // (decoder, next row, reservation): the raw payload stays
                 // reserved until the last batch of the block is decoded.
                 let mut current: Option<(BlockDecoder, usize, sparkline_exec::MemoryReservation)> =
@@ -354,8 +352,6 @@ impl ExecutionPlan for DiskScanExec {
                     move || loop {
                         ctx.control.check()?;
                         if let Some((decoder, pos, _res)) = current.as_mut() {
-                            ctx.maybe_inject(FaultSite::Scan, part, seq)?;
-                            seq += 1;
                             let upto = (*pos + batch_size).min(decoder.rows());
                             let batch = decoder.decode_range(*pos, upto)?;
                             *pos = upto;
@@ -387,8 +383,6 @@ impl ExecutionPlan for DiskScanExec {
                             }
                             None => {}
                         }
-                        ctx.maybe_inject(FaultSite::Scan, part, seq)?;
-                        seq += 1;
                         let raw = table.read_block_raw(i)?;
                         let reservation = ctx.try_reserve(raw.len())?;
                         ctx.metrics.add_block_read(raw.len() as u64);

@@ -28,7 +28,7 @@ use sparkline_common::{
 use sparkline_exec::{
     partition::{flatten, total_rows},
     stream::breaker_streams,
-    FaultSite, InFlightRows, Partition, PartitionStream, TaskContext,
+    InFlightRows, Partition, PartitionStream, TaskContext,
 };
 use sparkline_plan::{Expr, MinMaxDirection};
 use sparkline_skyline::{
@@ -93,7 +93,6 @@ fn checker_for(spec: &SkylineSpec, incomplete: bool) -> DominanceChecker {
 fn skyline_phase_stream(
     schema: SchemaRef,
     ctx: &TaskContext,
-    part: usize,
     inputs: Vec<PartitionStream>,
     sink: SkylineSink,
 ) -> PartitionStream {
@@ -108,7 +107,6 @@ fn skyline_phase_stream(
     // query's memory budget fails with `ResourceExhausted` instead of
     // allocating past the limit.
     let mut reservation = None;
-    let mut seq = 0u64;
     let mut emit: Option<std::vec::IntoIter<Row>> = None;
     PartitionStream::new(schema, Arc::clone(&ctx.metrics), move || loop {
         if let Some(iter) = emit.as_mut() {
@@ -123,8 +121,6 @@ fn skyline_phase_stream(
         ctx.control.check()?;
         match input.next_batch()? {
             Some(batch) => {
-                ctx.maybe_inject(FaultSite::SkylineSink, part, seq)?;
-                seq += 1;
                 let sink = sink
                     .as_mut()
                     .ok_or_else(|| Error::internal("skyline sink gone while input remains"))?;
@@ -209,8 +205,7 @@ impl ExecutionPlan for LocalSkylineExec {
         let checker = checker_for(&self.spec, self.incomplete);
         Ok(inputs
             .into_iter()
-            .enumerate()
-            .map(|(part, input)| {
+            .map(|input| {
                 let sink = if self.incomplete {
                     // Route by null bitmap inside the partition: within one
                     // class the restricted dominance relation is transitive,
@@ -228,7 +223,7 @@ impl ExecutionPlan for LocalSkylineExec {
                         self.kernel,
                     )))
                 };
-                skyline_phase_stream(self.schema(), ctx, part, vec![input], sink)
+                skyline_phase_stream(self.schema(), ctx, vec![input], sink)
             })
             .collect())
     }
@@ -479,14 +474,7 @@ fn pairwise_merge(
     let reservation = ctx.try_reserve(bytes)?;
     let encoded = EncodedSkylines::new(checker, kernel, antichains);
     let tasks: Vec<usize> = (0..encoded.antichains.len()).collect();
-    // A lost pairwise task fails the stage; the consumer's retry path
-    // recomputes the subtree from lineage. The tasks' faults are drawn in
-    // task order before the round starts, so each one fails an attempt of
-    // its own and costs exactly one retry (drawn inside concurrently
-    // running tasks, two faults could fail the same attempt).
-    for &i in &tasks {
-        ctx.maybe_inject(FaultSite::Merge, i, 0)?;
-    }
+    // A failed pairwise task fails the stage.
     let outcomes: Vec<(Vec<bool>, SkylineStats)> = ctx.runtime.map_indexed(tasks, |i, _| {
         let mut stats = SkylineStats::default();
         let alive = encoded.survivors(ctx, i, &mut stats)?;
@@ -533,28 +521,16 @@ impl ExecutionPlan for GlobalSkylineExec {
             // input need not be a skyline, and the only buffered state is
             // the window itself.
             let sink = SkylineSink::Bnl(Box::new(BnlBuilder::with_kernel(checker, self.kernel)));
-            return Ok(vec![skyline_phase_stream(
-                self.schema(),
-                ctx,
-                0,
-                inputs,
-                sink,
-            )]);
+            return Ok(vec![skyline_phase_stream(self.schema(), ctx, inputs, sink)]);
         }
         // A breaker: the input streams (each a local skyline pipeline) are
         // drained in parallel over the executor pool, then merged in one
         // pairwise round.
         let kernel = self.kernel;
         let ctx2 = ctx.clone();
-        let input_plan = Arc::clone(&self.input);
         Ok(breaker_streams(self.schema(), ctx, 1, move || {
-            // Transient faults in a local-skyline pipeline are recovered
-            // per partition: recompute only the failed stream from the
-            // input plan's lineage.
-            let expected = inputs.len();
-            let input = ctx2.drain_streams_retrying(inputs, |i| {
-                crate::recreate_partition_stream(input_plan.as_ref(), &ctx2, expected, i)
-            })?;
+            // A failed local-skyline pipeline fails the merge.
+            let input = ctx2.runtime.drain_streams(inputs)?;
             ctx2.control.check()?;
             let parts: Vec<Partition> = input.into_iter().filter(|p| !p.is_empty()).collect();
             // The local skylines gathered here are what the `AllTuples`
@@ -1147,7 +1123,7 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_tasks_observe_cancel_deadline_and_injected_faults() {
+    fn pairwise_tasks_observe_cancel_and_deadline() {
         // Two interleaved 2-d staircases, each an antichain longer than
         // one control-check chunk; the second dominates half of the first.
         let stair = |shift: i64| -> Partition {
@@ -1184,17 +1160,6 @@ mod tests {
             pairwise_merge(&late, checker(), DominanceKernel::Auto, parts.clone()).unwrap_err();
         assert!(err.is_timeout(), "{err}");
 
-        // A fault injected into a pairwise task surfaces as the retryable
-        // merge-site error (the consumer's retry path recomputes the
-        // stage).
-        let faulty = TaskContext::new(2)
-            .with_fault_injector(Arc::new(sparkline_exec::FaultInjector::new(7, 1.0)));
-        let err =
-            pairwise_merge(&faulty, checker(), DominanceKernel::Auto, parts.clone()).unwrap_err();
-        assert!(
-            err.is_retryable() && err.to_string().contains("merge"),
-            "{err}"
-        );
         let merged = pairwise_merge(
             &TaskContext::new(2),
             checker(),

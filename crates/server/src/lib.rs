@@ -47,8 +47,8 @@
 //! single `OK ...` / `ERR - <message>` line. Row payloads render each
 //! value with its canonical `Display` form, so a response body is
 //! byte-identical to the same query executed directly on a
-//! [`sparkline::SessionContext`], regardless of concurrency, retries,
-//! or cache hits.
+//! [`sparkline::SessionContext`], regardless of concurrency or cache
+//! hits.
 //!
 //! ## Admission, budgets, cancellation
 //!
@@ -61,9 +61,9 @@
 //! exactly that query instead of poisoning the connection's session
 //! with the sticky session-wide flag — and gets its own
 //! `QueryControl` deadline and memory budget from the service's
-//! session configuration. Mid-retry backoff waits observe the same
-//! flag (`QueryControl::backoff_wait`), so cancellation lands within
-//! milliseconds even while a query sleeps between retry attempts.
+//! session configuration. Every operator checks that flag per batch,
+//! and the dominance loops check it every `CONTROL_CHECK_ROWS` (1024)
+//! rows, so cancellation lands within milliseconds even mid-skyline.
 //!
 //! ## Caching and invalidation
 //!

@@ -39,8 +39,7 @@ pub struct ServerConfig {
     /// Entries in the result cache (0 disables it).
     pub result_cache_capacity: usize,
     /// Per-query execution knobs: every query runs under this
-    /// configuration's memory budget, deadline, retry policy, and
-    /// executor count (on a session clone with a fresh cancel flag).
+    /// configuration's memory budget, deadline, and executor count (on a session clone with a fresh cancel flag).
     pub session: SessionConfig,
     /// Maintain k-skyband state for cached skyline queries so an
     /// INSERT/DELETE through the service refreshes their result-cache

@@ -21,7 +21,6 @@ use sparkline::{
 };
 use sparkline_common::{SkylineDim, SkylineSpec, SkylineType, CONTROL_CHECK_ROWS};
 use sparkline_datagen::distributions::anti_correlated_rows;
-use sparkline_exec::{FaultInjector, FaultSite};
 use sparkline_skyline::{
     bnl_skyline, naive_skyline, null_bitmap, BnlBuilder, DominanceChecker, GroupedBnlBuilder,
     SkylineStats,
@@ -218,68 +217,6 @@ fn counters_and_explain_describe_the_pairwise_merge() {
     let s = scalar.metrics;
     assert_eq!(s.dominance_tests, s.scalar_tests, "{s:?}");
     assert_eq!((s.batched_tests, s.multi_candidate_passes), (0, 0), "{s:?}");
-}
-
-/// A seed whose injector fires the `merge` site of some pairwise task and
-/// nothing else the plan can reach (scan, exchange, sink steps of the
-/// first partitions and batches), found by replaying the injector's pure
-/// decision function.
-fn merge_only_fault_seed(partitions: usize, rate: f64) -> (u64, u64) {
-    let fires = |seed: u64, site: FaultSite, partition: usize, seq: u64| {
-        FaultInjector::new(seed, rate)
-            .check(site, partition, seq)
-            .is_err()
-    };
-    (0u64..100_000)
-        .find_map(|seed| {
-            let others = [FaultSite::Scan, FaultSite::Exchange, FaultSite::SkylineSink];
-            let quiet = others
-                .iter()
-                .all(|&site| (0..partitions).all(|p| (0..4).all(|seq| !fires(seed, site, p, seq))));
-            let merge = (0..partitions)
-                .filter(|&p| fires(seed, FaultSite::Merge, p, 0))
-                .count() as u64;
-            (quiet && merge > 0).then_some((seed, merge))
-        })
-        .expect("some seed fires only the merge site")
-}
-
-#[test]
-fn a_fault_inside_a_pairwise_task_is_retried_to_identical_rows() {
-    let partitions = 3;
-    let rate = 0.08;
-    let (seed, merge_faults) = merge_only_fault_seed(partitions, rate);
-    let (schema, rows) = table(Shape::Plain, "anti_correlated", 3, 600);
-    let session = |config: SessionConfig| {
-        let ctx = SessionContext::with_config(config);
-        ctx.register_table("t", schema.clone(), rows.clone())
-            .unwrap();
-        ctx
-    };
-    let base = || config(partitions, DominanceKernel::Auto, true);
-    let query = sql(Shape::Plain, 3);
-    let clean = session(base()).sql(&query).unwrap().collect().unwrap();
-    assert_eq!(clean.metrics.faults_injected, 0);
-
-    // Retries off: the merge task's fault is what surfaces, typed.
-    let err = session(base().with_fault_injection(seed, rate).with_max_retries(0))
-        .sql(&query)
-        .unwrap()
-        .collect()
-        .expect_err("the pairwise task must fault");
-    assert!(err.is_retryable(), "{err}");
-    assert!(err.to_string().contains("merge"), "{err}");
-
-    // Retries on: the stage is recomputed from lineage, fire-once lets it
-    // through, and the rows are those of the fault-free run.
-    let retried = session(base().with_fault_injection(seed, rate).with_max_retries(8))
-        .sql(&query)
-        .unwrap()
-        .collect()
-        .unwrap();
-    assert_eq!(retried.rows, clean.rows);
-    assert_eq!(retried.metrics.faults_injected, merge_faults);
-    assert!(retried.metrics.retries_attempted >= 1);
 }
 
 #[test]

@@ -1,18 +1,19 @@
-//! Fault-tolerance differential suite: deterministic fault injection,
-//! partition retry, enforced memory budgets, graceful degradation, and
-//! cancellation.
+//! Fault-tolerance suite: real storage faults, enforced memory budgets,
+//! graceful degradation, and cancellation.
 //!
-//! The core contract under test: a run with `fault_rate > 0` and retries
-//! enabled must return **byte-identical** rows to the fault-free run of
-//! the same query (the injector is deterministic and fire-once, so every
-//! retry makes strict progress and recomputes the same partition from the
-//! same immutable lineage), while a run with retries disabled must fail
-//! with a clean, typed error — never a panic.
+//! The contract under test: a failure the engine cannot recover from —
+//! a block file truncated or removed under a registered disk table, a
+//! budget no plan fits, a cancel — ends the query with a clean, typed
+//! error, never a panic and never partial rows, and leaves the session
+//! answering. Nothing is retried: the same read would fail the same way.
+//! A budget the streaming model fits is met by degrading the plan, with
+//! byte-identical rows.
 
 mod common;
 
-use proptest::prelude::*;
-use sparkline::{QueryResult, SessionConfig, SessionContext};
+use std::path::{Path, PathBuf};
+
+use sparkline::{DataType, Error, Field, QueryResult, Schema, SessionConfig, SessionContext};
 use sparkline_common::Row;
 use sparkline_exec::{stream::breaker_streams, TaskContext};
 
@@ -29,81 +30,94 @@ fn try_query(ctx: &SessionContext) -> sparkline::Result<QueryResult> {
     ctx.sql(&common::skyline_sql(DIMS))?.collect()
 }
 
-/// The faulty config mirrored by every differential case: deterministic
-/// seed, enough retries to absorb every fire-once fault on a partition.
-fn faulty(seed: u64, rate: f64) -> SessionConfig {
-    SessionConfig::new()
-        .with_executors(4)
-        .with_fault_injection(seed, rate)
-        .with_max_retries(16)
+/// A block file path unique to this process and `tag`, removed on drop.
+struct BlockFile(PathBuf);
+
+impl BlockFile {
+    fn new(tag: &str) -> Self {
+        BlockFile(
+            std::env::temp_dir().join(format!("sparkline-fault-{tag}-{}.spk", std::process::id())),
+        )
+    }
 }
 
-#[test]
-fn injected_faults_recover_to_identical_results() {
-    let mut total_faults = 0;
-    let mut total_retries = 0;
-    for dist in common::DISTRIBUTIONS {
-        for with_nulls in [false, true] {
-            let rows = common::generate(dist, 7, 400, DIMS, with_nulls);
-            let clean = common::session_with(
-                rows.clone(),
-                DIMS,
-                with_nulls,
-                SessionConfig::new().with_executors(4),
-            );
-            let chaotic = common::session_with(rows, DIMS, with_nulls, faulty(0xFA17_5EED, 0.15));
-            let expected = run_query(&clean);
-            let got = run_query(&chaotic);
-            assert_eq!(
-                got.rows, expected.rows,
-                "{dist} nulls={with_nulls}: retried run diverged from fault-free run"
-            );
-            total_faults += got.metrics.faults_injected;
-            total_retries += got.metrics.retries_attempted;
+impl Drop for BlockFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// Damage a registered disk table's block file with `fault`, at 1 and 4
+/// executors, streaming and materialized, over complete and NULL-bearing
+/// data. The table `src` stays in memory; `t` is its copy on disk. Every
+/// block read reopens the file, so the fault reaches the next query:
+/// - the skyline over `t` fails with a typed storage error, so no row
+///   reaches the caller;
+/// - the same session still answers over the in-memory `src`;
+/// - re-copying `src` over the file restores `t`, byte for byte.
+fn damaged_file_fails_typed_and_recopy_recovers(tag: &str, fault: impl Fn(&Path)) {
+    let sql = common::skyline_sql(DIMS);
+    let src_sql = sql.replace("FROM t", "FROM src");
+    for executors in [1, 4] {
+        for streaming in [true, false] {
+            for with_nulls in [false, true] {
+                let case = format!("{tag}-{executors}-{streaming}-{with_nulls}");
+                let rows = common::generate("independent", 7, 400, DIMS, with_nulls);
+                // A small footer sample keeps the blocks most of the
+                // file, so cutting the file in half cuts blocks.
+                let config = SessionConfig::new()
+                    .with_executors(executors)
+                    .with_streaming_execution(streaming)
+                    .with_storage_block_rows(32)
+                    .with_sample_size(8);
+                let schema = Schema::new(
+                    (0..DIMS)
+                        .map(|i| Field::new(format!("d{i}"), DataType::Float64, with_nulls))
+                        .collect(),
+                );
+                let ctx = SessionContext::with_config(config);
+                ctx.register_table("src", schema, rows).unwrap();
+                let file = BlockFile::new(&case);
+                ctx.copy_table_to_disk("src", &file.0).unwrap();
+                ctx.register_disk_table("t", &file.0).unwrap();
+                let before = run_query(&ctx);
+                assert!(!before.rows.is_empty(), "{case}");
+
+                fault(&file.0);
+                let err = try_query(&ctx).expect_err(&case);
+                assert!(
+                    matches!(&err, Error::Execution(m) if m.starts_with("storage: ")),
+                    "{case}: expected a storage error, got: {err}"
+                );
+
+                let in_memory = ctx.sql(&src_sql).unwrap().collect().unwrap();
+                assert_eq!(in_memory.rows, before.rows, "{case}");
+
+                ctx.copy_table_to_disk("src", &file.0).unwrap();
+                assert_eq!(run_query(&ctx).rows, before.rows, "{case}");
+            }
         }
     }
-    assert!(total_faults > 0, "no fault fired across the whole matrix");
-    assert!(
-        total_retries >= total_faults,
-        "every injected fault needs at least one retry ({total_retries} < {total_faults})"
-    );
 }
 
 #[test]
-fn pinned_seed_reproduces_the_same_fault_pattern() {
-    let rows = common::generate("independent", 11, 300, DIMS, false);
-    let first = run_query(&common::session_with(
-        rows.clone(),
-        DIMS,
-        false,
-        faulty(42, 0.2),
-    ));
-    let second = run_query(&common::session_with(rows, DIMS, false, faulty(42, 0.2)));
-    assert!(first.metrics.faults_injected > 0, "pinned seed never fired");
-    assert_eq!(
-        first.metrics.faults_injected, second.metrics.faults_injected,
-        "same seed, same rate, different fault pattern"
-    );
-    assert_eq!(first.rows, second.rows);
+fn truncated_disk_file_fails_typed_and_recopy_recovers() {
+    damaged_file_fails_typed_and_recopy_recovers("truncated", |path| {
+        let len = std::fs::metadata(path).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(path)
+            .unwrap()
+            .set_len(len / 2)
+            .unwrap();
+    });
 }
 
 #[test]
-fn retries_disabled_surface_a_clean_typed_error() {
-    let rows = common::generate("independent", 3, 200, DIMS, false);
-    let ctx = common::session_with(
-        rows,
-        DIMS,
-        false,
-        SessionConfig::new()
-            .with_executors(4)
-            .with_fault_injection(1, 1.0)
-            .with_max_retries(0),
-    );
-    let err = try_query(&ctx).expect_err("rate 1.0 with no retries must fail");
-    assert!(
-        err.is_retryable(),
-        "the surfaced error must be the injected transient fault, got: {err}"
-    );
+fn removed_disk_file_fails_typed_and_recopy_recovers() {
+    damaged_file_fails_typed_and_recopy_recovers("removed", |path| {
+        std::fs::remove_file(path).unwrap();
+    });
 }
 
 #[test]
@@ -206,23 +220,4 @@ fn abandoning_a_cancelled_query_releases_every_reservation() {
         0,
         "abandoning the query must release every reservation"
     );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Any seed, any firing pattern: the retried run converges to the
-    /// fault-free result, byte for byte.
-    #[test]
-    fn retried_runs_match_fault_free_for_any_seed(seed in 0u64..(1u64 << 48)) {
-        let rows = common::generate("anti_correlated", 17, 240, DIMS, false);
-        let clean = common::session_with(
-            rows.clone(),
-            DIMS,
-            false,
-            SessionConfig::new().with_executors(3),
-        );
-        let chaotic = common::session_with(rows, DIMS, false, faulty(seed, 0.1).with_executors(3));
-        prop_assert_eq!(run_query(&chaotic).rows, run_query(&clean).rows);
-    }
 }
