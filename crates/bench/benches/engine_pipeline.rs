@@ -1,6 +1,7 @@
-//! End-to-end engine benchmarks: parsing, planning, and the §5.4
-//! optimizer-rule ablations (single-dimension rewrite and skyline-join
-//! pushdown) that DESIGN.md calls out as design choices.
+//! End-to-end engine benchmarks: parsing, planning, and ablations of the
+//! paper's §5.4 optimizer rules (single-dimension rewrite and skyline-join
+//! pushdown). The paper's figures themselves are `paper_eval`'s
+//! (`src/experiments.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sparkline::{Algorithm, SessionConfig, SessionContext};

@@ -1,8 +1,11 @@
 //! `paper_eval` — regenerate the tables and figures of the EDBT 2023
-//! skyline paper's evaluation at reproduction scale.
+//! skyline paper's evaluation at reproduction scale, plus the two
+//! extension experiments ext9 (disk scans with block skipping, writes
+//! `BENCH_PR8.json`) and ext10 (concurrent clients of the TCP server,
+//! writes `BENCH_PR9.json`).
 //!
 //! ```bash
-//! # Everything (figures 3–19 + relative tables 3–12):
+//! # Everything (figures 3–19 + relative tables 3–12, ext9, ext10):
 //! cargo run --release -p sparkline-bench --bin paper_eval -- --all
 //!
 //! # One experiment, reduced grid, CSV output:
@@ -50,7 +53,7 @@ fn main() {
                 settings.seed = next_value(&args, &mut i, "--seed");
             }
             // `--smoke` is the CI alias: same reduced grids, named for the
-            // per-push smoke runs of the extension experiments.
+            // per-push smoke runs of ext9 and ext10.
             "--quick" | "--smoke" => quick = true,
             "--all" => all = true,
             "--out" => {
@@ -62,7 +65,10 @@ fn main() {
             }
             "list" => {
                 println!("available experiments: {}", all_ids().join(", "));
-                println!("(fig3–fig7 also emit the Appendix D relative tables 3–12)");
+                println!("(fig3–fig7 also emit the Appendix D relative tables 3–12;");
+                println!(
+                    " ext9 is disk scans with block skipping, ext10 concurrent server clients)"
+                );
                 return;
             }
             "--help" | "-h" => usage_and_exit(),

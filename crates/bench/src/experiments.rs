@@ -30,8 +30,7 @@ pub struct Report {
 pub fn all_ids() -> Vec<&'static str> {
     vec![
         "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-        "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "ext1", "ext3", "ext4", "ext7",
-        "ext9", "ext10", "ext11",
+        "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "ext9", "ext10",
     ]
 }
 
@@ -57,13 +56,8 @@ pub fn run(id: &str, ctx: &mut EvalContext, quick: bool) -> Vec<Report> {
         "fig17" => musicbrainz_dims_grid(ctx, quick, "fig17", Metric::Memory),
         "fig18" => musicbrainz_executors_grid(ctx, quick, "fig18", Metric::Time),
         "fig19" => musicbrainz_executors_grid(ctx, quick, "fig19", Metric::Memory),
-        "ext1" => ext1_partitioning_schemes(ctx, quick),
-        "ext3" => ext3_vectorized_dominance(quick),
-        "ext4" => ext4_streaming_execution(quick),
-        "ext7" => ext7_simd_kernel(quick),
         "ext9" => ext9_storage(quick),
         "ext10" => ext10_server(quick),
-        "ext11" => ext11_mutation(quick),
         other => panic!("unknown experiment '{other}'; known: {:?}", all_ids()),
     }
 }
@@ -675,63 +669,6 @@ fn musicbrainz_executors_grid(
     out
 }
 
-/// ext7: the explicit-SIMD multi-candidate dominance kernel (PR 6) vs
-/// the PR 2 chunked kernel and the scalar checker, per dimension count on
-/// the anti-correlated local phase. Also writes the machine-readable
-/// `BENCH_PR6.json` (the full knob × admission-mode grid, the headline
-/// speedup per dimension count, and the `CANDIDATE_FIRST_CHUNK` tuning
-/// curve); set `BENCH_PR6_OUT` to redirect the file.
-fn ext7_simd_kernel(quick: bool) -> Vec<Report> {
-    let path = std::env::var("BENCH_PR6_OUT").unwrap_or_else(|_| "BENCH_PR6.json".to_string());
-    let bench = crate::kernel_bench::write_bench_pr6(&path, quick)
-        .unwrap_or_else(|e| panic!("ext7: cannot write {path}: {e}"));
-    eprintln!("    wrote {path} (simd tier: {})", bench.simd_tier);
-    for (dims, ratio) in &bench.speedups {
-        eprintln!("    [{dims} dims] simd multi-candidate is {ratio:.2}x the PR 2 chunked kernel");
-    }
-    let dims_list: Vec<usize> = bench.speedups.iter().map(|(d, _)| *d).collect();
-    let series_for = |kernel: &str, mode: &str| -> Vec<Cell> {
-        dims_list
-            .iter()
-            .map(|&d| {
-                bench
-                    .cells
-                    .iter()
-                    .find(|c| c.kernel == kernel && c.mode == mode && c.dims == d)
-                    .map(|c| Cell::Value(c.ns_per_test))
-                    .unwrap_or(Cell::NotApplicable)
-            })
-            .collect()
-    };
-    let series: Vec<(String, Vec<Cell>)> = vec![
-        (
-            "scalar ×1".to_string(),
-            series_for("scalar", "one_candidate"),
-        ),
-        (
-            "chunked ×1 (PR 2)".to_string(),
-            series_for("chunked", "one_candidate"),
-        ),
-        (
-            format!("{} ×{}", bench.simd_tier, sparkline_skyline::MULTI_LANES),
-            series_for("simd", "multi_candidate"),
-        ),
-    ];
-    let rows = bench.cells.first().map(|c| c.rows).unwrap_or(0);
-    vec![Report {
-        id: "ext7".into(),
-        title: format!(
-            "Extension 7: dominance kernel ns/test by tier and admission width \
-             ({rows} rows, anti-correlated; see BENCH_PR6.json)"
-        ),
-        x_label: "dimensions",
-        x_values: dims_list.iter().map(|d| d.to_string()).collect(),
-        series,
-        metric: Metric::Time,
-        with_relative: false,
-    }]
-}
-
 /// ext9: out-of-core columnar storage — filtered-skyline wall
 /// clock per distribution over a disk table, whose scan skips blocks by
 /// min/max and dominance, beside the same query over the rows in memory;
@@ -852,64 +789,6 @@ fn ext10_server(quick: bool) -> Vec<Report> {
     }]
 }
 
-fn ext11_mutation(quick: bool) -> Vec<Report> {
-    let path = std::env::var("BENCH_PR10_OUT").unwrap_or_else(|_| "BENCH_PR10.json".to_string());
-    let bench = crate::mutation_bench::write_bench_pr10(&path, quick)
-        .unwrap_or_else(|e| panic!("ext11: cannot write {path}: {e}"));
-    eprintln!("    wrote {path}");
-    for c in &bench.cells {
-        eprintln!(
-            "    [{:.0}% mutated] delta {:.1} ms vs recompute {:.1} ms \
-             ({:.0}x, {} rebuilds); served p50 {:.2} ms with views vs \
-             {:.2} ms baseline ({}/{} cache hits)",
-            c.fraction * 100.0,
-            c.delta_ms,
-            c.recompute_ms,
-            c.speedup,
-            c.rebuilds,
-            c.served_views_ms,
-            c.served_baseline_ms,
-            c.served_view_hits,
-            c.served_samples
-        );
-    }
-    eprintln!(
-        "    exact: {}; served byte-identical: {}",
-        bench.exact, bench.served_identical
-    );
-    let series = |f: fn(&crate::mutation_bench::MutationCell) -> f64| -> Vec<Cell> {
-        bench
-            .cells
-            .iter()
-            .map(|c| Cell::Value(f(c) / 1e3))
-            .collect()
-    };
-    vec![Report {
-        id: "ext11".into(),
-        title: format!(
-            "Extension 11: incremental skyline maintenance vs recompute under \
-             mutation workloads ({} rows; see BENCH_PR10.json for served \
-             latency and rebuild counts)",
-            bench.rows
-        ),
-        x_label: "mutation fraction",
-        x_values: bench
-            .cells
-            .iter()
-            .map(|c| format!("{:.0}%", c.fraction * 100.0))
-            .collect(),
-        series: vec![
-            ("delta maintenance".to_string(), series(|c| c.delta_ms)),
-            (
-                "recompute per mutation".to_string(),
-                series(|c| c.recompute_ms),
-            ),
-        ],
-        metric: Metric::Time,
-        with_relative: false,
-    }]
-}
-
 fn figure_name(id: &str) -> String {
     format!("Figure {}", id.trim_start_matches("fig"))
 }
@@ -918,153 +797,5 @@ fn metric_name(metric: Metric) -> &'static str {
     match metric {
         Metric::Time => "execution time",
         Metric::Memory => "memory consumption",
-        Metric::Rows => "peak rows in flight",
     }
-}
-
-// ---------------------------------------------------------------------
-// Extension experiments (beyond the paper): local-phase partitioning.
-// ---------------------------------------------------------------------
-
-/// ext1: partitioning schemes vs dimensions on an anti-correlated dataset
-/// (the workload where local pruning power matters most). One series per
-/// scheme, all running the distributed complete algorithm.
-fn ext1_partitioning_schemes(ctx: &mut EvalContext, quick: bool) -> Vec<Report> {
-    use sparkline::{SessionConfig, SkylinePartitioning};
-    let n = if quick { 2_000 } else { 10_000 };
-    let max_dims = 3usize;
-    let (table, _rows) = ctx.anti_correlated(n, max_dims);
-    let dims_points: Vec<usize> = vec![2, 3];
-    let schemes = [
-        ("standard", SkylinePartitioning::Standard),
-        ("angle", SkylinePartitioning::AngleBased),
-    ];
-    let mut series = Vec::new();
-    for (label, scheme) in schemes {
-        let mut cells = Vec::new();
-        for &d in &dims_points {
-            let dim_list = (0..d)
-                .map(|i| format!("d{i} MIN"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let sql = format!("SELECT * FROM {table} SKYLINE OF COMPLETE {dim_list}");
-            eprint!("    [{label:<10}] dims={d} ... ");
-            let config = SessionConfig::default()
-                .with_executors(5)
-                .with_skyline_partitioning(scheme);
-            let m = ctx
-                .run_with_config(&sql, Algorithm::DistributedComplete, config)
-                .unwrap_or_else(|e| panic!("ext1 failed ({sql}): {e}"));
-            eprintln!("{:.3}s ({} rows)", m.secs.unwrap_or_default(), m.rows);
-            cells.push(Cell::from_measurement(&m, Metric::Time));
-        }
-        series.push((label.to_string(), cells));
-    }
-    vec![Report {
-        id: "ext1".into(),
-        title: format!(
-            "Extension 1: partitioning schemes, anti-correlated ({n} rows, 5 executors)"
-        ),
-        x_label: "dimensions",
-        x_values: dims_points.iter().map(|d| d.to_string()).collect(),
-        series,
-        metric: Metric::Time,
-        with_relative: false,
-    }]
-}
-
-/// ext3: scalar vs columnar dominance kernel on the anti-correlated local
-/// phase (`ext1`'s workload), one cell per dimension count. Also writes
-/// the machine-readable `BENCH_PR2.json` (rows/s, tests/s, ns/test, the
-/// scalar/columnar ratio) so the perf trajectory is tracked from PR 2 on;
-/// set `BENCH_PR2_OUT` to redirect the file.
-fn ext3_vectorized_dominance(quick: bool) -> Vec<Report> {
-    let path = std::env::var("BENCH_PR2_OUT").unwrap_or_else(|_| "BENCH_PR2.json".to_string());
-    let bench = crate::kernel_bench::write_bench_pr2(&path, quick)
-        .unwrap_or_else(|e| panic!("ext3: cannot write {path}: {e}"));
-    eprintln!("    wrote {path}");
-    for (dims, ratio) in &bench.speedups {
-        eprintln!("    [d={dims}] scalar/columnar ns-per-test ratio: {ratio:.2}x");
-    }
-    let dims: Vec<usize> = bench.speedups.iter().map(|(d, _)| *d).collect();
-    let series: Vec<(String, Vec<Cell>)> = ["scalar", "columnar"]
-        .iter()
-        .map(|variant| {
-            (
-                variant.to_string(),
-                dims.iter()
-                    .map(|&d| {
-                        bench
-                            .cells
-                            .iter()
-                            .find(|c| c.variant == *variant && c.dims == d)
-                            .map(|c| Cell::Value(c.secs))
-                            .unwrap_or(Cell::NotApplicable)
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
-    let rows = bench.cells.first().map(|c| c.rows).unwrap_or(0);
-    vec![Report {
-        id: "ext3".into(),
-        title: format!(
-            "Extension 3: scalar vs columnar dominance kernel, anti-correlated local \
-             phase ({rows} rows; see BENCH_PR2.json)"
-        ),
-        x_label: "dimensions",
-        x_values: dims.iter().map(|d| d.to_string()).collect(),
-        series,
-        metric: Metric::Time,
-        with_relative: false,
-    }]
-}
-
-/// ext4: pipelined stream model vs the materialized (seed) execution on
-/// the scan → filter → skyline → limit pipeline, per Börzsönyi
-/// distribution. Also writes the machine-readable `BENCH_PR3.json`
-/// (peak rows in flight, batches, wall clock per mode) so the streaming
-/// trajectory is tracked from PR 3 on; set `BENCH_PR3_OUT` to redirect
-/// the file.
-fn ext4_streaming_execution(quick: bool) -> Vec<Report> {
-    let path = std::env::var("BENCH_PR3_OUT").unwrap_or_else(|_| "BENCH_PR3.json".to_string());
-    let bench = crate::stream_bench::write_bench_pr3(&path, quick)
-        .unwrap_or_else(|e| panic!("ext4: cannot write {path}: {e}"));
-    eprintln!("    wrote {path}");
-    for (distribution, ratio) in &bench.peak_ratios {
-        eprintln!("    [{distribution}] materialized/streaming peak rows in flight: {ratio:.2}x");
-    }
-    let distributions: Vec<&'static str> = bench.peak_ratios.iter().map(|(d, _)| *d).collect();
-    let series: Vec<(String, Vec<Cell>)> = ["streaming", "materialized"]
-        .iter()
-        .map(|mode| {
-            (
-                mode.to_string(),
-                distributions
-                    .iter()
-                    .map(|&d| {
-                        bench
-                            .cells
-                            .iter()
-                            .find(|c| c.mode == *mode && c.distribution == d)
-                            .map(|c| Cell::Value(c.peak_rows_in_flight as f64))
-                            .unwrap_or(Cell::NotApplicable)
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
-    let rows = bench.cells.first().map(|c| c.rows).unwrap_or(0);
-    vec![Report {
-        id: "ext4".into(),
-        title: format!(
-            "Extension 4: peak rows in flight, streaming vs materialized execution \
-             (scan→filter→skyline→limit, {rows} rows; see BENCH_PR3.json)"
-        ),
-        x_label: "distribution",
-        x_values: distributions.iter().map(|d| d.to_string()).collect(),
-        series,
-        metric: Metric::Rows,
-        with_relative: false,
-    }]
 }

@@ -25,7 +25,6 @@ impl Cell {
         match metric {
             Metric::Time => Cell::Value(m.secs.unwrap_or_default()),
             Metric::Memory => Cell::Value(m.peak_memory as f64 / (1024.0 * 1024.0)),
-            Metric::Rows => Cell::Value(m.peak_rows_in_flight as f64),
         }
     }
 
@@ -34,7 +33,6 @@ impl Cell {
             Cell::Value(v) => match metric {
                 Metric::Time => format!("{v:.3}"),
                 Metric::Memory => format!("{v:.2}"),
-                Metric::Rows => format!("{v:.0}"),
             },
             Cell::Timeout => "t.o.".to_string(),
             Cell::NotApplicable => "n.a.".to_string(),
@@ -55,7 +53,6 @@ pub fn format_series_table(
     let unit = match metric {
         Metric::Time => "execution time [s]",
         Metric::Memory => "peak memory [MB]",
-        Metric::Rows => "peak rows in flight",
     };
     let mut out = String::new();
     let _ = writeln!(out, "## {title}");
@@ -134,7 +131,6 @@ pub fn to_csv(
     let metric_name = match metric {
         Metric::Time => "time_s",
         Metric::Memory => "memory_mb",
-        Metric::Rows => "peak_rows_in_flight",
     };
     for (name, cells) in series {
         for (x, cell) in x_values.iter().zip(cells) {

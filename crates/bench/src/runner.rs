@@ -15,8 +15,6 @@ pub enum Metric {
     Time,
     /// Peak memory (Figures 8–10, 17, 19).
     Memory,
-    /// Peak rows simultaneously in flight (the ext4 streaming chart).
-    Rows,
 }
 
 /// One measured cell.
@@ -200,29 +198,6 @@ impl EvalContext {
         (name, rows)
     }
 
-    /// Ensure a synthetic anti-correlated table (`dims` Float64 columns
-    /// `d0..d{dims-1}`) of `n` rows exists — the hardest skyline workload,
-    /// used by the partitioning-scheme experiments.
-    pub fn anti_correlated(&mut self, n: usize, dims: usize) -> (String, usize) {
-        use sparkline::{DataType, Field, Schema};
-        let name = format!("anti_{n}_{dims}");
-        if self.registered.insert(name.clone()) {
-            use rand::SeedableRng;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(self.settings.seed);
-            let rows = sparkline_datagen::distributions::anti_correlated_rows(&mut rng, n, dims);
-            let schema = Schema::new(
-                (0..dims)
-                    .map(|i| Field::new(format!("d{i}"), DataType::Float64, false))
-                    .collect(),
-            );
-            self.base
-                .register_table(name.clone(), schema, rows)
-                .expect("anti-correlated registration");
-        }
-        let rows = self.base.table_row_count(&name).unwrap_or(0);
-        (name, rows)
-    }
-
     /// Run one cell: `sql` under `algorithm` with `executors`.
     pub fn run(
         &self,
@@ -233,19 +208,6 @@ impl EvalContext {
         let config = SessionConfig::default()
             .with_executors(executors)
             .with_timeout(self.settings.timeout);
-        self.run_with_config(sql, algorithm, config)
-    }
-
-    /// Run one cell under a fully custom [`SessionConfig`] — the
-    /// partitioning experiment uses this to sweep the knob the default
-    /// [`EvalContext::run`] leaves alone.
-    pub fn run_with_config(
-        &self,
-        sql: &str,
-        algorithm: Algorithm,
-        config: SessionConfig,
-    ) -> sparkline::Result<Measurement> {
-        let config = config.with_timeout(self.settings.timeout);
         let ctx = self.base.with_shared_catalog(config);
         let df = ctx.sql(sql)?;
         match df.collect_with_algorithm(algorithm) {

@@ -12,8 +12,10 @@
 //!
 //! ## Wire protocol
 //!
-//! Requests are single lines, `\n`-terminated; the verb is
-//! case-insensitive. Responses are lines too; multi-line responses end
+//! Requests are single lines, `\n`-terminated, of at most
+//! [`MAX_REQUEST_BYTES`] (1 MiB); a longer line is answered with one
+//! `ERR - request line exceeds …` and its connection is closed. The verb
+//! is case-insensitive. Responses are lines too; multi-line responses end
 //! with a terminator line so a client never needs length-prefix
 //! framing.
 //!
@@ -81,9 +83,15 @@
 //! cached entry. A result is only cached when the version observed
 //! *after* execution equals the one the lookup was keyed on, so a
 //! mutation racing a query can never pin a stale result under a live
-//! key. Maintained skyline views refresh their entries under the new
-//! version after a service INSERT/DELETE, so dashboard queries stay on
-//! the hit path across mutations.
+//! key.
+//!
+//! Views are always maintained: a cached query of maintainable shape (a
+//! non-DISTINCT skyline over plain columns of one in-memory table, with
+//! complete dimensions) installs a view on its miss, and a service
+//! INSERT/DELETE refreshes its entry under the new version, so dashboard
+//! queries stay on the hit path across mutations. Any other query
+//! (filters, joins, aggregates, expressions) is recomputed on the first
+//! miss after a mutation.
 //!
 //! Normalization lowercases and collapses whitespace **outside** string
 //! literals and quoted identifiers, both of which are copied verbatim
@@ -99,5 +107,5 @@ pub mod service;
 
 pub use client::{QueryResponse, ServerClient};
 pub use protocol::{normalize_sql, render_rows, Request};
-pub use server::SkylineServer;
+pub use server::{SkylineServer, MAX_REQUEST_BYTES};
 pub use service::{CacheOutcome, QueryService, ServerConfig, ServiceStats};

@@ -3,7 +3,7 @@
 //! semantics (admission, caches, cancellation) live in
 //! [`QueryService`]; this module only frames bytes.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -11,6 +11,12 @@ use std::thread::JoinHandle;
 
 use crate::protocol::{parse_request, sanitize_line, Request};
 use crate::service::{QueryService, ServerConfig};
+
+/// Longest request line the server reads, excluding its `\n`. A longer
+/// line is answered with one `ERR - request line exceeds …` and its
+/// connection is closed, so a client that never sends a newline cannot
+/// grow the server's memory without limit.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// A running server: an accept-loop thread plus one thread per live
 /// connection. Dropping it shuts the listener down.
@@ -94,16 +100,37 @@ impl Drop for SkylineServer {
     }
 }
 
-/// Serve one connection until `QUIT`, EOF, or an I/O error.
+/// Serve one connection until `QUIT`, EOF, an over-long request line,
+/// or an I/O error.
 fn handle_connection(service: &QueryService, stream: TcpStream) -> std::io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_REQUEST_BYTES as u64 + 1;
+        if (&mut reader).take(limit).read_until(b'\n', &mut buf)? == 0 {
+            break;
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > MAX_REQUEST_BYTES {
+            writeln!(
+                writer,
+                "ERR - request line exceeds {MAX_REQUEST_BYTES} bytes"
+            )?;
+            writer.flush()?;
+            break;
+        }
+        let line = std::str::from_utf8(&buf)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         if line.trim().is_empty() {
             continue;
         }
-        match parse_request(&line) {
+        match parse_request(line) {
             Ok(Request::Query(sql)) => {
                 let id = service.register_query();
                 // ACK first: the id must reach the client while the

@@ -1,6 +1,7 @@
 //! The query service: shared catalog, admission control, per-query
 //! control handles, the result cache, and the maintained views that
-//! keep it warm across mutations. Socket-free — the TCP layer
+//! keep it warm across mutations (always on: every maintainable cached
+//! query gets one). Socket-free — the TCP layer
 //! ([`crate::server`]) and the bench harness both drive this type
 //! directly.
 
@@ -41,12 +42,6 @@ pub struct ServerConfig {
     /// Per-query execution knobs: every query runs under this
     /// configuration's memory budget, deadline, and executor count (on a session clone with a fresh cancel flag).
     pub session: SessionConfig,
-    /// Maintain k-skyband state for cached skyline queries so an
-    /// INSERT/DELETE through the service refreshes their result-cache
-    /// entries by delta instead of discarding the generation. Off, every
-    /// mutation recomputes from scratch on the next query (the bench's
-    /// comparison baseline).
-    pub maintained_views: bool,
 }
 
 impl Default for ServerConfig {
@@ -55,7 +50,6 @@ impl Default for ServerConfig {
             max_concurrent_queries: 4,
             result_cache_capacity: 256,
             session: SessionConfig::default(),
-            maintained_views: true,
         }
     }
 }
@@ -339,9 +333,7 @@ impl QueryService {
                 .lock()
                 .expect("cache lock")
                 .insert(key.clone(), Arc::clone(&rows));
-            if self.config.maintained_views {
-                self.maybe_install_view(&session, &key.0, frame.logical_plan(), &rows, version);
-            }
+            self.maybe_install_view(&session, &key.0, frame.logical_plan(), &rows, version);
         }
         Ok(QueryReply {
             rows,
@@ -482,9 +474,6 @@ impl QueryService {
     /// cache under the new version, which is what keeps post-mutation
     /// queries on the cache-hit path.
     fn after_mutation(&self, table: &str, pre: u64, change: ViewChange<'_>) {
-        if !self.config.maintained_views {
-            return;
-        }
         let post = self.base.catalog_version();
         let mut views = self.views.lock().expect("views lock poisoned");
         views.retain(|_, v| v.version == pre);
@@ -744,21 +733,22 @@ mod tests {
     }
 
     #[test]
-    fn mutations_invalidate_the_result_cache_without_views() {
-        let config = ServerConfig {
-            maintained_views: false,
-            ..ServerConfig::default()
-        };
-        let svc = QueryService::with_session(service().session().clone(), config);
+    fn mutations_invalidate_the_result_cache_of_unmaintainable_queries() {
+        // A WHERE conjunct puts a filter under the skyline, which the
+        // view matcher declines: the query is cached without a view, so
+        // an insert must retire its entry instead of refreshing it.
+        let sky = "SELECT price, rating FROM hotels WHERE price > 0 \
+                   SKYLINE OF price MIN, rating MAX";
+        let svc = service();
         let id = svc.register_query();
-        let before = svc.run_query(id, SKY).unwrap();
+        let before = svc.run_query(id, sky).unwrap();
         assert_eq!(before.rows.len(), 2);
         assert_eq!(svc.view_count(), 0);
 
         svc.insert("hotels", &[vec!["60".into(), "8".into()]])
             .unwrap();
         let id = svc.register_query();
-        let after = svc.run_query(id, SKY).unwrap();
+        let after = svc.run_query(id, sky).unwrap();
         assert_eq!(after.result, CacheOutcome::Miss, "stale hit after insert");
         assert_eq!(after.rows.len(), 3);
     }

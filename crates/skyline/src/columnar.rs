@@ -144,12 +144,11 @@ pub const CHUNK: usize = 64;
 /// non-transitive input — find their dominator at a random position and
 /// gain nothing from the small start; they lose nothing either.)
 ///
-/// Re-tuned against the explicit-SIMD tiers (the `first_chunk_tuning`
-/// section of BENCH_PR6.json records the sweep): the curve is flat to
-/// within scheduler noise — small starts (1–4) trade blows with
-/// full-width chunks on the anti-correlated window — so 4 is kept; the
-/// win comes from aborting *before* the first full-width chunk, and SIMD
-/// makes wide chunks cheaper without making early exits less valuable.
+/// Re-tuned when the explicit-SIMD tiers landed (the SIMD kernel entry of
+/// CHANGES.md): a sweep of first-chunk sizes 1–64 on the anti-correlated
+/// window was flat to within scheduler noise, so 4 is kept; the win comes
+/// from aborting *before* the first full-width chunk, and SIMD makes wide
+/// chunks cheaper without making early exits less valuable.
 /// Multi-candidate passes
 /// ([`ColumnarBlock::first_dominators`]) start at full [`CHUNK`] width
 /// instead: their walk only stops once *every* lane has found a
@@ -1051,20 +1050,6 @@ impl ColumnarBlock {
         out: &mut Vec<Dominance>,
         stop_at_dominator: bool,
     ) -> BatchResult {
-        self.compare_batch_tuned(cand, out, stop_at_dominator, CANDIDATE_FIRST_CHUNK)
-    }
-
-    /// [`compare_batch`](Self::compare_batch) with an explicit first-chunk
-    /// size — the tuning hook behind [`CANDIDATE_FIRST_CHUNK`] (the
-    /// BENCH_PR6 sweep measures candidates through here; production code
-    /// uses `compare_batch`).
-    pub fn compare_batch_tuned(
-        &self,
-        cand: &EncodedCandidate,
-        out: &mut Vec<Dominance>,
-        stop_at_dominator: bool,
-        first_chunk: usize,
-    ) -> BatchResult {
         out.clear();
         debug_assert!(!self.is_fallback(), "compare_batch on a fallback block");
         if cand.all_incomparable {
@@ -1078,7 +1063,7 @@ impl ColumnarBlock {
         let mut dominated_at = None;
         let mut base = 0;
         let mut width = if stop_at_dominator {
-            first_chunk.clamp(1, CHUNK)
+            CANDIDATE_FIRST_CHUNK
         } else {
             CHUNK
         };

@@ -47,7 +47,7 @@ pub mod naive;
 pub use bnl::{bnl_skyline, cross_filter, BnlBuilder, CrossFilterScratch};
 pub use columnar::{
     kernel_label, BatchResult, ColumnarBlock, EncodedCandidate, KernelTier, MultiBatchResult,
-    CANDIDATE_FIRST_CHUNK, CHUNK, MULTI_LANES,
+    MULTI_LANES,
 };
 pub use dominance::{Dominance, DominanceChecker, SkylineStats};
 pub use incomplete::{

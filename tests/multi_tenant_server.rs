@@ -1,12 +1,17 @@
 //! Integration tests for the multi-tenant query service: concurrent
 //! wire clients against direct `SessionContext` execution
-//! (byte-identity), cache invalidation across table mutations, and
-//! mid-query cancel-by-id from a second connection.
+//! (byte-identity), cache invalidation across table mutations,
+//! mid-query cancel-by-id from a second connection, and the bound on a
+//! request line.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
-use sparkline_server::{render_rows, QueryService, ServerClient, ServerConfig, SkylineServer};
+use sparkline_server::{
+    render_rows, QueryService, ServerClient, ServerConfig, SkylineServer, MAX_REQUEST_BYTES,
+};
 
 /// A deterministic anti-correlated-ish dataset (no RNG needed: a fixed
 /// recurrence), large enough that queries do real skyline work.
@@ -100,21 +105,21 @@ fn concurrent_clients_match_direct_execution_byte_for_byte() {
 #[test]
 fn result_cache_misses_after_each_table_mutation() {
     let ctx = session_with_hotels(SessionConfig::default(), 200);
-    // Maintained views off: this test pins the *baseline* invalidation
-    // path, where every mutation discards the cached generation. (With
-    // views on, a skyline query's entry is refreshed by delta instead —
-    // covered by tests/incremental_skyline.rs.)
-    let config = ServerConfig {
-        maintained_views: false,
-        ..ServerConfig::default()
-    };
-    let service = QueryService::with_session(ctx, config);
+    // The WHERE conjunct puts a filter under the skyline, which the view
+    // matcher declines, so this test pins the invalidation path: every
+    // mutation discards the cached generation. (A maintainable query's
+    // entry is refreshed by delta instead — covered by
+    // tests/incremental_skyline.rs.)
+    const FILTERED_SKY: &str = "SELECT price, rating FROM hotels WHERE price >= 0 \
+                       SKYLINE OF price MIN, rating MAX";
+    let service = QueryService::with_session(ctx, ServerConfig::default());
     let server = SkylineServer::start_with_service(service).unwrap();
     let mut client = ServerClient::connect(server.addr()).unwrap();
 
-    let cold = client.query(SKY).unwrap();
+    let cold = client.query(FILTERED_SKY).unwrap();
     assert_eq!(cold.result_cache, "miss");
-    let hot = client.query(SKY).unwrap();
+    assert_eq!(server.service().view_count(), 0, "view installed");
+    let hot = client.query(FILTERED_SKY).unwrap();
     assert_eq!(hot.result_cache, "hit");
     assert_eq!(hot.rows, cold.rows);
 
@@ -122,7 +127,7 @@ fn result_cache_misses_after_each_table_mutation() {
     // and (0, 1000) beats every existing point into the skyline.
     let count = client.insert("hotels", "9001,0,1000").unwrap();
     assert_eq!(count, 201);
-    let after_insert = client.query(SKY).unwrap();
+    let after_insert = client.query(FILTERED_SKY).unwrap();
     assert_eq!(after_insert.result_cache, "miss", "stale hit after insert");
     assert!(after_insert.rows.contains(&"0\t1000".to_string()));
     assert_ne!(after_insert.rows, hot.rows);
@@ -133,12 +138,12 @@ fn result_cache_misses_after_each_table_mutation() {
         .session()
         .register_table("hotels", hotel_schema(), hotel_rows(10))
         .unwrap();
-    let after_replace = client.query(SKY).unwrap();
+    let after_replace = client.query(FILTERED_SKY).unwrap();
     assert_eq!(after_replace.result_cache, "miss");
 
     // DROP: the table is gone — later queries fail, TABLES is empty.
     assert!(client.drop_table("hotels").unwrap());
-    assert!(client.query(SKY).is_err());
+    assert!(client.query(FILTERED_SKY).is_err());
     assert!(client.tables().unwrap().is_empty());
 }
 
@@ -208,4 +213,35 @@ fn wire_errors_are_single_line_and_connection_survives() {
     assert!(stats.contains("errors=1"), "{stats}");
     assert!(!stats.contains("plan_"), "{stats}");
     client.quit().unwrap();
+}
+
+#[test]
+fn an_over_long_request_line_is_refused_and_its_connection_closed() {
+    let server = SkylineServer::start(ServerConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // One byte past the bound and no newline: a server that buffers
+    // until `\n` would wait here forever, growing the line.
+    stream
+        .write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1])
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(
+        line,
+        format!("ERR - request line exceeds {MAX_REQUEST_BYTES} bytes\n")
+    );
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).unwrap(),
+        0,
+        "not closed: {line}"
+    );
+
+    // The server itself keeps serving new connections.
+    let mut client = ServerClient::connect(server.addr()).unwrap();
+    client.ping().unwrap();
 }
