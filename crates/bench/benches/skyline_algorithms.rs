@@ -43,7 +43,7 @@ fn bench_bnl_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &data, |b, data| {
             b.iter(|| {
                 let mut stats = SkylineStats::default();
-                bnl_skyline(data.clone(), &checker, &mut stats, DominanceKernel::Scalar)
+                bnl_skyline(data.clone(), &checker, &mut stats, DominanceKernel::Auto)
             })
         });
     }
@@ -60,7 +60,7 @@ fn bench_bnl_vs_all_pairs(c: &mut Criterion) {
     group.bench_function("bnl_window", |b| {
         b.iter(|| {
             let mut stats = SkylineStats::default();
-            bnl_skyline(data.clone(), &complete, &mut stats, DominanceKernel::Scalar)
+            bnl_skyline(data.clone(), &complete, &mut stats, DominanceKernel::Auto)
         })
     });
     let unlimited = QueryControl::unlimited();
@@ -82,7 +82,7 @@ fn bench_dimension_effect(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(dims), &data, |b, data| {
             b.iter(|| {
                 let mut stats = SkylineStats::default();
-                bnl_skyline(data.clone(), &checker, &mut stats, DominanceKernel::Scalar)
+                bnl_skyline(data.clone(), &checker, &mut stats, DominanceKernel::Auto)
             })
         });
     }
@@ -106,10 +106,10 @@ fn bench_local_phase_partitions(c: &mut Criterion) {
                         piece.to_vec(),
                         &checker,
                         &mut stats,
-                        DominanceKernel::Scalar,
+                        DominanceKernel::Auto,
                     ));
                 }
-                bnl_skyline(locals, &checker, &mut stats, DominanceKernel::Scalar)
+                bnl_skyline(locals, &checker, &mut stats, DominanceKernel::Auto)
             })
         });
     }

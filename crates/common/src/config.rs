@@ -7,9 +7,10 @@ use std::time::Duration;
 ///
 /// `Auto` follows the paper's Listing 8: the complete (BNL) algorithm when
 /// `COMPLETE` is declared or no skyline dimension is nullable, otherwise the
-/// incomplete (null-bitmap partitioned) algorithm. The other three variants
-/// each force one of the paper's algorithms evaluated in §6.3 — the
-/// benchmark harness uses them to produce the paper's comparison series.
+/// incomplete algorithm, whose local phase groups each scan partition by
+/// null bitmap, with no exchange. The other three variants each force one
+/// of the paper's algorithms evaluated in §6.3 — the benchmark harness
+/// uses them to produce the paper's comparison series.
 /// Whichever variant plans the complete family also gets the disk
 /// dominance gate when its input is a disk table: blocks whose best
 /// corner a point of the footer sample's skyline strictly dominates are
@@ -27,10 +28,11 @@ pub enum SkylineStrategy {
     /// Algorithm (2): skip the local phase; one executor computes the
     /// global skyline directly. Only valid on complete data.
     NonDistributedComplete,
-    /// Algorithm (3): null-bitmap partitioned local skylines + all-pairs
-    /// flagged global skyline (computed as the pairwise merge over the
-    /// bitmap-class blocks of the local skylines — same rows, same order).
-    /// Valid on any data.
+    /// Algorithm (3): local skylines per null-bitmap class of each scan
+    /// partition (grouped in place, with no exchange) + all-pairs flagged
+    /// global skyline (computed as the pairwise merge over the bitmap-class
+    /// blocks of the local skylines — same rows, same order). Valid on any
+    /// data.
     DistributedIncomplete,
 }
 
@@ -65,15 +67,15 @@ pub enum SkylinePartitioning {
     AngleBased,
 }
 
-/// Which dominance-kernel implementation the skyline operators run on.
+/// Which compare tier of the columnar dominance kernel the skyline
+/// operators run on.
 ///
-/// The columnar block (`sparkline_skyline::columnar`) ships two compare
-/// tiers — an explicit AVX2 intrinsic loop and the portable chunked-scalar
-/// loop — and `Scalar` bypasses the block entirely, testing every pair
-/// through the row-at-a-time `DominanceChecker`. All three selections
+/// Every skyline window, cross-filter and merge block is a columnar block
+/// (`sparkline_skyline::columnar`), which ships two compare tiers: an
+/// explicit AVX2 intrinsic loop and the portable chunked-scalar loop. Both
 /// produce byte-identical skylines (only the performed-test counters
-/// differ); the non-`Auto` values exist for A/B benchmarking and for
-/// pinning CI to the portable paths.
+/// differ); `Chunked` exists to pin CI and differential tests to the
+/// portable path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DominanceKernel {
     /// Runtime dispatch: the AVX2 tier where the CPU supports it
@@ -83,16 +85,6 @@ pub enum DominanceKernel {
     /// Force the portable chunked-scalar mask loop (the differential
     /// oracle for the SIMD tier).
     Chunked,
-    /// Bypass the columnar block; every test runs the scalar checker.
-    Scalar,
-}
-
-impl DominanceKernel {
-    /// Whether this selection routes tests through the columnar block at
-    /// all (everything but [`DominanceKernel::Scalar`]).
-    pub fn is_vectorized(self) -> bool {
-        self != DominanceKernel::Scalar
-    }
 }
 
 /// Per-session engine configuration.
@@ -118,13 +110,11 @@ pub struct SessionConfig {
     pub skyline_strategy: SkylineStrategy,
     /// Partitioning scheme for the distributed complete local phase.
     pub skyline_partitioning: SkylinePartitioning,
-    /// How skyline dominance tests run: through the columnar (struct-of-
-    /// arrays) batch kernel where the data admits it — on the tier
-    /// [`DominanceKernel::Auto`] picks from the CPU's features at runtime,
-    /// or a pinned one; rows the kernel cannot represent fall back to the
-    /// scalar checker per tuple — or, with [`DominanceKernel::Scalar`], on
-    /// the scalar checker throughout (the A/B baseline). Results are
-    /// identical either way.
+    /// The compare tier of the columnar (struct-of-arrays) dominance
+    /// kernel: the one [`DominanceKernel::Auto`] picks from the CPU's
+    /// features at runtime, or the pinned portable loop. Rows the kernel
+    /// cannot represent fall back to the scalar checker per tuple on
+    /// either tier. Results are identical either way.
     pub dominance_kernel: DominanceKernel,
     /// Enable the §5.4 rewrite of single-dimension skylines into an O(n)
     /// min/max scan + filter.
@@ -315,9 +305,6 @@ mod tests {
                 .dominance_kernel,
             DominanceKernel::Chunked
         );
-        assert!(DominanceKernel::Auto.is_vectorized());
-        assert!(DominanceKernel::Chunked.is_vectorized());
-        assert!(!DominanceKernel::Scalar.is_vectorized());
     }
 
     #[test]

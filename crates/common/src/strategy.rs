@@ -5,12 +5,12 @@
 //! NULL?). This module generalizes that into a single, testable decision
 //! point consumed by the physical planner: given the [`SessionConfig`] and
 //! the [`SkylineMeta`] extracted from the plan, [`SkylinePlan::select`]
-//! fixes the algorithm family, the local-phase partitioning scheme, and
-//! the compare kernel. Keeping the decision here (rather than
-//! inlined in the planner) lets the optimizer, the planner, and the
-//! benchmark harness agree on one notion of "what will this query run".
+//! fixes the algorithm family and the local-phase partitioning scheme.
+//! Keeping the decision here (rather than inlined in the planner) lets the
+//! optimizer, the planner, and the benchmark harness agree on one notion
+//! of "what will this query run".
 
-use crate::config::{DominanceKernel, SessionConfig, SkylinePartitioning, SkylineStrategy};
+use crate::config::{SessionConfig, SkylinePartitioning, SkylineStrategy};
 use crate::skyline::SkylineSpec;
 
 /// Plan metadata the strategy decision needs, extracted from the logical
@@ -40,7 +40,8 @@ impl SkylineMeta {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SkylinePlan {
     /// Complete-data algorithm family (two-phase BNL) vs the incomplete
-    /// (null-bitmap + all-pairs) family.
+    /// family (a local phase per null-bitmap class of each scan partition,
+    /// with no exchange, then the all-pairs global phase).
     pub use_complete: bool,
     /// Whether a distributed local phase runs before the global phase.
     pub distributed: bool,
@@ -48,11 +49,6 @@ pub struct SkylinePlan {
     /// the scheme cannot apply: angles over fewer than two ranked
     /// dimensions).
     pub partitioning: SkylinePartitioning,
-    /// The session's `dominance_kernel` selection: which compare tier the
-    /// columnar batch kernel runs per operator (unrepresentable rows still
-    /// fall back to the scalar checker tuple-by-tuple), or `Scalar` for
-    /// the scalar checker throughout.
-    pub kernel: DominanceKernel,
 }
 
 impl SkylinePlan {
@@ -85,10 +81,6 @@ impl SkylinePlan {
             use_complete,
             distributed,
             partitioning,
-            // Semantics-preserving on every algorithm family (the kernel
-            // falls back per tuple where it cannot represent the data),
-            // so the knob passes through unconditionally.
-            kernel: config.dominance_kernel,
         }
     }
 }
@@ -151,23 +143,6 @@ mod tests {
                 SkylinePartitioning::Standard,
                 "{strategy:?}"
             );
-        }
-    }
-
-    #[test]
-    fn kernel_knob_passes_through() {
-        let plan = SkylinePlan::select(&SessionConfig::default(), &meta(2, false, false));
-        assert_eq!(plan.kernel, DominanceKernel::Auto);
-        for kernel in [
-            DominanceKernel::Auto,
-            DominanceKernel::Chunked,
-            DominanceKernel::Scalar,
-        ] {
-            let config = SessionConfig::default().with_dominance_kernel(kernel);
-            for incomplete in [false, true] {
-                let plan = SkylinePlan::select(&config, &meta(2, incomplete, false));
-                assert_eq!(plan.kernel, kernel);
-            }
         }
     }
 }

@@ -7,11 +7,11 @@
 //! trees and performs the paper's skyline **algorithm selection**
 //! (Listing 8): complete data runs the two-phase Block-Nested-Loop plan
 //! (`LocalSkylineExec` + `GlobalSkylineExec` merging the local skylines
-//! pairwise over the executor pool); potentially incomplete data is
-//! hash-distributed by null bitmap for a per-class local phase and finished
-//! by the same `GlobalSkylineExec` under the incomplete relation, whose
-//! pairwise merge over the bitmap-class runs computes the paper's
-//! all-pairs pass with deferred deletion.
+//! pairwise over the executor pool); for potentially incomplete data the
+//! local phase groups each scan partition by null bitmap, with no
+//! exchange, and the same `GlobalSkylineExec` finishes under the
+//! incomplete relation, whose pairwise merge over the bitmap-class runs
+//! computes the paper's all-pairs pass with deferred deletion.
 //!
 //! Operators follow a **pull-based, batched stream model** (the analogue
 //! of Spark's pipelined narrow transformations): `execute_stream` returns

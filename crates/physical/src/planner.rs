@@ -254,12 +254,14 @@ impl<'a> PhysicalPlanner<'a> {
             distinct,
         };
 
-        // Strategy selection: algorithm family, local-phase partitioning
-        // and compare kernel are fixed in one place from the session
+        // Strategy selection: algorithm family and local-phase
+        // partitioning are fixed in one place from the session
         // configuration and the skyline's plan metadata (Listing 8,
-        // extended — see `sparkline_common::strategy`).
+        // extended — see `sparkline_common::strategy`). Every operator
+        // runs on the session's compare kernel.
         let meta = SkylineMeta::new(&spec, skyline_nullable, complete);
         let choice = SkylinePlan::select(self.config, &meta);
+        let kernel = self.config.dominance_kernel;
 
         let global_input: Arc<dyn ExecutionPlan> = if choice.use_complete {
             // Dominance-based data skipping: a disk scan reachable through
@@ -274,7 +276,7 @@ impl<'a> PhysicalPlanner<'a> {
             // its plans never get the gate.
             if let Some((slot, sample)) = crate::find_dominance_skip_slot(input_exec.as_ref()) {
                 if let Some(skip) =
-                    crate::scan_disk::DominanceSkip::from_sample(&spec.dims, sample, choice.kernel)
+                    crate::scan_disk::DominanceSkip::from_sample(&spec.dims, sample, kernel)
                 {
                     let _ = slot.set(skip);
                 }
@@ -295,8 +297,7 @@ impl<'a> PhysicalPlanner<'a> {
                     )),
                 };
                 Arc::new(
-                    LocalSkylineExec::new(spec.clone(), false, local_input)
-                        .with_kernel(choice.kernel),
+                    LocalSkylineExec::new(spec.clone(), false, local_input).with_kernel(kernel),
                 )
             } else {
                 Arc::new(ExchangeExec::single(input_exec))
@@ -306,13 +307,10 @@ impl<'a> PhysicalPlanner<'a> {
             // bitmap class of each scan partition, and the global merge
             // over their class runs — nothing moves before the local phase
             // (soundness in `sparkline_skyline::incomplete`).
-            Arc::new(
-                LocalSkylineExec::new(spec.clone(), true, input_exec).with_kernel(choice.kernel),
-            )
+            Arc::new(LocalSkylineExec::new(spec.clone(), true, input_exec).with_kernel(kernel))
         };
         let mut result: Arc<dyn ExecutionPlan> = Arc::new(
-            GlobalSkylineExec::new(spec, !choice.use_complete, global_input)
-                .with_kernel(choice.kernel),
+            GlobalSkylineExec::new(spec, !choice.use_complete, global_input).with_kernel(kernel),
         );
 
         if needs_wrap {
@@ -670,7 +668,6 @@ mod tests {
             ("forced incomplete over COMPLETE data", forced(SkylineStrategy::DistributedIncomplete), false, true, [Min, Max], &[INCOMPLETE], &[COMPLETE]),
             ("forced non-distributed over nullable dims", forced(SkylineStrategy::NonDistributedComplete), true, false, [Min, Max], &[GATHER, "GlobalSkylineExec [2 dims, pairwise merge"], &[INCOMPLETE, "LocalSkylineExec"]),
             ("forced distributed complete over nullable dims", forced(SkylineStrategy::DistributedComplete), true, false, [Min, Max], &[COMPLETE], &[INCOMPLETE]),
-            ("scalar kernel tag", kernel(DominanceKernel::Scalar), false, false, [Min, Max], &[COMPLETE], &["vectorized"]),
             ("chunked kernel tag, complete", kernel(DominanceKernel::Chunked), false, false, [Min, Max], &["complete, vectorized: chunked]", "pairwise merge, vectorized: chunked]"], &[]),
             ("chunked kernel tag, incomplete", kernel(DominanceKernel::Chunked), true, false, [Min, Max], &["LocalSkylineExec [2 dims, incomplete, vectorized: chunked]", "pairwise merge, vectorized: chunked]"], &[]),
         ];

@@ -42,7 +42,7 @@ use crate::ExecutionPlan;
 /// straight into the phase's BNL state — the columnar kernel's
 /// encode-once window, or the per-bitmap-class window map.
 enum SkylineSink {
-    /// Complete-data BNL window (scalar or columnar).
+    /// Complete-data BNL window.
     Bnl(Box<BnlBuilder>),
     /// Incomplete local phase: one BNL window per null-bitmap class.
     Grouped(GroupedBnlBuilder),
@@ -150,16 +150,6 @@ fn record_stats(ctx: &TaskContext, stats: &SkylineStats) {
     ctx.metrics.observe_window(stats.max_window);
 }
 
-/// The EXPLAIN fragment naming the operator's compare kernel: empty for
-/// the scalar path, `", vectorized: simd(avx2), lanes=8"`-style otherwise.
-fn kernel_fragment(kernel: DominanceKernel) -> String {
-    if kernel.is_vectorized() {
-        format!(", vectorized: {}", kernel_label(kernel))
-    } else {
-        String::new()
-    }
-}
-
 /// Distributed local skyline phase.
 #[derive(Debug)]
 pub struct LocalSkylineExec {
@@ -230,7 +220,7 @@ impl ExecutionPlan for LocalSkylineExec {
 
     fn describe(&self) -> String {
         format!(
-            "LocalSkylineExec [{} dims, {}{}{}]",
+            "LocalSkylineExec [{} dims, {}{}, vectorized: {}]",
             self.spec.dims.len(),
             if self.incomplete {
                 "incomplete"
@@ -238,7 +228,7 @@ impl ExecutionPlan for LocalSkylineExec {
                 "complete"
             },
             if self.spec.distinct { ", distinct" } else { "" },
-            kernel_fragment(self.kernel),
+            kernel_label(self.kernel),
         )
     }
 }
@@ -324,15 +314,15 @@ impl GlobalSkylineExec {
 }
 
 /// Antichain blocks encoded once for the pairwise cross-filter merge: the
-/// block rows, in arrival order, plus, on a vectorized kernel knob, each
-/// block's columnar encoding **sorted by score key** — so every candidate
+/// block rows, in arrival order, plus each block's columnar encoding
+/// **sorted by score key** — so every candidate
 /// probes a block's strongest rows first and stops at the score bound
 /// (`sparkline_skyline::bnl`, "The score-ordered window"). A block demoted
 /// to scalar fallback stays unsorted; the primitive routes around it.
 struct EncodedSkylines {
     checker: DominanceChecker,
     antichains: Vec<Partition>,
-    blocks: Vec<Option<ColumnarBlock>>,
+    blocks: Vec<ColumnarBlock>,
 }
 
 /// How many leading rows of each block the debug-build contract check
@@ -352,15 +342,13 @@ impl EncodedSkylines {
         let blocks = antichains
             .iter()
             .map(|rows| {
-                kernel.is_vectorized().then(|| {
-                    let mut block = ColumnarBlock::for_checker_with(&checker, kernel);
-                    rows.iter().for_each(|row| block.push(row));
-                    // Only the block is reordered: the cross-filter never
-                    // indexes the rows through it, and the survivor masks
-                    // stay in the antichain's arrival order.
-                    block.sort_by_key();
-                    block
-                })
+                let mut block = ColumnarBlock::for_checker_with(&checker, kernel);
+                rows.iter().for_each(|row| block.push(row));
+                // Only the block is reordered: the cross-filter never
+                // indexes the rows through it, and the survivor masks stay
+                // in the antichain's arrival order.
+                block.sort_by_key();
+                block
             })
             .collect();
         EncodedSkylines {
@@ -396,7 +384,7 @@ impl EncodedSkylines {
                     cands,
                     alive,
                     against,
-                    self.blocks[j].as_ref(),
+                    &self.blocks[j],
                     &mut scratch,
                     stats,
                 );
@@ -545,11 +533,11 @@ impl ExecutionPlan for GlobalSkylineExec {
 
     fn describe(&self) -> String {
         format!(
-            "GlobalSkylineExec [{} dims{}{}, pairwise merge{}]",
+            "GlobalSkylineExec [{} dims{}{}, pairwise merge, vectorized: {}]",
             self.spec.dims.len(),
             if self.incomplete { ", incomplete" } else { "" },
             if self.spec.distinct { ", distinct" } else { "" },
-            kernel_fragment(self.kernel),
+            kernel_label(self.kernel),
         )
     }
 }
@@ -705,7 +693,7 @@ mod tests {
     use crate::scan::ScanExec;
     use sparkline_common::{DataType, Field, Schema, SkylineDim};
     use sparkline_plan::BoundColumn;
-    use sparkline_skyline::incomplete_global_skyline;
+    use sparkline_skyline::{incomplete_global_skyline, naive_skyline};
 
     fn input(rows: Vec<Vec<Value>>) -> Arc<dyn ExecutionPlan> {
         let schema = Schema::new(vec![
@@ -811,9 +799,10 @@ mod tests {
     fn incomplete_pairwise_merge_is_byte_identical_to_the_all_pairs_pass() {
         // Mixed-bitmap data, DISTINCT over duplicated rows, and a string
         // dimension that demotes the class blocks holding strings to
-        // scalar fallback: on every kernel the merge returns the rows of the paper's all-pairs
-        // pass over the gathered local skylines, in the same order, and
-        // defers exactly the candidates that pass flags.
+        // scalar fallback: on both kernels the merge returns the rows of
+        // the paper's all-pairs pass over the gathered local skylines, in
+        // the same order, and defers exactly the candidates that pass
+        // flags.
         let mixed: Vec<Row> = (0..180)
             .map(|i: i64| {
                 let v = |k: i64| {
@@ -851,11 +840,7 @@ mod tests {
             ("strings", strings, spec3()),
         ] {
             let checker = DominanceChecker::incomplete(spec.clone());
-            for kernel in [
-                DominanceKernel::Scalar,
-                DominanceKernel::Chunked,
-                DominanceKernel::Auto,
-            ] {
+            for kernel in [DominanceKernel::Chunked, DominanceKernel::Auto] {
                 let plan = incomplete_plan(rows.clone(), spec.clone(), kernel);
                 let locals = plan.children()[0].execute(&TaskContext::new(6)).unwrap();
                 // One block per (partition, class) run: a class may span
@@ -889,9 +874,7 @@ mod tests {
                 );
                 assert_eq!(m.merge_rounds, 1, "{name} {kernel:?}: {m:?}");
                 assert_eq!(m.merge_tasks as usize, runs, "{name} {kernel:?}");
-                if !kernel.is_vectorized() {
-                    assert_eq!(m.batched_tests, 0, "{name} {kernel:?}: {m:?}");
-                } else if name == "strings" {
+                if name == "strings" {
                     assert!(m.scalar_tests > 0, "{name} {kernel:?}: {m:?}");
                 } else {
                     assert!(m.batched_tests > 0, "{name} {kernel:?}: {m:?}");
@@ -909,11 +892,11 @@ mod tests {
             "GlobalSkylineExec [2 dims, incomplete, pairwise merge, vectorized: chunked]"
         );
         let distinct = SkylineSpec::distinct(spec2().dims);
-        let scalar = GlobalSkylineExec::new(distinct, true, input(Vec::new()))
-            .with_kernel(DominanceKernel::Scalar);
+        let distinct = GlobalSkylineExec::new(distinct, true, input(Vec::new()))
+            .with_kernel(DominanceKernel::Chunked);
         assert_eq!(
-            scalar.describe(),
-            "GlobalSkylineExec [2 dims, incomplete, distinct, pairwise merge]"
+            distinct.describe(),
+            "GlobalSkylineExec [2 dims, incomplete, distinct, pairwise merge, vectorized: chunked]"
         );
     }
 
@@ -1096,13 +1079,16 @@ mod tests {
             ("nulls", &nulls, spec2()),
             ("strings", &strings, spec2()),
         ] {
-            let (expected, _) = merged(data, spec.clone(), true, DominanceKernel::Scalar, 5);
+            let rows: Vec<Row> = data.iter().cloned().map(Row::new).collect();
+            let expected = naive_skyline(&rows, &DominanceChecker::complete(spec.clone()));
             assert!(!expected.is_empty());
-            for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
-                let (rows, m) = merged(data, spec.clone(), false, kernel, 5);
-                assert_eq!(rows, expected, "{name} {kernel:?}");
-                if name == "strings" {
-                    assert_eq!(m.batched_tests, 0, "{name} {kernel:?}: {m:?}");
+            for kernel in [DominanceKernel::Chunked, DominanceKernel::Auto] {
+                for gather in [true, false] {
+                    let (rows, m) = merged(data, spec.clone(), gather, kernel, 5);
+                    assert_eq!(rows, expected, "{name} {kernel:?} gather={gather}");
+                    if name == "strings" {
+                        assert_eq!(m.batched_tests, 0, "{name} {kernel:?}: {m:?}");
+                    }
                 }
             }
         }
@@ -1180,23 +1166,22 @@ mod tests {
             "{}",
             global.describe()
         );
-        let scalar = GlobalSkylineExec::new(spec2(), false, input(Vec::new()))
-            .with_kernel(DominanceKernel::Scalar);
+        let chunked = GlobalSkylineExec::new(spec2(), false, input(Vec::new()))
+            .with_kernel(DominanceKernel::Chunked);
         assert_eq!(
-            scalar.describe(),
-            "GlobalSkylineExec [2 dims, pairwise merge]"
+            chunked.describe(),
+            "GlobalSkylineExec [2 dims, pairwise merge, vectorized: chunked]"
         );
     }
 
     #[test]
     fn vectorized_and_scalar_plans_are_byte_identical() {
+        // The vectorized plans against the scalar definition.
         let data: Vec<Vec<Value>> = (0..200)
             .map(|i: i64| vec![Value::Int64((i * 37) % 80), Value::Int64((i * 53) % 80)])
             .collect();
-        let (scalar_rows, s) = merged(&data, spec2(), true, DominanceKernel::Scalar, 6);
-        assert_eq!(s.batched_tests, 0, "scalar plan must not batch: {s:?}");
-        assert!(s.scalar_tests > 0);
-        assert_eq!(s.scalar_tests, s.dominance_tests);
+        let rows: Vec<Row> = data.iter().cloned().map(Row::new).collect();
+        let scalar_rows = naive_skyline(&rows, &DominanceChecker::complete(spec2()));
         for gather in [true, false] {
             let (vec_rows, v) = merged(&data, spec2(), gather, DominanceKernel::Auto, 6);
             // Row-for-row identical, including order.
@@ -1219,9 +1204,6 @@ mod tests {
             "{}",
             local.describe()
         );
-        let scalar = LocalSkylineExec::new(spec2(), false, input(Vec::new()))
-            .with_kernel(DominanceKernel::Scalar);
-        assert!(!scalar.describe().contains("vectorized"));
         let global = GlobalSkylineExec::new(spec2(), false, input(Vec::new()));
         assert!(
             global
@@ -1249,10 +1231,8 @@ mod tests {
             .map(|i: i64| vec![Value::Int64((i * 37) % 80), Value::Int64((i * 53) % 80)])
             .collect();
         let run_plan = |kernel| merged(&data, spec2(), false, kernel, 4);
-        let (expected, s) = run_plan(DominanceKernel::Scalar);
-        assert_eq!(s.simd_tests, 0);
-        assert_eq!(s.batched_tests, 0);
-        assert_eq!(s.multi_candidate_passes, 0);
+        let rows: Vec<Row> = data.iter().cloned().map(Row::new).collect();
+        let expected = naive_skyline(&rows, &DominanceChecker::complete(spec2()));
         for kernel in [DominanceKernel::Auto, DominanceKernel::Chunked] {
             let (rows, m) = run_plan(kernel);
             assert_eq!(rows, expected, "{kernel:?}");

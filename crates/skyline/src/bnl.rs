@@ -14,9 +14,10 @@
 //!
 //! Correctness relies on transitivity of dominance and therefore on the
 //! **complete-data** relation. The same routine also serves as the local
-//! skyline inside one null-bitmap partition of incomplete data, where all
+//! skyline inside one null-bitmap class of incomplete data, where all
 //! tuples share their NULL positions and the restricted relation is
-//! transitive again (paper §5.7 / Lemma 5.1).
+//! transitive again (paper §5.7 / Lemma 5.1): the local phase groups each
+//! scan partition by class, with no exchange.
 //!
 //! # The antichain cross-filter
 //!
@@ -104,14 +105,11 @@
 //! "window plus one batch" (16 bytes per member for key and arrival
 //! number).
 //!
-//! What keeps the arrival-order window and the per-row step
-//! ([`BnlBuilder::push`], both directions of every pair): non-transitive
-//! input (mixed-bitmap incomplete data — the scalar loop's mid-scan
-//! evictions can only be matched by replaying it in arrival order),
-//! `SKYLINE OF DISTINCT` (a dims-identical later row must die on an
-//! `Equal` verdict, which the strict cross-filter never reports), and the
-//! scalar kernel knob. A block demoted to scalar fallback mid-stream (a
-//! string, an inexact int/float mix) has lost its keys: the builder sorts
+//! What keeps the arrival-order window and the per-row step (both
+//! directions of every pair): `SKYLINE OF DISTINCT` (a dims-identical later
+//! row must die on an `Equal` verdict, which the strict cross-filter never
+//! reports), and a block demoted to scalar fallback mid-stream (a string,
+//! an inexact int/float mix), which has lost its keys: the builder sorts
 //! the window back into arrival order once and continues per row. A single
 //! row the block cannot encode *as a candidate* takes a scalar scan over
 //! the ordered window and then enters at the key the block derives from
@@ -124,12 +122,12 @@ use crate::dominance::{Dominance, DominanceChecker, SkylineStats};
 
 /// Kernel knob of the boolean constructors ([`BnlBuilder::new`] and
 /// [`GroupedBnlBuilder::new`](crate::incomplete::GroupedBnlBuilder::new)):
-/// `Auto` or `Scalar`.
+/// `Auto` or `Chunked`.
 pub(crate) fn kernel_for(vectorized: bool) -> DominanceKernel {
     if vectorized {
         DominanceKernel::Auto
     } else {
-        DominanceKernel::Scalar
+        DominanceKernel::Chunked
     }
 }
 
@@ -147,17 +145,15 @@ const FOLD_BATCH_ROWS: usize = CONTROL_CHECK_ROWS;
 /// local phase, mostly end here).
 const SORTED_INSERT_MAX: usize = 2 * MULTI_LANES;
 
-/// Compute the skyline of `rows` with the BNL window algorithm on the
-/// `kernel` knob, recording dominance-test counts into `stats`: `Scalar`
-/// is the per-row scalar window loop, every other knob folds the rows
-/// through [`BnlBuilder::push_batch`] on the columnar kernel's resolved
-/// compare tier.
+/// Compute the skyline of `rows` under the complete relation `checker`
+/// with the BNL window algorithm, folding the rows through
+/// [`BnlBuilder::push_batch`] on the compare tier the `kernel` knob
+/// resolves to, and recording dominance-test counts into `stats`.
 ///
 /// Every knob yields the same rows in the same order — the skyline
-/// members in arrival order. Test *counts* differ: the kernel's early
-/// exit is chunk-granular, and the score-ordered window prunes tests the
-/// scalar loop performs; `batched_tests` / `scalar_tests` record which
-/// checker answered them.
+/// members in arrival order, what [`naive_skyline`](crate::naive_skyline)
+/// returns. Test *counts* differ between tiers only in `simd_tests`;
+/// `batched_tests` / `scalar_tests` record which checker answered them.
 ///
 /// With `checker.distinct()` set, tuples whose *compared* dimensions are
 /// all equal keep a single representative (the first one encountered),
@@ -211,8 +207,8 @@ impl CrossFilterScratch {
 /// caller can chain filters against several sets over one mask.
 ///
 /// `block` is the columnar encoding of the rows of `against` — in any
-/// order; a key-ordered block bounds every walk (module docs) — or `None`
-/// on the scalar kernel knob. With a live block, candidates are tested
+/// order; a key-ordered block bounds every walk (module docs). With a live
+/// block, candidates are tested
 /// [`MULTI_LANES`] at a time by the early-exit multi-candidate kernel
 /// ([`ColumnarBlock::first_dominators`]); a block in scalar fallback, and
 /// any candidate the block cannot encode, takes a scalar scan over
@@ -231,7 +227,7 @@ pub fn cross_filter(
     cands: &[Row],
     alive: &mut [bool],
     against: &[Row],
-    block: Option<&ColumnarBlock>,
+    block: &ColumnarBlock,
     scratch: &mut CrossFilterScratch,
     stats: &mut SkylineStats,
 ) {
@@ -245,12 +241,12 @@ pub fn cross_filter(
             checker.compare(cand, row) == Dominance::DominatedBy
         })
     };
-    let Some(block) = block.filter(|b| !b.is_fallback()) else {
+    if block.is_fallback() {
         for (cand, alive) in cands.iter().zip(alive.iter_mut()) {
             *alive = *alive && scalar_survives(cand, stats);
         }
         return;
-    };
+    }
     debug_assert_eq!(block.len(), against.len());
     scratch
         .encoded
@@ -291,26 +287,24 @@ fn permute<T>(v: &mut Vec<T>, perm: &[usize]) {
 /// The window *is* the running skyline, so a stream operator can push row
 /// batches as they are pulled from upstream and drop them immediately:
 /// peak memory is bounded by the skyline size plus one batch, never by
-/// the input size. On a vectorized kernel knob the window is mirrored
-/// into the columnar kernel's [`ColumnarBlock`] (encode-once,
-/// evict-by-index) and — where the module docs' premises hold — kept in
-/// score order; [`push_batch`](Self::push_batch) folds whole batches into
-/// it through [`cross_filter`], [`push`](Self::push) tests one tuple
-/// against the whole window in one chunked pass. Rows the kernel cannot
-/// represent take the scalar step, so the result is always byte-identical
-/// to the scalar builder.
+/// the input size. The window is mirrored into the columnar kernel's
+/// [`ColumnarBlock`] (encode-once, evict-by-index) and — where the module
+/// docs' premises hold — kept in score order;
+/// [`push_batch`](Self::push_batch) folds whole batches into it through
+/// [`cross_filter`], and the per-row step tests one tuple against the
+/// whole window in one chunked pass. Rows the kernel cannot represent take
+/// the scalar step, so the result is always the skyline members in arrival
+/// order.
 pub struct BnlBuilder {
     checker: DominanceChecker,
     kernel: DominanceKernel,
     window: Vec<Row>,
-    /// `Some` on the vectorized path (even after a fallback demotion, so
-    /// the per-tuple routing below stays cheap), `None` on the scalar one.
-    /// Index-aligned with `window` while live.
-    block: Option<ColumnarBlock>,
-    /// Whether the window is kept in score order (module docs): the
-    /// relation is transitive — the complete relation, or the incomplete
-    /// one on class-pure input (Lemma 5.1) — there is no `DISTINCT`, and
-    /// the block is live. Otherwise the window is in arrival order.
+    /// Index-aligned with `window` while live; once demoted to scalar
+    /// fallback it stays in place, inert.
+    block: ColumnarBlock,
+    /// Whether the window is kept in score order (module docs): there is
+    /// no `DISTINCT`, and the block is live. Otherwise the window is in
+    /// arrival order.
     ordered: bool,
     /// Arrival number of every window row while `ordered` (index-aligned),
     /// unused otherwise.
@@ -328,22 +322,35 @@ pub struct BnlBuilder {
 }
 
 impl BnlBuilder {
-    /// An empty builder ([`DominanceKernel::Auto`] when `vectorized`).
+    /// [`with_kernel`](Self::with_kernel) on [`DominanceKernel::Auto`] when
+    /// `vectorized`, `Chunked` otherwise.
     pub fn new(checker: DominanceChecker, vectorized: bool) -> Self {
         Self::with_kernel(checker, kernel_for(vectorized))
     }
 
-    /// An empty builder on an explicit kernel knob.
+    /// An empty builder under the complete relation `checker`. Panics on an
+    /// incomplete-relation checker, which is not transitive across
+    /// null-bitmap classes: such rows go through the class windows of
+    /// [`GroupedBnlBuilder`](crate::incomplete::GroupedBnlBuilder).
     pub fn with_kernel(checker: DominanceChecker, kernel: DominanceKernel) -> Self {
-        let block = kernel
-            .is_vectorized()
-            .then(|| ColumnarBlock::for_checker_with(&checker, kernel));
-        let mut builder = BnlBuilder {
+        assert!(
+            !checker.is_incomplete(),
+            "a BNL window needs a transitive relation: incomplete data goes through GroupedBnlBuilder"
+        );
+        Self::for_class(checker, kernel)
+    }
+
+    /// An empty window for rows of one null-bitmap class — within a class
+    /// the restricted incomplete relation is transitive (Lemma 5.1) — or
+    /// for any rows under the complete relation.
+    pub(crate) fn for_class(checker: DominanceChecker, kernel: DominanceKernel) -> Self {
+        let block = ColumnarBlock::for_checker_with(&checker, kernel);
+        BnlBuilder {
+            ordered: !checker.distinct() && !block.is_fallback(),
             checker,
             kernel,
             window: Vec::new(),
             block,
-            ordered: false,
             seqs: Vec::new(),
             next_seq: 0,
             cand: EncodedCandidate::new(),
@@ -353,26 +360,7 @@ impl BnlBuilder {
             keep: Vec::new(),
             scratch: CrossFilterScratch::default(),
             stats: SkylineStats::default(),
-        };
-        builder.set_transitive(!builder.checker.is_incomplete());
-        builder
-    }
-
-    /// Declare the input class-pure: every row pushed shares one null
-    /// bitmap, so the restricted incomplete relation is transitive within
-    /// it (paper Lemma 5.1) and the score-ordered fold is sound. Used by
-    /// the per-class builders of
-    /// [`GroupedBnlBuilder`](crate::incomplete::GroupedBnlBuilder), before
-    /// the first push.
-    pub(crate) fn mark_class_pure(&mut self) {
-        self.set_transitive(true);
-    }
-
-    fn set_transitive(&mut self, transitive: bool) {
-        debug_assert!(self.window.is_empty(), "the window order is fixed up front");
-        self.ordered = transitive
-            && !self.checker.distinct()
-            && self.block.as_ref().is_some_and(|b| !b.is_fallback());
+        }
     }
 
     /// Current window occupancy (== the running skyline size).
@@ -389,9 +377,9 @@ impl BnlBuilder {
     ///
     /// With a score-ordered window the rows are folded into it
     /// `FOLD_BATCH_ROWS` at a time by the cross-filter batch fold of the
-    /// module docs; otherwise each row takes the per-row
-    /// [`push`](Self::push) step. Either way the window afterwards holds
-    /// what pushing the rows one by one would have left.
+    /// module docs; otherwise each row takes the per-row step. Either way
+    /// the window afterwards holds what pushing the rows one by one would
+    /// have left.
     pub fn push_batch(&mut self, rows: impl IntoIterator<Item = Row>) {
         self.push_chunks(rows, None)
             .expect("only a control check can fail");
@@ -447,10 +435,7 @@ impl BnlBuilder {
             batch.drain(..).for_each(|row| self.push(row));
             return;
         }
-        let block = self
-            .block
-            .as_mut()
-            .expect("a score-ordered window has a block");
+        let block = &mut self.block;
         // 1. batch \ dominated-by-window, in arrival order.
         self.alive.clear();
         self.alive.resize(batch.len(), true);
@@ -459,7 +444,7 @@ impl BnlBuilder {
             batch,
             &mut self.alive,
             &self.window,
-            Some(block),
+            block,
             &mut self.scratch,
             &mut self.stats,
         );
@@ -491,7 +476,7 @@ impl BnlBuilder {
             batch,
             &mut self.alive,
             batch,
-            Some(&sky),
+            &sky,
             &mut self.scratch,
             &mut self.stats,
         );
@@ -514,7 +499,7 @@ impl BnlBuilder {
             &self.window[start..],
             &mut self.keep[start..],
             batch,
-            Some(&sky),
+            &sky,
             &mut self.scratch,
             &mut self.stats,
         );
@@ -535,23 +520,12 @@ impl BnlBuilder {
     }
 
     /// Feed one tuple through the BNL window step.
-    pub fn push(&mut self, tuple: Row) {
-        let Some(block) = self.block.as_mut().filter(|b| !b.is_fallback()) else {
-            // The scalar knob, or a block that is dead for good: no mirror.
-            if scalar_window_scan(
-                &tuple,
-                &self.checker,
-                &mut self.stats,
-                &mut self.window,
-                |_| {},
-            ) {
-                self.admit(tuple);
-            }
-            return;
-        };
+    fn push(&mut self, tuple: Row) {
+        let block = &mut self.block;
         if !block.encode_into(&tuple, &mut self.cand) {
-            // Only this tuple needs the scalar path; keep the block (and
-            // the arrival numbers) aligned for the following tuples.
+            // A block in fallback, or a tuple only the scalar path can
+            // hold: a scalar scan, keeping the block (inert once dead) and
+            // the arrival numbers aligned for the following tuples.
             let (seqs, ordered) = (&mut self.seqs, self.ordered);
             let evict = |i| {
                 block.remove(i);
@@ -570,54 +544,17 @@ impl BnlBuilder {
             }
             return;
         }
-        let distinct = self.checker.distinct();
-        if self.checker.is_incomplete() && !self.ordered {
-            // The incomplete relation is not transitive: the scalar loop
-            // may evict window rows *before* discovering the tuple is
-            // dominated, so its behavior on mixed-bitmap input can only be
-            // matched by replaying it verbatim. Compute all outcomes in
-            // one batched pass (no early exit), then replay.
-            let res = block.compare_batch(&self.cand, &mut self.out, false);
-            self.stats.add_block_tests(res.tested, block.is_simd());
-            let mut dominated = false;
-            let mut i = 0;
-            while i < self.out.len() {
-                match self.out[i] {
-                    Dominance::Dominates => {
-                        self.window.remove(i);
-                        block.remove(i);
-                        self.out.remove(i);
-                    }
-                    Dominance::DominatedBy => {
-                        dominated = true;
-                        break;
-                    }
-                    Dominance::Equal => {
-                        if distinct && self.checker.identical_dims(&tuple, &self.window[i]) {
-                            dominated = true;
-                            break;
-                        }
-                        i += 1;
-                    }
-                    Dominance::Incomparable => i += 1,
-                }
-            }
-            if !dominated {
-                self.admit(tuple);
-            }
-            return;
-        }
         let res = block.compare_batch(&self.cand, &mut self.out, true);
         self.stats.add_block_tests(res.tested, block.is_simd());
         if res.dominated_at.is_some() {
             return;
         }
-        // A transitive relation from here on, and the window holds no
-        // mutually dominating rows, so a tuple that is dominated (or
+        // The relation is transitive and the window holds no mutually
+        // dominating rows, so a tuple that is dominated (or
         // DISTINCT-identical to a window tuple) dominates nothing in the
         // window — dropping it without evictions matches the scalar loop
         // exactly, which is what makes the chunked early exit above sound.
-        if distinct
+        if self.checker.distinct()
             && self.out.iter().enumerate().any(|(i, &o)| {
                 o == Dominance::Equal && self.checker.identical_dims(&tuple, &self.window[i])
             })
@@ -628,8 +565,7 @@ impl BnlBuilder {
         // compaction (identical survivors, same relative order as the
         // scalar loop's per-row `Vec::remove`, without shifting the tail
         // once per eviction). All verdicts are precomputed in `out`, so
-        // no mid-scan state needs replaying here — unlike the incomplete
-        // branch above.
+        // no mid-scan state needs replaying.
         if self.out.contains(&Dominance::Dominates) {
             self.keep.clear();
             self.keep
@@ -648,13 +584,11 @@ impl BnlBuilder {
     /// demotes the block of an ordered window sends the window back to
     /// arrival order first.
     fn admit(&mut self, tuple: Row) {
-        let at = match self.block.as_mut() {
-            Some(block) if self.ordered => block.push_ordered(&tuple),
-            Some(block) => {
-                block.push(&tuple);
-                None
-            }
-            None => None,
+        let at = if self.ordered {
+            self.block.push_ordered(&tuple)
+        } else {
+            self.block.push(&tuple);
+            None
         };
         match at {
             Some(at) => {
@@ -736,6 +670,7 @@ fn scalar_window_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naive_skyline;
     use sparkline_common::{SkylineDim, SkylineSpec, Value};
 
     fn rows(data: &[(i64, i64)]) -> Vec<Row> {
@@ -777,7 +712,7 @@ mod tests {
         // Classic price/rating trade-off; skyline = the Pareto staircase.
         let mut stats = SkylineStats::default();
         let input = rows(&[(1, 9), (2, 7), (3, 8), (4, 4), (5, 5), (6, 1), (7, 2)]);
-        let sky = bnl_skyline(input, &min_min(false), &mut stats, DominanceKernel::Scalar);
+        let sky = bnl_skyline(input, &min_min(false), &mut stats, DominanceKernel::Chunked);
         assert_eq!(as_pairs(sky), vec![(1, 9), (2, 7), (4, 4), (6, 1)]);
         assert!(stats.dominance_tests > 0);
         assert!(stats.max_window >= 4);
@@ -790,7 +725,7 @@ mod tests {
             rows(&[(5, 5)]),
             &min_min(false),
             &mut stats,
-            DominanceKernel::Scalar,
+            DominanceKernel::Chunked,
         );
         assert_eq!(sky.len(), 1);
         assert_eq!(stats.dominance_tests, 0);
@@ -803,7 +738,7 @@ mod tests {
             rows(&[]),
             &min_min(false),
             &mut stats,
-            DominanceKernel::Scalar,
+            DominanceKernel::Chunked,
         );
         assert!(sky.is_empty());
     }
@@ -815,7 +750,7 @@ mod tests {
             rows(&[(5, 5), (4, 4), (3, 3), (0, 0), (2, 2)]),
             &min_min(false),
             &mut stats,
-            DominanceKernel::Scalar,
+            DominanceKernel::Chunked,
         );
         assert_eq!(as_pairs(sky), vec![(0, 0)]);
     }
@@ -827,7 +762,7 @@ mod tests {
             rows(&[(1, 1), (1, 1), (1, 1)]),
             &min_min(false),
             &mut stats,
-            DominanceKernel::Scalar,
+            DominanceKernel::Chunked,
         );
         assert_eq!(sky.len(), 3);
     }
@@ -839,7 +774,7 @@ mod tests {
             rows(&[(1, 1), (1, 1), (1, 1)]),
             &min_min(true),
             &mut stats,
-            DominanceKernel::Scalar,
+            DominanceKernel::Chunked,
         );
         assert_eq!(sky.len(), 1);
     }
@@ -857,7 +792,7 @@ mod tests {
             vec![r1.clone(), r2],
             &checker,
             &mut stats,
-            DominanceKernel::Scalar,
+            DominanceKernel::Chunked,
         );
         assert_eq!(sky, vec![r1]);
     }
@@ -871,7 +806,7 @@ mod tests {
             rows(&[(1, 8), (8, 1), (5, 5), (0, 0)]),
             &min_min(false),
             &mut stats,
-            DominanceKernel::Scalar,
+            DominanceKernel::Chunked,
         );
         assert_eq!(as_pairs(sky), vec![(0, 0)]);
     }
@@ -879,13 +814,12 @@ mod tests {
     #[test]
     fn batched_is_byte_identical_to_scalar() {
         // Mixed workload with evictions, duplicates, and incomparables;
-        // result vectors must match row-for-row (same order), not just as
-        // sets.
+        // result vectors must match the scalar definition row-for-row
+        // (same order), not just as sets.
         let data: Vec<(i64, i64)> = (0..120).map(|i| ((i * 37) % 50, (i * 53) % 50)).collect();
         for distinct in [false, true] {
             let checker = min_min(distinct);
-            let mut s1 = SkylineStats::default();
-            let scalar = bnl_skyline(rows(&data), &checker, &mut s1, DominanceKernel::Scalar);
+            let scalar = naive_skyline(&rows(&data), &checker);
             let mut s2 = SkylineStats::default();
             let batched = bnl_skyline(rows(&data), &checker, &mut s2, DominanceKernel::Auto);
             assert_eq!(scalar, batched, "distinct={distinct}");
@@ -902,8 +836,7 @@ mod tests {
         let data: Vec<Row> = (0..20)
             .map(|i: i64| Row::new(vec![Value::str(format!("s{:02}", i % 7)), Value::Int64(i)]))
             .collect();
-        let mut s1 = SkylineStats::default();
-        let scalar = bnl_skyline(data.clone(), &checker, &mut s1, DominanceKernel::Scalar);
+        let scalar = naive_skyline(&data, &checker);
         let mut s2 = SkylineStats::default();
         let batched = bnl_skyline(data, &checker, &mut s2, DominanceKernel::Auto);
         assert_eq!(scalar, batched);
@@ -924,8 +857,8 @@ mod tests {
                     per_row.push(row);
                 }
                 let (one_shot, stats) = per_row.finish();
-                // Feed the same rows in ragged batches: the batch fold on
-                // the vectorized non-DISTINCT path, per-row otherwise.
+                // Feed the same rows in ragged batches: the batch fold
+                // without DISTINCT, per-row otherwise.
                 let mut builder = BnlBuilder::new(checker.clone(), vectorized);
                 for chunk in rows(&data).chunks(7) {
                     builder.push_batch(chunk.to_vec());
@@ -936,7 +869,7 @@ mod tests {
                 // step and never holds the per-row step's temporary
                 // admissions, so counts and peak only match where
                 // `push_batch` *is* the per-row step.
-                if !vectorized || distinct {
+                if distinct {
                     assert_eq!(stats.dominance_tests, inc_stats.dominance_tests);
                     assert_eq!(stats.max_window, inc_stats.max_window);
                 } else {
@@ -966,29 +899,18 @@ mod tests {
         let data: Vec<(i64, i64)> = (0..200).map(|i| ((i * 37) % 70, (i * 53) % 70)).collect();
         for distinct in [false, true] {
             let checker = min_min(distinct);
-            let mut s_ref = SkylineStats::default();
-            let reference = bnl_skyline(rows(&data), &checker, &mut s_ref, DominanceKernel::Scalar);
-            for kernel in [
-                DominanceKernel::Scalar,
-                DominanceKernel::Chunked,
-                DominanceKernel::Auto,
-            ] {
+            let reference = naive_skyline(&rows(&data), &checker);
+            for kernel in [DominanceKernel::Chunked, DominanceKernel::Auto] {
                 let (sky, s) = folded(rows(&data), &checker, kernel, 16);
                 assert_eq!(reference, sky, "kernel={kernel:?} distinct={distinct}");
-                if kernel == DominanceKernel::Scalar {
-                    assert_eq!(s.batched_tests, 0);
+                assert!(s.batched_tests > 0);
+                assert_eq!(s.scalar_tests, 0);
+                // DISTINCT keeps the per-row step: no cross-filter.
+                assert_eq!(s.multi_candidate_passes > 0, !distinct, "{kernel:?}");
+                // The survivors' block is built on the builder's own knob,
+                // so a pinned tier stays pinned.
+                if kernel == DominanceKernel::Chunked {
                     assert_eq!(s.simd_tests, 0);
-                    assert_eq!(s.multi_candidate_passes, 0);
-                } else {
-                    assert!(s.batched_tests > 0);
-                    assert_eq!(s.scalar_tests, 0);
-                    // DISTINCT keeps the per-row step: no cross-filter.
-                    assert_eq!(s.multi_candidate_passes > 0, !distinct, "{kernel:?}");
-                    // The survivors' block is built on the builder's own
-                    // knob, so a pinned tier stays pinned.
-                    if kernel == DominanceKernel::Chunked {
-                        assert_eq!(s.simd_tests, 0);
-                    }
                 }
             }
         }
@@ -1009,8 +931,7 @@ mod tests {
                 Row::new(vec![v0, Value::Float64(((i * 53) % 50) as f64)])
             })
             .collect();
-        let mut s1 = SkylineStats::default();
-        let scalar = bnl_skyline(data.clone(), &checker, &mut s1, DominanceKernel::Scalar);
+        let scalar = naive_skyline(&data, &checker);
         let (batched, s2) = folded(data, &checker, DominanceKernel::Auto, 10);
         assert_eq!(scalar, batched);
         assert!(s2.multi_candidate_passes > 0);
@@ -1021,7 +942,7 @@ mod tests {
         // An integer column meets a non-integral float (a row the block
         // cannot encode as a candidate, and whose push upgrades the
         // column) and later a string (which demotes the block for good):
-        // every batch boundary must still agree with the scalar loop.
+        // every batch boundary must still agree with the definition.
         let checker = min_min(false);
         let mut data: Vec<Row> = (0..60)
             .map(|i: i64| {
@@ -1033,8 +954,7 @@ mod tests {
             .collect();
         data.insert(25, Row::new(vec![Value::Float64(0.5), Value::Int64(39)]));
         data.insert(45, Row::new(vec![Value::str("x"), Value::Int64(0)]));
-        let mut s1 = SkylineStats::default();
-        let scalar = bnl_skyline(data.clone(), &checker, &mut s1, DominanceKernel::Scalar);
+        let scalar = naive_skyline(&data, &checker);
         for batch in [1usize, 4, 9, 64] {
             let (sky, s) = folded(data.clone(), &checker, DominanceKernel::Auto, batch);
             assert_eq!(scalar, sky, "batch={batch}");
@@ -1045,14 +965,17 @@ mod tests {
     #[test]
     fn cross_filter_drops_exactly_the_strictly_dominated() {
         let checker = min_min(false);
-        let against = rows(&[(1, 5), (5, 1), (3, 3)]);
         let cands = rows(&[(2, 6), (3, 3), (0, 9), (6, 6), (4, 2)]);
-        for kernel in [DominanceKernel::Scalar, DominanceKernel::Auto] {
-            let block = kernel.is_vectorized().then(|| {
-                let mut block = ColumnarBlock::for_checker_with(&checker, kernel);
-                against.iter().for_each(|r| block.push(r));
-                block
-            });
+        // A string row, incomparable with every candidate, demotes the
+        // block: the scalar branch must reach the same verdicts.
+        for demoted in [false, true] {
+            let mut against = rows(&[(1, 5), (5, 1), (3, 3)]);
+            if demoted {
+                against.push(Row::new(vec![Value::str("x"), Value::Int64(0)]));
+            }
+            let mut block = ColumnarBlock::for_checker_with(&checker, DominanceKernel::Auto);
+            against.iter().for_each(|r| block.push(r));
+            assert_eq!(block.is_fallback(), demoted);
             let mut alive = vec![true; cands.len()];
             let mut stats = SkylineStats::default();
             let mut scratch = CrossFilterScratch::default();
@@ -1061,15 +984,15 @@ mod tests {
                 &cands,
                 &mut alive,
                 &against,
-                block.as_ref(),
+                &block,
                 &mut scratch,
                 &mut stats,
             );
             // (2,6) dies on (1,5), (6,6) on all three; the tie (3,3) and
             // the incomparable (0,9), (4,2) survive.
-            assert_eq!(alive, [false, true, true, false, true], "{kernel:?}");
+            assert_eq!(alive, [false, true, true, false, true], "{demoted}");
             assert!(stats.dominance_tests > 0);
-            assert_eq!(stats.scalar_tests > 0, !kernel.is_vectorized());
+            assert_eq!(stats.scalar_tests > 0, demoted);
             // A cleared flag is never tested again, or set.
             let mut dead = vec![false; cands.len()];
             let mut again = SkylineStats::default();
@@ -1078,7 +1001,7 @@ mod tests {
                 &cands,
                 &mut dead,
                 &against,
-                block.as_ref(),
+                &block,
                 &mut scratch,
                 &mut again,
             );
@@ -1124,15 +1047,32 @@ mod tests {
     }
 
     #[test]
+    fn public_constructors_reject_the_incomplete_relation() {
+        let incomplete = || DominanceChecker::incomplete(min_min(false).spec().clone());
+        for vectorized in [false, true] {
+            let built = std::panic::catch_unwind(|| BnlBuilder::new(incomplete(), vectorized));
+            assert!(built.is_err(), "vectorized={vectorized}");
+        }
+        let built = std::panic::catch_unwind(|| {
+            BnlBuilder::with_kernel(incomplete(), DominanceKernel::Chunked)
+        });
+        assert!(built.is_err());
+        // A class window takes it: one class is transitive.
+        let mut class = BnlBuilder::for_class(incomplete(), DominanceKernel::Chunked);
+        class.push_batch(rows(&[(1, 9), (9, 1), (0, 0)]));
+        assert_eq!(as_pairs(class.finish().0), vec![(0, 0)]);
+    }
+
+    #[test]
     fn order_independence() {
         let checker = min_min(false);
         let data = [(3, 1), (1, 3), (2, 2), (4, 4), (0, 5), (5, 0)];
         let mut s1 = SkylineStats::default();
-        let forward = bnl_skyline(rows(&data), &checker, &mut s1, DominanceKernel::Scalar);
+        let forward = bnl_skyline(rows(&data), &checker, &mut s1, DominanceKernel::Chunked);
         let mut reversed = data;
         reversed.reverse();
         let mut s2 = SkylineStats::default();
-        let backward = bnl_skyline(rows(&reversed), &checker, &mut s2, DominanceKernel::Scalar);
+        let backward = bnl_skyline(rows(&reversed), &checker, &mut s2, DominanceKernel::Chunked);
         assert_eq!(as_pairs(forward), as_pairs(backward));
     }
 }

@@ -140,9 +140,9 @@ pub const CHUNK: usize = 64;
 /// dominant tuples at the front, so most dominated candidates die within
 /// a few comparisons; starting small (then doubling up to [`CHUNK`]) keeps
 /// the early exit nearly as fine-grained as the scalar loop's while large
-/// windows still run full-width chunks. (Arrival-order windows — `DISTINCT`,
-/// non-transitive input — find their dominator at a random position and
-/// gain nothing from the small start; they lose nothing either.)
+/// windows still run full-width chunks. (Arrival-order windows — only
+/// `DISTINCT` ones — find their dominator at a random position and gain
+/// nothing from the small start; they lose nothing either.)
 ///
 /// Re-tuned when the explicit-SIMD tiers landed (the SIMD kernel entry of
 /// CHANGES.md): a sweep of first-chunk sizes 1–64 on the anti-correlated
@@ -187,12 +187,11 @@ pub enum KernelTier {
 
 impl KernelTier {
     /// Tier for a kernel knob on this CPU. `Auto` resolves to the detected
-    /// tier; `Chunked` (and `Scalar`, for callers that build a block
-    /// anyway) pin the portable loop.
+    /// tier; `Chunked` pins the portable loop.
     pub fn resolve(kernel: DominanceKernel) -> KernelTier {
         match kernel {
             DominanceKernel::Auto => KernelTier::detect(),
-            DominanceKernel::Chunked | DominanceKernel::Scalar => KernelTier::Chunked,
+            DominanceKernel::Chunked => KernelTier::Chunked,
         }
     }
 
@@ -234,18 +233,13 @@ impl KernelTier {
 }
 
 /// EXPLAIN description of a kernel knob as resolved on this CPU, e.g.
-/// `scalar`, `chunked`, or `simd(avx2), lanes=8`.
+/// `chunked` or `simd(avx2), lanes=8`.
 pub fn kernel_label(kernel: DominanceKernel) -> String {
-    match kernel {
-        DominanceKernel::Scalar => "scalar".to_string(),
-        _ => {
-            let tier = KernelTier::resolve(kernel);
-            if tier.is_simd() {
-                format!("{}, lanes={MULTI_LANES}", tier.label())
-            } else {
-                tier.label().to_string()
-            }
-        }
+    let tier = KernelTier::resolve(kernel);
+    if tier.is_simd() {
+        format!("{}, lanes={MULTI_LANES}", tier.label())
+    } else {
+        tier.label().to_string()
     }
 }
 
@@ -610,15 +604,9 @@ impl ColumnarBlock {
         ColumnarBlock::with_tier(spec, incomplete, KernelTier::detect())
     }
 
-    /// Empty block dispatching to the tier the `kernel` knob resolves to
-    /// on this CPU.
-    pub fn with_kernel(spec: &SkylineSpec, incomplete: bool, kernel: DominanceKernel) -> Self {
-        ColumnarBlock::with_tier(spec, incomplete, KernelTier::resolve(kernel))
-    }
-
     /// Empty block pinned to an explicit tier (differential tests and
-    /// benchmarks; [`new`](Self::new) / [`with_kernel`](Self::with_kernel)
-    /// otherwise).
+    /// benchmarks; [`new`](Self::new) /
+    /// [`for_checker_with`](Self::for_checker_with) otherwise).
     pub fn with_tier(spec: &SkylineSpec, incomplete: bool, tier: KernelTier) -> Self {
         let fallback = if spec.dims.is_empty() {
             Some("no skyline dimensions")
@@ -655,7 +643,11 @@ impl ColumnarBlock {
     /// Block matching a checker's spec and relation, tier resolved from
     /// the `kernel` knob.
     pub fn for_checker_with(checker: &DominanceChecker, kernel: DominanceKernel) -> Self {
-        ColumnarBlock::with_kernel(checker.spec(), checker.is_incomplete(), kernel)
+        ColumnarBlock::with_tier(
+            checker.spec(),
+            checker.is_incomplete(),
+            KernelTier::resolve(kernel),
+        )
     }
 
     /// Resolved compare tier of this block.
@@ -1811,7 +1803,6 @@ mod tests {
 
     #[test]
     fn kernel_labels_are_stable() {
-        assert_eq!(kernel_label(DominanceKernel::Scalar), "scalar");
         assert_eq!(kernel_label(DominanceKernel::Chunked), "chunked");
         let auto = kernel_label(DominanceKernel::Auto);
         if KernelTier::detect().is_simd() {
@@ -1869,7 +1860,8 @@ mod tests {
         assert!(block
             .encode(&Row::new(vec![Value::Int64(i64::MAX), Value::Int64(0)]))
             .is_none());
-        // End to end, batched must still equal scalar via the fallback.
+        // End to end, batched must still equal the definition via the
+        // fallback.
         let rows = vec![
             Row::new(vec![Value::Float64(1.0e10), Value::Int64(100)]),
             Row::new(vec![Value::Int64(i64::MAX), Value::Int64(3)]),
@@ -1882,11 +1874,10 @@ mod tests {
             SkylineDim::min(0),
             SkylineDim::min(1),
         ]));
-        let mut s1 = crate::SkylineStats::default();
-        let scalar = crate::bnl_skyline(rows.clone(), &checker, &mut s1, DominanceKernel::Scalar);
-        let mut s2 = crate::SkylineStats::default();
-        let batched = crate::bnl_skyline(rows, &checker, &mut s2, DominanceKernel::Auto);
-        assert_eq!(scalar, batched);
+        let expected = crate::naive_skyline(&rows, &checker);
+        let mut stats = crate::SkylineStats::default();
+        let batched = crate::bnl_skyline(rows, &checker, &mut stats, DominanceKernel::Auto);
+        assert_eq!(expected, batched);
     }
 
     #[test]

@@ -48,8 +48,9 @@
 //! first-occurrence dedup.
 //!
 //! [`incomplete_global_skyline`] is phase 2 as the paper writes it, one
-//! scalar pass on one executor; it and [`incomplete_skyline`] are the
-//! references the test suites compare the engine against.
+//! scalar pass on one executor; it and [`incomplete_skyline`] (which runs
+//! [`naive_skyline`] per class for phase 1) are the references the test
+//! suites compare the engine against.
 //!
 //! # Phase 2 as a pairwise cross-filter over class blocks
 //!
@@ -98,8 +99,9 @@ use sparkline_common::{
     DominanceKernel, QueryControl, Result, Row, SkylineSpec, CONTROL_CHECK_ROWS,
 };
 
-use crate::bnl::{bnl_skyline, kernel_for, BnlBuilder};
+use crate::bnl::{kernel_for, BnlBuilder};
 use crate::dominance::{Dominance, DominanceChecker, SkylineStats};
+use crate::naive::naive_skyline;
 
 /// The null bitmap of a tuple over the skyline dimensions: bit `i` is set
 /// iff dimension `i` (in spec order) is NULL (paper §5.7).
@@ -143,12 +145,13 @@ pub fn partition_by_null_bitmap(
 /// within one class every tuple shares its NULL positions, the restricted
 /// dominance relation is transitive again (Lemma 5.1), and — because a
 /// class is uniformly NULL or non-NULL per column — each class window runs
-/// on the columnar kernel when the kernel knob allows it. Because the
-/// restricted relation *is* transitive inside a class, each class window
-/// is marked class-pure and folds batches through the cross-filter
-/// (`crate::bnl`). `finish` concatenates the class windows in **first-seen
-/// order**, making the streamed local phase deterministic (the
-/// materialized seed iterated a `HashMap`).
+/// on the columnar kernel. Because the restricted relation *is* transitive
+/// inside a class, each class window folds batches through the
+/// cross-filter (`crate::bnl`); these class windows are the only way an
+/// incomplete-relation checker enters a [`BnlBuilder`]. `finish`
+/// concatenates the class windows in **first-seen order**, making the
+/// streamed local phase deterministic (the materialized seed iterated a
+/// `HashMap`).
 pub struct GroupedBnlBuilder {
     checker: DominanceChecker,
     kernel: DominanceKernel,
@@ -174,27 +177,19 @@ impl GroupedBnlBuilder {
     }
 
     /// The window slot of a row's bitmap class, creating the class window
-    /// on first sight. New windows are marked class-pure: within one class
-    /// the restricted relation is transitive (Lemma 5.1), so the batch
-    /// fold is sound.
+    /// on first sight: within one class the restricted relation is
+    /// transitive (Lemma 5.1), so the batch fold is sound.
     fn slot_for(&mut self, row: &Row) -> usize {
         let bitmap = null_bitmap(row, self.checker.spec());
         match self.index.get(&bitmap) {
             Some(&i) => i,
             None => {
-                let mut builder = BnlBuilder::with_kernel(self.checker.clone(), self.kernel);
-                builder.mark_class_pure();
+                let builder = BnlBuilder::for_class(self.checker.clone(), self.kernel);
                 self.groups.push(builder);
                 self.index.insert(bitmap, self.groups.len() - 1);
                 self.groups.len() - 1
             }
         }
-    }
-
-    /// Feed one tuple into its bitmap class's window.
-    pub fn push(&mut self, row: Row) {
-        let slot = self.slot_for(&row);
-        self.groups[slot].push(row);
     }
 
     /// Feed one batch of rows: the batch is routed per class first so each
@@ -304,8 +299,9 @@ pub fn incomplete_global_skyline(
 }
 
 /// Compute the full incomplete skyline of a dataset standalone: partition
-/// by null bitmap, local BNL per partition, then the flagged global phase.
-/// This is the single-node reference composition of the distributed plan.
+/// by null bitmap, the naive skyline per partition, then the flagged
+/// global phase. This is the single-node reference composition of the
+/// distributed plan.
 pub fn incomplete_skyline(
     rows: impl IntoIterator<Item = Row>,
     checker: &DominanceChecker,
@@ -313,12 +309,7 @@ pub fn incomplete_skyline(
 ) -> Vec<Row> {
     let mut candidates = Vec::new();
     for (_, partition) in partition_by_null_bitmap(rows, checker.spec()) {
-        candidates.extend(bnl_skyline(
-            partition,
-            checker,
-            stats,
-            DominanceKernel::Scalar,
-        ));
+        candidates.extend(naive_skyline(&partition, checker));
     }
     incomplete_global_skyline(candidates, checker, stats, &QueryControl::unlimited())
         .expect("an unlimited control never stops the all-pairs pass")
@@ -528,15 +519,23 @@ mod tests {
 
     #[test]
     fn grouped_builder_kernel_knobs_are_byte_identical() {
-        // Per-class windows are class-pure, so the vectorized knobs fold
-        // batches through the cross-filter; every knob must produce the
-        // same rows in the same order.
+        // Per-class windows fold batches through the cross-filter; every
+        // knob must produce the naive skyline of each class, classes in
+        // first-seen order.
         let checker = DominanceChecker::incomplete(spec3());
         let data = mixed_rows(240, 3, 7);
-        let mut baseline = GroupedBnlBuilder::with_kernel(checker.clone(), DominanceKernel::Scalar);
-        baseline.push_batch(data.clone());
-        let (expected, base_stats) = baseline.finish();
-        assert_eq!(base_stats.multi_candidate_passes, 0);
+        let mut classes: Vec<(u64, Vec<Row>)> = Vec::new();
+        for row in &data {
+            let bitmap = null_bitmap(row, checker.spec());
+            match classes.iter_mut().find(|(b, _)| *b == bitmap) {
+                Some((_, class)) => class.push(row.clone()),
+                None => classes.push((bitmap, vec![row.clone()])),
+            }
+        }
+        let expected: Vec<Row> = classes
+            .iter()
+            .flat_map(|(_, class)| naive_skyline(class, &checker))
+            .collect();
         for kernel in [DominanceKernel::Auto, DominanceKernel::Chunked] {
             let mut builder = GroupedBnlBuilder::with_kernel(checker.clone(), kernel);
             for batch in data.chunks(24) {
@@ -544,9 +543,6 @@ mod tests {
             }
             let (rows, stats) = builder.finish();
             assert_eq!(rows, expected, "kernel {kernel:?}");
-            // The fold never holds a temporary admission the per-row step
-            // would not.
-            assert!(stats.max_window <= base_stats.max_window);
             assert!(
                 stats.multi_candidate_passes > 0,
                 "class-pure windows must batch candidates under {kernel:?}"

@@ -20,18 +20,19 @@
 //!   time or [`columnar::MULTI_LANES`] at once; the batched BNL window, the
 //!   incomplete family's class blocks, and the disk scan's dominance skip
 //!   run on it.
-//! * [`incomplete`] — null-bitmap partitioning, the per-class local
-//!   skyline, and the all-pairs, deferred-deletion global skyline for
-//!   incomplete data (§5.7 and Lemma 5.1), with the argument that the
-//!   engine's pairwise cross-filter over class blocks computes the same
-//!   rows in the same order (see the module docs).
+//! * [`incomplete`] — null bitmaps, the per-class local skyline (the
+//!   local phase groups each scan partition by class, with no exchange),
+//!   and the all-pairs, deferred-deletion global skyline for incomplete
+//!   data (§5.7 and Lemma 5.1), with the argument that the engine's
+//!   pairwise cross-filter over class blocks computes the same rows in the
+//!   same order (see the module docs).
 //! * [`maintain`] — incremental skyline maintenance under INSERT/DELETE:
 //!   a k-skyband of per-tuple dominator counts over the columnar kernel,
 //!   applying each mutation as a delta and returning the skyline
 //!   change-set (complete relations only — see the module docs for the
 //!   erosion-budget soundness argument).
 //! * [`naive`] — an O(n²) oracle straight from Definition 3.2, used by the
-//!   test suites as ground truth.
+//!   test suites as the one ground truth.
 //!
 //! All algorithms operate on plain [`sparkline_common::Row`]s and a
 //! resolved [`sparkline_common::SkylineSpec`]; the physical operators in

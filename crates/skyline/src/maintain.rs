@@ -408,8 +408,7 @@ fn diff_ordered(before: &[Row], after: &[Row]) -> SkylineDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bnl::bnl_skyline;
-    use sparkline_common::{DominanceKernel, SkylineDim, Value};
+    use sparkline_common::{SkylineDim, Value};
 
     fn row2(a: i64, b: i64) -> Row {
         Row::new(vec![Value::Int64(a), Value::Int64(b)])
@@ -423,13 +422,7 @@ mod tests {
     }
 
     fn recompute(spec: &SkylineSpec, rows: &[Row]) -> Vec<Row> {
-        let mut stats = crate::dominance::SkylineStats::default();
-        bnl_skyline(
-            rows.iter().cloned(),
-            &DominanceChecker::complete(spec.clone()),
-            &mut stats,
-            DominanceKernel::Scalar,
-        )
+        crate::naive_skyline(rows, &DominanceChecker::complete(spec.clone()))
     }
 
     #[test]

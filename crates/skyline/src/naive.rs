@@ -10,13 +10,17 @@ use std::collections::HashSet;
 
 use sparkline_common::{Row, Value};
 
-use crate::dominance::DominanceChecker;
+use crate::dominance::{Dominance, DominanceChecker};
 
 /// Compute the skyline by testing every tuple against every other tuple.
 ///
-/// With `checker.distinct()`, one representative is kept per distinct
-/// combination of skyline-dimension values (the first in input order),
-/// matching `SKYLINE OF DISTINCT`.
+/// The members come back in input order. With `checker.distinct()`, one
+/// representative is kept per distinct combination of skyline-dimension
+/// values (the first in input order), matching `SKYLINE OF DISTINCT` — as
+/// in the engine, only for rows the relation finds `Equal` to themselves:
+/// a row with a NULL-like dimension under the complete relation is
+/// incomparable with every row, itself included, and is never
+/// deduplicated.
 pub fn naive_skyline(rows: &[Row], checker: &DominanceChecker) -> Vec<Row> {
     let mut result: Vec<Row> = Vec::new();
     let mut seen_dims: HashSet<Vec<Value>> = HashSet::new();
@@ -28,7 +32,10 @@ pub fn naive_skyline(rows: &[Row], checker: &DominanceChecker) -> Vec<Row> {
         if dominated {
             continue;
         }
-        if checker.distinct() && !seen_dims.insert(checker.dim_values(candidate)) {
+        if checker.distinct()
+            && checker.compare(candidate, candidate) == Dominance::Equal
+            && !seen_dims.insert(checker.dim_values(candidate))
+        {
             continue;
         }
         result.push(candidate.clone());
@@ -79,6 +86,18 @@ mod tests {
         let r2 = Row::new(vec![Value::Int64(1), Value::str("drop")]);
         let sky = naive_skyline(&[r1.clone(), r2], &checker);
         assert_eq!(sky, vec![r1]);
+        // Under the complete relation a NULL-bearing row is not `Equal` to
+        // itself, so DISTINCT keeps every copy, as the engine does.
+        let checker = DominanceChecker::complete(SkylineSpec::distinct(vec![
+            SkylineDim::min(0),
+            SkylineDim::min(1),
+        ]));
+        let rows = vec![
+            Row::new(vec![Value::Null, Value::Int64(1), Value::str("a")]),
+            Row::new(vec![Value::Null, Value::Int64(1), Value::str("b")]),
+            Row::new(vec![Value::Int64(5), Value::Int64(5), Value::str("c")]),
+        ];
+        assert_eq!(naive_skyline(&rows, &checker), rows);
     }
 
     #[test]

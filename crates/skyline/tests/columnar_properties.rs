@@ -11,10 +11,12 @@ use rand::SeedableRng;
 
 use sparkline_common::{DominanceKernel, Row, SkylineDim, SkylineSpec, SkylineType, Value};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
-use sparkline_skyline::{bnl_skyline, ColumnarBlock, DominanceChecker, SkylineStats, MULTI_LANES};
+use sparkline_skyline::{
+    bnl_skyline, naive_skyline, null_bitmap, ColumnarBlock, DominanceChecker, GroupedBnlBuilder,
+    SkylineStats, MULTI_LANES,
+};
 
-/// The kernel knobs that route through the columnar block; each must match
-/// the `Scalar` knob row for row.
+/// Both kernel knobs; each must match the naive definition row for row.
 const VECTORIZED: [DominanceKernel; 2] = [DominanceKernel::Chunked, DominanceKernel::Auto];
 
 /// Numeric-leaning values (the kernel's fast path) with NULLs mixed in.
@@ -221,9 +223,9 @@ proptest! {
     }
 
     /// End-to-end: batched BNL is byte-identical (rows *and* order) to
-    /// scalar BNL on arbitrary value mixes — including strings, booleans,
-    /// and NULLs that force the scalar-fallback path — for every
-    /// MIN/MAX/DIFF/DISTINCT spec combination, on every vectorized knob.
+    /// the scalar definition on arbitrary value mixes — including strings,
+    /// booleans, and NULLs that force the scalar-fallback path — for every
+    /// MIN/MAX/DIFF/DISTINCT spec combination, on every kernel knob.
     #[test]
     fn batched_bnl_matches_scalar_on_wild_values(
         rows in rows_of(wild_value(), 3, 40),
@@ -232,8 +234,7 @@ proptest! {
     ) {
         let checker =
             DominanceChecker::complete(spec(3, with_diff == 1, distinct == 1));
-        let mut s1 = SkylineStats::default();
-        let scalar = bnl_skyline(rows.clone(), &checker, &mut s1, DominanceKernel::Scalar);
+        let scalar = naive_skyline(&rows, &checker);
         for kernel in VECTORIZED {
             let mut s2 = SkylineStats::default();
             let batched = bnl_skyline(rows.clone(), &checker, &mut s2, kernel);
@@ -242,17 +243,28 @@ proptest! {
         }
     }
 
-    /// Batched BNL under the incomplete relation (the local phase runs it
-    /// per null-bitmap class, but it must also be safe on mixed input).
+    /// Batched BNL under the incomplete relation, as the local phase runs
+    /// it on mixed input: one window per null-bitmap class, each the
+    /// class's naive skyline, classes in first-seen order.
     #[test]
     fn batched_bnl_matches_scalar_incomplete(rows in rows_of(numeric_value(), 3, 40)) {
         let checker = DominanceChecker::incomplete(spec(3, false, false));
-        let mut s1 = SkylineStats::default();
-        let scalar = bnl_skyline(rows.clone(), &checker, &mut s1, DominanceKernel::Scalar);
+        let mut classes: Vec<(u64, Vec<Row>)> = Vec::new();
+        for row in &rows {
+            let bitmap = null_bitmap(row, checker.spec());
+            match classes.iter_mut().find(|(b, _)| *b == bitmap) {
+                Some((_, class)) => class.push(row.clone()),
+                None => classes.push((bitmap, vec![row.clone()])),
+            }
+        }
+        let scalar: Vec<Row> = classes
+            .iter()
+            .flat_map(|(_, class)| naive_skyline(class, &checker))
+            .collect();
         for kernel in VECTORIZED {
-            let mut s2 = SkylineStats::default();
-            let batched = bnl_skyline(rows.clone(), &checker, &mut s2, kernel);
-            prop_assert_eq!(&scalar, &batched, "{:?}", kernel);
+            let mut grouped = GroupedBnlBuilder::with_kernel(checker.clone(), kernel);
+            grouped.push_batch(rows.clone());
+            prop_assert_eq!(&scalar, &grouped.finish().0, "{:?}", kernel);
         }
     }
 }
@@ -261,8 +273,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Börzsönyi distributions: the batched local phase must equal the
-    /// scalar one row-for-row on correlated / independent / anti-correlated
-    /// float data at several dimension counts.
+    /// scalar definition row-for-row on correlated / independent /
+    /// anti-correlated float data at several dimension counts.
     #[test]
     fn batched_matches_scalar_on_datagen_distributions(
         seed in 0u64..1_000_000,
@@ -276,8 +288,7 @@ proptest! {
             _ => anti_correlated_rows(&mut rng, 300, dims),
         };
         let checker = DominanceChecker::complete(spec(dims, false, false));
-        let mut s1 = SkylineStats::default();
-        let scalar = bnl_skyline(rows.clone(), &checker, &mut s1, DominanceKernel::Scalar);
+        let scalar = naive_skyline(&rows, &checker);
         for kernel in VECTORIZED {
             let mut s2 = SkylineStats::default();
             let batched = bnl_skyline(rows.clone(), &checker, &mut s2, kernel);

@@ -8,8 +8,8 @@ use sparkline_common::{
     DominanceKernel, QueryControl, Row, SkylineDim, SkylineSpec, SkylineType, Value,
 };
 use sparkline_skyline::{
-    bnl_skyline, incomplete_global_skyline, incomplete_skyline, naive_skyline,
-    partition_by_null_bitmap, DominanceChecker, SkylineStats,
+    bnl_skyline, incomplete_global_skyline, incomplete_skyline, naive_skyline, DominanceChecker,
+    GroupedBnlBuilder, SkylineStats,
 };
 
 /// Small-domain integer values to provoke dominance, equality, and NULLs.
@@ -66,7 +66,7 @@ proptest! {
     fn bnl_matches_naive_complete(rows in rows_strategy(3, false, 40)) {
         let checker = DominanceChecker::complete(spec(3, false, false));
         let mut stats = SkylineStats::default();
-        let bnl = bnl_skyline(rows.clone(), &checker, &mut stats, DominanceKernel::Scalar);
+        let bnl = bnl_skyline(rows.clone(), &checker, &mut stats, DominanceKernel::Chunked);
         let oracle = naive_skyline(&rows, &checker);
         prop_assert_eq!(sorted_display(&bnl), sorted_display(&oracle));
     }
@@ -76,7 +76,7 @@ proptest! {
     fn bnl_matches_naive_with_diff(rows in rows_strategy(3, false, 40)) {
         let checker = DominanceChecker::complete(spec(3, true, false));
         let mut stats = SkylineStats::default();
-        let bnl = bnl_skyline(rows.clone(), &checker, &mut stats, DominanceKernel::Scalar);
+        let bnl = bnl_skyline(rows.clone(), &checker, &mut stats, DominanceKernel::Chunked);
         let oracle = naive_skyline(&rows, &checker);
         prop_assert_eq!(sorted_display(&bnl), sorted_display(&oracle));
     }
@@ -86,7 +86,7 @@ proptest! {
     fn bnl_distinct_matches_naive(rows in rows_strategy(2, false, 40)) {
         let checker = DominanceChecker::complete(spec(2, false, true));
         let mut stats = SkylineStats::default();
-        let bnl = bnl_skyline(rows.clone(), &checker, &mut stats, DominanceKernel::Scalar);
+        let bnl = bnl_skyline(rows.clone(), &checker, &mut stats, DominanceKernel::Chunked);
         let oracle = naive_skyline(&rows, &checker);
         // Representative choice is arbitrary; compare dim-value multisets.
         fn key(r: &Row) -> String {
@@ -127,8 +127,8 @@ proptest! {
     fn skyline_idempotent(rows in rows_strategy(3, false, 40)) {
         let checker = DominanceChecker::complete(spec(3, false, false));
         let mut stats = SkylineStats::default();
-        let once = bnl_skyline(rows, &checker, &mut stats, DominanceKernel::Scalar);
-        let twice = bnl_skyline(once.clone(), &checker, &mut stats, DominanceKernel::Scalar);
+        let once = bnl_skyline(rows, &checker, &mut stats, DominanceKernel::Chunked);
+        let twice = bnl_skyline(once.clone(), &checker, &mut stats, DominanceKernel::Chunked);
         prop_assert_eq!(sorted_display(&once), sorted_display(&twice));
     }
 
@@ -143,9 +143,9 @@ proptest! {
         let mut stats = SkylineStats::default();
         let mut union_input = r.clone();
         union_input.extend(s.clone());
-        let global = bnl_skyline(union_input, &checker, &mut stats, DominanceKernel::Scalar);
-        let mut locals = bnl_skyline(r, &checker, &mut stats, DominanceKernel::Scalar);
-        locals.extend(bnl_skyline(s, &checker, &mut stats, DominanceKernel::Scalar));
+        let global = bnl_skyline(union_input, &checker, &mut stats, DominanceKernel::Chunked);
+        let mut locals = bnl_skyline(r, &checker, &mut stats, DominanceKernel::Chunked);
+        locals.extend(bnl_skyline(s, &checker, &mut stats, DominanceKernel::Chunked));
         let locals_set: std::collections::HashSet<String> =
             locals.iter().map(|x| x.to_string()).collect();
         for row in &global {
@@ -163,12 +163,12 @@ proptest! {
     ) {
         let checker = DominanceChecker::complete(spec(3, false, false));
         let mut stats = SkylineStats::default();
-        let direct = bnl_skyline(rows.clone(), &checker, &mut stats, DominanceKernel::Scalar);
+        let direct = bnl_skyline(rows.clone(), &checker, &mut stats, DominanceKernel::Chunked);
         let cut = cut.min(rows.len());
         let (p1, p2) = rows.split_at(cut);
-        let mut locals = bnl_skyline(p1.to_vec(), &checker, &mut stats, DominanceKernel::Scalar);
-        locals.extend(bnl_skyline(p2.to_vec(), &checker, &mut stats, DominanceKernel::Scalar));
-        let two_phase = bnl_skyline(locals, &checker, &mut stats, DominanceKernel::Scalar);
+        let mut locals = bnl_skyline(p1.to_vec(), &checker, &mut stats, DominanceKernel::Chunked);
+        locals.extend(bnl_skyline(p2.to_vec(), &checker, &mut stats, DominanceKernel::Chunked));
+        let two_phase = bnl_skyline(locals, &checker, &mut stats, DominanceKernel::Chunked);
         prop_assert_eq!(sorted_display(&direct), sorted_display(&two_phase));
     }
 
@@ -181,10 +181,9 @@ proptest! {
         let unlimited = QueryControl::unlimited();
         let direct =
             incomplete_global_skyline(rows.clone(), &checker, &mut stats, &unlimited).unwrap();
-        let mut candidates = Vec::new();
-        for (_, part) in partition_by_null_bitmap(rows, checker.spec()) {
-            candidates.extend(bnl_skyline(part, &checker, &mut stats, DominanceKernel::Scalar));
-        }
+        let mut locals = GroupedBnlBuilder::with_kernel(checker.clone(), DominanceKernel::Chunked);
+        locals.push_batch(rows);
+        let candidates = locals.finish().0;
         let two_phase =
             incomplete_global_skyline(candidates, &checker, &mut stats, &unlimited).unwrap();
         prop_assert_eq!(sorted_display(&direct), sorted_display(&two_phase));
@@ -196,7 +195,7 @@ proptest! {
     fn membership_is_exact(rows in rows_strategy(2, false, 30)) {
         let checker = DominanceChecker::complete(spec(2, false, false));
         let mut stats = SkylineStats::default();
-        let sky = bnl_skyline(rows.clone(), &checker, &mut stats, DominanceKernel::Scalar);
+        let sky = bnl_skyline(rows.clone(), &checker, &mut stats, DominanceKernel::Chunked);
         let sky_set: std::collections::HashSet<String> =
             sky.iter().map(|r| r.to_string()).collect();
         for row in &rows {

@@ -4,9 +4,10 @@
 //! `storage_equivalence.rs`, `kernel_equivalence.rs`,
 //! `incomplete_semantics.rs`, and `incomplete_merge.rs` is generated here,
 //! so every differential harness drives one generator (and a fix to the
-//! matrix fixes all suites at once). So are the two hand-run oracles of
-//! the paper's plans, `flat_bnl_oracle` (complete data) and
-//! `flat_incomplete_oracle` (incomplete data).
+//! matrix fixes all suites at once). So is the hand-run oracle of the
+//! paper's incomplete plan, `flat_incomplete_oracle`; the complete plan's
+//! oracle is `naive_skyline` itself, since order-preserving BNL emits the
+//! skyline members in arrival order.
 
 // Each integration-test binary compiles its own copy of this module and
 // uses only a subset of the helpers.
@@ -15,11 +16,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
-use sparkline_common::{DominanceKernel, QueryControl, SkylineDim, SkylineSpec};
+use sparkline_common::{QueryControl, SkylineDim, SkylineSpec};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
 use sparkline_exec::partition::split_evenly;
 use sparkline_skyline::{
-    incomplete_global_skyline, naive_skyline, DominanceChecker, GroupedBnlBuilder, SkylineStats,
+    incomplete_global_skyline, naive_skyline, null_bitmap, DominanceChecker, SkylineStats,
 };
 
 /// The Börzsönyi workload matrix (§6.1).
@@ -175,31 +176,29 @@ pub fn row3(a: Option<i64>, b: Option<i64>, c: Option<i64>) -> Row {
     ])
 }
 
-/// Oracle: the paper's flat two-phase plan, run by hand on the scalar
-/// per-row BNL step — `rows` split evenly into `partitions` (the scan's
-/// boundaries), a local window per partition, then one window over the
-/// concatenated local skylines. Raw rows in output order: what every
-/// merge strategy and kernel knob of the complete family must reproduce
-/// byte for byte.
-pub fn flat_bnl_oracle(rows: &[Row], checker: &DominanceChecker, partitions: usize) -> Vec<Row> {
-    let per_row_bnl = |input: Vec<Row>| {
-        let mut window =
-            sparkline_skyline::BnlBuilder::with_kernel(checker.clone(), DominanceKernel::Scalar);
-        input.into_iter().for_each(|row| window.push(row));
-        window.finish().0
-    };
-    let locals = split_evenly(rows.to_vec(), partitions)
-        .into_iter()
-        .flat_map(per_row_bnl)
-        .collect();
-    per_row_bnl(locals)
+/// Oracle: the local phase of the engine's incomplete plan over one scan
+/// partition — `rows` grouped by null-bitmap class in first-seen order,
+/// then the naive skyline of each class, concatenated.
+pub fn class_skylines(rows: &[Row], checker: &DominanceChecker) -> Vec<Row> {
+    let mut classes: Vec<(u64, Vec<Row>)> = Vec::new();
+    for row in rows {
+        let bitmap = null_bitmap(row, checker.spec());
+        match classes.iter_mut().find(|(b, _)| *b == bitmap) {
+            Some((_, class)) => class.push(row.clone()),
+            None => classes.push((bitmap, vec![row.clone()])),
+        }
+    }
+    classes
+        .iter()
+        .flat_map(|(_, class)| naive_skyline(class, checker))
+        .collect()
 }
 
 /// Oracle: the engine's incomplete plan (§5.7 without the null-bitmap
 /// exchange), run by hand — `rows` split evenly into `partitions` (the
-/// scan's boundaries), one local skyline per bitmap class of each
-/// partition on the scalar per-row BNL step, then the all-pairs
-/// deferred-deletion pass over the concatenated local skylines. Returns
+/// scan's boundaries), [`class_skylines`] of each partition, then the
+/// all-pairs deferred-deletion pass over the concatenated local skylines.
+/// Returns
 /// the raw rows in output order — what the engine's incomplete plan must
 /// reproduce byte for byte on every executor count, kernel knob and
 /// execution model — and the number of candidates the all-pairs pass
@@ -211,12 +210,7 @@ pub fn flat_incomplete_oracle(
 ) -> (Vec<Row>, usize) {
     let candidates: Vec<Row> = split_evenly(rows.to_vec(), partitions)
         .into_iter()
-        .flat_map(|part| {
-            let mut local =
-                GroupedBnlBuilder::with_kernel(checker.clone(), DominanceKernel::Scalar);
-            part.into_iter().for_each(|row| local.push(row));
-            local.finish().0
-        })
+        .flat_map(|part| class_skylines(&part, checker))
         .collect();
     let received = candidates.len();
     let survivors = incomplete_global_skyline(

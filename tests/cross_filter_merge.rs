@@ -4,15 +4,15 @@
 //! blocks (`GlobalSkylineExec`).
 //!
 //! Every engine configuration must return the **raw rows** — same rows,
-//! same order, payload columns included — of two independent oracles: the
-//! paper's flat two-phase plan run by hand on the scalar per-row BNL step
-//! (`common::flat_bnl_oracle`) and the O(n²) definition
-//! (`naive_skyline`). Only plan strings and performed-test counters may
-//! differ between configurations.
+//! same order, payload columns included — of the O(n²) definition
+//! (`naive_skyline`), which is also what the paper's flat two-phase plan
+//! returns: order-preserving BNL emits the skyline members in arrival
+//! order. Only plan strings and performed-test counters may differ between
+//! configurations.
 
 mod common;
 
-use common::{distribution_rows, flat_bnl_oracle, null_every_fifth, DISTRIBUTIONS};
+use common::{class_skylines, distribution_rows, null_every_fifth, DISTRIBUTIONS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,15 +22,10 @@ use sparkline::{
 use sparkline_common::{SkylineDim, SkylineSpec, SkylineType, CONTROL_CHECK_ROWS};
 use sparkline_datagen::distributions::anti_correlated_rows;
 use sparkline_skyline::{
-    bnl_skyline, naive_skyline, null_bitmap, BnlBuilder, DominanceChecker, GroupedBnlBuilder,
-    SkylineStats,
+    bnl_skyline, naive_skyline, BnlBuilder, DominanceChecker, GroupedBnlBuilder, SkylineStats,
 };
 
-const KERNELS: [DominanceKernel; 3] = [
-    DominanceKernel::Scalar,
-    DominanceKernel::Chunked,
-    DominanceKernel::Auto,
-];
+const KERNELS: [DominanceKernel; 2] = [DominanceKernel::Chunked, DominanceKernel::Auto];
 
 /// One query shape of the matrix: how the generated floats become a
 /// table, which SQL runs over it, and the resolved spec of the oracles.
@@ -160,11 +155,6 @@ fn every_merge_kernel_and_execution_mode_returns_the_oracle_rows() {
                 let query = sql(shape, dims);
                 for partitions in [1usize, 2, 3, 8] {
                     let cell = format!("{dist} d={dims} {shape:?} p={partitions}");
-                    assert_eq!(
-                        flat_bnl_oracle(&rows, &checker, partitions),
-                        expected,
-                        "{cell}: the two oracles disagree"
-                    );
                     for kernel in KERNELS {
                         for streaming in [true, false] {
                             let ctx =
@@ -212,11 +202,11 @@ fn counters_and_explain_describe_the_pairwise_merge() {
     assert!(m.multi_candidate_passes > 0, "{m:?}");
     assert_eq!(m.dominance_tests, m.batched_tests, "{m:?}");
     assert_eq!((m.simd_tests, m.scalar_tests), (0, 0), "{m:?}");
-    let (_, scalar) = run(DominanceKernel::Scalar);
-    assert_eq!(scalar.rows, result.rows);
-    let s = scalar.metrics;
-    assert_eq!(s.dominance_tests, s.scalar_tests, "{s:?}");
-    assert_eq!((s.batched_tests, s.multi_candidate_passes), (0, 0), "{s:?}");
+    let (_, auto) = run(DominanceKernel::Auto);
+    assert_eq!(auto.rows, result.rows);
+    let a = auto.metrics;
+    assert_eq!(a.dominance_tests, a.batched_tests, "{a:?}");
+    assert_eq!(a.scalar_tests, 0, "{a:?}");
 }
 
 #[test]
@@ -253,13 +243,14 @@ fn min_checker(dims: usize) -> DominanceChecker {
     DominanceChecker::complete(SkylineSpec::new((0..dims).map(SkylineDim::min).collect()))
 }
 
-/// The window the per-row scalar step leaves, checked against the
-/// definition.
-fn per_row_scalar(rows: &[Row], checker: &DominanceChecker) -> Vec<Row> {
-    let mut per_row = BnlBuilder::with_kernel(checker.clone(), DominanceKernel::Scalar);
-    rows.iter().cloned().for_each(|row| per_row.push(row));
-    let expected = per_row.finish().0;
-    assert_eq!(naive_skyline(rows, checker), expected);
+/// The definition's skyline of `rows`, checked against the window that
+/// 1-row batches leave.
+fn per_row_definition(rows: &[Row], checker: &DominanceChecker) -> Vec<Row> {
+    let expected = naive_skyline(rows, checker);
+    let mut per_row = BnlBuilder::with_kernel(checker.clone(), DominanceKernel::Chunked);
+    rows.iter()
+        .for_each(|row| per_row.push_batch(std::iter::once(row.clone())));
+    assert_eq!(per_row.finish().0, expected);
     expected
 }
 
@@ -304,7 +295,7 @@ fn equal_key_ties_are_decided_by_the_dominance_test_not_the_key() {
                 rows.extend((0..gap).map(|i| float_row(&[50.0 + i as f64, 50.0])));
                 rows.extend(filler[20..].iter().cloned());
                 rows.push(second.clone());
-                let expected = per_row_scalar(&rows, &checker);
+                let expected = per_row_definition(&rows, &checker);
                 assert_eq!(expected.len(), filler.len() + 1);
                 for kernel in KERNELS {
                     for batch in [1usize, 30, CONTROL_CHECK_ROWS, rows.len()] {
@@ -354,7 +345,7 @@ fn unscorable_unencodable_and_demoting_rows_mid_batch_keep_the_arrival_order() {
             // More rows after the odd one: the window must keep working.
             rows.extend(staircase(200, 260));
             rows.push(float_row(&[130.5, 530.0]));
-            let expected = per_row_scalar(&rows, &checker);
+            let expected = per_row_definition(&rows, &checker);
             for kernel in KERNELS {
                 let mut folded = BnlBuilder::with_kernel(checker.clone(), kernel);
                 folded.push_batch(rows[..120].to_vec());
@@ -375,7 +366,7 @@ fn unscorable_unencodable_and_demoting_rows_mid_batch_keep_the_arrival_order() {
     let mut rows: Vec<Row> = (0..60).map(|i| int_row(i, 2 * (400 - i))).collect();
     rows.push(Row::new(vec![Value::Float64(29.5), Value::Int64(740)]));
     rows.extend((60..90).map(|i| int_row(i, 2 * (400 - i))));
-    let expected = per_row_scalar(&rows, &checker);
+    let expected = per_row_definition(&rows, &checker);
     assert_eq!(
         expected.len(),
         rows.len() - 1,
@@ -419,7 +410,6 @@ fn the_pairwise_merge_decides_equal_key_rows_across_partitions() {
     let checker = min_checker(2);
     let expected = naive_skyline(&rows, &checker);
     assert_eq!(expected.len(), 62);
-    assert_eq!(flat_bnl_oracle(&rows, &checker, 2), expected);
     for kernel in KERNELS {
         let ctx = SessionContext::with_config(config(2, kernel, true));
         ctx.register_table("t", schema.clone(), rows.clone())
@@ -447,9 +437,9 @@ fn the_ordered_window_halves_the_tests_on_anti_correlated_input() {
             rows,
             &checker,
             &mut SkylineStats::default(),
-            DominanceKernel::Scalar
+            DominanceKernel::Chunked
         ),
-        "same rows, same order as the scalar per-row window"
+        "same rows, same order as the portable tier"
     );
     assert!(stats.dominance_tests <= 16_000_000, "{stats:?}");
 }
@@ -533,8 +523,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// However the input is cut into batches, `push_batch` leaves the
-    /// window the per-row step leaves — on every kernel, with and without
-    /// DISTINCT, with NULL-bearing rows under the complete relation.
+    /// window the per-row step leaves — the definition's skyline — on
+    /// every kernel, with and without DISTINCT, with NULL-bearing rows
+    /// under the complete relation.
     #[test]
     fn push_batch_equals_per_row_push_under_any_batch_split(seed in 0u64..(1u64 << 40)) {
         let dims = 2 + (seed % 3) as usize;
@@ -544,14 +535,7 @@ proptest! {
         let min_dims: Vec<SkylineDim> = (0..dims).map(SkylineDim::min).collect();
         for spec in [SkylineSpec::new(min_dims.clone()), SkylineSpec::distinct(min_dims)] {
             let checker = DominanceChecker::complete(spec);
-            let mut per_row = BnlBuilder::with_kernel(checker.clone(), DominanceKernel::Scalar);
-            rows.iter().cloned().for_each(|row| per_row.push(row));
-            let expected = per_row.finish().0;
-            // (The definition deduplicates NULL-bearing rows under DISTINCT,
-            // the BNL window never has: such rows are not `Equal`.)
-            if !(checker.distinct() && null_share > 0.0) {
-                prop_assert_eq!(&naive_skyline(&rows, &checker), &expected);
-            }
+            let expected = per_row_definition(&rows, &checker);
             for kernel in KERNELS {
                 let mut folded = BnlBuilder::with_kernel(checker.clone(), kernel);
                 batches.iter().cloned().for_each(|batch| folded.push_batch(batch));
@@ -568,19 +552,8 @@ proptest! {
         let dims = 3;
         let rows = small_domain_rows(seed, 3_000, dims, 0.25);
         let spec = SkylineSpec::new((0..dims).map(SkylineDim::min).collect());
-        let checker = DominanceChecker::incomplete(spec.clone());
-        let mut classes: Vec<(u64, Vec<Row>)> = Vec::new();
-        for row in &rows {
-            let bitmap = null_bitmap(row, &spec);
-            match classes.iter_mut().find(|(b, _)| *b == bitmap) {
-                Some((_, class)) => class.push(row.clone()),
-                None => classes.push((bitmap, vec![row.clone()])),
-            }
-        }
-        let expected: Vec<Row> = classes
-            .iter()
-            .flat_map(|(_, class)| naive_skyline(class, &checker))
-            .collect();
+        let checker = DominanceChecker::incomplete(spec);
+        let expected = class_skylines(&rows, &checker);
         for kernel in KERNELS {
             let mut grouped = GroupedBnlBuilder::with_kernel(checker.clone(), kernel);
             for batch in ragged_batches(&rows, seed ^ 0x6A0B) {
@@ -606,7 +579,7 @@ proptest! {
                 .collect(),
         );
         let checker = DominanceChecker::complete(spec);
-        let expected = per_row_scalar(&rows, &checker);
+        let expected = per_row_definition(&rows, &checker);
         for kernel in KERNELS {
             let mut folded = BnlBuilder::with_kernel(checker.clone(), kernel);
             batches.iter().cloned().for_each(|batch| folded.push_batch(batch));

@@ -10,10 +10,11 @@
 //! partitions), a Utf8 dimension (every class block in scalar fallback),
 //! all-NULL rows with `DISTINCT` duplicates of them, and the Appendix A
 //! cycle, whose three classes the scan spreads over partitions. Each runs
-//! on executors {1, 2, 3, 8} × streaming / materialized × the three
+//! on executors {1, 2, 3, 8} × streaming / materialized × both
 //! `DominanceKernel` values, and must return the **raw rows** of the
-//! engine's plan run by hand (`common::flat_incomplete_oracle`: same rows,
-//! same order), with
+//! engine's plan run by hand (`common::flat_incomplete_oracle`: the naive
+//! skyline per class of each partition, then the all-pairs pass — same
+//! rows, same order), with
 //! `deferred_deletions` counting exactly the candidates that plan flags.
 //! The oracle itself must equal the naive Definition-3.2 skyline as a
 //! sorted row set.
@@ -44,11 +45,7 @@ const NULL_FRACTIONS: [f64; 3] = [0.1, 0.3, 0.6];
 /// The label of the `DISTINCT` case whose duplicates straddle partitions.
 const STRADDLING: &str = "distinct, table stored twice";
 const EXECUTORS: [usize; 4] = [1, 2, 3, 8];
-const KERNELS: [DominanceKernel; 3] = [
-    DominanceKernel::Scalar,
-    DominanceKernel::Chunked,
-    DominanceKernel::Auto,
-];
+const KERNELS: [DominanceKernel; 2] = [DominanceKernel::Chunked, DominanceKernel::Auto];
 
 /// One input of the matrix: table `t`, the skyline query over it, and the
 /// relation the engine must apply.

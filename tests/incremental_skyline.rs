@@ -21,24 +21,19 @@ mod common;
 use common::{distribution_rows, DISTRIBUTIONS};
 use proptest::prelude::*;
 use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
-use sparkline_common::{DominanceKernel, SkylineDim, SkylineSpec};
+use sparkline_common::{SkylineDim, SkylineSpec};
 use sparkline_server::{render_rows, QueryService, ServerClient, ServerConfig, SkylineServer};
-use sparkline_skyline::{bnl_skyline, DominanceChecker, MaintainedSkyline, SkylineStats};
+use sparkline_skyline::{naive_skyline, DominanceChecker, MaintainedSkyline};
 
 /// All-MIN spec over `dims` columns.
 fn min_spec(dims: usize) -> SkylineSpec {
     SkylineSpec::new((0..dims).map(SkylineDim::min).collect())
 }
 
-/// The cold-recompute oracle: order-preserving BNL over the live rows.
+/// The cold-recompute oracle: the skyline members of the live rows, in
+/// order.
 fn recompute(rows: &[Row], dims: usize) -> Vec<Row> {
-    let checker = DominanceChecker::complete(min_spec(dims));
-    bnl_skyline(
-        rows.iter().cloned(),
-        &checker,
-        &mut SkylineStats::default(),
-        DominanceKernel::Scalar,
-    )
+    naive_skyline(rows, &DominanceChecker::complete(min_spec(dims)))
 }
 
 /// Assert the maintained skyline is byte-identical (rows AND order) to

@@ -1,13 +1,13 @@
 //! Differential suite for the dominance-kernel knob: forcing
-//! `dominance_kernel` to `scalar`, `chunked`, or `auto` must be
-//! invisible in the results — byte-identical rows in identical order on
-//! every cell of the shared Börzsönyi matrix (3 distributions × dims
-//! {2, 4, 8} × NULL fractions), on DIFF/MIN/MAX dimension mixes, and on
-//! non-numeric DIFF columns that demote the kernel to its scalar
-//! fallback. Only the performed-test counters may differ between knobs,
-//! and those must attribute the work consistently: the scalar knob
-//! batches nothing, the chunked knob runs no SIMD tests, and the auto
-//! knob reports `simd_tests` exactly when the host has a SIMD tier.
+//! `dominance_kernel` to `chunked` or `auto` must be invisible in the
+//! results — byte-identical rows in identical order, and the rows of the
+//! naive Definition-3.2 skyline, on every cell of the shared Börzsönyi
+//! matrix (3 distributions × dims {2, 4, 8} × NULL fractions), on
+//! DIFF/MIN/MAX dimension mixes, and on non-numeric DIFF columns that
+//! demote the kernel to its scalar fallback. Only the performed-test
+//! counters may differ between knobs, and those must attribute the work
+//! consistently: the chunked knob runs no SIMD tests, and the auto knob
+//! reports `simd_tests` exactly when the host has a SIMD tier.
 
 mod common;
 
@@ -16,14 +16,11 @@ use proptest::prelude::*;
 use sparkline::{
     DataType, DominanceKernel, Field, Row, Schema, SessionConfig, SessionContext, Value,
 };
-use sparkline_skyline::KernelTier;
+use sparkline_common::{SkylineDim, SkylineSpec, SkylineType};
+use sparkline_skyline::{naive_skyline, DominanceChecker, KernelTier};
 
-/// Every setting of the knob, scalar baseline first.
-const KERNELS: [DominanceKernel; 3] = [
-    DominanceKernel::Scalar,
-    DominanceKernel::Chunked,
-    DominanceKernel::Auto,
-];
+/// Every setting of the knob, the portable tier first.
+const KERNELS: [DominanceKernel; 2] = [DominanceKernel::Chunked, DominanceKernel::Auto];
 
 /// A session with the rows as table `t` (`dims` float columns) and the
 /// dominance kernel pinned.
@@ -87,23 +84,22 @@ fn kernel_knobs_agree_on_diff_min_max_mixes() {
     for dist in DISTRIBUTIONS {
         let rows = generate_with_null_fraction(dist, 23, 400, 4, 0.0);
         let sql = "SELECT * FROM t SKYLINE OF d0 DIFF, d1 MIN, d2 MAX, d3 MIN";
-        let mut baseline: Option<Vec<Row>> = None;
+        let checker = DominanceChecker::complete(SkylineSpec::new(vec![
+            SkylineDim::diff(0),
+            SkylineDim::min(1),
+            SkylineDim::max(2),
+            SkylineDim::min(3),
+        ]));
+        let expected = naive_skyline(&rows, &checker);
         for kernel in KERNELS {
             let ctx = kernel_session(rows.clone(), 4, false, kernel);
             let result = ctx.sql(sql).unwrap().collect().unwrap();
             let m = result.metrics;
-            if kernel == DominanceKernel::Scalar {
-                assert_eq!(m.batched_tests, 0, "{dist}: scalar knob must not batch");
-                assert!(m.scalar_tests > 0, "{dist}");
-            } else {
-                // Numeric DIFF dims ride the kernel's equality mask — no
-                // scalar demotion.
-                assert!(m.batched_tests > 0, "{dist} {kernel:?}: {m:?}");
-            }
-            match &baseline {
-                None => baseline = Some(result.rows),
-                Some(rows) => assert_eq!(&result.rows, rows, "{dist} {kernel:?}"),
-            }
+            // Numeric DIFF dims ride the kernel's equality mask — no
+            // scalar demotion.
+            assert!(m.batched_tests > 0, "{dist} {kernel:?}: {m:?}");
+            assert_eq!(m.scalar_tests, 0, "{dist} {kernel:?}: {m:?}");
+            assert_eq!(result.rows, expected, "{dist} {kernel:?}");
         }
     }
 }
@@ -111,7 +107,7 @@ fn kernel_knobs_agree_on_diff_min_max_mixes() {
 #[test]
 fn non_numeric_diff_demotes_every_kernel_to_the_same_scalar_path() {
     // A string DIFF column cannot be encoded; all knobs must agree with
-    // the scalar baseline through the fallback.
+    // the definition through the scalar fallback.
     let rows: Vec<Row> = (0..120)
         .map(|i: i64| {
             Row::new(vec![
@@ -127,7 +123,12 @@ fn non_numeric_diff_demotes_every_kernel_to_the_same_scalar_path() {
         Field::new("d2", DataType::Float64, false),
     ]);
     let sql = "SELECT * FROM t SKYLINE OF g DIFF, d1 MIN, d2 MIN";
-    let mut baseline: Option<Vec<Row>> = None;
+    let checker = DominanceChecker::complete(SkylineSpec::new(vec![
+        SkylineDim::diff(0),
+        SkylineDim::min(1),
+        SkylineDim::min(2),
+    ]));
+    let expected = naive_skyline(&rows, &checker);
     for kernel in KERNELS {
         let ctx = SessionContext::with_config(
             SessionConfig::default()
@@ -141,10 +142,7 @@ fn non_numeric_diff_demotes_every_kernel_to_the_same_scalar_path() {
             result.metrics.scalar_tests > 0,
             "{kernel:?} demotes to scalar"
         );
-        match &baseline {
-            None => baseline = Some(result.rows),
-            Some(rows) => assert_eq!(&result.rows, rows, "{kernel:?}"),
-        }
+        assert_eq!(result.rows, expected, "{kernel:?}");
     }
 }
 
@@ -157,14 +155,9 @@ fn forced_knobs_attribute_work_to_the_right_tier() {
         result.metrics
     };
 
-    let scalar = run(DominanceKernel::Scalar);
-    assert_eq!(scalar.batched_tests, 0, "{scalar:?}");
-    assert_eq!(scalar.simd_tests, 0, "{scalar:?}");
-    assert_eq!(scalar.multi_candidate_passes, 0, "{scalar:?}");
-    assert_eq!(scalar.scalar_tests, scalar.dominance_tests, "{scalar:?}");
-
     let chunked = run(DominanceKernel::Chunked);
     assert!(chunked.batched_tests > 0, "{chunked:?}");
+    assert_eq!(chunked.scalar_tests, 0, "{chunked:?}");
     assert_eq!(chunked.simd_tests, 0, "chunked knob must not use SIMD");
     assert!(chunked.multi_candidate_passes > 0, "{chunked:?}");
 
@@ -186,8 +179,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random small nullable datasets with random MIN/MAX/DIFF dimension
-    /// mixes: every kernel knob returns exactly the rows (and order) the
-    /// scalar checker produces.
+    /// mixes: every kernel knob returns exactly the same rows (and order),
+    /// and as a set the naive skyline under the incomplete relation the
+    /// engine selects for nullable dimensions.
     #[test]
     fn random_specs_are_knob_invariant(
         rows in prop::collection::vec(
@@ -216,17 +210,23 @@ proptest! {
             })
             .collect();
         // d0 is always a strict dimension so the spec stays meaningful.
-        let dims: Vec<String> = std::iter::once("d0 MIN".to_string())
-            .chain(dim_kinds.iter().enumerate().map(|(i, k)| {
-                let kind = match k {
-                    0 => "MIN",
-                    1 => "MAX",
-                    _ => "DIFF",
-                };
-                format!("d{} {kind}", i + 1)
-            }))
+        let types = [SkylineType::Min, SkylineType::Max, SkylineType::Diff];
+        let dims: Vec<SkylineDim> = std::iter::once(SkylineDim::min(0))
+            .chain(
+                dim_kinds
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &k)| SkylineDim::new(i + 1, types[k as usize])),
+            )
             .collect();
-        let sql = format!("SELECT * FROM t SKYLINE OF {}", dims.join(", "));
+        let dim_list: Vec<String> = dims.iter().map(|d| format!("d{} {}", d.index, d.ty)).collect();
+        let sql = format!("SELECT * FROM t SKYLINE OF {}", dim_list.join(", "));
+        let spec = SkylineSpec::new(dims);
+        let mut expected: Vec<String> = naive_skyline(&table, &DominanceChecker::incomplete(spec))
+            .iter()
+            .map(Row::to_string)
+            .collect();
+        expected.sort();
         let mut baseline: Option<Vec<Row>> = None;
         for kernel in KERNELS {
             let ctx = SessionContext::with_config(
@@ -236,6 +236,9 @@ proptest! {
             );
             ctx.register_table("t", schema.clone(), table.clone()).unwrap();
             let result = ctx.sql(&sql).unwrap().collect().unwrap();
+            let mut got: Vec<String> = result.rows.iter().map(Row::to_string).collect();
+            got.sort();
+            prop_assert_eq!(&got, &expected, "{:?}", kernel);
             match &baseline {
                 None => baseline = Some(result.rows),
                 Some(rows) => prop_assert_eq!(&result.rows, rows, "{:?}", kernel),

@@ -2,16 +2,15 @@
 //! local-phase partitionings (`Standard` and `AngleBased`) must agree on
 //! the skyline, and the global phase is the pairwise merge at every
 //! executor count — fed the local skylines directly, byte-identical to
-//! the paper's flat two-phase plan.
-
-mod common;
+//! the paper's flat two-phase plan, whose output is the skyline members
+//! in arrival order (`naive_skyline`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, SkylinePartitioning};
 use sparkline_common::{SkylineDim, SkylineSpec};
 use sparkline_datagen::distributions::anti_correlated_rows;
-use sparkline_skyline::DominanceChecker;
+use sparkline_skyline::{naive_skyline, DominanceChecker};
 
 fn anti_correlated(n: usize, dims: usize) -> Vec<Row> {
     let mut rng = StdRng::seed_from_u64(99);
@@ -89,7 +88,7 @@ fn auto_plans_the_pairwise_merge_at_every_executor_count() {
         let result = df.collect().unwrap();
         assert_eq!(
             result.rows,
-            common::flat_bnl_oracle(&rows, &checker, executors),
+            naive_skyline(&rows, &checker),
             "{executors} executors: same rows in the same order"
         );
         assert_eq!(result.metrics.merge_rounds, 1, "{:?}", result.metrics);

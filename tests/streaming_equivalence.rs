@@ -171,8 +171,8 @@ fn streaming_matches_materialized_across_operators() {
     }
 }
 
-/// Strategy knobs ride along: angle partitioning and the scalar dominance
-/// path must stay byte-identical under streaming.
+/// Strategy knobs ride along: angle partitioning and the pinned portable
+/// dominance tier must stay byte-identical under streaming.
 #[test]
 fn streaming_matches_materialized_with_strategy_knobs() {
     use sparkline::SkylinePartitioning;
@@ -185,7 +185,7 @@ fn streaming_matches_materialized_with_strategy_knobs() {
         SessionConfig::default()
             .with_executors(3)
             .with_batch_size(32)
-            .with_dominance_kernel(DominanceKernel::Scalar),
+            .with_dominance_kernel(DominanceKernel::Chunked),
     ];
     for config in configs {
         let (s, m) = run_both(config.clone(), sql, Algorithm::DistributedComplete);
