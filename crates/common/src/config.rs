@@ -1,5 +1,5 @@
-//! Session configuration: executor count, skyline strategy, optimizer
-//! toggles, and the query timeout.
+//! Session configuration: executor count, skyline strategy, memory
+//! budget, and the query timeout.
 
 use std::time::Duration;
 
@@ -101,10 +101,11 @@ pub struct SessionConfig {
     pub timeout: Option<Duration>,
     /// Rows per batch in the pull-based stream pipeline (>= 1).
     pub batch_size: usize,
-    /// Execute through the pipelined stream model (default). Disabling it
-    /// materializes a full `Vec<Partition>` at every operator boundary —
-    /// the seed execution model, kept as the A/B baseline for the
-    /// streaming benchmarks. Results are byte-identical either way.
+    /// Inert: every query runs on the pipelined stream model, and nothing
+    /// in the engine reads it. It stays only because the benchmark's
+    /// traced pipeline (`benchmark/src/pipeline.rs`) passes it to
+    /// `TaskContext::with_materialized`, itself a no-op; a `[benchmark]`
+    /// change deletes both.
     pub streaming_execution: bool,
     /// Physical skyline algorithm selection override.
     pub skyline_strategy: SkylineStrategy,
@@ -116,14 +117,6 @@ pub struct SessionConfig {
     /// cannot represent fall back to the scalar checker per tuple on
     /// either tier. Results are identical either way.
     pub dominance_kernel: DominanceKernel,
-    /// Enable the §5.4 rewrite of single-dimension skylines into an O(n)
-    /// min/max scan + filter.
-    pub enable_single_dim_rewrite: bool,
-    /// Enable the §5.4 pushdown of the skyline below non-reductive joins.
-    pub enable_skyline_join_pushdown: bool,
-    /// Enable generic optimizations (predicate pushdown, constant folding,
-    /// projection pruning). Disabled only for optimizer A/B benchmarks.
-    pub enable_generic_optimizations: bool,
     /// Bytes of fixed memory overhead charged per executor in the memory
     /// accountant. Models the paper's observation that each Spark executor
     /// loads its whole JVM execution environment (§6.5 / Appendix C).
@@ -142,11 +135,14 @@ pub struct SessionConfig {
     pub max_retries: u32,
     /// Inert, like `max_retries` and for the same reader; goes with it.
     pub retry_backoff: Duration,
-    /// Per-query cap on tracked buffer bytes (excluding the fixed
-    /// per-executor overhead). `None` (the default) leaves reservations
-    /// unbounded; with a budget, reservations past the cap fail with
-    /// [`Error::ResourceExhausted`](crate::Error::ResourceExhausted) after
-    /// the session has exhausted its graceful-degradation ladder.
+    /// Per-query cap on the sum of concurrent tracked reservations
+    /// (excluding the fixed per-executor overhead). `None` (the default)
+    /// leaves reservations unbounded; with a budget, the reservation that
+    /// would push the sum past the cap fails the query with
+    /// [`Error::ResourceExhausted`](crate::Error::ResourceExhausted). The
+    /// executors reserve concurrently, so near a query's peak whether it
+    /// passes depends on how they interleave. A denied query is not
+    /// re-run.
     pub memory_budget: Option<usize>,
     /// Rows per block written by `COPY`-style disk-table writes (>= 1) —
     /// the skipping and decode granularity of the out-of-core scan.
@@ -163,9 +159,6 @@ impl Default for SessionConfig {
             skyline_strategy: SkylineStrategy::Auto,
             skyline_partitioning: SkylinePartitioning::Standard,
             dominance_kernel: DominanceKernel::Auto,
-            enable_single_dim_rewrite: true,
-            enable_skyline_join_pushdown: true,
-            enable_generic_optimizations: true,
             // ~300 MB per executor in the paper's charts; scaled 1:1000 to
             // keep reproduction numbers readable alongside real row bytes.
             executor_memory_overhead: 300 * 1024,
@@ -205,13 +198,6 @@ impl SessionConfig {
         self
     }
 
-    /// Toggle the pipelined stream model (on by default); `false` selects
-    /// the materialized per-boundary model.
-    pub fn with_streaming_execution(mut self, on: bool) -> Self {
-        self.streaming_execution = on;
-        self
-    }
-
     /// Force a skyline strategy.
     pub fn with_skyline_strategy(mut self, strategy: SkylineStrategy) -> Self {
         self.skyline_strategy = strategy;
@@ -227,24 +213,6 @@ impl SessionConfig {
     /// Select the dominance-kernel tier (runtime-dispatched by default).
     pub fn with_dominance_kernel(mut self, kernel: DominanceKernel) -> Self {
         self.dominance_kernel = kernel;
-        self
-    }
-
-    /// Toggle the single-dimension rewrite.
-    pub fn with_single_dim_rewrite(mut self, on: bool) -> Self {
-        self.enable_single_dim_rewrite = on;
-        self
-    }
-
-    /// Toggle the skyline-join pushdown.
-    pub fn with_skyline_join_pushdown(mut self, on: bool) -> Self {
-        self.enable_skyline_join_pushdown = on;
-        self
-    }
-
-    /// Toggle generic (non-skyline) optimizer rules.
-    pub fn with_generic_optimizations(mut self, on: bool) -> Self {
-        self.enable_generic_optimizations = on;
         self
     }
 
@@ -284,20 +252,17 @@ mod tests {
         let c = SessionConfig::new()
             .with_executors(5)
             .with_timeout(Duration::from_secs(30))
-            .with_skyline_strategy(SkylineStrategy::DistributedIncomplete)
-            .with_single_dim_rewrite(false);
+            .with_skyline_strategy(SkylineStrategy::DistributedIncomplete);
         assert_eq!(c.num_executors, 5);
         assert_eq!(c.timeout, Some(Duration::from_secs(30)));
         assert_eq!(c.skyline_strategy, SkylineStrategy::DistributedIncomplete);
-        assert!(!c.enable_single_dim_rewrite);
-        assert!(c.enable_skyline_join_pushdown);
         assert_eq!(c.batch_size, 4096, "default batch size");
-        assert!(c.streaming_execution, "streaming defaults on");
+        assert_eq!(c.memory_budget, None, "no budget by default");
         let c = SessionConfig::new()
             .with_batch_size(64)
-            .with_streaming_execution(false);
+            .with_memory_budget(1 << 20);
         assert_eq!(c.batch_size, 64);
-        assert!(!c.streaming_execution);
+        assert_eq!(c.memory_budget, Some(1 << 20));
         assert_eq!(c.dominance_kernel, DominanceKernel::Auto, "kernel default");
         assert_eq!(
             SessionConfig::new()

@@ -37,10 +37,11 @@ pub enum Error {
         /// The configured limit, in milliseconds.
         limit_ms: u64,
     },
-    /// A reservation was denied because it would push the query past its
-    /// configured `memory_budget`. The session degrades the plan
-    /// (streaming sinks, smaller batches) before surfacing this to the
-    /// caller.
+    /// A reservation was denied because it would push the sum of the
+    /// query's concurrent reservations past its configured
+    /// `memory_budget`. Near a query's peak, whether it is raised depends
+    /// on how the executors' reservations interleave. The query fails
+    /// with it on its one run; nothing re-runs a denied query.
     ResourceExhausted {
         /// Bytes the denied reservation asked for.
         requested: usize,
@@ -166,7 +167,7 @@ mod tests {
     }
 
     #[test]
-    fn retryability_split() {
+    fn error_kind_predicates() {
         let exhausted = Error::ResourceExhausted {
             requested: 100,
             used: 900,

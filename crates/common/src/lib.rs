@@ -18,7 +18,6 @@ pub mod row;
 pub mod schema;
 pub mod skyline;
 pub mod stats;
-pub mod strategy;
 pub mod types;
 pub mod value;
 
@@ -29,6 +28,5 @@ pub use row::Row;
 pub use schema::{Field, Schema, SchemaRef};
 pub use skyline::{SkylineDim, SkylineSpec, SkylineType};
 pub use stats::Reservoir;
-pub use strategy::{SkylineMeta, SkylinePlan};
 pub use types::DataType;
 pub use value::Value;

@@ -380,58 +380,35 @@ impl SessionContext {
         Ok((analyzed, optimized, config))
     }
 
-    /// The shared pipeline: analyze → optimize → plan → execute via the
-    /// stream model (or the materialized adapter when
-    /// `streaming_execution` is off), returning the executed physical plan
-    /// alongside the result.
+    /// The shared pipeline: analyze → optimize → plan → execute on the
+    /// stream model, once, returning the executed physical plan alongside
+    /// the result. An error — a denied memory reservation included — is
+    /// the query's result; nothing re-runs it.
     fn execute_pipeline(
         &self,
         plan: &LogicalPlan,
         algorithm: Algorithm,
     ) -> Result<(Arc<dyn ExecutionPlan>, QueryResult)> {
         let catalog = self.catalog.read();
-        let (analyzed, optimized, mut config) =
-            self.analyze_and_optimize(&catalog, plan, algorithm)?;
+        let (analyzed, optimized, config) = self.analyze_and_optimize(&catalog, plan, algorithm)?;
         // The output schema is the analyzed plan's: optimizer rewrites
         // may rename intermediate fields.
         let schema = analyzed.schema()?;
 
         let start = Instant::now();
-        // Graceful degradation: when the enforced memory budget denies a
-        // reservation, re-plan with a cheaper configuration instead of
-        // failing the query — (1) streaming instead of materialized
-        // operator boundaries, (2) a smaller batch size — recording each
-        // downgrade in `degraded_paths`. Resilience counters accumulate
-        // across attempts, so the final snapshot tells the whole story.
-        let mut carried: Option<sparkline_exec::MetricsSnapshot> = None;
-        loop {
-            let planner = PhysicalPlanner::new(&config, &*catalog);
-            let physical = planner.create(&optimized)?;
-            let ctx = self.task_context(&config);
-            if let Some(prior) = carried.take() {
-                ctx.metrics.absorb_resilience(&prior);
-                ctx.metrics.add_degraded_path();
-            }
-            match sparkline_physical::planner::collect(&physical, &ctx) {
-                Ok(rows) => {
-                    let result = QueryResult {
-                        schema: schema.clone(),
-                        rows,
-                        metrics: ctx.metrics.snapshot(),
-                        elapsed: start.elapsed(),
-                        peak_memory_bytes: ctx.memory.peak_with_overhead(
-                            config.num_executors,
-                            config.executor_memory_overhead,
-                        ),
-                    };
-                    return Ok((physical, result));
-                }
-                Err(e) if e.is_resource_exhausted() && downgrade(&mut config) => {
-                    carried = Some(ctx.metrics.snapshot());
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let physical = PhysicalPlanner::new(&config, &*catalog).create(&optimized)?;
+        let ctx = self.task_context(&config);
+        let rows = sparkline_physical::planner::collect(&physical, &ctx)?;
+        let result = QueryResult {
+            schema,
+            rows,
+            metrics: ctx.metrics.snapshot(),
+            elapsed: start.elapsed(),
+            peak_memory_bytes: ctx
+                .memory
+                .peak_with_overhead(config.num_executors, config.executor_memory_overhead),
+        };
+        Ok((physical, result))
     }
 
     /// The per-query execution context: the session's cancellation flag
@@ -445,7 +422,6 @@ impl SessionContext {
             ))
             .with_memory_budget(config.memory_budget)
             .with_batch_size(config.batch_size)
-            .with_materialized(!config.streaming_execution)
     }
 
     /// `EXPLAIN ANALYZE`: execute the plan and render the physical
@@ -475,7 +451,6 @@ impl SessionContext {
         out.push_str(&format!("rows exchanged: {}\n", m.rows_exchanged));
         out.push_str(&format!("max window: {}\n", m.max_window));
         out.push_str(&format!("budget denials: {}\n", m.budget_denials));
-        out.push_str(&format!("degraded paths: {}\n", m.degraded_paths));
         out.push_str(&format!(
             "disk blocks read: {} ({} skipped min/max, {} skipped dominance)\n",
             m.blocks_read, m.blocks_skipped_minmax, m.blocks_skipped_dominance
@@ -530,21 +505,4 @@ fn extract_filter_predicate(plan: &LogicalPlan) -> Option<Expr> {
         | LogicalPlan::TableScan { .. }
         | LogicalPlan::Values { .. } => None,
     }
-}
-
-/// Apply the next rung of the degradation ladder to `config`; `false`
-/// when nothing cheaper is left and the budget error must surface. The
-/// order moves from the bigger memory lever to the smaller: the
-/// materialized execution model buffers every operator boundary, and the
-/// batch size bounds the rows in flight per pipeline step.
-fn downgrade(config: &mut SessionConfig) -> bool {
-    if !config.streaming_execution {
-        config.streaming_execution = true;
-        return true;
-    }
-    if config.batch_size > 64 {
-        config.batch_size = (config.batch_size / 4).max(64);
-        return true;
-    }
-    false
 }

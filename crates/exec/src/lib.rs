@@ -10,24 +10,21 @@
 //!   [`PartitionStream`]s yielding [`stream::RowBatch`]es with in-flight
 //!   accounting, plus the shared pipeline-breaker and lazy-build stage
 //!   helpers;
-//! * [`partition`] — materialized partition helpers with the distribution
+//! * [`partition`] — buffered partition helpers with the distribution
 //!   schemes the skyline plans require (even split, `AllTuples`
-//!   coalescing, angle-based routing), used by breaker stages and the
-//!   materialized adapter;
+//!   coalescing, angle-based routing), used by breaker stages;
 //! * [`runtime`] — the executor pool (`num_executors` worker threads) and
 //!   the fail-fast stream fan-out (`Runtime::drain_streams`);
 //! * [`metrics`] — row/dominance-test counters reported by the harness,
 //!   including the stream gauges (`batches_emitted`,
-//!   `peak_rows_in_flight`) and the memory-budget counters
-//!   (`budget_denials`, `degraded_paths`);
+//!   `peak_rows_in_flight`) and the memory-budget counter
+//!   (`budget_denials`);
 //! * [`memory`] — byte-accounted buffer tracking with per-executor
 //!   overhead and an enforced per-query budget.
 //!
 //! [`TaskContext`] bundles the per-query state every physical operator
 //! receives: the pool, the [`QueryControl`] (deadline + cancellation),
-//! budgeted memory accounting, the stream batch size, and the
-//! materialized-mode switch (the seed model's memory profile, kept for
-//! A/B benchmarks).
+//! budgeted memory accounting, and the stream batch size.
 
 pub mod memory;
 pub mod metrics;
@@ -59,9 +56,6 @@ pub struct TaskContext {
     pub memory: Arc<MemoryTracker>,
     /// Rows per stream batch.
     pub batch_size: usize,
-    /// Materialize every operator boundary (the seed model) instead of
-    /// pipelining batches — the A/B switch of the streaming benchmarks.
-    pub materialized: bool,
 }
 
 impl TaskContext {
@@ -74,7 +68,6 @@ impl TaskContext {
             metrics: Arc::new(ExecMetrics::new()),
             memory: Arc::new(MemoryTracker::new()),
             batch_size: DEFAULT_BATCH_SIZE,
-            materialized: false,
         }
     }
 
@@ -123,9 +116,10 @@ impl TaskContext {
         self
     }
 
-    /// Toggle the materialized (per-boundary `Vec<Partition>`) model.
-    pub fn with_materialized(mut self, materialized: bool) -> Self {
-        self.materialized = materialized;
+    /// A no-op: every query runs on the stream model. It stays only
+    /// because the benchmark's traced pipeline (`benchmark/src/pipeline.rs`)
+    /// calls it; a `[benchmark]` change deletes it together with that call.
+    pub fn with_materialized(self, _materialized: bool) -> Self {
         self
     }
 

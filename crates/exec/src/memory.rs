@@ -10,9 +10,10 @@
 //! [`try_reserve`](MemoryTracker::try_reserve) /
 //! [`try_grow`](MemoryTracker::try_grow) into admission checks — a
 //! reservation that would push `current_bytes` past the budget is denied
-//! with [`Error::ResourceExhausted`] instead of silently growing, and the
-//! session reacts by degrading the plan (streaming sinks, smaller
-//! batches) before surfacing the error.
+//! with [`Error::ResourceExhausted`] instead of silently growing. The
+//! budget caps the sum of concurrent reservations, and a query's executors
+//! reserve concurrently, so near its peak whether a query passes depends
+//! on how they interleave. A denied query fails; nothing re-runs it.
 //!
 //! Accounting is RAII throughout: every reservation releases its bytes on
 //! drop, so an error unwinding through an operator — I/O failure,

@@ -66,9 +66,6 @@ pub struct ExecMetrics {
     pub deferred_deletions: AtomicU64,
     /// Reservations denied by the per-query memory budget.
     pub budget_denials: AtomicU64,
-    /// Graceful-degradation steps the session took before this execution
-    /// (streaming sinks, shrunk batches).
-    pub degraded_paths: AtomicU64,
     /// Storage blocks read and decoded by disk scans.
     pub blocks_read: AtomicU64,
     /// Storage blocks skipped by static min/max pruning of pushed-down
@@ -149,11 +146,6 @@ impl ExecMetrics {
         self.budget_denials.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one graceful-degradation step.
-    pub fn add_degraded_path(&self) {
-        self.degraded_paths.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record a storage block read and decoded (`bytes` encoded bytes).
     pub fn add_block_read(&self, bytes: u64) {
         self.blocks_read.fetch_add(1, Ordering::Relaxed);
@@ -169,17 +161,6 @@ impl ExecMetrics {
     pub fn add_block_skipped_dominance(&self) {
         self.blocks_skipped_dominance
             .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Carry the resilience counters of an abandoned execution attempt
-    /// (the session's degradation ladder re-executes with fresh metrics;
-    /// denials suffered on the way are part of the query's story and must
-    /// survive into the final snapshot).
-    pub fn absorb_resilience(&self, prior: &MetricsSnapshot) {
-        self.budget_denials
-            .fetch_add(prior.budget_denials, Ordering::Relaxed);
-        self.degraded_paths
-            .fetch_add(prior.degraded_paths, Ordering::Relaxed);
     }
 
     /// Snapshot the counters.
@@ -205,7 +186,7 @@ impl ExecMetrics {
             deferred_deletions: self.deferred_deletions.load(Ordering::Relaxed),
             retries_attempted: 0,
             budget_denials: self.budget_denials.load(Ordering::Relaxed),
-            degraded_paths: self.degraded_paths.load(Ordering::Relaxed),
+            degraded_paths: 0,
             blocks_read: self.blocks_read.load(Ordering::Relaxed),
             blocks_skipped_minmax: self.blocks_skipped_minmax.load(Ordering::Relaxed),
             blocks_skipped_dominance: self.blocks_skipped_dominance.load(Ordering::Relaxed),
@@ -262,7 +243,9 @@ pub struct MetricsSnapshot {
     pub retries_attempted: u64,
     /// Reservations denied by the per-query memory budget.
     pub budget_denials: u64,
-    /// Graceful-degradation steps taken by the session.
+    /// Always 0: nothing re-plans a query. Kept because the benchmark's
+    /// `exec.degraded_paths` layer metric reads it; a `[benchmark]` change
+    /// deletes it.
     pub degraded_paths: u64,
     /// Storage blocks read and decoded by disk scans.
     pub blocks_read: u64,
@@ -373,21 +356,15 @@ mod tests {
 
     #[test]
     fn resilience_counters_accumulate_and_carry() {
+        // Denials accumulate over the one execution and the snapshot
+        // carries them; the two inert counters read 0.
         let m = ExecMetrics::new();
         m.add_budget_denial();
         m.add_budget_denial();
-        m.add_degraded_path();
         let s = m.snapshot();
         assert_eq!(s.budget_denials, 2);
-        assert_eq!(s.degraded_paths, 1);
+        assert_eq!(s.degraded_paths, 0, "nothing re-plans a query");
         assert_eq!(s.retries_attempted, 0, "nothing retries a partition");
-        let next = ExecMetrics::new();
-        next.absorb_resilience(&s);
-        next.add_budget_denial();
-        let carried = next.snapshot();
-        assert_eq!(carried.budget_denials, 3);
-        assert_eq!(carried.degraded_paths, 1);
-        assert_eq!(carried.retries_attempted, 0);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! breaker stages need — even splitting (Spark's default when reading),
 //! coalescing to a single partition (the `AllTuples` requirement of the
 //! flat global skyline), and angle-based routing (the `AngleBased`
-//! local-phase partitioning) — plus the flatten/drain adapters the tests
-//! and the bench harness use to compare against the materialized model.
+//! local-phase partitioning) — plus the flatten helpers the tests and
+//! the bench harness use on drained results.
 
 use sparkline_common::{Row, SkylineDim, SkylineSpec, SkylineType, Value};
 

@@ -51,7 +51,7 @@ impl Runtime {
     /// executor slot — the fan-out point of the stream model: a pipeline
     /// breaker (or the final collect) pulls all upstream pipelines to
     /// completion in parallel, which is where the `num_executors`-way
-    /// parallelism of the materialized model re-enters the pull model.
+    /// parallelism enters the pull model.
     /// A failed partition fails the drain.
     pub fn drain_streams(
         &self,

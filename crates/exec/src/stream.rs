@@ -1,8 +1,8 @@
 //! Pull-based batched execution streams — the substrate of the engine's
 //! streaming model.
 //!
-//! A physical operator no longer materializes a `Vec<Partition>`; it
-//! returns one [`PartitionStream`] per output partition. A stream is a
+//! A physical operator returns one [`PartitionStream`] per output
+//! partition. A stream is a
 //! pull iterator yielding [`RowBatch`]es of at most
 //! `SessionConfig::batch_size` rows, plus the output schema and
 //! close/metrics hooks. Narrow operators (scan, project, filter, limit,
@@ -111,8 +111,8 @@ impl PartitionStream {
 
     /// Stream an in-memory partition out in `batch_size`d chunks. With
     /// `hold`, the whole buffer counts as in flight for the stream's
-    /// lifetime — the honest accounting for a materialized intermediate
-    /// (pipeline-breaker output, materialized-adapter boundary).
+    /// lifetime — the honest accounting for a buffered intermediate
+    /// (pipeline-breaker output).
     pub fn from_partition(
         schema: SchemaRef,
         metrics: Arc<ExecMetrics>,
@@ -193,8 +193,8 @@ impl PartitionStream {
         self.next = Box::new(|| Ok(None));
     }
 
-    /// Drain the remaining batches into one partition (the materialized
-    /// adapter used by `ExecutionPlan::execute`, tests, and breakers).
+    /// Drain the remaining batches into one partition (the drain helper
+    /// used by `ExecutionPlan::execute`, tests, and breakers).
     pub fn drain(mut self) -> Result<Partition> {
         let mut rows: Partition = Vec::new();
         while let Some(batch) = self.next_batch()? {
@@ -211,8 +211,8 @@ impl Drop for PartitionStream {
     }
 }
 
-/// Wrap materialized partitions as held buffer streams (used by the
-/// materialized execution mode and by breakers emitting their results).
+/// Wrap buffered partitions as held buffer streams (used by breakers
+/// emitting their results).
 pub fn streams_from_partitions(
     schema: SchemaRef,
     ctx: &TaskContext,
@@ -228,44 +228,6 @@ pub fn streams_from_partitions(
                 p,
                 true,
             )
-        })
-        .collect()
-}
-
-/// Like [`streams_from_partitions`], but each buffer additionally holds a
-/// budget-checked byte reservation for its lifetime — the honest
-/// accounting for the materialized execution model, where every operator
-/// boundary keeps a full intermediate alive. Under an enforced memory
-/// budget this is what makes the materialized model *fail* where the
-/// streaming model fits, driving the session's graceful-degradation
-/// ladder.
-pub fn streams_from_partitions_reserved(
-    schema: SchemaRef,
-    ctx: &TaskContext,
-    parts: Vec<Partition>,
-) -> Result<Vec<PartitionStream>> {
-    let batch_size = ctx.batch_size.max(1);
-    parts
-        .into_iter()
-        .map(|p| {
-            let reservation = ctx.try_reserve(p.iter().map(Row::estimated_bytes).sum())?;
-            let mut guard = Some((
-                InFlightRows::new(Arc::clone(&ctx.metrics), p.len()),
-                reservation,
-            ));
-            let mut iter = p.into_iter();
-            Ok(PartitionStream::new(
-                Arc::clone(&schema),
-                Arc::clone(&ctx.metrics),
-                move || {
-                    let batch: RowBatch = iter.by_ref().take(batch_size).collect();
-                    if batch.is_empty() {
-                        guard.take();
-                        return Ok(None);
-                    }
-                    Ok(Some(batch))
-                },
-            ))
         })
         .collect()
 }

@@ -325,7 +325,7 @@ impl ExecutionPlan for HashAggregateExec {
     }
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
-        let inputs = crate::input_streams(&self.input, ctx)?;
+        let inputs = self.input.execute_stream(ctx)?;
         let group_exprs = self.group_exprs.clone();
         let agg_calls = self.agg_calls.clone();
         let result_exprs = self.result_exprs.clone();

@@ -55,7 +55,7 @@ impl ExecutionPlan for ProjectExec {
     }
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
-        let inputs = crate::input_streams(&self.input, ctx)?;
+        let inputs = self.input.execute_stream(ctx)?;
         Ok(inputs
             .into_iter()
             .map(|mut input| {
@@ -125,7 +125,7 @@ impl ExecutionPlan for FilterExec {
     }
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
-        let inputs = crate::input_streams(&self.input, ctx)?;
+        let inputs = self.input.execute_stream(ctx)?;
         Ok(inputs
             .into_iter()
             .map(|mut input| {
@@ -188,12 +188,12 @@ impl ExecutionPlan for LimitExec {
         let mut input = chain_streams(
             self.schema(),
             Arc::clone(&ctx.metrics),
-            crate::input_streams(&self.input, ctx)?,
+            self.input.execute_stream(ctx)?,
         );
         let n = self.n;
         let ctx2 = ctx.clone();
         let mut taken = 0usize;
-        // One output partition, like the materialized model. The
+        // One output partition. The
         // short-circuit: once `n` rows are out, the chained upstream is
         // closed — unpulled scan batches are never cloned, unpulled
         // pipeline work never runs.
@@ -259,7 +259,7 @@ impl ExecutionPlan for DistinctExec {
         let mut input = chain_streams(
             self.schema(),
             Arc::clone(&ctx.metrics),
-            crate::input_streams(&self.input, ctx)?,
+            self.input.execute_stream(ctx)?,
         );
         let ctx2 = ctx.clone();
         // First-occurrence dedup is associative over concatenation, so one
@@ -345,7 +345,7 @@ impl ExecutionPlan for SortExec {
     }
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
-        let inputs = crate::input_streams(&self.input, ctx)?;
+        let inputs = self.input.execute_stream(ctx)?;
         let exprs = self.exprs.clone();
         let ctx2 = ctx.clone();
         Ok(breaker_streams(self.schema(), ctx, 1, move || {

@@ -62,7 +62,7 @@ impl ExecutionPlan for ExchangeExec {
     }
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
-        let inputs = crate::input_streams(&self.input, ctx)?;
+        let inputs = self.input.execute_stream(ctx)?;
         let mode = self.mode.clone();
         let ctx2 = ctx.clone();
         let n = ctx.runtime.num_executors();

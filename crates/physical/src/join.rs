@@ -101,7 +101,7 @@ impl ExecutionPlan for HashJoinExec {
     }
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
-        let left_streams = crate::input_streams(&self.left, ctx)?;
+        let left_streams = self.left.execute_stream(ctx)?;
         let right_width = self.right.schema().len();
         let left_width = self.left.schema().len();
 
@@ -116,7 +116,7 @@ impl ExecutionPlan for HashJoinExec {
             let rows = flatten(
                 build_ctx
                     .runtime
-                    .drain_streams(crate::input_streams(&right, &build_ctx)?)?,
+                    .drain_streams(right.execute_stream(&build_ctx)?)?,
             );
             let bytes: usize = rows.iter().map(|r| r.estimated_bytes()).sum();
             let guard = InFlightRows::new(Arc::clone(&build_ctx.metrics), rows.len());
@@ -272,7 +272,7 @@ impl ExecutionPlan for NestedLoopJoinExec {
     }
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
-        let left_streams = crate::input_streams(&self.left, ctx)?;
+        let left_streams = self.left.execute_stream(ctx)?;
         let right_width = self.right.schema().len();
         let left_width = self.left.schema().len();
 
@@ -283,7 +283,7 @@ impl ExecutionPlan for NestedLoopJoinExec {
             let rows = flatten(
                 build_ctx
                     .runtime
-                    .drain_streams(crate::input_streams(&right, &build_ctx)?)?,
+                    .drain_streams(right.execute_stream(&build_ctx)?)?,
             );
             let bytes: usize = rows.iter().map(|r| r.estimated_bytes()).sum();
             let guard = InFlightRows::new(Arc::clone(&build_ctx.metrics), rows.len());

@@ -30,11 +30,8 @@
 //! streams over the executor pool, which is where the `num_executors`-way
 //! parallelism of the paper's local/global structure lives.
 //!
-//! The provided [`ExecutionPlan::execute`] adapter drains all streams
-//! back into the seed's `Vec<Partition>` form — byte-identical results —
-//! and `SessionConfig::streaming_execution = false` additionally
-//! re-materializes every operator boundary, reproducing the seed model's
-//! memory profile for A/B benchmarks (`peak_rows_in_flight`).
+//! The provided [`ExecutionPlan::execute`] helper drains all streams into
+//! one `Vec<Row>` per partition, for callers that want the whole result.
 
 pub mod aggregate;
 pub mod basic;
@@ -44,6 +41,8 @@ pub mod planner;
 pub mod scan;
 pub mod scan_disk;
 pub mod skyline_exec;
+#[cfg(test)]
+mod strategy;
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -76,10 +75,10 @@ pub trait ExecutionPlan: fmt::Debug + Send + Sync {
     /// pulled, and dropping a stream cancels its remaining upstream work.
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>>;
 
-    /// Materialized adapter: drain every partition stream (fanned over
-    /// the executor pool). Byte-identical to consuming the streams
-    /// directly; kept for tests and the bench harness. Fail-fast: the
-    /// first partition error is the result.
+    /// Drain every partition stream (fanned over the executor pool) into
+    /// one `Vec<Row>` per partition. Byte-identical to consuming the
+    /// streams directly; used by tests and the bench harness. Fail-fast:
+    /// the first partition error is the result.
     fn execute(&self, ctx: &TaskContext) -> Result<Vec<Partition>> {
         ctx.runtime.drain_streams(self.execute_stream(ctx)?)
     }
@@ -143,25 +142,4 @@ pub fn display_physical(plan: &Arc<dyn ExecutionPlan>) -> String {
     let mut out = String::new();
     build(plan, 0, &mut out);
     out
-}
-
-/// An operator's view of its child: the child's streams, re-materialized
-/// at this boundary when the context runs the seed's materialized model
-/// (`SessionConfig::streaming_execution = false`). The re-materialized
-/// buffers count fully toward `rows_in_flight` for as long as the
-/// consumer holds the streams — exactly the peak-memory profile of the
-/// materialize-everything model the streaming benchmarks compare against.
-pub(crate) fn input_streams(
-    plan: &Arc<dyn ExecutionPlan>,
-    ctx: &TaskContext,
-) -> Result<Vec<PartitionStream>> {
-    let streams = plan.execute_stream(ctx)?;
-    if !ctx.materialized {
-        return Ok(streams);
-    }
-    let parts = ctx.runtime.drain_streams(streams)?;
-    // The re-materialized buffers hold budget-checked byte reservations
-    // for as long as the consumer keeps the streams — the materialized
-    // model's peak-memory profile, now enforced against the query budget.
-    sparkline_exec::stream::streams_from_partitions_reserved(plan.schema(), ctx, parts)
 }

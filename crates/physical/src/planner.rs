@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use sparkline_common::{
-    DataType, Error, Result, Row, Schema, SchemaRef, SessionConfig, SkylineDim, SkylineMeta,
-    SkylinePartitioning, SkylinePlan, SkylineSpec,
+    DataType, Error, Result, Row, Schema, SchemaRef, SessionConfig, SkylineDim,
+    SkylinePartitioning, SkylineSpec, SkylineStrategy,
 };
 use sparkline_plan::{
     AggregateFunction, BinaryOp, BoundColumn, Expr, JoinCondition, JoinType, LogicalPlan,
@@ -254,16 +254,19 @@ impl<'a> PhysicalPlanner<'a> {
             distinct,
         };
 
-        // Strategy selection: algorithm family and local-phase
-        // partitioning are fixed in one place from the session
-        // configuration and the skyline's plan metadata (Listing 8,
-        // extended — see `sparkline_common::strategy`). Every operator
-        // runs on the session's compare kernel.
-        let meta = SkylineMeta::new(&spec, skyline_nullable, complete);
-        let choice = SkylinePlan::select(self.config, &meta);
+        // Listing 8, line 2: the complete algorithm may run when the user
+        // asserted COMPLETE or no skyline dimension is nullable. A forced
+        // strategy (the harness's algorithm series) overrides that. Every
+        // operator runs on the session's compare kernel.
+        let strategy = self.config.skyline_strategy;
+        let use_complete = match strategy {
+            SkylineStrategy::Auto => complete || !skyline_nullable,
+            SkylineStrategy::DistributedComplete | SkylineStrategy::NonDistributedComplete => true,
+            SkylineStrategy::DistributedIncomplete => false,
+        };
         let kernel = self.config.dominance_kernel;
 
-        let global_input: Arc<dyn ExecutionPlan> = if choice.use_complete {
+        let global_input: Arc<dyn ExecutionPlan> = if use_complete {
             // Dominance-based data skipping: a disk scan reachable through
             // value-preserving operators (the walk stops at projections,
             // which change the column space — computed dimensions
@@ -286,15 +289,20 @@ impl<'a> PhysicalPlanner<'a> {
             // non-distributed plan still needs the `AllTuples` gather the
             // paper describes: without a local phase the single pass must
             // see every tuple.
-            if choice.distributed {
+            if strategy != SkylineStrategy::NonDistributedComplete {
                 // Optional angle-based redistribution before the local
                 // phase (the paper's default inherits the distribution).
-                let local_input: Arc<dyn ExecutionPlan> = match choice.partitioning {
-                    SkylinePartitioning::Standard => input_exec,
-                    SkylinePartitioning::AngleBased => Arc::new(ExchangeExec::new(
+                // Angles need two ranked dimensions to have any structure,
+                // so below that the input distribution is kept.
+                let angles = self.config.skyline_partitioning == SkylinePartitioning::AngleBased
+                    && spec.ranked_dims().count() >= 2;
+                let local_input: Arc<dyn ExecutionPlan> = if angles {
+                    Arc::new(ExchangeExec::new(
                         ExchangeMode::Angle(spec.clone()),
                         input_exec,
-                    )),
+                    ))
+                } else {
+                    input_exec
                 };
                 Arc::new(
                     LocalSkylineExec::new(spec.clone(), false, local_input).with_kernel(kernel),
@@ -309,9 +317,8 @@ impl<'a> PhysicalPlanner<'a> {
             // (soundness in `sparkline_skyline::incomplete`).
             Arc::new(LocalSkylineExec::new(spec.clone(), true, input_exec).with_kernel(kernel))
         };
-        let mut result: Arc<dyn ExecutionPlan> = Arc::new(
-            GlobalSkylineExec::new(spec, !choice.use_complete, global_input).with_kernel(kernel),
-        );
+        let mut result: Arc<dyn ExecutionPlan> =
+            Arc::new(GlobalSkylineExec::new(spec, !use_complete, global_input).with_kernel(kernel));
 
         if needs_wrap {
             let exprs: Vec<Expr> = (0..base_len)
@@ -459,7 +466,7 @@ pub fn output_schema(plan: &LogicalPlan) -> Result<SchemaRef> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sparkline_common::{SkylineStrategy, Value};
     use sparkline_exec::TaskContext;
@@ -603,7 +610,7 @@ mod tests {
 
     /// The physical display of `SKYLINE OF [COMPLETE] d0 t0, d1 t1` over
     /// a two-column scan whose columns are `nullable` or not.
-    fn skyline_display(
+    pub(crate) fn skyline_display(
         config: &SessionConfig,
         nullable: bool,
         complete: bool,

@@ -48,8 +48,8 @@ impl ExecutionPlan for ScanExec {
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
         ctx.control.check()?;
-        // Same partition boundaries as the materialized model's
-        // `split_evenly` — shared arithmetic, so the two can never drift.
+        // Same partition boundaries as `split_evenly` — shared
+        // arithmetic, so the two can never drift.
         let ranges = even_ranges(self.rows.len(), ctx.runtime.num_executors());
         let batch_size = ctx.batch_size.max(1);
         Ok(ranges
@@ -100,7 +100,7 @@ mod tests {
         let parts = scan.execute(&ctx).unwrap();
         assert_eq!(parts.len(), 4);
         assert_eq!(sparkline_exec::partition::total_rows(&parts), 10);
-        // Identical boundaries to the materialized split_evenly.
+        // Identical boundaries to split_evenly.
         let expected = sparkline_exec::partition::split_evenly(
             (0..10).map(|i| Row::new(vec![Value::Int64(i)])).collect(),
             4,

@@ -87,9 +87,7 @@ fn checker_for(spec: &SkylineSpec, incomplete: bool) -> DominanceChecker {
 /// One skyline phase as a stream: pull the input streams (in order) to
 /// exhaustion feeding the sink, record the stats, then emit the resulting
 /// skyline in batches. The in-flight gauge follows the sink's working
-/// set, so a BNL phase charges only its window — the memory story that
-/// makes the streamed local phase survive inputs the materialized model
-/// cannot hold.
+/// set, so a BNL phase charges only its window, never its whole input.
 fn skyline_phase_stream(
     schema: SchemaRef,
     ctx: &TaskContext,
@@ -191,7 +189,7 @@ impl ExecutionPlan for LocalSkylineExec {
     }
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
-        let inputs = crate::input_streams(&self.input, ctx)?;
+        let inputs = self.input.execute_stream(ctx)?;
         let checker = checker_for(&self.spec, self.incomplete);
         Ok(inputs
             .into_iter()
@@ -501,7 +499,7 @@ impl ExecutionPlan for GlobalSkylineExec {
     }
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
-        let inputs = crate::input_streams(&self.input, ctx)?;
+        let inputs = self.input.execute_stream(ctx)?;
         let checker = checker_for(&self.spec, self.incomplete);
         if inputs.len() <= 1 && !self.incomplete {
             // One partition (a gather, or a one-partition child): feed the
@@ -594,7 +592,7 @@ impl ExecutionPlan for MinMaxFilterExec {
     }
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
-        let inputs = crate::input_streams(&self.input, ctx)?;
+        let inputs = self.input.execute_stream(ctx)?;
         // The filter needs two passes over its input, so it is a breaker:
         // the streamed input is drained (fanned over the executor pool)
         // and the two O(n) passes run on the buffer.

@@ -7,15 +7,20 @@
 //! matrix fixes all suites at once). So is the hand-run oracle of the
 //! paper's incomplete plan, `flat_incomplete_oracle`; the complete plan's
 //! oracle is `naive_skyline` itself, since order-preserving BNL emits the
-//! skyline members in arrival order.
+//! skyline members in arrival order. The optimizer's oracle is
+//! `collect_unoptimized`: the same query with no rule but the `EXISTS`
+//! rewrite.
 
 // Each integration-test binary compiles its own copy of this module and
 // uses only a subset of the helpers.
 #![allow(dead_code)]
 
+use std::sync::Arc;
+use std::time::Instant;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
+use sparkline::{DataType, Field, QueryResult, Row, Schema, SessionConfig, SessionContext, Value};
 use sparkline_common::{QueryControl, SkylineDim, SkylineSpec};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
 use sparkline_exec::partition::split_evenly;
@@ -221,4 +226,39 @@ pub fn flat_incomplete_oracle(
     )
     .expect("an unlimited control never stops the all-pairs pass");
     (survivors, received)
+}
+
+/// The in-memory tables of a session, as the physical planner's source.
+struct SessionTables<'a>(&'a SessionContext);
+
+impl sparkline_physical::ExecTableSource for SessionTables<'_> {
+    fn table_rows(&self, name: &str) -> Option<Arc<Vec<Row>>> {
+        self.0.table_rows_snapshot(name)
+    }
+}
+
+/// Oracle of every optimizer rule: `sql` over `ctx`'s in-memory tables
+/// and configuration with no rule but the `[NOT] EXISTS` rewrite, which
+/// execution needs — parse → analyze → `rewrite_exists_subqueries` →
+/// plan → collect. A rule must leave these rows unchanged.
+pub fn collect_unoptimized(ctx: &SessionContext, sql: &str) -> sparkline::Result<QueryResult> {
+    let df = ctx.sql(sql)?;
+    let plan = sparkline_optimizer::rewrite_exists_subqueries(df.logical_plan())?;
+    let config = ctx.config();
+    let start = Instant::now();
+    let physical =
+        sparkline_physical::PhysicalPlanner::new(config, &SessionTables(ctx)).create(&plan)?;
+    let task = sparkline_exec::TaskContext::new(config.num_executors)
+        .with_memory_budget(config.memory_budget)
+        .with_batch_size(config.batch_size);
+    let rows = sparkline_physical::planner::collect(&physical, &task)?;
+    Ok(QueryResult {
+        schema: df.schema()?,
+        rows,
+        metrics: task.metrics.snapshot(),
+        elapsed: start.elapsed(),
+        peak_memory_bytes: task
+            .memory
+            .peak_with_overhead(config.num_executors, config.executor_memory_overhead),
+    })
 }

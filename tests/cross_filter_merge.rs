@@ -136,11 +136,10 @@ fn checker(shape: Shape, dims: usize) -> DominanceChecker {
     })
 }
 
-fn config(partitions: usize, kernel: DominanceKernel, streaming: bool) -> SessionConfig {
+fn config(partitions: usize, kernel: DominanceKernel) -> SessionConfig {
     SessionConfig::default()
         .with_executors(partitions)
         .with_dominance_kernel(kernel)
-        .with_streaming_execution(streaming)
 }
 
 #[test]
@@ -156,15 +155,17 @@ fn every_merge_kernel_and_execution_mode_returns_the_oracle_rows() {
                 for partitions in [1usize, 2, 3, 8] {
                     let cell = format!("{dist} d={dims} {shape:?} p={partitions}");
                     for kernel in KERNELS {
-                        for streaming in [true, false] {
-                            let ctx =
-                                SessionContext::with_config(config(partitions, kernel, streaming));
+                        // Small batches, and one batch per partition.
+                        for batch_size in [16, rows.len()] {
+                            let ctx = SessionContext::with_config(
+                                config(partitions, kernel).with_batch_size(batch_size),
+                            );
                             ctx.register_table("t", schema.clone(), rows.clone())
                                 .unwrap();
                             let got = ctx.sql(&query).unwrap().collect().unwrap();
                             assert_eq!(
                                 got.rows, expected,
-                                "{cell} {kernel:?} streaming={streaming}"
+                                "{cell} {kernel:?} batch_size={batch_size}"
                             );
                         }
                     }
@@ -178,7 +179,7 @@ fn every_merge_kernel_and_execution_mode_returns_the_oracle_rows() {
 fn counters_and_explain_describe_the_pairwise_merge() {
     let (schema, rows) = table(Shape::Plain, "anti_correlated", 4, 4_000);
     let run = |kernel| {
-        let ctx = SessionContext::with_config(config(3, kernel, true));
+        let ctx = SessionContext::with_config(config(3, kernel));
         ctx.register_table("t", schema.clone(), rows.clone())
             .unwrap();
         let df = ctx.sql(&sql(Shape::Plain, 4)).unwrap();
@@ -212,7 +213,7 @@ fn counters_and_explain_describe_the_pairwise_merge() {
 #[test]
 fn a_cancelled_session_stops_the_merge_with_a_typed_error() {
     let (schema, rows) = table(Shape::Plain, "anti_correlated", 4, 3_000);
-    let ctx = SessionContext::with_config(config(2, DominanceKernel::Auto, true));
+    let ctx = SessionContext::with_config(config(2, DominanceKernel::Auto));
     ctx.register_table("t", schema, rows).unwrap();
     let query = sql(Shape::Plain, 4);
     ctx.cancel();
@@ -411,7 +412,7 @@ fn the_pairwise_merge_decides_equal_key_rows_across_partitions() {
     let expected = naive_skyline(&rows, &checker);
     assert_eq!(expected.len(), 62);
     for kernel in KERNELS {
-        let ctx = SessionContext::with_config(config(2, kernel, true));
+        let ctx = SessionContext::with_config(config(2, kernel));
         ctx.register_table("t", schema.clone(), rows.clone())
             .unwrap();
         let got = ctx.sql(&sql(Shape::Plain, 2)).unwrap().collect().unwrap();

@@ -1,12 +1,12 @@
 //! Fault-tolerance suite: real storage faults, enforced memory budgets,
-//! graceful degradation, and cancellation.
+//! and cancellation.
 //!
 //! The contract under test: a failure the engine cannot recover from —
 //! a block file truncated or removed under a registered disk table, a
-//! budget no plan fits, a cancel — ends the query with a clean, typed
-//! error, never a panic and never partial rows, and leaves the session
-//! answering. Nothing is retried: the same read would fail the same way.
-//! A budget the streaming model fits is met by degrading the plan, with
+//! budget the query does not fit, a cancel — ends the query with a clean,
+//! typed error, never a panic and never partial rows, and leaves the
+//! session answering. Nothing is retried or re-planned: every query runs
+//! once. A budget the stream model fits is met on that one run, with
 //! byte-identical rows.
 
 mod common;
@@ -48,26 +48,28 @@ impl Drop for BlockFile {
 }
 
 /// Damage a registered disk table's block file with `fault`, at 1 and 4
-/// executors, streaming and materialized, over complete and NULL-bearing
-/// data. The table `src` stays in memory; `t` is its copy on disk. Every
+/// executors, with small batches and with one batch per partition, over
+/// complete and NULL-bearing data. The table `src` stays in memory; `t` is its copy on disk. Every
 /// block read reopens the file, so the fault reaches the next query:
 /// - the skyline over `t` fails with a typed storage error, so no row
 ///   reaches the caller;
 /// - the same session still answers over the in-memory `src`;
 /// - re-copying `src` over the file restores `t`, byte for byte.
 fn damaged_file_fails_typed_and_recopy_recovers(tag: &str, fault: impl Fn(&Path)) {
+    const ROWS: usize = 400;
     let sql = common::skyline_sql(DIMS);
     let src_sql = sql.replace("FROM t", "FROM src");
     for executors in [1, 4] {
-        for streaming in [true, false] {
+        // Small batches, and one batch per partition.
+        for batch_size in [16, ROWS] {
             for with_nulls in [false, true] {
-                let case = format!("{tag}-{executors}-{streaming}-{with_nulls}");
-                let rows = common::generate("independent", 7, 400, DIMS, with_nulls);
+                let case = format!("{tag}-{executors}-{batch_size}-{with_nulls}");
+                let rows = common::generate("independent", 7, ROWS, DIMS, with_nulls);
                 // A small footer sample keeps the blocks most of the
                 // file, so cutting the file in half cuts blocks.
                 let config = SessionConfig::new()
                     .with_executors(executors)
-                    .with_streaming_execution(streaming)
+                    .with_batch_size(batch_size)
                     .with_storage_block_rows(32)
                     .with_sample_size(8);
                 let schema = Schema::new(
@@ -132,12 +134,12 @@ fn impossible_budget_is_a_clean_resource_exhausted_error() {
     let err = try_query(&ctx).expect_err("a 1-byte budget cannot run a skyline");
     assert!(
         err.is_resource_exhausted(),
-        "expected ResourceExhausted after the degradation ladder ran dry, got: {err}"
+        "expected ResourceExhausted, got: {err}"
     );
 }
 
 #[test]
-fn tight_budget_degrades_materialized_to_streaming() {
+fn tight_budget_streams_through_on_the_first_pass() {
     let rows = common::generate("correlated", 9, 600, DIMS, false);
     let table_bytes: usize = rows.iter().map(Row::estimated_bytes).sum();
     let baseline = run_query(&common::session_with(
@@ -146,31 +148,20 @@ fn tight_budget_degrades_materialized_to_streaming() {
         false,
         SessionConfig::new().with_executors(4),
     ));
-    // A budget the materialized model (which holds the full scanned
-    // table at its first operator boundary) must blow, but the streaming
-    // model (whose buffered state is the skyline windows) fits
-    // comfortably — the correlated distribution keeps the skyline tiny.
+    // Half the table's bytes: the stream model's buffered state is the
+    // skyline windows, which the correlated distribution keeps tiny.
     let ctx = common::session_with(
         rows,
         DIMS,
         false,
         SessionConfig::new()
             .with_executors(4)
-            .with_streaming_execution(false)
             .with_memory_budget(table_bytes / 2),
     );
     let result = run_query(&ctx);
-    assert_eq!(result.sorted_display(), baseline.sorted_display());
-    assert!(
-        result.metrics.degraded_paths >= 1,
-        "the run must record its downgrade: {:?}",
-        result.metrics
-    );
-    assert!(
-        result.metrics.budget_denials >= 1,
-        "the downgrade must have been driven by a denial: {:?}",
-        result.metrics
-    );
+    assert_eq!(result.rows, baseline.rows);
+    assert_eq!(result.metrics.budget_denials, 0, "{:?}", result.metrics);
+    assert_eq!(result.metrics.degraded_paths, 0, "{:?}", result.metrics);
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! partitions), a Utf8 dimension (every class block in scalar fallback),
 //! all-NULL rows with `DISTINCT` duplicates of them, and the Appendix A
 //! cycle, whose three classes the scan spreads over partitions. Each runs
-//! on executors {1, 2, 3, 8} × streaming / materialized × both
+//! on executors {1, 2, 3, 8} × batch sizes {16, one per partition} × both
 //! `DominanceKernel` values, and must return the **raw rows** of the
 //! engine's plan run by hand (`common::flat_incomplete_oracle`: the naive
 //! skyline per class of each partition, then the all-pairs pass — same
@@ -237,15 +237,15 @@ fn engine_rows_equal_the_flat_oracle_across_the_matrix() {
             let cell = format!("{} on {executors} executors", case.label);
             assert_eq!(sorted(&expected), naive, "{cell}: the two oracles disagree");
             for kernel in KERNELS {
-                for streaming in [true, false] {
+                for batch_size in [16, case.rows.len()] {
                     let got = run(
                         &case,
                         SessionConfig::default()
                             .with_executors(executors)
                             .with_dominance_kernel(kernel)
-                            .with_streaming_execution(streaming),
+                            .with_batch_size(batch_size),
                     );
-                    let label = format!("{cell}, {kernel:?}, streaming={streaming}");
+                    let label = format!("{cell}, {kernel:?}, batch_size={batch_size}");
                     assert_eq!(got.rows, expected, "{label}");
                     assert_eq!(
                         got.metrics.deferred_deletions as usize,

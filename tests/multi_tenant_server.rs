@@ -1,8 +1,8 @@
 //! Integration tests for the multi-tenant query service: concurrent
 //! wire clients against direct `SessionContext` execution
 //! (byte-identity), cache invalidation across table mutations,
-//! mid-query cancel-by-id from a second connection, and the bound on a
-//! request line.
+//! mid-query cancel-by-id from a second connection, the bound on a
+//! request line, and a memory-budget denial over the wire.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -244,4 +244,64 @@ fn an_over_long_request_line_is_refused_and_its_connection_closed() {
     // The server itself keeps serving new connections.
     let mut client = ServerClient::connect(server.addr()).unwrap();
     client.ping().unwrap();
+}
+
+#[test]
+fn a_budget_denial_is_one_err_line_and_is_not_cached() {
+    let ctx = session_with_hotels(SessionConfig::default(), 200);
+    let config = ServerConfig {
+        session: SessionConfig::default().with_memory_budget(1),
+        ..ServerConfig::default()
+    };
+    let server =
+        SkylineServer::start_with_service(QueryService::with_session(ctx, config)).unwrap();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut request = |line: &str| {
+        writeln!(writer, "{line}").unwrap();
+        writer.flush().unwrap();
+    };
+    let mut read_line = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line
+    };
+
+    for attempt in 1..=2 {
+        request(&format!("QUERY {SKY}"));
+        let ack = read_line();
+        let id = ack
+            .strip_prefix("ACK ")
+            .unwrap_or_else(|| panic!("attempt {attempt}: {ack:?}"))
+            .trim()
+            .to_string();
+        let err = read_line();
+        assert!(
+            err.starts_with(&format!("ERR {id} memory budget exhausted")),
+            "attempt {attempt}: {err:?}"
+        );
+        // The next line answers STATS: the query wrote exactly one line
+        // after its ACK. Each attempt is a miss that errors again, so the
+        // failure was not cached.
+        request("STATS");
+        let stats = read_line();
+        assert!(
+            stats.starts_with("OK stats "),
+            "attempt {attempt}: {stats:?}"
+        );
+        for pair in [
+            format!("queries={attempt} "),
+            "result_hits=0 ".to_string(),
+            format!("result_misses={attempt} "),
+            format!("errors={attempt} "),
+        ] {
+            assert!(stats.contains(&pair), "attempt {attempt}: {stats:?}");
+        }
+    }
+    request("PING");
+    assert_eq!(read_line(), "OK pong\n");
 }

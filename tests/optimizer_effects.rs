@@ -1,6 +1,11 @@
 //! Optimizer rules must never change results — only plans and cost. Each
-//! §5.4 rule is checked for semantic neutrality and for actually firing.
+//! §5.4 rule is checked for semantic neutrality against
+//! `common::collect_unoptimized` (the same query with no rule but the
+//! `EXISTS` rewrite) and for actually firing.
 
+mod common;
+
+use common::collect_unoptimized;
 use sparkline::{Algorithm, SessionConfig, SessionContext};
 use sparkline_datagen::{airbnb, register_airbnb, skyline_query_for, Variant};
 
@@ -26,21 +31,15 @@ fn session(config: SessionConfig) -> SessionContext {
 }
 
 #[test]
-#[allow(clippy::single_element_loop)]
 fn single_dim_rewrite_is_semantically_neutral() {
-    let on = session(SessionConfig::default().with_single_dim_rewrite(true));
-    let off = session(SessionConfig::default().with_single_dim_rewrite(false));
-    for (table, dims, complete) in [("airbnb", &airbnb::SKYLINE_DIMS, true)] {
-        let sql = skyline_query_for(table, dims, 1, complete);
-        let a = on.sql(&sql).unwrap();
-        let b = off.sql(&sql).unwrap();
-        assert!(a.explain().unwrap().contains("MinMaxFilterExec"));
-        assert!(!b.explain().unwrap().contains("MinMaxFilterExec"));
-        assert_eq!(
-            a.collect().unwrap().sorted_display(),
-            b.collect().unwrap().sorted_display()
-        );
-    }
+    let ctx = session(SessionConfig::default());
+    let sql = skyline_query_for("airbnb", &airbnb::SKYLINE_DIMS, 1, true);
+    let df = ctx.sql(&sql).unwrap();
+    assert!(df.explain().unwrap().contains("MinMaxFilterExec"));
+    assert_eq!(
+        df.collect().unwrap().sorted_display(),
+        collect_unoptimized(&ctx, &sql).unwrap().sorted_display()
+    );
 }
 
 #[test]
@@ -67,52 +66,48 @@ fn single_dim_rewrite_handles_max_direction() {
 
 #[test]
 fn left_outer_join_pushdown_is_semantically_neutral() {
-    let on = session(SessionConfig::default().with_skyline_join_pushdown(true));
-    let off = session(SessionConfig::default().with_skyline_join_pushdown(false));
+    let ctx = session(SessionConfig::default());
     let sql = "SELECT * FROM airbnb LEFT OUTER JOIN scores \
                ON airbnb.id = scores.listing_id \
                SKYLINE OF price MIN, accommodates MAX";
-    let a = on.sql(sql).unwrap();
-    let b = off.sql(sql).unwrap();
+    let df = ctx.sql(sql).unwrap();
     // With the rule: the Skyline sits below the join in the plan.
-    let explain_on = a.explain().unwrap();
-    let plan_section = explain_on
+    let explain = df.explain().unwrap();
+    let plan_section = explain
         .split("== Optimized Logical Plan ==")
         .nth(1)
         .unwrap();
     let sky_pos = plan_section.find("Skyline").unwrap();
     let join_pos = plan_section.find("Join").unwrap();
-    assert!(sky_pos > join_pos, "skyline below join:\n{explain_on}");
+    assert!(sky_pos > join_pos, "skyline below join:\n{explain}");
     assert_eq!(
-        a.collect().unwrap().sorted_display(),
-        b.collect().unwrap().sorted_display()
+        df.collect().unwrap().sorted_display(),
+        collect_unoptimized(&ctx, sql).unwrap().sorted_display()
     );
 }
 
 #[test]
 fn fk_inner_join_pushdown_is_semantically_neutral() {
-    let on = session(SessionConfig::default().with_skyline_join_pushdown(true));
-    let off = session(SessionConfig::default().with_skyline_join_pushdown(false));
+    let ctx = session(SessionConfig::default());
     // airbnb.id is declared as an FK into scores.listing_id, so every
     // airbnb row has a partner: the inner join is non-reductive.
     let sql = "SELECT * FROM airbnb JOIN scores ON airbnb.id = scores.listing_id \
                SKYLINE OF price MIN, beds MAX";
     assert_eq!(
-        on.sql(sql).unwrap().collect().unwrap().sorted_display(),
-        off.sql(sql).unwrap().collect().unwrap().sorted_display()
+        ctx.sql(sql).unwrap().collect().unwrap().sorted_display(),
+        collect_unoptimized(&ctx, sql).unwrap().sorted_display()
     );
 }
 
 #[test]
 fn generic_optimizations_are_semantically_neutral() {
-    let on = session(SessionConfig::default().with_generic_optimizations(true));
-    let off = session(SessionConfig::default().with_generic_optimizations(false));
+    let ctx = session(SessionConfig::default());
     let sql = "SELECT price, beds FROM airbnb \
                WHERE price < 500 AND 1 < 2 AND beds >= 1 \
                SKYLINE OF price MIN, beds MAX ORDER BY price LIMIT 50";
     assert_eq!(
-        on.sql(sql).unwrap().collect().unwrap().sorted_display(),
-        off.sql(sql).unwrap().collect().unwrap().sorted_display()
+        ctx.sql(sql).unwrap().collect().unwrap().sorted_display(),
+        collect_unoptimized(&ctx, sql).unwrap().sorted_display()
     );
 }
 

@@ -1,11 +1,12 @@
 //! Reference-vs-integrated equivalence on the MusicBrainz complex query,
-//! with the generic optimizer rules both on and off (promoted from the
-//! ad-hoc `examples/_dbg.rs` check into a real regression test): the
-//! hand-written `NOT EXISTS` reference query and the integrated
-//! `SKYLINE OF` query must agree row-for-row, and toggling the generic
-//! optimizations must change neither side.
+//! optimized and unoptimized (`common::collect_unoptimized`: no rule but
+//! the `EXISTS` rewrite): the hand-written `NOT EXISTS` reference query
+//! and the integrated `SKYLINE OF` query must agree row-for-row, and the
+//! optimizer's rules must change neither side.
 
-use sparkline::{SessionConfig, SessionContext};
+mod common;
+
+use sparkline::{QueryResult, SessionContext};
 use sparkline_datagen::{musicbrainz, register_musicbrainz, Variant};
 
 fn reference_sql() -> String {
@@ -22,36 +23,34 @@ fn reference_sql() -> String {
 
 #[test]
 fn reference_equals_integrated_with_and_without_generic_optimizations() {
+    let ctx = SessionContext::new();
+    register_musicbrainz(&ctx, 250, 5, Variant::Complete).unwrap();
+    let integrated_sql = musicbrainz::skyline_query(Variant::Complete, 4);
     let mut baseline: Option<Vec<String>> = None;
-    for generic in [true, false] {
-        let ctx = SessionContext::with_config(
-            SessionConfig::default().with_generic_optimizations(generic),
+    for optimized in [true, false] {
+        let run = |sql: &str| -> QueryResult {
+            if optimized {
+                ctx.sql(sql).unwrap().collect().unwrap()
+            } else {
+                common::collect_unoptimized(&ctx, sql).unwrap()
+            }
+        };
+        let reference = run(&reference_sql()).sorted_display();
+        let integrated = run(&integrated_sql).sorted_display();
+        assert!(
+            !integrated.is_empty(),
+            "optimized={optimized}: empty skyline"
         );
-        register_musicbrainz(&ctx, 250, 5, Variant::Complete).unwrap();
-        let reference = ctx
-            .sql(&reference_sql())
-            .unwrap()
-            .collect()
-            .unwrap()
-            .sorted_display();
-        let integrated = ctx
-            .sql(&musicbrainz::skyline_query(Variant::Complete, 4))
-            .unwrap()
-            .collect()
-            .unwrap()
-            .sorted_display();
-        assert!(!integrated.is_empty(), "generic={generic}: empty skyline");
         assert_eq!(
             reference, integrated,
-            "generic={generic}: reference and integrated skylines diverge"
+            "optimized={optimized}: reference and integrated skylines diverge"
         );
-        // The optimizer toggle must not change the result either.
+        // The optimizer must not change the result either.
         match &baseline {
             None => baseline = Some(integrated),
-            Some(expected) => assert_eq!(
-                &integrated, expected,
-                "generic optimizations changed the skyline"
-            ),
+            Some(expected) => {
+                assert_eq!(&integrated, expected, "the optimizer changed the skyline")
+            }
         }
     }
 }

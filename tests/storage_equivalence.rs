@@ -2,8 +2,8 @@
 //!
 //! * a skyline query over a **disk-resident** table must be
 //!   byte-identical to the same query over the same rows held in memory
-//!   — across the shared Börzsönyi matrix (± NULLs), the streaming and
-//!   materialized execution models, and every dominance-kernel knob;
+//!   — across the shared Börzsönyi matrix (± NULLs), small batches and
+//!   one batch per partition, and every dominance-kernel knob;
 //! * block skipping (both min/max and dominance) is a pure perf
 //!   optimisation: the skipping disk run returns the rows of the same
 //!   query over the same rows in memory, and every block of the table is
@@ -75,14 +75,15 @@ fn disk_tables_match_memory_tables_across_the_matrix() {
     for dist in DISTRIBUTIONS {
         for dims in [2usize, 4] {
             for with_nulls in [false, true] {
-                for streaming in [true, false] {
-                    let rows = generate(dist, 23, 240, dims, with_nulls);
+                let rows = generate(dist, 23, 240, dims, with_nulls);
+                // Small batches, and one batch per partition.
+                for batch_size in [16, rows.len()] {
                     let config = SessionConfig::default()
                         .with_executors(3)
-                        .with_streaming_execution(streaming)
+                        .with_batch_size(batch_size)
                         .with_storage_block_rows(64);
                     let mem = session_with(rows.clone(), dims, with_nulls, config.clone());
-                    let tag = format!("{dist}-{dims}-{with_nulls}-{streaming}");
+                    let tag = format!("{dist}-{dims}-{with_nulls}-{batch_size}");
                     let disk = disk_session(rows.clone(), dims, with_nulls, config, &dir, &tag);
                     let expected = oracle(&rows, dims, with_nulls);
                     let mem_out = run(&mem, dims);

@@ -1,16 +1,17 @@
 //! Streaming-equivalence suite for the pull-based execution model:
 //!
-//! * every operator, run through the pipelined stream model, must produce
-//!   results **byte-identical** (same rows, same order) to the seed's
-//!   materialized model (`streaming_execution = false` re-materializes
-//!   every operator boundary) — across hand-built plans, all skyline
-//!   algorithms, and the Börzsönyi correlated / independent /
-//!   anti-correlated datagen distributions;
+//! * every operator, run through the pipelined stream model with small
+//!   batches, must produce results **byte-identical** (same rows, same
+//!   order) to the same query run with one batch per partition (a batch
+//!   size of the largest table's row count, so every scan partition
+//!   arrives whole) — across hand-built plans, all skyline algorithms,
+//!   and the Börzsönyi correlated / independent / anti-correlated datagen
+//!   distributions;
 //! * `LIMIT k` over a large scan must pull only `O(k / batch_size)`
 //!   batches and read `O(k)` rows — the short-circuit the stream model
 //!   exists for;
-//! * the streamed pipeline's `peak_rows_in_flight` must stay strictly
-//!   below the materialized model's on a multi-operator pipeline.
+//! * the small-batch pipeline's `peak_rows_in_flight` must stay strictly
+//!   below the one-batch run's on a multi-operator pipeline.
 
 mod common;
 
@@ -19,6 +20,10 @@ use proptest::prelude::*;
 use sparkline::{
     Algorithm, DataType, DominanceKernel, Field, Row, Schema, SessionConfig, SessionContext, Value,
 };
+
+/// Rows of the largest table of [`session_with`]: a batch this large puts
+/// each scan partition in one batch.
+const ROWS: usize = 400;
 
 /// A session over the given config with a set of shared test tables, all
 /// drawn from the shared distribution matrix generator.
@@ -30,7 +35,7 @@ fn session_with(config: SessionConfig) -> SessionContext {
                 .map(|i| Field::new(format!("d{i}"), DataType::Float64, false))
                 .collect(),
         );
-        ctx.register_table(*name, schema, distribution_rows(dist, 7, 400, 3))
+        ctx.register_table(*name, schema, distribution_rows(dist, 7, ROWS, 3))
             .unwrap();
     }
     // An incomplete variant of the independent data, exercising the
@@ -73,23 +78,24 @@ fn session_with(config: SessionConfig) -> SessionContext {
     ctx
 }
 
+/// `sql` under `config` (small batches) and with one batch per partition.
 fn run_both(config: SessionConfig, sql: &str, algorithm: Algorithm) -> (Vec<Row>, Vec<Row>) {
-    let streaming = session_with(config.clone().with_streaming_execution(true));
-    let materialized = session_with(config.with_streaming_execution(false));
+    let streaming = session_with(config.clone());
+    let one_batch = session_with(config.with_batch_size(ROWS));
     let s = streaming
         .sql(sql)
         .and_then(|df| df.collect_with_algorithm(algorithm))
         .unwrap_or_else(|e| panic!("streaming failed for {sql:?}: {e}"));
-    let m = materialized
+    let m = one_batch
         .sql(sql)
         .and_then(|df| df.collect_with_algorithm(algorithm))
-        .unwrap_or_else(|e| panic!("materialized failed for {sql:?}: {e}"));
+        .unwrap_or_else(|e| panic!("one-batch run failed for {sql:?}: {e}"));
     (s.rows, m.rows)
 }
 
 /// The operator gauntlet: narrow chains, breakers, joins, every skyline
-/// algorithm family, on every datagen distribution — streamed and
-/// materialized executions must match row-for-row, byte-for-byte.
+/// algorithm family, on every datagen distribution — small-batch and
+/// one-batch executions must match row-for-row, byte-for-byte.
 #[test]
 fn streaming_matches_materialized_across_operators() {
     let queries: Vec<(String, Algorithm)> = {
@@ -165,14 +171,14 @@ fn streaming_matches_materialized_across_operators() {
             let (s, m) = run_both(config, &sql, algorithm);
             assert_eq!(
                 s, m,
-                "streaming vs materialized mismatch for {sql:?} ({algorithm:?}, {executors} executors)"
+                "small-batch vs one-batch mismatch for {sql:?} ({algorithm:?}, {executors} executors)"
             );
         }
     }
 }
 
 /// Strategy knobs ride along: angle partitioning and the pinned portable
-/// dominance tier must stay byte-identical under streaming.
+/// dominance tier must stay byte-identical across batch sizes.
 #[test]
 fn streaming_matches_materialized_with_strategy_knobs() {
     use sparkline::SkylinePartitioning;
@@ -194,21 +200,22 @@ fn streaming_matches_materialized_with_strategy_knobs() {
 }
 
 /// The short-circuit acceptance criterion: `LIMIT k` over an N-row scan
-/// reads O(k) rows and pulls O(k / batch_size) batches, while the
-/// materialized model reads all N.
+/// reads O(k) rows and pulls O(k / batch_size) batches, while the run with
+/// one batch per partition reads a whole partition.
 #[test]
 fn limit_short_circuits_the_scan() {
     let n: usize = 50_000;
+    let executors = 4;
     let schema = Schema::new(vec![Field::new("x", DataType::Int64, false)]);
     let rows: Vec<Row> = (0..n as i64)
         .map(|i| Row::new(vec![Value::Int64(i)]))
         .collect();
 
-    let run = |streaming: bool| {
+    let run = |batch_size: usize| {
         let ctx = SessionContext::with_config(
             SessionConfig::default()
-                .with_executors(4)
-                .with_streaming_execution(streaming),
+                .with_executors(executors)
+                .with_batch_size(batch_size),
         );
         ctx.register_table("big", schema.clone(), rows.clone())
             .unwrap();
@@ -220,11 +227,11 @@ fn limit_short_circuits_the_scan() {
             .unwrap()
     };
 
-    let streamed = run(true);
+    let batch_size = SessionConfig::default().batch_size;
+    let streamed = run(batch_size);
     assert_eq!(streamed.num_rows(), 10);
-    let batch_size = SessionConfig::default().batch_size as u64;
     assert!(
-        streamed.metrics.rows_scanned <= 2 * batch_size,
+        streamed.metrics.rows_scanned <= 2 * batch_size as u64,
         "scan must stop after O(k) rows, read {} of {n}",
         streamed.metrics.rows_scanned
     );
@@ -236,38 +243,44 @@ fn limit_short_circuits_the_scan() {
         streamed.metrics.batches_emitted
     );
 
-    let materialized = run(false);
-    assert_eq!(materialized.num_rows(), 10);
-    assert_eq!(
-        materialized.metrics.rows_scanned, n as u64,
-        "the materialized model reads everything"
+    let one_batch = run(n);
+    assert_eq!(one_batch.num_rows(), 10);
+    assert!(
+        one_batch.metrics.rows_scanned >= (n / executors) as u64,
+        "one batch per partition reads a whole partition, read {}",
+        one_batch.metrics.rows_scanned
     );
-    assert_eq!(streamed.rows, materialized.rows, "same 10 rows either way");
+    assert!(streamed.metrics.rows_scanned < one_batch.metrics.rows_scanned);
+    assert_eq!(streamed.rows, one_batch.rows, "same 10 rows either way");
 }
 
 /// Bounded peak memory: on a scan → filter → skyline → limit pipeline the
-/// streamed execution must hold strictly fewer rows in flight than the
-/// materialized model.
+/// execution at batch 64 must hold strictly fewer rows in flight than the
+/// run with one batch per partition.
+///
+/// One executor: with several, the peak depends on how the executors'
+/// batches happen to overlap, so a one-batch run whose partitions run one
+/// after another can peak below a small-batch run whose partitions all
+/// run at once. On one executor the peak is a function of the batch size.
 #[test]
 fn streaming_peak_rows_in_flight_is_below_materialized() {
     let sql = "SELECT * FROM anti WHERE d0 <= 0.9 SKYLINE OF d0 MIN, d1 MIN, d2 MIN LIMIT 16";
-    let run = |streaming: bool| {
+    let run = |batch_size: usize| {
         let ctx = session_with(
             SessionConfig::default()
-                .with_executors(4)
-                .with_batch_size(32)
-                .with_streaming_execution(streaming),
+                .with_executors(1)
+                .with_batch_size(batch_size),
         );
         ctx.sql(sql).unwrap().collect().unwrap()
     };
-    let streamed = run(true);
-    let materialized = run(false);
-    assert_eq!(streamed.rows, materialized.rows, "byte-identical results");
+    let streamed = run(64);
+    let one_batch = run(ROWS);
+    assert_eq!(streamed.rows, one_batch.rows, "byte-identical results");
     assert!(
-        streamed.metrics.peak_rows_in_flight < materialized.metrics.peak_rows_in_flight,
-        "streaming peak {} must be below materialized peak {}",
+        streamed.metrics.peak_rows_in_flight < one_batch.metrics.peak_rows_in_flight,
+        "batch-64 peak {} must be below the one-batch peak {}",
         streamed.metrics.peak_rows_in_flight,
-        materialized.metrics.peak_rows_in_flight
+        one_batch.metrics.peak_rows_in_flight
     );
 }
 
@@ -290,8 +303,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random small datasets (with NULLs): the streamed skyline plan —
-    /// whichever algorithm Listing 8 selects — matches the materialized
-    /// execution byte-for-byte.
+    /// whichever algorithm Listing 8 selects — matches the run with one
+    /// batch per partition byte-for-byte.
     #[test]
     fn random_skylines_stream_identically(
         rows in prop::collection::vec(
@@ -318,12 +331,11 @@ proptest! {
                 )
             })
             .collect();
-        let run = |streaming: bool| {
+        let run = |batch_size: usize| {
             let ctx = SessionContext::with_config(
                 SessionConfig::default()
                     .with_executors(executors)
-                    .with_batch_size(16)
-                    .with_streaming_execution(streaming),
+                    .with_batch_size(batch_size),
             );
             ctx.register_table("t", schema.clone(), table.clone()).unwrap();
             ctx.sql("SELECT * FROM t SKYLINE OF c0 MIN, c1 MAX, c2 MIN")
@@ -332,6 +344,6 @@ proptest! {
                 .unwrap()
                 .rows
         };
-        prop_assert_eq!(run(true), run(false));
+        prop_assert_eq!(run(16), run(table.len()));
     }
 }
