@@ -3,14 +3,14 @@
 //! memory, written as the machine-readable `BENCH_PR8.json` trajectory
 //! file.
 //!
-//! The **scan sweep** writes each Börzsönyi distribution to a block file
-//! (rows clustered by `d0`, the natural layout of a range-partitioned
-//! COPY), then runs the same filtered skyline twice per distribution:
-//! `memory` (the rows registered in memory) and `disk` (the block file,
-//! whose scan skips the blocks the pushed-down `d0` range filter refutes
-//! by min/max and those the skyline of the footer sample dominates).
-//! Both must return identical rows; the cells record wall clock,
-//! rows/sec, and the disk scan's blocks read and skipped.
+//! The **scan sweep** COPYs each Börzsönyi distribution to a block file
+//! (which lays the rows out in Z order), then runs the same filtered
+//! skyline twice per distribution: `memory` (the file's rows registered
+//! in memory, in file order) and `disk` (the block file, whose scan skips
+//! the blocks the pushed-down `d0` range filter refutes by min/max and
+//! those the skyline of the footer sample dominates). Both must return
+//! identical rows; the cells record wall clock, rows/sec, and the disk
+//! scan's blocks read and skipped.
 //!
 //! The **out-of-core cell** re-runs the disk query with a memory budget
 //! far below the file size: the scan streams one block's reservation at
@@ -22,8 +22,9 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
+use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
+use sparkline_storage::DiskTable;
 
 /// Inputs of the scan sweep: the rows in memory, then on disk.
 pub const MODES: [&str; 2] = ["memory", "disk"];
@@ -79,22 +80,23 @@ pub struct StorageBench {
 
 fn dataset(distribution: &str, n: usize, seed: u64) -> Vec<Row> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut rows = match distribution {
+    match distribution {
         "correlated" => correlated_rows(&mut rng, n, 3),
         "independent" => independent_rows(&mut rng, n, 3),
         "anti_correlated" => anti_correlated_rows(&mut rng, n, 3),
         other => panic!("unknown distribution {other}"),
-    };
-    // Cluster by d0 so block min/max ranges are tight — the layout a
-    // range-partitioned COPY produces, and the one skipping exists for.
-    rows.sort_by(|a, b| {
-        let d0 = |r: &Row| match r.get(0) {
-            Value::Float64(f) => *f,
-            _ => f64::NAN,
-        };
-        d0(a).total_cmp(&d0(b))
-    });
-    rows
+    }
+}
+
+/// COPY `rows` to the block file at `path` and return the file's rows,
+/// in file order.
+fn copy_to_disk(rows: &[Row], path: &std::path::Path) -> Vec<Row> {
+    memory_session(rows, SessionConfig::default())
+        .copy_table_to_disk("t", path)
+        .expect("COPY t TO disk");
+    DiskTable::open(path)
+        .and_then(|table| table.decode_all())
+        .expect("decode bench file")
 }
 
 fn schema() -> Schema {
@@ -113,21 +115,10 @@ fn memory_session(rows: &[Row], config: SessionConfig) -> SessionContext {
     ctx
 }
 
-/// Write `rows` as table `t` on disk inside `dir` and return a session
-/// scanning the file under `config`.
-fn disk_session(
-    rows: &[Row],
-    config: SessionConfig,
-    dir: &std::path::Path,
-    tag: &str,
-) -> SessionContext {
-    let ctx = memory_session(rows, config);
-    let path = dir.join(format!("{tag}.spk"));
-    if !path.exists() {
-        ctx.copy_table_to_disk("t", &path).expect("COPY t TO disk");
-    }
-    ctx.register_disk_table("t", &path)
-        .expect("open disk table");
+/// A session scanning the block file at `path` as table `t`.
+fn disk_session(config: SessionConfig, path: &std::path::Path) -> SessionContext {
+    let ctx = SessionContext::with_config(config);
+    ctx.register_disk_table("t", path).expect("open disk table");
     ctx
 }
 
@@ -141,11 +132,11 @@ fn run_scan_cell(
     mode: &'static str,
     rows: &[Row],
     config: SessionConfig,
-    dir: &std::path::Path,
+    path: &std::path::Path,
 ) -> (ScanCell, Vec<Row>) {
     let ctx = match mode {
         "memory" => memory_session(rows, config),
-        "disk" => disk_session(rows, config, dir, distribution),
+        "disk" => disk_session(config, path),
         other => panic!("unknown input {other}"),
     };
     let df = ctx.sql(SQL).expect("parse bench query");
@@ -185,10 +176,13 @@ pub fn run_storage_bench(quick: bool) -> StorageBench {
 
     let mut scan_cells = Vec::new();
     for distribution in ["correlated", "independent", "anti_correlated"] {
-        let rows = dataset(distribution, n, 42);
+        let path = dir.join(format!("{distribution}.spk"));
+        // The memory cell holds the file's rows in file order, so the two
+        // cells must return the same bytes.
+        let rows = copy_to_disk(&dataset(distribution, n, 42), &path);
         let mut baseline: Option<Vec<Row>> = None;
         for mode in MODES {
-            let (cell, result_rows) = run_scan_cell(distribution, mode, &rows, base(), &dir);
+            let (cell, result_rows) = run_scan_cell(distribution, mode, &rows, base(), &path);
             match &baseline {
                 None => baseline = Some(result_rows),
                 Some(expected) => assert_eq!(
@@ -203,7 +197,6 @@ pub fn run_storage_bench(quick: bool) -> StorageBench {
     // Out-of-core: the correlated file under a budget of 1/8 its size.
     // Streaming decode holds one raw block per executor, so the query
     // completes instead of exhausting the budget.
-    let rows = dataset("correlated", n, 42);
     // The sweep above already wrote the correlated block file.
     let path = dir.join("correlated.spk");
     let file_bytes = std::fs::metadata(&path).expect("bench file metadata").len();
@@ -211,7 +204,7 @@ pub fn run_storage_bench(quick: bool) -> StorageBench {
     // per executor) so the cell tests out-of-core streaming, not
     // starvation: a 2048-row block of three f64 columns is ~55 KiB raw.
     let budget = (file_bytes as usize / 8).max(256 << 10);
-    let ctx = disk_session(&rows, base().with_memory_budget(budget), &dir, "correlated");
+    let ctx = disk_session(base().with_memory_budget(budget), &path);
     let start = Instant::now();
     let result = ctx
         .sql(SQL)
@@ -294,8 +287,8 @@ mod tests {
                     assert_eq!(c.blocks_read, 0, "{c:?}");
                     assert_eq!(c.bytes_decoded, 0, "{c:?}");
                 }
-                // The `d0 <= 0.5` filter refutes the upper half of the
-                // d0-clustered file on every distribution.
+                // The `d0 <= 0.5` filter refutes blocks of the
+                // Z-clustered file on every distribution.
                 "disk" => {
                     assert!(c.blocks_read > 0, "{c:?}");
                     assert!(c.blocks_skipped_minmax > 0, "{c:?}");

@@ -1,6 +1,7 @@
 //! Seeded reservoir sampling and the numeric view of a value.
 //!
-//! The disk writer keeps a [`Reservoir`] over every row it writes and
+//! The disk writer keeps a [`Reservoir`] over every row it writes (or
+//! over their positions, when it has the whole table at hand) and
 //! stores the sample in the table footer; the skyline planner takes the
 //! disk dominance gate's points from that sample. The reservoir is driven
 //! by a SplitMix64 generator seeded from `SessionConfig::sample_seed`, so
@@ -35,18 +36,19 @@ impl SampleRng {
     }
 }
 
-/// Incremental Algorithm-R reservoir: push rows one at a time (the disk
-/// writer pushes every row it writes) and take a uniform `cap`-row sample
-/// at the end, deterministic per seed.
+/// Incremental Algorithm-R reservoir: push items one at a time (the disk
+/// writer pushes every row it writes, or every row position) and take a
+/// uniform `cap`-item sample at the end, deterministic per seed: the
+/// draws depend only on the seed and the number of items pushed.
 #[derive(Debug, Clone)]
-pub struct Reservoir {
+pub struct Reservoir<T = Row> {
     cap: usize,
     rng: SampleRng,
     seen: usize,
-    rows: Vec<Row>,
+    rows: Vec<T>,
 }
 
-impl Reservoir {
+impl<T> Reservoir<T> {
     /// Empty reservoir of `cap` rows driven by `seed`.
     pub fn new(cap: usize, seed: u64) -> Self {
         Reservoir {
@@ -57,8 +59,8 @@ impl Reservoir {
         }
     }
 
-    /// Offer one row to the sample.
-    pub fn push(&mut self, row: Row) {
+    /// Offer one item to the sample.
+    pub fn push(&mut self, row: T) {
         if self.cap == 0 {
             self.seen += 1;
             return;
@@ -74,13 +76,13 @@ impl Reservoir {
         self.seen += 1;
     }
 
-    /// Rows offered so far (the population size of the sample).
+    /// Items offered so far (the population size of the sample).
     pub fn seen(&self) -> usize {
         self.seen
     }
 
-    /// The sampled rows.
-    pub fn into_rows(self) -> Vec<Row> {
+    /// The sampled items.
+    pub fn into_rows(self) -> Vec<T> {
         self.rows
     }
 }

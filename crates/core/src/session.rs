@@ -166,7 +166,11 @@ impl SessionContext {
     /// `COPY ... TO`: write a registered table to `path` in the sparkline
     /// block format, using the session's storage knobs
     /// (`storage_block_rows` for the block granularity, `sample_size` /
-    /// `sample_seed` for the footer's reservoir sample).
+    /// `sample_seed` for the footer's reservoir sample). It writes through
+    /// [`sparkline_storage::write_table`], so the file does **not** keep
+    /// the table's row order: rows are clustered in Z order so block
+    /// metadata can skip blocks (see `sparkline_storage`'s "Row order").
+    /// The same rows always write the same file.
     pub fn copy_table_to_disk(
         &self,
         name: &str,

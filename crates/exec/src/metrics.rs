@@ -152,15 +152,13 @@ impl ExecMetrics {
         self.bytes_decoded.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Record a storage block skipped by min/max pruning.
-    pub fn add_block_skipped_minmax(&self) {
-        self.blocks_skipped_minmax.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a storage block skipped by dominance pruning.
-    pub fn add_block_skipped_dominance(&self) {
+    /// Record storage blocks skipped: `minmax` by min/max pruning,
+    /// `dominance` by dominance pruning.
+    pub fn add_blocks_skipped(&self, minmax: u64, dominance: u64) {
+        self.blocks_skipped_minmax
+            .fetch_add(minmax, Ordering::Relaxed);
         self.blocks_skipped_dominance
-            .fetch_add(1, Ordering::Relaxed);
+            .fetch_add(dominance, Ordering::Relaxed);
     }
 
     /// Snapshot the counters.
@@ -372,9 +370,8 @@ mod tests {
         let m = ExecMetrics::new();
         m.add_block_read(4096);
         m.add_block_read(1024);
-        m.add_block_skipped_minmax();
-        m.add_block_skipped_dominance();
-        m.add_block_skipped_dominance();
+        m.add_blocks_skipped(1, 1);
+        m.add_blocks_skipped(0, 1);
         let s = m.snapshot();
         assert_eq!(s.blocks_read, 2);
         assert_eq!(s.bytes_decoded, 5120);

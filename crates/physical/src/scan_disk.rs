@@ -11,6 +11,14 @@
 //! dominates. The gate's points live in a [`ColumnarBlock`] and each
 //! block's best corner is tested as one encoded candidate, on the same
 //! dominance kernel as the skyline operators.
+//!
+//! **Pruning comes before the split.** Every verdict is footer metadata,
+//! so [`DiskScanExec`] decides all of them when it starts (the loop its
+//! `EXPLAIN` tag already runs) and only then deals the kept blocks to the
+//! executors, in contiguous, even runs. A filter that refutes a region
+//! of the file therefore leaves no executor idle, and the partitions read
+//! in order are the kept blocks in file order whatever the executor
+//! count, so a query's output does not depend on it.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -285,6 +293,7 @@ impl DiskScanExec {
     }
 }
 
+/// Which tier skipped a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SkipKind {
     MinMax,
@@ -309,6 +318,33 @@ fn skip_verdict(
     }
 }
 
+/// Every block's verdict, taken from footer metadata alone.
+#[derive(Debug, Default)]
+struct Pruned {
+    /// Blocks to read, in file order.
+    kept: Vec<usize>,
+    minmax: u64,
+    dominance: u64,
+    corner_tests: u64,
+}
+
+impl DiskScanExec {
+    /// Take every block's skip verdict, in file order.
+    fn prune(&self) -> Pruned {
+        let mut pruned = Pruned::default();
+        for (i, meta) in self.table.blocks().iter().enumerate() {
+            let (tests, verdict) = skip_verdict(&self.bounds, &self.skip, meta);
+            pruned.corner_tests += tests;
+            match verdict {
+                Some(SkipKind::MinMax) => pruned.minmax += 1,
+                Some(SkipKind::Dominance) => pruned.dominance += 1,
+                None => pruned.kept.push(i),
+            }
+        }
+        pruned
+    }
+}
+
 impl ExecutionPlan for DiskScanExec {
     fn name(&self) -> &'static str {
         "DiskScanExec"
@@ -328,20 +364,26 @@ impl ExecutionPlan for DiskScanExec {
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
         ctx.control.check()?;
-        // Whole blocks are the distribution unit: a block decodes on
-        // exactly one executor, and the metadata skip happens before its
-        // bytes are touched.
-        let ranges = even_ranges(self.table.num_blocks(), ctx.runtime.num_executors());
+        // Prune, then split: whole kept blocks are the distribution unit,
+        // a contiguous run of them per executor, so a block decodes on
+        // exactly one executor and a skipped one costs none of them.
+        let pruned = self.prune();
+        ctx.metrics
+            .corner_tests
+            .fetch_add(pruned.corner_tests, Ordering::Relaxed);
+        ctx.metrics
+            .add_blocks_skipped(pruned.minmax, pruned.dominance);
+        let kept: Arc<[usize]> = pruned.kept.into();
+        let ranges = even_ranges(kept.len(), ctx.runtime.num_executors());
         let batch_size = ctx.batch_size.max(1);
         Ok(ranges
             .into_iter()
             .map(|(start, end)| {
                 let table = Arc::clone(&self.table);
                 let schema = self.schema();
-                let bounds = self.bounds.clone();
-                let skip = Arc::clone(&self.skip);
+                let kept = Arc::clone(&kept);
                 let ctx = ctx.clone();
-                let mut block = start;
+                let mut next = start;
                 // (decoder, next row, reservation): the raw payload stays
                 // reserved until the last batch of the block is decoded.
                 let mut current: Option<(BlockDecoder, usize, sparkline_exec::MemoryReservation)> =
@@ -363,27 +405,11 @@ impl ExecutionPlan for DiskScanExec {
                                 .fetch_add(batch.len() as u64, Ordering::Relaxed);
                             return Ok(Some(batch));
                         }
-                        let Some(i) = (block < end).then_some(block) else {
+                        if next >= end {
                             return Ok(None);
-                        };
-                        block += 1;
-                        let meta = table.block_meta(i);
-                        let (tests, verdict) = skip_verdict(&bounds, &skip, meta);
-                        if tests > 0 {
-                            ctx.metrics.corner_tests.fetch_add(tests, Ordering::Relaxed);
                         }
-                        match verdict {
-                            Some(SkipKind::MinMax) => {
-                                ctx.metrics.add_block_skipped_minmax();
-                                continue;
-                            }
-                            Some(SkipKind::Dominance) => {
-                                ctx.metrics.add_block_skipped_dominance();
-                                continue;
-                            }
-                            None => {}
-                        }
-                        let raw = table.read_block_raw(i)?;
+                        let raw = table.read_block_raw(kept[next])?;
+                        next += 1;
                         let reservation = ctx.try_reserve(raw.len())?;
                         ctx.metrics.add_block_read(raw.len() as u64);
                         let decoder = BlockDecoder::new(raw, Arc::clone(&schema))?;
@@ -400,22 +426,14 @@ impl ExecutionPlan for DiskScanExec {
     fn describe(&self) -> String {
         // The skip decision is pure metadata, so the EXPLAIN tag can
         // report it exactly without executing anything.
-        let mut minmax = 0usize;
-        let mut dominance = 0usize;
-        for meta in self.table.blocks() {
-            match skip_verdict(&self.bounds, &self.skip, meta).1 {
-                Some(SkipKind::MinMax) => minmax += 1,
-                Some(SkipKind::Dominance) => dominance += 1,
-                None => {}
-            }
-        }
+        let pruned = self.prune();
         format!(
             "DiskScanExec [{}: {} rows, disk(blocks={}, skipped={} minmax + {} dominance)]",
             self.label,
             self.table.total_rows(),
             self.table.num_blocks(),
-            minmax,
-            dominance,
+            pruned.minmax,
+            pruned.dominance,
         )
     }
 }
@@ -427,7 +445,7 @@ mod tests {
         DataType, DominanceKernel, Field, Row, Schema, SkylineDim, SkylineType,
     };
     use sparkline_plan::BoundColumn;
-    use sparkline_storage::{write_table, WriterOptions};
+    use sparkline_storage::{TableWriter, WriterOptions};
 
     fn temp_file(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -453,17 +471,19 @@ mod tests {
             Field::new("b", data_type, false),
         ])
         .into_ref();
+        // Input order: each test lays its blocks out by hand.
         let path = temp_file(name);
-        write_table(
+        let mut writer = TableWriter::create(
             &path,
             Arc::clone(&schema),
-            rows,
             WriterOptions {
                 block_rows,
                 ..WriterOptions::default()
             },
         )
         .unwrap();
+        writer.write_rows(rows).unwrap();
+        writer.finish().unwrap();
         (Arc::new(DiskTable::open(&path).unwrap()), schema)
     }
 
@@ -520,6 +540,36 @@ mod tests {
         let everything = sparkline_exec::partition::flatten(all.execute(&ctx2).unwrap());
         assert_eq!(everything, rows);
         assert_eq!(ctx2.metrics.snapshot().blocks_skipped_minmax, 0);
+    }
+
+    #[test]
+    fn pruning_comes_before_the_split() {
+        // Ten 100-row blocks; `a >= 500` refutes the first five. The five
+        // kept blocks are dealt to both executors, 3 + 2, in file order.
+        let rows = ascending(1000);
+        let (table, schema) = disk_table("split", &rows, 100);
+        let bound = ColumnPredicate {
+            col: 0,
+            op: BinaryOp::GtEq,
+            value: 500.0,
+        };
+        let scan = DiskScanExec::new("t", table, schema).with_bounds(vec![bound]);
+        let ctx = TaskContext::new(2);
+        let parts = scan.execute(&ctx).unwrap();
+        let blocks: Vec<usize> = parts.iter().map(|p| p.len() / 100).collect();
+        assert_eq!(blocks.len(), 2);
+        assert!(
+            blocks.iter().all(|&b| b > 0),
+            "an executor idles: {blocks:?}"
+        );
+        assert!(blocks[0].abs_diff(blocks[1]) <= 1, "{blocks:?}");
+        assert_eq!(
+            sparkline_exec::partition::flatten(parts),
+            rows[500..].to_vec()
+        );
+        let snap = ctx.metrics.snapshot();
+        assert_eq!(snap.blocks_skipped_minmax, 5);
+        assert_eq!(snap.blocks_read, 5);
     }
 
     fn f(row: &Row, i: usize) -> f64 {

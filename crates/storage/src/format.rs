@@ -181,22 +181,27 @@ fn check_value(field: &Field, v: &Value) -> Result<()> {
 }
 
 /// Encode `rows` as one self-contained block payload and compute the
-/// per-column skipping metadata in the same pass.
-pub(crate) fn encode_block(schema: &Schema, rows: &[Row]) -> Result<(Vec<u8>, Vec<ColumnMeta>)> {
+/// per-column skipping metadata in the same pass. Each row is a borrowed
+/// value slice, so a writer can lay out a block from any subset of its
+/// input without copying a row.
+pub(crate) fn encode_block(
+    schema: &Schema,
+    rows: &[&[Value]],
+) -> Result<(Vec<u8>, Vec<ColumnMeta>)> {
     let n = rows.len();
     let mut out = Vec::new();
     put_u32(&mut out, n as u32);
     let mut metas = Vec::with_capacity(schema.len());
     for (c, field) in schema.fields().iter().enumerate() {
         for row in rows {
-            if row.width() != schema.len() {
+            if row.len() != schema.len() {
                 return Err(storage_err(format!(
                     "row width {} does not match schema width {}",
-                    row.width(),
+                    row.len(),
                     schema.len()
                 )));
             }
-            check_value(field, row.get(c))?;
+            check_value(field, &row[c])?;
         }
         // NULL bitmap: bit set = NULL.
         let mut bitmap = vec![0u8; n.div_ceil(8)];
@@ -205,7 +210,7 @@ pub(crate) fn encode_block(schema: &Schema, rows: &[Row]) -> Result<(Vec<u8>, Ve
         let mut max = f64::NEG_INFINITY;
         let mut bounded = false;
         for (i, row) in rows.iter().enumerate() {
-            let v = row.get(c);
+            let v = &row[c];
             if v.is_null() {
                 bitmap[i / 8] |= 1 << (i % 8);
                 meta.null_count += 1;
@@ -229,7 +234,7 @@ pub(crate) fn encode_block(schema: &Schema, rows: &[Row]) -> Result<(Vec<u8>, Ve
             DataType::Null => {}
             DataType::Boolean => {
                 for row in rows {
-                    out.push(match row.get(c) {
+                    out.push(match &row[c] {
                         Value::Boolean(b) => u8::from(*b),
                         _ => 0,
                     });
@@ -237,7 +242,7 @@ pub(crate) fn encode_block(schema: &Schema, rows: &[Row]) -> Result<(Vec<u8>, Ve
             }
             DataType::Int64 => {
                 for row in rows {
-                    let v = match row.get(c) {
+                    let v = match &row[c] {
                         Value::Int64(i) => *i,
                         _ => 0,
                     };
@@ -246,7 +251,7 @@ pub(crate) fn encode_block(schema: &Schema, rows: &[Row]) -> Result<(Vec<u8>, Ve
             }
             DataType::Float64 => {
                 for row in rows {
-                    let v = match row.get(c) {
+                    let v = match &row[c] {
                         Value::Float64(f) => *f,
                         _ => 0.0,
                     };
@@ -256,7 +261,7 @@ pub(crate) fn encode_block(schema: &Schema, rows: &[Row]) -> Result<(Vec<u8>, Ve
             DataType::Utf8 => {
                 let mut data = Vec::new();
                 for row in rows {
-                    match row.get(c) {
+                    match &row[c] {
                         Value::Utf8(s) => {
                             put_u32(&mut out, s.len() as u32);
                             data.extend_from_slice(s.as_bytes());
@@ -272,116 +277,126 @@ pub(crate) fn encode_block(schema: &Schema, rows: &[Row]) -> Result<(Vec<u8>, Ve
     Ok((out, metas))
 }
 
-/// Per-column decode state of one parsed block payload: slices into the
-/// raw buffer plus, for strings, precomputed row offsets.
-enum ColumnSlices<'a> {
+/// Where one column's buffer sits in a parsed block payload: byte
+/// offsets into the raw buffer plus, for strings, precomputed row
+/// offsets into the column's data.
+enum ColumnLayout {
     Empty,
-    Bool(&'a [u8]),
-    Fixed64(&'a [u8]),
-    Utf8 { data: &'a [u8], offsets: Vec<u32> },
+    Bool(usize),
+    Fixed64(usize),
+    Utf8 { data: usize, offsets: Vec<u32> },
 }
 
-/// A parsed block payload: random-access row decoding over the raw
-/// bytes, so a scan can materialize one batch at a time while the (much
-/// smaller) encoded buffer is the only resident copy of the block.
-pub struct BlockDecoderInner<'a> {
+/// The parsed layout of one block payload: every column's position in
+/// the raw bytes, computed once, so a scan can materialize one batch at a
+/// time while the (much smaller) encoded buffer is the only resident copy
+/// of the block. It holds offsets, not slices, so its owner can keep it
+/// beside the buffer it describes.
+pub(crate) struct BlockLayout {
     rows: usize,
-    bitmaps: Vec<&'a [u8]>,
-    columns: Vec<ColumnSlices<'a>>,
-    schema: &'a Schema,
+    bitmaps: Vec<usize>,
+    columns: Vec<ColumnLayout>,
 }
 
-impl<'a> BlockDecoderInner<'a> {
+impl BlockLayout {
     /// Parse the column layout of `raw` against `schema`. Cost is O(ncols
     /// + string rows); no row values are materialized.
-    pub(crate) fn parse(raw: &'a [u8], schema: &'a Schema) -> Result<Self> {
+    pub(crate) fn parse(raw: &[u8], schema: &Schema) -> Result<Self> {
         let mut r = ByteReader::new(raw);
         let rows = r.u32()? as usize;
         let mut bitmaps = Vec::with_capacity(schema.len());
         let mut columns = Vec::with_capacity(schema.len());
         for field in schema.fields() {
-            bitmaps.push(r.bytes(rows.div_ceil(8))?);
+            bitmaps.push(r.position());
+            r.bytes(rows.div_ceil(8))?;
+            let at = r.position();
             columns.push(match field.data_type() {
-                DataType::Null => ColumnSlices::Empty,
-                DataType::Boolean => ColumnSlices::Bool(r.bytes(rows)?),
-                DataType::Int64 | DataType::Float64 => ColumnSlices::Fixed64(r.bytes(rows * 8)?),
+                DataType::Null => ColumnLayout::Empty,
+                DataType::Boolean => {
+                    r.bytes(rows)?;
+                    ColumnLayout::Bool(at)
+                }
+                DataType::Int64 | DataType::Float64 => {
+                    r.bytes(rows * 8)?;
+                    ColumnLayout::Fixed64(at)
+                }
                 DataType::Utf8 => {
                     let lens = r.bytes(rows * 4)?;
                     let mut offsets = Vec::with_capacity(rows + 1);
                     let mut total = 0u32;
                     offsets.push(0);
-                    for i in 0..rows {
-                        let len = u32::from_le_bytes([
-                            lens[i * 4],
-                            lens[i * 4 + 1],
-                            lens[i * 4 + 2],
-                            lens[i * 4 + 3],
-                        ]);
+                    for len in lens.chunks_exact(4) {
+                        let len = u32::from_le_bytes([len[0], len[1], len[2], len[3]]);
                         total = total
                             .checked_add(len)
                             .ok_or_else(|| storage_err("string column overflows u32"))?;
                         offsets.push(total);
                     }
-                    ColumnSlices::Utf8 {
-                        data: r.bytes(total as usize)?,
-                        offsets,
-                    }
+                    let data = r.position();
+                    r.bytes(total as usize)?;
+                    ColumnLayout::Utf8 { data, offsets }
                 }
             });
         }
         if r.position() != raw.len() {
             return Err(storage_err("trailing bytes after block payload"));
         }
-        Ok(BlockDecoderInner {
+        Ok(BlockLayout {
             rows,
             bitmaps,
             columns,
-            schema,
         })
     }
 
     /// Rows stored in the block.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
-    /// Materialize rows `start..end`.
-    pub fn decode_range(&self, start: usize, end: usize) -> Result<Vec<Row>> {
+    /// Materialize rows `start..end` of `raw`, the payload this layout
+    /// was parsed from, under the same `schema`.
+    pub(crate) fn decode_range(
+        &self,
+        raw: &[u8],
+        schema: &Schema,
+        start: usize,
+        end: usize,
+    ) -> Result<Vec<Row>> {
         if start > end || end > self.rows {
             return Err(storage_err(format!(
                 "row range {start}..{end} out of bounds for {}-row block",
                 self.rows
             )));
         }
-        let width = self.schema.len();
+        let word = |at: usize, i: usize| {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(&raw[at + i * 8..at + i * 8 + 8]);
+            u64::from_le_bytes(w)
+        };
         let mut out = Vec::with_capacity(end - start);
         for i in start..end {
-            let mut values = Vec::with_capacity(width);
-            for (c, field) in self.schema.fields().iter().enumerate() {
-                if self.bitmaps[c][i / 8] & (1 << (i % 8)) != 0 {
+            let mut values = Vec::with_capacity(schema.len());
+            for (c, field) in schema.fields().iter().enumerate() {
+                if raw[self.bitmaps[c] + i / 8] & (1 << (i % 8)) != 0 {
                     values.push(Value::Null);
                     continue;
                 }
                 values.push(match (&self.columns[c], field.data_type()) {
-                    (ColumnSlices::Bool(b), _) => Value::Boolean(b[i] != 0),
-                    (ColumnSlices::Fixed64(b), DataType::Int64) => {
-                        let mut w = [0u8; 8];
-                        w.copy_from_slice(&b[i * 8..i * 8 + 8]);
-                        Value::Int64(u64::from_le_bytes(w) as i64)
+                    (ColumnLayout::Bool(at), _) => Value::Boolean(raw[at + i] != 0),
+                    (ColumnLayout::Fixed64(at), DataType::Int64) => {
+                        Value::Int64(word(*at, i) as i64)
                     }
-                    (ColumnSlices::Fixed64(b), _) => {
-                        let mut w = [0u8; 8];
-                        w.copy_from_slice(&b[i * 8..i * 8 + 8]);
-                        Value::Float64(sign_restore_f64(u64::from_le_bytes(w)))
+                    (ColumnLayout::Fixed64(at), _) => {
+                        Value::Float64(sign_restore_f64(word(*at, i)))
                     }
-                    (ColumnSlices::Utf8 { data, offsets }, _) => {
-                        let s = &data[offsets[i] as usize..offsets[i + 1] as usize];
+                    (ColumnLayout::Utf8 { data, offsets }, _) => {
+                        let s = &raw[data + offsets[i] as usize..data + offsets[i + 1] as usize];
                         Value::str(
                             std::str::from_utf8(s)
                                 .map_err(|_| storage_err("string value is not UTF-8"))?,
                         )
                     }
-                    (ColumnSlices::Empty, _) => {
+                    (ColumnLayout::Empty, _) => {
                         return Err(storage_err(format!(
                             "non-NULL row {i} in NULL-typed column '{}'",
                             field.name()
@@ -398,6 +413,10 @@ impl<'a> BlockDecoderInner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn slices(rows: &[Row]) -> Vec<&[Value]> {
+        rows.iter().map(Row::values).collect()
+    }
 
     #[test]
     fn sign_normalization_preserves_order_and_bits() {
@@ -463,10 +482,10 @@ mod tests {
                 Value::Null,
             ]),
         ];
-        let (payload, metas) = encode_block(&schema, &rows).unwrap();
-        let dec = BlockDecoderInner::parse(&payload, &schema).unwrap();
+        let (payload, metas) = encode_block(&schema, &slices(&rows)).unwrap();
+        let dec = BlockLayout::parse(&payload, &schema).unwrap();
         assert_eq!(dec.rows(), 3);
-        let back = dec.decode_range(0, 3).unwrap();
+        let back = dec.decode_range(&payload, &schema, 0, 3).unwrap();
         for (a, b) in rows.iter().zip(&back) {
             for (x, y) in a.values().iter().zip(b.values()) {
                 match (x, y) {
@@ -480,7 +499,10 @@ mod tests {
         }
         // Partial decode sees the same rows (row 2 is NaN-free, so plain
         // equality is meaningful).
-        assert_eq!(dec.decode_range(2, 3).unwrap(), back[2..3].to_vec());
+        assert_eq!(
+            dec.decode_range(&payload, &schema, 2, 3).unwrap(),
+            back[2..3].to_vec()
+        );
         // Metadata: NULLs and NaN counted, bounds over numeric values only.
         assert_eq!(metas[0].null_count, 1);
         assert_eq!(metas[0].min, Some(i64::MIN as f64));
@@ -494,9 +516,9 @@ mod tests {
     #[test]
     fn type_mismatch_is_rejected() {
         let schema = Schema::new(vec![Field::new("i", DataType::Int64, false)]);
-        let err = encode_block(&schema, &[Row::new(vec![Value::Float64(1.0)])]).unwrap_err();
+        let err = encode_block(&schema, &[&[Value::Float64(1.0)]]).unwrap_err();
         assert!(err.to_string().contains("storage"), "{err}");
-        let err = encode_block(&schema, &[Row::new(vec![Value::Null])]).unwrap_err();
+        let err = encode_block(&schema, &[&[Value::Null]]).unwrap_err();
         assert!(err.to_string().contains("does not fit"), "{err}");
     }
 
@@ -504,9 +526,9 @@ mod tests {
     fn truncated_payload_is_an_error_not_a_panic() {
         let schema = Schema::new(vec![Field::new("f", DataType::Float64, false)]);
         let rows = vec![Row::new(vec![Value::Float64(3.5)])];
-        let (payload, _) = encode_block(&schema, &rows).unwrap();
+        let (payload, _) = encode_block(&schema, &slices(&rows)).unwrap();
         for cut in 0..payload.len() {
-            assert!(BlockDecoderInner::parse(&payload[..cut], &schema).is_err());
+            assert!(BlockLayout::parse(&payload[..cut], &schema).is_err());
         }
     }
 }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use sparkline_common::{DataType, Result, Row, SchemaRef, Value};
 
 use crate::format::{
-    decode_schema, storage_err, BlockDecoderInner, ByteReader, FOOTER_MAGIC, FORMAT_VERSION, MAGIC,
+    decode_schema, storage_err, BlockLayout, ByteReader, FOOTER_MAGIC, FORMAT_VERSION, MAGIC,
 };
 
 /// Skipping metadata of one column within one block.
@@ -203,8 +203,8 @@ impl DiskTable {
         let sample_seed = r.u64()?;
         let sample_bytes = r.u64()? as usize;
         let sample_payload = r.bytes(sample_bytes)?;
-        let sample = BlockDecoderInner::parse(sample_payload, &schema)?;
-        let sample = sample.decode_range(0, sample.rows())?;
+        let sample = BlockLayout::parse(sample_payload, &schema)?;
+        let sample = sample.decode_range(sample_payload, &schema, 0, sample.rows())?;
         Ok(DiskTable {
             path,
             schema,
@@ -309,6 +309,15 @@ impl DiskTable {
         let decoder = BlockDecoder::new(raw, self.schema())?;
         decoder.decode_range(0, decoder.rows())
     }
+
+    /// Convenience: read and decode every block, in file order.
+    pub fn decode_all(&self) -> Result<Vec<Row>> {
+        let mut rows = Vec::with_capacity(self.total_rows() as usize);
+        for i in 0..self.num_blocks() {
+            rows.extend(self.decode_block(i)?);
+        }
+        Ok(rows)
+    }
 }
 
 /// Owning decoder over one block's raw payload: parse once, then
@@ -318,19 +327,24 @@ impl DiskTable {
 pub struct BlockDecoder {
     raw: Vec<u8>,
     schema: SchemaRef,
-    rows: usize,
+    layout: BlockLayout,
 }
 
 impl BlockDecoder {
-    /// Parse `raw` against `schema` (validates the layout eagerly).
+    /// Parse `raw` against `schema` (validates the layout eagerly and
+    /// keeps it, so batches decode without re-parsing).
     pub fn new(raw: Vec<u8>, schema: SchemaRef) -> Result<Self> {
-        let rows = BlockDecoderInner::parse(&raw, &schema)?.rows();
-        Ok(BlockDecoder { raw, schema, rows })
+        let layout = BlockLayout::parse(&raw, &schema)?;
+        Ok(BlockDecoder {
+            raw,
+            schema,
+            layout,
+        })
     }
 
     /// Rows in the block.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.layout.rows()
     }
 
     /// Size of the resident encoded buffer.
@@ -340,7 +354,8 @@ impl BlockDecoder {
 
     /// Materialize rows `start..end`.
     pub fn decode_range(&self, start: usize, end: usize) -> Result<Vec<Row>> {
-        BlockDecoderInner::parse(&self.raw, &self.schema)?.decode_range(start, end)
+        self.layout
+            .decode_range(&self.raw, &self.schema, start, end)
     }
 }
 
@@ -352,7 +367,7 @@ fn read_fully(file: &mut File, buf: &mut [u8]) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::writer::{write_table, WriterOptions};
+    use crate::writer::{TableWriter, WriterOptions};
     use sparkline_common::{DataType, Field, Schema, Value};
 
     fn temp_path(name: &str) -> PathBuf {
@@ -382,16 +397,18 @@ mod tests {
                 ])
             })
             .collect();
-        write_table(
+        // Input order: every block holds NULLs.
+        let mut writer = TableWriter::create(
             path,
             Arc::clone(&schema),
-            &rows,
             WriterOptions {
                 block_rows: 250,
                 ..WriterOptions::default()
             },
         )
         .unwrap();
+        writer.write_rows(&rows).unwrap();
+        writer.finish().unwrap();
         DiskTable::open(path).unwrap()
     }
 
@@ -441,14 +458,22 @@ mod tests {
         let decoder = BlockDecoder::new(table.read_block_raw(1).unwrap(), table.schema()).unwrap();
         assert_eq!(decoder.rows(), 250);
         assert!(decoder.raw_bytes() > 0);
-        let mut batched = Vec::new();
-        let mut pos = 0;
-        while pos < decoder.rows() {
-            let end = (pos + 64).min(decoder.rows());
-            batched.extend(decoder.decode_range(pos, end).unwrap());
-            pos = end;
+        // Batches of 64, and of one row: each batch decodes from the
+        // layout `new` parsed, Utf8 offsets included.
+        for batch in [64, 1] {
+            let mut batched = Vec::new();
+            let mut pos = 0;
+            while pos < decoder.rows() {
+                let end = (pos + batch).min(decoder.rows());
+                batched.extend(decoder.decode_range(pos, end).unwrap());
+                pos = end;
+            }
+            assert_eq!(batched, full, "batches of {batch}");
         }
-        assert_eq!(batched, full);
+        assert_eq!(
+            decoder.decode_range(249, 250).unwrap()[0].get(1),
+            &Value::str("row499")
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -49,16 +49,19 @@ impl Drop for BlockFile {
 
 /// Damage a registered disk table's block file with `fault`, at 1 and 4
 /// executors, with small batches and with one batch per partition, over
-/// complete and NULL-bearing data. The table `src` stays in memory; `t` is its copy on disk. Every
-/// block read reopens the file, so the fault reaches the next query:
+/// complete and NULL-bearing data. The table `src` stays in memory; `t` is
+/// its copy on disk, and `mem` holds the file's rows in file order (COPY
+/// clusters the rows, so `src`'s order is not the file's). Every block
+/// read reopens the file, so the fault reaches the next query:
 /// - the skyline over `t` fails with a typed storage error, so no row
 ///   reaches the caller;
-/// - the same session still answers over the in-memory `src`;
+/// - the same session still answers over the in-memory `mem`, byte for
+///   byte what `t` answered before the fault;
 /// - re-copying `src` over the file restores `t`, byte for byte.
 fn damaged_file_fails_typed_and_recopy_recovers(tag: &str, fault: impl Fn(&Path)) {
     const ROWS: usize = 400;
     let sql = common::skyline_sql(DIMS);
-    let src_sql = sql.replace("FROM t", "FROM src");
+    let mem_sql = sql.replace("FROM t", "FROM mem");
     for executors in [1, 4] {
         // Small batches, and one batch per partition.
         for batch_size in [16, ROWS] {
@@ -78,10 +81,14 @@ fn damaged_file_fails_typed_and_recopy_recovers(tag: &str, fault: impl Fn(&Path)
                         .collect(),
                 );
                 let ctx = SessionContext::with_config(config);
-                ctx.register_table("src", schema, rows).unwrap();
+                ctx.register_table("src", schema.clone(), rows).unwrap();
                 let file = BlockFile::new(&case);
                 ctx.copy_table_to_disk("src", &file.0).unwrap();
                 ctx.register_disk_table("t", &file.0).unwrap();
+                let in_file_order = (sparkline_storage::DiskTable::open(&file.0))
+                    .and_then(|table| table.decode_all())
+                    .unwrap();
+                ctx.register_table("mem", schema, in_file_order).unwrap();
                 let before = run_query(&ctx);
                 assert!(!before.rows.is_empty(), "{case}");
 
@@ -92,7 +99,7 @@ fn damaged_file_fails_typed_and_recopy_recovers(tag: &str, fault: impl Fn(&Path)
                     "{case}: expected a storage error, got: {err}"
                 );
 
-                let in_memory = ctx.sql(&src_sql).unwrap().collect().unwrap();
+                let in_memory = ctx.sql(&mem_sql).unwrap().collect().unwrap();
                 assert_eq!(in_memory.rows, before.rows, "{case}");
 
                 ctx.copy_table_to_disk("src", &file.0).unwrap();

@@ -13,8 +13,14 @@
 //!   block's corner, and is absent where it would be unsound (a
 //!   projection or computed dimension between skyline and scan, the
 //!   incomplete family);
-//! * `write_table` → `DiskTable::open` → decode is a lossless round
-//!   trip (property-tested, including NULLs and negative values).
+//! * `write_table` → `DiskTable::open` → decode holds a permutation of
+//!   the input and writes the same bytes every time (property-tested,
+//!   including NULLs and negative values);
+//! * the clustered layout makes blocks skippable on independent data,
+//!   and a disk query's output does not depend on the executor count.
+//!
+//! Tests whose skip counts depend on which rows share a block lay the
+//! file out by hand through `TableWriter`, which keeps input order.
 
 mod common;
 
@@ -23,7 +29,9 @@ use proptest::prelude::*;
 use sparkline::{
     DataType, DominanceKernel, Field, Row, Schema, SessionConfig, SessionContext, Value,
 };
-use sparkline_storage::{write_table, DiskTable, WriterOptions};
+use sparkline_common::{SkylineDim, SkylineSpec};
+use sparkline_skyline::{naive_skyline, DominanceChecker};
+use sparkline_storage::{write_table, DiskTable, TableWriter, WriterOptions};
 
 /// Self-cleaning scratch directory for block files.
 struct TempDir(std::path::PathBuf);
@@ -65,6 +73,36 @@ fn disk_session(
     let path = dir.file(&format!("{tag}.spk"));
     ctx.copy_table_to_disk("t", &path).unwrap();
     // Replaces the in-memory registration: `t` is now disk-resident.
+    ctx.register_disk_table("t", &path).unwrap();
+    ctx
+}
+
+/// Like [`disk_session`], but the block file keeps the rows' order (a
+/// `TableWriter` under the session's storage knobs), so a test can say
+/// which rows share a block.
+fn hand_laid_session(
+    rows: Vec<Row>,
+    dims: usize,
+    nullable: bool,
+    config: SessionConfig,
+    dir: &TempDir,
+    tag: &str,
+) -> SessionContext {
+    let opts = WriterOptions {
+        block_rows: config.storage_block_rows,
+        sample_cap: config.sample_size,
+        sample_seed: config.sample_seed,
+    };
+    let ctx = SessionContext::with_config(config);
+    let path = dir.file(&format!("{tag}.spk"));
+    let schema = Schema::new(
+        (0..dims)
+            .map(|i| Field::new(format!("d{i}"), DataType::Float64, nullable))
+            .collect(),
+    );
+    let mut writer = TableWriter::create(&path, schema.into_ref(), opts).unwrap();
+    writer.write_rows(&rows).unwrap();
+    writer.finish().unwrap();
     ctx.register_disk_table("t", &path).unwrap();
     ctx
 }
@@ -164,20 +202,13 @@ fn dominance_skipping_is_invisible_and_counted() {
     );
 }
 
-/// Min/max skipping on a range-clustered file: blocks whose `d0` range
+/// Min/max skipping on a COPY-clustered file: blocks whose `d0` range
 /// cannot satisfy the pushed-down filter are never read.
 #[test]
 fn minmax_skipping_prunes_filtered_scans() {
     let dir = TempDir::new("minmax");
-    // Sorted by d0 so the 64-row blocks carry disjoint d0 ranges.
-    let mut rows = generate("independent", 13, 640, 2, false);
-    rows.sort_by(|a, b| {
-        let d0 = |r: &Row| match r.get(0) {
-            Value::Float64(f) => *f,
-            _ => f64::NAN,
-        };
-        d0(a).partial_cmp(&d0(b)).unwrap()
-    });
+    // COPY clusters the rows, so the 64-row blocks carry narrow d0 ranges.
+    let rows = generate("independent", 13, 640, 2, false);
     let config = SessionConfig::default()
         .with_executors(2)
         .with_storage_block_rows(64);
@@ -218,14 +249,7 @@ fn minmax_skipping_prunes_filtered_scans() {
 #[test]
 fn explain_shows_disk_scan_with_skip_counts() {
     let dir = TempDir::new("explain");
-    let mut rows = generate("independent", 17, 256, 2, false);
-    rows.sort_by(|a, b| {
-        let d0 = |r: &Row| match r.get(0) {
-            Value::Float64(f) => *f,
-            _ => f64::NAN,
-        };
-        d0(a).partial_cmp(&d0(b)).unwrap()
-    });
+    let rows = generate("independent", 17, 256, 2, false);
     let config = SessionConfig::default().with_storage_block_rows(64);
     let ctx = disk_session(rows, 2, false, config, &dir, "explain");
     let plan = ctx
@@ -239,6 +263,82 @@ fn explain_shows_disk_scan_with_skip_counts() {
     );
 }
 
+/// `disk_filter`'s shape at small scale: independent rows, which arrive
+/// in no useful order, written by COPY. The clustered file lets a range
+/// filter refute most blocks by min/max and the footer sample's skyline
+/// dominate some, and the rows still equal the oracle.
+#[test]
+fn clustered_copy_skips_blocks_on_independent_data() {
+    let dir = TempDir::new("clustered");
+    let rows = generate("independent", 4000, 20_000, 4, false);
+    let config = SessionConfig::default()
+        .with_executors(2)
+        .with_storage_block_rows(128);
+    let disk = disk_session(rows.clone(), 4, false, config, &dir, "disk");
+    let blocks = 20_000_u64.div_ceil(128);
+
+    let filtered = disk
+        .sql("SELECT * FROM t WHERE d0 < 0.25 SKYLINE OF d0 MIN, d1 MIN, d2 MIN, d3 MIN")
+        .unwrap()
+        .collect()
+        .unwrap();
+    let m = &filtered.metrics;
+    assert!(
+        m.blocks_skipped_minmax * 2 >= blocks,
+        "`d0 < 0.25` should refute at least half the blocks: {m:?}"
+    );
+    let passing: Vec<Row> = (rows.iter())
+        .filter(|r| matches!(r.get(0), Value::Float64(f) if *f < 0.25))
+        .cloned()
+        .collect();
+    assert_eq!(filtered.sorted_display(), oracle(&passing, 4, false));
+
+    let plain = disk
+        .sql("SELECT * FROM t SKYLINE OF COMPLETE d0 MIN, d1 MIN, d2 MIN, d3 MIN")
+        .unwrap()
+        .collect()
+        .unwrap();
+    assert!(
+        plain.metrics.blocks_skipped_dominance > 0,
+        "the footer sample's skyline should dominate some blocks: {:?}",
+        plain.metrics
+    );
+    assert_eq!(plain.sorted_display(), oracle(&rows, 4, false));
+}
+
+/// A disk skyline returns the same bytes at 1, 2 and 4 executors: the
+/// skyline members in file order, whichever blocks are pruned.
+#[test]
+fn disk_skyline_bytes_do_not_depend_on_executors() {
+    let dir = TempDir::new("executors");
+    let rows = generate("anti_correlated", 29, 3000, 3, false);
+    let path = dir.file("t.spk");
+    let config = SessionConfig::default().with_storage_block_rows(64);
+    session_with(rows, 3, false, config)
+        .copy_table_to_disk("t", &path)
+        .unwrap();
+    let in_file_order = DiskTable::open(&path).unwrap().decode_all().unwrap();
+    let spec = SkylineSpec::new((0..3).map(SkylineDim::min).collect());
+    let members = naive_skyline(&in_file_order, &DominanceChecker::complete(spec));
+    for sql in [
+        skyline_sql(3),
+        "SELECT * FROM t WHERE d0 < 0.5 SKYLINE OF d0 MIN, d1 MIN, d2 MIN".to_string(),
+    ] {
+        let mut outputs = Vec::new();
+        for executors in [1, 2, 4] {
+            let ctx =
+                SessionContext::with_config(SessionConfig::default().with_executors(executors));
+            ctx.register_disk_table("t", &path).unwrap();
+            outputs.push(ctx.sql(&sql).unwrap().collect().unwrap().rows);
+        }
+        assert_eq!(outputs[0], outputs[1], "{sql}: 1 vs 2 executors");
+        assert_eq!(outputs[0], outputs[2], "{sql}: 1 vs 4 executors");
+        if sql == skyline_sql(3) {
+            assert_eq!(outputs[0], members, "skyline members in file order");
+        }
+    }
+}
+
 fn floats(values: &[Option<f64>]) -> Row {
     Row::new(
         values
@@ -248,8 +348,8 @@ fn floats(values: &[Option<f64>]) -> Row {
     )
 }
 
-/// Runs `sql` over `rows` held in memory and on disk; asserts the two
-/// agree and returns the disk run.
+/// Runs `sql` over `rows` held in memory and on disk, laid out in input
+/// order; asserts the two agree and returns the disk run.
 fn skipping_run(
     rows: Vec<Row>,
     dims: usize,
@@ -263,7 +363,7 @@ fn skipping_run(
         .with_executors(2)
         .with_storage_block_rows(block_rows);
     let mem = session_with(rows.clone(), dims, nullable, config.clone());
-    let disk = disk_session(rows, dims, nullable, config, &dir, "disk");
+    let disk = hand_laid_session(rows, dims, nullable, config, &dir, "disk");
     let r_disk = disk.sql(sql).unwrap().collect().unwrap();
     let expected = mem.sql(sql).unwrap().collect().unwrap().sorted_display();
     assert_eq!(
@@ -450,8 +550,9 @@ fn prop_case() -> BoxedStrategy<(Vec<Vec<Option<i32>>>, usize)> {
         .boxed()
 }
 
-/// write → open → decode every block reproduces the input rows exactly,
-/// for any block granularity.
+/// write → open → decode every block holds a permutation of the input
+/// rows, and writing them again writes the same bytes, for any block
+/// granularity.
 fn check_round_trip(values: Vec<Vec<Option<i32>>>, block_rows: usize) {
     let dir = TempDir::new("roundtrip");
     let rows = prop_rows(values);
@@ -462,24 +563,30 @@ fn check_round_trip(values: Vec<Vec<Option<i32>>>, block_rows: usize) {
     )
     .into_ref();
     let path = dir.file("t.spk");
-    let summary = write_table(
-        &path,
-        schema,
-        &rows,
-        WriterOptions {
-            block_rows,
-            ..WriterOptions::default()
-        },
-    )
-    .unwrap();
+    let opts = WriterOptions {
+        block_rows,
+        ..WriterOptions::default()
+    };
+    let summary = write_table(&path, schema.clone(), &rows, opts).unwrap();
     assert_eq!(summary.rows, rows.len() as u64);
+    let bytes = std::fs::read(&path).unwrap();
+    write_table(&path, schema, &rows, opts).unwrap();
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        bytes,
+        "same rows, same bytes"
+    );
     let table = DiskTable::open(&path).unwrap();
     assert_eq!(table.total_rows(), rows.len() as u64);
-    let mut decoded = Vec::new();
-    for i in 0..table.num_blocks() {
-        decoded.extend(table.decode_block(i).unwrap());
-    }
-    assert_eq!(decoded, rows);
+    let sorted = |rows: Vec<Row>| {
+        let mut v: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+        v.sort();
+        v
+    };
+    assert_eq!(
+        sorted(DiskTable::open(&path).unwrap().decode_all().unwrap()),
+        sorted(rows)
+    );
 }
 
 /// Block bounds are stored as `f64`, which rounds Int64 values beyond
