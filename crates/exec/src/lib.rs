@@ -7,7 +7,8 @@
 //! on:
 //!
 //! * [`stream`] — the pull-based, batched execution substrate:
-//!   [`PartitionStream`]s yielding [`stream::RowBatch`]es with in-flight
+//!   [`PartitionStream`]s yielding [`stream::Batch`]es — rows, or column
+//!   buffers that become rows where a consumer asks — with in-flight
 //!   accounting, plus the shared pipeline-breaker and lazy-build stage
 //!   helpers;
 //! * [`partition`] — buffered partition helpers with the distribution
@@ -39,7 +40,7 @@ pub use memory::{MemoryReservation, MemoryTracker};
 pub use metrics::{ExecMetrics, InFlightRows, MetricsSnapshot};
 pub use partition::Partition;
 pub use runtime::{Deadline, QueryControl, Runtime, CONTROL_CHECK_ROWS};
-pub use stream::{PartitionStream, RowBatch, DEFAULT_BATCH_SIZE};
+pub use stream::{Batch, PartitionStream, RowBatch, DEFAULT_BATCH_SIZE};
 
 use sparkline_common::Result;
 

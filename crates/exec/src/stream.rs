@@ -3,9 +3,16 @@
 //!
 //! A physical operator returns one [`PartitionStream`] per output
 //! partition. A stream is a
-//! pull iterator yielding [`RowBatch`]es of at most
+//! pull iterator yielding batches of at most
 //! `SessionConfig::batch_size` rows, plus the output schema and
-//! close/metrics hooks. Narrow operators (scan, project, filter, limit,
+//! close/metrics hooks. A batch is a [`Batch`]: a [`RowBatch`], or a
+//! [`ColumnBatch`] — column buffers with a selection vector, which the
+//! disk scan yields. [`PartitionStream::next_batch`] hands every consumer
+//! rows, building them from a column batch's selected rows, so an
+//! operator that does not read columns never sees one;
+//! [`PartitionStream::pull_batch`] hands over the batch as produced, for
+//! the consumers that do (the local skyline) and for pass-through
+//! adapters. Narrow operators (scan, project, filter, limit,
 //! distinct, join probe sides) are pipelined: pulling one batch from the
 //! root pulls exactly one batch through the whole chain, so peak memory is
 //! `O(batch_size × pipeline depth)` instead of the sum of all
@@ -31,7 +38,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sparkline_common::{Error, Result, Row, SchemaRef};
+use sparkline_common::{ColumnBatch, Error, Result, Row, SchemaRef};
 
 use crate::memory::MemoryReservation;
 use crate::metrics::{ExecMetrics, InFlightRows};
@@ -40,6 +47,39 @@ use crate::TaskContext;
 
 /// A batch of rows flowing through the stream pipeline.
 pub type RowBatch = Vec<Row>;
+
+/// One batch as a producer yields it: rows, or column buffers whose
+/// selected rows are the batch.
+#[derive(Debug)]
+pub enum Batch {
+    /// Materialized rows.
+    Rows(RowBatch),
+    /// Column buffers and a selection vector.
+    Columns(ColumnBatch),
+}
+
+impl Batch {
+    /// Rows in the batch (the selected rows of a column batch).
+    pub fn len(&self) -> usize {
+        match self {
+            Batch::Rows(rows) => rows.len(),
+            Batch::Columns(columns) => columns.len(),
+        }
+    }
+
+    /// Whether the batch holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The batch as rows, built from the buffers for a column batch.
+    pub fn into_rows(self) -> RowBatch {
+        match self {
+            Batch::Rows(rows) => rows,
+            Batch::Columns(columns) => columns.into_rows(),
+        }
+    }
+}
 
 /// Default rows per batch (`SessionConfig::batch_size`).
 pub const DEFAULT_BATCH_SIZE: usize = 4096;
@@ -61,7 +101,7 @@ pub struct PartitionStream {
     /// batch/in-flight accounting: their batches are the wrapped streams'
     /// batches, already counted there.
     accounted: bool,
-    next: Box<dyn FnMut() -> Result<Option<RowBatch>> + Send>,
+    next: Box<dyn FnMut() -> Result<Option<Batch>> + Send>,
 }
 
 impl fmt::Debug for PartitionStream {
@@ -79,7 +119,16 @@ impl PartitionStream {
     pub fn new(
         schema: SchemaRef,
         metrics: Arc<ExecMetrics>,
-        next: impl FnMut() -> Result<Option<RowBatch>> + Send + 'static,
+        mut next: impl FnMut() -> Result<Option<RowBatch>> + Send + 'static,
+    ) -> Self {
+        PartitionStream::of_batches(schema, metrics, move || Ok(next()?.map(Batch::Rows)))
+    }
+
+    /// Stream over a producer of [`Batch`]es, rows or columns.
+    pub fn of_batches(
+        schema: SchemaRef,
+        metrics: Arc<ExecMetrics>,
+        next: impl FnMut() -> Result<Option<Batch>> + Send + 'static,
     ) -> Self {
         PartitionStream {
             schema,
@@ -91,15 +140,15 @@ impl PartitionStream {
         }
     }
 
-    /// Like [`new`](Self::new) but without batch/in-flight accounting —
-    /// for pass-through adapters that merely forward batches some wrapped
-    /// stream already counts.
+    /// Like [`of_batches`](Self::of_batches) but without batch/in-flight
+    /// accounting — for pass-through adapters that merely forward batches
+    /// some wrapped stream already counts.
     pub fn new_passthrough(
         schema: SchemaRef,
         metrics: Arc<ExecMetrics>,
-        next: impl FnMut() -> Result<Option<RowBatch>> + Send + 'static,
+        next: impl FnMut() -> Result<Option<Batch>> + Send + 'static,
     ) -> Self {
-        let mut stream = PartitionStream::new(schema, metrics, next);
+        let mut stream = PartitionStream::of_batches(schema, metrics, next);
         stream.accounted = false;
         stream
     }
@@ -151,9 +200,15 @@ impl PartitionStream {
         Arc::clone(&self.schema)
     }
 
-    /// Pull the next batch. Returns `Ok(None)` once the partition is
-    /// exhausted (and stays exhausted).
+    /// Pull the next batch as rows. Returns `Ok(None)` once the partition
+    /// is exhausted (and stays exhausted).
     pub fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+        Ok(self.pull_batch()?.map(Batch::into_rows))
+    }
+
+    /// Pull the next batch as the producer yielded it: a column batch
+    /// stays columns.
+    pub fn pull_batch(&mut self) -> Result<Option<Batch>> {
         if self.done {
             return Ok(None);
         }
@@ -245,7 +300,7 @@ pub fn chain_streams(
         let Some(front) = queue.front_mut() else {
             return Ok(None);
         };
-        match front.next_batch()? {
+        match front.pull_batch()? {
             Some(batch) => return Ok(Some(batch)),
             None => {
                 queue.pop_front();
@@ -477,6 +532,40 @@ mod tests {
         s.close();
         assert_eq!(m.rows_in_flight.load(Ordering::Relaxed), 0);
         assert!(s.next_batch().unwrap().is_none());
+    }
+
+    /// A stream of one 10-row column batch with rows 3..7 selected.
+    fn column_stream(m: &Arc<ExecMetrics>) -> PartitionStream {
+        let mut batch = sparkline_common::ColumnBatch::new(
+            vec![sparkline_common::BatchColumn {
+                values: sparkline_common::ColumnValues::Int64((0..10).collect()),
+                nulls: None,
+            }],
+            10,
+        );
+        batch.set_selection((3..7).collect());
+        let mut once = Some(batch);
+        PartitionStream::of_batches(schema(), Arc::clone(m), move || {
+            Ok(once.take().map(Batch::Columns))
+        })
+    }
+
+    #[test]
+    fn column_batches_become_rows_on_demand_and_release_on_close() {
+        let m = Arc::new(ExecMetrics::new());
+        assert_eq!(column_stream(&m).drain().unwrap(), rows(7)[3..].to_vec());
+        assert_eq!(m.rows_in_flight.load(Ordering::Relaxed), 0);
+        // A pulled column batch is in flight as its selected rows, until
+        // the stream is closed.
+        let mut s = column_stream(&m);
+        let Some(Batch::Columns(batch)) = s.pull_batch().unwrap() else {
+            panic!("the column batch must pass through as columns");
+        };
+        assert_eq!(batch.len(), 4);
+        assert_eq!(m.rows_in_flight.load(Ordering::Relaxed), 4);
+        s.close();
+        assert_eq!(m.rows_in_flight.load(Ordering::Relaxed), 0);
+        assert!(s.pull_batch().unwrap().is_none());
     }
 
     #[test]

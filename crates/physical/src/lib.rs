@@ -16,7 +16,9 @@
 //! Operators follow a **pull-based, batched stream model** (the analogue
 //! of Spark's pipelined narrow transformations): `execute_stream` returns
 //! one [`PartitionStream`] per output partition, and each stream yields
-//! `RowBatch`es of `SessionConfig::batch_size` rows on demand. Narrow
+//! batches of `SessionConfig::batch_size` rows on demand — row batches,
+//! or, from the disk scan, column batches that become rows only where an
+//! operator asks for them. Narrow
 //! operators — scan, project, filter, limit, distinct, join probe sides —
 //! are true pipelined transforms: pulling one batch from the root pulls
 //! exactly one batch through the whole chain, so peak memory is bounded
@@ -89,10 +91,10 @@ pub trait ExecutionPlan: fmt::Debug + Send + Sync {
     }
 
     /// The write-once dominance-skip slot of a disk scan and the table's
-    /// footer sample, letting the skyline planner install gate points
-    /// after the tree is built. `None` (the default) for every other
-    /// operator.
-    fn dominance_skip_slot(&self) -> Option<(&OnceLock<DominanceSkip>, &[Row])> {
+    /// footer sample, narrowed to the rows the scan's own filter passes,
+    /// letting the skyline planner install gate points after the tree is
+    /// built. `None` (the default) for every other operator.
+    fn dominance_skip_slot(&self) -> Option<(&OnceLock<DominanceSkip>, Vec<Row>)> {
         None
     }
 
@@ -117,8 +119,8 @@ pub trait ExecutionPlan: fmt::Debug + Send + Sync {
 pub fn find_dominance_skip_slot(
     plan: &dyn ExecutionPlan,
 ) -> Option<(&OnceLock<DominanceSkip>, Vec<Row>)> {
-    if let Some((slot, sample)) = plan.dominance_skip_slot() {
-        return Some((slot, sample.to_vec()));
+    if let Some(found) = plan.dominance_skip_slot() {
+        return Some(found);
     }
     let children = plan.children();
     if children.len() != 1 {

@@ -75,18 +75,22 @@ impl<'a> PhysicalPlanner<'a> {
             }
             LogicalPlan::Filter { predicate, input } => {
                 // A filter directly on a disk scan hands its prunable
-                // conjuncts to the scan as static min/max bounds; the
-                // filter itself stays in the plan for the exact cut.
-                let child: Arc<dyn ExecutionPlan> = match input.as_ref() {
-                    LogicalPlan::TableScan { name, schema } => match self.source.disk_table(name) {
-                        Some(table) => {
-                            Arc::new(self.disk_scan(name, table, schema, Some(predicate)))
-                        }
-                        None => self.create(input)?,
-                    },
-                    _ => self.create(input)?,
-                };
-                Arc::new(FilterExec::new(predicate.clone(), child))
+                // conjuncts to the scan as static min/max bounds. When the
+                // whole predicate is an AND of exactly comparable
+                // conjuncts the scan evaluates it on its column buffers
+                // and no `FilterExec` is planned; any other predicate
+                // keeps one above the scan for the exact cut.
+                if let LogicalPlan::TableScan { name, schema } = input.as_ref() {
+                    if let Some(table) = self.source.disk_table(name) {
+                        let scan = self.disk_scan(name, table, schema, Some(predicate));
+                        return Ok(if scan.evaluates_filter() {
+                            Arc::new(scan)
+                        } else {
+                            Arc::new(FilterExec::new(predicate.clone(), Arc::new(scan)))
+                        });
+                    }
+                }
+                Arc::new(FilterExec::new(predicate.clone(), self.create(input)?))
             }
             LogicalPlan::Aggregate {
                 group_exprs,
@@ -147,8 +151,8 @@ impl<'a> PhysicalPlanner<'a> {
         })
     }
 
-    /// Build a [`DiskScanExec`] over an opened table, with (when a filter
-    /// sits directly on the scan) the statically extracted min/max bounds.
+    /// Build a [`DiskScanExec`] over an opened table, taking over the
+    /// filter that sits directly on the scan, if any.
     fn disk_scan(
         &self,
         name: &str,
@@ -156,11 +160,11 @@ impl<'a> PhysicalPlanner<'a> {
         schema: &SchemaRef,
         filter: Option<&Expr>,
     ) -> crate::scan_disk::DiskScanExec {
-        let bounds = filter
-            .map(crate::scan_disk::extract_column_predicates)
-            .unwrap_or_default();
-        crate::scan_disk::DiskScanExec::new(name.to_string(), table, Arc::clone(schema))
-            .with_bounds(bounds)
+        let scan = crate::scan_disk::DiskScanExec::new(name.to_string(), table, Arc::clone(schema));
+        match filter {
+            Some(predicate) => scan.with_filter(predicate),
+            None => scan,
+        }
     }
 
     fn plan_join(

@@ -5,12 +5,12 @@
 //!
 //! Skipping is not a mode: every scan consults both tiers, and both are
 //! sound on their own (see `sparkline_storage`'s crate docs). Min/max
-//! pruning only discards blocks the filter above the scan would empty,
-//! and the dominance gate — present only when the skyline planner
-//! installed one — only blocks whose rows a real input row strictly
-//! dominates. The gate's points live in a [`ColumnarBlock`] and each
-//! block's best corner is tested as one encoded candidate, on the same
-//! dominance kernel as the skyline operators.
+//! pruning only discards blocks the scan's filter would empty, and the
+//! dominance gate — present only when the skyline planner installed one —
+//! only blocks whose rows a real input row strictly dominates. The gate's
+//! points live in a [`ColumnarBlock`] and each block's best corner is
+//! tested as one encoded candidate, on the same dominance kernel as the
+//! skyline operators.
 //!
 //! **Pruning comes before the split.** Every verdict is footer metadata,
 //! so [`DiskScanExec`] decides all of them when it starts (the loop its
@@ -19,37 +19,117 @@
 //! of the file therefore leaves no executor idle, and the partitions read
 //! in order are the kept blocks in file order whatever the executor
 //! count, so a query's output does not depend on it.
+//!
+//! **Blocks stay columns.** A kept block decodes batch by batch into a
+//! [`ColumnBatch`] — `f64`/`i64` buffers, NULL flags and a selection
+//! vector — and goes downstream as one; an operator that wants rows gets
+//! them built from the selected rows, and the local skyline builds one
+//! only for a row that survives its first cross-filter. The `Filter`
+//! directly above the scan is the scan's own when its whole predicate is
+//! an `AND` of exactly comparable `column <op> literal` conjuncts
+//! ([`exact_conjuncts`]): a `Float64` column against a non-NaN `Float64`
+//! literal or an `Int64` literal `f64` holds exactly, an `Int64` column
+//! against an `Int64` literal, with `<`, `<=`, `>`, `>=` or `=`. The scan
+//! then evaluates it on the buffers, with `Expr::evaluate`'s Kleene
+//! semantics and errors, narrows each batch's selection, and the planner
+//! plans no `FilterExec`. Any other predicate keeps its `FilterExec`
+//! above the scan, which evaluates it exactly, and only its comparable
+//! conjuncts reach the scan, as min/max bounds.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
 use sparkline_common::{
-    DataType, DominanceKernel, Result, Row, SchemaRef, SkylineDim, SkylineSpec, SkylineType, Value,
+    BatchColumn, ColumnBatch, ColumnValues, DataType, DominanceKernel, Result, Row, Schema,
+    SchemaRef, SkylineDim, SkylineSpec, SkylineType, Value,
 };
-use sparkline_exec::{partition::even_ranges, PartitionStream, TaskContext};
+use sparkline_exec::{partition::even_ranges, Batch, PartitionStream, TaskContext};
 use sparkline_plan::{BinaryOp, Expr};
 use sparkline_skyline::{bnl_skyline, ColumnarBlock, DominanceChecker, SkylineStats};
 use sparkline_storage::{BlockDecoder, BlockMeta, DiskTable};
 
 use crate::ExecutionPlan;
 
-/// One pushed-down comparison `column <op> literal` a block's min/max can
-/// refute. The `FilterExec` above the scan still evaluates the predicate
-/// exactly — pruning only discards blocks *no* row of which can pass, so
-/// results are identical with pruning on or off.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One pushed-down comparison `column <op> literal` of the `Filter` on a
+/// disk scan. A block's min/max can refute it; and when every conjunct of
+/// the filter is exactly comparable ([`exact_conjuncts`]) the scan
+/// evaluates them all on its column buffers and the planner drops the
+/// `FilterExec`. Otherwise the `FilterExec` above the scan evaluates
+/// the predicate, and pruning only discards blocks *no* row of which can
+/// pass, so results are identical with pruning on or off.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnPredicate {
     /// Column position in the scan schema.
     pub col: usize,
-    /// The comparison, normalized to `column <op> value`.
+    /// The comparison, normalized to `column <op> literal`.
     pub op: BinaryOp,
-    /// The literal as an `f64`: never NaN, possibly ±inf (an infinite
-    /// bound refutes only what every finite value would, so it is as
-    /// sound as any other).
-    pub value: f64,
+    /// The literal: an `Int64`, or a `Float64` that is never NaN but may
+    /// be ±inf (an infinite bound refutes only what every finite value
+    /// would, so it is as sound as any other).
+    pub literal: Value,
+}
+
+/// A comparison's outcome on one row, as `Expr::evaluate` would give it.
+enum Truth {
+    True,
+    False,
+    /// The column is NULL: the comparison is NULL.
+    Unknown,
+    /// The values do not compare (a NaN): evaluation fails.
+    Incomparable,
 }
 
 impl ColumnPredicate {
+    /// The literal as an `f64`, for the footer's `f64` bounds.
+    fn bound(&self) -> f64 {
+        match self.literal {
+            Value::Int64(i) => i as f64,
+            Value::Float64(f) => f,
+            _ => f64::NAN,
+        }
+    }
+
+    /// Whether comparing a column of type `ty` with the literal is exact
+    /// on the scan's buffers: a `Float64` column with a `Float64` literal
+    /// or an `Int64` literal that `f64` holds exactly (the values then
+    /// compare as their `f64`s do), or an `Int64` column with an `Int64`
+    /// literal.
+    fn exact_on(&self, ty: DataType) -> bool {
+        match (ty, &self.literal) {
+            (DataType::Float64, Value::Float64(_)) | (DataType::Int64, Value::Int64(_)) => true,
+            (DataType::Float64, Value::Int64(i)) => *i != i64::MAX && (*i as f64) as i64 == *i,
+            _ => false,
+        }
+    }
+
+    /// The comparison on physical row `i` of `col`, with the semantics of
+    /// `Value::sql_compare`: a NULL row is unknown, a NaN incomparable.
+    fn truth(&self, col: &BatchColumn, i: usize) -> Truth {
+        if col.is_null(i) {
+            return Truth::Unknown;
+        }
+        let ord = match &col.values {
+            // Exact: the literal is a non-NaN f64, or an integer it holds.
+            ColumnValues::Float64(v) => v[i].partial_cmp(&self.bound()),
+            _ => col.value(i).sql_compare(&self.literal),
+        };
+        let Some(ord) = ord else {
+            return Truth::Incomparable;
+        };
+        let pass = match self.op {
+            BinaryOp::Lt => ord.is_lt(),
+            BinaryOp::LtEq => ord.is_le(),
+            BinaryOp::Gt => ord.is_gt(),
+            BinaryOp::GtEq => ord.is_ge(),
+            _ => ord.is_eq(),
+        };
+        if pass {
+            Truth::True
+        } else {
+            Truth::False
+        }
+    }
+
     /// Whether the block provably contains no row satisfying this
     /// predicate. NULL rows never satisfy a comparison (SQL three-valued
     /// logic: the filter keeps only `TRUE`), so the decision rests on the
@@ -68,7 +148,7 @@ impl ColumnPredicate {
             // Every row is NULL: no row satisfies any comparison.
             return true;
         };
-        let v = self.value;
+        let v = self.bound();
         match self.op {
             BinaryOp::Lt => min >= v,
             BinaryOp::LtEq => min > v,
@@ -80,72 +160,142 @@ impl ColumnPredicate {
     }
 }
 
-/// Extract the min/max-prunable conjuncts of a filter predicate sitting
-/// directly on a disk scan: `BoundColumn <op> numeric-literal` (either
-/// orientation) joined by `AND`. Everything else is ignored — the filter
-/// still runs, so missing a conjunct costs only pruning power.
-pub fn extract_column_predicates(predicate: &Expr) -> Vec<ColumnPredicate> {
-    fn literal_f64(e: &Expr) -> Option<f64> {
+/// The predicate of one `column <op> literal` comparison (either
+/// orientation), normalized; `None` for any other expression.
+fn comparison(e: &Expr) -> Option<ColumnPredicate> {
+    fn literal(e: &Expr) -> Option<Value> {
         match e {
-            Expr::Literal(Value::Int64(i)) => Some(*i as f64),
-            Expr::Literal(Value::Float64(f)) if !f.is_nan() => Some(*f),
+            Expr::Literal(v @ Value::Int64(_)) => Some(v.clone()),
+            Expr::Literal(Value::Float64(f)) if !f.is_nan() => Some(Value::Float64(*f)),
             _ => None,
         }
     }
-    fn flip(op: BinaryOp) -> Option<BinaryOp> {
-        Some(match op {
+    fn flip(op: BinaryOp) -> BinaryOp {
+        match op {
             BinaryOp::Lt => BinaryOp::Gt,
             BinaryOp::LtEq => BinaryOp::GtEq,
             BinaryOp::Gt => BinaryOp::Lt,
             BinaryOp::GtEq => BinaryOp::LtEq,
-            BinaryOp::Eq => BinaryOp::Eq,
-            _ => return None,
-        })
-    }
-    fn walk(e: &Expr, out: &mut Vec<ColumnPredicate>) {
-        match e {
-            Expr::BinaryOp {
-                left,
-                op: BinaryOp::And,
-                right,
-            } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            Expr::BinaryOp { left, op, right } => {
-                if let (Expr::BoundColumn(c), Some(value)) = (left.as_ref(), literal_f64(right)) {
-                    if matches!(
-                        op,
-                        BinaryOp::Lt
-                            | BinaryOp::LtEq
-                            | BinaryOp::Gt
-                            | BinaryOp::GtEq
-                            | BinaryOp::Eq
-                    ) {
-                        out.push(ColumnPredicate {
-                            col: c.index,
-                            op: *op,
-                            value,
-                        });
-                    }
-                } else if let (Some(value), Expr::BoundColumn(c)) =
-                    (literal_f64(left), right.as_ref())
-                {
-                    if let Some(op) = flip(*op) {
-                        out.push(ColumnPredicate {
-                            col: c.index,
-                            op,
-                            value,
-                        });
-                    }
-                }
-            }
-            _ => {}
+            other => other,
         }
     }
+    let Expr::BinaryOp { left, op, right } = e else {
+        return None;
+    };
+    if !matches!(
+        op,
+        BinaryOp::Lt | BinaryOp::LtEq | BinaryOp::Gt | BinaryOp::GtEq | BinaryOp::Eq
+    ) {
+        return None;
+    }
+    let (col, op, literal) = match (left.as_ref(), right.as_ref()) {
+        (Expr::BoundColumn(c), lit) => (c, *op, literal(lit)?),
+        (lit, Expr::BoundColumn(c)) => (c, flip(*op), literal(lit)?),
+        _ => return None,
+    };
+    Some(ColumnPredicate {
+        col: col.index,
+        op,
+        literal,
+    })
+}
+
+/// Visit the conjuncts of `predicate`'s `AND` tree in evaluation order
+/// (left to right); stop at the first `false` from `leaf`.
+fn conjuncts(predicate: &Expr, leaf: &mut impl FnMut(&Expr) -> bool) -> bool {
+    match predicate {
+        Expr::BinaryOp {
+            left,
+            op: BinaryOp::And,
+            right,
+        } => conjuncts(left, leaf) && conjuncts(right, leaf),
+        other => leaf(other),
+    }
+}
+
+/// Extract the min/max-prunable conjuncts of a filter predicate sitting
+/// directly on a disk scan: `BoundColumn <op> numeric-literal` (either
+/// orientation) joined by `AND`. Everything else is ignored — missing a
+/// conjunct costs only pruning power.
+pub fn extract_column_predicates(predicate: &Expr) -> Vec<ColumnPredicate> {
     let mut out = Vec::new();
-    walk(predicate, &mut out);
+    conjuncts(predicate, &mut |e| {
+        out.extend(comparison(e));
+        true
+    });
     out
+}
+
+/// The conjuncts of `predicate`, in evaluation order, when it is an `AND`
+/// of comparisons each exactly comparable on its column of `schema`: the
+/// predicate a disk scan evaluates itself. `None` for any other predicate.
+pub fn exact_conjuncts(predicate: &Expr, schema: &Schema) -> Option<Vec<ColumnPredicate>> {
+    let mut out = Vec::new();
+    let all = conjuncts(predicate, &mut |e| match comparison(e) {
+        Some(p) if p.col < schema.len() && p.exact_on(schema.field(p.col).data_type()) => {
+            out.push(p);
+            true
+        }
+        _ => false,
+    });
+    all.then_some(out)
+}
+
+/// The `WHERE` clause a disk scan evaluates on its column buffers, in
+/// place of the `FilterExec` it replaces.
+#[derive(Debug, Clone)]
+struct ScanFilter {
+    /// The filter's predicate, as written.
+    predicate: Expr,
+    /// Its conjuncts, in evaluation order.
+    conjuncts: Vec<ColumnPredicate>,
+}
+
+impl ScanFilter {
+    /// Narrow `batch`'s selection to the rows `predicate` evaluates to
+    /// TRUE on. Kleene `AND` evaluates the conjuncts left to right and
+    /// stops at the first FALSE, so a row stays a candidate while its
+    /// conjuncts are TRUE or NULL, and only a NULL-free row passes. A
+    /// comparison that fails (a NaN) is an error unless an earlier
+    /// conjunct is FALSE on that row; then the batch is evaluated row by
+    /// row through `Expr::evaluate`, exactly as the `FilterExec` would,
+    /// which raises its error.
+    fn apply(&self, batch: &mut ColumnBatch) -> Result<()> {
+        let mut rows = batch.selection().to_vec();
+        let mut unknown = vec![false; rows.len()];
+        for conjunct in &self.conjuncts {
+            let col = batch.column(conjunct.col);
+            let mut kept = 0;
+            for j in 0..rows.len() {
+                match conjunct.truth(col, rows[j]) {
+                    Truth::False => continue,
+                    Truth::True => {}
+                    Truth::Unknown => unknown[j] = true,
+                    Truth::Incomparable => return self.apply_by_rows(batch),
+                }
+                rows[kept] = rows[j];
+                unknown[kept] = unknown[j];
+                kept += 1;
+            }
+            rows.truncate(kept);
+            unknown.truncate(kept);
+        }
+        let mut known = unknown.iter();
+        rows.retain(|_| known.next() == Some(&false));
+        batch.set_selection(rows);
+        Ok(())
+    }
+
+    fn apply_by_rows(&self, batch: &mut ColumnBatch) -> Result<()> {
+        let mut rows = Vec::new();
+        for &i in batch.selection() {
+            if self.predicate.evaluate(&batch.row(i))? == Value::Boolean(true) {
+                rows.push(i);
+            }
+        }
+        batch.set_selection(rows);
+        Ok(())
+    }
 }
 
 /// Dominance-skipping state: the gate's points — the skyline of the
@@ -255,15 +405,20 @@ impl DominanceSkip {
 /// `num_executors` partition streams. Each stream holds at most one
 /// block's *encoded* payload (budget-reserved against the query's
 /// [`MemoryTracker`](sparkline_exec::MemoryTracker)) and decodes it
-/// batch-by-batch, so peak scan memory is one raw block plus one decoded
-/// batch per executor — independent of file size. Blocks refuted by the
-/// min/max bounds or dominated through the skip slot are never read.
+/// batch-by-batch into column buffers, so peak scan memory is one raw
+/// block plus one decoded [`ColumnBatch`] per executor — independent of
+/// file size — and a `Row` exists only where a consumer builds one.
+/// Blocks refuted by the min/max bounds or dominated through the skip
+/// slot are never read. A `WHERE` clause that is an `AND` of exactly
+/// comparable conjuncts ([`exact_conjuncts`]) is evaluated here, on the
+/// buffers, and narrows each batch's selection vector.
 #[derive(Debug)]
 pub struct DiskScanExec {
     label: String,
     table: Arc<DiskTable>,
     schema: SchemaRef,
     bounds: Vec<ColumnPredicate>,
+    filter: Option<ScanFilter>,
     skip: Arc<OnceLock<DominanceSkip>>,
 }
 
@@ -276,15 +431,35 @@ impl DiskScanExec {
             table,
             schema,
             bounds: Vec::new(),
+            filter: None,
             skip: Arc::new(OnceLock::new()),
         }
     }
 
-    /// Attach pushed-down min/max bounds (the planner extracts them from
-    /// the `Filter` directly above the scan).
-    pub fn with_bounds(mut self, bounds: Vec<ColumnPredicate>) -> Self {
+    /// Attach pushed-down min/max bounds, which only prune blocks.
+    fn with_bounds(mut self, bounds: Vec<ColumnPredicate>) -> Self {
         self.bounds = bounds;
         self
+    }
+
+    /// Take over the `Filter` directly above the scan: its prunable
+    /// conjuncts become min/max bounds, and when the whole predicate is an
+    /// `AND` of exactly comparable conjuncts the scan evaluates it too
+    /// ([`evaluates_filter`](Self::evaluates_filter)).
+    pub fn with_filter(self, predicate: &Expr) -> Self {
+        let filter = exact_conjuncts(predicate, &self.schema).map(|conjuncts| ScanFilter {
+            predicate: predicate.clone(),
+            conjuncts,
+        });
+        let mut scan = self.with_bounds(extract_column_predicates(predicate));
+        scan.filter = filter;
+        scan
+    }
+
+    /// Whether the scan evaluates its filter's whole predicate, so no
+    /// `FilterExec` is needed above it.
+    pub fn evaluates_filter(&self) -> bool {
+        self.filter.is_some()
     }
 
     /// The scanned table.
@@ -358,8 +533,19 @@ impl ExecutionPlan for DiskScanExec {
         vec![]
     }
 
-    fn dominance_skip_slot(&self) -> Option<(&OnceLock<DominanceSkip>, &[Row])> {
-        Some((&self.skip, self.table.sample().as_slice()))
+    fn dominance_skip_slot(&self) -> Option<(&OnceLock<DominanceSkip>, Vec<Row>)> {
+        // Narrowed by the scan's own filter, as the `FilterExec` it
+        // replaces would pass the sample: every point is a row the skyline
+        // receives.
+        let sample = self.table.sample().iter();
+        let sample = match &self.filter {
+            Some(filter) => sample
+                .filter(|row| matches!(filter.predicate.evaluate(row), Ok(Value::Boolean(true))))
+                .cloned()
+                .collect(),
+            None => sample.cloned().collect(),
+        };
+        Some((&self.skip, sample))
     }
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
@@ -382,20 +568,21 @@ impl ExecutionPlan for DiskScanExec {
                 let table = Arc::clone(&self.table);
                 let schema = self.schema();
                 let kept = Arc::clone(&kept);
+                let filter = self.filter.clone();
                 let ctx = ctx.clone();
                 let mut next = start;
                 // (decoder, next row, reservation): the raw payload stays
                 // reserved until the last batch of the block is decoded.
                 let mut current: Option<(BlockDecoder, usize, sparkline_exec::MemoryReservation)> =
                     None;
-                PartitionStream::new(
+                PartitionStream::of_batches(
                     Arc::clone(&schema),
                     Arc::clone(&ctx.metrics),
                     move || loop {
                         ctx.control.check()?;
                         if let Some((decoder, pos, _res)) = current.as_mut() {
                             let upto = (*pos + batch_size).min(decoder.rows());
-                            let batch = decoder.decode_range(*pos, upto)?;
+                            let mut batch = decoder.decode_columns(*pos, upto)?;
                             *pos = upto;
                             if *pos >= decoder.rows() {
                                 current = None;
@@ -403,7 +590,15 @@ impl ExecutionPlan for DiskScanExec {
                             ctx.metrics
                                 .rows_scanned
                                 .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                            return Ok(Some(batch));
+                            if let Some(filter) = &filter {
+                                filter.apply(&mut batch)?;
+                                // Like the `FilterExec` it replaces: no
+                                // empty batch goes downstream.
+                                if batch.is_empty() {
+                                    continue;
+                                }
+                            }
+                            return Ok(Some(Batch::Columns(batch)));
                         }
                         if next >= end {
                             return Ok(None);
@@ -427,8 +622,20 @@ impl ExecutionPlan for DiskScanExec {
         // The skip decision is pure metadata, so the EXPLAIN tag can
         // report it exactly without executing anything.
         let pruned = self.prune();
+        let filter = match &self.filter {
+            Some(filter) => {
+                let conjuncts: Vec<String> = (filter.conjuncts.iter())
+                    .map(|c| {
+                        let column = self.schema.field(c.col).name();
+                        format!("{column} {} {}", c.op.symbol(), c.literal)
+                    })
+                    .collect();
+                format!(", filter: {}", conjuncts.join(" AND "))
+            }
+            None => String::new(),
+        };
         format!(
-            "DiskScanExec [{}: {} rows, disk(blocks={}, skipped={} minmax + {} dominance)]",
+            "DiskScanExec [{}: {} rows, disk(blocks={}, skipped={} minmax + {} dominance){filter}]",
             self.label,
             self.table.total_rows(),
             self.table.num_blocks(),
@@ -521,7 +728,7 @@ mod tests {
         let bound = ColumnPredicate {
             col: 0,
             op: BinaryOp::Lt,
-            value: 250.0,
+            literal: Value::Float64(250.0),
         };
         let scan = DiskScanExec::new("t", Arc::clone(&table), Arc::clone(&schema))
             .with_bounds(vec![bound]);
@@ -551,7 +758,7 @@ mod tests {
         let bound = ColumnPredicate {
             col: 0,
             op: BinaryOp::GtEq,
-            value: 500.0,
+            literal: Value::Float64(500.0),
         };
         let scan = DiskScanExec::new("t", table, schema).with_bounds(vec![bound]);
         let ctx = TaskContext::new(2);
@@ -587,7 +794,14 @@ mod tests {
             .collect();
         let (table, _) = disk_table("rules", &rows, 1000);
         let meta = table.block_meta(0);
-        let refutes = |op, value| ColumnPredicate { col: 0, op, value }.refutes(meta);
+        let refutes = |op, value| {
+            ColumnPredicate {
+                col: 0,
+                op,
+                literal: Value::Float64(value),
+            }
+            .refutes(meta)
+        };
         assert!(refutes(BinaryOp::Lt, 100.0));
         assert!(!refutes(BinaryOp::Lt, 100.5));
         assert!(refutes(BinaryOp::LtEq, 99.0));
@@ -608,8 +822,7 @@ mod tests {
         dims: &[SkylineDim],
     ) -> (Vec<Row>, sparkline_exec::MetricsSnapshot) {
         let (slot, sample) = scan.dominance_skip_slot().unwrap();
-        let skip =
-            DominanceSkip::from_sample(dims, sample.to_vec(), DominanceKernel::Auto).unwrap();
+        let skip = DominanceSkip::from_sample(dims, sample, DominanceKernel::Auto).unwrap();
         slot.set(skip).unwrap();
         let ctx = TaskContext::new(2);
         let got = sparkline_exec::partition::flatten(scan.execute(&ctx).unwrap());
@@ -633,7 +846,7 @@ mod tests {
         // The footer sample holds every row; its skyline is the global
         // optimum (0, 0), which strictly dominates the best corner of
         // every block but its own.
-        assert_eq!(scan.dominance_skip_slot().unwrap().1, rows.as_slice());
+        assert_eq!(scan.dominance_skip_slot().unwrap().1, rows);
         let (got, snap) = gated_scan(&scan, &dims);
         assert_eq!(snap.blocks_skipped_dominance, 4, "blocks 1..5 dominated");
         assert_eq!(snap.blocks_read, 1);
@@ -767,17 +980,17 @@ mod tests {
                 ColumnPredicate {
                     col: 0,
                     op: BinaryOp::Lt,
-                    value: 5.0
+                    literal: Value::Float64(5.0)
                 },
                 ColumnPredicate {
                     col: 0,
                     op: BinaryOp::Lt,
-                    value: 10.0
+                    literal: Value::Float64(10.0)
                 },
                 ColumnPredicate {
                     col: 0,
                     op: BinaryOp::Eq,
-                    value: 3.0
+                    literal: Value::Float64(3.0)
                 },
             ]
         );

@@ -28,7 +28,7 @@ use sparkline_common::{
 use sparkline_exec::{
     partition::{flatten, total_rows},
     stream::breaker_streams,
-    InFlightRows, Partition, PartitionStream, TaskContext,
+    Batch, InFlightRows, Partition, PartitionStream, TaskContext,
 };
 use sparkline_plan::{Expr, MinMaxDirection};
 use sparkline_skyline::{
@@ -50,11 +50,17 @@ enum SkylineSink {
 
 impl SkylineSink {
     /// Fold one batch into the window, checking the query control at
-    /// [`CONTROL_CHECK_ROWS`] granularity inside the admission loops.
-    fn push_batch_checked(&mut self, batch: Vec<Row>, control: &QueryControl) -> Result<()> {
-        match self {
-            SkylineSink::Bnl(b) => b.push_batch_checked(batch, control),
-            SkylineSink::Grouped(g) => g.push_batch_checked(batch, control),
+    /// [`CONTROL_CHECK_ROWS`] granularity inside the admission loops. A
+    /// column batch reaches a BNL window as columns, so only the rows
+    /// that survive its first cross-filter become `Row`s; the class
+    /// windows take rows.
+    fn push_batch_checked(&mut self, batch: Batch, control: &QueryControl) -> Result<()> {
+        match (self, batch) {
+            (SkylineSink::Bnl(b), Batch::Columns(columns)) => {
+                b.push_columns_checked(&columns, control)
+            }
+            (SkylineSink::Bnl(b), rows) => b.push_batch_checked(rows.into_rows(), control),
+            (SkylineSink::Grouped(g), batch) => g.push_batch_checked(batch.into_rows(), control),
         }
     }
 
@@ -117,7 +123,7 @@ fn skyline_phase_stream(
             return Ok(Some(batch));
         }
         ctx.control.check()?;
-        match input.next_batch()? {
+        match input.pull_batch()? {
             Some(batch) => {
                 let sink = sink
                     .as_mut()

@@ -97,6 +97,11 @@
 //!    ([`ColumnarBlock::append`] — no re-encode) and restore key order
 //!    with one stable sort of two sorted runs.
 //!
+//! [`BnlBuilder::push_columns_checked`] folds the selected rows of a
+//! column batch through the same steps and chunks: step 1 encodes each
+//! candidate straight from the batch's buffers, and only its survivors —
+//! nearly always a handful — are built into rows for steps 2–4.
+//!
 //! The window is a *set* at every step — the skyline of the rows seen so
 //! far, duplicates included — so its internal order is free; each row's
 //! arrival number travels with it and [`BnlBuilder::finish`] sorts by it,
@@ -115,7 +120,11 @@
 //! the ordered window and then enters at the key the block derives from
 //! its stored values.
 
-use sparkline_common::{DominanceKernel, QueryControl, Result, Row, CONTROL_CHECK_ROWS};
+use std::borrow::Cow;
+
+use sparkline_common::{
+    ColumnBatch, DominanceKernel, QueryControl, Result, Row, CONTROL_CHECK_ROWS,
+};
 
 use crate::columnar::{retain_mask, ColumnarBlock, EncodedCandidate, MULTI_LANES};
 use crate::dominance::{Dominance, DominanceChecker, SkylineStats};
@@ -232,6 +241,54 @@ pub fn cross_filter(
     stats: &mut SkylineStats,
 ) {
     debug_assert_eq!(cands.len(), alive.len());
+    cross_filter_from(checker, cands, alive, against, block, scratch, stats)
+}
+
+/// Where [`cross_filter`] reads its candidates.
+trait Candidates {
+    /// Encode candidate `i` against `block` ([`ColumnarBlock::encode_into`]).
+    fn encode(&self, i: usize, block: &ColumnarBlock, cand: &mut EncodedCandidate) -> bool;
+    /// Candidate `i` as a row, for the scalar checker.
+    fn row(&self, i: usize) -> Cow<'_, Row>;
+}
+
+impl Candidates for [Row] {
+    fn encode(&self, i: usize, block: &ColumnarBlock, cand: &mut EncodedCandidate) -> bool {
+        block.encode_into(&self[i], cand)
+    }
+
+    fn row(&self, i: usize) -> Cow<'_, Row> {
+        Cow::Borrowed(&self[i])
+    }
+}
+
+/// The candidates of a column batch: physical rows `rows` of `batch`,
+/// encoded from its buffers; a `Row` is built only for the scalar checker.
+struct BatchRows<'a> {
+    batch: &'a ColumnBatch,
+    rows: &'a [usize],
+}
+
+impl Candidates for BatchRows<'_> {
+    fn encode(&self, i: usize, block: &ColumnarBlock, cand: &mut EncodedCandidate) -> bool {
+        block.encode_columns_into(self.batch, self.rows[i], cand)
+    }
+
+    fn row(&self, i: usize) -> Cow<'_, Row> {
+        Cow::Owned(self.batch.row(self.rows[i]))
+    }
+}
+
+/// [`cross_filter`] over any [`Candidates`], one per `alive` flag.
+fn cross_filter_from<C: Candidates + ?Sized>(
+    checker: &DominanceChecker,
+    cands: &C,
+    alive: &mut [bool],
+    against: &[Row],
+    block: &ColumnarBlock,
+    scratch: &mut CrossFilterScratch,
+    stats: &mut SkylineStats,
+) {
     if against.is_empty() {
         return;
     }
@@ -242,8 +299,8 @@ pub fn cross_filter(
         })
     };
     if block.is_fallback() {
-        for (cand, alive) in cands.iter().zip(alive.iter_mut()) {
-            *alive = *alive && scalar_survives(cand, stats);
+        for (i, alive) in alive.iter_mut().enumerate() {
+            *alive = *alive && scalar_survives(&cands.row(i), stats);
         }
         return;
     }
@@ -252,12 +309,12 @@ pub fn cross_filter(
         .encoded
         .resize_with(MULTI_LANES, EncodedCandidate::new);
     let mut n = 0;
-    for (i, cand) in cands.iter().enumerate() {
+    for i in 0..alive.len() {
         if !alive[i] {
             continue;
         }
-        if !block.encode_into(cand, &mut scratch.encoded[n]) {
-            alive[i] = scalar_survives(cand, stats);
+        if !cands.encode(i, block, &mut scratch.encoded[n]) {
+            alive[i] = scalar_survives(&cands.row(i), stats);
             continue;
         }
         scratch.lanes[n] = i;
@@ -401,6 +458,39 @@ impl BnlBuilder {
         self.push_chunks(rows, Some(control))
     }
 
+    /// [`push_batch_checked`](Self::push_batch_checked) for the selected
+    /// rows of a column batch, with the same chunks, control checks,
+    /// window and statistics. Step 1 of the fold encodes its candidates
+    /// straight from the batch's buffers; a `Row` is built only for a
+    /// step-1 survivor, for a candidate the block cannot encode, and for
+    /// every row of a window kept in arrival order (`DISTINCT`, a demoted
+    /// block), which takes the per-row step.
+    pub fn push_columns_checked(
+        &mut self,
+        batch: &ColumnBatch,
+        control: &QueryControl,
+    ) -> Result<()> {
+        for chunk in batch.selection().chunks(FOLD_BATCH_ROWS) {
+            control.check()?;
+            let mut rows = std::mem::take(&mut self.batch);
+            if self.ordered {
+                // 1. batch \ dominated-by-window, on the buffers.
+                self.filter_by_window(&BatchRows { batch, rows: chunk }, chunk.len());
+                rows.extend(
+                    (chunk.iter().zip(&self.alive))
+                        .filter(|(_, &alive)| alive)
+                        .map(|(&i, _)| batch.row(i)),
+                );
+                self.fold_survivors(&mut rows);
+            } else {
+                rows.extend(chunk.iter().map(|&i| batch.row(i)));
+                self.fold_batch(&mut rows);
+            }
+            self.batch = rows;
+        }
+        Ok(())
+    }
+
     /// Pull `rows` through the builder's own chunk buffer,
     /// [`FOLD_BATCH_ROWS`] at a time, checking `control` before each fold.
     fn push_chunks(
@@ -435,20 +525,33 @@ impl BnlBuilder {
             batch.drain(..).for_each(|row| self.push(row));
             return;
         }
-        let block = &mut self.block;
         // 1. batch \ dominated-by-window, in arrival order.
+        self.filter_by_window(batch.as_slice(), batch.len());
+        retain_mask(batch, &self.alive);
+        self.fold_survivors(batch);
+    }
+
+    /// Step 1 of the fold: `alive` flags which of the `n` candidates no
+    /// window row strictly dominates.
+    fn filter_by_window<C: Candidates + ?Sized>(&mut self, cands: &C, n: usize) {
         self.alive.clear();
-        self.alive.resize(batch.len(), true);
-        cross_filter(
+        self.alive.resize(n, true);
+        cross_filter_from(
             &self.checker,
-            batch,
+            cands,
             &mut self.alive,
             &self.window,
-            block,
+            &self.block,
             &mut self.scratch,
             &mut self.stats,
         );
-        retain_mask(batch, &self.alive);
+    }
+
+    /// Steps 2–4 of the fold for the step-1 survivors `batch` of a
+    /// score-ordered window (or a sorted insert each, for a handful).
+    /// Leaves `batch` empty.
+    fn fold_survivors(&mut self, batch: &mut Vec<Row>) {
+        let block = &mut self.block;
         if batch.len() <= SORTED_INSERT_MAX {
             batch.drain(..).for_each(|row| self.push(row));
             return;
@@ -671,7 +774,7 @@ fn scalar_window_scan(
 mod tests {
     use super::*;
     use crate::naive_skyline;
-    use sparkline_common::{SkylineDim, SkylineSpec, Value};
+    use sparkline_common::{DataType, SkylineDim, SkylineSpec, Value};
 
     fn rows(data: &[(i64, i64)]) -> Vec<Row> {
         data.iter()
@@ -960,6 +1063,166 @@ mod tests {
             assert_eq!(scalar, sky, "batch={batch}");
             assert!(s.scalar_tests > 0, "batch={batch}: fallback work is scalar");
         }
+    }
+
+    /// `rows` as one column batch: a column of Float64s (or Int64s) and
+    /// NULLs becomes a typed buffer, any other a value column.
+    fn column_batch(rows: &[Row]) -> ColumnBatch {
+        use sparkline_common::{BatchColumn, ColumnValues};
+        let width = rows.first().map_or(2, Row::width);
+        let columns = (0..width)
+            .map(|c| {
+                let values: Vec<&Value> = rows.iter().map(|r| r.get(c)).collect();
+                let nulls: Vec<bool> = values.iter().map(|v| v.is_null()).collect();
+                let typed =
+                    |want: fn(&Value) -> bool| values.iter().all(|v| v.is_null() || want(v));
+                let values = if typed(|v| matches!(v, Value::Float64(_))) {
+                    ColumnValues::Float64(
+                        (values.iter())
+                            .map(|v| if let Value::Float64(f) = v { *f } else { 0.0 })
+                            .collect(),
+                    )
+                } else if typed(|v| matches!(v, Value::Int64(_))) {
+                    ColumnValues::Int64(
+                        (values.iter())
+                            .map(|v| if let Value::Int64(i) = v { *i } else { 0 })
+                            .collect(),
+                    )
+                } else {
+                    ColumnValues::Values(values.into_iter().cloned().collect())
+                };
+                BatchColumn {
+                    values,
+                    nulls: nulls.contains(&true).then_some(nulls),
+                }
+            })
+            .collect();
+        ColumnBatch::new(columns, rows.len())
+    }
+
+    /// Fold `batches` as columns into one builder and as
+    /// `batch.into_rows()` into another: same window, same order, same
+    /// statistics.
+    fn assert_column_fold_matches_rows(checker: &DominanceChecker, batches: Vec<ColumnBatch>) {
+        let control = QueryControl::unlimited();
+        let mut by_rows = BnlBuilder::with_kernel(checker.clone(), DominanceKernel::Auto);
+        let mut by_columns = BnlBuilder::with_kernel(checker.clone(), DominanceKernel::Auto);
+        for batch in batches {
+            by_rows.push_batch(batch.clone().into_rows());
+            by_columns.push_columns_checked(&batch, &control).unwrap();
+        }
+        assert_eq!(by_columns.finish(), by_rows.finish());
+    }
+
+    #[test]
+    fn column_fold_equals_row_fold() {
+        let one = |data: &[Row]| vec![column_batch(data)];
+        let singles = |data: &[Row]| data.chunks(1).map(column_batch).collect::<Vec<_>>();
+        // The eight small shapes above, whole and one row per batch.
+        let shapes: Vec<(Vec<Row>, bool)> = vec![
+            (
+                rows(&[(1, 9), (2, 7), (3, 8), (4, 4), (5, 5), (6, 1), (7, 2)]),
+                false,
+            ),
+            (rows(&[(5, 5)]), false),
+            (rows(&[]), false),
+            (rows(&[(5, 5), (4, 4), (3, 3), (0, 0), (2, 2)]), false),
+            (rows(&[(1, 1), (1, 1), (1, 1)]), false),
+            (rows(&[(1, 1), (1, 1), (1, 1)]), true),
+            (
+                vec![
+                    Row::new(vec![Value::Int64(1), Value::str("first")]),
+                    Row::new(vec![Value::Int64(1), Value::str("second")]),
+                ],
+                true,
+            ),
+            (rows(&[(1, 8), (8, 1), (5, 5), (0, 0)]), false),
+        ];
+        for (data, distinct) in &shapes {
+            let checker = if data
+                .first()
+                .is_some_and(|r| r.get(1).data_type() != DataType::Int64)
+            {
+                DominanceChecker::complete(SkylineSpec::distinct(vec![SkylineDim::min(0)]))
+            } else {
+                min_min(*distinct)
+            };
+            assert_column_fold_matches_rows(&checker, one(data));
+            assert_column_fold_matches_rows(&checker, singles(data));
+        }
+        // Larger than one fold chunk, through steps 2–4, with NULLs and a
+        // narrowed selection; MIN and MAX dimensions.
+        let data: Vec<Row> = (0..3000)
+            .map(|i: i64| {
+                let a = if i % 11 == 0 {
+                    Value::Null
+                } else {
+                    Value::Float64(((i * 37) % 400) as f64 / 4.0)
+                };
+                Row::new(vec![a, Value::Int64((i * 53) % 397), Value::Int64(i)])
+            })
+            .collect();
+        for spec in [
+            SkylineSpec::new(vec![SkylineDim::min(0), SkylineDim::min(1)]),
+            SkylineSpec::new(vec![SkylineDim::max(0), SkylineDim::min(1)]),
+            SkylineSpec::new(vec![SkylineDim::max(0), SkylineDim::max(1)]),
+        ] {
+            let checker = DominanceChecker::complete(spec);
+            let batches = |size: usize| {
+                (data.chunks(size).map(column_batch))
+                    .map(|mut b| {
+                        b.set_selection(
+                            b.selection()
+                                .iter()
+                                .copied()
+                                .filter(|i| i % 3 != 1)
+                                .collect(),
+                        );
+                        b
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert_column_fold_matches_rows(&checker, batches(2500));
+            assert_column_fold_matches_rows(&checker, batches(1));
+        }
+    }
+
+    #[test]
+    fn column_fold_equals_row_fold_across_a_mid_fold_demotion() {
+        // A Float64 dimension meets an Int64 beyond 2^53: the block cannot
+        // encode it as a candidate (scalar path), and its admission demotes
+        // the block, sending the window back to arrival order.
+        let checker = min_min(false);
+        let float_rows: Vec<Row> = (0..300)
+            .map(|i: i64| {
+                Row::new(vec![
+                    Value::Float64(((i * 37) % 100) as f64),
+                    Value::Float64(((i * 53) % 100) as f64),
+                ])
+            })
+            .collect();
+        let big = Row::new(vec![Value::Int64((1 << 53) + 1), Value::Float64(-1.0)]);
+        let int_rows: Vec<Row> = (0..50)
+            .map(|i: i64| Row::new(vec![Value::Int64(i), Value::Float64((50 - i) as f64)]))
+            .collect();
+        // Typed batches: the Int64 column arrives in a batch of its own.
+        let mut ints = vec![big.clone()];
+        ints.extend(int_rows.iter().cloned());
+        assert_column_fold_matches_rows(
+            &checker,
+            vec![column_batch(&float_rows), column_batch(&ints)],
+        );
+        // One value column mixing both types, demoting mid-chunk.
+        let mut mixed = float_rows.clone();
+        mixed.insert(150, big);
+        mixed.extend(int_rows);
+        assert_column_fold_matches_rows(&checker, vec![column_batch(&mixed)]);
+        let mut builder = BnlBuilder::with_kernel(checker, DominanceKernel::Auto);
+        builder
+            .push_columns_checked(&column_batch(&mixed), &QueryControl::unlimited())
+            .unwrap();
+        let (_, stats) = builder.finish();
+        assert!(stats.scalar_tests > 0, "the demoted block works per row");
     }
 
     #[test]

@@ -126,7 +126,9 @@
 //! `simd_tests` counter additionally splits out tests performed on a SIMD
 //! tier.
 
-use sparkline_common::{DominanceKernel, Row, SkylineSpec, SkylineType, Value};
+use std::borrow::Borrow;
+
+use sparkline_common::{ColumnBatch, DominanceKernel, Row, SkylineSpec, SkylineType, Value};
 
 use crate::dominance::{Dominance, DominanceChecker};
 
@@ -948,6 +950,28 @@ impl ColumnarBlock {
     /// per-candidate allocation on the hot BNL loops. Returns `false`
     /// when this tuple needs the scalar path (`cand` is then unspecified).
     pub fn encode_into(&self, row: &Row, cand: &mut EncodedCandidate) -> bool {
+        self.encode_with(|index| row.get(index), cand)
+    }
+
+    /// [`encode_into`](Self::encode_into) for physical row `row` of a
+    /// column batch, read straight from its buffers — the same encoder,
+    /// with no `Row` built.
+    pub fn encode_columns_into(
+        &self,
+        batch: &ColumnBatch,
+        row: usize,
+        cand: &mut EncodedCandidate,
+    ) -> bool {
+        self.encode_with(|index| batch.value(index, row), cand)
+    }
+
+    /// The encoder behind both entry points: `value(index)` is the
+    /// candidate's value in input column `index`.
+    fn encode_with<V: Borrow<Value>>(
+        &self,
+        value: impl Fn(usize) -> V,
+        cand: &mut EncodedCandidate,
+    ) -> bool {
         cand.dims.clear();
         cand.all_incomparable = false;
         cand.key = f64::INFINITY;
@@ -956,7 +980,8 @@ impl ColumnarBlock {
         }
         let mut key = 0.0f64;
         for col in &self.cols {
-            let value = row.get(col.index);
+            let value = value(col.index);
+            let value = value.borrow();
             let dim = if is_null_like(value) {
                 if self.incomplete {
                     // Restricted relation: the dimension is skipped for

@@ -4,7 +4,9 @@
 //! the full file layout).
 
 use sparkline_common::stats::numeric_value;
-use sparkline_common::{DataType, Error, Field, Result, Row, Schema, Value};
+use sparkline_common::{
+    BatchColumn, ColumnBatch, ColumnValues, DataType, Error, Field, Result, Schema, Value,
+};
 
 use crate::reader::ColumnMeta;
 
@@ -72,6 +74,13 @@ impl<'a> ByteReader<'a> {
 
     pub(crate) fn position(&self) -> usize {
         self.pos
+    }
+
+    /// Bytes not yet read. A count read from the file reserves at most
+    /// this many entries of the smallest encoding, so a corrupt count
+    /// fails as a truncated read instead of a huge allocation.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
@@ -144,8 +153,10 @@ pub(crate) fn encode_schema(schema: &Schema) -> Vec<u8> {
 
 /// Parse a serialized schema.
 pub(crate) fn decode_schema(r: &mut ByteReader<'_>) -> Result<Schema> {
+    // Smallest field: name length, empty name, type and null flag.
+    const MIN_FIELD_BYTES: usize = 4 + 1 + 1;
     let ncols = r.u32()? as usize;
-    let mut fields = Vec::with_capacity(ncols);
+    let mut fields = Vec::with_capacity(ncols.min(r.remaining() / MIN_FIELD_BYTES));
     for _ in 0..ncols {
         let name_len = r.u32()? as usize;
         let name = std::str::from_utf8(r.bytes(name_len)?)
@@ -353,66 +364,81 @@ impl BlockLayout {
         self.rows
     }
 
-    /// Materialize rows `start..end` of `raw`, the payload this layout
-    /// was parsed from, under the same `schema`.
-    pub(crate) fn decode_range(
+    /// Decode rows `start..end` of `raw`, the payload this layout was
+    /// parsed from, under the same `schema`, into column buffers: `Float64`
+    /// and `Int64` columns as `f64`/`i64` vectors, the others as values,
+    /// with the NULL bitmap unpacked into flags (none for a NULL-free
+    /// range). No [`Row`](sparkline_common::Row) is built.
+    pub(crate) fn decode_columns(
         &self,
         raw: &[u8],
         schema: &Schema,
         start: usize,
         end: usize,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<ColumnBatch> {
         if start > end || end > self.rows {
             return Err(storage_err(format!(
                 "row range {start}..{end} out of bounds for {}-row block",
                 self.rows
             )));
         }
-        let word = |at: usize, i: usize| {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(&raw[at + i * 8..at + i * 8 + 8]);
-            u64::from_le_bytes(w)
+        let words = |at: usize| {
+            raw[at + start * 8..at + end * 8]
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
         };
-        let mut out = Vec::with_capacity(end - start);
-        for i in start..end {
-            let mut values = Vec::with_capacity(schema.len());
-            for (c, field) in schema.fields().iter().enumerate() {
-                if raw[self.bitmaps[c] + i / 8] & (1 << (i % 8)) != 0 {
-                    values.push(Value::Null);
-                    continue;
+        let mut columns = Vec::with_capacity(schema.len());
+        for (c, field) in schema.fields().iter().enumerate() {
+            let bitmap = &raw[self.bitmaps[c]..];
+            let is_null = |i: usize| bitmap[i / 8] & (1 << (i % 8)) != 0;
+            let nulls = (start..end)
+                .any(is_null)
+                .then(|| (start..end).map(is_null).collect::<Vec<bool>>());
+            let values = match (&self.columns[c], field.data_type()) {
+                (ColumnLayout::Fixed64(at), DataType::Int64) => {
+                    ColumnValues::Int64(words(*at).map(|w| w as i64).collect())
                 }
-                values.push(match (&self.columns[c], field.data_type()) {
-                    (ColumnLayout::Bool(at), _) => Value::Boolean(raw[at + i] != 0),
-                    (ColumnLayout::Fixed64(at), DataType::Int64) => {
-                        Value::Int64(word(*at, i) as i64)
+                (ColumnLayout::Fixed64(at), _) => {
+                    ColumnValues::Float64(words(*at).map(sign_restore_f64).collect())
+                }
+                (layout, _) => {
+                    let mut values = Vec::with_capacity(end - start);
+                    for i in start..end {
+                        values.push(match layout {
+                            _ if is_null(i) => Value::Null,
+                            ColumnLayout::Bool(at) => Value::Boolean(raw[at + i] != 0),
+                            ColumnLayout::Utf8 { data, offsets } => {
+                                let s = &raw
+                                    [data + offsets[i] as usize..data + offsets[i + 1] as usize];
+                                Value::str(
+                                    std::str::from_utf8(s)
+                                        .map_err(|_| storage_err("string value is not UTF-8"))?,
+                                )
+                            }
+                            ColumnLayout::Empty => {
+                                return Err(storage_err(format!(
+                                    "non-NULL row {i} in NULL-typed column '{}'",
+                                    field.name()
+                                )))
+                            }
+                            ColumnLayout::Fixed64(_) => {
+                                unreachable!("fixed-width columns decode into buffers above")
+                            }
+                        });
                     }
-                    (ColumnLayout::Fixed64(at), _) => {
-                        Value::Float64(sign_restore_f64(word(*at, i)))
-                    }
-                    (ColumnLayout::Utf8 { data, offsets }, _) => {
-                        let s = &raw[data + offsets[i] as usize..data + offsets[i + 1] as usize];
-                        Value::str(
-                            std::str::from_utf8(s)
-                                .map_err(|_| storage_err("string value is not UTF-8"))?,
-                        )
-                    }
-                    (ColumnLayout::Empty, _) => {
-                        return Err(storage_err(format!(
-                            "non-NULL row {i} in NULL-typed column '{}'",
-                            field.name()
-                        )))
-                    }
-                });
-            }
-            out.push(Row::new(values));
+                    ColumnValues::Values(values)
+                }
+            };
+            columns.push(BatchColumn { values, nulls });
         }
-        Ok(out)
+        Ok(ColumnBatch::new(columns, end - start))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparkline_common::Row;
 
     fn slices(rows: &[Row]) -> Vec<&[Value]> {
         rows.iter().map(Row::values).collect()
@@ -485,7 +511,10 @@ mod tests {
         let (payload, metas) = encode_block(&schema, &slices(&rows)).unwrap();
         let dec = BlockLayout::parse(&payload, &schema).unwrap();
         assert_eq!(dec.rows(), 3);
-        let back = dec.decode_range(&payload, &schema, 0, 3).unwrap();
+        let back = dec
+            .decode_columns(&payload, &schema, 0, 3)
+            .unwrap()
+            .into_rows();
         for (a, b) in rows.iter().zip(&back) {
             for (x, y) in a.values().iter().zip(b.values()) {
                 match (x, y) {
@@ -500,7 +529,9 @@ mod tests {
         // Partial decode sees the same rows (row 2 is NaN-free, so plain
         // equality is meaningful).
         assert_eq!(
-            dec.decode_range(&payload, &schema, 2, 3).unwrap(),
+            dec.decode_columns(&payload, &schema, 2, 3)
+                .unwrap()
+                .into_rows(),
             back[2..3].to_vec()
         );
         // Metadata: NULLs and NaN counted, bounds over numeric values only.

@@ -35,7 +35,18 @@
 //!
 //! The footer is written last and located through a fixed-size trailer,
 //! so a table is opened by reading the header and footer only — block
-//! payloads stay untouched until a scan actually needs them.
+//! payloads stay untouched until a scan actually needs them. Opening
+//! trusts no count in the file: a column or block count reserves at most
+//! what the bytes left could hold, and the blocks' row counts must add up
+//! to the footer's total.
+//!
+//! A block decodes into column buffers, one batch of rows at a time
+//! ([`BlockDecoder::decode_columns`], a `sparkline_common::ColumnBatch`):
+//! `Float64` words sign-restored into an `f64` vector, `Int64` words into
+//! an `i64` vector, the other types into values, and the NULL bitmap
+//! into per-row flags. That is the only decoder; `DiskTable::decode_block`,
+//! `DiskTable::decode_all` and the footer sample build their rows from
+//! it, and the disk scan hands the buffers on without building any.
 //!
 //! ## Row order
 //!

@@ -1,13 +1,14 @@
 //! Opening and scanning table files: the footer-only `open`, per-block
 //! random access, the skipping metadata (`BlockMeta`/`ColumnMeta`), and
-//! the batch-at-a-time `BlockDecoder`.
+//! the batch-at-a-time `BlockDecoder`, which decodes a block into column
+//! buffers ([`ColumnBatch`]); rows are built from those on request.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use sparkline_common::{DataType, Result, Row, SchemaRef, Value};
+use sparkline_common::{ColumnBatch, DataType, Result, Row, SchemaRef, Value};
 
 use crate::format::{
     decode_schema, storage_err, BlockLayout, ByteReader, FOOTER_MAGIC, FORMAT_VERSION, MAGIC,
@@ -168,7 +169,10 @@ impl DiskTable {
         let total_rows = r.u64()?;
         let block_rows = r.u32()?;
         let nblocks = r.u32()? as usize;
-        let mut blocks = Vec::with_capacity(nblocks);
+        // Smallest directory entry: offset, bytes, rows, and per column
+        // two counts, the bounds flag and two bounds.
+        let entry_bytes = 8 + 8 + 4 + schema.len() * (4 + 4 + 1 + 8 + 8);
+        let mut blocks = Vec::with_capacity(nblocks.min(r.remaining() / entry_bytes));
         for _ in 0..nblocks {
             let offset = r.u64()?;
             let bytes = r.u64()?;
@@ -200,11 +204,19 @@ impl DiskTable {
                 columns,
             });
         }
+        let block_total: u64 = blocks.iter().map(|b| u64::from(b.rows)).sum();
+        if block_total != total_rows {
+            return Err(storage_err(format!(
+                "footer claims {total_rows} rows, its blocks hold {block_total}"
+            )));
+        }
         let sample_seed = r.u64()?;
         let sample_bytes = r.u64()? as usize;
         let sample_payload = r.bytes(sample_bytes)?;
         let sample = BlockLayout::parse(sample_payload, &schema)?;
-        let sample = sample.decode_range(sample_payload, &schema, 0, sample.rows())?;
+        let sample = sample
+            .decode_columns(sample_payload, &schema, 0, sample.rows())?
+            .into_rows();
         Ok(DiskTable {
             path,
             schema,
@@ -303,16 +315,16 @@ impl DiskTable {
         Ok(buf)
     }
 
-    /// Convenience: read and fully decode block `i`.
+    /// Convenience: read and fully decode block `i` into rows.
     pub fn decode_block(&self, i: usize) -> Result<Vec<Row>> {
         let raw = self.read_block_raw(i)?;
         let decoder = BlockDecoder::new(raw, self.schema())?;
-        decoder.decode_range(0, decoder.rows())
+        Ok(decoder.decode_columns(0, decoder.rows())?.into_rows())
     }
 
-    /// Convenience: read and decode every block, in file order.
+    /// Convenience: read and decode every block into rows, in file order.
     pub fn decode_all(&self) -> Result<Vec<Row>> {
-        let mut rows = Vec::with_capacity(self.total_rows() as usize);
+        let mut rows = Vec::new();
         for i in 0..self.num_blocks() {
             rows.extend(self.decode_block(i)?);
         }
@@ -320,10 +332,12 @@ impl DiskTable {
     }
 }
 
-/// Owning decoder over one block's raw payload: parse once, then
-/// materialize row ranges batch-by-batch. The encoded buffer (typically
-/// several times smaller than the decoded `Row`s) is the only resident
-/// copy of the block while a scan drains it.
+/// Owning decoder over one block's raw payload: parse once, then decode
+/// row ranges batch-by-batch into column buffers. The encoded buffer is
+/// the only resident copy of the whole block while a scan drains it;
+/// beside it lives one decoded [`ColumnBatch`] (about the encoded size of
+/// its rows: the buffers are the payload's words, decoded), and `Row`s
+/// only for the rows a consumer builds.
 pub struct BlockDecoder {
     raw: Vec<u8>,
     schema: SchemaRef,
@@ -352,10 +366,10 @@ impl BlockDecoder {
         self.raw.len()
     }
 
-    /// Materialize rows `start..end`.
-    pub fn decode_range(&self, start: usize, end: usize) -> Result<Vec<Row>> {
+    /// Decode rows `start..end` into column buffers, every row selected.
+    pub fn decode_columns(&self, start: usize, end: usize) -> Result<ColumnBatch> {
         self.layout
-            .decode_range(&self.raw, &self.schema, start, end)
+            .decode_columns(&self.raw, &self.schema, start, end)
     }
 }
 
@@ -465,14 +479,14 @@ mod tests {
             let mut pos = 0;
             while pos < decoder.rows() {
                 let end = (pos + batch).min(decoder.rows());
-                batched.extend(decoder.decode_range(pos, end).unwrap());
+                batched.extend(decoder.decode_columns(pos, end).unwrap().into_rows());
                 pos = end;
             }
             assert_eq!(batched, full, "batches of {batch}");
         }
         assert_eq!(
-            decoder.decode_range(249, 250).unwrap()[0].get(1),
-            &Value::str("row499")
+            decoder.decode_columns(249, 250).unwrap().value(1, 0),
+            Value::str("row499")
         );
         std::fs::remove_file(&path).ok();
     }
@@ -497,5 +511,41 @@ mod tests {
         let err = DiskTable::open(&path).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Write a valid table, overwrite `bytes.len()` bytes at `at` (an
+    /// offset from the footer when `from_footer`), and open the result.
+    fn open_patched(name: &str, from_footer: bool, at: usize, bytes: &[u8]) -> Result<DiskTable> {
+        let path = temp_path(name);
+        table_with_nulls(&path);
+        let mut file = std::fs::read(&path).unwrap();
+        let trailer = file.len() - 12;
+        let footer = u64::from_le_bytes(file[trailer..trailer + 8].try_into().unwrap()) as usize;
+        let at = if from_footer { footer + at } else { at };
+        file[at..at + bytes.len()].copy_from_slice(bytes);
+        std::fs::write(&path, &file).unwrap();
+        let opened = DiskTable::open(&path);
+        std::fs::remove_file(&path).ok();
+        opened
+    }
+
+    #[test]
+    fn a_corrupt_column_count_is_an_error_not_an_abort() {
+        // The schema's column count follows magic and version.
+        let err = open_patched("ncols", false, 8, &u32::MAX.to_le_bytes()).unwrap_err();
+        assert!(err.to_string().contains("storage"), "{err}");
+    }
+
+    #[test]
+    fn a_corrupt_block_count_is_an_error_not_an_abort() {
+        // The footer opens with total_rows u64 and block_rows u32.
+        let err = open_patched("nblocks", true, 12, &u32::MAX.to_le_bytes()).unwrap_err();
+        assert!(err.to_string().contains("storage"), "{err}");
+    }
+
+    #[test]
+    fn a_total_row_count_the_blocks_do_not_hold_is_rejected() {
+        let err = open_patched("total", true, 0, &u64::MAX.to_le_bytes()).unwrap_err();
+        assert!(err.to_string().contains("its blocks hold 600"), "{err}");
     }
 }

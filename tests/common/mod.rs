@@ -262,3 +262,28 @@ pub fn collect_unoptimized(ctx: &SessionContext, sql: &str) -> sparkline::Result
             .peak_with_overhead(config.num_executors, config.executor_memory_overhead),
     })
 }
+
+/// Self-cleaning scratch directory for block files.
+pub struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    pub fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!(
+            "sparkline-test-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+
+    pub fn file(&self, name: &str) -> std::path::PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}

@@ -24,7 +24,7 @@
 
 mod common;
 
-use common::{generate, oracle, run, session_with, skyline_sql, DISTRIBUTIONS};
+use common::{generate, oracle, run, session_with, skyline_sql, TempDir, DISTRIBUTIONS};
 use proptest::prelude::*;
 use sparkline::{
     DataType, DominanceKernel, Field, Row, Schema, SessionConfig, SessionContext, Value,
@@ -32,31 +32,6 @@ use sparkline::{
 use sparkline_common::{SkylineDim, SkylineSpec};
 use sparkline_skyline::{naive_skyline, DominanceChecker};
 use sparkline_storage::{write_table, DiskTable, TableWriter, WriterOptions};
-
-/// Self-cleaning scratch directory for block files.
-struct TempDir(std::path::PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "sparkline-storage-eq-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-
-    fn file(&self, name: &str) -> std::path::PathBuf {
-        self.0.join(name)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// A session whose table `t` is the given rows **on disk**: the rows are
 /// written to a block file in `dir` and registered as a disk table, so
