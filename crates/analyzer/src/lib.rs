@@ -22,7 +22,8 @@ use std::sync::Arc;
 
 use sparkline_common::{Error, Result, Schema};
 use sparkline_plan::{
-    BoundColumn, CatalogProvider, Expr, JoinCondition, LogicalPlan, SkylineDimension, SortExpr,
+    conjoin, BoundColumn, CatalogProvider, Expr, JoinCondition, LogicalPlan, SkylineDimension,
+    SortExpr,
 };
 
 use resolver::{expand_wildcards, resolve_expr, Scope};
@@ -469,7 +470,7 @@ impl<'a> Analyzer<'a> {
     ) -> Result<LogicalPlan> {
         let ls = left.schema()?;
         let rs = right.schema()?;
-        let mut condition: Option<Expr> = None;
+        let mut equalities = Vec::new();
         let mut drop_right = vec![false; rs.len()];
         for col in &cols {
             let li = ls.index_of(None, col)?;
@@ -483,17 +484,15 @@ impl<'a> Analyzer<'a> {
                 index: ls.len() + ri,
                 field: rs.field(ri).clone(),
             }));
-            condition = Some(match condition {
-                Some(c) => c.and(eq),
-                None => eq,
-            });
+            equalities.push(eq);
         }
         let join = LogicalPlan::Join {
             left,
             right,
             join_type,
             condition: JoinCondition::On(
-                condition.ok_or_else(|| Error::analysis("USING requires at least one column"))?,
+                conjoin(equalities)
+                    .ok_or_else(|| Error::analysis("USING requires at least one column"))?,
             ),
         };
         if !join_type.emits_right() {

@@ -21,9 +21,11 @@ pub enum SkylineStrategy {
     #[default]
     Auto,
     /// Algorithm (1): distributed local skylines + global skyline, both
-    /// block-nested-loop (the global phase merges the local skylines
-    /// pairwise over the executor pool where the paper gathers them onto
-    /// one executor — same rows, same order). Only valid on complete data.
+    /// block-nested-loop. The local phase reads its input's own
+    /// partitions, so no row moves before it (paper §2/§5.6); the global
+    /// phase merges the local skylines pairwise over the executor pool
+    /// where the paper gathers them onto one executor — same rows, same
+    /// order. Only valid on complete data.
     DistributedComplete,
     /// Algorithm (2): skip the local phase; one executor computes the
     /// global skyline directly. Only valid on complete data.
@@ -45,26 +47,6 @@ impl SkylineStrategy {
             SkylineStrategy::Auto | SkylineStrategy::DistributedIncomplete
         )
     }
-}
-
-/// How the input of a distributed (complete-data) local skyline phase is
-/// partitioned across executors.
-///
-/// `Standard` keeps the child's distribution, "avoid\[ing\] unnecessary
-/// communication cost" (paper §2/§5.6). `AngleBased` re-routes every row
-/// through an exchange before the local phase
-/// (`sparkline_exec::partition::angle_partition`). Both are semantically
-/// neutral (the two-phase skyline is sound under any partitioning of
-/// complete data); they differ only in balance and local pruning power.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SkylinePartitioning {
-    /// Inherit the input partitioning (the paper's choice).
-    #[default]
-    Standard,
-    /// Angle-based repartitioning before the local phase (Vlachou et al.,
-    /// the paper's §7 future work). Needs two ranked dimensions; below
-    /// that the planner keeps `Standard`.
-    AngleBased,
 }
 
 /// Which compare tier of the columnar dominance kernel the skyline
@@ -91,8 +73,8 @@ pub enum DominanceKernel {
 ///
 /// `num_executors` plays the role of Spark's executor count: it sizes the
 /// worker-thread pool *and* the default partition count, so the local
-/// skyline phase runs `num_executors` ways in parallel, exactly like the
-/// paper's `--num-executors` sweeps.
+/// skyline phase runs `num_executors` ways in parallel on its input's own
+/// partitions, exactly like the paper's `--num-executors` sweeps.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// Number of executors (worker threads / default partitions).
@@ -109,8 +91,6 @@ pub struct SessionConfig {
     pub streaming_execution: bool,
     /// Physical skyline algorithm selection override.
     pub skyline_strategy: SkylineStrategy,
-    /// Partitioning scheme for the distributed complete local phase.
-    pub skyline_partitioning: SkylinePartitioning,
     /// The compare tier of the columnar (struct-of-arrays) dominance
     /// kernel: the one [`DominanceKernel::Auto`] picks from the CPU's
     /// features at runtime, or the pinned portable loop. Rows the kernel
@@ -157,7 +137,6 @@ impl Default for SessionConfig {
             batch_size: 4096,
             streaming_execution: true,
             skyline_strategy: SkylineStrategy::Auto,
-            skyline_partitioning: SkylinePartitioning::Standard,
             dominance_kernel: DominanceKernel::Auto,
             // ~300 MB per executor in the paper's charts; scaled 1:1000 to
             // keep reproduction numbers readable alongside real row bytes.
@@ -201,12 +180,6 @@ impl SessionConfig {
     /// Force a skyline strategy.
     pub fn with_skyline_strategy(mut self, strategy: SkylineStrategy) -> Self {
         self.skyline_strategy = strategy;
-        self
-    }
-
-    /// Choose the local-phase partitioning scheme.
-    pub fn with_skyline_partitioning(mut self, partitioning: SkylinePartitioning) -> Self {
-        self.skyline_partitioning = partitioning;
         self
     }
 

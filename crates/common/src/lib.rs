@@ -24,7 +24,7 @@ pub mod types;
 pub mod value;
 
 pub use batch::{BatchColumn, ColumnBatch, ColumnValues};
-pub use config::{DominanceKernel, SessionConfig, SkylinePartitioning, SkylineStrategy};
+pub use config::{DominanceKernel, SessionConfig, SkylineStrategy};
 pub use control::{Deadline, QueryControl, CONTROL_CHECK_ROWS};
 pub use error::{Error, Result};
 pub use row::Row;

@@ -98,12 +98,6 @@ impl SkylineSpec {
         }
     }
 
-    /// Indices of the MIN/MAX dimensions (the ones that can make a tuple
-    /// strictly better).
-    pub fn ranked_dims(&self) -> impl Iterator<Item = &SkylineDim> {
-        self.dims.iter().filter(|d| d.ty != SkylineType::Diff)
-    }
-
     /// Indices of the DIFF dimensions.
     pub fn diff_dims(&self) -> impl Iterator<Item = &SkylineDim> {
         self.dims.iter().filter(|d| d.ty == SkylineType::Diff)
@@ -133,7 +127,6 @@ mod tests {
             SkylineDim::max(2),
             SkylineDim::diff(1),
         ]);
-        assert_eq!(spec.ranked_dims().count(), 2);
         assert_eq!(spec.diff_dims().count(), 1);
         assert_eq!(spec.columns(), vec![0, 2, 1]);
         assert!(!spec.distinct);

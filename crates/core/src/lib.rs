@@ -78,7 +78,7 @@ pub use session::{Algorithm, SessionContext};
 // Re-export the vocabulary users need without digging into sub-crates.
 pub use sparkline_common::{
     DataType, DominanceKernel, Error, Field, Result, Row, Schema, SchemaRef, SessionConfig,
-    SkylinePartitioning, SkylineStrategy, SkylineType, Value,
+    SkylineStrategy, SkylineType, Value,
 };
 pub use sparkline_plan::{Expr, JoinCondition, JoinType, LogicalPlan, SkylineDimension, SortExpr};
 

@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use sparkline_common::{Error, Result, SkylineType};
-use sparkline_plan::{BoundColumn, Expr, JoinCondition, JoinType, LogicalPlan};
+use sparkline_plan::{conjoin, BoundColumn, Expr, JoinCondition, JoinType, LogicalPlan};
 
 /// Replace every `Skyline` node with the Listing 4 anti-join. The plan
 /// must be resolved. `SKYLINE OF DISTINCT` has no plain-SQL counterpart in
@@ -64,7 +64,7 @@ pub fn rewrite_to_reference(plan: &LogicalPlan) -> Result<LogicalPlan> {
             })
         };
 
-        let mut at_least_as_good: Option<Expr> = None;
+        let mut at_least_as_good = Vec::new();
         let mut strictly_better: Option<Expr> = None;
         for d in dims {
             let o = d.child.clone();
@@ -74,10 +74,7 @@ pub fn rewrite_to_reference(plan: &LogicalPlan) -> Result<LogicalPlan> {
                 SkylineType::Max => (i.clone().gt_eq(o.clone()), Some(i.gt(o))),
                 SkylineType::Diff => (i.eq(o), None),
             };
-            at_least_as_good = Some(match at_least_as_good {
-                Some(acc) => acc.and(weak),
-                None => weak,
-            });
+            at_least_as_good.push(weak);
             if let Some(s) = strict {
                 strictly_better = Some(match strictly_better {
                     Some(acc) => acc.or(s),
@@ -85,7 +82,7 @@ pub fn rewrite_to_reference(plan: &LogicalPlan) -> Result<LogicalPlan> {
                 });
             }
         }
-        let weak = at_least_as_good
+        let weak = conjoin(at_least_as_good)
             .ok_or_else(|| Error::plan("skyline without dimensions cannot be rewritten"))?;
         let predicate = match strictly_better {
             Some(s) => weak.and(s),

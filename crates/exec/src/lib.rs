@@ -13,7 +13,7 @@
 //!   helpers;
 //! * [`partition`] — buffered partition helpers with the distribution
 //!   schemes the skyline plans require (even split, `AllTuples`
-//!   coalescing, angle-based routing), used by breaker stages;
+//!   coalescing), used by breaker stages;
 //! * [`runtime`] — the executor pool (`num_executors` worker threads) and
 //!   the fail-fast stream fan-out (`Runtime::drain_streams`);
 //! * [`metrics`] — row/dominance-test counters reported by the harness,

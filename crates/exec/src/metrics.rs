@@ -38,9 +38,9 @@ pub struct ExecMetrics {
     pub multi_candidate_passes: AtomicU64,
     /// Largest skyline window / candidate set observed.
     pub max_window: AtomicUsize,
-    /// Rows moved through exchanges (repartitioning volume), including
-    /// the local-skyline rows the pairwise merge gathers in place of
-    /// the paper's `AllTuples` exchange.
+    /// Rows moved between executors: those the `AllTuples` gather
+    /// collects, and the local-skyline rows the pairwise merge gathers in
+    /// place of the paper's `AllTuples` exchange.
     pub rows_exchanged: AtomicU64,
     /// Rows compared by join operators (probe work).
     pub join_comparisons: AtomicU64,

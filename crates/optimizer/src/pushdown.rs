@@ -6,28 +6,7 @@
 use std::sync::Arc;
 
 use sparkline_common::Result;
-use sparkline_plan::{BoundColumn, Expr, JoinType, LogicalPlan};
-
-/// Split a predicate into its top-level AND conjuncts.
-pub fn split_conjuncts(e: &Expr) -> Vec<Expr> {
-    match e {
-        Expr::BinaryOp {
-            left,
-            op: sparkline_plan::BinaryOp::And,
-            right,
-        } => {
-            let mut v = split_conjuncts(left);
-            v.extend(split_conjuncts(right));
-            v
-        }
-        other => vec![other.clone()],
-    }
-}
-
-/// AND together a list of conjuncts (`None` for the empty list).
-pub fn conjoin(conjuncts: Vec<Expr>) -> Option<Expr> {
-    conjuncts.into_iter().reduce(|a, b| a.and(b))
-}
+use sparkline_plan::{conjoin, split_conjuncts, BoundColumn, Expr, JoinType, LogicalPlan};
 
 /// Whether all column references in `e` fall in `[lo, hi)`.
 fn references_within(e: &Expr, lo: usize, hi: usize) -> bool {

@@ -17,9 +17,9 @@
 use std::sync::Arc;
 
 use sparkline_common::{Error, Result};
-use sparkline_plan::{BoundColumn, Expr, JoinCondition, JoinType, LogicalPlan};
-
-use crate::pushdown::{conjoin, split_conjuncts};
+use sparkline_plan::{
+    conjoin, split_conjuncts, BoundColumn, Expr, JoinCondition, JoinType, LogicalPlan,
+};
 
 /// Rewrite all `[NOT] EXISTS` predicates in the plan into semi/anti joins.
 pub fn rewrite_exists_subqueries(plan: &LogicalPlan) -> Result<LogicalPlan> {

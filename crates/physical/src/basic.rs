@@ -20,6 +20,7 @@ use sparkline_exec::{
 };
 use sparkline_plan::{Expr, SortExpr};
 
+use crate::scan_disk::{float_columns, GateSample};
 use crate::ExecutionPlan;
 
 /// Evaluates one expression per output column (partition-parallel).
@@ -111,8 +112,10 @@ impl ExecutionPlan for FilterExec {
         "FilterExec"
     }
 
-    fn pass_sample(&self, sample: &mut Vec<Row>) -> bool {
-        sample.retain(|row| matches!(self.predicate.evaluate(row), Ok(Value::Boolean(true))));
+    fn pass_sample(&self, sample: &mut GateSample) -> bool {
+        (sample.rows)
+            .retain(|row| matches!(self.predicate.evaluate(row), Ok(Value::Boolean(true))));
+        (sample.filter_columns).extend(float_columns(&self.predicate, &self.schema()));
         true
     }
 
@@ -243,7 +246,7 @@ impl ExecutionPlan for DistinctExec {
         "DistinctExec"
     }
 
-    fn pass_sample(&self, _sample: &mut Vec<Row>) -> bool {
+    fn pass_sample(&self, _sample: &mut GateSample) -> bool {
         true
     }
 
@@ -332,7 +335,7 @@ impl ExecutionPlan for SortExec {
         "SortExec"
     }
 
-    fn pass_sample(&self, _sample: &mut Vec<Row>) -> bool {
+    fn pass_sample(&self, _sample: &mut GateSample) -> bool {
         true
     }
 

@@ -1,50 +1,29 @@
-//! Repartitioning (exchange) operators.
-//!
-//! The planner inserts exchanges to satisfy the distribution requirements
-//! of the paper's skyline plans: `Single` realizes Spark's `AllTuples`
-//! distribution (the flat global skyline of a non-distributed plan,
-//! sorts), and `Angle` is the optional angle-based repartitioning before
-//! a complete-data local phase (`SkylinePartitioning::AngleBased`). The
-//! incomplete family has no exchange: its local phase groups each scan
-//! partition by null bitmap itself (see `sparkline_skyline::incomplete`).
+//! The `AllTuples` gather, the one exchange a plan holds: the flat global
+//! skyline of a non-distributed plan must see every row on one executor.
+//! Every other plan reads its input's partitions where they are (paper
+//! §2/§5.6), so nothing else moves rows between executors.
 
 use std::sync::Arc;
 
-use sparkline_common::{Result, SchemaRef, SkylineSpec};
+use sparkline_common::{Result, SchemaRef};
 use sparkline_exec::{
-    partition::{angle_partition, coalesce, total_rows},
+    partition::{coalesce, total_rows},
     stream::breaker_streams,
     PartitionStream, TaskContext,
 };
 
 use crate::ExecutionPlan;
 
-/// How the exchange redistributes rows.
-#[derive(Debug, Clone)]
-pub enum ExchangeMode {
-    /// All rows into one partition (Spark's `AllTuples`).
-    Single,
-    /// Partition by polar-angle sector of the first two ranked skyline
-    /// dimensions (see `sparkline_exec::partition::angle_partition`).
-    Angle(SkylineSpec),
-}
-
-/// Repartitioning operator.
+/// Gathers every input partition into one (Spark's `AllTuples`).
 #[derive(Debug)]
 pub struct ExchangeExec {
-    mode: ExchangeMode,
     input: Arc<dyn ExecutionPlan>,
 }
 
 impl ExchangeExec {
-    /// Exchange with the given mode.
-    pub fn new(mode: ExchangeMode, input: Arc<dyn ExecutionPlan>) -> Self {
-        ExchangeExec { mode, input }
-    }
-
-    /// Convenience: gather everything onto one executor.
+    /// Gather everything onto one executor.
     pub fn single(input: Arc<dyn ExecutionPlan>) -> Self {
-        ExchangeExec::new(ExchangeMode::Single, input)
+        ExchangeExec { input }
     }
 }
 
@@ -63,19 +42,12 @@ impl ExecutionPlan for ExchangeExec {
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
         let inputs = self.input.execute_stream(ctx)?;
-        let mode = self.mode.clone();
         let ctx2 = ctx.clone();
-        let n = ctx.runtime.num_executors();
-        // Every redistribution needs the full input (a gather is a stage
-        // boundary even in Spark); the exchange is therefore a breaker
-        // that drains the upstream pipelines in parallel — this is where
-        // the local phases below an `AllTuples` gather actually run
-        // concurrently — and re-emits the shuffled partitions.
-        let n_outputs = match &mode {
-            ExchangeMode::Single => 1,
-            _ => n,
-        };
-        Ok(breaker_streams(self.schema(), ctx, n_outputs, move || {
+        // The gather needs the full input (a stage boundary even in
+        // Spark); it is therefore a breaker that drains the upstream
+        // pipelines in parallel — this is where the operators below it
+        // actually run concurrently — and re-emits one partition.
+        Ok(breaker_streams(self.schema(), ctx, 1, move || {
             // A failed upstream partition fails the whole stage.
             let input = ctx2.runtime.drain_streams(inputs)?;
             ctx2.control.check()?;
@@ -83,21 +55,12 @@ impl ExecutionPlan for ExchangeExec {
                 total_rows(&input) as u64,
                 std::sync::atomic::Ordering::Relaxed,
             );
-            Ok(match &mode {
-                ExchangeMode::Single => coalesce(input),
-                ExchangeMode::Angle(spec) => angle_partition(input, n, spec),
-            })
+            Ok(coalesce(input))
         }))
     }
 
     fn describe(&self) -> String {
-        match &self.mode {
-            ExchangeMode::Single => "ExchangeExec [AllTuples]".to_string(),
-            ExchangeMode::Angle(spec) => format!(
-                "ExchangeExec [AngleBased on {} dims]",
-                spec.ranked_dims().count().min(2)
-            ),
-        }
+        "ExchangeExec [AllTuples]".to_string()
     }
 }
 
@@ -105,7 +68,7 @@ impl ExecutionPlan for ExchangeExec {
 mod tests {
     use super::*;
     use crate::scan::ScanExec;
-    use sparkline_common::{DataType, Field, Row, Schema, SkylineDim, Value};
+    use sparkline_common::{DataType, Field, Row, Schema, Value};
 
     fn input(rows: Vec<Row>) -> Arc<dyn ExecutionPlan> {
         let schema = Schema::new(vec![
@@ -146,43 +109,6 @@ mod tests {
                 .rows_exchanged
                 .load(std::sync::atomic::Ordering::Relaxed),
             40
-        );
-    }
-
-    #[test]
-    fn custom_angle_exchange_partitions_by_trade_off() {
-        // Points on two extreme trade-offs: low-a/high-b vs high-a/low-b
-        // (both MIN dims) must land in different sectors.
-        let rows: Vec<Row> = (0..20)
-            .map(|i| {
-                if i % 2 == 0 {
-                    Row::new(vec![Value::Int64(1), Value::Int64(100 + i)])
-                } else {
-                    Row::new(vec![Value::Int64(100 + i), Value::Int64(1)])
-                }
-            })
-            .collect();
-        let spec = SkylineSpec::new(vec![SkylineDim::min(0), SkylineDim::min(1)]);
-        let plan = ExchangeExec::new(ExchangeMode::Angle(spec), input(rows));
-        assert_eq!(plan.describe(), "ExchangeExec [AngleBased on 2 dims]");
-        let ctx = TaskContext::new(4);
-        let parts = plan.execute(&ctx).unwrap();
-        assert_eq!(total_rows(&parts), 20);
-        // Low-a points (steep angle) and low-b points (flat angle) are in
-        // different partitions.
-        let holding = |pred: &dyn Fn(&Row) -> bool| -> Vec<usize> {
-            parts
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.iter().any(pred))
-                .map(|(i, _)| i)
-                .collect()
-        };
-        let steep = holding(&|r| r.get(0) == &Value::Int64(1));
-        let flat = holding(&|r| r.get(1) == &Value::Int64(1));
-        assert!(
-            steep.iter().all(|s| !flat.contains(s)),
-            "{steep:?} vs {flat:?}"
         );
     }
 }

@@ -43,22 +43,20 @@ pub mod planner;
 pub mod scan;
 pub mod scan_disk;
 pub mod skyline_exec;
-#[cfg(test)]
-mod strategy;
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use sparkline_common::{Result, Row, SchemaRef};
+use sparkline_common::{Result, SchemaRef};
 use sparkline_exec::{Partition, PartitionStream, TaskContext};
 
 pub use aggregate::HashAggregateExec;
 pub use basic::{DistinctExec, FilterExec, LimitExec, ProjectExec, SortExec};
-pub use exchange::{ExchangeExec, ExchangeMode};
+pub use exchange::ExchangeExec;
 pub use join::{HashJoinExec, NestedLoopJoinExec};
 pub use planner::{ExecTableSource, PhysicalPlanner};
 pub use scan::ScanExec;
-pub use scan_disk::{ColumnPredicate, DiskScanExec, DominanceSkip};
+pub use scan_disk::{ColumnPredicate, DiskScanExec, DominanceSkip, GateSample};
 pub use skyline_exec::{GlobalSkylineExec, LocalSkylineExec, MinMaxFilterExec};
 
 /// A physical operator.
@@ -94,7 +92,7 @@ pub trait ExecutionPlan: fmt::Debug + Send + Sync {
     /// footer sample, narrowed to the rows the scan's own filter passes,
     /// letting the skyline planner install gate points after the tree is
     /// built. `None` (the default) for every other operator.
-    fn dominance_skip_slot(&self) -> Option<(&OnceLock<DominanceSkip>, Vec<Row>)> {
+    fn dominance_skip_slot(&self) -> Option<(&OnceLock<DominanceSkip>, GateSample)> {
         None
     }
 
@@ -103,11 +101,11 @@ pub trait ExecutionPlan: fmt::Debug + Send + Sync {
     /// exactly the rows this operator would output unchanged and return
     /// `true`, or return `false` (the default) when its output rows are
     /// not unmodified input rows and the walk must stop. Filters drop the
-    /// rows their predicate rejects; sorts and distinct keep them all.
-    /// Through a chain that returns `true`, column positions and values
-    /// are those of the scan, so every surviving sample row is a row of
-    /// the skyline's input.
-    fn pass_sample(&self, _sample: &mut Vec<Row>) -> bool {
+    /// rows their predicate rejects and record the `Float64` columns it
+    /// reads; sorts and distinct keep every row. Through a chain that
+    /// returns `true`, column positions and values are those of the scan,
+    /// so every surviving sample row is a row of the skyline's input.
+    fn pass_sample(&self, _sample: &mut GateSample) -> bool {
         false
     }
 }
@@ -115,10 +113,11 @@ pub trait ExecutionPlan: fmt::Debug + Send + Sync {
 /// Walk a single-child chain of value-preserving operators down to a disk
 /// scan's dominance-skip slot, if one is reachable. Returns the slot with
 /// the scan's footer sample narrowed to the rows every filter on the way
-/// passes — real rows of `plan`'s output.
+/// passes — real rows of `plan`'s output — and the columns those filters
+/// read.
 pub fn find_dominance_skip_slot(
     plan: &dyn ExecutionPlan,
-) -> Option<(&OnceLock<DominanceSkip>, Vec<Row>)> {
+) -> Option<(&OnceLock<DominanceSkip>, GateSample)> {
     if let Some(found) = plan.dominance_skip_slot() {
         return Some(found);
     }

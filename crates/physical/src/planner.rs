@@ -4,16 +4,16 @@
 use std::sync::Arc;
 
 use sparkline_common::{
-    DataType, Error, Result, Row, Schema, SchemaRef, SessionConfig, SkylineDim,
-    SkylinePartitioning, SkylineSpec, SkylineStrategy,
+    DataType, Error, Result, Row, Schema, SchemaRef, SessionConfig, SkylineDim, SkylineSpec,
+    SkylineStrategy,
 };
 use sparkline_plan::{
-    AggregateFunction, BinaryOp, BoundColumn, Expr, JoinCondition, JoinType, LogicalPlan,
-    SkylineDimension,
+    conjoin, split_conjuncts, AggregateFunction, BinaryOp, BoundColumn, Expr, JoinCondition,
+    JoinType, LogicalPlan, SkylineDimension,
 };
 
 use crate::aggregate::AggCall;
-use crate::exchange::{ExchangeExec, ExchangeMode};
+use crate::exchange::ExchangeExec;
 use crate::join::{HashJoinExec, NestedLoopJoinExec};
 use crate::skyline_exec::{GlobalSkylineExec, LocalSkylineExec, MinMaxFilterExec};
 use crate::{
@@ -288,29 +288,14 @@ impl<'a> PhysicalPlanner<'a> {
                     let _ = slot.set(skip);
                 }
             }
-            // The pairwise merge consumes the local skylines' distribution
-            // directly and fans its tasks over the executor pool. Only a
-            // non-distributed plan still needs the `AllTuples` gather the
-            // paper describes: without a local phase the single pass must
-            // see every tuple.
+            // The local phase reads its input's own partitions (paper
+            // §2/§5.6), and the pairwise merge consumes the local
+            // skylines' distribution directly, fanning its tasks over the
+            // executor pool. Only a non-distributed plan still needs the
+            // `AllTuples` gather the paper describes: without a local
+            // phase the single pass must see every tuple.
             if strategy != SkylineStrategy::NonDistributedComplete {
-                // Optional angle-based redistribution before the local
-                // phase (the paper's default inherits the distribution).
-                // Angles need two ranked dimensions to have any structure,
-                // so below that the input distribution is kept.
-                let angles = self.config.skyline_partitioning == SkylinePartitioning::AngleBased
-                    && spec.ranked_dims().count() >= 2;
-                let local_input: Arc<dyn ExecutionPlan> = if angles {
-                    Arc::new(ExchangeExec::new(
-                        ExchangeMode::Angle(spec.clone()),
-                        input_exec,
-                    ))
-                } else {
-                    input_exec
-                };
-                Arc::new(
-                    LocalSkylineExec::new(spec.clone(), false, local_input).with_kernel(kernel),
-                )
+                Arc::new(LocalSkylineExec::new(spec.clone(), false, input_exec).with_kernel(kernel))
             } else {
                 Arc::new(ExchangeExec::single(input_exec))
             }
@@ -342,24 +327,9 @@ impl<'a> PhysicalPlanner<'a> {
 /// Split a join condition into hashable equality key pairs and a residual
 /// predicate.
 fn split_equi_condition(on: &Expr, left_len: usize) -> (Vec<(usize, usize)>, Option<Expr>) {
-    fn conjuncts(e: &Expr, out: &mut Vec<Expr>) {
-        match e {
-            Expr::BinaryOp {
-                left,
-                op: BinaryOp::And,
-                right,
-            } => {
-                conjuncts(left, out);
-                conjuncts(right, out);
-            }
-            other => out.push(other.clone()),
-        }
-    }
-    let mut all = Vec::new();
-    conjuncts(on, &mut all);
     let mut keys = Vec::new();
     let mut residual: Vec<Expr> = Vec::new();
-    for c in all {
+    for c in split_conjuncts(on) {
         if let Expr::BinaryOp {
             left,
             op: BinaryOp::Eq,
@@ -379,8 +349,7 @@ fn split_equi_condition(on: &Expr, left_len: usize) -> (Vec<(usize, usize)>, Opt
         }
         residual.push(c);
     }
-    let residual = residual.into_iter().reduce(|a, b| a.and(b));
-    (keys, residual)
+    (keys, conjoin(residual))
 }
 
 /// Compile an `Aggregate`'s result expressions: extract the distinct
@@ -470,7 +439,7 @@ pub fn output_schema(plan: &LogicalPlan) -> Result<SchemaRef> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use sparkline_common::{SkylineStrategy, Value};
     use sparkline_exec::TaskContext;
@@ -614,7 +583,7 @@ pub(crate) mod tests {
 
     /// The physical display of `SKYLINE OF [COMPLETE] d0 t0, d1 t1` over
     /// a two-column scan whose columns are `nullable` or not.
-    pub(crate) fn skyline_display(
+    fn skyline_display(
         config: &SessionConfig,
         nullable: bool,
         complete: bool,
@@ -642,21 +611,16 @@ pub(crate) mod tests {
     }
 
     /// Listing 8, extended: the algorithm family, the local phase, the
-    /// local-phase partitioning and the compare kernel, read off the plan.
+    /// gather and the compare kernel, read off the plan.
     #[test]
     fn skyline_selection_shows_in_the_plan() {
         use sparkline_common::{DominanceKernel, SkylineType, SkylineType::*};
         let auto = SessionConfig::default();
-        let angle = || {
-            auto.clone()
-                .with_skyline_partitioning(SkylinePartitioning::AngleBased)
-        };
         let forced = |s| auto.clone().with_skyline_strategy(s);
         let kernel = |k| auto.clone().with_dominance_kernel(k);
         const COMPLETE: &str = "LocalSkylineExec [2 dims, complete";
         const INCOMPLETE: &str = "GlobalSkylineExec [2 dims, incomplete";
         const GATHER: &str = "ExchangeExec [AllTuples]";
-        const ANGLES: &str = "AngleBased";
         // (case, config, nullable, COMPLETE, dims, present, absent)
         type Case = (
             &'static str,
@@ -669,13 +633,9 @@ pub(crate) mod tests {
         );
         #[rustfmt::skip]
         let cases: Vec<Case> = vec![
-            ("auto, non-nullable", auto.clone(), false, false, [Min, Max], &[COMPLETE], &[INCOMPLETE, ANGLES]),
+            ("auto, non-nullable", auto.clone(), false, false, [Min, Max], &[COMPLETE], &[INCOMPLETE, "ExchangeExec"]),
             ("auto, nullable", auto.clone(), true, false, [Min, Max], &[INCOMPLETE, "LocalSkylineExec [2 dims, incomplete"], &[COMPLETE, "ExchangeExec"]),
             ("COMPLETE over nullable dims", auto.clone(), true, true, [Min, Max], &[COMPLETE], &[INCOMPLETE]),
-            ("angle, two ranked dims", angle(), false, false, [Min, Max], &[COMPLETE, "ExchangeExec [AngleBased on 2 dims]"], &[]),
-            ("angle degrades below two ranked dims", angle(), false, false, [Min, Diff], &[COMPLETE], &[ANGLES]),
-            ("angle is Standard under the incomplete plan", angle().with_skyline_strategy(SkylineStrategy::DistributedIncomplete), false, false, [Min, Max], &[INCOMPLETE], &[ANGLES]),
-            ("angle is Standard without a local phase", angle().with_skyline_strategy(SkylineStrategy::NonDistributedComplete), false, false, [Min, Max], &[GATHER], &[ANGLES, "LocalSkylineExec"]),
             ("forced incomplete over COMPLETE data", forced(SkylineStrategy::DistributedIncomplete), false, true, [Min, Max], &[INCOMPLETE], &[COMPLETE]),
             ("forced non-distributed over nullable dims", forced(SkylineStrategy::NonDistributedComplete), true, false, [Min, Max], &[GATHER, "GlobalSkylineExec [2 dims, pairwise merge"], &[INCOMPLETE, "LocalSkylineExec"]),
             ("forced distributed complete over nullable dims", forced(SkylineStrategy::DistributedComplete), true, false, [Min, Max], &[COMPLETE], &[INCOMPLETE]),

@@ -7,7 +7,9 @@
 //! sound on their own (see `sparkline_storage`'s crate docs). Min/max
 //! pruning only discards blocks the scan's filter would empty, and the
 //! dominance gate — present only when the skyline planner installed one —
-//! only blocks whose rows a real input row strictly dominates. The gate's
+//! only blocks whose rows a real input row strictly dominates. Neither
+//! skips a block with a NaN in a `Float64` column a filter reads, where
+//! the filter may fail (see [`GateSample`]). The gate's
 //! points live in a [`ColumnarBlock`] and each block's best corner is
 //! tested as one encoded candidate, on the same dominance kernel as the
 //! skyline operators.
@@ -44,7 +46,7 @@ use sparkline_common::{
     SchemaRef, SkylineDim, SkylineSpec, SkylineType, Value,
 };
 use sparkline_exec::{partition::even_ranges, Batch, PartitionStream, TaskContext};
-use sparkline_plan::{BinaryOp, Expr};
+use sparkline_plan::{split_conjuncts, BinaryOp, Expr};
 use sparkline_skyline::{bnl_skyline, ColumnarBlock, DominanceChecker, SkylineStats};
 use sparkline_storage::{BlockDecoder, BlockMeta, DiskTable};
 
@@ -200,45 +202,27 @@ fn comparison(e: &Expr) -> Option<ColumnPredicate> {
     })
 }
 
-/// Visit the conjuncts of `predicate`'s `AND` tree in evaluation order
-/// (left to right); stop at the first `false` from `leaf`.
-fn conjuncts(predicate: &Expr, leaf: &mut impl FnMut(&Expr) -> bool) -> bool {
-    match predicate {
-        Expr::BinaryOp {
-            left,
-            op: BinaryOp::And,
-            right,
-        } => conjuncts(left, leaf) && conjuncts(right, leaf),
-        other => leaf(other),
-    }
-}
-
 /// Extract the min/max-prunable conjuncts of a filter predicate sitting
 /// directly on a disk scan: `BoundColumn <op> numeric-literal` (either
 /// orientation) joined by `AND`. Everything else is ignored — missing a
 /// conjunct costs only pruning power.
 pub fn extract_column_predicates(predicate: &Expr) -> Vec<ColumnPredicate> {
-    let mut out = Vec::new();
-    conjuncts(predicate, &mut |e| {
-        out.extend(comparison(e));
-        true
-    });
-    out
+    split_conjuncts(predicate)
+        .iter()
+        .filter_map(comparison)
+        .collect()
 }
 
 /// The conjuncts of `predicate`, in evaluation order, when it is an `AND`
 /// of comparisons each exactly comparable on its column of `schema`: the
 /// predicate a disk scan evaluates itself. `None` for any other predicate.
 pub fn exact_conjuncts(predicate: &Expr, schema: &Schema) -> Option<Vec<ColumnPredicate>> {
-    let mut out = Vec::new();
-    let all = conjuncts(predicate, &mut |e| match comparison(e) {
-        Some(p) if p.col < schema.len() && p.exact_on(schema.field(p.col).data_type()) => {
-            out.push(p);
-            true
-        }
-        _ => false,
-    });
-    all.then_some(out)
+    (split_conjuncts(predicate).iter())
+        .map(|e| {
+            comparison(e)
+                .filter(|p| p.col < schema.len() && p.exact_on(schema.field(p.col).data_type()))
+        })
+        .collect()
 }
 
 /// The `WHERE` clause a disk scan evaluates on its column buffers, in
@@ -298,6 +282,31 @@ impl ScanFilter {
     }
 }
 
+/// The `Float64` columns `predicate` reads in `schema`: a NaN in one of
+/// them may make the predicate fail.
+pub(crate) fn float_columns(predicate: &Expr, schema: &Schema) -> Vec<usize> {
+    let mut columns = Vec::new();
+    predicate.referenced_indices(&mut columns);
+    columns.retain(|&c| c < schema.len() && schema.field(c).data_type() == DataType::Float64);
+    columns
+}
+
+/// Whether the block holds a NaN in one of the `Float64` `columns`.
+fn holds_nan(meta: &BlockMeta, columns: &[usize]) -> bool {
+    (columns.iter()).any(|&c| meta.columns.get(c).is_some_and(|col| col.non_numeric > 0))
+}
+
+/// A disk scan's footer sample on the planner's walk up to the skyline
+/// operator (see `ExecutionPlan::pass_sample`).
+#[derive(Debug)]
+pub struct GateSample {
+    /// The sample rows every operator on the way passes.
+    pub rows: Vec<Row>,
+    /// The `Float64` columns the filters above the scan read: a block
+    /// with a NaN in one of them is never dominance-skipped.
+    pub filter_columns: Vec<usize>,
+}
+
 /// Dominance-skipping state: the gate's points — the skyline of the
 /// footer-sample rows that reach the skyline operator — in a
 /// [`ColumnarBlock`] on the plan's kernel. Installed by the skyline
@@ -312,11 +321,13 @@ pub struct DominanceSkip {
     /// column `i` is dimension `i`, so two dimensions over one column
     /// keep their own corner values.
     points: ColumnarBlock,
+    /// [`GateSample::filter_columns`].
+    filter_columns: Vec<usize>,
 }
 
 impl DominanceSkip {
-    /// Build the gate from `sample`, real rows of the skyline's input:
-    /// their skyline under the complete relation becomes the points,
+    /// Build the gate from `sample`'s rows, real rows of the skyline's
+    /// input: their skyline under the complete relation becomes the points,
     /// computed on `kernel` and never truncated. Keeping only the skyline
     /// skips exactly the blocks the whole sample would: a sample row that
     /// dominates a corner is a skyline member or dominated by one, and
@@ -328,14 +339,14 @@ impl DominanceSkip {
     /// point can dominate then); each only costs skips, never rows.
     pub fn from_sample(
         dims: &[SkylineDim],
-        sample: Vec<Row>,
+        sample: GateSample,
         kernel: DominanceKernel,
     ) -> Option<Self> {
         if dims.iter().any(|d| d.ty == SkylineType::Diff) {
             return None;
         }
-        let sample: Vec<Row> = sample
-            .iter()
+        let filter_columns = sample.filter_columns;
+        let sample: Vec<Row> = (sample.rows.iter())
             .map(|r| Row::new(dims.iter().map(|d| r.get(d.index).clone()).collect()))
             .collect();
         // `DISTINCT`: tied points skip the same blocks, so one suffices.
@@ -363,7 +374,11 @@ impl DominanceSkip {
                 Some((d.index, d.ty == SkylineType::Max, ty))
             })
             .collect::<Option<_>>()?;
-        Some(DominanceSkip { dims, points })
+        Some(DominanceSkip {
+            dims,
+            points,
+            filter_columns,
+        })
     }
 
     /// Whether some point strictly dominates the block's best corner —
@@ -374,9 +389,13 @@ impl DominanceSkip {
     /// strings/NaN), else the corner doesn't bound every row, and their
     /// bounds exact, else the `f64` footer bound of an Int64 column beyond
     /// 2^53 may have rounded past the row it stands for; otherwise the
-    /// block must be read. Returns the corner tests spent alongside the
+    /// block must be read. So must a block with a NaN in one of the
+    /// `filter_columns`. Returns the corner tests spent alongside the
     /// verdict.
     fn skips(&self, meta: &BlockMeta) -> (u64, bool) {
+        if holds_nan(meta, &self.filter_columns) {
+            return (0, false);
+        }
         let mut corner = Vec::with_capacity(self.dims.len());
         for &(index, max, ty) in &self.dims {
             let Some(c) = meta.columns.get(index) else {
@@ -418,6 +437,9 @@ pub struct DiskScanExec {
     table: Arc<DiskTable>,
     schema: SchemaRef,
     bounds: Vec<ColumnPredicate>,
+    /// The `Float64` columns the filter's predicate reads: a block with a
+    /// NaN in one of them is never skipped.
+    filter_columns: Vec<usize>,
     filter: Option<ScanFilter>,
     skip: Arc<OnceLock<DominanceSkip>>,
 }
@@ -431,6 +453,7 @@ impl DiskScanExec {
             table,
             schema,
             bounds: Vec::new(),
+            filter_columns: Vec::new(),
             filter: None,
             skip: Arc::new(OnceLock::new()),
         }
@@ -451,8 +474,10 @@ impl DiskScanExec {
             predicate: predicate.clone(),
             conjuncts,
         });
+        let filter_columns = float_columns(predicate, &self.schema);
         let mut scan = self.with_bounds(extract_column_predicates(predicate));
         scan.filter = filter;
+        scan.filter_columns = filter_columns;
         scan
     }
 
@@ -476,13 +501,20 @@ enum SkipKind {
 }
 
 /// Skip decision for one block: `(corner tests, Some(kind))` with `kind`
-/// telling which tier fired. Min/max runs first — it is cheaper (no
-/// dominance tests) and its skips don't depend on the skyline plan.
+/// telling which tier fired. A block with a NaN in one of the filter's
+/// `filter_columns` is read, so that the filter error it may raise is not
+/// hidden (see `sparkline_storage`'s crate docs). Otherwise min/max runs
+/// first — it is cheaper (no dominance tests) and its skips don't depend
+/// on the skyline plan.
 fn skip_verdict(
     bounds: &[ColumnPredicate],
+    filter_columns: &[usize],
     skip: &OnceLock<DominanceSkip>,
     meta: &BlockMeta,
 ) -> (u64, Option<SkipKind>) {
+    if holds_nan(meta, filter_columns) {
+        return (0, None);
+    }
     if bounds.iter().any(|b| b.refutes(meta)) {
         return (0, Some(SkipKind::MinMax));
     }
@@ -508,7 +540,8 @@ impl DiskScanExec {
     fn prune(&self) -> Pruned {
         let mut pruned = Pruned::default();
         for (i, meta) in self.table.blocks().iter().enumerate() {
-            let (tests, verdict) = skip_verdict(&self.bounds, &self.skip, meta);
+            let (tests, verdict) =
+                skip_verdict(&self.bounds, &self.filter_columns, &self.skip, meta);
             pruned.corner_tests += tests;
             match verdict {
                 Some(SkipKind::MinMax) => pruned.minmax += 1,
@@ -533,17 +566,21 @@ impl ExecutionPlan for DiskScanExec {
         vec![]
     }
 
-    fn dominance_skip_slot(&self) -> Option<(&OnceLock<DominanceSkip>, Vec<Row>)> {
+    fn dominance_skip_slot(&self) -> Option<(&OnceLock<DominanceSkip>, GateSample)> {
         // Narrowed by the scan's own filter, as the `FilterExec` it
         // replaces would pass the sample: every point is a row the skyline
-        // receives.
+        // receives. The scan guards its own filter's columns itself.
         let sample = self.table.sample().iter();
-        let sample = match &self.filter {
+        let rows = match &self.filter {
             Some(filter) => sample
                 .filter(|row| matches!(filter.predicate.evaluate(row), Ok(Value::Boolean(true))))
                 .cloned()
                 .collect(),
             None => sample.cloned().collect(),
+        };
+        let sample = GateSample {
+            rows,
+            filter_columns: Vec::new(),
         };
         Some((&self.skip, sample))
     }
@@ -603,11 +640,10 @@ impl ExecutionPlan for DiskScanExec {
                         if next >= end {
                             return Ok(None);
                         }
-                        let raw = table.read_block_raw(kept[next])?;
+                        let decoder = table.block_decoder(kept[next], Arc::clone(&schema))?;
                         next += 1;
-                        let reservation = ctx.try_reserve(raw.len())?;
-                        ctx.metrics.add_block_read(raw.len() as u64);
-                        let decoder = BlockDecoder::new(raw, Arc::clone(&schema))?;
+                        let reservation = ctx.try_reserve(decoder.raw_bytes())?;
+                        ctx.metrics.add_block_read(decoder.raw_bytes() as u64);
                         if decoder.rows() == 0 {
                             continue;
                         }
@@ -846,7 +882,7 @@ mod tests {
         // The footer sample holds every row; its skyline is the global
         // optimum (0, 0), which strictly dominates the best corner of
         // every block but its own.
-        assert_eq!(scan.dominance_skip_slot().unwrap().1, rows);
+        assert_eq!(scan.dominance_skip_slot().unwrap().1.rows, rows);
         let (got, snap) = gated_scan(&scan, &dims);
         assert_eq!(snap.blocks_skipped_dominance, 4, "blocks 1..5 dominated");
         assert_eq!(snap.blocks_read, 1);
@@ -951,7 +987,10 @@ mod tests {
             SkylineDim::new(0, SkylineType::Min),
             SkylineDim::new(1, SkylineType::Diff),
         ];
-        let sample = vec![Row::new(vec![Value::Float64(0.0), Value::Float64(0.0)])];
+        let sample = GateSample {
+            rows: vec![Row::new(vec![Value::Float64(0.0), Value::Float64(0.0)])],
+            filter_columns: Vec::new(),
+        };
         assert!(DominanceSkip::from_sample(&dims, sample, DominanceKernel::Auto).is_none());
     }
 

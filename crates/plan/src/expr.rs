@@ -761,6 +761,28 @@ impl Expr {
     }
 }
 
+/// Split a predicate into its top-level `AND` conjuncts, in evaluation
+/// order (left to right).
+pub fn split_conjuncts(e: &Expr) -> Vec<Expr> {
+    match e {
+        Expr::BinaryOp {
+            left,
+            op: BinaryOp::And,
+            right,
+        } => {
+            let mut v = split_conjuncts(left);
+            v.extend(split_conjuncts(right));
+            v
+        }
+        other => vec![other.clone()],
+    }
+}
+
+/// `AND` together a list of conjuncts (`None` for the empty list).
+pub fn conjoin(conjuncts: Vec<Expr>) -> Option<Expr> {
+    conjuncts.into_iter().reduce(|a, b| a.and(b))
+}
+
 /// Kleene three-valued AND/OR with short-circuiting.
 fn evaluate_logical(
     left: Value,

@@ -22,7 +22,7 @@ pub mod logical;
 pub use builder::LogicalPlanBuilder;
 pub use catalog::{CatalogProvider, ForeignKey, StaticCatalog};
 pub use expr::{
-    AggregateFunction, BinaryOp, BoundColumn, Column, Expr, ScalarFunction, SkylineDimension,
-    SortExpr,
+    conjoin, split_conjuncts, AggregateFunction, BinaryOp, BoundColumn, Column, Expr,
+    ScalarFunction, SkylineDimension, SortExpr,
 };
 pub use logical::{JoinCondition, JoinType, LogicalPlan, MinMaxDirection};

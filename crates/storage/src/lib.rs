@@ -38,7 +38,8 @@
 //! payloads stay untouched until a scan actually needs them. Opening
 //! trusts no count in the file: a column or block count reserves at most
 //! what the bytes left could hold, and the blocks' row counts must add up
-//! to the footer's total.
+//! to the footer's total. Reading a block checks its payload's own row
+//! count against its footer entry ([`DiskTable::block_decoder`]).
 //!
 //! A block decodes into column buffers, one batch of rows at a time
 //! ([`BlockDecoder::decode_columns`], a `sparkline_common::ColumnBatch`):
@@ -118,6 +119,11 @@
 //!    have rounded past the row it stands for. The §5.7 incomplete
 //!    relation is not transitive, so dominance skipping is never applied
 //!    to it (the planner only installs the gate for the complete family).
+//!
+//! Both arguments are about rows, not errors: a NaN compared by a filter
+//! fails the query, even where a later `AND` conjunct is refuted (Kleene
+//! `AND` evaluates left to right). So neither tier skips a block with
+//! `non_numeric > 0` in a `Float64` column a filter above the scan reads.
 //!
 //! The footer additionally stores a seeded reservoir sample of the whole
 //! table, drawn over the rows' input positions, so it does not depend on

@@ -315,10 +315,24 @@ impl DiskTable {
         Ok(buf)
     }
 
+    /// Read block `i` and parse it against `schema`, checking that the
+    /// payload holds exactly the rows its footer entry claims: a mismatch
+    /// is a corrupt file, and a typed `storage:` error.
+    pub fn block_decoder(&self, i: usize, schema: SchemaRef) -> Result<BlockDecoder> {
+        let decoder = BlockDecoder::new(self.read_block_raw(i)?, schema)?;
+        let claimed = self.blocks[i].rows;
+        if decoder.rows() != claimed as usize {
+            return Err(storage_err(format!(
+                "block {i} holds {} rows, its footer entry claims {claimed}",
+                decoder.rows()
+            )));
+        }
+        Ok(decoder)
+    }
+
     /// Convenience: read and fully decode block `i` into rows.
     pub fn decode_block(&self, i: usize) -> Result<Vec<Row>> {
-        let raw = self.read_block_raw(i)?;
-        let decoder = BlockDecoder::new(raw, self.schema())?;
+        let decoder = self.block_decoder(i, self.schema())?;
         Ok(decoder.decode_columns(0, decoder.rows())?.into_rows())
     }
 

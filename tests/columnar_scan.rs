@@ -25,7 +25,7 @@ use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Val
 use sparkline_exec::{Batch, TaskContext};
 use sparkline_physical::{DiskScanExec, ExecutionPlan};
 use sparkline_plan::{BoundColumn, Expr};
-use sparkline_storage::DiskTable;
+use sparkline_storage::{DiskTable, TableWriter, WriterOptions};
 
 const BLOCK_ROWS: usize = 32;
 const TWO_53: i64 = 1 << 53;
@@ -322,6 +322,135 @@ fn and_short_circuits_past_a_nan() {
                 assert_eq!(assert_same(&ctx, sql, &case), None, "{case}: {sql}");
             }
         }
+    }
+}
+
+/// A session holding `blocks`, laid out one block each by `TableWriter`
+/// (no Z order), as the disk table `t` and as the in-memory table `m`.
+fn laid_out_session(
+    schema: &Schema,
+    blocks: &[Vec<Row>],
+    executors: usize,
+    dir: &TempDir,
+    tag: &str,
+) -> SessionContext {
+    let path = dir.file(&format!("{tag}.spk"));
+    let options = WriterOptions {
+        block_rows: blocks[0].len(),
+        ..WriterOptions::default()
+    };
+    let mut writer = TableWriter::create(&path, schema.clone().into_ref(), options).unwrap();
+    for block in blocks {
+        writer.write_rows(block).unwrap();
+    }
+    writer.finish().unwrap();
+    let ctx = SessionContext::with_config(SessionConfig::default().with_executors(executors));
+    ctx.register_disk_table("t", &path).unwrap();
+    let rows: Vec<Row> = blocks.concat();
+    ctx.register_table("m", schema.clone(), rows).unwrap();
+    ctx
+}
+
+fn abc_rows(values: &[[f64; 3]]) -> Vec<Row> {
+    (values.iter())
+        .map(|v| Row::new(v.iter().map(|&x| Value::Float64(x)).collect()))
+        .collect()
+}
+
+/// Runs `sql` over two files of the blocks `[first, second]`. In the
+/// first, as given, block 1 holds no NaN and the scan skips it (`skipped`
+/// is its EXPLAIN tag). In the second, block 1's first `a` is NaN, which
+/// fails the filter in memory, so the disk scan must read the block —
+/// neither skipping tier may fire — and fail the same way.
+fn assert_nan_is_not_skipped(first: Vec<Row>, second: Vec<Row>, sql: &str, skipped: &str) {
+    let dir = TempDir::new("columnar-nan-skip");
+    let schema = Schema::new(vec![
+        field("a", DataType::Float64),
+        field("b", DataType::Float64),
+        field("c", DataType::Float64),
+    ]);
+    let mut with_nan = second.clone();
+    with_nan[0] = Row::new(
+        std::iter::once(Value::Float64(f64::NAN))
+            .chain(with_nan[0].values()[1..].iter().cloned())
+            .collect(),
+    );
+    for executors in [1, 2] {
+        let case = format!("{executors} executors");
+        let clean = [first.clone(), second.clone()];
+        let ctx = laid_out_session(&schema, &clean, executors, &dir, &format!("c{executors}"));
+        assert!(explain(&ctx, sql).0.contains(skipped), "{case}: {sql}");
+        assert_eq!(assert_same(&ctx, sql, &case), None, "{case}: {sql}");
+        let nan = [first.clone(), with_nan.clone()];
+        let ctx = laid_out_session(&schema, &nan, executors, &dir, &format!("n{executors}"));
+        let err = assert_same(&ctx, sql, &case);
+        assert!(
+            err.as_deref()
+                .is_some_and(|e| e.contains("cannot compare DOUBLE with DOUBLE")),
+            "{case}: {sql}: {err:?}"
+        );
+        let (plan, _) = explain(&ctx, sql);
+        assert!(plan.contains("skipped=0 minmax + 0 dominance"), "{plan}");
+    }
+}
+
+/// Kleene `AND` compares `a` first, so a NaN `a` fails `a < 0.25 AND
+/// b < 0` in memory although the block's `b` bounds refute `b < 0`.
+#[test]
+fn a_nan_behind_a_minmax_refutation_fails_as_in_memory() {
+    let first = abc_rows(&[
+        [0.1, -1.0, 0.0],
+        [0.2, -2.0, 0.0],
+        [0.3, -3.0, 0.0],
+        [0.4, -4.0, 0.0],
+    ]);
+    let second = abc_rows(&[
+        [0.05, 1.0, 0.0],
+        [0.1, 2.0, 0.0],
+        [0.5, 3.0, 0.0],
+        [0.6, 4.0, 0.0],
+    ]);
+    for sql in [
+        "SELECT * FROM t WHERE a < 0.25 AND b < 0",
+        "SELECT * FROM t WHERE a < 0.25 AND b < 0 SKYLINE OF COMPLETE b MIN, c MIN",
+    ] {
+        assert_nan_is_not_skipped(
+            first.clone(),
+            second.clone(),
+            sql,
+            "skipped=1 minmax + 0 dominance",
+        );
+    }
+}
+
+/// The dominance gate's point `(0, 0)` dominates every row of block 1,
+/// but a NaN `a` there fails the filter in memory — the scan's own
+/// filter, or a `FilterExec` the gate's walk passes above a sort.
+#[test]
+fn a_nan_in_a_gate_dominated_block_fails_as_in_memory() {
+    let first = abc_rows(&[
+        [0.1, 0.0, 0.0],
+        [0.1, 0.5, 0.5],
+        [0.1, 0.2, 0.3],
+        [0.1, 0.3, 0.2],
+    ]);
+    let second = abc_rows(&[
+        [0.05, 1.0, 1.0],
+        [0.1, 1.5, 1.2],
+        [0.1, 1.2, 1.5],
+        [0.1, 2.0, 2.0],
+    ]);
+    for sql in [
+        "SELECT * FROM t WHERE a < 0.25 SKYLINE OF COMPLETE b MIN, c MIN",
+        "SELECT * FROM (SELECT * FROM t ORDER BY b) s WHERE a < 0.25 \
+         SKYLINE OF COMPLETE b MIN, c MIN",
+    ] {
+        assert_nan_is_not_skipped(
+            first.clone(),
+            second.clone(),
+            sql,
+            "skipped=0 minmax + 1 dominance",
+        );
     }
 }
 

@@ -128,34 +128,6 @@ fn reference_algorithm_explain_shows_anti_join() {
 }
 
 #[test]
-fn angle_partitioning_is_semantically_neutral() {
-    use sparkline::SkylinePartitioning;
-    let standard = session(SessionConfig::default().with_executors(4));
-    let angled = session(
-        SessionConfig::default()
-            .with_executors(4)
-            .with_skyline_partitioning(SkylinePartitioning::AngleBased),
-    );
-    for d in [2usize, 4, 6] {
-        let sql = skyline_query_for("airbnb", &airbnb::SKYLINE_DIMS, d, true);
-        let a = angled.sql(&sql).unwrap();
-        let s = standard.sql(&sql).unwrap();
-        if d > 1 {
-            assert!(
-                a.explain().unwrap().contains("AngleBased"),
-                "{}",
-                a.explain().unwrap()
-            );
-        }
-        assert_eq!(
-            a.collect().unwrap().sorted_display(),
-            s.collect().unwrap().sorted_display(),
-            "dims={d}"
-        );
-    }
-}
-
-#[test]
 fn explain_analyze_is_stable_across_runs() {
     let ctx = session(SessionConfig::default().with_executors(5));
     let sql = skyline_query_for("airbnb", &airbnb::SKYLINE_DIMS, 3, true);

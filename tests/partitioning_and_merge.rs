@@ -1,13 +1,12 @@
-//! Acceptance tests for the complete family's plan shape: both
-//! local-phase partitionings (`Standard` and `AngleBased`) must agree on
-//! the skyline, and the global phase is the pairwise merge at every
-//! executor count — fed the local skylines directly, byte-identical to
+//! Acceptance tests for the complete family's plan shape: every executor
+//! count (the partitioning of the local phase) must agree on the skyline,
+//! and the global phase is the pairwise merge at every executor count — fed the local skylines directly, byte-identical to
 //! the paper's flat two-phase plan, whose output is the skyline members
 //! in arrival order (`naive_skyline`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, SkylinePartitioning};
+use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext};
 use sparkline_common::{SkylineDim, SkylineSpec};
 use sparkline_datagen::distributions::anti_correlated_rows;
 use sparkline_skyline::{naive_skyline, DominanceChecker};
@@ -42,26 +41,16 @@ fn all_partitioning_schemes_agree_on_the_skyline() {
         .collect()
         .unwrap()
         .sorted_display();
-    for scheme in [
-        SkylinePartitioning::Standard,
-        SkylinePartitioning::AngleBased,
-    ] {
-        for executors in [1usize, 3, 8] {
-            let ctx = anti_correlated_session(
-                SessionConfig::default()
-                    .with_executors(executors)
-                    .with_skyline_partitioning(scheme),
-                2_000,
-                3,
-            );
-            let got = ctx
-                .sql("SELECT * FROM anti SKYLINE OF COMPLETE d0 MIN, d1 MIN, d2 MIN")
-                .unwrap()
-                .collect()
-                .unwrap()
-                .sorted_display();
-            assert_eq!(got, expected, "{scheme:?} with {executors} executors");
-        }
+    for executors in [1usize, 3, 8] {
+        let ctx =
+            anti_correlated_session(SessionConfig::default().with_executors(executors), 2_000, 3);
+        let got = ctx
+            .sql("SELECT * FROM anti SKYLINE OF COMPLETE d0 MIN, d1 MIN, d2 MIN")
+            .unwrap()
+            .collect()
+            .unwrap()
+            .sorted_display();
+        assert_eq!(got, expected, "{executors} executors");
     }
 }
 

@@ -1,31 +1,21 @@
-//! Partitioning correctness properties: the two-phase skyline must equal
-//! the naive Definition-3.2 oracle under **both** local-phase
-//! partitionings (the inherited `Standard` distribution and the
-//! `AngleBased` exchange) on every benchmark distribution (correlated /
+//! Partitioning correctness properties: the two-phase skyline, whose
+//! local phase reads its input's own partitions, must equal the naive
+//! Definition-3.2 oracle on every benchmark distribution (correlated /
 //! independent / anti-correlated), for any executor count — including the
 //! empty-input and single-partition edge cases — and for every query
-//! shape the angle routing treats specially: NULL-bearing rows under
-//! `SKYLINE OF COMPLETE` (routed to sector 0), a `DIFF` dimension, and a
-//! single ranked dimension (no angles: the exchange is left out). The
-//! scheme may only change *where* tuples are processed, never the result.
+//! shape: NULL-bearing rows under `SKYLINE OF COMPLETE`, a `DIFF`
+//! dimension, and a single ranked dimension. The executor count may only
+//! change *where* tuples are processed, never the result.
 
 mod common;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sparkline::{
-    DataType, Field, Row, Schema, SessionConfig, SessionContext, SkylinePartitioning, SkylineType,
-    Value,
-};
+use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
 use sparkline_common::{SkylineDim, SkylineSpec};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
 use sparkline_skyline::{naive_skyline, DominanceChecker};
-
-const SCHEMES: [SkylinePartitioning; 2] = [
-    SkylinePartitioning::Standard,
-    SkylinePartitioning::AngleBased,
-];
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Distribution {
@@ -103,13 +93,6 @@ impl Query {
         }
     }
 
-    fn ranked_dims(&self) -> usize {
-        self.dims
-            .iter()
-            .filter(|d| d.ty != SkylineType::Diff)
-            .count()
-    }
-
     /// Oracle skyline (sorted display strings) under the complete relation.
     fn oracle(&self) -> Vec<String> {
         let checker = DominanceChecker::complete(SkylineSpec::new(self.dims.clone()));
@@ -121,15 +104,11 @@ impl Query {
         v
     }
 
-    /// Engine skyline (sorted display strings) under one scheme, after
-    /// checking that the plan carries the angle exchange exactly when the
-    /// scheme asks for it and two ranked dimensions give it angles.
-    fn engine(&self, scheme: SkylinePartitioning, executors: usize) -> Vec<String> {
-        let ctx = SessionContext::with_config(
-            SessionConfig::default()
-                .with_executors(executors)
-                .with_skyline_partitioning(scheme),
-        );
+    /// Engine skyline (sorted display strings) on `executors` executors,
+    /// after checking that the complete plan moves no row before its
+    /// local phase: there is no exchange anywhere in it.
+    fn engine(&self, executors: usize) -> Vec<String> {
+        let ctx = SessionContext::with_config(SessionConfig::default().with_executors(executors));
         let width = self.dims.iter().map(|d| d.index + 1).max().unwrap_or(0);
         ctx.register_table(
             "t",
@@ -151,13 +130,7 @@ impl Query {
             .sql(&format!("SELECT * FROM t SKYLINE OF COMPLETE {dim_list}"))
             .unwrap();
         let explain = df.explain().unwrap();
-        let angles = scheme == SkylinePartitioning::AngleBased && self.ranked_dims() >= 2;
-        assert_eq!(
-            explain.contains("ExchangeExec [AngleBased on 2 dims]"),
-            angles,
-            "{scheme:?}:\n{explain}"
-        );
-        assert_eq!(explain.contains("ExchangeExec"), angles, "{explain}");
+        assert!(!explain.contains("ExchangeExec"), "{explain}");
         df.collect().unwrap().sorted_display()
     }
 }
@@ -165,8 +138,7 @@ impl Query {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Every scheme × distribution × shape × executor count equals the
-    /// oracle.
+    /// Every distribution × shape × executor count equals the oracle.
     #[test]
     fn partitioned_two_phase_equals_oracle(
         seed in 0u64..1_000,
@@ -182,19 +154,16 @@ proptest! {
             for shape in SHAPES {
                 let query = Query::new(shape, generate(dist, seed, n, dims), dims);
                 let expected = query.oracle();
-                for scheme in SCHEMES {
-                    let got = query.engine(scheme, executors);
-                    prop_assert_eq!(
-                        &got,
-                        &expected,
-                        "{:?} / {:?} / {:?} / {} executors / {} rows",
-                        scheme,
-                        shape,
-                        dist,
-                        executors,
-                        n
-                    );
-                }
+                let got = query.engine(executors);
+                prop_assert_eq!(
+                    &got,
+                    &expected,
+                    "{:?} / {:?} / {} executors / {} rows",
+                    shape,
+                    dist,
+                    executors,
+                    n
+                );
             }
         }
     }
@@ -204,32 +173,21 @@ proptest! {
 fn empty_input_yields_empty_skyline_under_every_scheme() {
     for shape in SHAPES {
         let query = Query::new(shape, Vec::new(), 2);
-        for scheme in SCHEMES {
-            for executors in [1usize, 4] {
-                let got = query.engine(scheme, executors);
-                assert!(
-                    got.is_empty(),
-                    "{scheme:?} / {shape:?} with {executors} executors"
-                );
-            }
+        for executors in [1usize, 4] {
+            let got = query.engine(executors);
+            assert!(got.is_empty(), "{shape:?} with {executors} executors");
         }
     }
 }
 
 #[test]
 fn single_partition_degenerates_gracefully() {
-    // One executor means one partition everywhere: every scheme must
-    // degenerate to the direct skyline.
+    // One executor means one partition everywhere: the two-phase plan
+    // must degenerate to the direct skyline.
     for shape in SHAPES {
         let query = Query::new(shape, generate(Distribution::AntiCorrelated, 7, 300, 3), 3);
         let expected = query.oracle();
-        for scheme in SCHEMES {
-            assert_eq!(
-                query.engine(scheme, 1),
-                expected,
-                "{scheme:?} / {shape:?} single partition"
-            );
-        }
+        assert_eq!(query.engine(1), expected, "{shape:?} single partition");
     }
 }
 
@@ -238,12 +196,10 @@ fn more_executors_than_rows_is_sound() {
     for shape in SHAPES {
         let query = Query::new(shape, generate(Distribution::Independent, 3, 4, 2), 2);
         let expected = query.oracle();
-        for scheme in SCHEMES {
-            assert_eq!(
-                query.engine(scheme, 16),
-                expected,
-                "{scheme:?} / {shape:?} with 16 executors / 4 rows"
-            );
-        }
+        assert_eq!(
+            query.engine(16),
+            expected,
+            "{shape:?} with 16 executors / 4 rows"
+        );
     }
 }

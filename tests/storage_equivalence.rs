@@ -499,6 +499,56 @@ fn dominance_gate_is_absent_where_it_would_be_unsound() {
     }
 }
 
+/// A footer entry whose `rows` disagrees with its block's payload marks a
+/// corrupt file: reading that block is a typed `storage:` error, through
+/// `DiskTable::decode_block` and through the disk scan, even when the
+/// entries still add up to the footer's total.
+#[test]
+fn a_footer_row_count_that_disagrees_with_its_block_is_an_error() {
+    let dir = TempDir::new("storage-row-count");
+    let rows: Vec<Row> = (0..24)
+        .map(|i| floats(&[Some(f64::from(i)), Some(f64::from(-i))]))
+        .collect();
+    let config = SessionConfig::default().with_storage_block_rows(8);
+    let ctx = hand_laid_session(rows, 2, false, config, &dir, "rows");
+    // Footer: total rows u64, block rows u32, block count u32, then per
+    // block its offset u64, bytes u64, rows u32 and 25 bytes per column.
+    let path = dir.file("rows.spk");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let trailer = bytes.len() - 12;
+    let footer = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap()) as usize;
+    let entry = 8 + 8 + 4 + 2 * 25;
+    for (block, claimed) in [(0, 9u32), (1, 7)] {
+        let at = footer + 16 + block * entry + 16;
+        bytes[at..at + 4].copy_from_slice(&claimed.to_le_bytes());
+    }
+    std::fs::write(&path, bytes).unwrap();
+
+    let table = DiskTable::open(&path).unwrap();
+    assert_eq!(table.total_rows(), 24, "the entries still add up");
+    for (block, claimed) in [(0, 9), (1, 7)] {
+        let err = table.decode_block(block).unwrap_err().to_string();
+        let expected =
+            format!("storage: block {block} holds 8 rows, its footer entry claims {claimed}");
+        assert!(err.contains(&expected), "{err}");
+    }
+    assert_eq!(table.decode_block(2).unwrap().len(), 8);
+    assert!(table.decode_all().is_err());
+
+    ctx.register_disk_table("t", &path).unwrap();
+    for sql in [
+        "SELECT * FROM t",
+        "SELECT * FROM t SKYLINE OF d0 MIN, d1 MIN",
+    ] {
+        let err = ctx
+            .sql(sql)
+            .and_then(|df| df.collect())
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("its footer entry claims"), "{sql}: {err}");
+    }
+}
+
 /// Rows with grid-valued floats (duplicates, negatives) and NULLs.
 fn prop_rows(values: Vec<Vec<Option<i32>>>) -> Vec<Row> {
     values

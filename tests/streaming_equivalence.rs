@@ -177,26 +177,17 @@ fn streaming_matches_materialized_across_operators() {
     }
 }
 
-/// Strategy knobs ride along: angle partitioning and the pinned portable
-/// dominance tier must stay byte-identical across batch sizes.
+/// The kernel knob rides along: the pinned portable dominance tier must
+/// stay byte-identical across batch sizes.
 #[test]
 fn streaming_matches_materialized_with_strategy_knobs() {
-    use sparkline::SkylinePartitioning;
     let sql = "SELECT * FROM anti SKYLINE OF d0 MIN, d1 MIN, d2 MIN";
-    let configs: Vec<SessionConfig> = vec![
-        SessionConfig::default()
-            .with_executors(3)
-            .with_batch_size(32)
-            .with_skyline_partitioning(SkylinePartitioning::AngleBased),
-        SessionConfig::default()
-            .with_executors(3)
-            .with_batch_size(32)
-            .with_dominance_kernel(DominanceKernel::Chunked),
-    ];
-    for config in configs {
-        let (s, m) = run_both(config.clone(), sql, Algorithm::DistributedComplete);
-        assert_eq!(s, m, "mismatch under {config:?}");
-    }
+    let config = SessionConfig::default()
+        .with_executors(3)
+        .with_batch_size(32)
+        .with_dominance_kernel(DominanceKernel::Chunked);
+    let (s, m) = run_both(config, sql, Algorithm::DistributedComplete);
+    assert_eq!(s, m, "mismatch under the chunked kernel");
 }
 
 /// The short-circuit acceptance criterion: `LIMIT k` over an N-row scan
