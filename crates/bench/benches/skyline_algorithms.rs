@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparkline_common::{DominanceKernel, QueryControl, Row, SkylineDim, SkylineSpec, Value};
+use sparkline_common::{QueryControl, Row, SkylineDim, SkylineSpec, Value};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
 use sparkline_skyline::{
     bnl_skyline, incomplete_global_skyline, BnlBuilder, DominanceChecker, SkylineStats,
@@ -43,7 +43,7 @@ fn bench_bnl_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &data, |b, data| {
             b.iter(|| {
                 let mut stats = SkylineStats::default();
-                bnl_skyline(data.clone(), &checker, &mut stats, DominanceKernel::Auto)
+                bnl_skyline(data.clone(), &checker, &mut stats)
             })
         });
     }
@@ -60,7 +60,7 @@ fn bench_bnl_vs_all_pairs(c: &mut Criterion) {
     group.bench_function("bnl_window", |b| {
         b.iter(|| {
             let mut stats = SkylineStats::default();
-            bnl_skyline(data.clone(), &complete, &mut stats, DominanceKernel::Auto)
+            bnl_skyline(data.clone(), &complete, &mut stats)
         })
     });
     let unlimited = QueryControl::unlimited();
@@ -82,7 +82,7 @@ fn bench_dimension_effect(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(dims), &data, |b, data| {
             b.iter(|| {
                 let mut stats = SkylineStats::default();
-                bnl_skyline(data.clone(), &checker, &mut stats, DominanceKernel::Auto)
+                bnl_skyline(data.clone(), &checker, &mut stats)
             })
         });
     }
@@ -102,14 +102,9 @@ fn bench_local_phase_partitions(c: &mut Criterion) {
                 let mut locals = Vec::new();
                 let mut stats = SkylineStats::default();
                 for piece in data.chunks(chunk) {
-                    locals.extend(bnl_skyline(
-                        piece.to_vec(),
-                        &checker,
-                        &mut stats,
-                        DominanceKernel::Auto,
-                    ));
+                    locals.extend(bnl_skyline(piece.to_vec(), &checker, &mut stats));
                 }
-                bnl_skyline(locals, &checker, &mut stats, DominanceKernel::Auto)
+                bnl_skyline(locals, &checker, &mut stats)
             })
         });
     }

@@ -1,73 +1,10 @@
-//! Session configuration: executor count, skyline strategy, memory
-//! budget, and the query timeout.
+//! Session configuration: executor count, batch size, memory budget,
+//! storage block and sample sizes, and the query timeout. No field selects
+//! a code path: the skyline algorithm is the query's
+//! ([`Algorithm`](crate::Algorithm), passed per query) and the dominance
+//! kernel's compare tier is the CPU's (detected at runtime).
 
 use std::time::Duration;
-
-/// Which physical skyline implementation the planner should choose.
-///
-/// `Auto` follows the paper's Listing 8: the complete (BNL) algorithm when
-/// `COMPLETE` is declared or no skyline dimension is nullable, otherwise the
-/// incomplete algorithm, whose local phase groups each scan partition by
-/// null bitmap, with no exchange. The other three variants each force one
-/// of the paper's algorithms evaluated in §6.3 — the benchmark harness
-/// uses them to produce the paper's comparison series.
-/// Whichever variant plans the complete family also gets the disk
-/// dominance gate when its input is a disk table: blocks whose best
-/// corner a point of the footer sample's skyline strictly dominates are
-/// skipped unread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SkylineStrategy {
-    /// Paper's Listing 8 selection logic.
-    #[default]
-    Auto,
-    /// Algorithm (1): distributed local skylines + global skyline, both
-    /// block-nested-loop. The local phase reads its input's own
-    /// partitions, so no row moves before it (paper §2/§5.6); the global
-    /// phase merges the local skylines pairwise over the executor pool
-    /// where the paper gathers them onto one executor — same rows, same
-    /// order. Only valid on complete data.
-    DistributedComplete,
-    /// Algorithm (2): skip the local phase; one executor computes the
-    /// global skyline directly. Only valid on complete data.
-    NonDistributedComplete,
-    /// Algorithm (3): local skylines per null-bitmap class of each scan
-    /// partition (grouped in place, with no exchange) + all-pairs flagged
-    /// global skyline (computed as the pairwise merge over the bitmap-class
-    /// blocks of the local skylines — same rows, same order). Valid on any
-    /// data.
-    DistributedIncomplete,
-}
-
-impl SkylineStrategy {
-    /// Whether this strategy may be applied to data that can contain NULLs
-    /// in skyline dimensions.
-    pub fn handles_incomplete(self) -> bool {
-        matches!(
-            self,
-            SkylineStrategy::Auto | SkylineStrategy::DistributedIncomplete
-        )
-    }
-}
-
-/// Which compare tier of the columnar dominance kernel the skyline
-/// operators run on.
-///
-/// Every skyline window, cross-filter and merge block is a columnar block
-/// (`sparkline_skyline::columnar`), which ships two compare tiers: an
-/// explicit AVX2 intrinsic loop and the portable chunked-scalar loop. Both
-/// produce byte-identical skylines (only the performed-test counters
-/// differ); `Chunked` exists to pin CI and differential tests to the
-/// portable path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DominanceKernel {
-    /// Runtime dispatch: the AVX2 tier where the CPU supports it
-    /// (`is_x86_feature_detected!`), the chunked loop everywhere else.
-    #[default]
-    Auto,
-    /// Force the portable chunked-scalar mask loop (the differential
-    /// oracle for the SIMD tier).
-    Chunked,
-}
 
 /// Per-session engine configuration.
 ///
@@ -89,14 +26,6 @@ pub struct SessionConfig {
     /// `TaskContext::with_materialized`, itself a no-op; a `[benchmark]`
     /// change deletes both.
     pub streaming_execution: bool,
-    /// Physical skyline algorithm selection override.
-    pub skyline_strategy: SkylineStrategy,
-    /// The compare tier of the columnar (struct-of-arrays) dominance
-    /// kernel: the one [`DominanceKernel::Auto`] picks from the CPU's
-    /// features at runtime, or the pinned portable loop. Rows the kernel
-    /// cannot represent fall back to the scalar checker per tuple on
-    /// either tier. Results are identical either way.
-    pub dominance_kernel: DominanceKernel,
     /// Bytes of fixed memory overhead charged per executor in the memory
     /// accountant. Models the paper's observation that each Spark executor
     /// loads its whole JVM execution environment (§6.5 / Appendix C).
@@ -136,8 +65,6 @@ impl Default for SessionConfig {
             timeout: None,
             batch_size: 4096,
             streaming_execution: true,
-            skyline_strategy: SkylineStrategy::Auto,
-            dominance_kernel: DominanceKernel::Auto,
             // ~300 MB per executor in the paper's charts; scaled 1:1000 to
             // keep reproduction numbers readable alongside real row bytes.
             executor_memory_overhead: 300 * 1024,
@@ -177,18 +104,6 @@ impl SessionConfig {
         self
     }
 
-    /// Force a skyline strategy.
-    pub fn with_skyline_strategy(mut self, strategy: SkylineStrategy) -> Self {
-        self.skyline_strategy = strategy;
-        self
-    }
-
-    /// Select the dominance-kernel tier (runtime-dispatched by default).
-    pub fn with_dominance_kernel(mut self, kernel: DominanceKernel) -> Self {
-        self.dominance_kernel = kernel;
-        self
-    }
-
     /// Set the footer reservoir-sample size (>= 1).
     pub fn with_sample_size(mut self, n: usize) -> Self {
         assert!(n >= 1, "sample size must be at least 1");
@@ -224,11 +139,9 @@ mod tests {
     fn builder_chain() {
         let c = SessionConfig::new()
             .with_executors(5)
-            .with_timeout(Duration::from_secs(30))
-            .with_skyline_strategy(SkylineStrategy::DistributedIncomplete);
+            .with_timeout(Duration::from_secs(30));
         assert_eq!(c.num_executors, 5);
         assert_eq!(c.timeout, Some(Duration::from_secs(30)));
-        assert_eq!(c.skyline_strategy, SkylineStrategy::DistributedIncomplete);
         assert_eq!(c.batch_size, 4096, "default batch size");
         assert_eq!(c.memory_budget, None, "no budget by default");
         let c = SessionConfig::new()
@@ -236,27 +149,12 @@ mod tests {
             .with_memory_budget(1 << 20);
         assert_eq!(c.batch_size, 64);
         assert_eq!(c.memory_budget, Some(1 << 20));
-        assert_eq!(c.dominance_kernel, DominanceKernel::Auto, "kernel default");
-        assert_eq!(
-            SessionConfig::new()
-                .with_dominance_kernel(DominanceKernel::Chunked)
-                .dominance_kernel,
-            DominanceKernel::Chunked
-        );
     }
 
     #[test]
     #[should_panic(expected = "at least one executor")]
     fn zero_executors_rejected() {
         let _ = SessionConfig::new().with_executors(0);
-    }
-
-    #[test]
-    fn strategy_incomplete_handling() {
-        assert!(SkylineStrategy::Auto.handles_incomplete());
-        assert!(SkylineStrategy::DistributedIncomplete.handles_incomplete());
-        assert!(!SkylineStrategy::DistributedComplete.handles_incomplete());
-        assert!(!SkylineStrategy::NonDistributedComplete.handles_incomplete());
     }
 
     #[test]

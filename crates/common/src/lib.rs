@@ -5,7 +5,7 @@
 //! Shared foundation types for the `sparkline` query engine: scalar
 //! [`Value`]s, [`Row`]s, column-major [`ColumnBatch`]es, [`Schema`]s,
 //! error types, session configuration, and the skyline-specific
-//! vocabulary ([`SkylineType`], [`SkylineStrategy`]) used across the
+//! vocabulary ([`SkylineType`], [`Algorithm`]) used across the
 //! parser, planner, optimizer, and execution layers.
 //!
 //! The engine reproduces *"Integration of Skyline Queries into Spark SQL"*
@@ -24,12 +24,12 @@ pub mod types;
 pub mod value;
 
 pub use batch::{BatchColumn, ColumnBatch, ColumnValues};
-pub use config::{DominanceKernel, SessionConfig, SkylineStrategy};
+pub use config::SessionConfig;
 pub use control::{Deadline, QueryControl, CONTROL_CHECK_ROWS};
 pub use error::{Error, Result};
 pub use row::Row;
 pub use schema::{Field, Schema, SchemaRef};
-pub use skyline::{SkylineDim, SkylineSpec, SkylineType};
+pub use skyline::{Algorithm, SkylineDim, SkylineSpec, SkylineType};
 pub use stats::Reservoir;
 pub use types::DataType;
 pub use value::Value;

@@ -78,12 +78,6 @@ impl Value {
         }
     }
 
-    /// SQL equality under three-valued logic: `None` when either side is
-    /// NULL, otherwise whether the values compare equal.
-    pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        self.sql_compare(other).map(|o| o == Ordering::Equal)
-    }
-
     /// Total ordering for `ORDER BY` and sort operators: NULLs sort first
     /// (Spark's default `NULLS FIRST` for ascending order), NaN sorts last
     /// among floats, and numeric types are promoted.

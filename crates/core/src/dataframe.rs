@@ -2,13 +2,13 @@
 //! queries, bypassing the parser and "directly creat\[ing\] a new skyline
 //! operator node in the logical plan".
 
-use sparkline_common::{Result, SchemaRef};
+use sparkline_common::{Algorithm, Result, SchemaRef};
 use sparkline_plan::{
     Expr, JoinCondition, JoinType, LogicalPlan, LogicalPlanBuilder, SkylineDimension, SortExpr,
 };
 
 use crate::result::QueryResult;
-use crate::session::{Algorithm, SessionContext};
+use crate::session::SessionContext;
 
 /// A lazily evaluated relational computation bound to a session.
 #[derive(Clone)]

@@ -73,12 +73,12 @@ pub use catalog::SessionCatalog;
 pub use dataframe::DataFrame;
 pub use reference::rewrite_to_reference;
 pub use result::QueryResult;
-pub use session::{Algorithm, SessionContext};
+pub use session::SessionContext;
 
 // Re-export the vocabulary users need without digging into sub-crates.
 pub use sparkline_common::{
-    DataType, DominanceKernel, Error, Field, Result, Row, Schema, SchemaRef, SessionConfig,
-    SkylineStrategy, SkylineType, Value,
+    Algorithm, DataType, Error, Field, Result, Row, Schema, SchemaRef, SessionConfig, SkylineType,
+    Value,
 };
 pub use sparkline_plan::{Expr, JoinCondition, JoinType, LogicalPlan, SkylineDimension, SortExpr};
 

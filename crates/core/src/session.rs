@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use parking_lot::RwLock;
 use sparkline_analyzer::Analyzer;
-use sparkline_common::{Result, Row, Schema, SessionConfig, SkylineStrategy};
+use sparkline_common::{Algorithm, Result, Row, Schema, SessionConfig};
 use sparkline_exec::{Deadline, QueryControl, TaskContext};
 use sparkline_optimizer::Optimizer;
 use sparkline_parser::parse_query;
@@ -19,64 +19,6 @@ use crate::catalog::SessionCatalog;
 use crate::dataframe::DataFrame;
 use crate::reference::rewrite_to_reference;
 use crate::result::QueryResult;
-
-/// Which of the paper's four evaluated algorithms executes the skyline
-/// operators of a query (§6.3). `Auto` applies Listing 8's selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Algorithm {
-    /// Listing 8 selection (complete when safe, else incomplete).
-    #[default]
-    Auto,
-    /// Algorithm (1): "distributed complete".
-    DistributedComplete,
-    /// Algorithm (2): "non-distributed complete".
-    NonDistributedComplete,
-    /// Algorithm (3): "distributed incomplete".
-    DistributedIncomplete,
-    /// Algorithm (4): the plain-SQL rewrite of Listing 4 ("reference").
-    Reference,
-}
-
-impl Algorithm {
-    /// The paper's chart label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Algorithm::Auto => "auto",
-            Algorithm::DistributedComplete => "distributed complete",
-            Algorithm::NonDistributedComplete => "non-distributed complete",
-            Algorithm::DistributedIncomplete => "distributed incomplete",
-            Algorithm::Reference => "reference",
-        }
-    }
-
-    /// The physical strategy override. `None` for the reference rewrite
-    /// (handled before optimization) and for `Auto` (which defers to the
-    /// session configuration's `skyline_strategy`).
-    fn strategy(self) -> Option<SkylineStrategy> {
-        match self {
-            Algorithm::Auto | Algorithm::Reference => None,
-            Algorithm::DistributedComplete => Some(SkylineStrategy::DistributedComplete),
-            Algorithm::NonDistributedComplete => Some(SkylineStrategy::NonDistributedComplete),
-            Algorithm::DistributedIncomplete => Some(SkylineStrategy::DistributedIncomplete),
-        }
-    }
-
-    /// All four evaluated algorithms, in the paper's chart order.
-    pub fn paper_algorithms() -> [Algorithm; 4] {
-        [
-            Algorithm::DistributedComplete,
-            Algorithm::NonDistributedComplete,
-            Algorithm::DistributedIncomplete,
-            Algorithm::Reference,
-        ]
-    }
-
-    /// The algorithms applicable to incomplete datasets (§6.3: "for
-    /// incomplete datasets, the complete algorithms are not applicable").
-    pub fn incomplete_algorithms() -> [Algorithm; 2] {
-        [Algorithm::DistributedIncomplete, Algorithm::Reference]
-    }
-}
 
 /// The entry point of the engine: holds the configuration and (shared)
 /// catalog, creates [`DataFrame`]s from SQL or tables, and runs queries.
@@ -343,8 +285,8 @@ impl SessionContext {
         Ok(DataFrame::new(self.clone(), plan))
     }
 
-    /// Run the full pipeline on a logical plan with the session's default
-    /// (Listing 8 `Auto`) algorithm selection.
+    /// Run the full pipeline on a logical plan with Listing 8's algorithm
+    /// selection ([`Algorithm::Auto`]).
     pub fn execute_plan(&self, plan: &LogicalPlan) -> Result<QueryResult> {
         self.execute_plan_with(plan, Algorithm::Auto)
     }
@@ -362,26 +304,21 @@ impl SessionContext {
     /// The logical half of the pipeline, shared by execution and
     /// `EXPLAIN`: analyze (an already-analyzed plan is only validated),
     /// apply the reference rewrite when `algorithm` asks for it, and
-    /// optimize under the algorithm's strategy. Returns the analyzed and
-    /// optimized plans with the effective configuration.
+    /// optimize. Returns the analyzed and optimized plans.
     fn analyze_and_optimize(
         &self,
         catalog: &SessionCatalog,
         plan: &LogicalPlan,
         algorithm: Algorithm,
-    ) -> Result<(LogicalPlan, LogicalPlan, SessionConfig)> {
+    ) -> Result<(LogicalPlan, LogicalPlan)> {
         let analyzed = Analyzer::new(catalog).analyze(plan)?;
-        let mut config = self.config.clone();
-        if let Some(strategy) = algorithm.strategy() {
-            config.skyline_strategy = strategy;
-        }
-        let optimizer = Optimizer::new(&config).with_catalog(catalog);
+        let optimizer = Optimizer::new(&self.config).with_catalog(catalog);
         let optimized = if algorithm == Algorithm::Reference {
             optimizer.optimize(&rewrite_to_reference(&analyzed)?)?
         } else {
             optimizer.optimize(&analyzed)?
         };
-        Ok((analyzed, optimized, config))
+        Ok((analyzed, optimized))
     }
 
     /// The shared pipeline: analyze → optimize → plan → execute on the
@@ -394,14 +331,17 @@ impl SessionContext {
         algorithm: Algorithm,
     ) -> Result<(Arc<dyn ExecutionPlan>, QueryResult)> {
         let catalog = self.catalog.read();
-        let (analyzed, optimized, config) = self.analyze_and_optimize(&catalog, plan, algorithm)?;
+        let (analyzed, optimized) = self.analyze_and_optimize(&catalog, plan, algorithm)?;
         // The output schema is the analyzed plan's: optimizer rewrites
         // may rename intermediate fields.
         let schema = analyzed.schema()?;
 
         let start = Instant::now();
-        let physical = PhysicalPlanner::new(&config, &*catalog).create(&optimized)?;
-        let ctx = self.task_context(&config);
+        let config = &self.config;
+        let physical = PhysicalPlanner::new(config, &*catalog)
+            .with_algorithm(algorithm)
+            .create(&optimized)?;
+        let ctx = self.task_context();
         let rows = sparkline_physical::planner::collect(&physical, &ctx)?;
         let result = QueryResult {
             schema,
@@ -417,8 +357,9 @@ impl SessionContext {
 
     /// The per-query execution context: the session's cancellation flag
     /// behind a fresh deadline and the enforced memory budget — all from
-    /// `config`.
-    fn task_context(&self, config: &SessionConfig) -> TaskContext {
+    /// the session's configuration.
+    fn task_context(&self) -> TaskContext {
+        let config = &self.config;
         TaskContext::new(config.num_executors)
             .with_control(QueryControl::with_cancel_flag(
                 Deadline::new(config.timeout),
@@ -474,8 +415,10 @@ impl SessionContext {
     /// Render all pipeline stages of a plan, like `EXPLAIN EXTENDED`.
     pub fn explain_plan(&self, plan: &LogicalPlan, algorithm: Algorithm) -> Result<String> {
         let catalog = self.catalog.read();
-        let (analyzed, optimized, config) = self.analyze_and_optimize(&catalog, plan, algorithm)?;
-        let physical = PhysicalPlanner::new(&config, &*catalog).create(&optimized)?;
+        let (analyzed, optimized) = self.analyze_and_optimize(&catalog, plan, algorithm)?;
+        let physical = PhysicalPlanner::new(&self.config, &*catalog)
+            .with_algorithm(algorithm)
+            .create(&optimized)?;
         Ok(format!(
             "== Analyzed Logical Plan ==\n{}\n== Optimized Logical Plan ==\n{}\n\
              == Physical Plan ==\n{}",

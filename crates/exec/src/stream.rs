@@ -266,27 +266,6 @@ impl Drop for PartitionStream {
     }
 }
 
-/// Wrap buffered partitions as held buffer streams (used by breakers
-/// emitting their results).
-pub fn streams_from_partitions(
-    schema: SchemaRef,
-    ctx: &TaskContext,
-    parts: Vec<Partition>,
-) -> Vec<PartitionStream> {
-    parts
-        .into_iter()
-        .map(|p| {
-            PartitionStream::from_partition(
-                Arc::clone(&schema),
-                Arc::clone(&ctx.metrics),
-                ctx.batch_size,
-                p,
-                true,
-            )
-        })
-        .collect()
-}
-
 /// Chain several streams into one, preserving stream order — the
 /// streaming analogue of `partition::coalesce` for consumers that want a
 /// single sequential view.
@@ -309,109 +288,60 @@ pub fn chain_streams(
     })
 }
 
-enum BreakerStage {
-    /// Not yet computed; holds the one-shot compute closure.
-    Pending(Box<dyn FnOnce() -> Result<Vec<Partition>> + Send>),
-    /// Computed; one slot per output stream (taken on first pull).
-    Ready(Vec<Option<(Partition, InFlightRows, MemoryReservation)>>),
-    /// The compute closure failed; every puller (whichever thread wins
-    /// the race) receives a clone of the real error — so a timeout stays
-    /// a timeout instead of degrading into a sibling-stream placeholder.
-    Failed(Error),
-}
+/// One computed breaker partition, held by its output stream: the rows,
+/// their in-flight gauge and their byte reservation.
+type HeldPartition = (Partition, InFlightRows, MemoryReservation);
 
 /// A shared pipeline-breaker stage.
 ///
 /// The first output stream pulled runs `compute` exactly once — producing
 /// *all* output partitions — then every output stream emits its own
 /// partition in batches. Each computed partition is registered with the
-/// in-flight gauge and the byte-accounting memory tracker until its
-/// stream is dropped. `compute` results with fewer than `n_outputs`
-/// partitions are padded with empty ones (partition counts must be fixed
-/// before execution in the stream model).
+/// in-flight gauge and reserved through [`TaskContext::try_reserve`]
+/// until its stream is dropped; a denial fails the stage like any compute
+/// error, and every puller gets that error. An error from `compute` is
+/// passed on as it is: a denial inside it was counted where it happened.
+/// `compute` results with fewer than `n_outputs` partitions are padded
+/// with empty ones (partition counts must be fixed before execution in the
+/// stream model).
 pub fn breaker_streams(
     schema: SchemaRef,
     ctx: &TaskContext,
     n_outputs: usize,
     compute: impl FnOnce() -> Result<Vec<Partition>> + Send + 'static,
 ) -> Vec<PartitionStream> {
-    let core = Arc::new(Mutex::new(BreakerStage::Pending(Box::new(compute))));
-    let metrics = Arc::clone(&ctx.metrics);
-    let memory = Arc::clone(&ctx.memory);
+    let n_outputs = n_outputs.max(1);
+    let reserve_ctx = ctx.clone();
+    let stage = LazyBuild::new(move || {
+        let mut parts = compute()?;
+        debug_assert!(
+            parts.len() <= n_outputs,
+            "breaker produced more partitions than declared"
+        );
+        parts.truncate(n_outputs);
+        parts.resize_with(n_outputs, Vec::new);
+        // A denial releases the partial reservations via RAII.
+        parts
+            .into_iter()
+            .map(|p| {
+                let bytes: usize = p.iter().map(Row::estimated_bytes).sum();
+                let guard = InFlightRows::new(Arc::clone(&reserve_ctx.metrics), p.len());
+                let reservation = reserve_ctx.try_reserve(bytes)?;
+                Ok(Mutex::new(Some((p, guard, reservation))))
+            })
+            .collect::<Result<Vec<Mutex<Option<HeldPartition>>>>>()
+    });
     let batch_size = ctx.batch_size.max(1);
-    (0..n_outputs.max(1))
+    (0..n_outputs)
         .map(|i| {
-            let core = Arc::clone(&core);
-            let metrics = Arc::clone(&metrics);
-            let memory = Arc::clone(&memory);
-            let stream_metrics = Arc::clone(&metrics);
+            let stage = Arc::clone(&stage);
             let mut slot: Option<(std::vec::IntoIter<Row>, InFlightRows, MemoryReservation)> = None;
             let mut started = false;
-            PartitionStream::new(Arc::clone(&schema), stream_metrics, move || {
+            PartitionStream::new(Arc::clone(&schema), Arc::clone(&ctx.metrics), move || {
                 if !started {
                     started = true;
-                    let mut stage = core.lock();
-                    if let BreakerStage::Pending(_) = &*stage {
-                        let placeholder = BreakerStage::Failed(Error::internal(
-                            "pipeline-breaker stage re-entered while computing",
-                        ));
-                        let BreakerStage::Pending(compute) =
-                            std::mem::replace(&mut *stage, placeholder)
-                        else {
-                            return Err(Error::internal(
-                                "pipeline-breaker stage lost its compute closure",
-                            ));
-                        };
-                        // Reserve the computed partitions against the
-                        // (possibly budgeted) tracker; a denial fails the
-                        // stage like any compute error, releasing the
-                        // partial reservations via RAII.
-                        let reserve_all = |mut parts: Vec<Partition>| -> Result<
-                            Vec<Option<(Partition, InFlightRows, MemoryReservation)>>,
-                        > {
-                            debug_assert!(
-                                parts.len() <= n_outputs.max(1),
-                                "breaker produced more partitions than declared"
-                            );
-                            parts.truncate(n_outputs.max(1));
-                            parts.resize_with(n_outputs.max(1), Vec::new);
-                            let mut slots = Vec::with_capacity(parts.len());
-                            for p in parts {
-                                let bytes: usize = p.iter().map(Row::estimated_bytes).sum();
-                                let guard = InFlightRows::new(Arc::clone(&metrics), p.len());
-                                let reservation = memory.try_reserve(bytes)?;
-                                slots.push(Some((p, guard, reservation)));
-                            }
-                            Ok(slots)
-                        };
-                        match compute().and_then(reserve_all) {
-                            Ok(slots) => {
-                                *stage = BreakerStage::Ready(slots);
-                            }
-                            Err(e) => {
-                                if e.is_resource_exhausted() {
-                                    metrics.add_budget_denial();
-                                }
-                                *stage = BreakerStage::Failed(e.clone());
-                                return Err(e);
-                            }
-                        }
-                    }
-                    match &mut *stage {
-                        BreakerStage::Ready(slots) => {
-                            if let Some((p, guard, reservation)) =
-                                slots.get_mut(i).and_then(|s| s.take())
-                            {
-                                slot = Some((p.into_iter(), guard, reservation));
-                            }
-                        }
-                        BreakerStage::Failed(e) => return Err(e.clone()),
-                        BreakerStage::Pending(_) => {
-                            return Err(Error::internal(
-                                "pipeline-breaker stage still pending after compute",
-                            ))
-                        }
-                    }
+                    let held = stage.get()?[i].lock().take();
+                    slot = held.map(|(p, guard, reservation)| (p.into_iter(), guard, reservation));
                 }
                 let Some((iter, _, _)) = slot.as_mut() else {
                     return Ok(None);

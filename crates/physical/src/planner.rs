@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use sparkline_common::{
-    DataType, Error, Result, Row, Schema, SchemaRef, SessionConfig, SkylineDim, SkylineSpec,
-    SkylineStrategy,
+    Algorithm, DataType, Error, Result, Row, Schema, SchemaRef, SessionConfig, SkylineDim,
+    SkylineSpec,
 };
 use sparkline_plan::{
     conjoin, split_conjuncts, AggregateFunction, BinaryOp, BoundColumn, Expr, JoinCondition,
@@ -36,14 +36,30 @@ pub trait ExecTableSource: Send + Sync {
 
 /// Translates logical plans into physical operator trees.
 pub struct PhysicalPlanner<'a> {
-    config: &'a SessionConfig,
     source: &'a dyn ExecTableSource,
+    algorithm: Algorithm,
 }
 
 impl<'a> PhysicalPlanner<'a> {
-    /// Planner over a session configuration and a data source.
-    pub fn new(config: &'a SessionConfig, source: &'a dyn ExecTableSource) -> Self {
-        PhysicalPlanner { config, source }
+    /// Planner over a data source, selecting skyline algorithms by
+    /// Listing 8 ([`Algorithm::Auto`]). No configuration field selects a
+    /// physical operator, so `config` is not read; the parameter stays
+    /// only because the benchmark's traced pipeline
+    /// (`benchmark/src/pipeline.rs`) passes it, and a `[benchmark]` change
+    /// deletes it.
+    pub fn new(_config: &'a SessionConfig, source: &'a dyn ExecTableSource) -> Self {
+        PhysicalPlanner {
+            source,
+            algorithm: Algorithm::Auto,
+        }
+    }
+
+    /// Plan every skyline operator with `algorithm` (builder-style).
+    /// [`Algorithm::Reference`] plans like `Auto`: its rewrite runs before
+    /// optimization and leaves no skyline node to plan.
+    pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
+        self.algorithm = algorithm;
+        self
     }
 
     /// Create the physical plan for a resolved, optimized logical plan.
@@ -260,15 +276,12 @@ impl<'a> PhysicalPlanner<'a> {
 
         // Listing 8, line 2: the complete algorithm may run when the user
         // asserted COMPLETE or no skyline dimension is nullable. A forced
-        // strategy (the harness's algorithm series) overrides that. Every
-        // operator runs on the session's compare kernel.
-        let strategy = self.config.skyline_strategy;
-        let use_complete = match strategy {
-            SkylineStrategy::Auto => complete || !skyline_nullable,
-            SkylineStrategy::DistributedComplete | SkylineStrategy::NonDistributedComplete => true,
-            SkylineStrategy::DistributedIncomplete => false,
+        // algorithm (the harness's algorithm series) overrides that.
+        let use_complete = match self.algorithm {
+            Algorithm::Auto | Algorithm::Reference => complete || !skyline_nullable,
+            Algorithm::DistributedComplete | Algorithm::NonDistributedComplete => true,
+            Algorithm::DistributedIncomplete => false,
         };
-        let kernel = self.config.dominance_kernel;
 
         let global_input: Arc<dyn ExecutionPlan> = if use_complete {
             // Dominance-based data skipping: a disk scan reachable through
@@ -282,8 +295,7 @@ impl<'a> PhysicalPlanner<'a> {
             // crate docs). The incomplete relation is not transitive, so
             // its plans never get the gate.
             if let Some((slot, sample)) = crate::find_dominance_skip_slot(input_exec.as_ref()) {
-                if let Some(skip) =
-                    crate::scan_disk::DominanceSkip::from_sample(&spec.dims, sample, kernel)
+                if let Some(skip) = crate::scan_disk::DominanceSkip::from_sample(&spec.dims, sample)
                 {
                     let _ = slot.set(skip);
                 }
@@ -294,8 +306,8 @@ impl<'a> PhysicalPlanner<'a> {
             // executor pool. Only a non-distributed plan still needs the
             // `AllTuples` gather the paper describes: without a local
             // phase the single pass must see every tuple.
-            if strategy != SkylineStrategy::NonDistributedComplete {
-                Arc::new(LocalSkylineExec::new(spec.clone(), false, input_exec).with_kernel(kernel))
+            if self.algorithm != Algorithm::NonDistributedComplete {
+                Arc::new(LocalSkylineExec::new(spec.clone(), false, input_exec))
             } else {
                 Arc::new(ExchangeExec::single(input_exec))
             }
@@ -304,10 +316,10 @@ impl<'a> PhysicalPlanner<'a> {
             // bitmap class of each scan partition, and the global merge
             // over their class runs — nothing moves before the local phase
             // (soundness in `sparkline_skyline::incomplete`).
-            Arc::new(LocalSkylineExec::new(spec.clone(), true, input_exec).with_kernel(kernel))
+            Arc::new(LocalSkylineExec::new(spec.clone(), true, input_exec))
         };
         let mut result: Arc<dyn ExecutionPlan> =
-            Arc::new(GlobalSkylineExec::new(spec, !use_complete, global_input).with_kernel(kernel));
+            Arc::new(GlobalSkylineExec::new(spec, !use_complete, global_input));
 
         if needs_wrap {
             let exprs: Vec<Expr> = (0..base_len)
@@ -441,7 +453,7 @@ pub fn output_schema(plan: &LogicalPlan) -> Result<SchemaRef> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparkline_common::{SkylineStrategy, Value};
+    use sparkline_common::Value;
     use sparkline_exec::TaskContext;
     use std::collections::HashMap;
 
@@ -537,9 +549,9 @@ mod tests {
             ],
             input: Arc::new(scan),
         };
-        let config =
-            SessionConfig::default().with_skyline_strategy(SkylineStrategy::DistributedIncomplete);
-        let planner = PhysicalPlanner::new(&config, &source);
+        let config = SessionConfig::default();
+        let planner =
+            PhysicalPlanner::new(&config, &source).with_algorithm(Algorithm::DistributedIncomplete);
         let physical = planner.create(&logical).unwrap();
         let display = crate::display_physical(&physical);
         assert!(
@@ -567,9 +579,9 @@ mod tests {
             dims: vec![dim(&scan, 0, SkylineType::Min)],
             input: Arc::new(scan),
         };
-        let config =
-            SessionConfig::default().with_skyline_strategy(SkylineStrategy::NonDistributedComplete);
-        let planner = PhysicalPlanner::new(&config, &source);
+        let config = SessionConfig::default();
+        let planner = PhysicalPlanner::new(&config, &source)
+            .with_algorithm(Algorithm::NonDistributedComplete);
         let physical = planner.create(&logical).unwrap();
         let display = crate::display_physical(&physical);
         assert!(!display.contains("LocalSkylineExec"), "{display}");
@@ -584,7 +596,7 @@ mod tests {
     /// The physical display of `SKYLINE OF [COMPLETE] d0 t0, d1 t1` over
     /// a two-column scan whose columns are `nullable` or not.
     fn skyline_display(
-        config: &SessionConfig,
+        algorithm: Algorithm,
         nullable: bool,
         complete: bool,
         types: [sparkline_common::SkylineType; 2],
@@ -604,27 +616,26 @@ mod tests {
             input: Arc::new(scan),
         };
         let source = MapSource(HashMap::from([("t".to_string(), Arc::new(Vec::new()))]));
-        let physical = PhysicalPlanner::new(config, &source)
+        let physical = PhysicalPlanner::new(&SessionConfig::default(), &source)
+            .with_algorithm(algorithm)
             .create(&logical)
             .unwrap();
         crate::display_physical(&physical)
     }
 
-    /// Listing 8, extended: the algorithm family, the local phase, the
-    /// gather and the compare kernel, read off the plan.
+    /// Listing 8, extended: the algorithm family, the local phase and the
+    /// gather, read off the plan.
     #[test]
     fn skyline_selection_shows_in_the_plan() {
-        use sparkline_common::{DominanceKernel, SkylineType, SkylineType::*};
-        let auto = SessionConfig::default();
-        let forced = |s| auto.clone().with_skyline_strategy(s);
-        let kernel = |k| auto.clone().with_dominance_kernel(k);
+        use sparkline_common::{SkylineType, SkylineType::*};
+        use Algorithm::*;
         const COMPLETE: &str = "LocalSkylineExec [2 dims, complete";
         const INCOMPLETE: &str = "GlobalSkylineExec [2 dims, incomplete";
         const GATHER: &str = "ExchangeExec [AllTuples]";
-        // (case, config, nullable, COMPLETE, dims, present, absent)
+        // (case, algorithm, nullable, COMPLETE, dims, present, absent)
         type Case = (
             &'static str,
-            SessionConfig,
+            Algorithm,
             bool,
             bool,
             [SkylineType; 2],
@@ -633,17 +644,16 @@ mod tests {
         );
         #[rustfmt::skip]
         let cases: Vec<Case> = vec![
-            ("auto, non-nullable", auto.clone(), false, false, [Min, Max], &[COMPLETE], &[INCOMPLETE, "ExchangeExec"]),
-            ("auto, nullable", auto.clone(), true, false, [Min, Max], &[INCOMPLETE, "LocalSkylineExec [2 dims, incomplete"], &[COMPLETE, "ExchangeExec"]),
-            ("COMPLETE over nullable dims", auto.clone(), true, true, [Min, Max], &[COMPLETE], &[INCOMPLETE]),
-            ("forced incomplete over COMPLETE data", forced(SkylineStrategy::DistributedIncomplete), false, true, [Min, Max], &[INCOMPLETE], &[COMPLETE]),
-            ("forced non-distributed over nullable dims", forced(SkylineStrategy::NonDistributedComplete), true, false, [Min, Max], &[GATHER, "GlobalSkylineExec [2 dims, pairwise merge"], &[INCOMPLETE, "LocalSkylineExec"]),
-            ("forced distributed complete over nullable dims", forced(SkylineStrategy::DistributedComplete), true, false, [Min, Max], &[COMPLETE], &[INCOMPLETE]),
-            ("chunked kernel tag, complete", kernel(DominanceKernel::Chunked), false, false, [Min, Max], &["complete, vectorized: chunked]", "pairwise merge, vectorized: chunked]"], &[]),
-            ("chunked kernel tag, incomplete", kernel(DominanceKernel::Chunked), true, false, [Min, Max], &["LocalSkylineExec [2 dims, incomplete, vectorized: chunked]", "pairwise merge, vectorized: chunked]"], &[]),
+            ("auto, non-nullable", Auto, false, false, [Min, Max], &[COMPLETE], &[INCOMPLETE, "ExchangeExec"]),
+            ("auto, nullable", Auto, true, false, [Min, Max], &[INCOMPLETE, "LocalSkylineExec [2 dims, incomplete"], &[COMPLETE, "ExchangeExec"]),
+            ("COMPLETE over nullable dims", Auto, true, true, [Min, Max], &[COMPLETE], &[INCOMPLETE]),
+            ("reference plans like auto", Reference, true, false, [Min, Max], &[INCOMPLETE, "LocalSkylineExec [2 dims, incomplete"], &[COMPLETE, "ExchangeExec"]),
+            ("forced incomplete over COMPLETE data", DistributedIncomplete, false, true, [Min, Max], &[INCOMPLETE], &[COMPLETE]),
+            ("forced non-distributed over nullable dims", NonDistributedComplete, true, false, [Min, Max], &[GATHER, "GlobalSkylineExec [2 dims, pairwise merge"], &[INCOMPLETE, "LocalSkylineExec"]),
+            ("forced distributed complete over nullable dims", DistributedComplete, true, false, [Min, Max], &[COMPLETE], &[INCOMPLETE]),
         ];
-        for (case, config, nullable, complete, types, present, absent) in cases {
-            let display = skyline_display(&config, nullable, complete, types);
+        for (case, algorithm, nullable, complete, types, present, absent) in cases {
+            let display = skyline_display(algorithm, nullable, complete, types);
             for fragment in present {
                 assert!(
                     display.contains(fragment),

@@ -42,8 +42,8 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
 use sparkline_common::{
-    BatchColumn, ColumnBatch, ColumnValues, DataType, DominanceKernel, Result, Row, Schema,
-    SchemaRef, SkylineDim, SkylineSpec, SkylineType, Value,
+    BatchColumn, ColumnBatch, ColumnValues, DataType, Result, Row, Schema, SchemaRef, SkylineDim,
+    SkylineSpec, SkylineType, Value,
 };
 use sparkline_exec::{partition::even_ranges, Batch, PartitionStream, TaskContext};
 use sparkline_plan::{split_conjuncts, BinaryOp, Expr};
@@ -328,7 +328,7 @@ pub struct DominanceSkip {
 impl DominanceSkip {
     /// Build the gate from `sample`'s rows, real rows of the skyline's
     /// input: their skyline under the complete relation becomes the points,
-    /// computed on `kernel` and never truncated. Keeping only the skyline
+    /// never truncated. Keeping only the skyline
     /// skips exactly the blocks the whole sample would: a sample row that
     /// dominates a corner is a skyline member or dominated by one, and
     /// complete dominance is transitive. Returns `None` when `dims`
@@ -337,11 +337,7 @@ impl DominanceSkip {
     /// kernel's block (it demoted to scalar fallback, e.g. on a string
     /// dimension), or when every point is NULL in some dimension (no
     /// point can dominate then); each only costs skips, never rows.
-    pub fn from_sample(
-        dims: &[SkylineDim],
-        sample: GateSample,
-        kernel: DominanceKernel,
-    ) -> Option<Self> {
+    pub fn from_sample(dims: &[SkylineDim], sample: GateSample) -> Option<Self> {
         if dims.iter().any(|d| d.ty == SkylineType::Diff) {
             return None;
         }
@@ -356,8 +352,8 @@ impl DominanceSkip {
                 .collect(),
         );
         let checker = DominanceChecker::complete(spec);
-        let skyline = bnl_skyline(sample, &checker, &mut SkylineStats::default(), kernel);
-        let mut points = ColumnarBlock::for_checker_with(&checker, kernel);
+        let skyline = bnl_skyline(sample, &checker, &mut SkylineStats::default());
+        let mut points = ColumnarBlock::for_checker(&checker);
         for p in &skyline {
             points.push(p);
         }
@@ -684,9 +680,7 @@ impl ExecutionPlan for DiskScanExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparkline_common::{
-        DataType, DominanceKernel, Field, Row, Schema, SkylineDim, SkylineType,
-    };
+    use sparkline_common::{DataType, Field, Row, Schema, SkylineDim, SkylineType};
     use sparkline_plan::BoundColumn;
     use sparkline_storage::{TableWriter, WriterOptions};
 
@@ -858,7 +852,7 @@ mod tests {
         dims: &[SkylineDim],
     ) -> (Vec<Row>, sparkline_exec::MetricsSnapshot) {
         let (slot, sample) = scan.dominance_skip_slot().unwrap();
-        let skip = DominanceSkip::from_sample(dims, sample, DominanceKernel::Auto).unwrap();
+        let skip = DominanceSkip::from_sample(dims, sample).unwrap();
         slot.set(skip).unwrap();
         let ctx = TaskContext::new(2);
         let got = sparkline_exec::partition::flatten(scan.execute(&ctx).unwrap());
@@ -991,7 +985,7 @@ mod tests {
             rows: vec![Row::new(vec![Value::Float64(0.0), Value::Float64(0.0)])],
             filter_columns: Vec::new(),
         };
-        assert!(DominanceSkip::from_sample(&dims, sample, DominanceKernel::Auto).is_none());
+        assert!(DominanceSkip::from_sample(&dims, sample).is_none());
     }
 
     #[test]

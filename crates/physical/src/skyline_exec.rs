@@ -22,8 +22,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use sparkline_common::{
-    DominanceKernel, Error, QueryControl, Result, Row, SchemaRef, SkylineSpec, Value,
-    CONTROL_CHECK_ROWS,
+    Error, QueryControl, Result, Row, SchemaRef, SkylineSpec, Value, CONTROL_CHECK_ROWS,
 };
 use sparkline_exec::{
     partition::{flatten, total_rows},
@@ -159,25 +158,18 @@ fn record_stats(ctx: &TaskContext, stats: &SkylineStats) {
 pub struct LocalSkylineExec {
     spec: SkylineSpec,
     incomplete: bool,
-    kernel: DominanceKernel,
     input: Arc<dyn ExecutionPlan>,
 }
 
 impl LocalSkylineExec {
-    /// Local skyline with the chosen dominance relation (BNL windows).
+    /// Local skyline with the chosen dominance relation (BNL windows on
+    /// the detected compare tier).
     pub fn new(spec: SkylineSpec, incomplete: bool, input: Arc<dyn ExecutionPlan>) -> Self {
         LocalSkylineExec {
             spec,
             incomplete,
-            kernel: DominanceKernel::Auto,
             input,
         }
-    }
-
-    /// Choose the compare kernel (builder-style).
-    pub fn with_kernel(mut self, kernel: DominanceKernel) -> Self {
-        self.kernel = kernel;
-        self
     }
 }
 
@@ -207,15 +199,9 @@ impl ExecutionPlan for LocalSkylineExec {
                     // class shares its NULL positions, every column is
                     // uniformly NULL or non-NULL, exactly what the columnar
                     // kernel encodes.
-                    SkylineSink::Grouped(GroupedBnlBuilder::with_kernel(
-                        checker.clone(),
-                        self.kernel,
-                    ))
+                    SkylineSink::Grouped(GroupedBnlBuilder::new(checker.clone(), true))
                 } else {
-                    SkylineSink::Bnl(Box::new(BnlBuilder::with_kernel(
-                        checker.clone(),
-                        self.kernel,
-                    )))
+                    SkylineSink::Bnl(Box::new(BnlBuilder::new(checker.clone(), true)))
                 };
                 skyline_phase_stream(self.schema(), ctx, vec![input], sink)
             })
@@ -232,7 +218,7 @@ impl ExecutionPlan for LocalSkylineExec {
                 "complete"
             },
             if self.spec.distinct { ", distinct" } else { "" },
-            kernel_label(self.kernel),
+            kernel_label(),
         )
     }
 }
@@ -292,7 +278,6 @@ impl ExecutionPlan for LocalSkylineExec {
 pub struct GlobalSkylineExec {
     spec: SkylineSpec,
     incomplete: bool,
-    kernel: DominanceKernel,
     input: Arc<dyn ExecutionPlan>,
 }
 
@@ -305,15 +290,8 @@ impl GlobalSkylineExec {
         GlobalSkylineExec {
             spec,
             incomplete,
-            kernel: DominanceKernel::Auto,
             input,
         }
-    }
-
-    /// Choose the compare kernel (builder-style).
-    pub fn with_kernel(mut self, kernel: DominanceKernel) -> Self {
-        self.kernel = kernel;
-        self
     }
 }
 
@@ -334,7 +312,7 @@ struct EncodedSkylines {
 const ANTICHAIN_SPOT_CHECK_ROWS: usize = 32;
 
 impl EncodedSkylines {
-    fn new(checker: DominanceChecker, kernel: DominanceKernel, antichains: Vec<Partition>) -> Self {
+    fn new(checker: DominanceChecker, antichains: Vec<Partition>) -> Self {
         debug_assert!(
             antichains.iter().all(|p| {
                 let head = &p[..p.len().min(ANTICHAIN_SPOT_CHECK_ROWS)];
@@ -346,7 +324,7 @@ impl EncodedSkylines {
         let blocks = antichains
             .iter()
             .map(|rows| {
-                let mut block = ColumnarBlock::for_checker_with(&checker, kernel);
+                let mut block = ColumnarBlock::for_checker(&checker);
                 rows.iter().for_each(|row| block.push(row));
                 // Only the block is reordered: the cross-filter never
                 // indexes the rows through it, and the survivor masks stay
@@ -443,7 +421,6 @@ fn class_runs(part: Partition, spec: &SkylineSpec) -> Vec<Partition> {
 fn pairwise_merge(
     ctx: &TaskContext,
     checker: DominanceChecker,
-    kernel: DominanceKernel,
     parts: Vec<Partition>,
 ) -> Result<Partition> {
     ctx.control.check()?;
@@ -464,7 +441,7 @@ fn pairwise_merge(
     ctx.metrics.add_merge_round(antichains.len());
     let bytes = antichains.iter().flatten().map(Row::estimated_bytes).sum();
     let reservation = ctx.try_reserve(bytes)?;
-    let encoded = EncodedSkylines::new(checker, kernel, antichains);
+    let encoded = EncodedSkylines::new(checker, antichains);
     let tasks: Vec<usize> = (0..encoded.antichains.len()).collect();
     // A failed pairwise task fails the stage.
     let outcomes: Vec<(Vec<bool>, SkylineStats)> = ctx.runtime.map_indexed(tasks, |i, _| {
@@ -512,13 +489,12 @@ impl ExecutionPlan for GlobalSkylineExec {
             // input batches straight into an unseeded BNL window — the
             // input need not be a skyline, and the only buffered state is
             // the window itself.
-            let sink = SkylineSink::Bnl(Box::new(BnlBuilder::with_kernel(checker, self.kernel)));
+            let sink = SkylineSink::Bnl(Box::new(BnlBuilder::new(checker, true)));
             return Ok(vec![skyline_phase_stream(self.schema(), ctx, inputs, sink)]);
         }
         // A breaker: the input streams (each a local skyline pipeline) are
         // drained in parallel over the executor pool, then merged in one
         // pairwise round.
-        let kernel = self.kernel;
         let ctx2 = ctx.clone();
         Ok(breaker_streams(self.schema(), ctx, 1, move || {
             // A failed local-skyline pipeline fails the merge.
@@ -531,7 +507,7 @@ impl ExecutionPlan for GlobalSkylineExec {
                 total_rows(&parts) as u64,
                 std::sync::atomic::Ordering::Relaxed,
             );
-            Ok(vec![pairwise_merge(&ctx2, checker, kernel, parts)?])
+            Ok(vec![pairwise_merge(&ctx2, checker, parts)?])
         }))
     }
 
@@ -541,7 +517,7 @@ impl ExecutionPlan for GlobalSkylineExec {
             self.spec.dims.len(),
             if self.incomplete { ", incomplete" } else { "" },
             if self.spec.distinct { ", distinct" } else { "" },
-            kernel_label(self.kernel),
+            kernel_label(),
         )
     }
 }
@@ -756,11 +732,7 @@ mod tests {
     /// The engine's incomplete plan over three nullable columns: the
     /// per-class local phase on the scan's partitions, the incomplete
     /// global merge fed the local skylines directly.
-    fn incomplete_plan(
-        rows: Vec<Row>,
-        spec: SkylineSpec,
-        kernel: DominanceKernel,
-    ) -> GlobalSkylineExec {
+    fn incomplete_plan(rows: Vec<Row>, spec: SkylineSpec) -> GlobalSkylineExec {
         let schema = Schema::new(vec![
             Field::new("x", DataType::Int64, true),
             Field::new("y", DataType::Int64, true),
@@ -768,8 +740,8 @@ mod tests {
         ])
         .into_ref();
         let scan: Arc<dyn ExecutionPlan> = Arc::new(ScanExec::new("t", Arc::new(rows), schema));
-        let local = LocalSkylineExec::new(spec.clone(), true, scan).with_kernel(kernel);
-        GlobalSkylineExec::new(spec, true, Arc::new(local)).with_kernel(kernel)
+        let local = LocalSkylineExec::new(spec.clone(), true, scan);
+        GlobalSkylineExec::new(spec, true, Arc::new(local))
     }
 
     #[test]
@@ -784,7 +756,7 @@ mod tests {
         ];
         for executors in [1usize, 2, 3] {
             let ctx = TaskContext::new(executors);
-            let plan = incomplete_plan(cycle.clone(), spec3(), DominanceKernel::Auto);
+            let plan = incomplete_plan(cycle.clone(), spec3());
             assert!(
                 flatten(plan.execute(&ctx).unwrap()).is_empty(),
                 "{executors} executors: the cycle must cancel out"
@@ -794,7 +766,7 @@ mod tests {
             assert_eq!(m.merge_rounds, 1, "{m:?}");
         }
         let ctx = TaskContext::new(3);
-        let empty = incomplete_plan(Vec::new(), spec3(), DominanceKernel::Auto);
+        let empty = incomplete_plan(Vec::new(), spec3());
         assert!(flatten(empty.execute(&ctx).unwrap()).is_empty());
         assert_eq!(ctx.metrics.snapshot().merge_rounds, 0);
     }
@@ -803,10 +775,9 @@ mod tests {
     fn incomplete_pairwise_merge_is_byte_identical_to_the_all_pairs_pass() {
         // Mixed-bitmap data, DISTINCT over duplicated rows, and a string
         // dimension that demotes the class blocks holding strings to
-        // scalar fallback: on both kernels the merge returns the rows of
-        // the paper's all-pairs pass over the gathered local skylines, in
-        // the same order, and defers exactly the candidates that pass
-        // flags.
+        // scalar fallback: the merge returns the rows of the paper's
+        // all-pairs pass over the gathered local skylines, in the same
+        // order, and defers exactly the candidates that pass flags.
         let mixed: Vec<Row> = (0..180)
             .map(|i: i64| {
                 let v = |k: i64| {
@@ -844,63 +815,65 @@ mod tests {
             ("strings", strings, spec3()),
         ] {
             let checker = DominanceChecker::incomplete(spec.clone());
-            for kernel in [DominanceKernel::Chunked, DominanceKernel::Auto] {
-                let plan = incomplete_plan(rows.clone(), spec.clone(), kernel);
-                let locals = plan.children()[0].execute(&TaskContext::new(6)).unwrap();
-                // One block per (partition, class) run: a class may span
-                // partitions, and each partition emits it as one window.
-                let runs: usize = locals
-                    .iter()
-                    .map(|part| {
-                        let classes: HashSet<u64> =
-                            part.iter().map(|row| null_bitmap(row, &spec)).collect();
-                        classes.len()
-                    })
-                    .sum();
-                let candidates = flatten(locals);
-                let expected = incomplete_global_skyline(
-                    candidates.clone(),
-                    &checker,
-                    &mut SkylineStats::default(),
-                    &QueryControl::unlimited(),
-                )
-                .unwrap();
-                assert!(!expected.is_empty(), "{name}");
-                let ctx = TaskContext::new(6);
-                let parts = plan.execute(&ctx).unwrap();
-                assert_eq!(parts.len(), 1, "global phase yields one partition");
-                assert_eq!(flatten(parts), expected, "{name} {kernel:?}");
-                let m = ctx.metrics.snapshot();
-                assert_eq!(
-                    m.deferred_deletions as usize,
-                    candidates.len() - expected.len(),
-                    "{name} {kernel:?}: {m:?}"
-                );
-                assert_eq!(m.merge_rounds, 1, "{name} {kernel:?}: {m:?}");
-                assert_eq!(m.merge_tasks as usize, runs, "{name} {kernel:?}");
-                if name == "strings" {
-                    assert!(m.scalar_tests > 0, "{name} {kernel:?}: {m:?}");
-                } else {
-                    assert!(m.batched_tests > 0, "{name} {kernel:?}: {m:?}");
-                }
+            let plan = incomplete_plan(rows, spec.clone());
+            let locals = plan.children()[0].execute(&TaskContext::new(6)).unwrap();
+            // One block per (partition, class) run: a class may span
+            // partitions, and each partition emits it as one window.
+            let runs: usize = locals
+                .iter()
+                .map(|part| {
+                    let classes: HashSet<u64> =
+                        part.iter().map(|row| null_bitmap(row, &spec)).collect();
+                    classes.len()
+                })
+                .sum();
+            let candidates = flatten(locals);
+            let expected = incomplete_global_skyline(
+                candidates.clone(),
+                &checker,
+                &mut SkylineStats::default(),
+                &QueryControl::unlimited(),
+            )
+            .unwrap();
+            assert!(!expected.is_empty(), "{name}");
+            let ctx = TaskContext::new(6);
+            let parts = plan.execute(&ctx).unwrap();
+            assert_eq!(parts.len(), 1, "global phase yields one partition");
+            assert_eq!(flatten(parts), expected, "{name}");
+            let m = ctx.metrics.snapshot();
+            assert_eq!(
+                m.deferred_deletions as usize,
+                candidates.len() - expected.len(),
+                "{name}: {m:?}"
+            );
+            assert_eq!(m.merge_rounds, 1, "{name}: {m:?}");
+            assert_eq!(m.merge_tasks as usize, runs, "{name}");
+            if name == "strings" {
+                assert!(m.scalar_tests > 0, "{name}: {m:?}");
+            } else {
+                assert!(m.batched_tests > 0, "{name}: {m:?}");
             }
         }
     }
 
     #[test]
     fn incomplete_describe_names_the_merge() {
-        let global = GlobalSkylineExec::new(spec2(), true, input(Vec::new()))
-            .with_kernel(DominanceKernel::Chunked);
+        let global = GlobalSkylineExec::new(spec2(), true, input(Vec::new()));
         assert_eq!(
             global.describe(),
-            "GlobalSkylineExec [2 dims, incomplete, pairwise merge, vectorized: chunked]"
+            format!(
+                "GlobalSkylineExec [2 dims, incomplete, pairwise merge, vectorized: {}]",
+                kernel_label()
+            )
         );
         let distinct = SkylineSpec::distinct(spec2().dims);
-        let distinct = GlobalSkylineExec::new(distinct, true, input(Vec::new()))
-            .with_kernel(DominanceKernel::Chunked);
+        let distinct = GlobalSkylineExec::new(distinct, true, input(Vec::new()));
         assert_eq!(
             distinct.describe(),
-            "GlobalSkylineExec [2 dims, incomplete, distinct, pairwise merge, vectorized: chunked]"
+            format!(
+                "GlobalSkylineExec [2 dims, incomplete, distinct, pairwise merge, vectorized: {}]",
+                kernel_label()
+            )
         );
     }
 
@@ -1002,18 +975,19 @@ mod tests {
         data: &[Vec<Value>],
         spec: SkylineSpec,
         gather: bool,
-        kernel: DominanceKernel,
         executors: usize,
     ) -> (Vec<Row>, sparkline_exec::MetricsSnapshot) {
-        let local: Arc<dyn ExecutionPlan> = Arc::new(
-            LocalSkylineExec::new(spec.clone(), false, input(data.to_vec())).with_kernel(kernel),
-        );
+        let local: Arc<dyn ExecutionPlan> = Arc::new(LocalSkylineExec::new(
+            spec.clone(),
+            false,
+            input(data.to_vec()),
+        ));
         let global_input = if gather {
             Arc::new(ExchangeExec::single(local))
         } else {
             local
         };
-        let global = GlobalSkylineExec::new(spec, false, global_input).with_kernel(kernel);
+        let global = GlobalSkylineExec::new(spec, false, global_input);
         let ctx = TaskContext::new(executors);
         let parts = global.execute(&ctx).unwrap();
         assert_eq!(parts.len(), 1, "global phase yields one partition");
@@ -1027,11 +1001,10 @@ mod tests {
         let data: Vec<Vec<Value>> = (0..200)
             .map(|i: i64| vec![Value::Int64((i * 37) % 100), Value::Int64((i * 53) % 100)])
             .collect();
-        let auto = DominanceKernel::Auto;
-        let (gathered, gathered_metrics) = merged(&data, spec2(), true, auto, 8);
+        let (gathered, gathered_metrics) = merged(&data, spec2(), true, 8);
         assert_eq!(gathered_metrics.merge_rounds, 0, "one partition: no merge");
 
-        let (pairwise, metrics) = merged(&data, spec2(), false, auto, 8);
+        let (pairwise, metrics) = merged(&data, spec2(), false, 8);
         assert_eq!(pairwise, gathered);
         assert_eq!(metrics.merge_rounds, 1, "{metrics:?}");
         assert_eq!(metrics.merge_tasks, 8, "one task per local skyline");
@@ -1086,13 +1059,11 @@ mod tests {
             let rows: Vec<Row> = data.iter().cloned().map(Row::new).collect();
             let expected = naive_skyline(&rows, &DominanceChecker::complete(spec.clone()));
             assert!(!expected.is_empty());
-            for kernel in [DominanceKernel::Chunked, DominanceKernel::Auto] {
-                for gather in [true, false] {
-                    let (rows, m) = merged(data, spec.clone(), gather, kernel, 5);
-                    assert_eq!(rows, expected, "{name} {kernel:?} gather={gather}");
-                    if name == "strings" {
-                        assert_eq!(m.batched_tests, 0, "{name} {kernel:?}: {m:?}");
-                    }
+            for gather in [true, false] {
+                let (rows, m) = merged(data, spec.clone(), gather, 5);
+                assert_eq!(rows, expected, "{name} gather={gather}");
+                if name == "strings" {
+                    assert_eq!(m.batched_tests, 0, "{name}: {m:?}");
                 }
             }
         }
@@ -1103,11 +1074,11 @@ mod tests {
         // Two rows over eight executors: most local skylines are empty,
         // and an all-empty input merges to nothing without a round.
         let data = int_rows(&[(1, 2), (2, 1)]);
-        let (rows, m) = merged(&data, spec2(), false, DominanceKernel::Auto, 8);
+        let (rows, m) = merged(&data, spec2(), false, 8);
         assert_eq!(rows.len(), 2);
         assert_eq!(m.merge_rounds, 1);
         assert_eq!(m.merge_tasks, 2, "only non-empty partitions get a task");
-        let (rows, m) = merged(&[], spec2(), false, DominanceKernel::Auto, 8);
+        let (rows, m) = merged(&[], spec2(), false, 8);
         assert!(rows.is_empty());
         assert_eq!(m.merge_rounds, 0);
     }
@@ -1128,7 +1099,7 @@ mod tests {
         };
         let parts = vec![stair(1), stair(0)];
         let checker = || DominanceChecker::complete(spec2());
-        let encoded = EncodedSkylines::new(checker(), DominanceKernel::Auto, parts.clone());
+        let encoded = EncodedSkylines::new(checker(), parts.clone());
         let ctx = TaskContext::new(2);
         let mut stats = SkylineStats::default();
         let alive = encoded.survivors(&ctx, 0, &mut stats).unwrap();
@@ -1146,35 +1117,22 @@ mod tests {
         let late = TaskContext::new(2).with_deadline(sparkline_exec::Deadline::new(Some(
             std::time::Duration::ZERO,
         )));
-        let err =
-            pairwise_merge(&late, checker(), DominanceKernel::Auto, parts.clone()).unwrap_err();
+        let err = pairwise_merge(&late, checker(), parts.clone()).unwrap_err();
         assert!(err.is_timeout(), "{err}");
 
-        let merged = pairwise_merge(
-            &TaskContext::new(2),
-            checker(),
-            DominanceKernel::Auto,
-            parts.clone(),
-        )
-        .unwrap();
+        let merged = pairwise_merge(&TaskContext::new(2), checker(), parts.clone()).unwrap();
         assert_eq!(merged, parts[1], "only the dominating staircase is left");
     }
 
     #[test]
     fn describe_names_the_merge() {
         let global = GlobalSkylineExec::new(spec2(), false, input(Vec::new()));
-        assert!(
-            global
-                .describe()
-                .starts_with("GlobalSkylineExec [2 dims, pairwise merge, vectorized: "),
-            "{}",
-            global.describe()
-        );
-        let chunked = GlobalSkylineExec::new(spec2(), false, input(Vec::new()))
-            .with_kernel(DominanceKernel::Chunked);
         assert_eq!(
-            chunked.describe(),
-            "GlobalSkylineExec [2 dims, pairwise merge, vectorized: chunked]"
+            global.describe(),
+            format!(
+                "GlobalSkylineExec [2 dims, pairwise merge, vectorized: {}]",
+                kernel_label()
+            )
         );
     }
 
@@ -1187,7 +1145,7 @@ mod tests {
         let rows: Vec<Row> = data.iter().cloned().map(Row::new).collect();
         let scalar_rows = naive_skyline(&rows, &DominanceChecker::complete(spec2()));
         for gather in [true, false] {
-            let (vec_rows, v) = merged(&data, spec2(), gather, DominanceKernel::Auto, 6);
+            let (vec_rows, v) = merged(&data, spec2(), gather, 6);
             // Row-for-row identical, including order.
             assert_eq!(scalar_rows, vec_rows, "gather={gather}");
             assert!(v.batched_tests > 0, "gather={gather}: {v:?}");
@@ -1197,55 +1155,41 @@ mod tests {
 
     #[test]
     fn vectorized_describe_names_the_kernel() {
-        // The default (Auto) must resolve to a concrete tier label; the
-        // exact tier depends on the host CPU, so assert via kernel_label.
-        let auto_label = kernel_label(DominanceKernel::Auto);
+        // Both phases name the tier detected on the host CPU.
+        let label = format!("vectorized: {}]", kernel_label());
         let local = LocalSkylineExec::new(spec2(), false, input(Vec::new()));
-        assert!(
-            local
-                .describe()
-                .contains(&format!("vectorized: {auto_label}")),
-            "{}",
-            local.describe()
-        );
+        assert!(local.describe().ends_with(&label), "{}", local.describe());
         let global = GlobalSkylineExec::new(spec2(), false, input(Vec::new()));
-        assert!(
-            global
-                .describe()
-                .contains(&format!("vectorized: {auto_label}")),
-            "{}",
-            global.describe()
-        );
-        // Pinned knobs render their own tier.
-        let chunked = GlobalSkylineExec::new(spec2(), false, input(Vec::new()))
-            .with_kernel(DominanceKernel::Chunked);
-        assert!(
-            chunked.describe().contains("vectorized: chunked"),
-            "{}",
-            chunked.describe()
-        );
+        assert!(global.describe().ends_with(&label), "{}", global.describe());
     }
 
     #[test]
-    fn kernel_knob_plans_are_byte_identical() {
-        // Forcing every knob through the physical operators must not
-        // change a single row; the counters attribute the work instead —
-        // through the pairwise merge's cross-filter passes as well.
-        let data: Vec<Vec<Value>> = (0..300)
-            .map(|i: i64| vec![Value::Int64((i * 37) % 80), Value::Int64((i * 53) % 80)])
-            .collect();
-        let run_plan = |kernel| merged(&data, spec2(), false, kernel, 4);
-        let rows: Vec<Row> = data.iter().cloned().map(Row::new).collect();
-        let expected = naive_skyline(&rows, &DominanceChecker::complete(spec2()));
-        for kernel in [DominanceKernel::Auto, DominanceKernel::Chunked] {
-            let (rows, m) = run_plan(kernel);
-            assert_eq!(rows, expected, "{kernel:?}");
-            assert!(m.batched_tests > 0, "{kernel:?}: {m:?}");
-            assert_eq!(m.scalar_tests, 0, "{kernel:?}: {m:?}");
-            assert!(m.multi_candidate_passes > 0, "{kernel:?}: {m:?}");
-            if kernel == DominanceKernel::Chunked {
-                assert_eq!(m.simd_tests, 0, "{m:?}");
-            }
+    fn one_denied_reservation_is_one_budget_denial() {
+        // Two scan partitions: 200 mutually incomparable rows (a 9 600 B
+        // local skyline, past the 5 000 B budget) and a 200-row chain (a
+        // one-row local skyline). The first local phase's result
+        // reservation is the only denial; each breaker the error then
+        // passes through must not count it again.
+        let mut data: Vec<(i64, i64)> = (0..200).map(|i| (i, 200 - i)).collect();
+        data.extend((0..200).map(|i| (300 + i, 300 + i)));
+        let plan = || -> Arc<dyn ExecutionPlan> {
+            let local = LocalSkylineExec::new(spec2(), false, input(int_rows(&data)));
+            Arc::new(GlobalSkylineExec::new(spec2(), false, Arc::new(local)))
+        };
+        let sorted: Arc<dyn ExecutionPlan> = Arc::new(crate::basic::SortExec::new(
+            vec![sparkline_plan::SortExpr::asc(Expr::BoundColumn(
+                BoundColumn {
+                    index: 0,
+                    field: Field::new("a", DataType::Int64, true),
+                },
+            ))],
+            plan(),
+        ));
+        for (name, plan) in [("bare", plan()), ("under a sort", sorted)] {
+            let ctx = TaskContext::new(2).with_memory_budget(Some(5_000));
+            let err = plan.execute(&ctx).unwrap_err();
+            assert!(err.is_resource_exhausted(), "{name}: {err}");
+            assert_eq!(ctx.metrics.snapshot().budget_denials, 1, "{name}");
         }
     }
 

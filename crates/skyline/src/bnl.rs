@@ -122,21 +122,20 @@
 
 use std::borrow::Cow;
 
-use sparkline_common::{
-    ColumnBatch, DominanceKernel, QueryControl, Result, Row, CONTROL_CHECK_ROWS,
-};
+use sparkline_common::{ColumnBatch, QueryControl, Result, Row, CONTROL_CHECK_ROWS};
 
-use crate::columnar::{retain_mask, ColumnarBlock, EncodedCandidate, MULTI_LANES};
+use crate::columnar::{retain_mask, ColumnarBlock, EncodedCandidate, KernelTier, MULTI_LANES};
 use crate::dominance::{Dominance, DominanceChecker, SkylineStats};
 
-/// Kernel knob of the boolean constructors ([`BnlBuilder::new`] and
+/// Compare tier of the builders' `vectorized` flag ([`BnlBuilder::new`] and
 /// [`GroupedBnlBuilder::new`](crate::incomplete::GroupedBnlBuilder::new)):
-/// `Auto` or `Chunked`.
-pub(crate) fn kernel_for(vectorized: bool) -> DominanceKernel {
+/// the detected tier, or the portable chunked loop that the tier
+/// differential tests pin.
+pub(crate) fn tier_for(vectorized: bool) -> KernelTier {
     if vectorized {
-        DominanceKernel::Auto
+        KernelTier::detect()
     } else {
-        DominanceKernel::Chunked
+        KernelTier::Chunked
     }
 }
 
@@ -156,13 +155,13 @@ const SORTED_INSERT_MAX: usize = 2 * MULTI_LANES;
 
 /// Compute the skyline of `rows` under the complete relation `checker`
 /// with the BNL window algorithm, folding the rows through
-/// [`BnlBuilder::push_batch`] on the compare tier the `kernel` knob
-/// resolves to, and recording dominance-test counts into `stats`.
+/// [`BnlBuilder::push_batch`] on the detected compare tier, and recording
+/// dominance-test counts into `stats`.
 ///
-/// Every knob yields the same rows in the same order — the skyline
-/// members in arrival order, what [`naive_skyline`](crate::naive_skyline)
-/// returns. Test *counts* differ between tiers only in `simd_tests`;
-/// `batched_tests` / `scalar_tests` record which checker answered them.
+/// The result is the skyline members in arrival order, what
+/// [`naive_skyline`](crate::naive_skyline) returns, on every tier. Test
+/// *counts* differ between tiers only in `simd_tests`; `batched_tests` /
+/// `scalar_tests` record which checker answered them.
 ///
 /// With `checker.distinct()` set, tuples whose *compared* dimensions are
 /// all equal keep a single representative (the first one encountered),
@@ -171,9 +170,8 @@ pub fn bnl_skyline(
     rows: impl IntoIterator<Item = Row>,
     checker: &DominanceChecker,
     stats: &mut SkylineStats,
-    kernel: DominanceKernel,
 ) -> Vec<Row> {
-    let mut builder = BnlBuilder::with_kernel(checker.clone(), kernel);
+    let mut builder = BnlBuilder::new(checker.clone(), true);
     builder.push_batch(rows);
     let (window, builder_stats) = builder.finish();
     stats.merge(&builder_stats);
@@ -354,7 +352,7 @@ fn permute<T>(v: &mut Vec<T>, perm: &[usize]) {
 /// order.
 pub struct BnlBuilder {
     checker: DominanceChecker,
-    kernel: DominanceKernel,
+    tier: KernelTier,
     window: Vec<Row>,
     /// Index-aligned with `window` while live; once demoted to scalar
     /// fallback it stays in place, inert.
@@ -379,33 +377,29 @@ pub struct BnlBuilder {
 }
 
 impl BnlBuilder {
-    /// [`with_kernel`](Self::with_kernel) on [`DominanceKernel::Auto`] when
-    /// `vectorized`, `Chunked` otherwise.
-    pub fn new(checker: DominanceChecker, vectorized: bool) -> Self {
-        Self::with_kernel(checker, kernel_for(vectorized))
-    }
-
-    /// An empty builder under the complete relation `checker`. Panics on an
+    /// An empty builder under the complete relation `checker`, on the
+    /// detected compare tier when `vectorized`, on the portable chunked
+    /// loop otherwise (the tier differential's pin). Panics on an
     /// incomplete-relation checker, which is not transitive across
     /// null-bitmap classes: such rows go through the class windows of
     /// [`GroupedBnlBuilder`](crate::incomplete::GroupedBnlBuilder).
-    pub fn with_kernel(checker: DominanceChecker, kernel: DominanceKernel) -> Self {
+    pub fn new(checker: DominanceChecker, vectorized: bool) -> Self {
         assert!(
             !checker.is_incomplete(),
             "a BNL window needs a transitive relation: incomplete data goes through GroupedBnlBuilder"
         );
-        Self::for_class(checker, kernel)
+        Self::for_class(checker, tier_for(vectorized))
     }
 
     /// An empty window for rows of one null-bitmap class — within a class
     /// the restricted incomplete relation is transitive (Lemma 5.1) — or
     /// for any rows under the complete relation.
-    pub(crate) fn for_class(checker: DominanceChecker, kernel: DominanceKernel) -> Self {
-        let block = ColumnarBlock::for_checker_with(&checker, kernel);
+    pub(crate) fn for_class(checker: DominanceChecker, tier: KernelTier) -> Self {
+        let block = ColumnarBlock::with_tier(checker.spec(), checker.is_incomplete(), tier);
         BnlBuilder {
             ordered: !checker.distinct() && !block.is_fallback(),
             checker,
-            kernel,
+            tier,
             window: Vec::new(),
             block,
             seqs: Vec::new(),
@@ -559,7 +553,8 @@ impl BnlBuilder {
         // 2. The survivors' own skyline: encode, sort by key, self-filter.
         //    (A survivor the kernel cannot hold demotes the window's block
         //    as its push would have; the window then continues per row.)
-        let mut sky = ColumnarBlock::for_checker_with(&self.checker, self.kernel);
+        let mut sky =
+            ColumnarBlock::with_tier(self.checker.spec(), self.checker.is_incomplete(), self.tier);
         batch.iter().for_each(|row| sky.push(row));
         if !block.reconcile(&mut sky) {
             self.restore_arrival_order();
@@ -815,7 +810,7 @@ mod tests {
         // Classic price/rating trade-off; skyline = the Pareto staircase.
         let mut stats = SkylineStats::default();
         let input = rows(&[(1, 9), (2, 7), (3, 8), (4, 4), (5, 5), (6, 1), (7, 2)]);
-        let sky = bnl_skyline(input, &min_min(false), &mut stats, DominanceKernel::Chunked);
+        let sky = bnl_skyline(input, &min_min(false), &mut stats);
         assert_eq!(as_pairs(sky), vec![(1, 9), (2, 7), (4, 4), (6, 1)]);
         assert!(stats.dominance_tests > 0);
         assert!(stats.max_window >= 4);
@@ -824,12 +819,7 @@ mod tests {
     #[test]
     fn single_tuple() {
         let mut stats = SkylineStats::default();
-        let sky = bnl_skyline(
-            rows(&[(5, 5)]),
-            &min_min(false),
-            &mut stats,
-            DominanceKernel::Chunked,
-        );
+        let sky = bnl_skyline(rows(&[(5, 5)]), &min_min(false), &mut stats);
         assert_eq!(sky.len(), 1);
         assert_eq!(stats.dominance_tests, 0);
     }
@@ -837,12 +827,7 @@ mod tests {
     #[test]
     fn empty_input() {
         let mut stats = SkylineStats::default();
-        let sky = bnl_skyline(
-            rows(&[]),
-            &min_min(false),
-            &mut stats,
-            DominanceKernel::Chunked,
-        );
+        let sky = bnl_skyline(rows(&[]), &min_min(false), &mut stats);
         assert!(sky.is_empty());
     }
 
@@ -853,7 +838,6 @@ mod tests {
             rows(&[(5, 5), (4, 4), (3, 3), (0, 0), (2, 2)]),
             &min_min(false),
             &mut stats,
-            DominanceKernel::Chunked,
         );
         assert_eq!(as_pairs(sky), vec![(0, 0)]);
     }
@@ -861,24 +845,14 @@ mod tests {
     #[test]
     fn duplicates_kept_without_distinct() {
         let mut stats = SkylineStats::default();
-        let sky = bnl_skyline(
-            rows(&[(1, 1), (1, 1), (1, 1)]),
-            &min_min(false),
-            &mut stats,
-            DominanceKernel::Chunked,
-        );
+        let sky = bnl_skyline(rows(&[(1, 1), (1, 1), (1, 1)]), &min_min(false), &mut stats);
         assert_eq!(sky.len(), 3);
     }
 
     #[test]
     fn duplicates_collapsed_with_distinct() {
         let mut stats = SkylineStats::default();
-        let sky = bnl_skyline(
-            rows(&[(1, 1), (1, 1), (1, 1)]),
-            &min_min(true),
-            &mut stats,
-            DominanceKernel::Chunked,
-        );
+        let sky = bnl_skyline(rows(&[(1, 1), (1, 1), (1, 1)]), &min_min(true), &mut stats);
         assert_eq!(sky.len(), 1);
     }
 
@@ -891,12 +865,7 @@ mod tests {
         let r1 = Row::new(vec![Value::Int64(1), Value::str("first")]);
         let r2 = Row::new(vec![Value::Int64(1), Value::str("second")]);
         let mut stats = SkylineStats::default();
-        let sky = bnl_skyline(
-            vec![r1.clone(), r2],
-            &checker,
-            &mut stats,
-            DominanceKernel::Chunked,
-        );
+        let sky = bnl_skyline(vec![r1.clone(), r2], &checker, &mut stats);
         assert_eq!(sky, vec![r1]);
     }
 
@@ -909,7 +878,6 @@ mod tests {
             rows(&[(1, 8), (8, 1), (5, 5), (0, 0)]),
             &min_min(false),
             &mut stats,
-            DominanceKernel::Chunked,
         );
         assert_eq!(as_pairs(sky), vec![(0, 0)]);
     }
@@ -924,7 +892,7 @@ mod tests {
             let checker = min_min(distinct);
             let scalar = naive_skyline(&rows(&data), &checker);
             let mut s2 = SkylineStats::default();
-            let batched = bnl_skyline(rows(&data), &checker, &mut s2, DominanceKernel::Auto);
+            let batched = bnl_skyline(rows(&data), &checker, &mut s2);
             assert_eq!(scalar, batched, "distinct={distinct}");
             assert!(s2.batched_tests > 0);
             assert_eq!(s2.scalar_tests, 0);
@@ -941,7 +909,7 @@ mod tests {
             .collect();
         let scalar = naive_skyline(&data, &checker);
         let mut s2 = SkylineStats::default();
-        let batched = bnl_skyline(data, &checker, &mut s2, DominanceKernel::Auto);
+        let batched = bnl_skyline(data, &checker, &mut s2);
         assert_eq!(scalar, batched);
         assert_eq!(s2.batched_tests, 0, "strings must demote to scalar");
         assert_eq!(s2.scalar_tests, s2.dominance_tests);
@@ -983,14 +951,15 @@ mod tests {
         }
     }
 
-    /// Feed `data` in batches of `batch` rows on `kernel`.
+    /// Feed `data` in batches of `batch` rows, on the detected tier when
+    /// `vectorized`, on the chunked loop otherwise.
     fn folded(
         data: Vec<Row>,
         checker: &DominanceChecker,
-        kernel: DominanceKernel,
+        vectorized: bool,
         batch: usize,
     ) -> (Vec<Row>, SkylineStats) {
-        let mut builder = BnlBuilder::with_kernel(checker.clone(), kernel);
+        let mut builder = BnlBuilder::new(checker.clone(), vectorized);
         for chunk in data.chunks(batch) {
             builder.push_batch(chunk.to_vec());
         }
@@ -1003,16 +972,16 @@ mod tests {
         for distinct in [false, true] {
             let checker = min_min(distinct);
             let reference = naive_skyline(&rows(&data), &checker);
-            for kernel in [DominanceKernel::Chunked, DominanceKernel::Auto] {
-                let (sky, s) = folded(rows(&data), &checker, kernel, 16);
-                assert_eq!(reference, sky, "kernel={kernel:?} distinct={distinct}");
+            for vectorized in [false, true] {
+                let (sky, s) = folded(rows(&data), &checker, vectorized, 16);
+                assert_eq!(reference, sky, "v={vectorized} distinct={distinct}");
                 assert!(s.batched_tests > 0);
                 assert_eq!(s.scalar_tests, 0);
                 // DISTINCT keeps the per-row step: no cross-filter.
-                assert_eq!(s.multi_candidate_passes > 0, !distinct, "{kernel:?}");
-                // The survivors' block is built on the builder's own knob,
+                assert_eq!(s.multi_candidate_passes > 0, !distinct, "v={vectorized}");
+                // The survivors' block is built on the builder's own tier,
                 // so a pinned tier stays pinned.
-                if kernel == DominanceKernel::Chunked {
+                if !vectorized {
                     assert_eq!(s.simd_tests, 0);
                 }
             }
@@ -1035,7 +1004,7 @@ mod tests {
             })
             .collect();
         let scalar = naive_skyline(&data, &checker);
-        let (batched, s2) = folded(data, &checker, DominanceKernel::Auto, 10);
+        let (batched, s2) = folded(data, &checker, true, 10);
         assert_eq!(scalar, batched);
         assert!(s2.multi_candidate_passes > 0);
     }
@@ -1059,7 +1028,7 @@ mod tests {
         data.insert(45, Row::new(vec![Value::str("x"), Value::Int64(0)]));
         let scalar = naive_skyline(&data, &checker);
         for batch in [1usize, 4, 9, 64] {
-            let (sky, s) = folded(data.clone(), &checker, DominanceKernel::Auto, batch);
+            let (sky, s) = folded(data.clone(), &checker, true, batch);
             assert_eq!(scalar, sky, "batch={batch}");
             assert!(s.scalar_tests > 0, "batch={batch}: fallback work is scalar");
         }
@@ -1105,8 +1074,8 @@ mod tests {
     /// statistics.
     fn assert_column_fold_matches_rows(checker: &DominanceChecker, batches: Vec<ColumnBatch>) {
         let control = QueryControl::unlimited();
-        let mut by_rows = BnlBuilder::with_kernel(checker.clone(), DominanceKernel::Auto);
-        let mut by_columns = BnlBuilder::with_kernel(checker.clone(), DominanceKernel::Auto);
+        let mut by_rows = BnlBuilder::new(checker.clone(), true);
+        let mut by_columns = BnlBuilder::new(checker.clone(), true);
         for batch in batches {
             by_rows.push_batch(batch.clone().into_rows());
             by_columns.push_columns_checked(&batch, &control).unwrap();
@@ -1217,7 +1186,7 @@ mod tests {
         mixed.insert(150, big);
         mixed.extend(int_rows);
         assert_column_fold_matches_rows(&checker, vec![column_batch(&mixed)]);
-        let mut builder = BnlBuilder::with_kernel(checker, DominanceKernel::Auto);
+        let mut builder = BnlBuilder::new(checker, true);
         builder
             .push_columns_checked(&column_batch(&mixed), &QueryControl::unlimited())
             .unwrap();
@@ -1236,7 +1205,7 @@ mod tests {
             if demoted {
                 against.push(Row::new(vec![Value::str("x"), Value::Int64(0)]));
             }
-            let mut block = ColumnarBlock::for_checker_with(&checker, DominanceKernel::Auto);
+            let mut block = ColumnarBlock::for_checker(&checker);
             against.iter().for_each(|r| block.push(r));
             assert_eq!(block.is_fallback(), demoted);
             let mut alive = vec![true; cands.len()];
@@ -1316,12 +1285,8 @@ mod tests {
             let built = std::panic::catch_unwind(|| BnlBuilder::new(incomplete(), vectorized));
             assert!(built.is_err(), "vectorized={vectorized}");
         }
-        let built = std::panic::catch_unwind(|| {
-            BnlBuilder::with_kernel(incomplete(), DominanceKernel::Chunked)
-        });
-        assert!(built.is_err());
         // A class window takes it: one class is transitive.
-        let mut class = BnlBuilder::for_class(incomplete(), DominanceKernel::Chunked);
+        let mut class = BnlBuilder::for_class(incomplete(), KernelTier::Chunked);
         class.push_batch(rows(&[(1, 9), (9, 1), (0, 0)]));
         assert_eq!(as_pairs(class.finish().0), vec![(0, 0)]);
     }
@@ -1331,11 +1296,11 @@ mod tests {
         let checker = min_min(false);
         let data = [(3, 1), (1, 3), (2, 2), (4, 4), (0, 5), (5, 0)];
         let mut s1 = SkylineStats::default();
-        let forward = bnl_skyline(rows(&data), &checker, &mut s1, DominanceKernel::Chunked);
+        let forward = bnl_skyline(rows(&data), &checker, &mut s1);
         let mut reversed = data;
         reversed.reverse();
         let mut s2 = SkylineStats::default();
-        let backward = bnl_skyline(rows(&reversed), &checker, &mut s2, DominanceKernel::Chunked);
+        let backward = bnl_skyline(rows(&reversed), &checker, &mut s2);
         assert_eq!(as_pairs(forward), as_pairs(backward));
     }
 }

@@ -12,9 +12,11 @@
 //!
 //! # Compare tiers and runtime dispatch
 //!
-//! The per-chunk mask computation ships in two tiers, selected once per
-//! block from the [`DominanceKernel`] knob via
-//! `is_x86_feature_detected!`-based runtime dispatch ([`KernelTier`]):
+//! The per-chunk mask computation ships in two tiers. Every block runs on
+//! the one the CPU offers, found once by `is_x86_feature_detected!`-based
+//! runtime dispatch ([`KernelTier::detect`]); only the kernel's own API
+//! pins a tier ([`ColumnarBlock::with_tier`], and the builders'
+//! `vectorized: false`), for the differential tests and benchmarks:
 //!
 //! * **`simd(avx2)`** — explicit `core::arch::x86_64` intrinsics, four
 //!   64-bit lanes per instruction: `_mm256_cmpgt_epi64` both directions
@@ -128,7 +130,7 @@
 
 use std::borrow::Borrow;
 
-use sparkline_common::{ColumnBatch, DominanceKernel, Row, SkylineSpec, SkylineType, Value};
+use sparkline_common::{ColumnBatch, Row, SkylineSpec, SkylineType, Value};
 
 use crate::dominance::{Dominance, DominanceChecker};
 
@@ -175,9 +177,8 @@ pub const BOUND_STEP: usize = CHUNK / 4;
 /// over the block buffers and null bits.
 pub const MULTI_LANES: usize = 8;
 
-/// Compare tier a block dispatches its per-chunk mask computation to,
-/// resolved once per block from the [`DominanceKernel`] knob and the host
-/// CPU (`is_x86_feature_detected!`).
+/// Compare tier a block dispatches its per-chunk mask computation to:
+/// the host CPU's ([`detect`](KernelTier::detect)) unless pinned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelTier {
     /// Portable chunked-scalar mask loop: the fallback for hosts without
@@ -188,15 +189,6 @@ pub enum KernelTier {
 }
 
 impl KernelTier {
-    /// Tier for a kernel knob on this CPU. `Auto` resolves to the detected
-    /// tier; `Chunked` pins the portable loop.
-    pub fn resolve(kernel: DominanceKernel) -> KernelTier {
-        match kernel {
-            DominanceKernel::Auto => KernelTier::detect(),
-            DominanceKernel::Chunked => KernelTier::Chunked,
-        }
-    }
-
     /// [`Avx2`](KernelTier::Avx2) where the host CPU supports it,
     /// [`Chunked`](KernelTier::Chunked) everywhere else.
     pub fn detect() -> KernelTier {
@@ -234,10 +226,10 @@ impl KernelTier {
     }
 }
 
-/// EXPLAIN description of a kernel knob as resolved on this CPU, e.g.
+/// EXPLAIN description of the compare tier detected on this CPU, e.g.
 /// `chunked` or `simd(avx2), lanes=8`.
-pub fn kernel_label(kernel: DominanceKernel) -> String {
-    let tier = KernelTier::resolve(kernel);
+pub fn kernel_label() -> String {
+    let tier = KernelTier::detect();
     if tier.is_simd() {
         format!("{}, lanes={MULTI_LANES}", tier.label())
     } else {
@@ -597,8 +589,8 @@ fn gather<T: Copy>(buf: &mut Vec<T>, perm: &[usize]) {
 }
 
 impl ColumnarBlock {
-    /// Empty block for `spec` under the chosen dominance relation, with
-    /// the compare tier auto-detected ([`DominanceKernel::Auto`]).
+    /// Empty block for `spec` under the chosen dominance relation, on the
+    /// detected compare tier ([`KernelTier::detect`]).
     ///
     /// A spec with no dimensions starts in scalar fallback; pushes and
     /// encodes are then inert and the caller must use the scalar checker.
@@ -607,9 +599,14 @@ impl ColumnarBlock {
     }
 
     /// Empty block pinned to an explicit tier (differential tests and
-    /// benchmarks; [`new`](Self::new) /
-    /// [`for_checker_with`](Self::for_checker_with) otherwise).
+    /// benchmarks; [`new`](Self::new) otherwise). Panics on a SIMD tier
+    /// this CPU lacks.
     pub fn with_tier(spec: &SkylineSpec, incomplete: bool, tier: KernelTier) -> Self {
+        assert!(
+            !tier.is_simd() || tier == KernelTier::detect(),
+            "compare tier {} is not available on this CPU",
+            tier.label()
+        );
         let fallback = if spec.dims.is_empty() {
             Some("no skyline dimensions")
         } else {
@@ -637,22 +634,12 @@ impl ColumnarBlock {
         }
     }
 
-    /// Block matching a checker's spec and relation, tier auto-detected.
+    /// Block matching a checker's spec and relation, tier detected.
     pub fn for_checker(checker: &DominanceChecker) -> Self {
         ColumnarBlock::new(checker.spec(), checker.is_incomplete())
     }
 
-    /// Block matching a checker's spec and relation, tier resolved from
-    /// the `kernel` knob.
-    pub fn for_checker_with(checker: &DominanceChecker, kernel: DominanceKernel) -> Self {
-        ColumnarBlock::with_tier(
-            checker.spec(),
-            checker.is_incomplete(),
-            KernelTier::resolve(kernel),
-        )
-    }
-
-    /// Resolved compare tier of this block.
+    /// Compare tier of this block.
     pub fn tier(&self) -> KernelTier {
         self.tier
     }
@@ -1264,8 +1251,8 @@ impl ColumnarBlock {
                 (ColumnData::Ints(buf), CandDim::Int(v))
                 | (ColumnData::Bools(buf), CandDim::Int(v)) => {
                     let s = &buf[base..base + m];
-                    // SAFETY: the `Avx2` tier is only resolved after
-                    // `is_x86_feature_detected!("avx2")`.
+                    // SAFETY: a block only gets the `Avx2` tier after
+                    // `is_x86_feature_detected!("avx2")` (`with_tier`).
                     unsafe {
                         if col.is_diff {
                             simd::diff_i64_avx2(s, *v, &mut neq);
@@ -1828,8 +1815,9 @@ mod tests {
 
     #[test]
     fn kernel_labels_are_stable() {
-        assert_eq!(kernel_label(DominanceKernel::Chunked), "chunked");
-        let auto = kernel_label(DominanceKernel::Auto);
+        assert_eq!(KernelTier::Chunked.label(), "chunked");
+        assert_eq!(KernelTier::Avx2.label(), "simd(avx2)");
+        let auto = kernel_label();
         if KernelTier::detect().is_simd() {
             assert!(auto.starts_with("simd("), "{auto}");
             assert!(auto.ends_with(&format!("lanes={MULTI_LANES}")), "{auto}");
@@ -1901,7 +1889,7 @@ mod tests {
         ]));
         let expected = crate::naive_skyline(&rows, &checker);
         let mut stats = crate::SkylineStats::default();
-        let batched = crate::bnl_skyline(rows, &checker, &mut stats, DominanceKernel::Auto);
+        let batched = crate::bnl_skyline(rows, &checker, &mut stats);
         assert_eq!(expected, batched);
     }
 

@@ -58,16 +58,9 @@ impl SkylineStats {
         self.multi_candidate_passes += other.multi_candidate_passes;
     }
 
-    /// Record `n` dominance tests performed by the columnar batch kernel
-    /// on its portable (chunked) tier.
-    pub fn add_batched(&mut self, n: u64) {
-        self.dominance_tests += n;
-        self.batched_tests += n;
-    }
-
     /// Record `n` dominance tests performed by the columnar batch kernel,
-    /// attributing them to the SIMD counter when the block's resolved
-    /// tier is a SIMD one.
+    /// attributing them to the SIMD counter when the block's tier is a
+    /// SIMD one.
     pub fn add_block_tests(&mut self, n: u64, simd: bool) {
         self.dominance_tests += n;
         self.batched_tests += n;

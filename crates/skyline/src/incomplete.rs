@@ -95,11 +95,10 @@
 
 use std::collections::HashMap;
 
-use sparkline_common::{
-    DominanceKernel, QueryControl, Result, Row, SkylineSpec, CONTROL_CHECK_ROWS,
-};
+use sparkline_common::{QueryControl, Result, Row, SkylineSpec, CONTROL_CHECK_ROWS};
 
-use crate::bnl::{kernel_for, BnlBuilder};
+use crate::bnl::{tier_for, BnlBuilder};
+use crate::columnar::KernelTier;
 use crate::dominance::{Dominance, DominanceChecker, SkylineStats};
 use crate::naive::naive_skyline;
 
@@ -154,23 +153,20 @@ pub fn partition_by_null_bitmap(
 /// `HashMap`).
 pub struct GroupedBnlBuilder {
     checker: DominanceChecker,
-    kernel: DominanceKernel,
+    tier: KernelTier,
     index: HashMap<u64, usize>,
     groups: Vec<BnlBuilder>,
 }
 
 impl GroupedBnlBuilder {
     /// A builder over the checker's spec (must be an incomplete-relation
-    /// checker when NULLs can occur).
+    /// checker when NULLs can occur), whose class windows run on the
+    /// detected compare tier when `vectorized`, on the portable chunked
+    /// loop otherwise (the tier differential's pin).
     pub fn new(checker: DominanceChecker, vectorized: bool) -> Self {
-        Self::with_kernel(checker, kernel_for(vectorized))
-    }
-
-    /// As [`Self::new`], with an explicit compare-kernel selection.
-    pub fn with_kernel(checker: DominanceChecker, kernel: DominanceKernel) -> Self {
         GroupedBnlBuilder {
             checker,
-            kernel,
+            tier: tier_for(vectorized),
             index: HashMap::new(),
             groups: Vec::new(),
         }
@@ -184,7 +180,7 @@ impl GroupedBnlBuilder {
         match self.index.get(&bitmap) {
             Some(&i) => i,
             None => {
-                let builder = BnlBuilder::for_class(self.checker.clone(), self.kernel);
+                let builder = BnlBuilder::for_class(self.checker.clone(), self.tier);
                 self.groups.push(builder);
                 self.index.insert(bitmap, self.groups.len() - 1);
                 self.groups.len() - 1
@@ -520,7 +516,7 @@ mod tests {
     #[test]
     fn grouped_builder_kernel_knobs_are_byte_identical() {
         // Per-class windows fold batches through the cross-filter; every
-        // knob must produce the naive skyline of each class, classes in
+        // tier must produce the naive skyline of each class, classes in
         // first-seen order.
         let checker = DominanceChecker::incomplete(spec3());
         let data = mixed_rows(240, 3, 7);
@@ -536,17 +532,20 @@ mod tests {
             .iter()
             .flat_map(|(_, class)| naive_skyline(class, &checker))
             .collect();
-        for kernel in [DominanceKernel::Auto, DominanceKernel::Chunked] {
-            let mut builder = GroupedBnlBuilder::with_kernel(checker.clone(), kernel);
+        for vectorized in [true, false] {
+            let mut builder = GroupedBnlBuilder::new(checker.clone(), vectorized);
             for batch in data.chunks(24) {
                 builder.push_batch(batch.to_vec());
             }
             let (rows, stats) = builder.finish();
-            assert_eq!(rows, expected, "kernel {kernel:?}");
+            assert_eq!(rows, expected, "vectorized={vectorized}");
             assert!(
                 stats.multi_candidate_passes > 0,
-                "class-pure windows must batch candidates under {kernel:?}"
+                "class-pure windows must batch candidates, vectorized={vectorized}"
             );
+            if !vectorized {
+                assert_eq!(stats.simd_tests, 0, "the chunked pin reaches every class");
+            }
         }
     }
 }

@@ -195,11 +195,6 @@ impl MaintainedSkyline {
         self.rows.is_empty()
     }
 
-    /// Tracked (band) tuples.
-    pub fn band_len(&self) -> usize {
-        self.band.len()
-    }
-
     /// Full rebuilds performed so far (erosion budget exhausted or band
     /// hygiene).
     pub fn rebuilds(&self) -> u64 {

@@ -9,15 +9,23 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sparkline_common::{DominanceKernel, Row, SkylineDim, SkylineSpec, SkylineType, Value};
+use sparkline_common::{Row, SkylineDim, SkylineSpec, SkylineType, Value};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
 use sparkline_skyline::{
-    bnl_skyline, naive_skyline, null_bitmap, ColumnarBlock, DominanceChecker, GroupedBnlBuilder,
+    naive_skyline, null_bitmap, BnlBuilder, ColumnarBlock, DominanceChecker, GroupedBnlBuilder,
     SkylineStats, MULTI_LANES,
 };
 
-/// Both kernel knobs; each must match the naive definition row for row.
-const VECTORIZED: [DominanceKernel; 2] = [DominanceKernel::Chunked, DominanceKernel::Auto];
+/// The builders' `vectorized` flag: the chunked loop and the detected
+/// tier; each must match the naive definition row for row.
+const VECTORIZED: [bool; 2] = [false, true];
+
+/// One batch through a BNL window on the tier `vectorized` selects.
+fn bnl(rows: Vec<Row>, checker: &DominanceChecker, vectorized: bool) -> (Vec<Row>, SkylineStats) {
+    let mut builder = BnlBuilder::new(checker.clone(), vectorized);
+    builder.push_batch(rows);
+    builder.finish()
+}
 
 /// Numeric-leaning values (the kernel's fast path) with NULLs mixed in.
 fn numeric_value() -> BoxedStrategy<Value> {
@@ -225,7 +233,7 @@ proptest! {
     /// End-to-end: batched BNL is byte-identical (rows *and* order) to
     /// the scalar definition on arbitrary value mixes — including strings,
     /// booleans, and NULLs that force the scalar-fallback path — for every
-    /// MIN/MAX/DIFF/DISTINCT spec combination, on every kernel knob.
+    /// MIN/MAX/DIFF/DISTINCT spec combination, on both builder tiers.
     #[test]
     fn batched_bnl_matches_scalar_on_wild_values(
         rows in rows_of(wild_value(), 3, 40),
@@ -235,10 +243,9 @@ proptest! {
         let checker =
             DominanceChecker::complete(spec(3, with_diff == 1, distinct == 1));
         let scalar = naive_skyline(&rows, &checker);
-        for kernel in VECTORIZED {
-            let mut s2 = SkylineStats::default();
-            let batched = bnl_skyline(rows.clone(), &checker, &mut s2, kernel);
-            prop_assert_eq!(&scalar, &batched, "{:?}", kernel);
+        for vectorized in VECTORIZED {
+            let (batched, s2) = bnl(rows.clone(), &checker, vectorized);
+            prop_assert_eq!(&scalar, &batched, "vectorized={}", vectorized);
             prop_assert_eq!(s2.dominance_tests, s2.batched_tests + s2.scalar_tests);
         }
     }
@@ -261,10 +268,10 @@ proptest! {
             .iter()
             .flat_map(|(_, class)| naive_skyline(class, &checker))
             .collect();
-        for kernel in VECTORIZED {
-            let mut grouped = GroupedBnlBuilder::with_kernel(checker.clone(), kernel);
+        for vectorized in VECTORIZED {
+            let mut grouped = GroupedBnlBuilder::new(checker.clone(), vectorized);
             grouped.push_batch(rows.clone());
-            prop_assert_eq!(&scalar, &grouped.finish().0, "{:?}", kernel);
+            prop_assert_eq!(&scalar, &grouped.finish().0, "vectorized={}", vectorized);
         }
     }
 }
@@ -289,10 +296,9 @@ proptest! {
         };
         let checker = DominanceChecker::complete(spec(dims, false, false));
         let scalar = naive_skyline(&rows, &checker);
-        for kernel in VECTORIZED {
-            let mut s2 = SkylineStats::default();
-            let batched = bnl_skyline(rows.clone(), &checker, &mut s2, kernel);
-            prop_assert_eq!(&scalar, &batched, "{:?}", kernel);
+        for vectorized in VECTORIZED {
+            let (batched, s2) = bnl(rows.clone(), &checker, vectorized);
+            prop_assert_eq!(&scalar, &batched, "vectorized={}", vectorized);
             // Float data never demotes the block: the win is fully
             // attributed to the kernel.
             prop_assert_eq!(s2.scalar_tests, 0);

@@ -203,11 +203,10 @@ pub fn class_skylines(rows: &[Row], checker: &DominanceChecker) -> Vec<Row> {
 /// exchange), run by hand — `rows` split evenly into `partitions` (the
 /// scan's boundaries), [`class_skylines`] of each partition, then the
 /// all-pairs deferred-deletion pass over the concatenated local skylines.
-/// Returns
-/// the raw rows in output order — what the engine's incomplete plan must
-/// reproduce byte for byte on every executor count, kernel knob and
-/// execution model — and the number of candidates the all-pairs pass
-/// received.
+/// Returns the raw rows in output order — what the engine's incomplete
+/// plan, and the builders and cross-filter on every compare tier, must
+/// reproduce byte for byte on every executor count and batch size — and
+/// the number of candidates the all-pairs pass received.
 pub fn flat_incomplete_oracle(
     rows: &[Row],
     checker: &DominanceChecker,

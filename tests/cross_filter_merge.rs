@@ -3,11 +3,12 @@
 //! (`BnlBuilder::push_batch`) and the global pairwise merge over key-sorted
 //! blocks (`GlobalSkylineExec`).
 //!
-//! Every engine configuration must return the **raw rows** — same rows,
-//! same order, payload columns included — of the O(n²) definition
-//! (`naive_skyline`), which is also what the paper's flat two-phase plan
-//! returns: order-preserving BNL emits the skyline members in arrival
-//! order. Only plan strings and performed-test counters may differ between
+//! Every engine configuration, and both compare tiers the builders can be
+//! pinned to, must return the **raw rows** — same rows, same order,
+//! payload columns included — of the O(n²) definition (`naive_skyline`),
+//! which is also what the paper's flat two-phase plan returns:
+//! order-preserving BNL emits the skyline members in arrival order. Only
+//! plan strings and performed-test counters may differ between
 //! configurations.
 
 mod common;
@@ -16,16 +17,16 @@ use common::{class_skylines, distribution_rows, null_every_fifth, DISTRIBUTIONS}
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparkline::{
-    DataType, DominanceKernel, Field, Row, Schema, SessionConfig, SessionContext, Value,
-};
+use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
 use sparkline_common::{SkylineDim, SkylineSpec, SkylineType, CONTROL_CHECK_ROWS};
 use sparkline_datagen::distributions::anti_correlated_rows;
 use sparkline_skyline::{
-    bnl_skyline, naive_skyline, BnlBuilder, DominanceChecker, GroupedBnlBuilder, SkylineStats,
+    kernel_label, naive_skyline, BnlBuilder, DominanceChecker, GroupedBnlBuilder, KernelTier,
 };
 
-const KERNELS: [DominanceKernel; 2] = [DominanceKernel::Chunked, DominanceKernel::Auto];
+/// The builders' `vectorized` flag: the pinned chunked loop, then the
+/// detected tier.
+const VECTORIZED: [bool; 2] = [false, true];
 
 /// One query shape of the matrix: how the generated floats become a
 /// table, which SQL runs over it, and the resolved spec of the oracles.
@@ -136,10 +137,8 @@ fn checker(shape: Shape, dims: usize) -> DominanceChecker {
     })
 }
 
-fn config(partitions: usize, kernel: DominanceKernel) -> SessionConfig {
-    SessionConfig::default()
-        .with_executors(partitions)
-        .with_dominance_kernel(kernel)
+fn config(partitions: usize) -> SessionConfig {
+    SessionConfig::default().with_executors(partitions)
 }
 
 #[test]
@@ -154,20 +153,15 @@ fn every_merge_kernel_and_execution_mode_returns_the_oracle_rows() {
                 let query = sql(shape, dims);
                 for partitions in [1usize, 2, 3, 8] {
                     let cell = format!("{dist} d={dims} {shape:?} p={partitions}");
-                    for kernel in KERNELS {
-                        // Small batches, and one batch per partition.
-                        for batch_size in [16, rows.len()] {
-                            let ctx = SessionContext::with_config(
-                                config(partitions, kernel).with_batch_size(batch_size),
-                            );
-                            ctx.register_table("t", schema.clone(), rows.clone())
-                                .unwrap();
-                            let got = ctx.sql(&query).unwrap().collect().unwrap();
-                            assert_eq!(
-                                got.rows, expected,
-                                "{cell} {kernel:?} batch_size={batch_size}"
-                            );
-                        }
+                    // Small batches, and one batch per partition.
+                    for batch_size in [16, rows.len()] {
+                        let ctx = SessionContext::with_config(
+                            config(partitions).with_batch_size(batch_size),
+                        );
+                        ctx.register_table("t", schema.clone(), rows.clone())
+                            .unwrap();
+                        let got = ctx.sql(&query).unwrap().collect().unwrap();
+                        assert_eq!(got.rows, expected, "{cell} batch_size={batch_size}");
                     }
                 }
             }
@@ -178,18 +172,15 @@ fn every_merge_kernel_and_execution_mode_returns_the_oracle_rows() {
 #[test]
 fn counters_and_explain_describe_the_pairwise_merge() {
     let (schema, rows) = table(Shape::Plain, "anti_correlated", 4, 4_000);
-    let run = |kernel| {
-        let ctx = SessionContext::with_config(config(3, kernel));
-        ctx.register_table("t", schema.clone(), rows.clone())
-            .unwrap();
-        let df = ctx.sql(&sql(Shape::Plain, 4)).unwrap();
-        (df.explain().unwrap(), df.collect().unwrap())
-    };
-    let (explain, result) = run(DominanceKernel::Chunked);
-    assert!(
-        explain.contains("GlobalSkylineExec [4 dims, pairwise merge, vectorized: chunked]"),
-        "{explain}"
+    let ctx = SessionContext::with_config(config(3));
+    ctx.register_table("t", schema, rows.clone()).unwrap();
+    let df = ctx.sql(&sql(Shape::Plain, 4)).unwrap();
+    let (explain, result) = (df.explain().unwrap(), df.collect().unwrap());
+    let global = format!(
+        "GlobalSkylineExec [4 dims, pairwise merge, vectorized: {}]",
+        kernel_label()
     );
+    assert!(explain.contains(&global), "{explain}");
     assert!(!explain.contains("AllTuples"), "{explain}");
     let m = result.metrics;
     // One round, one task per local skyline; the merge counts the local
@@ -198,22 +189,18 @@ fn counters_and_explain_describe_the_pairwise_merge() {
     assert!(m.rows_exchanged as usize >= result.rows.len(), "{m:?}");
     assert!((m.rows_exchanged as usize) < rows.len(), "{m:?}");
     assert!(m.max_window >= result.rows.len(), "{m:?}");
-    // Work is attributed to the resolved tier in both phases — through
+    // Work is attributed to the detected tier in both phases — through
     // the fold's survivor blocks as well.
     assert!(m.multi_candidate_passes > 0, "{m:?}");
     assert_eq!(m.dominance_tests, m.batched_tests, "{m:?}");
-    assert_eq!((m.simd_tests, m.scalar_tests), (0, 0), "{m:?}");
-    let (_, auto) = run(DominanceKernel::Auto);
-    assert_eq!(auto.rows, result.rows);
-    let a = auto.metrics;
-    assert_eq!(a.dominance_tests, a.batched_tests, "{a:?}");
-    assert_eq!(a.scalar_tests, 0, "{a:?}");
+    assert_eq!(m.scalar_tests, 0, "{m:?}");
+    assert_eq!(m.simd_tests > 0, KernelTier::detect().is_simd(), "{m:?}");
 }
 
 #[test]
 fn a_cancelled_session_stops_the_merge_with_a_typed_error() {
     let (schema, rows) = table(Shape::Plain, "anti_correlated", 4, 3_000);
-    let ctx = SessionContext::with_config(config(2, DominanceKernel::Auto));
+    let ctx = SessionContext::with_config(config(2));
     ctx.register_table("t", schema, rows).unwrap();
     let query = sql(Shape::Plain, 4);
     ctx.cancel();
@@ -248,7 +235,7 @@ fn min_checker(dims: usize) -> DominanceChecker {
 /// 1-row batches leave.
 fn per_row_definition(rows: &[Row], checker: &DominanceChecker) -> Vec<Row> {
     let expected = naive_skyline(rows, checker);
-    let mut per_row = BnlBuilder::with_kernel(checker.clone(), DominanceKernel::Chunked);
+    let mut per_row = BnlBuilder::new(checker.clone(), false);
     rows.iter()
         .for_each(|row| per_row.push_batch(std::iter::once(row.clone())));
     assert_eq!(per_row.finish().0, expected);
@@ -298,15 +285,15 @@ fn equal_key_ties_are_decided_by_the_dominance_test_not_the_key() {
                 rows.push(second.clone());
                 let expected = per_row_definition(&rows, &checker);
                 assert_eq!(expected.len(), filler.len() + 1);
-                for kernel in KERNELS {
+                for vectorized in VECTORIZED {
                     for batch in [1usize, 30, CONTROL_CHECK_ROWS, rows.len()] {
-                        let mut folded = BnlBuilder::with_kernel(checker.clone(), kernel);
+                        let mut folded = BnlBuilder::new(checker.clone(), vectorized);
                         rows.chunks(batch)
                             .for_each(|chunk| folded.push_batch(chunk.to_vec()));
                         assert_eq!(
                             folded.finish().0,
                             expected,
-                            "{winner} {kernel:?} batch={batch} gap={gap}"
+                            "{winner} v={vectorized} batch={batch} gap={gap}"
                         );
                     }
                 }
@@ -347,15 +334,15 @@ fn unscorable_unencodable_and_demoting_rows_mid_batch_keep_the_arrival_order() {
             rows.extend(staircase(200, 260));
             rows.push(float_row(&[130.5, 530.0]));
             let expected = per_row_definition(&rows, &checker);
-            for kernel in KERNELS {
-                let mut folded = BnlBuilder::with_kernel(checker.clone(), kernel);
+            for vectorized in VECTORIZED {
+                let mut folded = BnlBuilder::new(checker.clone(), vectorized);
                 folded.push_batch(rows[..120].to_vec());
                 folded.push_batch(rows[120..121 + survivors].to_vec());
                 folded.push_batch(rows[121 + survivors..].to_vec());
                 assert_eq!(
                     folded.finish().0,
                     expected,
-                    "{odd} {kernel:?} survivors={survivors}"
+                    "{odd} v={vectorized} survivors={survivors}"
                 );
             }
         }
@@ -373,12 +360,12 @@ fn unscorable_unencodable_and_demoting_rows_mid_batch_keep_the_arrival_order() {
         rows.len() - 1,
         "(29.5, 740) evicts (30, 740)"
     );
-    for kernel in KERNELS {
+    for vectorized in VECTORIZED {
         for batch in [1usize, 50, rows.len()] {
-            let mut folded = BnlBuilder::with_kernel(checker.clone(), kernel);
+            let mut folded = BnlBuilder::new(checker.clone(), vectorized);
             rows.chunks(batch)
                 .for_each(|chunk| folded.push_batch(chunk.to_vec()));
-            assert_eq!(folded.finish().0, expected, "{kernel:?} batch={batch}");
+            assert_eq!(folded.finish().0, expected, "v={vectorized} batch={batch}");
         }
     }
 }
@@ -411,13 +398,10 @@ fn the_pairwise_merge_decides_equal_key_rows_across_partitions() {
     let checker = min_checker(2);
     let expected = naive_skyline(&rows, &checker);
     assert_eq!(expected.len(), 62);
-    for kernel in KERNELS {
-        let ctx = SessionContext::with_config(config(2, kernel));
-        ctx.register_table("t", schema.clone(), rows.clone())
-            .unwrap();
-        let got = ctx.sql(&sql(Shape::Plain, 2)).unwrap().collect().unwrap();
-        assert_eq!(got.rows, expected, "{kernel:?}");
-    }
+    let ctx = SessionContext::with_config(config(2));
+    ctx.register_table("t", schema, rows).unwrap();
+    let got = ctx.sql(&sql(Shape::Plain, 2)).unwrap().collect().unwrap();
+    assert_eq!(got.rows, expected);
 }
 
 /// Locks the gain of the score-ordered window in: the local phase of one
@@ -432,14 +416,11 @@ fn the_ordered_window_halves_the_tests_on_anti_correlated_input() {
         .for_each(|batch| builder.push_batch(batch.to_vec()));
     let (skyline, stats) = builder.finish();
     assert_eq!(skyline.len(), 2_601);
+    let mut chunked = BnlBuilder::new(checker, false);
+    chunked.push_batch(rows);
     assert_eq!(
         skyline,
-        bnl_skyline(
-            rows,
-            &checker,
-            &mut SkylineStats::default(),
-            DominanceKernel::Chunked
-        ),
+        chunked.finish().0,
         "same rows, same order as the portable tier"
     );
     assert!(stats.dominance_tests <= 16_000_000, "{stats:?}");
@@ -525,7 +506,7 @@ proptest! {
 
     /// However the input is cut into batches, `push_batch` leaves the
     /// window the per-row step leaves — the definition's skyline — on
-    /// every kernel, with and without DISTINCT, with NULL-bearing rows
+    /// both tiers, with and without DISTINCT, with NULL-bearing rows
     /// under the complete relation.
     #[test]
     fn push_batch_equals_per_row_push_under_any_batch_split(seed in 0u64..(1u64 << 40)) {
@@ -537,8 +518,8 @@ proptest! {
         for spec in [SkylineSpec::new(min_dims.clone()), SkylineSpec::distinct(min_dims)] {
             let checker = DominanceChecker::complete(spec);
             let expected = per_row_definition(&rows, &checker);
-            for kernel in KERNELS {
-                let mut folded = BnlBuilder::with_kernel(checker.clone(), kernel);
+            for vectorized in VECTORIZED {
+                let mut folded = BnlBuilder::new(checker.clone(), vectorized);
                 batches.iter().cloned().for_each(|batch| folded.push_batch(batch));
                 prop_assert_eq!(&folded.finish().0, &expected);
             }
@@ -555,8 +536,8 @@ proptest! {
         let spec = SkylineSpec::new((0..dims).map(SkylineDim::min).collect());
         let checker = DominanceChecker::incomplete(spec);
         let expected = class_skylines(&rows, &checker);
-        for kernel in KERNELS {
-            let mut grouped = GroupedBnlBuilder::with_kernel(checker.clone(), kernel);
+        for vectorized in VECTORIZED {
+            let mut grouped = GroupedBnlBuilder::new(checker.clone(), vectorized);
             for batch in ragged_batches(&rows, seed ^ 0x6A0B) {
                 grouped.push_batch(batch);
             }
@@ -567,7 +548,7 @@ proptest! {
     /// The score-ordered window on values that stress its key — ties,
     /// infinities, unscorable and unencodable rows mid-batch, blocks
     /// demoted mid-stream — under MIN/MAX/DIFF mixes: `push_batch` ==
-    /// per-row `push` == the definition, row for row, on every kernel.
+    /// per-row `push` == the definition, row for row, on both tiers.
     #[test]
     fn push_batch_equals_per_row_push_on_wild_values(seed in 0u64..(1u64 << 40)) {
         let dims = 2 + (seed % 3) as usize;
@@ -581,10 +562,10 @@ proptest! {
         );
         let checker = DominanceChecker::complete(spec);
         let expected = per_row_definition(&rows, &checker);
-        for kernel in KERNELS {
-            let mut folded = BnlBuilder::with_kernel(checker.clone(), kernel);
+        for vectorized in VECTORIZED {
+            let mut folded = BnlBuilder::new(checker.clone(), vectorized);
             batches.iter().cloned().for_each(|batch| folded.push_batch(batch));
-            prop_assert_eq!(&folded.finish().0, &expected, "{:?}", kernel);
+            prop_assert_eq!(&folded.finish().0, &expected, "vectorized={}", vectorized);
         }
     }
 }

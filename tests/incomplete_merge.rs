@@ -10,8 +10,8 @@
 //! partitions), a Utf8 dimension (every class block in scalar fallback),
 //! all-NULL rows with `DISTINCT` duplicates of them, and the Appendix A
 //! cycle, whose three classes the scan spreads over partitions. Each runs
-//! on executors {1, 2, 3, 8} × batch sizes {16, one per partition} × both
-//! `DominanceKernel` values, and must return the **raw rows** of the
+//! on executors {1, 2, 3, 8} × batch sizes {16, one per partition}, and
+//! must return the **raw rows** of the
 //! engine's plan run by hand (`common::flat_incomplete_oracle`: the naive
 //! skyline per class of each partition, then the all-pairs pass — same
 //! rows, same order), with
@@ -33,10 +33,7 @@ use std::collections::HashSet;
 
 use common::{flat_incomplete_oracle, generate_with_null_fraction, skyline_sql, DISTRIBUTIONS};
 use proptest::prelude::*;
-use sparkline::{
-    DataType, DominanceKernel, Field, QueryResult, Row, Schema, SessionConfig, SessionContext,
-    Value,
-};
+use sparkline::{DataType, Field, QueryResult, Row, Schema, SessionConfig, SessionContext, Value};
 use sparkline_common::{SkylineDim, SkylineSpec};
 use sparkline_exec::partition::split_evenly;
 use sparkline_skyline::{naive_skyline, null_bitmap, DominanceChecker};
@@ -45,7 +42,6 @@ const NULL_FRACTIONS: [f64; 3] = [0.1, 0.3, 0.6];
 /// The label of the `DISTINCT` case whose duplicates straddle partitions.
 const STRADDLING: &str = "distinct, table stored twice";
 const EXECUTORS: [usize; 4] = [1, 2, 3, 8];
-const KERNELS: [DominanceKernel; 2] = [DominanceKernel::Chunked, DominanceKernel::Auto];
 
 /// One input of the matrix: table `t`, the skyline query over it, and the
 /// relation the engine must apply.
@@ -236,23 +232,20 @@ fn engine_rows_equal_the_flat_oracle_across_the_matrix() {
                 flat_incomplete_oracle(&case.rows, &case.checker, executors);
             let cell = format!("{} on {executors} executors", case.label);
             assert_eq!(sorted(&expected), naive, "{cell}: the two oracles disagree");
-            for kernel in KERNELS {
-                for batch_size in [16, case.rows.len()] {
-                    let got = run(
-                        &case,
-                        SessionConfig::default()
-                            .with_executors(executors)
-                            .with_dominance_kernel(kernel)
-                            .with_batch_size(batch_size),
-                    );
-                    let label = format!("{cell}, {kernel:?}, batch_size={batch_size}");
-                    assert_eq!(got.rows, expected, "{label}");
-                    assert_eq!(
-                        got.metrics.deferred_deletions as usize,
-                        candidates - expected.len(),
-                        "{label}: deferred deletions"
-                    );
-                }
+            for batch_size in [16, case.rows.len()] {
+                let got = run(
+                    &case,
+                    SessionConfig::default()
+                        .with_executors(executors)
+                        .with_batch_size(batch_size),
+                );
+                let label = format!("{cell}, batch_size={batch_size}");
+                assert_eq!(got.rows, expected, "{label}");
+                assert_eq!(
+                    got.metrics.deferred_deletions as usize,
+                    candidates - expected.len(),
+                    "{label}: deferred deletions"
+                );
             }
         }
     }

@@ -179,14 +179,10 @@ fn incomplete_on_complete_data_merges_one_class_from_every_partition() {
     assert_eq!(m.merge_rounds, 1, "{m:?}");
     assert_eq!(m.merge_tasks, 4, "{m:?}");
     let explain = ctx
-        .with_shared_catalog(
-            SessionConfig::default()
-                .with_executors(4)
-                .with_skyline_strategy(sparkline::SkylineStrategy::DistributedIncomplete),
-        )
+        .with_shared_catalog(SessionConfig::default().with_executors(4))
         .sql(&sql)
         .unwrap()
-        .explain()
+        .explain_with(Algorithm::DistributedIncomplete)
         .unwrap();
     assert!(!explain.contains("ExchangeExec"), "{explain}");
     assert!(

@@ -1,51 +1,164 @@
-//! Differential suite for the dominance-kernel knob: forcing
-//! `dominance_kernel` to `chunked` or `auto` must be invisible in the
-//! results — byte-identical rows in identical order, and the rows of the
-//! naive Definition-3.2 skyline, on every cell of the shared Börzsönyi
-//! matrix (3 distributions × dims {2, 4, 8} × NULL fractions), on
-//! DIFF/MIN/MAX dimension mixes, and on non-numeric DIFF columns that
-//! demote the kernel to its scalar fallback. Only the performed-test
-//! counters may differ between knobs, and those must attribute the work
-//! consistently: the chunked knob runs no SIMD tests, and the auto knob
-//! reports `simd_tests` exactly when the host has a SIMD tier.
+//! Tier differential for the columnar dominance kernel: every compare tier
+//! the CPU offers (`KernelTier::available()`: the portable chunked loop,
+//! plus AVX2 where it is detected) must be invisible in the results of the
+//! kernel's three callers — `BnlBuilder` (the complete local phase),
+//! `GroupedBnlBuilder` (the incomplete local phase, one window per
+//! null-bitmap class) and `cross_filter` (the global pairwise merge over
+//! key-sorted blocks). Their rows are byte-identical across tiers, in
+//! identical order, and are the rows of the naive Definition-3.2 skyline
+//! on every cell of the shared Börzsönyi matrix (3 distributions × dims
+//! {2, 4, 8} × NULL fractions), on DIFF/MIN/MAX mixes, and on a Utf8 DIFF
+//! column that demotes the kernel to its scalar fallback. Only the
+//! performed-test counters may differ between tiers, and they must
+//! attribute the work: the chunked tier runs no SIMD tests, and the
+//! detected AVX2 tier does.
+//!
+//! A query always runs on the detected tier; the builders'
+//! `vectorized: false` and `ColumnarBlock::with_tier` are the only pins,
+//! so this suite drives the kernel at that API.
 
 mod common;
 
-use common::{generate_with_null_fraction, oracle, skyline_sql, DISTRIBUTIONS};
+use common::{flat_incomplete_oracle, generate_with_null_fraction, oracle, DISTRIBUTIONS};
 use proptest::prelude::*;
-use sparkline::{
-    DataType, DominanceKernel, Field, Row, Schema, SessionConfig, SessionContext, Value,
-};
+use sparkline::{Row, Value};
 use sparkline_common::{SkylineDim, SkylineSpec, SkylineType};
-use sparkline_skyline::{naive_skyline, DominanceChecker, KernelTier};
+use sparkline_exec::partition::split_evenly;
+use sparkline_skyline::{
+    cross_filter, naive_skyline, null_bitmap, BnlBuilder, ColumnarBlock, CrossFilterScratch,
+    DominanceChecker, GroupedBnlBuilder, KernelTier, SkylineStats,
+};
 
-/// Every setting of the knob, the portable tier first.
-const KERNELS: [DominanceKernel; 2] = [DominanceKernel::Chunked, DominanceKernel::Auto];
+/// The builders' `vectorized` flag for `tier`: the SIMD tier of
+/// `KernelTier::available()` is the detected one.
+fn vectorized(tier: KernelTier) -> bool {
+    tier.is_simd()
+}
 
-/// A session with the rows as table `t` (`dims` float columns) and the
-/// dominance kernel pinned.
-fn kernel_session(
-    rows: Vec<Row>,
-    dims: usize,
-    nullable: bool,
-    kernel: DominanceKernel,
-) -> SessionContext {
-    let ctx = SessionContext::with_config(
-        SessionConfig::default()
-            .with_executors(3)
-            .with_dominance_kernel(kernel),
-    );
-    ctx.register_table(
-        "t",
-        Schema::new(
-            (0..dims)
-                .map(|i| Field::new(format!("d{i}"), DataType::Float64, nullable))
-                .collect(),
-        ),
-        rows,
-    )
-    .unwrap();
-    ctx
+/// The engine's two skyline phases, by hand, on `tier`: a local skyline
+/// per even partition of `rows` (pushed in 64-row batches), cut into
+/// antichain blocks — a partition's local skyline under the complete
+/// relation, one null-bitmap class run of it under the incomplete one —
+/// then each block cross-filtered against every other block's key-sorted
+/// encoding, the survivors concatenated in block order. Returns the
+/// concatenated local skylines, the merged rows and the statistics of both
+/// phases.
+fn two_phase(
+    rows: &[Row],
+    checker: &DominanceChecker,
+    tier: KernelTier,
+    partitions: usize,
+) -> (Vec<Row>, Vec<Row>, SkylineStats) {
+    let incomplete = checker.is_incomplete();
+    let mut stats = SkylineStats::default();
+    let mut locals = Vec::new();
+    let mut blocks: Vec<Vec<Row>> = Vec::new();
+    for part in split_evenly(rows.to_vec(), partitions) {
+        let (local, local_stats) = if incomplete {
+            let mut builder = GroupedBnlBuilder::new(checker.clone(), vectorized(tier));
+            part.chunks(64)
+                .for_each(|batch| builder.push_batch(batch.to_vec()));
+            builder.finish()
+        } else {
+            let mut builder = BnlBuilder::new(checker.clone(), vectorized(tier));
+            part.chunks(64)
+                .for_each(|batch| builder.push_batch(batch.to_vec()));
+            builder.finish()
+        };
+        stats.merge(&local_stats);
+        if incomplete {
+            let class = |row: &Row| null_bitmap(row, checker.spec());
+            blocks.extend(
+                local
+                    .chunk_by(|a, b| class(a) == class(b))
+                    .map(<[Row]>::to_vec),
+            );
+        } else if !local.is_empty() {
+            blocks.push(local.clone());
+        }
+        locals.extend(local);
+    }
+    let encoded: Vec<ColumnarBlock> = blocks
+        .iter()
+        .map(|block_rows| {
+            let mut block = ColumnarBlock::with_tier(checker.spec(), incomplete, tier);
+            block_rows.iter().for_each(|row| block.push(row));
+            block.sort_by_key();
+            block
+        })
+        .collect();
+    let mut scratch = CrossFilterScratch::default();
+    let mut merged = Vec::new();
+    for (i, cands) in blocks.iter().enumerate() {
+        let mut alive = vec![true; cands.len()];
+        for (j, against) in blocks.iter().enumerate() {
+            if i != j {
+                cross_filter(
+                    checker,
+                    cands,
+                    &mut alive,
+                    against,
+                    &encoded[j],
+                    &mut scratch,
+                    &mut stats,
+                );
+            }
+        }
+        merged.extend(
+            cands
+                .iter()
+                .zip(&alive)
+                .filter(|(_, &alive)| alive)
+                .map(|(row, _)| row.clone()),
+        );
+    }
+    (locals, merged, stats)
+}
+
+/// [`two_phase`] on every available tier: asserts that the local and the
+/// merged rows equal the oracles and are byte-identical across tiers, and
+/// returns each tier's statistics.
+fn every_tier(
+    rows: &[Row],
+    checker: &DominanceChecker,
+    partitions: usize,
+    case: &str,
+) -> Vec<(KernelTier, SkylineStats)> {
+    // The complete plan's oracle is the definition itself (order-preserving
+    // BNL emits the skyline members in arrival order); the incomplete
+    // plan's is the paper's all-pairs pass over the class skylines.
+    let expected = if checker.is_incomplete() {
+        flat_incomplete_oracle(rows, checker, partitions).0
+    } else {
+        naive_skyline(rows, checker)
+    };
+    let mut baseline: Option<(Vec<Row>, Vec<Row>)> = None;
+    let mut stats = Vec::new();
+    for tier in KernelTier::available() {
+        let (locals, merged, tier_stats) = two_phase(rows, checker, tier, partitions);
+        assert_eq!(merged, expected, "{case} {tier:?} vs oracle");
+        match &baseline {
+            None => baseline = Some((locals, merged)),
+            Some(rows) => assert_eq!(
+                (&locals, &merged),
+                (&rows.0, &rows.1),
+                "{case} {tier:?}: rows (and their order) must not depend on the tier"
+            ),
+        }
+        stats.push((tier, tier_stats));
+    }
+    stats
+}
+
+/// An all-MIN spec over `dims` columns, under the relation the engine
+/// selects for the data (incomplete when NULLs can occur).
+fn min_checker(dims: usize, incomplete: bool) -> DominanceChecker {
+    let spec = SkylineSpec::new((0..dims).map(SkylineDim::min).collect());
+    if incomplete {
+        DominanceChecker::incomplete(spec)
+    } else {
+        DominanceChecker::complete(spec)
+    }
 }
 
 #[test]
@@ -54,26 +167,16 @@ fn kernel_knobs_are_byte_identical_across_the_matrix() {
         for dims in [2usize, 4, 8] {
             for null_fraction in [0.0, 0.2] {
                 let rows = generate_with_null_fraction(dist, 11, 300, dims, null_fraction);
-                let expected = oracle(&rows, dims, null_fraction > 0.0);
-                let mut baseline: Option<Vec<Row>> = None;
-                for kernel in KERNELS {
-                    let ctx = kernel_session(rows.clone(), dims, null_fraction > 0.0, kernel);
-                    let result = ctx.sql(&skyline_sql(dims)).unwrap().collect().unwrap();
-                    let mut sorted = result.sorted_display();
-                    sorted.sort();
-                    assert_eq!(
-                        sorted, expected,
-                        "{dist} dims={dims} nf={null_fraction} {kernel:?} vs oracle"
-                    );
-                    match &baseline {
-                        None => baseline = Some(result.rows),
-                        Some(rows) => assert_eq!(
-                            &result.rows, rows,
-                            "{dist} dims={dims} nf={null_fraction} {kernel:?}: \
-                             rows (and their order) must not depend on the knob"
-                        ),
-                    }
-                }
+                let incomplete = null_fraction > 0.0;
+                let checker = min_checker(dims, incomplete);
+                let case = format!("{dist} dims={dims} nf={null_fraction}");
+                every_tier(&rows, &checker, 3, &case);
+                // As a set, the two phases compute the skyline of the
+                // relation itself.
+                let (_, merged, _) = two_phase(&rows, &checker, KernelTier::detect(), 3);
+                let mut got: Vec<String> = merged.iter().map(Row::to_string).collect();
+                got.sort();
+                assert_eq!(got, oracle(&rows, dims, incomplete), "{case}");
             }
         }
     }
@@ -81,32 +184,26 @@ fn kernel_knobs_are_byte_identical_across_the_matrix() {
 
 #[test]
 fn kernel_knobs_agree_on_diff_min_max_mixes() {
+    let checker = DominanceChecker::complete(SkylineSpec::new(vec![
+        SkylineDim::diff(0),
+        SkylineDim::min(1),
+        SkylineDim::max(2),
+        SkylineDim::min(3),
+    ]));
     for dist in DISTRIBUTIONS {
         let rows = generate_with_null_fraction(dist, 23, 400, 4, 0.0);
-        let sql = "SELECT * FROM t SKYLINE OF d0 DIFF, d1 MIN, d2 MAX, d3 MIN";
-        let checker = DominanceChecker::complete(SkylineSpec::new(vec![
-            SkylineDim::diff(0),
-            SkylineDim::min(1),
-            SkylineDim::max(2),
-            SkylineDim::min(3),
-        ]));
-        let expected = naive_skyline(&rows, &checker);
-        for kernel in KERNELS {
-            let ctx = kernel_session(rows.clone(), 4, false, kernel);
-            let result = ctx.sql(sql).unwrap().collect().unwrap();
-            let m = result.metrics;
+        for (tier, m) in every_tier(&rows, &checker, 3, dist) {
             // Numeric DIFF dims ride the kernel's equality mask — no
             // scalar demotion.
-            assert!(m.batched_tests > 0, "{dist} {kernel:?}: {m:?}");
-            assert_eq!(m.scalar_tests, 0, "{dist} {kernel:?}: {m:?}");
-            assert_eq!(result.rows, expected, "{dist} {kernel:?}");
+            assert!(m.batched_tests > 0, "{dist} {tier:?}: {m:?}");
+            assert_eq!(m.scalar_tests, 0, "{dist} {tier:?}: {m:?}");
         }
     }
 }
 
 #[test]
 fn non_numeric_diff_demotes_every_kernel_to_the_same_scalar_path() {
-    // A string DIFF column cannot be encoded; all knobs must agree with
+    // A string DIFF column cannot be encoded; every tier must agree with
     // the definition through the scalar fallback.
     let rows: Vec<Row> = (0..120)
         .map(|i: i64| {
@@ -117,71 +214,56 @@ fn non_numeric_diff_demotes_every_kernel_to_the_same_scalar_path() {
             ])
         })
         .collect();
-    let schema = Schema::new(vec![
-        Field::new("g", DataType::Utf8, false),
-        Field::new("d1", DataType::Float64, false),
-        Field::new("d2", DataType::Float64, false),
-    ]);
-    let sql = "SELECT * FROM t SKYLINE OF g DIFF, d1 MIN, d2 MIN";
     let checker = DominanceChecker::complete(SkylineSpec::new(vec![
         SkylineDim::diff(0),
         SkylineDim::min(1),
         SkylineDim::min(2),
     ]));
-    let expected = naive_skyline(&rows, &checker);
-    for kernel in KERNELS {
-        let ctx = SessionContext::with_config(
-            SessionConfig::default()
-                .with_executors(2)
-                .with_dominance_kernel(kernel),
-        );
-        ctx.register_table("t", schema.clone(), rows.clone())
-            .unwrap();
-        let result = ctx.sql(sql).unwrap().collect().unwrap();
-        assert!(
-            result.metrics.scalar_tests > 0,
-            "{kernel:?} demotes to scalar"
-        );
-        assert_eq!(result.rows, expected, "{kernel:?}");
+    for (tier, m) in every_tier(&rows, &checker, 2, "utf8 diff") {
+        assert!(m.scalar_tests > 0, "{tier:?} demotes to scalar: {m:?}");
+        assert_eq!(m.batched_tests, 0, "{tier:?}: {m:?}");
+        assert_eq!(m.simd_tests, 0, "{tier:?}: {m:?}");
     }
 }
 
 #[test]
 fn forced_knobs_attribute_work_to_the_right_tier() {
     let rows = generate_with_null_fraction("independent", 5, 500, 3, 0.0);
-    let run = |kernel: DominanceKernel| {
-        let ctx = kernel_session(rows.clone(), 3, false, kernel);
-        let result = ctx.sql(&skyline_sql(3)).unwrap().collect().unwrap();
-        result.metrics
-    };
-
-    let chunked = run(DominanceKernel::Chunked);
-    assert!(chunked.batched_tests > 0, "{chunked:?}");
-    assert_eq!(chunked.scalar_tests, 0, "{chunked:?}");
-    assert_eq!(chunked.simd_tests, 0, "chunked knob must not use SIMD");
-    assert!(chunked.multi_candidate_passes > 0, "{chunked:?}");
-
-    let simd = run(DominanceKernel::Auto);
-    assert!(simd.batched_tests > 0, "{simd:?}");
-    assert!(simd.multi_candidate_passes > 0, "{simd:?}");
-    assert!(
-        simd.simd_tests <= simd.batched_tests,
-        "SIMD tests are a subset of batched tests: {simd:?}"
-    );
-    if KernelTier::detect().is_simd() {
-        assert!(simd.simd_tests > 0, "host has a SIMD tier: {simd:?}");
-    } else {
-        assert_eq!(simd.simd_tests, 0, "no SIMD tier on this host: {simd:?}");
+    let checker = min_checker(3, false);
+    let stats = every_tier(&rows, &checker, 3, "independent");
+    for (tier, m) in &stats {
+        assert!(m.batched_tests > 0, "{tier:?}: {m:?}");
+        assert_eq!(m.scalar_tests, 0, "{tier:?}: {m:?}");
+        assert!(m.multi_candidate_passes > 0, "{tier:?}: {m:?}");
+        assert!(
+            m.simd_tests <= m.batched_tests,
+            "SIMD tests are a subset of batched tests: {m:?}"
+        );
+        if tier.is_simd() {
+            assert!(m.simd_tests > 0, "{tier:?} runs SIMD: {m:?}");
+        } else {
+            assert_eq!(m.simd_tests, 0, "the chunked tier must not use SIMD");
+        }
     }
+    assert_eq!(
+        stats[0].0,
+        KernelTier::Chunked,
+        "the portable tier is first"
+    );
+    assert_eq!(
+        stats.last().map(|(tier, _)| *tier),
+        Some(KernelTier::detect()),
+        "the detected tier is always available"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random small nullable datasets with random MIN/MAX/DIFF dimension
-    /// mixes: every kernel knob returns exactly the same rows (and order),
-    /// and as a set the naive skyline under the incomplete relation the
-    /// engine selects for nullable dimensions.
+    /// mixes under the incomplete relation the engine selects for
+    /// nullable dimensions: every tier returns exactly the same rows (and
+    /// order), and as a set the naive skyline.
     #[test]
     fn random_specs_are_knob_invariant(
         rows in prop::collection::vec(
@@ -192,13 +274,8 @@ proptest! {
             1..90,
         ),
         dim_kinds in prop::collection::vec(0u8..3, 2),
-        executors in 1usize..4,
+        partitions in 1usize..4,
     ) {
-        let schema = Schema::new(
-            (0..3)
-                .map(|i| Field::new(format!("d{i}"), DataType::Int64, true))
-                .collect(),
-        );
         let table: Vec<Row> = rows
             .iter()
             .map(|vals| {
@@ -219,30 +296,16 @@ proptest! {
                     .map(|(i, &k)| SkylineDim::new(i + 1, types[k as usize])),
             )
             .collect();
-        let dim_list: Vec<String> = dims.iter().map(|d| format!("d{} {}", d.index, d.ty)).collect();
-        let sql = format!("SELECT * FROM t SKYLINE OF {}", dim_list.join(", "));
-        let spec = SkylineSpec::new(dims);
-        let mut expected: Vec<String> = naive_skyline(&table, &DominanceChecker::incomplete(spec))
+        let checker = DominanceChecker::incomplete(SkylineSpec::new(dims));
+        let mut expected: Vec<String> = naive_skyline(&table, &checker)
             .iter()
             .map(Row::to_string)
             .collect();
         expected.sort();
-        let mut baseline: Option<Vec<Row>> = None;
-        for kernel in KERNELS {
-            let ctx = SessionContext::with_config(
-                SessionConfig::default()
-                    .with_executors(executors)
-                    .with_dominance_kernel(kernel),
-            );
-            ctx.register_table("t", schema.clone(), table.clone()).unwrap();
-            let result = ctx.sql(&sql).unwrap().collect().unwrap();
-            let mut got: Vec<String> = result.rows.iter().map(Row::to_string).collect();
-            got.sort();
-            prop_assert_eq!(&got, &expected, "{:?}", kernel);
-            match &baseline {
-                None => baseline = Some(result.rows),
-                Some(rows) => prop_assert_eq!(&result.rows, rows, "{:?}", kernel),
-            }
-        }
+        every_tier(&table, &checker, partitions, "random spec");
+        let (_, merged, _) = two_phase(&table, &checker, KernelTier::detect(), partitions);
+        let mut got: Vec<String> = merged.iter().map(Row::to_string).collect();
+        got.sort();
+        prop_assert_eq!(&got, &expected);
     }
 }

@@ -17,9 +17,7 @@ mod common;
 
 use common::{distribution_rows, generate_with_null_fraction, DISTRIBUTIONS};
 use proptest::prelude::*;
-use sparkline::{
-    Algorithm, DataType, DominanceKernel, Field, Row, Schema, SessionConfig, SessionContext, Value,
-};
+use sparkline::{Algorithm, DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
 
 /// Rows of the largest table of [`session_with`]: a batch this large puts
 /// each scan partition in one batch.
@@ -177,17 +175,18 @@ fn streaming_matches_materialized_across_operators() {
     }
 }
 
-/// The kernel knob rides along: the pinned portable dominance tier must
-/// stay byte-identical across batch sizes.
+/// Every algorithm forced per query stays byte-identical across batch
+/// sizes on the anti-correlated table.
 #[test]
 fn streaming_matches_materialized_with_strategy_knobs() {
     let sql = "SELECT * FROM anti SKYLINE OF d0 MIN, d1 MIN, d2 MIN";
-    let config = SessionConfig::default()
-        .with_executors(3)
-        .with_batch_size(32)
-        .with_dominance_kernel(DominanceKernel::Chunked);
-    let (s, m) = run_both(config, sql, Algorithm::DistributedComplete);
-    assert_eq!(s, m, "mismatch under the chunked kernel");
+    for algorithm in Algorithm::paper_algorithms() {
+        let config = SessionConfig::default()
+            .with_executors(3)
+            .with_batch_size(32);
+        let (s, m) = run_both(config, sql, algorithm);
+        assert_eq!(s, m, "mismatch under {algorithm:?}");
+    }
 }
 
 /// The short-circuit acceptance criterion: `LIMIT k` over an N-row scan
