@@ -45,9 +45,13 @@ pub struct SessionConfig {
     /// Inert, like `max_retries` and for the same reader; goes with it.
     pub retry_backoff: Duration,
     /// Per-query cap on the sum of concurrent tracked reservations
-    /// (excluding the fixed per-executor overhead). `None` (the default)
-    /// leaves reservations unbounded; with a budget, the reservation that
-    /// would push the sum past the cap fails the query with
+    /// (excluding the fixed per-executor overhead): breaker outputs, sort
+    /// buffers, join build sides, the merge's antichains, disk block
+    /// payloads, and every skyline window, charged as it grows — after
+    /// each batch folded into it, not once the phase ends. `None` (the
+    /// default) leaves reservations unbounded; with a budget, the
+    /// reservation or growth that would push the sum past the cap fails
+    /// the query with
     /// [`Error::ResourceExhausted`](crate::Error::ResourceExhausted). The
     /// executors reserve concurrently, so near a query's peak whether it
     /// passes depends on how they interleave. A denied query is not

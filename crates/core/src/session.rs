@@ -372,7 +372,9 @@ impl SessionContext {
     /// `EXPLAIN ANALYZE`: execute the plan and render the physical
     /// operators together with the measured execution metrics — including
     /// the stream gauges (`batches_emitted`, `peak_rows_in_flight`) that
-    /// tell the pipelining story.
+    /// tell the pipelining story, and the peak memory of
+    /// [`QueryResult::peak_memory_bytes`], whose reservations (every
+    /// skyline window among them) also feed the row gauge.
     pub fn explain_analyze(&self, plan: &LogicalPlan, algorithm: Algorithm) -> Result<String> {
         let (physical, result) = self.execute_pipeline(plan, algorithm)?;
         let m = &result.metrics;

@@ -9,8 +9,8 @@
 //! * [`stream`] — the pull-based, batched execution substrate:
 //!   [`PartitionStream`]s yielding [`stream::Batch`]es — rows, or column
 //!   buffers that become rows where a consumer asks — with in-flight
-//!   accounting, plus the shared pipeline-breaker and lazy-build stage
-//!   helpers;
+//!   accounting of each yielded batch, plus the shared pipeline-breaker
+//!   and lazy-build stage helpers;
 //! * [`partition`] — buffered partition helpers with the distribution
 //!   schemes the skyline plans require (even split, `AllTuples`
 //!   coalescing), used by breaker stages;
@@ -25,7 +25,10 @@
 //!
 //! [`TaskContext`] bundles the per-query state every physical operator
 //! receives: the pool, the [`QueryControl`] (deadline + cancellation),
-//! budgeted memory accounting, and the stream batch size.
+//! budgeted memory accounting, and the stream batch size. Every buffer an
+//! operator holds is one [`MemoryReservation`] from
+//! [`TaskContext::try_reserve`], which charges the budget and the row
+//! gauge together.
 
 pub mod memory;
 pub mod metrics;
@@ -37,7 +40,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub use memory::{MemoryReservation, MemoryTracker};
-pub use metrics::{ExecMetrics, InFlightRows, MetricsSnapshot};
+pub use metrics::{ExecMetrics, MetricsSnapshot};
 pub use partition::Partition;
 pub use runtime::{Deadline, QueryControl, Runtime, CONTROL_CHECK_ROWS};
 pub use stream::{Batch, PartitionStream, RowBatch, DEFAULT_BATCH_SIZE};
@@ -124,17 +127,12 @@ impl TaskContext {
         self
     }
 
-    /// Budget-checked reservation, counting denials.
-    pub fn try_reserve(&self, bytes: usize) -> Result<MemoryReservation> {
-        self.memory.try_reserve(bytes).inspect_err(|_| {
-            self.metrics.add_budget_denial();
-        })
-    }
-
-    /// Budget-checked reservation growth, counting denials.
-    pub fn try_grow(&self, reservation: &mut MemoryReservation, bytes: usize) -> Result<()> {
-        reservation.try_grow(bytes).inspect_err(|_| {
-            self.metrics.add_budget_denial();
-        })
+    /// Reserve a buffer of `rows` rows and `bytes` bytes: the one entry
+    /// point of memory accounting. The bytes are checked against the
+    /// budget (a denial counts one `budget_denials` and reserves nothing),
+    /// the rows join the `rows_in_flight` gauge, and dropping the handle
+    /// releases both.
+    pub fn try_reserve(&self, rows: usize, bytes: usize) -> Result<MemoryReservation> {
+        MemoryReservation::try_new(&self.memory, &self.metrics, rows, bytes)
     }
 }

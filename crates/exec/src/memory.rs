@@ -1,31 +1,37 @@
 //! Byte-accounted memory tracking with enforced per-query budgets.
 //!
-//! Two jobs share the tracker. First, *measurement*: operators report the
-//! buffers they materialize (gathered partitions, hash tables, skyline
-//! windows) and the tracker keeps the high-water mark, reproducing the
-//! paper's peak-memory charts (Appendix C); a fixed per-executor overhead
-//! models its observation that "every single executor must include the
-//! entire execution environment of Spark". Second, *enforcement*: a
-//! tracker built with [`MemoryTracker::with_budget`] turns
-//! [`try_reserve`](MemoryTracker::try_reserve) /
-//! [`try_grow`](MemoryTracker::try_grow) into admission checks — a
-//! reservation that would push `current_bytes` past the budget is denied
-//! with [`Error::ResourceExhausted`] instead of silently growing. The
-//! budget caps the sum of concurrent reservations, and a query's executors
-//! reserve concurrently, so near its peak whether a query passes depends
-//! on how they interleave. A denied query fails; nothing re-runs it.
+//! Every buffer an operator holds — a breaker's computed partitions, the
+//! sort buffer, a join build side, a skyline phase's window, the pairwise
+//! merge's antichains, a disk block's raw payload — is one
+//! [`MemoryReservation`], taken through the one entry point
+//! [`TaskContext::try_reserve`](crate::TaskContext::try_reserve)`(rows,
+//! bytes)`. A reservation charges two gauges together: the tracker's bytes
+//! and the `rows_in_flight` row gauge of `ExecMetrics` (a payload that is
+//! not rows, such as a disk block, reserves `rows = 0`). A buffer that
+//! grows follows itself with
+//! [`try_resize`](MemoryReservation::try_resize), which checks only the
+//! growth; dropping the reservation releases both gauges.
 //!
-//! Accounting is RAII throughout: every reservation releases its bytes on
-//! drop, so an error unwinding through an operator — I/O failure,
-//! timeout, cancellation, budget denial — leaves `current_bytes == 0`
-//! once the query's streams are dropped. Releases saturate at zero and
-//! debug-assert on imbalance, so an over-release (a bug) can't wrap the
-//! gauge and poison every later budget decision.
+//! Two jobs share the tracker. First, *measurement*: it keeps the
+//! high-water mark of reserved bytes, reproducing the paper's
+//! peak-memory charts (Appendix C); a fixed per-executor overhead models
+//! its observation that "every single executor must include the entire
+//! execution environment of Spark". Second, *enforcement*: a tracker built
+//! with [`MemoryTracker::with_budget`] denies any reservation or growth
+//! that would push `current_bytes` past the budget with
+//! [`Error::ResourceExhausted`], counting one `budget_denials`. There is
+//! no unchecked path: a tracker without a budget admits everything, a
+//! tracker with one admits nothing past it. The budget caps the sum of
+//! concurrent reservations, and a query's executors reserve concurrently,
+//! so near its peak whether a query passes depends on how they
+//! interleave. A denied query fails; nothing re-runs it.
 //!
-//! The infallible [`reserve`](MemoryTracker::reserve) /
-//! [`grow`](MemoryTracker::grow) remain for measurement-only callers (tests,
-//! benches without budgets); budgeted call sites go through the fallible
-//! variants — `TaskContext::try_reserve` wires the denial metric on top.
+//! Accounting is RAII throughout: an error unwinding through an operator
+//! — I/O failure, timeout, cancellation, budget denial — leaves
+//! `current_bytes == 0` and `rows_in_flight == 0` once the query's streams
+//! are dropped. Releases saturate at zero and debug-assert on imbalance,
+//! so an over-release (a bug) can't wrap the gauge and poison every later
+//! budget decision.
 //!
 //! [`Error::ResourceExhausted`]: sparkline_common::Error::ResourceExhausted
 
@@ -34,7 +40,9 @@ use std::sync::Arc;
 
 use sparkline_common::{Error, Result};
 
-/// Tracks current and peak buffered bytes for one query execution, with
+use crate::metrics::ExecMetrics;
+
+/// Tracks current and peak reserved bytes for one query execution, with
 /// an optional hard budget.
 #[derive(Debug, Default)]
 pub struct MemoryTracker {
@@ -63,48 +71,13 @@ impl MemoryTracker {
         self.budget
     }
 
-    /// Record `bytes` of newly materialized buffer space; returns an RAII
-    /// reservation that releases on drop. Ignores the budget — prefer
-    /// [`try_reserve`](Self::try_reserve) on enforced paths.
-    pub fn reserve(self: &Arc<Self>, bytes: usize) -> MemoryReservation {
-        self.grow(bytes);
-        MemoryReservation {
-            tracker: Arc::clone(self),
-            bytes,
-        }
-    }
-
-    /// Budget-checked [`reserve`](Self::reserve): denies the whole
-    /// reservation with [`Error::ResourceExhausted`] if it would exceed
-    /// the budget, reserving nothing.
-    ///
-    /// [`Error::ResourceExhausted`]: sparkline_common::Error::ResourceExhausted
-    pub fn try_reserve(self: &Arc<Self>, bytes: usize) -> Result<MemoryReservation> {
-        self.try_grow(bytes)?;
-        Ok(MemoryReservation {
-            tracker: Arc::clone(self),
-            bytes,
-        })
-    }
-
-    /// Raw accounting (prefer [`MemoryTracker::reserve`]).
-    pub fn grow(&self, bytes: usize) {
-        let new = self.current.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak.fetch_max(new, Ordering::Relaxed);
-    }
-
-    /// Budget-checked raw growth: admits `bytes` only if the gauge stays
-    /// within the budget, atomically (concurrent reservations cannot
-    /// jointly overshoot).
-    pub fn try_grow(&self, bytes: usize) -> Result<()> {
-        let Some(budget) = self.budget else {
-            self.grow(bytes);
-            return Ok(());
-        };
+    /// Admit `bytes` only if the gauge stays within the budget,
+    /// atomically (concurrent reservations cannot jointly overshoot).
+    fn charge(&self, bytes: usize) -> Result<()> {
         let mut current = self.current.load(Ordering::Relaxed);
         loop {
             let new = current.saturating_add(bytes);
-            if new > budget {
+            if let Some(budget) = self.budget.filter(|&budget| new > budget) {
                 return Err(Error::ResourceExhausted {
                     requested: bytes,
                     used: current,
@@ -126,12 +99,12 @@ impl MemoryTracker {
         }
     }
 
-    /// Raw release. Saturates at zero: an over-release (releasing more
+    /// Release `bytes`. Saturates at zero: an over-release (releasing more
     /// than is currently reserved) is an accounting bug and trips a debug
     /// assertion, but must not wrap the gauge in release builds — a
     /// wrapped `current` would make every later budget check admit
     /// unbounded reservations.
-    pub fn shrink(&self, bytes: usize) {
+    fn release(&self, bytes: usize) {
         let result = self
             .current
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |current| {
@@ -162,27 +135,60 @@ impl MemoryTracker {
     }
 }
 
-/// RAII guard for a tracked buffer; releases its bytes on drop.
+/// RAII handle for one buffer an operator holds: its bytes on the
+/// tracker, its rows on the `rows_in_flight` gauge. Drop releases both.
 #[derive(Debug)]
 pub struct MemoryReservation {
     tracker: Arc<MemoryTracker>,
+    metrics: Arc<ExecMetrics>,
+    rows: usize,
     bytes: usize,
 }
 
 impl MemoryReservation {
-    /// Grow this reservation by `bytes` (e.g. as a window expands),
-    /// ignoring the budget.
-    pub fn grow(&mut self, bytes: usize) {
-        self.tracker.grow(bytes);
-        self.bytes += bytes;
+    /// Budget-checked reservation of `rows` rows and `bytes` bytes; a
+    /// denial counts one `budget_denials` and reserves nothing.
+    pub(crate) fn try_new(
+        tracker: &Arc<MemoryTracker>,
+        metrics: &Arc<ExecMetrics>,
+        rows: usize,
+        bytes: usize,
+    ) -> Result<Self> {
+        let mut reservation = MemoryReservation {
+            tracker: Arc::clone(tracker),
+            metrics: Arc::clone(metrics),
+            rows: 0,
+            bytes: 0,
+        };
+        reservation.try_resize(rows, bytes)?;
+        Ok(reservation)
     }
 
-    /// Budget-checked [`grow`](Self::grow): on denial the reservation
-    /// keeps its current size.
-    pub fn try_grow(&mut self, bytes: usize) -> Result<()> {
-        self.tracker.try_grow(bytes)?;
-        self.bytes += bytes;
+    /// Follow the buffer to `rows` rows and `bytes` bytes (a skyline
+    /// window grows and shrinks as batches fold in). Only growth is
+    /// budget-checked; a denial counts one `budget_denials` and leaves the
+    /// reservation at its current size.
+    pub fn try_resize(&mut self, rows: usize, bytes: usize) -> Result<()> {
+        if bytes > self.bytes {
+            self.tracker
+                .charge(bytes - self.bytes)
+                .inspect_err(|_| self.metrics.add_budget_denial())?;
+        } else {
+            self.tracker.release(self.bytes - bytes);
+        }
+        self.bytes = bytes;
+        if rows > self.rows {
+            self.metrics.add_rows_in_flight(rows - self.rows);
+        } else {
+            self.metrics.sub_rows_in_flight(self.rows - rows);
+        }
+        self.rows = rows;
         Ok(())
+    }
+
+    /// Rows held by this reservation.
+    pub fn rows(&self) -> usize {
+        self.rows
     }
 
     /// Bytes held by this reservation.
@@ -193,41 +199,57 @@ impl MemoryReservation {
 
 impl Drop for MemoryReservation {
     fn drop(&mut self) {
-        self.tracker.shrink(self.bytes);
+        self.tracker.release(self.bytes);
+        self.metrics.sub_rows_in_flight(self.rows);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TaskContext;
+
+    fn rows_in_flight(ctx: &TaskContext) -> usize {
+        ctx.metrics.rows_in_flight.load(Ordering::Relaxed)
+    }
 
     #[test]
     fn peak_survives_release() {
-        let t = Arc::new(MemoryTracker::new());
+        let ctx = TaskContext::new(1);
         {
-            let _r1 = t.reserve(1000);
-            let _r2 = t.reserve(500);
-            assert_eq!(t.current_bytes(), 1500);
+            let _r1 = ctx.try_reserve(10, 1000).unwrap();
+            let _r2 = ctx.try_reserve(5, 500).unwrap();
+            assert_eq!(ctx.memory.current_bytes(), 1500);
+            assert_eq!(rows_in_flight(&ctx), 15);
         }
-        assert_eq!(t.current_bytes(), 0);
-        assert_eq!(t.peak_bytes(), 1500);
+        assert_eq!(ctx.memory.current_bytes(), 0);
+        assert_eq!(rows_in_flight(&ctx), 0);
+        assert_eq!(ctx.memory.peak_bytes(), 1500);
+        assert_eq!(ctx.metrics.snapshot().peak_rows_in_flight, 15);
     }
 
     #[test]
     fn reservation_growth() {
-        let t = Arc::new(MemoryTracker::new());
-        let mut r = t.reserve(100);
-        r.grow(50);
-        assert_eq!(r.bytes(), 150);
-        assert_eq!(t.current_bytes(), 150);
+        let ctx = TaskContext::new(1);
+        let mut r = ctx.try_reserve(1, 100).unwrap();
+        r.try_resize(3, 150).unwrap();
+        assert_eq!((r.rows(), r.bytes()), (3, 150));
+        assert_eq!(ctx.memory.current_bytes(), 150);
+        // Shrinking releases the difference and keeps the peaks.
+        r.try_resize(2, 40).unwrap();
+        assert_eq!(ctx.memory.current_bytes(), 40);
+        assert_eq!(rows_in_flight(&ctx), 2);
         drop(r);
-        assert_eq!(t.current_bytes(), 0);
+        assert_eq!(ctx.memory.current_bytes(), 0);
+        assert_eq!(rows_in_flight(&ctx), 0);
+        assert_eq!(ctx.memory.peak_bytes(), 150);
+        assert_eq!(ctx.metrics.snapshot().peak_rows_in_flight, 3);
     }
 
     #[test]
     fn overhead_scales_with_executors() {
         let t = MemoryTracker::new();
-        t.grow(10);
+        t.charge(10).unwrap();
         assert_eq!(t.peak_with_overhead(5, 1000), 10 + 5000);
     }
 
@@ -235,17 +257,17 @@ mod tests {
     #[cfg_attr(debug_assertions, should_panic(expected = "imbalance"))]
     fn shrink_saturates_instead_of_wrapping() {
         let t = MemoryTracker::new();
-        t.grow(10);
+        t.charge(10).unwrap();
         // Over-release: debug builds assert, release builds saturate.
-        t.shrink(25);
+        t.release(25);
         assert_eq!(t.current_bytes(), 0);
     }
 
     #[test]
     fn budget_denies_past_the_cap() {
-        let t = Arc::new(MemoryTracker::with_budget(Some(1000)));
-        let r = t.try_reserve(800).unwrap();
-        let err = t.try_reserve(300).unwrap_err();
+        let ctx = TaskContext::new(1).with_memory_budget(Some(1000));
+        let r = ctx.try_reserve(8, 800).unwrap();
+        let err = ctx.try_reserve(3, 300).unwrap_err();
         assert_eq!(
             err,
             Error::ResourceExhausted {
@@ -254,30 +276,38 @@ mod tests {
                 budget: 1000,
             }
         );
-        // The denied reservation reserved nothing.
-        assert_eq!(t.current_bytes(), 800);
+        // The denied reservation reserved nothing, rows included.
+        assert_eq!(ctx.memory.current_bytes(), 800);
+        assert_eq!(rows_in_flight(&ctx), 8);
+        assert_eq!(ctx.metrics.snapshot().budget_denials, 1);
         drop(r);
-        assert_eq!(t.current_bytes(), 0);
+        assert_eq!(ctx.memory.current_bytes(), 0);
         // Released bytes are admissible again.
-        assert!(t.try_reserve(1000).is_ok());
+        assert!(ctx.try_reserve(0, 1000).is_ok());
     }
 
     #[test]
-    fn try_grow_denial_keeps_reservation_size() {
-        let t = Arc::new(MemoryTracker::with_budget(Some(100)));
-        let mut r = t.try_reserve(60).unwrap();
-        assert!(r.try_grow(30).is_ok());
-        assert!(r.try_grow(30).unwrap_err().is_resource_exhausted());
-        assert_eq!(r.bytes(), 90);
+    fn try_resize_denial_keeps_reservation_size() {
+        let ctx = TaskContext::new(1).with_memory_budget(Some(100));
+        let mut r = ctx.try_reserve(6, 60).unwrap();
+        assert!(r.try_resize(9, 90).is_ok());
+        assert!(r.try_resize(12, 120).unwrap_err().is_resource_exhausted());
+        assert_eq!((r.rows(), r.bytes()), (9, 90));
+        assert_eq!(rows_in_flight(&ctx), 9);
+        assert_eq!(ctx.metrics.snapshot().budget_denials, 1);
+        // Shrinking is never denied.
+        assert!(r.try_resize(1, 10).is_ok());
         drop(r);
-        assert_eq!(t.current_bytes(), 0);
+        assert_eq!(ctx.memory.current_bytes(), 0);
+        assert_eq!(rows_in_flight(&ctx), 0);
     }
 
     #[test]
     fn no_budget_try_paths_never_deny() {
-        let t = Arc::new(MemoryTracker::new());
-        let mut r = t.try_reserve(usize::MAX / 4).unwrap();
-        assert!(r.try_grow(usize::MAX / 4).is_ok());
-        assert!(t.budget().is_none());
+        let ctx = TaskContext::new(1);
+        let mut r = ctx.try_reserve(0, usize::MAX / 4).unwrap();
+        assert!(r.try_resize(0, usize::MAX / 2).is_ok());
+        assert!(ctx.memory.budget().is_none());
+        assert_eq!(ctx.metrics.snapshot().budget_denials, 0);
     }
 }

@@ -5,7 +5,6 @@
 //! wall time so experiments can explain *why* an algorithm wins.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Shared, thread-safe metric counters for one query execution.
 #[derive(Debug, Default)]
@@ -15,7 +14,8 @@ pub struct ExecMetrics {
     /// Batches yielded across all partition streams (every operator
     /// boundary counts its own batches — a proxy for pipeline work).
     pub batches_emitted: AtomicU64,
-    /// Rows currently held by live batches and operator buffers.
+    /// Rows currently held by live batches and operator buffers (each
+    /// buffer a `MemoryReservation`).
     pub rows_in_flight: AtomicUsize,
     /// High-water mark of [`rows_in_flight`](Self::rows_in_flight) — the
     /// peak-memory story of the stream model, in rows.
@@ -118,14 +118,15 @@ impl ExecMetrics {
         self.add_rows_in_flight(rows);
     }
 
-    /// Add buffered/in-transit rows to the in-flight gauge.
-    pub fn add_rows_in_flight(&self, rows: usize) {
+    /// Add buffered/in-transit rows to the in-flight gauge (a yielded
+    /// batch, or a `MemoryReservation`'s rows).
+    pub(crate) fn add_rows_in_flight(&self, rows: usize) {
         let new = self.rows_in_flight.fetch_add(rows, Ordering::Relaxed) + rows;
         self.peak_rows_in_flight.fetch_max(new, Ordering::Relaxed);
     }
 
     /// Release in-flight rows (batch consumed / buffer dropped).
-    pub fn sub_rows_in_flight(&self, rows: usize) {
+    pub(crate) fn sub_rows_in_flight(&self, rows: usize) {
         self.rows_in_flight.fetch_sub(rows, Ordering::Relaxed);
     }
 
@@ -255,44 +256,6 @@ pub struct MetricsSnapshot {
     pub bytes_decoded: u64,
 }
 
-/// RAII gauge for rows buffered by a pipeline-breaker stage (sort buffers,
-/// hash tables, skyline windows, materialized partitions): counts toward
-/// `rows_in_flight` / `peak_rows_in_flight` until dropped.
-#[derive(Debug)]
-pub struct InFlightRows {
-    metrics: Arc<ExecMetrics>,
-    rows: usize,
-}
-
-impl InFlightRows {
-    /// Register `rows` buffered rows.
-    pub fn new(metrics: Arc<ExecMetrics>, rows: usize) -> Self {
-        metrics.add_rows_in_flight(rows);
-        InFlightRows { metrics, rows }
-    }
-
-    /// Adjust the gauge to a new buffer size (windows grow and shrink).
-    pub fn set(&mut self, rows: usize) {
-        if rows > self.rows {
-            self.metrics.add_rows_in_flight(rows - self.rows);
-        } else {
-            self.metrics.sub_rows_in_flight(self.rows - rows);
-        }
-        self.rows = rows;
-    }
-
-    /// Rows currently registered by this guard.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-}
-
-impl Drop for InFlightRows {
-    fn drop(&mut self) {
-        self.metrics.sub_rows_in_flight(self.rows);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,12 +291,13 @@ mod tests {
 
     #[test]
     fn in_flight_gauge_tracks_peak() {
-        let m = Arc::new(ExecMetrics::new());
+        let ctx = crate::TaskContext::new(1);
+        let m = &ctx.metrics;
         m.begin_batch(100);
         {
-            let mut g = InFlightRows::new(Arc::clone(&m), 50);
-            g.set(300);
-            g.set(10);
+            let mut r = ctx.try_reserve(50, 0).unwrap();
+            r.try_resize(300, 0).unwrap();
+            r.try_resize(10, 0).unwrap();
         }
         m.sub_rows_in_flight(100);
         let s = m.snapshot();

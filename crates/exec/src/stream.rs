@@ -24,8 +24,9 @@
 //! Accounting: every yielded batch counts toward
 //! `ExecMetrics::batches_emitted` and is held in the
 //! `rows_in_flight` gauge until the consumer pulls the next batch (or
-//! closes the stream); breaker buffers register through
-//! [`crate::metrics::InFlightRows`]. The high-water mark is
+//! closes the stream); a buffer an operator holds is one
+//! [`MemoryReservation`] from [`TaskContext::try_reserve`], which charges
+//! the same gauge and the memory budget together. The high-water mark is
 //! reported as `peak_rows_in_flight`.
 //!
 //! [`breaker_streams`] and [`LazyBuild`] are the two sharing primitives
@@ -41,7 +42,7 @@ use parking_lot::Mutex;
 use sparkline_common::{ColumnBatch, Error, Result, Row, SchemaRef};
 
 use crate::memory::MemoryReservation;
-use crate::metrics::{ExecMetrics, InFlightRows};
+use crate::metrics::ExecMetrics;
 use crate::partition::Partition;
 use crate::TaskContext;
 
@@ -158,43 +159,6 @@ impl PartitionStream {
         PartitionStream::new(schema, metrics, || Ok(None))
     }
 
-    /// Stream an in-memory partition out in `batch_size`d chunks. With
-    /// `hold`, the whole buffer counts as in flight for the stream's
-    /// lifetime — the honest accounting for a buffered intermediate
-    /// (pipeline-breaker output).
-    pub fn from_partition(
-        schema: SchemaRef,
-        metrics: Arc<ExecMetrics>,
-        batch_size: usize,
-        part: Partition,
-        hold: bool,
-    ) -> Self {
-        let guard = hold.then(|| InFlightRows::new(Arc::clone(&metrics), part.len()));
-        Self::from_buffer(schema, metrics, batch_size, part, guard)
-    }
-
-    /// Like [`from_partition`](Self::from_partition) with an existing
-    /// in-flight guard (kept alive until the stream is dropped).
-    pub fn from_buffer(
-        schema: SchemaRef,
-        metrics: Arc<ExecMetrics>,
-        batch_size: usize,
-        part: Partition,
-        guard: Option<InFlightRows>,
-    ) -> Self {
-        let batch_size = batch_size.max(1);
-        let mut iter = part.into_iter();
-        let mut guard = guard;
-        PartitionStream::new(schema, metrics, move || {
-            let batch: RowBatch = iter.by_ref().take(batch_size).collect();
-            if batch.is_empty() {
-                guard.take();
-                return Ok(None);
-            }
-            Ok(Some(batch))
-        })
-    }
-
     /// The partition's schema.
     pub fn schema(&self) -> SchemaRef {
         Arc::clone(&self.schema)
@@ -288,18 +252,18 @@ pub fn chain_streams(
     })
 }
 
-/// One computed breaker partition, held by its output stream: the rows,
-/// their in-flight gauge and their byte reservation.
-type HeldPartition = (Partition, InFlightRows, MemoryReservation);
+/// One computed breaker partition, held by its output stream: the rows
+/// and their reservation.
+type HeldPartition = (Partition, MemoryReservation);
 
 /// A shared pipeline-breaker stage.
 ///
 /// The first output stream pulled runs `compute` exactly once — producing
 /// *all* output partitions — then every output stream emits its own
-/// partition in batches. Each computed partition is registered with the
-/// in-flight gauge and reserved through [`TaskContext::try_reserve`]
-/// until its stream is dropped; a denial fails the stage like any compute
-/// error, and every puller gets that error. An error from `compute` is
+/// partition in batches. Each computed partition is reserved, rows and
+/// bytes, through [`TaskContext::try_reserve`] until its stream is
+/// dropped; a denial fails the stage like any compute error, and every
+/// puller gets that error. An error from `compute` is
 /// passed on as it is: a denial inside it was counted where it happened.
 /// `compute` results with fewer than `n_outputs` partitions are padded
 /// with empty ones (partition counts must be fixed before execution in the
@@ -324,10 +288,9 @@ pub fn breaker_streams(
         parts
             .into_iter()
             .map(|p| {
-                let bytes: usize = p.iter().map(Row::estimated_bytes).sum();
-                let guard = InFlightRows::new(Arc::clone(&reserve_ctx.metrics), p.len());
-                let reservation = reserve_ctx.try_reserve(bytes)?;
-                Ok(Mutex::new(Some((p, guard, reservation))))
+                let bytes = p.iter().map(Row::estimated_bytes).sum();
+                let reservation = reserve_ctx.try_reserve(p.len(), bytes)?;
+                Ok(Mutex::new(Some((p, reservation))))
             })
             .collect::<Result<Vec<Mutex<Option<HeldPartition>>>>>()
     });
@@ -335,15 +298,15 @@ pub fn breaker_streams(
     (0..n_outputs)
         .map(|i| {
             let stage = Arc::clone(&stage);
-            let mut slot: Option<(std::vec::IntoIter<Row>, InFlightRows, MemoryReservation)> = None;
+            let mut slot: Option<(std::vec::IntoIter<Row>, MemoryReservation)> = None;
             let mut started = false;
             PartitionStream::new(Arc::clone(&schema), Arc::clone(&ctx.metrics), move || {
                 if !started {
                     started = true;
                     let held = stage.get()?[i].lock().take();
-                    slot = held.map(|(p, guard, reservation)| (p.into_iter(), guard, reservation));
+                    slot = held.map(|(p, reservation)| (p.into_iter(), reservation));
                 }
-                let Some((iter, _, _)) = slot.as_mut() else {
+                let Some((iter, _)) = slot.as_mut() else {
                     return Ok(None);
                 };
                 let batch: RowBatch = iter.by_ref().take(batch_size).collect();
@@ -425,10 +388,19 @@ mod tests {
             .collect()
     }
 
+    /// A stream yielding `part` in chunks of `batch_size` rows.
+    fn chunked(m: &Arc<ExecMetrics>, batch_size: usize, part: Partition) -> PartitionStream {
+        let mut iter = part.into_iter();
+        PartitionStream::new(schema(), Arc::clone(m), move || {
+            let batch: RowBatch = iter.by_ref().take(batch_size).collect();
+            Ok((!batch.is_empty()).then_some(batch))
+        })
+    }
+
     #[test]
     fn buffer_stream_batches_and_accounts() {
         let m = Arc::new(ExecMetrics::new());
-        let mut s = PartitionStream::from_partition(schema(), Arc::clone(&m), 4, rows(10), false);
+        let mut s = chunked(&m, 4, rows(10));
         let mut seen = 0;
         let mut batches = 0;
         while let Some(b) = s.next_batch().unwrap() {
@@ -446,17 +418,27 @@ mod tests {
 
     #[test]
     fn held_buffer_counts_whole_partition() {
-        let m = Arc::new(ExecMetrics::new());
-        let s = PartitionStream::from_partition(schema(), Arc::clone(&m), 4, rows(10), true);
-        assert_eq!(m.rows_in_flight.load(Ordering::Relaxed), 10);
-        drop(s);
-        assert_eq!(m.rows_in_flight.load(Ordering::Relaxed), 0);
+        // A breaker's computed partition is held, rows and bytes, until
+        // its stream is dropped.
+        let ctx = TaskContext::new(1).with_batch_size(4);
+        let mut streams = breaker_streams(schema(), &ctx, 1, || Ok(vec![rows(10)]));
+        let in_flight = || ctx.metrics.rows_in_flight.load(Ordering::Relaxed);
+        assert_eq!(streams[0].next_batch().unwrap().unwrap().len(), 4);
+        assert_eq!(
+            in_flight(),
+            10 + 4,
+            "the held partition plus the pulled batch"
+        );
+        assert!(ctx.memory.current_bytes() > 0);
+        drop(streams);
+        assert_eq!(in_flight(), 0);
+        assert_eq!(ctx.memory.current_bytes(), 0);
     }
 
     #[test]
     fn close_releases_without_draining() {
         let m = Arc::new(ExecMetrics::new());
-        let mut s = PartitionStream::from_partition(schema(), Arc::clone(&m), 4, rows(10), false);
+        let mut s = chunked(&m, 4, rows(10));
         let _ = s.next_batch().unwrap();
         assert_eq!(m.rows_in_flight.load(Ordering::Relaxed), 4);
         s.close();
@@ -502,10 +484,7 @@ mod tests {
     fn chained_streams_preserve_order() {
         let m = Arc::new(ExecMetrics::new());
         let parts = vec![rows(3), rows(2)];
-        let streams: Vec<PartitionStream> = parts
-            .into_iter()
-            .map(|p| PartitionStream::from_partition(schema(), Arc::clone(&m), 2, p, false))
-            .collect();
+        let streams: Vec<PartitionStream> = parts.into_iter().map(|p| chunked(&m, 2, p)).collect();
         let chained = chain_streams(schema(), Arc::clone(&m), streams);
         let all = chained.drain().unwrap();
         assert_eq!(all.len(), 5);

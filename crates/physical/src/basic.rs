@@ -356,7 +356,8 @@ impl ExecutionPlan for SortExec {
             // in parallel, then sort the gathered buffer on one executor.
             let input = ctx2.runtime.drain_streams(inputs)?;
             let rows = sparkline_exec::partition::flatten(input);
-            let reservation = ctx2.try_reserve(rows.iter().map(Row::estimated_bytes).sum())?;
+            let bytes = rows.iter().map(Row::estimated_bytes).sum();
+            let reservation = ctx2.try_reserve(rows.len(), bytes)?;
             ctx2.control.check()?;
             let sorted = sort_rows(&exprs, rows)?;
             ctx2.control.check()?;

@@ -11,8 +11,7 @@ use std::sync::Arc;
 
 use sparkline_common::{Result, Row, Schema, SchemaRef, Value};
 use sparkline_exec::{
-    partition::flatten, stream::LazyBuild, InFlightRows, MemoryReservation, PartitionStream,
-    TaskContext,
+    partition::flatten, stream::LazyBuild, MemoryReservation, PartitionStream, TaskContext,
 };
 use sparkline_plan::{Expr, JoinType};
 
@@ -36,13 +35,16 @@ fn join_schema(left: &Schema, right: &Schema, join_type: JoinType) -> SchemaRef 
     }
 }
 
+/// Bytes charged per build row for the hash table's key and index entry,
+/// on top of the row itself.
+const HASH_ENTRY_BYTES: usize = 48;
+
 /// The shared hash-join build side: the buffered right rows, the key
-/// index into them, and the accounting guards that keep the buffer
-/// charged against the in-flight/memory gauges while probes run.
+/// index into them, and the reservation that keeps both charged against
+/// the row gauge and the memory budget while probes run.
 struct HashBuild {
     rows: Vec<Row>,
     table: HashMap<Vec<Value>, Vec<usize>>,
-    _guard: InFlightRows,
     _reservation: MemoryReservation,
 }
 
@@ -118,9 +120,9 @@ impl ExecutionPlan for HashJoinExec {
                     .runtime
                     .drain_streams(right.execute_stream(&build_ctx)?)?,
             );
-            let bytes: usize = rows.iter().map(|r| r.estimated_bytes()).sum();
-            let guard = InFlightRows::new(Arc::clone(&build_ctx.metrics), rows.len());
-            let reservation = build_ctx.memory.reserve(bytes + rows.len() * 48);
+            let bytes: usize = rows.iter().map(Row::estimated_bytes).sum();
+            let reservation =
+                build_ctx.try_reserve(rows.len(), bytes + rows.len() * HASH_ENTRY_BYTES)?;
             let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(rows.len());
             for (i, row) in rows.iter().enumerate() {
                 let key: Vec<Value> = keys.iter().map(|&(_, r)| row.get(r).clone()).collect();
@@ -132,7 +134,6 @@ impl ExecutionPlan for HashJoinExec {
             Ok(HashBuild {
                 rows,
                 table,
-                _guard: guard,
                 _reservation: reservation,
             })
         });
@@ -203,10 +204,9 @@ impl ExecutionPlan for HashJoinExec {
     }
 }
 
-/// The shared nested-loop inner side with its accounting guards.
+/// The shared nested-loop inner side with its reservation.
 struct NestedLoopBuild {
     rows: Vec<Row>,
-    _guard: InFlightRows,
     _reservation: MemoryReservation,
 }
 
@@ -285,12 +285,10 @@ impl ExecutionPlan for NestedLoopJoinExec {
                     .runtime
                     .drain_streams(right.execute_stream(&build_ctx)?)?,
             );
-            let bytes: usize = rows.iter().map(|r| r.estimated_bytes()).sum();
-            let guard = InFlightRows::new(Arc::clone(&build_ctx.metrics), rows.len());
-            let reservation = build_ctx.memory.reserve(bytes);
+            let bytes = rows.iter().map(Row::estimated_bytes).sum();
+            let reservation = build_ctx.try_reserve(rows.len(), bytes)?;
             Ok(NestedLoopBuild {
                 rows,
-                _guard: guard,
                 _reservation: reservation,
             })
         });
@@ -478,6 +476,33 @@ mod tests {
         let rows = run(&join, 2);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get(1), &Value::Int64(10));
+    }
+
+    #[test]
+    fn build_sides_past_the_budget_fail_with_one_denial() {
+        // 100 build rows of 48 B: 4 800 B of rows, 9 600 B once the hash
+        // table's entries are charged too. A 6 000 B budget admits the
+        // nested-loop inner side and denies the hash build; 4 000 B denies
+        // the nested-loop side as well.
+        let data: Vec<(i64, i64)> = (0..100).map(|i| (i, i)).collect();
+        let hash = || -> Arc<dyn ExecutionPlan> {
+            let (l, r) = (table("l", &data, false), table("r", &data, false));
+            Arc::new(HashJoinExec::new(l, r, vec![(0, 0)], None, JoinType::Inner))
+        };
+        let nested = || -> Arc<dyn ExecutionPlan> {
+            let (l, r) = (table("l", &data, false), table("r", &data, false));
+            Arc::new(NestedLoopJoinExec::new(l, r, None, JoinType::Cross))
+        };
+        for (name, plan, budget) in [("hash", hash(), 6_000), ("nested loop", nested(), 4_000)] {
+            let ctx = TaskContext::new(2).with_memory_budget(Some(budget));
+            let err = plan.execute(&ctx).unwrap_err();
+            assert!(err.is_resource_exhausted(), "{name}: {err}");
+            assert_eq!(ctx.metrics.snapshot().budget_denials, 1, "{name}");
+            assert_eq!(ctx.memory.current_bytes(), 0, "{name}");
+        }
+        let ctx = TaskContext::new(2).with_memory_budget(Some(6_000));
+        assert_eq!(flatten(nested().execute(&ctx).unwrap()).len(), 100 * 100);
+        assert_eq!(ctx.metrics.snapshot().budget_denials, 0);
     }
 
     #[test]

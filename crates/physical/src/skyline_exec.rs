@@ -27,7 +27,7 @@ use sparkline_common::{
 use sparkline_exec::{
     partition::{flatten, total_rows},
     stream::breaker_streams,
-    Batch, InFlightRows, Partition, PartitionStream, TaskContext,
+    Batch, MemoryReservation, Partition, PartitionStream, TaskContext,
 };
 use sparkline_plan::{Expr, MinMaxDirection};
 use sparkline_skyline::{
@@ -63,12 +63,12 @@ impl SkylineSink {
         }
     }
 
-    /// Rows currently buffered: the running skyline, not the consumed
-    /// input.
-    fn buffered(&self) -> usize {
+    /// Rows and bytes currently buffered: the running skyline, not the
+    /// consumed input.
+    fn buffered(&self) -> (usize, usize) {
         match self {
-            SkylineSink::Bnl(b) => b.window_len(),
-            SkylineSink::Grouped(g) => g.window_len(),
+            SkylineSink::Bnl(b) => (b.window_len(), b.window_bytes()),
+            SkylineSink::Grouped(g) => (g.window_len(), g.window_bytes()),
         }
     }
 
@@ -91,8 +91,12 @@ fn checker_for(spec: &SkylineSpec, incomplete: bool) -> DominanceChecker {
 
 /// One skyline phase as a stream: pull the input streams (in order) to
 /// exhaustion feeding the sink, record the stats, then emit the resulting
-/// skyline in batches. The in-flight gauge follows the sink's working
-/// set, so a BNL phase charges only its window, never its whole input.
+/// skyline in batches. One reservation follows the sink's working set,
+/// resized after every pulled batch, so a BNL phase charges only its
+/// window, never its whole input — and a window that outgrows the
+/// query's memory budget fails with `ResourceExhausted` on the batch that
+/// grew it past the budget. The finished skyline is the last window, so
+/// the same reservation holds it while it is emitted.
 fn skyline_phase_stream(
     schema: SchemaRef,
     ctx: &TaskContext,
@@ -104,18 +108,12 @@ fn skyline_phase_stream(
     let mut input =
         sparkline_exec::stream::chain_streams(schema.clone(), Arc::clone(&ctx.metrics), inputs);
     let mut sink = Some(sink);
-    let mut guard = InFlightRows::new(Arc::clone(&ctx.metrics), 0);
-    // Byte accounting mirrors the row gauge for the result while it is
-    // being emitted, budget-checked: a result that would exceed the
-    // query's memory budget fails with `ResourceExhausted` instead of
-    // allocating past the limit.
-    let mut reservation = None;
+    let mut reservation: Option<MemoryReservation> = None;
     let mut emit: Option<std::vec::IntoIter<Row>> = None;
     PartitionStream::new(schema, Arc::clone(&ctx.metrics), move || loop {
         if let Some(iter) = emit.as_mut() {
             let batch: Vec<Row> = iter.by_ref().take(batch_size).collect();
             if batch.is_empty() {
-                guard.set(0);
                 reservation.take();
                 return Ok(None);
             }
@@ -128,7 +126,11 @@ fn skyline_phase_stream(
                     .as_mut()
                     .ok_or_else(|| Error::internal("skyline sink gone while input remains"))?;
                 sink.push_batch_checked(batch, &ctx.control)?;
-                guard.set(sink.buffered());
+                let (rows, bytes) = sink.buffered();
+                match reservation.as_mut() {
+                    Some(held) => held.try_resize(rows, bytes)?,
+                    None => reservation = Some(ctx.try_reserve(rows, bytes)?),
+                }
             }
             None => {
                 let (rows, stats) = sink
@@ -136,8 +138,6 @@ fn skyline_phase_stream(
                     .ok_or_else(|| Error::internal("skyline sink finished twice"))?
                     .finish();
                 record_stats(&ctx, &stats);
-                guard.set(rows.len());
-                reservation = Some(ctx.try_reserve(rows.iter().map(Row::estimated_bytes).sum())?);
                 emit = Some(rows.into_iter());
             }
         }
@@ -440,7 +440,7 @@ fn pairwise_merge(
     }
     ctx.metrics.add_merge_round(antichains.len());
     let bytes = antichains.iter().flatten().map(Row::estimated_bytes).sum();
-    let reservation = ctx.try_reserve(bytes)?;
+    let reservation = ctx.try_reserve(candidates, bytes)?;
     let encoded = EncodedSkylines::new(checker, antichains);
     let tasks: Vec<usize> = (0..encoded.antichains.len()).collect();
     // A failed pairwise task fails the stage.
@@ -1167,7 +1167,7 @@ mod tests {
     fn one_denied_reservation_is_one_budget_denial() {
         // Two scan partitions: 200 mutually incomparable rows (a 9 600 B
         // local skyline, past the 5 000 B budget) and a 200-row chain (a
-        // one-row local skyline). The first local phase's result
+        // one-row local skyline). The first local phase's window
         // reservation is the only denial; each breaker the error then
         // passes through must not count it again.
         let mut data: Vec<(i64, i64)> = (0..200).map(|i| (i, 200 - i)).collect();
@@ -1191,6 +1191,25 @@ mod tests {
             assert!(err.is_resource_exhausted(), "{name}: {err}");
             assert_eq!(ctx.metrics.snapshot().budget_denials, 1, "{name}");
         }
+    }
+
+    #[test]
+    fn a_window_past_the_budget_fails_before_the_input_ends() {
+        // 1 000 mutually incomparable rows of 48 B in one partition,
+        // pulled 64 at a time: the window grows by 3 072 B per batch, so
+        // the 5 000 B budget denies it on the second batch, long before
+        // the scan has read the input.
+        let data: Vec<(i64, i64)> = (0..1000).map(|i| (i, 1000 - i)).collect();
+        let local = LocalSkylineExec::new(spec2(), false, input(int_rows(&data)));
+        let ctx = TaskContext::new(1)
+            .with_batch_size(64)
+            .with_memory_budget(Some(5_000));
+        let err = local.execute(&ctx).unwrap_err();
+        assert!(err.is_resource_exhausted(), "{err}");
+        let m = ctx.metrics.snapshot();
+        assert_eq!(m.budget_denials, 1);
+        assert!(m.rows_scanned < 1000, "read {} rows", m.rows_scanned);
+        assert_eq!(ctx.memory.current_bytes(), 0);
     }
 
     #[test]

@@ -419,6 +419,12 @@ impl BnlBuilder {
         self.window.len()
     }
 
+    /// Estimated bytes of the window's rows — what a stream operator
+    /// charges to the memory budget for the running skyline.
+    pub fn window_bytes(&self) -> usize {
+        self.window.iter().map(Row::estimated_bytes).sum()
+    }
+
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &SkylineStats {
         &self.stats

@@ -227,6 +227,11 @@ impl GroupedBnlBuilder {
         self.groups.iter().map(BnlBuilder::window_len).sum()
     }
 
+    /// Estimated bytes of the rows of every class window.
+    pub fn window_bytes(&self) -> usize {
+        self.groups.iter().map(BnlBuilder::window_bytes).sum()
+    }
+
     /// Concatenate the class skylines (first-seen order) and merge stats.
     pub fn finish(self) -> (Vec<Row>, SkylineStats) {
         let mut rows = Vec::new();

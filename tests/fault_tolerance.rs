@@ -219,3 +219,62 @@ fn abandoning_a_cancelled_query_releases_every_reservation() {
         "abandoning the query must release every reservation"
     );
 }
+
+#[test]
+fn a_denied_reservation_releases_every_reservation() {
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
+
+    use sparkline_common::{SkylineDim, SkylineSpec, Value};
+    use sparkline_physical::{ExecutionPlan, HashJoinExec, LocalSkylineExec, ScanExec};
+    use sparkline_plan::JoinType;
+
+    let schema = Schema::new(vec![
+        Field::new("a", DataType::Int64, false),
+        Field::new("b", DataType::Int64, false),
+    ])
+    .into_ref();
+    // `n` mutually incomparable 48 B rows.
+    let scan = |n: i64| -> Arc<dyn ExecutionPlan> {
+        let rows = (0..n)
+            .map(|i| Row::new(vec![Value::Int64(i), Value::Int64(n - i)]))
+            .collect();
+        Arc::new(ScanExec::new("t", Arc::new(rows), Arc::clone(&schema)))
+    };
+    let released = |ctx: &TaskContext| {
+        (
+            ctx.memory.current_bytes(),
+            ctx.metrics.rows_in_flight.load(Ordering::Relaxed),
+        )
+    };
+
+    // A growing skyline window: two local phases over 150-row partitions.
+    // The first finishes and holds its 7 200 B skyline; the second is
+    // denied on the batch that takes its window past the 10 000 B budget.
+    let ctx = TaskContext::new(2)
+        .with_batch_size(16)
+        .with_memory_budget(Some(10_000));
+    let spec = SkylineSpec::new(vec![SkylineDim::min(0), SkylineDim::min(1)]);
+    let local = LocalSkylineExec::new(spec, false, scan(300));
+    let mut skylines = local.execute_stream(&ctx).unwrap();
+    assert!(skylines[0].next_batch().unwrap().is_some());
+    let err = skylines[1].next_batch().unwrap_err();
+    assert!(err.is_resource_exhausted(), "{err}");
+    assert_eq!(ctx.metrics.snapshot().budget_denials, 1);
+
+    // A join build under the same budget: the 200-row hash build
+    // (19 200 B with its table) is denied while the first skyline is held.
+    let join = HashJoinExec::new(scan(50), scan(200), vec![(0, 0)], None, JoinType::Inner);
+    let mut probes = join.execute_stream(&ctx).unwrap();
+    let err = probes[0].next_batch().unwrap_err();
+    assert!(err.is_resource_exhausted(), "{err}");
+    assert_eq!(ctx.metrics.snapshot().budget_denials, 2);
+    assert_eq!(
+        released(&ctx),
+        (7_200, 150 + 16),
+        "only the finished skyline and its pulled batch are held"
+    );
+    drop(probes);
+    drop(skylines);
+    assert_eq!(released(&ctx), (0, 0));
+}
