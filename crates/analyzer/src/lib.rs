@@ -339,22 +339,20 @@ impl<'a> Analyzer<'a> {
                 expr,
                 direction,
                 distinct,
+                complete,
                 input,
             } => {
-                if !input.resolved() {
-                    return Ok(LogicalPlan::MinMaxFilter {
-                        expr,
-                        direction,
-                        distinct,
-                        input,
-                    });
-                }
-                let input_schema = input.schema()?;
-                let scope = Scope::with_outer(&input_schema, outer);
+                let expr = if input.resolved() {
+                    let input_schema = input.schema()?;
+                    resolve_expr(expr, &Scope::with_outer(&input_schema, outer))?
+                } else {
+                    expr
+                };
                 Ok(LogicalPlan::MinMaxFilter {
-                    expr: resolve_expr(expr, &scope)?,
+                    expr,
                     direction,
                     distinct,
+                    complete,
                     input,
                 })
             }

@@ -45,10 +45,11 @@ pub struct SessionConfig {
     /// Inert, like `max_retries` and for the same reader; goes with it.
     pub retry_backoff: Duration,
     /// Per-query cap on the sum of concurrent tracked reservations
-    /// (excluding the fixed per-executor overhead): breaker outputs, sort
-    /// buffers, join build sides, the merge's antichains, disk block
-    /// payloads, and every skyline window, charged as it grows — after
-    /// each batch folded into it, not once the phase ends. `None` (the
+    /// (excluding the fixed per-executor overhead): what every breaker
+    /// drains and keeps, skyline windows, single-dimension candidates,
+    /// the `DISTINCT` seen-set, aggregation tables and disk block payloads
+    /// (`sparkline_exec::memory`), each charged after every batch it takes
+    /// in, not once its input ends; not the query's result. `None` (the
     /// default) leaves reservations unbounded; with a budget, the
     /// reservation or growth that would push the sum past the cap fails
     /// the query with

@@ -19,11 +19,11 @@ pub struct QueryResult {
     pub elapsed: Duration,
     /// Peak tracked memory including the per-executor overhead — the
     /// quantity plotted in the paper's Appendix C memory charts. Tracked
-    /// are the buffers operators hold (`sparkline_exec::memory`): breaker
-    /// outputs, sort buffers, join build sides with the hash table's
-    /// entries, the merge's antichains, disk block payloads and the
-    /// skyline windows as they grow; `EXPLAIN ANALYZE` prints it as
-    /// `peak memory`.
+    /// are the buffers operators hold, each as it grows
+    /// (`sparkline_exec::memory`: what breakers drain, skyline windows,
+    /// aggregation and `DISTINCT` state, disk blocks), not
+    /// [`rows`](Self::rows), which the caller holds. `EXPLAIN ANALYZE`
+    /// prints it as `peak memory`.
     pub peak_memory_bytes: usize,
 }
 

@@ -374,7 +374,9 @@ impl SessionContext {
     /// the stream gauges (`batches_emitted`, `peak_rows_in_flight`) that
     /// tell the pipelining story, and the peak memory of
     /// [`QueryResult::peak_memory_bytes`], whose reservations (every
-    /// skyline window among them) also feed the row gauge.
+    /// drained breaker input and skyline window among them) also feed the
+    /// row gauge, so `peak rows in flight` counts a drained batch both in
+    /// transit and held.
     pub fn explain_analyze(&self, plan: &LogicalPlan, algorithm: Algorithm) -> Result<String> {
         let (physical, result) = self.execute_pipeline(plan, algorithm)?;
         let m = &result.metrics;

@@ -11,11 +11,9 @@
 //!   buffers that become rows where a consumer asks — with in-flight
 //!   accounting of each yielded batch, plus the shared pipeline-breaker
 //!   and lazy-build stage helpers;
-//! * [`partition`] — buffered partition helpers with the distribution
-//!   schemes the skyline plans require (even split, `AllTuples`
-//!   coalescing), used by breaker stages;
+//! * [`partition`] — buffered partition helpers (even split, flatten);
 //! * [`runtime`] — the executor pool (`num_executors` worker threads) and
-//!   the fail-fast stream fan-out (`Runtime::drain_streams`);
+//!   its fail-fast task fan-out (`Runtime::map_indexed`);
 //! * [`metrics`] — row/dominance-test counters reported by the harness,
 //!   including the stream gauges (`batches_emitted`,
 //!   `peak_rows_in_flight`) and the memory-budget counter
@@ -27,8 +25,9 @@
 //! receives: the pool, the [`QueryControl`] (deadline + cancellation),
 //! budgeted memory accounting, and the stream batch size. Every buffer an
 //! operator holds is one [`MemoryReservation`] from
-//! [`TaskContext::try_reserve`], which charges the budget and the row
-//! gauge together.
+//! [`TaskContext::reservation`], which charges the budget and the row
+//! gauge together; a breaker drains its input through
+//! [`TaskContext::drain`], charged batch by batch.
 
 pub mod memory;
 pub mod metrics;
@@ -43,9 +42,10 @@ pub use memory::{MemoryReservation, MemoryTracker};
 pub use metrics::{ExecMetrics, MetricsSnapshot};
 pub use partition::Partition;
 pub use runtime::{Deadline, QueryControl, Runtime, CONTROL_CHECK_ROWS};
-pub use stream::{Batch, PartitionStream, RowBatch, DEFAULT_BATCH_SIZE};
+pub use stream::{Batch, HeldPartition, PartitionStream, RowBatch, DEFAULT_BATCH_SIZE};
 
-use sparkline_common::Result;
+use parking_lot::Mutex;
+use sparkline_common::{Result, Row};
 
 /// Per-query execution state handed to every operator.
 #[derive(Debug, Clone)]
@@ -77,15 +77,9 @@ impl TaskContext {
 
     /// Replace the deadline, keeping the cancellation flag.
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
-        self.control = QueryControl::with_cancel_flag(
-            deadline,
-            // Re-wrap the existing flag so clones made earlier still
-            // observe cancels. QueryControl clones share it.
-            {
-                let control = self.control.clone();
-                control.cancel_flag()
-            },
-        );
+        // Keep the flag itself, so clones made earlier still observe
+        // cancels.
+        self.control = QueryControl::with_cancel_flag(deadline, self.control.cancel_flag());
         self
     }
 
@@ -127,12 +121,70 @@ impl TaskContext {
         self
     }
 
-    /// Reserve a buffer of `rows` rows and `bytes` bytes: the one entry
-    /// point of memory accounting. The bytes are checked against the
-    /// budget (a denial counts one `budget_denials` and reserves nothing),
-    /// the rows join the `rows_in_flight` gauge, and dropping the handle
-    /// releases both.
-    pub fn try_reserve(&self, rows: usize, bytes: usize) -> Result<MemoryReservation> {
-        MemoryReservation::try_new(&self.memory, &self.metrics, rows, bytes)
+    /// A new, empty reservation: the one entry point of memory accounting.
+    /// It charges through [`MemoryReservation::try_resize`], which checks
+    /// the growth against the budget (a denial counts one
+    /// `budget_denials`) and moves the `rows_in_flight` gauge with it;
+    /// dropping the handle releases both.
+    pub fn reservation(&self) -> MemoryReservation {
+        MemoryReservation::new(&self.memory, &self.metrics)
+    }
+
+    /// Fold `streams` concurrently over the executor pool, one state per
+    /// stream from `init`, each under one reservation resized after every
+    /// pulled batch to the `(rows, bytes)` that `fold` returns for its
+    /// state — so a state past the budget fails on the batch that grew it.
+    /// The query control is checked before every pull. The first failure
+    /// fails the fold and stops the other streams before their next
+    /// charge: one failure is one denial.
+    pub fn fold<S: Send>(
+        &self,
+        streams: Vec<PartitionStream>,
+        init: impl Fn() -> S + Sync,
+        fold: impl Fn(&mut S, RowBatch) -> Result<(usize, usize)> + Sync,
+    ) -> Result<Vec<(S, MemoryReservation)>> {
+        let failed = Mutex::new(false);
+        self.runtime.map_indexed(streams, |_, mut stream| {
+            let (mut state, mut held) = (init(), self.reservation());
+            loop {
+                let pulled = self.control.check().and_then(|()| stream.next_batch());
+                let size = pulled.and_then(|batch| batch.map(|b| fold(&mut state, b)).transpose());
+                // Checking and charging under one lock: two streams cannot
+                // both cross the budget.
+                let mut failed = failed.lock();
+                match size {
+                    Ok(Some((rows, bytes))) if !*failed => held.try_resize(rows, bytes),
+                    Ok(_) => return Ok((state, held)),
+                    Err(e) => Err(e),
+                }
+                .inspect_err(|_| *failed = true)?;
+            }
+        })
+    }
+
+    /// Drain `streams` into one held partition each: the one way a breaker
+    /// buffers its input, charged batch by batch (see [`fold`](Self::fold)).
+    pub fn drain(&self, streams: Vec<PartitionStream>) -> Result<Vec<HeldPartition>> {
+        let drain = |(rows, bytes): &mut (Partition, usize), batch: RowBatch| {
+            *bytes += batch.iter().map(Row::estimated_bytes).sum::<usize>();
+            rows.extend(batch);
+            Ok((rows.len(), *bytes))
+        };
+        let drained = self.fold(streams, Default::default, drain)?;
+        Ok(drained
+            .into_iter()
+            .map(|((rows, _), held)| (rows, held))
+            .collect())
+    }
+
+    /// [`drain`](Self::drain) into one partition, in stream order, under
+    /// one reservation: Spark's `AllTuples` gather.
+    pub fn gather(&self, streams: Vec<PartitionStream>) -> Result<HeldPartition> {
+        let (mut rows, mut reservation) = (Vec::new(), self.reservation());
+        for (part, held) in self.drain(streams)? {
+            rows.extend(part);
+            reservation.merge(held);
+        }
+        Ok((rows, reservation))
     }
 }

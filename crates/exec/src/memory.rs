@@ -1,16 +1,25 @@
 //! Byte-accounted memory tracking with enforced per-query budgets.
 //!
-//! Every buffer an operator holds — a breaker's computed partitions, the
-//! sort buffer, a join build side, a skyline phase's window, the pairwise
-//! merge's antichains, a disk block's raw payload — is one
-//! [`MemoryReservation`], taken through the one entry point
-//! [`TaskContext::try_reserve`](crate::TaskContext::try_reserve)`(rows,
-//! bytes)`. A reservation charges two gauges together: the tracker's bytes
-//! and the `rows_in_flight` row gauge of `ExecMetrics` (a payload that is
-//! not rows, such as a disk block, reserves `rows = 0`). A buffer that
-//! grows follows itself with
-//! [`try_resize`](MemoryReservation::try_resize), which checks only the
-//! growth; dropping the reservation releases both gauges.
+//! Every buffer an operator holds is one [`MemoryReservation`], taken
+//! empty through the one entry point
+//! [`TaskContext::reservation`](crate::TaskContext::reservation) and
+//! charged with [`try_resize`](MemoryReservation::try_resize)`(rows,
+//! bytes)`, which checks only the growth. A reservation charges two
+//! gauges together: the tracker's bytes and the `rows_in_flight` row
+//! gauge of `ExecMetrics` (a payload that is not rows, such as a disk
+//! block, holds `rows = 0`). [`merge`](MemoryReservation::merge) moves a
+//! charge without charging it again; dropping the reservation releases
+//! both gauges.
+//!
+//! Charged as they grow, after every batch: the rows a breaker drains
+//! ([`TaskContext::drain`](crate::TaskContext::drain): sort, gather, join
+//! build sides, the merge's local skylines), held resized to what it keeps
+//! of them; skyline windows; `MinMaxFilterExec` candidates; the
+//! `DistinctExec` seen-set; aggregation tables; disk block payloads. A
+//! held partition or finished skyline releases each batch's charge as it
+//! emits the batch, so a consumer that drains it charges those rows once.
+//! A query's result is not charged: `ExecutionPlan::execute` hands it to
+//! the caller.
 //!
 //! Two jobs share the tracker. First, *measurement*: it keeps the
 //! high-water mark of reserved bytes, reproducing the paper's
@@ -146,22 +155,14 @@ pub struct MemoryReservation {
 }
 
 impl MemoryReservation {
-    /// Budget-checked reservation of `rows` rows and `bytes` bytes; a
-    /// denial counts one `budget_denials` and reserves nothing.
-    pub(crate) fn try_new(
-        tracker: &Arc<MemoryTracker>,
-        metrics: &Arc<ExecMetrics>,
-        rows: usize,
-        bytes: usize,
-    ) -> Result<Self> {
-        let mut reservation = MemoryReservation {
+    /// An empty reservation; it charges as it grows.
+    pub(crate) fn new(tracker: &Arc<MemoryTracker>, metrics: &Arc<ExecMetrics>) -> Self {
+        MemoryReservation {
             tracker: Arc::clone(tracker),
             metrics: Arc::clone(metrics),
             rows: 0,
             bytes: 0,
-        };
-        reservation.try_resize(rows, bytes)?;
-        Ok(reservation)
+        }
     }
 
     /// Follow the buffer to `rows` rows and `bytes` bytes (a skyline
@@ -184,6 +185,13 @@ impl MemoryReservation {
         }
         self.rows = rows;
         Ok(())
+    }
+
+    /// Take over `other`'s rows and bytes, charging nothing again.
+    pub fn merge(&mut self, mut other: MemoryReservation) {
+        debug_assert!(Arc::ptr_eq(&self.tracker, &other.tracker));
+        self.rows += std::mem::take(&mut other.rows);
+        self.bytes += std::mem::take(&mut other.bytes);
     }
 
     /// Rows held by this reservation.
@@ -213,12 +221,18 @@ mod tests {
         ctx.metrics.rows_in_flight.load(Ordering::Relaxed)
     }
 
+    fn reserve(ctx: &TaskContext, rows: usize, bytes: usize) -> Result<MemoryReservation> {
+        let mut reservation = ctx.reservation();
+        reservation.try_resize(rows, bytes)?;
+        Ok(reservation)
+    }
+
     #[test]
     fn peak_survives_release() {
         let ctx = TaskContext::new(1);
         {
-            let _r1 = ctx.try_reserve(10, 1000).unwrap();
-            let _r2 = ctx.try_reserve(5, 500).unwrap();
+            let _r1 = reserve(&ctx, 10, 1000).unwrap();
+            let _r2 = reserve(&ctx, 5, 500).unwrap();
             assert_eq!(ctx.memory.current_bytes(), 1500);
             assert_eq!(rows_in_flight(&ctx), 15);
         }
@@ -231,7 +245,7 @@ mod tests {
     #[test]
     fn reservation_growth() {
         let ctx = TaskContext::new(1);
-        let mut r = ctx.try_reserve(1, 100).unwrap();
+        let mut r = reserve(&ctx, 1, 100).unwrap();
         r.try_resize(3, 150).unwrap();
         assert_eq!((r.rows(), r.bytes()), (3, 150));
         assert_eq!(ctx.memory.current_bytes(), 150);
@@ -244,6 +258,21 @@ mod tests {
         assert_eq!(rows_in_flight(&ctx), 0);
         assert_eq!(ctx.memory.peak_bytes(), 150);
         assert_eq!(ctx.metrics.snapshot().peak_rows_in_flight, 3);
+    }
+
+    #[test]
+    fn merge_moves_a_charge_without_recharging_it() {
+        let ctx = TaskContext::new(1).with_memory_budget(Some(100));
+        let mut a = reserve(&ctx, 2, 40).unwrap();
+        a.merge(reserve(&ctx, 3, 60).unwrap());
+        assert_eq!((a.rows(), a.bytes()), (5, 100));
+        // The budget is full and nothing was denied.
+        assert_eq!(ctx.memory.current_bytes(), 100);
+        assert_eq!(rows_in_flight(&ctx), 5);
+        assert_eq!(ctx.metrics.snapshot().budget_denials, 0);
+        drop(a);
+        assert_eq!(ctx.memory.current_bytes(), 0);
+        assert_eq!(rows_in_flight(&ctx), 0);
     }
 
     #[test]
@@ -266,8 +295,8 @@ mod tests {
     #[test]
     fn budget_denies_past_the_cap() {
         let ctx = TaskContext::new(1).with_memory_budget(Some(1000));
-        let r = ctx.try_reserve(8, 800).unwrap();
-        let err = ctx.try_reserve(3, 300).unwrap_err();
+        let r = reserve(&ctx, 8, 800).unwrap();
+        let err = reserve(&ctx, 3, 300).unwrap_err();
         assert_eq!(
             err,
             Error::ResourceExhausted {
@@ -283,13 +312,13 @@ mod tests {
         drop(r);
         assert_eq!(ctx.memory.current_bytes(), 0);
         // Released bytes are admissible again.
-        assert!(ctx.try_reserve(0, 1000).is_ok());
+        assert!(reserve(&ctx, 0, 1000).is_ok());
     }
 
     #[test]
     fn try_resize_denial_keeps_reservation_size() {
         let ctx = TaskContext::new(1).with_memory_budget(Some(100));
-        let mut r = ctx.try_reserve(6, 60).unwrap();
+        let mut r = reserve(&ctx, 6, 60).unwrap();
         assert!(r.try_resize(9, 90).is_ok());
         assert!(r.try_resize(12, 120).unwrap_err().is_resource_exhausted());
         assert_eq!((r.rows(), r.bytes()), (9, 90));
@@ -305,7 +334,7 @@ mod tests {
     #[test]
     fn no_budget_try_paths_never_deny() {
         let ctx = TaskContext::new(1);
-        let mut r = ctx.try_reserve(0, usize::MAX / 4).unwrap();
+        let mut r = reserve(&ctx, 0, usize::MAX / 4).unwrap();
         assert!(r.try_resize(0, usize::MAX / 2).is_ok());
         assert!(ctx.memory.budget().is_none());
         assert_eq!(ctx.metrics.snapshot().budget_denials, 0);

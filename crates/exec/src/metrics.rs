@@ -295,7 +295,8 @@ mod tests {
         let m = &ctx.metrics;
         m.begin_batch(100);
         {
-            let mut r = ctx.try_reserve(50, 0).unwrap();
+            let mut r = ctx.reservation();
+            r.try_resize(50, 0).unwrap();
             r.try_resize(300, 0).unwrap();
             r.try_resize(10, 0).unwrap();
         }

@@ -1,18 +1,9 @@
 //! Materialized partitions: the unit of distribution *at pipeline-breaker
-//! stages* of the stream model.
-//!
-//! Since the pull-based refactor, operators no longer exchange
-//! `Vec<Partition>` between every stage — they exchange
-//! [`PartitionStream`](crate::stream::PartitionStream)s of row batches,
-//! and a `Partition` (one `Vec<Row>`) only materializes where an
-//! algorithm genuinely needs buffered rows: the `AllTuples` gather,
-//! sorts, aggregation tables, join build sides, and the skyline merge
-//! phases. The helpers here implement the distribution schemes those
-//! breaker stages need — even splitting (Spark's default when reading) and
-//! coalescing to a single partition (the `AllTuples` requirement of the
-//! flat global skyline) — plus the flatten helpers the tests and the
-//! bench harness use on drained results. The local skyline phase needs
-//! no scheme here: it reads its input's own partitions.
+//! stages* of the stream model, where an algorithm needs buffered rows
+//! (gathers, sorts, aggregation, join build sides, the skyline merge).
+//! The helpers here split evenly (Spark's default when reading) and
+//! flatten drained results; `TaskContext::gather` gathers to one
+//! partition (`AllTuples`), charging the rows as it drains them.
 
 use sparkline_common::Row;
 
@@ -25,18 +16,11 @@ pub type Partition = Vec<Row>;
 /// for 10,000,000 tuples ... each executor will receive roughly 1 million
 /// tuples each".
 pub fn split_evenly(rows: Vec<Row>, n: usize) -> Vec<Partition> {
-    let total = rows.len();
-    if n == 1 || total == 0 {
-        assert!(n >= 1, "at least one partition required");
-        return vec![rows];
-    }
-    let mut parts: Vec<Partition> = Vec::with_capacity(n);
-    let mut iter = rows.into_iter();
-    for (start, end) in even_ranges(total, n) {
-        let part: Partition = iter.by_ref().take(end - start).collect();
-        parts.push(part);
-    }
-    parts
+    let mut rows = rows.into_iter();
+    let ranges = even_ranges(rows.len(), n).into_iter();
+    ranges
+        .map(|(start, end)| rows.by_ref().take(end - start).collect())
+        .collect()
 }
 
 /// The `(start, end)` index ranges [`split_evenly`] cuts `total` rows
@@ -63,17 +47,6 @@ pub fn even_ranges(total: usize, n: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Merge all partitions into a single one (Spark's `AllTuples`
-/// distribution, required by the global skyline phase).
-pub fn coalesce(parts: Vec<Partition>) -> Vec<Partition> {
-    let total: usize = parts.iter().map(Vec::len).sum();
-    let mut merged = Vec::with_capacity(total);
-    for p in parts {
-        merged.extend(p);
-    }
-    vec![merged]
-}
-
 /// Total number of rows across partitions.
 pub fn total_rows(parts: &[Partition]) -> usize {
     parts.iter().map(Vec::len).sum()
@@ -83,9 +56,7 @@ pub fn total_rows(parts: &[Partition]) -> usize {
 /// order), consuming the input.
 pub fn flatten(parts: Vec<Partition>) -> Vec<Row> {
     let mut rows = Vec::with_capacity(total_rows(&parts));
-    for p in parts {
-        rows.extend(p);
-    }
+    rows.extend(parts.into_iter().flatten());
     rows
 }
 
@@ -138,14 +109,6 @@ mod tests {
         let parts = split_evenly(rows(2), 5);
         assert_eq!(parts.len(), 5);
         assert_eq!(total_rows(&parts), 2);
-    }
-
-    #[test]
-    fn coalesce_merges_preserving_order() {
-        let parts = split_evenly(rows(9), 3);
-        let merged = coalesce(parts);
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0], rows(9));
     }
 
     #[test]

@@ -47,19 +47,6 @@ impl Runtime {
         self.num_executors
     }
 
-    /// Drain a set of partition streams concurrently, one stream per
-    /// executor slot — the fan-out point of the stream model: a pipeline
-    /// breaker (or the final collect) pulls all upstream pipelines to
-    /// completion in parallel, which is where the `num_executors`-way
-    /// parallelism enters the pull model.
-    /// A failed partition fails the drain.
-    pub fn drain_streams(
-        &self,
-        streams: Vec<crate::stream::PartitionStream>,
-    ) -> Result<Vec<crate::partition::Partition>> {
-        self.map_indexed(streams, |_, stream| stream.drain())
-    }
-
     /// Run `task` over every input concurrently on up to `num_executors`
     /// executors, preserving input order in the result. The first error
     /// wins; remaining tasks are drained without being run.
@@ -128,7 +115,6 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::ExecMetrics;
     use crate::stream::PartitionStream;
     use sparkline_common::{DataType, Field, Schema};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -209,15 +195,15 @@ mod tests {
     fn fatal_errors_are_not_retried() {
         // A failed partition fails the drain with its own error, pulled
         // once: nothing recomputes it.
-        let rt = Runtime::new(1);
+        let ctx = crate::TaskContext::new(1);
         let schema = Schema::new(vec![Field::new("x", DataType::Int64, false)]).into_ref();
         let pulls = Arc::new(AtomicUsize::new(0));
         let counted = Arc::clone(&pulls);
-        let stream = PartitionStream::new(schema, Arc::new(ExecMetrics::new()), move || {
+        let stream = PartitionStream::new(schema, Arc::clone(&ctx.metrics), move || {
             counted.fetch_add(1, Ordering::SeqCst);
             Err(Error::execution("deterministic failure"))
         });
-        let err = rt.drain_streams(vec![stream]).unwrap_err();
+        let err = ctx.drain(vec![stream]).unwrap_err();
         assert_eq!(err, Error::execution("deterministic failure"));
         assert_eq!(pulls.load(Ordering::SeqCst), 1);
     }

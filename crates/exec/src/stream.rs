@@ -25,7 +25,7 @@
 //! `ExecMetrics::batches_emitted` and is held in the
 //! `rows_in_flight` gauge until the consumer pulls the next batch (or
 //! closes the stream); a buffer an operator holds is one
-//! [`MemoryReservation`] from [`TaskContext::try_reserve`], which charges
+//! [`MemoryReservation`] from [`TaskContext::reservation`], which charges
 //! the same gauge and the memory budget together. The high-water mark is
 //! reported as `peak_rows_in_flight`.
 //!
@@ -252,69 +252,78 @@ pub fn chain_streams(
     })
 }
 
-/// One computed breaker partition, held by its output stream: the rows
-/// and their reservation.
-type HeldPartition = (Partition, MemoryReservation);
+/// A partition an operator holds: its rows and the one reservation that
+/// charges them (see [`TaskContext::drain`]).
+pub type HeldPartition = (Partition, MemoryReservation);
+
+/// The next `batch_size` rows of a held partition, their charge released
+/// from `held` as they leave: the consumer charges what it keeps, so a
+/// drained row is charged once. The last batch releases the rest.
+pub fn emit_held(
+    rows: &mut std::vec::IntoIter<Row>,
+    held: &mut MemoryReservation,
+    batch_size: usize,
+) -> Result<Option<RowBatch>> {
+    let batch: RowBatch = rows.by_ref().take(batch_size).collect();
+    let bytes = batch.iter().map(Row::estimated_bytes).sum::<usize>();
+    let left = match rows.len() {
+        0 => (0, 0),
+        _ => (
+            held.rows().saturating_sub(batch.len()),
+            held.bytes().saturating_sub(bytes),
+        ),
+    };
+    held.try_resize(left.0, left.1)?;
+    Ok((!batch.is_empty()).then_some(batch))
+}
 
 /// A shared pipeline-breaker stage.
 ///
 /// The first output stream pulled runs `compute` exactly once — producing
 /// *all* output partitions — then every output stream emits its own
-/// partition in batches. Each computed partition is reserved, rows and
-/// bytes, through [`TaskContext::try_reserve`] until its stream is
-/// dropped; a denial fails the stage like any compute error, and every
-/// puller gets that error. An error from `compute` is
-/// passed on as it is: a denial inside it was counted where it happened.
-/// `compute` results with fewer than `n_outputs` partitions are padded
-/// with empty ones (partition counts must be fixed before execution in the
-/// stream model).
+/// partition in batches. `compute` hands back held partitions: the
+/// reservations it drained or folded its input into, resized to what it
+/// returns, so nothing is reserved a second time. Each output stream
+/// releases its partition's charge batch by batch ([`emit_held`]). An
+/// error from `compute` is passed on as it is to every puller: a denial
+/// inside it was counted where it happened. Fewer than `n_outputs`
+/// partitions are padded with empty ones (partition counts must be fixed
+/// before execution in the stream model).
 pub fn breaker_streams(
     schema: SchemaRef,
     ctx: &TaskContext,
     n_outputs: usize,
-    compute: impl FnOnce() -> Result<Vec<Partition>> + Send + 'static,
+    compute: impl FnOnce() -> Result<Vec<HeldPartition>> + Send + 'static,
 ) -> Vec<PartitionStream> {
     let n_outputs = n_outputs.max(1);
-    let reserve_ctx = ctx.clone();
     let stage = LazyBuild::new(move || {
-        let mut parts = compute()?;
+        let parts = compute()?;
         debug_assert!(
             parts.len() <= n_outputs,
             "breaker produced more partitions than declared"
         );
-        parts.truncate(n_outputs);
-        parts.resize_with(n_outputs, Vec::new);
-        // A denial releases the partial reservations via RAII.
-        parts
+        Ok(parts
             .into_iter()
-            .map(|p| {
-                let bytes = p.iter().map(Row::estimated_bytes).sum();
-                let reservation = reserve_ctx.try_reserve(p.len(), bytes)?;
-                Ok(Mutex::new(Some((p, reservation))))
-            })
-            .collect::<Result<Vec<Mutex<Option<HeldPartition>>>>>()
+            .map(Some)
+            .chain(std::iter::repeat_with(|| None))
+            .take(n_outputs)
+            .map(Mutex::new)
+            .collect::<Vec<Mutex<Option<HeldPartition>>>>())
     });
     let batch_size = ctx.batch_size.max(1);
     (0..n_outputs)
         .map(|i| {
             let stage = Arc::clone(&stage);
-            let mut slot: Option<(std::vec::IntoIter<Row>, MemoryReservation)> = None;
-            let mut started = false;
+            let mut slot = None;
             PartitionStream::new(Arc::clone(&schema), Arc::clone(&ctx.metrics), move || {
-                if !started {
-                    started = true;
+                if slot.is_none() {
                     let held = stage.get()?[i].lock().take();
-                    slot = held.map(|(p, reservation)| (p.into_iter(), reservation));
+                    slot = Some(held.map(|(rows, held)| (rows.into_iter(), held)));
                 }
-                let Some((iter, _)) = slot.as_mut() else {
-                    return Ok(None);
-                };
-                let batch: RowBatch = iter.by_ref().take(batch_size).collect();
-                if batch.is_empty() {
-                    slot.take();
-                    return Ok(None);
+                match slot.as_mut().and_then(Option::as_mut) {
+                    Some((rows, held)) => emit_held(rows, held, batch_size),
+                    None => Ok(None),
                 }
-                Ok(Some(batch))
             })
         })
         .collect()
@@ -416,20 +425,32 @@ mod tests {
         assert_eq!(m.rows_in_flight.load(Ordering::Relaxed), 0);
     }
 
+    /// A breaker compute that drains `parts` as streams, as a breaker
+    /// drains its input.
+    fn drained(
+        ctx: &TaskContext,
+        parts: Vec<Partition>,
+    ) -> impl FnOnce() -> Result<Vec<HeldPartition>> {
+        let ctx = ctx.clone();
+        let streams = parts
+            .into_iter()
+            .map(|p| chunked(&ctx.metrics, 3, p))
+            .collect();
+        move || ctx.drain(streams)
+    }
+
     #[test]
     fn held_buffer_counts_whole_partition() {
-        // A breaker's computed partition is held, rows and bytes, until
-        // its stream is dropped.
+        // A breaker's computed partition is held, rows and bytes, while
+        // its stream emits it; each emitted batch leaves the charge.
+        let row_bytes = rows(1)[0].estimated_bytes();
         let ctx = TaskContext::new(1).with_batch_size(4);
-        let mut streams = breaker_streams(schema(), &ctx, 1, || Ok(vec![rows(10)]));
+        let mut streams = breaker_streams(schema(), &ctx, 1, drained(&ctx, vec![rows(10)]));
         let in_flight = || ctx.metrics.rows_in_flight.load(Ordering::Relaxed);
         assert_eq!(streams[0].next_batch().unwrap().unwrap().len(), 4);
-        assert_eq!(
-            in_flight(),
-            10 + 4,
-            "the held partition plus the pulled batch"
-        );
-        assert!(ctx.memory.current_bytes() > 0);
+        assert_eq!(in_flight(), 6 + 4, "the held rest plus the pulled batch");
+        assert_eq!(ctx.memory.current_bytes(), 6 * row_bytes);
+        assert_eq!(ctx.memory.peak_bytes(), 10 * row_bytes);
         drop(streams);
         assert_eq!(in_flight(), 0);
         assert_eq!(ctx.memory.current_bytes(), 0);
@@ -481,6 +502,66 @@ mod tests {
     }
 
     #[test]
+    fn a_drain_is_charged_batch_by_batch() {
+        // Two partitions of 10 rows pulled 3 at a time: each batch is
+        // charged as it arrives, so a budget below the input denies the
+        // drain once, mid-input, and leaves nothing held.
+        let row_bytes = rows(1)[0].estimated_bytes();
+        let ctx = TaskContext::new(1).with_memory_budget(Some(8 * row_bytes));
+        let pulled = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let streams = [rows(10), rows(10)]
+            .into_iter()
+            .map(|p| {
+                let (pulled, mut inner) = (Arc::clone(&pulled), chunked(&ctx.metrics, 3, p));
+                PartitionStream::new(schema(), Arc::clone(&ctx.metrics), move || {
+                    let batch = inner.next_batch()?;
+                    pulled.fetch_add(batch.as_ref().map_or(0, Vec::len), Ordering::SeqCst);
+                    Ok(batch)
+                })
+            })
+            .collect();
+        let err = ctx.drain(streams).unwrap_err();
+        assert!(err.is_resource_exhausted(), "{err}");
+        assert_eq!(ctx.metrics.snapshot().budget_denials, 1);
+        assert_eq!(pulled.load(Ordering::SeqCst), 9, "the third batch crossed");
+        assert_eq!(ctx.memory.current_bytes(), 0);
+        assert_eq!(ctx.metrics.rows_in_flight.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_failed_drain_stops_its_siblings() {
+        // Two 60-row partitions drained at once under a budget of 30 rows:
+        // whichever drain crosses it first is denied, and the other stops
+        // before its next charge instead of being denied in turn.
+        let row_bytes = rows(1)[0].estimated_bytes();
+        for _ in 0..50 {
+            let ctx = TaskContext::new(2).with_memory_budget(Some(30 * row_bytes));
+            let streams = (0..2).map(|_| chunked(&ctx.metrics, 3, rows(60))).collect();
+            let err = ctx.drain(streams).unwrap_err();
+            assert!(err.is_resource_exhausted(), "{err}");
+            assert_eq!(ctx.metrics.snapshot().budget_denials, 1);
+            assert_eq!(ctx.memory.current_bytes(), 0);
+            assert_eq!(ctx.metrics.rows_in_flight.load(Ordering::Relaxed), 0);
+        }
+    }
+
+    #[test]
+    fn gather_merges_preserving_order() {
+        // The gather keeps stream order, and one reservation holds every
+        // row.
+        let row_bytes = rows(1)[0].estimated_bytes();
+        let ctx = TaskContext::new(2);
+        let streams = vec![
+            chunked(&ctx.metrics, 3, rows(4)),
+            chunked(&ctx.metrics, 3, rows(2)),
+        ];
+        let (gathered, held) = ctx.gather(streams).unwrap();
+        assert_eq!(gathered, [rows(4), rows(2)].concat());
+        assert_eq!((held.rows(), held.bytes()), (6, 6 * row_bytes));
+        assert_eq!(ctx.memory.current_bytes(), 6 * row_bytes);
+    }
+
+    #[test]
     fn chained_streams_preserve_order() {
         let m = Arc::new(ExecMetrics::new());
         let parts = vec![rows(3), rows(2)];
@@ -496,9 +577,10 @@ mod tests {
         let ctx = TaskContext::new(2);
         let count = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let c2 = Arc::clone(&count);
+        let compute = drained(&ctx, vec![rows(5)]);
         let streams = breaker_streams(schema(), &ctx, 3, move || {
             c2.fetch_add(1, Ordering::SeqCst);
-            Ok(vec![rows(5)])
+            compute()
         });
         assert_eq!(streams.len(), 3);
         let drained: Vec<Partition> = streams.into_iter().map(|s| s.drain().unwrap()).collect();

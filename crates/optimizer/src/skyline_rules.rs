@@ -4,9 +4,11 @@
 //!   `MAX` dimension is just "all tuples attaining the optimum"; instead of
 //!   O(n log n) sort-and-select the paper picks the O(n) scalar-optimum +
 //!   selection form, which our [`LogicalPlan::MinMaxFilter`] node executes
-//!   in two linear passes. Tuples that are NULL in the dimension are
-//!   incomparable to everything and therefore kept, which makes the rewrite
-//!   valid for incomplete data as well.
+//!   in one linear pass per partition. Tuples that are NULL (or NaN) in the
+//!   dimension are incomparable to everything and therefore kept, which
+//!   makes the rewrite valid for incomplete data as well; the node carries
+//!   the skyline's `complete` flag, which decides whether `DISTINCT` merges
+//!   identical NULL-like tuples (incomplete) or keeps them all (complete).
 //! * [`push_skyline_below_join`] — if the skyline's input is a
 //!   *non-reductive* join (Carey & Kossmann \[6\]) and all skyline dimensions
 //!   come from the join's left side, the skyline may be evaluated before
@@ -30,12 +32,14 @@ use sparkline_plan::{
     CatalogProvider, Expr, JoinCondition, JoinType, LogicalPlan, MinMaxDirection,
 };
 
-/// Rewrite single-dimension `MIN`/`MAX` skylines into [`LogicalPlan::MinMaxFilter`].
+/// Rewrite single-dimension `MIN`/`MAX` skylines into
+/// [`LogicalPlan::MinMaxFilter`]. Runs after [`infer_complete_skyline`],
+/// so the `complete` flag it carries over is Listing 8's choice.
 pub fn rewrite_single_dim_skyline(plan: &LogicalPlan) -> Result<LogicalPlan> {
     plan.transform_up(&mut |node| {
         let LogicalPlan::Skyline {
             distinct,
-            complete: _,
+            complete,
             dims,
             input,
         } = &node
@@ -52,6 +56,7 @@ pub fn rewrite_single_dim_skyline(plan: &LogicalPlan) -> Result<LogicalPlan> {
             expr: dims[0].child.clone(),
             direction,
             distinct: *distinct,
+            complete: *complete,
             input: Arc::clone(input),
         })
     })
@@ -338,10 +343,12 @@ mod tests {
             LogicalPlan::MinMaxFilter {
                 direction,
                 distinct,
+                complete,
                 ..
             } => {
                 assert_eq!(direction, MinMaxDirection::Min);
                 assert!(!distinct);
+                assert!(complete, "the skyline's relation is carried over");
             }
             other => panic!("expected MinMaxFilter, got:\n{other}"),
         }
@@ -359,6 +366,31 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn minmax_filter_carries_the_inferred_relation() {
+        for nullable in [false, true] {
+            let LogicalPlan::Skyline { dims, input, .. } = skyline_over(
+                scan("t", &[("a", nullable)]),
+                vec![(0, SkylineType::Min)],
+                true,
+            ) else {
+                unreachable!()
+            };
+            let plan = LogicalPlan::Skyline {
+                distinct: true,
+                complete: false,
+                dims,
+                input,
+            };
+            let inferred = infer_complete_skyline(&plan).unwrap();
+            let optimized = rewrite_single_dim_skyline(&inferred).unwrap();
+            assert!(
+                matches!(optimized, LogicalPlan::MinMaxFilter { complete, .. } if complete != nullable),
+                "nullable {nullable}:\n{optimized}"
+            );
+        }
     }
 
     #[test]

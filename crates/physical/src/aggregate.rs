@@ -1,12 +1,14 @@
 //! Hash aggregation: partial aggregation per partition in parallel, merged
 //! into a final hash table on one executor (Spark's partial/final split).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use sparkline_common::{DataType, Error, Result, Row, SchemaRef, Value};
 use sparkline_exec::{
-    partition::split_evenly, stream::breaker_streams, PartitionStream, TaskContext,
+    partition::split_evenly, stream::breaker_streams, HeldPartition, MemoryReservation, Partition,
+    PartitionStream, TaskContext,
 };
 use sparkline_plan::{AggregateFunction, Expr};
 
@@ -240,28 +242,32 @@ impl HashAggregateExec {
     }
 }
 
+/// An aggregation table: group key to accumulators.
+type GroupTable = HashMap<Vec<Value>, Vec<Accumulator>>;
+
 /// Phase 2 + 3 of the hash aggregation: merge the partial tables on one
 /// executor and evaluate the result expressions over the internal row
 /// layout `[group values..., aggregate values...]`.
 fn aggregate_final(
     ctx: &TaskContext,
-    partials: Vec<HashMap<Vec<Value>, Vec<Accumulator>>>,
+    partials: Vec<((GroupTable, usize), MemoryReservation)>,
     group_exprs: &[Expr],
     agg_calls: &[AggCall],
     result_exprs: &[Expr],
     n: usize,
-) -> Result<Vec<sparkline_exec::Partition>> {
-    let mut merged: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
-    for table in partials {
+) -> Result<Vec<HeldPartition>> {
+    let (mut merged, mut reservation): (GroupTable, _) = (HashMap::new(), ctx.reservation());
+    for ((table, _), held) in partials {
+        reservation.merge(held);
         ctx.control.check()?;
         for (key, accs) in table {
             match merged.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
+                Entry::Occupied(mut e) => {
                     for (a, b) in e.get_mut().iter_mut().zip(accs) {
                         a.merge(b)?;
                     }
                 }
-                std::collections::hash_map::Entry::Vacant(e) => {
+                Entry::Vacant(e) => {
                     e.insert(accs);
                 }
             }
@@ -283,24 +289,39 @@ fn aggregate_final(
             .collect::<Result<_>>()?;
         rows.push(Row::new(values));
     }
-    Ok(split_evenly(rows, n))
+    // The tables are spent; the rows they became are charged per output
+    // partition.
+    drop(reservation);
+    let charge = |part: Partition| {
+        let mut held = ctx.reservation();
+        held.try_resize(part.len(), part.iter().map(Row::estimated_bytes).sum())?;
+        Ok((part, held))
+    };
+    split_evenly(rows, n).into_iter().map(charge).collect()
 }
 
-/// Fold one batch into a partial-aggregation table.
+/// Fold one batch into a partial-aggregation table; returns the bytes of
+/// the groups it added (keys and accumulators).
 fn partial_batch(
     group_exprs: &[Expr],
     agg_calls: &[AggCall],
-    table: &mut HashMap<Vec<Value>, Vec<Accumulator>>,
+    table: &mut GroupTable,
     batch: &[Row],
-) -> Result<()> {
+) -> Result<usize> {
+    let mut added = 0;
     for row in batch {
         let key: Vec<Value> = group_exprs
             .iter()
             .map(|e| e.evaluate(row))
             .collect::<Result<_>>()?;
-        let accs = table
-            .entry(key)
-            .or_insert_with(|| agg_calls.iter().map(Accumulator::new).collect());
+        let accs = match table.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                added += e.key().iter().map(Value::estimated_bytes).sum::<usize>()
+                    + agg_calls.len() * std::mem::size_of::<Accumulator>();
+                e.insert(agg_calls.iter().map(Accumulator::new).collect())
+            }
+        };
         for (acc, call) in accs.iter_mut().zip(agg_calls) {
             match &call.arg {
                 Some(arg) => acc.update(Some(&arg.evaluate(row)?))?,
@@ -308,7 +329,7 @@ fn partial_batch(
             }
         }
     }
-    Ok(())
+    Ok(added)
 }
 
 impl ExecutionPlan for HashAggregateExec {
@@ -335,14 +356,10 @@ impl ExecutionPlan for HashAggregateExec {
             // Phase 1: parallel partial aggregation, one stream per
             // executor, folding batch-by-batch — the buffered state is the
             // partial hash table (bounded by the number of groups), never
-            // the input.
-            let partials = ctx2.runtime.map_indexed(inputs, |_, mut stream| {
-                let mut table: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
-                while let Some(batch) = stream.next_batch()? {
-                    ctx2.control.check()?;
-                    partial_batch(&group_exprs, &agg_calls, &mut table, &batch)?;
-                }
-                Ok(table)
+            // the input; its reservation follows it batch by batch.
+            let partials = ctx2.fold(inputs, Default::default, |(table, bytes), batch| {
+                *bytes += partial_batch(&group_exprs, &agg_calls, table, &batch)?;
+                Ok((table.len(), *bytes))
             })?;
             aggregate_final(&ctx2, partials, &group_exprs, &agg_calls, &result_exprs, n)
         }))
@@ -539,5 +556,47 @@ mod tests {
         let rows = run(&plan);
         assert_eq!(rows.len(), 1, "NULL keys group together");
         assert_eq!(rows[0].get(1), &Value::Int64(2));
+    }
+
+    #[test]
+    fn partial_tables_are_charged_while_they_fold() {
+        // 20 000 groups, 256 rows a batch on each of two executors: each
+        // partial table grows by 256 groups per batch, so a 5 000 B
+        // budget stops phase 1 long before the input is read.
+        let data = (0..20_000)
+            .map(|i| vec![Value::Int64(i), Value::Int64(1)])
+            .collect();
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int64, false),
+            Field::new("cnt", DataType::Int64, false),
+        ])
+        .into_ref();
+        let count = AggCall {
+            func: AggregateFunction::Count,
+            arg: None,
+            input_type: DataType::Int64,
+        };
+        let plan = HashAggregateExec::new(
+            vec![col(0, DataType::Int64)],
+            vec![count],
+            vec![col(0, DataType::Int64), col(1, DataType::Int64)],
+            schema,
+            input(data),
+        );
+        let ctx = TaskContext::new(2)
+            .with_batch_size(256)
+            .with_memory_budget(Some(5_000));
+        let err = plan.execute(&ctx).unwrap_err();
+        assert!(err.is_resource_exhausted(), "{err}");
+        let m = ctx.metrics.snapshot();
+        assert!(m.budget_denials >= 1);
+        assert!(m.rows_scanned < 20_000, "read {} rows", m.rows_scanned);
+        assert_eq!(ctx.memory.current_bytes(), 0);
+        assert_eq!(
+            ctx.metrics
+                .rows_in_flight
+                .load(std::sync::atomic::Ordering::Relaxed),
+            0
+        );
     }
 }

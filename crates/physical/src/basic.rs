@@ -3,11 +3,12 @@
 //!
 //! The narrow operators transform one pulled batch at a time and hold no
 //! buffered state beyond it (`DistinctExec` keeps the seen-set, which is
-//! bounded by the *output* size); `LimitExec` stops pulling — and drops
-//! its upstream streams, cancelling their remaining work — the moment the
-//! limit is reached. `SortExec` is a genuine breaker: a total sort needs
-//! every row, so it drains its input (fanned over the executor pool)
-//! before emitting.
+//! bounded by the *output* size and charged to the memory budget as it
+//! grows); `LimitExec` stops pulling — and drops its upstream streams,
+//! cancelling their remaining work — the moment the limit is reached.
+//! `SortExec` is a genuine breaker: a total sort needs every row, so it
+//! drains its input (fanned over the executor pool, charged as it
+//! arrives) before emitting.
 
 use std::cmp::Ordering;
 use std::collections::HashSet;
@@ -227,8 +228,8 @@ impl ExecutionPlan for LimitExec {
     }
 }
 
-/// Removes duplicate rows: parallel per-partition dedup, then a global
-/// dedup on one executor.
+/// Removes duplicate rows in one streaming pass over the input
+/// partitions, in order, keeping each row's first occurrence.
 #[derive(Debug)]
 pub struct DistinctExec {
     input: Arc<dyn ExecutionPlan>,
@@ -268,8 +269,10 @@ impl ExecutionPlan for DistinctExec {
         // First-occurrence dedup is associative over concatenation, so one
         // streaming pass in partition order yields exactly the seed's
         // local-then-global result; the seen-set is bounded by the number
-        // of *distinct* rows, not the input size.
+        // of *distinct* rows, not the input size. One reservation follows
+        // it, resized after every pulled batch.
         let mut seen: HashSet<Row> = HashSet::new();
+        let (mut seen_bytes, mut reservation) = (0, ctx.reservation());
         let stream = PartitionStream::new(self.schema(), Arc::clone(&ctx.metrics), move || loop {
             ctx2.control.check()?;
             let Some(batch) = input.next_batch()? else {
@@ -278,9 +281,11 @@ impl ExecutionPlan for DistinctExec {
             let mut rows = Vec::new();
             for row in batch {
                 if seen.insert(row.clone()) {
+                    seen_bytes += row.estimated_bytes();
                     rows.push(row);
                 }
             }
+            reservation.try_resize(seen.len(), seen_bytes)?;
             if !rows.is_empty() {
                 return Ok(Some(rows));
             }
@@ -353,16 +358,14 @@ impl ExecutionPlan for SortExec {
         let ctx2 = ctx.clone();
         Ok(breaker_streams(self.schema(), ctx, 1, move || {
             // A total sort needs every row: drain the upstream pipelines
-            // in parallel, then sort the gathered buffer on one executor.
-            let input = ctx2.runtime.drain_streams(inputs)?;
-            let rows = sparkline_exec::partition::flatten(input);
-            let bytes = rows.iter().map(Row::estimated_bytes).sum();
-            let reservation = ctx2.try_reserve(rows.len(), bytes)?;
+            // in parallel, then sort the gathered buffer on one executor;
+            // the sorted rows are the drained ones, under their
+            // reservation.
+            let (rows, reservation) = ctx2.gather(inputs)?;
             ctx2.control.check()?;
             let sorted = sort_rows(&exprs, rows)?;
             ctx2.control.check()?;
-            drop(reservation);
-            Ok(vec![sorted])
+            Ok(vec![(sorted, reservation)])
         }))
     }
 
@@ -552,5 +555,69 @@ mod tests {
             })
             .collect();
         assert_eq!(pairs, vec![(1, 2), (1, 1), (2, 2), (2, 1)]);
+    }
+
+    /// 20 000 distinct two-column rows (48 B each).
+    fn distinct_rows() -> Vec<Vec<Value>> {
+        int_rows(&(0..20_000).map(|i| (i, -i)).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn a_sort_is_denied_while_it_drains() {
+        // 256-row batches of 12 288 B: the sort's drain is charged batch
+        // by batch, so a 5 000 B budget stops it on its first batch, not
+        // after the whole input is buffered.
+        let sort = SortExec::new(vec![SortExpr::asc(col(0))], scan(distinct_rows()));
+        let ctx = TaskContext::new(1)
+            .with_batch_size(256)
+            .with_memory_budget(Some(5_000));
+        let err = sort.execute(&ctx).unwrap_err();
+        assert!(err.is_resource_exhausted(), "{err}");
+        let m = ctx.metrics.snapshot();
+        assert_eq!(m.budget_denials, 1);
+        assert!(m.rows_scanned < 20_000, "read {} rows", m.rows_scanned);
+        assert_eq!(ctx.memory.current_bytes(), 0);
+    }
+
+    #[test]
+    fn a_drained_breaker_output_is_charged_once() {
+        // A sort over a sort: the outer drain charges each batch the inner
+        // sort emits, and the inner sort releases it as it leaves, so the
+        // peak is one copy of the rows (plus at most one batch), not two.
+        let inner = Arc::new(SortExec::new(
+            vec![SortExpr::asc(col(0))],
+            scan(distinct_rows()),
+        ));
+        let outer = SortExec::new(vec![SortExpr::asc(col(1))], inner);
+        let ctx = TaskContext::new(2).with_batch_size(256);
+        assert_eq!(flatten_len(outer.execute(&ctx)), 20_000);
+        let peak = ctx.memory.peak_bytes();
+        assert!(peak <= (20_000 + 256) * 48, "peak {peak} B");
+        assert_eq!(ctx.memory.current_bytes(), 0);
+    }
+
+    #[test]
+    fn the_distinct_seen_set_is_charged() {
+        let distinct = DistinctExec::new(scan(distinct_rows()));
+        let ctx = TaskContext::new(2)
+            .with_batch_size(256)
+            .with_memory_budget(Some(1_000));
+        let err = distinct.execute(&ctx).unwrap_err();
+        assert!(err.is_resource_exhausted(), "{err}");
+        let m = ctx.metrics.snapshot();
+        assert_eq!(m.budget_denials, 1);
+        assert!(m.rows_scanned < 20_000, "read {} rows", m.rows_scanned);
+        assert_eq!(ctx.memory.current_bytes(), 0);
+        // Without a budget the seen-set is what the peak shows.
+        let ctx = TaskContext::new(2);
+        assert_eq!(
+            flatten_len(DistinctExec::new(scan(distinct_rows())).execute(&ctx)),
+            20_000
+        );
+        assert_eq!(ctx.memory.peak_bytes(), 20_000 * 48);
+    }
+
+    fn flatten_len(parts: Result<Vec<sparkline_exec::Partition>>) -> usize {
+        parts.unwrap().iter().map(Vec::len).sum()
     }
 }

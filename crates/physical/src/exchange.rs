@@ -6,11 +6,7 @@
 use std::sync::Arc;
 
 use sparkline_common::{Result, SchemaRef};
-use sparkline_exec::{
-    partition::{coalesce, total_rows},
-    stream::breaker_streams,
-    PartitionStream, TaskContext,
-};
+use sparkline_exec::{stream::breaker_streams, PartitionStream, TaskContext};
 
 use crate::ExecutionPlan;
 
@@ -49,13 +45,13 @@ impl ExecutionPlan for ExchangeExec {
         // actually run concurrently — and re-emits one partition.
         Ok(breaker_streams(self.schema(), ctx, 1, move || {
             // A failed upstream partition fails the whole stage.
-            let input = ctx2.runtime.drain_streams(inputs)?;
+            let gathered = ctx2.gather(inputs)?;
             ctx2.control.check()?;
             ctx2.metrics.rows_exchanged.fetch_add(
-                total_rows(&input) as u64,
+                gathered.0.len() as u64,
                 std::sync::atomic::Ordering::Relaxed,
             );
-            Ok(coalesce(input))
+            Ok(vec![gathered])
         }))
     }
 

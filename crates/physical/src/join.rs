@@ -10,9 +10,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use sparkline_common::{Result, Row, Schema, SchemaRef, Value};
-use sparkline_exec::{
-    partition::flatten, stream::LazyBuild, MemoryReservation, PartitionStream, TaskContext,
-};
+use sparkline_exec::{stream::LazyBuild, MemoryReservation, PartitionStream, TaskContext};
 use sparkline_plan::{Expr, JoinType};
 
 use crate::ExecutionPlan;
@@ -104,25 +102,20 @@ impl ExecutionPlan for HashJoinExec {
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
         let left_streams = self.left.execute_stream(ctx)?;
-        let right_width = self.right.schema().len();
-        let left_width = self.left.schema().len();
+        let widths = (self.left.schema().len(), self.right.schema().len());
 
         // Build side: a pipeline breaker shared by every probe stream —
         // the first probe batch pulled drains the right input (fanned over
-        // the executor pool) and hashes it on the key columns. Rows with a
-        // NULL key never match (SQL equality semantics).
+        // the executor pool, charged as it arrives) and hashes it on the
+        // key columns; the table's entries grow the same reservation. Rows
+        // with a NULL key never match (SQL equality semantics).
         let right = Arc::clone(&self.right);
         let keys = self.keys.clone();
         let build_ctx = ctx.clone();
         let build = LazyBuild::new(move || {
-            let rows = flatten(
-                build_ctx
-                    .runtime
-                    .drain_streams(right.execute_stream(&build_ctx)?)?,
-            );
-            let bytes: usize = rows.iter().map(Row::estimated_bytes).sum();
-            let reservation =
-                build_ctx.try_reserve(rows.len(), bytes + rows.len() * HASH_ENTRY_BYTES)?;
+            let (rows, mut reservation) = build_ctx.gather(right.execute_stream(&build_ctx)?)?;
+            let bytes = reservation.bytes() + rows.len() * HASH_ENTRY_BYTES;
+            reservation.try_resize(rows.len(), bytes)?;
             let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(rows.len());
             for (i, row) in rows.iter().enumerate() {
                 let key: Vec<Value> = keys.iter().map(|&(_, r)| row.get(r).clone()).collect();
@@ -157,31 +150,13 @@ impl ExecutionPlan for HashJoinExec {
                     for left_row in &batch {
                         let key: Vec<Value> =
                             keys.iter().map(|&(l, _)| left_row.get(l).clone()).collect();
-                        let mut matched = false;
-                        if !key.iter().any(Value::is_null) {
-                            if let Some(candidates) = build.table.get(&key) {
-                                for &r in candidates {
-                                    let right_row = &build.rows[r];
-                                    ctx.metrics.join_comparisons.fetch_add(1, Ordering::Relaxed);
-                                    let keep = match &residual {
-                                        Some(p) => {
-                                            p.evaluate_joined(left_row, right_row, left_width)?
-                                                == Value::Boolean(true)
-                                        }
-                                        None => true,
-                                    };
-                                    if keep {
-                                        matched = true;
-                                        rows.push(left_row.concat(right_row));
-                                    }
-                                }
-                            }
-                        }
-                        if !matched && join_type == JoinType::LeftOuter {
-                            rows.push(
-                                left_row.extend(std::iter::repeat_n(Value::Null, right_width)),
-                            );
-                        }
+                        let partners = match key.iter().any(Value::is_null) {
+                            true => None,
+                            false => build.table.get(&key),
+                        };
+                        let partners = partners.into_iter().flatten().map(|&r| &build.rows[r]);
+                        let join = (join_type, &residual);
+                        join_row(&ctx, join, left_row, partners, widths, &mut rows)?;
                     }
                     if !rows.is_empty() {
                         return Ok(Some(rows));
@@ -202,12 +177,6 @@ impl ExecutionPlan for HashJoinExec {
             }
         )
     }
-}
-
-/// The shared nested-loop inner side with its reservation.
-struct NestedLoopBuild {
-    rows: Vec<Row>,
-    _reservation: MemoryReservation,
 }
 
 /// Nested-loop join evaluating an arbitrary predicate per pair. Supports
@@ -242,20 +211,41 @@ impl NestedLoopJoinExec {
     }
 }
 
-/// Evaluate the join predicate for one (left, right) pair, counting the
-/// comparison.
-fn pair_matches(
-    predicate: &Option<Expr>,
-    left_row: &Row,
-    right_row: &Row,
-    left_width: usize,
+/// Join `left_row` with every row of `right_rows` that `predicate`
+/// accepts over the combined row (counting each comparison), appending
+/// what `join_type` emits to `out`. A semi or anti join stops at the
+/// first partner.
+fn join_row<'a>(
     ctx: &TaskContext,
-) -> Result<bool> {
-    ctx.metrics.join_comparisons.fetch_add(1, Ordering::Relaxed);
-    match predicate {
-        Some(p) => Ok(p.evaluate_joined(left_row, right_row, left_width)? == Value::Boolean(true)),
-        None => Ok(true),
+    (join_type, predicate): (JoinType, &Option<Expr>),
+    left_row: &Row,
+    right_rows: impl IntoIterator<Item = &'a Row>,
+    (left_width, right_width): (usize, usize),
+    out: &mut Vec<Row>,
+) -> Result<()> {
+    let mut matched = false;
+    for right_row in right_rows {
+        ctx.metrics.join_comparisons.fetch_add(1, Ordering::Relaxed);
+        if let Some(p) = predicate {
+            if p.evaluate_joined(left_row, right_row, left_width)? != Value::Boolean(true) {
+                continue;
+            }
+        }
+        matched = true;
+        match join_type {
+            JoinType::LeftSemi | JoinType::LeftAnti => break,
+            _ => out.push(left_row.concat(right_row)),
+        }
     }
+    match join_type {
+        JoinType::LeftOuter if !matched => {
+            out.push(left_row.extend(std::iter::repeat_n(Value::Null, right_width)))
+        }
+        JoinType::LeftSemi if matched => out.push(left_row.clone()),
+        JoinType::LeftAnti if !matched => out.push(left_row.clone()),
+        _ => {}
+    }
+    Ok(())
 }
 
 impl ExecutionPlan for NestedLoopJoinExec {
@@ -273,25 +263,12 @@ impl ExecutionPlan for NestedLoopJoinExec {
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
         let left_streams = self.left.execute_stream(ctx)?;
-        let right_width = self.right.schema().len();
-        let left_width = self.left.schema().len();
+        let widths = (self.left.schema().len(), self.right.schema().len());
 
         // Inner side: buffered once, shared by every probe stream.
         let right = Arc::clone(&self.right);
         let build_ctx = ctx.clone();
-        let build = LazyBuild::new(move || {
-            let rows = flatten(
-                build_ctx
-                    .runtime
-                    .drain_streams(right.execute_stream(&build_ctx)?)?,
-            );
-            let bytes = rows.iter().map(Row::estimated_bytes).sum();
-            let reservation = build_ctx.try_reserve(rows.len(), bytes)?;
-            Ok(NestedLoopBuild {
-                rows,
-                _reservation: reservation,
-            })
-        });
+        let build = LazyBuild::new(move || build_ctx.gather(right.execute_stream(&build_ctx)?));
 
         // The paper notes the reference plan is "still somewhat
         // distributed": the outer loop pipelines over left batches while
@@ -307,62 +284,12 @@ impl ExecutionPlan for NestedLoopJoinExec {
                     let Some(batch) = input.next_batch()? else {
                         return Ok(None);
                     };
-                    let right_rows = &build.get()?.rows;
+                    let right_rows = &build.get()?.0;
                     let mut rows: Vec<Row> = Vec::new();
                     for left_row in &batch {
                         ctx.control.check()?;
-                        match join_type {
-                            JoinType::Inner | JoinType::Cross => {
-                                for right_row in right_rows {
-                                    if pair_matches(
-                                        &predicate, left_row, right_row, left_width, &ctx,
-                                    )? {
-                                        rows.push(left_row.concat(right_row));
-                                    }
-                                }
-                            }
-                            JoinType::LeftOuter => {
-                                let mut matched = false;
-                                for right_row in right_rows {
-                                    if pair_matches(
-                                        &predicate, left_row, right_row, left_width, &ctx,
-                                    )? {
-                                        matched = true;
-                                        rows.push(left_row.concat(right_row));
-                                    }
-                                }
-                                if !matched {
-                                    rows.push(
-                                        left_row
-                                            .extend(std::iter::repeat_n(Value::Null, right_width)),
-                                    );
-                                }
-                            }
-                            JoinType::LeftSemi => {
-                                for right_row in right_rows {
-                                    if pair_matches(
-                                        &predicate, left_row, right_row, left_width, &ctx,
-                                    )? {
-                                        rows.push(left_row.clone());
-                                        break;
-                                    }
-                                }
-                            }
-                            JoinType::LeftAnti => {
-                                let mut matched = false;
-                                for right_row in right_rows {
-                                    if pair_matches(
-                                        &predicate, left_row, right_row, left_width, &ctx,
-                                    )? {
-                                        matched = true;
-                                        break;
-                                    }
-                                }
-                                if !matched {
-                                    rows.push(left_row.clone());
-                                }
-                            }
-                        }
+                        let join = (join_type, &predicate);
+                        join_row(&ctx, join, left_row, right_rows, widths, &mut rows)?;
                     }
                     if !rows.is_empty() {
                         return Ok(Some(rows));
@@ -389,6 +316,7 @@ mod tests {
     use super::*;
     use crate::scan::ScanExec;
     use sparkline_common::{DataType, Field};
+    use sparkline_exec::partition::flatten;
     use sparkline_plan::BoundColumn;
 
     fn table(name: &str, data: &[(i64, i64)], nullable_key: bool) -> Arc<dyn ExecutionPlan> {

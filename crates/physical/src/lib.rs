@@ -30,7 +30,9 @@
 //! operators feed batches straight into the columnar kernel's
 //! encode-once window builders) and fan the draining of multiple input
 //! streams over the executor pool, which is where the `num_executors`-way
-//! parallelism of the paper's local/global structure lives.
+//! parallelism of the paper's local/global structure lives. A breaker
+//! that buffers its input does so through `TaskContext::drain`, which
+//! charges every pulled batch to the memory budget.
 //!
 //! The provided [`ExecutionPlan::execute`] helper drains all streams into
 //! one `Vec<Row>` per partition, for callers that want the whole result.
@@ -78,9 +80,12 @@ pub trait ExecutionPlan: fmt::Debug + Send + Sync {
     /// Drain every partition stream (fanned over the executor pool) into
     /// one `Vec<Row>` per partition. Byte-identical to consuming the
     /// streams directly; used by tests and the bench harness. Fail-fast:
-    /// the first partition error is the result.
+    /// the first partition error is the result. The result is the
+    /// caller's, not an operator's, so it is not charged to the memory
+    /// budget ([`TaskContext::drain`] is the charged drain).
     fn execute(&self, ctx: &TaskContext) -> Result<Vec<Partition>> {
-        ctx.runtime.drain_streams(self.execute_stream(ctx)?)
+        ctx.runtime
+            .map_indexed(self.execute_stream(ctx)?, |_, stream| stream.drain())
     }
 
     /// One-line description (operator plus parameters).

@@ -154,16 +154,15 @@ impl<'a> PhysicalPlanner<'a> {
                 expr,
                 direction,
                 distinct,
+                complete,
                 input,
-            } => {
-                let child = self.create(input)?;
-                Arc::new(MinMaxFilterExec::new(
-                    expr.clone(),
-                    *direction,
-                    *distinct,
-                    child,
-                ))
-            }
+            } => Arc::new(MinMaxFilterExec::new(
+                expr.clone(),
+                *direction,
+                *distinct,
+                *complete,
+                self.create(input)?,
+            )),
         })
     }
 

@@ -638,7 +638,8 @@ impl ExecutionPlan for DiskScanExec {
                         }
                         let decoder = table.block_decoder(kept[next], Arc::clone(&schema))?;
                         next += 1;
-                        let reservation = ctx.try_reserve(0, decoder.raw_bytes())?;
+                        let mut reservation = ctx.reservation();
+                        reservation.try_resize(0, decoder.raw_bytes())?;
                         ctx.metrics.add_block_read(decoder.raw_bytes() as u64);
                         if decoder.rows() == 0 {
                             continue;

@@ -15,9 +15,10 @@
 //!   relation, where the merge computes the paper's all-pairs pass with
 //!   deferred deletion (Appendix A; see `sparkline_skyline::incomplete`).
 //! * [`MinMaxFilterExec`] — the O(n) single-dimension rewrite target
-//!   (§5.4): two linear passes, keeping optimum tuples (and NULL tuples,
-//!   which are incomparable and hence skyline members).
+//!   (§5.4): one linear pass per partition keeps optimum tuples (and
+//!   NULL-like tuples, which are incomparable and hence skyline members).
 
+use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -25,14 +26,13 @@ use sparkline_common::{
     Error, QueryControl, Result, Row, SchemaRef, SkylineSpec, Value, CONTROL_CHECK_ROWS,
 };
 use sparkline_exec::{
-    partition::{flatten, total_rows},
-    stream::breaker_streams,
-    Batch, MemoryReservation, Partition, PartitionStream, TaskContext,
+    stream::{breaker_streams, emit_held},
+    Batch, HeldPartition, Partition, PartitionStream, TaskContext,
 };
 use sparkline_plan::{Expr, MinMaxDirection};
 use sparkline_skyline::{
-    cross_filter, kernel_label, null_bitmap, BnlBuilder, ColumnarBlock, CrossFilterScratch,
-    Dominance, DominanceChecker, GroupedBnlBuilder, SkylineStats,
+    cross_filter, is_null_like, kernel_label, null_bitmap, BnlBuilder, ColumnarBlock,
+    CrossFilterScratch, Dominance, DominanceChecker, GroupedBnlBuilder, SkylineStats,
 };
 
 use crate::ExecutionPlan;
@@ -96,7 +96,8 @@ fn checker_for(spec: &SkylineSpec, incomplete: bool) -> DominanceChecker {
 /// window, never its whole input — and a window that outgrows the
 /// query's memory budget fails with `ResourceExhausted` on the batch that
 /// grew it past the budget. The finished skyline is the last window, so
-/// the same reservation holds it while it is emitted.
+/// the same reservation holds it while it is emitted, releasing each
+/// batch as it leaves.
 fn skyline_phase_stream(
     schema: SchemaRef,
     ctx: &TaskContext,
@@ -108,16 +109,11 @@ fn skyline_phase_stream(
     let mut input =
         sparkline_exec::stream::chain_streams(schema.clone(), Arc::clone(&ctx.metrics), inputs);
     let mut sink = Some(sink);
-    let mut reservation: Option<MemoryReservation> = None;
+    let mut reservation = ctx.reservation();
     let mut emit: Option<std::vec::IntoIter<Row>> = None;
     PartitionStream::new(schema, Arc::clone(&ctx.metrics), move || loop {
-        if let Some(iter) = emit.as_mut() {
-            let batch: Vec<Row> = iter.by_ref().take(batch_size).collect();
-            if batch.is_empty() {
-                reservation.take();
-                return Ok(None);
-            }
-            return Ok(Some(batch));
+        if let Some(rows) = emit.as_mut() {
+            return emit_held(rows, &mut reservation, batch_size);
         }
         ctx.control.check()?;
         match input.pull_batch()? {
@@ -127,10 +123,7 @@ fn skyline_phase_stream(
                     .ok_or_else(|| Error::internal("skyline sink gone while input remains"))?;
                 sink.push_batch_checked(batch, &ctx.control)?;
                 let (rows, bytes) = sink.buffered();
-                match reservation.as_mut() {
-                    Some(held) => held.try_resize(rows, bytes)?,
-                    None => reservation = Some(ctx.try_reserve(rows, bytes)?),
-                }
+                reservation.try_resize(rows, bytes)?;
             }
             None => {
                 let (rows, stats) = sink
@@ -415,16 +408,29 @@ fn class_runs(part: Partition, spec: &SkylineSpec) -> Vec<Partition> {
     runs
 }
 
-/// The pairwise cross-filter merge of the local skylines `parts`: cut
-/// into antichain blocks, encode once, one task per block fanned over the
-/// executor pool, survivors concatenated in block order.
+/// The pairwise cross-filter merge of the drained local skylines `held`:
+/// cut into antichain blocks, encode once, one task per block fanned over
+/// the executor pool, survivors concatenated in block order, under the
+/// drained reservations merged and shrunk to them.
 fn pairwise_merge(
     ctx: &TaskContext,
     checker: DominanceChecker,
-    parts: Vec<Partition>,
-) -> Result<Partition> {
+    held: Vec<HeldPartition>,
+) -> Result<HeldPartition> {
     ctx.control.check()?;
-    let candidates = total_rows(&parts);
+    let (mut parts, mut reservation) = (Vec::new(), ctx.reservation());
+    for (part, held) in held {
+        reservation.merge(held);
+        if !part.is_empty() {
+            parts.push(part);
+        }
+    }
+    // The local skylines gathered here are what the `AllTuples` exchange
+    // used to move.
+    let candidates = reservation.rows();
+    ctx.metrics
+        .rows_exchanged
+        .fetch_add(candidates as u64, std::sync::atomic::Ordering::Relaxed);
     let incomplete = checker.is_incomplete();
     let antichains: Vec<Partition> = if incomplete {
         parts
@@ -436,11 +442,10 @@ fn pairwise_merge(
     };
     if antichains.len() <= 1 {
         // Nothing to merge against: a lone antichain is the result.
-        return Ok(antichains.into_iter().next().unwrap_or_default());
+        let lone = antichains.into_iter().next().unwrap_or_default();
+        return Ok((lone, reservation));
     }
     ctx.metrics.add_merge_round(antichains.len());
-    let bytes = antichains.iter().flatten().map(Row::estimated_bytes).sum();
-    let reservation = ctx.try_reserve(candidates, bytes)?;
     let encoded = EncodedSkylines::new(checker, antichains);
     let tasks: Vec<usize> = (0..encoded.antichains.len()).collect();
     // A failed pairwise task fails the stage.
@@ -456,7 +461,8 @@ fn pairwise_merge(
         alive.push(mask);
     }
     let merged = encoded.finish(alive);
-    drop(reservation);
+    let bytes = merged.iter().map(Row::estimated_bytes).sum();
+    reservation.try_resize(merged.len(), bytes)?;
     stats.max_window = merged.len();
     record_stats(ctx, &stats);
     if incomplete {
@@ -465,7 +471,7 @@ fn pairwise_merge(
         ctx.metrics
             .add_deferred_deletions((candidates - merged.len()) as u64);
     }
-    Ok(merged)
+    Ok((merged, reservation))
 }
 
 impl ExecutionPlan for GlobalSkylineExec {
@@ -498,16 +504,8 @@ impl ExecutionPlan for GlobalSkylineExec {
         let ctx2 = ctx.clone();
         Ok(breaker_streams(self.schema(), ctx, 1, move || {
             // A failed local-skyline pipeline fails the merge.
-            let input = ctx2.runtime.drain_streams(inputs)?;
-            ctx2.control.check()?;
-            let parts: Vec<Partition> = input.into_iter().filter(|p| !p.is_empty()).collect();
-            // The local skylines gathered here are what the `AllTuples`
-            // exchange used to move.
-            ctx2.metrics.rows_exchanged.fetch_add(
-                total_rows(&parts) as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
-            Ok(vec![pairwise_merge(&ctx2, checker, parts)?])
+            let held = ctx2.drain(inputs)?;
+            Ok(vec![pairwise_merge(&ctx2, checker, held)?])
         }))
     }
 
@@ -522,41 +520,88 @@ impl ExecutionPlan for GlobalSkylineExec {
     }
 }
 
-/// Two-pass single-dimension optimum filter (§5.4 rewrite target).
-#[derive(Debug)]
+/// Single-dimension optimum filter (§5.4 rewrite target): one O(n) pass
+/// per input partition keeps that partition's candidates, and one more
+/// over the candidates, in partition order, keeps the global optimum's.
+#[derive(Debug, Clone)]
 pub struct MinMaxFilterExec {
     expr: Expr,
     direction: MinMaxDirection,
     distinct: bool,
+    complete: bool,
     input: Arc<dyn ExecutionPlan>,
 }
 
 impl MinMaxFilterExec {
-    /// Filter keeping tuples that attain the optimum of `expr` (plus NULL
-    /// tuples, which are incomparable under skyline semantics).
+    /// Keep the tuples that attain the optimum of `expr` and the NULL-like
+    /// ones (NULL or NaN: incomparable, hence skyline members). `distinct`
+    /// keeps one tuple per identical value, except NULL-like tuples under
+    /// the skyline's `complete` relation, which are not even equal to
+    /// themselves and all stay.
     pub fn new(
         expr: Expr,
         direction: MinMaxDirection,
         distinct: bool,
+        complete: bool,
         input: Arc<dyn ExecutionPlan>,
     ) -> Self {
         MinMaxFilterExec {
             expr,
             direction,
             distinct,
+            complete,
             input,
         }
     }
 }
 
-/// Whether `a` beats `b` in the filter's direction.
-fn minmax_better(direction: MinMaxDirection, a: &Value, b: &Value) -> bool {
-    match a.sql_compare(b) {
-        Some(ord) => match direction {
-            MinMaxDirection::Min => ord == std::cmp::Ordering::Less,
-            MinMaxDirection::Max => ord == std::cmp::Ordering::Greater,
-        },
-        None => false,
+/// The rows a [`MinMaxFilterExec`] pass has kept so far — those tied at
+/// the best value seen, and the NULL-like ones — with their bytes.
+#[derive(Default)]
+struct MinMaxCandidates {
+    best: Option<Value>,
+    ties: Vec<Row>,
+    nulls: Vec<Row>,
+    seen_nulls: HashSet<Value>,
+    bytes: (usize, usize),
+}
+
+impl MinMaxCandidates {
+    /// Admit one row. Under `DISTINCT` only the first optimum row stays,
+    /// and, under the incomplete relation, the first NULL-like row of each
+    /// identical value.
+    fn push(&mut self, filter: &MinMaxFilterExec, row: Row) -> Result<()> {
+        let value = filter.expr.evaluate(&row)?;
+        let size = row.estimated_bytes();
+        if is_null_like(&value) {
+            if !filter.distinct || filter.complete || self.seen_nulls.insert(value) {
+                self.bytes.1 += size;
+                self.nulls.push(row);
+            }
+            return Ok(());
+        }
+        let order = self.best.as_ref().map(|best| value.sql_compare(best));
+        match (order, filter.direction) {
+            (None, _)
+            | (Some(Some(Ordering::Less)), MinMaxDirection::Min)
+            | (Some(Some(Ordering::Greater)), MinMaxDirection::Max) => {
+                (self.best, self.ties, self.bytes.0) = (Some(value), vec![row], size);
+            }
+            (Some(Some(Ordering::Equal)), _) if !filter.distinct => {
+                self.bytes.0 += size;
+                self.ties.push(row);
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Rows and bytes held, charged like a skyline window.
+    fn size(&self) -> (usize, usize) {
+        (
+            self.ties.len() + self.nulls.len(),
+            self.bytes.0 + self.bytes.1,
+        )
     }
 }
 
@@ -575,93 +620,40 @@ impl ExecutionPlan for MinMaxFilterExec {
 
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
         let inputs = self.input.execute_stream(ctx)?;
-        // The filter needs two passes over its input, so it is a breaker:
-        // the streamed input is drained (fanned over the executor pool)
-        // and the two O(n) passes run on the buffer.
-        let n_outputs = if self.distinct {
-            1
-        } else {
-            inputs.len().max(1)
-        };
-        let expr = self.expr.clone();
-        let direction = self.direction;
-        let distinct = self.distinct;
-        let ctx2 = ctx.clone();
-        Ok(breaker_streams(self.schema(), ctx, n_outputs, move || {
-            let input = ctx2.runtime.drain_streams(inputs)?;
-            // Pass 1 (parallel): the best non-NULL value per partition.
-            let bests: Vec<Option<Value>> =
-                ctx2.runtime
-                    .map_indexed(input.iter().collect::<Vec<_>>(), |_, part| {
-                        ctx2.control.check()?;
-                        let mut best: Option<Value> = None;
-                        for row in part {
-                            let v = expr.evaluate(row)?;
-                            if v.is_null() {
-                                continue;
-                            }
-                            let take = match &best {
-                                None => true,
-                                Some(b) => minmax_better(direction, &v, b),
-                            };
-                            if take {
-                                best = Some(v);
-                            }
-                        }
-                        Ok(best)
-                    })?;
-            let mut global_best: Option<Value> = None;
-            for b in bests.into_iter().flatten() {
-                let take = match &global_best {
-                    None => true,
-                    Some(g) => minmax_better(direction, &b, g),
-                };
-                if take {
-                    global_best = Some(b);
+        // The global optimum is known only once every partition is read,
+        // so the filter is a breaker; but it holds only candidates, never
+        // its input.
+        let (filter, ctx2) = (self.clone(), ctx.clone());
+        Ok(breaker_streams(self.schema(), ctx, 1, move || {
+            let folded = ctx2.fold(inputs, MinMaxCandidates::default, |kept, batch| {
+                for row in batch {
+                    kept.push(&filter, row)?;
                 }
-            }
-            // Pass 2 (parallel): keep NULL tuples and optimum tuples.
-            let mut out = ctx2.runtime.map_indexed(input, |_, part| {
-                ctx2.control.check()?;
-                let mut rows = Vec::new();
-                for row in part {
-                    let v = expr.evaluate(&row)?;
-                    let keep = v.is_null()
-                        || global_best
-                            .as_ref()
-                            .is_some_and(|b| v.sql_compare(b) == Some(std::cmp::Ordering::Equal));
-                    if keep {
-                        rows.push(row);
-                    }
-                }
-                Ok(rows)
+                Ok(kept.size())
             })?;
-            // DISTINCT: one representative per distinct dimension value —
-            // at most one NULL tuple and one optimum tuple.
-            if distinct {
-                let rows = flatten(out);
-                let mut null_rep: Option<Row> = None;
-                let mut best_rep: Option<Row> = None;
-                for row in rows {
-                    let v = expr.evaluate(&row)?;
-                    if v.is_null() {
-                        null_rep.get_or_insert(row);
-                    } else {
-                        best_rep.get_or_insert(row);
-                    }
+            // A partition's ties fall to a better partition's, exactly as
+            // within a partition; the reservations shrink to what is kept.
+            let (mut all, mut reservation) = (MinMaxCandidates::default(), ctx2.reservation());
+            for (part, held) in folded {
+                reservation.merge(held);
+                for row in part.ties.into_iter().chain(part.nulls) {
+                    all.push(&filter, row)?;
                 }
-                out = vec![null_rep.into_iter().chain(best_rep).collect()];
             }
-            Ok(out)
+            let (rows, bytes) = all.size();
+            reservation.try_resize(rows, bytes)?;
+            all.ties.append(&mut all.nulls);
+            Ok(vec![(all.ties, reservation)])
         }))
     }
 
     fn describe(&self) -> String {
         format!(
-            "MinMaxFilterExec [{} {}{}]",
+            "MinMaxFilterExec [{} {}{}{}]",
             self.direction,
             self.expr,
-            if self.distinct { ", distinct" } else { "" }
+            if self.distinct { ", distinct" } else { "" },
+            if self.complete { ", complete" } else { "" }
         )
     }
 }
@@ -672,6 +664,7 @@ mod tests {
     use crate::exchange::ExchangeExec;
     use crate::scan::ScanExec;
     use sparkline_common::{DataType, Field, Schema, SkylineDim};
+    use sparkline_exec::partition::flatten;
     use sparkline_plan::BoundColumn;
     use sparkline_skyline::{incomplete_global_skyline, naive_skyline};
 
@@ -887,6 +880,7 @@ mod tests {
             col,
             MinMaxDirection::Min,
             false,
+            false,
             input(int_rows(&[(2, 1), (1, 2), (1, 3), (5, 4)])),
         );
         let rows = run(&plan, 2);
@@ -903,6 +897,7 @@ mod tests {
         let plan = MinMaxFilterExec::new(
             col,
             MinMaxDirection::Min,
+            false,
             false,
             Arc::new(ScanExec::new(
                 "t",
@@ -933,6 +928,7 @@ mod tests {
             col,
             MinMaxDirection::Max,
             true,
+            false,
             input(int_rows(&[(5, 1), (5, 2), (5, 3), (1, 4)])),
         );
         let rows = run(&plan, 2);
@@ -1117,11 +1113,25 @@ mod tests {
         let late = TaskContext::new(2).with_deadline(sparkline_exec::Deadline::new(Some(
             std::time::Duration::ZERO,
         )));
-        let err = pairwise_merge(&late, checker(), parts.clone()).unwrap_err();
+        let held = |ctx: &TaskContext| -> Vec<HeldPartition> {
+            let bytes = |p: &Partition| p.iter().map(Row::estimated_bytes).sum();
+            let reserve = |p: &Partition| {
+                let mut held = ctx.reservation();
+                held.try_resize(p.len(), bytes(p)).unwrap();
+                held
+            };
+            parts.iter().map(|p| (p.clone(), reserve(p))).collect()
+        };
+        let err = pairwise_merge(&late, checker(), held(&late)).unwrap_err();
         assert!(err.is_timeout(), "{err}");
+        assert_eq!(late.memory.current_bytes(), 0);
 
-        let merged = pairwise_merge(&TaskContext::new(2), checker(), parts.clone()).unwrap();
+        // The drained reservations shrink to the survivors.
+        let ctx = TaskContext::new(2);
+        let (merged, reservation) = pairwise_merge(&ctx, checker(), held(&ctx)).unwrap();
         assert_eq!(merged, parts[1], "only the dominating staircase is left");
+        assert_eq!(reservation.rows(), merged.len());
+        assert_eq!(ctx.memory.current_bytes(), reservation.bytes());
     }
 
     #[test]
@@ -1220,5 +1230,67 @@ mod tests {
         local.execute(&ctx).unwrap();
         assert!(ctx.metrics.snapshot().dominance_tests > 0);
         assert!(ctx.metrics.snapshot().max_window > 0);
+    }
+
+    /// 20 000 two-column rows (48 B each) whose `a` is `a(i)`.
+    fn rows_by(a: impl Fn(i64) -> i64) -> Arc<dyn ExecutionPlan> {
+        input(int_rows(
+            &(0..20_000).map(|i| (a(i), i)).collect::<Vec<_>>(),
+        ))
+    }
+
+    fn col_a() -> Expr {
+        Expr::BoundColumn(BoundColumn {
+            index: 0,
+            field: Field::new("a", DataType::Int64, true),
+        })
+    }
+
+    #[test]
+    fn a_gathered_skyline_is_denied_while_it_drains() {
+        // The non-distributed plan gathers every row before its BNL pass:
+        // the gather is charged batch by batch (256 rows, 12 288 B), so a
+        // 5 000 B budget stops it on its first batch.
+        let gathered = Arc::new(ExchangeExec::single(rows_by(|i| -i)));
+        let plan = GlobalSkylineExec::new(spec2(), false, gathered);
+        let ctx = TaskContext::new(1)
+            .with_batch_size(256)
+            .with_memory_budget(Some(5_000));
+        let err = plan.execute(&ctx).unwrap_err();
+        assert!(err.is_resource_exhausted(), "{err}");
+        let m = ctx.metrics.snapshot();
+        assert_eq!(m.budget_denials, 1);
+        assert!(m.rows_scanned < 20_000, "read {} rows", m.rows_scanned);
+        assert_eq!(ctx.memory.current_bytes(), 0);
+    }
+
+    #[test]
+    fn minmax_filter_holds_only_its_candidates() {
+        // Every row ties at the optimum: all are candidates, and a
+        // 1 000 B budget denies them mid-input.
+        let tied =
+            MinMaxFilterExec::new(col_a(), MinMaxDirection::Min, false, false, rows_by(|_| 1));
+        let ctx = TaskContext::new(2).with_memory_budget(Some(1_000));
+        let err = tied.execute(&ctx).unwrap_err();
+        assert!(err.is_resource_exhausted(), "{err}");
+        assert!(ctx.metrics.snapshot().rows_scanned < 20_000);
+        assert_eq!(ctx.memory.current_bytes(), 0);
+
+        // Distinct values, falling so that every row improves on the last:
+        // each partition holds one candidate at a time.
+        let falling =
+            MinMaxFilterExec::new(col_a(), MinMaxDirection::Min, false, false, rows_by(|i| -i));
+        let ctx = TaskContext::new(2).with_memory_budget(Some(1_000));
+        let rows = flatten(falling.execute(&ctx).unwrap());
+        assert_eq!(
+            rows,
+            vec![Row::new(vec![Value::Int64(-19_999), Value::Int64(19_999)])]
+        );
+        assert_eq!(ctx.metrics.snapshot().budget_denials, 0);
+        assert!(
+            ctx.memory.peak_bytes() <= 2 * 48,
+            "peak {} B",
+            ctx.memory.peak_bytes()
+        );
     }
 }

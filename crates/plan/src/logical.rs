@@ -217,6 +217,10 @@ pub enum LogicalPlan {
         direction: MinMaxDirection,
         /// Inherited from the rewritten skyline: keep one representative.
         distinct: bool,
+        /// Inherited from the rewritten skyline: the relation is the
+        /// complete one, under which a NULL-like value is incomparable even
+        /// to itself, so `distinct` never merges NULL-like rows.
+        complete: bool,
         /// Input plan.
         input: Arc<LogicalPlan>,
     },
@@ -367,11 +371,13 @@ impl LogicalPlan {
                 expr,
                 direction,
                 distinct,
+                complete,
                 ..
             } => LogicalPlan::MinMaxFilter {
                 expr: expr.clone(),
                 direction: *direction,
                 distinct: *distinct,
+                complete: *complete,
                 input: next(),
             },
         }
@@ -503,11 +509,13 @@ impl LogicalPlan {
                 expr,
                 direction,
                 distinct,
+                complete,
                 input,
             } => LogicalPlan::MinMaxFilter {
                 expr: f(expr)?,
                 direction,
                 distinct,
+                complete,
                 input,
             },
             other => other,
@@ -635,10 +643,12 @@ impl LogicalPlan {
                 expr,
                 direction,
                 distinct,
+                complete,
                 ..
             } => format!(
-                "MinMaxFilter [{direction} {expr}{}]",
-                if *distinct { " DISTINCT" } else { "" }
+                "MinMaxFilter [{direction} {expr}{}{}]",
+                if *distinct { " DISTINCT" } else { "" },
+                if *complete { " COMPLETE" } else { "" }
             ),
         }
     }

@@ -517,9 +517,10 @@ fn ints_as_floats(ints: &[i64]) -> Result<Vec<f64>, &'static str> {
     Ok(ints.iter().map(|&i| i as f64).collect())
 }
 
-/// A float that behaves like NULL under `sql_compare` (NaN compares `None`
-/// against every value, including itself).
-fn is_null_like(v: &Value) -> bool {
+/// A value that behaves like NULL under `sql_compare`: NULL, or a NaN
+/// float (NaN compares `None` against every value, including itself).
+/// Every skyline operator treats both alike.
+pub fn is_null_like(v: &Value) -> bool {
     match v {
         Value::Null => true,
         Value::Float64(f) => f.is_nan(),

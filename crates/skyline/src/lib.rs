@@ -47,8 +47,8 @@ pub mod naive;
 
 pub use bnl::{bnl_skyline, cross_filter, BnlBuilder, CrossFilterScratch};
 pub use columnar::{
-    kernel_label, BatchResult, ColumnarBlock, EncodedCandidate, KernelTier, MultiBatchResult,
-    MULTI_LANES,
+    is_null_like, kernel_label, BatchResult, ColumnarBlock, EncodedCandidate, KernelTier,
+    MultiBatchResult, MULTI_LANES,
 };
 pub use dominance::{Dominance, DominanceChecker, SkylineStats};
 pub use incomplete::{

@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 
 use sparkline::{DataType, Error, Field, QueryResult, Schema, SessionConfig, SessionContext};
 use sparkline_common::Row;
-use sparkline_exec::{stream::breaker_streams, TaskContext};
+use sparkline_exec::{stream::breaker_streams, PartitionStream, TaskContext};
 
 const DIMS: usize = 3;
 
@@ -192,14 +192,22 @@ fn abandoning_a_cancelled_query_releases_every_reservation() {
     )])
     .into_ref();
     let ctx = TaskContext::new(2).with_batch_size(8);
-    let parts: Vec<Vec<Row>> = (0..2)
+    let inputs: Vec<PartitionStream> = (0..2)
         .map(|p| {
-            (0..64)
-                .map(|i| Row::new(vec![sparkline_common::Value::Int64(p * 64 + i)]))
-                .collect()
+            let mut rows =
+                (0..64).map(move |i| Row::new(vec![sparkline_common::Value::Int64(p * 64 + i)]));
+            PartitionStream::new(
+                std::sync::Arc::clone(&schema),
+                std::sync::Arc::clone(&ctx.metrics),
+                move || {
+                    let batch: Vec<Row> = rows.by_ref().take(8).collect();
+                    Ok((!batch.is_empty()).then_some(batch))
+                },
+            )
         })
         .collect();
-    let mut streams = breaker_streams(schema, &ctx, 2, move || Ok(parts));
+    let drain_ctx = ctx.clone();
+    let mut streams = breaker_streams(schema, &ctx, 2, move || drain_ctx.drain(inputs));
     // First pull runs the breaker compute; both result slots now hold
     // byte reservations.
     assert!(streams[0].next_batch().unwrap().is_some());
@@ -262,17 +270,24 @@ fn a_denied_reservation_releases_every_reservation() {
     assert!(err.is_resource_exhausted(), "{err}");
     assert_eq!(ctx.metrics.snapshot().budget_denials, 1);
 
-    // A join build under the same budget: the 200-row hash build
-    // (19 200 B with its table) is denied while the first skyline is held.
+    // A join build under the same budget, while the first skyline is
+    // held (less the 16-row batch it emitted): the drains of the 200-row
+    // build side's two scan partitions are charged batch by batch, and the
+    // batch that crosses the 3 568 B left is denied before any table is
+    // built. The denial stops the other drain before its next charge, so
+    // the build counts exactly one.
     let join = HashJoinExec::new(scan(50), scan(200), vec![(0, 0)], None, JoinType::Inner);
     let mut probes = join.execute_stream(&ctx).unwrap();
     let err = probes[0].next_batch().unwrap_err();
-    assert!(err.is_resource_exhausted(), "{err}");
+    assert!(
+        matches!(err, Error::ResourceExhausted { requested: 768, .. }),
+        "denied on one 16-row batch, not on the whole build side: {err}"
+    );
     assert_eq!(ctx.metrics.snapshot().budget_denials, 2);
     assert_eq!(
         released(&ctx),
-        (7_200, 150 + 16),
-        "only the finished skyline and its pulled batch are held"
+        (134 * 48, 134 + 16),
+        "only the rest of the finished skyline and its pulled batch are held"
     );
     drop(probes);
     drop(skylines);

@@ -167,3 +167,100 @@ fn dominance_test_counts_reflect_optimization() {
     let result6 = ctx.sql(&sql6).unwrap().collect().unwrap();
     assert!(result6.metrics.dominance_tests > 0);
 }
+
+#[test]
+fn single_dim_rewrite_matches_the_general_path_on_nulls_nan_and_ties() {
+    // `x MIN, x MIN` is the same skyline as `x MIN`, but the single-
+    // dimension rewrite leaves it alone, so it runs the general path.
+    use sparkline::{DataType, Field, Row, Schema, Value};
+    let xs = [
+        Value::Null,
+        Value::Float64(f64::NAN),
+        Value::Float64(2.0),
+        Value::Float64(f64::NEG_INFINITY),
+        Value::Float64(1.0),
+        Value::Null,
+        Value::Float64(f64::INFINITY),
+        Value::Float64(f64::NAN),
+        Value::Float64(1.0),
+        Value::Float64(f64::NEG_INFINITY),
+        Value::Float64(f64::INFINITY),
+        Value::Float64(2.0),
+    ];
+    // Each value twice, with distinct ids, so DISTINCT must choose.
+    let rows: Vec<Row> = (0..2)
+        .flat_map(|round| {
+            xs.iter()
+                .cloned()
+                .enumerate()
+                .map(move |(i, x)| (round, i, x))
+        })
+        .map(|(round, i, x)| Row::new(vec![Value::Int64(round * 100 + i as i64), x]))
+        .collect();
+    // The same shapes with no infinity: the optimum is a finite tie.
+    let finite: Vec<Row> = rows
+        .iter()
+        .filter(|r| !matches!(r.get(1), Value::Float64(f) if f.is_infinite()))
+        .cloned()
+        .collect();
+    // First a NaN, then finite values: NaN must not become the optimum.
+    let nan_first = vec![
+        Row::new(vec![Value::Int64(1), Value::Float64(f64::NAN)]),
+        Row::new(vec![Value::Int64(2), Value::Float64(1.0)]),
+        Row::new(vec![Value::Int64(3), Value::Float64(2.0)]),
+    ];
+    let nulls_only = vec![
+        Row::new(vec![Value::Int64(1), Value::Null]),
+        Row::new(vec![Value::Int64(2), Value::Null]),
+        Row::new(vec![Value::Int64(3), Value::Float64(f64::NAN)]),
+    ];
+    for (name, data) in [
+        ("mixed", &rows),
+        ("finite", &finite),
+        ("nan first", &nan_first),
+        ("null-like only", &nulls_only),
+    ] {
+        // A non-nullable `x` may still hold NaN; the optimizer then infers
+        // the complete relation on its own.
+        for (nullable, executors) in [true, false]
+            .into_iter()
+            .flat_map(|n| (1..=4).map(move |e| (n, e)))
+        {
+            let data: Vec<Row> = data
+                .iter()
+                .filter(|r| nullable || !r.get(1).is_null())
+                .cloned()
+                .collect();
+            let ctx =
+                SessionContext::with_config(SessionConfig::default().with_executors(executors));
+            let schema = Schema::new(vec![
+                Field::new("id", DataType::Int64, false),
+                Field::new("x", DataType::Float64, nullable),
+            ]);
+            ctx.register_table("t", schema, data).unwrap();
+            for distinct in ["", "DISTINCT "] {
+                for complete in ["", "COMPLETE "] {
+                    for dir in ["MIN", "MAX"] {
+                        let of = format!("SELECT * FROM t SKYLINE OF {distinct}{complete}x {dir}");
+                        let rewritten = ctx.sql(&of).unwrap();
+                        assert!(rewritten.explain().unwrap().contains("MinMaxFilterExec"));
+                        let general = format!("{of}, x {dir}");
+                        let plain = ctx.sql(&general).unwrap().explain().unwrap();
+                        assert!(!plain.contains("MinMaxFilterExec"), "{plain}");
+                        let case =
+                            format!("{name}, nullable {nullable}, {executors} executors: {of}");
+                        assert_eq!(
+                            rewritten.collect().unwrap().sorted_display(),
+                            ctx.sql(&general)
+                                .unwrap()
+                                .collect()
+                                .unwrap()
+                                .sorted_display(),
+                            "{case}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
