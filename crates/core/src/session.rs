@@ -401,8 +401,8 @@ impl SessionContext {
         out.push_str(&format!("max window: {}\n", m.max_window));
         out.push_str(&format!("budget denials: {}\n", m.budget_denials));
         out.push_str(&format!(
-            "disk blocks read: {} ({} skipped min/max, {} skipped dominance)\n",
-            m.blocks_read, m.blocks_skipped_minmax, m.blocks_skipped_dominance
+            "disk blocks read: {} ({} skipped min/max, {} skipped dominance, {} corner tests)\n",
+            m.blocks_read, m.blocks_skipped_minmax, m.blocks_skipped_dominance, m.corner_tests
         ));
         out.push_str(&format!("disk bytes decoded: {}\n", m.bytes_decoded));
         out.push_str(&format!(

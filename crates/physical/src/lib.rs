@@ -95,8 +95,9 @@ pub trait ExecutionPlan: fmt::Debug + Send + Sync {
 
     /// The write-once dominance-skip slot of a disk scan and the table's
     /// footer sample, narrowed to the rows the scan's own filter passes,
-    /// letting the skyline planner install gate points after the tree is
-    /// built. `None` (the default) for every other operator.
+    /// with the blocks that filter passes whole, letting the skyline
+    /// planner install gate points after the tree is built. `None` (the
+    /// default) for every other operator.
     fn dominance_skip_slot(&self) -> Option<(&OnceLock<DominanceSkip>, GateSample)> {
         None
     }
@@ -106,10 +107,12 @@ pub trait ExecutionPlan: fmt::Debug + Send + Sync {
     /// exactly the rows this operator would output unchanged and return
     /// `true`, or return `false` (the default) when its output rows are
     /// not unmodified input rows and the walk must stop. Filters drop the
-    /// rows their predicate rejects and record the `Float64` columns it
-    /// reads; sorts and distinct keep every row. Through a chain that
-    /// returns `true`, column positions and values are those of the scan,
-    /// so every surviving sample row is a row of the skyline's input.
+    /// rows their predicate rejects, every block (they cannot prove that
+    /// a whole block passes), and record the `Float64` columns the
+    /// predicate reads; sorts and distinct keep every row and block.
+    /// Through a chain that returns `true`, column positions and values
+    /// are those of the scan, so every surviving sample row is a row of
+    /// the skyline's input, and every row of a surviving block is one.
     fn pass_sample(&self, _sample: &mut GateSample) -> bool {
         false
     }
@@ -118,8 +121,8 @@ pub trait ExecutionPlan: fmt::Debug + Send + Sync {
 /// Walk a single-child chain of value-preserving operators down to a disk
 /// scan's dominance-skip slot, if one is reachable. Returns the slot with
 /// the scan's footer sample narrowed to the rows every filter on the way
-/// passes — real rows of `plan`'s output — and the columns those filters
-/// read.
+/// passes — real rows of `plan`'s output — the blocks whose rows all
+/// reach it, and the columns those filters read.
 pub fn find_dominance_skip_slot(
     plan: &dyn ExecutionPlan,
 ) -> Option<(&OnceLock<DominanceSkip>, GateSample)> {

@@ -287,11 +287,12 @@ impl<'a> PhysicalPlanner<'a> {
             // value-preserving operators (the walk stops at projections,
             // which change the column space — computed dimensions
             // included) gets the skyline of its footer sample, narrowed to
-            // the rows the filters on the way pass. A block whose best
+            // the rows the filters on the way pass, and of the corner
+            // points of the blocks whose rows all pass. A block whose best
             // corner one of those points strictly dominates is skipped
-            // unread — sound because each point is a real input row and
-            // the complete relation is transitive (see `sparkline_storage`'s
-            // crate docs). The incomplete relation is not transitive, so
+            // unread — sound because each point is a real input row or
+            // weakly dominated by one, and the complete relation is
+            // transitive (see `sparkline_storage`'s crate docs). The incomplete relation is not transitive, so
             // its plans never get the gate.
             if let Some((slot, sample)) = crate::find_dominance_skip_slot(input_exec.as_ref()) {
                 if let Some(skip) = crate::scan_disk::DominanceSkip::from_sample(&spec.dims, sample)

@@ -1,13 +1,17 @@
 //! The out-of-core scan: streams a [`DiskTable`]'s blocks, skipping whole
 //! blocks from metadata — static min/max pruning for pushed-down filter
-//! conjuncts and dominance pruning against the skyline of the table's
-//! footer sample — before any I/O or decode happens.
+//! conjuncts and dominance pruning against the gate's points — before any
+//! I/O or decode happens.
 //!
 //! Skipping is not a mode: every scan consults both tiers, and both are
 //! sound on their own (see `sparkline_storage`'s crate docs). Min/max
 //! pruning only discards blocks the scan's filter would empty, and the
 //! dominance gate — present only when the skyline planner installed one —
-//! only blocks whose rows a real input row strictly dominates. Neither
+//! only blocks whose rows a real input row strictly dominates. The gate's
+//! points are the skyline of two kinds of point: footer-sample rows that
+//! reach the skyline operator, and **corner points** of the blocks whose
+//! rows all reach it (see [`DominanceSkip`]), each weakly dominated by a
+//! real row of its block. Neither tier
 //! skips a block with a NaN in a `Float64` column a filter reads, where
 //! the filter may fail (see [`GateSample`]). The gate's
 //! points live in a [`ColumnarBlock`] and each block's best corner is
@@ -36,7 +40,8 @@
 //! semantics and errors, narrows each batch's selection, and the planner
 //! plans no `FilterExec`. Any other predicate keeps its `FilterExec`
 //! above the scan, which evaluates it exactly, and only its comparable
-//! conjuncts reach the scan, as min/max bounds.
+//! conjuncts on `Int64` and `Float64` columns reach the scan, as min/max
+//! bounds.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -48,7 +53,7 @@ use sparkline_common::{
 use sparkline_exec::{partition::even_ranges, Batch, PartitionStream, TaskContext};
 use sparkline_plan::{split_conjuncts, BinaryOp, Expr};
 use sparkline_skyline::{bnl_skyline, ColumnarBlock, DominanceChecker, SkylineStats};
-use sparkline_storage::{BlockDecoder, BlockMeta, DiskTable};
+use sparkline_storage::{BlockDecoder, BlockMeta, ColumnMeta, DiskTable};
 
 use crate::ExecutionPlan;
 
@@ -61,7 +66,10 @@ use crate::ExecutionPlan;
 /// pass, so results are identical with pruning on or off.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnPredicate {
-    /// Column position in the scan schema.
+    /// Column position in the scan schema: an `Int64` or `Float64`
+    /// column, the only types whose footer bounds are their values' (a
+    /// `Boolean` column's 0/1 bounds do not compare with a number the way
+    /// its values do — that comparison fails).
     pub col: usize,
     /// The comparison, normalized to `column <op> literal`.
     pub op: BinaryOp,
@@ -132,20 +140,23 @@ impl ColumnPredicate {
         }
     }
 
+    /// The column's footer entry when its bounds cover every non-NULL
+    /// row: no non-numeric values (strings, NaN), which the bounds don't
+    /// cover, and exact bounds (not an Int64 beyond 2^53, where the
+    /// literal and the rows may round differently).
+    fn covered<'a>(&self, meta: &'a BlockMeta) -> Option<&'a ColumnMeta> {
+        (meta.columns.get(self.col)).filter(|col| col.non_numeric == 0 && col.exact_bounds())
+    }
+
     /// Whether the block provably contains no row satisfying this
     /// predicate. NULL rows never satisfy a comparison (SQL three-valued
     /// logic: the filter keeps only `TRUE`), so the decision rests on the
-    /// numeric `[min, max]` alone — unless the column holds non-numeric
-    /// values (strings, NaN), which the bounds don't cover, or its bounds
-    /// are not exact (Int64 beyond 2^53, where the literal and the rows
-    /// may round differently); those blocks are never pruned.
+    /// numeric `[min, max]` alone — unless the bounds do not cover the
+    /// column ([`covered`](Self::covered)); those blocks are never pruned.
     fn refutes(&self, meta: &BlockMeta) -> bool {
-        let Some(col) = meta.columns.get(self.col) else {
+        let Some(col) = self.covered(meta) else {
             return false;
         };
-        if col.non_numeric > 0 || !col.exact_bounds() {
-            return false;
-        }
         let (Some(min), Some(max)) = (col.min, col.max) else {
             // Every row is NULL: no row satisfies any comparison.
             return true;
@@ -160,11 +171,34 @@ impl ColumnPredicate {
             _ => false,
         }
     }
+
+    /// Whether every row of the block satisfies this predicate, the
+    /// mirror of [`refutes`](Self::refutes). A NULL row satisfies no
+    /// comparison, so the column must also be NULL-free, and the block
+    /// must hold a row.
+    fn implied_by(&self, meta: &BlockMeta) -> bool {
+        let Some(col) = self.covered(meta).filter(|col| col.null_count == 0) else {
+            return false;
+        };
+        let (Some(min), Some(max)) = (col.min, col.max) else {
+            return false;
+        };
+        let v = self.bound();
+        match self.op {
+            BinaryOp::Lt => max < v,
+            BinaryOp::LtEq => max <= v,
+            BinaryOp::Gt => min > v,
+            BinaryOp::GtEq => min >= v,
+            BinaryOp::Eq => min == v && max == v,
+            _ => false,
+        }
+    }
 }
 
 /// The predicate of one `column <op> literal` comparison (either
-/// orientation), normalized; `None` for any other expression.
-fn comparison(e: &Expr) -> Option<ColumnPredicate> {
+/// orientation), normalized, over an `Int64` or `Float64` column of
+/// `schema`; `None` for any other expression.
+fn comparison(e: &Expr, schema: &Schema) -> Option<ColumnPredicate> {
     fn literal(e: &Expr) -> Option<Value> {
         match e {
             Expr::Literal(v @ Value::Int64(_)) => Some(v.clone()),
@@ -195,7 +229,12 @@ fn comparison(e: &Expr) -> Option<ColumnPredicate> {
         (lit, Expr::BoundColumn(c)) => (c, flip(*op), literal(lit)?),
         _ => return None,
     };
-    Some(ColumnPredicate {
+    let numeric = col.index < schema.len()
+        && matches!(
+            schema.field(col.index).data_type(),
+            DataType::Int64 | DataType::Float64
+        );
+    numeric.then_some(ColumnPredicate {
         col: col.index,
         op,
         literal,
@@ -204,12 +243,12 @@ fn comparison(e: &Expr) -> Option<ColumnPredicate> {
 
 /// Extract the min/max-prunable conjuncts of a filter predicate sitting
 /// directly on a disk scan: `BoundColumn <op> numeric-literal` (either
-/// orientation) joined by `AND`. Everything else is ignored — missing a
-/// conjunct costs only pruning power.
-pub fn extract_column_predicates(predicate: &Expr) -> Vec<ColumnPredicate> {
-    split_conjuncts(predicate)
-        .iter()
-        .filter_map(comparison)
+/// orientation) over an `Int64` or `Float64` column of `schema`, joined by
+/// `AND`. Everything else is ignored — missing a conjunct costs only
+/// pruning power.
+pub fn extract_column_predicates(predicate: &Expr, schema: &Schema) -> Vec<ColumnPredicate> {
+    (split_conjuncts(predicate).iter())
+        .filter_map(|e| comparison(e, schema))
         .collect()
 }
 
@@ -218,10 +257,7 @@ pub fn extract_column_predicates(predicate: &Expr) -> Vec<ColumnPredicate> {
 /// predicate a disk scan evaluates itself. `None` for any other predicate.
 pub fn exact_conjuncts(predicate: &Expr, schema: &Schema) -> Option<Vec<ColumnPredicate>> {
     (split_conjuncts(predicate).iter())
-        .map(|e| {
-            comparison(e)
-                .filter(|p| p.col < schema.len() && p.exact_on(schema.field(p.col).data_type()))
-        })
+        .map(|e| comparison(e, schema).filter(|p| p.exact_on(schema.field(p.col).data_type())))
         .collect()
 }
 
@@ -300,51 +336,100 @@ fn holds_nan(meta: &BlockMeta, columns: &[usize]) -> bool {
 /// operator (see `ExecutionPlan::pass_sample`).
 #[derive(Debug)]
 pub struct GateSample {
+    /// The scan's schema: it types each ranked dimension's points.
+    pub schema: SchemaRef,
     /// The sample rows every operator on the way passes.
     pub rows: Vec<Row>,
+    /// The metadata of the blocks whose rows all reach the skyline
+    /// operator: blocks holding a row, every conjunct of the scan's filter
+    /// implied by their bounds, with no operator above the scan that may
+    /// drop a row. Each adds corner points to the gate.
+    pub blocks: Vec<BlockMeta>,
     /// The `Float64` columns the filters above the scan read: a block
     /// with a NaN in one of them is never dominance-skipped.
     pub filter_columns: Vec<usize>,
 }
 
-/// Dominance-skipping state: the gate's points — the skyline of the
-/// footer-sample rows that reach the skyline operator — in a
-/// [`ColumnarBlock`] on the plan's kernel. Installed by the skyline
-/// planner *after* the scan is built (the points are the footer sample
-/// narrowed by the filters above the scan), hence the write-once slot.
+/// One ranked dimension of the gate: its column in the scan, whether it
+/// is a MAX dimension, and the column's type (the points' type).
+type GateDim = (usize, bool, DataType);
+
+/// The block's best corner over `dims` (`best`), or its worst: `None`
+/// unless every ranked column is fully numeric with exact bounds, the
+/// precondition under which the corner bounds every row of the block —
+/// no NULLs (incomparable under the complete relation), no strings or
+/// NaN, and no `f64` footer bound of an Int64 column beyond 2^53 that
+/// may have rounded past the row it stands for.
+fn corner(dims: &[GateDim], meta: &BlockMeta, best: bool) -> Option<Vec<Value>> {
+    (dims.iter())
+        .map(|&(index, max, ty)| {
+            let c = meta.columns.get(index)?;
+            if !c.fully_numeric() || !c.exact_bounds() {
+                return None;
+            }
+            c.best_corner(max == best, ty)
+        })
+        .collect()
+}
+
+/// The corner points of a block whose rows all reach the skyline: per
+/// ranked dimension `k`, the block's worst corner with dimension `k` set
+/// to its best value. The row that attains that best value is at least as
+/// good as the point in every dimension, so whatever the point strictly
+/// dominates, that real row strictly dominates too.
+fn corner_points(dims: &[GateDim], meta: &BlockMeta) -> Vec<Row> {
+    let (Some(best), Some(worst)) = (corner(dims, meta, true), corner(dims, meta, false)) else {
+        return Vec::new();
+    };
+    (0..dims.len())
+        .map(|k| {
+            let mut point = worst.clone();
+            point[k] = best[k].clone();
+            Row::new(point)
+        })
+        .collect()
+}
+
+/// Dominance-skipping state: the gate's points in a [`ColumnarBlock`] on
+/// the plan's kernel. The points are the skyline of the footer-sample
+/// rows that reach the skyline operator and of the corner points of the
+/// blocks whose rows all reach it ([`GateSample::blocks`]). Installed by
+/// the skyline planner *after* the scan is built (the points depend on
+/// the operators above the scan), hence the write-once slot.
 #[derive(Debug)]
 pub struct DominanceSkip {
-    /// Per ranked dimension: its column in the scan, whether it is a MAX
-    /// dimension, and the type of its corner value (the points' type).
-    dims: Vec<(usize, bool, DataType)>,
+    /// The ranked dimensions, in the points' column order.
+    dims: Vec<GateDim>,
     /// The gate's points, projected onto the ranked dimensions: point
     /// column `i` is dimension `i`, so two dimensions over one column
     /// keep their own corner values.
     points: ColumnarBlock,
+    /// How many of the points no sample row provides: the corner points
+    /// that joined the sample's skyline.
+    from_corners: usize,
     /// [`GateSample::filter_columns`].
     filter_columns: Vec<usize>,
 }
 
 impl DominanceSkip {
-    /// Build the gate from `sample`'s rows, real rows of the skyline's
-    /// input: their skyline under the complete relation becomes the points,
-    /// never truncated. Keeping only the skyline
-    /// skips exactly the blocks the whole sample would: a sample row that
-    /// dominates a corner is a skyline member or dominated by one, and
-    /// complete dominance is transitive. Returns `None` when `dims`
-    /// contains a DIFF dimension — corner dominance is only defined over
-    /// ranked MIN/MAX dimensions — when the points cannot be held by the
+    /// Build the gate from `sample`. Every point stands for a real row of
+    /// the skyline's input: a sample row is one, and a corner point is
+    /// weakly dominated by one. Their skyline under the complete relation
+    /// becomes the points, never truncated. Keeping only the skyline skips
+    /// exactly the blocks all of them would: a point that dominates a
+    /// corner is a skyline member or dominated by one, and complete
+    /// dominance is transitive. A block's own corner points never skip it
+    /// (each is no better than its best corner anywhere), and two blocks
+    /// never skip each other (strict dominance is irreflexive and
+    /// transitive). Returns `None` when `dims` contains a DIFF dimension —
+    /// corner dominance is only defined over ranked MIN/MAX dimensions —
+    /// when there are no points, or when the points cannot be held by the
     /// kernel's block (it demoted to scalar fallback, e.g. on a string
-    /// dimension), or when every point is NULL in some dimension (no
-    /// point can dominate then); each only costs skips, never rows.
+    /// dimension); each only costs skips, never rows.
     pub fn from_sample(dims: &[SkylineDim], sample: GateSample) -> Option<Self> {
         if dims.iter().any(|d| d.ty == SkylineType::Diff) {
             return None;
         }
-        let filter_columns = sample.filter_columns;
-        let sample: Vec<Row> = (sample.rows.iter())
-            .map(|r| Row::new(dims.iter().map(|d| r.get(d.index).clone()).collect()))
-            .collect();
         // `DISTINCT`: tied points skip the same blocks, so one suffices.
         let spec = SkylineSpec::distinct(
             (dims.iter().enumerate())
@@ -352,7 +437,26 @@ impl DominanceSkip {
                 .collect(),
         );
         let checker = DominanceChecker::complete(spec);
-        let skyline = bnl_skyline(sample, &checker, &mut SkylineStats::default());
+        let schema = &sample.schema;
+        let dims: Vec<GateDim> = (dims.iter())
+            .map(|d| {
+                let ty = schema.field(d.index).data_type();
+                (d.index, d.ty == SkylineType::Max, ty)
+            })
+            .collect();
+        let project = |r: &Row| Row::new(dims.iter().map(|d| r.get(d.0).clone()).collect());
+        let sampled = bnl_skyline(
+            sample.rows.iter().map(project),
+            &checker,
+            &mut SkylineStats::default(),
+        );
+        let corners = (sample.blocks.iter()).flat_map(|meta| corner_points(&dims, meta));
+        let skyline = bnl_skyline(
+            sampled.iter().cloned().chain(corners),
+            &checker,
+            &mut SkylineStats::default(),
+        );
+        let from_corners = (skyline.iter()).filter(|p| !sampled.contains(p)).count();
         let mut points = ColumnarBlock::for_checker(&checker);
         for p in &skyline {
             points.push(p);
@@ -362,49 +466,28 @@ impl DominanceSkip {
         if points.is_empty() || points.is_fallback() {
             return None;
         }
-        let dims = (dims.iter().enumerate())
-            .map(|(i, d)| {
-                let ty = (skyline.iter())
-                    .map(|p| p.get(i).data_type())
-                    .find(|ty| *ty != DataType::Null)?;
-                Some((d.index, d.ty == SkylineType::Max, ty))
-            })
-            .collect::<Option<_>>()?;
         Some(DominanceSkip {
             dims,
             points,
-            filter_columns,
+            from_corners,
+            filter_columns: sample.filter_columns,
         })
     }
 
     /// Whether some point strictly dominates the block's best corner —
     /// then it dominates every row of the block (the corner is at least
     /// as good as each row in every dimension, dominance is transitive on
-    /// the complete relation) and the block can be skipped unread.
-    /// Requires the ranked columns fully numeric (no NULLs, no
-    /// strings/NaN), else the corner doesn't bound every row, and their
-    /// bounds exact, else the `f64` footer bound of an Int64 column beyond
-    /// 2^53 may have rounded past the row it stands for; otherwise the
-    /// block must be read. So must a block with a NaN in one of the
-    /// `filter_columns`. Returns the corner tests spent alongside the
-    /// verdict.
+    /// the complete relation) and the block can be skipped unread. A
+    /// block whose corner does not bound its rows ([`corner`]) must be
+    /// read; so must a block with a NaN in one of the `filter_columns`.
+    /// Returns the corner tests spent alongside the verdict.
     fn skips(&self, meta: &BlockMeta) -> (u64, bool) {
         if holds_nan(meta, &self.filter_columns) {
             return (0, false);
         }
-        let mut corner = Vec::with_capacity(self.dims.len());
-        for &(index, max, ty) in &self.dims {
-            let Some(c) = meta.columns.get(index) else {
-                return (0, false);
-            };
-            if !c.fully_numeric() || !c.exact_bounds() {
-                return (0, false);
-            }
-            match c.best_corner(max, ty) {
-                Some(v) => corner.push(v),
-                None => return (0, false),
-            }
-        }
+        let Some(corner) = corner(&self.dims, meta, true) else {
+            return (0, false);
+        };
         let Some(corner) = self.points.encode(&Row::new(corner)) else {
             return (0, false);
         };
@@ -471,7 +554,8 @@ impl DiskScanExec {
             conjuncts,
         });
         let filter_columns = float_columns(predicate, &self.schema);
-        let mut scan = self.with_bounds(extract_column_predicates(predicate));
+        let bounds = extract_column_predicates(predicate, &self.schema);
+        let mut scan = self.with_bounds(bounds);
         scan.filter = filter;
         scan.filter_columns = filter_columns;
         scan
@@ -565,7 +649,10 @@ impl ExecutionPlan for DiskScanExec {
     fn dominance_skip_slot(&self) -> Option<(&OnceLock<DominanceSkip>, GateSample)> {
         // Narrowed by the scan's own filter, as the `FilterExec` it
         // replaces would pass the sample: every point is a row the skyline
-        // receives. The scan guards its own filter's columns itself.
+        // receives. A block passes whole when its bounds imply every
+        // conjunct (the `FilterExec` above a scan that does not evaluate
+        // its filter drops the blocks itself). The scan guards its own
+        // filter's columns itself.
         let sample = self.table.sample().iter();
         let rows = match &self.filter {
             Some(filter) => sample
@@ -574,8 +661,14 @@ impl ExecutionPlan for DiskScanExec {
                 .collect(),
             None => sample.cloned().collect(),
         };
+        let blocks = (self.table.blocks().iter())
+            .filter(|meta| meta.rows > 0 && self.bounds.iter().all(|b| b.implied_by(meta)))
+            .cloned()
+            .collect();
         let sample = GateSample {
+            schema: self.schema(),
             rows,
+            blocks,
             filter_columns: Vec::new(),
         };
         Some((&self.skip, sample))
@@ -667,8 +760,16 @@ impl ExecutionPlan for DiskScanExec {
             }
             None => String::new(),
         };
+        let gate = match self.skip.get() {
+            Some(skip) => format!(
+                ", gate: {} points ({} from corners)",
+                skip.points.len(),
+                skip.from_corners
+            ),
+            None => String::new(),
+        };
         format!(
-            "DiskScanExec [{}: {} rows, disk(blocks={}, skipped={} minmax + {} dominance){filter}]",
+            "DiskScanExec [{}: {} rows, disk(blocks={}, skipped={} minmax + {} dominance){gate}{filter}]",
             self.label,
             self.table.total_rows(),
             self.table.num_blocks(),
@@ -704,6 +805,19 @@ mod tests {
         rows: &[Row],
         block_rows: usize,
     ) -> (Arc<DiskTable>, SchemaRef) {
+        let sample_cap = WriterOptions::default().sample_cap;
+        sampled_disk_table(name, data_type, rows, block_rows, sample_cap)
+    }
+
+    /// A two-column table whose footer sample holds at most `sample_cap`
+    /// rows (0: none, so only corner points can skip).
+    fn sampled_disk_table(
+        name: &str,
+        data_type: DataType,
+        rows: &[Row],
+        block_rows: usize,
+        sample_cap: usize,
+    ) -> (Arc<DiskTable>, SchemaRef) {
         let schema = Schema::new(vec![
             Field::new("a", data_type, false),
             Field::new("b", data_type, false),
@@ -716,6 +830,7 @@ mod tests {
             Arc::clone(&schema),
             WriterOptions {
                 block_rows,
+                sample_cap,
                 ..WriterOptions::default()
             },
         )
@@ -976,14 +1091,212 @@ mod tests {
         assert_eq!(got, rows);
     }
 
+    fn floats(pairs: &[(f64, f64)]) -> Vec<Row> {
+        (pairs.iter())
+            .map(|&(a, b)| Row::new(vec![Value::Float64(a), Value::Float64(b)]))
+            .collect()
+    }
+
+    fn min_min() -> [SkylineDim; 2] {
+        [
+            SkylineDim::new(0, SkylineType::Min),
+            SkylineDim::new(1, SkylineType::Min),
+        ]
+    }
+
+    #[test]
+    fn corners_skip_blocks_the_sample_does_not() {
+        // No footer sample. Block 0's corner points are (0, 1) and (1, 0),
+        // each weakly dominated by one of its rows; (0, 1) strictly
+        // dominates block 1's best corner (2, 2). Block 2's (0.5, 0.5)
+        // holds skyline members and is read.
+        let rows = floats(&[(0.0, 1.0), (1.0, 0.0), (2.0, 2.0), (3.0, 3.0)]);
+        let rows = [rows, floats(&[(0.5, 4.0), (4.0, 0.5)])].concat();
+        let (table, schema) = sampled_disk_table("corners", DataType::Float64, &rows, 2, 0);
+        let scan = DiskScanExec::new("t", table, schema);
+        let (_, sample) = scan.dominance_skip_slot().unwrap();
+        assert!(sample.rows.is_empty());
+        assert_eq!(sample.blocks.len(), 3, "every block passes whole");
+        let sample_only = GateSample {
+            blocks: Vec::new(),
+            ..sample
+        };
+        assert!(
+            DominanceSkip::from_sample(&min_min(), sample_only).is_none(),
+            "the sample alone has no point"
+        );
+        let (got, snap) = gated_scan(&scan, &min_min());
+        assert_eq!(snap.blocks_skipped_dominance, 1, "{snap:?}");
+        assert_eq!(got, [&rows[..2], &rows[4..]].concat());
+        let tag = scan.describe();
+        assert!(tag.contains("gate: 2 points (2 from corners)"), "{tag}");
+    }
+
+    /// A two-row block whose corner point (0, 9) would strictly dominate
+    /// the next block's only row (1, 10), but whose witness (0, 9) the
+    /// filter removes: the rows the skyline receives are (9, 0) and
+    /// (1, 10), both members.
+    fn corner_witness_table(name: &str) -> (Vec<Row>, Arc<DiskTable>, SchemaRef) {
+        let rows = floats(&[(0.0, 9.0), (9.0, 0.0), (1.0, 10.0)]);
+        let (table, schema) = disk_table(name, &rows, 2);
+        (rows, table, schema)
+    }
+
+    /// Install the gate the planner would find below `plan` and run it.
+    fn gated_plan(
+        plan: &dyn ExecutionPlan,
+        dims: &[SkylineDim],
+    ) -> (Vec<Row>, sparkline_exec::MetricsSnapshot) {
+        let (slot, sample) = crate::find_dominance_skip_slot(plan).unwrap();
+        slot.set(DominanceSkip::from_sample(dims, sample).unwrap())
+            .unwrap();
+        let ctx = TaskContext::new(2);
+        let got = sparkline_exec::partition::flatten(plan.execute(&ctx).unwrap());
+        (got, ctx.metrics.snapshot())
+    }
+
+    #[test]
+    fn a_filter_above_the_scan_drops_the_corners() {
+        // `a <> 0` is no scan conjunct: a `FilterExec` evaluates it.
+        let (rows, table, schema) = corner_witness_table("filtered");
+        let a = Expr::BoundColumn(BoundColumn {
+            index: 0,
+            field: schema.field(0).clone(),
+        });
+        let predicate = Expr::BinaryOp {
+            left: Box::new(a),
+            op: BinaryOp::NotEq,
+            right: Box::new(Expr::Literal(Value::Float64(0.0))),
+        };
+        let scan = DiskScanExec::new("t", table, schema).with_filter(&predicate);
+        assert!(!scan.evaluates_filter());
+        let filter = crate::basic::FilterExec::new(predicate, Arc::new(scan));
+        let (_, sample) = crate::find_dominance_skip_slot(&filter).unwrap();
+        assert!(sample.blocks.is_empty());
+        let (got, snap) = gated_plan(&filter, &min_min());
+        assert_eq!(snap.blocks_skipped_dominance, 0, "{snap:?}");
+        assert_eq!(got, rows[1..].to_vec());
+    }
+
+    #[test]
+    fn a_block_straddling_a_scan_conjunct_adds_no_points() {
+        // `a > 0` is the scan's own filter. Block 0's `a` spans [0, 9], so
+        // the filter does not pass it whole; block 1 (a = 1) passes whole.
+        let (rows, table, schema) = corner_witness_table("straddle");
+        let a = Expr::BoundColumn(BoundColumn {
+            index: 0,
+            field: schema.field(0).clone(),
+        });
+        let predicate = a.gt(Expr::Literal(Value::Float64(0.0)));
+        let scan = DiskScanExec::new("t", table, schema).with_filter(&predicate);
+        assert!(scan.evaluates_filter());
+        let (_, sample) = scan.dominance_skip_slot().unwrap();
+        assert_eq!(sample.blocks, vec![scan.table().block_meta(1).clone()]);
+        let (got, snap) = gated_plan(&scan, &min_min());
+        assert_eq!(snap.blocks_skipped_dominance, 0, "{snap:?}");
+        assert_eq!(got, rows[1..].to_vec());
+    }
+
+    #[test]
+    fn implication_rules_mirror_refutation() {
+        // One block with a in [100, 199]; a second one with a = 5 only.
+        let rows: Vec<Row> = (100..200)
+            .map(|i| Row::new(vec![Value::Float64(i as f64), Value::Float64(0.0)]))
+            .collect();
+        let (table, _) = disk_table("implied", &rows, 1000);
+        let meta = table.block_meta(0);
+        let implied = |op, value| {
+            ColumnPredicate {
+                col: 0,
+                op,
+                literal: Value::Float64(value),
+            }
+            .implied_by(meta)
+        };
+        assert!(implied(BinaryOp::Lt, 199.5));
+        assert!(!implied(BinaryOp::Lt, 199.0));
+        assert!(implied(BinaryOp::LtEq, 199.0));
+        assert!(!implied(BinaryOp::LtEq, 198.5));
+        assert!(implied(BinaryOp::Gt, 99.5));
+        assert!(!implied(BinaryOp::Gt, 100.0));
+        assert!(implied(BinaryOp::GtEq, 100.0));
+        assert!(!implied(BinaryOp::GtEq, 100.5));
+        assert!(!implied(BinaryOp::Eq, 100.0));
+        assert!(!implied(BinaryOp::Eq, 199.0));
+        let (table, _) = disk_table("implied-eq", &floats(&[(5.0, 0.0)]), 1000);
+        let eq = |value| ColumnPredicate {
+            col: 0,
+            op: BinaryOp::Eq,
+            literal: Value::Float64(value),
+        };
+        assert!(eq(5.0).implied_by(table.block_meta(0)));
+        assert!(!eq(5.5).implied_by(table.block_meta(0)));
+    }
+
+    #[test]
+    fn corner_points_compare_max_repeated_and_int64_dims_exactly() {
+        // Int64 values near -2^53 (column a) and +2^53 (column b), bounds
+        // still exact; no footer sample, so only corner points skip.
+        const N: i64 = -(1 << 53) + 16;
+        const M: i64 = (1 << 53) - 16;
+        let table_of = |name: &str, pairs: &[(i64, i64)]| {
+            let rows: Vec<Row> = (pairs.iter())
+                .map(|&(a, b)| Row::new(vec![Value::Int64(N + a), Value::Int64(M + b)]))
+                .collect();
+            let (table, schema) = sampled_disk_table(name, DataType::Int64, &rows, 2, 0);
+            (rows, DiskScanExec::new("t", table, schema))
+        };
+        // a MIN, b MAX. Block 0's corner points are (0, 1) and (1, 5);
+        // (1, 5) strictly dominates block 1's best corner (1, 4) by one
+        // unit of b. Blocks 2 and 3 hold the members (2, 6) and (0, 4).
+        let pairs = [
+            (0, 1),
+            (1, 5),
+            (1, 4),
+            (2, 4),
+            (2, 6),
+            (3, 2),
+            (0, 4),
+            (5, 0),
+        ];
+        let (rows, scan) = table_of("int64-max", &pairs);
+        let dims = [
+            SkylineDim::new(0, SkylineType::Min),
+            SkylineDim::new(1, SkylineType::Max),
+        ];
+        let (got, snap) = gated_scan(&scan, &dims);
+        assert_eq!(snap.blocks_skipped_dominance, 1, "{snap:?}");
+        assert_eq!(got, [&rows[..2], &rows[4..]].concat());
+        // a MIN, a MAX, b MAX: block 0 (a = 3) adds the point (3, 3, 5),
+        // which strictly dominates block 1's corner (3, 3, 4). Block 2's
+        // a spans [2, 4]: its corner (2, 4, 4) is better on the MIN copy
+        // of a, and (2, 4) is a member.
+        let pairs = [(3, 5), (3, 1), (3, 4), (3, 2), (2, 4), (4, 4)];
+        let (rows, scan) = table_of("repeated", &pairs);
+        let dims = [
+            SkylineDim::new(0, SkylineType::Min),
+            SkylineDim::new(0, SkylineType::Max),
+            SkylineDim::new(1, SkylineType::Max),
+        ];
+        let (got, snap) = gated_scan(&scan, &dims);
+        assert_eq!(snap.blocks_skipped_dominance, 1, "{snap:?}");
+        assert_eq!(got, [&rows[..2], &rows[4..]].concat());
+    }
+
     #[test]
     fn diff_dims_disable_dominance_skipping() {
         let dims = [
             SkylineDim::new(0, SkylineType::Min),
             SkylineDim::new(1, SkylineType::Diff),
         ];
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Float64, false),
+            Field::new("b", DataType::Float64, false),
+        ]);
         let sample = GateSample {
+            schema: schema.into_ref(),
             rows: vec![Row::new(vec![Value::Float64(0.0), Value::Float64(0.0)])],
+            blocks: Vec::new(),
             filter_columns: Vec::new(),
         };
         assert!(DominanceSkip::from_sample(&dims, sample).is_none());
@@ -1007,7 +1320,8 @@ mod tests {
                 right: Box::new(col.clone()),
             })
             .and(col.clone().eq(lit(3.0)));
-        let got = extract_column_predicates(&pred);
+        let schema = Schema::new(vec![field]);
+        let got = extract_column_predicates(&pred, &schema);
         assert_eq!(
             got,
             vec![
@@ -1029,8 +1343,17 @@ mod tests {
             ]
         );
         // NaN literals and non-column comparisons are ignored.
-        assert!(extract_column_predicates(&col.clone().lt(lit(f64::NAN))).is_empty());
-        assert!(extract_column_predicates(&lit(1.0).lt(lit(2.0))).is_empty());
+        assert!(extract_column_predicates(&col.clone().lt(lit(f64::NAN)), &schema).is_empty());
+        assert!(extract_column_predicates(&lit(1.0).lt(lit(2.0)), &schema).is_empty());
+        // A `Boolean` column's 0/1 bounds are not its values: a comparison
+        // with a number fails on its rows, so no block may be pruned by it.
+        let flag = Field::new("f", DataType::Boolean, false);
+        let flag_col = Expr::BoundColumn(BoundColumn {
+            index: 0,
+            field: flag.clone(),
+        });
+        let flags = Schema::new(vec![flag]);
+        assert!(extract_column_predicates(&flag_col.lt(lit(0.0)), &flags).is_empty());
     }
 
     #[test]

@@ -92,6 +92,10 @@
 //!    only `TRUE`), so NULLs in the block do not block pruning; values
 //!    *without* a numeric interpretation do, and such blocks are never
 //!    pruned (`non_numeric > 0` disables the predicate for that column).
+//!    Only `Int64` and `Float64` columns take part: their bounds are
+//!    their values'. A `Boolean` column's bounds are 0/1, but comparing a
+//!    boolean with a number fails, and a block refuted on those bounds
+//!    would hide that error.
 //!
 //! 2. **Dominance pruning** for skyline queries: the per-column min/max
 //!    give the block's **best corner** (`ColumnMeta::best_corner`, one
@@ -109,11 +113,30 @@
 //!    skyline operator's input, no skipped row can be a skyline member —
 //!    the block is discarded without being read. Keeping only the
 //!    sample's skyline loses nothing: a sample row that dominates a
-//!    corner is a skyline member or is dominated by one. The argument
-//!    needs every row comparable in every ranked dimension, so a block is
-//!    only eligible when its ranked columns have `null_count == 0` and
-//!    `non_numeric == 0`. It also needs the corner to be the block's true
-//!    extreme, so the block's bounds must be below 2^53 in magnitude
+//!    corner is a skyline member or is dominated by one.
+//!
+//!    The blocks add **corner points** of their own. Take a block `B`
+//!    whose rows all reach the skyline operator: it holds a row, every
+//!    conjunct of the scan's filter is *implied* by its bounds (the mirror
+//!    of refuting it: e.g. `max < v` for `col < v`, `min == max == v` for
+//!    `col = v`, on an `Int64` or `Float64` column with no NULL and no
+//!    non-numeric value), and no other filter stands between the scan and
+//!    the skyline. For each ranked dimension `k`, `B`'s point is its
+//!    **worst corner** with dimension `k` set to its best value. The row
+//!    `r` of `B` that attains that best value is at least as good as the
+//!    point in every dimension: equal in `k`, and no worse than `B`'s
+//!    worst value anywhere else. So if the point strictly dominates
+//!    another block's best corner, `r` — a real input row — strictly
+//!    dominates every row of that block, and the argument above applies.
+//!    A block's own points never skip it: each is no better than its
+//!    best corner in any dimension. Two blocks never skip each other:
+//!    strict dominance is irreflexive and transitive. The gate's points
+//!    are the skyline of the sample rows and the corner points together.
+//!    Both arguments need every row comparable in every ranked dimension,
+//!    so a block is only eligible — to be skipped or to add points — when
+//!    its ranked columns have `null_count == 0` and `non_numeric == 0`.
+//!    They also need the corners to be the block's true extremes, so the
+//!    block's bounds must be below 2^53 in magnitude
 //!    (`ColumnMeta::exact_bounds`; min/max pruning needs the same): the
 //!    footer stores them as `f64`, and an Int64 extreme beyond that may
 //!    have rounded past the row it stands for. The §5.7 incomplete
@@ -128,8 +151,9 @@
 //! The footer additionally stores a seeded reservoir sample of the whole
 //! table, drawn over the rows' input positions, so it does not depend on
 //! the row order the file uses. The planner draws
-//! the dominance gate's points from this sample, so planning a query over
-//! a 10-GB file costs zero file I/O beyond the footer.
+//! the dominance gate's points from this sample and the blocks' own
+//! bounds, so planning a query over a 10-GB file costs zero file I/O
+//! beyond the footer.
 
 pub mod format;
 pub mod reader;

@@ -18,7 +18,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::TempDir;
+use common::{bits, TempDir};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
@@ -103,22 +103,6 @@ fn paired_session(
     ctx.register_table("m", schema.clone(), in_file_order)
         .unwrap();
     ctx
-}
-
-/// Rows as strings that tell every bit apart: `-0.0` from `0.0`, one NaN
-/// payload from another.
-fn bits(rows: &[Row]) -> Vec<String> {
-    rows.iter()
-        .map(|row| {
-            let values: Vec<String> = (row.values().iter())
-                .map(|v| match v {
-                    Value::Float64(f) => format!("f{:016x}", f.to_bits()),
-                    other => format!("{other:?}"),
-                })
-                .collect();
-            values.join(",")
-        })
-        .collect()
 }
 
 /// Run `sql` (which reads `FROM t`) on disk and over `m`: the same rows
@@ -282,6 +266,30 @@ fn a_nan_in_a_compared_column_fails_as_in_memory() {
                     "{case}: {sql}: {err:?}"
                 );
             }
+        }
+    }
+}
+
+/// A `Boolean` column does not compare with a number: the footer's 0/1
+/// bounds of `f` must not refute `f < 0` or `f > 1.5`, or the blocks the
+/// `FilterExec` would fail on are never read.
+#[test]
+fn a_boolean_compared_with_a_number_fails_as_in_memory() {
+    let dir = TempDir::new("columnar-boolean");
+    let (schema, rows) = edge_table(300, 3);
+    let ctx = paired_session(&schema, rows, SessionConfig::default(), &dir, "boolean");
+    for (p, literal) in [("f < 0", "BIGINT"), ("f > 1.5", "DOUBLE")] {
+        for sql in [
+            format!("SELECT * FROM t WHERE {p}"),
+            format!("SELECT * FROM t WHERE {p} SKYLINE OF COMPLETE a MIN, b MIN"),
+            format!("SELECT * FROM t WHERE a < 0.5 AND {p} SKYLINE OF a MIN, b MIN"),
+        ] {
+            let err = assert_same(&ctx, &sql, "boolean");
+            let expected = format!("cannot compare BOOLEAN with {literal}");
+            assert!(
+                err.as_deref().is_some_and(|e| e.contains(&expected)),
+                "{sql}: {err:?}"
+            );
         }
     }
 }

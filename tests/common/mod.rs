@@ -137,6 +137,22 @@ pub fn session_with(
     ctx
 }
 
+/// Rows as strings that tell every bit apart: `-0.0` from `0.0`, one NaN
+/// payload from another.
+pub fn bits(rows: &[Row]) -> Vec<String> {
+    rows.iter()
+        .map(|row| {
+            let values: Vec<String> = (row.values().iter())
+                .map(|v| match v {
+                    Value::Float64(f) => format!("f{:016x}", f.to_bits()),
+                    other => format!("{other:?}"),
+                })
+                .collect();
+            values.join(",")
+        })
+        .collect()
+}
+
 /// `SELECT * FROM t SKYLINE OF d0 MIN, ..., dN MIN`.
 pub fn skyline_sql(dims: usize) -> String {
     let dim_list = (0..dims)

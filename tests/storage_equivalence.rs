@@ -10,10 +10,11 @@
 //!   query over the same rows in memory, and every block of the table is
 //!   counted once, read or skipped;
 //! * the dominance gate takes its points only from footer-sample rows
-//!   that pass the query's `WHERE`, never reads past a NULL-bearing
-//!   block's corner, and is absent where it would be unsound (a
-//!   projection or computed dimension between skyline and scan, the
-//!   incomplete family);
+//!   that pass the query's `WHERE` and from the corners of blocks the
+//!   `WHERE` passes whole, returns the in-memory rows bit for bit over
+//!   `disk_filter`'s shapes, never reads past a NULL-bearing block's
+//!   corner, and is absent where it would be unsound (a projection or
+//!   computed dimension between skyline and scan, the incomplete family);
 //! * `write_table` → `DiskTable::open` → decode holds a permutation of
 //!   the input and writes the same bytes every time (property-tested,
 //!   including NULLs and negative values);
@@ -25,7 +26,7 @@
 
 mod common;
 
-use common::{generate, oracle, run, session_with, skyline_sql, TempDir, DISTRIBUTIONS};
+use common::{bits, generate, oracle, run, session_with, skyline_sql, TempDir, DISTRIBUTIONS};
 use proptest::prelude::*;
 use sparkline::{
     Algorithm, DataType, Field, QueryResult, Row, Schema, SessionConfig, SessionContext, Value,
@@ -283,8 +284,9 @@ fn explain_shows_disk_scan_with_skip_counts() {
 
 /// `disk_filter`'s shape at small scale: independent rows, which arrive
 /// in no useful order, written by COPY. The clustered file lets a range
-/// filter refute most blocks by min/max and the footer sample's skyline
-/// dominate some, and the rows still equal the oracle.
+/// filter refute most blocks by min/max and the gate — the footer
+/// sample's skyline and the blocks' corner points — dominate some, and
+/// the rows still equal the oracle.
 #[test]
 fn clustered_copy_skips_blocks_on_independent_data() {
     let dir = TempDir::new("clustered");
@@ -305,6 +307,12 @@ fn clustered_copy_skips_blocks_on_independent_data() {
         m.blocks_skipped_minmax * 2 >= blocks,
         "`d0 < 0.25` should refute at least half the blocks: {m:?}"
     );
+    // The footer sample alone skips none of the rest here: the corner
+    // points of the blocks inside `d0 < 0.25` do.
+    assert!(
+        m.blocks_skipped_dominance > 0,
+        "the kept blocks' corner points should dominate some: {m:?}"
+    );
     let passing: Vec<Row> = (rows.iter())
         .filter(|r| matches!(r.get(0), Value::Float64(f) if *f < 0.25))
         .cloned()
@@ -316,12 +324,75 @@ fn clustered_copy_skips_blocks_on_independent_data() {
         .unwrap()
         .collect()
         .unwrap();
+    // The sample's skyline alone dominates about a sixth of the blocks;
+    // with the blocks' corner points, over a third.
     assert!(
-        plain.metrics.blocks_skipped_dominance > 0,
-        "the footer sample's skyline should dominate some blocks: {:?}",
+        plain.metrics.blocks_skipped_dominance * 3 >= blocks,
+        "the gate should dominate a third of the blocks: {:?}",
         plain.metrics
     );
     assert_eq!(plain.sorted_display(), oracle(&rows, 4, false));
+}
+
+/// A seeded differential of the corner-point gate over COPY-written (Z
+/// order) files: every query runs on the disk table `t` and on the
+/// in-memory table `m` holding the file's rows in file order, and the
+/// results are the same rows in the same order, bit for bit. The filters
+/// are `disk_filter`'s three; the skylines are all-MIN, MAX-bearing and
+/// `DISTINCT`, under a `SELECT DISTINCT` and an `ORDER BY` below the
+/// skyline (both pass every block's corners on) and above it.
+#[test]
+fn corner_gated_disk_queries_match_memory_bit_for_bit() {
+    const SHAPES: &[&str] = &[
+        "SELECT * FROM t {w}SKYLINE OF COMPLETE d0 MIN, d1 MIN, d2 MIN, d3 MIN",
+        "SELECT * FROM t {w}SKYLINE OF COMPLETE d0 MAX, d1 MIN, d2 MAX, d3 MIN",
+        "SELECT * FROM t {w}SKYLINE OF DISTINCT COMPLETE d0 MIN, d1 MAX, d2 MIN, d3 MIN",
+        "SELECT DISTINCT * FROM t {w}SKYLINE OF COMPLETE d0 MIN, d1 MIN, d2 MIN, d3 MAX",
+        "SELECT * FROM (SELECT * FROM t {w}ORDER BY d1) s \
+         SKYLINE OF COMPLETE d0 MIN, d1 MIN, d2 MIN, d3 MIN",
+        "SELECT * FROM t {w}SKYLINE OF COMPLETE d0 MIN, d1 MIN, d2 MIN, d3 MIN ORDER BY d2",
+    ];
+    let dir = TempDir::new("corners");
+    for dist in DISTRIBUTIONS {
+        for seed in [42, 31337] {
+            let rows = generate(dist, seed, 3000, 4, false);
+            let config = SessionConfig::default()
+                .with_executors(2)
+                .with_storage_block_rows(64);
+            let tag = format!("{dist}-{seed}");
+            let ctx = disk_session(rows, 4, false, config, &dir, &tag);
+            let path = dir.file(&format!("{tag}.spk"));
+            let in_file_order = DiskTable::open(&path).unwrap().decode_all().unwrap();
+            let schema = Schema::new(
+                (0..4)
+                    .map(|i| Field::new(format!("d{i}"), DataType::Float64, false))
+                    .collect(),
+            );
+            ctx.register_table("m", schema, in_file_order).unwrap();
+            for filter in ["", "WHERE d0 < 0.25 ", "WHERE d0 > 0.5 "] {
+                for shape in SHAPES {
+                    let sql = shape.replace("{w}", filter);
+                    let disk = ctx.sql(&sql).unwrap().collect().unwrap();
+                    let memory = ctx.sql(&sql.replace("FROM t ", "FROM m ")).unwrap();
+                    let memory = memory.collect().unwrap();
+                    assert_eq!(bits(&disk.rows), bits(&memory.rows), "{tag}: {sql}");
+                    let m = &disk.metrics;
+                    assert_eq!(
+                        m.blocks_read + m.blocks_skipped_minmax + m.blocks_skipped_dominance,
+                        3000_u64.div_ceil(64),
+                        "{tag}: {sql}: {m:?}"
+                    );
+                }
+            }
+            // On independent data, corner points join the sample's skyline.
+            let plan = ctx.sql(&SHAPES[0].replace("{w}", "")).unwrap();
+            let plan = plan.explain().unwrap();
+            if dist == "independent" {
+                assert!(!plan.contains("(0 from corners)"), "{tag}:\n{plan}");
+            }
+            assert!(plan.contains(" from corners)"), "{tag}:\n{plan}");
+        }
+    }
 }
 
 /// A disk skyline returns the same bytes at 1, 2 and 4 executors: the
