@@ -3,7 +3,8 @@
 //! # sparkline-common
 //!
 //! Shared foundation types for the `sparkline` query engine: scalar
-//! [`Value`]s, [`Row`]s, column-major [`ColumnBatch`]es, [`Schema`]s,
+//! [`Value`]s, [`Row`]s, column-major [`ColumnBatch`]es, in-memory
+//! [`MemTable`]s of column chunks, [`Schema`]s,
 //! error types, session configuration, and the skyline-specific
 //! vocabulary ([`SkylineType`], [`Algorithm`]) used across the
 //! parser, planner, optimizer, and execution layers.
@@ -20,6 +21,7 @@ pub mod row;
 pub mod schema;
 pub mod skyline;
 pub mod stats;
+pub mod table;
 pub mod types;
 pub mod value;
 
@@ -31,5 +33,6 @@ pub use row::Row;
 pub use schema::{Field, Schema, SchemaRef};
 pub use skyline::{Algorithm, SkylineDim, SkylineSpec, SkylineType};
 pub use stats::Reservoir;
+pub use table::{Chunk, MemTable, CHUNK_ROWS};
 pub use types::DataType;
 pub use value::Value;

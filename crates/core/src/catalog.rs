@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sparkline_common::{Error, Result, Row, Schema, SchemaRef};
+use sparkline_common::{Error, MemTable, Result, Row, Schema, SchemaRef};
 use sparkline_physical::ExecTableSource;
 use sparkline_plan::{CatalogProvider, StaticCatalog};
 use sparkline_storage::DiskTable;
@@ -14,7 +14,7 @@ use sparkline_storage::DiskTable;
 #[derive(Debug, Default)]
 pub struct SessionCatalog {
     schemas: StaticCatalog,
-    data: HashMap<String, Arc<Vec<Row>>>,
+    data: HashMap<String, MemTable>,
     disk: HashMap<String, Arc<DiskTable>>,
     /// Monotone mutation counter: bumped by every registration, drop,
     /// insert, and foreign-key declaration. Cached plans and results
@@ -38,9 +38,11 @@ impl SessionCatalog {
     }
 
     /// Register a table with its rows, validating every row against the
-    /// schema (width, types, nullability). Replaces any same-named
-    /// registration, in-memory *or* disk-resident — one name maps to
-    /// exactly one table representation.
+    /// schema (width, types, nullability). The rows become the table's
+    /// column chunks one chunk at a time, each row validated, copied and
+    /// dropped in one pass ([`MemTable::from_checked_rows`]). Replaces any
+    /// same-named registration, in-memory *or* disk-resident — one name
+    /// maps to exactly one table representation.
     pub fn register_table(
         &mut self,
         name: impl Into<String>,
@@ -48,11 +50,13 @@ impl SessionCatalog {
         rows: Vec<Row>,
     ) -> Result<()> {
         let name = name.into();
-        validate_rows(&name, &schema, &rows)?;
+        let table = MemTable::from_checked_rows(&schema, rows, |i, row| {
+            validate_row(&name, &schema, i, row)
+        })?;
         self.schemas.register_table(name.clone(), schema.into_ref());
         let key = name.to_ascii_lowercase();
         self.disk.remove(&key);
-        self.data.insert(key, Arc::new(rows));
+        self.data.insert(key, table);
         self.version += 1;
         Ok(())
     }
@@ -74,9 +78,10 @@ impl SessionCatalog {
     /// against its schema. Disk-resident tables are immutable — inserting
     /// into one is a plan error. Returns the table's new row count.
     ///
-    /// Queries already executing keep the snapshot they started with (the
-    /// row vector is copy-on-write behind an `Arc`), so a concurrent
-    /// insert never mutates a scan mid-flight.
+    /// Queries already executing keep the snapshot they started with: the
+    /// chunks are immutable, so a concurrent insert never mutates a scan
+    /// mid-flight. Only the last chunk, when partly filled, is copied
+    /// ([`MemTable::append`]).
     pub fn insert_rows(&mut self, name: &str, rows: Vec<Row>) -> Result<usize> {
         let key = name.to_ascii_lowercase();
         let schema = self
@@ -90,21 +95,21 @@ impl SessionCatalog {
             )));
         }
         validate_rows(&key, &schema, &rows)?;
-        let entry = self
+        let table = self
             .data
             .get_mut(&key)
             .ok_or_else(|| Error::internal(format!("table '{name}' has a schema but no rows")))?;
-        let table = Arc::make_mut(entry);
-        table.extend(rows);
+        table.append(rows);
         self.version += 1;
         Ok(table.len())
     }
 
     /// Remove rows from a registered in-memory table by position
     /// (`positions` must be ascending and in bounds — the shape produced
-    /// by a predicate scan). Copy-on-write like
-    /// [`insert_rows`](Self::insert_rows): queries already executing keep
-    /// the snapshot they started with. Bumps the catalog version only
+    /// by a predicate scan). Like [`insert_rows`](Self::insert_rows),
+    /// queries already executing keep the snapshot they started with; only
+    /// the chunks holding a removed row are rewritten
+    /// ([`MemTable::delete`]). Bumps the catalog version only
     /// when rows were actually removed, so a `DELETE` matching nothing
     /// retires no cached plan/result generation. Returns the number of
     /// removed rows.
@@ -121,11 +126,11 @@ impl SessionCatalog {
                  for in-memory tables"
             )));
         }
-        let entry = self
+        let table = self
             .data
             .get_mut(&key)
             .ok_or_else(|| Error::internal(format!("table '{name}' has a schema but no rows")))?;
-        let len = entry.len();
+        let len = table.len();
         for pair in positions.windows(2) {
             if pair[0] >= pair[1] {
                 return Err(Error::internal(
@@ -141,17 +146,7 @@ impl SessionCatalog {
         if positions.is_empty() {
             return Ok(0);
         }
-        let table = Arc::make_mut(entry);
-        let mut cursor = 0;
-        let mut idx = 0;
-        table.retain(|_| {
-            let drop = cursor < positions.len() && positions[cursor] == idx;
-            if drop {
-                cursor += 1;
-            }
-            idx += 1;
-            !drop
-        });
+        table.delete(positions);
         self.version += 1;
         Ok(positions.len())
     }
@@ -192,7 +187,7 @@ impl SessionCatalog {
         Ok(())
     }
 
-    /// Remove a table: its data (in-memory rows or the disk handle), its
+    /// Remove a table: its data (in-memory chunks or the disk handle), its
     /// schema, and every foreign key involving it — a dropped table must
     /// not linger in `table_names()` or be re-plannable.
     pub fn drop_table(&mut self, name: &str) -> bool {
@@ -224,33 +219,36 @@ impl SessionCatalog {
 
 /// Check rows against a schema: width, value types, NOT NULL constraints.
 fn validate_rows(table: &str, schema: &Schema, rows: &[Row]) -> Result<()> {
-    for (row_idx, row) in rows.iter().enumerate() {
-        if row.width() != schema.len() {
-            return Err(Error::plan(format!(
-                "table '{table}': row {row_idx} has {} values, schema has {} columns",
-                row.width(),
-                schema.len()
-            )));
-        }
-        for (col, field) in schema.fields().iter().enumerate() {
-            let value = row.get(col);
-            if value.is_null() {
-                if !field.nullable() {
-                    return Err(Error::plan(format!(
-                        "table '{table}': NULL in non-nullable column '{}' (row {row_idx})",
-                        field.name()
-                    )));
-                }
-                continue;
-            }
-            if value.data_type() != field.data_type() {
+    (rows.iter().enumerate())
+        .try_for_each(|(row_idx, row)| validate_row(table, schema, row_idx, row))
+}
+
+/// Check row `row_idx` against a schema.
+fn validate_row(table: &str, schema: &Schema, row_idx: usize, row: &Row) -> Result<()> {
+    if row.width() != schema.len() {
+        return Err(Error::plan(format!(
+            "table '{table}': row {row_idx} has {} values, schema has {} columns",
+            row.width(),
+            schema.len()
+        )));
+    }
+    for (value, field) in row.values().iter().zip(schema.fields()) {
+        if value.is_null() {
+            if !field.nullable() {
                 return Err(Error::plan(format!(
-                    "table '{table}': column '{}' expects {}, got {} (row {row_idx})",
-                    field.name(),
-                    field.data_type(),
-                    value.data_type()
+                    "table '{table}': NULL in non-nullable column '{}' (row {row_idx})",
+                    field.name()
                 )));
             }
+            continue;
+        }
+        if value.data_type() != field.data_type() {
+            return Err(Error::plan(format!(
+                "table '{table}': column '{}' expects {}, got {} (row {row_idx})",
+                field.name(),
+                field.data_type(),
+                value.data_type()
+            )));
         }
     }
     Ok(())
@@ -274,7 +272,7 @@ impl CatalogProvider for SessionCatalog {
 }
 
 impl ExecTableSource for SessionCatalog {
-    fn table_rows(&self, name: &str) -> Option<Arc<Vec<Row>>> {
+    fn mem_table(&self, name: &str) -> Option<MemTable> {
         self.data.get(&name.to_ascii_lowercase()).cloned()
     }
 
@@ -286,7 +284,7 @@ impl ExecTableSource for SessionCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparkline_common::{DataType, Field, Value};
+    use sparkline_common::{DataType, Field, Value, CHUNK_ROWS};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -305,7 +303,7 @@ mod tests {
         )
         .unwrap();
         assert!(cat.table_schema("t").is_some());
-        assert_eq!(cat.table_rows("t").unwrap().len(), 1);
+        assert_eq!(cat.mem_table("t").unwrap().len(), 1);
         assert_eq!(cat.table_row_count("T"), Some(1));
         assert_eq!(cat.table_names(), vec!["t"]);
     }
@@ -351,7 +349,7 @@ mod tests {
         cat.register_table("t", schema(), vec![]).unwrap();
         assert!(cat.drop_table("T"));
         assert!(!cat.drop_table("t"));
-        assert!(cat.table_rows("t").is_none());
+        assert!(cat.mem_table("t").is_none());
     }
 
     #[test]
@@ -411,11 +409,89 @@ mod tests {
         assert!(err.to_string().contains("has 1 values"), "{err}");
         // Snapshot isolation: a reader holding the pre-insert Arc keeps
         // its rows while the catalog grows a fresh copy.
-        let before = cat.table_rows("t").unwrap();
+        let before = cat.mem_table("t").unwrap();
         cat.insert_rows("t", vec![Row::new(vec![Value::Int64(4), Value::Null])])
             .unwrap();
         assert_eq!(before.len(), 2);
         assert_eq!(cat.table_row_count("t"), Some(3));
+    }
+
+    fn numbered(range: std::ops::Range<usize>) -> Vec<Row> {
+        range
+            .map(|k| {
+                let price = if k % 7 == 0 {
+                    Value::Null
+                } else {
+                    Value::Float64(k as f64 / 2.0)
+                };
+                Row::new(vec![Value::Int64(k as i64), price])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_delete_shares_every_chunk_it_does_not_touch() {
+        let mut cat = SessionCatalog::new();
+        cat.register_table("t", schema(), numbered(0..3 * CHUNK_ROWS + 7))
+            .unwrap();
+        let before = cat.mem_table("t").unwrap();
+        assert_eq!(cat.delete_rows("t", &[CHUNK_ROWS + 5]).unwrap(), 1);
+        let after = cat.mem_table("t").unwrap();
+        assert_eq!(after.chunks().len(), before.chunks().len());
+        for (k, (a, b)) in after.chunks().iter().zip(before.chunks()).enumerate() {
+            assert_eq!(Arc::ptr_eq(a, b), k != 1, "chunk {k}");
+        }
+        assert_eq!(
+            before.len(),
+            3 * CHUNK_ROWS + 7,
+            "the snapshot keeps its rows"
+        );
+        assert_eq!(after.len(), 3 * CHUNK_ROWS + 6);
+    }
+
+    #[test]
+    fn random_inserts_and_deletes_match_a_row_model() {
+        // A deterministic xorshift stream.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut cat = SessionCatalog::new();
+        let mut model = numbered(0..CHUNK_ROWS / 2);
+        cat.register_table("t", schema(), model.clone()).unwrap();
+        let mut fresh = CHUNK_ROWS / 2;
+        for step in 0..40 {
+            if model.is_empty() || next(3) != 0 {
+                let n = 1 + next(CHUNK_ROWS + CHUNK_ROWS / 2);
+                let rows = numbered(fresh..fresh + n);
+                fresh += n;
+                model.extend(rows.iter().cloned());
+                assert_eq!(cat.insert_rows("t", rows).unwrap(), model.len());
+            } else {
+                // A run across a chunk boundary, or scattered rows.
+                let positions: Vec<usize> = if next(2) == 0 {
+                    let start = next(model.len());
+                    (start..model.len().min(start + 1 + next(CHUNK_ROWS))).collect()
+                } else {
+                    (0..model.len()).filter(|_| next(5) == 0).collect()
+                };
+                assert_eq!(cat.delete_rows("t", &positions).unwrap(), positions.len());
+                for &p in positions.iter().rev() {
+                    model.remove(p);
+                }
+            }
+            let table = cat.mem_table("t").unwrap();
+            assert_eq!(table.len(), model.len(), "step {step}");
+            assert!(table.rows().eq(model.iter().cloned()), "step {step}");
+        }
+        let table = cat.mem_table("t").unwrap();
+        let short = (table.chunks().iter())
+            .filter(|c| c.len() < CHUNK_ROWS)
+            .count();
+        assert!(short > 1, "the program leaves uneven chunks");
     }
 
     #[test]
@@ -451,10 +527,7 @@ mod tests {
         )
         .unwrap();
         cat.register_disk_table("t", Arc::clone(&disk));
-        assert!(
-            cat.table_rows("t").is_none(),
-            "stale in-memory rows survive"
-        );
+        assert!(cat.mem_table("t").is_none(), "stale in-memory rows survive");
         assert_eq!(cat.table_row_count("t"), Some(3));
 
         // Disk then memory: regression — the disk entry used to survive,
@@ -475,7 +548,7 @@ mod tests {
 
         // Mixed drop: one drop removes the single representation fully.
         assert!(cat.drop_table("t"));
-        assert!(cat.table_rows("t").is_none());
+        assert!(cat.mem_table("t").is_none());
         assert!(cat.disk_table_named("t").is_none());
         assert!(cat.table_schema("t").is_none());
         assert!(!cat.drop_table("t"));

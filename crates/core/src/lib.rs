@@ -77,8 +77,8 @@ pub use session::SessionContext;
 
 // Re-export the vocabulary users need without digging into sub-crates.
 pub use sparkline_common::{
-    Algorithm, DataType, Error, Field, Result, Row, Schema, SchemaRef, SessionConfig, SkylineType,
-    Value,
+    Algorithm, DataType, Error, Field, MemTable, Result, Row, Schema, SchemaRef, SessionConfig,
+    SkylineType, Value, CHUNK_ROWS,
 };
 pub use sparkline_plan::{Expr, JoinCondition, JoinType, LogicalPlan, SkylineDimension, SortExpr};
 

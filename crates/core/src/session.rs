@@ -8,11 +8,11 @@ use std::time::Instant;
 
 use parking_lot::RwLock;
 use sparkline_analyzer::Analyzer;
-use sparkline_common::{Algorithm, Result, Row, Schema, SessionConfig};
+use sparkline_common::{Algorithm, MemTable, Result, Row, Schema, SessionConfig, Value};
 use sparkline_exec::{Deadline, QueryControl, TaskContext};
 use sparkline_optimizer::Optimizer;
 use sparkline_parser::parse_query;
-use sparkline_physical::{display_physical, ExecutionPlan, PhysicalPlanner};
+use sparkline_physical::{display_physical, ExecTableSource, ExecutionPlan, PhysicalPlanner};
 use sparkline_plan::{Expr, LogicalPlan, LogicalPlanBuilder};
 
 use crate::catalog::SessionCatalog;
@@ -109,33 +109,34 @@ impl SessionContext {
     /// block format, using the session's storage knobs
     /// (`storage_block_rows` for the block granularity, `sample_size` /
     /// `sample_seed` for the footer's reservoir sample). It writes through
-    /// [`sparkline_storage::write_table`], so the file does **not** keep
-    /// the table's row order: rows are clustered in Z order so block
-    /// metadata can skip blocks (see `sparkline_storage`'s "Row order").
-    /// The same rows always write the same file.
+    /// [`sparkline_storage::write_mem_table`], which reads the table's
+    /// column chunks (the table is not built as rows) and writes what
+    /// [`sparkline_storage::write_table`] writes for its rows: the file
+    /// does **not** keep the table's row order, rows are clustered in Z
+    /// order so block metadata can skip blocks (see `sparkline_storage`'s
+    /// "Row order"). The same rows always write the same file.
     pub fn copy_table_to_disk(
         &self,
         name: &str,
         path: impl AsRef<std::path::Path>,
     ) -> Result<sparkline_storage::DiskTableSummary> {
-        let (schema, rows) = {
+        let (schema, table) = {
             let catalog = self.catalog.read();
             let schema = sparkline_plan::CatalogProvider::table_schema(&*catalog, name)
                 .ok_or_else(|| {
                     sparkline_common::Error::plan(format!("no table named '{name}' to copy"))
                 })?;
-            let rows = sparkline_physical::ExecTableSource::table_rows(&*catalog, name)
-                .ok_or_else(|| {
-                    sparkline_common::Error::plan(format!(
-                        "table '{name}' has no in-memory rows to copy"
-                    ))
-                })?;
-            (schema, rows)
+            let table = catalog.mem_table(name).ok_or_else(|| {
+                sparkline_common::Error::plan(format!(
+                    "table '{name}' has no in-memory rows to copy"
+                ))
+            })?;
+            (schema, table)
         };
-        sparkline_storage::write_table(
+        sparkline_storage::write_mem_table(
             path,
             schema,
-            &rows,
+            &table,
             sparkline_storage::WriterOptions {
                 block_rows: self.config.storage_block_rows,
                 sample_cap: self.config.sample_size,
@@ -191,12 +192,16 @@ impl SessionContext {
     /// registered in-memory table matching `predicate` (all rows when
     /// `None`), returning the ascending positions of the removed rows in
     /// the table's pre-delete order. The predicate is resolved by the
-    /// analyzer against the table's schema and evaluated row by row
-    /// under the catalog write lock, so there is no window between
-    /// matching and removal in which a concurrent mutation could shift
-    /// positions. Rows where the predicate is NULL (or false) are kept,
-    /// per SQL semantics. A delete matching nothing does not bump the
-    /// catalog version (caches stay warm).
+    /// analyzer against the table's schema and evaluated under the
+    /// catalog write lock, so there is no window between matching and
+    /// removal in which a concurrent mutation could shift positions: on
+    /// the table's column chunks when it is an `AND` of exactly comparable
+    /// `column <op> literal` conjuncts (the scans'
+    /// [`ScanFilter`](sparkline_physical::ScanFilter)), row by row
+    /// otherwise. Rows where the predicate is NULL (or false) are kept,
+    /// per SQL semantics. Only the chunks holding a removed row are
+    /// rewritten. A delete matching nothing does not bump the catalog
+    /// version (caches stay warm).
     pub fn delete_where(&self, name: &str, predicate: Option<&Expr>) -> Result<Vec<usize>> {
         let mut catalog = self.catalog.write();
         let bound = match predicate {
@@ -218,34 +223,32 @@ impl SessionContext {
                 None
             }
         };
-        let rows =
-            sparkline_physical::ExecTableSource::table_rows(&*catalog, name).ok_or_else(|| {
-                sparkline_common::Error::plan(format!(
-                    "table '{name}' is disk-resident; DELETE is only supported \
-                     for in-memory tables"
-                ))
-            })?;
-        let mut positions = Vec::new();
-        for (i, row) in rows.iter().enumerate() {
-            let matches = match &bound {
-                Some(pred) => matches!(pred.evaluate(row)?, sparkline_common::Value::Boolean(true)),
-                None => true,
-            };
-            if matches {
-                positions.push(i);
+        let table = catalog.mem_table(name).ok_or_else(|| {
+            sparkline_common::Error::plan(format!(
+                "table '{name}' is disk-resident; DELETE is only supported \
+                 for in-memory tables"
+            ))
+        })?;
+        let positions = match &bound {
+            Some(predicate) => {
+                let schema = sparkline_plan::CatalogProvider::table_schema(&*catalog, name)
+                    .ok_or_else(|| {
+                        sparkline_common::Error::internal(format!("table '{name}' has no schema"))
+                    })?;
+                matching_positions(&table, &schema, predicate)?
             }
-        }
+            None => (0..table.len()).collect(),
+        };
         catalog.delete_rows(name, &positions)?;
         Ok(positions)
     }
 
-    /// A copy-on-write snapshot of a registered in-memory table's rows
-    /// (`None` for unknown or disk-resident tables). The `Arc` is the
-    /// same one scans clone: the snapshot is immutable and cheap, and a
-    /// concurrent insert/delete replaces the catalog's vector without
-    /// touching it.
-    pub fn table_rows_snapshot(&self, name: &str) -> Option<Arc<Vec<Row>>> {
-        sparkline_physical::ExecTableSource::table_rows(&*self.catalog.read(), name)
+    /// A snapshot of a registered in-memory table (`None` for unknown or
+    /// disk-resident tables): the chunks scans read, shared, so the
+    /// snapshot is immutable and cheap, and a concurrent insert/delete
+    /// builds new chunks for the catalog without touching it.
+    pub fn table_snapshot(&self, name: &str) -> Option<MemTable> {
+        self.catalog.read().mem_table(name)
     }
 
     /// The catalog's mutation version (see [`SessionCatalog::version`]):
@@ -431,6 +434,36 @@ impl SessionContext {
             display_physical(&physical),
         ))
     }
+}
+
+/// The ascending positions of the rows of `table` (of `schema`) that
+/// `predicate` evaluates to TRUE on: on each chunk's buffers through the
+/// scans' [`ScanFilter`](sparkline_physical::ScanFilter) when the
+/// predicate is an `AND` of exactly comparable conjuncts, through
+/// `Expr::evaluate` on each row built from its chunk otherwise. Either
+/// way a failing comparison fails the delete with the error a row-by-row
+/// evaluation raises.
+fn matching_positions(table: &MemTable, schema: &Schema, predicate: &Expr) -> Result<Vec<usize>> {
+    let filter = sparkline_physical::ScanFilter::new(predicate, schema);
+    let mut positions = Vec::new();
+    for (k, chunk) in table.chunks().iter().enumerate() {
+        let start = table.chunk_start(k);
+        match &filter {
+            Some(filter) => {
+                let rows: Vec<usize> = (0..chunk.len()).collect();
+                let selected = filter.select(chunk.columns(), &rows)?;
+                positions.extend(selected.into_iter().map(|i| start + i));
+            }
+            None => {
+                for i in 0..chunk.len() {
+                    if predicate.evaluate(&chunk.row(i))? == Value::Boolean(true) {
+                        positions.push(start + i);
+                    }
+                }
+            }
+        }
+    }
+    Ok(positions)
 }
 
 /// The analyzer-bound filter predicate of an analyzed

@@ -7,7 +7,7 @@
 //! `SessionConfig::batch_size` rows, plus the output schema and
 //! close/metrics hooks. A batch is a [`Batch`]: a [`RowBatch`], or a
 //! [`ColumnBatch`] — column buffers with a selection vector, which the
-//! disk scan yields. [`PartitionStream::next_batch`] hands every consumer
+//! in-memory and disk scans yield. [`PartitionStream::next_batch`] hands every consumer
 //! rows, building them from a column batch's selected rows, so an
 //! operator that does not read columns never sees one;
 //! [`PartitionStream::pull_batch`] hands over the batch as produced, for

@@ -394,9 +394,9 @@ mod tests {
             Field::new("v", DataType::Int64, true),
         ])
         .into_ref();
-        Arc::new(ScanExec::new(
+        Arc::new(ScanExec::from_rows(
             "t",
-            Arc::new(rows.into_iter().map(Row::new).collect()),
+            rows.into_iter().map(Row::new).collect(),
             schema,
         ))
     }

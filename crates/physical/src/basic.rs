@@ -21,7 +21,8 @@ use sparkline_exec::{
 };
 use sparkline_plan::{Expr, SortExpr};
 
-use crate::scan_disk::{float_columns, GateSample};
+use crate::scan_disk::GateSample;
+use crate::scan_filter::float_columns;
 use crate::ExecutionPlan;
 
 /// Evaluates one expression per output column (partition-parallel).
@@ -114,8 +115,7 @@ impl ExecutionPlan for FilterExec {
     }
 
     fn pass_sample(&self, sample: &mut GateSample) -> bool {
-        (sample.rows)
-            .retain(|row| matches!(self.predicate.evaluate(row), Ok(Value::Boolean(true))));
+        sample.retain_rows(|row| matches!(self.predicate.evaluate(row), Ok(Value::Boolean(true))));
         // Block bounds cannot prove that every row passes an arbitrary
         // predicate, so no block's corner points reach the skyline.
         sample.blocks.clear();
@@ -432,9 +432,9 @@ mod tests {
             Field::new("b", DataType::Int64, true),
         ])
         .into_ref();
-        Arc::new(ScanExec::new(
+        Arc::new(ScanExec::from_rows(
             "t",
-            Arc::new(rows.into_iter().map(Row::new).collect()),
+            rows.into_iter().map(Row::new).collect(),
             schema,
         ))
     }

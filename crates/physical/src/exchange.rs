@@ -72,7 +72,7 @@ mod tests {
             Field::new("b", DataType::Int64, true),
         ])
         .into_ref();
-        Arc::new(ScanExec::new("t", Arc::new(rows), schema))
+        Arc::new(ScanExec::from_rows("t", rows, schema))
     }
 
     fn rows_with_nulls() -> Vec<Row> {

@@ -329,7 +329,7 @@ mod tests {
             .iter()
             .map(|&(k, v)| Row::new(vec![Value::Int64(k), Value::Int64(v)]))
             .collect();
-        Arc::new(ScanExec::new(name, Arc::new(rows), schema))
+        Arc::new(ScanExec::from_rows(name, rows, schema))
     }
 
     fn col(i: usize) -> Expr {
@@ -376,7 +376,7 @@ mod tests {
         .into_ref();
         let l_rows = vec![Row::new(vec![Value::Null, Value::Int64(1)])];
         let l: Arc<dyn ExecutionPlan> =
-            Arc::new(ScanExec::new("l", Arc::new(l_rows), Arc::clone(&schema)));
+            Arc::new(ScanExec::from_rows("l", l_rows, Arc::clone(&schema)));
         let r = table("r", &[(1, 100)], false);
 
         let inner = HashJoinExec::new(

@@ -17,8 +17,8 @@
 //! of Spark's pipelined narrow transformations): `execute_stream` returns
 //! one [`PartitionStream`] per output partition, and each stream yields
 //! batches of `SessionConfig::batch_size` rows on demand — row batches,
-//! or, from the disk scan, column batches that become rows only where an
-//! operator asks for them. Narrow
+//! or, from the in-memory and disk scans, column batches that become rows
+//! only where an operator asks for them. Narrow
 //! operators — scan, project, filter, limit, distinct, join probe sides —
 //! are true pipelined transforms: pulling one batch from the root pulls
 //! exactly one batch through the whole chain, so peak memory is bounded
@@ -44,6 +44,7 @@ pub mod join;
 pub mod planner;
 pub mod scan;
 pub mod scan_disk;
+pub mod scan_filter;
 pub mod skyline_exec;
 
 use std::fmt;
@@ -58,7 +59,8 @@ pub use exchange::ExchangeExec;
 pub use join::{HashJoinExec, NestedLoopJoinExec};
 pub use planner::{ExecTableSource, PhysicalPlanner};
 pub use scan::ScanExec;
-pub use scan_disk::{ColumnPredicate, DiskScanExec, DominanceSkip, GateSample};
+pub use scan_disk::{DiskScanExec, DominanceSkip, GateSample};
+pub use scan_filter::{ColumnPredicate, ScanFilter};
 pub use skyline_exec::{GlobalSkylineExec, LocalSkylineExec, MinMaxFilterExec};
 
 /// A physical operator.
@@ -98,7 +100,7 @@ pub trait ExecutionPlan: fmt::Debug + Send + Sync {
     /// with the blocks that filter passes whole, letting the skyline
     /// planner install gate points after the tree is built. `None` (the
     /// default) for every other operator.
-    fn dominance_skip_slot(&self) -> Option<(&OnceLock<DominanceSkip>, GateSample)> {
+    fn dominance_skip_slot(&self) -> Option<(&OnceLock<Arc<DominanceSkip>>, GateSample)> {
         None
     }
 
@@ -125,7 +127,7 @@ pub trait ExecutionPlan: fmt::Debug + Send + Sync {
 /// reach it, and the columns those filters read.
 pub fn find_dominance_skip_slot(
     plan: &dyn ExecutionPlan,
-) -> Option<(&OnceLock<DominanceSkip>, GateSample)> {
+) -> Option<(&OnceLock<Arc<DominanceSkip>>, GateSample)> {
     if let Some(found) = plan.dominance_skip_slot() {
         return Some(found);
     }

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use sparkline_common::{
-    Algorithm, DataType, Error, Result, Row, Schema, SchemaRef, SessionConfig, SkylineDim,
-    SkylineSpec,
+    Algorithm, DataType, Error, MemTable, Result, Row, Schema, SchemaRef, SessionConfig,
+    SkylineDim, SkylineSpec,
 };
 use sparkline_plan::{
     conjoin, split_conjuncts, AggregateFunction, BinaryOp, BoundColumn, Expr, JoinCondition,
@@ -24,8 +24,8 @@ use crate::{
 
 /// Source of table *data* for scans (the session catalog implements this).
 pub trait ExecTableSource: Send + Sync {
-    /// The rows of a registered in-memory table, if it exists.
-    fn table_rows(&self, name: &str) -> Option<Arc<Vec<Row>>>;
+    /// A snapshot of a registered in-memory table, if it exists.
+    fn mem_table(&self, name: &str) -> Option<MemTable>;
 
     /// The disk-resident table registered under `name`, if any. Disk
     /// tables take precedence over in-memory rows when both exist.
@@ -74,15 +74,11 @@ impl<'a> PhysicalPlanner<'a> {
                 if let Some(table) = self.source.disk_table(name) {
                     return Ok(Arc::new(self.disk_scan(name, table, schema, None)));
                 }
-                let rows = self
-                    .source
-                    .table_rows(name)
-                    .ok_or_else(|| Error::plan(format!("no data registered for table '{name}'")))?;
-                Arc::new(ScanExec::new(name.clone(), rows, Arc::clone(schema)))
+                Arc::new(self.mem_scan(name, schema)?)
             }
-            LogicalPlan::Values { schema, rows } => Arc::new(ScanExec::new(
+            LogicalPlan::Values { schema, rows } => Arc::new(ScanExec::from_rows(
                 "values",
-                Arc::new(rows.as_ref().clone()),
+                rows.as_ref().clone(),
                 Arc::clone(schema),
             )),
             LogicalPlan::Projection { exprs, input } => {
@@ -90,21 +86,32 @@ impl<'a> PhysicalPlanner<'a> {
                 Arc::new(ProjectExec::new(exprs.clone(), plan.schema()?, child))
             }
             LogicalPlan::Filter { predicate, input } => {
-                // A filter directly on a disk scan hands its prunable
-                // conjuncts to the scan as static min/max bounds. When the
-                // whole predicate is an AND of exactly comparable
-                // conjuncts the scan evaluates it on its column buffers
-                // and no `FilterExec` is planned; any other predicate
-                // keeps one above the scan for the exact cut.
+                // A filter directly on a table scan, in memory or on disk,
+                // is the scan's own when the whole predicate is an AND of
+                // exactly comparable conjuncts: the scan evaluates it on
+                // its column buffers and no `FilterExec` is planned. Any
+                // other predicate keeps one above the scan for the exact
+                // cut; a disk scan still takes its prunable conjuncts as
+                // static min/max bounds.
                 if let LogicalPlan::TableScan { name, schema } = input.as_ref() {
-                    if let Some(table) = self.source.disk_table(name) {
-                        let scan = self.disk_scan(name, table, schema, Some(predicate));
-                        return Ok(if scan.evaluates_filter() {
-                            Arc::new(scan)
-                        } else {
-                            Arc::new(FilterExec::new(predicate.clone(), Arc::new(scan)))
-                        });
-                    }
+                    let (scan, pushed): (Arc<dyn ExecutionPlan>, bool) =
+                        match self.source.disk_table(name) {
+                            Some(table) => {
+                                let scan = self.disk_scan(name, table, schema, Some(predicate));
+                                let pushed = scan.evaluates_filter();
+                                (Arc::new(scan), pushed)
+                            }
+                            None => {
+                                let scan = self.mem_scan(name, schema)?.with_filter(predicate);
+                                let pushed = scan.evaluates_filter();
+                                (Arc::new(scan), pushed)
+                            }
+                        };
+                    return Ok(if pushed {
+                        scan
+                    } else {
+                        Arc::new(FilterExec::new(predicate.clone(), scan))
+                    });
                 }
                 Arc::new(FilterExec::new(predicate.clone(), self.create(input)?))
             }
@@ -164,6 +171,13 @@ impl<'a> PhysicalPlanner<'a> {
                 self.create(input)?,
             )),
         })
+    }
+
+    /// A [`ScanExec`] over the in-memory table registered as `name`.
+    fn mem_scan(&self, name: &str, schema: &SchemaRef) -> Result<ScanExec> {
+        let table = (self.source.mem_table(name))
+            .ok_or_else(|| Error::plan(format!("no data registered for table '{name}'")))?;
+        Ok(ScanExec::new(name, table, Arc::clone(schema)))
     }
 
     /// Build a [`DiskScanExec`] over an opened table, taking over the
@@ -294,9 +308,10 @@ impl<'a> PhysicalPlanner<'a> {
             // weakly dominated by one, and the complete relation is
             // transitive (see `sparkline_storage`'s crate docs). The incomplete relation is not transitive, so
             // its plans never get the gate.
+            // The gate depends on the table and this input alone, so it is
+            // built once per input and shared by every later plan.
             if let Some((slot, sample)) = crate::find_dominance_skip_slot(input_exec.as_ref()) {
-                if let Some(skip) = crate::scan_disk::DominanceSkip::from_sample(&spec.dims, sample)
-                {
+                if let Some(skip) = crate::scan_disk::DominanceSkip::cached(&spec.dims, sample) {
                     let _ = slot.set(skip);
                 }
             }
@@ -457,10 +472,10 @@ mod tests {
     use sparkline_exec::TaskContext;
     use std::collections::HashMap;
 
-    struct MapSource(HashMap<String, Arc<Vec<Row>>>);
+    struct MapSource(HashMap<String, MemTable>);
 
     impl ExecTableSource for MapSource {
-        fn table_rows(&self, name: &str) -> Option<Arc<Vec<Row>>> {
+        fn mem_table(&self, name: &str) -> Option<MemTable> {
             self.0.get(&name.to_ascii_lowercase()).cloned()
         }
     }
@@ -476,7 +491,7 @@ mod tests {
             .map(|&(p, r)| Row::new(vec![Value::Int64(p), Value::Int64(r)]))
             .collect();
         let mut tables = HashMap::new();
-        tables.insert("hotels".to_string(), Arc::new(rows));
+        tables.insert("hotels".to_string(), MemTable::from_rows(&schema, rows));
         (
             LogicalPlan::TableScan {
                 name: "hotels".into(),
@@ -609,13 +624,14 @@ mod tests {
             ])
             .into_ref(),
         };
+        let empty = MemTable::new(&scan.schema().unwrap());
         let logical = LogicalPlan::Skyline {
             distinct: false,
             complete,
             dims: vec![dim(&scan, 0, types[0]), dim(&scan, 1, types[1])],
             input: Arc::new(scan),
         };
-        let source = MapSource(HashMap::from([("t".to_string(), Arc::new(Vec::new()))]));
+        let source = MapSource(HashMap::from([("t".to_string(), empty)]));
         let physical = PhysicalPlanner::new(&SessionConfig::default(), &source)
             .with_algorithm(algorithm)
             .create(&logical)
@@ -700,6 +716,118 @@ mod tests {
         // min(price+rating) = 45 for (40,5): single optimum row.
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get(0), &Value::Int64(40));
+    }
+
+    /// A disk table as the planner's only source.
+    struct DiskSource(Arc<sparkline_storage::DiskTable>);
+
+    impl ExecTableSource for DiskSource {
+        fn mem_table(&self, _name: &str) -> Option<MemTable> {
+            None
+        }
+
+        fn disk_table(&self, _name: &str) -> Option<Arc<sparkline_storage::DiskTable>> {
+            Some(Arc::clone(&self.0))
+        }
+    }
+
+    /// The gate installed on the disk scan at the bottom of `plan`.
+    fn gate_of(plan: &Arc<dyn ExecutionPlan>) -> Arc<crate::DominanceSkip> {
+        match plan.children().first() {
+            Some(child) => gate_of(child),
+            None => Arc::clone(plan.dominance_skip_slot().unwrap().0.get().unwrap()),
+        }
+    }
+
+    #[test]
+    fn plans_with_one_gate_input_share_one_gate() {
+        use sparkline_common::{Field, SkylineType};
+        let dir = std::env::temp_dir().join(format!("sparkline-gate-cache-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.spk");
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Float64, false),
+            Field::new("b", DataType::Float64, false),
+        ])
+        .into_ref();
+        // An anti-correlated band plus dominated noise, in Z-ordered blocks.
+        let rows: Vec<Row> = (0..4000)
+            .map(|k: i64| {
+                let a = ((k * 37) % 1000) as f64;
+                let b = if k % 4 == 0 {
+                    1000.0 - a
+                } else {
+                    ((k * 53) % 1000) as f64 + 500.0
+                };
+                Row::new(vec![Value::Float64(a), Value::Float64(b)])
+            })
+            .collect();
+        let opts = sparkline_storage::WriterOptions {
+            block_rows: 50,
+            ..Default::default()
+        };
+        sparkline_storage::write_table(&path, Arc::clone(&schema), &rows, opts).unwrap();
+        let table = Arc::new(sparkline_storage::DiskTable::open(&path).unwrap());
+        let source = DiskSource(Arc::clone(&table));
+        let scan = LogicalPlan::TableScan {
+            name: "t".into(),
+            schema,
+        };
+        let predicate = |bound: f64| {
+            let a = dim(&scan, 0, SkylineType::Min).child;
+            a.lt(Expr::Literal(Value::Float64(bound)))
+        };
+        let query = |bound: f64| {
+            let filter = LogicalPlan::Filter {
+                predicate: predicate(bound),
+                input: Arc::new(scan.clone()),
+            };
+            LogicalPlan::Skyline {
+                distinct: false,
+                complete: true,
+                dims: vec![
+                    dim(&scan, 0, SkylineType::Min),
+                    dim(&scan, 1, SkylineType::Min),
+                ],
+                input: Arc::new(filter),
+            }
+        };
+        let config = SessionConfig::default();
+        let plan = |bound: f64| {
+            PhysicalPlanner::new(&config, &source)
+                .create(&query(bound))
+                .unwrap()
+        };
+        let run = |plan: &Arc<dyn ExecutionPlan>| {
+            let ctx = TaskContext::new(2);
+            let rows = collect(plan, &ctx).unwrap();
+            let m = ctx.metrics.snapshot();
+            (rows, m.blocks_skipped_minmax, m.blocks_skipped_dominance)
+        };
+        let (first, second) = (plan(900.0), plan(900.0));
+        assert!(
+            Arc::ptr_eq(&gate_of(&first), &gate_of(&second)),
+            "one query, one gate"
+        );
+        let other = plan(600.0);
+        assert!(
+            !Arc::ptr_eq(&gate_of(&first), &gate_of(&other)),
+            "another filter, another gate"
+        );
+        let (rows, minmax, dominance) = run(&first);
+        assert!(dominance > 0, "the gate skips blocks");
+        assert_eq!(run(&second), (rows.clone(), minmax, dominance));
+        // The skip counts of a gate built afresh, outside the cache.
+        let fresh = crate::DiskScanExec::new("t", Arc::clone(&table), table.schema())
+            .with_filter(&predicate(900.0));
+        let (slot, sample) = fresh.dominance_skip_slot().unwrap();
+        let dims = [SkylineDim::min(0), SkylineDim::min(1)];
+        let gate = crate::DominanceSkip::from_sample(&dims, &sample).unwrap();
+        slot.set(Arc::new(gate)).unwrap();
+        let fresh: Arc<dyn ExecutionPlan> = Arc::new(fresh);
+        let (_, fresh_minmax, fresh_dominance) = run(&fresh);
+        assert_eq!((fresh_minmax, fresh_dominance), (minmax, dominance));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

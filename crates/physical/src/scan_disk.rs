@@ -27,305 +27,38 @@
 //! count, so a query's output does not depend on it.
 //!
 //! **Blocks stay columns.** A kept block decodes batch by batch into a
-//! [`ColumnBatch`] — `f64`/`i64` buffers, NULL flags and a selection
+//! [`ColumnBatch`](sparkline_common::ColumnBatch) — `f64`/`i64` buffers, NULL flags and a selection
 //! vector — and goes downstream as one; an operator that wants rows gets
 //! them built from the selected rows, and the local skyline builds one
 //! only for a row that survives its first cross-filter. The `Filter`
 //! directly above the scan is the scan's own when its whole predicate is
-//! an `AND` of exactly comparable `column <op> literal` conjuncts
-//! ([`exact_conjuncts`]): a `Float64` column against a non-NaN `Float64`
-//! literal or an `Int64` literal `f64` holds exactly, an `Int64` column
-//! against an `Int64` literal, with `<`, `<=`, `>`, `>=` or `=`. The scan
-//! then evaluates it on the buffers, with `Expr::evaluate`'s Kleene
-//! semantics and errors, narrows each batch's selection, and the planner
-//! plans no `FilterExec`. Any other predicate keeps its `FilterExec`
-//! above the scan, which evaluates it exactly, and only its comparable
-//! conjuncts on `Int64` and `Float64` columns reach the scan, as min/max
-//! bounds.
+//! an `AND` of exactly comparable `column <op> literal` conjuncts: the
+//! scan evaluates it on the buffers through the [`ScanFilter`] the
+//! in-memory scan uses too, and the planner plans no `FilterExec`. Any
+//! other predicate keeps its `FilterExec` above the scan, which evaluates
+//! it exactly, and only its comparable conjuncts on `Int64` and `Float64`
+//! columns reach the scan, as min/max bounds.
+//!
+//! **The gate is built once per input.** A `DiskTable` never changes, so
+//! the gate the planner builds for one set of ranked dimensions, passing
+//! sample rows, eligible blocks and filtered columns is the same every
+//! time: [`DominanceSkip::cached`] keeps it on the table
+//! ([`DiskTable::memoized`]), and every later plan with the same input
+//! shares it.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
 use sparkline_common::{
-    BatchColumn, ColumnBatch, ColumnValues, DataType, Result, Row, Schema, SchemaRef, SkylineDim,
-    SkylineSpec, SkylineType, Value,
+    DataType, Result, Row, SchemaRef, SkylineDim, SkylineSpec, SkylineType, Value,
 };
 use sparkline_exec::{partition::even_ranges, Batch, PartitionStream, TaskContext};
-use sparkline_plan::{split_conjuncts, BinaryOp, Expr};
+use sparkline_plan::Expr;
 use sparkline_skyline::{bnl_skyline, ColumnarBlock, DominanceChecker, SkylineStats};
-use sparkline_storage::{BlockDecoder, BlockMeta, ColumnMeta, DiskTable};
+use sparkline_storage::{BlockDecoder, BlockMeta, DiskTable};
 
+use crate::scan_filter::{extract_column_predicates, float_columns, ColumnPredicate, ScanFilter};
 use crate::ExecutionPlan;
-
-/// One pushed-down comparison `column <op> literal` of the `Filter` on a
-/// disk scan. A block's min/max can refute it; and when every conjunct of
-/// the filter is exactly comparable ([`exact_conjuncts`]) the scan
-/// evaluates them all on its column buffers and the planner drops the
-/// `FilterExec`. Otherwise the `FilterExec` above the scan evaluates
-/// the predicate, and pruning only discards blocks *no* row of which can
-/// pass, so results are identical with pruning on or off.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnPredicate {
-    /// Column position in the scan schema: an `Int64` or `Float64`
-    /// column, the only types whose footer bounds are their values' (a
-    /// `Boolean` column's 0/1 bounds do not compare with a number the way
-    /// its values do — that comparison fails).
-    pub col: usize,
-    /// The comparison, normalized to `column <op> literal`.
-    pub op: BinaryOp,
-    /// The literal: an `Int64`, or a `Float64` that is never NaN but may
-    /// be ±inf (an infinite bound refutes only what every finite value
-    /// would, so it is as sound as any other).
-    pub literal: Value,
-}
-
-/// A comparison's outcome on one row, as `Expr::evaluate` would give it.
-enum Truth {
-    True,
-    False,
-    /// The column is NULL: the comparison is NULL.
-    Unknown,
-    /// The values do not compare (a NaN): evaluation fails.
-    Incomparable,
-}
-
-impl ColumnPredicate {
-    /// The literal as an `f64`, for the footer's `f64` bounds.
-    fn bound(&self) -> f64 {
-        match self.literal {
-            Value::Int64(i) => i as f64,
-            Value::Float64(f) => f,
-            _ => f64::NAN,
-        }
-    }
-
-    /// Whether comparing a column of type `ty` with the literal is exact
-    /// on the scan's buffers: a `Float64` column with a `Float64` literal
-    /// or an `Int64` literal that `f64` holds exactly (the values then
-    /// compare as their `f64`s do), or an `Int64` column with an `Int64`
-    /// literal.
-    fn exact_on(&self, ty: DataType) -> bool {
-        match (ty, &self.literal) {
-            (DataType::Float64, Value::Float64(_)) | (DataType::Int64, Value::Int64(_)) => true,
-            (DataType::Float64, Value::Int64(i)) => *i != i64::MAX && (*i as f64) as i64 == *i,
-            _ => false,
-        }
-    }
-
-    /// The comparison on physical row `i` of `col`, with the semantics of
-    /// `Value::sql_compare`: a NULL row is unknown, a NaN incomparable.
-    fn truth(&self, col: &BatchColumn, i: usize) -> Truth {
-        if col.is_null(i) {
-            return Truth::Unknown;
-        }
-        let ord = match &col.values {
-            // Exact: the literal is a non-NaN f64, or an integer it holds.
-            ColumnValues::Float64(v) => v[i].partial_cmp(&self.bound()),
-            _ => col.value(i).sql_compare(&self.literal),
-        };
-        let Some(ord) = ord else {
-            return Truth::Incomparable;
-        };
-        let pass = match self.op {
-            BinaryOp::Lt => ord.is_lt(),
-            BinaryOp::LtEq => ord.is_le(),
-            BinaryOp::Gt => ord.is_gt(),
-            BinaryOp::GtEq => ord.is_ge(),
-            _ => ord.is_eq(),
-        };
-        if pass {
-            Truth::True
-        } else {
-            Truth::False
-        }
-    }
-
-    /// The column's footer entry when its bounds cover every non-NULL
-    /// row: no non-numeric values (strings, NaN), which the bounds don't
-    /// cover, and exact bounds (not an Int64 beyond 2^53, where the
-    /// literal and the rows may round differently).
-    fn covered<'a>(&self, meta: &'a BlockMeta) -> Option<&'a ColumnMeta> {
-        (meta.columns.get(self.col)).filter(|col| col.non_numeric == 0 && col.exact_bounds())
-    }
-
-    /// Whether the block provably contains no row satisfying this
-    /// predicate. NULL rows never satisfy a comparison (SQL three-valued
-    /// logic: the filter keeps only `TRUE`), so the decision rests on the
-    /// numeric `[min, max]` alone — unless the bounds do not cover the
-    /// column ([`covered`](Self::covered)); those blocks are never pruned.
-    fn refutes(&self, meta: &BlockMeta) -> bool {
-        let Some(col) = self.covered(meta) else {
-            return false;
-        };
-        let (Some(min), Some(max)) = (col.min, col.max) else {
-            // Every row is NULL: no row satisfies any comparison.
-            return true;
-        };
-        let v = self.bound();
-        match self.op {
-            BinaryOp::Lt => min >= v,
-            BinaryOp::LtEq => min > v,
-            BinaryOp::Gt => max <= v,
-            BinaryOp::GtEq => max < v,
-            BinaryOp::Eq => v < min || v > max,
-            _ => false,
-        }
-    }
-
-    /// Whether every row of the block satisfies this predicate, the
-    /// mirror of [`refutes`](Self::refutes). A NULL row satisfies no
-    /// comparison, so the column must also be NULL-free, and the block
-    /// must hold a row.
-    fn implied_by(&self, meta: &BlockMeta) -> bool {
-        let Some(col) = self.covered(meta).filter(|col| col.null_count == 0) else {
-            return false;
-        };
-        let (Some(min), Some(max)) = (col.min, col.max) else {
-            return false;
-        };
-        let v = self.bound();
-        match self.op {
-            BinaryOp::Lt => max < v,
-            BinaryOp::LtEq => max <= v,
-            BinaryOp::Gt => min > v,
-            BinaryOp::GtEq => min >= v,
-            BinaryOp::Eq => min == v && max == v,
-            _ => false,
-        }
-    }
-}
-
-/// The predicate of one `column <op> literal` comparison (either
-/// orientation), normalized, over an `Int64` or `Float64` column of
-/// `schema`; `None` for any other expression.
-fn comparison(e: &Expr, schema: &Schema) -> Option<ColumnPredicate> {
-    fn literal(e: &Expr) -> Option<Value> {
-        match e {
-            Expr::Literal(v @ Value::Int64(_)) => Some(v.clone()),
-            Expr::Literal(Value::Float64(f)) if !f.is_nan() => Some(Value::Float64(*f)),
-            _ => None,
-        }
-    }
-    fn flip(op: BinaryOp) -> BinaryOp {
-        match op {
-            BinaryOp::Lt => BinaryOp::Gt,
-            BinaryOp::LtEq => BinaryOp::GtEq,
-            BinaryOp::Gt => BinaryOp::Lt,
-            BinaryOp::GtEq => BinaryOp::LtEq,
-            other => other,
-        }
-    }
-    let Expr::BinaryOp { left, op, right } = e else {
-        return None;
-    };
-    if !matches!(
-        op,
-        BinaryOp::Lt | BinaryOp::LtEq | BinaryOp::Gt | BinaryOp::GtEq | BinaryOp::Eq
-    ) {
-        return None;
-    }
-    let (col, op, literal) = match (left.as_ref(), right.as_ref()) {
-        (Expr::BoundColumn(c), lit) => (c, *op, literal(lit)?),
-        (lit, Expr::BoundColumn(c)) => (c, flip(*op), literal(lit)?),
-        _ => return None,
-    };
-    let numeric = col.index < schema.len()
-        && matches!(
-            schema.field(col.index).data_type(),
-            DataType::Int64 | DataType::Float64
-        );
-    numeric.then_some(ColumnPredicate {
-        col: col.index,
-        op,
-        literal,
-    })
-}
-
-/// Extract the min/max-prunable conjuncts of a filter predicate sitting
-/// directly on a disk scan: `BoundColumn <op> numeric-literal` (either
-/// orientation) over an `Int64` or `Float64` column of `schema`, joined by
-/// `AND`. Everything else is ignored — missing a conjunct costs only
-/// pruning power.
-pub fn extract_column_predicates(predicate: &Expr, schema: &Schema) -> Vec<ColumnPredicate> {
-    (split_conjuncts(predicate).iter())
-        .filter_map(|e| comparison(e, schema))
-        .collect()
-}
-
-/// The conjuncts of `predicate`, in evaluation order, when it is an `AND`
-/// of comparisons each exactly comparable on its column of `schema`: the
-/// predicate a disk scan evaluates itself. `None` for any other predicate.
-pub fn exact_conjuncts(predicate: &Expr, schema: &Schema) -> Option<Vec<ColumnPredicate>> {
-    (split_conjuncts(predicate).iter())
-        .map(|e| comparison(e, schema).filter(|p| p.exact_on(schema.field(p.col).data_type())))
-        .collect()
-}
-
-/// The `WHERE` clause a disk scan evaluates on its column buffers, in
-/// place of the `FilterExec` it replaces.
-#[derive(Debug, Clone)]
-struct ScanFilter {
-    /// The filter's predicate, as written.
-    predicate: Expr,
-    /// Its conjuncts, in evaluation order.
-    conjuncts: Vec<ColumnPredicate>,
-}
-
-impl ScanFilter {
-    /// Narrow `batch`'s selection to the rows `predicate` evaluates to
-    /// TRUE on. Kleene `AND` evaluates the conjuncts left to right and
-    /// stops at the first FALSE, so a row stays a candidate while its
-    /// conjuncts are TRUE or NULL, and only a NULL-free row passes. A
-    /// comparison that fails (a NaN) is an error unless an earlier
-    /// conjunct is FALSE on that row; then the batch is evaluated row by
-    /// row through `Expr::evaluate`, exactly as the `FilterExec` would,
-    /// which raises its error.
-    fn apply(&self, batch: &mut ColumnBatch) -> Result<()> {
-        let mut rows = batch.selection().to_vec();
-        let mut unknown = vec![false; rows.len()];
-        for conjunct in &self.conjuncts {
-            let col = batch.column(conjunct.col);
-            let mut kept = 0;
-            for j in 0..rows.len() {
-                match conjunct.truth(col, rows[j]) {
-                    Truth::False => continue,
-                    Truth::True => {}
-                    Truth::Unknown => unknown[j] = true,
-                    Truth::Incomparable => return self.apply_by_rows(batch),
-                }
-                rows[kept] = rows[j];
-                unknown[kept] = unknown[j];
-                kept += 1;
-            }
-            rows.truncate(kept);
-            unknown.truncate(kept);
-        }
-        let mut known = unknown.iter();
-        rows.retain(|_| known.next() == Some(&false));
-        batch.set_selection(rows);
-        Ok(())
-    }
-
-    fn apply_by_rows(&self, batch: &mut ColumnBatch) -> Result<()> {
-        let mut rows = Vec::new();
-        for &i in batch.selection() {
-            if self.predicate.evaluate(&batch.row(i))? == Value::Boolean(true) {
-                rows.push(i);
-            }
-        }
-        batch.set_selection(rows);
-        Ok(())
-    }
-}
-
-/// The `Float64` columns `predicate` reads in `schema`: a NaN in one of
-/// them may make the predicate fail.
-pub(crate) fn float_columns(predicate: &Expr, schema: &Schema) -> Vec<usize> {
-    let mut columns = Vec::new();
-    predicate.referenced_indices(&mut columns);
-    columns.retain(|&c| c < schema.len() && schema.field(c).data_type() == DataType::Float64);
-    columns
-}
 
 /// Whether the block holds a NaN in one of the `Float64` `columns`.
 fn holds_nan(meta: &BlockMeta, columns: &[usize]) -> bool {
@@ -336,18 +69,37 @@ fn holds_nan(meta: &BlockMeta, columns: &[usize]) -> bool {
 /// operator (see `ExecutionPlan::pass_sample`).
 #[derive(Debug)]
 pub struct GateSample {
-    /// The scan's schema: it types each ranked dimension's points.
-    pub schema: SchemaRef,
-    /// The sample rows every operator on the way passes.
-    pub rows: Vec<Row>,
-    /// The metadata of the blocks whose rows all reach the skyline
-    /// operator: blocks holding a row, every conjunct of the scan's filter
-    /// implied by their bounds, with no operator above the scan that may
-    /// drop a row. Each adds corner points to the gate.
-    pub blocks: Vec<BlockMeta>,
+    /// The scanned table: its footer sample, blocks and column types.
+    pub table: Arc<DiskTable>,
+    /// The positions, in the table's footer sample, of the rows every
+    /// operator on the way passes.
+    pub rows: Vec<usize>,
+    /// The blocks whose rows all reach the skyline operator: blocks
+    /// holding a row, every conjunct of the scan's filter implied by their
+    /// bounds, with no operator above the scan that may drop a row. Each
+    /// adds corner points to the gate.
+    pub blocks: Vec<usize>,
     /// The `Float64` columns the filters above the scan read: a block
     /// with a NaN in one of them is never dominance-skipped.
     pub filter_columns: Vec<usize>,
+}
+
+impl GateSample {
+    /// Keep the sample rows `keep` accepts.
+    pub fn retain_rows(&mut self, mut keep: impl FnMut(&Row) -> bool) {
+        let sample = Arc::clone(self.table.sample());
+        self.rows.retain(|&i| keep(&sample[i]));
+    }
+}
+
+/// Everything a gate is built from besides the table: a gate built for an
+/// equal key over the same table is the same gate.
+#[derive(Debug, PartialEq)]
+struct GateKey {
+    dims: Vec<SkylineDim>,
+    rows: Vec<usize>,
+    blocks: Vec<usize>,
+    filter_columns: Vec<usize>,
 }
 
 /// One ranked dimension of the gate: its column in the scan, whether it
@@ -426,7 +178,7 @@ impl DominanceSkip {
     /// when there are no points, or when the points cannot be held by the
     /// kernel's block (it demoted to scalar fallback, e.g. on a string
     /// dimension); each only costs skips, never rows.
-    pub fn from_sample(dims: &[SkylineDim], sample: GateSample) -> Option<Self> {
+    pub fn from_sample(dims: &[SkylineDim], sample: &GateSample) -> Option<Self> {
         if dims.iter().any(|d| d.ty == SkylineType::Diff) {
             return None;
         }
@@ -437,7 +189,7 @@ impl DominanceSkip {
                 .collect(),
         );
         let checker = DominanceChecker::complete(spec);
-        let schema = &sample.schema;
+        let (table, schema) = (&sample.table, sample.table.schema());
         let dims: Vec<GateDim> = (dims.iter())
             .map(|d| {
                 let ty = schema.field(d.index).data_type();
@@ -446,11 +198,12 @@ impl DominanceSkip {
             .collect();
         let project = |r: &Row| Row::new(dims.iter().map(|d| r.get(d.0).clone()).collect());
         let sampled = bnl_skyline(
-            sample.rows.iter().map(project),
+            sample.rows.iter().map(|&i| project(&table.sample()[i])),
             &checker,
             &mut SkylineStats::default(),
         );
-        let corners = (sample.blocks.iter()).flat_map(|meta| corner_points(&dims, meta));
+        let corners =
+            (sample.blocks.iter()).flat_map(|&b| corner_points(&dims, table.block_meta(b)));
         let skyline = bnl_skyline(
             sampled.iter().cloned().chain(corners),
             &checker,
@@ -470,8 +223,24 @@ impl DominanceSkip {
             dims,
             points,
             from_corners,
-            filter_columns: sample.filter_columns,
+            filter_columns: sample.filter_columns.clone(),
         })
+    }
+
+    /// [`from_sample`](Self::from_sample), built once per input and
+    /// table: the gate is kept on the table
+    /// ([`DiskTable::memoized`]), keyed by the ranked dimensions, the
+    /// passing sample rows, the eligible blocks and the filtered columns —
+    /// all of its input besides the table — so a later plan over an equal
+    /// key shares this one.
+    pub fn cached(dims: &[SkylineDim], sample: GateSample) -> Option<Arc<Self>> {
+        let key = GateKey {
+            dims: dims.to_vec(),
+            rows: sample.rows.clone(),
+            blocks: sample.blocks.clone(),
+            filter_columns: sample.filter_columns.clone(),
+        };
+        (sample.table).memoized(key, || Self::from_sample(dims, &sample).map(Arc::new))
     }
 
     /// Whether some point strictly dominates the block's best corner —
@@ -504,11 +273,11 @@ impl DominanceSkip {
 /// block's *encoded* payload (budget-reserved against the query's
 /// [`MemoryTracker`](sparkline_exec::MemoryTracker)) and decodes it
 /// batch-by-batch into column buffers, so peak scan memory is one raw
-/// block plus one decoded [`ColumnBatch`] per executor — independent of
+/// block plus one decoded [`ColumnBatch`](sparkline_common::ColumnBatch) per executor — independent of
 /// file size — and a `Row` exists only where a consumer builds one.
 /// Blocks refuted by the min/max bounds or dominated through the skip
 /// slot are never read. A `WHERE` clause that is an `AND` of exactly
-/// comparable conjuncts ([`exact_conjuncts`]) is evaluated here, on the
+/// comparable conjuncts ([`ScanFilter`]) is evaluated here, on the
 /// buffers, and narrows each batch's selection vector.
 #[derive(Debug)]
 pub struct DiskScanExec {
@@ -520,7 +289,7 @@ pub struct DiskScanExec {
     /// NaN in one of them is never skipped.
     filter_columns: Vec<usize>,
     filter: Option<ScanFilter>,
-    skip: Arc<OnceLock<DominanceSkip>>,
+    skip: Arc<OnceLock<Arc<DominanceSkip>>>,
 }
 
 impl DiskScanExec {
@@ -549,10 +318,7 @@ impl DiskScanExec {
     /// `AND` of exactly comparable conjuncts the scan evaluates it too
     /// ([`evaluates_filter`](Self::evaluates_filter)).
     pub fn with_filter(self, predicate: &Expr) -> Self {
-        let filter = exact_conjuncts(predicate, &self.schema).map(|conjuncts| ScanFilter {
-            predicate: predicate.clone(),
-            conjuncts,
-        });
+        let filter = ScanFilter::new(predicate, &self.schema);
         let filter_columns = float_columns(predicate, &self.schema);
         let bounds = extract_column_predicates(predicate, &self.schema);
         let mut scan = self.with_bounds(bounds);
@@ -589,7 +355,7 @@ enum SkipKind {
 fn skip_verdict(
     bounds: &[ColumnPredicate],
     filter_columns: &[usize],
-    skip: &OnceLock<DominanceSkip>,
+    skip: &OnceLock<Arc<DominanceSkip>>,
     meta: &BlockMeta,
 ) -> (u64, Option<SkipKind>) {
     if holds_nan(meta, filter_columns) {
@@ -646,31 +412,27 @@ impl ExecutionPlan for DiskScanExec {
         vec![]
     }
 
-    fn dominance_skip_slot(&self) -> Option<(&OnceLock<DominanceSkip>, GateSample)> {
+    fn dominance_skip_slot(&self) -> Option<(&OnceLock<Arc<DominanceSkip>>, GateSample)> {
         // Narrowed by the scan's own filter, as the `FilterExec` it
         // replaces would pass the sample: every point is a row the skyline
         // receives. A block passes whole when its bounds imply every
         // conjunct (the `FilterExec` above a scan that does not evaluate
         // its filter drops the blocks itself). The scan guards its own
         // filter's columns itself.
-        let sample = self.table.sample().iter();
-        let rows = match &self.filter {
-            Some(filter) => sample
-                .filter(|row| matches!(filter.predicate.evaluate(row), Ok(Value::Boolean(true))))
-                .cloned()
+        let mut sample = GateSample {
+            table: Arc::clone(&self.table),
+            rows: (0..self.table.sample().len()).collect(),
+            blocks: (self.table.blocks().iter().enumerate())
+                .filter(|(_, meta)| meta.rows > 0 && self.bounds.iter().all(|b| b.implied_by(meta)))
+                .map(|(i, _)| i)
                 .collect(),
-            None => sample.cloned().collect(),
-        };
-        let blocks = (self.table.blocks().iter())
-            .filter(|meta| meta.rows > 0 && self.bounds.iter().all(|b| b.implied_by(meta)))
-            .cloned()
-            .collect();
-        let sample = GateSample {
-            schema: self.schema(),
-            rows,
-            blocks,
             filter_columns: Vec::new(),
         };
+        if let Some(filter) = &self.filter {
+            sample.retain_rows(|row| {
+                matches!(filter.predicate().evaluate(row), Ok(Value::Boolean(true)))
+            });
+        }
         Some((&self.skip, sample))
     }
 
@@ -749,15 +511,7 @@ impl ExecutionPlan for DiskScanExec {
         // report it exactly without executing anything.
         let pruned = self.prune();
         let filter = match &self.filter {
-            Some(filter) => {
-                let conjuncts: Vec<String> = (filter.conjuncts.iter())
-                    .map(|c| {
-                        let column = self.schema.field(c.col).name();
-                        format!("{column} {} {}", c.op.symbol(), c.literal)
-                    })
-                    .collect();
-                format!(", filter: {}", conjuncts.join(" AND "))
-            }
+            Some(filter) => format!(", filter: {}", filter.describe(&self.schema)),
             None => String::new(),
         };
         let gate = match self.skip.get() {
@@ -783,7 +537,7 @@ impl ExecutionPlan for DiskScanExec {
 mod tests {
     use super::*;
     use sparkline_common::{DataType, Field, Row, Schema, SkylineDim, SkylineType};
-    use sparkline_plan::BoundColumn;
+    use sparkline_plan::{BinaryOp, BoundColumn};
     use sparkline_storage::{TableWriter, WriterOptions};
 
     fn temp_file(name: &str) -> std::path::PathBuf {
@@ -968,8 +722,8 @@ mod tests {
         dims: &[SkylineDim],
     ) -> (Vec<Row>, sparkline_exec::MetricsSnapshot) {
         let (slot, sample) = scan.dominance_skip_slot().unwrap();
-        let skip = DominanceSkip::from_sample(dims, sample).unwrap();
-        slot.set(skip).unwrap();
+        let skip = DominanceSkip::from_sample(dims, &sample).unwrap();
+        slot.set(Arc::new(skip)).unwrap();
         let ctx = TaskContext::new(2);
         let got = sparkline_exec::partition::flatten(scan.execute(&ctx).unwrap());
         (got, ctx.metrics.snapshot())
@@ -992,7 +746,11 @@ mod tests {
         // The footer sample holds every row; its skyline is the global
         // optimum (0, 0), which strictly dominates the best corner of
         // every block but its own.
-        assert_eq!(scan.dominance_skip_slot().unwrap().1.rows, rows);
+        let (_, sample) = scan.dominance_skip_slot().unwrap();
+        let sampled: Vec<Row> = (sample.rows.iter())
+            .map(|&i| sample.table.sample()[i].clone())
+            .collect();
+        assert_eq!(sampled, rows);
         let (got, snap) = gated_scan(&scan, &dims);
         assert_eq!(snap.blocks_skipped_dominance, 4, "blocks 1..5 dominated");
         assert_eq!(snap.blocks_read, 1);
@@ -1122,7 +880,7 @@ mod tests {
             ..sample
         };
         assert!(
-            DominanceSkip::from_sample(&min_min(), sample_only).is_none(),
+            DominanceSkip::from_sample(&min_min(), &sample_only).is_none(),
             "the sample alone has no point"
         );
         let (got, snap) = gated_scan(&scan, &min_min());
@@ -1148,8 +906,8 @@ mod tests {
         dims: &[SkylineDim],
     ) -> (Vec<Row>, sparkline_exec::MetricsSnapshot) {
         let (slot, sample) = crate::find_dominance_skip_slot(plan).unwrap();
-        slot.set(DominanceSkip::from_sample(dims, sample).unwrap())
-            .unwrap();
+        let skip = DominanceSkip::from_sample(dims, &sample).unwrap();
+        slot.set(Arc::new(skip)).unwrap();
         let ctx = TaskContext::new(2);
         let got = sparkline_exec::partition::flatten(plan.execute(&ctx).unwrap());
         (got, ctx.metrics.snapshot())
@@ -1191,7 +949,7 @@ mod tests {
         let scan = DiskScanExec::new("t", table, schema).with_filter(&predicate);
         assert!(scan.evaluates_filter());
         let (_, sample) = scan.dominance_skip_slot().unwrap();
-        assert_eq!(sample.blocks, vec![scan.table().block_meta(1).clone()]);
+        assert_eq!(sample.blocks, vec![1]);
         let (got, snap) = gated_plan(&scan, &min_min());
         assert_eq!(snap.blocks_skipped_dominance, 0, "{snap:?}");
         assert_eq!(got, rows[1..].to_vec());
@@ -1289,17 +1047,15 @@ mod tests {
             SkylineDim::new(0, SkylineType::Min),
             SkylineDim::new(1, SkylineType::Diff),
         ];
-        let schema = Schema::new(vec![
-            Field::new("a", DataType::Float64, false),
-            Field::new("b", DataType::Float64, false),
-        ]);
+        let rows = vec![Row::new(vec![Value::Float64(0.0), Value::Float64(0.0)])];
+        let (table, _) = disk_table("diff", &rows, 2);
         let sample = GateSample {
-            schema: schema.into_ref(),
-            rows: vec![Row::new(vec![Value::Float64(0.0), Value::Float64(0.0)])],
+            table,
+            rows: vec![0],
             blocks: Vec::new(),
             filter_columns: Vec::new(),
         };
-        assert!(DominanceSkip::from_sample(&dims, sample).is_none());
+        assert!(DominanceSkip::from_sample(&dims, &sample).is_none());
     }
 
     #[test]

@@ -50,16 +50,19 @@ enum SkylineSink {
 impl SkylineSink {
     /// Fold one batch into the window, checking the query control at
     /// [`CONTROL_CHECK_ROWS`] granularity inside the admission loops. A
-    /// column batch reaches a BNL window as columns, so only the rows
-    /// that survive its first cross-filter become `Row`s; the class
-    /// windows take rows.
+    /// column batch reaches a BNL window or the class windows as columns,
+    /// so only the rows that survive a window's first cross-filter become
+    /// `Row`s.
     fn push_batch_checked(&mut self, batch: Batch, control: &QueryControl) -> Result<()> {
         match (self, batch) {
             (SkylineSink::Bnl(b), Batch::Columns(columns)) => {
                 b.push_columns_checked(&columns, control)
             }
-            (SkylineSink::Bnl(b), rows) => b.push_batch_checked(rows.into_rows(), control),
-            (SkylineSink::Grouped(g), batch) => g.push_batch_checked(batch.into_rows(), control),
+            (SkylineSink::Bnl(b), Batch::Rows(rows)) => b.push_batch_checked(rows, control),
+            (SkylineSink::Grouped(g), Batch::Columns(columns)) => {
+                g.push_columns_checked(&columns, control)
+            }
+            (SkylineSink::Grouped(g), Batch::Rows(rows)) => g.push_batch_checked(rows, control),
         }
     }
 
@@ -674,9 +677,9 @@ mod tests {
             Field::new("b", DataType::Int64, true),
         ])
         .into_ref();
-        Arc::new(ScanExec::new(
+        Arc::new(ScanExec::from_rows(
             "t",
-            Arc::new(rows.into_iter().map(Row::new).collect()),
+            rows.into_iter().map(Row::new).collect(),
             schema,
         ))
     }
@@ -732,7 +735,7 @@ mod tests {
             Field::new("z", DataType::Int64, true),
         ])
         .into_ref();
-        let scan: Arc<dyn ExecutionPlan> = Arc::new(ScanExec::new("t", Arc::new(rows), schema));
+        let scan: Arc<dyn ExecutionPlan> = Arc::new(ScanExec::from_rows("t", rows, schema));
         let local = LocalSkylineExec::new(spec.clone(), true, scan);
         GlobalSkylineExec::new(spec, true, Arc::new(local))
     }
@@ -899,13 +902,13 @@ mod tests {
             MinMaxDirection::Min,
             false,
             false,
-            Arc::new(ScanExec::new(
+            Arc::new(ScanExec::from_rows(
                 "t",
-                Arc::new(vec![
+                vec![
                     Row::new(vec![Value::Null, Value::Int64(1)]),
                     Row::new(vec![Value::Int64(3), Value::Int64(2)]),
                     Row::new(vec![Value::Int64(7), Value::Int64(3)]),
-                ]),
+                ],
                 Schema::new(vec![
                     Field::new("a", DataType::Int64, true),
                     Field::new("b", DataType::Int64, false),
@@ -957,7 +960,7 @@ mod tests {
             SkylineDim::min(1),
             SkylineDim::min(2),
         ]);
-        let scan: Arc<dyn ExecutionPlan> = Arc::new(ScanExec::new("t", Arc::new(rows), schema));
+        let scan: Arc<dyn ExecutionPlan> = Arc::new(ScanExec::from_rows("t", rows, schema));
         let local = LocalSkylineExec::new(spec3, true, scan);
         // One executor => single partition holding all three bitmaps.
         let rows = run(&local, 1);

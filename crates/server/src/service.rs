@@ -432,7 +432,7 @@ impl QueryService {
         } else if views.len() >= MAX_VIEWS {
             return;
         }
-        let Some(base_rows) = session.table_rows_snapshot(&table) else {
+        let Some(base) = session.table_snapshot(&table) else {
             return; // Disk-resident or concurrently dropped.
         };
         // Monotone versions: if the version still reads `version` after
@@ -441,9 +441,15 @@ impl QueryService {
         if session.catalog_version() != version {
             return;
         }
-        let projected: Vec<Row> = base_rows
-            .iter()
-            .map(|r| Row::new(projection.iter().map(|&i| r.values()[i].clone()).collect()))
+        // The view's rows are built from the chunks, projected.
+        let projected: Vec<Row> = (base.chunks().iter())
+            .flat_map(|chunk| {
+                let projection = &projection;
+                (0..chunk.len()).map(move |i| {
+                    let columns = chunk.columns();
+                    Row::new(projection.iter().map(|&c| columns[c].value(i)).collect())
+                })
+            })
             .collect();
         let Ok(skyband) = MaintainedSkyline::new(spec, VIEW_SKYBAND_K, &projected) else {
             return;

@@ -472,23 +472,31 @@ impl BnlBuilder {
     ) -> Result<()> {
         for chunk in batch.selection().chunks(FOLD_BATCH_ROWS) {
             control.check()?;
-            let mut rows = std::mem::take(&mut self.batch);
-            if self.ordered {
-                // 1. batch \ dominated-by-window, on the buffers.
-                self.filter_by_window(&BatchRows { batch, rows: chunk }, chunk.len());
-                rows.extend(
-                    (chunk.iter().zip(&self.alive))
-                        .filter(|(_, &alive)| alive)
-                        .map(|(&i, _)| batch.row(i)),
-                );
-                self.fold_survivors(&mut rows);
-            } else {
-                rows.extend(chunk.iter().map(|&i| batch.row(i)));
-                self.fold_batch(&mut rows);
-            }
-            self.batch = rows;
+            self.fold_columns(batch, chunk);
         }
         Ok(())
+    }
+
+    /// Fold the physical rows `rows` of `batch` (ascending, at most one
+    /// fold chunk) into the window, as [`fold_batch`](Self::fold_batch)
+    /// folds them as rows.
+    pub(crate) fn fold_columns(&mut self, batch: &ColumnBatch, rows: &[usize]) {
+        debug_assert!(rows.len() <= FOLD_BATCH_ROWS);
+        let mut built = std::mem::take(&mut self.batch);
+        if self.ordered {
+            // 1. batch \ dominated-by-window, on the buffers.
+            self.filter_by_window(&BatchRows { batch, rows }, rows.len());
+            built.extend(
+                (rows.iter().zip(&self.alive))
+                    .filter(|(_, &alive)| alive)
+                    .map(|(&i, _)| batch.row(i)),
+            );
+            self.fold_survivors(&mut built);
+        } else {
+            built.extend(rows.iter().map(|&i| batch.row(i)));
+            self.fold_batch(&mut built);
+        }
+        self.batch = built;
     }
 
     /// Pull `rows` through the builder's own chunk buffer,

@@ -95,7 +95,7 @@
 
 use std::collections::HashMap;
 
-use sparkline_common::{QueryControl, Result, Row, SkylineSpec, CONTROL_CHECK_ROWS};
+use sparkline_common::{ColumnBatch, QueryControl, Result, Row, SkylineSpec, CONTROL_CHECK_ROWS};
 
 use crate::bnl::{tier_for, BnlBuilder};
 use crate::columnar::KernelTier;
@@ -107,13 +107,19 @@ use crate::naive::naive_skyline;
 ///
 /// Supports up to 64 skyline dimensions, far beyond the paper's 6.
 pub fn null_bitmap(row: &Row, spec: &SkylineSpec) -> u64 {
+    bitmap_of(spec, |c| row.get(c).is_null())
+}
+
+/// The null bitmap over `spec`'s dimensions of a row whose column `c` is
+/// NULL iff `is_null(c)`.
+fn bitmap_of(spec: &SkylineSpec, is_null: impl Fn(usize) -> bool) -> u64 {
     assert!(
         spec.dims.len() <= 64,
         "at most 64 skyline dimensions are supported"
     );
     let mut bitmap = 0u64;
     for (i, dim) in spec.dims.iter().enumerate() {
-        if row.get(dim.index).is_null() {
+        if is_null(dim.index) {
             bitmap |= 1 << i;
         }
     }
@@ -175,8 +181,7 @@ impl GroupedBnlBuilder {
     /// The window slot of a row's bitmap class, creating the class window
     /// on first sight: within one class the restricted relation is
     /// transitive (Lemma 5.1), so the batch fold is sound.
-    fn slot_for(&mut self, row: &Row) -> usize {
-        let bitmap = null_bitmap(row, self.checker.spec());
+    fn slot_for(&mut self, bitmap: u64) -> usize {
         match self.index.get(&bitmap) {
             Some(&i) => i,
             None => {
@@ -195,7 +200,7 @@ impl GroupedBnlBuilder {
         let mut routed: Vec<(usize, Vec<Row>)> = Vec::new();
         let mut at: HashMap<usize, usize> = HashMap::new();
         for row in rows {
-            let slot = self.slot_for(&row);
+            let slot = self.slot_for(null_bitmap(&row, self.checker.spec()));
             let i = *at.entry(slot).or_insert_with(|| {
                 routed.push((slot, Vec::new()));
                 routed.len() - 1
@@ -218,6 +223,38 @@ impl GroupedBnlBuilder {
         while rows.peek().is_some() {
             control.check()?;
             self.push_batch(rows.by_ref().take(CONTROL_CHECK_ROWS));
+        }
+        Ok(())
+    }
+
+    /// [`push_batch_checked`](Self::push_batch_checked) for the selected
+    /// rows of a column batch, with the same routing, folds, control
+    /// checks, windows and statistics. Each run of [`CONTROL_CHECK_ROWS`]
+    /// selected rows is routed by the NULL flags of the ranked columns,
+    /// and each class window folds its share straight from the buffers, as
+    /// [`BnlBuilder::push_columns_checked`] does: a `Row` is built only
+    /// where that fold builds one.
+    pub fn push_columns_checked(
+        &mut self,
+        batch: &ColumnBatch,
+        control: &QueryControl,
+    ) -> Result<()> {
+        // (class window, its rows), classes in first-seen order.
+        let mut routed: Vec<(usize, Vec<usize>)> = Vec::new();
+        for run in batch.selection().chunks(CONTROL_CHECK_ROWS) {
+            control.check()?;
+            routed.clear();
+            for &i in run {
+                let bitmap = bitmap_of(self.checker.spec(), |c| batch.column(c).is_null(i));
+                let slot = self.slot_for(bitmap);
+                match routed.iter_mut().find(|(s, _)| *s == slot) {
+                    Some((_, rows)) => rows.push(i),
+                    None => routed.push((slot, vec![i])),
+                }
+            }
+            for (slot, rows) in &routed {
+                self.groups[*slot].fold_columns(batch, rows);
+            }
         }
         Ok(())
     }
@@ -516,6 +553,57 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// Mirrors `bnl::tests::column_fold_equals_row_fold` for the class
+    /// windows: the same rows and statistics from columns as from rows,
+    /// over runs longer than one routing window and one row per batch,
+    /// whole and narrowed selections, MIN/MAX and `DISTINCT`.
+    #[test]
+    fn column_intake_equals_row_intake() {
+        use sparkline_common::{DataType, Field, MemTable, Schema, SkylineDim};
+        let data = mixed_rows(2600, 3, 11);
+        let schema = Schema::new(
+            (0..3)
+                .map(|c| Field::new(format!("d{c}"), DataType::Int64, true))
+                .collect(),
+        );
+        let table = MemTable::from_rows(&schema, data.clone());
+        let control = QueryControl::unlimited();
+        let mixed = SkylineSpec::new(vec![
+            SkylineDim::max(0),
+            SkylineDim::min(1),
+            SkylineDim::max(2),
+        ]);
+        let distinct = SkylineSpec::distinct(spec3().dims);
+        for spec in [spec3(), mixed, distinct] {
+            let checker = DominanceChecker::incomplete(spec);
+            for size in [1, 24, 1500, data.len()] {
+                for narrowed in [false, true] {
+                    let mut by_rows = GroupedBnlBuilder::new(checker.clone(), true);
+                    let mut by_columns = GroupedBnlBuilder::new(checker.clone(), true);
+                    for start in (0..data.len()).step_by(size) {
+                        let mut batch = table.batch(start, (start + size).min(data.len()));
+                        if narrowed {
+                            let kept = (batch.selection().iter().copied())
+                                .filter(|i| i % 3 != 1)
+                                .collect();
+                            batch.set_selection(kept);
+                        }
+                        let rows = batch.clone().into_rows();
+                        by_rows.push_batch_checked(rows, &control).unwrap();
+                        by_columns.push_columns_checked(&batch, &control).unwrap();
+                    }
+                    let case = format!(
+                        "{:?}, batches of {size}, narrowed {narrowed}",
+                        checker.spec()
+                    );
+                    let (rows, stats) = by_rows.finish();
+                    assert_eq!(by_columns.finish(), (rows, stats), "{case}");
+                    assert!(stats.dominance_tests > 0, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

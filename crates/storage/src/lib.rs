@@ -52,8 +52,10 @@
 //! ## Row order
 //!
 //! Block metadata only skips blocks whose rows share a region of the
-//! space, so [`write_table`] (and the session's COPY, which calls it)
-//! chooses the row order; [`TableWriter`] keeps the order rows arrive in.
+//! space, so [`write_table`] (and [`write_mem_table`], the session's COPY,
+//! which reads an in-memory table's column chunks in place of rows and
+//! writes the same file) chooses the row order; [`TableWriter`] keeps the
+//! order rows arrive in.
 //! `write_table` reads the rows twice, once for each Int64/Float64
 //! column's finite min and max and once for each row's Z cell: the
 //! column is quantized linearly between its min and max (±inf clamp to
@@ -161,4 +163,4 @@ pub mod writer;
 
 pub use format::{sign_normalize_f64, sign_restore_f64, FOOTER_MAGIC, FORMAT_VERSION, MAGIC};
 pub use reader::{AggregateColumnStats, BlockDecoder, BlockMeta, ColumnMeta, DiskTable};
-pub use writer::{write_table, DiskTableSummary, TableWriter, WriterOptions};
+pub use writer::{write_mem_table, write_table, DiskTableSummary, TableWriter, WriterOptions};

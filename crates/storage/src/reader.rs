@@ -3,10 +3,12 @@
 //! the batch-at-a-time `BlockDecoder`, which decodes a block into column
 //! buffers ([`ColumnBatch`]); rows are built from those on request.
 
+use std::any::Any;
+use std::fmt;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use sparkline_common::{ColumnBatch, DataType, Result, Row, SchemaRef, Value};
 
@@ -96,6 +98,23 @@ pub struct AggregateColumnStats {
     pub max: Option<f64>,
 }
 
+/// How many values [`DiskTable::memoized`] keeps per table.
+const MEMO_ENTRIES: usize = 8;
+
+/// A memo entry: a key and the value built for it, both type-erased.
+type MemoEntry = (Box<dyn Any + Send + Sync>, Box<dyn Any + Send + Sync>);
+
+/// The values [`DiskTable::memoized`] keeps, least recently used first.
+#[derive(Default)]
+struct Memo(Mutex<Vec<MemoEntry>>);
+
+impl fmt::Debug for Memo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let entries = self.0.lock().map_or(0, |memo| memo.len());
+        write!(f, "Memo({entries} entries)")
+    }
+}
+
 /// An opened table file: schema, block directory, footer sample. Opening
 /// reads the header and footer only; block payloads are read on demand
 /// through [`DiskTable::read_block_raw`]. The handle is immutable and
@@ -111,6 +130,7 @@ pub struct DiskTable {
     sample: Arc<Vec<Row>>,
     sample_seed: u64,
     file_bytes: u64,
+    memo: Memo,
 }
 
 impl DiskTable {
@@ -226,7 +246,42 @@ impl DiskTable {
             sample: Arc::new(sample),
             sample_seed,
             file_bytes,
+            memo: Memo::default(),
         })
+    }
+
+    /// The value `build` makes for `key`, built once per key while it
+    /// stays among the table's last few keys. The handle never changes, so
+    /// a value that depends only on the table and on everything `key`
+    /// holds is the same at every call; the planner keeps the dominance
+    /// gate here. `build` runs outside the table's lock, and when two
+    /// callers race, the first value stored is the one both get.
+    pub fn memoized<K, V>(&self, key: K, build: impl FnOnce() -> V) -> V
+    where
+        K: PartialEq + Send + Sync + 'static,
+        V: Clone + Send + Sync + 'static,
+    {
+        let lookup = |memo: &mut Vec<MemoEntry>, key: &K| {
+            let at = (memo.iter()).position(|(k, _)| k.downcast_ref::<K>() == Some(key))?;
+            let entry = memo.remove(at);
+            let value = entry.1.downcast_ref::<V>().cloned();
+            memo.push(entry);
+            value
+        };
+        let lock = || self.memo.0.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(value) = lookup(&mut lock(), &key) {
+            return value;
+        }
+        let value = build();
+        let mut memo = lock();
+        if let Some(stored) = lookup(&mut memo, &key) {
+            return stored;
+        }
+        if memo.len() == MEMO_ENTRIES {
+            memo.remove(0);
+        }
+        memo.push((Box::new(key), Box::new(value.clone())));
+        value
     }
 
     /// The table schema.
@@ -502,6 +557,32 @@ mod tests {
             decoder.decode_columns(249, 250).unwrap().value(1, 0),
             Value::str("row499")
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn memoized_values_are_built_once_per_key_and_bounded() {
+        let path = temp_path("memo");
+        let table = table_with_nulls(&path);
+        let builds = std::cell::Cell::new(0);
+        let value = |key: u32| {
+            table.memoized(key, || {
+                builds.set(builds.get() + 1);
+                Arc::new(key * 10)
+            })
+        };
+        let first = value(1);
+        assert!(Arc::ptr_eq(&first, &value(1)), "a hit shares the value");
+        assert_eq!(builds.get(), 1);
+        assert_eq!(*value(2), 20);
+        assert_eq!(builds.get(), 2);
+        // Keys beyond the bound push out the least recently used.
+        for key in 3..3 + MEMO_ENTRIES as u32 {
+            value(key);
+        }
+        let before = builds.get();
+        assert!(!Arc::ptr_eq(&first, &value(1)), "key 1 was evicted");
+        assert_eq!(builds.get(), before + 1);
         std::fs::remove_file(&path).ok();
     }
 

@@ -10,7 +10,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use sparkline_common::stats::Reservoir;
-use sparkline_common::{DataType, Result, Row, Schema, SchemaRef, Value};
+use sparkline_common::{
+    Chunk, ColumnValues, DataType, MemTable, Result, Row, Schema, SchemaRef, Value, CHUNK_ROWS,
+};
 
 use crate::format::{
     encode_block, encode_schema, put_f64, put_u32, put_u64, storage_err, FOOTER_MAGIC,
@@ -211,25 +213,148 @@ pub fn write_table(
     rows: &[Row],
     opts: WriterOptions,
 ) -> Result<DiskTableSummary> {
+    write_clustered(path, schema, &[rows], opts)
+}
+
+/// [`write_table`] for an in-memory table: the session's COPY. The Z
+/// order and the blocks read the table's column chunks directly, so the
+/// table is never built as rows; only the footer sample's rows are. The
+/// file is the one [`write_table`] writes for the table's rows.
+pub fn write_mem_table(
+    path: impl AsRef<Path>,
+    schema: SchemaRef,
+    table: &MemTable,
+    opts: WriterOptions,
+) -> Result<DiskTableSummary> {
+    let chunks: Vec<&Chunk> = table.chunks().iter().map(|c| c.as_ref()).collect();
+    write_clustered(path, schema, &chunks, opts)
+}
+
+/// A run of consecutive input rows of [`write_clustered`], read by
+/// position: a slice of rows is one run, and each chunk of an in-memory
+/// table is one.
+trait Run {
+    /// Rows in the run.
+    fn len(&self) -> usize;
+    /// Column `c` of row `i` as a number on the Z grid: an `Int64` or
+    /// `Float64` value, `None` for NULL and any other value.
+    fn number(&self, i: usize, c: usize) -> Option<f64>;
+    /// Append row `i`'s values to `out`.
+    fn values_into(&self, i: usize, out: &mut Vec<Value>);
+    /// Row `i`.
+    fn row(&self, i: usize) -> Row;
+}
+
+impl Run for [Row] {
+    fn len(&self) -> usize {
+        <[Row]>::len(self)
+    }
+
+    fn number(&self, i: usize, c: usize) -> Option<f64> {
+        match self[i].values().get(c) {
+            Some(Value::Int64(v)) => Some(*v as f64),
+            Some(Value::Float64(f)) => Some(*f),
+            _ => None,
+        }
+    }
+
+    fn values_into(&self, i: usize, out: &mut Vec<Value>) {
+        out.extend_from_slice(self[i].values());
+    }
+
+    fn row(&self, i: usize) -> Row {
+        self[i].clone()
+    }
+}
+
+impl Run for Chunk {
+    fn len(&self) -> usize {
+        Chunk::len(self)
+    }
+
+    fn number(&self, i: usize, c: usize) -> Option<f64> {
+        let column = self.columns().get(c)?;
+        if column.is_null(i) {
+            return None;
+        }
+        match &column.values {
+            ColumnValues::Float64(v) => Some(v[i]),
+            ColumnValues::Int64(v) => Some(v[i] as f64),
+            ColumnValues::Values(v) => match &v[i] {
+                Value::Int64(v) => Some(*v as f64),
+                Value::Float64(f) => Some(*f),
+                _ => None,
+            },
+        }
+    }
+
+    fn values_into(&self, i: usize, out: &mut Vec<Value>) {
+        for column in self.columns() {
+            out.push(column.value(i));
+        }
+    }
+
+    fn row(&self, i: usize) -> Row {
+        Chunk::row(self, i)
+    }
+}
+
+/// The clustered write of [`write_table`] over consecutive `runs` of
+/// input rows; a row's position is its place in their concatenation.
+fn write_clustered<R: Run + ?Sized>(
+    path: impl AsRef<Path>,
+    schema: SchemaRef,
+    runs: &[&R],
+    opts: WriterOptions,
+) -> Result<DiskTableSummary> {
     // `create` rejects a zero `block_rows` before the order divides by it.
     let mut writer = TableWriter::create(path, Arc::clone(&schema), opts)?;
-    let perm = z_order(&schema, rows, opts.block_rows)?;
-    let mut block: Vec<&[Value]> = Vec::with_capacity(opts.block_rows.min(rows.len()));
+    let mut starts = Vec::with_capacity(runs.len() + 1);
+    starts.push(0);
+    for run in runs {
+        starts.push(starts[starts.len() - 1] + run.len());
+    }
+    let rows = starts[runs.len()];
+    let locate = |pos: usize| {
+        // Runs of `CHUNK_ROWS` rows but for the last are the common case.
+        let guess = (pos / CHUNK_ROWS).min(runs.len() - 1);
+        let k = if starts[guess] <= pos && pos < starts[guess + 1] {
+            guess
+        } else {
+            starts.partition_point(|&s| s <= pos) - 1
+        };
+        (runs[k], pos - starts[k])
+    };
+    let perm = z_order(&schema, runs, rows, opts.block_rows)?;
+    // One block's values, row after row, and where each row ends.
+    let mut values: Vec<Value> = Vec::new();
+    let mut ends: Vec<usize> = Vec::new();
     for chunk in perm.chunks(opts.block_rows) {
-        block.clear();
-        block.extend(chunk.iter().map(|&i| rows[i as usize].values()));
+        values.clear();
+        ends.clear();
+        for &pos in chunk {
+            let (run, i) = locate(pos as usize);
+            run.values_into(i, &mut values);
+            ends.push(values.len());
+        }
+        let block: Vec<&[Value]> = (0..ends.len())
+            .map(|k| &values[if k == 0 { 0 } else { ends[k - 1] }..ends[k]])
+            .collect();
         writer.write_block(&block)?;
     }
     drop(perm);
     // The sample is drawn over input positions, so it is the one a
-    // `TableWriter` fed the same rows would keep, without cloning a row
+    // `TableWriter` fed the same rows would keep, without building a row
     // that is not sampled.
     let mut reservoir = Reservoir::new(opts.sample_cap, opts.sample_seed);
-    for i in 0..rows.len() {
+    for i in 0..rows {
         reservoir.push(i);
     }
     let sample: Vec<Row> = (reservoir.into_rows().into_iter())
-        .map(|i| rows[i].clone())
+        .map(|pos| {
+            let (run, i) = locate(pos);
+            run.row(i)
+        })
         .collect();
     writer.finish_with_sample(&sample)
 }
@@ -261,11 +386,9 @@ impl Axis {
     /// above it (+inf) in the top slot; NULL, NaN and a constant column
     /// in slot 0. Halving both sides keeps `max − min` finite for any
     /// pair of finite `f64`s.
-    fn slot(&self, v: Option<&Value>) -> u32 {
-        let x = match v {
-            Some(Value::Int64(i)) => *i as f64,
-            Some(Value::Float64(f)) => *f,
-            _ => return 0,
+    fn slot(&self, v: Option<f64>) -> u32 {
+        let Some(x) = v else {
+            return 0;
         };
         let t = (x / 2.0 - self.half_lo) * self.scale;
         // `as` saturates: NaN and negatives go to 0, overflow to the top.
@@ -273,11 +396,12 @@ impl Axis {
     }
 }
 
-/// The Z cell of `row`: its axes' slots, bit-interleaved.
-fn z_cell(axes: &[Axis], row: &Row) -> u16 {
+/// The Z cell of a row whose column `c` is the number `number(c)`: its
+/// axes' slots, bit-interleaved.
+fn z_cell(axes: &[Axis], number: impl Fn(usize) -> Option<f64>) -> u16 {
     let mut cell = 0;
     for axis in axes {
-        let slot = axis.slot(row.values().get(axis.col));
+        let slot = axis.slot(number(axis.col));
         for (bit, &pos) in axis.positions.iter().enumerate() {
             cell |= ((slot >> bit & 1) as u16) << pos;
         }
@@ -286,28 +410,31 @@ fn z_cell(axes: &[Axis], row: &Row) -> u16 {
 }
 
 /// The row order [`write_table`] writes, as input positions in Z-cell
-/// order, stable within a cell. Two passes over `rows`: the first finds
-/// each numeric column's finite range, the second computes each row's
-/// cell; a stable counting sort over the cells then gives the
+/// order, stable within a cell. Two passes over the `rows` of `runs`: the
+/// first finds each numeric column's finite range, the second computes
+/// each row's cell; a stable counting sort over the cells then gives the
 /// permutation, one `u16` cell and one `u32` entry per row.
-fn z_order(schema: &Schema, rows: &[Row], block_rows: usize) -> Result<Vec<u32>> {
-    if u32::try_from(rows.len()).is_err() {
+fn z_order<R: Run + ?Sized>(
+    schema: &Schema,
+    runs: &[&R],
+    rows: usize,
+    block_rows: usize,
+) -> Result<Vec<u32>> {
+    if u32::try_from(rows).is_err() {
         return Err(storage_err(format!(
-            "{} rows exceed one file's u32 row positions",
-            rows.len()
+            "{rows} rows exceed one file's u32 row positions"
         )));
     }
+    let each_row = || (runs.iter()).flat_map(|run| (0..run.len()).map(move |i| (*run, i)));
     let numeric: Vec<usize> = (schema.fields().iter().enumerate())
         .filter(|(_, f)| matches!(f.data_type(), DataType::Int64 | DataType::Float64))
         .map(|(c, _)| c)
         .collect();
     let mut ranges = vec![(f64::INFINITY, f64::NEG_INFINITY); numeric.len()];
-    for row in rows {
+    for (run, i) in each_row() {
         for (range, &c) in ranges.iter_mut().zip(&numeric) {
-            let x = match row.values().get(c) {
-                Some(Value::Int64(i)) => *i as f64,
-                Some(Value::Float64(f)) if f.is_finite() => *f,
-                _ => continue,
+            let Some(x) = run.number(i, c).filter(|x| x.is_finite()) else {
+                continue;
             };
             range.0 = range.0.min(x);
             range.1 = range.1.max(x);
@@ -315,7 +442,7 @@ fn z_order(schema: &Schema, rows: &[Row], block_rows: usize) -> Result<Vec<u32>>
     }
     // About CELLS_PER_BLOCK cells per block, the bits dealt round-robin
     // over the axes.
-    let cells = rows.len().div_ceil(block_rows).max(1) * CELLS_PER_BLOCK;
+    let cells = rows.div_ceil(block_rows).max(1) * CELLS_PER_BLOCK;
     let total_bits = if numeric.is_empty() {
         0
     } else {
@@ -353,9 +480,9 @@ fn z_order(schema: &Schema, rows: &[Row], block_rows: usize) -> Result<Vec<u32>>
         }
     }
     let mut starts = vec![0u32; 1 << total_bits];
-    let cells: Vec<u16> = (rows.iter())
-        .map(|row| {
-            let cell = z_cell(&axes, row);
+    let cells: Vec<u16> = each_row()
+        .map(|(run, i)| {
+            let cell = z_cell(&axes, |c| run.number(i, c));
             starts[cell as usize] += 1;
             cell
         })
@@ -366,7 +493,7 @@ fn z_order(schema: &Schema, rows: &[Row], block_rows: usize) -> Result<Vec<u32>>
         *start = next;
         next += count;
     }
-    let mut perm = vec![0u32; rows.len()];
+    let mut perm = vec![0u32; rows];
     for (i, &cell) in cells.iter().enumerate() {
         let slot = &mut starts[cell as usize];
         perm[*slot as usize] = i as u32;
@@ -655,6 +782,50 @@ mod tests {
         assert_eq!(table.num_blocks(), 0);
         assert!(table.sample().is_empty());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_mem_table_writes_the_file_of_its_rows() {
+        // Mixed types, NULLs, NaN and uneven chunks after DELETE and INSERT.
+        let schema = Schema::new(vec![
+            Field::new("f", DataType::Float64, true),
+            Field::new("i", DataType::Int64, true),
+            Field::new("s", DataType::Utf8, true),
+        ])
+        .into_ref();
+        let row = |k: usize| {
+            let f = match k % 9 {
+                0 => Value::Null,
+                1 => Value::Float64(f64::NAN),
+                _ => Value::Float64((k * 37 % 101) as f64 - 50.0),
+            };
+            let i = if k.is_multiple_of(11) {
+                Value::Null
+            } else {
+                Value::Int64((k * 53 % 97) as i64)
+            };
+            Row::new(vec![f, i, Value::str(format!("r{}", k % 5))])
+        };
+        let chunk = sparkline_common::CHUNK_ROWS;
+        let mut table = MemTable::from_rows(&schema, (0..2 * chunk + 300).map(row).collect());
+        table.delete(&(chunk - 40..chunk + 40).collect::<Vec<_>>());
+        table.append((5000..5000 + chunk).map(row).collect());
+        let rows: Vec<Row> = table.rows().collect();
+        let opts = WriterOptions {
+            block_rows: 100,
+            sample_cap: 64,
+            sample_seed: 3,
+        };
+        let (from_rows, from_chunks) = (temp_path("rows-file"), temp_path("chunks-file"));
+        let a = write_table(&from_rows, Arc::clone(&schema), &rows, opts).unwrap();
+        let b = write_mem_table(&from_chunks, schema, &table, opts).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(
+            std::fs::read(&from_rows).unwrap(),
+            std::fs::read(&from_chunks).unwrap()
+        );
+        std::fs::remove_file(&from_rows).ok();
+        std::fs::remove_file(&from_chunks).ok();
     }
 
     #[test]

@@ -1,18 +1,23 @@
-//! Differential suite for the columnar disk scan: a disk table's blocks
-//! stay column buffers until a row reaches the skyline window, and a
-//! `WHERE` clause that is an `AND` of exactly comparable `column <op>
-//! literal` conjuncts is evaluated by the scan itself, with no
-//! `FilterExec`.
+//! Differential suite for the columnar scans, in memory and on disk: a
+//! table's chunks or blocks stay column buffers until a row reaches the
+//! skyline window, and a `WHERE` clause that is an `AND` of exactly
+//! comparable `column <op> literal` conjuncts is evaluated by the scan
+//! itself, with no `FilterExec`.
 //!
-//! Every case runs one query against the disk table `t` and against the
-//! in-memory table `m` holding the file's rows in file order. The results
-//! must be the same rows in the same order, bit for bit (NaN payloads and
-//! the sign of zero included), or the same error text. The matrix covers
-//! NULL, NaN, ±0.0, ±inf, `Int64` around ±2^53 against `Int64` and
-//! `Float64` literals, `Utf8` and `Boolean` columns, predicates the scan
-//! must leave to a `FilterExec`, `DISTINCT`, the incomplete relation and
-//! `LIMIT` above the skyline, over batch sizes {1, 7, block_rows − 1,
-//! block_rows + 1, default} × executors {1, 2, 4}.
+//! The disk cases run one query against the disk table `t` and against
+//! the in-memory table `m` holding the file's rows in file order. The
+//! results must be the same rows in the same order, bit for bit (NaN
+//! payloads and the sign of zero included), or the same error text. The
+//! matrix covers NULL, NaN, ±0.0, ±inf, `Int64` around ±2^53 against
+//! `Int64` and `Float64` literals, `Utf8` and `Boolean` columns,
+//! predicates the scan must leave to a `FilterExec`, `DISTINCT`, the
+//! incomplete relation and `LIMIT` above the skyline, over batch sizes
+//! {1, 7, block_rows − 1, block_rows + 1, default} × executors {1, 2, 4}.
+//!
+//! Both sides of those cases push their filter into a scan, so the memory
+//! cases check the in-memory scan against `Expr::evaluate` over the
+//! table's rows instead: the same rows in the same order, bit for bit, or
+//! the same error, on tables grown by INSERT and DELETE to uneven chunks.
 
 mod common;
 
@@ -21,10 +26,10 @@ use std::sync::Arc;
 use common::{bits, TempDir};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
+use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Value, CHUNK_ROWS};
 use sparkline_exec::{Batch, TaskContext};
 use sparkline_physical::{DiskScanExec, ExecutionPlan};
-use sparkline_plan::{BoundColumn, Expr};
+use sparkline_plan::{BoundColumn, Expr, LogicalPlan};
 use sparkline_storage::{DiskTable, TableWriter, WriterOptions};
 
 const BLOCK_ROWS: usize = 32;
@@ -496,4 +501,227 @@ fn a_closed_column_stream_releases_its_rows() {
     assert_eq!(in_flight(), batch.len());
     stream.close();
     assert_eq!(in_flight(), 0);
+}
+
+/// The analyzed `WHERE` predicate of `sql`.
+fn where_predicate(ctx: &SessionContext, sql: &str) -> Expr {
+    fn find(plan: &LogicalPlan) -> Option<Expr> {
+        match plan {
+            LogicalPlan::Filter { predicate, .. } => Some(predicate.clone()),
+            other => other.children().into_iter().find_map(|c| find(c)),
+        }
+    }
+    find(ctx.sql(sql).unwrap().logical_plan()).expect("the query has a WHERE clause")
+}
+
+/// The rows of `table` that `predicate` is TRUE on, through
+/// `Expr::evaluate` one row at a time, or its first error.
+fn evaluate_over_rows(
+    ctx: &SessionContext,
+    table: &str,
+    predicate: &Expr,
+) -> Result<Vec<Row>, String> {
+    let mut kept = Vec::new();
+    for row in ctx.table_snapshot(table).unwrap().rows() {
+        match predicate.evaluate(&row) {
+            Ok(Value::Boolean(true)) => kept.push(row),
+            Ok(_) => {}
+            Err(e) => return Err(e.to_string()),
+        }
+    }
+    Ok(kept)
+}
+
+/// `SELECT * FROM m WHERE {p}` against `Expr::evaluate` over `m`'s rows:
+/// the same rows in the same order, bit for bit, or the same error. A
+/// pushed predicate plans no `FilterExec`. With one executor the
+/// skyline shapes must also equal the skyline of the evaluated rows.
+/// Returns the error, if any.
+fn assert_memory_matches_rows(
+    ctx: &SessionContext,
+    schema: &Schema,
+    p: &str,
+    case: &str,
+) -> Option<String> {
+    let sql = format!("SELECT * FROM m WHERE {p}");
+    let (plan, filtered) = explain(ctx, &sql);
+    let pushed = PUSHED.contains(&p) || MEMORY_PUSHED.contains(&p);
+    assert_eq!(
+        !filtered && plan.contains(", filter: "),
+        pushed,
+        "{p}:\n{plan}"
+    );
+    let expected = evaluate_over_rows(ctx, "m", &where_predicate(ctx, &sql));
+    let got = ctx.sql(&sql).and_then(|df| df.collect());
+    match (&got, &expected) {
+        (Ok(got), Ok(expected)) => assert_eq!(bits(&got.rows), bits(expected), "{case}: {sql}"),
+        (Err(got), Err(expected)) => assert_eq!(&got.to_string(), expected, "{case}: {sql}"),
+        _ => panic!(
+            "{case}: {sql}\n memory: {:?}\n rows: {:?}",
+            got.as_ref().map(|r| r.num_rows()),
+            expected.as_ref().map(Vec::len)
+        ),
+    }
+    let Ok(filtered_rows) = expected else {
+        return got.err().map(|e| e.to_string());
+    };
+    if ctx.config().num_executors == 1 {
+        ctx.register_table("evaluated", schema.clone(), filtered_rows)
+            .unwrap();
+        for skyline in [
+            "SKYLINE OF a MIN, b MIN",
+            "SKYLINE OF COMPLETE a MIN, b MAX",
+            "SKYLINE OF DISTINCT COMPLETE i MIN, a MIN",
+        ] {
+            let pushed_sql = format!("{sql} {skyline}");
+            let got = ctx.sql(&pushed_sql).and_then(|df| df.collect()).unwrap();
+            let oracle_sql = format!("SELECT * FROM evaluated {skyline}");
+            let oracle = ctx.sql(&oracle_sql).and_then(|df| df.collect()).unwrap();
+            assert_eq!(bits(&got.rows), bits(&oracle.rows), "{case}: {pushed_sql}");
+        }
+        ctx.deregister_table("evaluated");
+    }
+    None
+}
+
+/// Predicates the in-memory scan evaluates itself beyond [`PUSHED`]: an
+/// `Int64` literal against a `Float64` column, `Int64` literals at
+/// 2^53 ± 1, and a NaN-bearing column.
+const MEMORY_PUSHED: &[&str] = &[
+    "a < 1",
+    "a >= -2 AND b <= 0",
+    "a = 0",
+    "1 > b",
+    "i > 9007199254740991",
+    "i < 9007199254740993",
+    "i = 9007199254740991",
+    "i >= -9007199254740993 AND i <= -9007199254740991",
+    "n < 0.5",
+    "a > 2 AND n < 0.5",
+    "n >= 0 AND a < 0.5",
+    "a < 0.5 AND n < 0.5",
+];
+
+/// `m` grown by INSERT and DELETE to uneven chunks: registered from
+/// `rows`, then `more` inserted, then an exactly comparable and a
+/// row-evaluated DELETE, each checked against `Expr::evaluate` over the
+/// rows it saw.
+fn grown_session(
+    schema: &Schema,
+    rows: Vec<Row>,
+    more: Vec<Row>,
+    config: SessionConfig,
+) -> SessionContext {
+    let ctx = SessionContext::with_config(config);
+    ctx.register_table("m", schema.clone(), rows).unwrap();
+    ctx.insert_rows("m", more).unwrap();
+    let col = Expr::col;
+    for (p, unbound) in [
+        // Evaluated on the chunks' buffers.
+        (
+            "i > 3 AND a < 0",
+            col("i")
+                .gt(Expr::lit(3i64))
+                .and(col("a").lt(Expr::lit(0i64))),
+        ),
+        // Evaluated row by row.
+        (
+            "s = 's1' OR b > 0.5",
+            col("s").eq(Expr::lit("s1")).or(col("b").gt(Expr::lit(0.5))),
+        ),
+    ] {
+        let predicate = where_predicate(&ctx, &format!("SELECT * FROM m WHERE {p}"));
+        let before: Vec<Row> = ctx.table_snapshot("m").unwrap().rows().collect();
+        let deleted = ctx.delete_where("m", Some(&unbound)).unwrap();
+        let expected: Vec<usize> = (before.iter().enumerate())
+            .filter(|(_, row)| predicate.evaluate(row).unwrap() == Value::Boolean(true))
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(deleted, expected, "DELETE WHERE {p}");
+        let after: Vec<Row> = ctx.table_snapshot("m").unwrap().rows().collect();
+        let kept: Vec<Row> = (before.into_iter().enumerate())
+            .filter(|(k, _)| !expected.contains(k))
+            .map(|(_, row)| row)
+            .collect();
+        assert_eq!(bits(&after), bits(&kept), "DELETE WHERE {p}");
+    }
+    ctx
+}
+
+#[test]
+fn the_memory_scan_filters_as_rows_do_on_uneven_chunks() {
+    let (schema, rows) = edge_table(CHUNK_ROWS + 700, 11);
+    let (_, more) = edge_table(CHUNK_ROWS + 300, 12);
+    for executors in [1, 3] {
+        for batch_size in [7, CHUNK_ROWS - 1, SessionConfig::default().batch_size] {
+            let case = format!("batch {batch_size}, {executors} executors");
+            let config = SessionConfig::default()
+                .with_executors(executors)
+                .with_batch_size(batch_size);
+            let ctx = grown_session(&schema, rows.clone(), more.clone(), config);
+            let table = ctx.table_snapshot("m").unwrap();
+            let sizes: Vec<usize> = table.chunks().iter().map(|c| c.len()).collect();
+            assert!(
+                sizes.len() >= 3 && sizes.iter().filter(|&&n| n < CHUNK_ROWS).count() >= 2,
+                "{sizes:?}"
+            );
+            for p in PUSHED.iter().chain(MEMORY_PUSHED).chain(KEPT) {
+                assert_memory_matches_rows(&ctx, &schema, p, &case);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_nan_in_a_filtered_memory_column_fails_with_the_filter_error() {
+    let (schema, rows) = edge_table(600, 13);
+    let ctx = grown_session(
+        &schema,
+        rows,
+        Vec::new(),
+        SessionConfig::default().with_batch_size(64),
+    );
+    for p in ["n < 0.5", "n >= 0 AND a < 0.5", "a < 0.5 AND n < 0.5"] {
+        let err = assert_memory_matches_rows(&ctx, &schema, p, "nan");
+        assert!(
+            err.as_deref()
+                .is_some_and(|e| e.contains("cannot compare DOUBLE with")),
+            "{p}: {err:?}"
+        );
+    }
+}
+
+#[test]
+fn null_rows_drop_from_a_pushed_memory_filter() {
+    let schema = Schema::new(vec![
+        field("a", DataType::Float64),
+        field("b", DataType::Int64),
+    ]);
+    let rows: Vec<Row> = (0..3000)
+        .map(|k: i64| {
+            let a = if k % 4 == 0 {
+                Value::Null
+            } else {
+                Value::Float64((k % 10) as f64)
+            };
+            let b = if k % 6 == 0 {
+                Value::Null
+            } else {
+                Value::Int64(k % 9)
+            };
+            Row::new(vec![a, b])
+        })
+        .collect();
+    let ctx = SessionContext::with_config(SessionConfig::default().with_executors(2));
+    ctx.register_table("m", schema, rows).unwrap();
+    let sql = "SELECT * FROM m WHERE a < 5 AND b >= 2";
+    assert!(!explain(&ctx, sql).1, "the scan evaluates the filter");
+    let got = ctx.sql(sql).unwrap().collect().unwrap();
+    let expected = evaluate_over_rows(&ctx, "m", &where_predicate(&ctx, sql)).unwrap();
+    assert_eq!(bits(&got.rows), bits(&expected));
+    assert!(got
+        .rows
+        .iter()
+        .all(|r| !r.get(0).is_null() && !r.get(1).is_null()));
+    assert!(!expected.is_empty());
 }

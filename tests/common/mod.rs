@@ -15,7 +15,6 @@
 // uses only a subset of the helpers.
 #![allow(dead_code)]
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -247,8 +246,8 @@ pub fn flat_incomplete_oracle(
 struct SessionTables<'a>(&'a SessionContext);
 
 impl sparkline_physical::ExecTableSource for SessionTables<'_> {
-    fn table_rows(&self, name: &str) -> Option<Arc<Vec<Row>>> {
-        self.0.table_rows_snapshot(name)
+    fn mem_table(&self, name: &str) -> Option<sparkline_common::MemTable> {
+        self.0.table_snapshot(name)
     }
 }
 

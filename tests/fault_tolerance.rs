@@ -247,7 +247,7 @@ fn a_denied_reservation_releases_every_reservation() {
         let rows = (0..n)
             .map(|i| Row::new(vec![Value::Int64(i), Value::Int64(n - i)]))
             .collect();
-        Arc::new(ScanExec::new("t", Arc::new(rows), Arc::clone(&schema)))
+        Arc::new(ScanExec::from_rows("t", rows, Arc::clone(&schema)))
     };
     let released = |ctx: &TaskContext| {
         (
