@@ -149,6 +149,24 @@ impl ColumnBuilder {
         }
     }
 
+    /// Append row `i` of `column`: a copy between typed buffers of one
+    /// kind, [`push`](Self::push) otherwise.
+    #[inline]
+    pub(crate) fn push_from(&mut self, column: &BatchColumn, i: usize) {
+        match (&mut self.values, &column.values) {
+            (ColumnValues::Float64(v), ColumnValues::Float64(src)) => v.push(src[i]),
+            (ColumnValues::Int64(v), ColumnValues::Int64(src)) => v.push(src[i]),
+            _ => return self.push(column.value(i)),
+        }
+        let null = column.is_null(i);
+        if null || self.nulls.is_some() {
+            let before = self.len() - 1;
+            self.nulls
+                .get_or_insert_with(|| vec![false; before])
+                .push(null);
+        }
+    }
+
     /// Turn a typed buffer into values.
     fn demote(&mut self) {
         let column = BatchColumn {

@@ -11,6 +11,7 @@
 //! chunks that hold a deleted row and shares every other. A [`Row`] exists
 //! only where a consumer builds one.
 
+use std::borrow::Borrow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -37,10 +38,10 @@ impl Chunk {
     /// columns of `types`. Each row goes to `check` first and is dropped
     /// once its values are copied, while it is still in cache; the first
     /// error is the result.
-    fn build(
+    fn build<R: Borrow<Row>>(
         types: &[DataType],
         prefix: Option<&Chunk>,
-        rows: &mut std::vec::IntoIter<Row>,
+        rows: &mut impl ExactSizeIterator<Item = R>,
         take: usize,
         check: &mut impl FnMut(&Row) -> Result<()>,
     ) -> Result<Chunk> {
@@ -56,7 +57,8 @@ impl Chunk {
             })
             .collect();
         for row in rows.take(take) {
-            check(&row)?;
+            let row = row.borrow();
+            check(row)?;
             for (column, value) in columns.iter_mut().zip(row.values()) {
                 column.push_ref(value);
             }
@@ -141,10 +143,10 @@ impl MemTable {
 
     /// [`from_rows`](Self::from_rows), handing each row and its position
     /// to `check` before its values join the columns; the first error is
-    /// the result.
-    pub fn from_checked_rows(
+    /// the result. `rows` may also be borrowed, and is then copied.
+    pub fn from_checked_rows<R: Borrow<Row>>(
         schema: &Schema,
-        rows: Vec<Row>,
+        rows: impl IntoIterator<Item = R, IntoIter: ExactSizeIterator>,
         mut check: impl FnMut(usize, &Row) -> Result<()>,
     ) -> Result<Self> {
         let mut table = MemTable::new(schema);
@@ -177,8 +179,15 @@ impl MemTable {
     }
 
     /// The chunk holding row `pos`, and the row's place in it.
+    #[inline]
     fn locate(&self, pos: usize) -> (usize, usize) {
-        let k = self.starts.partition_point(|&s| s <= pos) - 1;
+        // Full chunks of `CHUNK_ROWS` rows are the common case.
+        let guess = (pos / CHUNK_ROWS).min(self.chunks.len().saturating_sub(1));
+        let k = if self.starts[guess] <= pos && pos < self.starts[guess + 1] {
+            guess
+        } else {
+            self.starts.partition_point(|&s| s <= pos) - 1
+        };
         (k, pos - self.starts[k])
     }
 
@@ -211,6 +220,24 @@ impl MemTable {
         ColumnBatch::new(columns, end - start)
     }
 
+    /// The rows at table `positions`, in that order, gathered out of the
+    /// chunks into one column batch, every row selected. A row's cells are
+    /// copied together, buffer to buffer, so the gather reads each source
+    /// row once. Panics on a position out of bounds.
+    pub fn take(&self, positions: &[u32]) -> ColumnBatch {
+        let mut columns: Vec<ColumnBuilder> = (self.types.iter())
+            .map(|&ty| ColumnBuilder::new(ty, positions.len()))
+            .collect();
+        for &pos in positions {
+            let (k, i) = self.locate(pos as usize);
+            for (column, source) in columns.iter_mut().zip(&self.chunks[k].columns) {
+                column.push_from(source, i);
+            }
+        }
+        let columns = columns.into_iter().map(ColumnBuilder::finish).collect();
+        ColumnBatch::new(columns, positions.len())
+    }
+
     /// Append `rows`, consumed one chunk at a time. Only the last chunk,
     /// when partly filled, is copied (filled up with the first rows); the
     /// rest become new chunks of [`CHUNK_ROWS`] rows, the last perhaps
@@ -222,9 +249,9 @@ impl MemTable {
 
     /// [`append`](Self::append), each row passed to `check` first. On an
     /// error the table holds the chunks completed before it.
-    fn append_checked(
+    fn append_checked<R: Borrow<Row>>(
         &mut self,
-        rows: Vec<Row>,
+        rows: impl IntoIterator<Item = R, IntoIter: ExactSizeIterator>,
         mut check: impl FnMut(&Row) -> Result<()>,
     ) -> Result<()> {
         let mut rows = rows.into_iter();
@@ -364,6 +391,43 @@ mod tests {
         let table = MemTable::from_rows(&schema, data.clone());
         assert_eq!(table.rows().collect::<Vec<_>>(), data);
         assert_eq!(table.batch(0, 3).into_rows(), data);
+    }
+
+    #[test]
+    fn take_gathers_rows_by_table_position() {
+        let mut table = MemTable::from_rows(&schema(), rows(0..2 * CHUNK_ROWS + 30));
+        table.delete(&(CHUNK_ROWS - 9..CHUNK_ROWS + 9).collect::<Vec<_>>());
+        table.append(rows(7000..7100));
+        let all: Vec<Row> = table.rows().collect();
+        let positions: Vec<u32> = (0..all.len() as u32)
+            .rev()
+            .step_by(7)
+            .chain([3, 3])
+            .collect();
+        let batch = table.take(&positions);
+        let expected: Vec<Row> = positions.iter().map(|&p| all[p as usize].clone()).collect();
+        assert_eq!(batch.into_rows(), expected);
+        // NULL flags only where a gathered row is NULL, typed buffers kept.
+        let batch = table.take(&[1, 2, 4]);
+        assert!(batch.column(0).nulls.is_none());
+        assert!(matches!(batch.column(0).values, ColumnValues::Float64(_)));
+        assert_eq!(table.take(&[5, 1]).column(0).nulls, Some(vec![true, false]));
+        assert!(table.take(&[]).is_empty());
+        // A value of another type turns the gathered column into values.
+        let schema = Schema::new(vec![Field::new("x", DataType::Int64, true)]);
+        let odd = vec![
+            Row::new(vec![Value::Int64(1)]),
+            Row::new(vec![Value::str("a")]),
+        ];
+        let table = MemTable::from_rows(&schema, odd.clone());
+        assert!(matches!(
+            table.take(&[0]).column(0).values,
+            ColumnValues::Int64(_)
+        ));
+        assert_eq!(
+            table.take(&[1, 0]).into_rows(),
+            [odd[1].clone(), odd[0].clone()]
+        );
     }
 
     #[test]

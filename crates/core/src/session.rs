@@ -109,12 +109,15 @@ impl SessionContext {
     /// block format, using the session's storage knobs
     /// (`storage_block_rows` for the block granularity, `sample_size` /
     /// `sample_seed` for the footer's reservoir sample). It writes through
-    /// [`sparkline_storage::write_mem_table`], which reads the table's
-    /// column chunks (the table is not built as rows) and writes what
-    /// [`sparkline_storage::write_table`] writes for its rows: the file
-    /// does **not** keep the table's row order, rows are clustered in Z
-    /// order so block metadata can skip blocks (see `sparkline_storage`'s
-    /// "Row order"). The same rows always write the same file.
+    /// [`sparkline_storage::write_mem_table`], which orders the rows and
+    /// gathers every block and the footer sample out of the table's column
+    /// chunks, so no row is built: the file does **not** keep the table's
+    /// row order, rows are clustered in Z order so block metadata can skip
+    /// blocks (see `sparkline_storage`'s "Row order"). The same rows always
+    /// write the same file. The file is written beside `path` and renamed
+    /// over it once complete, so a failed COPY leaves `path` as it was. A
+    /// disk table registered from `path` before the COPY fails its next
+    /// scan with a typed `storage:` error until it is registered again.
     pub fn copy_table_to_disk(
         &self,
         name: &str,

@@ -394,11 +394,9 @@ mod tests {
             Field::new("v", DataType::Int64, true),
         ])
         .into_ref();
-        Arc::new(ScanExec::from_rows(
-            "t",
-            rows.into_iter().map(Row::new).collect(),
-            schema,
-        ))
+        Arc::new(
+            ScanExec::from_rows("t", rows.into_iter().map(Row::new).collect(), schema).unwrap(),
+        )
     }
 
     fn run(plan: &dyn ExecutionPlan) -> Vec<Row> {

@@ -432,11 +432,9 @@ mod tests {
             Field::new("b", DataType::Int64, true),
         ])
         .into_ref();
-        Arc::new(ScanExec::from_rows(
-            "t",
-            rows.into_iter().map(Row::new).collect(),
-            schema,
-        ))
+        Arc::new(
+            ScanExec::from_rows("t", rows.into_iter().map(Row::new).collect(), schema).unwrap(),
+        )
     }
 
     fn col(i: usize) -> Expr {

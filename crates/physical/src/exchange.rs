@@ -72,7 +72,7 @@ mod tests {
             Field::new("b", DataType::Int64, true),
         ])
         .into_ref();
-        Arc::new(ScanExec::from_rows("t", rows, schema))
+        Arc::new(ScanExec::from_rows("t", rows, schema).unwrap())
     }
 
     fn rows_with_nulls() -> Vec<Row> {

@@ -80,7 +80,7 @@ impl<'a> PhysicalPlanner<'a> {
                 "values",
                 rows.as_ref().clone(),
                 Arc::clone(schema),
-            )),
+            )?),
             LogicalPlan::Projection { exprs, input } => {
                 let child = self.create(input)?;
                 Arc::new(ProjectExec::new(exprs.clone(), plan.schema()?, child))

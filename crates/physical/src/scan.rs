@@ -16,7 +16,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use sparkline_common::{MemTable, Result, Row, SchemaRef};
+use sparkline_common::{Error, MemTable, Result, Row, SchemaRef};
 use sparkline_exec::{partition::even_ranges, Batch, PartitionStream, TaskContext};
 use sparkline_plan::Expr;
 
@@ -50,9 +50,21 @@ impl ScanExec {
     }
 
     /// Scan over `rows`, built into a table of `schema`'s column types
-    /// (inline `VALUES` rows).
-    pub fn from_rows(label: impl Into<String>, rows: Vec<Row>, schema: SchemaRef) -> Self {
-        ScanExec::new(label, MemTable::from_rows(&schema, rows), schema)
+    /// (inline `VALUES` rows). A row whose width is not the schema's is a
+    /// plan error.
+    pub fn from_rows(label: impl Into<String>, rows: Vec<Row>, schema: SchemaRef) -> Result<Self> {
+        let label = label.into();
+        let table = MemTable::from_checked_rows(&schema, rows, |i, row| {
+            if row.width() == schema.len() {
+                return Ok(());
+            }
+            Err(Error::plan(format!(
+                "{label}: row {i} has {} values, schema has {} columns",
+                row.width(),
+                schema.len()
+            )))
+        })?;
+        Ok(ScanExec::new(label, table, schema))
     }
 
     /// Take over the `Filter` directly above the scan when its whole
@@ -145,7 +157,7 @@ mod tests {
             .map(|i| Row::new(vec![Value::Int64(i as i64)]))
             .collect();
         let schema = Schema::new(vec![Field::new("x", DataType::Int64, false)]).into_ref();
-        ScanExec::from_rows("t", rows, schema)
+        ScanExec::from_rows("t", rows, schema).unwrap()
     }
 
     #[test]

@@ -448,12 +448,16 @@ impl ExecutionPlan for DiskScanExec {
         ctx.metrics
             .add_blocks_skipped(pruned.minmax, pruned.dominance);
         let kept: Arc<[usize]> = pruned.kept.into();
+        // One handle for every stream, checked against the footer the
+        // pruning above read: a file replaced since fails the query.
+        let file = Arc::new(self.table.open_file()?);
         let ranges = even_ranges(kept.len(), ctx.runtime.num_executors());
         let batch_size = ctx.batch_size.max(1);
         Ok(ranges
             .into_iter()
             .map(|(start, end)| {
                 let table = Arc::clone(&self.table);
+                let file = Arc::clone(&file);
                 let schema = self.schema();
                 let kept = Arc::clone(&kept);
                 let filter = self.filter.clone();
@@ -491,7 +495,8 @@ impl ExecutionPlan for DiskScanExec {
                         if next >= end {
                             return Ok(None);
                         }
-                        let decoder = table.block_decoder(kept[next], Arc::clone(&schema))?;
+                        let decoder =
+                            table.block_decoder(&file, kept[next], Arc::clone(&schema))?;
                         next += 1;
                         let mut reservation = ctx.reservation();
                         reservation.try_resize(0, decoder.raw_bytes())?;

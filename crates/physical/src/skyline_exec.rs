@@ -677,11 +677,9 @@ mod tests {
             Field::new("b", DataType::Int64, true),
         ])
         .into_ref();
-        Arc::new(ScanExec::from_rows(
-            "t",
-            rows.into_iter().map(Row::new).collect(),
-            schema,
-        ))
+        Arc::new(
+            ScanExec::from_rows("t", rows.into_iter().map(Row::new).collect(), schema).unwrap(),
+        )
     }
 
     fn int_rows(data: &[(i64, i64)]) -> Vec<Vec<Value>> {
@@ -735,7 +733,8 @@ mod tests {
             Field::new("z", DataType::Int64, true),
         ])
         .into_ref();
-        let scan: Arc<dyn ExecutionPlan> = Arc::new(ScanExec::from_rows("t", rows, schema));
+        let scan: Arc<dyn ExecutionPlan> =
+            Arc::new(ScanExec::from_rows("t", rows, schema).unwrap());
         let local = LocalSkylineExec::new(spec.clone(), true, scan);
         GlobalSkylineExec::new(spec, true, Arc::new(local))
     }
@@ -902,19 +901,22 @@ mod tests {
             MinMaxDirection::Min,
             false,
             false,
-            Arc::new(ScanExec::from_rows(
-                "t",
-                vec![
-                    Row::new(vec![Value::Null, Value::Int64(1)]),
-                    Row::new(vec![Value::Int64(3), Value::Int64(2)]),
-                    Row::new(vec![Value::Int64(7), Value::Int64(3)]),
-                ],
-                Schema::new(vec![
-                    Field::new("a", DataType::Int64, true),
-                    Field::new("b", DataType::Int64, false),
-                ])
-                .into_ref(),
-            )),
+            Arc::new(
+                ScanExec::from_rows(
+                    "t",
+                    vec![
+                        Row::new(vec![Value::Null, Value::Int64(1)]),
+                        Row::new(vec![Value::Int64(3), Value::Int64(2)]),
+                        Row::new(vec![Value::Int64(7), Value::Int64(3)]),
+                    ],
+                    Schema::new(vec![
+                        Field::new("a", DataType::Int64, true),
+                        Field::new("b", DataType::Int64, false),
+                    ])
+                    .into_ref(),
+                )
+                .unwrap(),
+            ),
         );
         let rows = run(&plan, 2);
         // NULL tuple is incomparable => skyline member; 3 is the minimum.
@@ -960,7 +962,8 @@ mod tests {
             SkylineDim::min(1),
             SkylineDim::min(2),
         ]);
-        let scan: Arc<dyn ExecutionPlan> = Arc::new(ScanExec::from_rows("t", rows, schema));
+        let scan: Arc<dyn ExecutionPlan> =
+            Arc::new(ScanExec::from_rows("t", rows, schema).unwrap());
         let local = LocalSkylineExec::new(spec3, true, scan);
         // One executor => single partition holding all three bitmaps.
         let rows = run(&local, 1);

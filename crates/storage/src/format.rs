@@ -5,7 +5,7 @@
 
 use sparkline_common::stats::numeric_value;
 use sparkline_common::{
-    BatchColumn, ColumnBatch, ColumnValues, DataType, Error, Field, Result, Schema, Value,
+    BatchColumn, ColumnBatch, ColumnValues, DataType, Error, Field, Result, Row, Schema, Value,
 };
 
 use crate::reader::ColumnMeta;
@@ -169,8 +169,9 @@ pub(crate) fn decode_schema(r: &mut ByteReader<'_>) -> Result<Schema> {
     Ok(Schema::new(fields))
 }
 
-/// Check one value against its column's declared type; the writer runs
-/// this so decode can trust the payload classes unconditionally.
+/// Check one value against its column's declared type; a value column is
+/// checked value by value as it is encoded, so decode can trust the
+/// payload classes unconditionally.
 fn check_value(field: &Field, v: &Value) -> Result<()> {
     let ok = match v {
         Value::Null => field.nullable() || field.data_type() == DataType::Null,
@@ -191,98 +192,106 @@ fn check_value(field: &Field, v: &Value) -> Result<()> {
     }
 }
 
-/// Encode `rows` as one self-contained block payload and compute the
-/// per-column skipping metadata in the same pass. Each row is a borrowed
-/// value slice, so a writer can lay out a block from any subset of its
-/// input without copying a row.
+/// Check a row entering a writer against `schema`: its width, and each
+/// value's type and nullability.
+pub(crate) fn check_row(schema: &Schema, row: &Row) -> Result<()> {
+    if row.width() != schema.len() {
+        return Err(storage_err(format!(
+            "row width {} does not match schema width {}",
+            row.width(),
+            schema.len()
+        )));
+    }
+    (schema.fields().iter().zip(row.values())).try_for_each(|(field, v)| check_value(field, v))
+}
+
+/// Encode the selected rows of `batch`, whose columns follow `schema`, as
+/// one self-contained block payload, and compute the per-column skipping
+/// metadata in the same pass. It reads what
+/// [`BlockLayout::decode_columns`] writes: a `Float64` or `Int64` field
+/// from its typed buffer, any other field from its values, each value
+/// checked against the field. A numeric field held as values (a chunk
+/// column a value of another type turned into values), a value that does
+/// not fit its field and a NULL in a non-nullable field are `storage:`
+/// errors.
 pub(crate) fn encode_block(
     schema: &Schema,
-    rows: &[&[Value]],
+    batch: &ColumnBatch,
 ) -> Result<(Vec<u8>, Vec<ColumnMeta>)> {
-    let n = rows.len();
+    if batch.columns().len() != schema.len() {
+        return Err(storage_err(format!(
+            "batch width {} does not match schema width {}",
+            batch.columns().len(),
+            schema.len()
+        )));
+    }
+    let rows = batch.selection();
     let mut out = Vec::new();
-    put_u32(&mut out, n as u32);
+    put_u32(&mut out, rows.len() as u32);
     let mut metas = Vec::with_capacity(schema.len());
-    for (c, field) in schema.fields().iter().enumerate() {
-        for row in rows {
-            if row.len() != schema.len() {
-                return Err(storage_err(format!(
-                    "row width {} does not match schema width {}",
-                    row.len(),
-                    schema.len()
-                )));
-            }
-            check_value(field, &row[c])?;
-        }
-        // NULL bitmap: bit set = NULL.
-        let mut bitmap = vec![0u8; n.div_ceil(8)];
+    for (field, column) in schema.fields().iter().zip(batch.columns()) {
+        // NULL bitmap (bit set = NULL), the buffer after it (a NULL row
+        // holds zero) and a Utf8 column's bytes after that.
+        let mut bitmap = vec![0u8; rows.len().div_ceil(8)];
+        let (mut data, mut strings) = (Vec::with_capacity(rows.len() * 8), Vec::new());
         let mut meta = ColumnMeta::default();
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut bounded = false;
-        for (i, row) in rows.iter().enumerate() {
-            let v = &row[c];
-            if v.is_null() {
-                bitmap[i / 8] |= 1 << (i % 8);
-                meta.null_count += 1;
-            } else {
-                match numeric_value(v) {
-                    Some(x) => {
-                        min = min.min(x);
-                        max = max.max(x);
-                        bounded = true;
-                    }
-                    None => meta.non_numeric += 1,
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (k, &i) in rows.iter().enumerate() {
+            // `None` for NULL, else the row's numeric view (`None` for a
+            // string or NaN).
+            let number = match (field.data_type(), &column.values) {
+                (DataType::Float64, ColumnValues::Float64(v)) => {
+                    let x = (!column.is_null(i)).then(|| v[i]);
+                    put_u64(&mut data, sign_normalize_f64(x.unwrap_or(0.0)));
+                    x.map(|x| Some(x).filter(|x| !x.is_nan()))
                 }
+                (DataType::Int64, ColumnValues::Int64(v)) => {
+                    let x = (!column.is_null(i)).then(|| v[i]);
+                    put_u64(&mut data, x.unwrap_or(0) as u64);
+                    x.map(|x| Some(x as f64))
+                }
+                (DataType::Boolean | DataType::Utf8 | DataType::Null, ColumnValues::Values(v)) => {
+                    let value = &v[i];
+                    check_value(field, value)?;
+                    match (value, field.data_type()) {
+                        (Value::Boolean(b), _) => data.push(u8::from(*b)),
+                        (Value::Utf8(s), _) => {
+                            put_u32(&mut data, s.len() as u32);
+                            strings.extend_from_slice(s.as_bytes());
+                        }
+                        (_, DataType::Boolean) => data.push(0),
+                        (_, DataType::Utf8) => put_u32(&mut data, 0),
+                        _ => {}
+                    }
+                    (!value.is_null()).then(|| numeric_value(value))
+                }
+                (data_type, _) => {
+                    let name = field.name();
+                    return Err(storage_err(format!(
+                        "column '{name}' holds a value that is not {data_type}"
+                    )));
+                }
+            };
+            match number {
+                None => {
+                    check_value(field, &Value::Null)?;
+                    bitmap[k / 8] |= 1 << (k % 8);
+                    meta.null_count += 1;
+                }
+                Some(Some(x)) => {
+                    min = min.min(x);
+                    max = max.max(x);
+                }
+                Some(None) => meta.non_numeric += 1,
             }
         }
-        if bounded {
+        if min <= max {
             meta.min = Some(min);
             meta.max = Some(max);
         }
         out.extend_from_slice(&bitmap);
-        match field.data_type() {
-            DataType::Null => {}
-            DataType::Boolean => {
-                for row in rows {
-                    out.push(match &row[c] {
-                        Value::Boolean(b) => u8::from(*b),
-                        _ => 0,
-                    });
-                }
-            }
-            DataType::Int64 => {
-                for row in rows {
-                    let v = match &row[c] {
-                        Value::Int64(i) => *i,
-                        _ => 0,
-                    };
-                    put_u64(&mut out, v as u64);
-                }
-            }
-            DataType::Float64 => {
-                for row in rows {
-                    let v = match &row[c] {
-                        Value::Float64(f) => *f,
-                        _ => 0.0,
-                    };
-                    put_u64(&mut out, sign_normalize_f64(v));
-                }
-            }
-            DataType::Utf8 => {
-                let mut data = Vec::new();
-                for row in rows {
-                    match &row[c] {
-                        Value::Utf8(s) => {
-                            put_u32(&mut out, s.len() as u32);
-                            data.extend_from_slice(s.as_bytes());
-                        }
-                        _ => put_u32(&mut out, 0),
-                    }
-                }
-                out.extend_from_slice(&data);
-            }
-        }
+        out.extend_from_slice(&data);
+        out.extend_from_slice(&strings);
         metas.push(meta);
     }
     Ok((out, metas))
@@ -438,10 +447,12 @@ impl BlockLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparkline_common::Row;
+    use sparkline_common::MemTable;
 
-    fn slices(rows: &[Row]) -> Vec<&[Value]> {
-        rows.iter().map(Row::values).collect()
+    /// `rows` as one column batch of `schema`'s column types.
+    fn batch(schema: &Schema, rows: Vec<Row>) -> ColumnBatch {
+        let table = MemTable::from_rows(schema, rows);
+        table.batch(0, table.len())
     }
 
     #[test]
@@ -508,7 +519,7 @@ mod tests {
                 Value::Null,
             ]),
         ];
-        let (payload, metas) = encode_block(&schema, &slices(&rows)).unwrap();
+        let (payload, metas) = encode_block(&schema, &batch(&schema, rows.clone())).unwrap();
         let dec = BlockLayout::parse(&payload, &schema).unwrap();
         assert_eq!(dec.rows(), 3);
         let back = dec
@@ -547,9 +558,10 @@ mod tests {
     #[test]
     fn type_mismatch_is_rejected() {
         let schema = Schema::new(vec![Field::new("i", DataType::Int64, false)]);
-        let err = encode_block(&schema, &[&[Value::Float64(1.0)]]).unwrap_err();
+        let one = |v: Value| batch(&schema, vec![Row::new(vec![v])]);
+        let err = encode_block(&schema, &one(Value::Float64(1.0))).unwrap_err();
         assert!(err.to_string().contains("storage"), "{err}");
-        let err = encode_block(&schema, &[&[Value::Null]]).unwrap_err();
+        let err = encode_block(&schema, &one(Value::Null)).unwrap_err();
         assert!(err.to_string().contains("does not fit"), "{err}");
     }
 
@@ -557,7 +569,7 @@ mod tests {
     fn truncated_payload_is_an_error_not_a_panic() {
         let schema = Schema::new(vec![Field::new("f", DataType::Float64, false)]);
         let rows = vec![Row::new(vec![Value::Float64(3.5)])];
-        let (payload, _) = encode_block(&schema, &slices(&rows)).unwrap();
+        let (payload, _) = encode_block(&schema, &batch(&schema, rows)).unwrap();
         for cut in 0..payload.len() {
             assert!(BlockLayout::parse(&payload[..cut], &schema).is_err());
         }

@@ -41,30 +41,54 @@
 //! to the footer's total. Reading a block checks its payload's own row
 //! count against its footer entry ([`DiskTable::block_decoder`]).
 //!
+//! ## Publishing and re-reading a file
+//!
+//! Every writer writes to a temporary file beside the destination, syncs
+//! it and renames it over the destination once the footer is written, and
+//! removes it when the write fails. A reader therefore sees the old file
+//! or the new one, whole, and a failed write (a row outside the schema,
+//! a full disk) leaves the old file as it was.
+//!
+//! A [`DiskTable`] keeps the footer it was opened with, and skips blocks
+//! on its bounds, its sample and its corners. So a scan opens the file
+//! once ([`DiskTable::open_file`]) and checks that its length, footer and
+//! trailer bytes are the ones the table read; a file truncated, removed
+//! or replaced (by a COPY to the same path, say) since fails the query
+//! with a typed `storage:` error instead of being read with another file's
+//! metadata. The scan then reads every block through that one handle with
+//! positional reads. Registering the path again reads the new footer.
+//!
 //! A block decodes into column buffers, one batch of rows at a time
 //! ([`BlockDecoder::decode_columns`], a `sparkline_common::ColumnBatch`):
 //! `Float64` words sign-restored into an `f64` vector, `Int64` words into
 //! an `i64` vector, the other types into values, and the NULL bitmap
 //! into per-row flags. That is the only decoder; `DiskTable::decode_block`,
 //! `DiskTable::decode_all` and the footer sample build their rows from
-//! it, and the disk scan hands the buffers on without building any.
+//! it, and the disk scan hands the buffers on without building any. The
+//! one encoder reads the same buffers back: a `Float64` or `Int64` field
+//! from its typed buffer, any other from its values, each value checked
+//! against its field. A numeric field held as values (an in-memory column
+//! a value of another type turned into values) fails the write.
 //!
 //! ## Row order
 //!
 //! Block metadata only skips blocks whose rows share a region of the
-//! space, so [`write_table`] (and [`write_mem_table`], the session's COPY,
-//! which reads an in-memory table's column chunks in place of rows and
-//! writes the same file) chooses the row order; [`TableWriter`] keeps the
-//! order rows arrive in.
-//! `write_table` reads the rows twice, once for each Int64/Float64
-//! column's finite min and max and once for each row's Z cell: the
+//! space, so [`write_mem_table`] (the session's COPY) chooses the row
+//! order; [`write_table`] checks a slice of rows, builds the in-memory
+//! table and writes it the same way, and [`TableWriter`] keeps the order
+//! rows arrive in.
+//! `write_mem_table` reads each Int64/Float64 column of the table's
+//! column chunks twice, once for its finite min and max and once for each
+//! row's Z cell: the
 //! column is quantized linearly between its min and max (±inf clamp to
 //! the edge slots; NULL and NaN take slot 0), and the slots are
 //! bit-interleaved into a Morton cell, the bits dealt round-robin over
 //! the columns so the grid has about eight cells per block. A stable
 //! counting sort by cell gives the permutation, and consecutive runs of
 //! `block_rows` rows form the blocks (only the last may be short),
-//! written in Z rank.
+//! written in Z rank. Each block, and the footer sample, is gathered out
+//! of the chunks by table position into column buffers
+//! (`MemTable::take`) and encoded from them, so no row is built.
 //!
 //! The Morton cell is monotone in every column, so under all-MIN
 //! dimensions a row's dominators sit in its own cell or an earlier one:
@@ -162,5 +186,5 @@ pub mod reader;
 pub mod writer;
 
 pub use format::{sign_normalize_f64, sign_restore_f64, FOOTER_MAGIC, FORMAT_VERSION, MAGIC};
-pub use reader::{AggregateColumnStats, BlockDecoder, BlockMeta, ColumnMeta, DiskTable};
+pub use reader::{BlockDecoder, BlockMeta, ColumnMeta, DiskTable, TableFile};
 pub use writer::{write_mem_table, write_table, DiskTableSummary, TableWriter, WriterOptions};

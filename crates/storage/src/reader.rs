@@ -1,12 +1,13 @@
-//! Opening and scanning table files: the footer-only `open`, per-block
-//! random access, the skipping metadata (`BlockMeta`/`ColumnMeta`), and
-//! the batch-at-a-time `BlockDecoder`, which decodes a block into column
-//! buffers ([`ColumnBatch`]); rows are built from those on request.
+//! Opening and scanning table files: the footer-only `open`, the checked
+//! per-scan file handle (`TableFile`), per-block random access, the
+//! skipping metadata (`BlockMeta`/`ColumnMeta`), and the batch-at-a-time
+//! `BlockDecoder`, which decodes a block into column buffers
+//! ([`ColumnBatch`]); rows are built from those on request.
 
 use std::any::Any;
 use std::fmt;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -84,20 +85,6 @@ pub struct BlockMeta {
     pub columns: Vec<ColumnMeta>,
 }
 
-/// Whole-table aggregate of the per-block column metadata — exact
-/// per-column statistics without sampling the file.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AggregateColumnStats {
-    /// NULL rows across all blocks.
-    pub nulls: u64,
-    /// Non-numeric (non-NULL) rows across all blocks.
-    pub non_numeric: u64,
-    /// Global numeric minimum (raw space).
-    pub min: Option<f64>,
-    /// Global numeric maximum (raw space).
-    pub max: Option<f64>,
-}
-
 /// How many values [`DiskTable::memoized`] keeps per table.
 const MEMO_ENTRIES: usize = 8;
 
@@ -116,10 +103,10 @@ impl fmt::Debug for Memo {
 }
 
 /// An opened table file: schema, block directory, footer sample. Opening
-/// reads the header and footer only; block payloads are read on demand
-/// through [`DiskTable::read_block_raw`]. The handle is immutable and
-/// thread-safe — concurrent partition streams each open their own file
-/// descriptor per block read.
+/// reads the header and footer only; block payloads are read on demand.
+/// The handle is immutable and thread-safe. A scan reads its blocks
+/// through one [`TableFile`] ([`DiskTable::open_file`]), which checks
+/// that the file at the path is still the one whose footer was read here.
 #[derive(Debug)]
 pub struct DiskTable {
     path: PathBuf,
@@ -130,27 +117,30 @@ pub struct DiskTable {
     sample: Arc<Vec<Row>>,
     sample_seed: u64,
     file_bytes: u64,
+    /// The footer and trailer bytes, as `open` read them.
+    tail: Box<[u8]>,
     memo: Memo,
 }
+
+/// A table's backing file, opened once for a scan and checked against the
+/// footer its [`DiskTable`] was opened with; every block the scan reads
+/// comes through this one handle, with positional reads, so concurrent
+/// streams share it.
+#[derive(Debug)]
+pub struct TableFile(File);
 
 impl DiskTable {
     /// Open `path`, reading header, schema, and footer (not the blocks).
     pub fn open(path: impl AsRef<Path>) -> Result<DiskTable> {
         let path = path.as_ref().to_path_buf();
-        let mut file =
-            File::open(&path).map_err(|e| storage_err(format!("open {}: {e}", path.display())))?;
-        let file_bytes = file
-            .seek(SeekFrom::End(0))
-            .map_err(|e| storage_err(format!("seek {}: {e}", path.display())))?;
+        let (file, file_bytes) = open_at(&path)?;
 
         // Header + schema.
         let mut head = vec![
             0u8;
             (file_bytes.min(1 << 20)) as usize // schema is tiny; cap the speculative read
         ];
-        file.seek(SeekFrom::Start(0))
-            .map_err(|e| storage_err(format!("seek: {e}")))?;
-        read_fully(&mut file, &mut head)?;
+        read_at(&file, &mut head, 0)?;
         let mut r = ByteReader::new(&head);
         if r.bytes(4)? != MAGIC {
             return Err(storage_err(format!(
@@ -171,9 +161,7 @@ impl DiskTable {
             return Err(storage_err("file too short for a trailer"));
         }
         let mut trailer = [0u8; 12];
-        file.seek(SeekFrom::End(-12))
-            .map_err(|e| storage_err(format!("seek trailer: {e}")))?;
-        read_fully(&mut file, &mut trailer)?;
+        read_at(&file, &mut trailer, file_bytes - 12)?;
         if trailer[8..12] != FOOTER_MAGIC {
             return Err(storage_err("missing footer magic (truncated write?)"));
         }
@@ -181,11 +169,10 @@ impl DiskTable {
         if footer_offset > file_bytes - 12 {
             return Err(storage_err("footer offset out of bounds"));
         }
-        let mut footer = vec![0u8; (file_bytes - 12 - footer_offset) as usize];
-        file.seek(SeekFrom::Start(footer_offset))
-            .map_err(|e| storage_err(format!("seek footer: {e}")))?;
-        read_fully(&mut file, &mut footer)?;
-        let mut r = ByteReader::new(&footer);
+        let mut tail = vec![0u8; (file_bytes - footer_offset) as usize];
+        read_at(&file, &mut tail, footer_offset)?;
+        let footer = &tail[..tail.len() - 12];
+        let mut r = ByteReader::new(footer);
         let total_rows = r.u64()?;
         let block_rows = r.u32()?;
         let nblocks = r.u32()? as usize;
@@ -246,6 +233,7 @@ impl DiskTable {
             sample: Arc::new(sample),
             sample_seed,
             file_bytes,
+            tail: tail.into(),
             memo: Memo::default(),
         })
     }
@@ -335,46 +323,58 @@ impl DiskTable {
         self.sample_seed
     }
 
-    /// Exact whole-table per-column statistics from the block directory.
-    pub fn column_stats(&self) -> Vec<AggregateColumnStats> {
-        let mut out = vec![AggregateColumnStats::default(); self.schema.len()];
-        for block in &self.blocks {
-            for (agg, col) in out.iter_mut().zip(&block.columns) {
-                agg.nulls += u64::from(col.null_count);
-                agg.non_numeric += u64::from(col.non_numeric);
-                agg.min = match (agg.min, col.min) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                agg.max = match (agg.max, col.max) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (a, b) => a.or(b),
-                };
-            }
+    /// Open the backing file for a scan, checking that it is the file this
+    /// table was opened from: the same length, footer and trailer bytes.
+    /// A file removed, truncated or replaced under the path since fails
+    /// with a typed `storage:` error, so no block is read with another
+    /// file's footer: its bounds, its sample or its gate.
+    pub fn open_file(&self) -> Result<TableFile> {
+        let (file, len) = open_at(&self.path)?;
+        let mut tail = vec![0u8; self.tail.len()];
+        if len == self.file_bytes {
+            read_at(&file, &mut tail, len - self.tail.len() as u64)?;
         }
-        out
+        if len != self.file_bytes || tail != *self.tail {
+            let path = self.path.display();
+            return Err(storage_err(format!(
+                "{path} changed since it was registered"
+            )));
+        }
+        Ok(TableFile(file))
     }
 
-    /// Read block `i`'s raw (still encoded) payload from disk.
-    pub fn read_block_raw(&self, i: usize) -> Result<Vec<u8>> {
+    /// Read block `i`'s raw (still encoded) payload from `file`.
+    fn read_block(&self, file: &File, i: usize) -> Result<Vec<u8>> {
         let meta = self
             .blocks
             .get(i)
             .ok_or_else(|| storage_err(format!("block {i} out of range")))?;
-        let mut file = File::open(&self.path)
-            .map_err(|e| storage_err(format!("open {}: {e}", self.path.display())))?;
-        file.seek(SeekFrom::Start(meta.offset))
-            .map_err(|e| storage_err(format!("seek block {i}: {e}")))?;
         let mut buf = vec![0u8; meta.bytes as usize];
-        read_fully(&mut file, &mut buf)?;
+        read_at(file, &mut buf, meta.offset)?;
         Ok(buf)
     }
 
-    /// Read block `i` and parse it against `schema`, checking that the
-    /// payload holds exactly the rows its footer entry claims: a mismatch
-    /// is a corrupt file, and a typed `storage:` error.
-    pub fn block_decoder(&self, i: usize, schema: SchemaRef) -> Result<BlockDecoder> {
-        let decoder = BlockDecoder::new(self.read_block_raw(i)?, schema)?;
+    /// Read block `i`'s raw (still encoded) payload through a fresh handle
+    /// on the path. It does not check the file against the footer, as
+    /// [`open_file`](Self::open_file) does for a scan.
+    pub fn read_block_raw(&self, i: usize) -> Result<Vec<u8>> {
+        self.read_block(&open_at(&self.path)?.0, i)
+    }
+
+    /// Read block `i` from `file` and parse it against `schema`, checking
+    /// that the payload holds exactly the rows its footer entry claims: a
+    /// mismatch is a corrupt file, and a typed `storage:` error.
+    pub fn block_decoder(
+        &self,
+        file: &TableFile,
+        i: usize,
+        schema: SchemaRef,
+    ) -> Result<BlockDecoder> {
+        self.decoder(self.read_block(&file.0, i)?, i, schema)
+    }
+
+    fn decoder(&self, raw: Vec<u8>, i: usize, schema: SchemaRef) -> Result<BlockDecoder> {
+        let decoder = BlockDecoder::new(raw, schema)?;
         let claimed = self.blocks[i].rows;
         if decoder.rows() != claimed as usize {
             return Err(storage_err(format!(
@@ -385,17 +385,22 @@ impl DiskTable {
         Ok(decoder)
     }
 
-    /// Convenience: read and fully decode block `i` into rows.
+    /// Convenience: read block `i` as [`read_block_raw`](Self::read_block_raw)
+    /// does and fully decode it into rows.
     pub fn decode_block(&self, i: usize) -> Result<Vec<Row>> {
-        let decoder = self.block_decoder(i, self.schema())?;
+        let decoder = self.decoder(self.read_block_raw(i)?, i, self.schema())?;
         Ok(decoder.decode_columns(0, decoder.rows())?.into_rows())
     }
 
-    /// Convenience: read and decode every block into rows, in file order.
+    /// Convenience: read every block through one checked
+    /// [`open_file`](Self::open_file) and decode it into rows, in file
+    /// order.
     pub fn decode_all(&self) -> Result<Vec<Row>> {
+        let file = self.open_file()?;
         let mut rows = Vec::new();
         for i in 0..self.num_blocks() {
-            rows.extend(self.decode_block(i)?);
+            let decoder = self.block_decoder(&file, i, self.schema())?;
+            rows.extend(decoder.decode_columns(0, decoder.rows())?.into_rows());
         }
         Ok(rows)
     }
@@ -442,8 +447,18 @@ impl BlockDecoder {
     }
 }
 
-fn read_fully(file: &mut File, buf: &mut [u8]) -> Result<()> {
-    file.read_exact(buf)
+/// Open `path` for reading, with its length.
+fn open_at(path: &Path) -> Result<(File, u64)> {
+    let file =
+        File::open(path).map_err(|e| storage_err(format!("open {}: {e}", path.display())))?;
+    let meta =
+        (file.metadata()).map_err(|e| storage_err(format!("stat {}: {e}", path.display())))?;
+    Ok((file, meta.len()))
+}
+
+/// Fill `buf` from `file` at `offset`; a short file is a `storage:` error.
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> Result<()> {
+    file.read_exact_at(buf, offset)
         .map_err(|e| storage_err(format!("read: {e}")))
 }
 
@@ -502,11 +517,14 @@ mod tests {
         assert_eq!(table.num_blocks(), 3);
         assert_eq!(table.total_rows(), 600);
         assert_eq!(table.block_rows(), 250);
-        let stats = table.column_stats();
-        assert_eq!(stats[0].nulls, 120, "every fifth row");
-        assert_eq!(stats[0].min, Some(1.0));
-        assert_eq!(stats[0].max, Some(599.0));
-        assert_eq!(stats[1].non_numeric, 600, "strings are non-numeric");
+        let columns = |c: usize| table.blocks().iter().map(move |b| b.columns[c]);
+        let nulls: u32 = columns(0).map(|m| m.null_count).sum();
+        assert_eq!(nulls, 120, "every fifth row");
+        let min = columns(0).filter_map(|m| m.min).reduce(f64::min);
+        let max = columns(0).filter_map(|m| m.max).reduce(f64::max);
+        assert_eq!((min, max), (Some(1.0), Some(599.0)));
+        let strings: u32 = columns(1).map(|m| m.non_numeric).sum();
+        assert_eq!(strings, 600, "strings are non-numeric");
         assert!(!table.block_meta(0).columns[0].fully_numeric());
         std::fs::remove_file(&path).ok();
     }

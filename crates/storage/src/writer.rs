@@ -1,21 +1,24 @@
-//! The COPY-style table writers. [`write_table`] lays a whole table out
-//! in coarse Z order (see the crate docs' "Row order") so block bounds
-//! are tight; [`TableWriter`] streams rows in the order they arrive.
-//! Both encode blocks at a fixed row granularity, accumulate the skipping
-//! metadata on the way and write the footer last.
+//! The COPY-style table writers. [`write_mem_table`] lays an in-memory
+//! table out in coarse Z order (see the crate docs' "Row order"), each
+//! block gathered out of its column chunks; [`write_table`] checks a slice
+//! of rows and writes it as that table; [`TableWriter`] keeps the order
+//! rows arrive in. Every block is encoded from column buffers, with its
+//! skipping metadata, the footer comes last, and the file is published by
+//! a rename once complete (see the crate docs).
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sparkline_common::stats::Reservoir;
 use sparkline_common::{
-    Chunk, ColumnValues, DataType, MemTable, Result, Row, Schema, SchemaRef, Value, CHUNK_ROWS,
+    BatchColumn, ColumnBatch, ColumnValues, DataType, MemTable, Result, Row, Schema, SchemaRef,
 };
 
 use crate::format::{
-    encode_block, encode_schema, put_f64, put_u32, put_u64, storage_err, FOOTER_MAGIC,
+    check_row, encode_block, encode_schema, put_f64, put_u32, put_u64, storage_err, FOOTER_MAGIC,
     FORMAT_VERSION, MAGIC,
 };
 use crate::reader::BlockMeta;
@@ -58,9 +61,14 @@ pub struct DiskTableSummary {
 /// are written, so it is the primitive for a hand-laid block layout.
 /// Rows are validated against the schema as they arrive; blocks are
 /// encoded and flushed every [`WriterOptions::block_rows`] rows, so peak
-/// writer memory is one block regardless of table size.
+/// writer memory is one block regardless of table size. The bytes go to a
+/// temporary file beside the destination until [`finish`](Self::finish)
+/// publishes them; a writer dropped unfinished removes it.
 pub struct TableWriter {
     out: BufWriter<File>,
+    path: PathBuf,
+    temp: PathBuf,
+    published: bool,
     schema: SchemaRef,
     opts: WriterOptions,
     buffer: Vec<Row>,
@@ -71,22 +79,29 @@ pub struct TableWriter {
 }
 
 impl TableWriter {
-    /// Create (truncate) `path` and write the header + schema.
+    /// Start a table file that [`finish`](Self::finish) publishes at
+    /// `path`, and write the header + schema. `path` itself is untouched
+    /// until then.
     pub fn create(path: impl AsRef<Path>, schema: SchemaRef, opts: WriterOptions) -> Result<Self> {
+        /// Tells apart the temporary files of concurrent writes.
+        static WRITES: AtomicU64 = AtomicU64::new(0);
         if opts.block_rows == 0 {
             return Err(storage_err("block_rows must be positive"));
         }
-        let file = File::create(path.as_ref())
-            .map_err(|e| storage_err(format!("create {}: {e}", path.as_ref().display())))?;
-        let mut out = BufWriter::new(file);
+        let path = path.as_ref().to_path_buf();
+        let write = WRITES.fetch_add(1, Ordering::Relaxed);
+        let temp = path.with_extension(format!("{}-{write}.tmp", std::process::id()));
+        let file = File::create(&temp)
+            .map_err(|e| storage_err(format!("create {}: {e}", temp.display())))?;
         let mut header = Vec::new();
         header.extend_from_slice(&MAGIC);
         put_u32(&mut header, FORMAT_VERSION);
         header.extend_from_slice(&encode_schema(&schema));
-        out.write_all(&header)
-            .map_err(|e| storage_err(format!("write header: {e}")))?;
-        Ok(TableWriter {
-            out,
+        let mut writer = TableWriter {
+            out: BufWriter::new(file),
+            path,
+            temp,
+            published: false,
             schema,
             buffer: Vec::new(),
             blocks: Vec::new(),
@@ -94,11 +109,20 @@ impl TableWriter {
             total_rows: 0,
             reservoir: Reservoir::new(opts.sample_cap, opts.sample_seed),
             opts,
-        })
+        };
+        writer.write(&header, "header")?;
+        Ok(writer)
+    }
+
+    fn write(&mut self, bytes: &[u8], what: &str) -> Result<()> {
+        self.out
+            .write_all(bytes)
+            .map_err(|e| storage_err(format!("write {what}: {e}")))
     }
 
     /// Append one row.
     pub fn write_row(&mut self, row: &Row) -> Result<()> {
+        check_row(&self.schema, row)?;
         self.buffer.push(row.clone());
         self.reservoir.push(row.clone());
         if self.buffer.len() >= self.opts.block_rows {
@@ -119,40 +143,37 @@ impl TableWriter {
         if self.buffer.is_empty() {
             return Ok(());
         }
-        let buffer = std::mem::take(&mut self.buffer);
-        self.write_block(&buffer.iter().map(Row::values).collect::<Vec<_>>())?;
-        self.buffer = buffer;
-        self.buffer.clear();
-        Ok(())
+        let block = MemTable::from_rows(&self.schema, std::mem::take(&mut self.buffer));
+        self.write_block(&block.batch(0, block.len()))
     }
 
-    /// Encode `rows` as the next block and write it.
-    fn write_block(&mut self, rows: &[&[Value]]) -> Result<()> {
-        let (payload, columns) = encode_block(&self.schema, rows)?;
-        self.out
-            .write_all(&payload)
-            .map_err(|e| storage_err(format!("write block: {e}")))?;
+    /// Encode `batch` as the next block and write it.
+    fn write_block(&mut self, batch: &ColumnBatch) -> Result<()> {
+        let (payload, columns) = encode_block(&self.schema, batch)?;
+        self.write(&payload, "block")?;
         self.blocks.push(BlockMeta {
             offset: self.offset,
             bytes: payload.len() as u64,
-            rows: rows.len() as u32,
+            rows: batch.len() as u32,
             columns,
         });
         self.offset += payload.len() as u64;
-        self.total_rows += rows.len() as u64;
+        self.total_rows += batch.len() as u64;
         Ok(())
     }
 
-    /// Flush the tail block, write the footer + trailer, and sync.
+    /// Flush the tail block, write the footer + trailer, sync the file
+    /// and publish it at the destination.
     pub fn finish(mut self) -> Result<DiskTableSummary> {
         self.flush_block()?;
         let sample = std::mem::replace(&mut self.reservoir, Reservoir::new(0, 0)).into_rows();
-        self.finish_with_sample(&sample)
+        let sample = MemTable::from_rows(&self.schema, sample);
+        self.finish_with_sample(&sample.batch(0, sample.len()))
     }
 
     /// Write the footer, with `sample` as its reservoir sample, and the
-    /// trailer, then sync.
-    fn finish_with_sample(mut self, sample: &[Row]) -> Result<DiskTableSummary> {
+    /// trailer; then sync the file and rename it over the destination.
+    fn finish_with_sample(mut self, sample: &ColumnBatch) -> Result<DiskTableSummary> {
         let footer_offset = self.offset;
         let mut footer = Vec::new();
         put_u64(&mut footer, self.total_rows);
@@ -165,35 +186,32 @@ impl TableWriter {
             for col in &block.columns {
                 put_u32(&mut footer, col.null_count);
                 put_u32(&mut footer, col.non_numeric);
-                match (col.min, col.max) {
-                    (Some(min), Some(max)) => {
-                        footer.push(1);
-                        put_f64(&mut footer, min);
-                        put_f64(&mut footer, max);
-                    }
-                    _ => {
-                        footer.push(0);
-                        put_f64(&mut footer, 0.0);
-                        put_f64(&mut footer, 0.0);
-                    }
-                }
+                let bounds = col.min.zip(col.max);
+                footer.push(u8::from(bounds.is_some()));
+                let (min, max) = bounds.unwrap_or((0.0, 0.0));
+                put_f64(&mut footer, min);
+                put_f64(&mut footer, max);
             }
         }
         put_u64(&mut footer, self.opts.sample_seed);
-        let sample: Vec<&[Value]> = sample.iter().map(Row::values).collect();
-        let (sample_payload, _) = encode_block(&self.schema, &sample)?;
+        let (sample_payload, _) = encode_block(&self.schema, sample)?;
         put_u64(&mut footer, sample_payload.len() as u64);
         footer.extend_from_slice(&sample_payload);
         // Trailer: footer locator + magic, fixed size so `open` can seek
         // to it without parsing anything else.
         put_u64(&mut footer, footer_offset);
         footer.extend_from_slice(&FOOTER_MAGIC);
-        self.out
-            .write_all(&footer)
-            .map_err(|e| storage_err(format!("write footer: {e}")))?;
-        self.out
-            .flush()
-            .map_err(|e| storage_err(format!("flush table file: {e}")))?;
+        self.write(&footer, "footer")?;
+        (self.out.flush())
+            .and_then(|()| self.out.get_ref().sync_all())
+            .map_err(|e| storage_err(format!("sync {}: {e}", self.temp.display())))?;
+        std::fs::rename(&self.temp, &self.path)
+            .map_err(|e| storage_err(format!("publish {}: {e}", self.path.display())))?;
+        self.published = true;
+        // The rename is durable once the directory holding it is synced.
+        let dir = self.path.with_file_name(".");
+        (File::open(&dir).and_then(|dir| dir.sync_all()))
+            .map_err(|e| storage_err(format!("sync {}: {e}", dir.display())))?;
         Ok(DiskTableSummary {
             rows: self.total_rows,
             blocks: self.blocks.len(),
@@ -202,161 +220,57 @@ impl TableWriter {
     }
 }
 
-/// One-shot COPY: write `rows` to `path` under `opts`, **clustered**: the
-/// file holds a permutation of `rows`, not their input order (see the
-/// crate docs' "Row order"). The permutation depends only on the rows
-/// and `block_rows`, so the same input writes the same bytes every time.
-/// Use [`TableWriter`] to keep input order.
+impl Drop for TableWriter {
+    fn drop(&mut self) {
+        if !self.published {
+            let _ = std::fs::remove_file(&self.temp);
+        }
+    }
+}
+
+/// One-shot COPY of a slice of rows: each row is checked against
+/// `schema` (width, types, nullability), the rows become an in-memory
+/// table and [`write_mem_table`] writes it, **clustered**: the file holds
+/// a permutation of `rows`, not their input order (see the crate docs'
+/// "Row order"). The permutation depends only on the rows and
+/// `block_rows`, so the same input writes the same bytes every time. Use
+/// [`TableWriter`] to keep input order.
 pub fn write_table(
     path: impl AsRef<Path>,
     schema: SchemaRef,
     rows: &[Row],
     opts: WriterOptions,
 ) -> Result<DiskTableSummary> {
-    write_clustered(path, schema, &[rows], opts)
+    let table = MemTable::from_checked_rows(&schema, rows, |_, row| check_row(&schema, row))?;
+    write_mem_table(path, schema, &table, opts)
 }
 
-/// [`write_table`] for an in-memory table: the session's COPY. The Z
-/// order and the blocks read the table's column chunks directly, so the
-/// table is never built as rows; only the footer sample's rows are. The
-/// file is the one [`write_table`] writes for the table's rows.
+/// The session's COPY: write `table` to `path` under `opts`, in the Z
+/// order of the crate docs' "Row order". The order reads the chunks'
+/// column buffers, and each block and the footer sample are gathered out
+/// of the chunks by table position ([`MemTable::take`]) and encoded from
+/// the gathered buffers, so no row is built. A `Float64` or `Int64` column
+/// a value of another type turned into values fails the write.
 pub fn write_mem_table(
     path: impl AsRef<Path>,
     schema: SchemaRef,
     table: &MemTable,
     opts: WriterOptions,
 ) -> Result<DiskTableSummary> {
-    let chunks: Vec<&Chunk> = table.chunks().iter().map(|c| c.as_ref()).collect();
-    write_clustered(path, schema, &chunks, opts)
-}
-
-/// A run of consecutive input rows of [`write_clustered`], read by
-/// position: a slice of rows is one run, and each chunk of an in-memory
-/// table is one.
-trait Run {
-    /// Rows in the run.
-    fn len(&self) -> usize;
-    /// Column `c` of row `i` as a number on the Z grid: an `Int64` or
-    /// `Float64` value, `None` for NULL and any other value.
-    fn number(&self, i: usize, c: usize) -> Option<f64>;
-    /// Append row `i`'s values to `out`.
-    fn values_into(&self, i: usize, out: &mut Vec<Value>);
-    /// Row `i`.
-    fn row(&self, i: usize) -> Row;
-}
-
-impl Run for [Row] {
-    fn len(&self) -> usize {
-        <[Row]>::len(self)
-    }
-
-    fn number(&self, i: usize, c: usize) -> Option<f64> {
-        match self[i].values().get(c) {
-            Some(Value::Int64(v)) => Some(*v as f64),
-            Some(Value::Float64(f)) => Some(*f),
-            _ => None,
-        }
-    }
-
-    fn values_into(&self, i: usize, out: &mut Vec<Value>) {
-        out.extend_from_slice(self[i].values());
-    }
-
-    fn row(&self, i: usize) -> Row {
-        self[i].clone()
-    }
-}
-
-impl Run for Chunk {
-    fn len(&self) -> usize {
-        Chunk::len(self)
-    }
-
-    fn number(&self, i: usize, c: usize) -> Option<f64> {
-        let column = self.columns().get(c)?;
-        if column.is_null(i) {
-            return None;
-        }
-        match &column.values {
-            ColumnValues::Float64(v) => Some(v[i]),
-            ColumnValues::Int64(v) => Some(v[i] as f64),
-            ColumnValues::Values(v) => match &v[i] {
-                Value::Int64(v) => Some(*v as f64),
-                Value::Float64(f) => Some(*f),
-                _ => None,
-            },
-        }
-    }
-
-    fn values_into(&self, i: usize, out: &mut Vec<Value>) {
-        for column in self.columns() {
-            out.push(column.value(i));
-        }
-    }
-
-    fn row(&self, i: usize) -> Row {
-        Chunk::row(self, i)
-    }
-}
-
-/// The clustered write of [`write_table`] over consecutive `runs` of
-/// input rows; a row's position is its place in their concatenation.
-fn write_clustered<R: Run + ?Sized>(
-    path: impl AsRef<Path>,
-    schema: SchemaRef,
-    runs: &[&R],
-    opts: WriterOptions,
-) -> Result<DiskTableSummary> {
     // `create` rejects a zero `block_rows` before the order divides by it.
     let mut writer = TableWriter::create(path, Arc::clone(&schema), opts)?;
-    let mut starts = Vec::with_capacity(runs.len() + 1);
-    starts.push(0);
-    for run in runs {
-        starts.push(starts[starts.len() - 1] + run.len());
-    }
-    let rows = starts[runs.len()];
-    let locate = |pos: usize| {
-        // Runs of `CHUNK_ROWS` rows but for the last are the common case.
-        let guess = (pos / CHUNK_ROWS).min(runs.len() - 1);
-        let k = if starts[guess] <= pos && pos < starts[guess + 1] {
-            guess
-        } else {
-            starts.partition_point(|&s| s <= pos) - 1
-        };
-        (runs[k], pos - starts[k])
-    };
-    let perm = z_order(&schema, runs, rows, opts.block_rows)?;
-    // One block's values, row after row, and where each row ends.
-    let mut values: Vec<Value> = Vec::new();
-    let mut ends: Vec<usize> = Vec::new();
-    for chunk in perm.chunks(opts.block_rows) {
-        values.clear();
-        ends.clear();
-        for &pos in chunk {
-            let (run, i) = locate(pos as usize);
-            run.values_into(i, &mut values);
-            ends.push(values.len());
-        }
-        let block: Vec<&[Value]> = (0..ends.len())
-            .map(|k| &values[if k == 0 { 0 } else { ends[k - 1] }..ends[k]])
-            .collect();
-        writer.write_block(&block)?;
+    let perm = z_order(&schema, table, opts.block_rows)?;
+    for block in perm.chunks(opts.block_rows) {
+        writer.write_block(&table.take(block))?;
     }
     drop(perm);
     // The sample is drawn over input positions, so it is the one a
-    // `TableWriter` fed the same rows would keep, without building a row
-    // that is not sampled.
+    // `TableWriter` fed the same rows would keep.
     let mut reservoir = Reservoir::new(opts.sample_cap, opts.sample_seed);
-    for i in 0..rows {
-        reservoir.push(i);
+    for pos in 0..table.len() as u32 {
+        reservoir.push(pos);
     }
-    let sample: Vec<Row> = (reservoir.into_rows().into_iter())
-        .map(|pos| {
-            let (run, i) = locate(pos);
-            run.row(i)
-        })
-        .collect();
-    writer.finish_with_sample(&sample)
+    writer.finish_with_sample(&table.take(&reservoir.into_rows()))
 }
 
 /// Z cells per block the grid aims for: enough that a block covers a
@@ -394,52 +308,60 @@ impl Axis {
         // `as` saturates: NaN and negatives go to 0, overflow to the top.
         (t as u32).min((1 << self.positions.len()) - 1)
     }
-}
 
-/// The Z cell of a row whose column `c` is the number `number(c)`: its
-/// axes' slots, bit-interleaved.
-fn z_cell(axes: &[Axis], number: impl Fn(usize) -> Option<f64>) -> u16 {
-    let mut cell = 0;
-    for axis in axes {
-        let slot = axis.slot(number(axis.col));
-        for (bit, &pos) in axis.positions.iter().enumerate() {
-            cell |= ((slot >> bit & 1) as u16) << pos;
-        }
+    /// The bits `v`'s slot sets in a cell.
+    fn cell_bits(&self, v: Option<f64>) -> u16 {
+        let slot = self.slot(v);
+        (self.positions.iter().enumerate()).fold(0, |cell, (bit, &pos)| {
+            cell | ((slot >> bit & 1) as u16) << pos
+        })
     }
-    cell
 }
 
-/// The row order [`write_table`] writes, as input positions in Z-cell
-/// order, stable within a cell. Two passes over the `rows` of `runs`: the
-/// first finds each numeric column's finite range, the second computes
-/// each row's cell; a stable counting sort over the cells then gives the
-/// permutation, one `u16` cell and one `u32` entry per row.
-fn z_order<R: Run + ?Sized>(
-    schema: &Schema,
-    runs: &[&R],
-    rows: usize,
-    block_rows: usize,
-) -> Result<Vec<u32>> {
+/// Row `i` of `column` as a number on the Z grid: an `Int64` or `Float64`
+/// value, `None` for NULL and for a column held as values (which the
+/// encoder rejects).
+fn number(column: &BatchColumn, i: usize) -> Option<f64> {
+    match &column.values {
+        _ if column.is_null(i) => None,
+        ColumnValues::Float64(v) => Some(v[i]),
+        ColumnValues::Int64(v) => Some(v[i] as f64),
+        ColumnValues::Values(_) => None,
+    }
+}
+
+/// The row order [`write_mem_table`] writes, as table positions in Z-cell
+/// order, stable within a cell. Two passes over each numeric column of
+/// the chunks: the first finds its finite range, the second adds its bits
+/// to each row's cell; a stable counting sort over the cells then gives
+/// the permutation, one `u16` cell and one `u32` entry per row.
+fn z_order(schema: &Schema, table: &MemTable, block_rows: usize) -> Result<Vec<u32>> {
+    let rows = table.len();
     if u32::try_from(rows).is_err() {
         return Err(storage_err(format!(
             "{rows} rows exceed one file's u32 row positions"
         )));
     }
-    let each_row = || (runs.iter()).flat_map(|run| (0..run.len()).map(move |i| (*run, i)));
+    // Column `c`'s numbers, row after row.
+    let numbers = |c: usize| {
+        (table.chunks().iter()).flat_map(move |chunk| {
+            let column = chunk.columns().get(c);
+            (0..chunk.len()).map(move |i| column.and_then(|column| number(column, i)))
+        })
+    };
     let numeric: Vec<usize> = (schema.fields().iter().enumerate())
         .filter(|(_, f)| matches!(f.data_type(), DataType::Int64 | DataType::Float64))
         .map(|(c, _)| c)
         .collect();
-    let mut ranges = vec![(f64::INFINITY, f64::NEG_INFINITY); numeric.len()];
-    for (run, i) in each_row() {
-        for (range, &c) in ranges.iter_mut().zip(&numeric) {
-            let Some(x) = run.number(i, c).filter(|x| x.is_finite()) else {
-                continue;
-            };
-            range.0 = range.0.min(x);
-            range.1 = range.1.max(x);
-        }
-    }
+    let ranges: Vec<(f64, f64)> = (numeric.iter())
+        .map(|&c| {
+            (numbers(c).flatten())
+                .filter(|x| x.is_finite())
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), x| {
+                    (lo.min(x), hi.max(x))
+                })
+        })
+        .collect();
     // About CELLS_PER_BLOCK cells per block, the bits dealt round-robin
     // over the axes.
     let cells = rows.div_ceil(block_rows).max(1) * CELLS_PER_BLOCK;
@@ -479,14 +401,16 @@ fn z_order<R: Run + ?Sized>(
             }
         }
     }
+    let mut cells = vec![0u16; rows];
+    for axis in &axes {
+        for (cell, x) in cells.iter_mut().zip(numbers(axis.col)) {
+            *cell |= axis.cell_bits(x);
+        }
+    }
     let mut starts = vec![0u32; 1 << total_bits];
-    let cells: Vec<u16> = each_row()
-        .map(|(run, i)| {
-            let cell = z_cell(&axes, |c| run.number(i, c));
-            starts[cell as usize] += 1;
-            cell
-        })
-        .collect();
+    for &cell in &cells {
+        starts[cell as usize] += 1;
+    }
     let mut next = 0u32;
     for start in &mut starts {
         let count = *start;
@@ -506,7 +430,7 @@ fn z_order<R: Run + ?Sized>(
 mod tests {
     use super::*;
     use crate::reader::DiskTable;
-    use sparkline_common::Field;
+    use sparkline_common::{Field, Value, CHUNK_ROWS};
     use std::sync::Arc;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -828,18 +752,174 @@ mod tests {
         std::fs::remove_file(&from_chunks).ok();
     }
 
+    /// The file's length and its 64-bit FNV-1a hash.
+    fn fingerprint(path: &Path) -> (usize, u64) {
+        let bytes = std::fs::read(path).unwrap();
+        let hash = (bytes.iter()).fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        (bytes.len(), hash)
+    }
+
+    /// Every type and edge value the encoder handles, in chunks left
+    /// uneven by a DELETE across a chunk boundary and an INSERT.
+    fn golden_table() -> (SchemaRef, MemTable) {
+        const BIG: i64 = 1 << 53;
+        let schema = Schema::new(vec![
+            Field::new("f", DataType::Float64, true),
+            Field::new("i", DataType::Int64, true),
+            Field::new("s", DataType::Utf8, true),
+            Field::new("b", DataType::Boolean, false),
+        ])
+        .into_ref();
+        let floats = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let ints = [BIG + 1, BIG - 1, -BIG - 1, -BIG + 1, i64::MIN, i64::MAX];
+        let row = |k: usize| {
+            let f = match k % 13 {
+                0 => Value::Null,
+                m @ 1..=5 => Value::Float64(floats[m - 1]),
+                _ => Value::Float64((k * 37 % 1009) as f64 / 8.0 - 60.0),
+            };
+            let i = match k % 17 {
+                0 => Value::Null,
+                m @ 1..=6 => Value::Int64(ints[m - 1]),
+                _ => Value::Int64((k * 53 % 997) as i64 - 400),
+            };
+            let s = if k.is_multiple_of(3) {
+                Value::Null
+            } else {
+                Value::str(format!("s{}", k % 29))
+            };
+            Row::new(vec![f, i, s, Value::Boolean(k % 5 < 2)])
+        };
+        let mut table = MemTable::from_rows(&schema, (0..2 * CHUNK_ROWS + 300).map(row).collect());
+        table.delete(&(CHUNK_ROWS - 40..CHUNK_ROWS + 40).collect::<Vec<_>>());
+        table.append((9000..9000 + CHUNK_ROWS).map(row).collect());
+        assert!(
+            table
+                .chunks()
+                .iter()
+                .filter(|c| c.len() < CHUNK_ROWS)
+                .count()
+                > 1
+        );
+        (schema, table)
+    }
+
+    #[test]
+    fn every_writer_writes_the_golden_bytes() {
+        // The lengths and hashes of the files before the writers read
+        // column buffers: the encoder's rewrite changed no byte.
+        /// A file's length and hash.
+        type Print = (usize, u64);
+        const GOLDEN: [(usize, Print, Print); 2] = [
+            (
+                100,
+                (157_711, 16_685_183_952_078_626_688),
+                (157_711, 17_604_534_990_958_614_843),
+            ),
+            (
+                3000,
+                (150_023, 7_403_348_823_915_280_603),
+                (150_023, 13_150_038_468_940_083_236),
+            ),
+        ];
+        let (schema, table) = golden_table();
+        let rows: Vec<Row> = table.rows().collect();
+        for (block_rows, clustered, ordered) in GOLDEN {
+            let opts = WriterOptions {
+                block_rows,
+                sample_cap: 64,
+                sample_seed: 3,
+            };
+            let path = temp_path(&format!("golden-{block_rows}"));
+            write_table(&path, Arc::clone(&schema), &rows, opts).unwrap();
+            assert_eq!(fingerprint(&path), clustered, "write_table, {block_rows}");
+            write_mem_table(&path, Arc::clone(&schema), &table, opts).unwrap();
+            assert_eq!(
+                fingerprint(&path),
+                clustered,
+                "write_mem_table, {block_rows}"
+            );
+            let mut writer = TableWriter::create(&path, Arc::clone(&schema), opts).unwrap();
+            writer.write_rows(&rows).unwrap();
+            writer.finish().unwrap();
+            assert_eq!(fingerprint(&path), ordered, "TableWriter, {block_rows}");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn a_failed_write_leaves_the_old_file_in_place() {
+        let (schema, rows) = float_rows(5000);
+        let path = temp_path("failed-write");
+        write_table(&path, Arc::clone(&schema), &rows, WriterOptions::default()).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let mut bad = rows.clone();
+        bad[4000] = Row::new(vec![Value::Float64(1.0), Value::Null]);
+        let err =
+            write_table(&path, Arc::clone(&schema), &bad, WriterOptions::default()).unwrap_err();
+        assert!(
+            err.to_string().starts_with("execution error: storage: "),
+            "{err}"
+        );
+        let after = std::fs::read(&path).unwrap();
+        assert!(
+            after == before,
+            "{} bytes left of {}",
+            after.len(),
+            before.len()
+        );
+        assert_eq!(DiskTable::open(&path).unwrap().total_rows(), 5000);
+        let dir = path.parent().unwrap();
+        let names: Vec<_> = (std::fs::read_dir(dir).unwrap())
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["t.spk"], "no temporary file is left");
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn schema_violations_fail_the_write() {
-        let schema = Schema::new(vec![Field::new("a", DataType::Int64, false)]).into_ref();
+        // Each entry point: a typed `storage:` error, not a panic.
+        let is_storage = |result: Result<DiskTableSummary>| {
+            let err = result.unwrap_err();
+            assert!(err.to_string().contains("storage: "), "{err}");
+        };
         let path = temp_path("badrow");
-        let err = write_table(
-            &path,
-            schema,
-            &[Row::new(vec![Value::str("nope")])],
-            WriterOptions::default(),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("storage"), "{err}");
-        std::fs::remove_file(&path).ok();
+        let schema = Schema::new(vec![Field::new("a", DataType::Int64, false)]).into_ref();
+        let rows = [Row::new(vec![Value::str("nope")])];
+        is_storage(write_table(&path, schema, &rows, WriterOptions::default()));
+        // `TableWriter`: a row of the wrong width, a NULL in a non-nullable
+        // column.
+        let (schema, rows) = float_rows(10);
+        for bad in [
+            Row::new(vec![Value::Float64(1.0)]),
+            Row::new(vec![Value::Float64(1.0), Value::Null]),
+        ] {
+            let opts = WriterOptions::default();
+            let mut writer = TableWriter::create(&path, Arc::clone(&schema), opts).unwrap();
+            let mut input = rows.clone();
+            input.insert(3, bad);
+            is_storage(writer.write_rows(&input).and_then(|()| writer.finish()));
+        }
+        // `write_mem_table` over a table built unchecked: a string in an
+        // Int64 column (its chunk column turns into values) and in a
+        // Boolean column.
+        for (data_type, good) in [
+            (DataType::Int64, Value::Int64(1)),
+            (DataType::Boolean, Value::Boolean(true)),
+        ] {
+            let schema = Schema::new(vec![Field::new("c", data_type, true)]).into_ref();
+            let input = vec![Row::new(vec![good]), Row::new(vec![Value::str("x")])];
+            let table = MemTable::from_rows(&schema, input);
+            is_storage(write_mem_table(
+                &path,
+                schema,
+                &table,
+                WriterOptions::default(),
+            ));
+        }
+        assert!(!path.exists(), "no failed write publishes a file");
     }
 }

@@ -51,8 +51,9 @@ impl Drop for BlockFile {
 /// executors, with small batches and with one batch per partition, over
 /// complete and NULL-bearing data. The table `src` stays in memory; `t` is
 /// its copy on disk, and `mem` holds the file's rows in file order (COPY
-/// clusters the rows, so `src`'s order is not the file's). Every block
-/// read reopens the file, so the fault reaches the next query:
+/// clusters the rows, so `src`'s order is not the file's). Every scan
+/// opens the file and checks it against the footer `t` was registered
+/// with, so the fault reaches the next query:
 /// - the skyline over `t` fails with a typed storage error, so no row
 ///   reaches the caller;
 /// - the same session still answers over the in-memory `mem`, byte for
@@ -127,6 +128,52 @@ fn removed_disk_file_fails_typed_and_recopy_recovers() {
     damaged_file_fails_typed_and_recopy_recovers("removed", |path| {
         std::fs::remove_file(path).unwrap();
     });
+}
+
+#[test]
+fn a_file_copied_over_a_disk_table_is_never_read_with_the_old_footer() {
+    use sparkline::Value;
+    let schema = Schema::new(vec![
+        Field::new("a", DataType::Int64, false),
+        Field::new("x", DataType::Float64, false),
+    ]);
+    // Same schema and row count, so the blocks sit at the same offsets.
+    let rows = |base: i64| {
+        (0..5000)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Int64(base + i * 7 % 5000),
+                    Value::Float64(i as f64),
+                ])
+            })
+            .collect()
+    };
+    let ctx = SessionContext::with_config(SessionConfig::new().with_storage_block_rows(256));
+    ctx.register_table("a", schema.clone(), rows(0)).unwrap();
+    ctx.register_table("b", schema, rows(100_000)).unwrap();
+    let query = |table: &str| {
+        ctx.sql(&format!(
+            "SELECT MIN(a), COUNT(*) FROM {table} WHERE a > 3000"
+        ))?
+        .collect()
+    };
+    let expected = query("b").unwrap().rows;
+    let file = BlockFile::new("replaced");
+    ctx.copy_table_to_disk("a", &file.0).unwrap();
+    ctx.register_disk_table("u", &file.0).unwrap();
+    assert_eq!(query("u").unwrap().rows, query("a").unwrap().rows);
+
+    ctx.copy_table_to_disk("b", &file.0).unwrap();
+    match query("u") {
+        Ok(result) => assert_eq!(result.rows, expected, "read with the old footer"),
+        Err(err) => assert!(
+            matches!(&err, Error::Execution(m) if m.starts_with("storage: ")),
+            "expected a storage error, got: {err}"
+        ),
+    }
+    // Registering the new file reads it.
+    ctx.register_disk_table("u", &file.0).unwrap();
+    assert_eq!(query("u").unwrap().rows, expected);
 }
 
 #[test]
@@ -247,7 +294,7 @@ fn a_denied_reservation_releases_every_reservation() {
         let rows = (0..n)
             .map(|i| Row::new(vec![Value::Int64(i), Value::Int64(n - i)]))
             .collect();
-        Arc::new(ScanExec::from_rows("t", rows, Arc::clone(&schema)))
+        Arc::new(ScanExec::from_rows("t", rows, Arc::clone(&schema)).unwrap())
     };
     let released = |ctx: &TaskContext| {
         (

@@ -226,6 +226,29 @@ fn table_less_select() {
 }
 
 #[test]
+fn values_rows_of_the_wrong_width_are_a_plan_error() {
+    use sparkline_plan::LogicalPlanBuilder;
+    let ctx = session();
+    let schema = Schema::new(vec![
+        Field::new("a", DataType::Int64, false),
+        Field::new("b", DataType::Int64, false),
+    ])
+    .into_ref();
+    let good = Row::new(vec![1.into(), 2.into()]);
+    for bad in [
+        Row::new(vec![3.into()]),
+        Row::new(vec![3.into(), 4.into(), 5.into()]),
+    ] {
+        let plan = LogicalPlanBuilder::values(schema.clone(), vec![good.clone(), bad.clone()])
+            .build()
+            .unwrap();
+        let err = ctx.execute_plan(&plan).unwrap_err();
+        assert!(err.to_string().contains("values"), "{bad:?}: {err}");
+    }
+    assert_eq!(run(&ctx, "SELECT 1 + 1 AS two"), vec!["(2)"]);
+}
+
+#[test]
 fn division_by_zero_yields_null() {
     let ctx = session();
     assert_eq!(run(&ctx, "SELECT 1 / 0"), vec!["(NULL)"]);
