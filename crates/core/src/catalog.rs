@@ -1,12 +1,14 @@
 //! The session catalog: table schemas, table data, and constraint
 //! metadata. Implements both the analyzer/optimizer-facing
 //! [`CatalogProvider`] and the physical planner's [`ExecTableSource`].
+//! A name maps to one [`TableData`]: in-memory chunks or an opened block
+//! file, never both.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use sparkline_common::{Error, MemTable, Result, Row, Schema, SchemaRef};
-use sparkline_physical::ExecTableSource;
+use sparkline_physical::{ExecTableSource, TableData};
 use sparkline_plan::{CatalogProvider, StaticCatalog};
 use sparkline_storage::DiskTable;
 
@@ -14,8 +16,7 @@ use sparkline_storage::DiskTable;
 #[derive(Debug, Default)]
 pub struct SessionCatalog {
     schemas: StaticCatalog,
-    data: HashMap<String, MemTable>,
-    disk: HashMap<String, Arc<DiskTable>>,
+    tables: HashMap<String, TableData>,
     /// Monotone mutation counter: bumped by every registration, drop,
     /// insert, and foreign-key declaration. Cached plans and results
     /// keyed on `(query, version)` are implicitly invalidated by any
@@ -41,8 +42,7 @@ impl SessionCatalog {
     /// schema (width, types, nullability). The rows become the table's
     /// column chunks one chunk at a time, each row validated, copied and
     /// dropped in one pass ([`MemTable::from_checked_rows`]). Replaces any
-    /// same-named registration, in-memory *or* disk-resident — one name
-    /// maps to exactly one table representation.
+    /// same-named registration, in-memory or disk-resident.
     pub fn register_table(
         &mut self,
         name: impl Into<String>,
@@ -54,24 +54,36 @@ impl SessionCatalog {
             validate_row(&name, &schema, i, row)
         })?;
         self.schemas.register_table(name.clone(), schema.into_ref());
-        let key = name.to_ascii_lowercase();
-        self.disk.remove(&key);
-        self.data.insert(key, table);
+        (self.tables).insert(name.to_ascii_lowercase(), TableData::Memory(table));
         self.version += 1;
         Ok(())
     }
 
     /// Register a disk-resident table (an opened block file): its schema
-    /// enters the catalog like any table's, but scans stream the file's
-    /// blocks through `DiskScanExec` instead of copying rows into memory.
-    /// Replaces any same-named registration, in-memory or disk-resident.
+    /// enters the catalog like any table's, but its scan streams the
+    /// file's blocks instead of copying rows into memory. Replaces any
+    /// same-named registration, in-memory or disk-resident.
     pub fn register_disk_table(&mut self, name: impl Into<String>, table: Arc<DiskTable>) {
         let name = name.into();
         self.schemas.register_table(name.clone(), table.schema());
-        let key = name.to_ascii_lowercase();
-        self.data.remove(&key);
-        self.disk.insert(key, table);
+        (self.tables).insert(name.to_ascii_lowercase(), TableData::Disk(table));
         self.version += 1;
+    }
+
+    /// The in-memory table registered as `key` (lowercased), to be
+    /// changed by `verb`: a disk-resident table is immutable, so changing
+    /// one is a plan error.
+    fn writable(&mut self, key: &str, name: &str, verb: &str) -> Result<&mut MemTable> {
+        match self.tables.get_mut(key) {
+            Some(TableData::Memory(table)) => Ok(table),
+            Some(TableData::Disk(_)) => Err(Error::plan(format!(
+                "table '{name}' is disk-resident; {verb} is only supported \
+                 for in-memory tables"
+            ))),
+            None => Err(Error::internal(format!(
+                "table '{name}' has a schema but no rows"
+            ))),
+        }
     }
 
     /// Append rows to a registered in-memory table, validating them
@@ -88,20 +100,12 @@ impl SessionCatalog {
             .schemas
             .table_schema(&key)
             .ok_or_else(|| Error::plan(format!("no table named '{name}' to insert into")))?;
-        if self.disk.contains_key(&key) {
-            return Err(Error::plan(format!(
-                "table '{name}' is disk-resident; INSERT is only supported \
-                 for in-memory tables"
-            )));
-        }
+        let table = self.writable(&key, name, "INSERT")?;
         validate_rows(&key, &schema, &rows)?;
-        let table = self
-            .data
-            .get_mut(&key)
-            .ok_or_else(|| Error::internal(format!("table '{name}' has a schema but no rows")))?;
         table.append(rows);
+        let len = table.len();
         self.version += 1;
-        Ok(table.len())
+        Ok(len)
     }
 
     /// Remove rows from a registered in-memory table by position
@@ -120,16 +124,7 @@ impl SessionCatalog {
                 "no table named '{name}' to delete from"
             )));
         }
-        if self.disk.contains_key(&key) {
-            return Err(Error::plan(format!(
-                "table '{name}' is disk-resident; DELETE is only supported \
-                 for in-memory tables"
-            )));
-        }
-        let table = self
-            .data
-            .get_mut(&key)
-            .ok_or_else(|| Error::internal(format!("table '{name}' has a schema but no rows")))?;
+        let table = self.writable(&key, name, "DELETE")?;
         let len = table.len();
         for pair in positions.windows(2) {
             if pair[0] >= pair[1] {
@@ -149,11 +144,6 @@ impl SessionCatalog {
         table.delete(positions);
         self.version += 1;
         Ok(positions.len())
-    }
-
-    /// The disk table registered under `name`, if any.
-    pub fn disk_table_named(&self, name: &str) -> Option<Arc<DiskTable>> {
-        self.disk.get(&name.to_ascii_lowercase()).cloned()
     }
 
     /// Declare a foreign key (used by the §5.4 skyline-join pushdown; see
@@ -192,10 +182,9 @@ impl SessionCatalog {
     /// not linger in `table_names()` or be re-plannable.
     pub fn drop_table(&mut self, name: &str) -> bool {
         let key = name.to_ascii_lowercase();
-        let had_data = self.data.remove(&key).is_some();
-        let had_disk = self.disk.remove(&key).is_some();
+        let had_data = self.tables.remove(&key).is_some();
         let had_schema = self.schemas.drop_table(&key);
-        let existed = had_data || had_disk || had_schema;
+        let existed = had_data || had_schema;
         if existed {
             self.version += 1;
         }
@@ -209,11 +198,8 @@ impl SessionCatalog {
 
     /// Number of rows in a table.
     pub fn table_row_count(&self, name: &str) -> Option<usize> {
-        let key = name.to_ascii_lowercase();
-        if let Some(table) = self.disk.get(&key) {
-            return Some(table.total_rows() as usize);
-        }
-        self.data.get(&key).map(|r| r.len())
+        let table = self.tables.get(&name.to_ascii_lowercase());
+        table.map(TableData::num_rows)
     }
 }
 
@@ -272,12 +258,8 @@ impl CatalogProvider for SessionCatalog {
 }
 
 impl ExecTableSource for SessionCatalog {
-    fn mem_table(&self, name: &str) -> Option<MemTable> {
-        self.data.get(&name.to_ascii_lowercase()).cloned()
-    }
-
-    fn disk_table(&self, name: &str) -> Option<Arc<DiskTable>> {
-        self.disk_table_named(name)
+    fn table(&self, name: &str) -> Option<TableData> {
+        self.tables.get(&name.to_ascii_lowercase()).cloned()
     }
 }
 
@@ -285,6 +267,22 @@ impl ExecTableSource for SessionCatalog {
 mod tests {
     use super::*;
     use sparkline_common::{DataType, Field, Value, CHUNK_ROWS};
+
+    /// The in-memory table registered as `name`, if any.
+    fn in_memory(cat: &SessionCatalog, name: &str) -> Option<MemTable> {
+        match cat.table(name) {
+            Some(TableData::Memory(table)) => Some(table),
+            _ => None,
+        }
+    }
+
+    /// The disk table registered as `name`, if any.
+    fn on_disk(cat: &SessionCatalog, name: &str) -> Option<Arc<DiskTable>> {
+        match cat.table(name) {
+            Some(TableData::Disk(table)) => Some(table),
+            _ => None,
+        }
+    }
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -303,7 +301,7 @@ mod tests {
         )
         .unwrap();
         assert!(cat.table_schema("t").is_some());
-        assert_eq!(cat.mem_table("t").unwrap().len(), 1);
+        assert_eq!(in_memory(&cat, "t").unwrap().len(), 1);
         assert_eq!(cat.table_row_count("T"), Some(1));
         assert_eq!(cat.table_names(), vec!["t"]);
     }
@@ -349,7 +347,7 @@ mod tests {
         cat.register_table("t", schema(), vec![]).unwrap();
         assert!(cat.drop_table("T"));
         assert!(!cat.drop_table("t"));
-        assert!(cat.mem_table("t").is_none());
+        assert!(in_memory(&cat, "t").is_none());
     }
 
     #[test]
@@ -409,7 +407,7 @@ mod tests {
         assert!(err.to_string().contains("has 1 values"), "{err}");
         // Snapshot isolation: a reader holding the pre-insert Arc keeps
         // its rows while the catalog grows a fresh copy.
-        let before = cat.mem_table("t").unwrap();
+        let before = in_memory(&cat, "t").unwrap();
         cat.insert_rows("t", vec![Row::new(vec![Value::Int64(4), Value::Null])])
             .unwrap();
         assert_eq!(before.len(), 2);
@@ -434,9 +432,9 @@ mod tests {
         let mut cat = SessionCatalog::new();
         cat.register_table("t", schema(), numbered(0..3 * CHUNK_ROWS + 7))
             .unwrap();
-        let before = cat.mem_table("t").unwrap();
+        let before = in_memory(&cat, "t").unwrap();
         assert_eq!(cat.delete_rows("t", &[CHUNK_ROWS + 5]).unwrap(), 1);
-        let after = cat.mem_table("t").unwrap();
+        let after = in_memory(&cat, "t").unwrap();
         assert_eq!(after.chunks().len(), before.chunks().len());
         for (k, (a, b)) in after.chunks().iter().zip(before.chunks()).enumerate() {
             assert_eq!(Arc::ptr_eq(a, b), k != 1, "chunk {k}");
@@ -483,11 +481,11 @@ mod tests {
                     model.remove(p);
                 }
             }
-            let table = cat.mem_table("t").unwrap();
+            let table = in_memory(&cat, "t").unwrap();
             assert_eq!(table.len(), model.len(), "step {step}");
             assert!(table.rows().eq(model.iter().cloned()), "step {step}");
         }
-        let table = cat.mem_table("t").unwrap();
+        let table = in_memory(&cat, "t").unwrap();
         let short = (table.chunks().iter())
             .filter(|c| c.len() < CHUNK_ROWS)
             .count();
@@ -527,7 +525,10 @@ mod tests {
         )
         .unwrap();
         cat.register_disk_table("t", Arc::clone(&disk));
-        assert!(cat.mem_table("t").is_none(), "stale in-memory rows survive");
+        assert!(
+            in_memory(&cat, "t").is_none(),
+            "stale in-memory rows survive"
+        );
         assert_eq!(cat.table_row_count("t"), Some(3));
 
         // Disk then memory: regression — the disk entry used to survive,
@@ -540,16 +541,13 @@ mod tests {
             vec![Row::new(vec![Value::Int64(9), Value::Null])],
         )
         .unwrap();
-        assert!(
-            cat.disk_table_named("t").is_none(),
-            "stale disk entry survives"
-        );
+        assert!(on_disk(&cat, "t").is_none(), "stale disk entry survives");
         assert_eq!(cat.table_row_count("t"), Some(1));
 
         // Mixed drop: one drop removes the single representation fully.
         assert!(cat.drop_table("t"));
-        assert!(cat.mem_table("t").is_none());
-        assert!(cat.disk_table_named("t").is_none());
+        assert!(in_memory(&cat, "t").is_none());
+        assert!(on_disk(&cat, "t").is_none());
         assert!(cat.table_schema("t").is_none());
         assert!(!cat.drop_table("t"));
         std::fs::remove_dir_all(&dir).ok();

@@ -12,7 +12,9 @@ use sparkline_common::{Algorithm, MemTable, Result, Row, Schema, SessionConfig, 
 use sparkline_exec::{Deadline, QueryControl, TaskContext};
 use sparkline_optimizer::Optimizer;
 use sparkline_parser::parse_query;
-use sparkline_physical::{display_physical, ExecTableSource, ExecutionPlan, PhysicalPlanner};
+use sparkline_physical::{
+    display_physical, ExecTableSource, ExecutionPlan, PhysicalPlanner, TableData,
+};
 use sparkline_plan::{Expr, LogicalPlan, LogicalPlanBuilder};
 
 use crate::catalog::SessionCatalog;
@@ -129,11 +131,11 @@ impl SessionContext {
                 .ok_or_else(|| {
                     sparkline_common::Error::plan(format!("no table named '{name}' to copy"))
                 })?;
-            let table = catalog.mem_table(name).ok_or_else(|| {
-                sparkline_common::Error::plan(format!(
+            let Some(TableData::Memory(table)) = catalog.table(name) else {
+                return Err(sparkline_common::Error::plan(format!(
                     "table '{name}' has no in-memory rows to copy"
-                ))
-            })?;
+                )));
+            };
             (schema, table)
         };
         sparkline_storage::write_mem_table(
@@ -226,12 +228,12 @@ impl SessionContext {
                 None
             }
         };
-        let table = catalog.mem_table(name).ok_or_else(|| {
-            sparkline_common::Error::plan(format!(
+        let Some(TableData::Memory(table)) = catalog.table(name) else {
+            return Err(sparkline_common::Error::plan(format!(
                 "table '{name}' is disk-resident; DELETE is only supported \
                  for in-memory tables"
-            ))
-        })?;
+            )));
+        };
         let positions = match &bound {
             Some(predicate) => {
                 let schema = sparkline_plan::CatalogProvider::table_schema(&*catalog, name)
@@ -251,7 +253,10 @@ impl SessionContext {
     /// snapshot is immutable and cheap, and a concurrent insert/delete
     /// builds new chunks for the catalog without touching it.
     pub fn table_snapshot(&self, name: &str) -> Option<MemTable> {
-        self.catalog.read().mem_table(name)
+        match self.catalog.read().table(name) {
+            Some(TableData::Memory(table)) => Some(table),
+            _ => None,
+        }
     }
 
     /// The catalog's mutation version (see [`SessionCatalog::version`]):
@@ -330,7 +335,9 @@ impl SessionContext {
     /// The shared pipeline: analyze → optimize → plan → execute on the
     /// stream model, once, returning the executed physical plan alongside
     /// the result. An error — a denied memory reservation included — is
-    /// the query's result; nothing re-runs it.
+    /// the query's result; nothing re-runs it. The catalog's read lock
+    /// covers planning only: the plan holds its tables as [`TableData`]
+    /// snapshots, so writers need not wait for it.
     fn execute_pipeline(
         &self,
         plan: &LogicalPlan,
@@ -347,6 +354,7 @@ impl SessionContext {
         let physical = PhysicalPlanner::new(config, &*catalog)
             .with_algorithm(algorithm)
             .create(&optimized)?;
+        drop(catalog);
         let ctx = self.task_context();
         let rows = sparkline_physical::planner::collect(&physical, &ctx)?;
         let result = QueryResult {
@@ -436,6 +444,14 @@ impl SessionContext {
             optimized.display_indent(),
             display_physical(&physical),
         ))
+    }
+}
+
+/// The session's tables, for a planner run outside the session's own
+/// pipeline: each lookup returns a snapshot.
+impl ExecTableSource for SessionContext {
+    fn table(&self, name: &str) -> Option<TableData> {
+        self.catalog.read().table(name)
     }
 }
 

@@ -17,7 +17,8 @@
 //! of Spark's pipelined narrow transformations): `execute_stream` returns
 //! one [`PartitionStream`] per output partition, and each stream yields
 //! batches of `SessionConfig::batch_size` rows on demand — row batches,
-//! or, from the in-memory and disk scans, column batches that become rows
+//! or, from the table scan ([`ScanExec`], one operator over an in-memory
+//! or a disk-resident [`TableData`]), column batches that become rows
 //! only where an operator asks for them. Narrow
 //! operators — scan, project, filter, limit, distinct, join probe sides —
 //! are true pipelined transforms: pulling one batch from the root pulls
@@ -58,8 +59,8 @@ pub use basic::{DistinctExec, FilterExec, LimitExec, ProjectExec, SortExec};
 pub use exchange::ExchangeExec;
 pub use join::{HashJoinExec, NestedLoopJoinExec};
 pub use planner::{ExecTableSource, PhysicalPlanner};
-pub use scan::ScanExec;
-pub use scan_disk::{DiskScanExec, DominanceSkip, GateSample};
+pub use scan::{ScanExec, TableData};
+pub use scan_disk::{DominanceSkip, GateSample};
 pub use scan_filter::{ColumnPredicate, ScanFilter};
 pub use skyline_exec::{GlobalSkylineExec, LocalSkylineExec, MinMaxFilterExec};
 

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use sparkline_common::{
-    Algorithm, DataType, Error, MemTable, Result, Row, Schema, SchemaRef, SessionConfig,
-    SkylineDim, SkylineSpec,
+    Algorithm, DataType, Error, Result, Row, Schema, SchemaRef, SessionConfig, SkylineDim,
+    SkylineSpec,
 };
 use sparkline_plan::{
     conjoin, split_conjuncts, AggregateFunction, BinaryOp, BoundColumn, Expr, JoinCondition,
@@ -18,20 +18,16 @@ use crate::join::{HashJoinExec, NestedLoopJoinExec};
 use crate::skyline_exec::{GlobalSkylineExec, LocalSkylineExec, MinMaxFilterExec};
 use crate::{
     basic::{DistinctExec, FilterExec, LimitExec, ProjectExec, SortExec},
-    scan::ScanExec,
+    scan::{ScanExec, TableData},
     ExecutionPlan,
 };
 
 /// Source of table *data* for scans (the session catalog implements this).
 pub trait ExecTableSource: Send + Sync {
-    /// A snapshot of a registered in-memory table, if it exists.
-    fn mem_table(&self, name: &str) -> Option<MemTable>;
-
-    /// The disk-resident table registered under `name`, if any. Disk
-    /// tables take precedence over in-memory rows when both exist.
-    fn disk_table(&self, _name: &str) -> Option<Arc<sparkline_storage::DiskTable>> {
-        None
-    }
+    /// The data registered under `name`, if any: a snapshot of an
+    /// in-memory table or an opened disk table. Either is planned to one
+    /// [`ScanExec`].
+    fn table(&self, name: &str) -> Option<TableData>;
 }
 
 /// Translates logical plans into physical operator trees.
@@ -70,12 +66,7 @@ impl<'a> PhysicalPlanner<'a> {
                     "cannot execute unresolved relation '{name}'"
                 )))
             }
-            LogicalPlan::TableScan { name, schema } => {
-                if let Some(table) = self.source.disk_table(name) {
-                    return Ok(Arc::new(self.disk_scan(name, table, schema, None)));
-                }
-                Arc::new(self.mem_scan(name, schema)?)
-            }
+            LogicalPlan::TableScan { name, schema } => Arc::new(self.scan(name, schema)?),
             LogicalPlan::Values { schema, rows } => Arc::new(ScanExec::from_rows(
                 "values",
                 rows.as_ref().clone(),
@@ -94,23 +85,11 @@ impl<'a> PhysicalPlanner<'a> {
                 // cut; a disk scan still takes its prunable conjuncts as
                 // static min/max bounds.
                 if let LogicalPlan::TableScan { name, schema } = input.as_ref() {
-                    let (scan, pushed): (Arc<dyn ExecutionPlan>, bool) =
-                        match self.source.disk_table(name) {
-                            Some(table) => {
-                                let scan = self.disk_scan(name, table, schema, Some(predicate));
-                                let pushed = scan.evaluates_filter();
-                                (Arc::new(scan), pushed)
-                            }
-                            None => {
-                                let scan = self.mem_scan(name, schema)?.with_filter(predicate);
-                                let pushed = scan.evaluates_filter();
-                                (Arc::new(scan), pushed)
-                            }
-                        };
-                    return Ok(if pushed {
-                        scan
+                    let scan = self.scan(name, schema)?.with_filter(predicate);
+                    return Ok(if scan.evaluates_filter() {
+                        Arc::new(scan)
                     } else {
-                        Arc::new(FilterExec::new(predicate.clone(), scan))
+                        Arc::new(FilterExec::new(predicate.clone(), Arc::new(scan)))
                     });
                 }
                 Arc::new(FilterExec::new(predicate.clone(), self.create(input)?))
@@ -173,27 +152,11 @@ impl<'a> PhysicalPlanner<'a> {
         })
     }
 
-    /// A [`ScanExec`] over the in-memory table registered as `name`.
-    fn mem_scan(&self, name: &str, schema: &SchemaRef) -> Result<ScanExec> {
-        let table = (self.source.mem_table(name))
+    /// A [`ScanExec`] over the table registered as `name`.
+    fn scan(&self, name: &str, schema: &SchemaRef) -> Result<ScanExec> {
+        let data = (self.source.table(name))
             .ok_or_else(|| Error::plan(format!("no data registered for table '{name}'")))?;
-        Ok(ScanExec::new(name, table, Arc::clone(schema)))
-    }
-
-    /// Build a [`DiskScanExec`] over an opened table, taking over the
-    /// filter that sits directly on the scan, if any.
-    fn disk_scan(
-        &self,
-        name: &str,
-        table: Arc<sparkline_storage::DiskTable>,
-        schema: &SchemaRef,
-        filter: Option<&Expr>,
-    ) -> crate::scan_disk::DiskScanExec {
-        let scan = crate::scan_disk::DiskScanExec::new(name.to_string(), table, Arc::clone(schema));
-        match filter {
-            Some(predicate) => scan.with_filter(predicate),
-            None => scan,
-        }
+        Ok(ScanExec::new(name, data, Arc::clone(schema)))
     }
 
     fn plan_join(
@@ -468,15 +431,16 @@ pub fn output_schema(plan: &LogicalPlan) -> Result<SchemaRef> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparkline_common::Value;
+    use sparkline_common::{MemTable, Value};
     use sparkline_exec::TaskContext;
     use std::collections::HashMap;
 
     struct MapSource(HashMap<String, MemTable>);
 
     impl ExecTableSource for MapSource {
-        fn mem_table(&self, name: &str) -> Option<MemTable> {
-            self.0.get(&name.to_ascii_lowercase()).cloned()
+        fn table(&self, name: &str) -> Option<TableData> {
+            let table = self.0.get(&name.to_ascii_lowercase()).cloned();
+            table.map(TableData::Memory)
         }
     }
 
@@ -722,12 +686,8 @@ mod tests {
     struct DiskSource(Arc<sparkline_storage::DiskTable>);
 
     impl ExecTableSource for DiskSource {
-        fn mem_table(&self, _name: &str) -> Option<MemTable> {
-            None
-        }
-
-        fn disk_table(&self, _name: &str) -> Option<Arc<sparkline_storage::DiskTable>> {
-            Some(Arc::clone(&self.0))
+        fn table(&self, _name: &str) -> Option<TableData> {
+            Some(TableData::Disk(Arc::clone(&self.0)))
         }
     }
 
@@ -739,18 +699,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn plans_with_one_gate_input_share_one_gate() {
-        use sparkline_common::{Field, SkylineType};
-        let dir = std::env::temp_dir().join(format!("sparkline-gate-cache-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.spk");
+    /// Two `Float64` columns `a` and `b`: an anti-correlated band plus
+    /// dominated noise, 4 000 rows.
+    fn banded_rows() -> (SchemaRef, Vec<Row>) {
+        use sparkline_common::Field;
         let schema = Schema::new(vec![
             Field::new("a", DataType::Float64, false),
             Field::new("b", DataType::Float64, false),
         ])
         .into_ref();
-        // An anti-correlated band plus dominated noise, in Z-ordered blocks.
         let rows: Vec<Row> = (0..4000)
             .map(|k: i64| {
                 let a = ((k * 37) % 1000) as f64;
@@ -762,12 +719,28 @@ mod tests {
                 Row::new(vec![Value::Float64(a), Value::Float64(b)])
             })
             .collect();
+        (schema, rows)
+    }
+
+    /// [`banded_rows`] written to `dir` in Z-ordered 50-row blocks.
+    fn banded_disk_table(dir: &std::path::Path) -> Arc<sparkline_storage::DiskTable> {
+        std::fs::create_dir_all(dir).unwrap();
+        let path = dir.join("t.spk");
+        let (schema, rows) = banded_rows();
         let opts = sparkline_storage::WriterOptions {
             block_rows: 50,
             ..Default::default()
         };
-        sparkline_storage::write_table(&path, Arc::clone(&schema), &rows, opts).unwrap();
-        let table = Arc::new(sparkline_storage::DiskTable::open(&path).unwrap());
+        sparkline_storage::write_table(&path, schema, &rows, opts).unwrap();
+        Arc::new(sparkline_storage::DiskTable::open(&path).unwrap())
+    }
+
+    #[test]
+    fn plans_with_one_gate_input_share_one_gate() {
+        use sparkline_common::SkylineType;
+        let dir = std::env::temp_dir().join(format!("sparkline-gate-cache-{}", std::process::id()));
+        let table = banded_disk_table(&dir);
+        let schema = table.schema();
         let source = DiskSource(Arc::clone(&table));
         let scan = LogicalPlan::TableScan {
             name: "t".into(),
@@ -818,7 +791,7 @@ mod tests {
         assert!(dominance > 0, "the gate skips blocks");
         assert_eq!(run(&second), (rows.clone(), minmax, dominance));
         // The skip counts of a gate built afresh, outside the cache.
-        let fresh = crate::DiskScanExec::new("t", Arc::clone(&table), table.schema())
+        let fresh = ScanExec::new("t", TableData::Disk(Arc::clone(&table)), table.schema())
             .with_filter(&predicate(900.0));
         let (slot, sample) = fresh.dominance_skip_slot().unwrap();
         let dims = [SkylineDim::min(0), SkylineDim::min(1)];
@@ -827,6 +800,97 @@ mod tests {
         let fresh: Arc<dyn ExecutionPlan> = Arc::new(fresh);
         let (_, fresh_minmax, fresh_dominance) = run(&fresh);
         assert_eq!((fresh_minmax, fresh_dominance), (minmax, dominance));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `EXPLAIN`'s scan lines, in memory and on disk, plain, under a
+    /// filter the scan evaluates, under one it leaves to a `FilterExec`,
+    /// and below a skyline (on disk, with its gate installed).
+    #[test]
+    fn explain_scan_lines_are_pinned() {
+        use sparkline_common::SkylineType;
+        struct Both(MemTable, Arc<sparkline_storage::DiskTable>);
+        impl ExecTableSource for Both {
+            fn table(&self, name: &str) -> Option<TableData> {
+                match name {
+                    "m" => Some(TableData::Memory(self.0.clone())),
+                    "t" => Some(TableData::Disk(Arc::clone(&self.1))),
+                    _ => None,
+                }
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("sparkline-explain-{}", std::process::id()));
+        let table = banded_disk_table(&dir);
+        let (schema, rows) = banded_rows();
+        let source = Both(MemTable::from_rows(&schema, rows), table);
+        let col = |index: usize| {
+            Expr::BoundColumn(BoundColumn {
+                index,
+                field: schema.field(index).clone(),
+            })
+        };
+        let lit = |v: f64| Expr::Literal(Value::Float64(v));
+        let config = SessionConfig::default();
+        // The plain scan, the pushed filter, the kept `FilterExec`, and the
+        // scan line below the skyline operators.
+        let explain = |name: &str| -> Vec<String> {
+            let scan = Arc::new(LogicalPlan::TableScan {
+                name: name.into(),
+                schema: Arc::clone(&schema),
+            });
+            let exact = LogicalPlan::Filter {
+                predicate: col(0).lt(lit(900.0)),
+                input: Arc::clone(&scan),
+            };
+            let sum = col(0).binary(BinaryOp::Plus, col(1));
+            let inexact = LogicalPlan::Filter {
+                predicate: col(0).lt(lit(900.0)).and(sum.lt(lit(1200.0))),
+                input: Arc::clone(&scan),
+            };
+            let skyline = LogicalPlan::Skyline {
+                distinct: false,
+                complete: true,
+                dims: vec![
+                    SkylineDimension::new(col(0), SkylineType::Min),
+                    SkylineDimension::new(col(1), SkylineType::Min),
+                ],
+                input: Arc::new(exact.clone()),
+            };
+            let display = |plan: &LogicalPlan| {
+                let physical = PhysicalPlanner::new(&config, &source).create(plan);
+                crate::display_physical(&physical.unwrap())
+            };
+            let gated = display(&skyline);
+            let mut lines: Vec<String> = [scan.as_ref(), &exact, &inexact]
+                .into_iter()
+                .map(display)
+                .collect();
+            lines.push(gated.lines().last().unwrap().trim_start().to_string() + "\n");
+            lines
+        };
+        let filter = "FilterExec [((a#0 < 900.0) AND ((a#0 + b#1) < 1200.0))]";
+        assert_eq!(
+            explain("m"),
+            [
+                "ScanExec [m: 4000 rows]\n".to_string(),
+                "ScanExec [m: 4000 rows, filter: a < 900.0]\n".to_string(),
+                format!("{filter}\n  ScanExec [m: 4000 rows]\n"),
+                "ScanExec [m: 4000 rows, filter: a < 900.0]\n".to_string(),
+            ]
+        );
+        let disk = "DiskScanExec [t: 4000 rows, disk(blocks=80, skipped=";
+        assert_eq!(
+            explain("t"),
+            [
+                format!("{disk}0 minmax + 0 dominance)]\n"),
+                format!("{disk}1 minmax + 0 dominance), filter: a < 900.0]\n"),
+                format!("{filter}\n  {disk}1 minmax + 0 dominance)]\n"),
+                format!(
+                    "{disk}1 minmax + 64 dominance), gate: 80 points (3 from corners), \
+                     filter: a < 900.0]\n"
+                ),
+            ]
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,51 +1,91 @@
-//! The in-memory table scan.
+//! The table scan, over an in-memory or a disk-resident table.
 //!
-//! An in-memory table is a [`MemTable`]: immutable column chunks, the
-//! layout of a [`ColumnBatch`](sparkline_common::ColumnBatch) without its
-//! selection vector. [`ScanExec`] splits the table's rows evenly across
-//! the executors, copies each batch's rows out of the chunks into a column
-//! batch (across a chunk boundary where a batch spans two), and yields it
-//! as [`Batch::Columns`], as the disk scan does. A `WHERE` clause that is
-//! an `AND` of exactly comparable `column <op> literal` conjuncts is the
-//! scan's own: it evaluates it on each batch's buffers with the disk
-//! scan's [`ScanFilter`], and the planner plans no `FilterExec`. An
-//! operator that wants rows gets them built from the selected rows, and
-//! the local skyline builds one only for a row that survives its first
-//! cross-filter.
+//! A catalog hands the planner a table as [`TableData`]: an in-memory
+//! [`MemTable`] (immutable column chunks, the layout of a [`ColumnBatch`]
+//! without its selection vector) or an opened [`DiskTable`] (an SPKB
+//! block file). [`ScanExec`] reads either. Only the way a partition gets
+//! its batches differs:
+//!
+//! - **Memory.** The table's rows are split evenly across the executors,
+//!   and each batch's rows are copied out of the chunks into a column
+//!   batch (across a chunk boundary where a batch spans two).
+//! - **Disk.** Every block's skip verdict is taken from footer metadata
+//!   first, and only the kept blocks are dealt to the executors; each
+//!   block then decodes batch by batch into a column batch (see
+//!   [`scan_disk`](crate::scan_disk)).
+//!
+//! Everything else is one code path. A `WHERE` clause that is an `AND` of
+//! exactly comparable `column <op> literal` conjuncts is the scan's own:
+//! it evaluates it on each batch's buffers with its [`ScanFilter`], and
+//! the planner plans no `FilterExec`. Every batch goes downstream as
+//! [`Batch::Columns`]; an operator that wants rows gets them built from
+//! the selected rows, and the local skyline builds one only for a row
+//! that survives its first cross-filter. `EXPLAIN` names a disk-backed
+//! scan `DiskScanExec` and shows its block verdicts.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use sparkline_common::{Error, MemTable, Result, Row, SchemaRef};
+use sparkline_common::{ColumnBatch, Error, MemTable, Result, Row, SchemaRef};
 use sparkline_exec::{partition::even_ranges, Batch, PartitionStream, TaskContext};
 use sparkline_plan::Expr;
+use sparkline_storage::DiskTable;
 
-use crate::scan_filter::ScanFilter;
+use crate::scan_disk::{BlockPruning, BlockReader, DominanceSkip, GateSample};
+use crate::scan_filter::{extract_column_predicates, float_columns, ColumnPredicate, ScanFilter};
 use crate::ExecutionPlan;
 
-/// Scans an in-memory table (or inline `VALUES` rows), splitting its rows
-/// evenly across `num_executors` partition streams — Spark's default
+/// A table's data as a catalog hands it to the planner.
+#[derive(Debug, Clone)]
+pub enum TableData {
+    /// An in-memory table: a snapshot of its chunks, which a concurrent
+    /// insert or delete never mutates.
+    Memory(MemTable),
+    /// A disk-resident table: an opened block file, immutable once open.
+    Disk(Arc<DiskTable>),
+}
+
+impl TableData {
+    /// The table's row count.
+    pub fn num_rows(&self) -> usize {
+        match self {
+            TableData::Memory(table) => table.len(),
+            TableData::Disk(table) => table.total_rows() as usize,
+        }
+    }
+}
+
+/// Scans a table (or inline `VALUES` rows) in memory or on disk into
+/// `num_executors` partition streams of column batches — Spark's default
 /// distribution for a fresh read.
 ///
-/// Each stream copies one batch of rows out of the shared chunks per
-/// pull, so a `LIMIT`-short-circuited query never touches (or counts in
-/// `rows_scanned`) the rows it does not read.
+/// Each stream reads one batch per pull, so a `LIMIT`-short-circuited
+/// query never touches (or counts in `rows_scanned`) the rows it does not
+/// read. A disk stream holds at most one block's *encoded* payload
+/// (budget-reserved against the query's
+/// [`MemoryTracker`](sparkline_exec::MemoryTracker)) beside the batch it
+/// decodes, so peak scan memory is independent of file size.
 #[derive(Debug)]
 pub struct ScanExec {
     label: String,
-    table: MemTable,
+    data: TableData,
     schema: SchemaRef,
     filter: Option<ScanFilter>,
+    /// The footer-metadata verdicts of a disk scan; a memory scan has no
+    /// blocks to skip and reads none of it.
+    pruning: BlockPruning,
 }
 
 impl ScanExec {
-    /// Scan over a table snapshot.
-    pub fn new(label: impl Into<String>, table: MemTable, schema: SchemaRef) -> Self {
+    /// Scan over a table. `schema` is the analyzer's (its qualified field
+    /// names), structurally identical to the table's.
+    pub fn new(label: impl Into<String>, data: TableData, schema: SchemaRef) -> Self {
         ScanExec {
             label: label.into(),
-            table,
+            data,
             schema,
             filter: None,
+            pruning: BlockPruning::default(),
         }
     }
 
@@ -64,16 +104,25 @@ impl ScanExec {
                 schema.len()
             )))
         })?;
-        Ok(ScanExec::new(label, table, schema))
+        Ok(ScanExec::new(label, TableData::Memory(table), schema))
     }
 
-    /// Take over the `Filter` directly above the scan when its whole
-    /// predicate is an `AND` of exactly comparable conjuncts
-    /// ([`evaluates_filter`](Self::evaluates_filter)); any other predicate
-    /// is left to a `FilterExec`.
+    /// Attach min/max bounds, which only prune disk blocks.
+    pub(crate) fn with_bounds(mut self, bounds: Vec<ColumnPredicate>) -> Self {
+        self.pruning.bounds = bounds;
+        self
+    }
+
+    /// Take over the `Filter` directly above the scan. When its whole
+    /// predicate is an `AND` of exactly comparable conjuncts the scan
+    /// evaluates it ([`evaluates_filter`](Self::evaluates_filter)); any
+    /// other predicate is left to a `FilterExec`. On disk the prunable
+    /// conjuncts become min/max bounds either way.
     pub fn with_filter(mut self, predicate: &Expr) -> Self {
         self.filter = ScanFilter::new(predicate, &self.schema);
-        self
+        self.pruning.filter_columns = float_columns(predicate, &self.schema);
+        let bounds = extract_column_predicates(predicate, &self.schema);
+        self.with_bounds(bounds)
     }
 
     /// Whether the scan evaluates its filter's whole predicate, so no
@@ -83,9 +132,42 @@ impl ScanExec {
     }
 }
 
+/// One partition's batches before the scan's filter.
+enum Reader {
+    /// The rows `pos..end` of an in-memory table.
+    Memory {
+        table: MemTable,
+        pos: usize,
+        end: usize,
+    },
+    /// A contiguous run of kept disk blocks.
+    Disk(BlockReader),
+}
+
+impl Reader {
+    /// The next batch of at most `batch_size` rows, `None` at the end.
+    fn next(&mut self, ctx: &TaskContext, batch_size: usize) -> Result<Option<ColumnBatch>> {
+        match self {
+            Reader::Memory { table, pos, end } => {
+                if *pos >= *end {
+                    return Ok(None);
+                }
+                let upto = (*pos + batch_size).min(*end);
+                let batch = table.batch(*pos, upto);
+                *pos = upto;
+                Ok(Some(batch))
+            }
+            Reader::Disk(blocks) => blocks.next(ctx, batch_size),
+        }
+    }
+}
+
 impl ExecutionPlan for ScanExec {
     fn name(&self) -> &'static str {
-        "ScanExec"
+        match self.data {
+            TableData::Memory(_) => "ScanExec",
+            TableData::Disk(_) => "DiskScanExec",
+        }
     }
 
     fn schema(&self) -> SchemaRef {
@@ -96,27 +178,42 @@ impl ExecutionPlan for ScanExec {
         vec![]
     }
 
+    fn dominance_skip_slot(&self) -> Option<(&OnceLock<Arc<DominanceSkip>>, GateSample)> {
+        let TableData::Disk(table) = &self.data else {
+            return None;
+        };
+        let sample = self.pruning.gate_sample(table, self.filter.as_ref());
+        Some((&self.pruning.skip, sample))
+    }
+
     fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
         ctx.control.check()?;
-        // Same partition boundaries as `split_evenly` — shared
-        // arithmetic, so the two can never drift.
-        let ranges = even_ranges(self.table.len(), ctx.runtime.num_executors());
+        let executors = ctx.runtime.num_executors();
+        let readers: Vec<Reader> = match &self.data {
+            // Same partition boundaries as `split_evenly` — shared
+            // arithmetic, so the two can never drift.
+            TableData::Memory(table) => (even_ranges(table.len(), executors).into_iter())
+                .map(|(pos, end)| Reader::Memory {
+                    table: table.clone(),
+                    pos,
+                    end,
+                })
+                .collect(),
+            TableData::Disk(table) => (self.pruning.readers(table, &self.schema, ctx)?.into_iter())
+                .map(Reader::Disk)
+                .collect(),
+        };
         let batch_size = ctx.batch_size.max(1);
-        Ok(ranges
+        Ok(readers
             .into_iter()
-            .map(|(start, end)| {
-                let table = self.table.clone();
+            .map(|mut reader| {
                 let filter = self.filter.clone();
                 let ctx = ctx.clone();
-                let mut pos = start;
                 PartitionStream::of_batches(self.schema(), Arc::clone(&ctx.metrics), move || loop {
-                    if pos >= end {
-                        return Ok(None);
-                    }
                     ctx.control.check()?;
-                    let upto = (pos + batch_size).min(end);
-                    let mut batch = table.batch(pos, upto);
-                    pos = upto;
+                    let Some(mut batch) = reader.next(&ctx, batch_size)? else {
+                        return Ok(None);
+                    };
                     ctx.metrics
                         .rows_scanned
                         .fetch_add(batch.len() as u64, Ordering::Relaxed);
@@ -139,10 +236,17 @@ impl ExecutionPlan for ScanExec {
             Some(filter) => format!(", filter: {}", filter.describe(&self.schema)),
             None => String::new(),
         };
+        // A disk scan's verdicts are pure metadata, so the tag reports
+        // them exactly without executing anything.
+        let blocks = match &self.data {
+            TableData::Memory(_) => String::new(),
+            TableData::Disk(table) => self.pruning.describe(table),
+        };
         format!(
-            "ScanExec [{}: {} rows{filter}]",
+            "{} [{}: {} rows{blocks}{filter}]",
+            self.name(),
             self.label,
-            self.table.len()
+            self.data.num_rows()
         )
     }
 }

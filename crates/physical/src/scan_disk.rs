@@ -1,10 +1,10 @@
-//! The out-of-core scan: streams a [`DiskTable`]'s blocks, skipping whole
-//! blocks from metadata — static min/max pruning for pushed-down filter
-//! conjuncts and dominance pruning against the gate's points — before any
-//! I/O or decode happens.
+//! The disk half of the table scan: how [`ScanExec`](crate::ScanExec)
+//! reads a [`DiskTable`]'s blocks, skipping whole blocks from metadata —
+//! static min/max pruning for pushed-down filter conjuncts and dominance
+//! pruning against the gate's points — before any I/O or decode happens.
 //!
-//! Skipping is not a mode: every scan consults both tiers, and both are
-//! sound on their own (see `sparkline_storage`'s crate docs). Min/max
+//! Skipping is not a mode: every disk scan consults both tiers, and both
+//! are sound on their own (see `sparkline_storage`'s crate docs). Min/max
 //! pruning only discards blocks the scan's filter would empty, and the
 //! dominance gate — present only when the skyline planner installed one —
 //! only blocks whose rows a real input row strictly dominates. The gate's
@@ -19,25 +19,21 @@
 //! skyline operators.
 //!
 //! **Pruning comes before the split.** Every verdict is footer metadata,
-//! so [`DiskScanExec`] decides all of them when it starts (the loop its
-//! `EXPLAIN` tag already runs) and only then deals the kept blocks to the
+//! so the scan decides all of them when it starts (the loop its `EXPLAIN`
+//! tag already runs) and only then deals the kept blocks to the
 //! executors, in contiguous, even runs. A filter that refutes a region
 //! of the file therefore leaves no executor idle, and the partitions read
 //! in order are the kept blocks in file order whatever the executor
 //! count, so a query's output does not depend on it.
 //!
 //! **Blocks stay columns.** A kept block decodes batch by batch into a
-//! [`ColumnBatch`](sparkline_common::ColumnBatch) — `f64`/`i64` buffers, NULL flags and a selection
-//! vector — and goes downstream as one; an operator that wants rows gets
-//! them built from the selected rows, and the local skyline builds one
-//! only for a row that survives its first cross-filter. The `Filter`
-//! directly above the scan is the scan's own when its whole predicate is
-//! an `AND` of exactly comparable `column <op> literal` conjuncts: the
-//! scan evaluates it on the buffers through the [`ScanFilter`] the
-//! in-memory scan uses too, and the planner plans no `FilterExec`. Any
-//! other predicate keeps its `FilterExec` above the scan, which evaluates
-//! it exactly, and only its comparable conjuncts on `Int64` and `Float64`
-//! columns reach the scan, as min/max bounds.
+//! [`ColumnBatch`] — `f64`/`i64` buffers, NULL flags and a selection
+//! vector — and goes through the scan's one stream epilogue, which
+//! evaluates the scan's [`ScanFilter`] on the buffers, as it does for an
+//! in-memory table. A predicate the scan does not evaluate keeps its
+//! `FilterExec` above the scan, which evaluates it exactly, and only its
+//! comparable conjuncts on `Int64` and `Float64` columns reach the scan,
+//! as min/max bounds.
 //!
 //! **The gate is built once per input.** A `DiskTable` never changes, so
 //! the gate the planner builds for one set of ranked dimensions, passing
@@ -50,15 +46,13 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
 use sparkline_common::{
-    DataType, Result, Row, SchemaRef, SkylineDim, SkylineSpec, SkylineType, Value,
+    ColumnBatch, DataType, Result, Row, SchemaRef, SkylineDim, SkylineSpec, SkylineType, Value,
 };
-use sparkline_exec::{partition::even_ranges, Batch, PartitionStream, TaskContext};
-use sparkline_plan::Expr;
+use sparkline_exec::{partition::even_ranges, MemoryReservation, TaskContext};
 use sparkline_skyline::{bnl_skyline, ColumnarBlock, DominanceChecker, SkylineStats};
-use sparkline_storage::{BlockDecoder, BlockMeta, DiskTable};
+use sparkline_storage::{BlockDecoder, BlockMeta, DiskTable, TableFile};
 
-use crate::scan_filter::{extract_column_predicates, float_columns, ColumnPredicate, ScanFilter};
-use crate::ExecutionPlan;
+use crate::scan_filter::{ColumnPredicate, ScanFilter};
 
 /// Whether the block holds a NaN in one of the `Float64` `columns`.
 fn holds_nan(meta: &BlockMeta, columns: &[usize]) -> bool {
@@ -268,107 +262,16 @@ impl DominanceSkip {
     }
 }
 
-/// Scans a persistent [`DiskTable`], distributing whole blocks across
-/// `num_executors` partition streams. Each stream holds at most one
-/// block's *encoded* payload (budget-reserved against the query's
-/// [`MemoryTracker`](sparkline_exec::MemoryTracker)) and decodes it
-/// batch-by-batch into column buffers, so peak scan memory is one raw
-/// block plus one decoded [`ColumnBatch`](sparkline_common::ColumnBatch) per executor — independent of
-/// file size — and a `Row` exists only where a consumer builds one.
-/// Blocks refuted by the min/max bounds or dominated through the skip
-/// slot are never read. A `WHERE` clause that is an `AND` of exactly
-/// comparable conjuncts ([`ScanFilter`]) is evaluated here, on the
-/// buffers, and narrows each batch's selection vector.
-#[derive(Debug)]
-pub struct DiskScanExec {
-    label: String,
-    table: Arc<DiskTable>,
-    schema: SchemaRef,
-    bounds: Vec<ColumnPredicate>,
-    /// The `Float64` columns the filter's predicate reads: a block with a
-    /// NaN in one of them is never skipped.
-    filter_columns: Vec<usize>,
-    filter: Option<ScanFilter>,
-    skip: Arc<OnceLock<Arc<DominanceSkip>>>,
-}
-
-impl DiskScanExec {
-    /// Scan over an opened disk table. `schema` is the analyzer's (its
-    /// qualified field names), structurally identical to the file's.
-    pub fn new(label: impl Into<String>, table: Arc<DiskTable>, schema: SchemaRef) -> Self {
-        DiskScanExec {
-            label: label.into(),
-            table,
-            schema,
-            bounds: Vec::new(),
-            filter_columns: Vec::new(),
-            filter: None,
-            skip: Arc::new(OnceLock::new()),
-        }
-    }
-
-    /// Attach pushed-down min/max bounds, which only prune blocks.
-    fn with_bounds(mut self, bounds: Vec<ColumnPredicate>) -> Self {
-        self.bounds = bounds;
-        self
-    }
-
-    /// Take over the `Filter` directly above the scan: its prunable
-    /// conjuncts become min/max bounds, and when the whole predicate is an
-    /// `AND` of exactly comparable conjuncts the scan evaluates it too
-    /// ([`evaluates_filter`](Self::evaluates_filter)).
-    pub fn with_filter(self, predicate: &Expr) -> Self {
-        let filter = ScanFilter::new(predicate, &self.schema);
-        let filter_columns = float_columns(predicate, &self.schema);
-        let bounds = extract_column_predicates(predicate, &self.schema);
-        let mut scan = self.with_bounds(bounds);
-        scan.filter = filter;
-        scan.filter_columns = filter_columns;
-        scan
-    }
-
-    /// Whether the scan evaluates its filter's whole predicate, so no
-    /// `FilterExec` is needed above it.
-    pub fn evaluates_filter(&self) -> bool {
-        self.filter.is_some()
-    }
-
-    /// The scanned table.
-    pub fn table(&self) -> &Arc<DiskTable> {
-        &self.table
-    }
-}
-
-/// Which tier skipped a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SkipKind {
-    MinMax,
-    Dominance,
-}
-
-/// Skip decision for one block: `(corner tests, Some(kind))` with `kind`
-/// telling which tier fired. A block with a NaN in one of the filter's
-/// `filter_columns` is read, so that the filter error it may raise is not
-/// hidden (see `sparkline_storage`'s crate docs). Otherwise min/max runs
-/// first — it is cheaper (no dominance tests) and its skips don't depend
-/// on the skyline plan.
-fn skip_verdict(
-    bounds: &[ColumnPredicate],
-    filter_columns: &[usize],
-    skip: &OnceLock<Arc<DominanceSkip>>,
-    meta: &BlockMeta,
-) -> (u64, Option<SkipKind>) {
-    if holds_nan(meta, filter_columns) {
-        return (0, None);
-    }
-    if bounds.iter().any(|b| b.refutes(meta)) {
-        return (0, Some(SkipKind::MinMax));
-    }
-    match skip.get().map(|skip| skip.skips(meta)) {
-        Some((tests, true)) => (tests, Some(SkipKind::Dominance)),
-        Some((tests, false)) => (tests, None),
-        None => (0, None),
-    }
+/// What a disk scan decides from footer metadata before it reads a
+/// block: the pushed-down min/max bounds, the `Float64` columns its
+/// filter reads (a block with a NaN in one of them is never skipped), and
+/// the gate's write-once slot. Blocks refuted by the bounds or dominated
+/// through the slot are never read.
+#[derive(Debug, Default)]
+pub(crate) struct BlockPruning {
+    pub(crate) bounds: Vec<ColumnPredicate>,
+    pub(crate) filter_columns: Vec<usize>,
+    pub(crate) skip: OnceLock<Arc<DominanceSkip>>,
 }
 
 /// Every block's verdict, taken from footer metadata alone.
@@ -381,144 +284,97 @@ struct Pruned {
     corner_tests: u64,
 }
 
-impl DiskScanExec {
-    /// Take every block's skip verdict, in file order.
-    fn prune(&self) -> Pruned {
+impl BlockPruning {
+    /// Take every block's skip verdict, in file order. A block with a NaN
+    /// in one of the filter's columns is read, so that the filter error it
+    /// may raise is not hidden (see `sparkline_storage`'s crate docs).
+    /// Otherwise min/max runs first — it is cheaper (no dominance tests)
+    /// and its skips don't depend on the skyline plan.
+    fn prune(&self, table: &DiskTable) -> Pruned {
         let mut pruned = Pruned::default();
-        for (i, meta) in self.table.blocks().iter().enumerate() {
-            let (tests, verdict) =
-                skip_verdict(&self.bounds, &self.filter_columns, &self.skip, meta);
-            pruned.corner_tests += tests;
-            match verdict {
-                Some(SkipKind::MinMax) => pruned.minmax += 1,
-                Some(SkipKind::Dominance) => pruned.dominance += 1,
-                None => pruned.kept.push(i),
+        for (i, meta) in table.blocks().iter().enumerate() {
+            if !holds_nan(meta, &self.filter_columns) {
+                if self.bounds.iter().any(|b| b.refutes(meta)) {
+                    pruned.minmax += 1;
+                    continue;
+                }
+                if let Some(skip) = self.skip.get() {
+                    let (tests, skips) = skip.skips(meta);
+                    pruned.corner_tests += tests;
+                    if skips {
+                        pruned.dominance += 1;
+                        continue;
+                    }
+                }
             }
+            pruned.kept.push(i);
         }
         pruned
     }
-}
 
-impl ExecutionPlan for DiskScanExec {
-    fn name(&self) -> &'static str {
-        "DiskScanExec"
-    }
-
-    fn schema(&self) -> SchemaRef {
-        Arc::clone(&self.schema)
-    }
-
-    fn children(&self) -> Vec<&Arc<dyn ExecutionPlan>> {
-        vec![]
-    }
-
-    fn dominance_skip_slot(&self) -> Option<(&OnceLock<Arc<DominanceSkip>>, GateSample)> {
-        // Narrowed by the scan's own filter, as the `FilterExec` it
-        // replaces would pass the sample: every point is a row the skyline
-        // receives. A block passes whole when its bounds imply every
-        // conjunct (the `FilterExec` above a scan that does not evaluate
-        // its filter drops the blocks itself). The scan guards its own
-        // filter's columns itself.
+    /// The footer sample the gate is built from, narrowed by the scan's
+    /// own `filter`, as the `FilterExec` it replaces would pass the
+    /// sample: every point is a row the skyline receives. A block passes
+    /// whole when its bounds imply every conjunct (the `FilterExec` above
+    /// a scan that does not evaluate its filter drops the blocks itself).
+    /// The scan guards its own filter's columns itself.
+    pub(crate) fn gate_sample(
+        &self,
+        table: &Arc<DiskTable>,
+        filter: Option<&ScanFilter>,
+    ) -> GateSample {
         let mut sample = GateSample {
-            table: Arc::clone(&self.table),
-            rows: (0..self.table.sample().len()).collect(),
-            blocks: (self.table.blocks().iter().enumerate())
+            table: Arc::clone(table),
+            rows: (0..table.sample().len()).collect(),
+            blocks: (table.blocks().iter().enumerate())
                 .filter(|(_, meta)| meta.rows > 0 && self.bounds.iter().all(|b| b.implied_by(meta)))
                 .map(|(i, _)| i)
                 .collect(),
             filter_columns: Vec::new(),
         };
-        if let Some(filter) = &self.filter {
+        if let Some(filter) = filter {
             sample.retain_rows(|row| {
                 matches!(filter.predicate().evaluate(row), Ok(Value::Boolean(true)))
             });
         }
-        Some((&self.skip, sample))
+        sample
     }
 
-    fn execute_stream(&self, ctx: &TaskContext) -> Result<Vec<PartitionStream>> {
-        ctx.control.check()?;
-        // Prune, then split: whole kept blocks are the distribution unit,
-        // a contiguous run of them per executor, so a block decodes on
-        // exactly one executor and a skipped one costs none of them.
-        let pruned = self.prune();
+    /// Prune, then split: whole kept blocks are the distribution unit, a
+    /// contiguous run of them per executor, so a block decodes on exactly
+    /// one executor and a skipped one costs none of them.
+    pub(crate) fn readers(
+        &self,
+        table: &Arc<DiskTable>,
+        schema: &SchemaRef,
+        ctx: &TaskContext,
+    ) -> Result<Vec<BlockReader>> {
+        let pruned = self.prune(table);
         ctx.metrics
             .corner_tests
             .fetch_add(pruned.corner_tests, Ordering::Relaxed);
         ctx.metrics
             .add_blocks_skipped(pruned.minmax, pruned.dominance);
-        let kept: Arc<[usize]> = pruned.kept.into();
         // One handle for every stream, checked against the footer the
         // pruning above read: a file replaced since fails the query.
-        let file = Arc::new(self.table.open_file()?);
-        let ranges = even_ranges(kept.len(), ctx.runtime.num_executors());
-        let batch_size = ctx.batch_size.max(1);
-        Ok(ranges
-            .into_iter()
-            .map(|(start, end)| {
-                let table = Arc::clone(&self.table);
-                let file = Arc::clone(&file);
-                let schema = self.schema();
-                let kept = Arc::clone(&kept);
-                let filter = self.filter.clone();
-                let ctx = ctx.clone();
-                let mut next = start;
-                // (decoder, next row, reservation): the raw payload stays
-                // reserved until the last batch of the block is decoded.
-                let mut current: Option<(BlockDecoder, usize, sparkline_exec::MemoryReservation)> =
-                    None;
-                PartitionStream::of_batches(
-                    Arc::clone(&schema),
-                    Arc::clone(&ctx.metrics),
-                    move || loop {
-                        ctx.control.check()?;
-                        if let Some((decoder, pos, _res)) = current.as_mut() {
-                            let upto = (*pos + batch_size).min(decoder.rows());
-                            let mut batch = decoder.decode_columns(*pos, upto)?;
-                            *pos = upto;
-                            if *pos >= decoder.rows() {
-                                current = None;
-                            }
-                            ctx.metrics
-                                .rows_scanned
-                                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                            if let Some(filter) = &filter {
-                                filter.apply(&mut batch)?;
-                                // Like the `FilterExec` it replaces: no
-                                // empty batch goes downstream.
-                                if batch.is_empty() {
-                                    continue;
-                                }
-                            }
-                            return Ok(Some(Batch::Columns(batch)));
-                        }
-                        if next >= end {
-                            return Ok(None);
-                        }
-                        let decoder =
-                            table.block_decoder(&file, kept[next], Arc::clone(&schema))?;
-                        next += 1;
-                        let mut reservation = ctx.reservation();
-                        reservation.try_resize(0, decoder.raw_bytes())?;
-                        ctx.metrics.add_block_read(decoder.raw_bytes() as u64);
-                        if decoder.rows() == 0 {
-                            continue;
-                        }
-                        current = Some((decoder, 0, reservation));
-                    },
-                )
+        let file = Arc::new(table.open_file()?);
+        let ranges = even_ranges(pruned.kept.len(), ctx.runtime.num_executors());
+        let readers = (ranges.into_iter())
+            .map(|(start, end)| BlockReader {
+                table: Arc::clone(table),
+                file: Arc::clone(&file),
+                schema: Arc::clone(schema),
+                blocks: Vec::from(&pruned.kept[start..end]).into_iter(),
+                current: None,
             })
-            .collect())
+            .collect();
+        Ok(readers)
     }
 
-    fn describe(&self) -> String {
-        // The skip decision is pure metadata, so the EXPLAIN tag can
-        // report it exactly without executing anything.
-        let pruned = self.prune();
-        let filter = match &self.filter {
-            Some(filter) => format!(", filter: {}", filter.describe(&self.schema)),
-            None => String::new(),
-        };
+    /// The scan's `EXPLAIN` tag for `table`: its blocks, how many each
+    /// tier skips, and the gate once one is installed.
+    pub(crate) fn describe(&self, table: &DiskTable) -> String {
+        let pruned = self.prune(table);
         let gate = match self.skip.get() {
             Some(skip) => format!(
                 ", gate: {} points ({} from corners)",
@@ -528,21 +384,68 @@ impl ExecutionPlan for DiskScanExec {
             None => String::new(),
         };
         format!(
-            "DiskScanExec [{}: {} rows, disk(blocks={}, skipped={} minmax + {} dominance){gate}{filter}]",
-            self.label,
-            self.table.total_rows(),
-            self.table.num_blocks(),
+            ", disk(blocks={}, skipped={} minmax + {} dominance){gate}",
+            table.num_blocks(),
             pruned.minmax,
             pruned.dominance,
         )
     }
 }
 
+/// One partition of a disk scan: a contiguous run of kept blocks, each
+/// decoded batch by batch into column buffers.
+pub(crate) struct BlockReader {
+    table: Arc<DiskTable>,
+    file: Arc<TableFile>,
+    schema: SchemaRef,
+    /// The kept blocks still to open, in file order.
+    blocks: std::vec::IntoIter<usize>,
+    /// (decoder, next row, reservation): the raw payload stays reserved
+    /// until the last batch of the block is decoded.
+    current: Option<(BlockDecoder, usize, MemoryReservation)>,
+}
+
+impl BlockReader {
+    /// The next batch of at most `batch_size` rows, `None` after the last
+    /// kept block.
+    pub(crate) fn next(
+        &mut self,
+        ctx: &TaskContext,
+        batch_size: usize,
+    ) -> Result<Option<ColumnBatch>> {
+        loop {
+            if let Some((decoder, pos, _reservation)) = self.current.as_mut() {
+                let upto = (*pos + batch_size).min(decoder.rows());
+                let batch = decoder.decode_columns(*pos, upto)?;
+                *pos = upto;
+                if *pos >= decoder.rows() {
+                    self.current = None;
+                }
+                return Ok(Some(batch));
+            }
+            let Some(block) = self.blocks.next() else {
+                return Ok(None);
+            };
+            let decoder =
+                (self.table).block_decoder(&self.file, block, Arc::clone(&self.schema))?;
+            let mut reservation = ctx.reservation();
+            reservation.try_resize(0, decoder.raw_bytes())?;
+            ctx.metrics.add_block_read(decoder.raw_bytes() as u64);
+            if decoder.rows() > 0 {
+                self.current = Some((decoder, 0, reservation));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::{ScanExec, TableData};
+    use crate::scan_filter::extract_column_predicates;
+    use crate::ExecutionPlan;
     use sparkline_common::{DataType, Field, Row, Schema, SkylineDim, SkylineType};
-    use sparkline_plan::{BinaryOp, BoundColumn};
+    use sparkline_plan::{BinaryOp, BoundColumn, Expr};
     use sparkline_storage::{TableWriter, WriterOptions};
 
     fn temp_file(name: &str) -> std::path::PathBuf {
@@ -614,7 +517,7 @@ mod tests {
     fn full_scan_returns_every_row_in_order() {
         let rows = ascending(1000);
         let (table, schema) = disk_table("full", &rows, 128);
-        let scan = DiskScanExec::new("t", table, schema);
+        let scan = ScanExec::new("t", TableData::Disk(table), schema);
         let ctx = TaskContext::new(3);
         let parts = scan.execute(&ctx).unwrap();
         let got = sparkline_exec::partition::flatten(parts);
@@ -635,8 +538,12 @@ mod tests {
             op: BinaryOp::Lt,
             literal: Value::Float64(250.0),
         };
-        let scan = DiskScanExec::new("t", Arc::clone(&table), Arc::clone(&schema))
-            .with_bounds(vec![bound]);
+        let scan = ScanExec::new(
+            "t",
+            TableData::Disk(Arc::clone(&table)),
+            Arc::clone(&schema),
+        )
+        .with_bounds(vec![bound]);
         let ctx = TaskContext::new(2);
         let got = sparkline_exec::partition::flatten(scan.execute(&ctx).unwrap());
         let snap = ctx.metrics.snapshot();
@@ -647,7 +554,7 @@ mod tests {
         let kept: Vec<&Row> = rows.iter().filter(|r| f(r, 0) < 250.0).collect();
         assert!(kept.iter().all(|r| got.contains(r)));
         // Without bounds the scan reads every block.
-        let all = DiskScanExec::new("t", table, schema);
+        let all = ScanExec::new("t", TableData::Disk(table), schema);
         let ctx2 = TaskContext::new(2);
         let everything = sparkline_exec::partition::flatten(all.execute(&ctx2).unwrap());
         assert_eq!(everything, rows);
@@ -665,7 +572,7 @@ mod tests {
             op: BinaryOp::GtEq,
             literal: Value::Float64(500.0),
         };
-        let scan = DiskScanExec::new("t", table, schema).with_bounds(vec![bound]);
+        let scan = ScanExec::new("t", TableData::Disk(table), schema).with_bounds(vec![bound]);
         let ctx = TaskContext::new(2);
         let parts = scan.execute(&ctx).unwrap();
         let blocks: Vec<usize> = parts.iter().map(|p| p.len() / 100).collect();
@@ -723,7 +630,7 @@ mod tests {
     /// Install the gate built from the scan's own footer sample, run the
     /// scan, and return its rows with the scan's metrics.
     fn gated_scan(
-        scan: &DiskScanExec,
+        scan: &ScanExec,
         dims: &[SkylineDim],
     ) -> (Vec<Row>, sparkline_exec::MetricsSnapshot) {
         let (slot, sample) = scan.dominance_skip_slot().unwrap();
@@ -743,7 +650,7 @@ mod tests {
             .map(|i| Row::new(vec![Value::Float64(i as f64), Value::Float64(i as f64)]))
             .collect();
         let (table, schema) = disk_table("dom", &rows, 100);
-        let scan = DiskScanExec::new("t", table, schema);
+        let scan = ScanExec::new("t", TableData::Disk(table), schema);
         let dims = [
             SkylineDim::new(0, SkylineType::Min),
             SkylineDim::new(1, SkylineType::Min),
@@ -772,7 +679,7 @@ mod tests {
             .map(|i| Row::new(vec![Value::Float64(i as f64), Value::Float64(i as f64)]))
             .collect();
         let (table, schema) = disk_table("maxdim", &rows, 100);
-        let scan = DiskScanExec::new("t", table, schema);
+        let scan = ScanExec::new("t", TableData::Disk(table), schema);
         let dims = [
             SkylineDim::new(0, SkylineType::Max),
             SkylineDim::new(1, SkylineType::Max),
@@ -793,7 +700,7 @@ mod tests {
             .map(|(a, b)| Row::new(vec![Value::Float64(a), Value::Float64(b)]))
             .collect();
         let (table, schema) = disk_table("ties", &rows, 2);
-        let scan = DiskScanExec::new("t", table, schema);
+        let scan = ScanExec::new("t", TableData::Disk(table), schema);
         let dims = [
             SkylineDim::new(0, SkylineType::Min),
             SkylineDim::new(1, SkylineType::Min),
@@ -821,7 +728,7 @@ mod tests {
         .map(|(a, b)| Row::new(vec![Value::Int64(a), Value::Int64(b)]))
         .collect();
         let (table, schema) = disk_table_of("int64", DataType::Int64, &rows, 2);
-        let scan = DiskScanExec::new("t", table, schema);
+        let scan = ScanExec::new("t", TableData::Disk(table), schema);
         let dims = [
             SkylineDim::new(0, SkylineType::Min),
             SkylineDim::new(1, SkylineType::Max),
@@ -843,7 +750,7 @@ mod tests {
             .map(|(a, b)| Row::new(vec![Value::Float64(a), Value::Float64(b)]))
             .collect();
         let (table, schema) = disk_table("repeated", &rows, 2);
-        let scan = DiskScanExec::new("t", table, schema);
+        let scan = ScanExec::new("t", TableData::Disk(table), schema);
         let dims = [
             SkylineDim::new(0, SkylineType::Min),
             SkylineDim::new(0, SkylineType::Max),
@@ -876,7 +783,7 @@ mod tests {
         let rows = floats(&[(0.0, 1.0), (1.0, 0.0), (2.0, 2.0), (3.0, 3.0)]);
         let rows = [rows, floats(&[(0.5, 4.0), (4.0, 0.5)])].concat();
         let (table, schema) = sampled_disk_table("corners", DataType::Float64, &rows, 2, 0);
-        let scan = DiskScanExec::new("t", table, schema);
+        let scan = ScanExec::new("t", TableData::Disk(table), schema);
         let (_, sample) = scan.dominance_skip_slot().unwrap();
         assert!(sample.rows.is_empty());
         assert_eq!(sample.blocks.len(), 3, "every block passes whole");
@@ -931,7 +838,7 @@ mod tests {
             op: BinaryOp::NotEq,
             right: Box::new(Expr::Literal(Value::Float64(0.0))),
         };
-        let scan = DiskScanExec::new("t", table, schema).with_filter(&predicate);
+        let scan = ScanExec::new("t", TableData::Disk(table), schema).with_filter(&predicate);
         assert!(!scan.evaluates_filter());
         let filter = crate::basic::FilterExec::new(predicate, Arc::new(scan));
         let (_, sample) = crate::find_dominance_skip_slot(&filter).unwrap();
@@ -951,7 +858,7 @@ mod tests {
             field: schema.field(0).clone(),
         });
         let predicate = a.gt(Expr::Literal(Value::Float64(0.0)));
-        let scan = DiskScanExec::new("t", table, schema).with_filter(&predicate);
+        let scan = ScanExec::new("t", TableData::Disk(table), schema).with_filter(&predicate);
         assert!(scan.evaluates_filter());
         let (_, sample) = scan.dominance_skip_slot().unwrap();
         assert_eq!(sample.blocks, vec![1]);
@@ -1007,7 +914,7 @@ mod tests {
                 .map(|&(a, b)| Row::new(vec![Value::Int64(N + a), Value::Int64(M + b)]))
                 .collect();
             let (table, schema) = sampled_disk_table(name, DataType::Int64, &rows, 2, 0);
-            (rows, DiskScanExec::new("t", table, schema))
+            (rows, ScanExec::new("t", TableData::Disk(table), schema))
         };
         // a MIN, b MAX. Block 0's corner points are (0, 1) and (1, 5);
         // (1, 5) strictly dominates block 1's best corner (1, 4) by one
@@ -1121,7 +1028,7 @@ mod tests {
     fn decode_buffers_are_charged_to_the_memory_budget() {
         let rows = ascending(2000);
         let (table, schema) = disk_table("budget", &rows, 500);
-        let scan = DiskScanExec::new("t", Arc::clone(&table), schema);
+        let scan = ScanExec::new("t", TableData::Disk(Arc::clone(&table)), schema);
         let block_bytes = table.block_meta(0).bytes as usize;
         // A budget below one encoded block must deny the scan.
         let ctx = TaskContext::new(1).with_memory_budget(Some(block_bytes / 2));

@@ -1,6 +1,6 @@
-//! The `WHERE` clause a scan evaluates on its column buffers, shared by
-//! the in-memory scan ([`ScanExec`](crate::ScanExec)) and the disk scan
-//! ([`DiskScanExec`](crate::DiskScanExec)).
+//! The `WHERE` clause a scan ([`ScanExec`](crate::ScanExec)) evaluates on
+//! its column buffers, whether they were copied out of in-memory chunks
+//! or decoded out of disk blocks.
 //!
 //! A predicate is the scan's own when it is an `AND` of exactly
 //! comparable `column <op> literal` conjuncts ([`exact_conjuncts`]): a

@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparkline::{DataType, Field, Row, Schema, SessionConfig, SessionContext, Value, CHUNK_ROWS};
 use sparkline_exec::{Batch, TaskContext};
-use sparkline_physical::{DiskScanExec, ExecutionPlan};
+use sparkline_physical::{ExecutionPlan, ScanExec, TableData};
 use sparkline_plan::{BoundColumn, Expr, LogicalPlan};
 use sparkline_storage::{DiskTable, TableWriter, WriterOptions};
 
@@ -482,7 +482,8 @@ fn a_closed_column_stream_releases_its_rows() {
         field: schema.field(0).clone(),
     });
     let predicate = a.lt(Expr::Literal(Value::Float64(0.5)));
-    let scan = DiskScanExec::new("t", table, schema.clone().into_ref()).with_filter(&predicate);
+    let scan = ScanExec::new("t", TableData::Disk(table), schema.clone().into_ref())
+        .with_filter(&predicate);
     assert!(scan.evaluates_filter());
     let task = TaskContext::new(1).with_batch_size(8);
     let mut stream = scan.execute_stream(&task).unwrap().remove(0);

@@ -242,17 +242,8 @@ pub fn flat_incomplete_oracle(
     (survivors, received)
 }
 
-/// The in-memory tables of a session, as the physical planner's source.
-struct SessionTables<'a>(&'a SessionContext);
-
-impl sparkline_physical::ExecTableSource for SessionTables<'_> {
-    fn mem_table(&self, name: &str) -> Option<sparkline_common::MemTable> {
-        self.0.table_snapshot(name)
-    }
-}
-
-/// Oracle of every optimizer rule: `sql` over `ctx`'s in-memory tables
-/// and configuration with no rule but the `[NOT] EXISTS` rewrite, which
+/// Oracle of every optimizer rule: `sql` over `ctx`'s tables, in memory
+/// or on disk, and configuration with no rule but the `[NOT] EXISTS` rewrite, which
 /// execution needs — parse → analyze → `rewrite_exists_subqueries` →
 /// plan → collect. A rule must leave these rows unchanged.
 pub fn collect_unoptimized(ctx: &SessionContext, sql: &str) -> sparkline::Result<QueryResult> {
@@ -260,8 +251,7 @@ pub fn collect_unoptimized(ctx: &SessionContext, sql: &str) -> sparkline::Result
     let plan = sparkline_optimizer::rewrite_exists_subqueries(df.logical_plan())?;
     let config = ctx.config();
     let start = Instant::now();
-    let physical =
-        sparkline_physical::PhysicalPlanner::new(config, &SessionTables(ctx)).create(&plan)?;
+    let physical = sparkline_physical::PhysicalPlanner::new(config, ctx).create(&plan)?;
     let task = sparkline_exec::TaskContext::new(config.num_executors)
         .with_memory_budget(config.memory_budget)
         .with_batch_size(config.batch_size);

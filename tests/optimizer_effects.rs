@@ -111,6 +111,36 @@ fn generic_optimizations_are_semantically_neutral() {
     );
 }
 
+/// The same query, over every column, on `airbnb` copied to disk in
+/// 64-row blocks: the scan evaluates the pushed filter and the skyline
+/// installs its gate, while the oracle plans the disk scan under a
+/// `FilterExec`.
+#[test]
+fn generic_optimizations_are_semantically_neutral_on_disk() {
+    let ctx = session(SessionConfig::default().with_storage_block_rows(64));
+    let dir = common::TempDir::new("optimizer-disk");
+    let path = dir.file("airbnb.spk");
+    ctx.copy_table_to_disk("airbnb", &path).unwrap();
+    ctx.register_disk_table("airbnb", &path).unwrap();
+    let sql = "SELECT * FROM airbnb \
+               WHERE price < 500 AND 1 < 2 AND beds >= 1 \
+               SKYLINE OF price MIN, beds MAX ORDER BY price LIMIT 50";
+    let df = ctx.sql(sql).unwrap();
+    let explain = df.explain().unwrap();
+    let physical = explain.split("== Physical Plan ==").nth(1).unwrap();
+    assert!(
+        physical.contains("DiskScanExec")
+            && physical.contains("gate: ")
+            && physical.contains("filter: ")
+            && !physical.contains("FilterExec"),
+        "{explain}"
+    );
+    assert_eq!(
+        df.collect().unwrap().sorted_display(),
+        collect_unoptimized(&ctx, sql).unwrap().sorted_display()
+    );
+}
+
 #[test]
 fn reference_algorithm_explain_shows_anti_join() {
     let ctx = session(SessionConfig::default());
