@@ -6,7 +6,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparkline_common::{QueryControl, Row, SkylineDim, SkylineSpec, Value};
+use sparkline_common::{
+    ColumnBatch, DataType, Field, MemTable, QueryControl, Row, Schema, SkylineDim, SkylineSpec,
+    Value,
+};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
 use sparkline_skyline::{
     bnl_skyline, incomplete_global_skyline, BnlBuilder, DominanceChecker, SkylineStats,
@@ -112,8 +115,11 @@ fn bench_local_phase_partitions(c: &mut Criterion) {
 }
 
 fn bench_local_fold(c: &mut Criterion) {
-    // One partition's local phase as the engine runs it: 4096-row batches
-    // through `BnlBuilder::push_batch`. Anti-correlated input is bound by
+    // One partition's local phase: 4096-row batches through
+    // `BnlBuilder::push_batch` (`rows/…`), and through the column path the
+    // engine runs, `push_columns_checked` over `MemTable` batches built
+    // ahead of the timing (`columns/…`), so the fold and its dominance
+    // walk are timed without the scan. Anti-correlated input is bound by
     // the window walk, the other two by step 1 of the fold (nearly every
     // row dies against the window's strongest rows).
     let mut group = c.benchmark_group("local_fold");
@@ -132,12 +138,34 @@ fn bench_local_fold(c: &mut Criterion) {
         ),
     ];
     let checker = DominanceChecker::complete(spec(4));
+    let schema = Schema::new(
+        (0..4)
+            .map(|i| Field::new(format!("d{i}"), DataType::Float64, false))
+            .collect(),
+    );
+    let control = QueryControl::unlimited();
     for (name, data) in &inputs {
-        group.bench_with_input(BenchmarkId::from_parameter(name), data, |b, data| {
+        group.bench_with_input(BenchmarkId::new("rows", name), data, |b, data| {
             b.iter(|| {
                 let mut builder = BnlBuilder::new(checker.clone(), true);
                 for batch in data.chunks(4096) {
                     builder.push_batch(batch.to_vec());
+                }
+                builder.finish()
+            })
+        });
+        let table = MemTable::from_rows(&schema, data.clone());
+        let batches: Vec<ColumnBatch> = (0..table.len())
+            .step_by(4096)
+            .map(|start| table.batch(start, (start + 4096).min(table.len())))
+            .collect();
+        group.bench_with_input(BenchmarkId::new("columns", name), &batches, |b, batches| {
+            b.iter(|| {
+                let mut builder = BnlBuilder::new(checker.clone(), true);
+                for batch in batches {
+                    builder
+                        .push_columns_checked(batch, &control)
+                        .expect("no deadline");
                 }
                 builder.finish()
             })

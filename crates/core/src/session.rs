@@ -407,8 +407,8 @@ impl SessionContext {
             m.dominance_tests, m.batched_tests, m.scalar_tests
         ));
         out.push_str(&format!(
-            "simd tests: {} ({} multi-candidate passes)\n",
-            m.simd_tests, m.multi_candidate_passes
+            "simd tests: {} ({} dominator walks)\n",
+            m.simd_tests, m.dominator_walks
         ));
         out.push_str(&format!("deferred deletions: {}\n", m.deferred_deletions));
         out.push_str(&format!("rows exchanged: {}\n", m.rows_exchanged));

@@ -33,9 +33,9 @@ pub struct ExecMetrics {
     /// of `batched_tests`; 0 when the chunked tier or the scalar checker
     /// served every test).
     pub simd_tests: AtomicU64,
-    /// Multi-candidate kernel passes: window walks amortized over a batch
-    /// of candidates instead of one.
-    pub multi_candidate_passes: AtomicU64,
+    /// First-dominator walks of the cross-filter: one per candidate tested
+    /// against a live kernel block.
+    pub dominator_walks: AtomicU64,
     /// Largest skyline window / candidate set observed.
     pub max_window: AtomicUsize,
     /// Rows moved between executors: those the `AllTuples` gather
@@ -98,13 +98,12 @@ impl ExecMetrics {
         self.scalar_tests.fetch_add(scalar, Ordering::Relaxed);
     }
 
-    /// Attribute kernel work to the SIMD tier and count multi-candidate
-    /// passes (`simd` is a subset of the `batched` count reported through
+    /// Attribute kernel work to the SIMD tier and count first-dominator
+    /// walks (`simd` is a subset of the `batched` count reported through
     /// [`add_dominance_breakdown`](Self::add_dominance_breakdown)).
-    pub fn add_kernel_breakdown(&self, simd: u64, multi_passes: u64) {
+    pub fn add_kernel_breakdown(&self, simd: u64, walks: u64) {
         self.simd_tests.fetch_add(simd, Ordering::Relaxed);
-        self.multi_candidate_passes
-            .fetch_add(multi_passes, Ordering::Relaxed);
+        self.dominator_walks.fetch_add(walks, Ordering::Relaxed);
     }
 
     /// Track the maximum window size.
@@ -173,7 +172,7 @@ impl ExecMetrics {
             batched_tests: self.batched_tests.load(Ordering::Relaxed),
             scalar_tests: self.scalar_tests.load(Ordering::Relaxed),
             simd_tests: self.simd_tests.load(Ordering::Relaxed),
-            multi_candidate_passes: self.multi_candidate_passes.load(Ordering::Relaxed),
+            dominator_walks: self.dominator_walks.load(Ordering::Relaxed),
             max_window: self.max_window.load(Ordering::Relaxed),
             rows_exchanged: self.rows_exchanged.load(Ordering::Relaxed),
             join_comparisons: self.join_comparisons.load(Ordering::Relaxed),
@@ -214,8 +213,8 @@ pub struct MetricsSnapshot {
     /// Dominance tests answered by an explicit-SIMD tier (subset of
     /// `batched_tests`).
     pub simd_tests: u64,
-    /// Multi-candidate kernel passes.
-    pub multi_candidate_passes: u64,
+    /// First-dominator walks of the cross-filter.
+    pub dominator_walks: u64,
     /// Largest skyline window observed.
     pub max_window: usize,
     /// Rows moved through exchanges.
@@ -286,7 +285,7 @@ mod tests {
         assert_eq!(s.batched_tests, 8);
         assert_eq!(s.scalar_tests, 3);
         assert_eq!(s.simd_tests, 5);
-        assert_eq!(s.multi_candidate_passes, 3);
+        assert_eq!(s.dominator_walks, 3);
     }
 
     #[test]

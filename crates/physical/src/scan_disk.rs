@@ -49,7 +49,7 @@ use sparkline_common::{
     ColumnBatch, DataType, Result, Row, SchemaRef, SkylineDim, SkylineSpec, SkylineType, Value,
 };
 use sparkline_exec::{partition::even_ranges, MemoryReservation, TaskContext};
-use sparkline_skyline::{bnl_skyline, ColumnarBlock, DominanceChecker, SkylineStats};
+use sparkline_skyline::{bnl_skyline, ColumnarBlock, DominanceChecker, SkylineStats, WalkTests};
 use sparkline_storage::{BlockDecoder, BlockMeta, DiskTable, TableFile};
 
 use crate::scan_filter::{ColumnPredicate, ScanFilter};
@@ -254,11 +254,10 @@ impl DominanceSkip {
         let Some(corner) = self.points.encode(&Row::new(corner)) else {
             return (0, false);
         };
-        let mut dominated = Vec::with_capacity(1);
-        let pass = self
+        let walk = self
             .points
-            .first_dominators(std::slice::from_ref(&corner), &mut dominated);
-        (pass.tested, dominated[0].is_some())
+            .first_dominator(&corner, &mut WalkTests::default());
+        (walk.tested, walk.dominated_at.is_some())
     }
 }
 

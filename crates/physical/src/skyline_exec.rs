@@ -31,8 +31,8 @@ use sparkline_exec::{
 };
 use sparkline_plan::{Expr, MinMaxDirection};
 use sparkline_skyline::{
-    cross_filter, is_null_like, kernel_label, null_bitmap, BnlBuilder, ColumnarBlock,
-    CrossFilterScratch, Dominance, DominanceChecker, GroupedBnlBuilder, SkylineStats,
+    cross_filter, is_null_like, kernel_label, null_bitmap, BnlBuilder, ColumnarBlock, Dominance,
+    DominanceChecker, GroupedBnlBuilder, SkylineStats,
 };
 
 use crate::ExecutionPlan;
@@ -145,7 +145,7 @@ fn record_stats(ctx: &TaskContext, stats: &SkylineStats) {
     ctx.metrics
         .add_dominance_breakdown(stats.batched_tests, stats.scalar_tests);
     ctx.metrics
-        .add_kernel_breakdown(stats.simd_tests, stats.multi_candidate_passes);
+        .add_kernel_breakdown(stats.simd_tests, stats.dominator_walks);
     ctx.metrics.observe_window(stats.max_window);
 }
 
@@ -347,7 +347,6 @@ impl EncodedSkylines {
     ) -> Result<Vec<bool>> {
         let cands = &self.antichains[i];
         let mut alive = vec![true; cands.len()];
-        let mut scratch = CrossFilterScratch::default();
         for (j, against) in self.antichains.iter().enumerate() {
             if j == i {
                 continue;
@@ -357,15 +356,7 @@ impl EncodedSkylines {
                 .zip(alive.chunks_mut(CONTROL_CHECK_ROWS))
             {
                 ctx.control.check()?;
-                cross_filter(
-                    &self.checker,
-                    cands,
-                    alive,
-                    against,
-                    &self.blocks[j],
-                    &mut scratch,
-                    stats,
-                );
+                cross_filter(&self.checker, cands, alive, against, &self.blocks[j], stats);
             }
         }
         Ok(alive)
@@ -1014,7 +1005,7 @@ mod tests {
             metrics.rows_exchanged, gathered_metrics.rows_exchanged,
             "the merge gathers what the exchange moved"
         );
-        assert!(metrics.multi_candidate_passes > 0, "{metrics:?}");
+        assert!(metrics.dominator_walks > 0, "{metrics:?}");
     }
 
     #[test]

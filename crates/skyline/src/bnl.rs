@@ -24,9 +24,10 @@
 //! Under a transitive relation both skyline phases reduce to one
 //! primitive, [`cross_filter`]: *given candidate rows and a set of rows,
 //! drop every candidate strictly dominated by a row of the set* — one
-//! direction, early exit per candidate, [`MULTI_LANES`] candidates per
-//! walk over the set's [`ColumnarBlock`]. For antichains `A` and `B`
-//! (sets without internal dominance — skylines),
+//! direction, one fused walk over the set's [`ColumnarBlock`] per
+//! candidate that stops at the 4-row step holding its first dominator.
+//! For antichains `A` and `B` (sets without internal dominance —
+//! skylines),
 //!
 //! > skyline(A ∪ B) = (A \ dominated-by-B) ++ (B \ dominated-by-A)
 //!
@@ -62,7 +63,7 @@
 //! `+inf`: always probed, never bounded. NULL-like rows under the complete
 //! relation neither dominate nor are dominated; any key does for them.
 //! With the invariant, the one walk
-//! ([`ColumnarBlock::first_dominators`]) probes low-score rows — the
+//! ([`ColumnarBlock::first_dominator`]) probes low-score rows — the
 //! likeliest dominators — first and abandons a candidate where the window
 //! keys exceed the candidate's.
 //!
@@ -124,7 +125,7 @@ use std::borrow::Cow;
 
 use sparkline_common::{ColumnBatch, QueryControl, Result, Row, CONTROL_CHECK_ROWS};
 
-use crate::columnar::{retain_mask, ColumnarBlock, EncodedCandidate, KernelTier, MULTI_LANES};
+use crate::columnar::{retain_mask, ColumnarBlock, EncodedCandidate, KernelTier, WalkTests};
 use crate::dominance::{Dominance, DominanceChecker, SkylineStats};
 
 /// Compare tier of the builders' `vectorized` flag ([`BnlBuilder::new`] and
@@ -151,7 +152,7 @@ const FOLD_BATCH_ROWS: usize = CONTROL_CHECK_ROWS;
 /// twice, which costs more than a few window passes (correlated and
 /// independent inputs, and the small per-class batches of the incomplete
 /// local phase, mostly end here).
-const SORTED_INSERT_MAX: usize = 2 * MULTI_LANES;
+const SORTED_INSERT_MAX: usize = 16;
 
 /// Compute the skyline of `rows` under the complete relation `checker`
 /// with the BNL window algorithm, folding the rows through
@@ -178,36 +179,6 @@ pub fn bnl_skyline(
     window
 }
 
-/// Reusable buffers of [`cross_filter`] — one lane group's encoded
-/// candidates, their indices and their verdicts — owned by the caller so a
-/// filter run per 1024-row chunk allocates nothing.
-#[derive(Debug, Default)]
-pub struct CrossFilterScratch {
-    encoded: Vec<EncodedCandidate>,
-    lanes: [usize; MULTI_LANES],
-    dominated: Vec<Option<usize>>,
-}
-
-impl CrossFilterScratch {
-    /// One multi-candidate pass over the first `n` lanes: clear the flag
-    /// of every lane that found a strict dominator.
-    fn flush(
-        &mut self,
-        block: &ColumnarBlock,
-        n: usize,
-        alive: &mut [bool],
-        stats: &mut SkylineStats,
-    ) {
-        let res = block.first_dominators(&self.encoded[..n], &mut self.dominated);
-        stats.add_multi_pass(res.tested, block.is_simd());
-        for (lane, hit) in self.dominated.iter().enumerate() {
-            if hit.is_some() {
-                alive[self.lanes[lane]] = false;
-            }
-        }
-    }
-}
-
 /// The cross-filter primitive: clear `alive[i]` for every candidate
 /// `cands[i]` that some row of `against` **strictly** dominates (never on
 /// `Equal`). Candidates whose flag is already cleared are skipped, so a
@@ -215,9 +186,8 @@ impl CrossFilterScratch {
 ///
 /// `block` is the columnar encoding of the rows of `against` — in any
 /// order; a key-ordered block bounds every walk (module docs). With a live
-/// block, candidates are tested
-/// [`MULTI_LANES`] at a time by the early-exit multi-candidate kernel
-/// ([`ColumnarBlock::first_dominators`]); a block in scalar fallback, and
+/// block, each candidate takes the early-exit first-dominator walk
+/// ([`ColumnarBlock::first_dominator`]); a block in scalar fallback, and
 /// any candidate the block cannot encode, takes a scalar scan over
 /// `against` instead — same verdicts, counted as `scalar_tests`.
 /// NULL-like candidates under the complete relation are incomparable with
@@ -235,11 +205,10 @@ pub fn cross_filter(
     alive: &mut [bool],
     against: &[Row],
     block: &ColumnarBlock,
-    scratch: &mut CrossFilterScratch,
     stats: &mut SkylineStats,
 ) {
     debug_assert_eq!(cands.len(), alive.len());
-    cross_filter_from(checker, cands, alive, against, block, scratch, stats)
+    cross_filter_from(checker, cands, alive, against, block, stats)
 }
 
 /// Where [`cross_filter`] reads its candidates.
@@ -284,7 +253,6 @@ fn cross_filter_from<C: Candidates + ?Sized>(
     alive: &mut [bool],
     against: &[Row],
     block: &ColumnarBlock,
-    scratch: &mut CrossFilterScratch,
     stats: &mut SkylineStats,
 ) {
     if against.is_empty() {
@@ -303,27 +271,18 @@ fn cross_filter_from<C: Candidates + ?Sized>(
         return;
     }
     debug_assert_eq!(block.len(), against.len());
-    scratch
-        .encoded
-        .resize_with(MULTI_LANES, EncodedCandidate::new);
-    let mut n = 0;
-    for i in 0..alive.len() {
-        if !alive[i] {
+    let (mut cand, mut tests) = (EncodedCandidate::new(), WalkTests::default());
+    for (i, alive) in alive.iter_mut().enumerate() {
+        if !*alive {
             continue;
         }
-        if !cands.encode(i, block, &mut scratch.encoded[n]) {
-            alive[i] = scalar_survives(&cands.row(i), stats);
+        if !cands.encode(i, block, &mut cand) {
+            *alive = scalar_survives(&cands.row(i), stats);
             continue;
         }
-        scratch.lanes[n] = i;
-        n += 1;
-        if n == MULTI_LANES {
-            scratch.flush(block, n, alive, stats);
-            n = 0;
-        }
-    }
-    if n > 0 {
-        scratch.flush(block, n, alive, stats);
+        let res = block.first_dominator(&cand, &mut tests);
+        stats.add_walk(res.tested, block.is_simd());
+        *alive = res.dominated_at.is_none();
     }
 }
 
@@ -368,11 +327,10 @@ pub struct BnlBuilder {
     cand: EncodedCandidate,
     out: Vec<Dominance>,
     /// The fold's reusable buffers: the current input chunk, the step-1 /
-    /// step-2 and step-3 masks, the cross-filter lanes.
+    /// step-2 and step-3 masks.
     batch: Vec<Row>,
     alive: Vec<bool>,
     keep: Vec<bool>,
-    scratch: CrossFilterScratch,
     stats: SkylineStats,
 }
 
@@ -409,7 +367,6 @@ impl BnlBuilder {
             batch: Vec::new(),
             alive: Vec::new(),
             keep: Vec::new(),
-            scratch: CrossFilterScratch::default(),
             stats: SkylineStats::default(),
         }
     }
@@ -550,7 +507,6 @@ impl BnlBuilder {
             &mut self.alive,
             &self.window,
             &self.block,
-            &mut self.scratch,
             &mut self.stats,
         );
     }
@@ -589,7 +545,6 @@ impl BnlBuilder {
             &mut self.alive,
             batch,
             &sky,
-            &mut self.scratch,
             &mut self.stats,
         );
         if self.alive.contains(&false) {
@@ -612,7 +567,6 @@ impl BnlBuilder {
             &mut self.keep[start..],
             batch,
             &sky,
-            &mut self.scratch,
             &mut self.stats,
         );
         if self.keep[start..].contains(&false) {
@@ -958,7 +912,7 @@ mod tests {
                     assert_eq!(stats.dominance_tests, inc_stats.dominance_tests);
                     assert_eq!(stats.max_window, inc_stats.max_window);
                 } else {
-                    assert!(inc_stats.multi_candidate_passes > 0);
+                    assert!(inc_stats.dominator_walks > 0);
                     assert!(inc_stats.max_window >= incremental.len());
                 }
             }
@@ -992,7 +946,7 @@ mod tests {
                 assert!(s.batched_tests > 0);
                 assert_eq!(s.scalar_tests, 0);
                 // DISTINCT keeps the per-row step: no cross-filter.
-                assert_eq!(s.multi_candidate_passes > 0, !distinct, "v={vectorized}");
+                assert_eq!(s.dominator_walks > 0, !distinct, "v={vectorized}");
                 // The survivors' block is built on the builder's own tier,
                 // so a pinned tier stays pinned.
                 if !vectorized {
@@ -1004,7 +958,7 @@ mod tests {
 
     #[test]
     fn fold_matches_scalar_with_nulls_and_floats() {
-        // NULL rows (all-incomparable lanes) and float columns through the
+        // NULL rows (all-incomparable candidates) and float columns through the
         // batch fold.
         let checker = min_min(false);
         let data: Vec<Row> = (0..90)
@@ -1020,7 +974,7 @@ mod tests {
         let scalar = naive_skyline(&data, &checker);
         let (batched, s2) = folded(data, &checker, true, 10);
         assert_eq!(scalar, batched);
-        assert!(s2.multi_candidate_passes > 0);
+        assert!(s2.dominator_walks > 0);
     }
 
     #[test]
@@ -1224,16 +1178,7 @@ mod tests {
             assert_eq!(block.is_fallback(), demoted);
             let mut alive = vec![true; cands.len()];
             let mut stats = SkylineStats::default();
-            let mut scratch = CrossFilterScratch::default();
-            cross_filter(
-                &checker,
-                &cands,
-                &mut alive,
-                &against,
-                &block,
-                &mut scratch,
-                &mut stats,
-            );
+            cross_filter(&checker, &cands, &mut alive, &against, &block, &mut stats);
             // (2,6) dies on (1,5), (6,6) on all three; the tie (3,3) and
             // the incomparable (0,9), (4,2) survive.
             assert_eq!(alive, [false, true, true, false, true], "{demoted}");
@@ -1242,15 +1187,7 @@ mod tests {
             // A cleared flag is never tested again, or set.
             let mut dead = vec![false; cands.len()];
             let mut again = SkylineStats::default();
-            cross_filter(
-                &checker,
-                &cands,
-                &mut dead,
-                &against,
-                &block,
-                &mut scratch,
-                &mut again,
-            );
+            cross_filter(&checker, &cands, &mut dead, &against, &block, &mut again);
             assert_eq!(dead, [false; 5]);
             assert_eq!(again.dominance_tests, 0);
         }

@@ -7,12 +7,14 @@
 //! `dim.index` for every pair. This module batches that work: the skyline
 //! dimensions of a row window are transposed into contiguous,
 //! sign-normalized column buffers once, and a candidate tuple is then
-//! tested against the *entire* window in a tight per-dimension loop over
-//! flat `i64`/`f64` slices (64-row chunks with early exit).
+//! tested against the window in tight loops over flat `i64`/`f64` slices:
+//! the per-row step's three-way verdicts in 64-row chunks
+//! ([`ColumnarBlock::compare_batch`]), the cross-filter's "first strict
+//! dominator" in one fused 4-row walk ([`ColumnarBlock::first_dominator`]).
 //!
 //! # Compare tiers and runtime dispatch
 //!
-//! The per-chunk mask computation ships in two tiers. Every block runs on
+//! Both loops ship in two tiers. Every block runs on
 //! the one the CPU offers, found once by `is_x86_feature_detected!`-based
 //! runtime dispatch ([`KernelTier::detect`]); only the kernel's own API
 //! pins a tier ([`ColumnarBlock::with_tier`], and the builders'
@@ -21,30 +23,32 @@
 //! * **`simd(avx2)`** — explicit `core::arch::x86_64` intrinsics, four
 //!   64-bit lanes per instruction: `_mm256_cmpgt_epi64` both directions
 //!   for integer columns, `_mm256_cmp_pd` (ordered, non-signalling) for
-//!   float columns, sign-extracted into the chunk masks with
-//!   `movemask`. Float buffers never contain NaN (NaN is NULL-like and
-//!   becomes a placeholder plus an `any_null` bit), so the ordered
-//!   compares are exact.
-//! * **`chunked`** — the portable mask loop. It is both the fallback for
+//!   float columns, sign-extracted with `movemask`. Float buffers never
+//!   contain NaN (NaN is NULL-like and becomes a placeholder plus an
+//!   `any_null` bit), so the ordered compares are exact.
+//! * **`chunked`** — the portable loops. They are both the fallback for
 //!   hosts without AVX2 and the differential oracle the SIMD tier is
 //!   tested against: both tiers produce bit-identical `(a, b, neq)`
-//!   masks, hence byte-identical outcomes.
+//!   masks and the same first dominators and test counts, hence
+//!   byte-identical outcomes.
 //!
-//! # Multi-candidate passes
+//! # The first-dominator walk
 //!
-//! [`ColumnarBlock::first_dominators`] widens the kernel to a batch of
-//! [`MULTI_LANES`] candidates per window walk: each 64-row chunk of the
-//! sign-normalized buffers (and its null bits) is visited once while all
-//! live candidate lanes compute their masks against it, amortizing the
-//! memory traffic of the window walk across the lanes. Each lane keeps a
-//! per-candidate outcome in the form of its first dominating row index;
-//! a lane goes dead once a dominator is found, and the walk stops —
-//! chunk-granular — when every lane is dead. Callers that hold many
-//! candidates at once (BNL batch admission, the pairwise merge's
-//! cross-filter) use it as a sound
-//! pre-pass: only *strict* `DominatedBy` outcomes are consumed, which
-//! under a transitive relation are stable against any later window
-//! evolution.
+//! [`ColumnarBlock::first_dominator`] answers one question for a
+//! candidate: which block row, if any, is the first to strictly dominate
+//! it. It asks nothing else, so it needs no three-way verdict: the walk
+//! resolves the candidate's compared dimensions once ([`WalkTests`]: a
+//! column buffer and the candidate's value each, `Skip` dimensions and
+//! unmaterialized columns left out) and walks the rows four at a time.
+//! Per step it ANDs "row `<=` candidate" and ORs "row `<` candidate" over
+//! every dimension (a `DIFF` dimension ANDs equality instead), so "this
+//! row strictly dominates" is one mask, four rows wide — in registers on
+//! the SIMD tier. The walk stops at the first step holding a dominator,
+//! and counts the rows up to that step as its tests. The cross-filter
+//! (BNL batch admission, the pairwise merge, the incomplete class
+//! cross-pass) and the disk scan's dominance gate walk each candidate in
+//! turn; they consume only *strict* `DominatedBy` outcomes, which under a
+//! transitive relation are stable against any later window evolution.
 //!
 //! # Score keys and the bounded walk
 //!
@@ -72,13 +76,12 @@
 //! over their placeholders is as good a key as any.
 //!
 //! A block whose keys are ascending ([`ColumnarBlock::is_ordered`] — kept
-//! up to date by every mutation) lets [`ColumnarBlock::first_dominators`]
+//! up to date by every mutation) lets [`ColumnarBlock::first_dominator`]
 //! exploit the implication: low-key rows, the likeliest dominators, are
-//! probed first, and a lane ends in the first chunk that holds a key above
-//! its candidate key — it tests that chunk's leading rows up to the bound
-//! (in [`BOUND_STEP`] units) and nothing behind them, since every later
-//! row's key exceeds the bound too. Blocks filled in arbitrary order
-//! simply never bound.
+//! probed first, and a walk ends exactly at the last row whose key does
+//! not exceed its candidate key (one binary search over the keys),
+//! since every later row's key exceeds the bound too. Blocks filled in
+//! arbitrary order simply never bound.
 //!
 //! # Block layout and encode rules
 //!
@@ -110,10 +113,11 @@
 //!   stays unmaterialized and is skipped) or in *none* — and demotes mixed
 //!   columns to scalar fallback.
 //! * **`DIFF` dimensions** are stored un-negated; dominance additionally
-//!   requires *equality* on them, which the kernel folds in as a third
-//!   per-chunk mask: any inequality (`neq`) bit forces
+//!   requires *equality* on them, which the per-row step folds in as a
+//!   third per-chunk mask: any inequality (`neq`) bit forces
 //!   [`Dominance::Incomparable`] for that pair, mirroring the scalar
-//!   checker's immediate exit on a `DIFF` mismatch. Non-numeric `DIFF`
+//!   checker's immediate exit on a `DIFF` mismatch (the fused walk ANDs
+//!   the equality into its "row `<=` candidate" mask). Non-numeric `DIFF`
 //!   values demote the block through the same class rules as ranked
 //!   dimensions.
 //!
@@ -122,8 +126,9 @@
 //! [`ColumnarBlock::is_fallback`] reports `true` (whole-block) or
 //! [`ColumnarBlock::encode`] returns `None` (single candidate). The
 //! batched and scalar paths produce byte-identical *skylines*; the test
-//! counters differ — the chunked early exit makes the kernel perform more
-//! (much cheaper) tests than the scalar loop's per-pair exit, which
+//! counters differ — the kernel's chunk- and step-granular early exits
+//! make it perform more (much cheaper) tests than the scalar loop's
+//! per-pair exit, which
 //! `batched_tests` / `scalar_tests` make visible per path, and the
 //! `simd_tests` counter additionally splits out tests performed on a SIMD
 //! tier.
@@ -153,36 +158,17 @@ pub const CHUNK: usize = 64;
 /// window was flat to within scheduler noise, so 4 is kept; the win comes
 /// from aborting *before* the first full-width chunk, and SIMD makes wide
 /// chunks cheaper without making early exits less valuable.
-/// Multi-candidate passes
-/// ([`ColumnarBlock::first_dominators`]) start at full [`CHUNK`] width
-/// instead: their walk only stops once *every* lane has found a
-/// dominator, which rarely happens inside the first few rows, so
-/// progressive sizing would add per-lane bookkeeping for nothing.
+/// The first-dominator walk ([`ColumnarBlock::first_dominator`]) needs
+/// no such start: it stops at the 4-row step holding the dominator, as
+/// fine-grained as this first chunk.
 pub const CANDIDATE_FIRST_CHUNK: usize = 4;
 
-/// Granularity at which the score bound cuts a lane's final chunk in
-/// [`ColumnarBlock::first_dominators`]: the rows up to the bound, rounded
-/// up to a quarter chunk. Whole quarters keep the mask loops to four trip
-/// counts of whole vectors; cutting at the exact row made their exits
-/// unpredictable and cost the small windows of the incomplete local phase
-/// more (+6–8% on 250k × 4 rows with 20% NULLs) than the skipped rows
-/// saved, while not cutting at all leaves a window filtered against fewer
-/// than [`CHUNK`] new skyline rows — step 3 of the BNL batch fold, 40% of
-/// its tests on anti-correlated input — no bound at all.
-pub const BOUND_STEP: usize = CHUNK / 4;
-
-/// Candidate lanes per multi-candidate window pass
-/// ([`ColumnarBlock::first_dominators`]): callers slice their pending
-/// candidates into groups of this size, each group amortizing one walk
-/// over the block buffers and null bits.
-pub const MULTI_LANES: usize = 8;
-
-/// Compare tier a block dispatches its per-chunk mask computation to:
-/// the host CPU's ([`detect`](KernelTier::detect)) unless pinned.
+/// Compare tier a block dispatches its compare loops to: the host CPU's
+/// ([`detect`](KernelTier::detect)) unless pinned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelTier {
-    /// Portable chunked-scalar mask loop: the fallback for hosts without
-    /// AVX2 and the differential oracle the SIMD tier is tested against.
+    /// Portable scalar loops: the fallback for hosts without AVX2 and the
+    /// differential oracle the SIMD tier is tested against.
     Chunked,
     /// Four-lane AVX2 integer and float compares.
     Avx2,
@@ -226,21 +212,17 @@ impl KernelTier {
     }
 }
 
-/// EXPLAIN description of the compare tier detected on this CPU, e.g.
-/// `chunked` or `simd(avx2), lanes=8`.
-pub fn kernel_label() -> String {
-    let tier = KernelTier::detect();
-    if tier.is_simd() {
-        format!("{}, lanes={MULTI_LANES}", tier.label())
-    } else {
-        tier.label().to_string()
-    }
+/// EXPLAIN description of the compare tier detected on this CPU:
+/// `chunked` or `simd(avx2)`.
+pub fn kernel_label() -> &'static str {
+    KernelTier::detect().label()
 }
 
-/// Explicit-SIMD per-column mask kernels. Every function produces the
+/// Explicit-SIMD kernels. Every per-column mask function produces the
 /// exact same `a`/`b`/`neq` bits as the chunked loops in
-/// `ColumnarBlock::chunk_masks_chunked`; the differential suites assert
-/// that equivalence on every tier the CPU offers. Buffers never contain
+/// `ColumnarBlock::chunk_masks_chunked`, and the fused walk the same
+/// first dominator as `first_dominator_from`; the differential suites
+/// assert that equivalence on every tier the CPU offers. Buffers never contain
 /// NaN (NaN is NULL-like and encodes as a placeholder plus an `any_null`
 /// bit), so the ordered float compares are exact.
 #[cfg(target_arch = "x86_64")]
@@ -331,6 +313,182 @@ mod simd {
             *neq |= u64::from(x != v) << (k + i);
         }
     }
+
+    /// The fused walk of `ColumnarBlock::first_dominator` over rows
+    /// `[0, end)`: per 4-row vector, "row `<=` candidate" is ANDed and
+    /// "row `<` candidate" ORed over every resolved dimension, and the
+    /// walk stops at the first vector holding a strict dominator. The rows
+    /// behind the last whole vector take the portable tail, so the verdict
+    /// is the portable walk's.
+    ///
+    /// # Safety
+    /// AVX2 must be available (see [`ranked_i64_avx2`]), and every buffer
+    /// in `tests` must hold at least `end` rows.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn first_dominator_avx2(
+        tests: &super::WalkTests,
+        nulls: Option<&[bool]>,
+        end: usize,
+    ) -> Option<usize> {
+        match tests.ranked_f64.len() {
+            0 => walk::<0>(tests, nulls, end),
+            1 => walk::<1>(tests, nulls, end),
+            2 => walk::<2>(tests, nulls, end),
+            3 => walk::<3>(tests, nulls, end),
+            4 => walk::<4>(tests, nulls, end),
+            5 => walk::<5>(tests, nulls, end),
+            6 => walk::<6>(tests, nulls, end),
+            7 => walk::<7>(tests, nulls, end),
+            _ => walk::<8>(tests, nulls, end),
+        }
+    }
+
+    /// [`first_dominator_avx2`] with the first `N` ranked float columns —
+    /// every column of the common shape — held in registers: their column
+    /// pointers and candidate splats are set up once, outside the row
+    /// loop. Any other column (ranked floats past `N`, integers and
+    /// booleans, `DIFF`) is read from `tests` in the same step. Reading
+    /// every column from `tests` instead made the benchmark's `mem_anti`
+    /// 35% slower end to end (10 pairs on a 2-core x86 VM); eight splats
+    /// leave half of the 16 `ymm` registers to the step's loads and masks.
+    ///
+    /// # Safety
+    /// As [`first_dominator_avx2`]; `tests` holds at least `N` ranked float
+    /// tests.
+    #[target_feature(enable = "avx2")]
+    unsafe fn walk<const N: usize>(
+        tests: &super::WalkTests,
+        nulls: Option<&[bool]>,
+        end: usize,
+    ) -> Option<usize> {
+        let (regs, more_f64) = tests.ranked_f64.split_at(N);
+        let cols: [*const f64; N] = std::array::from_fn(|d| regs[d].0.as_ptr());
+        let vals: [__m256d; N] = std::array::from_fn(|d| _mm256_set1_pd(regs[d].1));
+        let rest = !more_f64.is_empty()
+            || !tests.ranked_i64.is_empty()
+            || !tests.diff_f64.is_empty()
+            || !tests.diff_i64.is_empty();
+        let ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+        let mut base = 0;
+        while base + 4 <= end {
+            let mut le = ones;
+            let mut lt = _mm256_setzero_pd();
+            for d in 0..N {
+                let x = _mm256_loadu_pd(cols[d].add(base));
+                le = _mm256_and_pd(le, _mm256_cmp_pd::<_CMP_LE_OQ>(x, vals[d]));
+                lt = _mm256_or_pd(lt, _mm256_cmp_pd::<_CMP_LT_OQ>(x, vals[d]));
+            }
+            if rest {
+                for &(buf, v) in more_f64 {
+                    let x = _mm256_loadu_pd(buf.as_ptr().add(base));
+                    let v = _mm256_set1_pd(v);
+                    le = _mm256_and_pd(le, _mm256_cmp_pd::<_CMP_LE_OQ>(x, v));
+                    lt = _mm256_or_pd(lt, _mm256_cmp_pd::<_CMP_LT_OQ>(x, v));
+                }
+                for &(buf, v) in &tests.ranked_i64 {
+                    let x = _mm256_loadu_si256(buf.as_ptr().add(base) as *const __m256i);
+                    let v = _mm256_set1_epi64x(v);
+                    let gt = _mm256_castsi256_pd(_mm256_cmpgt_epi64(x, v));
+                    le = _mm256_andnot_pd(gt, le);
+                    lt = _mm256_or_pd(lt, _mm256_castsi256_pd(_mm256_cmpgt_epi64(v, x)));
+                }
+                for &(buf, v) in &tests.diff_f64 {
+                    let x = _mm256_loadu_pd(buf.as_ptr().add(base));
+                    le = _mm256_and_pd(le, _mm256_cmp_pd::<_CMP_EQ_OQ>(x, _mm256_set1_pd(v)));
+                }
+                for &(buf, v) in &tests.diff_i64 {
+                    let x = _mm256_loadu_si256(buf.as_ptr().add(base) as *const __m256i);
+                    let eq = _mm256_cmpeq_epi64(x, _mm256_set1_epi64x(v));
+                    le = _mm256_and_pd(le, _mm256_castsi256_pd(eq));
+                }
+            }
+            let dom = _mm256_movemask_pd(_mm256_and_pd(le, lt)) as u32;
+            if dom != 0 {
+                let dom = super::without_nulls(dom, nulls, base);
+                if dom != 0 {
+                    return Some(base + dom.trailing_zeros() as usize);
+                }
+            }
+            base += 4;
+        }
+        super::first_dominator_from(tests, nulls, base, end)
+    }
+}
+
+/// A candidate's compared dimensions, resolved against the block columns
+/// they read and grouped by kind, so that each walk step runs one tight
+/// loop per kind: a row strictly dominates the candidate when it is `<=`
+/// on every ranked dimension, `<` on some one, and equal on every `DIFF`
+/// one. `Skip` dimensions and unmaterialized columns are left out.
+///
+/// [`ColumnarBlock::first_dominator`] refills it for every candidate; a
+/// caller keeps one per block, so a run of walks allocates nothing.
+#[derive(Debug, Default)]
+pub struct WalkTests<'a> {
+    ranked_f64: Vec<(&'a [f64], f64)>,
+    /// Integer and boolean columns.
+    ranked_i64: Vec<(&'a [i64], i64)>,
+    diff_f64: Vec<(&'a [f64], f64)>,
+    diff_i64: Vec<(&'a [i64], i64)>,
+}
+
+impl WalkTests<'_> {
+    /// Whether row `i` is no worse than the candidate on every dimension,
+    /// and whether it is strictly better on some ranked one.
+    fn row(&self, i: usize) -> (bool, bool) {
+        let (mut le, mut lt) = (true, false);
+        for &(buf, v) in &self.ranked_f64 {
+            (le, lt) = (le & (buf[i] <= v), lt | (buf[i] < v));
+        }
+        for &(buf, v) in &self.ranked_i64 {
+            (le, lt) = (le & (buf[i] <= v), lt | (buf[i] < v));
+        }
+        for &(buf, v) in &self.diff_f64 {
+            le &= buf[i] == v;
+        }
+        for &(buf, v) in &self.diff_i64 {
+            le &= buf[i] == v;
+        }
+        (le, lt)
+    }
+}
+
+/// The portable fused walk over rows `[base, end)`, four rows per step:
+/// the first row that is `<=` the candidate on every dimension and `<` on
+/// some one, NULL-like rows excepted. The `Chunked` tier runs it alone;
+/// the SIMD tier runs it on its tail, and is tested against it.
+fn first_dominator_from(
+    tests: &WalkTests,
+    nulls: Option<&[bool]>,
+    mut base: usize,
+    end: usize,
+) -> Option<usize> {
+    while base < end {
+        let m = (end - base).min(4);
+        let mut dom = 0u32;
+        for k in 0..m {
+            let (le, lt) = tests.row(base + k);
+            dom |= u32::from(le & lt) << k;
+        }
+        let dom = without_nulls(dom, nulls, base);
+        if dom != 0 {
+            return Some(base + dom.trailing_zeros() as usize);
+        }
+        base += m;
+    }
+    None
+}
+
+/// `dom` (one bit per row from `base`, at most four) less the rows whose
+/// `nulls` bit is set: under the complete relation a NULL-like row
+/// dominates nothing, whatever its placeholders say.
+fn without_nulls(dom: u32, nulls: Option<&[bool]>, base: usize) -> u32 {
+    let Some(nulls) = nulls else {
+        return dom;
+    };
+    let null_bits = (nulls[base..].iter().take(4).enumerate())
+        .fold(0u32, |bits, (k, &null)| bits | u32::from(null) << k);
+    dom & !null_bits
 }
 
 /// One encoded skyline dimension of a candidate tuple, matched against the
@@ -386,23 +544,14 @@ impl Default for EncodedCandidate {
 /// Result of one candidate-vs-block kernel invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchResult {
-    /// Pairwise dominance tests performed (chunk-granular under early
-    /// exit).
+    /// Pairwise dominance tests performed: whole chunks up to the early
+    /// exit in [`ColumnarBlock::compare_batch`], rows up to the 4-row step
+    /// holding the dominator (or up to the key bound) in
+    /// [`ColumnarBlock::first_dominator`].
     pub tested: u64,
-    /// Index of the first row that dominates the candidate, when the call
-    /// asked to stop there.
+    /// Index of the first row that strictly dominates the candidate, when
+    /// the call asked to stop there.
     pub dominated_at: Option<usize>,
-}
-
-/// Result of one multi-candidate window pass
-/// ([`ColumnarBlock::first_dominators`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MultiBatchResult {
-    /// Pairwise dominance tests performed across all lanes (chunk-granular
-    /// per live lane).
-    pub tested: u64,
-    /// Number of candidate lanes in the pass.
-    pub lanes: usize,
 }
 
 /// Storage of one dimension column.
@@ -544,7 +693,7 @@ pub struct ColumnarBlock {
     /// Per-row member score key (module docs); never NaN.
     keys: Vec<f64>,
     /// Whether `keys` is ascending, which arms the score bound of
-    /// [`first_dominators`](Self::first_dominators).
+    /// [`first_dominator`](Self::first_dominator).
     ordered: bool,
     incomplete: bool,
     len: usize,
@@ -673,7 +822,7 @@ impl ColumnarBlock {
     }
 
     /// Whether the rows are in ascending key order, so that
-    /// [`first_dominators`](Self::first_dominators) bounds its walks.
+    /// [`first_dominator`](Self::first_dominator) bounds its walks.
     pub fn is_ordered(&self) -> bool {
         self.ordered
     }
@@ -863,7 +1012,7 @@ impl ColumnarBlock {
     }
 
     /// Stable-sort the rows by member key, arming the score bound of
-    /// [`first_dominators`](Self::first_dominators). Returns the applied
+    /// [`first_dominator`](Self::first_dominator). Returns the applied
     /// permutation (`new row i` = `old row perm[i]`) so a caller can
     /// reorder what it keeps index-aligned with the block; `None` when the
     /// rows were already in order (or the block is in fallback).
@@ -1105,81 +1254,81 @@ impl ColumnarBlock {
         }
     }
 
-    /// Multi-candidate window pass: find, for every candidate lane, the
-    /// first block row that strictly dominates it (`DominatedBy`, never
-    /// `Equal`), walking the buffers chunk-major so each 64-row chunk is
-    /// visited once for all live lanes. A lane goes dead once its
-    /// dominator is found; the walk stops — chunk-granular — when every
-    /// lane is dead. In a key-ordered block ([`is_ordered`](Self::is_ordered))
-    /// a lane also ends, undominated, once the member keys exceed its
-    /// candidate key (module docs). At most 64 candidates per call.
+    /// The first block row that strictly dominates `cand`
+    /// (`DominatedBy`, never `Equal`), in block order. The walk resolves
+    /// the candidate's compared dimensions into `tests` once and walks
+    /// the rows four at a time, deciding "this row strictly dominates the
+    /// candidate" over all of them per step, and stops at the first step
+    /// that holds a dominator. In a key-ordered block
+    /// ([`is_ordered`](Self::is_ordered)) the walk ends, undominated, at
+    /// the last row whose member key does not exceed the candidate key
+    /// (module docs). `tested` counts the rows up to the dominator's
+    /// 4-row step, or up to the walk's end; a NULL-like candidate under
+    /// the complete relation walks nothing.
     ///
-    /// Callers use this as a *pre-pass* and must only rely on strict
+    /// Callers that filter on the verdict must only rely on strict
     /// dominance being stable, which holds under a transitive relation
     /// (the complete relation, or the incomplete relation within one
     /// null-bitmap class).
-    pub fn first_dominators(
-        &self,
-        cands: &[EncodedCandidate],
-        dominated: &mut Vec<Option<usize>>,
-    ) -> MultiBatchResult {
-        debug_assert!(!self.is_fallback(), "first_dominators on a fallback block");
-        assert!(cands.len() <= 64, "one lane bit per candidate");
-        dominated.clear();
-        dominated.resize(cands.len(), None);
-        // One bit per lane still walking. All-incomparable candidates
-        // (NULL-like under the complete relation) are never dominated;
-        // their lanes start dead.
-        let mut live: u64 = 0;
-        for (lane, cand) in cands.iter().enumerate() {
-            live |= u64::from(!cand.all_incomparable) << lane;
+    pub fn first_dominator<'a>(
+        &'a self,
+        cand: &EncodedCandidate,
+        tests: &mut WalkTests<'a>,
+    ) -> BatchResult {
+        debug_assert!(!self.is_fallback(), "first_dominator on a fallback block");
+        if cand.all_incomparable {
+            return BatchResult {
+                tested: 0,
+                dominated_at: None,
+            };
         }
-        let mut tested = 0u64;
-        let mut base = 0;
-        while base < self.len && live != 0 {
-            let chunk = CHUNK.min(self.len - base);
-            // Complete relation: rows with NULL-like values dominate
-            // nothing, whatever their placeholder buffers say.
-            let mut nulls: u64 = 0;
-            if !self.incomplete {
-                for (k, &n) in self.any_null[base..base + chunk].iter().enumerate() {
-                    nulls |= u64::from(n) << k;
-                }
-            }
-            let chunk_keys = &self.keys[base..base + chunk];
-            for (lane, cand) in cands.iter().enumerate() {
-                if live & (1 << lane) == 0 {
-                    continue;
-                }
-                // The score bound: only the rows whose key does not exceed
-                // the candidate's can dominate it; once a chunk holds a
-                // larger key, so does everything behind it, and the lane
-                // ends with that chunk's leading rows.
-                let mut m = chunk;
-                if self.ordered && chunk_keys[chunk - 1] > cand.key {
-                    // (Counted, not searched: branch-free over one chunk.)
-                    let within = chunk_keys.iter().filter(|&&key| key <= cand.key).count();
-                    m = chunk.min(within.next_multiple_of(BOUND_STEP));
-                    live &= !(1 << lane);
-                    if m == 0 {
-                        continue;
-                    }
-                }
-                let (a, b, neq) = self.chunk_masks(cand, base, m);
-                tested += m as u64;
-                // Strict dominators: row strictly better somewhere, the
-                // candidate nowhere, equal on every DIFF dim, NULL-free.
-                let dom = b & !a & !neq & !nulls & mask(m);
-                if dom != 0 {
-                    dominated[lane] = Some(base + dom.trailing_zeros() as usize);
-                    live &= !(1 << lane);
-                }
-            }
-            base += chunk;
+        // Complete relation: rows with NULL-like values dominate nothing,
+        // whatever their placeholder buffers say.
+        let nulls = (!self.incomplete).then_some(&self.any_null[..]);
+        let end = if self.ordered {
+            self.keys.partition_point(|&key| key <= cand.key)
+        } else {
+            self.len
+        };
+        self.resolve(cand, tests);
+        let hit = match self.tier {
+            // SAFETY: a block only gets the `Avx2` tier after
+            // `is_x86_feature_detected!("avx2")` (`with_tier`), and every
+            // resolved buffer holds `len >= end` rows.
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx2 => unsafe { simd::first_dominator_avx2(tests, nulls, end) },
+            _ => first_dominator_from(tests, nulls, 0, end),
+        };
+        BatchResult {
+            tested: hit.map_or(end, |at| end.min((at | 3) + 1)) as u64,
+            dominated_at: hit,
         }
-        MultiBatchResult {
-            tested,
-            lanes: cands.len(),
+    }
+
+    /// Resolve `cand`'s compared dimensions against this block's buffers
+    /// into `tests`.
+    fn resolve<'a>(&'a self, cand: &EncodedCandidate, tests: &mut WalkTests<'a>) {
+        tests.ranked_f64.clear();
+        tests.ranked_i64.clear();
+        tests.diff_f64.clear();
+        tests.diff_i64.clear();
+        for (col, dim) in self.cols.iter().zip(&cand.dims) {
+            match (&col.data, *dim) {
+                (ColumnData::Floats(buf), CandDim::Float(v)) if col.is_diff => {
+                    tests.diff_f64.push((buf, v))
+                }
+                (ColumnData::Floats(buf), CandDim::Float(v)) => tests.ranked_f64.push((buf, v)),
+                (ColumnData::Ints(buf) | ColumnData::Bools(buf), CandDim::Int(v))
+                    if col.is_diff =>
+                {
+                    tests.diff_i64.push((buf, v))
+                }
+                (ColumnData::Ints(buf) | ColumnData::Bools(buf), CandDim::Int(v)) => {
+                    tests.ranked_i64.push((buf, v))
+                }
+                (_, CandDim::Skip) | (ColumnData::Pending, _) => {}
+                mismatch => unreachable!("encode/class invariant violated: {mismatch:?}"),
+            }
         }
     }
 
@@ -1279,14 +1428,6 @@ impl ColumnarBlock {
             }
         }
         (a, b, neq)
-    }
-}
-
-fn mask(m: usize) -> u64 {
-    if m >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << m) - 1
     }
 }
 
@@ -1596,40 +1737,39 @@ mod tests {
             for r in &rows {
                 block.push(r);
             }
-            let encoded: Vec<EncodedCandidate> =
-                cands.iter().map(|c| block.encode(c).unwrap()).collect();
-            let mut dominated = Vec::new();
-            let res = block.first_dominators(&encoded, &mut dominated);
-            assert_eq!(res.lanes, cands.len());
-            assert!(res.tested > 0);
-            let mut out = Vec::new();
-            for (lane, enc) in encoded.iter().enumerate() {
-                block.compare_batch(enc, &mut out, false);
+            let (mut tests, mut out, mut tested) = (WalkTests::default(), Vec::new(), 0);
+            for (i, c) in cands.iter().enumerate() {
+                let enc = block.encode(c).unwrap();
+                let res = block.first_dominator(&enc, &mut tests);
+                tested += res.tested;
+                block.compare_batch(&enc, &mut out, false);
                 let expected = out.iter().position(|&o| o == Dominance::DominatedBy);
-                assert_eq!(dominated[lane], expected, "tier {tier:?} lane {lane}");
+                assert_eq!(res.dominated_at, expected, "tier {tier:?} candidate {i}");
             }
+            assert!(tested > 0);
         }
     }
 
     #[test]
     fn first_dominators_early_exits_when_all_lanes_die() {
-        // Every candidate is dominated by row 0; the walk must stop after
-        // the first chunk instead of scanning all 1000 rows.
+        // Every candidate is dominated by row 0; each walk must stop after
+        // the first 4-row step instead of scanning all 1001 rows.
         let mut block = ColumnarBlock::new(&spec_mm(), false);
         block.push(&int_row(0, 100));
         for i in 0..1000 {
             block.push(&int_row(50 + i, 50));
         }
-        let cands: Vec<EncodedCandidate> = (0..8)
-            .map(|i| block.encode(&int_row(10 + i, 10)).unwrap())
-            .collect();
-        let mut dominated = Vec::new();
-        let res = block.first_dominators(&cands, &mut dominated);
-        assert!(dominated.iter().all(|d| *d == Some(0)));
-        // The rows happen to be in key order, so each lane tests only the
-        // leading rows of the first chunk up to its own key.
+        // The rows happen to be in key order: candidate `i` (key `i`)
+        // ends at the `i + 2` rows keyed `<= i` (row 0 is keyed -100), and
+        // stops with the 4-row step holding its dominator.
         assert!(block.is_ordered());
-        assert_eq!(res.tested, 8 * BOUND_STEP as u64);
+        let mut tests = WalkTests::default();
+        for i in 0..8 {
+            let cand = block.encode(&int_row(10 + i, 10)).unwrap();
+            let res = block.first_dominator(&cand, &mut tests);
+            assert_eq!(res.dominated_at, Some(0));
+            assert_eq!(res.tested, (i as u64 + 2).min(4));
+        }
     }
 
     fn min_min_spec() -> SkylineSpec {
@@ -1702,23 +1842,25 @@ mod tests {
             assert!(!plain.is_ordered());
             let mut sorted = plain.clone();
             let perm = sorted.sort_by_key().expect("mixed rows are unordered");
-            let encoded: Vec<EncodedCandidate> =
-                cands.iter().map(|c| plain.encode(c).unwrap()).collect();
-            let (mut hits, mut sorted_hits) = (Vec::new(), Vec::new());
-            let full = plain.first_dominators(&encoded, &mut hits);
-            let bounded = sorted.first_dominators(&encoded, &mut sorted_hits);
-            for lane in 0..cands.len() {
+            let (mut plain_tests, mut sorted_tests) = (WalkTests::default(), WalkTests::default());
+            let (mut full, mut bounded) = (0, 0);
+            for (i, c) in cands.iter().enumerate() {
+                let enc = plain.encode(c).unwrap();
+                let hit = plain.first_dominator(&enc, &mut plain_tests);
+                let sorted_hit = sorted.first_dominator(&enc, &mut sorted_tests);
                 assert_eq!(
-                    hits[lane].is_some(),
-                    sorted_hits[lane].is_some(),
-                    "tier {tier:?} lane {lane}"
+                    hit.dominated_at.is_some(),
+                    sorted_hit.dominated_at.is_some(),
+                    "tier {tier:?} candidate {i}"
                 );
-                if let Some(at) = sorted_hits[lane] {
+                if let Some(at) = sorted_hit.dominated_at {
                     let checker = DominanceChecker::complete(spec.clone());
-                    assert!(checker.dominates(&rows[perm[at]], &cands[lane]));
+                    assert!(checker.dominates(&rows[perm[at]], c));
                 }
+                full += hit.tested;
+                bounded += sorted_hit.tested;
             }
-            assert!(bounded.tested < full.tested, "tier {tier:?}");
+            assert!(bounded < full, "tier {tier:?}");
         }
     }
 
@@ -1787,10 +1929,9 @@ mod tests {
     fn first_dominators_never_reports_equal_rows() {
         let mut block = ColumnarBlock::new(&spec_mm(), false);
         block.push(&int_row(5, 5));
-        let cands = vec![block.encode(&int_row(5, 5)).unwrap()];
-        let mut dominated = Vec::new();
-        block.first_dominators(&cands, &mut dominated);
-        assert_eq!(dominated[0], None);
+        let cand = block.encode(&int_row(5, 5)).unwrap();
+        let res = block.first_dominator(&cand, &mut WalkTests::default());
+        assert_eq!(res.dominated_at, None);
     }
 
     #[test]
@@ -1799,7 +1940,7 @@ mod tests {
         let mut block = ColumnarBlock::new(&spec, false);
         block.push(&Row::new(vec![Value::Null, Value::Float64(0.0)]));
         block.push(&Row::new(vec![Value::Float64(0.0), Value::Float64(0.0)]));
-        let cands = vec![
+        let cands = [
             block
                 .encode(&Row::new(vec![Value::Float64(5.0), Value::Float64(5.0)]))
                 .unwrap(),
@@ -1807,8 +1948,11 @@ mod tests {
                 .encode(&Row::new(vec![Value::Null, Value::Float64(9.0)]))
                 .unwrap(),
         ];
-        let mut dominated = Vec::new();
-        block.first_dominators(&cands, &mut dominated);
+        let mut tests = WalkTests::default();
+        let dominated: Vec<Option<usize>> = cands
+            .iter()
+            .map(|c| block.first_dominator(c, &mut tests).dominated_at)
+            .collect();
         // The NULL row (index 0) dominates nothing; row 1 dominates the
         // first candidate. The NULL candidate is incomparable to all.
         assert_eq!(dominated, vec![Some(1), None]);
@@ -1820,8 +1964,7 @@ mod tests {
         assert_eq!(KernelTier::Avx2.label(), "simd(avx2)");
         let auto = kernel_label();
         if KernelTier::detect().is_simd() {
-            assert!(auto.starts_with("simd("), "{auto}");
-            assert!(auto.ends_with(&format!("lanes={MULTI_LANES}")), "{auto}");
+            assert_eq!(auto, "simd(avx2)");
         } else {
             assert_eq!(auto, "chunked");
         }
@@ -1940,7 +2083,7 @@ mod tests {
 
     /// A block of float points — the disk scan's dominance gate — and
     /// the first point strictly dominating one candidate (a block's best
-    /// corner), through the single-lane multi-candidate pass.
+    /// corner), through the first-dominator walk.
     fn point_block(points: &[[f64; 2]], tier: KernelTier) -> ColumnarBlock {
         let mut block = ColumnarBlock::with_tier(&min_min_spec(), false, tier);
         for p in points {
@@ -1953,9 +2096,8 @@ mod tests {
     fn first_point_dominator(block: &ColumnarBlock, corner: [f64; 2]) -> (u64, Option<usize>) {
         let row = Row::new(vec![Value::Float64(corner[0]), Value::Float64(corner[1])]);
         let cand = block.encode(&row).unwrap();
-        let mut dominated = Vec::new();
-        let res = block.first_dominators(std::slice::from_ref(&cand), &mut dominated);
-        (res.tested, dominated[0])
+        let res = block.first_dominator(&cand, &mut WalkTests::default());
+        (res.tested, res.dominated_at)
     }
 
     #[test]
@@ -1970,6 +2112,7 @@ mod tests {
         );
         let (tested, hit) = first_point_dominator(&pb, [3.0, 3.0]);
         assert_eq!(hit, Some(1));
+        // The dominator's 4-row step is cut at the block's three rows.
         assert_eq!(tested, 3);
         // Equal corner is not a strict dominator.
         let (_, none) = first_point_dominator(&pb, [0.0, 0.0]);
@@ -1983,11 +2126,11 @@ mod tests {
         points.extend(std::iter::repeat_n([100.0, 100.0], 70));
         let pb = point_block(&points, KernelTier::detect());
         // Arrival order is not key order, so no bound: the walk ends with
-        // the chunk holding the dominator.
+        // the 4-row step holding the dominator (rows 68..72).
         assert!(!pb.is_ordered());
         let (tested, hit) = first_point_dominator(&pb, [50.0, 50.0]);
         assert_eq!(hit, Some(70));
-        assert_eq!(tested, 128);
+        assert_eq!(tested, 72);
     }
 
     #[test]
@@ -2018,17 +2161,17 @@ mod tests {
                 None => oracle = Some(singles.clone()),
                 Some(expected) => assert_eq!(expected, &singles, "tier {tier:?} diverged"),
             }
-            // ...the multi-corner pass matches them lane for lane...
-            let cands: Vec<EncodedCandidate> = queries
+            // ...one reused `WalkTests` over every corner matches them...
+            let mut tests = WalkTests::default();
+            let reused: Vec<Option<usize>> = queries
                 .iter()
                 .map(|q| {
-                    pb.encode(&Row::new(vec![Value::Float64(q[0]), Value::Float64(q[1])]))
-                        .unwrap()
+                    let row = Row::new(vec![Value::Float64(q[0]), Value::Float64(q[1])]);
+                    let cand = pb.encode(&row).unwrap();
+                    pb.first_dominator(&cand, &mut tests).dominated_at
                 })
                 .collect();
-            let mut dominated = Vec::new();
-            assert!(pb.first_dominators(&cands, &mut dominated).tested > 0);
-            assert_eq!(dominated, singles, "tier {tier:?}");
+            assert_eq!(reused, singles, "tier {tier:?}");
             // ...and the key-sorted block gives every corner the same
             // verdict (strict dominance is all the gate reads).
             pb.sort_by_key();

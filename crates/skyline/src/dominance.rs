@@ -24,7 +24,14 @@ pub enum Dominance {
 /// computation (§2); the benchmark harness reports them alongside time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SkylineStats {
-    /// Number of pairwise dominance tests performed.
+    /// Number of pairwise dominance tests performed. The scalar checker
+    /// counts each pair it compares; the columnar kernel counts the rows
+    /// its early exits reach — whole 64-row chunks (the first one
+    /// smaller) in the per-row step, the rows up to the 4-row step holding
+    /// the dominator (or up to the key bound) in the first-dominator walk
+    /// — so per candidate a kernel count exceeds the pairs the scalar loop
+    /// would compare by less than a chunk in the per-row step and by at
+    /// most three rows in the walk.
     pub dominance_tests: u64,
     /// Largest window (complete BNL) or candidate set (incomplete global)
     /// observed, in tuples.
@@ -39,11 +46,10 @@ pub struct SkylineStats {
     /// Dominance tests answered on an explicit-SIMD compare tier. Always
     /// `<= batched_tests` (SIMD tests are batched tests).
     pub simd_tests: u64,
-    /// Multi-candidate window passes performed
-    /// (`columnar::ColumnarBlock::first_dominators`): one walk over a
-    /// block's buffers amortized across up to `columnar::MULTI_LANES`
-    /// candidates.
-    pub multi_candidate_passes: u64,
+    /// First-dominator walks performed
+    /// (`columnar::ColumnarBlock::first_dominator`): one per candidate a
+    /// cross-filter tests against a live block.
+    pub dominator_walks: u64,
 }
 
 impl SkylineStats {
@@ -55,7 +61,7 @@ impl SkylineStats {
         self.batched_tests += other.batched_tests;
         self.scalar_tests += other.scalar_tests;
         self.simd_tests += other.simd_tests;
-        self.multi_candidate_passes += other.multi_candidate_passes;
+        self.dominator_walks += other.dominator_walks;
     }
 
     /// Record `n` dominance tests performed by the columnar batch kernel,
@@ -69,10 +75,10 @@ impl SkylineStats {
         }
     }
 
-    /// Record one multi-candidate window pass of `tested` pairwise tests.
-    pub fn add_multi_pass(&mut self, tested: u64, simd: bool) {
+    /// Record one first-dominator walk of `tested` pairwise tests.
+    pub fn add_walk(&mut self, tested: u64, simd: bool) {
         self.add_block_tests(tested, simd);
-        self.multi_candidate_passes += 1;
+        self.dominator_walks += 1;
     }
 
     /// Record one dominance test performed by the scalar checker.
@@ -383,7 +389,7 @@ mod tests {
             batched_tests: 6,
             scalar_tests: 4,
             simd_tests: 3,
-            multi_candidate_passes: 2,
+            dominator_walks: 2,
         };
         let b = SkylineStats {
             dominance_tests: 5,
@@ -391,7 +397,7 @@ mod tests {
             batched_tests: 0,
             scalar_tests: 5,
             simd_tests: 0,
-            multi_candidate_passes: 1,
+            dominator_walks: 1,
         };
         a.merge(&b);
         assert_eq!(a.dominance_tests, 15);
@@ -399,7 +405,7 @@ mod tests {
         assert_eq!(a.batched_tests, 6);
         assert_eq!(a.scalar_tests, 9);
         assert_eq!(a.simd_tests, 3);
-        assert_eq!(a.multi_candidate_passes, 3);
+        assert_eq!(a.dominator_walks, 3);
     }
 
     #[test]
@@ -415,8 +421,8 @@ mod tests {
             (s.dominance_tests, s.batched_tests, s.simd_tests),
             (15, 15, 5)
         );
-        s.add_multi_pass(64, true);
-        assert_eq!(s.multi_candidate_passes, 1);
+        s.add_walk(64, true);
+        assert_eq!(s.dominator_walks, 1);
         assert_eq!(s.simd_tests, 69);
         assert_eq!(s.dominance_tests, 79);
     }

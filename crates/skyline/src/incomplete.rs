@@ -633,7 +633,7 @@ mod tests {
             let (rows, stats) = builder.finish();
             assert_eq!(rows, expected, "vectorized={vectorized}");
             assert!(
-                stats.multi_candidate_passes > 0,
+                stats.dominator_walks > 0,
                 "class-pure windows must batch candidates, vectorized={vectorized}"
             );
             if !vectorized {

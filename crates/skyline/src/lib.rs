@@ -17,7 +17,7 @@
 //!   transposed into sign-normalized `i64`/`f64` column buffers once, and
 //!   candidates are tested against the whole window in chunked or
 //!   explicit-SIMD passes (AVX2, runtime-dispatched), one candidate at a
-//!   time or [`columnar::MULTI_LANES`] at once; the batched BNL window, the
+//!   time; the batched BNL window, the
 //!   incomplete family's class blocks, and the disk scan's dominance skip
 //!   run on it.
 //! * [`incomplete`] — null bitmaps, the per-class local skyline (the
@@ -45,10 +45,9 @@ pub mod incomplete;
 pub mod maintain;
 pub mod naive;
 
-pub use bnl::{bnl_skyline, cross_filter, BnlBuilder, CrossFilterScratch};
+pub use bnl::{bnl_skyline, cross_filter, BnlBuilder};
 pub use columnar::{
-    is_null_like, kernel_label, BatchResult, ColumnarBlock, EncodedCandidate, KernelTier,
-    MultiBatchResult, MULTI_LANES,
+    is_null_like, kernel_label, BatchResult, ColumnarBlock, EncodedCandidate, KernelTier, WalkTests,
 };
 pub use dominance::{Dominance, DominanceChecker, SkylineStats};
 pub use incomplete::{

@@ -7,13 +7,13 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use sparkline_common::{Row, SkylineDim, SkylineSpec, SkylineType, Value};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
 use sparkline_skyline::{
-    naive_skyline, null_bitmap, BnlBuilder, ColumnarBlock, DominanceChecker, GroupedBnlBuilder,
-    SkylineStats, MULTI_LANES,
+    is_null_like, naive_skyline, null_bitmap, BnlBuilder, ColumnarBlock, Dominance,
+    DominanceChecker, EncodedCandidate, GroupedBnlBuilder, KernelTier, SkylineStats, WalkTests,
 };
 
 /// The builders' `vectorized` flag: the chunked loop and the detected
@@ -219,14 +219,11 @@ proptest! {
         }
         block.sort_by_key();
         prop_assert!(block.is_ordered());
-        let mut dominated = Vec::new();
-        for group in candidates.chunks(MULTI_LANES) {
-            let encoded: Vec<_> = group.iter().map(|(_, enc)| enc.clone()).collect();
-            block.first_dominators(&encoded, &mut dominated);
-            for ((cand, _), hit) in group.iter().zip(&dominated) {
-                let expected = members.iter().any(|m| checker.dominates(m, cand));
-                prop_assert_eq!(hit.is_some(), expected, "cand={}", cand);
-            }
+        let mut tests = WalkTests::default();
+        for (cand, enc) in &candidates {
+            let hit = block.first_dominator(enc, &mut tests).dominated_at;
+            let expected = members.iter().any(|m| checker.dominates(m, cand));
+            prop_assert_eq!(hit.is_some(), expected, "cand={}", cand);
         }
     }
 
@@ -302,6 +299,172 @@ proptest! {
             // Float data never demotes the block: the win is fully
             // attributed to the kernel.
             prop_assert_eq!(s2.scalar_tests, 0);
+        }
+    }
+}
+
+/// Column classes of the walk differential.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Class {
+    Int,
+    Float,
+    Bool,
+}
+
+/// One value of `class`: mostly a few small values (ties, equal keys),
+/// sometimes NULL, NaN, an infinity, a signed zero or an `i64` extreme.
+fn walk_value(rng: &mut StdRng, class: Class) -> Value {
+    if rng.gen_range(0..12) == 0 {
+        return Value::Null;
+    }
+    match class {
+        Class::Int => match rng.gen_range(0..16) {
+            0 => Value::Int64(i64::MAX),
+            1 => Value::Int64(i64::MIN),
+            2 => Value::Int64(i64::MIN + 1),
+            _ => Value::Int64(rng.gen_range(-3i64..4)),
+        },
+        Class::Float => match rng.gen_range(0..16) {
+            0 => Value::Float64(f64::NAN),
+            1 => Value::Float64(f64::INFINITY),
+            2 => Value::Float64(f64::NEG_INFINITY),
+            3 => Value::Float64(-0.0),
+            4 => Value::Float64(0.0),
+            _ => Value::Float64(f64::from(rng.gen_range(-6i32..7)) / 2.0),
+        },
+        Class::Bool => Value::Boolean(rng.gen_bool(0.5)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The fused walk of `first_dominator` against the two-loop
+    /// definition: each candidate's verdict is the first block row `i` with
+    /// `compare(cand, row_i) == DominatedBy`, on every tier, for ordered
+    /// and unordered blocks of 0–300 rows, `Int64` / `Float64` / `Boolean`
+    /// columns under MIN/MAX/DIFF mixes, NULL and NaN rows, infinities,
+    /// signed zeros, `i64` extremes and equal-key ties — and under the
+    /// incomplete relation, a class block whose NULL columns every
+    /// candidate of another class meets as `Skip` dimensions. `tested`
+    /// counts the rows up to the dominator's 4-row step (or up to the key
+    /// bound) and is the same on every tier.
+    #[test]
+    fn first_dominator_matches_the_two_loop_definition(
+        seed in 0u64..1_000_000_000,
+        len in 0usize..301,
+        shape in 0u8..8,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dims = rng.gen_range(1usize..10);
+        // Shapes 0–2 rank float columns only (the shape of every
+        // benchmark workload); the others mix classes and DIFF dimensions.
+        let floats_only = shape < 3;
+        let classes: Vec<Class> = (0..dims)
+            .map(|_| match rng.gen_range(0..3) {
+                _ if floats_only => Class::Float,
+                0 => Class::Int,
+                1 => Class::Float,
+                _ => Class::Bool,
+            })
+            .collect();
+        let spec = SkylineSpec::new(
+            (0..dims)
+                .map(|d| match rng.gen_range(0..5) {
+                    0 if !floats_only => SkylineDim::diff(d),
+                    0 | 1 => SkylineDim::max(d),
+                    _ => SkylineDim::min(d),
+                })
+                .collect(),
+        );
+        // Shapes 6–7 are incomplete class blocks; even shapes are sorted.
+        let incomplete = shape >= 6;
+        let ordered = shape % 2 == 0;
+        // Under the incomplete relation the block is one null-bitmap
+        // class: NULL (or NaN) in every row of the class's columns, a
+        // value in every row of the others.
+        let class_nulls: Vec<bool> = (0..dims).map(|_| incomplete && rng.gen_bool(0.3)).collect();
+        let row = |rng: &mut StdRng, member: bool| {
+            Row::new(
+                (0..dims)
+                    .map(|d| loop {
+                        let v = walk_value(rng, classes[d]);
+                        if !member || !incomplete {
+                            break v;
+                        }
+                        if class_nulls[d] {
+                            break if classes[d] == Class::Float && rng.gen_bool(0.5) {
+                                Value::Float64(f64::NAN)
+                            } else {
+                                Value::Null
+                            };
+                        }
+                        if !is_null_like(&v) {
+                            break v;
+                        }
+                    })
+                    .collect(),
+            )
+        };
+        let rows: Vec<Row> = (0..len).map(|_| row(&mut rng, true)).collect();
+        let cand_rows: Vec<Row> = (0..rng.gen_range(0usize..20)).map(|_| row(&mut rng, false)).collect();
+        let checker = if incomplete {
+            DominanceChecker::incomplete(spec.clone())
+        } else {
+            DominanceChecker::complete(spec.clone())
+        };
+        let mut tier_tested: Option<Vec<u64>> = None;
+        for tier in KernelTier::available() {
+            // The members: every row the block takes without demoting.
+            let mut block = ColumnarBlock::with_tier(&spec, incomplete, tier);
+            let mut members = Vec::new();
+            for r in &rows {
+                let mut grown = block.clone();
+                grown.push(r);
+                if !grown.is_fallback() {
+                    block = grown;
+                    members.push(r.clone());
+                }
+            }
+            if ordered {
+                if let Some(perm) = block.sort_by_key() {
+                    members = perm.iter().map(|&i| members[i].clone()).collect();
+                }
+            }
+            let cands: Vec<(&Row, EncodedCandidate)> = cand_rows
+                .iter()
+                .filter_map(|c| block.encode(c).map(|enc| (c, enc)))
+                .collect();
+            let mut tested = Vec::new();
+            let mut tests = WalkTests::default();
+            for (cand, enc) in &cands {
+                let res = block.first_dominator(enc, &mut tests);
+                let expected = members
+                    .iter()
+                    .position(|m| checker.compare(cand, m) == Dominance::DominatedBy);
+                prop_assert_eq!(
+                    res.dominated_at, expected,
+                    "tier {:?}, ordered {}, cand {}", tier, block.is_ordered(), cand
+                );
+                let incomparable = !incomplete
+                    && spec.dims.iter().any(|d| is_null_like(cand.get(d.index)));
+                let end = if block.is_ordered() {
+                    block.keys().partition_point(|&key| key <= enc.key())
+                } else {
+                    block.len()
+                };
+                let expected_tested = match (incomparable, expected) {
+                    (true, _) => 0,
+                    (false, Some(at)) => end.min((at | 3) + 1) as u64,
+                    (false, None) => end as u64,
+                };
+                prop_assert_eq!(res.tested, expected_tested, "tier {:?}", tier);
+                tested.push(res.tested);
+            }
+            match &tier_tested {
+                None => tier_tested = Some(tested),
+                Some(first) => prop_assert_eq!(first, &tested, "tier {:?} tested", tier),
+            }
         }
     }
 }

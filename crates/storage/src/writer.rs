@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use sparkline_common::stats::Reservoir;
 use sparkline_common::{
-    BatchColumn, ColumnBatch, ColumnValues, DataType, MemTable, Result, Row, Schema, SchemaRef,
+    ColumnBatch, ColumnValues, DataType, MemTable, Result, Row, Schema, SchemaRef,
 };
 
 use crate::format::{
@@ -318,15 +318,31 @@ impl Axis {
     }
 }
 
-/// Row `i` of `column` as a number on the Z grid: an `Int64` or `Float64`
-/// value, `None` for NULL and for a column held as values (which the
-/// encoder rejects).
-fn number(column: &BatchColumn, i: usize) -> Option<f64> {
-    match &column.values {
-        _ if column.is_null(i) => None,
-        ColumnValues::Float64(v) => Some(v[i]),
-        ColumnValues::Int64(v) => Some(v[i] as f64),
-        ColumnValues::Values(_) => None,
+/// Column `c` of `table` as numbers on the Z grid, chunk by chunk: `f`
+/// gets each row's table position and its `Int64` or `Float64` value,
+/// `None` for NULL and for a column held as values (which the encoder
+/// rejects). One slice loop per chunk column.
+fn each_number(table: &MemTable, c: usize, mut f: impl FnMut(usize, Option<f64>)) {
+    for (k, chunk) in table.chunks().iter().enumerate() {
+        let start = table.chunk_start(k);
+        let Some(column) = chunk.columns().get(c) else {
+            (start..start + chunk.len()).for_each(|pos| f(pos, None));
+            continue;
+        };
+        let null = |i: usize| column.nulls.as_ref().is_some_and(|n| n[i]);
+        match &column.values {
+            ColumnValues::Float64(v) => {
+                for (i, &x) in v.iter().enumerate() {
+                    f(start + i, (!null(i)).then_some(x));
+                }
+            }
+            ColumnValues::Int64(v) => {
+                for (i, &x) in v.iter().enumerate() {
+                    f(start + i, (!null(i)).then_some(x as f64));
+                }
+            }
+            ColumnValues::Values(_) => (start..start + chunk.len()).for_each(|pos| f(pos, None)),
+        }
     }
 }
 
@@ -342,24 +358,19 @@ fn z_order(schema: &Schema, table: &MemTable, block_rows: usize) -> Result<Vec<u
             "{rows} rows exceed one file's u32 row positions"
         )));
     }
-    // Column `c`'s numbers, row after row.
-    let numbers = |c: usize| {
-        (table.chunks().iter()).flat_map(move |chunk| {
-            let column = chunk.columns().get(c);
-            (0..chunk.len()).map(move |i| column.and_then(|column| number(column, i)))
-        })
-    };
     let numeric: Vec<usize> = (schema.fields().iter().enumerate())
         .filter(|(_, f)| matches!(f.data_type(), DataType::Int64 | DataType::Float64))
         .map(|(c, _)| c)
         .collect();
     let ranges: Vec<(f64, f64)> = (numeric.iter())
         .map(|&c| {
-            (numbers(c).flatten())
-                .filter(|x| x.is_finite())
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), x| {
-                    (lo.min(x), hi.max(x))
-                })
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            each_number(table, c, |_, x| {
+                if let Some(x) = x.filter(|x| x.is_finite()) {
+                    (lo, hi) = (lo.min(x), hi.max(x));
+                }
+            });
+            (lo, hi)
         })
         .collect();
     // About CELLS_PER_BLOCK cells per block, the bits dealt round-robin
@@ -403,9 +414,7 @@ fn z_order(schema: &Schema, table: &MemTable, block_rows: usize) -> Result<Vec<u
     }
     let mut cells = vec![0u16; rows];
     for axis in &axes {
-        for (cell, x) in cells.iter_mut().zip(numbers(axis.col)) {
-            *cell |= axis.cell_bits(x);
-        }
+        each_number(table, axis.col, |pos, x| cells[pos] |= axis.cell_bits(x));
     }
     let mut starts = vec![0u32; 1 << total_bits];
     for &cell in &cells {

@@ -191,7 +191,7 @@ fn counters_and_explain_describe_the_pairwise_merge() {
     assert!(m.max_window >= result.rows.len(), "{m:?}");
     // Work is attributed to the detected tier in both phases — through
     // the fold's survivor blocks as well.
-    assert!(m.multi_candidate_passes > 0, "{m:?}");
+    assert!(m.dominator_walks > 0, "{m:?}");
     assert_eq!(m.dominance_tests, m.batched_tests, "{m:?}");
     assert_eq!(m.scalar_tests, 0, "{m:?}");
     assert_eq!(m.simd_tests > 0, KernelTier::detect().is_simd(), "{m:?}");

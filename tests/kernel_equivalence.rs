@@ -25,8 +25,8 @@ use sparkline::{Row, Value};
 use sparkline_common::{SkylineDim, SkylineSpec, SkylineType};
 use sparkline_exec::partition::split_evenly;
 use sparkline_skyline::{
-    cross_filter, naive_skyline, null_bitmap, BnlBuilder, ColumnarBlock, CrossFilterScratch,
-    DominanceChecker, GroupedBnlBuilder, KernelTier, SkylineStats,
+    cross_filter, naive_skyline, null_bitmap, BnlBuilder, ColumnarBlock, DominanceChecker,
+    GroupedBnlBuilder, KernelTier, SkylineStats,
 };
 
 /// The builders' `vectorized` flag for `tier`: the SIMD tier of
@@ -87,21 +87,12 @@ fn two_phase(
             block
         })
         .collect();
-    let mut scratch = CrossFilterScratch::default();
     let mut merged = Vec::new();
     for (i, cands) in blocks.iter().enumerate() {
         let mut alive = vec![true; cands.len()];
         for (j, against) in blocks.iter().enumerate() {
             if i != j {
-                cross_filter(
-                    checker,
-                    cands,
-                    &mut alive,
-                    against,
-                    &encoded[j],
-                    &mut scratch,
-                    &mut stats,
-                );
+                cross_filter(checker, cands, &mut alive, against, &encoded[j], &mut stats);
             }
         }
         merged.extend(
@@ -234,7 +225,7 @@ fn forced_knobs_attribute_work_to_the_right_tier() {
     for (tier, m) in &stats {
         assert!(m.batched_tests > 0, "{tier:?}: {m:?}");
         assert_eq!(m.scalar_tests, 0, "{tier:?}: {m:?}");
-        assert!(m.multi_candidate_passes > 0, "{tier:?}: {m:?}");
+        assert!(m.dominator_walks > 0, "{tier:?}: {m:?}");
         assert!(
             m.simd_tests <= m.batched_tests,
             "SIMD tests are a subset of batched tests: {m:?}"

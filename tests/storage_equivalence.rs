@@ -663,6 +663,25 @@ fn a_footer_row_count_that_disagrees_with_its_block_is_an_error() {
     }
 }
 
+/// A COPY writes the same bytes whichever way it reads the table's
+/// chunks: the length and 64-bit FNV-1a hash of a COPYed file — 5 000
+/// rows with NULLs in three chunks, 64-row blocks — as they were when the
+/// block gather and the Z passes still read one row at a time.
+#[test]
+fn copy_writes_the_pinned_bytes() {
+    let dir = TempDir::new("copy-pin");
+    let rows = generate("independent", 46, 5_000, 4, true);
+    let config = SessionConfig::new().with_storage_block_rows(64);
+    let ctx = session_with(rows, 4, true, config);
+    let path = dir.file("pin.spk");
+    ctx.copy_table_to_disk("t", &path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let hash = (bytes.iter()).fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!((bytes.len(), hash), (205_668, 130_648_618_951_864_900));
+}
+
 /// Rows with grid-valued floats (duplicates, negatives) and NULLs.
 fn prop_rows(values: Vec<Vec<Option<i32>>>) -> Vec<Row> {
     values
