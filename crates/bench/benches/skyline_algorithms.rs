@@ -12,7 +12,8 @@ use sparkline_common::{
 };
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
 use sparkline_skyline::{
-    bnl_skyline, incomplete_global_skyline, BnlBuilder, DominanceChecker, SkylineStats,
+    bnl_skyline, incomplete_global_skyline, BnlBuilder, DominanceChecker, GroupedBnlBuilder,
+    SkylineStats,
 };
 
 fn rows(n: usize, dims: usize, null_rate: f64, seed: u64) -> Vec<Row> {
@@ -120,8 +121,12 @@ fn bench_local_fold(c: &mut Criterion) {
     // engine runs, `push_columns_checked` over `MemTable` batches built
     // ahead of the timing (`columns/…`), so the fold and its dominance
     // walk are timed without the scan. Anti-correlated input is bound by
-    // the window walk, the other two by step 1 of the fold (nearly every
-    // row dies against the window's strongest rows).
+    // the window walk and the eviction scans, the other two by step 1 of
+    // the fold (nearly every row dies against the window's strongest
+    // rows). `columns/incomplete_250k` routes independent rows with 20%
+    // NULLs to their null-bitmap class windows
+    // (`GroupedBnlBuilder::push_columns_checked`): the incomplete local
+    // phase.
     let mut group = c.benchmark_group("local_fold");
     let inputs = [
         (
@@ -138,11 +143,19 @@ fn bench_local_fold(c: &mut Criterion) {
         ),
     ];
     let checker = DominanceChecker::complete(spec(4));
-    let schema = Schema::new(
-        (0..4)
-            .map(|i| Field::new(format!("d{i}"), DataType::Float64, false))
-            .collect(),
-    );
+    let schema = |nullable: bool| {
+        Schema::new(
+            (0..4)
+                .map(|i| Field::new(format!("d{i}"), DataType::Float64, nullable))
+                .collect(),
+        )
+    };
+    let batches_of = |table: &MemTable| -> Vec<ColumnBatch> {
+        (0..table.len())
+            .step_by(4096)
+            .map(|start| table.batch(start, (start + 4096).min(table.len())))
+            .collect()
+    };
     let control = QueryControl::unlimited();
     for (name, data) in &inputs {
         group.bench_with_input(BenchmarkId::new("rows", name), data, |b, data| {
@@ -154,11 +167,7 @@ fn bench_local_fold(c: &mut Criterion) {
                 builder.finish()
             })
         });
-        let table = MemTable::from_rows(&schema, data.clone());
-        let batches: Vec<ColumnBatch> = (0..table.len())
-            .step_by(4096)
-            .map(|start| table.batch(start, (start + 4096).min(table.len())))
-            .collect();
+        let batches = batches_of(&MemTable::from_rows(&schema(false), data.clone()));
         group.bench_with_input(BenchmarkId::new("columns", name), &batches, |b, batches| {
             b.iter(|| {
                 let mut builder = BnlBuilder::new(checker.clone(), true);
@@ -171,6 +180,38 @@ fn bench_local_fold(c: &mut Criterion) {
             })
         });
     }
+    let mut rng = StdRng::seed_from_u64(42);
+    let mut data = independent_rows(&mut rng, 250_000, 4);
+    for row in &mut data {
+        *row = Row::new(
+            (row.values().iter())
+                .map(|v| {
+                    if rng.gen_bool(0.2) {
+                        Value::Null
+                    } else {
+                        v.clone()
+                    }
+                })
+                .collect(),
+        );
+    }
+    let batches = batches_of(&MemTable::from_rows(&schema(true), data));
+    let incomplete = DominanceChecker::incomplete(spec(4));
+    group.bench_with_input(
+        BenchmarkId::new("columns", "incomplete_250k"),
+        &batches,
+        |b, batches| {
+            b.iter(|| {
+                let mut builder = GroupedBnlBuilder::new(incomplete.clone(), true);
+                for batch in batches {
+                    builder
+                        .push_columns_checked(batch, &control)
+                        .expect("no deadline");
+                }
+                builder.finish()
+            })
+        },
+    );
     group.finish();
 }
 

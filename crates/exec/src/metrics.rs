@@ -36,6 +36,9 @@ pub struct ExecMetrics {
     /// First-dominator walks of the cross-filter: one per candidate tested
     /// against a live kernel block.
     pub dominator_walks: AtomicU64,
+    /// Eviction scans of the BNL batch fold: one per survivor-skyline row
+    /// scanned against the window rows whose key reaches its own.
+    pub eviction_scans: AtomicU64,
     /// Largest skyline window / candidate set observed.
     pub max_window: AtomicUsize,
     /// Rows moved between executors: those the `AllTuples` gather
@@ -99,11 +102,13 @@ impl ExecMetrics {
     }
 
     /// Attribute kernel work to the SIMD tier and count first-dominator
-    /// walks (`simd` is a subset of the `batched` count reported through
+    /// walks and eviction scans (`simd` is a subset of the `batched` count
+    /// reported through
     /// [`add_dominance_breakdown`](Self::add_dominance_breakdown)).
-    pub fn add_kernel_breakdown(&self, simd: u64, walks: u64) {
+    pub fn add_kernel_breakdown(&self, simd: u64, walks: u64, scans: u64) {
         self.simd_tests.fetch_add(simd, Ordering::Relaxed);
         self.dominator_walks.fetch_add(walks, Ordering::Relaxed);
+        self.eviction_scans.fetch_add(scans, Ordering::Relaxed);
     }
 
     /// Track the maximum window size.
@@ -173,6 +178,7 @@ impl ExecMetrics {
             scalar_tests: self.scalar_tests.load(Ordering::Relaxed),
             simd_tests: self.simd_tests.load(Ordering::Relaxed),
             dominator_walks: self.dominator_walks.load(Ordering::Relaxed),
+            eviction_scans: self.eviction_scans.load(Ordering::Relaxed),
             max_window: self.max_window.load(Ordering::Relaxed),
             rows_exchanged: self.rows_exchanged.load(Ordering::Relaxed),
             join_comparisons: self.join_comparisons.load(Ordering::Relaxed),
@@ -215,6 +221,8 @@ pub struct MetricsSnapshot {
     pub simd_tests: u64,
     /// First-dominator walks of the cross-filter.
     pub dominator_walks: u64,
+    /// Eviction scans of the BNL batch fold.
+    pub eviction_scans: u64,
     /// Largest skyline window observed.
     pub max_window: usize,
     /// Rows moved through exchanges.
@@ -279,13 +287,14 @@ mod tests {
         m.add_dominance_tests(10);
         m.add_dominance_breakdown(7, 3);
         m.add_dominance_breakdown(1, 0);
-        m.add_kernel_breakdown(5, 2);
-        m.add_kernel_breakdown(0, 1);
+        m.add_kernel_breakdown(5, 2, 4);
+        m.add_kernel_breakdown(0, 1, 0);
         let s = m.snapshot();
         assert_eq!(s.batched_tests, 8);
         assert_eq!(s.scalar_tests, 3);
         assert_eq!(s.simd_tests, 5);
         assert_eq!(s.dominator_walks, 3);
+        assert_eq!(s.eviction_scans, 4);
     }
 
     #[test]

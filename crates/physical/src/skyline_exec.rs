@@ -144,8 +144,11 @@ fn record_stats(ctx: &TaskContext, stats: &SkylineStats) {
     ctx.metrics.add_dominance_tests(stats.dominance_tests);
     ctx.metrics
         .add_dominance_breakdown(stats.batched_tests, stats.scalar_tests);
-    ctx.metrics
-        .add_kernel_breakdown(stats.simd_tests, stats.dominator_walks);
+    ctx.metrics.add_kernel_breakdown(
+        stats.simd_tests,
+        stats.dominator_walks,
+        stats.eviction_scans,
+    );
     ctx.metrics.observe_window(stats.max_window);
 }
 

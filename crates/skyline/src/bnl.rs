@@ -36,7 +36,8 @@
 //! (transitivity), so filtering against the *unfiltered* other side loses
 //! nothing. The global merge of the physical layer applies the identity
 //! across local skylines; [`BnlBuilder::push_batch`] applies it between
-//! the window and each incoming batch.
+//! the window and each incoming batch, filtering the window's side the
+//! other way round (step 3 below).
 //!
 //! # The score-ordered window
 //!
@@ -85,12 +86,22 @@
 //!    and transitive, so S \ dominated-by-S is the skyline of S. In key
 //!    order every candidate walks only the rows at or below its own key —
 //!    the insert-only scan of SFS, with equal-key ties tested both ways.
-//! 3. cross-filter the window against the survivors' skyline `S`. Window
-//!    `W` and `S` are both antichains and no row of `S` is dominated by
-//!    `W` (step 1), so the identity above gives skyline(W ∪ batch) =
-//!    (W \ dominated-by-S) ++ S. Only the window suffix whose key reaches
-//!    the smallest key of `S` can hold a victim; the prefix is not even
-//!    encoded. Steps 1 and 3 commute — a
+//! 3. filter the window against the survivors' skyline `S`, one
+//!    dominator at a time: an *eviction scan* per row `s` of `S`
+//!    ([`ColumnarBlock::mark_dominated`]) reads `s` from `S`'s own encoded
+//!    columns and clears the keep flag of every window row `s` strictly
+//!    dominates. Window `W` and `S` are both antichains and no row of `S`
+//!    is dominated by `W` (step 1), so the identity above gives
+//!    skyline(W ∪ batch) = (W \ dominated-by-S) ++ S. By the invariant
+//!    (member keys on both sides) `s` can only dominate window rows whose
+//!    key reaches its own, so its scan starts at the first of them — one
+//!    binary search over the ascending window keys — and runs to the end
+//!    with no early exit. That tests exactly the pairs a first-dominator
+//!    walk per window row would (`key(s) <= key(w)`), for one scan set-up
+//!    per row of `S` instead of one walk set-up per window row, and
+//!    encodes no window row: nearly every such walk found no dominator.
+//!    A NULL-like `s` dominates nothing and gets no scan; an unscorable
+//!    `s` (key `-inf`) scans the whole window. Steps 1 and 3 commute — a
 //!    batch row dropped in step 1 cannot have been the only dominator of a
 //!    window row (its own window dominator would dominate that row too,
 //!    contradicting that `W` is an antichain).
@@ -552,24 +563,28 @@ impl BnlBuilder {
             retain_mask(&mut seqs, &self.alive);
             sky.retain_mask(&self.alive);
         }
-        // 3. window \ dominated-by-survivors: only rows whose key reaches
-        //    the survivors' smallest. (Member keys on both sides: fine for
-        //    an unscorable row too — its NaN sum holds a -inf that every
-        //    dominator shares, which makes the dominator's key -inf as
-        //    well.)
-        let least = sky.keys()[0];
-        let start = block.keys().partition_point(|&key| key < least);
+        // 3. window \ dominated-by-survivors: one scan per row `s` of the
+        //    survivors' skyline over the window rows whose key reaches
+        //    `s`'s own. (Member keys on both sides: fine for an unscorable
+        //    row too — its NaN sum holds a -inf that every dominator
+        //    shares, which makes the dominator's key -inf as well.)
         self.keep.clear();
         self.keep.resize(self.window.len(), true);
-        cross_filter(
-            &self.checker,
-            &self.window[start..],
-            &mut self.keep[start..],
-            batch,
-            &sky,
-            &mut self.stats,
-        );
-        if self.keep[start..].contains(&false) {
+        let window: &ColumnarBlock = block;
+        let mut tests = WalkTests::default();
+        for (s, &key) in sky.keys().iter().enumerate() {
+            let start = window.keys().partition_point(|&k| k < key);
+            if start == window.len() {
+                // `S` is in key order: no later scan has a row either.
+                break;
+            }
+            sky.encode_member_into(s, &mut self.cand);
+            let passed = window.mark_dominated(&self.cand, start, &mut self.keep, &mut tests);
+            if passed > 0 {
+                self.stats.add_scan(passed, window.is_simd());
+            }
+        }
+        if self.keep.contains(&false) {
             retain_mask(&mut self.window, &self.keep);
             retain_mask(&mut self.seqs, &self.keep);
             block.retain_mask(&self.keep);
@@ -1160,6 +1175,69 @@ mod tests {
             .unwrap();
         let (_, stats) = builder.finish();
         assert!(stats.scalar_tests > 0, "the demoted block works per row");
+    }
+
+    #[test]
+    fn eviction_scans_match_the_definition() {
+        // Anti-correlated rows folded 1 024 at a time: each chunk leaves
+        // hundreds of survivors whose skyline evicts window rows in step 3.
+        // Every 97th row holds -inf and +inf in two dimensions (a NaN sum:
+        // member key -inf, so it sits at the window's front and only a
+        // -inf-keyed point reaches it), every 89th row -inf in one (key
+        // -inf: its scan starts at row 0).
+        use rand::SeedableRng;
+        use sparkline_datagen::distributions::anti_correlated_rows;
+        let inf = f64::INFINITY;
+        let mut data = anti_correlated_rows(&mut rand::rngs::StdRng::seed_from_u64(7), 4_000, 4);
+        for (i, row) in data.iter_mut().enumerate() {
+            let mut values = row.values().to_vec();
+            if i % 97 == 0 {
+                (values[0], values[1]) = (Value::Float64(-inf), Value::Float64(inf));
+            } else if i % 89 == 0 {
+                values[2] = Value::Float64(-inf);
+            }
+            *row = Row::new(values);
+        }
+        let checker =
+            DominanceChecker::complete(SkylineSpec::new((0..4).map(SkylineDim::min).collect()));
+        let expected = naive_skyline(&data, &checker);
+        let unscorable = |row: &Row| row.get(1) == &Value::Float64(inf);
+        assert!(expected.iter().any(unscorable));
+        let control = QueryControl::unlimited();
+        for vectorized in [false, true] {
+            let mut by_rows = BnlBuilder::new(checker.clone(), vectorized);
+            let mut by_columns = BnlBuilder::new(checker.clone(), vectorized);
+            let (mut evicted, mut evicted_unscorable) = (0, 0);
+            for chunk in data.chunks(1024) {
+                let before = by_rows.window.clone();
+                let scans = by_rows.stats.eviction_scans;
+                by_rows.push_batch(chunk.to_vec());
+                by_columns
+                    .push_columns_checked(&column_batch(chunk), &control)
+                    .unwrap();
+                // Steps 1 and 2 leave the window alone: a window row gone
+                // from a fold that scanned was evicted by step 3.
+                if by_rows.stats.eviction_scans > scans {
+                    let gone: Vec<&Row> = (before.iter())
+                        .filter(|row| !by_rows.window.contains(row))
+                        .collect();
+                    evicted += gone.len();
+                    evicted_unscorable += gone.iter().filter(|row| unscorable(row)).count();
+                }
+            }
+            assert!(evicted > 0, "v={vectorized}: step 3 evicts");
+            assert!(
+                evicted_unscorable > 0,
+                "v={vectorized}: a NaN-sum row is evicted"
+            );
+            let (rows_sky, rows_stats) = by_rows.finish();
+            assert_eq!(rows_sky, expected, "v={vectorized}");
+            assert_eq!(
+                by_columns.finish(),
+                (rows_sky, rows_stats),
+                "v={vectorized}"
+            );
+        }
     }
 
     #[test]

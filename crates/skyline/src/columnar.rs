@@ -9,12 +9,15 @@
 //! sign-normalized column buffers once, and a candidate tuple is then
 //! tested against the window in tight loops over flat `i64`/`f64` slices:
 //! the per-row step's three-way verdicts in 64-row chunks
-//! ([`ColumnarBlock::compare_batch`]), the cross-filter's "first strict
-//! dominator" in one fused 4-row walk ([`ColumnarBlock::first_dominator`]).
+//! ([`ColumnarBlock::compare_batch`]), and one fused 4-row step run by two
+//! loops: the cross-filter's "first strict dominator" walk
+//! ([`ColumnarBlock::first_dominator`]) and the BNL fold's eviction scan,
+//! "every row this point strictly dominates"
+//! ([`ColumnarBlock::mark_dominated`]).
 //!
 //! # Compare tiers and runtime dispatch
 //!
-//! Both loops ship in two tiers. Every block runs on
+//! Every loop ships in two tiers. Every block runs on
 //! the one the CPU offers, found once by `is_x86_feature_detected!`-based
 //! runtime dispatch ([`KernelTier::detect`]); only the kernel's own API
 //! pins a tier ([`ColumnarBlock::with_tier`], and the builders'
@@ -32,7 +35,7 @@
 //!   masks and the same first dominators and test counts, hence
 //!   byte-identical outcomes.
 //!
-//! # The first-dominator walk
+//! # The fused step: the walk and the scan
 //!
 //! [`ColumnarBlock::first_dominator`] answers one question for a
 //! candidate: which block row, if any, is the first to strictly dominate
@@ -49,6 +52,17 @@
 //! cross-pass) and the disk scan's dominance gate walk each candidate in
 //! turn; they consume only *strict* `DominatedBy` outcomes, which under a
 //! transitive relation are stable against any later window evolution.
+//!
+//! [`ColumnarBlock::mark_dominated`] asks the question the other way
+//! round: which rows from a start row on does one *point* strictly
+//! dominate. It runs the same step with the comparison turned round —
+//! "point `<=` row" ANDed, "point `<` row" ORed — the direction being the
+//! one const parameter of the step body, and clears a keep flag for each
+//! hit instead of stopping: the scan has no early exit and counts every
+//! row it passes. Step 3 of the BNL fold (`crate::bnl`) runs one scan per
+//! row of a batch's survivor skyline, reading the point from that block's
+//! own columns ([`ColumnarBlock::encode_member_into`]). Under the complete
+//! relation both loops mask NULL-like rows out of every hit.
 //!
 //! # Score keys and the bounded walk
 //!
@@ -81,7 +95,9 @@
 //! probed first, and a walk ends exactly at the last row whose key does
 //! not exceed its candidate key (one binary search over the keys),
 //! since every later row's key exceeds the bound too. Blocks filled in
-//! arbitrary order simply never bound.
+//! arbitrary order simply never bound. A scan is bounded from below
+//! instead: its caller starts it at the first row whose member key
+//! reaches the point's own member key.
 //!
 //! # Block layout and encode rules
 //!
@@ -220,8 +236,8 @@ pub fn kernel_label() -> &'static str {
 
 /// Explicit-SIMD kernels. Every per-column mask function produces the
 /// exact same `a`/`b`/`neq` bits as the chunked loops in
-/// `ColumnarBlock::chunk_masks_chunked`, and the fused walk the same
-/// first dominator as `first_dominator_from`; the differential suites
+/// `ColumnarBlock::chunk_masks_chunked`, and the fused loop the same
+/// verdicts as `fused_from`; the differential suites
 /// assert that equivalence on every tier the CPU offers. Buffers never contain
 /// NaN (NaN is NULL-like and encodes as a placeholder plus an `any_null`
 /// bit), so the ordered float compares are exact.
@@ -314,53 +330,56 @@ mod simd {
         }
     }
 
-    /// The fused walk of `ColumnarBlock::first_dominator` over rows
-    /// `[0, end)`: per 4-row vector, "row `<=` candidate" is ANDed and
-    /// "row `<` candidate" ORed over every resolved dimension, and the
-    /// walk stops at the first vector holding a strict dominator. The rows
-    /// behind the last whole vector take the portable tail, so the verdict
-    /// is the portable walk's.
+    /// The fused loop of `ColumnarBlock::first_dominator` (the walk) and
+    /// `ColumnarBlock::mark_dominated` (the scan) over rows `[start, end)`;
+    /// the rows behind the last whole 4-row vector take the portable loop,
+    /// `super::fused_from`, so every verdict is the portable loop's.
     ///
     /// # Safety
     /// AVX2 must be available (see [`ranked_i64_avx2`]), and every buffer
     /// in `tests` must hold at least `end` rows.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn first_dominator_avx2(
+    pub unsafe fn fused_avx2<const POINT_DOMINATES: bool>(
         tests: &super::WalkTests,
         nulls: Option<&[bool]>,
+        start: usize,
         end: usize,
-    ) -> Option<usize> {
+        hit: impl FnMut(usize, u32) -> bool,
+    ) {
         match tests.ranked_f64.len() {
-            0 => walk::<0>(tests, nulls, end),
-            1 => walk::<1>(tests, nulls, end),
-            2 => walk::<2>(tests, nulls, end),
-            3 => walk::<3>(tests, nulls, end),
-            4 => walk::<4>(tests, nulls, end),
-            5 => walk::<5>(tests, nulls, end),
-            6 => walk::<6>(tests, nulls, end),
-            7 => walk::<7>(tests, nulls, end),
-            _ => walk::<8>(tests, nulls, end),
+            0 => walk::<0, POINT_DOMINATES>(tests, nulls, start, end, hit),
+            1 => walk::<1, POINT_DOMINATES>(tests, nulls, start, end, hit),
+            2 => walk::<2, POINT_DOMINATES>(tests, nulls, start, end, hit),
+            3 => walk::<3, POINT_DOMINATES>(tests, nulls, start, end, hit),
+            4 => walk::<4, POINT_DOMINATES>(tests, nulls, start, end, hit),
+            5 => walk::<5, POINT_DOMINATES>(tests, nulls, start, end, hit),
+            6 => walk::<6, POINT_DOMINATES>(tests, nulls, start, end, hit),
+            7 => walk::<7, POINT_DOMINATES>(tests, nulls, start, end, hit),
+            _ => walk::<8, POINT_DOMINATES>(tests, nulls, start, end, hit),
         }
     }
 
-    /// [`first_dominator_avx2`] with the first `N` ranked float columns —
-    /// every column of the common shape — held in registers: their column
-    /// pointers and candidate splats are set up once, outside the row
-    /// loop. Any other column (ranked floats past `N`, integers and
-    /// booleans, `DIFF`) is read from `tests` in the same step. Reading
-    /// every column from `tests` instead made the benchmark's `mem_anti`
-    /// 35% slower end to end (10 pairs on a 2-core x86 VM); eight splats
-    /// leave half of the 16 `ymm` registers to the step's loads and masks.
+    /// [`fused_avx2`] with the first `N` ranked float columns — every
+    /// column of the common shape — held in registers: their column
+    /// pointers and point splats are set up once, outside the row loop.
+    /// Any other column (ranked floats past `N`, integers and booleans,
+    /// `DIFF`) is read from `tests` in the same step. Reading every column
+    /// from `tests` instead made the benchmark's `mem_anti` 35% slower end
+    /// to end (10 pairs on a 2-core x86 VM); eight splats leave half of
+    /// the 16 `ymm` registers to the step's loads and masks. The direction
+    /// is the one const parameter, so the walk and the scan share this
+    /// step body.
     ///
     /// # Safety
-    /// As [`first_dominator_avx2`]; `tests` holds at least `N` ranked float
-    /// tests.
+    /// As [`fused_avx2`]; `tests` holds at least `N` ranked float tests.
     #[target_feature(enable = "avx2")]
-    unsafe fn walk<const N: usize>(
+    unsafe fn walk<const N: usize, const POINT_DOMINATES: bool>(
         tests: &super::WalkTests,
         nulls: Option<&[bool]>,
+        start: usize,
         end: usize,
-    ) -> Option<usize> {
+        mut hit: impl FnMut(usize, u32) -> bool,
+    ) {
         let (regs, more_f64) = tests.ranked_f64.split_at(N);
         let cols: [*const f64; N] = std::array::from_fn(|d| regs[d].0.as_ptr());
         let vals: [__m256d; N] = std::array::from_fn(|d| _mm256_set1_pd(regs[d].1));
@@ -369,28 +388,28 @@ mod simd {
             || !tests.diff_f64.is_empty()
             || !tests.diff_i64.is_empty();
         let ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-        let mut base = 0;
+        let mut base = start;
         while base + 4 <= end {
             let mut le = ones;
             let mut lt = _mm256_setzero_pd();
             for d in 0..N {
-                let x = _mm256_loadu_pd(cols[d].add(base));
-                le = _mm256_and_pd(le, _mm256_cmp_pd::<_CMP_LE_OQ>(x, vals[d]));
-                lt = _mm256_or_pd(lt, _mm256_cmp_pd::<_CMP_LT_OQ>(x, vals[d]));
+                let (a, b) =
+                    super::sides::<POINT_DOMINATES, _>(_mm256_loadu_pd(cols[d].add(base)), vals[d]);
+                le = _mm256_and_pd(le, _mm256_cmp_pd::<_CMP_LE_OQ>(a, b));
+                lt = _mm256_or_pd(lt, _mm256_cmp_pd::<_CMP_LT_OQ>(a, b));
             }
             if rest {
                 for &(buf, v) in more_f64 {
                     let x = _mm256_loadu_pd(buf.as_ptr().add(base));
-                    let v = _mm256_set1_pd(v);
-                    le = _mm256_and_pd(le, _mm256_cmp_pd::<_CMP_LE_OQ>(x, v));
-                    lt = _mm256_or_pd(lt, _mm256_cmp_pd::<_CMP_LT_OQ>(x, v));
+                    let (a, b) = super::sides::<POINT_DOMINATES, _>(x, _mm256_set1_pd(v));
+                    le = _mm256_and_pd(le, _mm256_cmp_pd::<_CMP_LE_OQ>(a, b));
+                    lt = _mm256_or_pd(lt, _mm256_cmp_pd::<_CMP_LT_OQ>(a, b));
                 }
                 for &(buf, v) in &tests.ranked_i64 {
                     let x = _mm256_loadu_si256(buf.as_ptr().add(base) as *const __m256i);
-                    let v = _mm256_set1_epi64x(v);
-                    let gt = _mm256_castsi256_pd(_mm256_cmpgt_epi64(x, v));
-                    le = _mm256_andnot_pd(gt, le);
-                    lt = _mm256_or_pd(lt, _mm256_castsi256_pd(_mm256_cmpgt_epi64(v, x)));
+                    let (a, b) = super::sides::<POINT_DOMINATES, _>(x, _mm256_set1_epi64x(v));
+                    le = _mm256_andnot_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(a, b)), le);
+                    lt = _mm256_or_pd(lt, _mm256_castsi256_pd(_mm256_cmpgt_epi64(b, a)));
                 }
                 for &(buf, v) in &tests.diff_f64 {
                     let x = _mm256_loadu_pd(buf.as_ptr().add(base));
@@ -405,24 +424,26 @@ mod simd {
             let dom = _mm256_movemask_pd(_mm256_and_pd(le, lt)) as u32;
             if dom != 0 {
                 let dom = super::without_nulls(dom, nulls, base);
-                if dom != 0 {
-                    return Some(base + dom.trailing_zeros() as usize);
+                if dom != 0 && hit(base, dom) {
+                    return;
                 }
             }
             base += 4;
         }
-        super::first_dominator_from(tests, nulls, base, end)
+        super::fused_from::<POINT_DOMINATES>(tests, nulls, base, end, hit)
     }
 }
 
-/// A candidate's compared dimensions, resolved against the block columns
-/// they read and grouped by kind, so that each walk step runs one tight
-/// loop per kind: a row strictly dominates the candidate when it is `<=`
-/// on every ranked dimension, `<` on some one, and equal on every `DIFF`
-/// one. `Skip` dimensions and unmaterialized columns are left out.
+/// A point's compared dimensions — an encoded candidate's — resolved
+/// against the block columns they read and grouped by kind, so that each
+/// step of the fused loops runs one tight loop per kind: one tuple
+/// strictly dominates another when it is `<=` on every ranked dimension,
+/// `<` on some one, and equal on every `DIFF` one. `Skip` dimensions and
+/// unmaterialized columns are left out.
 ///
-/// [`ColumnarBlock::first_dominator`] refills it for every candidate; a
-/// caller keeps one per block, so a run of walks allocates nothing.
+/// [`ColumnarBlock::first_dominator`] and
+/// [`ColumnarBlock::mark_dominated`] refill it for every point; a caller
+/// keeps one per block, so a run of walks or scans allocates nothing.
 #[derive(Debug, Default)]
 pub struct WalkTests<'a> {
     ranked_f64: Vec<(&'a [f64], f64)>,
@@ -433,15 +454,18 @@ pub struct WalkTests<'a> {
 }
 
 impl WalkTests<'_> {
-    /// Whether row `i` is no worse than the candidate on every dimension,
-    /// and whether it is strictly better on some ranked one.
-    fn row(&self, i: usize) -> (bool, bool) {
+    /// Whether the dominator side — row `i` in the walk, the point in the
+    /// scan (`POINT_DOMINATES`) — is no worse than the other on every
+    /// dimension, and whether it is strictly better on some ranked one.
+    fn row<const POINT_DOMINATES: bool>(&self, i: usize) -> (bool, bool) {
         let (mut le, mut lt) = (true, false);
         for &(buf, v) in &self.ranked_f64 {
-            (le, lt) = (le & (buf[i] <= v), lt | (buf[i] < v));
+            let (a, b) = sides::<POINT_DOMINATES, _>(buf[i], v);
+            (le, lt) = (le & (a <= b), lt | (a < b));
         }
         for &(buf, v) in &self.ranked_i64 {
-            (le, lt) = (le & (buf[i] <= v), lt | (buf[i] < v));
+            let (a, b) = sides::<POINT_DOMINATES, _>(buf[i], v);
+            (le, lt) = (le & (a <= b), lt | (a < b));
         }
         for &(buf, v) in &self.diff_f64 {
             le &= buf[i] == v;
@@ -453,35 +477,51 @@ impl WalkTests<'_> {
     }
 }
 
-/// The portable fused walk over rows `[base, end)`, four rows per step:
-/// the first row that is `<=` the candidate on every dimension and `<` on
-/// some one, NULL-like rows excepted. The `Chunked` tier runs it alone;
-/// the SIMD tier runs it on its tail, and is tested against it.
-fn first_dominator_from(
+/// `(dominator, dominated)` of a comparison between a row's value `x` and
+/// the point's value `v`: the row dominates in the walk, the point in the
+/// scan (`POINT_DOMINATES`).
+#[inline(always)]
+fn sides<const POINT_DOMINATES: bool, T>(x: T, v: T) -> (T, T) {
+    if POINT_DOMINATES {
+        (v, x)
+    } else {
+        (x, v)
+    }
+}
+
+/// The portable fused loop over rows `[base, end)`, four rows per step:
+/// bit `k` of a step is set where row `base + k` strictly dominates the
+/// point (the walk) or, with `POINT_DOMINATES`, where the point strictly
+/// dominates the row (the scan), NULL-like rows excepted. Each step with a
+/// bit set goes to `hit(base, bits)`, and the loop stops where `hit`
+/// returns `true`. The `Chunked` tier runs it alone; the SIMD tier runs
+/// it on its tail, and is tested against it.
+fn fused_from<const POINT_DOMINATES: bool>(
     tests: &WalkTests,
     nulls: Option<&[bool]>,
     mut base: usize,
     end: usize,
-) -> Option<usize> {
+    mut hit: impl FnMut(usize, u32) -> bool,
+) {
     while base < end {
         let m = (end - base).min(4);
         let mut dom = 0u32;
         for k in 0..m {
-            let (le, lt) = tests.row(base + k);
+            let (le, lt) = tests.row::<POINT_DOMINATES>(base + k);
             dom |= u32::from(le & lt) << k;
         }
         let dom = without_nulls(dom, nulls, base);
-        if dom != 0 {
-            return Some(base + dom.trailing_zeros() as usize);
+        if dom != 0 && hit(base, dom) {
+            return;
         }
         base += m;
     }
-    None
 }
 
 /// `dom` (one bit per row from `base`, at most four) less the rows whose
 /// `nulls` bit is set: under the complete relation a NULL-like row
-/// dominates nothing, whatever its placeholders say.
+/// dominates nothing and nothing dominates it, whatever its placeholders
+/// say.
 fn without_nulls(dom: u32, nulls: Option<&[bool]>, base: usize) -> u32 {
     let Some(nulls) = nulls else {
         return dom;
@@ -506,7 +546,7 @@ enum CandDim {
 
 /// A candidate tuple's skyline dimensions, encoded once and then compared
 /// against every row of the block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedCandidate {
     dims: Vec<CandDim>,
     /// Complete relation only: the candidate has a NULL-like value (NULL,
@@ -1282,26 +1322,120 @@ impl ColumnarBlock {
                 dominated_at: None,
             };
         }
-        // Complete relation: rows with NULL-like values dominate nothing,
-        // whatever their placeholder buffers say.
-        let nulls = (!self.incomplete).then_some(&self.any_null[..]);
         let end = if self.ordered {
             self.keys.partition_point(|&key| key <= cand.key)
         } else {
             self.len
         };
         self.resolve(cand, tests);
-        let hit = match self.tier {
+        let mut hit = None;
+        self.fused::<false>(tests, 0, end, |base, dom| {
+            hit = Some(base + dom.trailing_zeros() as usize);
+            true
+        });
+        BatchResult {
+            tested: hit.map_or(end, |at| end.min((at | 3) + 1)) as u64,
+            dominated_at: hit,
+        }
+    }
+
+    /// The scan: clear `keep[i]` for every row `i >= start` that `point`
+    /// strictly dominates (`Dominates`, never `Equal`), and return the
+    /// number of rows it passed. The scan resolves the point's compared
+    /// dimensions into `tests` once, as the walk does, and runs the walk's
+    /// 4-row step with the comparison turned round — "point `<=` row" ANDed,
+    /// "point `<` row" ORed — over every row from `start` to the end, with
+    /// no early exit. Flags already cleared stay cleared. A NULL-like point
+    /// under the complete relation dominates nothing and passes no row.
+    ///
+    /// An ordered block bounds the scan from below: a row whose member key
+    /// is less than the point's member key cannot be dominated by it, so a
+    /// caller starts at the first row whose key reaches the point's. (The
+    /// invariant of the module docs, with member keys on both sides: an
+    /// unscorable row's NaN sum holds a `-inf` that each of its dominators
+    /// shares, which gives the dominator key `-inf` too.) The point is
+    /// read from a block of the same column classes
+    /// ([`encode_member_into`](Self::encode_member_into) after
+    /// [`reconcile`](Self::reconcile)) or encoded against this block.
+    pub fn mark_dominated<'a>(
+        &'a self,
+        point: &EncodedCandidate,
+        start: usize,
+        keep: &mut [bool],
+        tests: &mut WalkTests<'a>,
+    ) -> u64 {
+        debug_assert!(!self.is_fallback(), "mark_dominated on a fallback block");
+        debug_assert_eq!(keep.len(), self.len);
+        if point.all_incomparable || start >= self.len {
+            return 0;
+        }
+        self.resolve(point, tests);
+        self.fused::<true>(tests, start, self.len, |base, dom| {
+            for (k, keep) in keep[base..].iter_mut().take(4).enumerate() {
+                *keep &= dom & (1 << k) == 0;
+            }
+            false
+        });
+        (self.len - start) as u64
+    }
+
+    /// Row `i` of this block as a point: what [`encode_into`](Self::encode_into)
+    /// makes of the row pushed as row `i`, read from the column buffers
+    /// instead of a `Row`. A NULL-like row under the complete relation
+    /// becomes an all-incomparable point.
+    pub fn encode_member_into(&self, i: usize, point: &mut EncodedCandidate) {
+        debug_assert!(!self.is_fallback() && i < self.len);
+        point.dims.clear();
+        point.all_incomparable = !self.incomplete && self.any_null[i];
+        point.key = f64::INFINITY;
+        if point.all_incomparable {
+            return;
+        }
+        let mut key = 0.0f64;
+        for col in &self.cols {
+            let dim = match &col.data {
+                ColumnData::Pending => CandDim::Skip,
+                ColumnData::Ints(buf) | ColumnData::Bools(buf) => CandDim::Int(buf[i]),
+                ColumnData::Floats(buf) => CandDim::Float(buf[i]),
+            };
+            if !col.is_diff {
+                match dim {
+                    CandDim::Int(v) => key += v as f64,
+                    CandDim::Float(v) => key += v,
+                    CandDim::Skip => {}
+                }
+            }
+            point.dims.push(dim);
+        }
+        if !key.is_nan() {
+            point.key = key;
+        }
+    }
+
+    /// The fused loop of [`first_dominator`](Self::first_dominator) and
+    /// [`mark_dominated`](Self::mark_dominated) over rows `[start, end)` of
+    /// the resolved `tests`, on the block's tier: `hit(base, bits)` gets
+    /// each 4-row step holding a strict dominance in the loop's direction,
+    /// and stops the loop by returning `true`.
+    fn fused<const POINT_DOMINATES: bool>(
+        &self,
+        tests: &WalkTests,
+        start: usize,
+        end: usize,
+        hit: impl FnMut(usize, u32) -> bool,
+    ) {
+        // Complete relation: rows with NULL-like values neither dominate
+        // nor are dominated, whatever their placeholder buffers say.
+        let nulls = (!self.incomplete).then_some(&self.any_null[..]);
+        match self.tier {
             // SAFETY: a block only gets the `Avx2` tier after
             // `is_x86_feature_detected!("avx2")` (`with_tier`), and every
             // resolved buffer holds `len >= end` rows.
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx2 => unsafe { simd::first_dominator_avx2(tests, nulls, end) },
-            _ => first_dominator_from(tests, nulls, 0, end),
-        };
-        BatchResult {
-            tested: hit.map_or(end, |at| end.min((at | 3) + 1)) as u64,
-            dominated_at: hit,
+            KernelTier::Avx2 => unsafe {
+                simd::fused_avx2::<POINT_DOMINATES>(tests, nulls, start, end, hit)
+            },
+            _ => fused_from::<POINT_DOMINATES>(tests, nulls, start, end, hit),
         }
     }
 

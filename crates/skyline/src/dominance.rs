@@ -26,10 +26,11 @@ pub enum Dominance {
 pub struct SkylineStats {
     /// Number of pairwise dominance tests performed. The scalar checker
     /// counts each pair it compares; the columnar kernel counts the rows
-    /// its early exits reach — whole 64-row chunks (the first one
-    /// smaller) in the per-row step, the rows up to the 4-row step holding
-    /// the dominator (or up to the key bound) in the first-dominator walk
-    /// — so per candidate a kernel count exceeds the pairs the scalar loop
+    /// its loops reach — whole 64-row chunks (the first one smaller) in
+    /// the per-row step, the rows up to the 4-row step holding the
+    /// dominator (or up to the key bound) in the first-dominator walk, and
+    /// every row from its start to the block's end in an eviction scan —
+    /// so per candidate a kernel count exceeds the pairs the scalar loop
     /// would compare by less than a chunk in the per-row step and by at
     /// most three rows in the walk.
     pub dominance_tests: u64,
@@ -48,8 +49,14 @@ pub struct SkylineStats {
     pub simd_tests: u64,
     /// First-dominator walks performed
     /// (`columnar::ColumnarBlock::first_dominator`): one per candidate a
-    /// cross-filter tests against a live block.
+    /// cross-filter tests against a live block — the batch fold's step 1
+    /// and step 2, the pairwise merge, the disk scan's dominance gate.
     pub dominator_walks: u64,
+    /// Eviction scans performed (`columnar::ColumnarBlock::mark_dominated`)
+    /// in step 3 of the BNL batch fold (`crate::bnl`): one per row of a
+    /// batch's survivor skyline that has window rows to scan (a NULL-like
+    /// row scans none).
+    pub eviction_scans: u64,
 }
 
 impl SkylineStats {
@@ -62,6 +69,7 @@ impl SkylineStats {
         self.scalar_tests += other.scalar_tests;
         self.simd_tests += other.simd_tests;
         self.dominator_walks += other.dominator_walks;
+        self.eviction_scans += other.eviction_scans;
     }
 
     /// Record `n` dominance tests performed by the columnar batch kernel,
@@ -79,6 +87,12 @@ impl SkylineStats {
     pub fn add_walk(&mut self, tested: u64, simd: bool) {
         self.add_block_tests(tested, simd);
         self.dominator_walks += 1;
+    }
+
+    /// Record one eviction scan that passed `tested` rows.
+    pub fn add_scan(&mut self, tested: u64, simd: bool) {
+        self.add_block_tests(tested, simd);
+        self.eviction_scans += 1;
     }
 
     /// Record one dominance test performed by the scalar checker.
@@ -390,6 +404,7 @@ mod tests {
             scalar_tests: 4,
             simd_tests: 3,
             dominator_walks: 2,
+            eviction_scans: 4,
         };
         let b = SkylineStats {
             dominance_tests: 5,
@@ -398,6 +413,7 @@ mod tests {
             scalar_tests: 5,
             simd_tests: 0,
             dominator_walks: 1,
+            eviction_scans: 1,
         };
         a.merge(&b);
         assert_eq!(a.dominance_tests, 15);
@@ -406,6 +422,7 @@ mod tests {
         assert_eq!(a.scalar_tests, 9);
         assert_eq!(a.simd_tests, 3);
         assert_eq!(a.dominator_walks, 3);
+        assert_eq!(a.eviction_scans, 5);
     }
 
     #[test]
@@ -425,5 +442,9 @@ mod tests {
         assert_eq!(s.dominator_walks, 1);
         assert_eq!(s.simd_tests, 69);
         assert_eq!(s.dominance_tests, 79);
+        s.add_scan(100, false);
+        assert_eq!(s.eviction_scans, 1);
+        assert_eq!(s.dominator_walks, 1);
+        assert_eq!((s.dominance_tests, s.simd_tests), (179, 69));
     }
 }

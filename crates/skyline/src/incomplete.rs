@@ -233,26 +233,40 @@ impl GroupedBnlBuilder {
     /// selected rows is routed by the NULL flags of the ranked columns,
     /// and each class window folds its share straight from the buffers, as
     /// [`BnlBuilder::push_columns_checked`] does: a `Row` is built only
-    /// where that fold builds one.
+    /// where that fold builds one. The run's null bitmaps are built one
+    /// dimension at a time from the columns' NULL flags, and each distinct
+    /// bitmap looks up its class window once.
     pub fn push_columns_checked(
         &mut self,
         batch: &ColumnBatch,
         control: &QueryControl,
     ) -> Result<()> {
-        // (class window, its rows), classes in first-seen order.
-        let mut routed: Vec<(usize, Vec<usize>)> = Vec::new();
+        assert!(
+            self.checker.spec().dims.len() <= 64,
+            "at most 64 skyline dimensions are supported"
+        );
+        let mut bitmaps: Vec<u64> = Vec::new();
+        // (bitmap, class window, its rows), classes in first-seen order.
+        let mut routed: Vec<(u64, usize, Vec<usize>)> = Vec::new();
         for run in batch.selection().chunks(CONTROL_CHECK_ROWS) {
             control.check()?;
-            routed.clear();
-            for &i in run {
-                let bitmap = bitmap_of(self.checker.spec(), |c| batch.column(c).is_null(i));
-                let slot = self.slot_for(bitmap);
-                match routed.iter_mut().find(|(s, _)| *s == slot) {
-                    Some((_, rows)) => rows.push(i),
-                    None => routed.push((slot, vec![i])),
+            bitmaps.clear();
+            bitmaps.resize(run.len(), 0);
+            for (d, dim) in self.checker.spec().dims.iter().enumerate() {
+                if let Some(nulls) = &batch.column(dim.index).nulls {
+                    for (bitmap, &i) in bitmaps.iter_mut().zip(run) {
+                        *bitmap |= u64::from(nulls[i]) << d;
+                    }
                 }
             }
-            for (slot, rows) in &routed {
+            routed.clear();
+            for (&i, &bitmap) in run.iter().zip(&bitmaps) {
+                match routed.iter_mut().find(|(b, _, _)| *b == bitmap) {
+                    Some((_, _, rows)) => rows.push(i),
+                    None => routed.push((bitmap, self.slot_for(bitmap), vec![i])),
+                }
+            }
+            for (_, slot, rows) in &routed {
                 self.groups[*slot].fold_columns(batch, rows);
             }
         }

@@ -336,6 +336,144 @@ fn walk_value(rng: &mut StdRng, class: Class) -> Value {
     }
 }
 
+/// One generated block of the walk and scan differentials, with the
+/// generator that made its rows, for drawing further tuples.
+struct KernelCase {
+    rng: StdRng,
+    dims: usize,
+    classes: Vec<Class>,
+    spec: SkylineSpec,
+    checker: DominanceChecker,
+    incomplete: bool,
+    ordered: bool,
+    /// Under the incomplete relation, the NULL columns of the block's
+    /// null-bitmap class.
+    class_nulls: Vec<bool>,
+    rows: Vec<Row>,
+}
+
+impl KernelCase {
+    /// `len` rows of shape `shape`: shapes 0–2 rank float columns only
+    /// (the shape of every benchmark workload), 3–7 mix classes and DIFF
+    /// dimensions, 6–7 are incomplete class blocks, and 8–9 rank nine
+    /// float columns, one more than the SIMD loop holds in registers. Even
+    /// shapes are sorted by key.
+    fn new(seed: u64, len: usize, shape: u8) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut dims = rng.gen_range(1usize..10);
+        if shape >= 8 {
+            dims = 9;
+        }
+        let floats_only = !(3..8).contains(&shape);
+        let classes: Vec<Class> = (0..dims)
+            .map(|_| match rng.gen_range(0..3) {
+                _ if floats_only => Class::Float,
+                0 => Class::Int,
+                1 => Class::Float,
+                _ => Class::Bool,
+            })
+            .collect();
+        let spec = SkylineSpec::new(
+            (0..dims)
+                .map(|d| match rng.gen_range(0..5) {
+                    0 if !floats_only => SkylineDim::diff(d),
+                    0 | 1 => SkylineDim::max(d),
+                    _ => SkylineDim::min(d),
+                })
+                .collect(),
+        );
+        let incomplete = (6..8).contains(&shape);
+        // Under the incomplete relation the block is one null-bitmap
+        // class: NULL (or NaN) in every row of the class's columns, a
+        // value in every row of the others.
+        let class_nulls: Vec<bool> = (0..dims).map(|_| incomplete && rng.gen_bool(0.3)).collect();
+        let checker = if incomplete {
+            DominanceChecker::incomplete(spec.clone())
+        } else {
+            DominanceChecker::complete(spec.clone())
+        };
+        let mut case = KernelCase {
+            rng,
+            dims,
+            classes,
+            spec,
+            checker,
+            incomplete,
+            ordered: shape.is_multiple_of(2),
+            class_nulls,
+            rows: Vec::new(),
+        };
+        case.rows = (0..len).map(|_| case.row(true)).collect();
+        case
+    }
+
+    /// A fresh tuple: a member of the block's class, or any tuple.
+    fn row(&mut self, member: bool) -> Row {
+        Row::new((0..self.dims).map(|d| self.value(d, member)).collect())
+    }
+
+    /// A fresh value of dimension `d` for a member of the block's class,
+    /// or for any tuple.
+    fn value(&mut self, d: usize, member: bool) -> Value {
+        loop {
+            let v = walk_value(&mut self.rng, self.classes[d]);
+            if !member || !self.incomplete {
+                return v;
+            }
+            if self.class_nulls[d] {
+                return if self.classes[d] == Class::Float && self.rng.gen_bool(0.5) {
+                    Value::Float64(f64::NAN)
+                } else {
+                    Value::Null
+                };
+            }
+            if !is_null_like(&v) {
+                return v;
+            }
+        }
+    }
+
+    /// Whether `row` is NULL-like in some dimension under the complete
+    /// relation: incomparable with every row.
+    fn incomparable(&self, row: &Row) -> bool {
+        !self.incomplete
+            && self
+                .spec
+                .dims
+                .iter()
+                .any(|d| is_null_like(row.get(d.index)))
+    }
+
+    /// The block of the rows on `tier` and its members — every row it
+    /// takes without demoting — in block order.
+    fn block(&self, tier: KernelTier) -> (ColumnarBlock, Vec<Row>) {
+        let mut block = ColumnarBlock::with_tier(&self.spec, self.incomplete, tier);
+        let mut members = Vec::new();
+        for r in &self.rows {
+            let mut grown = block.clone();
+            grown.push(r);
+            if !grown.is_fallback() {
+                block = grown;
+                members.push(r.clone());
+            }
+        }
+        if self.ordered {
+            if let Some(perm) = block.sort_by_key() {
+                members = perm.iter().map(|&i| members[i].clone()).collect();
+            }
+        }
+        (block, members)
+    }
+}
+
+/// A point of the scan differential: generated row `i`, read back from
+/// the block's buffers, or a tuple encoded against the block.
+#[derive(Debug)]
+enum Point {
+    Member(usize),
+    Tuple(Row),
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -355,82 +493,13 @@ proptest! {
         len in 0usize..301,
         shape in 0u8..8,
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let dims = rng.gen_range(1usize..10);
-        // Shapes 0–2 rank float columns only (the shape of every
-        // benchmark workload); the others mix classes and DIFF dimensions.
-        let floats_only = shape < 3;
-        let classes: Vec<Class> = (0..dims)
-            .map(|_| match rng.gen_range(0..3) {
-                _ if floats_only => Class::Float,
-                0 => Class::Int,
-                1 => Class::Float,
-                _ => Class::Bool,
-            })
-            .collect();
-        let spec = SkylineSpec::new(
-            (0..dims)
-                .map(|d| match rng.gen_range(0..5) {
-                    0 if !floats_only => SkylineDim::diff(d),
-                    0 | 1 => SkylineDim::max(d),
-                    _ => SkylineDim::min(d),
-                })
-                .collect(),
-        );
-        // Shapes 6–7 are incomplete class blocks; even shapes are sorted.
-        let incomplete = shape >= 6;
-        let ordered = shape % 2 == 0;
-        // Under the incomplete relation the block is one null-bitmap
-        // class: NULL (or NaN) in every row of the class's columns, a
-        // value in every row of the others.
-        let class_nulls: Vec<bool> = (0..dims).map(|_| incomplete && rng.gen_bool(0.3)).collect();
-        let row = |rng: &mut StdRng, member: bool| {
-            Row::new(
-                (0..dims)
-                    .map(|d| loop {
-                        let v = walk_value(rng, classes[d]);
-                        if !member || !incomplete {
-                            break v;
-                        }
-                        if class_nulls[d] {
-                            break if classes[d] == Class::Float && rng.gen_bool(0.5) {
-                                Value::Float64(f64::NAN)
-                            } else {
-                                Value::Null
-                            };
-                        }
-                        if !is_null_like(&v) {
-                            break v;
-                        }
-                    })
-                    .collect(),
-            )
-        };
-        let rows: Vec<Row> = (0..len).map(|_| row(&mut rng, true)).collect();
-        let cand_rows: Vec<Row> = (0..rng.gen_range(0usize..20)).map(|_| row(&mut rng, false)).collect();
-        let checker = if incomplete {
-            DominanceChecker::incomplete(spec.clone())
-        } else {
-            DominanceChecker::complete(spec.clone())
-        };
+        let mut case = KernelCase::new(seed, len, shape);
+        let n = case.rng.gen_range(0usize..20);
+        let cand_rows: Vec<Row> = (0..n).map(|_| case.row(false)).collect();
+        let checker = &case.checker;
         let mut tier_tested: Option<Vec<u64>> = None;
         for tier in KernelTier::available() {
-            // The members: every row the block takes without demoting.
-            let mut block = ColumnarBlock::with_tier(&spec, incomplete, tier);
-            let mut members = Vec::new();
-            for r in &rows {
-                let mut grown = block.clone();
-                grown.push(r);
-                if !grown.is_fallback() {
-                    block = grown;
-                    members.push(r.clone());
-                }
-            }
-            if ordered {
-                if let Some(perm) = block.sort_by_key() {
-                    members = perm.iter().map(|&i| members[i].clone()).collect();
-                }
-            }
+            let (block, members) = case.block(tier);
             let cands: Vec<(&Row, EncodedCandidate)> = cand_rows
                 .iter()
                 .filter_map(|c| block.encode(c).map(|enc| (c, enc)))
@@ -446,8 +515,7 @@ proptest! {
                     res.dominated_at, expected,
                     "tier {:?}, ordered {}, cand {}", tier, block.is_ordered(), cand
                 );
-                let incomparable = !incomplete
-                    && spec.dims.iter().any(|d| is_null_like(cand.get(d.index)));
+                let incomparable = case.incomparable(cand);
                 let end = if block.is_ordered() {
                     block.keys().partition_point(|&key| key <= enc.key())
                 } else {
@@ -464,6 +532,104 @@ proptest! {
             match &tier_tested {
                 None => tier_tested = Some(tested),
                 Some(first) => prop_assert_eq!(first, &tested, "tier {:?} tested", tier),
+            }
+        }
+    }
+
+    /// The eviction scan of `mark_dominated` against the two-loop
+    /// definition: from a random start row, over flags some of which are
+    /// already cleared, `keep_after[i] = keep_before[i] && !(i >= start &&
+    /// point strictly dominates row_i)`, and the scan passes every row
+    /// from `start` to the end (none for a NULL-like point under the
+    /// complete relation), the same on every tier. Blocks as in the walk
+    /// differential, plus nine ranked float columns; points are the
+    /// block's own members read from its buffers (`encode_member_into`,
+    /// which must equal encoding the member's row), members with one to
+    /// three values redrawn, and fresh tuples of any class. In an ordered
+    /// block no member dominates a row whose key is below its own.
+    #[test]
+    fn mark_dominated_matches_the_two_loop_definition(
+        seed in 0u64..1_000_000_000,
+        len in 0usize..301,
+        shape in 0u8..10,
+    ) {
+        let mut case = KernelCase::new(seed, len, shape);
+        let n = case.rng.gen_range(0usize..24);
+        // (point, start, pre-cleared flags)
+        let draws: Vec<(Point, usize, Vec<bool>)> = (0..n)
+            .map(|_| {
+                let member = (!case.rows.is_empty() && case.rng.gen_bool(0.7))
+                    .then(|| case.rng.gen_range(0..case.rows.len()));
+                let point = match member {
+                    Some(i) if case.rng.gen_bool(0.5) => Point::Member(i),
+                    Some(i) => {
+                        let mut values = case.rows[i].values().to_vec();
+                        for _ in 0..case.rng.gen_range(1..4) {
+                            let d = case.rng.gen_range(0..case.dims);
+                            values[d] = case.value(d, true);
+                        }
+                        Point::Tuple(Row::new(values))
+                    }
+                    None => Point::Tuple(case.row(false)),
+                };
+                let start = case.rng.gen_range(0..len + 3);
+                let cleared = (0..len).map(|_| case.rng.gen_bool(0.2)).collect();
+                (point, start, cleared)
+            })
+            .collect();
+        let checker = &case.checker;
+        let mut first_tier: Option<Vec<(Vec<bool>, u64)>> = None;
+        for tier in KernelTier::available() {
+            let (block, members) = case.block(tier);
+            let mut outcomes = Vec::new();
+            let mut tests = WalkTests::default();
+            for (point, start, cleared) in &draws {
+                let (point_row, encoded) = match point {
+                    Point::Member(i) => {
+                        // A row the block refused is no member.
+                        let Some(at) = members.iter().position(|m| m == &case.rows[*i]) else {
+                            continue;
+                        };
+                        let mut read = EncodedCandidate::new();
+                        block.encode_member_into(at, &mut read);
+                        if !case.incomparable(&members[at]) {
+                            let encoded = block.encode(&members[at]).expect("a member encodes");
+                            prop_assert_eq!(&read, &encoded, "member {}", &members[at]);
+                        }
+                        if block.is_ordered() {
+                            for (m, key) in members.iter().zip(block.keys()) {
+                                if checker.compare(&members[at], m) == Dominance::Dominates {
+                                    prop_assert!(block.keys()[at] <= *key, "{} over {}", &members[at], m);
+                                }
+                            }
+                        }
+                        (&members[at], read)
+                    }
+                    Point::Tuple(row) => match block.encode(row) {
+                        Some(encoded) => (row, encoded),
+                        None => continue,
+                    },
+                };
+                let mut keep: Vec<bool> = cleared[..block.len()].iter().map(|c| !c).collect();
+                let before = keep.clone();
+                let passed = block.mark_dominated(&encoded, *start, &mut keep, &mut tests);
+                let expected: Vec<bool> = (before.iter().zip(&members).enumerate())
+                    .map(|(i, (&kept, m))| {
+                        kept && !(i >= *start && checker.compare(point_row, m) == Dominance::Dominates)
+                    })
+                    .collect();
+                prop_assert_eq!(&keep, &expected, "tier {:?}, point {}, start {}", tier, point_row, start);
+                let expected_passed = if case.incomparable(point_row) {
+                    0
+                } else {
+                    block.len().saturating_sub(*start)
+                };
+                prop_assert_eq!(passed, expected_passed as u64, "tier {:?}", tier);
+                outcomes.push((keep, passed));
+            }
+            match &first_tier {
+                None => first_tier = Some(outcomes),
+                Some(first) => prop_assert_eq!(first, &outcomes, "tier {:?}", tier),
             }
         }
     }

@@ -192,9 +192,17 @@ fn counters_and_explain_describe_the_pairwise_merge() {
     // Work is attributed to the detected tier in both phases — through
     // the fold's survivor blocks as well.
     assert!(m.dominator_walks > 0, "{m:?}");
+    assert!(m.eviction_scans > 0, "step 3 of the fold scans: {m:?}");
     assert_eq!(m.dominance_tests, m.batched_tests, "{m:?}");
     assert_eq!(m.scalar_tests, 0, "{m:?}");
     assert_eq!(m.simd_tests > 0, KernelTier::detect().is_simd(), "{m:?}");
+    // EXPLAIN ANALYZE prints the same kernel counters on one line.
+    let analyze = df.explain_analyze().unwrap();
+    let line = format!(
+        "simd tests: {} ({} dominator walks, {} eviction scans)",
+        m.simd_tests, m.dominator_walks, m.eviction_scans
+    );
+    assert!(analyze.lines().any(|l| l == line), "{line}\n{analyze}");
 }
 
 #[test]
