@@ -126,7 +126,10 @@ fn bench_local_fold(c: &mut Criterion) {
     // rows). `columns/incomplete_250k` routes independent rows with 20%
     // NULLs to their null-bitmap class windows
     // (`GroupedBnlBuilder::push_columns_checked`): the incomplete local
-    // phase.
+    // phase. `rows_distinct/…` folds under `SKYLINE OF DISTINCT`, which
+    // keeps the window in arrival order, so every row takes the per-row
+    // step (walk, duplicate check, eviction scan): small-domain integers,
+    // where most rows are dominated or duplicates, and independent floats.
     let mut group = c.benchmark_group("local_fold");
     let inputs = [
         (
@@ -196,6 +199,28 @@ fn bench_local_fold(c: &mut Criterion) {
         );
     }
     let batches = batches_of(&MemTable::from_rows(&schema(true), data));
+    let distinct = DominanceChecker::complete(SkylineSpec::distinct(spec(4).dims));
+    let small_ints: Vec<Row> = (0..50_000)
+        .map(|_| Row::new((0..4).map(|_| Value::Int64(rng.gen_range(0..8))).collect()))
+        .collect();
+    let distinct_inputs = [
+        ("small_ints_50k", small_ints),
+        (
+            "independent_250k",
+            independent_rows(&mut StdRng::seed_from_u64(42), 250_000, 4),
+        ),
+    ];
+    for (name, data) in &distinct_inputs {
+        group.bench_with_input(BenchmarkId::new("rows_distinct", name), data, |b, data| {
+            b.iter(|| {
+                let mut builder = BnlBuilder::new(distinct.clone(), true);
+                for batch in data.chunks(4096) {
+                    builder.push_batch(batch.to_vec());
+                }
+                builder.finish()
+            })
+        });
+    }
     let incomplete = DominanceChecker::incomplete(spec(4));
     group.bench_with_input(
         BenchmarkId::new("columns", "incomplete_250k"),

@@ -79,8 +79,8 @@
 //!    nothing in the window, so dropping it early changes no eviction.
 //!    (Sorting the batch first would let later candidates skip work, but
 //!    costs more than it saves where nearly every row dies here.) A
-//!    handful of survivors each take a sorted insert — the per-row step —
-//!    and the fold is done.
+//!    handful of survivors each take the per-row step (below), a sorted
+//!    insert, and the fold is done.
 //! 2. encode the survivors into a block of their own, sort it by key and
 //!    cross-filter it against *itself*: strict dominance is irreflexive
 //!    and transitive, so S \ dominated-by-S is the skyline of S. In key
@@ -88,7 +88,7 @@
 //!    the insert-only scan of SFS, with equal-key ties tested both ways.
 //! 3. filter the window against the survivors' skyline `S`, one
 //!    dominator at a time: an *eviction scan* per row `s` of `S`
-//!    ([`ColumnarBlock::mark_dominated`]) reads `s` from `S`'s own encoded
+//!    ([`ColumnarBlock::mark`]) reads `s` from `S`'s own encoded
 //!    columns and clears the keep flag of every window row `s` strictly
 //!    dominates. Window `W` and `S` are both antichains and no row of `S`
 //!    is dominated by `W` (step 1), so the identity above gives
@@ -122,15 +122,45 @@
 //! "window plus one batch" (16 bytes per member for key and arrival
 //! number).
 //!
-//! What keeps the arrival-order window and the per-row step (both
-//! directions of every pair): `SKYLINE OF DISTINCT` (a dims-identical later
-//! row must die on an `Equal` verdict, which the strict cross-filter never
-//! reports), and a block demoted to scalar fallback mid-stream (a string,
-//! an inexact int/float mix), which has lost its keys: the builder sorts
-//! the window back into arrival order once and continues per row. A single
-//! row the block cannot encode *as a candidate* takes a scalar scan over
-//! the ordered window and then enters at the key the block derives from
-//! its stored values.
+//! What keeps the arrival-order window, and the per-row step for every
+//! row: `SKYLINE OF DISTINCT` (a dims-identical later row must die, which
+//! the strict cross-filter never decides), and a block demoted to scalar
+//! fallback mid-stream (a string, an inexact int/float mix), which has
+//! lost its keys: the builder sorts the window back into arrival order
+//! once and continues per row. A single row the block cannot encode *as a
+//! candidate* takes a scalar scan over the ordered window and then enters
+//! at the key the block derives from its stored values.
+//!
+//! # The per-row step
+//!
+//! One tuple against the window — a fold's few survivors, and every row of
+//! an arrival-order window — runs the kernel's two loops, one per
+//! direction:
+//!
+//! 1. the first-dominator walk ([`ColumnarBlock::first_dominator`],
+//!    bounded at the tuple's key in a key-ordered block); a dominated
+//!    tuple is dropped;
+//! 2. under `DISTINCT`, a tuple identical to a window row on every
+//!    skyline dimension (`DominanceChecker::identical_dims`) is dropped;
+//! 3. one eviction scan ([`ColumnarBlock::mark`]) flags the window rows
+//!    the tuple strictly dominates, which leave in one order-preserving
+//!    compaction; in a key-ordered block it starts at the first row whose
+//!    key reaches the tuple's, since no earlier row can be dominated by it
+//!    (step 3 of the fold), and otherwise at the first row;
+//! 4. the tuple enters the window, at its key position in a score-ordered
+//!    window.
+//!
+//! Dropping a tuple in steps 1–2 changes no eviction: the relation is
+//! transitive and the window an antichain, so a tuple dominated by (or
+//! identical to) a window row dominates no window row. Step 2 needs no
+//! kernel verdict, and asks only the rows that can be identical: identical
+//! rows have equal sums, so a duplicate's member key equals the tuple's
+//! candidate key, unless the sum is NaN — then the member key is `-inf`
+//! and the candidate key `+inf`, so rows keyed `-inf` are asked too (and
+//! step 3 cannot start from a `+inf` key, for the same reason). A tuple
+//! that is NULL-like under the complete relation is incomparable with
+//! every row, itself included, so it is never a duplicate, as in
+//! [`naive_skyline`](crate::naive_skyline).
 
 use std::borrow::Cow;
 
@@ -317,9 +347,9 @@ fn permute<T>(v: &mut Vec<T>, perm: &[usize]) {
 /// docs' premises hold — kept in score order;
 /// [`push_batch`](Self::push_batch) folds whole batches into it through
 /// [`cross_filter`], and the per-row step tests one tuple against the
-/// whole window in one chunked pass. Rows the kernel cannot represent take
-/// the scalar step, so the result is always the skyline members in arrival
-/// order.
+/// window with one walk and one eviction scan (module docs). Rows the
+/// kernel cannot represent take the scalar step, so the result is always
+/// the skyline members in arrival order.
 pub struct BnlBuilder {
     checker: DominanceChecker,
     tier: KernelTier,
@@ -336,7 +366,6 @@ pub struct BnlBuilder {
     seqs: Vec<u64>,
     next_seq: u64,
     cand: EncodedCandidate,
-    out: Vec<Dominance>,
     /// The fold's reusable buffers: the current input chunk, the step-1 /
     /// step-2 and step-3 masks.
     batch: Vec<Row>,
@@ -374,7 +403,6 @@ impl BnlBuilder {
             seqs: Vec::new(),
             next_seq: 0,
             cand: EncodedCandidate::new(),
-            out: Vec::new(),
             batch: Vec::new(),
             alive: Vec::new(),
             keep: Vec::new(),
@@ -579,7 +607,7 @@ impl BnlBuilder {
                 break;
             }
             sky.encode_member_into(s, &mut self.cand);
-            let passed = window.mark_dominated(&self.cand, start, &mut self.keep, &mut tests);
+            let passed = window.mark::<true>(&self.cand, start, &mut self.keep, &mut tests);
             if passed > 0 {
                 self.stats.add_scan(passed, window.is_simd());
             }
@@ -600,7 +628,7 @@ impl BnlBuilder {
         self.stats.max_window = self.stats.max_window.max(self.window.len());
     }
 
-    /// Feed one tuple through the BNL window step.
+    /// Feed one tuple through the per-row step (module docs).
     fn push(&mut self, tuple: Row) {
         let block = &mut self.block;
         if !block.encode_into(&tuple, &mut self.cand) {
@@ -625,38 +653,44 @@ impl BnlBuilder {
             }
             return;
         }
-        let res = block.compare_batch(&self.cand, &mut self.out, true);
+        // 1. Dropped if a window row dominates it.
+        let mut tests = WalkTests::default();
+        let res = block.first_dominator(&self.cand, &mut tests);
         self.stats.add_block_tests(res.tested, block.is_simd());
         if res.dominated_at.is_some() {
             return;
         }
-        // The relation is transitive and the window holds no mutually
-        // dominating rows, so a tuple that is dominated (or
-        // DISTINCT-identical to a window tuple) dominates nothing in the
-        // window — dropping it without evictions matches the scalar loop
-        // exactly, which is what makes the chunked early exit above sound.
+        // 2. Dropped under `DISTINCT` if identical to a window row: only a
+        //    row keyed like the tuple, or keyed -inf, can be.
+        let key = self.cand.key();
         if self.checker.distinct()
-            && self.out.iter().enumerate().any(|(i, &o)| {
-                o == Dominance::Equal && self.checker.identical_dims(&tuple, &self.window[i])
+            && !self.cand.is_incomparable()
+            && (block.keys().iter().zip(&self.window)).any(|(&k, row)| {
+                (k == key || k == f64::NEG_INFINITY) && self.checker.identical_dims(&tuple, row)
             })
         {
             return;
         }
-        // Evict every dominated window row in one order-preserving
-        // compaction (identical survivors, same relative order as the
-        // scalar loop's per-row `Vec::remove`, without shifting the tail
-        // once per eviction). All verdicts are precomputed in `out`, so
-        // no mid-scan state needs replaying.
-        if self.out.contains(&Dominance::Dominates) {
-            self.keep.clear();
-            self.keep
-                .extend(self.out.iter().map(|&o| o != Dominance::Dominates));
+        // 3. Evict the window rows it dominates, in one order-preserving
+        //    compaction (the scalar loop's per-row `Vec::remove`, without
+        //    shifting the tail once per eviction).
+        let start = if block.is_ordered() && key != f64::INFINITY {
+            block.keys().partition_point(|&k| k < key)
+        } else {
+            0
+        };
+        self.keep.clear();
+        self.keep.resize(block.len(), true);
+        let passed = block.mark::<true>(&self.cand, start, &mut self.keep, &mut tests);
+        self.stats.add_block_tests(passed, block.is_simd());
+        if self.keep.contains(&false) {
             retain_mask(&mut self.window, &self.keep);
             block.retain_mask(&self.keep);
             if self.ordered {
                 retain_mask(&mut self.seqs, &self.keep);
             }
         }
+        // 4. Admit it.
         self.admit(tuple);
     }
 

@@ -8,16 +8,15 @@
 //! dimensions of a row window are transposed into contiguous,
 //! sign-normalized column buffers once, and a candidate tuple is then
 //! tested against the window in tight loops over flat `i64`/`f64` slices:
-//! the per-row step's three-way verdicts in 64-row chunks
-//! ([`ColumnarBlock::compare_batch`]), and one fused 4-row step run by two
-//! loops: the cross-filter's "first strict dominator" walk
-//! ([`ColumnarBlock::first_dominator`]) and the BNL fold's eviction scan,
-//! "every row this point strictly dominates"
-//! ([`ColumnarBlock::mark_dominated`]).
+//! one fused 4-row step, run by two loops — the cross-filter's "first
+//! strict dominator" walk ([`ColumnarBlock::first_dominator`]) and the
+//! scan, "every row from here on that this point strictly dominates" or,
+//! turned round, "that strictly dominates this point"
+//! ([`ColumnarBlock::mark`]).
 //!
 //! # Compare tiers and runtime dispatch
 //!
-//! Every loop ships in two tiers. Every block runs on
+//! The step ships in two tiers. Every block runs on
 //! the one the CPU offers, found once by `is_x86_feature_detected!`-based
 //! runtime dispatch ([`KernelTier::detect`]); only the kernel's own API
 //! pins a tier ([`ColumnarBlock::with_tier`], and the builders'
@@ -29,11 +28,11 @@
 //!   float columns, sign-extracted with `movemask`. Float buffers never
 //!   contain NaN (NaN is NULL-like and becomes a placeholder plus an
 //!   `any_null` bit), so the ordered compares are exact.
-//! * **`chunked`** — the portable loops. They are both the fallback for
+//! * **`chunked`** — the portable loop, four rows per step like the SIMD
+//!   one (the tier keeps its EXPLAIN name). It is both the fallback for
 //!   hosts without AVX2 and the differential oracle the SIMD tier is
-//!   tested against: both tiers produce bit-identical `(a, b, neq)`
-//!   masks and the same first dominators and test counts, hence
-//!   byte-identical outcomes.
+//!   tested against: both tiers produce the same 4-row dominance masks,
+//!   hence the same first dominators, cleared flags and test counts.
 //!
 //! # The fused step: the walk and the scan
 //!
@@ -53,16 +52,19 @@
 //! turn; they consume only *strict* `DominatedBy` outcomes, which under a
 //! transitive relation are stable against any later window evolution.
 //!
-//! [`ColumnarBlock::mark_dominated`] asks the question the other way
-//! round: which rows from a start row on does one *point* strictly
-//! dominate. It runs the same step with the comparison turned round —
-//! "point `<=` row" ANDed, "point `<` row" ORed — the direction being the
-//! one const parameter of the step body, and clears a keep flag for each
-//! hit instead of stopping: the scan has no early exit and counts every
-//! row it passes. Step 3 of the BNL fold (`crate::bnl`) runs one scan per
-//! row of a batch's survivor skyline, reading the point from that block's
-//! own columns ([`ColumnarBlock::encode_member_into`]). Under the complete
-//! relation both loops mask NULL-like rows out of every hit.
+//! [`ColumnarBlock::mark`] is the scan: it runs the same step over every
+//! row from a start row on, with no early exit, and clears a keep flag for
+//! each hit; it counts every row it passes. Its direction is the one const
+//! parameter of the step body: `mark::<true>` turns the comparison round —
+//! "point `<=` row" ANDed, "point `<` row" ORed — and clears the rows the
+//! *point* strictly dominates; `mark::<false>` asks the walk's question
+//! and clears the rows that strictly dominate the point. Step 3 of the BNL
+//! fold (`crate::bnl`) runs one `mark::<true>` per row of a batch's
+//! survivor skyline, reading the point from that block's own columns
+//! ([`ColumnarBlock::encode_member_into`]); BNL's per-row step runs one
+//! for its tuple after the walk; the maintained views (`crate::maintain`)
+//! run both directions per mutation. Under the complete relation both
+//! loops mask NULL-like rows out of every hit.
 //!
 //! # Score keys and the bounded walk
 //!
@@ -95,9 +97,9 @@
 //! probed first, and a walk ends exactly at the last row whose key does
 //! not exceed its candidate key (one binary search over the keys),
 //! since every later row's key exceeds the bound too. Blocks filled in
-//! arbitrary order simply never bound. A scan is bounded from below
-//! instead: its caller starts it at the first row whose member key
-//! reaches the point's own member key.
+//! arbitrary order simply never bound. A `mark::<true>` scan is bounded
+//! from below instead: its caller starts it at the first row whose member
+//! key reaches the point's own key.
 //!
 //! # Block layout and encode rules
 //!
@@ -120,31 +122,27 @@
 //! * **Null mask semantics** — under the complete-data relation a NULL (or
 //!   NaN, which compares like NULL under `sql_compare`) in *any* dimension
 //!   of *either* tuple makes the pair incomparable, so the block only
-//!   tracks one `any_null` bit per row and the kernel forces
-//!   [`Dominance::Incomparable`] wherever the candidate's or the row's bit
-//!   is set. Under the incomplete relation a NULL restricts the comparison
+//!   tracks one `any_null` bit per row: such a row is masked out of every
+//!   hit, and such a candidate walks and scans nothing. Under the incomplete relation a NULL restricts the comparison
 //!   to the shared non-NULL dimensions instead; the kernel supports the
 //!   case that arises in practice — the local phase runs per null-bitmap
 //!   class, where a dimension is NULL either in *every* row (the column
 //!   stays unmaterialized and is skipped) or in *none* — and demotes mixed
 //!   columns to scalar fallback.
 //! * **`DIFF` dimensions** are stored un-negated; dominance additionally
-//!   requires *equality* on them, which the per-row step folds in as a
-//!   third per-chunk mask: any inequality (`neq`) bit forces
-//!   [`Dominance::Incomparable`] for that pair, mirroring the scalar
-//!   checker's immediate exit on a `DIFF` mismatch (the fused walk ANDs
-//!   the equality into its "row `<=` candidate" mask). Non-numeric `DIFF`
-//!   values demote the block through the same class rules as ranked
-//!   dimensions.
+//!   requires *equality* on them, which the fused step ANDs into its
+//!   "`<=`" mask, so a mismatch rules the pair out as the scalar checker's
+//!   immediate exit on a `DIFF` mismatch does. Non-numeric `DIFF` values
+//!   demote the block through the same class rules as ranked dimensions.
 //!
 //! Fallback is never an error: callers keep the row window authoritative
 //! and simply route comparisons through the scalar checker when
 //! [`ColumnarBlock::is_fallback`] reports `true` (whole-block) or
 //! [`ColumnarBlock::encode`] returns `None` (single candidate). The
 //! batched and scalar paths produce byte-identical *skylines*; the test
-//! counters differ — the kernel's chunk- and step-granular early exits
-//! make it perform more (much cheaper) tests than the scalar loop's
-//! per-pair exit, which
+//! counters differ — a walk counts whole 4-row steps up to its dominator
+//! and a scan every row it passes, more (much cheaper) tests than the
+//! scalar loop's per-pair exit, which
 //! `batched_tests` / `scalar_tests` make visible per path, and the
 //! `simd_tests` counter additionally splits out tests performed on a SIMD
 //! tier.
@@ -153,31 +151,7 @@ use std::borrow::Borrow;
 
 use sparkline_common::{ColumnBatch, Row, SkylineSpec, SkylineType, Value};
 
-use crate::dominance::{Dominance, DominanceChecker};
-
-/// Maximum rows per kernel chunk: outcomes are derived from `u64` bit
-/// masks, and a chunk is also the early-exit granularity when a dominator
-/// is found.
-pub const CHUNK: usize = 64;
-
-/// First chunk size of a single-candidate scan. A score-ordered BNL window
-/// (`crate::bnl`: ascending [`ColumnarBlock::keys`]) keeps its most
-/// dominant tuples at the front, so most dominated candidates die within
-/// a few comparisons; starting small (then doubling up to [`CHUNK`]) keeps
-/// the early exit nearly as fine-grained as the scalar loop's while large
-/// windows still run full-width chunks. (Arrival-order windows — only
-/// `DISTINCT` ones — find their dominator at a random position and gain
-/// nothing from the small start; they lose nothing either.)
-///
-/// Re-tuned when the explicit-SIMD tiers landed (the SIMD kernel entry of
-/// CHANGES.md): a sweep of first-chunk sizes 1–64 on the anti-correlated
-/// window was flat to within scheduler noise, so 4 is kept; the win comes
-/// from aborting *before* the first full-width chunk, and SIMD makes wide
-/// chunks cheaper without making early exits less valuable.
-/// The first-dominator walk ([`ColumnarBlock::first_dominator`]) needs
-/// no such start: it stops at the 4-row step holding the dominator, as
-/// fine-grained as this first chunk.
-pub const CANDIDATE_FIRST_CHUNK: usize = 4;
+use crate::dominance::DominanceChecker;
 
 /// Compare tier a block dispatches its compare loops to: the host CPU's
 /// ([`detect`](KernelTier::detect)) unless pinned.
@@ -234,110 +208,24 @@ pub fn kernel_label() -> &'static str {
     KernelTier::detect().label()
 }
 
-/// Explicit-SIMD kernels. Every per-column mask function produces the
-/// exact same `a`/`b`/`neq` bits as the chunked loops in
-/// `ColumnarBlock::chunk_masks_chunked`, and the fused loop the same
-/// verdicts as `fused_from`; the differential suites
-/// assert that equivalence on every tier the CPU offers. Buffers never contain
-/// NaN (NaN is NULL-like and encodes as a placeholder plus an `any_null`
-/// bit), so the ordered float compares are exact.
+/// The explicit-SIMD step: the fused loop gives the same verdicts as
+/// `fused_from`; the differential suites assert that equivalence on every
+/// tier the CPU offers. Buffers never contain NaN (NaN is NULL-like and
+/// encodes as a placeholder plus an `any_null` bit), so the ordered float
+/// compares are exact.
 #[cfg(target_arch = "x86_64")]
 mod simd {
     use std::arch::x86_64::*;
 
-    /// `a |= (v < x) << k`, `b |= (x < v) << k` over up to 64 `i64`s.
-    ///
-    /// # Safety
-    /// AVX2 must be available; callers dispatch on [`KernelTier::Avx2`],
-    /// which is only produced after `is_x86_feature_detected!("avx2")`.
-    ///
-    /// [`KernelTier::Avx2`]: super::KernelTier::Avx2
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn ranked_i64_avx2(buf: &[i64], v: i64, a: &mut u64, b: &mut u64) {
-        let splat = _mm256_set1_epi64x(v);
-        let mut k = 0;
-        while k + 4 <= buf.len() {
-            let x = _mm256_loadu_si256(buf.as_ptr().add(k) as *const __m256i);
-            let gt = _mm256_cmpgt_epi64(x, splat); // x > v  ⇒  v < x  ⇒  a
-            let lt = _mm256_cmpgt_epi64(splat, x); // v > x  ⇒  x < v  ⇒  b
-            *a |= (_mm256_movemask_pd(_mm256_castsi256_pd(gt)) as u32 as u64) << k;
-            *b |= (_mm256_movemask_pd(_mm256_castsi256_pd(lt)) as u32 as u64) << k;
-            k += 4;
-        }
-        for (i, &x) in buf[k..].iter().enumerate() {
-            *a |= u64::from(v < x) << (k + i);
-            *b |= u64::from(x < v) << (k + i);
-        }
-    }
-
-    /// `neq |= (x != v) << k` over up to 64 `i64`s of a `DIFF` column.
-    ///
-    /// # Safety
-    /// AVX2 must be available (see [`ranked_i64_avx2`]).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn diff_i64_avx2(buf: &[i64], v: i64, neq: &mut u64) {
-        let splat = _mm256_set1_epi64x(v);
-        let mut k = 0;
-        while k + 4 <= buf.len() {
-            let x = _mm256_loadu_si256(buf.as_ptr().add(k) as *const __m256i);
-            let eq = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(x, splat)));
-            *neq |= (!(eq as u32 as u64) & 0xF) << k;
-            k += 4;
-        }
-        for (i, &x) in buf[k..].iter().enumerate() {
-            *neq |= u64::from(x != v) << (k + i);
-        }
-    }
-
-    /// `a |= (v < x) << k`, `b |= (x < v) << k` over up to 64 `f64`s.
-    ///
-    /// # Safety
-    /// AVX2 must be available (see [`ranked_i64_avx2`]).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn ranked_f64_avx2(buf: &[f64], v: f64, a: &mut u64, b: &mut u64) {
-        let splat = _mm256_set1_pd(v);
-        let mut k = 0;
-        while k + 4 <= buf.len() {
-            let x = _mm256_loadu_pd(buf.as_ptr().add(k));
-            let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(x, splat);
-            let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(x, splat);
-            *a |= (_mm256_movemask_pd(gt) as u32 as u64) << k;
-            *b |= (_mm256_movemask_pd(lt) as u32 as u64) << k;
-            k += 4;
-        }
-        for (i, &x) in buf[k..].iter().enumerate() {
-            *a |= u64::from(v < x) << (k + i);
-            *b |= u64::from(x < v) << (k + i);
-        }
-    }
-
-    /// `neq |= (x != v) << k` over up to 64 `f64`s of a `DIFF` column.
-    ///
-    /// # Safety
-    /// AVX2 must be available (see [`ranked_i64_avx2`]).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn diff_f64_avx2(buf: &[f64], v: f64, neq: &mut u64) {
-        let splat = _mm256_set1_pd(v);
-        let mut k = 0;
-        while k + 4 <= buf.len() {
-            let x = _mm256_loadu_pd(buf.as_ptr().add(k));
-            let ne = _mm256_cmp_pd::<_CMP_NEQ_OQ>(x, splat);
-            *neq |= (_mm256_movemask_pd(ne) as u32 as u64) << k;
-            k += 4;
-        }
-        for (i, &x) in buf[k..].iter().enumerate() {
-            *neq |= u64::from(x != v) << (k + i);
-        }
-    }
-
     /// The fused loop of `ColumnarBlock::first_dominator` (the walk) and
-    /// `ColumnarBlock::mark_dominated` (the scan) over rows `[start, end)`;
-    /// the rows behind the last whole 4-row vector take the portable loop,
+    /// `ColumnarBlock::mark` (the scan) over rows `[start, end)`; the rows
+    /// behind the last whole 4-row vector take the portable loop,
     /// `super::fused_from`, so every verdict is the portable loop's.
     ///
     /// # Safety
-    /// AVX2 must be available (see [`ranked_i64_avx2`]), and every buffer
-    /// in `tests` must hold at least `end` rows.
+    /// AVX2 must be available — callers dispatch on `KernelTier::Avx2`,
+    /// which is only produced after `is_x86_feature_detected!("avx2")` —
+    /// and every buffer in `tests` must hold at least `end` rows.
     #[target_feature(enable = "avx2")]
     pub unsafe fn fused_avx2<const POINT_DOMINATES: bool>(
         tests: &super::WalkTests,
@@ -441,8 +329,8 @@ mod simd {
 /// `<` on some one, and equal on every `DIFF` one. `Skip` dimensions and
 /// unmaterialized columns are left out.
 ///
-/// [`ColumnarBlock::first_dominator`] and
-/// [`ColumnarBlock::mark_dominated`] refill it for every point; a caller
+/// [`ColumnarBlock::first_dominator`] and [`ColumnarBlock::mark`] refill
+/// it for every point; a caller
 /// keeps one per block, so a run of walks or scans allocates nothing.
 #[derive(Debug, Default)]
 pub struct WalkTests<'a> {
@@ -573,6 +461,12 @@ impl EncodedCandidate {
     pub fn key(&self) -> f64 {
         self.key
     }
+
+    /// Whether the candidate is incomparable with every row whatever the
+    /// buffers hold: NULL-like under the complete relation.
+    pub(crate) fn is_incomparable(&self) -> bool {
+        self.all_incomparable
+    }
 }
 
 impl Default for EncodedCandidate {
@@ -581,16 +475,15 @@ impl Default for EncodedCandidate {
     }
 }
 
-/// Result of one candidate-vs-block kernel invocation.
+/// Result of one first-dominator walk
+/// ([`ColumnarBlock::first_dominator`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchResult {
-    /// Pairwise dominance tests performed: whole chunks up to the early
-    /// exit in [`ColumnarBlock::compare_batch`], rows up to the 4-row step
-    /// holding the dominator (or up to the key bound) in
-    /// [`ColumnarBlock::first_dominator`].
+    /// Pairwise dominance tests performed: the rows up to the 4-row step
+    /// holding the dominator, or up to the walk's end (the key bound, or
+    /// the block's end).
     pub tested: u64,
-    /// Index of the first row that strictly dominates the candidate, when
-    /// the call asked to stop there.
+    /// Index of the first row that strictly dominates the candidate.
     pub dominated_at: Option<usize>,
 }
 
@@ -617,8 +510,7 @@ struct Column {
     /// Sign normalization: negate values of `MAX` dimensions on encode.
     /// `DIFF` columns are stored un-negated.
     negate: bool,
-    /// `DIFF` dimension: compared for equality (`neq` mask) instead of
-    /// order (`a`/`b` masks).
+    /// `DIFF` dimension: compared for equality instead of order.
     is_diff: bool,
     /// NULL (or NaN) seen in this column.
     saw_null: bool,
@@ -721,9 +613,10 @@ pub fn is_null_like(v: &Value) -> bool {
 ///
 /// The block mirrors a caller-owned `Vec<Row>` window: encode rows once
 /// with [`push`](Self::push), keep evictions in sync with
-/// [`remove`](Self::remove), and test a candidate against all
-/// rows with [`compare_batch`](Self::compare_batch). See the module docs
-/// for the encode rules and the fallback contract.
+/// [`remove`](Self::remove), and test a candidate against the rows with
+/// the walk ([`first_dominator`](Self::first_dominator)) or the scan
+/// ([`mark`](Self::mark)). See the module docs for the encode rules and
+/// the fallback contract.
 #[derive(Debug, Clone)]
 pub struct ColumnarBlock {
     cols: Vec<Column>,
@@ -1231,69 +1124,6 @@ impl ColumnarBlock {
         true
     }
 
-    /// Test `cand` against every row: `out` receives one [`Dominance`] per
-    /// *tested* row, where `out[i]` is `compare(candidate, row_i)` of the
-    /// scalar checker.
-    ///
-    /// With `stop_at_dominator`, scanning stops after the first chunk
-    /// containing a row that dominates the candidate (`DominatedBy`) and
-    /// its index is reported — the BNL early exit.
-    pub fn compare_batch(
-        &self,
-        cand: &EncodedCandidate,
-        out: &mut Vec<Dominance>,
-        stop_at_dominator: bool,
-    ) -> BatchResult {
-        out.clear();
-        debug_assert!(!self.is_fallback(), "compare_batch on a fallback block");
-        if cand.all_incomparable {
-            out.resize(self.len, Dominance::Incomparable);
-            return BatchResult {
-                tested: self.len as u64,
-                dominated_at: None,
-            };
-        }
-        let mut tested = 0u64;
-        let mut dominated_at = None;
-        let mut base = 0;
-        let mut width = if stop_at_dominator {
-            CANDIDATE_FIRST_CHUNK
-        } else {
-            CHUNK
-        };
-        while base < self.len {
-            let m = width.min(self.len - base);
-            width = (width * 2).min(CHUNK);
-            let (a, b, neq) = self.chunk_masks(cand, base, m);
-            for k in 0..m {
-                let bit = 1u64 << k;
-                let outcome = if (!self.incomplete && self.any_null[base + k]) || neq & bit != 0 {
-                    Dominance::Incomparable
-                } else {
-                    match (a & bit != 0, b & bit != 0) {
-                        (true, true) => Dominance::Incomparable,
-                        (true, false) => Dominance::Dominates,
-                        (false, true) => Dominance::DominatedBy,
-                        (false, false) => Dominance::Equal,
-                    }
-                };
-                if outcome == Dominance::DominatedBy && dominated_at.is_none() {
-                    dominated_at = Some(base + k);
-                }
-                out.push(outcome);
-            }
-            tested += m as u64;
-            if stop_at_dominator && dominated_at.is_some() {
-                break;
-            }
-            base += m;
-        }
-        BatchResult {
-            tested,
-            dominated_at,
-        }
-    }
-
     /// The first block row that strictly dominates `cand`
     /// (`DominatedBy`, never `Equal`), in block order. The walk resolves
     /// the candidate's compared dimensions into `tests` once and walks
@@ -1340,37 +1170,38 @@ impl ColumnarBlock {
     }
 
     /// The scan: clear `keep[i]` for every row `i >= start` that `point`
-    /// strictly dominates (`Dominates`, never `Equal`), and return the
-    /// number of rows it passed. The scan resolves the point's compared
+    /// strictly dominates (`POINT_DOMINATES`), or that strictly dominates
+    /// `point` (`!POINT_DOMINATES`) — never for an equal row — and return
+    /// the number of rows it passed. The scan resolves the point's compared
     /// dimensions into `tests` once, as the walk does, and runs the walk's
-    /// 4-row step with the comparison turned round — "point `<=` row" ANDed,
-    /// "point `<` row" ORed — over every row from `start` to the end, with
-    /// no early exit. Flags already cleared stay cleared. A NULL-like point
-    /// under the complete relation dominates nothing and passes no row.
+    /// 4-row step in the chosen direction over every row from `start` to
+    /// the end, with no early exit. Flags already cleared stay cleared. A
+    /// NULL-like point under the complete relation is incomparable with
+    /// every row and passes none.
     ///
-    /// An ordered block bounds the scan from below: a row whose member key
-    /// is less than the point's member key cannot be dominated by it, so a
-    /// caller starts at the first row whose key reaches the point's. (The
-    /// invariant of the module docs, with member keys on both sides: an
-    /// unscorable row's NaN sum holds a `-inf` that each of its dominators
-    /// shares, which gives the dominator key `-inf` too.) The point is
-    /// read from a block of the same column classes
+    /// An ordered block bounds a `mark::<true>` scan from below: a row
+    /// whose member key is less than the point's key cannot be dominated by
+    /// it, so a caller starts at the first row whose key reaches the
+    /// point's. (The invariant of the module docs; with member keys on
+    /// both sides, an unscorable row's NaN sum holds a `-inf` that each of
+    /// its dominators shares, which gives the dominator key `-inf` too.)
+    /// The point is read from a block of the same column classes
     /// ([`encode_member_into`](Self::encode_member_into) after
     /// [`reconcile`](Self::reconcile)) or encoded against this block.
-    pub fn mark_dominated<'a>(
+    pub fn mark<'a, const POINT_DOMINATES: bool>(
         &'a self,
         point: &EncodedCandidate,
         start: usize,
         keep: &mut [bool],
         tests: &mut WalkTests<'a>,
     ) -> u64 {
-        debug_assert!(!self.is_fallback(), "mark_dominated on a fallback block");
+        debug_assert!(!self.is_fallback(), "mark on a fallback block");
         debug_assert_eq!(keep.len(), self.len);
         if point.all_incomparable || start >= self.len {
             return 0;
         }
         self.resolve(point, tests);
-        self.fused::<true>(tests, start, self.len, |base, dom| {
+        self.fused::<POINT_DOMINATES>(tests, start, self.len, |base, dom| {
             for (k, keep) in keep[base..].iter_mut().take(4).enumerate() {
                 *keep &= dom & (1 << k) == 0;
             }
@@ -1413,7 +1244,7 @@ impl ColumnarBlock {
     }
 
     /// The fused loop of [`first_dominator`](Self::first_dominator) and
-    /// [`mark_dominated`](Self::mark_dominated) over rows `[start, end)` of
+    /// [`mark`](Self::mark) over rows `[start, end)` of
     /// the resolved `tests`, on the block's tier: `hit(base, bits)` gets
     /// each 4-row step holding a strict dominance in the loop's direction,
     /// and stops the loop by returning `true`.
@@ -1465,109 +1296,12 @@ impl ColumnarBlock {
             }
         }
     }
-
-    /// Candidate-better (`a`), row-better (`b`), and DIFF-inequality
-    /// (`neq`) bits for rows `[base, base + m)`, dispatched to the block's
-    /// compare tier.
-    fn chunk_masks(&self, cand: &EncodedCandidate, base: usize, m: usize) -> (u64, u64, u64) {
-        match self.tier {
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx2 => self.chunk_masks_avx2(cand, base, m),
-            _ => self.chunk_masks_chunked(cand, base, m),
-        }
-    }
-
-    /// Portable chunked-scalar mask loop per ranked column; the
-    /// differential oracle for the SIMD tier.
-    fn chunk_masks_chunked(
-        &self,
-        cand: &EncodedCandidate,
-        base: usize,
-        m: usize,
-    ) -> (u64, u64, u64) {
-        // Candidate-better / row-better / DIFF-inequality bits,
-        // accumulated per dim over the chunk's contiguous buffer slice.
-        let mut a: u64 = 0;
-        let mut b: u64 = 0;
-        let mut neq: u64 = 0;
-        for (col, dim) in self.cols.iter().zip(&cand.dims) {
-            match (&col.data, dim) {
-                (ColumnData::Ints(buf), CandDim::Int(v))
-                | (ColumnData::Bools(buf), CandDim::Int(v)) => {
-                    if col.is_diff {
-                        for (k, &x) in buf[base..base + m].iter().enumerate() {
-                            neq |= u64::from(x != *v) << k;
-                        }
-                    } else {
-                        for (k, &x) in buf[base..base + m].iter().enumerate() {
-                            a |= u64::from(*v < x) << k;
-                            b |= u64::from(x < *v) << k;
-                        }
-                    }
-                }
-                (ColumnData::Floats(buf), CandDim::Float(v)) => {
-                    if col.is_diff {
-                        for (k, &x) in buf[base..base + m].iter().enumerate() {
-                            neq |= u64::from(x != *v) << k;
-                        }
-                    } else {
-                        for (k, &x) in buf[base..base + m].iter().enumerate() {
-                            a |= u64::from(*v < x) << k;
-                            b |= u64::from(x < *v) << k;
-                        }
-                    }
-                }
-                (_, CandDim::Skip) | (ColumnData::Pending, _) => {}
-                mismatch => unreachable!("encode/class invariant violated: {mismatch:?}"),
-            }
-        }
-        (a, b, neq)
-    }
-
-    /// AVX2 mask computation: four-lane compares on every column class.
-    #[cfg(target_arch = "x86_64")]
-    fn chunk_masks_avx2(&self, cand: &EncodedCandidate, base: usize, m: usize) -> (u64, u64, u64) {
-        let mut a: u64 = 0;
-        let mut b: u64 = 0;
-        let mut neq: u64 = 0;
-        for (col, dim) in self.cols.iter().zip(&cand.dims) {
-            match (&col.data, dim) {
-                (ColumnData::Ints(buf), CandDim::Int(v))
-                | (ColumnData::Bools(buf), CandDim::Int(v)) => {
-                    let s = &buf[base..base + m];
-                    // SAFETY: a block only gets the `Avx2` tier after
-                    // `is_x86_feature_detected!("avx2")` (`with_tier`).
-                    unsafe {
-                        if col.is_diff {
-                            simd::diff_i64_avx2(s, *v, &mut neq);
-                        } else {
-                            simd::ranked_i64_avx2(s, *v, &mut a, &mut b);
-                        }
-                    }
-                }
-                (ColumnData::Floats(buf), CandDim::Float(v)) => {
-                    let s = &buf[base..base + m];
-                    // SAFETY: as above — `Avx2` implies runtime detection
-                    // succeeded.
-                    unsafe {
-                        if col.is_diff {
-                            simd::diff_f64_avx2(s, *v, &mut neq);
-                        } else {
-                            simd::ranked_f64_avx2(s, *v, &mut a, &mut b);
-                        }
-                    }
-                }
-                (_, CandDim::Skip) | (ColumnData::Pending, _) => {}
-                mismatch => unreachable!("encode/class invariant violated: {mismatch:?}"),
-            }
-        }
-        (a, b, neq)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dominance::Dominance;
     use sparkline_common::SkylineDim;
 
     fn spec_mm() -> SkylineSpec {
@@ -1586,7 +1320,49 @@ mod tests {
         Row::new(vec![Value::Int64(a), Value::Int64(b)])
     }
 
-    /// Oracle: batch outcomes must equal the scalar checker pairwise.
+    /// What the two scans clear for `cand` from row 0, one flag per row:
+    /// the rows that strictly dominate it (`mark::<false>`), the rows it
+    /// strictly dominates (`mark::<true>`), and the rows each scan passed.
+    fn scans(block: &ColumnarBlock, cand: &EncodedCandidate) -> (Vec<bool>, Vec<bool>, u64) {
+        let mut tests = WalkTests::default();
+        let (mut dominators, mut dominated) = (vec![true; block.len()], vec![true; block.len()]);
+        let passed = block.mark::<false>(cand, 0, &mut dominators, &mut tests);
+        assert_eq!(
+            block.mark::<true>(cand, 0, &mut dominated, &mut tests),
+            passed
+        );
+        let cleared = |keep: Vec<bool>| keep.into_iter().map(|k| !k).collect();
+        (cleared(dominators), cleared(dominated), passed)
+    }
+
+    /// Oracle: each scan clears exactly the rows where the scalar
+    /// checker's `compare(cand, row)` is `DominatedBy` (`mark::<false>`)
+    /// or `Dominates` (`mark::<true>`), and passes every row.
+    fn assert_scans_agree(
+        block: &ColumnarBlock,
+        rows: &[Row],
+        cand: &Row,
+        checker: &DominanceChecker,
+    ) {
+        let enc = block.encode(cand).expect("encodable candidate");
+        let (dominators, dominated, passed) = scans(block, &enc);
+        assert_eq!(passed, rows.len() as u64);
+        for (i, row) in rows.iter().enumerate() {
+            let verdict = checker.compare(cand, row);
+            assert_eq!(
+                (dominators[i], dominated[i]),
+                (
+                    verdict == Dominance::DominatedBy,
+                    verdict == Dominance::Dominates
+                ),
+                "tier {:?}, row {i}: cand={cand} row={row}",
+                block.tier()
+            );
+        }
+    }
+
+    /// [`assert_scans_agree`] on a block of `rows` under the `spec_mm`
+    /// relation.
     fn assert_agrees(rows: &[Row], cand: &Row, incomplete: bool) {
         let checker = if incomplete {
             DominanceChecker::incomplete(spec_mm())
@@ -1595,17 +1371,7 @@ mod tests {
         };
         let block = block_of(rows, incomplete);
         assert!(!block.is_fallback(), "{:?}", block.fallback_reason());
-        let enc = block.encode(cand).expect("encodable candidate");
-        let mut out = Vec::new();
-        let res = block.compare_batch(&enc, &mut out, false);
-        assert_eq!(res.tested, rows.len() as u64);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(
-                out[i],
-                checker.compare(cand, row),
-                "row {i}: cand={cand} row={row}"
-            );
-        }
+        assert_scans_agree(&block, rows, cand, &checker);
     }
 
     #[test]
@@ -1663,29 +1429,36 @@ mod tests {
         let block = block_of(&rows, false);
         let cand = Row::new(vec![Value::Null, Value::Int64(5)]);
         let enc = block.encode(&cand).unwrap();
-        let mut out = Vec::new();
-        let res = block.compare_batch(&enc, &mut out, true);
-        assert_eq!(res.dominated_at, None);
-        assert!(out.iter().all(|&o| o == Dominance::Incomparable));
+        let res = block.first_dominator(&enc, &mut WalkTests::default());
+        assert_eq!(
+            res,
+            BatchResult {
+                tested: 0,
+                dominated_at: None
+            }
+        );
+        let (dominators, dominated, passed) = scans(&block, &enc);
+        assert_eq!(passed, 0);
+        assert!(!dominators.contains(&true) && !dominated.contains(&true));
     }
 
     #[test]
     fn early_exit_stops_at_dominator_chunk() {
-        // Row 3 dominates the candidate; with 200 rows, the scan must stop
-        // after the first (progressively sized) chunk.
+        // Row 3 dominates the candidate; with 204 rows, the walk must stop
+        // after the first 4-row step.
         let mut rows: Vec<Row> = vec![int_row(9, 1), int_row(8, 2), int_row(9, 3), int_row(0, 99)];
         rows.extend((0..200).map(|i| int_row(50 + i, 50)));
         let block = block_of(&rows, false);
+        assert!(!block.is_ordered());
         let enc = block.encode(&int_row(5, 5)).unwrap();
-        let mut out = Vec::new();
-        let res = block.compare_batch(&enc, &mut out, true);
+        let res = block.first_dominator(&enc, &mut WalkTests::default());
         assert_eq!(res.dominated_at, Some(3));
         assert_eq!(res.tested, 4);
-        assert_eq!(out.len(), 4);
         // Without the early exit the whole window is tested.
-        let res = block.compare_batch(&enc, &mut out, false);
-        assert_eq!(res.tested, rows.len() as u64);
-        assert_eq!(out.len(), rows.len());
+        let (dominators, _, passed) = scans(&block, &enc);
+        assert_eq!(passed, rows.len() as u64);
+        let hits: Vec<usize> = (0..rows.len()).filter(|&i| dominators[i]).collect();
+        assert_eq!(hits, [3]);
     }
 
     #[test]
@@ -1694,13 +1467,16 @@ mod tests {
         let block = block_of(&rows, false);
         let mut cand = EncodedCandidate::new();
         assert!(block.encode_into(&int_row(2, 2), &mut cand));
-        let mut out = Vec::new();
-        block.compare_batch(&cand, &mut out, false);
-        assert_eq!(out[2], Dominance::Equal);
+        // Rows `(i, i)` under MIN/MAX trade off against `(2, 2)`, and
+        // the equal row 2 is cleared by neither scan.
+        let (dominators, dominated, passed) = scans(&block, &cand);
+        assert_eq!(passed, 5);
+        assert!(!dominators.contains(&true) && !dominated.contains(&true));
         // A NULL candidate flips the buffer to all-incomparable.
         assert!(block.encode_into(&Row::new(vec![Value::Null, Value::Int64(1)]), &mut cand));
-        block.compare_batch(&cand, &mut out, false);
-        assert!(out.iter().all(|&o| o == Dominance::Incomparable));
+        let (dominators, dominated, passed) = scans(&block, &cand);
+        assert_eq!(passed, 0);
+        assert!(!dominators.contains(&true) && !dominated.contains(&true));
     }
 
     #[test]
@@ -1716,13 +1492,7 @@ mod tests {
         block.retain_mask(&[true, false, true, false, true, false]);
         assert_eq!(block.len(), rows.len());
         let checker = DominanceChecker::complete(spec_mm());
-        let cand = int_row(3, 3);
-        let enc = block.encode(&cand).unwrap();
-        let mut out = Vec::new();
-        block.compare_batch(&enc, &mut out, false);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(out[i], checker.compare(&cand, row));
-        }
+        assert_scans_agree(&block, &rows, &int_row(3, 3), &checker);
     }
 
     #[test]
@@ -1732,13 +1502,7 @@ mod tests {
         rows.remove(1);
         block.remove(1);
         let checker = DominanceChecker::complete(spec_mm());
-        let cand = int_row(2, 2);
-        let enc = block.encode(&cand).unwrap();
-        let mut out = Vec::new();
-        block.compare_batch(&enc, &mut out, false);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(out[i], checker.compare(&cand, row));
-        }
+        assert_scans_agree(&block, &rows, &int_row(2, 2), &checker);
     }
 
     #[test]
@@ -1760,18 +1524,9 @@ mod tests {
                 block.push(r);
             }
             assert!(!block.is_fallback(), "{:?}", block.fallback_reason());
-            let mut out = Vec::new();
             for c in 0..6 {
                 let cand = Row::new(vec![Value::Int64(c % 3), Value::Int64(30 + c)]);
-                let enc = block.encode(&cand).expect("encodable DIFF candidate");
-                block.compare_batch(&enc, &mut out, false);
-                for (i, row) in rows.iter().enumerate() {
-                    assert_eq!(
-                        out[i],
-                        checker.compare(&cand, row),
-                        "tier {tier:?} cand={cand} row={row}"
-                    );
-                }
+                assert_scans_agree(&block, &rows, &cand, &checker);
             }
         }
     }
@@ -1795,12 +1550,7 @@ mod tests {
             }
             assert!(!block.is_fallback());
             let cand = Row::new(vec![Value::Float64(0.5), Value::Float64(4.0)]);
-            let enc = block.encode(&cand).unwrap();
-            let mut out = Vec::new();
-            block.compare_batch(&enc, &mut out, false);
-            for (i, row) in rows.iter().enumerate() {
-                assert_eq!(out[i], checker.compare(&cand, row), "tier {tier:?}");
-            }
+            assert_scans_agree(&block, &rows, &cand, &checker);
         }
     }
 
@@ -1841,7 +1591,8 @@ mod tests {
     fn all_tiers_produce_identical_outcomes() {
         let rows = mixed_rows(150);
         let cands = mixed_rows(40);
-        let mut oracle: Option<Vec<Vec<Dominance>>> = None;
+        let checker = DominanceChecker::complete(spec_mm());
+        let mut oracle = None;
         for tier in KernelTier::available() {
             let mut block = ColumnarBlock::with_tier(&spec_mm(), false, tier);
             for r in &rows {
@@ -1849,11 +1600,12 @@ mod tests {
             }
             assert!(!block.is_fallback());
             let mut all = Vec::new();
-            let mut out = Vec::new();
             for c in &cands {
                 let enc = block.encode(c).unwrap();
-                block.compare_batch(&enc, &mut out, false);
-                all.push(out.clone());
+                all.push(scans(&block, &enc));
+                if !is_null_like(c.get(0)) {
+                    assert_scans_agree(&block, &rows, c, &checker);
+                }
             }
             match &oracle {
                 None => oracle = Some(all),
@@ -1871,13 +1623,14 @@ mod tests {
             for r in &rows {
                 block.push(r);
             }
-            let (mut tests, mut out, mut tested) = (WalkTests::default(), Vec::new(), 0);
+            let checker = DominanceChecker::complete(spec_mm());
+            let (mut tests, mut tested) = (WalkTests::default(), 0);
             for (i, c) in cands.iter().enumerate() {
                 let enc = block.encode(c).unwrap();
                 let res = block.first_dominator(&enc, &mut tests);
                 tested += res.tested;
-                block.compare_batch(&enc, &mut out, false);
-                let expected = out.iter().position(|&o| o == Dominance::DominatedBy);
+                let expected =
+                    (rows.iter()).position(|r| checker.compare(c, r) == Dominance::DominatedBy);
                 assert_eq!(res.dominated_at, expected, "tier {tier:?} candidate {i}");
             }
             assert!(tested > 0);
@@ -2014,16 +1767,9 @@ mod tests {
         assert_eq!(ints.keys(), &[9.0, 11.0, 0.75]);
         assert!(!ints.is_ordered());
         let enc = ints.encode(&float_row(1.5, 9.5)).unwrap();
-        let mut out = Vec::new();
-        ints.compare_batch(&enc, &mut out, false);
-        assert_eq!(
-            out,
-            [
-                Dominance::DominatedBy,
-                Dominance::Incomparable,
-                Dominance::DominatedBy
-            ]
-        );
+        let (dominators, dominated, _) = scans(&ints, &enc);
+        assert_eq!(dominators, [true, false, true]);
+        assert_eq!(dominated, [false; 3]);
         // An all-NULL column takes the other side's class (complete
         // relation) but is a NULL/non-NULL mix under the incomplete one.
         for incomplete in [false, true] {
@@ -2200,12 +1946,7 @@ mod tests {
         }
         assert!(!block.is_fallback());
         let cand = Row::new(vec![Value::Null, Value::Int64(7)]);
-        let enc = block.encode(&cand).unwrap();
-        let mut out = Vec::new();
-        block.compare_batch(&enc, &mut out, false);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(out[i], checker.compare(&cand, row));
-        }
+        assert_scans_agree(&block, &rows, &cand, &checker);
     }
 
     #[test]

@@ -26,19 +26,20 @@ pub enum Dominance {
 pub struct SkylineStats {
     /// Number of pairwise dominance tests performed. The scalar checker
     /// counts each pair it compares; the columnar kernel counts the rows
-    /// its loops reach — whole 64-row chunks (the first one smaller) in
-    /// the per-row step, the rows up to the 4-row step holding the
-    /// dominator (or up to the key bound) in the first-dominator walk, and
-    /// every row from its start to the block's end in an eviction scan —
-    /// so per candidate a kernel count exceeds the pairs the scalar loop
-    /// would compare by less than a chunk in the per-row step and by at
-    /// most three rows in the walk.
+    /// its loops reach — the rows up to the 4-row step holding the
+    /// dominator (or up to the key bound) in a first-dominator walk, and
+    /// every row from its start to the block's end in a scan — so a walk
+    /// exceeds the pairs the scalar loop would compare by at most three
+    /// rows. BNL's per-row step counts its walk and, for a tuple it
+    /// admits, its scan: a row keyed like the tuple, and any row of an
+    /// arrival-order window, counts twice.
     pub dominance_tests: u64,
     /// Largest window (complete BNL) or candidate set (incomplete global)
     /// observed, in tuples.
     pub max_window: usize,
-    /// Dominance tests answered by the columnar batch kernel
-    /// (`columnar::ColumnarBlock`). Always `<= dominance_tests`.
+    /// Dominance tests answered by the columnar kernel
+    /// (`columnar::ColumnarBlock`): walks, scans and BNL's per-row step.
+    /// Always `<= dominance_tests`.
     pub batched_tests: u64,
     /// Dominance tests answered by the scalar [`DominanceChecker`] —
     /// either because the scalar path was selected or because the columnar
@@ -50,12 +51,13 @@ pub struct SkylineStats {
     /// First-dominator walks performed
     /// (`columnar::ColumnarBlock::first_dominator`): one per candidate a
     /// cross-filter tests against a live block — the batch fold's step 1
-    /// and step 2, the pairwise merge, the disk scan's dominance gate.
+    /// and step 2, the pairwise merge, the disk scan's dominance gate. The
+    /// walk of BNL's per-row step is not counted here.
     pub dominator_walks: u64,
-    /// Eviction scans performed (`columnar::ColumnarBlock::mark_dominated`)
-    /// in step 3 of the BNL batch fold (`crate::bnl`): one per row of a
-    /// batch's survivor skyline that has window rows to scan (a NULL-like
-    /// row scans none).
+    /// Eviction scans performed (`columnar::ColumnarBlock::mark`) in step
+    /// 3 of the BNL batch fold (`crate::bnl`): one per row of a batch's
+    /// survivor skyline that has window rows to scan (a NULL-like row
+    /// scans none). The scan of BNL's per-row step is not counted here.
     pub eviction_scans: u64,
 }
 
@@ -72,7 +74,7 @@ impl SkylineStats {
         self.eviction_scans += other.eviction_scans;
     }
 
-    /// Record `n` dominance tests performed by the columnar batch kernel,
+    /// Record `n` dominance tests performed by the columnar kernel,
     /// attributing them to the SIMD counter when the block's tier is a
     /// SIMD one.
     pub fn add_block_tests(&mut self, n: u64, simd: bool) {

@@ -6,8 +6,9 @@
 //! NULL patterns. The paper's approach:
 //!
 //! 1. **Group by null bitmap.** Every tuple gets a bitmap with one bit
-//!    per skyline dimension, set iff the dimension is NULL. Tuples with the
-//!    same bitmap share their NULL positions; within one class the
+//!    per skyline dimension, set iff the dimension is missing (NULL, or
+//!    NaN, which the relation skips alike). Tuples with the same bitmap
+//!    share their missing positions; within one class the
 //!    restricted relation is transitive again, so the ordinary BNL
 //!    algorithm computes each *local* skyline safely. The engine groups
 //!    each scan partition on its own (see "Phase 1 on the scan's
@@ -95,35 +96,45 @@
 
 use std::collections::HashMap;
 
-use sparkline_common::{ColumnBatch, QueryControl, Result, Row, SkylineSpec, CONTROL_CHECK_ROWS};
+use sparkline_common::{
+    BatchColumn, ColumnBatch, ColumnValues, QueryControl, Result, Row, SkylineSpec,
+    CONTROL_CHECK_ROWS,
+};
 
 use crate::bnl::{tier_for, BnlBuilder};
-use crate::columnar::KernelTier;
+use crate::columnar::{is_null_like, KernelTier};
 use crate::dominance::{Dominance, DominanceChecker, SkylineStats};
 use crate::naive::naive_skyline;
 
 /// The null bitmap of a tuple over the skyline dimensions: bit `i` is set
-/// iff dimension `i` (in spec order) is NULL (paper §5.7).
+/// iff dimension `i` (in spec order) is missing — NULL, or NaN, which the
+/// incomplete relation skips alike ([`is_null_like`]) — paper §5.7. A
+/// class whose members differ in which dimensions they miss would not be
+/// transitive (Lemma 5.1).
 ///
 /// Supports up to 64 skyline dimensions, far beyond the paper's 6.
 pub fn null_bitmap(row: &Row, spec: &SkylineSpec) -> u64 {
-    bitmap_of(spec, |c| row.get(c).is_null())
-}
-
-/// The null bitmap over `spec`'s dimensions of a row whose column `c` is
-/// NULL iff `is_null(c)`.
-fn bitmap_of(spec: &SkylineSpec, is_null: impl Fn(usize) -> bool) -> u64 {
     assert!(
         spec.dims.len() <= 64,
         "at most 64 skyline dimensions are supported"
     );
     let mut bitmap = 0u64;
     for (i, dim) in spec.dims.iter().enumerate() {
-        if is_null(dim.index) {
+        if is_null_like(row.get(dim.index)) {
             bitmap |= 1 << i;
         }
     }
     bitmap
+}
+
+/// Whether physical row `i` of `column` is missing: [`null_bitmap`]'s
+/// test, read from the column's buffers.
+fn is_missing(column: &BatchColumn, i: usize) -> bool {
+    match &column.values {
+        ColumnValues::Float64(v) => v[i].is_nan() || column.is_null(i),
+        ColumnValues::Int64(_) => column.is_null(i),
+        ColumnValues::Values(v) => is_null_like(&v[i]),
+    }
 }
 
 /// Group tuples by their null bitmap: the paper's partitions `P_b`, which
@@ -234,8 +245,9 @@ impl GroupedBnlBuilder {
     /// and each class window folds its share straight from the buffers, as
     /// [`BnlBuilder::push_columns_checked`] does: a `Row` is built only
     /// where that fold builds one. The run's null bitmaps are built one
-    /// dimension at a time from the columns' NULL flags, and each distinct
-    /// bitmap looks up its class window once.
+    /// dimension at a time from the columns' buffers (a NULL flag or a
+    /// NaN sets a bit, as in [`null_bitmap`]), and each distinct bitmap
+    /// looks up its class window once.
     pub fn push_columns_checked(
         &mut self,
         batch: &ColumnBatch,
@@ -253,10 +265,9 @@ impl GroupedBnlBuilder {
             bitmaps.clear();
             bitmaps.resize(run.len(), 0);
             for (d, dim) in self.checker.spec().dims.iter().enumerate() {
-                if let Some(nulls) = &batch.column(dim.index).nulls {
-                    for (bitmap, &i) in bitmaps.iter_mut().zip(run) {
-                        *bitmap |= u64::from(nulls[i]) << d;
-                    }
+                let column = batch.column(dim.index);
+                for (bitmap, &i) in bitmaps.iter_mut().zip(run) {
+                    *bitmap |= u64::from(is_missing(column, i)) << d;
                 }
             }
             routed.clear();

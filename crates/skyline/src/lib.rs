@@ -15,11 +15,11 @@
 //!   global pairwise merge of both relations are built on.
 //! * [`columnar`] — the struct-of-arrays dominance kernel: row windows are
 //!   transposed into sign-normalized `i64`/`f64` column buffers once, and
-//!   candidates are tested against the whole window in chunked or
-//!   explicit-SIMD passes (AVX2, runtime-dispatched), one candidate at a
-//!   time; the batched BNL window, the
-//!   incomplete family's class blocks, and the disk scan's dominance skip
-//!   run on it.
+//!   one fused 4-row step (portable or AVX2, runtime-dispatched) answers
+//!   every dominance question, one candidate at a time: a first-dominator
+//!   walk and a scan in either direction. The batched BNL window, the
+//!   incomplete family's class blocks, the maintained views and the disk
+//!   scan's dominance skip run on it.
 //! * [`incomplete`] — null bitmaps, the per-class local skyline (the
 //!   local phase groups each scan partition by class, with no exchange),
 //!   and the all-pairs, deferred-deletion global skyline for incomplete

@@ -15,10 +15,10 @@
 //!   exactly like the relation's own row vector).
 //! * `counts[i]` — `Some(c)` when row `i` is *tracked* (a band member with
 //!   stated dominator count `c`), `None` when untracked.
-//! * the band's rows are also transposed into a [`ColumnarBlock`], so one
-//!   [`compare_batch`](ColumnarBlock::compare_batch) pass yields, for a
-//!   candidate, both its dominators in the band (`DominatedBy` outcomes)
-//!   and the band members it dominates (`Dominates` outcomes).
+//! * the band's rows are also transposed into a [`ColumnarBlock`], so two
+//!   scans ([`mark`](ColumnarBlock::mark), one per direction) yield, for a
+//!   candidate, the band members it strictly dominates and its strict
+//!   dominators in the band — the two sets an insert and a delete read.
 //!
 //! The maintained skyline is the set of tracked tuples with stated count
 //! 0, in arrival order — byte-identical to a cold BNL recompute, whose
@@ -98,7 +98,7 @@
 
 use sparkline_common::{Error, Result, Row, SkylineSpec};
 
-use crate::columnar::{ColumnarBlock, EncodedCandidate};
+use crate::columnar::{ColumnarBlock, EncodedCandidate, WalkTests};
 use crate::dominance::{Dominance, DominanceChecker};
 
 /// Rebuild when stale band entries (stated count > k) outnumber fresh
@@ -143,7 +143,11 @@ pub struct MaintainedSkyline {
     band: Vec<usize>,
     /// The band rows, transposed; index-aligned with `band`.
     block: ColumnarBlock,
-    scratch: Vec<Dominance>,
+    /// [`band_outcomes`](Self::band_outcomes) of the last candidate, one
+    /// flag per band row: cleared where the candidate strictly dominates
+    /// the row, and where the row strictly dominates the candidate.
+    not_dominated: Vec<bool>,
+    not_dominator: Vec<bool>,
     cand: EncodedCandidate,
 }
 
@@ -171,7 +175,8 @@ impl MaintainedSkyline {
             rebuilds: 0,
             band: Vec::new(),
             block,
-            scratch: Vec::new(),
+            not_dominated: Vec::new(),
+            not_dominator: Vec::new(),
             cand: EncodedCandidate::new(),
         };
         for row in rows {
@@ -265,7 +270,7 @@ impl MaintainedSkyline {
         // insert) or arrived after them (hence counted on arrival).
         self.band_outcomes(&x);
         for i in 0..self.band.len() {
-            if self.scratch[i] != Dominance::Dominates {
+            if self.not_dominated[i] {
                 continue;
             }
             let p = self.band[i];
@@ -290,19 +295,16 @@ impl MaintainedSkyline {
     fn insert_internal(&mut self, row: Row) -> SkylineDelta {
         let mut delta = SkylineDelta::default();
         self.band_outcomes(&row);
-        let mut dominators = 0u32;
+        let dominators = self.not_dominator.iter().filter(|&&kept| !kept).count() as u32;
         for i in 0..self.band.len() {
-            match self.scratch[i] {
-                Dominance::DominatedBy => dominators += 1,
-                Dominance::Dominates => {
-                    let p = self.band[i];
-                    let c = self.counts[p].expect("band member untracked");
-                    self.counts[p] = Some(c + 1);
-                    if c == 0 {
-                        delta.removed.push(self.rows[p].clone());
-                    }
-                }
-                _ => {}
+            if self.not_dominated[i] {
+                continue;
+            }
+            let p = self.band[i];
+            let c = self.counts[p].expect("band member untracked");
+            self.counts[p] = Some(c + 1);
+            if c == 0 {
+                delta.removed.push(self.rows[p].clone());
             }
         }
         let pos = self.rows.len();
@@ -322,21 +324,27 @@ impl MaintainedSkyline {
         delta
     }
 
-    /// Fill `scratch[i]` with `compare(candidate, band[i])` — one batched
-    /// kernel pass when the block supports it, the scalar checker
-    /// otherwise.
+    /// Fill `not_dominated` and `not_dominator` for `candidate` against
+    /// the band: one scan per direction when the block can hold the
+    /// candidate, the scalar checker otherwise.
     fn band_outcomes(&mut self, candidate: &Row) {
+        for flags in [&mut self.not_dominated, &mut self.not_dominator] {
+            flags.clear();
+            flags.resize(self.band.len(), true);
+        }
         if !self.block.is_fallback() && self.block.encode_into(candidate, &mut self.cand) {
-            self.block
-                .compare_batch(&self.cand, &mut self.scratch, false);
+            let mut tests = WalkTests::default();
+            (self.block).mark::<true>(&self.cand, 0, &mut self.not_dominated, &mut tests);
+            (self.block).mark::<false>(&self.cand, 0, &mut self.not_dominator, &mut tests);
         } else {
-            self.scratch.clear();
-            for &p in &self.band {
-                self.scratch
-                    .push(self.checker.compare(candidate, &self.rows[p]));
+            for (i, &p) in self.band.iter().enumerate() {
+                match self.checker.compare(candidate, &self.rows[p]) {
+                    Dominance::Dominates => self.not_dominated[i] = false,
+                    Dominance::DominatedBy => self.not_dominator[i] = false,
+                    Dominance::Equal | Dominance::Incomparable => {}
+                }
             }
         }
-        debug_assert_eq!(self.scratch.len(), self.band.len());
     }
 
     /// Remove row `pos` from the mirror (and the band, when tracked),

@@ -12,19 +12,87 @@ use rand::{Rng, SeedableRng};
 use sparkline_common::{Row, SkylineDim, SkylineSpec, SkylineType, Value};
 use sparkline_datagen::distributions::{anti_correlated_rows, correlated_rows, independent_rows};
 use sparkline_skyline::{
-    is_null_like, naive_skyline, null_bitmap, BnlBuilder, ColumnarBlock, Dominance,
-    DominanceChecker, EncodedCandidate, GroupedBnlBuilder, KernelTier, SkylineStats, WalkTests,
+    is_null_like, naive_skyline, BnlBuilder, ColumnarBlock, Dominance, DominanceChecker,
+    EncodedCandidate, GroupedBnlBuilder, KernelTier, SkylineStats, WalkTests,
 };
 
 /// The builders' `vectorized` flag: the chunked loop and the detected
 /// tier; each must match the naive definition row for row.
 const VECTORIZED: [bool; 2] = [false, true];
 
-/// One batch through a BNL window on the tier `vectorized` selects.
-fn bnl(rows: Vec<Row>, checker: &DominanceChecker, vectorized: bool) -> (Vec<Row>, SkylineStats) {
+/// `rows` pushed through a BNL window on the tier `vectorized` selects,
+/// `batch` rows per push.
+fn bnl(
+    rows: Vec<Row>,
+    checker: &DominanceChecker,
+    vectorized: bool,
+    batch: usize,
+) -> (Vec<Row>, SkylineStats) {
     let mut builder = BnlBuilder::new(checker.clone(), vectorized);
-    builder.push_batch(rows);
+    for chunk in rows.chunks(batch.max(1)) {
+        builder.push_batch(chunk.to_vec());
+    }
     builder.finish()
+}
+
+/// Both scans of `enc` (the encoding of `cand`) from row 0 against the
+/// scalar checker: `mark::<false>` clears exactly the rows `r` with
+/// `compare(cand, r) == DominatedBy`, `mark::<true>` exactly those with
+/// `Dominates`, and each passes every row — none for a candidate that is
+/// NULL-like under the complete relation.
+fn scans_agree(
+    block: &ColumnarBlock,
+    rows: &[Row],
+    cand: &Row,
+    enc: &EncodedCandidate,
+    checker: &DominanceChecker,
+) -> TestCaseResult {
+    let mut tests = WalkTests::default();
+    let (mut dominators, mut dominated) = (vec![true; rows.len()], vec![true; rows.len()]);
+    let passed = block.mark::<false>(enc, 0, &mut dominators, &mut tests);
+    prop_assert_eq!(
+        block.mark::<true>(enc, 0, &mut dominated, &mut tests),
+        passed
+    );
+    let incomparable = !checker.is_incomplete()
+        && (checker.spec().dims.iter()).any(|d| is_null_like(cand.get(d.index)));
+    prop_assert_eq!(passed, if incomparable { 0 } else { rows.len() as u64 });
+    for (i, row) in rows.iter().enumerate() {
+        let verdict = checker.compare(cand, row);
+        prop_assert_eq!(
+            (!dominators[i], !dominated[i]),
+            (
+                verdict == Dominance::DominatedBy,
+                verdict == Dominance::Dominates
+            ),
+            "tier {:?}, cand={} row={}",
+            block.tier(),
+            cand,
+            row
+        );
+    }
+    Ok(())
+}
+
+/// The local phase's classes over `rows`, in first-seen order: rows
+/// missing the same skyline dimensions, where NULL and NaN are both
+/// missing (`is_null_like`) — taken from the values, not from the
+/// product's `null_bitmap`.
+fn classes_by_missing_dims(rows: &[Row], checker: &DominanceChecker) -> Vec<Vec<Row>> {
+    let missing = |row: &Row| -> Vec<bool> {
+        (checker.spec().dims.iter())
+            .map(|d| is_null_like(row.get(d.index)))
+            .collect()
+    };
+    let mut classes: Vec<(Vec<bool>, Vec<Row>)> = Vec::new();
+    for row in rows {
+        let key = missing(row);
+        match classes.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, class)) => class.push(row.clone()),
+            None => classes.push((key, vec![row.clone()])),
+        }
+    }
+    classes.into_iter().map(|(_, class)| class).collect()
 }
 
 /// Numeric-leaning values (the kernel's fast path) with NULLs mixed in.
@@ -51,8 +119,8 @@ fn wild_value() -> BoxedStrategy<Value> {
 }
 
 /// Values that stress the score keys: sums that round (2^53 + small),
-/// infinities of both signs (NaN sums), NaN and NULL, integers no `f64`
-/// holds, int/float mixes.
+/// infinities of both signs (NaN sums), NaN and NULL, a negative zero
+/// (equal to `0.0`), integers no `f64` holds, int/float mixes.
 fn extreme_value() -> BoxedStrategy<Value> {
     prop_oneof![
         4 => (0i64..6).prop_map(Value::Int64),
@@ -62,6 +130,7 @@ fn extreme_value() -> BoxedStrategy<Value> {
         1 => Just(Value::Float64(f64::INFINITY)),
         1 => Just(Value::Float64(f64::NEG_INFINITY)),
         1 => Just(Value::Float64(f64::NAN)),
+        1 => Just(Value::Float64(-0.0)),
         1 => Just(Value::Int64(i64::MAX)),
         1 => Just(Value::Int64(i64::MIN)),
         1 => Just(Value::Null),
@@ -99,8 +168,11 @@ fn spec(dims: usize, with_diff: bool, distinct: bool) -> SkylineSpec {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Kernel-level agreement: every batch outcome equals the scalar
-    /// `compare` for the same (candidate, row) pair, complete relation.
+    /// Kernel-level agreement: for every (candidate, row) pair, the scan
+    /// that clears a row's dominators clears it exactly where the scalar
+    /// `compare` says `DominatedBy`, and the scan that clears the rows the
+    /// candidate dominates exactly where it says `Dominates`, complete
+    /// relation.
     #[test]
     fn kernel_agrees_with_scalar_compare(
         window in rows_of(numeric_value(), 3, 30),
@@ -112,18 +184,9 @@ proptest! {
             block.push(row);
         }
         prop_assume!(!block.is_fallback());
-        let mut out = Vec::new();
         for cand in &candidates {
             let Some(enc) = block.encode(cand) else { continue };
-            let res = block.compare_batch(&enc, &mut out, false);
-            prop_assert_eq!(res.tested as usize, window.len());
-            for (i, row) in window.iter().enumerate() {
-                prop_assert_eq!(
-                    out[i],
-                    checker.compare(cand, row),
-                    "cand={} row={}", cand, row
-                );
-            }
+            scans_agree(&block, &window, cand, &enc, &checker)?;
         }
     }
 
@@ -140,17 +203,9 @@ proptest! {
             block.push(row);
         }
         prop_assume!(!block.is_fallback());
-        let mut out = Vec::new();
         for cand in &candidates {
             let Some(enc) = block.encode(cand) else { continue };
-            block.compare_batch(&enc, &mut out, false);
-            for (i, row) in window.iter().enumerate() {
-                prop_assert_eq!(
-                    out[i],
-                    checker.compare(cand, row),
-                    "cand={} row={}", cand, row
-                );
-            }
+            scans_agree(&block, &window, cand, &enc, &checker)?;
         }
     }
 
@@ -229,46 +284,52 @@ proptest! {
 
     /// End-to-end: batched BNL is byte-identical (rows *and* order) to
     /// the scalar definition on arbitrary value mixes — including strings,
-    /// booleans, and NULLs that force the scalar-fallback path — for every
-    /// MIN/MAX/DIFF/DISTINCT spec combination, on both builder tiers.
+    /// booleans, and NULLs that force the scalar-fallback path, and the
+    /// extreme values (NaN, ±inf, −0.0, rounding sums) that keep the block
+    /// live and test `DISTINCT`'s key rule — for every MIN/MAX/DIFF/DISTINCT
+    /// spec combination, on both builder tiers, pushed in batches of
+    /// 1–40 rows.
     #[test]
     fn batched_bnl_matches_scalar_on_wild_values(
-        rows in rows_of(wild_value(), 3, 40),
+        rows in prop_oneof![rows_of(wild_value(), 3, 40), rows_of(extreme_value(), 3, 40)],
         with_diff in 0u8..2,
         distinct in 0u8..2,
+        batch in 1usize..41,
     ) {
         let checker =
             DominanceChecker::complete(spec(3, with_diff == 1, distinct == 1));
         let scalar = naive_skyline(&rows, &checker);
         for vectorized in VECTORIZED {
-            let (batched, s2) = bnl(rows.clone(), &checker, vectorized);
-            prop_assert_eq!(&scalar, &batched, "vectorized={}", vectorized);
+            let (batched, s2) = bnl(rows.clone(), &checker, vectorized, batch);
+            prop_assert_eq!(&scalar, &batched, "vectorized={}, batch {}", vectorized, batch);
             prop_assert_eq!(s2.dominance_tests, s2.batched_tests + s2.scalar_tests);
         }
     }
 
     /// Batched BNL under the incomplete relation, as the local phase runs
-    /// it on mixed input: one window per null-bitmap class, each the
-    /// class's naive skyline, classes in first-seen order.
+    /// it on mixed input: one window per class of rows missing the same
+    /// dimensions (NULL or NaN), each the class's naive skyline, classes
+    /// in first-seen order — on numeric and extreme values, with and
+    /// without `DISTINCT`, in batches of 1–40 rows.
     #[test]
-    fn batched_bnl_matches_scalar_incomplete(rows in rows_of(numeric_value(), 3, 40)) {
-        let checker = DominanceChecker::incomplete(spec(3, false, false));
-        let mut classes: Vec<(u64, Vec<Row>)> = Vec::new();
-        for row in &rows {
-            let bitmap = null_bitmap(row, checker.spec());
-            match classes.iter_mut().find(|(b, _)| *b == bitmap) {
-                Some((_, class)) => class.push(row.clone()),
-                None => classes.push((bitmap, vec![row.clone()])),
-            }
-        }
-        let scalar: Vec<Row> = classes
+    fn batched_bnl_matches_scalar_incomplete(
+        rows in prop_oneof![rows_of(numeric_value(), 3, 40), rows_of(extreme_value(), 3, 40)],
+        distinct in 0u8..2,
+        batch in 1usize..41,
+    ) {
+        let checker = DominanceChecker::incomplete(spec(3, false, distinct == 1));
+        let scalar: Vec<Row> = classes_by_missing_dims(&rows, &checker)
             .iter()
-            .flat_map(|(_, class)| naive_skyline(class, &checker))
+            .flat_map(|class| naive_skyline(class, &checker))
             .collect();
         for vectorized in VECTORIZED {
             let mut grouped = GroupedBnlBuilder::new(checker.clone(), vectorized);
-            grouped.push_batch(rows.clone());
-            prop_assert_eq!(&scalar, &grouped.finish().0, "vectorized={}", vectorized);
+            for chunk in rows.chunks(batch) {
+                grouped.push_batch(chunk.to_vec());
+            }
+            prop_assert_eq!(
+                &scalar, &grouped.finish().0, "vectorized={}, batch {}", vectorized, batch
+            );
         }
     }
 }
@@ -294,7 +355,7 @@ proptest! {
         let checker = DominanceChecker::complete(spec(dims, false, false));
         let scalar = naive_skyline(&rows, &checker);
         for vectorized in VECTORIZED {
-            let (batched, s2) = bnl(rows.clone(), &checker, vectorized);
+            let (batched, s2) = bnl(rows.clone(), &checker, vectorized, rows.len());
             prop_assert_eq!(&scalar, &batched, "vectorized={}", vectorized);
             // Float data never demotes the block: the win is fully
             // attributed to the kernel.
@@ -536,12 +597,13 @@ proptest! {
         }
     }
 
-    /// The eviction scan of `mark_dominated` against the two-loop
-    /// definition: from a random start row, over flags some of which are
+    /// The scan of `mark` against the two-loop definition, in both
+    /// directions: from a random start row, over flags some of which are
     /// already cleared, `keep_after[i] = keep_before[i] && !(i >= start &&
-    /// point strictly dominates row_i)`, and the scan passes every row
-    /// from `start` to the end (none for a NULL-like point under the
-    /// complete relation), the same on every tier. Blocks as in the walk
+    /// point strictly dominates row_i)` for `mark::<true>`, and the same
+    /// with "row_i strictly dominates point" for `mark::<false>`; each scan
+    /// passes every row from `start` to the end (none for a NULL-like point
+    /// under the complete relation), the same on every tier. Blocks as in the walk
     /// differential, plus nine ranked float columns; points are the
     /// block's own members read from its buffers (`encode_member_into`,
     /// which must equal encoding the member's row), members with one to
@@ -578,7 +640,7 @@ proptest! {
             })
             .collect();
         let checker = &case.checker;
-        let mut first_tier: Option<Vec<(Vec<bool>, u64)>> = None;
+        let mut first_tier = None;
         for tier in KernelTier::available() {
             let (block, members) = case.block(tier);
             let mut outcomes = Vec::new();
@@ -610,22 +672,29 @@ proptest! {
                         None => continue,
                     },
                 };
-                let mut keep: Vec<bool> = cleared[..block.len()].iter().map(|c| !c).collect();
-                let before = keep.clone();
-                let passed = block.mark_dominated(&encoded, *start, &mut keep, &mut tests);
-                let expected: Vec<bool> = (before.iter().zip(&members).enumerate())
-                    .map(|(i, (&kept, m))| {
-                        kept && !(i >= *start && checker.compare(point_row, m) == Dominance::Dominates)
-                    })
-                    .collect();
-                prop_assert_eq!(&keep, &expected, "tier {:?}, point {}, start {}", tier, point_row, start);
+                let before: Vec<bool> = cleared[..block.len()].iter().map(|c| !c).collect();
+                let (mut dominated, mut dominators) = (before.clone(), before.clone());
+                let passed = block.mark::<true>(&encoded, *start, &mut dominated, &mut tests);
+                let passed_back = block.mark::<false>(&encoded, *start, &mut dominators, &mut tests);
+                for (keep, verdict) in [(&dominated, Dominance::Dominates), (&dominators, Dominance::DominatedBy)] {
+                    let expected: Vec<bool> = (before.iter().zip(&members).enumerate())
+                        .map(|(i, (&kept, m))| {
+                            kept && !(i >= *start && checker.compare(point_row, m) == verdict)
+                        })
+                        .collect();
+                    prop_assert_eq!(
+                        keep, &expected,
+                        "tier {:?}, point {}, start {}, {:?}", tier, point_row, start, verdict
+                    );
+                }
                 let expected_passed = if case.incomparable(point_row) {
                     0
                 } else {
                     block.len().saturating_sub(*start)
                 };
                 prop_assert_eq!(passed, expected_passed as u64, "tier {:?}", tier);
-                outcomes.push((keep, passed));
+                prop_assert_eq!(passed_back, passed, "tier {:?}", tier);
+                outcomes.push((dominated, dominators, passed));
             }
             match &first_tier {
                 None => first_tier = Some(outcomes),

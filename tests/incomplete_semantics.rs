@@ -7,7 +7,7 @@
 mod common;
 
 use common::{incomplete_session, row3};
-use sparkline::{Algorithm, Row, SessionConfig, SessionContext};
+use sparkline::{Algorithm, DataType, Field, Row, Schema, SessionConfig, SessionContext, Value};
 use sparkline_common::{SkylineDim, SkylineSpec, SkylineType};
 use sparkline_datagen::{register_store_sales, skyline_query_for, store_sales, Variant};
 use sparkline_skyline::{naive_skyline, Dominance, DominanceChecker};
@@ -137,6 +137,46 @@ fn engine_matches_naive_incomplete_oracle_on_random_data() {
             .collect()
             .unwrap();
         assert_eq!(result.sorted_display(), oracle, "seed {seed}");
+    }
+}
+
+#[test]
+fn nan_is_missing_like_null_in_the_bitmap_classes() {
+    // The incomplete relation skips a NaN dimension as it skips a NULL
+    // one, so a NaN must set its null-bitmap bit: Lemma 5.1 holds only
+    // within a class whose rows miss the same dimensions. With NaN counted
+    // as a value, all three rows share one class, where the first drops
+    // the second — the only row that dominates the third (b ≻ c on d1,
+    // equal on d2) — and the third survives.
+    let row = |v: [f64; 3]| Row::new(v.iter().map(|&x| Value::Float64(x)).collect());
+    let rows = vec![
+        row([-0.0, f64::NAN, f64::NEG_INFINITY]),
+        row([f64::NAN, 2.0, -0.0]),
+        row([f64::NEG_INFINITY, 1.0, 0.0]),
+    ];
+    let checker = DominanceChecker::incomplete(SkylineSpec::new(vec![
+        SkylineDim::min(0),
+        SkylineDim::max(1),
+        SkylineDim::min(2),
+    ]));
+    let expected = naive_skyline(&rows, &checker);
+    assert_eq!(expected, rows[..1]);
+    let ctx = SessionContext::new();
+    let schema = Schema::new(
+        ["d0", "d1", "d2"]
+            .into_iter()
+            .map(|name| Field::new(name, DataType::Float64, true))
+            .collect(),
+    );
+    ctx.register_table("t", schema, rows).unwrap();
+    for executors in [1usize, 2, 3] {
+        let result = ctx
+            .with_shared_catalog(SessionConfig::default().with_executors(executors))
+            .sql("SELECT * FROM t SKYLINE OF d0 MIN, d1 MAX, d2 MIN")
+            .unwrap()
+            .collect()
+            .unwrap();
+        assert_eq!(result.rows, expected, "{executors} executors");
     }
 }
 

@@ -101,20 +101,64 @@ fn zero_skyband_depth_rebuilds_but_stays_exact() {
     }
 }
 
+/// A view value: mostly small integers and halves (ties and dominance),
+/// sometimes NULL, NaN, an infinity or a signed zero.
+fn view_value() -> BoxedStrategy<Value> {
+    prop_oneof![
+        6 => (0i64..12).prop_map(Value::Int64),
+        4 => (0i64..24).prop_map(|v| Value::Float64(v as f64 / 2.0)),
+        1 => Just(Value::Null),
+        1 => Just(Value::Float64(f64::NAN)),
+        1 => Just(Value::Float64(f64::INFINITY)),
+        1 => Just(Value::Float64(f64::NEG_INFINITY)),
+        1 => Just(Value::Float64(-0.0)),
+        1 => Just(Value::Float64(0.0)),
+    ]
+    .boxed()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random small datasets and random mutation programs: after every
-    /// operation the maintained skyline equals a cold recompute.
+    /// operation the maintained skyline equals a cold recompute under the
+    /// same spec — MIN, MAX and DIFF dimensions over `Float64` columns
+    /// (integers mixed in) with NULL, NaN, ±inf and −0.0, or over `Int64`
+    /// columns with NULLs.
     #[test]
     fn random_mutation_sequences_stay_exact(
-        base in prop::collection::vec(prop::collection::vec(0i64..12, 3), 0..40),
-        ops in prop::collection::vec((0u8..3, prop::collection::vec(0i64..12, 3), 0usize..64), 1..60),
+        base in prop::collection::vec(prop::collection::vec(view_value(), 3), 0..40),
+        ops in prop::collection::vec((0u8..3, prop::collection::vec(view_value(), 3), 0usize..64), 1..60),
         k in 0u32..4,
+        types in prop::collection::vec(0u8..3, 3),
+        int_columns in 0u8..2,
     ) {
-        let to_row = |vals: &Vec<i64>| Row::new(vals.iter().map(|&v| Value::Int64(v)).collect());
+        let spec = SkylineSpec::new(
+            (types.iter().enumerate())
+                .map(|(d, ty)| match ty {
+                    0 => SkylineDim::min(d),
+                    1 => SkylineDim::max(d),
+                    _ => SkylineDim::diff(d),
+                })
+                .collect(),
+        );
+        let checker = DominanceChecker::complete(spec.clone());
+        // `Int64` columns: every value an integer or NULL.
+        let to_row = |vals: &Vec<Value>| {
+            Row::new(
+                vals.iter()
+                    .map(|v| match v {
+                        Value::Float64(f) if int_columns == 1 && f.is_finite() => {
+                            Value::Int64(f.floor() as i64)
+                        }
+                        Value::Float64(_) if int_columns == 1 => Value::Null,
+                        v => v.clone(),
+                    })
+                    .collect(),
+            )
+        };
         let base_rows: Vec<Row> = base.iter().map(to_row).collect();
-        let mut sky = MaintainedSkyline::new(min_spec(3), k, &base_rows).unwrap();
+        let mut sky = MaintainedSkyline::new(spec, k, &base_rows).unwrap();
         let mut live = base_rows;
         for (kind, vals, pick) in &ops {
             // kind 0 → insert; 1/2 → delete (when non-empty) so the
@@ -131,7 +175,7 @@ proptest! {
             let maintained: Vec<String> =
                 sky.skyline_rows().iter().map(|r| r.to_string()).collect();
             let cold: Vec<String> =
-                recompute(&live, 3).iter().map(|r| r.to_string()).collect();
+                naive_skyline(&live, &checker).iter().map(|r| r.to_string()).collect();
             prop_assert_eq!(maintained, cold);
         }
     }
